@@ -12,7 +12,7 @@ test:
 # REPRO_RACE_CHECK=strict arms the dynamic write-set race detector on
 # every engine the suite builds (overlaps raise ShardRaceError).
 REPRO_SHARDS ?= 1,2,4,8
-REPRO_BACKEND ?= thread,process
+REPRO_BACKEND ?= inline,process
 REPRO_RACE_CHECK ?=
 test-sharded:
 	REPRO_SHARDS=$(REPRO_SHARDS) REPRO_BACKEND=$(REPRO_BACKEND) \

@@ -1,20 +1,25 @@
-"""Shard-parallel maintenance scaling, thread AND process backends.
+"""Shard-parallel maintenance scaling, inline AND process backends.
 
 What this measures — and what it honestly can and cannot.  The devices
 flat view under price updates routes *parallel* (anchor ``parts``)
-every round, so the sharded engine runs N workers over disjoint i-diff
-row partitions.
+every round, so the sharded engine runs N shards over disjoint i-diff
+row partitions.  Both backends execute a shard through the same
+``run_shard`` and merge the results through the same code; they differ
+in where the shard runs.
 
-* **Thread backend**: workers share the coordinator's GIL, so on
-  CPython wall-clock speedup is structurally unavailable; the asserted
-  scaling metric is the access-count *critical path* (the busiest
-  shard's total — the cost a worker pays on real parallel hardware).
+* **Inline backend**: the shards run one after another in the
+  coordinator, so a round's wall clock is the *sum* of its shards; the
+  asserted scaling metric is the access-count *critical path* (the
+  busiest shard's total — the cost a worker pays on real parallel
+  hardware).
 * **Process backend**: long-lived worker processes each own their
-  anchor-key row subsets and execute on their own interpreter, so
-  wall-clock speedup *is* achievable — but only with real cores.  The
-  ``>= 1.5x at 4 shards`` assertion is therefore gated on
-  ``effective_cpus >= 4`` (``os.sched_getaffinity``); on smaller hosts
-  the measurement is still recorded, just not asserted.
+  anchor-key row subsets and execute on their own interpreter, so the
+  shards can overlap in time — but only with real cores, and only
+  after paying the wire/IPC round trip.  A ``>= 1.5x at 4 shards``
+  assertion exists, gated on ``effective_cpus >= 4``
+  (``os.sched_getaffinity``); it has never executed against the
+  committed baseline (recorded on fewer cores, every point below 1x).
+  On smaller hosts the measurement is recorded, not asserted.
 
 Correctness is asserted in full on every backend: view contents
 byte-identical across every (backend, shard count) and equal to the
@@ -45,7 +50,7 @@ from repro.workloads.devices import build_flat_view
 #: at 4 shards: spawning 8 interpreters on small CI hosts costs more
 #: than the extra data point tells us.
 POINTS = tuple(
-    [("thread", n) for n in (1, 2, 4, 8)] + [("process", n) for n in (1, 2, 4)]
+    [("inline", n) for n in (1, 2, 4, 8)] + [("process", n) for n in (1, 2, 4)]
 )
 
 #: Maintenance rounds per point.  Round 0 pays one-time costs (process
@@ -189,8 +194,8 @@ def _assert_scaling():
             assert report.shard_wall_hist.count == n
     # The access-count scaling claim (machine-independent): at 4 shards
     # the busiest shard carries substantially less than the whole round.
-    last_total = points[("thread", 4)]["last_round_total"]
-    for backend in ("thread", "process"):
+    last_total = points[("inline", 4)]["last_round_total"]
+    for backend in ("inline", "process"):
         critical = points[(backend, 4)]["critical_path"]
         assert critical <= 0.6 * last_total, (
             f"{backend}: critical path {critical} not < 60% of {last_total}"

@@ -65,7 +65,7 @@ from .workloads import (
 )
 
 
-def _id_engine_factory(shards: int, backend: str = "thread"):
+def _id_engine_factory(shards: int, backend: str = "inline"):
     """The idIVM engine constructor honouring ``--shards N --backend B``."""
     if shards > 1:
         return lambda db: ShardedEngine(db, shards=shards, backend=backend)
@@ -105,7 +105,7 @@ def demo_database() -> Database:
 def cmd_demo(args: argparse.Namespace) -> int:
     """``repro demo``: the running example end to end."""
     db = demo_database()
-    engine = _id_engine_factory(args.shards, getattr(args, "backend", "thread"))(db)
+    engine = _id_engine_factory(args.shards, getattr(args, "backend", "inline"))(db)
     try:
         view = engine.define_view(
             "V_prime",
@@ -229,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config = DevicesConfig(**kwargs)
         results: dict[str, SystemResult] = {}
         for label, factory in (
-            ("idIVM", _id_engine_factory(args.shards, getattr(args, "backend", "thread"))),
+            ("idIVM", _id_engine_factory(args.shards, getattr(args, "backend", "inline"))),
             ("tuple", TupleIvmEngine),
         ):
             results[label] = run_system(
@@ -261,7 +261,7 @@ def cmd_bsma(args: argparse.Namespace) -> int:
     for name, build in BSMA_QUERIES.items():
         costs = {}
         for label, factory in (
-            ("id", _id_engine_factory(args.shards, getattr(args, "backend", "thread"))),
+            ("id", _id_engine_factory(args.shards, getattr(args, "backend", "inline"))),
             ("tuple", TupleIvmEngine),
         ):
             db = build_bsma_database(config)
@@ -886,11 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sharded.add_argument(
             "--backend",
-            choices=("thread", "process"),
-            default="thread",
-            help="shard execution backend: worker threads over the shared "
-            "database, or long-lived worker processes fed i-diffs over a "
-            "compact wire format (default thread)",
+            choices=("inline", "process"),
+            default="inline",
+            help="shard execution backend: shards run one after another "
+            "over the shared database, or in long-lived worker processes "
+            "fed i-diffs over a compact wire format (default inline)",
         )
     return parser
 

@@ -1,19 +1,20 @@
 """Shard-parallel maintenance: :class:`ShardedEngine`.
 
-A drop-in :class:`~repro.core.engine.IdIvmEngine` that runs each
-maintenance round across N shard workers when the round's ∆-script is
-provably shard-local (see :mod:`repro.shard.router`), and falls back to
-a single global execution (*broadcast* — bit-for-bit the base engine's
-behaviour) otherwise.
+A drop-in :class:`~repro.core.engine.IdIvmEngine` that runs a view's
+∆-script across N shards when the round is provably shard-local (see
+:mod:`repro.shard.router`), and falls back to a single global execution
+(*broadcast* — the base engine's own step) otherwise.  The round loop
+itself is :meth:`IdIvmEngine.maintain`; this class only overrides where
+one view's script runs.
 
 The sharding model is **shared-database**: there is exactly one live
 :class:`~repro.storage.Database`; what gets partitioned is the round's
-i-diff *instance rows*, split by anchor key.  Every worker executes the
+i-diff *instance rows*, split by anchor key.  Every shard executes the
 full ∆-script over its row subset in a private :class:`IrContext`.
 Because the router proved every counted operation anchor-local, the
-workers read and write disjoint rows of the shared caches and view,
-the union of their outputs equals the single-shard result, and their
-access counts — routed into per-shard :class:`CounterSet`\\ s by
+shards read and write disjoint rows of the caches and view, the union
+of their outputs equals the single-shard result, and their access
+counts — each shard counts into its own :class:`CounterSet` behind
 :class:`~repro.shard.ShardRoutingCounters` — sum *exactly* to the
 single-shard counts.
 
@@ -21,48 +22,37 @@ That disjointness claim is *checked*, twice, rather than trusted: the
 static interference pass (``repro.analysis.interference``, rules
 RACE6xx) re-proves the per-round write-footprint disjointness at lint /
 define time, and the **dynamic race detector** — ``race_check=True`` on
-this engine — verifies it at run time by collecting every worker's
-captured write-set per parallel round and asserting pairwise
-key-disjointness before the round's effects are merged.  Under
+this engine — verifies it at run time by asserting pairwise
+key-disjointness of the shards' captured write-sets.  Under
 ``race_check="strict"`` an overlap raises
 :class:`~repro.errors.ShardRaceError` (naming the table, key and
 shards); under plain ``True`` it records a ``shard.race_overlaps``
-metric and the overlap list on the round report.  Both worker backends
-honor it, at different points of the same contract: the thread backend
-routes each shared table's capture stream to the writing worker via a
-context variable, the process backend checks the per-worker write-sets
-it already receives before replaying them onto the coordinator.
+metric and the overlap list on the round report.
 
-Two worker backends share that contract:
+Both backends speak one shard protocol —
+:func:`repro.shard.workers.run_shard` produces (counters, write-set,
+diff sizes, seconds) per shard, :meth:`ShardedEngine._merge_shards`
+consumes them — and differ only in where a shard runs:
 
-* ``backend="thread"`` (default) — workers on a thread pool over the
-  shared tables.  Access counts scale; wall-clock time does not (the
-  GIL serializes the interpreters).
+* ``backend="inline"`` (default) — the N shard contexts run one after
+  another in the coordinator, over the shared tables.  Exact per-shard
+  access counts and the critical-path model at no set-up cost; wall
+  clock is the sum of the shards.
 * ``backend="process"`` — long-lived worker processes, each owning a
   replica of the database and view caches (:mod:`repro.shard.workers`).
   Per-round inputs travel in the compact columnar wire format of
-  :mod:`repro.core.wire`; workers return exact counter snapshots plus
-  replayable write-sets that the coordinator merges back, so counts
-  still reconcile exactly while the ∆-scripts execute on separate
-  cores.  Call :meth:`ShardedEngine.close` (or use the engine as a
-  context manager) to shut the workers down.
-
-Thread-safety notes: counted table writes and index builds take the
-table's lock; span-id allocation is locked; per-shard counters are
-thread-private; metric counters and histograms accumulate into
-per-thread cells that fold losslessly on read (no lost increments —
-see :mod:`repro.obs.metrics`).
+  :mod:`repro.core.wire`; the coordinator replays the merged write-set
+  onto its own tables and broadcasts it back so replicas converge.
+  Call :meth:`ShardedEngine.close` (or use the engine as a context
+  manager) to shut the workers down.
 """
 
 from __future__ import annotations
 
-import contextvars
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import SchemaError, ShardRaceError, UnknownTableError
+from ..errors import SchemaError, ShardRaceError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.hist import LogHistogram
@@ -74,45 +64,25 @@ from ..shard.router import (
     plan_route,
     split_instances,
 )
-from ..shard.workers import ProcessShardPool, build_blueprint, tagged_tables
+from ..shard.workers import (
+    ProcessShardPool,
+    ShardResult,
+    build_blueprint,
+    run_shard,
+    tagged_tables,
+)
 from ..storage import CounterSet, Database
 from . import wire
-from .engine import IdIvmEngine, MaintenanceReport, MaterializedView, _reconstruct_pre
-from .ir_exec import IrContext
-from .modlog import populate_instances
-from .script import execute_script
-
-BACKENDS = ("thread", "process")
-
-#: Shard index of the currently-executing thread-backend worker; the
-#: routed capture sinks read it to attribute a shared table's write
-#: stream to the worker that produced it.
-_CURRENT_SHARD: contextvars.ContextVar[Optional[int]] = contextvars.ContextVar(
-    "repro_current_shard", default=None
+# _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
+from .engine import (
+    IdIvmEngine,
+    MaintenanceReport,
+    MaterializedView,
+    _reconstruct_pre,
+    round_context,
 )
 
-
-class _RoutedSink:
-    """Capture sink for shared tables under the thread backend.
-
-    ``Table.begin_capture`` appends every counted write to one sink; with
-    N workers on the *same* table object that stream interleaves.  This
-    sink de-interleaves it at the source: each append lands in the
-    per-shard list of the worker doing the write (read from
-    :data:`_CURRENT_SHARD`), so each list has a single writer thread and
-    needs no locking.  Coordinator writes outside any worker are dropped
-    — between arming and disarming the coordinator performs none.
-    """
-
-    __slots__ = ("per_shard",)
-
-    def __init__(self, n_shards: int):
-        self.per_shard: list[list[tuple]] = [[] for _ in range(n_shards)]
-
-    def append(self, op: tuple) -> None:
-        shard = _CURRENT_SHARD.get()
-        if shard is not None:
-            self.per_shard[shard].append(op)
+BACKENDS = ("inline", "process")
 
 
 def _writeset_overlaps(
@@ -153,7 +123,7 @@ class ShardedMaintenanceReport(MaintenanceReport):
     parallel: bool = False
     anchor: Optional[str] = None
     broadcast_reason: Optional[str] = None
-    backend: str = "thread"
+    backend: str = "inline"
     shard_reports: list[MaintenanceReport] = field(default_factory=list)
     #: distribution of per-shard total cost for parallel rounds (one
     #: observation per worker); its sum reconciles *exactly* with
@@ -171,6 +141,10 @@ class ShardedMaintenanceReport(MaintenanceReport):
     #: tables whose counted writes escaped capture during a checked
     #: round (the dynamic face of RACE604); empty on healthy rounds.
     uncaptured_tables: list = field(default_factory=list)
+
+    @property
+    def counted_remotely(self) -> bool:
+        return self.parallel and self.backend == "process"
 
     def critical_path(self) -> int:
         """The busiest shard's cost — the parallel wall-clock proxy.
@@ -190,8 +164,7 @@ class ShardedEngine(IdIvmEngine):
         self,
         db: Database,
         shards: int = 2,
-        max_workers: Optional[int] = None,
-        backend: str = "thread",
+        backend: str = "inline",
         race_check: "bool | str" = False,
         **kwargs,
     ):
@@ -206,7 +179,6 @@ class ShardedEngine(IdIvmEngine):
                 f"race_check must be False, True or 'strict', got {race_check!r}"
             )
         self.shards = shards
-        self.max_workers = max_workers
         self.backend = backend
         #: dynamic race detector: False (off), True (record overlaps as
         #: the ``shard.race_overlaps`` metric + on the round report) or
@@ -226,8 +198,8 @@ class ShardedEngine(IdIvmEngine):
     # worker-process lifecycle (backend="process")
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker processes (no-op for the thread backend
-        or before the first parallel round).  Idempotent."""
+        """Shut down the worker processes (no-op for inline shards or
+        before the first parallel round).  Idempotent."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -244,6 +216,10 @@ class ShardedEngine(IdIvmEngine):
         self.close()
         return super().define_view(name, plan)
 
+    def _live_pool(self) -> Optional[ProcessShardPool]:
+        pool = self._pool
+        return pool if pool is not None and not pool.closed else None
+
     def _ensure_pool(self, entries) -> ProcessShardPool:
         """Spawn + bootstrap the workers on the first parallel round.
 
@@ -252,7 +228,8 @@ class ShardedEngine(IdIvmEngine):
         at DML time) and cache tables as of this round's start — so the
         bootstrap round message passes ``sync=False``.
         """
-        if self._pool is None or self._pool.closed:
+        pool = self._live_pool()
+        if pool is None:
             pool = ProcessShardPool(self.shards)
             try:
                 pool.boot(
@@ -265,258 +242,85 @@ class ShardedEngine(IdIvmEngine):
                 pool.close()
                 raise
             self._pool = pool
-        return self._pool
+        return pool
 
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Bring the named view (default: all) up to date, routing each
-        round to parallel shard workers when provably safe."""
-        targets = [name] if name is not None else list(self.views)
-        entries = self.log.take()
-        counters = self.db.counters
-        round_started = time.perf_counter()
-        metrics.counter("engine.maintain_rounds").inc()
-        metrics.histogram("engine.log_entries").observe(len(entries))
-        if self._pool is not None and not self._pool.closed:
+    # the two steps of IdIvmEngine.maintain this engine overrides
+    # ------------------------------------------------------------------
+    def _begin_round(self, entries, round_span) -> None:
+        round_span.set(shards=self.shards)
+        pool = self._live_pool()
+        if pool is not None:
             # Workers already ran earlier rounds: bring their base-table
             # replicas to this round's post-state before anything else.
-            self._pool.begin_round(wire.encode_log_batch(entries), sync=True)
-        with obs.span(
-            "maintain",
-            kind="engine",
-            counters=counters,
-            engine=type(self).__name__,
-            n_log_entries=len(entries),
-            views=",".join(targets),
-            shards=self.shards,
-        ):
-            with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                db_pre = _reconstruct_pre(self.db, entries)
-            reports: dict[str, MaintenanceReport] = {}
-            for view_name in targets:
-                view = self.views.get(view_name)
-                if view is None:
-                    raise UnknownTableError(f"no view named {view_name!r}")
-                view_started = time.perf_counter()
-                with obs.span(
-                    f"view:{view_name}", kind="view", counters=counters,
-                    view=view_name,
-                ) as vsp:
-                    instances = populate_instances(
-                        view.generated.base_schemas, entries, db_pre
-                    )
-                    plan = plan_route(
-                        view.generated.script, instances, self.db, self.shards
-                    )
-                    override = getattr(view.generated, "route_override", None)
-                    if (
-                        not plan.parallel
-                        and override is not None
-                        and self.shards > 1
-                        and any(diff.rows for diff in instances.values())
-                    ):
-                        # Ablation / race-fixture knob: run the round
-                        # parallel on the forced anchor WITHOUT the
-                        # router's proof.  The race detector exists to
-                        # catch exactly what this can cause.
-                        plan = force_route(
-                            view.generated.script, instances, self.db, override
-                        )
-                    if plan.parallel and self.backend == "process":
-                        metrics.counter("shard.rounds_parallel").inc()
-                        report = self._maintain_parallel_process(
-                            view, view_name, instances, entries, plan
-                        )
-                    elif plan.parallel:
-                        metrics.counter("shard.rounds_parallel").inc()
-                        report = self._maintain_parallel(
-                            view, view_name, instances, db_pre, entries, plan
-                        )
-                    else:
-                        metrics.counter("shard.rounds_broadcast").inc()
-                        report = self._maintain_broadcast_synced(
-                            view, view_name, instances, db_pre, entries, plan
-                        )
-                    reports[view_name] = report
-                    stamped_phases = {
-                        phase: counts.as_dict()
-                        for phase, counts in report.phase_counts.items()
-                        if phase != "__total__"
-                    }
-                    if report.parallel and report.backend == "process":
-                        # The counted work ran in worker processes, so no
-                        # phase spans exist in this trace to reconcile
-                        # against; stamp the merged counts under a
-                        # different key so the validator stays honest.
-                        vsp.set(
-                            total_cost=report.total_cost,
-                            route=describe_plan(plan),
-                            phase_counts_remote=stamped_phases,
-                        )
-                    else:
-                        vsp.set(
-                            total_cost=report.total_cost,
-                            route=describe_plan(plan),
-                            phase_counts=stamped_phases,
-                        )
-                metrics.histogram("engine.round_cost").observe(report.total_cost)
-                metrics.loghist(
-                    f"view.round_seconds.{view_name}", unit="seconds"
-                ).observe(time.perf_counter() - view_started)
-        self._finish_round(reports, entries, round_started)
-        return reports
+            pool.begin_round(wire.encode_log_batch(entries), sync=True)
 
-    # ------------------------------------------------------------------
-    def _fresh_context(
-        self, view: MaterializedView, instances, db_pre: Database, entries
-    ) -> IrContext:
-        ctx = IrContext(
-            db_pre, self.db, diffs=instances, caches=view.caches
-        )
-        ctx.operator_caches = view.operator_caches
-        modified = {entry.table for entry in entries}
-        ctx.unchanged_tables = set(self.db.table_names()) - modified
-        return ctx
-
-    def _maintain_broadcast(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        db_pre: Database,
-        entries,
-        plan: RoutePlan,
+    def _run_view(
+        self, view: MaterializedView, instances, db_pre: Database, entries, view_span
     ) -> ShardedMaintenanceReport:
-        """One global execution — exactly the base engine's round."""
-        counters = self.db.counters
-        ctx = self._fresh_context(view, instances, db_pre, entries)
-        before = counters.snapshot()
-        execute_script(view.script_for(self.exec_backend), ctx, counters)
-        after = counters.snapshot()
+        """Route the round, then run it: parallel shards when provably
+        safe, one global execution (broadcast) otherwise."""
+        plan = plan_route(view.generated.script, instances, self.db, self.shards)
+        override = getattr(view.generated, "route_override", None)
+        if (
+            not plan.parallel
+            and override is not None
+            and self.shards > 1
+            and any(diff.rows for diff in instances.values())
+        ):
+            # Ablation / race-fixture knob: run the round parallel on
+            # the forced anchor WITHOUT the router's proof.  The race
+            # detector exists to catch exactly what this can cause.
+            plan = force_route(view.generated.script, instances, self.db, override)
+        view_span.set(route=describe_plan(plan))
+        if plan.parallel:
+            metrics.counter("shard.rounds_parallel").inc()
+            return self._run_parallel(view, instances, db_pre, entries, plan)
+        metrics.counter("shard.rounds_broadcast").inc()
         report = ShardedMaintenanceReport(
-            view_name, parallel=False, broadcast_reason=plan.reason,
+            view.name, parallel=False, broadcast_reason=plan.reason,
             backend=self.backend,
         )
-        for phase, counts in after.items():
-            prior = before.get(phase)
-            report.phase_counts[phase] = (
-                counts - prior if prior is not None else counts
-            )
-        report.diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
-        if view.cost_model is not None:
-            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
-            )
-        return report
-
-    def _maintain_broadcast_synced(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        db_pre: Database,
-        entries,
-        plan: RoutePlan,
-    ) -> ShardedMaintenanceReport:
-        """Broadcast, shipping the write-set to live worker replicas.
-
-        Without a process pool this is plain :meth:`_maintain_broadcast`.
-        With one, the coordinator's writes are captured and replayed on
-        every worker so their view/cache replicas stay current for the
-        next parallel round.
-        """
-        pool = self._pool
-        if pool is None or pool.closed:
-            return self._maintain_broadcast(
-                view, view_name, instances, db_pre, entries, plan
-            )
+        pool = self._live_pool()
+        if pool is None:
+            self._run_broadcast(report, view, instances, db_pre, entries)
+            return report
+        # Live worker replicas: capture the coordinator's writes and
+        # replay them on every worker so their view/cache replicas stay
+        # current for the next parallel round.
         tables = list(tagged_tables(view.caches, view.operator_caches))
         sinks = {tag: table.begin_capture() for tag, table in tables}
         try:
-            report = self._maintain_broadcast(
-                view, view_name, instances, db_pre, entries, plan
-            )
+            self._run_broadcast(report, view, instances, db_pre, entries)
         finally:
             for _, table in tables:
                 table.end_capture()
         writes = {tag: ops for tag, ops in sinks.items() if ops}
         if writes:
-            pool.apply_writes(view_name, wire.encode_writeset(writes))
+            pool.apply_writes(view.name, wire.encode_writeset(writes))
         return report
 
-    def _maintain_parallel_process(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        entries,
+    def _run_parallel(
+        self, view: MaterializedView, instances, db_pre: Database, entries,
         plan: RoutePlan,
     ) -> ShardedMaintenanceReport:
-        """Split instance rows by anchor key; one worker *process* per
-        shard (see :mod:`repro.shard.workers` for the protocol).
-
-        The merge below is deliberately identical to the thread path's:
-        per-shard counter sets (decoded exactly from the wire) sum into
-        the report phase by phase and fold into the database totals, so
-        both backends reconcile against the same single-shard counts.
-        """
-        router = self._router
-        n = self.shards
-        pool = self._ensure_pool(entries)
-        shard_instances = split_instances(plan, instances, n)
-        instance_docs = [wire.encode_instances(shard_instances[i]) for i in range(n)]
-        apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
-        shard_cost = metrics.loghist("shard.cost", unit="accesses")
-
-        results = pool.exec_view(view_name, instance_docs)
-
-        report = ShardedMaintenanceReport(
-            view_name, parallel=True, anchor=plan.anchor, backend="process"
-        )
-        report.shard_cost_hist = LogHistogram("shard.round_cost", unit="accesses")
-        report.shard_wall_hist = LogHistogram("shard.round_seconds", unit="seconds")
-        merged_sizes: dict[str, int] = {}
-        merged_writes: dict[str, list[tuple]] = {}
-        decoded_writes: list[dict[str, list[tuple]]] = []
-        for i, result in enumerate(results):
-            sc = wire.decode_counters(result["counters"])
-            seconds = result["seconds"]
-            with obs.span(
-                f"shard:{i}", kind="shard",
-                shard=i, view=view_name, anchor=plan.anchor,
-                worker_seconds=seconds, cost=sc.total.total,
-            ):
-                pass  # bookkeeping span: the work ran in the worker
-            report.shard_cost_hist.observe(sc.total.total)
-            report.shard_wall_hist.observe(seconds)
-            apply_seconds.observe(seconds)
-            shard_cost.observe(sc.total.total)
-            snapshot = sc.snapshot()
-            shard_report = MaintenanceReport(f"{view_name}@shard{i}")
-            shard_report.phase_counts = snapshot
-            shard_report.diff_sizes = dict(result["diff_sizes"])
-            report.shard_reports.append(shard_report)
-            for phase, counts in snapshot.items():
-                bucket = report.phase_counts.get(phase)
-                if bucket is None:
-                    report.phase_counts[phase] = counts.copy()
-                else:
-                    bucket.add(counts)
-            for k, v in shard_report.diff_sizes.items():
-                merged_sizes[k] = merged_sizes.get(k, 0) + v
-            decoded_writes.append(wire.decode_writeset(result["writes"]))
-            # Keep the database-wide totals truthful, exactly like the
-            # thread backend.
-            ShardRoutingCounters.fold(router.base, sc)
-        if self.race_check:
-            # Check pairwise disjointness of the per-worker write-sets
-            # BEFORE any of them reaches the coordinator's tables: under
-            # "strict" a racy round leaves the authoritative state
-            # untouched.
-            self._handle_race(
-                view_name, report, _writeset_overlaps(decoded_writes), ()
+        """Split instance rows by anchor key, run one shard per subset —
+        one after another right here, or in the worker processes — and
+        merge the per-shard results."""
+        shard_instances = split_instances(plan, instances, self.shards)
+        if self.backend == "inline":
+            results, uncaptured = self._shards_inline(
+                view, shard_instances, db_pre, entries, plan
             )
-        for writes in decoded_writes:
+            return self._merge_shards(view, plan, results, uncaptured)
+        pool = self._ensure_pool(entries)
+        results = self._shards_in_workers(pool, view, shard_instances, plan)
+        # Merging checks the write-sets' pairwise disjointness BEFORE any
+        # of them reaches the coordinator's tables: under "strict" a racy
+        # round leaves the authoritative state untouched.
+        report = self._merge_shards(view, plan, results, ())
+        merged_writes: dict[str, list[tuple]] = {}
+        for _, writes, _, _ in results:
             for tag, ops in writes.items():
                 merged_writes.setdefault(tag, []).extend(ops)
         # The counted writes happened on the worker replicas; replay them
@@ -528,106 +332,90 @@ class ShardedEngine(IdIvmEngine):
         for tag, ops in merged_writes.items():
             coordinator_tables[tag].replay_writes(ops)
         if merged_writes:
-            pool.apply_writes(view_name, wire.encode_writeset(merged_writes))
-        report.diff_sizes = merged_sizes
-        if view.cost_model is not None:
-            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
-            )
+            pool.apply_writes(view.name, wire.encode_writeset(merged_writes))
         return report
 
-    def _maintain_parallel(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        db_pre: Database,
-        entries,
+    def _shards_inline(
+        self, view: MaterializedView, shard_instances, db_pre: Database, entries,
         plan: RoutePlan,
-    ) -> ShardedMaintenanceReport:
-        """Split instance rows by anchor key; one worker per shard."""
-        router = self._router
-        n = self.shards
+    ) -> tuple[list[ShardResult], list[str]]:
+        """Run the shard contexts one after another over the shared
+        tables; also returns the tables whose counted writes escaped
+        capture (checked rounds only)."""
         script = view.script_for(self.exec_backend)
-        shard_instances = split_instances(plan, instances, n)
-        shard_counters = [CounterSet() for _ in range(n)]
-        contexts = [
-            self._fresh_context(view, shard_instances[i], db_pre, entries)
-            for i in range(n)
-        ]
-
-        # Pre-create the worker-observed metrics from the coordinator so
-        # shard threads only ever hit the registry's read path.
-        apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
-        shard_cost = metrics.loghist("shard.cost", unit="accesses")
-
-        shard_seconds = [0.0] * n
-
-        def run_shard(i: int) -> None:
-            # Attribute this worker's capture stream (race_check rounds)
-            # to its shard; the set is local to the copied context.
-            _CURRENT_SHARD.set(i)
-            sc = shard_counters[i]
-            started = time.perf_counter()
-            with router.activate(sc):
+        tables = list(tagged_tables(view.caches, view.operator_caches))
+        modified = {entry.table for entry in entries}
+        # Coverage audit for checked rounds: a counted write landing on a
+        # base table (outside the tagged set) would escape a process
+        # round's write-set merge — dynamic RACE604.
+        audit_hits: set[str] = set()
+        audited = list(self.db.tables.values()) if self.race_check else []
+        for table in audited:
+            table.audit_uncaptured(audit_hits.add)
+        results = []
+        try:
+            for i in range(self.shards):
+                ctx = round_context(db_pre, self.db, shard_instances[i], view, modified)
+                sc = CounterSet()
                 with obs.span(
                     f"shard:{i}", kind="shard", counters=sc,
-                    shard=i, view=view_name, anchor=plan.anchor,
+                    shard=i, view=view.name, anchor=plan.anchor,
                 ):
-                    execute_script(script, contexts[i], sc)
-            shard_seconds[i] = time.perf_counter() - started
-            apply_seconds.observe(shard_seconds[i])
-            shard_cost.observe(sc.total.total)
-
-        # Dynamic race detector: arm a shard-routed capture on every
-        # shared cache/view table, and the coverage audit on every base
-        # table (counted writes landing outside the tagged set would
-        # escape a process-backend write-set merge — dynamic RACE604).
-        race_tables: list = []
-        routed_sinks: dict[str, _RoutedSink] = {}
-        audit_hits: set[str] = set()
-        if self.race_check:
-            race_tables = list(tagged_tables(view.caches, view.operator_caches))
-            for tag, table in race_tables:
-                sink = _RoutedSink(n)
-                routed_sinks[tag] = sink
-                table.begin_capture(sink)  # type: ignore[arg-type]
-            for tname in self.db.table_names():
-                self.db.table(tname).audit_uncaptured(audit_hits.add)
-
-        try:
-            workers = min(self.max_workers or n, n)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # copy_context() per submission: each worker's spans parent
-                # under the current view span.
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run_shard, i)
-                    for i in range(n)
-                ]
-                for future in futures:
-                    future.result()
+                    results.append(run_shard(self._router, script, ctx, tables, sc))
         finally:
-            for _, table in race_tables:
-                table.end_capture()
-            if self.race_check:
-                for tname in self.db.table_names():
-                    self.db.table(tname).audit_uncaptured(None)
+            for table in audited:
+                table.audit_uncaptured(None)
+        return results, sorted(audit_hits)
 
+    def _shards_in_workers(
+        self, pool: ProcessShardPool, view: MaterializedView, shard_instances,
+        plan: RoutePlan,
+    ) -> list[ShardResult]:
+        """Ship each shard's rows to its worker process (see
+        :mod:`repro.shard.workers` for the protocol) and decode what the
+        workers' ``run_shard`` calls sent back."""
+        docs = pool.exec_view(
+            view.name,
+            [wire.encode_instances(shard_instances[i]) for i in range(self.shards)],
+        )
+        results = []
+        for i, doc in enumerate(docs):
+            sc = wire.decode_counters(doc["counters"])
+            with obs.span(
+                f"shard:{i}", kind="shard",
+                shard=i, view=view.name, anchor=plan.anchor,
+                worker_seconds=doc["seconds"], cost=sc.total.total,
+            ):
+                pass  # bookkeeping span: the work ran in the worker
+            results.append((
+                sc, wire.decode_writeset(doc["writes"]),
+                doc["diff_sizes"], doc["seconds"],
+            ))
+        return results
+
+    def _merge_shards(
+        self, view: MaterializedView, plan: RoutePlan,
+        results: list[ShardResult], uncaptured,
+    ) -> ShardedMaintenanceReport:
+        """Fold per-shard results into one round report: phase sums in
+        shard order, per-shard reports and histograms, database totals,
+        and the dynamic race check over the write-sets."""
         report = ShardedMaintenanceReport(
-            view_name, parallel=True, anchor=plan.anchor, backend="thread"
+            view.name, parallel=True, anchor=plan.anchor, backend=self.backend
         )
         report.shard_cost_hist = LogHistogram("shard.round_cost", unit="accesses")
         report.shard_wall_hist = LogHistogram("shard.round_seconds", unit="seconds")
-        merged_sizes: dict[str, int] = {}
-        for i, sc in enumerate(shard_counters):
+        apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
+        shard_cost = metrics.loghist("shard.cost", unit="accesses")
+        for i, (sc, _, diff_sizes, seconds) in enumerate(results):
             report.shard_cost_hist.observe(sc.total.total)
-            report.shard_wall_hist.observe(shard_seconds[i])
+            report.shard_wall_hist.observe(seconds)
+            apply_seconds.observe(seconds)
+            shard_cost.observe(sc.total.total)
             snapshot = sc.snapshot()
-            shard_report = MaintenanceReport(f"{view_name}@shard{i}")
+            shard_report = MaintenanceReport(f"{view.name}@shard{i}")
             shard_report.phase_counts = snapshot
-            shard_report.diff_sizes = {
-                k: len(v) for k, v in contexts[i].diffs.items()
-            }
+            shard_report.diff_sizes = diff_sizes
             report.shard_reports.append(shard_report)
             for phase, counts in snapshot.items():
                 bucket = report.phase_counts.get(phase)
@@ -635,26 +423,18 @@ class ShardedEngine(IdIvmEngine):
                     report.phase_counts[phase] = counts.copy()
                 else:
                     bucket.add(counts)
-            for k, v in shard_report.diff_sizes.items():
-                merged_sizes[k] = merged_sizes.get(k, 0) + v
-            # Keep the database-wide totals truthful: fold each worker's
+            # Shard counts sum exactly to the single-shard counts, so the
+            # merged diff sizes reconcile against the same prediction.
+            for k, v in diff_sizes.items():
+                report.diff_sizes[k] = report.diff_sizes.get(k, 0) + v
+            # Keep the database-wide totals truthful: fold each shard's
             # counts into the base counter set.
-            ShardRoutingCounters.fold(router.base, sc)
-        report.diff_sizes = merged_sizes
+            ShardRoutingCounters.fold(self._router.base, sc)
         if self.race_check:
-            per_shard = [
-                {tag: sink.per_shard[i] for tag, sink in routed_sinks.items()}
-                for i in range(n)
-            ]
             self._handle_race(
-                view_name, report, _writeset_overlaps(per_shard),
-                sorted(audit_hits),
-            )
-        # Shard counts sum exactly to the single-shard counts, so the
-        # merged diff sizes reconcile against the same global prediction.
-        if view.cost_model is not None:
-            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
+                view.name, report,
+                _writeset_overlaps([writes for _, writes, _, _ in results]),
+                uncaptured,
             )
         return report
 

@@ -41,7 +41,7 @@ class DemoLoop:
         updates: int = 24,
         interval: float = 0.5,
         views: Optional[Sequence[str]] = None,
-        backend: str = "thread",
+        backend: str = "inline",
     ):
         self.config = BsmaConfig(
             n_users=users,

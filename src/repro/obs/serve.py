@@ -401,9 +401,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=9301)
     parser.add_argument("--shards", type=int, default=2,
                         help="engine shards for the demo loop (default 2)")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default="thread",
-                        help="shard execution backend (default thread)")
+    parser.add_argument("--backend", choices=("inline", "process"),
+                        default="inline",
+                        help="shard execution backend (default inline)")
     parser.add_argument("--users", type=int, default=120,
                         help="BSMA users in the demo database")
     parser.add_argument("--updates", type=int, default=24,

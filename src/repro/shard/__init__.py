@@ -7,7 +7,7 @@ of *i-diff instance rows*.  :func:`plan_route` statically analyses a
 the rows by an *anchor key* keeps every counted operation shard-local
 (``parallel``) or falls back to a single global execution (``broadcast``
 — always correct, never slower).  :func:`split_instances` performs the
-row split; :class:`ShardRoutingCounters` routes each worker thread's
+row split; :class:`ShardRoutingCounters` routes each shard's
 access counts into its own :class:`~repro.storage.CounterSet` so per-shard
 costs merge back deterministically.
 

@@ -20,7 +20,7 @@ each worker process installs its own ``ShardRoutingCounters`` over its
 replica database and activates a fresh per-round ``CounterSet`` while
 executing a ∆-script, and the coordinator :meth:`fold`\\ s the returned
 snapshot into its base counters — so database grand totals agree with
-the thread backend increment for increment.
+the inline backend increment for increment.
 """
 
 from __future__ import annotations

@@ -47,12 +47,12 @@ so running them N times is free and exact.
 When any obligation fails the round falls back to **broadcast**: the
 script runs once, globally — bit-for-bit the single-shard behaviour.
 
-The proof is backend-agnostic: the thread backend exploits it by running
-N workers against the one shared database, and the process backend
-(:mod:`repro.shard.workers`) by executing each shard's instance subset
-against a replica database in a long-lived worker process.  Disjointness
-of the touched rows is exactly what makes the workers' write-sets safe
-to merge.
+The proof is backend-agnostic: the inline backend exploits it by running
+the N shard contexts one after another against the one shared database,
+and the process backend (:mod:`repro.shard.workers`) by executing each
+shard's instance subset against a replica database in a long-lived
+worker process.  Disjointness of the touched rows is exactly what makes
+the shards' write-sets safe to merge.
 """
 
 from __future__ import annotations

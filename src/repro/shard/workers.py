@@ -1,11 +1,12 @@
 """Long-lived shard worker processes for :class:`ShardedEngine`.
 
-The thread backend in :mod:`repro.core.sharded` proves the paper's
-cost-scaling claim but cannot show *wall-clock* scaling under the GIL:
-its workers interpret Python concurrently on one core.  This module
-supplies the process backend: each shard owns a long-lived worker
-process (spawned once per engine, reused across rounds) holding a full
-**replica** of the database and every view's cache tables.
+The inline backend in :mod:`repro.core.sharded` runs the shards one
+after another in the coordinator: exact per-shard costs, no overlap in
+time.  This module supplies the process backend: each shard owns a
+long-lived worker process (spawned once per engine, reused across
+rounds) holding a full **replica** of the database and every view's
+cache tables.  Both backends execute a shard through the same
+:func:`run_shard`.
 
 Round protocol (all per-round payloads use :mod:`repro.core.wire` —
 columnar, interned, primitive-only; the one-time bootstrap blueprint
@@ -14,7 +15,7 @@ travels as a pickle over the pipe, which is fine for a single message):
 1. ``("boot", blueprint)`` — build the replica: base tables, foreign
    keys, each view's :class:`GeneratedPlan` plus cache/op-cache tables,
    with :class:`~repro.shard.counters.ShardRoutingCounters` installed so
-   counted accesses route per activation exactly like the thread
+   counted accesses route per activation exactly like the inline
    backend.
 2. ``("round", log_batch, sync)`` — receive the round's modification
    log.  When *sync* is true the entries are applied (uncounted) to the
@@ -22,13 +23,11 @@ travels as a pickle over the pipe, which is fine for a single message):
    has them baked into its blueprint, so its first round passes
    ``sync=False``.  The worker then rebuilds its pre-state database,
    mirroring the coordinator's ``_reconstruct_pre``.
-3. ``("exec", view, instances)`` — run the view's full ∆-script over
-   this shard's i-diff rows in a private ``IrContext``, counting into a
-   fresh :class:`CounterSet` under router activation, with write-set
-   capture armed on the view's tables.  Replies with the exact counter
+3. ``("exec", view, instances)`` — :func:`run_shard` the view's full
+   ∆-script over this shard's i-diff rows in a private ``IrContext``.
+   Replies with the wire-encoded :data:`ShardResult`: the exact counter
    snapshot, the captured write-set, per-instance diff sizes and the
-   wall-clock duration (a ``perf_counter`` *delta* — never a raw
-   monotonic reading, which would not be comparable across processes).
+   wall-clock duration.
 4. ``("apply", view, writeset)`` — replay a (merged) write-set onto the
    replica's view tables, uncounted and idempotently; this is how every
    worker learns the other shards' writes and how broadcast rounds
@@ -38,7 +37,7 @@ travels as a pickle over the pipe, which is fine for a single message):
 Exactness: the router only parallelizes rounds whose counted reads and
 writes are anchor-local, so during ``exec`` each replica's visible state
 restricted to this shard's rows is identical to the shared database of
-the thread backend — every counted access (including auto-index builds,
+the inline backend — every counted access (including auto-index builds,
 whose creations are captured and replayed so index sets never drift)
 costs the same, and the per-shard counter sets merge exactly to the
 single-shard counts.
@@ -73,6 +72,43 @@ def tagged_tables(
         yield f"c{node_id}", caches[node_id]
     for node_id in sorted(operator_caches):
         yield f"o{node_id}", operator_caches[node_id]
+
+
+# ----------------------------------------------------------------------
+# the shard protocol's one execution step, run by the inline backend in
+# the coordinator and by every worker process
+# ----------------------------------------------------------------------
+#: What one shard hands the coordinator's merge: its counters, captured
+#: write-set (tag -> replayable ops), per-instance diff sizes and its
+#: wall-clock duration (a ``perf_counter`` *delta* — never a raw
+#: monotonic reading, which would not be comparable across processes).
+ShardResult = tuple[CounterSet, dict[str, list[tuple]], dict[str, int], float]
+
+
+def run_shard(
+    router: ShardRoutingCounters,
+    script: Any,
+    ctx: Any,
+    tables: Sequence[tuple[str, Table]],
+    counters: CounterSet,
+) -> ShardResult:
+    """Execute *script* over one shard's context *ctx*, counting into the
+    fresh *counters* under *router* activation, with write-set capture
+    armed on the view's tagged *tables*."""
+    from ..core.script import execute_script
+
+    sinks = {tag: table.begin_capture() for tag, table in tables}
+    started = time.perf_counter()
+    try:
+        with router.activate(counters):
+            execute_script(script, ctx, counters)
+    finally:
+        for _, table in tables:
+            table.end_capture()
+    seconds = time.perf_counter() - started
+    writes = {tag: ops for tag, ops in sinks.items() if ops}
+    diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
+    return counters, writes, diff_sizes, seconds
 
 
 # ----------------------------------------------------------------------
@@ -211,34 +247,24 @@ class _WorkerState:
         self.modified_tables = {entry.table for entry in entries}
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:
-        from ..core.ir_exec import IrContext
-        from ..core.script import execute_script
+        from ..core.engine import round_context
 
         view = self.views[view_name]
         # Columnar adoption: the shipped per-attribute lists become
         # ColumnarDiff batches directly — no dict/tuple re-materialization
         # on the hot path (row views build lazily where a step needs them).
         instances = wire.decode_instances(instances_doc, columnar=True)
-        ctx = IrContext(self.db_pre, self.db, diffs=instances, caches=view.caches)
-        ctx.operator_caches = view.operator_caches
-        ctx.unchanged_tables = set(self.db.table_names()) - self.modified_tables
-        counters = CounterSet()
+        ctx = round_context(
+            self.db_pre, self.db, instances, view, self.modified_tables
+        )
         tables = list(tagged_tables(view.caches, view.operator_caches))
-        sinks = {tag: table.begin_capture() for tag, table in tables}
-        started = time.perf_counter()
-        try:
-            with self.router.activate(counters):
-                execute_script(view.script, ctx, counters)
-        finally:
-            for _, table in tables:
-                table.end_capture()
-        seconds = time.perf_counter() - started
+        counters, writes, diff_sizes, seconds = run_shard(
+            self.router, view.script, ctx, tables, CounterSet()
+        )
         return {
             "counters": wire.encode_counters(counters),
-            "writes": wire.encode_writeset(
-                {tag: ops for tag, ops in sinks.items() if ops}
-            ),
-            "diff_sizes": {k: len(v) for k, v in ctx.diffs.items()},
+            "writes": wire.encode_writeset(writes),
+            "diff_sizes": diff_sizes,
             "seconds": seconds,
         }
 

@@ -7,13 +7,7 @@ the quantity the paper's Section 6 cost model is defined over.
 
 from .counters import AccessCounts, CostBreakdown, CounterSet
 from .database import Database, load_rows
-from .partition import (
-    PartitionedDatabase,
-    PartitionedTable,
-    partition_database,
-    shard_key_bytes,
-    shard_of,
-)
+from .partition import shard_key_bytes, shard_of
 from .schema import ForeignKey, TableSchema
 from .snapshot import (
     database_from_dict,
@@ -29,8 +23,6 @@ __all__ = [
     "CounterSet",
     "Database",
     "ForeignKey",
-    "PartitionedDatabase",
-    "PartitionedTable",
     "Table",
     "TableSchema",
     "database_from_dict",
@@ -38,7 +30,6 @@ __all__ = [
     "load_database",
     "save_database",
     "load_rows",
-    "partition_database",
     "shard_key_bytes",
     "shard_of",
     "sort_rows",

@@ -1,38 +1,21 @@
-"""Hash-partitioned storage: tables split into shard-local fragments.
+"""The stable key-to-shard hash.
 
 The shard-parallel maintenance engine (:mod:`repro.core.sharded`) needs a
 *stable* row-to-shard assignment so that a maintenance round touching
-disjoint key ranges can run one worker per shard and still reconcile its
-access counts exactly with a single-shard run.  This module provides
+disjoint key ranges can run one shard per key subset and still reconcile
+its access counts exactly with a single-shard run.  :func:`shard_of` is
+the one hash function everything shares.  It is deliberately **not**
+Python's builtin ``hash`` (randomized per process), so shard assignments
+agree between the coordinator and its worker processes.
 
-* :func:`shard_of` — the one hash function everything shares.  It is
-  deliberately **not** Python's builtin ``hash`` (randomized per process),
-  so shard assignments survive process restarts and snapshots;
-* :class:`PartitionedTable` — a table hash-partitioned by primary key into
-  N ordinary :class:`~repro.storage.table.Table` fragments, each with its
-  own :class:`~repro.storage.counters.CounterSet` and shard-local
-  secondary hash indexes;
-* :class:`PartitionedDatabase` / :func:`partition_database` — a catalog of
-  partitioned tables derived from an ordinary :class:`Database`.
-
-The partitioned layer is the storage-level half of the sharding story:
-it demonstrates that per-shard access counts sum to the unpartitioned
-counts (key-routed operations) and what broadcast operations cost (a
-lookup on a non-key column pays one probe *per shard*).  The maintenance
-engine itself keeps a single shared database and partitions the *i-diff
-instances* instead — see ``docs/SHARDING.md`` for how the two layers
-relate.
+The engine keeps a single shared database and partitions the round's
+*i-diff instance rows* by this hash — see ``docs/SHARDING.md``.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Iterator, Mapping, Sequence
-
-from ..errors import SchemaError, UnknownTableError
-from .counters import AccessCounts, CounterSet
-from .schema import TableSchema
-from .table import Table
+from typing import Sequence
 
 
 def shard_key_bytes(values: Sequence) -> bytes:
@@ -60,195 +43,3 @@ def shard_of(values: Sequence, n_shards: int) -> int:
     if n_shards <= 1:
         return 0
     return zlib.crc32(shard_key_bytes(values)) % n_shards
-
-
-class PartitionedTable:
-    """A relation hash-partitioned by primary key into N shard tables.
-
-    Each shard is an ordinary :class:`Table` with its own counters, so
-    per-shard access costs are first-class.  Key-addressed operations
-    route to exactly one shard; operations that cannot be routed (a
-    lookup on non-key columns, a full scan) broadcast to every shard and
-    pay the per-shard cost — the same cost asymmetry the maintenance
-    router reasons about at the i-diff level.
-    """
-
-    def __init__(
-        self,
-        schema: TableSchema,
-        n_shards: int,
-        auto_index: bool = True,
-    ):
-        if n_shards < 1:
-            raise SchemaError(f"need at least one shard, got {n_shards}")
-        self.schema = schema
-        self.n_shards = n_shards
-        self.auto_index = auto_index
-        self.shards: list[Table] = [
-            Table(schema, counters=CounterSet(), auto_index=auto_index)
-            for _ in range(n_shards)
-        ]
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def shard_for_key(self, key: Sequence) -> int:
-        return shard_of(tuple(key), self.n_shards)
-
-    def shard_for_row(self, row: Sequence) -> int:
-        return self.shard_for_key(self.schema.key_of(tuple(row)))
-
-    def shard(self, i: int) -> Table:
-        return self.shards[i]
-
-    # ------------------------------------------------------------------
-    # counted operations (routed where possible, broadcast otherwise)
-    # ------------------------------------------------------------------
-    def get(self, key: tuple) -> tuple | None:
-        return self.shards[self.shard_for_key(key)].get(key)
-
-    def insert(self, row: Sequence) -> None:
-        row = tuple(row)
-        self.shards[self.shard_for_row(row)].insert(row)
-
-    def delete_key(self, key: tuple) -> tuple | None:
-        return self.shards[self.shard_for_key(key)].delete_key(tuple(key))
-
-    def update_key(self, key: tuple, changes: Mapping[str, object]) -> tuple | None:
-        return self.shards[self.shard_for_key(key)].update_key(tuple(key), changes)
-
-    def lookup(self, columns: Sequence[str], value: tuple) -> list[tuple]:
-        """Routed when *columns* is the key; broadcast to all shards
-        otherwise (each shard pays its own probe)."""
-        columns = tuple(columns)
-        if columns == self.schema.key:
-            return self.shards[self.shard_for_key(value)].lookup(columns, value)
-        out: list[tuple] = []
-        for shard in self.shards:
-            out.extend(shard.lookup(columns, value))
-        return out
-
-    def scan(self) -> Iterator[tuple]:
-        for shard in self.shards:
-            yield from shard.scan()
-
-    def create_index(self, columns: Sequence[str]) -> None:
-        """Build the shard-local secondary index on every shard."""
-        for shard in self.shards:
-            shard.create_index(columns)
-
-    # ------------------------------------------------------------------
-    # uncounted helpers
-    # ------------------------------------------------------------------
-    def load(self, rows: Iterable[Sequence]) -> None:
-        for row in rows:
-            row = tuple(row)
-            self.shards[self.shard_for_row(row)].insert_uncounted(row)
-
-    def rows_uncounted(self) -> list[tuple]:
-        out: list[tuple] = []
-        for shard in self.shards:
-            out.extend(shard.rows_uncounted())
-        return out
-
-    def as_set(self) -> frozenset[tuple]:
-        return frozenset(self.rows_uncounted())
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # per-shard accounting
-    # ------------------------------------------------------------------
-    def shard_counts(self) -> list[AccessCounts]:
-        """Copy of each shard's grand-total access counts, in shard order."""
-        return [shard.counters.total.copy() for shard in self.shards]
-
-    def combined_counts(self) -> AccessCounts:
-        """Sum of all shard counters — comparable to an unpartitioned
-        table's totals for key-routed workloads."""
-        combined = AccessCounts()
-        for shard in self.shards:
-            combined.add(shard.counters.total)
-        return combined
-
-    def critical_path(self) -> int:
-        """The busiest shard's total — the parallel wall-clock proxy."""
-        return max((shard.counters.total.total for shard in self.shards), default=0)
-
-    def reset_counters(self) -> None:
-        for shard in self.shards:
-            shard.counters.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        sizes = "/".join(str(len(shard)) for shard in self.shards)
-        return f"PartitionedTable({self.schema.name!r}, shards={sizes})"
-
-
-class PartitionedDatabase:
-    """A catalog of :class:`PartitionedTable`\\ s sharing a shard count."""
-
-    def __init__(self, n_shards: int, auto_index: bool = True):
-        if n_shards < 1:
-            raise SchemaError(f"need at least one shard, got {n_shards}")
-        self.n_shards = n_shards
-        self.auto_index = auto_index
-        self.tables: dict[str, PartitionedTable] = {}
-
-    def create_table(
-        self, name: str, columns: Sequence[str], key: Sequence[str]
-    ) -> PartitionedTable:
-        if name in self.tables:
-            raise SchemaError(f"relation {name!r} already exists")
-        table = PartitionedTable(
-            TableSchema(name, columns, key), self.n_shards, auto_index=self.auto_index
-        )
-        self.tables[name] = table
-        return table
-
-    def table(self, name: str) -> PartitionedTable:
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise UnknownTableError(f"no relation named {name!r}") from None
-
-    def table_names(self) -> list[str]:
-        return list(self.tables)
-
-    def combined_counts(self) -> AccessCounts:
-        combined = AccessCounts()
-        for table in self.tables.values():
-            combined.add(table.combined_counts())
-        return combined
-
-    def critical_path(self) -> int:
-        """Max over shards of the shard's cost summed across tables."""
-        per_shard = [0] * self.n_shards
-        for table in self.tables.values():
-            for i, shard in enumerate(table.shards):
-                per_shard[i] += shard.counters.total.total
-        return max(per_shard, default=0)
-
-    def reset_counters(self) -> None:
-        for table in self.tables.values():
-            table.reset_counters()
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        parts = ", ".join(f"{t.schema.name}({len(t)})" for t in self.tables.values())
-        return f"PartitionedDatabase(n={self.n_shards}; {parts})"
-
-
-def partition_database(db, n_shards: int) -> PartitionedDatabase:
-    """Hash-partition every table of an ordinary :class:`Database`.
-
-    Rows route by primary key; secondary indexes present on the source
-    tables are re-created shard-locally.  Loading is uncounted (it is
-    setup, not maintenance cost).
-    """
-    out = PartitionedDatabase(n_shards, auto_index=db.auto_index)
-    for name, table in db.tables.items():
-        part = out.create_table(name, table.schema.columns, table.schema.key)
-        part.load(table.rows_uncounted())
-        for columns in table._indexes:
-            part.create_index(columns)
-    return out

@@ -5,13 +5,6 @@ fixtures, and diffing database states.  Values must be JSON-compatible
 scalars (str / int / float / bool / None) — which is all the engine's
 expression layer produces.  Tuples are serialized as lists and restored
 as tuples on load.
-
-Both ordinary :class:`~repro.storage.database.Database` catalogs and
-hash-partitioned :class:`~repro.storage.partition.PartitionedDatabase`
-catalogs round-trip: a partitioned snapshot records the shard count and
-restore re-routes every row through :func:`~repro.storage.partition.shard_of`,
-rebuilds the shard-local secondary indexes and starts every per-shard
-counter at zero (loading a snapshot is setup, not maintenance cost).
 """
 
 from __future__ import annotations
@@ -22,26 +15,11 @@ from typing import Union
 
 from ..errors import SchemaError
 from .database import Database
-from .partition import PartitionedDatabase, PartitionedTable
 
 FORMAT_VERSION = 1
 
-AnyDatabase = Union[Database, PartitionedDatabase]
 
-
-def _table_indexes(table) -> list[list[str]]:
-    """Secondary-index column sets of an ordinary or partitioned table.
-
-    Every shard of a :class:`PartitionedTable` carries the same index
-    definitions (``create_index`` broadcasts), so shard 0 is
-    authoritative.
-    """
-    if isinstance(table, PartitionedTable):
-        return sorted(list(columns) for columns in table.shards[0]._indexes)
-    return sorted(list(columns) for columns in table._indexes)
-
-
-def database_to_dict(db: AnyDatabase) -> dict:
+def database_to_dict(db: Database) -> dict:
     """Plain-dict snapshot of schemas, rows, indexes and foreign keys.
 
     Secondary-index column sets and the ``auto_index`` setting are
@@ -49,11 +27,9 @@ def database_to_dict(db: AnyDatabase) -> dict:
     (an ``auto_index=False`` database would otherwise silently fall back
     to counted full scans).  Index *contents* are never serialized —
     restore rebuilds them from the rows, so stale entries cannot survive
-    a round trip.  Partitioned databases additionally record ``shards``;
-    their rows are stored shard-merged (the stable ``shard_of`` hash
-    re-derives the placement on load).
+    a round trip.
     """
-    payload = {
+    return {
         "format": FORMAT_VERSION,
         "auto_index": db.auto_index,
         "tables": [
@@ -61,7 +37,7 @@ def database_to_dict(db: AnyDatabase) -> dict:
                 "name": table.schema.name,
                 "columns": list(table.schema.columns),
                 "key": list(table.schema.key),
-                "indexes": _table_indexes(table),
+                "indexes": sorted(list(columns) for columns in table._indexes),
                 "rows": [list(row) for row in table.rows_uncounted()],
             }
             for table in db.tables.values()
@@ -72,35 +48,19 @@ def database_to_dict(db: AnyDatabase) -> dict:
                 "child_columns": list(fk.child_columns),
                 "parent_table": fk.parent_table,
             }
-            for fk in getattr(db, "foreign_keys", [])
+            for fk in db.foreign_keys
         ],
     }
-    if isinstance(db, PartitionedDatabase):
-        payload["shards"] = db.n_shards
-    return payload
 
 
-def database_from_dict(payload: dict) -> AnyDatabase:
-    """Rebuild a database from :func:`database_to_dict` output.
-
-    A snapshot carrying ``shards`` restores to a
-    :class:`PartitionedDatabase` with that shard count; rows route back
-    to their shards by primary key, shard-local secondary indexes are
-    rebuilt from the rows, and every per-shard counter starts at zero.
-    """
+def database_from_dict(payload: dict) -> Database:
+    """Rebuild a database from :func:`database_to_dict` output."""
     if payload.get("format") != FORMAT_VERSION:
         raise SchemaError(
             f"unsupported snapshot format {payload.get('format')!r}; "
             f"expected {FORMAT_VERSION}"
         )
-    n_shards = payload.get("shards")
-    db: AnyDatabase
-    if n_shards is not None:
-        db = PartitionedDatabase(
-            int(n_shards), auto_index=bool(payload.get("auto_index", True))
-        )
-    else:
-        db = Database(auto_index=bool(payload.get("auto_index", True)))
+    db = Database(auto_index=bool(payload.get("auto_index", True)))
     for spec in payload["tables"]:
         table = db.create_table(spec["name"], spec["columns"], spec["key"])
         table.load(tuple(row) for row in spec["rows"])
@@ -111,21 +71,17 @@ def database_from_dict(payload: dict) -> AnyDatabase:
         for columns in spec.get("indexes", []):
             table.create_index(columns)
     for fk in payload.get("foreign_keys", []):
-        if n_shards is not None:
-            # PartitionedDatabase has no FK catalog; partition_database
-            # drops them the same way.
-            break
         db.add_foreign_key(
             fk["child_table"], fk["child_columns"], fk["parent_table"]
         )
     return db
 
 
-def save_database(db: AnyDatabase, path: Union[str, Path]) -> None:
+def save_database(db: Database, path: Union[str, Path]) -> None:
     """Write a JSON snapshot of *db* to *path*."""
     Path(path).write_text(json.dumps(database_to_dict(db)))
 
 
-def load_database(path: Union[str, Path]) -> AnyDatabase:
+def load_database(path: Union[str, Path]) -> Database:
     """Read a JSON snapshot produced by :func:`save_database`."""
     return database_from_dict(json.loads(Path(path).read_text()))

@@ -430,8 +430,8 @@ class Table:
     # ------------------------------------------------------------------
     # write-set capture and replay (process shard workers)
     # ------------------------------------------------------------------
-    def begin_capture(self, sink: list[tuple] | None = None) -> list[tuple]:
-        """Start recording counted writes as replayable ops into *sink*.
+    def begin_capture(self) -> list[tuple]:
+        """Start recording counted writes as replayable ops.
 
         Because primary keys are immutable, every counted mutation of
         this table reduces to an upsert ``("s", key, row)`` or a delete
@@ -449,7 +449,7 @@ class Table:
                     f"nested begin_capture on table {self.schema.name!r}: "
                     f"a capture is already active"
                 )
-            sink = sink if sink is not None else []
+            sink: list[tuple] = []
             self._capture = sink
             return sink
 

@@ -244,7 +244,7 @@ def test_bsma_views_counts_match_interpreter_exactly():
 # ----------------------------------------------------------------------
 # equivalence: through both shard backends
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("shard_backend", ["thread", "process"])
+@pytest.mark.parametrize("shard_backend", ["inline", "process"])
 def test_sharded_compiled_matches_interpreter(shard_backend):
     base = _run_bsma(IdIvmEngine, rounds=2)
     sharded = _run_bsma(

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.expr import (
     And,
+    Arith,
+    Cmp,
     Not,
     Or,
     all_of,
@@ -29,32 +31,34 @@ values = st.integers(min_value=-50, max_value=50)
 rows = st.tuples(values, values, values)
 
 
-@st.composite
-def arith_exprs(draw, depth=0):
-    if depth > 3 or draw(st.booleans()):
-        if draw(st.booleans()):
-            return col(draw(st.sampled_from(COLUMNS)))
-        return lit(draw(values))
-    op = draw(st.sampled_from(["+", "-", "*"]))
-    left = draw(arith_exprs(depth=depth + 1))
-    right = draw(arith_exprs(depth=depth + 1))
-    from repro.expr import Arith
-
-    return Arith(op, left, right)
+def _arith(children):
+    return st.builds(Arith, st.sampled_from(["+", "-", "*"]), children, children)
 
 
-@st.composite
-def bool_exprs(draw, depth=0):
-    if depth > 2 or draw(st.booleans()):
-        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
-        from repro.expr import Cmp
+def _connective(children):
+    pairs = st.lists(children, min_size=2, max_size=3)
+    return st.one_of(
+        st.builds(Not, children), st.builds(And, pairs), st.builds(Or, pairs)
+    )
 
-        return Cmp(op, draw(arith_exprs()), draw(arith_exprs()))
-    kind = draw(st.sampled_from(["and", "or", "not"]))
-    if kind == "not":
-        return Not(draw(bool_exprs(depth=depth + 1)))
-    parts = draw(st.lists(bool_exprs(depth=depth + 1), min_size=2, max_size=3))
-    return And(parts) if kind == "and" else Or(parts)
+
+def arith_exprs():
+    """Arithmetic over columns and small literals, at most 8 leaves."""
+    leaves = st.one_of(st.sampled_from(COLUMNS).map(col), values.map(lit))
+    return st.recursive(leaves, _arith, max_leaves=8)
+
+
+def bool_exprs():
+    """Comparisons of arithmetic under AND / OR / NOT, at most 6
+    comparisons.  ``st.recursive`` bounds the tree by leaf count, so
+    generation time does not depend on how deep a draw happens to go."""
+    comparisons = st.builds(
+        Cmp,
+        st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
+        arith_exprs(),
+        arith_exprs(),
+    )
+    return st.recursive(comparisons, _connective, max_leaves=6)
 
 
 def python_eval(expr, row):

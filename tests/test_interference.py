@@ -44,7 +44,7 @@ DEV_CONFIG = DevicesConfig(n_parts=80, n_devices=80, diff_size=24)
 
 BACKENDS = tuple(
     b.strip()
-    for b in os.environ.get("REPRO_BACKEND", "thread,process").split(",")
+    for b in os.environ.get("REPRO_BACKEND", "inline,process").split(",")
     if b.strip()
 )
 
@@ -340,6 +340,41 @@ class TestDynamicDetector:
             assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
         finally:
             engine.close()
+
+
+@pytest.mark.skipif(
+    set(BACKENDS) != {"inline", "process"}, reason="needs both shard backends"
+)
+def test_backends_find_the_same_overlaps():
+    """One shard protocol, one merge: the write-sets the race check sees
+    are the same whether the shards ran inline or in worker processes."""
+    found = {}
+    for backend in BACKENDS:
+        engine, db, cfg = _misrouted_engine(backend, race_check=True)
+        try:
+            apply_price_updates(engine, db, cfg, round_seed=1)
+            found[backend] = engine.maintain()["agg"].race_overlaps
+        finally:
+            engine.close()
+    assert found["inline"] and found["inline"] == found["process"]
+
+
+def test_inline_round_reports_writes_that_escape_capture(monkeypatch):
+    """Dynamic RACE604: a counted write to a catalog table outside the
+    view's tagged set is reported on the checked inline round."""
+    cfg = DEV_CONFIG
+    db = build_database(cfg)
+    engine = ShardedEngine(db, shards=2, backend="inline", race_check=True)
+    view = engine.define_view("flat", build_flat_view(db, cfg))
+    # Fixture: the view table sits in the catalog but is no longer tagged.
+    db.tables[view.table.schema.name] = view.table
+    monkeypatch.setattr(
+        "repro.core.sharded.tagged_tables", lambda caches, opcaches: iter(())
+    )
+    apply_price_updates(engine, db, cfg, round_seed=1)
+    report = engine.maintain()["flat"]
+    assert report.parallel
+    assert report.uncaptured_tables == [view.table.schema.name]
 
 
 def test_race_check_argument_is_validated():

@@ -6,7 +6,7 @@ access counts that reconcile exactly with the single-shard run —
 whether the router proved the round parallel or fell back to broadcast.
 
 Set ``REPRO_SHARDS=1,4`` (the CI matrix does) to restrict the shard
-counts exercised by the equivalence tests, and ``REPRO_BACKEND=thread``
+counts exercised by the equivalence tests, and ``REPRO_BACKEND=inline``
 (or ``process``) to restrict the execution backends.  The process
 backend spawns real worker processes, so its equivalence coverage runs
 at bounded shard counts (≤ 4) to keep the suite quick.
@@ -25,15 +25,7 @@ import pytest
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.shard import ShardRoutingCounters, shard_of
-from repro.storage import (
-    AccessCounts,
-    CounterSet,
-    Database,
-    PartitionedDatabase,
-    PartitionedTable,
-    partition_database,
-)
-from repro.storage.schema import TableSchema
+from repro.storage import AccessCounts, CounterSet, Database
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -55,7 +47,7 @@ SHARD_COUNTS = tuple(
 )
 BACKENDS = tuple(
     b.strip()
-    for b in os.environ.get("REPRO_BACKEND", "thread,process").split(",")
+    for b in os.environ.get("REPRO_BACKEND", "inline,process").split(",")
     if b.strip()
 )
 
@@ -70,7 +62,7 @@ RACE_CHECK = (
 
 
 def _backend_shard_params(process_counts=(2, 4)):
-    """(backend, n_shards) matrix: thread everywhere, process bounded."""
+    """(backend, n_shards) matrix: inline everywhere, process bounded."""
     params = []
     for backend in BACKENDS:
         for n in SHARD_COUNTS:
@@ -305,7 +297,7 @@ def test_parallel_round_folds_into_database_totals():
 
 
 # ----------------------------------------------------------------------
-# partitioned storage layer
+# shard-key hashing
 # ----------------------------------------------------------------------
 def test_shard_of_is_stable_and_in_range():
     assert shard_of(("P1",), 1) == 0
@@ -317,54 +309,9 @@ def test_shard_of_is_stable_and_in_range():
     assert shard_of(("P17",), 4) == shard_of(("P17",), 4)
 
 
-def test_partitioned_table_routes_key_ops():
-    table = PartitionedTable(TableSchema("t", ("k", "v"), ("k",)), 4)
-    rows = [(f"K{i}", i) for i in range(40)]
-    table.load(rows)
-    assert len(table) == 40
-    assert table.get(("K7",)) == ("K7", 7)
-    # a key get costs exactly one lookup + one read, on one shard only
-    combined = table.combined_counts()
-    assert combined.index_lookups == 1 and combined.tuple_reads == 1
-    busy = [c.total for c in table.shard_counts()]
-    assert sorted(busy, reverse=True)[1] == 0  # all cost on one shard
-    assert set(table.rows_uncounted()) == set(rows)
-
-
-def test_partitioned_table_broadcast_lookup_pays_per_shard():
-    table = PartitionedTable(TableSchema("t", ("k", "v"), ("k",)), 4)
-    table.load([(f"K{i}", i % 3) for i in range(30)])
-    table.create_index(("v",))
-    table.reset_counters()
-    hits = table.lookup(("v",), (1,))
-    assert {h[1] for h in hits} == {1}
-    # non-key lookup probes every shard's local index
-    assert table.combined_counts().index_lookups == 4
-
-
-def test_partition_database_preserves_contents_and_counts():
-    db = build_devices_database(DEV_CONFIG)
-    part = partition_database(db, 4)
-    assert set(part.table_names()) == set(db.table_names())
-    for name in db.table_names():
-        assert part.table(name).as_set() == db.table(name).as_set()
-    # routed single-key workload: combined counts match an unpartitioned
-    # table doing the same ops
-    flat = db.table("parts")
-    flat.counters.reset()
-    sharded = part.table("parts")
-    for pid, _ in list(flat.rows_uncounted())[:10]:
-        flat.get((pid,))
-        sharded.get((pid,))
-    assert part.combined_counts().total == flat.counters.total.total
-    assert part.critical_path() <= part.combined_counts().total
-
-
-def test_partitioned_database_rejects_bad_shard_count():
+def test_sharded_engine_rejects_bad_shard_count():
     from repro.errors import SchemaError
 
-    with pytest.raises(SchemaError):
-        PartitionedDatabase(0)
     with pytest.raises(SchemaError):
         ShardedEngine(Database(), shards=0)
 
@@ -395,10 +342,11 @@ def test_broadcast_round_has_no_shard_cost_hist():
     assert report.shard_cost_hist is None
 
 
-def test_worker_thread_histograms_merge_to_shard_totals(_scoped_metrics):
-    """``shard.cost`` is observed from worker threads (one per shard);
-    the merged ConcurrentLogHistogram must equal the manual fold of its
-    per-thread shards and reconcile exactly with the round reports."""
+def test_shard_cost_histogram_merges_to_shard_totals(_scoped_metrics):
+    """``shard.cost`` takes one observation per shard per parallel
+    round; the merged ConcurrentLogHistogram must equal the manual fold
+    of its per-thread cells and reconcile exactly with the round
+    reports."""
     from repro.obs.hist import LogHistogram
 
     results = _run_devices(
@@ -503,8 +451,79 @@ def test_process_backend_folds_into_database_totals():
         assert after - before >= report.total_cost
 
 
-def test_sharded_engine_rejects_unknown_backend():
+@pytest.mark.parametrize("backend", ["fiber", "thread"])
+def test_sharded_engine_rejects_unknown_backend(backend):
+    """``"thread"`` was replaced by ``"inline"``, not aliased to it."""
     from repro.errors import SchemaError
 
     with pytest.raises(SchemaError):
-        ShardedEngine(Database(), shards=2, backend="fiber")
+        ShardedEngine(Database(), shards=2, backend=backend)
+
+
+# ----------------------------------------------------------------------
+# one round loop
+# ----------------------------------------------------------------------
+def test_sharded_engine_shares_the_base_round_loop():
+    assert ShardedEngine.maintain is IdIvmEngine.maintain
+
+
+@pytest.mark.parametrize(
+    "engine_factory",
+    [pytest.param(IdIvmEngine, id="plain")]
+    + [
+        pytest.param(_sharded_factory(2, backend), id=f"sharded-{backend}")
+        for backend in BACKENDS
+    ],
+)
+def test_unknown_view_name_keeps_the_pending_batch(engine_factory):
+    from repro.errors import UnknownTableError
+
+    db = build_devices_database(DEV_CONFIG)
+    engine = engine_factory(db)
+    try:
+        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        apply_price_updates(engine, db, DEV_CONFIG)
+        pending = len(engine.log.entries)
+        assert pending > 0
+        with pytest.raises(UnknownTableError):
+            engine.maintain("nope")
+        assert len(engine.log.entries) == pending
+        engine.maintain()
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+    finally:
+        close = getattr(engine, "close", None)
+        if close is not None:
+            close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_traced_parallel_round_passes_the_trace_validator(backend, tmp_path):
+    """Inline shards run in the coordinator, so their phase spans are in
+    the trace and must reconcile with the view span's ``phase_counts``;
+    process shards leave none, so the merged counts are stamped as
+    ``phase_counts_remote`` and the validator has nothing to reconcile."""
+    from repro.obs import spans as obs
+    from repro.obs.trace import main, write_trace
+
+    db = build_devices_database(DEV_CONFIG)
+    with ShardedEngine(
+        db, shards=2, backend=backend, race_check=RACE_CHECK
+    ) as engine:
+        engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        apply_price_updates(engine, db, DEV_CONFIG)
+        with obs.recording() as rec:
+            report = engine.maintain()["V"]
+    assert report.parallel
+    [round_span] = rec.find(name="maintain")
+    assert round_span.attrs["shards"] == 2
+    [view_span] = rec.find(kind="view")
+    assert view_span.attrs["route"].startswith("parallel(")
+    stamped = "phase_counts" if backend == "inline" else "phase_counts_remote"
+    assert stamped in view_span.attrs
+    assert len({"phase_counts", "phase_counts_remote"} & set(view_span.attrs)) == 1
+    shard_spans = rec.find(kind="shard")
+    assert [sp.name for sp in shard_spans] == ["shard:0", "shard:1"]
+    assert bool(rec.find(kind="phase")) == (backend == "inline")
+    path = tmp_path / "trace.jsonl"
+    write_trace(rec, str(path))
+    assert main([str(path)]) == 0  # schema + phase-count reconciliation

@@ -131,76 +131,3 @@ class TestSnapshotIndexes:
             spec.pop("indexes")
         restored = database_from_dict(payload)
         assert restored.table("parts").as_set() == db.table("parts").as_set()
-
-
-class TestPartitionedSnapshot:
-    """Snapshot/restore of a hash-partitioned database: rows re-route to
-    their shards, per-shard secondary indexes are rebuilt from rows, and
-    every per-shard counter restarts at zero."""
-
-    def _pdb(self, n_shards=4):
-        from repro.storage import Database, partition_database
-
-        db = Database()
-        t = db.create_table("parts", ("pid", "price", "vendor"), ("pid",))
-        t.load([(i, 10 * i, "acme" if i % 2 else "bolt") for i in range(1, 9)])
-        t.create_index(("vendor",))
-        return partition_database(db, n_shards)
-
-    def test_round_trip_preserves_rows_and_sharding(self, tmp_path):
-        from repro.storage import load_database, save_database
-
-        pdb = self._pdb()
-        path = tmp_path / "pdb.json"
-        save_database(pdb, path)
-        restored = load_database(path)
-        assert restored.n_shards == pdb.n_shards
-        assert restored.auto_index == pdb.auto_index
-        assert restored.table("parts").as_set() == pdb.table("parts").as_set()
-        # Rows land on the same shards (shard_of is stable across runs).
-        for i in range(pdb.n_shards):
-            assert (
-                restored.table("parts").shard(i).as_set()
-                == pdb.table("parts").shard(i).as_set()
-            )
-
-    def test_restore_rebuilds_per_shard_secondary_indexes(self, tmp_path):
-        from repro.storage import load_database, save_database
-
-        pdb = self._pdb()
-        path = tmp_path / "pdb.json"
-        save_database(pdb, path)
-        # Post-snapshot mutations must not leak into the restore.
-        pdb.table("parts").delete_key((1,))
-        restored = load_database(path)
-        part = restored.table("parts")
-        for shard in part.shards:
-            assert shard.has_index(("vendor",))
-        rows = part.lookup(("vendor",), ("acme",))
-        assert sorted(rows) == [(1, 10, "acme"), (3, 30, "acme"),
-                                (5, 50, "acme"), (7, 70, "acme")]
-        # The broadcast probe paid one index lookup per shard — not a
-        # counted full scan, which a missing index would have forced.
-        combined = part.combined_counts()
-        assert combined.index_lookups == part.n_shards
-        assert combined.tuple_reads == 4
-
-    def test_restore_resets_per_shard_counters(self):
-        from repro.storage import database_from_dict, database_to_dict
-
-        pdb = self._pdb()
-        list(pdb.table("parts").scan())  # dirty every shard's counters
-        assert pdb.combined_counts().total > 0
-        restored = database_from_dict(database_to_dict(pdb))
-        assert restored.combined_counts().total == 0
-        for shard in restored.table("parts").shards:
-            assert shard.counters.total.total == 0
-        assert restored.critical_path() == 0
-
-    def test_plain_snapshot_still_restores_plain_database(self):
-        from repro.storage import Database, database_from_dict, database_to_dict
-
-        db = Database()
-        db.create_table("t", ("k", "v"), ("k",))
-        restored = database_from_dict(database_to_dict(db))
-        assert isinstance(restored, Database)
