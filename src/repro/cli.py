@@ -173,6 +173,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 print()
                 print("-- predicted vs measured (demo price update) " + "-" * 15)
                 _print_reconciliation(report)
+                rebuilds = metrics.counter("engine.prestate_rebuilds").value
+                print(f"  Input_pre: replica rolled forward by the log ({rebuilds} rebuilds)")
     return 0
 
 

@@ -17,17 +17,19 @@ Ties the pieces together across the three times of the paper:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import PlanNode
-from ..errors import ScriptError, UnknownTableError
+from ..errors import IntegrityError, ScriptError, UnknownTableError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
 from ..obs.freshness import FreshnessTracker
 from ..storage import AccessCounts, Database, Table
+from .diffs import DELETE, INSERT
 from .generator import GeneratedPlan, ScriptGenerator
 from .idinfer import node_by_id
 from .ir_exec import IrContext
@@ -158,6 +160,7 @@ class IdIvmEngine:
         self.freshness = FreshnessTracker()
         self.drift = DriftMonitor()
         self.log = ModificationLog(db, freshness=self.freshness)
+        self._pre = PreState(strict)
         self.views: dict[str, MaterializedView] = {}
         #: most recent MaintenanceReport per view (dashboards read this).
         self.last_reports: dict[str, MaintenanceReport] = {}
@@ -225,10 +228,10 @@ class IdIvmEngine:
         """Bring the named view (default: all) up to date.
 
         The live database already holds the post-state (deferred IVM);
-        the pre-state is reconstructed from the log for the rules that
-        need ``Input_pre``.  This is the only round loop: subclasses
-        change *where* a view's script runs (:meth:`_run_view`), never
-        the round around it.
+        rules that need ``Input_pre`` read the :class:`PreState` replica,
+        rolled forward by the round's log on the way out, failed or not.
+        This is the only round loop: subclasses change *where* a view's
+        script runs (:meth:`_run_view`), never the round around it.
         """
         # Resolve every target before taking the log: an unknown name
         # must not cost the pending batch.
@@ -239,6 +242,12 @@ class IdIvmEngine:
         else:
             raise UnknownTableError(f"no view named {name!r}")
         entries = self.log.take()
+        try:
+            return self._round(targets, entries)
+        finally:
+            self._pre.roll_forward(entries)
+
+    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
         counters = self.db.counters
         round_started = time.perf_counter()
         metrics.counter("engine.maintain_rounds").inc()
@@ -253,7 +262,7 @@ class IdIvmEngine:
         ) as round_span:
             self._begin_round(entries, round_span)
             with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                db_pre = _reconstruct_pre(self.db, entries)
+                db_pre = self._pre.begin(self.db, entries)
             reports: dict[str, MaintenanceReport] = {}
             for view in targets:
                 view_name = view.name
@@ -295,7 +304,7 @@ class IdIvmEngine:
 
     def _begin_round(self, entries, round_span) -> None:
         """Hook: runs once per round, after the log is taken and before
-        the pre-state is rebuilt.  Nothing to do on one node."""
+        the pre-state is read.  Nothing to do on one node."""
 
     def _run_view(
         self, view: MaterializedView, instances, db_pre: Database, entries, view_span
@@ -379,20 +388,14 @@ def round_context(db_pre: Database, db_post: Database, instances, view, modified
 
 
 def _reconstruct_pre(db: Database, entries) -> Database:
-    """Rebuild the pre-state database by reverse-applying the log.
-
-    In a real deployment ``Input_pre`` is served by versioning or the
-    diff tables themselves; reconstruction here is uncounted (it is not
-    part of the maintenance plan's accesses).
+    """Rebuild the pre-state database by reverse-applying the log to a
+    copy of *db*: O(|DB|), uncounted (it is not part of the maintenance
+    plan's accesses).  :class:`PreState` pays it once and then keeps the
+    result current; tests use it as the replica's oracle.
     """
-    from .diffs import DELETE, INSERT, UPDATE
-
-    pre = db.copy()
-    # Counters of the copy are fresh; reads of pre-state during
-    # maintenance must count, so share the live counters.
-    pre.counters = db.counters
-    for table in pre.tables.values():
-        table.counters = db.counters
+    # Reads of pre-state during maintenance must count, so the copy
+    # shares the live counters.
+    pre = db.copy(db.counters)
     for entry in reversed(entries):
         table = pre.table(entry.table)
         if entry.kind == INSERT:
@@ -403,3 +406,62 @@ def _reconstruct_pre(db: Database, entries) -> Database:
             table.delete_uncounted(entry.key)
             table.insert_uncounted(entry.row)
     return pre
+
+
+def apply_log(db: Database, entries) -> None:
+    """Forward-apply raw log *entries* to *db*, uncounted: how a replica
+    catches up with the live database in O(|entries|)."""
+    for entry in entries:
+        table = db.table(entry.table)
+        if entry.kind == INSERT:
+            table.insert_uncounted(entry.row)
+        elif entry.kind == DELETE:
+            table.delete_uncounted(entry.key)
+        else:
+            table.update_uncounted(entry.key, entry.changes)
+
+
+class PreState:
+    """``Input_pre`` as a persistent replica of the base tables: built by
+    the first round (:func:`_reconstruct_pre`, the one ``Database.copy``
+    an engine pays), then rolled forward by every round's log, so between
+    rounds it equals *live minus pending log* and a round costs O(|diff|).
+    Readers see a plain :class:`Database` counting into the live counters.
+    """
+
+    def __init__(self, strict: bool = False):
+        self.db: Optional[Database] = None
+        self.strict = strict
+
+    def begin(self, live: Database, entries) -> Database:
+        """The database as it was before *entries*.  A replica that does
+        not account for *live* — something changed behind the log's back
+        — is never trusted: rebuilt and counted, or refused if strict."""
+        if self.db is not None and not self._accounts_for(live, entries):
+            self.db = None
+            if self.strict:
+                raise IntegrityError(
+                    "pre-state replica is stale: the database changed outside the log"
+                )
+            metrics.counter("engine.prestate_rebuilds").inc()
+        if self.db is None:
+            self.db = _reconstruct_pre(live, entries)
+        return self.db
+
+    def _accounts_for(self, live: Database, entries) -> bool:
+        # O(#tables + |entries|): same catalog and counters, and every
+        # table as many rows behind *live* as *entries* insert net.
+        pre = self.db
+        if pre.counters is not live.counters or pre.tables.keys() != live.tables.keys():
+            return False
+        net = Counter(e.table for e in entries if e.kind == INSERT)
+        net.subtract(e.table for e in entries if e.kind == DELETE)
+        return all(len(pre.tables[t]) + net[t] == len(live.tables[t]) for t in live.tables)
+
+    def roll_forward(self, entries) -> None:
+        """Absorb a finished (or failed) round's *entries*.  A replica
+        they do not apply to is dropped, and rebuilt by the next round."""
+        pre, self.db = self.db, None
+        if pre is not None:
+            apply_log(pre, entries)
+            self.db = pre

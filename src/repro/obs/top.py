@@ -102,6 +102,9 @@ def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
                 a95=_ms(apply_q["p95"]),
             )
         )
+    rebuilds = metrics_map.get("engine.prestate_rebuilds", {}).get("value")
+    if rebuilds:
+        lines.append(f"pre-state replica rebuilt {rebuilds}x: database changed outside the log")
     lines.append("")
 
     # -- per-view table ------------------------------------------------

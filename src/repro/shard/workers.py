@@ -21,8 +21,8 @@ travels as a pickle over the pipe, which is fine for a single message):
    log.  When *sync* is true the entries are applied (uncounted) to the
    replica's base tables first — a worker that was just booted already
    has them baked into its blueprint, so its first round passes
-   ``sync=False``.  The worker then rebuilds its pre-state database,
-   mirroring the coordinator's ``_reconstruct_pre``.
+   ``sync=False``.  The pre-state comes from the worker's own
+   :class:`~repro.core.engine.PreState`, as on the coordinator.
 3. ``("exec", view, instances)`` — :func:`run_shard` the view's full
    ∆-script over this shard's i-diff rows in a private ``IrContext``.
    Replies with the wire-encoded :data:`ShardResult`: the exact counter
@@ -51,6 +51,7 @@ import traceback
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..core import wire
+from ..core.engine import PreState, apply_log, round_context
 from ..storage import CounterSet, Database, Table
 from .counters import ShardRoutingCounters
 
@@ -225,37 +226,29 @@ class _WorkerState:
             self.views[entry["name"]] = _WorkerView(
                 entry["generated"], caches, opcaches, exec_backend=exec_backend
             )
-        self.db_pre: Optional[Database] = None
+        self._pre = PreState()
+        self._entries: Sequence = ()
         self.modified_tables: set[str] = set()
 
     # ------------------------------------------------------------------
     def begin_round(self, log_doc: Mapping, sync: bool) -> None:
-        from ..core.diffs import DELETE, INSERT
-        from ..core.engine import _reconstruct_pre
-
-        entries = wire.decode_log_batch(log_doc)
+        # No message ends a round, so the pre-state replica absorbs the
+        # previous round's log when the next one begins.
+        self._pre.roll_forward(self._entries)
+        self._entries = entries = wire.decode_log_batch(log_doc)
         if sync:
-            for entry in entries:
-                table = self.db.table(entry.table)
-                if entry.kind == INSERT:
-                    table.insert_uncounted(entry.row)
-                elif entry.kind == DELETE:
-                    table.delete_uncounted(entry.key)
-                else:  # update: forward-apply the changed attributes
-                    table.update_uncounted(entry.key, entry.changes)
-        self.db_pre = _reconstruct_pre(self.db, entries)
+            apply_log(self.db, entries)
+        self._pre.begin(self.db, entries)
         self.modified_tables = {entry.table for entry in entries}
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:
-        from ..core.engine import round_context
-
         view = self.views[view_name]
         # Columnar adoption: the shipped per-attribute lists become
         # ColumnarDiff batches directly — no dict/tuple re-materialization
         # on the hot path (row views build lazily where a step needs them).
         instances = wire.decode_instances(instances_doc, columnar=True)
         ctx = round_context(
-            self.db_pre, self.db, instances, view, self.modified_tables
+            self._pre.db, self.db, instances, view, self.modified_tables
         )
         tables = list(tagged_tables(view.caches, view.operator_caches))
         counters, writes, diff_sizes, seconds = run_shard(

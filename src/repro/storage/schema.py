@@ -7,12 +7,23 @@ key extraction helpers used everywhere else.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from ..errors import SchemaError, UnknownColumnError
 
 #: Declared column types understood by the catalog and the static analyzer.
 COLUMN_TYPES = ("int", "float", "str", "bool")
+
+
+def row_extractor(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in positions)`` for tuple rows, built
+    once, picklable (schemas travel in worker blueprints).  A slice serves
+    fewer than two positions: a lone ``itemgetter(i)`` returns no tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 class TableSchema:
@@ -37,11 +48,12 @@ class TableSchema:
     types:
         Optional declared column types, a mapping ``column -> type name``
         from :data:`COLUMN_TYPES`.  Declarative only, like *nullable*.
+
+    ``key_of(row)`` extracts the primary-key values from a row tuple.
     """
 
     __slots__ = (
-        "name", "columns", "key", "nullable", "types",
-        "_positions", "_key_positions",
+        "name", "columns", "key", "nullable", "types", "_positions", "key_of",
     )
 
     def __init__(
@@ -98,7 +110,7 @@ class TableSchema:
                 )
         self.types = types
         self._positions = {c: i for i, c in enumerate(columns)}
-        self._key_positions = tuple(self._positions[k] for k in key)
+        self.key_of = row_extractor([self._positions[k] for k in key])
 
     @property
     def non_key_columns(self) -> tuple[str, ...]:
@@ -119,10 +131,6 @@ class TableSchema:
 
     def has_column(self, column: str) -> bool:
         return column in self._positions
-
-    def key_of(self, row: tuple) -> tuple:
-        """Extract the primary-key values from *row*."""
-        return tuple(row[i] for i in self._key_positions)
 
     def project(self, row: tuple, columns: Sequence[str]) -> tuple:
         """Extract the values of *columns* from *row* (in the given order)."""

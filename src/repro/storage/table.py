@@ -17,12 +17,11 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
   the work is visible and reconcilable; ``*_uncounted`` paths touch no
   counter at all and must stay exactly count-neutral.
 
-Concurrency: tables may be shared by the shard-parallel engine
-(:mod:`repro.core.sharded`).  Structural mutations (row writes, index
-builds) hold a per-table re-entrant lock; bucket lookups hand out copies.
-Point reads stay lock-free — the shard router only parallelizes rounds
-whose reads and writes are disjoint per shard, and full scans only happen
-on tables no shard is writing (base tables, or broadcast rounds).
+Concurrency: a table is read and written by one thread — shards run one
+after another in the coordinator, or in worker processes that own their
+replicas.  Counted writes and index builds hold a per-table re-entrant
+lock (one uncontended acquire); bucket lookups hand out copies, so a
+caller may write to the table while it iterates a probe result.
 """
 
 from __future__ import annotations
@@ -32,32 +31,29 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import IntegrityError, SchemaError, ScriptError
 from .counters import CounterSet
-from .schema import TableSchema
+from .schema import TableSchema, row_extractor
 
 
 class _SecondaryIndex:
     """Hash index from a column subset to the set of primary keys."""
 
-    __slots__ = ("columns", "positions", "buckets")
+    __slots__ = ("columns", "value_of", "buckets")
 
     def __init__(self, schema: TableSchema, columns: tuple[str, ...]):
         self.columns = columns
-        self.positions = schema.positions(columns)
+        self.value_of = row_extractor(schema.positions(columns))
         self.buckets: dict[tuple, set[tuple]] = {}
-
-    def value_of(self, row: tuple) -> tuple:
-        return tuple(row[i] for i in self.positions)
 
     def add(self, key: tuple, row: tuple) -> None:
         self.buckets.setdefault(self.value_of(row), set()).add(key)
 
     def remove(self, key: tuple, row: tuple) -> None:
-        # Empty buckets are left in place: deleting the dict entry races
-        # with a concurrent ``setdefault`` in :meth:`add` (the adder can
-        # obtain the doomed set and lose its addition).
-        bucket = self.buckets.get(self.value_of(row))
+        value = self.value_of(row)
+        bucket = self.buckets.get(value)
         if bucket is not None:
             bucket.discard(key)
+            if not bucket:
+                del self.buckets[value]
 
     def get(self, value: tuple) -> set[tuple]:
         # A copy, so callers never iterate a set a writer is mutating.
@@ -85,9 +81,8 @@ class Table:
         self.auto_index = auto_index
         self._rows: dict[tuple, tuple] = {}
         self._indexes: dict[tuple[str, ...], _SecondaryIndex] = {}
-        # Guards structural mutation (row writes, index builds) when the
-        # table is shared across shard worker threads.  Re-entrant: a
-        # locked read path may trigger an auto-index build.
+        # Guards structural mutation (counted row writes, index builds).
+        # Re-entrant: a locked read path may trigger an auto-index build.
         self._lock = threading.RLock()
         # Optional write-set sink (see begin_capture): counted writes and
         # index builds append replayable ops here while active.
@@ -567,8 +562,9 @@ class Table:
             auto_index=self.auto_index,
         )
         clone._rows = dict(self._rows)
-        for columns in self._indexes:
-            clone.create_index(columns)
+        for columns, index in self._indexes.items():
+            twin = clone._indexes[columns] = _SecondaryIndex(self.schema, columns)
+            twin.buckets = {value: set(keys) for value, keys in index.buckets.items()}
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - display helper

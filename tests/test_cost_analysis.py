@@ -424,3 +424,4 @@ class TestCli:
         out = capsys.readouterr().out
         assert "predicted vs measured" in out
         assert "reconciliation: all phases within tolerance" in out
+        assert "Input_pre: replica rolled forward by the log (0 rebuilds)" in out

@@ -1,0 +1,427 @@
+"""``Input_pre`` as a replica rolled forward by the log
+(:class:`repro.core.engine.PreState`).
+
+The replica must equal what the old per-round reconstruction built —
+``_reconstruct_pre(live, entries)`` is the oracle — before every round,
+on every engine that reads a pre-state, whatever the round before it
+did: maintained a subset of the views, failed mid-way, or ran after the
+catalog grew.  And a round must cost the diff, not the database.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algebra import evaluate_plan, group_by, scan
+from repro.baselines import SdbtEngine, TupleIvmEngine, sdbt, tuple_ivm
+from repro.core import IdIvmEngine, wire
+from repro.core import engine as engine_module
+from repro.core import script as script_module
+from repro.core.engine import PreState, _reconstruct_pre
+from repro.core.modlog import ModificationLog
+from repro.core.sharded import ShardedEngine
+from repro.errors import IntegrityError
+from repro.expr import col
+from repro.obs import metrics
+from repro.shard.workers import _WorkerState, build_blueprint
+from repro.storage import Database, Table, load_rows
+from repro.workloads import (
+    DevicesConfig,
+    apply_price_updates,
+    build_aggregate_view,
+    build_devices_database,
+    build_flat_view,
+)
+from repro.workloads.devices import log_batch, mixed_modification_batch
+from tests.conftest import build_view_v_prime
+
+
+# ----------------------------------------------------------------------
+# a small database: view A reads the devices tables, view B reads
+# ``notes``, nothing reads ``scratch``
+# ----------------------------------------------------------------------
+def make_db() -> Database:
+    db = Database()
+    db.create_table("devices", ("did", "category"), ("did",))
+    db.create_table("parts", ("pid", "price"), ("pid",))
+    db.create_table("devices_parts", ("did", "pid"), ("did", "pid"))
+    db.create_table("notes", ("nid", "kind", "weight"), ("nid",))
+    db.create_table("scratch", ("sid", "payload"), ("sid",))
+    load_rows(db, "devices", [(f"D{i}", ("phone", "tablet")[i % 2]) for i in range(6)])
+    load_rows(db, "parts", [(f"P{i}", 10 * i) for i in range(8)])
+    load_rows(
+        db, "devices_parts",
+        [(f"D{(i + j) % 6}", f"P{i}") for i in range(8) for j in (0, 3)],
+    )
+    load_rows(db, "notes", [(f"N{i}", ("a", "b")[i % 2], i) for i in range(4)])
+    load_rows(db, "scratch", [(f"S{i}", i) for i in range(3)])
+    return db
+
+
+def view_b(db: Database):
+    return group_by(scan(db, "notes"), ("kind",), [("sum", col("weight"), "total")])
+
+
+A_OPS = ("price", "flip", "add_part", "chain", "ins_upd", "del_link", "del_ins")
+OPS = A_OPS + ("note", "scratch")
+
+ops_strategy = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 50), st.integers(0, 99)),
+    min_size=1, max_size=6,
+)
+rounds_strategy = st.lists(
+    st.tuples(st.sampled_from(("all", "only_A", "fail", "late")), ops_strategy),
+    min_size=2, max_size=5,
+)
+
+
+class _Fresh:
+    """Key supply for inserted rows (never reuses a key)."""
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def __call__(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}x{self.n}"
+
+
+def _pick(db: Database, table: str, i: int):
+    keys = sorted(db.table(table)._rows)
+    return keys[i % len(keys)] if keys else None
+
+
+def _churn(log: ModificationLog, db: Database, table: str, row: tuple, column: str, i, v):
+    """insert / update / delete on a one-column-payload table, by v."""
+    key = _pick(db, table, i)
+    if v % 3 == 0 or key is None:
+        log.insert(table, row)
+    elif v % 3 == 1:
+        log.update(table, key, {column: v})
+    else:
+        log.delete(table, key)
+
+
+def apply_op(log: ModificationLog, db: Database, op, fresh: _Fresh) -> None:
+    """Interpret one drawn op against the current state (always valid)."""
+    name, i, v = op
+    if name == "price":
+        log.update("parts", _pick(db, "parts", i), {"price": v})
+    elif name == "flip":
+        did = _pick(db, "devices", i)
+        now = db.table("devices").get_uncounted(did)[1]
+        log.update("devices", did, {"category": "tablet" if now == "phone" else "phone"})
+    elif name in ("add_part", "ins_upd", "chain"):
+        pid, (did,) = fresh("P"), _pick(db, "devices", i)
+        log.insert("parts", (pid, v))
+        log.insert("devices_parts", (did, pid))
+        if name != "add_part":
+            log.update("parts", (pid,), {"price": v + 1})
+        if name == "chain":  # insert∘update∘delete nets to nothing
+            log.delete("devices_parts", (did, pid))
+            log.delete("parts", (pid,))
+    elif name == "del_link":
+        key = _pick(db, "devices_parts", i)
+        if key is not None:
+            log.delete("devices_parts", key)
+    elif name == "del_ins":  # delete∘insert nets to an update
+        key = _pick(db, "parts", i)
+        log.delete("parts", key)
+        log.insert("parts", (key[0], v + 1000))
+    elif name == "note":
+        _churn(log, db, "notes", (fresh("N"), ("a", "b")[v % 2], v), "weight", i, v)
+    else:
+        _churn(log, db, "scratch", (fresh("S"), v), "payload", i, v)
+
+
+def ops_for(kind: str, mode: str, ops):
+    """The ops a round of *mode* may log without starving a view: the
+    log is drained whole, so a round that skips B must not touch
+    ``notes`` and a failing round may touch only ``scratch``."""
+    if kind == "sdbt":
+        # SdbtEngine mis-maintains a price update batched with a category
+        # flip of a device holding that part (so it does at the parent
+        # commit; ROADMAP housekeeping) — not what is under test here.
+        ops = [op for op in ops if op[0] != "flip"]
+    if mode == "only_A":
+        return [op for op in ops if op[0] != "note"]
+    if mode == "fail":
+        return [("scratch", i, v) for _, i, v in ops]
+    return ops
+
+
+# ----------------------------------------------------------------------
+# comparing two databases: rows as bags, indexes by what they answer
+# ----------------------------------------------------------------------
+def assert_same_database(actual: Database, expected: Database) -> None:
+    assert sorted(actual.tables) == sorted(expected.tables)
+    for name, table in actual.tables.items():
+        rows = expected.table(name).rows_uncounted()
+        assert Counter(table.rows_uncounted()) == Counter(rows), name
+        schema = table.schema
+        for columns, index in table._indexes.items():
+            answers: dict[tuple, set] = {}
+            for row in rows:
+                answers.setdefault(schema.project(row, columns), set()).add(
+                    schema.key_of(row)
+                )
+            # same answer to every probe, and no bucket for a value no
+            # row holds any more
+            assert index.buckets == answers, (name, columns)
+
+
+def view_bag(engine, name: str) -> Counter:
+    view = engine.views[name]
+    at = [view.table.schema.columns.index(c) for c in view.plan.columns]
+    return Counter(tuple(row[i] for i in at) for row in view.table.rows_uncounted())
+
+
+def assert_views_fresh(engine, db: Database) -> None:
+    for name, view in engine.views.items():
+        assert view_bag(engine, name) == Counter(evaluate_plan(view.plan, db).rows), name
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def _boom(*_args, **_kwargs):
+    raise Boom("injected")
+
+
+#: engine under test -> (factory, where a round of it can be made to fail
+#: after the pre-state was read)
+ENGINES = {
+    "interp": (IdIvmEngine, [(engine_module, "execute_script")]),
+    "compiled": (
+        lambda db: IdIvmEngine(db, exec_backend="compiled"),
+        [(engine_module, "execute_script")],
+    ),
+    "sharded_inline": (
+        lambda db: ShardedEngine(db, shards=2),
+        [(engine_module, "execute_script"), (script_module, "execute_script")],
+    ),
+    "tuple": (TupleIvmEngine, [(tuple_ivm, "_apply_delta")]),
+    "sdbt": (SdbtEngine, [(sdbt, "apply_group_deltas")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+@settings(max_examples=40)
+@given(rounds=rounds_strategy)
+def test_replica_equals_reconstruction_before_every_round(kind, rounds):
+    factory, fault_sites = ENGINES[kind]
+    db = make_db()
+    engine = factory(db)
+    engine.define_view("A", build_view_v_prime(db))
+    engine.define_view("B", view_b(db))
+    fresh = _Fresh()
+    checked = []
+    real_begin = PreState.begin
+
+    def checked_begin(self, live, entries):
+        pre = real_begin(self, live, entries)
+        assert_same_database(pre, _reconstruct_pre(live, entries))
+        checked.append(len(entries))
+        return pre
+
+    rebuilds = metrics.counter("engine.prestate_rebuilds")
+    with mock.patch.object(PreState, "begin", checked_begin):
+        for number, (mode, ops) in enumerate(rounds):
+            rebuilt_before = rebuilds.value
+            if mode == "late":
+                db.create_table(f"late{number}", ("k", "v"), ("k",))
+                load_rows(db, f"late{number}", [(1, 2), (3, 4)])
+            for op in ops_for(kind, mode, ops):
+                apply_op(engine.log, db, op, fresh)
+            pending = len(engine.log.entries)
+            if mode == "fail":
+                patches = [mock.patch.object(m, a, _boom) for m, a in fault_sites]
+                for patch in patches:
+                    patch.start()
+                try:
+                    with pytest.raises(Boom):
+                        engine.maintain()
+                finally:
+                    for patch in patches:
+                        patch.stop()
+            elif mode == "only_A":
+                engine.maintain("A")
+            else:
+                engine.maintain()
+            # begin ran once, over the whole pending log
+            assert len(checked) == number + 1 and checked[-1] == pending
+            # between rounds: live minus pending log, and the log is empty
+            assert_same_database(engine._pre.db, db)
+            expected_rebuilds = 1 if mode == "late" and number > 0 else 0
+            assert rebuilds.value - rebuilt_before == expected_rebuilds
+            assert_views_fresh(engine, db)
+
+
+@settings(max_examples=40)
+@given(rounds=st.lists(ops_strategy, min_size=2, max_size=5))
+def test_worker_replica_follows_the_round_messages(rounds):
+    """A process worker's state, driven in-process by the messages the
+    coordinator sends: no end-of-round message exists, so the replica
+    absorbs a round's log when the next ``round`` arrives."""
+    db = make_db()
+    log = ModificationLog(db)
+    fresh = _Fresh()
+    state = None
+    for ops in rounds:
+        for op in ops:
+            apply_op(log, db, op, fresh)
+        entries = log.take()
+        if state is None:   # booted from a blueprint that holds round 1
+            state = _WorkerState(build_blueprint(db, {}))
+            state.begin_round(wire.encode_log_batch(entries), sync=False)
+        else:
+            state.begin_round(wire.encode_log_batch(entries), sync=True)
+        assert_same_database(state.db, db)
+        assert_same_database(state._pre.db, _reconstruct_pre(db, entries))
+
+
+# ----------------------------------------------------------------------
+# deterministic: cost, failure, staleness
+# ----------------------------------------------------------------------
+def _round_costs(n_parts: int, rounds: int = 4):
+    """Per round of a d=20 price-update stream: (Database.copy calls,
+    Table.copy calls, uncounted writes that landed on the replica,
+    log entries)."""
+    config = DevicesConfig(n_parts=n_parts, n_devices=n_parts // 10, fanout=2, diff_size=20)
+    db = build_devices_database(config)
+    # Cost-model inference evaluates the plan several times over: most of
+    # define_view at 20k parts, and nothing this test looks at.
+    engine = IdIvmEngine(db, exec_backend="compiled", cost_select=False)
+    with mock.patch.object(engine_module, "_infer_cost_model", lambda *_: None):
+        engine.define_view("Vp", build_aggregate_view(db, config))
+    calls = Counter()
+    replica_writes = []
+
+    def spy(cls, name, key):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[key] += 1
+            if key == "write":
+                replica_writes.append(self)
+            return real(self, *args, **kwargs)
+
+        return mock.patch.object(cls, name, wrapper)
+
+    out = []
+    with spy(Database, "copy", "db_copy"), spy(Table, "copy", "table_copy"), \
+            spy(Table, "insert_uncounted", "write"), \
+            spy(Table, "delete_uncounted", "write"), \
+            spy(Table, "update_uncounted", "write"):
+        for number in range(rounds):
+            calls.clear()
+            del replica_writes[:]
+            n_entries = apply_price_updates(engine, db, config, round_seed=number)
+            engine.maintain()
+            replica = set(map(id, engine._pre.db.tables.values()))
+            on_replica = sum(1 for table in replica_writes if id(table) in replica)
+            out.append((calls["db_copy"], calls["table_copy"], on_replica, n_entries))
+    return out
+
+
+def test_one_copy_ever_and_rounds_cost_the_diff_at_any_database_size():
+    small, large = _round_costs(2_000), _round_costs(20_000)
+    for costs in (small, large):
+        (db_copies, table_copies, _, _), later = costs[0], costs[1:]
+        assert (db_copies, table_copies) == (1, 3)     # the one replica build
+        for db_copies, table_copies, writes, n_entries in later:
+            assert (db_copies, table_copies) == (0, 0)
+            assert 0 < writes <= n_entries
+    assert small[1:] == large[1:]
+
+
+def test_failed_round_still_rolls_the_replica_forward(running_example_db):
+    db = running_example_db
+    engine = IdIvmEngine(db)
+    engine.define_view("A", build_view_v_prime(db))
+    engine.define_view("B", build_view_v_prime(db))
+    engine.log.update("parts", ("P1",), {"price": 11})
+    engine.maintain()
+    engine.log.update("parts", ("P1",), {"price": 12})
+    engine.log.insert("parts", ("P3", 5))
+    real, calls = engine_module.execute_script, []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise Boom("injected")
+        return real(*args, **kwargs)
+
+    with mock.patch.object(engine_module, "execute_script", second_call_fails):
+        with pytest.raises(Boom):
+            engine.maintain()
+    assert_same_database(engine._pre.db, db)
+    engine.log.delete("parts", ("P3",))
+    entries = list(engine.log.entries)
+    assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+
+
+def test_stale_replica_is_rebuilt_and_counted(running_example_db):
+    db = running_example_db
+    engine = IdIvmEngine(db)
+    view = engine.define_view("Vp", build_view_v_prime(db))
+    rebuilds = metrics.counter("engine.prestate_rebuilds")
+    engine.log.update("parts", ("P1",), {"price": 11})
+    engine.maintain()
+    assert rebuilds.value == 0
+    # rows loaded behind the log's back
+    db.table("parts").insert_uncounted(("P9", 1))
+    engine.log.update("parts", ("P1",), {"price": 12})
+    engine.maintain()
+    assert rebuilds.value == 1
+    # a table created after the first round
+    db.create_table("late", ("k",), ("k",))
+    engine.log.update("parts", ("P2",), {"price": 21})
+    engine.maintain()
+    assert rebuilds.value == 2
+    # and a healthy round after that rebuilds nothing
+    engine.log.update("parts", ("P2",), {"price": 22})
+    engine.maintain()
+    assert rebuilds.value == 2
+    assert_same_database(engine._pre.db, db)
+    assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+def test_strict_engine_refuses_a_stale_replica(running_example_db):
+    db = running_example_db
+    engine = IdIvmEngine(db, strict=True)
+    engine.define_view("Vp", build_view_v_prime(db))
+    engine.log.update("parts", ("P1",), {"price": 11})
+    engine.maintain()
+    db.table("parts").insert_uncounted(("P9", 1))
+    engine.log.update("parts", ("P1",), {"price": 12})
+    with pytest.raises(IntegrityError, match="stale"):
+        engine.maintain()
+    assert metrics.counter("engine.prestate_rebuilds").value == 0
+    # the refused replica is gone; the next round starts from a fresh one
+    engine.log.update("parts", ("P1",), {"price": 13})
+    engine.maintain()
+    assert_same_database(engine._pre.db, db)
+
+
+def test_process_workers_serve_the_pre_state_across_rounds():
+    config = DevicesConfig(n_parts=60, n_devices=60, fanout=3, diff_size=12)
+    db = build_devices_database(config)
+    with ShardedEngine(db, shards=2, backend="process") as engine:
+        flat = engine.define_view("V", build_flat_view(db, config))
+        agg = engine.define_view("Vp", build_aggregate_view(db, config))
+        for number in range(4):
+            if number % 2:
+                log_batch(engine, mixed_modification_batch(db, config, 6, 3, 3, round_seed=number))
+            else:
+                apply_price_updates(engine, db, config, round_seed=number)
+            reports = engine.maintain()
+            for view in (flat, agg):
+                assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+        assert reports["V"].backend == "process"

@@ -37,6 +37,23 @@ class TestTableSchema:
         with pytest.raises(UnknownColumnError):
             schema.position("zzz")
 
+    def test_key_of_keeps_a_tuple_and_survives_pickling(self):
+        """The extractors are built once (no generator per call) and must
+        travel in a worker blueprint."""
+        import pickle
+
+        single = TableSchema("parts", ("pid", "price"), ("pid",))
+        pair = TableSchema("dp", ("x", "did", "pid"), ("pid", "did"))
+        for schema in (single, pickle.loads(pickle.dumps(single))):
+            assert schema.key_of(("P1", 10)) == ("P1",)
+        for schema in (pair, pickle.loads(pickle.dumps(pair))):
+            assert schema.key_of((0, "D1", "P1")) == ("P1", "D1")
+        # an index over no columns has one bucket, keyed ()
+        table = Table(single)
+        table.create_index(())
+        table.load([("P1", 10), ("P2", 20)])
+        assert sorted(table.lookup((), ())) == [("P1", 10), ("P2", 20)]
+
     def test_project(self):
         schema = TableSchema("r", ("a", "b", "c"), ("a",))
         assert schema.project((1, 2, 3), ("c", "a")) == (3, 1)
@@ -120,6 +137,39 @@ class TestSecondaryIndexes:
         table.update_key(("P1",), {"cat": "tablet"})
         assert table.lookup(("cat",), ("phone",)) == []
         assert table.lookup(("cat",), ("tablet",)) == [("P1", "tablet")]
+
+
+    def test_emptied_buckets_are_dropped(self):
+        """N insert+delete cycles of distinct values must not leave N
+        empty buckets behind (the leak was unbounded under churn)."""
+        table = Table(TableSchema("dp", ("did", "pid"), ("did", "pid")))
+        table.create_index(("pid",))
+        table.insert(("D0", "keep"))
+        for i in range(200):
+            table.insert(("D1", f"P{i}"))
+            table.insert_uncounted(("D2", f"P{i}"))
+            table.update_key(("D1", f"P{i}"), {})
+            table.delete_key(("D1", f"P{i}"))
+            table.delete_uncounted(("D2", f"P{i}"))
+        buckets = table._indexes[("pid",)].buckets
+        assert buckets == {("keep",): {("D0", "keep")}}
+        assert table.lookup(("pid",), ("P7",)) == []
+
+    def test_copy_carries_indexes_without_sharing_them(self):
+        table = Table(TableSchema("dp", ("did", "pid"), ("did", "pid")))
+        table.load([("D1", "P1"), ("D2", "P1"), ("D1", "P2")])
+        table.create_index(("pid",))
+        table.create_index(("did",))
+        clone = table.copy()
+        assert clone.index_columns() == table.index_columns()
+        for columns in table.index_columns():
+            assert clone._indexes[columns].buckets == table._indexes[columns].buckets
+        clone.delete_key(("D1", "P1"))
+        clone.insert(("D3", "P3"))
+        assert sorted(table.lookup(("pid",), ("P1",))) == [("D1", "P1"), ("D2", "P1")]
+        assert table.lookup(("pid",), ("P3",)) == []
+        assert clone.lookup(("pid",), ("P1",)) == [("D2", "P1")]
+        assert clone.lookup(("did",), ("D3",)) == [("D3", "P3")]
 
 
 class TestCounters:

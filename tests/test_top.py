@@ -47,6 +47,12 @@ class TestRenderDashboard:
             frame = render_dashboard(snapshot)
             assert "COST504 drift alerts" in frame
 
+    def test_prestate_rebuilds_show_only_when_they_happened(self):
+        snapshot, _loop = _demo_snapshot()
+        assert "pre-state replica rebuilt" not in render_dashboard(snapshot)
+        snapshot["metrics"]["engine.prestate_rebuilds"] = {"type": "counter", "value": 3}
+        assert "pre-state replica rebuilt 3x" in render_dashboard(snapshot)
+
     def test_handles_empty_snapshot(self):
         frame = render_dashboard({"schema": "repro.obs.snapshot"})
         assert "repro top" in frame  # renders headers, no crash
