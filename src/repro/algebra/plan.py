@@ -74,11 +74,6 @@ class PlanNode:
     def children(self) -> tuple["PlanNode", ...]:
         raise NotImplementedError
 
-    @property
-    def non_id_columns(self) -> tuple[str, ...]:
-        id_set = set(self.ids)
-        return tuple(c for c in self.columns if c not in id_set)
-
     def walk(self):
         """Preorder traversal of the subtree rooted here."""
         yield self

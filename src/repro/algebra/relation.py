@@ -36,9 +36,6 @@ class Relation:
                 f"column {column!r} not in {self.columns}"
             ) from None
 
-    def project_row(self, row: tuple, columns: Sequence[str]) -> tuple:
-        return tuple(row[self._positions[c]] for c in columns)
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -56,10 +53,6 @@ class Relation:
                 seen.add(row)
                 out.append(row)
         return Relation(self.columns, out)
-
-    def select_columns(self, columns: Sequence[str]) -> "Relation":
-        idx = [self.position(c) for c in columns]
-        return Relation(columns, [tuple(r[i] for i in idx) for r in self.rows])
 
     def filtered(self, keep: Callable[[tuple], bool]) -> "Relation":
         return Relation(self.columns, [r for r in self.rows if keep(r)])

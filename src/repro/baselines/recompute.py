@@ -4,15 +4,17 @@ sizes of ~15k tuples, Section 7.2 footnote 9)."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import PlanNode
-from ..core.engine import MaintenanceReport
+from ..core.engine import (
+    MaintenanceEngine,
+    MaintenanceReport,
+    counted_phase,
+    counts_since,
+)
 from ..core.idinfer import annotate_plan
-from ..core.modlog import ModificationLog
 from ..errors import ScriptError
-from ..storage import Database, Table
+from ..storage import Table
 
 
 class RecomputeView:
@@ -22,13 +24,11 @@ class RecomputeView:
         self.table = table
 
 
-class RecomputeEngine:
-    """Maintains views by recomputing them from scratch."""
+class RecomputeEngine(MaintenanceEngine):
+    """Maintains views by recomputing them from scratch: the shared
+    maintenance round with a rule that reads only the post-state."""
 
-    def __init__(self, db: Database):
-        self.db = db
-        self.log = ModificationLog(db)
-        self.views: dict[str, RecomputeView] = {}
+    reads_pre_state = False
 
     def define_view(self, name: str, plan: PlanNode) -> RecomputeView:
         """Materialize *plan*; maintenance will rebuild it from scratch."""
@@ -36,33 +36,21 @@ class RecomputeEngine:
             raise ScriptError(f"view {name!r} already defined")
         annotated = annotate_plan(plan)
         table = materialize(annotated, self.db, name)
-        self.db.counters.reset()
-        view = RecomputeView(name, annotated, table)
-        self.views[name] = view
-        return view
+        return self._register(name, RecomputeView(name, annotated, table))
 
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Re-evaluate each view over the current database (counted)."""
-        targets = [name] if name is not None else list(self.views)
-        self.log.take()
+    def _maintain_view(
+        self, view: RecomputeView, db_pre, entries, view_span
+    ) -> MaintenanceReport:
+        """Re-evaluate the view over the current database (counted)."""
         counters = self.db.counters
-        reports: dict[str, MaintenanceReport] = {}
-        for view_name in targets:
-            view = self.views[view_name]
-            before = counters.snapshot()
-            with counters.phase("recompute"):
-                result = evaluate_plan(view.plan, self.db)
-                fresh = Table(view.table.schema, counters=counters)
-                for row in result.rows:
-                    fresh.insert(row)
-            view.table._rows = fresh._rows  # swap in the fresh content
-            view.table._indexes.clear()
-            after = counters.snapshot()
-            report = MaintenanceReport(view_name)
-            for phase, counts in after.items():
-                prior = before.get(phase)
-                report.phase_counts[phase] = (
-                    counts - prior if prior is not None else counts
-                )
-            reports[view_name] = report
-        return reports
+        before = counters.snapshot()
+        with counted_phase(counters, "recompute"):
+            result = evaluate_plan(view.plan, self.db)
+            fresh = Table(view.table.schema, counters=counters)
+            for row in result.rows:
+                fresh.insert(row)
+        view.table._rows = fresh._rows  # swap in the fresh content
+        view.table._indexes.clear()
+        return MaintenanceReport(
+            view.name, phase_counts=counts_since(counters, before)
+        )

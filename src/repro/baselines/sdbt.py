@@ -33,9 +33,15 @@ from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select
 from ..core.diffs import DELETE, INSERT, UPDATE
 # _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
-from ..core.engine import MaintenanceReport, PreState, _reconstruct_pre
+from ..core.engine import (
+    MaintenanceEngine,
+    MaintenanceReport,
+    _reconstruct_pre,
+    counted_phase,
+    counts_since,
+)
 from ..core.idinfer import annotate_plan
-from ..core.modlog import ModificationLog, fold_log
+from ..core.modlog import fold_log
 from ..core.rules.aggregate import (
     OpCacheSpec,
     apply_group_deltas,
@@ -190,20 +196,18 @@ class SdbtView:
         self.opcache: Optional[Table] = None
 
 
-class SdbtEngine:
-    """Simulated DBToaster over the instrumented storage engine."""
+class SdbtEngine(MaintenanceEngine):
+    """Simulated DBToaster over the instrumented storage engine: the
+    shared maintenance round, map-probing delta rules."""
 
     def __init__(self, db: Database, streamed_tables: Optional[Sequence[str]] = None):
         """*streamed_tables* = tables allowed to change.  None means all
         base tables of each view (SDBT-streams); a restricted list gives
         SDBT-fixed."""
-        self.db = db
+        super().__init__(db)
         self.streamed_tables = (
             set(streamed_tables) if streamed_tables is not None else None
         )
-        self.log = ModificationLog(db)
-        self._pre = PreState()
-        self.views: dict[str, SdbtView] = {}
 
     # ------------------------------------------------------------------
     def define_view(self, name: str, plan: PlanNode) -> SdbtView:
@@ -261,49 +265,24 @@ class SdbtEngine:
             map_table.create_index(tuple(shape.key_columns[base_table]))
             view.maps[base_table] = map_table
             view.map_columns[base_table] = keep
-        self.db.counters.reset()
-        self.views[name] = view
-        return view
+        return self._register(name, view)
 
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Sequential per-table delta evaluation against the maps."""
-        targets = [name] if name is not None else list(self.views)
-        entries = self.log.take()
-        try:
-            return self._round(targets, entries)
-        finally:
-            self._pre.roll_forward(entries)
+    def _begin_round(self, entries, round_span) -> None:
+        self._net = fold_log(entries, self.db)
 
-    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
-        db_post = self.db
-        db_pre = self._pre.begin(self.db, entries)
-        net = fold_log(entries, db_post)
-        counters = self.db.counters
-        reports: dict[str, MaintenanceReport] = {}
-        for view_name in targets:
-            view = self.views[view_name]
-            before = counters.snapshot()
-            self._maintain_view(view, net, db_pre, db_post)
-            after = counters.snapshot()
-            report = MaintenanceReport(view_name)
-            for phase, counts in after.items():
-                prior = before.get(phase)
-                report.phase_counts[phase] = (
-                    counts - prior if prior is not None else counts
-                )
-            reports[view_name] = report
-        return reports
-
-    # ------------------------------------------------------------------
-    def _maintain_view(self, view: SdbtView, net, db_pre, db_post) -> None:
+    def _maintain_view(
+        self, view: SdbtView, db_pre: Database, entries, view_span
+    ) -> MaintenanceReport:
         """Sequential per-table delta evaluation (DBToaster's first-order
         semantics): table i's delta is computed against a hybrid state
         where already-processed tables are post and the rest pre, with
         the maps advanced in lock step — this is what prevents a combo
         created by two same-batch inserts from being counted twice."""
+        net = self._net
         shape = view.shape
         counters = self.db.counters
+        before = counters.snapshot()
         changes: list[tuple] = []
         hybrid = db_pre.copy(counters)
         affected = sorted(
@@ -318,20 +297,23 @@ class SdbtEngine:
                 )
         for base_table in affected:
             per_key = net[base_table]
-            with counters.phase("view_diff"):
+            with counted_phase(counters, "view_diff"):
                 changes.extend(
                     self._update_delete_changes(view, base_table, per_key, hybrid)
                 )
             _advance_hybrid(hybrid, base_table, per_key)
-            with counters.phase("view_diff"):
+            with counted_phase(counters, "view_diff"):
                 changes.extend(
                     self._insert_changes(view, base_table, per_key, hybrid)
                 )
-            with counters.phase("map_update"):
+            with counted_phase(counters, "map_update"):
                 self._maintain_maps(view, base_table, per_key, hybrid)
         deltas = group_deltas_from_changes(shape.gnode, changes)
-        with counters.phase("view_update"):
+        with counted_phase(counters, "view_update"):
             apply_group_deltas(shape.gnode, deltas, view.table, view.opcache)
+        return MaintenanceReport(
+            view.name, phase_counts=counts_since(counters, before)
+        )
 
     # ------------------------------------------------------------------
     def _update_delete_changes(
@@ -416,6 +398,16 @@ class SdbtEngine:
             for c, sources in origins.items()
             if len(sources) == 1 and next(iter(sources))[0] == base_table
         }
+        base_schema = self.db.table(base_table).schema
+        # Own columns some selection reads: an update changing one can
+        # move the row into or out of the *other* tables' maps, which
+        # keep that selection.
+        selected_on = [
+            base_schema.position(own[c])
+            for node in shape.spj.walk()
+            if isinstance(node, Select)
+            for c in columns_of(node.predicate) & own.keys()
+        ]
         for target, map_table in view.maps.items():
             map_cols = view.map_columns[target]
             if target == base_table and all(
@@ -423,21 +415,25 @@ class SdbtEngine:
             ):
                 continue  # own attributes are projected away of this map
             embeds = {c for c in map_cols if c in own and c not in key_cols}
-            base_schema = self.db.table(base_table).schema
             for key, change in per_key.items():
-                if change.kind == UPDATE:
-                    if not embeds:
-                        continue
-                    new_values = {
-                        c: change.post_row[base_schema.position(own[c])]
-                        for c in embeds
-                    }
-                    for map_key in map_table.locate(key_cols, key):
-                        map_table.write_at(map_key, new_values)
-                elif change.kind == DELETE:
+                pre, post = change.pre_row, change.post_row
+                if change.kind == UPDATE and (
+                    target == base_table
+                    or all(pre[p] == post[p] for p in selected_on)
+                ):
+                    if embeds:
+                        new_values = {
+                            c: post[base_schema.position(own[c])] for c in embeds
+                        }
+                        for map_key in map_table.locate(key_cols, key):
+                            map_table.write_at(map_key, new_values)
+                    continue
+                if change.kind != INSERT:
                     for map_key in map_table.locate(key_cols, key):
                         map_table.delete_at(map_key)
-                else:  # INSERT: recompute the new map rows (relaxed plan)
+                if change.kind != DELETE:
+                    # recompute the key's map rows (relaxed plan) from the
+                    # already-advanced hybrid state
                     rel = fetch(
                         view.relaxed[target], hybrid, Bindings(key_cols, [key])
                     )

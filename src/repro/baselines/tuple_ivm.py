@@ -48,13 +48,17 @@ from ..algebra.plan import (
     UnionAll,
 )
 from ..core.diffs import DELETE, INSERT
-from ..core.engine import MaintenanceReport, PreState
+from ..core.engine import (
+    MaintenanceEngine,
+    MaintenanceReport,
+    counted_phase,
+    counts_since,
+)
 from ..core.idinfer import annotate_plan
-from ..core.modlog import ModificationLog, fold_log
+from ..core.modlog import fold_log
 from ..core.rules.aggregate import OpCacheSpec
 from ..errors import PlanError, ScriptError
 from ..expr import columns_of, equi_join_pairs, evaluate as eval_expr, matches
-from ..obs import spans as obs
 from ..storage import Database, Table, sort_rows
 
 
@@ -78,20 +82,6 @@ class TDelta:
         out += [(r, None) for r in self.deletes]
         out += list(self.updates)
         return out
-
-    @classmethod
-    def from_changes(cls, changes: list[tuple]) -> "TDelta":
-        delta = cls()
-        for pre, post in changes:
-            if pre is None and post is None:
-                continue
-            if pre is None:
-                delta.inserts.append(post)
-            elif post is None:
-                delta.deletes.append(pre)
-            elif pre != post:
-                delta.updates.append((pre, post))
-        return delta
 
 
 def repair_updates(delta: TDelta, id_positions: list[int]) -> TDelta:
@@ -126,14 +116,9 @@ class TupleView:
         self.opcaches: dict[int, Table] = {}
 
 
-class TupleIvmEngine:
-    """Drop-in counterpart of :class:`IdIvmEngine` using t-diffs."""
-
-    def __init__(self, db: Database):
-        self.db = db
-        self.log = ModificationLog(db)
-        self._pre = PreState()
-        self.views: dict[str, TupleView] = {}
+class TupleIvmEngine(MaintenanceEngine):
+    """Counterpart of :class:`IdIvmEngine` using t-diffs: the same
+    maintenance round, tuple-based propagation rules."""
 
     # ------------------------------------------------------------------
     def define_view(self, name: str, plan: PlanNode) -> TupleView:
@@ -158,76 +143,31 @@ class TupleIvmEngine:
                     view.agg_outputs[node.node_id] = materialize(
                         node, self.db, f"{name}__tuple_out_n{node.node_id}"
                     )
-        self.db.counters.reset()
-        self.views[name] = view
-        return view
+        return self._register(name, view)
 
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Propagate the logged changes as full-tuple diffs and apply."""
-        targets = [name] if name is not None else list(self.views)
-        entries = self.log.take()
-        try:
-            return self._round(targets, entries)
-        finally:
-            self._pre.roll_forward(entries)
+    def _begin_round(self, entries, round_span) -> None:
+        self._net = fold_log(entries, self.db)
 
-    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
-        db_post = self.db
+    def _maintain_view(
+        self, view: TupleView, db_pre: Database, entries, view_span
+    ) -> MaintenanceReport:
+        """Propagate the logged changes as full-tuple diffs and apply."""
         counters = self.db.counters
-        with obs.span(
-            "maintain",
-            kind="engine",
-            counters=counters,
-            engine=type(self).__name__,
-            n_log_entries=len(entries),
-            views=",".join(targets),
-        ):
-            with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                db_pre = self._pre.begin(self.db, entries)
-            net = fold_log(entries, db_post)
-            reports: dict[str, MaintenanceReport] = {}
-            for view_name in targets:
-                view = self.views[view_name]
-                with obs.span(
-                    f"view:{view_name}", kind="view", counters=counters,
-                    view=view_name,
-                ) as vsp:
-                    before = counters.snapshot()
-                    with counters.phase("view_diff"):
-                        with obs.span(
-                            "phase:view_diff", kind="phase", counters=counters,
-                            phase_of="view_diff", phase="view_diff",
-                        ):
-                            delta = _t_delta(view.plan, view, net, db_pre, db_post)
-                    with counters.phase("view_update"):
-                        with obs.span(
-                            "phase:view_update", kind="phase", counters=counters,
-                            phase_of="view_update", phase="view_update",
-                        ):
-                            _apply_delta(view.table, view.plan, delta)
-                    after = counters.snapshot()
-                    report = MaintenanceReport(view_name)
-                    for phase, counts in after.items():
-                        prior = before.get(phase)
-                        report.phase_counts[phase] = (
-                            counts - prior if prior is not None else counts
-                        )
-                    report.diff_sizes = {
-                        "D+": len(delta.inserts),
-                        "D-": len(delta.deletes),
-                        "Du": len(delta.updates),
-                    }
-                    reports[view_name] = report
-                    vsp.set(
-                        total_cost=report.total_cost,
-                        phase_counts={
-                            phase: counts.as_dict()
-                            for phase, counts in report.phase_counts.items()
-                            if phase != "__total__"
-                        },
-                    )
-        return reports
+        before = counters.snapshot()
+        with counted_phase(counters, "view_diff"):
+            delta = _t_delta(view.plan, view, self._net, db_pre, self.db)
+        with counted_phase(counters, "view_update"):
+            _apply_delta(view.table, view.plan, delta)
+        return MaintenanceReport(
+            view.name,
+            phase_counts=counts_since(counters, before),
+            diff_sizes={
+                "D+": len(delta.inserts),
+                "D-": len(delta.deletes),
+                "Du": len(delta.updates),
+            },
+        )
 
 
 def _apply_delta(table: Table, plan: PlanNode, delta: TDelta) -> None:
@@ -597,14 +537,10 @@ def _groupby_delta_associative(node: GroupBy, view: TupleView, child: TDelta) ->
     deltas = group_deltas_from_changes(node, child.as_changes())
     out_table = _output_table(node, view)
     opcache = view.opcaches[node.node_id]
-    with out_table.counters.phase("view_update"):
-        # This re-phases nested work (we are inside the view_diff scope);
-        # the bucket-delta phase span keeps attribution exact either way.
-        with obs.span(
-            "phase:view_update", kind="phase", counters=out_table.counters,
-            phase_of="view_update", phase="view_update", op="GroupBy.apply",
-        ):
-            applied, kinds = apply_group_deltas(node, deltas, out_table, opcache)
+    # This re-phases nested work (we are inside the view_diff scope); the
+    # bucket-delta phase span keeps attribution exact either way.
+    with counted_phase(out_table.counters, "view_update", op="GroupBy.apply"):
+        applied, kinds = apply_group_deltas(node, deltas, out_table, opcache)
     delta = TDelta()
     for change, kind in zip(applied, kinds):
         if kind == INSERT:

@@ -646,8 +646,8 @@ def compile_script(generated) -> DeltaScript:
     object (APPLY, cache marks, the blocking aggregate steps — they are
     already direct table code with no per-row IR dispatch) and replacing
     each plain :class:`ComputeDiffStep` with its compiled form.  The
-    original script is left untouched, so one view can serve both
-    backends.
+    original script is left untouched, so it stays available as the
+    reference.
     """
     steps = []
     for step in generated.script.steps:
@@ -656,3 +656,13 @@ def compile_script(generated) -> DeltaScript:
         else:
             steps.append(step)
     return DeltaScript(steps, generated.script.view_node_id)
+
+
+def script_for(generated, backend: str) -> DeltaScript:
+    """The ∆-script a view of *generated* executes under *backend* — the
+    one place that decides: closures compiled here and now for
+    ``"compiled"`` (they cannot be pickled, so every process that runs a
+    view calls this itself), the stored interpretable script otherwise."""
+    if backend == "compiled":
+        return compile_script(generated)
+    return generated.script

@@ -351,11 +351,6 @@ def is_effective(diff: Diff, post_table: Table) -> bool:
     return True
 
 
-def effective_set(diffs: Sequence[Diff], post_table: Table) -> bool:
-    """True when every diff in *diffs* is effective w.r.t. *post_table*."""
-    return all(is_effective(d, post_table) for d in diffs)
-
-
 def merge_diffs(diffs: Sequence[Diff]) -> Diff:
     """Union of same-schema diffs (used when several rule branches feed
     one target); duplicate IDs must agree."""

@@ -2,8 +2,9 @@
 
 The paper's architecture supports both eager and deferred maintenance
 with the same modification logger; only the timing differs.  This module
-wraps :class:`IdIvmEngine` so that each ``insert`` / ``update`` /
-``delete`` immediately triggers a maintenance round (batch boundaries
+is that timing as a flush policy on :class:`IdIvmEngine`: each
+``insert`` / ``update`` / ``delete`` logs the modification and
+immediately runs the engine's own maintenance round (batch boundaries
 can still be drawn explicitly with :meth:`EagerIvmEngine.transaction`).
 
 Eager mode trades throughput for freshness: per-tuple rounds forgo the
@@ -17,50 +18,37 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
 
-from ..algebra.plan import PlanNode
 from ..storage import AccessCounts, Database
-from .engine import IdIvmEngine, MaintenanceReport, MaterializedView
+from .engine import IdIvmEngine, MaintenanceReport
 
 
-class EagerIvmEngine:
+class EagerIvmEngine(IdIvmEngine):
     """Views stay up to date after every single base-table modification."""
 
-    def __init__(self, db: Database, optimize: bool = True, cache_policy: str = "equi"):
-        self._engine = IdIvmEngine(db, optimize=optimize, cache_policy=cache_policy)
+    def __init__(self, db: Database, **kwargs):
+        super().__init__(db, **kwargs)
         self._in_transaction = False
         #: accumulated maintenance reports (one per triggered round)
         self.rounds: list[dict[str, MaintenanceReport]] = []
-
-    @property
-    def db(self) -> Database:
-        return self._engine.db
-
-    @property
-    def views(self) -> dict[str, MaterializedView]:
-        return self._engine.views
-
-    def define_view(self, name: str, plan: PlanNode) -> MaterializedView:
-        """Register a view on the wrapped deferred engine."""
-        return self._engine.define_view(name, plan)
 
     # ------------------------------------------------------------------
     # modifications: logged, then maintained immediately
     # ------------------------------------------------------------------
     def insert(self, table: str, row: Sequence) -> None:
-        self._engine.log.insert(table, row)
-        self._maybe_maintain()
+        self.log.insert(table, row)
+        self._flush()
 
     def update(self, table: str, key: Sequence, changes: Mapping[str, object]) -> None:
-        self._engine.log.update(table, key, changes)
-        self._maybe_maintain()
+        self.log.update(table, key, changes)
+        self._flush()
 
     def delete(self, table: str, key: Sequence) -> None:
-        self._engine.log.delete(table, key)
-        self._maybe_maintain()
+        self.log.delete(table, key)
+        self._flush()
 
-    def _maybe_maintain(self) -> None:
+    def _flush(self) -> None:
         if not self._in_transaction:
-            self.rounds.append(self._engine.maintain())
+            self.rounds.append(self.maintain())
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -75,7 +63,7 @@ class EagerIvmEngine:
             yield
         finally:
             self._in_transaction = False
-            self.rounds.append(self._engine.maintain())
+            self._flush()
 
     # ------------------------------------------------------------------
     def total_cost(self) -> int:

@@ -1,6 +1,12 @@
 """The idIVM engine facade — the Figure 3 architecture.
 
-Ties the pieces together across the three times of the paper:
+One maintenance *round* for every engine, split from the *rules* the
+way the paper's Section 7 baseline is ("idIVM with tuple-based diff
+propagation rules"): :class:`MaintenanceEngine` owns the round —
+modification log, ``Input_pre`` replica, spans, metrics, freshness —
+and an engine supplies ``define_view`` plus :meth:`_maintain_view`.
+:class:`IdIvmEngine` ties the ID-based rules together across the three
+times of the paper:
 
 * **view definition time** — :meth:`IdIvmEngine.define_view` runs the
   base-table i-diff schema generator, the 4-pass ∆-script generator, and
@@ -18,8 +24,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import PlanNode
@@ -28,7 +35,8 @@ from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
 from ..obs.freshness import FreshnessTracker
-from ..storage import AccessCounts, Database, Table
+from ..storage import AccessCounts, CounterSet, Database, Table
+from .compile import script_for
 from .diffs import DELETE, INSERT
 from .generator import GeneratedPlan, ScriptGenerator
 from .idinfer import node_by_id
@@ -37,9 +45,10 @@ from .modlog import ModificationLog, populate_instances
 from .schema_gen import generate_base_schemas
 from .script import DeltaScript, execute_script
 
-#: Supported ∆-script execution backends: the per-node IR interpreter
-#: (the paper-faithful reference) and the closure compiler
-#: (:mod:`repro.core.compile` — same counted accesses, less dispatch).
+#: Supported ∆-script execution backends: the closure compiler
+#: (:mod:`repro.core.compile`, the default) and the per-node IR
+#: interpreter — the paper-faithful reference the compiled path is
+#: pinned against (same counted accesses, more dispatch).
 EXEC_BACKENDS = ("interp", "compiled")
 
 
@@ -84,21 +93,22 @@ class MaterializedView:
         table: Table,
         caches: dict[int, Table],
         operator_caches: dict[int, Table],
+        script: DeltaScript,
         cost_model=None,
-        compiled_script: Optional[DeltaScript] = None,
     ):
         self.generated = generated
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
+        #: the ∆-script maintenance executes, chosen once at define time
+        #: by :func:`repro.core.compile.script_for`: closures compiled
+        #: from ``generated.script`` or that interpretable script itself.
+        #: Shares the caches above and is invalidated with them (a
+        #: redefine rebuilds the MaterializedView wholesale).
+        self.script = script
         #: symbolic per-phase cost model (repro.analysis.cost), inferred
         #: at define time; None when inference did not apply.
         self.cost_model = cost_model
-        #: closure-compiled twin of ``generated.script``, built at define
-        #: time when the engine runs ``exec_backend="compiled"``; shares
-        #: the same caches and is invalidated with them (a redefine
-        #: rebuilds the MaterializedView wholesale).
-        self.compiled_script = compiled_script
 
     @property
     def name(self) -> str:
@@ -111,15 +121,186 @@ class MaterializedView:
     def describe_script(self) -> str:
         return self.generated.script.describe()
 
-    def script_for(self, backend: str) -> DeltaScript:
-        """The ∆-script to execute under *backend* (compiled when asked
-        for and available, the stored interpretable script otherwise)."""
-        if backend == "compiled" and self.compiled_script is not None:
-            return self.compiled_script
-        return self.generated.script
+
+def counts_since(
+    counters: CounterSet, before: dict[str, AccessCounts]
+) -> dict[str, AccessCounts]:
+    """Per-phase accesses *counters* gained since the *before* snapshot:
+    what a :class:`MaintenanceReport` carries as ``phase_counts``."""
+    return {
+        phase: counts - before[phase] if phase in before else counts
+        for phase, counts in counters.snapshot().items()
+    }
 
 
-class IdIvmEngine:
+@contextmanager
+def counted_phase(counters: CounterSet, phase: str, **attrs) -> Iterator[None]:
+    """Attribute the block's accesses to *phase*, under a ``phase:`` span
+    whose bucket delta reconciles with the round's ``phase_counts``."""
+    with counters.phase(phase), obs.span(
+        f"phase:{phase}", kind="phase", counters=counters,
+        phase_of=phase, phase=phase, **attrs,
+    ):
+        yield
+
+
+class MaintenanceEngine:
+    """The maintenance round every engine shares: what is logged, when
+    ``Input_pre`` is read, what is traced and what is reported.  A
+    subclass supplies the rules — ``define_view`` (ending in
+    :meth:`_register`) and :meth:`_maintain_view`."""
+
+    #: whether the rules read ``Input_pre``; an engine that does not
+    #: (recomputation) never pays for the replica.
+    reads_pre_state = True
+
+    def __init__(self, db: Database, strict: bool = False):
+        self.db = db
+        #: freshness + drift telemetry (repro.obs); the modlog reports
+        #: every appended entry so staleness is queryable at any instant.
+        self.freshness = FreshnessTracker()
+        self.drift = DriftMonitor()
+        self.log = ModificationLog(db, freshness=self.freshness)
+        self._pre = PreState(strict)
+        self.views: dict = {}
+        #: most recent MaintenanceReport per view (dashboards read this).
+        self.last_reports: dict[str, MaintenanceReport] = {}
+
+    # ------------------------------------------------------------------
+    # view definition time
+    # ------------------------------------------------------------------
+    def _register(self, name: str, view):
+        """The tail of every ``define_view``: adopt the materialized
+        *view* and return it."""
+        # Definition-time evaluation reads (including the cost model's
+        # statistics probes) are not maintenance cost.
+        self.db.counters.reset()
+        self.views[name] = view
+        # A just-materialized view reflects the current database state.
+        self.freshness.note_view(name)
+        return view
+
+    # ------------------------------------------------------------------
+    # data modification time: use engine.log.insert/update/delete
+    # ------------------------------------------------------------------
+
+    # ------------------------------------------------------------------
+    # view maintenance time
+    # ------------------------------------------------------------------
+    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
+        """Bring the named view (default: all) up to date.
+
+        The live database already holds the post-state (deferred IVM);
+        rules that need ``Input_pre`` read the :class:`PreState` replica,
+        rolled forward by the round's log on the way out, failed or not.
+        This is the only round loop: subclasses change what maintaining
+        one view means (:meth:`_maintain_view`), never the round around
+        it.
+        """
+        # Resolve every target before taking the log: an unknown name
+        # must not cost the pending batch.
+        if name is None:
+            targets = list(self.views.values())
+        elif name in self.views:
+            targets = [self.views[name]]
+        else:
+            raise UnknownTableError(f"no view named {name!r}")
+        entries = self.log.take()
+        try:
+            return self._round(targets, entries)
+        finally:
+            self._pre.roll_forward(entries)
+
+    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
+        counters = self.db.counters
+        round_started = time.perf_counter()
+        metrics.counter("engine.maintain_rounds").inc()
+        metrics.histogram("engine.log_entries").observe(len(entries))
+        with obs.span(
+            "maintain",
+            kind="engine",
+            counters=counters,
+            engine=type(self).__name__,
+            n_log_entries=len(entries),
+            views=",".join(view.name for view in targets),
+        ) as round_span:
+            self._begin_round(entries, round_span)
+            db_pre = None
+            if self.reads_pre_state:
+                with obs.span("reconstruct_pre", kind="engine", counters=counters):
+                    db_pre = self._pre.begin(self.db, entries)
+            reports: dict[str, MaintenanceReport] = {}
+            for view in targets:
+                view_name = view.name
+                view_started = time.perf_counter()
+                with obs.span(
+                    f"view:{view_name}", kind="view", counters=counters,
+                    view=view_name,
+                ) as vsp:
+                    report = self._maintain_view(view, db_pre, entries, vsp)
+                    reports[view_name] = report
+                    stamped_phases = {
+                        phase: counts.as_dict()
+                        for phase, counts in report.phase_counts.items()
+                        if phase != "__total__"
+                    }
+                    vsp.set(total_cost=report.total_cost)
+                    if report.counted_remotely:
+                        # No phase spans exist in this trace to reconcile
+                        # against; stamp the merged counts under a
+                        # different key so the validator stays honest.
+                        vsp.set(phase_counts_remote=stamped_phases)
+                    else:
+                        vsp.set(phase_counts=stamped_phases)
+                metrics.histogram("engine.round_cost").observe(report.total_cost)
+                metrics.loghist(
+                    f"view.round_seconds.{view_name}", unit="seconds"
+                ).observe(time.perf_counter() - view_started)
+        self._finish_round(reports, entries, round_started)
+        return reports
+
+    def _begin_round(self, entries, round_span) -> None:
+        """Hook: runs once per round, after the log is taken and before
+        the pre-state is read.  Nothing to do by default."""
+
+    def _maintain_view(
+        self, view, db_pre: Optional[Database], entries, view_span
+    ) -> MaintenanceReport:
+        """Hook: bring *view* up to date with this round's *entries*
+        (``self.db`` already holds the post-state, *db_pre* the state
+        before them) and report what it cost."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def _finish_round(
+        self,
+        reports: dict[str, MaintenanceReport],
+        entries,
+        round_started: float,
+    ) -> None:
+        """Fold one finished round into the telemetry surfaces: round
+        latency histograms, per-view freshness, and cost drift."""
+        metrics.loghist("engine.round_seconds", unit="seconds").observe(
+            time.perf_counter() - round_started
+        )
+        # The round absorbed everything it took; entries logged by
+        # another thread after the take() stay pending.
+        stamped = [e.seq for e in entries if e.seq]
+        position = max(stamped) if stamped else self.log.position
+        entry_times = [e.logged_at for e in entries if e.seq]
+        now = self.freshness.clock()
+        for view_name, report in reports.items():
+            self.freshness.note_maintained(
+                view_name, position, entry_times, now=now
+            )
+            self.drift.update_from_report(report)
+            self.last_reports[view_name] = report
+            ratio = self.drift.worst_ratio(view_name)
+            if ratio is not None:
+                metrics.gauge(f"drift.worst_ratio.{view_name}").set(ratio)
+
+
+class IdIvmEngine(MaintenanceEngine):
     """ID-based incremental view maintenance over a :class:`Database`."""
 
     def __init__(
@@ -129,7 +310,7 @@ class IdIvmEngine:
         cache_policy: str = "equi",
         view_reuse: bool = False,
         strict: bool = False,
-        exec_backend: str = "interp",
+        exec_backend: str = "compiled",
         cost_select: bool = True,
     ):
         if exec_backend not in EXEC_BACKENDS:
@@ -137,11 +318,11 @@ class IdIvmEngine:
                 f"unknown exec_backend {exec_backend!r}; expected one of "
                 f"{EXEC_BACKENDS}"
             )
-        self.db = db
+        super().__init__(db, strict=strict)
         self.optimize = optimize
         self.cache_policy = cache_policy
-        #: how stored ∆-scripts execute: "interp" walks the IR per round,
-        #: "compiled" runs the specialized closures (identical counts).
+        #: how stored ∆-scripts execute: "compiled" runs the specialized
+        #: closures, "interp" walks the IR per round (identical counts).
         self.exec_backend = exec_backend
         #: let the generator compare candidate scripts under the symbolic
         #: cost model and keep the cheapest (fixes COST501/COST502).
@@ -155,15 +336,6 @@ class IdIvmEngine:
         #: the probed tables are untouched in a batch.  Off by default to
         #: keep the paper's cost profile.
         self.view_reuse = view_reuse
-        #: freshness + drift telemetry (repro.obs); the modlog reports
-        #: every appended entry so staleness is queryable at any instant.
-        self.freshness = FreshnessTracker()
-        self.drift = DriftMonitor()
-        self.log = ModificationLog(db, freshness=self.freshness)
-        self._pre = PreState(strict)
-        self.views: dict[str, MaterializedView] = {}
-        #: most recent MaintenanceReport per view (dashboards read this).
-        self.last_reports: dict[str, MaintenanceReport] = {}
 
     # ------------------------------------------------------------------
     # view definition time
@@ -195,116 +367,29 @@ class IdIvmEngine:
             operator_caches[opspec.gnode.node_id] = opspec.build(
                 child_rows, self.db.counters
             )
-        cost_model = _infer_cost_model(generated, self.db)
-        compiled_script = None
-        if self.exec_backend == "compiled":
-            from .compile import compile_script
-
-            compiled_script = compile_script(generated)
-        # Definition-time evaluation reads (including the cost model's
-        # statistics probes) are not maintenance cost.
-        self.db.counters.reset()
         view = MaterializedView(
             generated,
             view_table,
             caches,
             operator_caches,
-            cost_model=cost_model,
-            compiled_script=compiled_script,
+            script_for(generated, self.exec_backend),
+            cost_model=_infer_cost_model(generated, self.db),
         )
-        self.views[name] = view
-        # A just-materialized view reflects the current database state.
-        self.freshness.note_view(name)
-        return view
+        return self._register(name, view)
 
     # ------------------------------------------------------------------
-    # data modification time: use engine.log.insert/update/delete
+    # view maintenance time: the ID-based rules of one view's round
     # ------------------------------------------------------------------
-
-    # ------------------------------------------------------------------
-    # view maintenance time
-    # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Bring the named view (default: all) up to date.
-
-        The live database already holds the post-state (deferred IVM);
-        rules that need ``Input_pre`` read the :class:`PreState` replica,
-        rolled forward by the round's log on the way out, failed or not.
-        This is the only round loop: subclasses change *where* a view's
-        script runs (:meth:`_run_view`), never the round around it.
-        """
-        # Resolve every target before taking the log: an unknown name
-        # must not cost the pending batch.
-        if name is None:
-            targets = list(self.views.values())
-        elif name in self.views:
-            targets = [self.views[name]]
-        else:
-            raise UnknownTableError(f"no view named {name!r}")
-        entries = self.log.take()
-        try:
-            return self._round(targets, entries)
-        finally:
-            self._pre.roll_forward(entries)
-
-    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
-        counters = self.db.counters
-        round_started = time.perf_counter()
-        metrics.counter("engine.maintain_rounds").inc()
-        metrics.histogram("engine.log_entries").observe(len(entries))
-        with obs.span(
-            "maintain",
-            kind="engine",
-            counters=counters,
-            engine=type(self).__name__,
-            n_log_entries=len(entries),
-            views=",".join(view.name for view in targets),
-        ) as round_span:
-            self._begin_round(entries, round_span)
-            with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                db_pre = self._pre.begin(self.db, entries)
-            reports: dict[str, MaintenanceReport] = {}
-            for view in targets:
-                view_name = view.name
-                view_started = time.perf_counter()
-                with obs.span(
-                    f"view:{view_name}", kind="view", counters=counters,
-                    view=view_name,
-                ) as vsp:
-                    instances = populate_instances(
-                        view.generated.base_schemas, entries, db_pre
-                    )
-                    report = self._run_view(view, instances, db_pre, entries, vsp)
-                    if view.cost_model is not None:
-                        report.predicted_counts = (
-                            view.cost_model.predict_from_diff_sizes(
-                                report.diff_sizes
-                            )
-                        )
-                    reports[view_name] = report
-                    stamped_phases = {
-                        phase: counts.as_dict()
-                        for phase, counts in report.phase_counts.items()
-                        if phase != "__total__"
-                    }
-                    vsp.set(total_cost=report.total_cost)
-                    if report.counted_remotely:
-                        # No phase spans exist in this trace to reconcile
-                        # against; stamp the merged counts under a
-                        # different key so the validator stays honest.
-                        vsp.set(phase_counts_remote=stamped_phases)
-                    else:
-                        vsp.set(phase_counts=stamped_phases)
-                metrics.histogram("engine.round_cost").observe(report.total_cost)
-                metrics.loghist(
-                    f"view.round_seconds.{view_name}", unit="seconds"
-                ).observe(time.perf_counter() - view_started)
-        self._finish_round(reports, entries, round_started)
-        return reports
-
-    def _begin_round(self, entries, round_span) -> None:
-        """Hook: runs once per round, after the log is taken and before
-        the pre-state is read.  Nothing to do on one node."""
+    def _maintain_view(
+        self, view: MaterializedView, db_pre: Database, entries, view_span
+    ) -> MaintenanceReport:
+        instances = populate_instances(view.generated.base_schemas, entries, db_pre)
+        report = self._run_view(view, instances, db_pre, entries, view_span)
+        if view.cost_model is not None:
+            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
+                report.diff_sizes
+            )
+        return report
 
     def _run_view(
         self, view: MaterializedView, instances, db_pre: Database, entries, view_span
@@ -326,42 +411,9 @@ class IdIvmEngine:
             db_pre, self.db, instances, view, {entry.table for entry in entries}
         )
         before = counters.snapshot()
-        execute_script(view.script_for(self.exec_backend), ctx, counters)
-        after = counters.snapshot()
-        for phase, counts in after.items():
-            prior = before.get(phase)
-            report.phase_counts[phase] = (
-                counts - prior if prior is not None else counts
-            )
+        execute_script(view.script, ctx, counters)
+        report.phase_counts = counts_since(counters, before)
         report.diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
-
-    # ------------------------------------------------------------------
-    def _finish_round(
-        self,
-        reports: dict[str, MaintenanceReport],
-        entries,
-        round_started: float,
-    ) -> None:
-        """Fold one finished round into the telemetry surfaces: round
-        latency histograms, per-view freshness, and cost drift."""
-        metrics.loghist("engine.round_seconds", unit="seconds").observe(
-            time.perf_counter() - round_started
-        )
-        # The round absorbed everything it took; entries logged by
-        # another thread after the take() stay pending.
-        stamped = [e.seq for e in entries if e.seq]
-        position = max(stamped) if stamped else self.log.position
-        entry_times = [e.logged_at for e in entries if e.seq]
-        now = self.freshness.clock()
-        for view_name, report in reports.items():
-            self.freshness.note_maintained(
-                view_name, position, entry_times, now=now
-            )
-            self.drift.update_from_report(report)
-            self.last_reports[view_name] = report
-            ratio = self.drift.worst_ratio(view_name)
-            if ratio is not None:
-                metrics.gauge(f"drift.worst_ratio.{view_name}").set(ratio)
 
 
 def _infer_cost_model(generated: GeneratedPlan, db: Database):

@@ -374,17 +374,3 @@ def diff_sources_of(root: IrNode) -> list[DiffSource]:
     """All DiffSource leaves (for script dependency ordering)."""
     return [n for n in root.walk() if isinstance(n, DiffSource)]
 
-
-def applied_sources_of(root: IrNode) -> list[AppliedSource]:
-    return [n for n in root.walk() if isinstance(n, AppliedSource)]
-
-
-def subview_states_of(root: IrNode) -> set[tuple[int, str]]:
-    """(node_id, state) pairs of every subview reference in the tree."""
-    out: set[tuple[int, str]] = set()
-    for n in root.walk():
-        if isinstance(n, SubviewSource):
-            out.add((n.node.node_id, n.state))
-        elif isinstance(n, (ProbeJoin, ProbeSemi)):
-            out.add((n.node.node_id, n.state))
-    return out

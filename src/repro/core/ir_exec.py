@@ -75,11 +75,6 @@ class IrContext:
     def database_for(self, state: str) -> Database:
         return self.db_pre if state == PRE else self.db_post
 
-    def register_cache(self, node_id: int, table: Table, state: str = PRE) -> None:
-        """Attach a materialization for a plan node after construction."""
-        self.caches[node_id] = table
-        self.cache_state[node_id] = state
-
     def valid_caches(self, state: str) -> dict[int, Table]:
         return {
             nid: table

@@ -4,8 +4,8 @@ A drop-in :class:`~repro.core.engine.IdIvmEngine` that runs a view's
 ∆-script across N shards when the round is provably shard-local (see
 :mod:`repro.shard.router`), and falls back to a single global execution
 (*broadcast* — the base engine's own step) otherwise.  The round loop
-itself is :meth:`IdIvmEngine.maintain`; this class only overrides where
-one view's script runs.
+itself is :meth:`MaintenanceEngine.maintain`; this class only overrides
+where one view's script runs.
 
 The sharding model is **shared-database**: there is exactly one live
 :class:`~repro.storage.Database`; what gets partitioned is the round's
@@ -232,11 +232,7 @@ class ShardedEngine(IdIvmEngine):
         if pool is None:
             pool = ProcessShardPool(self.shards)
             try:
-                pool.boot(
-                    build_blueprint(
-                        self.db, self.views, exec_backend=self.exec_backend
-                    )
-                )
+                pool.boot(build_blueprint(self.db, self.views, self.exec_backend))
                 pool.begin_round(wire.encode_log_batch(entries), sync=False)
             except BaseException:
                 pool.close()
@@ -245,7 +241,7 @@ class ShardedEngine(IdIvmEngine):
         return pool
 
     # ------------------------------------------------------------------
-    # the two steps of IdIvmEngine.maintain this engine overrides
+    # the two steps of the shared round this engine overrides
     # ------------------------------------------------------------------
     def _begin_round(self, entries, round_span) -> None:
         round_span.set(shards=self.shards)
@@ -342,7 +338,6 @@ class ShardedEngine(IdIvmEngine):
         """Run the shard contexts one after another over the shared
         tables; also returns the tables whose counted writes escaped
         capture (checked rounds only)."""
-        script = view.script_for(self.exec_backend)
         tables = list(tagged_tables(view.caches, view.operator_caches))
         modified = {entry.table for entry in entries}
         # Coverage audit for checked rounds: a counted write landing on a
@@ -361,7 +356,7 @@ class ShardedEngine(IdIvmEngine):
                     f"shard:{i}", kind="shard", counters=sc,
                     shard=i, view=view.name, anchor=plan.anchor,
                 ):
-                    results.append(run_shard(self._router, script, ctx, tables, sc))
+                    results.append(run_shard(self._router, view.script, ctx, tables, sc))
         finally:
             for table in audited:
                 table.audit_uncaptured(None)

@@ -99,9 +99,6 @@ class CostExpr:
             out.update(mono)
         return out
 
-    def constant_term(self) -> float:
-        return self.terms.get((), 0.0)
-
     # -- evaluation ----------------------------------------------------
     def evaluate(self, env: Mapping[str, float]) -> float:
         """Numeric value under *env*; raises ``KeyError`` on a free symbol."""

@@ -31,8 +31,10 @@ from .spec import apply_modification, build_database, build_plan
 
 #: Every maintenance strategy under test, in reporting order.
 STRATEGY_FACTORIES: dict[str, Callable] = {
-    "eager": lambda db: IdIvmEngine(db, optimize=False),
-    "minimized": lambda db: IdIvmEngine(db, optimize=True),
+    # The two interpreter strategies keep the reference executor under
+    # differential test against "compiled" (the engine's default).
+    "eager": lambda db: IdIvmEngine(db, optimize=False, exec_backend="interp"),
+    "minimized": lambda db: IdIvmEngine(db, optimize=True, exec_backend="interp"),
     "compiled": lambda db: IdIvmEngine(db, exec_backend="compiled"),
     "tuple": TupleIvmEngine,
     # Sharded strategies run with the dynamic race detector on: any

@@ -126,9 +126,6 @@ class FreshnessTracker:
             self._views[name] = state
         return state
 
-    def forget_view(self, name: str) -> None:
-        self._views.pop(name, None)
-
     def note_logged(self, seq: int, logged_at: Optional[float] = None) -> None:
         """A modification entered the log at sequence *seq*."""
         if logged_at is None:

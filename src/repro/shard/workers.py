@@ -51,6 +51,7 @@ import traceback
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..core import wire
+from ..core.compile import script_for
 from ..core.engine import PreState, apply_log, round_context
 from ..storage import CounterSet, Database, Table
 from .counters import ShardRoutingCounters
@@ -133,9 +134,7 @@ def _restore_table(payload: tuple, counters, auto_index: bool) -> Table:
     return table
 
 
-def build_blueprint(
-    db: Database, views: Mapping[str, Any], exec_backend: str = "interp"
-) -> dict:
+def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str) -> dict:
     """Snapshot the engine's state for worker bootstrap.
 
     Taken lazily at first parallel round, so it reflects the current
@@ -179,19 +178,13 @@ class _WorkerView:
 
     __slots__ = ("generated", "caches", "operator_caches", "script")
 
-    def __init__(self, generated, caches, operator_caches, exec_backend="interp"):
+    def __init__(self, generated, caches, operator_caches, exec_backend):
         self.generated = generated
         self.caches = caches
         self.operator_caches = operator_caches
-        #: the ∆-script this worker executes each round — compiled once
-        #: at boot under exec_backend="compiled" (closures cannot cross
-        #: the pipe), the stored interpretable script otherwise.
-        if exec_backend == "compiled":
-            from ..core.compile import compile_script
-
-            self.script = compile_script(generated)
-        else:
-            self.script = generated.script
+        #: the ∆-script this worker executes each round, chosen once at
+        #: boot (compiled closures cannot cross the pipe).
+        self.script = script_for(generated, exec_backend)
 
     def table_by_tag(self, tag: str) -> Table:
         node_id = int(tag[1:])
@@ -212,7 +205,7 @@ class _WorkerState:
             db.add_foreign_key(child_table, child_columns, parent_table)
         self.router = ShardRoutingCounters.install(db)
         self.db = db
-        exec_backend = blueprint.get("exec_backend", "interp")
+        exec_backend = blueprint["exec_backend"]
         self.views: dict[str, _WorkerView] = {}
         for entry in blueprint["views"]:
             caches = {
@@ -224,7 +217,7 @@ class _WorkerState:
                 for node_id, payload in entry["opcaches"]
             }
             self.views[entry["name"]] = _WorkerView(
-                entry["generated"], caches, opcaches, exec_backend=exec_backend
+                entry["generated"], caches, opcaches, exec_backend
             )
         self._pre = PreState()
         self._entries: Sequence = ()

@@ -194,7 +194,3 @@ class CostBreakdown:
     @property
     def total(self) -> int:
         return sum(c.total for c in self.components.values())
-
-    def component_total(self, name: str) -> int:
-        counts = self.components.get(name)
-        return counts.total if counts is not None else 0

@@ -52,11 +52,6 @@ class Database:
         self.tables[table.schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self.tables:
-            raise UnknownTableError(f"no relation named {name!r}")
-        del self.tables[name]
-
     def table(self, name: str) -> Table:
         try:
             return self.tables[name]

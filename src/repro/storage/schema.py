@@ -129,9 +129,6 @@ class TableSchema:
     def positions(self, columns: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.position(c) for c in columns)
 
-    def has_column(self, column: str) -> bool:
-        return column in self._positions
-
     def project(self, row: tuple, columns: Sequence[str]) -> tuple:
         """Extract the values of *columns* from *row* (in the given order)."""
         return tuple(row[self.position(c)] for c in columns)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
-from repro.core.compile import CompiledComputeDiffStep, compile_script
+from repro.core.compile import CompiledComputeDiffStep, compile_script, script_for
 from repro.core.diffs import INSERT, ColumnarDiff, Diff, DiffSchema
 from repro.core.engine import EXEC_BACKENDS
 from repro.core.script import ComputeDiffStep
@@ -109,6 +109,10 @@ class TestColumnarDiff:
 # ----------------------------------------------------------------------
 # backend selection + script caching
 # ----------------------------------------------------------------------
+def _is_compiled(script) -> bool:
+    return any(isinstance(step, CompiledComputeDiffStep) for step in script.steps)
+
+
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         db = build_devices_database(DEV_CONFIG)
@@ -120,16 +124,23 @@ class TestBackendSelection:
         db = build_devices_database(DEV_CONFIG)
         engine = IdIvmEngine(db, exec_backend="compiled")
         view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
-        assert view.compiled_script is not None
-        assert view.script_for("compiled") is view.compiled_script
-        assert view.script_for("interp") is view.generated.script
+        assert _is_compiled(view.script)
+        # the interpretable original stays next to it, as the reference
+        assert not _is_compiled(view.generated.script)
+        assert script_for(view.generated, "interp") is view.generated.script
 
     def test_interp_engine_skips_compilation(self):
+        """Explicit ``"interp"`` executes the stored script as it is; the
+        default compiles."""
+        db = build_devices_database(DEV_CONFIG)
+        engine = IdIvmEngine(db, exec_backend="interp")
+        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        assert view.script is view.generated.script
         db = build_devices_database(DEV_CONFIG)
         engine = IdIvmEngine(db)
+        assert engine.exec_backend == "compiled"
         view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
-        assert view.compiled_script is None
-        assert view.script_for("compiled") is view.generated.script
+        assert _is_compiled(view.script)
 
     def test_compile_script_replaces_only_compute_steps(self):
         db = build_devices_database(DEV_CONFIG)
@@ -229,8 +240,12 @@ def _run_bsma(engine_factory, rounds=3):
             close()
 
 
+def _interp_engine(db):
+    return IdIvmEngine(db, exec_backend="interp")
+
+
 def test_bsma_views_counts_match_interpreter_exactly():
-    base = _run_bsma(IdIvmEngine)
+    base = _run_bsma(_interp_engine)
     compiled = _run_bsma(lambda db: IdIvmEngine(db, exec_backend="compiled"))
     assert set(base[0]) == set(BSMA_QUERIES)
     for round_b, round_c in zip(base, compiled):
@@ -246,7 +261,7 @@ def test_bsma_views_counts_match_interpreter_exactly():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shard_backend", ["inline", "process"])
 def test_sharded_compiled_matches_interpreter(shard_backend):
-    base = _run_bsma(IdIvmEngine, rounds=2)
+    base = _run_bsma(_interp_engine, rounds=2)
     sharded = _run_bsma(
         lambda db: ShardedEngine(
             db, shards=2, backend=shard_backend, exec_backend="compiled"

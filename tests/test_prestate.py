@@ -139,15 +139,10 @@ def apply_op(log: ModificationLog, db: Database, op, fresh: _Fresh) -> None:
         _churn(log, db, "scratch", (fresh("S"), v), "payload", i, v)
 
 
-def ops_for(kind: str, mode: str, ops):
+def ops_for(mode: str, ops):
     """The ops a round of *mode* may log without starving a view: the
     log is drained whole, so a round that skips B must not touch
     ``notes`` and a failing round may touch only ``scratch``."""
-    if kind == "sdbt":
-        # SdbtEngine mis-maintains a price update batched with a category
-        # flip of a device holding that part (so it does at the parent
-        # commit; ROADMAP housekeeping) — not what is under test here.
-        ops = [op for op in ops if op[0] != "flip"]
     if mode == "only_A":
         return [op for op in ops if op[0] != "note"]
     if mode == "fail":
@@ -197,11 +192,11 @@ def _boom(*_args, **_kwargs):
 #: engine under test -> (factory, where a round of it can be made to fail
 #: after the pre-state was read)
 ENGINES = {
-    "interp": (IdIvmEngine, [(engine_module, "execute_script")]),
-    "compiled": (
-        lambda db: IdIvmEngine(db, exec_backend="compiled"),
+    "interp": (
+        lambda db: IdIvmEngine(db, exec_backend="interp"),
         [(engine_module, "execute_script")],
     ),
+    "compiled": (IdIvmEngine, [(engine_module, "execute_script")]),
     "sharded_inline": (
         lambda db: ShardedEngine(db, shards=2),
         [(engine_module, "execute_script"), (script_module, "execute_script")],
@@ -237,7 +232,7 @@ def test_replica_equals_reconstruction_before_every_round(kind, rounds):
             if mode == "late":
                 db.create_table(f"late{number}", ("k", "v"), ("k",))
                 load_rows(db, f"late{number}", [(1, 2), (3, 4)])
-            for op in ops_for(kind, mode, ops):
+            for op in ops_for(mode, ops):
                 apply_op(engine.log, db, op, fresh)
             pending = len(engine.log.entries)
             if mode == "fail":
@@ -278,7 +273,7 @@ def test_worker_replica_follows_the_round_messages(rounds):
             apply_op(log, db, op, fresh)
         entries = log.take()
         if state is None:   # booted from a blueprint that holds round 1
-            state = _WorkerState(build_blueprint(db, {}))
+            state = _WorkerState(build_blueprint(db, {}, "compiled"))
             state.begin_round(wire.encode_log_batch(entries), sync=False)
         else:
             state.begin_round(wire.encode_log_batch(entries), sync=True)

@@ -99,3 +99,58 @@ class TestMapContents:
         engine = SdbtEngine(running_example_db)
         view = engine.define_view("Vp", build_view_v_prime(running_example_db))
         assert view.maps["parts"].has_index(("pid",))
+
+
+class TestSelectionCrossingUpdates:
+    """An update that moves a row across a selection (a category flip)
+    must move it into / out of the *other* tables' maps, which keep that
+    selection — else a later delta on those tables probes a stale map."""
+
+    @staticmethod
+    def _setup(db):
+        db.table("devices_parts").insert_uncounted(("D3", "P2"))  # the tablet
+        engine = SdbtEngine(db)
+        return engine, engine.define_view("Vp", build_view_v_prime(db))
+
+    @staticmethod
+    def _assert_fresh(engine, view, db):
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+        # every map equals the one a fresh definition would build
+        rebuilt = SdbtEngine(db).define_view("again", view.plan)
+        for table, map_table in view.maps.items():
+            assert map_table.as_set() == rebuilt.maps[table].as_set(), table
+
+    @pytest.mark.parametrize("price_first", [False, True])
+    def test_flip_and_price_update_in_one_batch(self, running_example_db, price_first):
+        db = running_example_db
+        engine, view = self._setup(db)
+        ops = [
+            lambda: engine.log.update("devices", ("D3",), {"category": "phone"}),
+            lambda: engine.log.update("parts", ("P2",), {"price": 777}),
+        ]
+        for op in reversed(ops) if price_first else ops:
+            op()
+        engine.maintain()
+        assert ("D3", 777) in view.table.as_set()
+        self._assert_fresh(engine, view, db)
+
+    def test_flip_then_price_update_in_consecutive_rounds(self, running_example_db):
+        db = running_example_db
+        engine, view = self._setup(db)
+        engine.log.update("devices", ("D3",), {"category": "phone"})
+        engine.maintain()
+        self._assert_fresh(engine, view, db)
+        engine.log.update("parts", ("P2",), {"price": 777})
+        engine.maintain()
+        assert ("D3", 777) in view.table.as_set()
+        self._assert_fresh(engine, view, db)
+
+    def test_flip_out_drops_the_map_rows(self, running_example_db):
+        db = running_example_db
+        engine, view = self._setup(db)
+        engine.log.update("devices", ("D1",), {"category": "tablet"})
+        engine.maintain()
+        self._assert_fresh(engine, view, db)
+        engine.log.update("parts", ("P1",), {"price": 11})
+        engine.maintain()
+        self._assert_fresh(engine, view, db)

@@ -23,7 +23,8 @@ import os
 import pytest
 
 from repro.algebra.evaluate import evaluate_plan
-from repro.core import IdIvmEngine, ShardedEngine
+from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
+from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
 from repro.shard import ShardRoutingCounters, shard_of
 from repro.storage import AccessCounts, CounterSet, Database
 from repro.workloads import (
@@ -473,6 +474,12 @@ def test_sharded_engine_shares_the_base_round_loop():
     + [
         pytest.param(_sharded_factory(2, backend), id=f"sharded-{backend}")
         for backend in BACKENDS
+    ]
+    + [
+        pytest.param(EagerIvmEngine, id="eager"),
+        pytest.param(TupleIvmEngine, id="tuple"),
+        pytest.param(SdbtEngine, id="sdbt"),
+        pytest.param(RecomputeEngine, id="recompute"),
     ],
 )
 def test_unknown_view_name_keeps_the_pending_batch(engine_factory):
@@ -480,8 +487,10 @@ def test_unknown_view_name_keeps_the_pending_batch(engine_factory):
 
     db = build_devices_database(DEV_CONFIG)
     engine = engine_factory(db)
+    # SDBT maintains aggregates over SPJ only.
+    build = build_aggregate_view if engine_factory is SdbtEngine else build_flat_view
     try:
-        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        view = engine.define_view("V", build(db, DEV_CONFIG))
         apply_price_updates(engine, db, DEV_CONFIG)
         pending = len(engine.log.entries)
         assert pending > 0
