@@ -79,13 +79,19 @@ lint-catalog:
 # Conventional static checks (ruff + mypy, configured in pyproject).
 # Both are optional in the dev container; absent tools are skipped so
 # the target stays green locally and strict in CI (which installs them).
-# The grep guard always runs: there is one maintenance round loop
+# The grep guards always run: there is one maintenance round loop
 # (core/engine.py), and the crosscheck oracle's private log is the only
-# other place allowed to drain one.
+# other place allowed to drain one; and there is one physical write
+# path (storage/table.py) — only it and the crosscheck invariants that
+# audit it may name another object's rows dict or index map.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
 	    echo "round loop outside core/engine.py: use MaintenanceEngine.maintain"; \
+	    exit 1; fi
+	@if grep -rnE '\._(rows|indexes)\b' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/(storage/table|crosscheck/invariants)\.py:|\bself\._rows\b'; then \
+	    echo "Table internals outside storage/table.py: use its public readers and writers"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

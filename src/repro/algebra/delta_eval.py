@@ -195,7 +195,7 @@ def _fetch_join(
 ) -> Relation:
     if bindings is None:
         left = fetch(node.left, db, None, caches)
-        return _probe_and_combine(left, node, db, caches, final_bindings=None)
+        return _probe_and_combine(left, node, db, caches)
     left_cols = set(node.left.columns)
     right_cols = set(node.right.columns)
     attrs_left = tuple(a for a in bindings.attrs if a in left_cols)
@@ -209,94 +209,68 @@ def _fetch_join(
         return _probe_and_combine(left, node, db, caches, final_bindings=final)
     # Bindings touch only the right side: drive from the right.
     right = fetch(node.right, db, bindings.project(attrs_right), caches)
-    return _probe_and_combine_reversed(right, node, db, caches)
+    return _probe_and_combine(right, node, db, caches, reverse=True)
 
 
 def _probe_and_combine(
-    left: Relation,
+    driver: Relation,
     node: Join,
     db: Database,
     caches: Optional[CacheMap],
-    final_bindings: Optional[Bindings],
+    final_bindings: Optional[Bindings] = None,
+    reverse: bool = False,
 ) -> Relation:
-    """Probe the right child for each left row (batched by probe value)."""
-    out_columns = node.columns
-    out_positions = {c: i for i, c in enumerate(out_columns)}
-    if node.condition is None:
-        right = fetch(node.right, db, None, caches)
-        rows = [lr + rr for lr in left.rows for rr in right.rows]
-        result = Relation(out_columns, rows)
-        return _filter_by_bindings(result, final_bindings) if final_bindings else result
-    pairs, residual = equi_join_pairs(
-        node.condition, node.left.columns, node.right.columns
-    )
-    rows: list[tuple] = []
+    """Join the rows of *driver* — the left child's, or the right child's
+    when *reverse* (bindings bound only there) — with the other child,
+    probed once for all of them."""
+    out_positions = {c: i for i, c in enumerate(node.columns)}
+    probed = node.left if reverse else node.right
+    pairs, residual = [], None  # no condition: a cross product
+    if node.condition is not None:
+        pairs, residual = equi_join_pairs(
+            node.condition, node.left.columns, node.right.columns
+        )
     if pairs:
-        lpos = [left.position(a) for a, _ in pairs]
-        right_attrs = tuple(b for _, b in pairs)
-        probe_values = [tuple(lr[i] for i in lpos) for lr in left.rows]
-        right = fetch(node.right, db, Bindings(right_attrs, probe_values), caches)
-        rpos = [right.position(b) for b in right_attrs]
-        buckets: dict[tuple, list[tuple]] = {}
-        for rr in right.rows:
-            key = tuple(rr[i] for i in rpos)
-            if None in key:
-                continue  # SQL: NULL never equi-joins
-            buckets.setdefault(key, []).append(rr)
-        for lr, probe in zip(left.rows, probe_values):
-            for rr in buckets.get(probe, ()):
-                combined = lr + rr
-                if matches(residual, out_positions, combined):
-                    rows.append(combined)
+        if reverse:
+            pairs = [(b, a) for a, b in pairs]
+        candidates = _probe(driver, probed, pairs, db, caches)
+        rows = (
+            other + row if reverse else row + other
+            for row, others in zip(driver.rows, candidates)
+            for other in others
+        )
     else:
-        right = fetch(node.right, db, None, caches)
-        for lr in left.rows:
-            for rr in right.rows:
-                combined = lr + rr
-                if matches(node.condition, out_positions, combined):
-                    rows.append(combined)
-    result = Relation(out_columns, rows)
+        other = fetch(probed, db, None, caches)
+        left, right = (other, driver) if reverse else (driver, other)
+        rows = (lr + rr for lr in left.rows for rr in right.rows)
+    if residual is not None:
+        rows = (r for r in rows if matches(residual, out_positions, r))
+    result = Relation(node.columns, list(rows))
     return _filter_by_bindings(result, final_bindings) if final_bindings else result
 
 
-def _probe_and_combine_reversed(
-    right: Relation, node: Join, db: Database, caches: Optional[CacheMap]
-) -> Relation:
-    """Drive the join from the right child (bindings bound only there)."""
-    out_columns = node.columns
-    out_positions = {c: i for i, c in enumerate(out_columns)}
-    if node.condition is None:
-        left = fetch(node.left, db, None, caches)
-        return Relation(out_columns, [lr + rr for lr in left.rows for rr in right.rows])
-    pairs, residual = equi_join_pairs(
-        node.condition, node.left.columns, node.right.columns
-    )
-    rows: list[tuple] = []
-    if pairs:
-        rpos = [right.position(b) for _, b in pairs]
-        left_attrs = tuple(a for a, _ in pairs)
-        probe_values = [tuple(rr[i] for i in rpos) for rr in right.rows]
-        left = fetch(node.left, db, Bindings(left_attrs, probe_values), caches)
-        lpos = [left.position(a) for a in left_attrs]
-        buckets: dict[tuple, list[tuple]] = {}
-        for lr in left.rows:
-            key = tuple(lr[i] for i in lpos)
-            if None in key:
-                continue  # SQL: NULL never equi-joins
-            buckets.setdefault(key, []).append(lr)
-        for rr, probe in zip(right.rows, probe_values):
-            for lr in buckets.get(probe, ()):
-                combined = lr + rr
-                if matches(residual, out_positions, combined):
-                    rows.append(combined)
-    else:
-        left = fetch(node.left, db, None, caches)
-        for lr in left.rows:
-            for rr in right.rows:
-                combined = lr + rr
-                if matches(node.condition, out_positions, combined):
-                    rows.append(combined)
-    return Relation(out_columns, rows)
+def _probe(
+    driver: Relation,
+    probed: PlanNode,
+    pairs: Sequence[tuple[str, str]],
+    db: Database,
+    caches: Optional[CacheMap],
+) -> list[Sequence[tuple]]:
+    """For each row of *driver*, the rows of *probed* equal to it on
+    *pairs* of (driver column, probed column): one fetch of *probed*,
+    bound to the distinct probe values."""
+    dpos = [driver.position(a) for a, _ in pairs]
+    probed_attrs = tuple(b for _, b in pairs)
+    probe_values = [tuple(row[i] for i in dpos) for row in driver.rows]
+    fetched = fetch(probed, db, Bindings(probed_attrs, probe_values), caches)
+    ppos = [fetched.position(b) for b in probed_attrs]
+    buckets: dict[tuple, list[tuple]] = {}
+    for row in fetched.rows:
+        key = tuple(row[i] for i in ppos)
+        if None in key:
+            continue  # SQL: NULL never equi-joins
+        buckets.setdefault(key, []).append(row)
+    return [buckets.get(value, ()) for value in probe_values]
 
 
 def _fetch_semi_like(
@@ -306,48 +280,27 @@ def _fetch_semi_like(
     caches: Optional[CacheMap],
     negated: bool,
 ) -> Relation:
-    left_bindings = None
     if bindings is not None:
         unknown = set(bindings.attrs) - set(node.left.columns)
         if unknown:
             raise PlanError(f"bindings on unknown (anti)semijoin columns {sorted(unknown)}")
-        left_bindings = bindings
-    left = fetch(node.left, db, left_bindings, caches)
+    left = fetch(node.left, db, bindings, caches)
     pairs, residual = equi_join_pairs(
         node.condition, node.left.columns, node.right.columns
     )
     combined_positions = {
         c: i for i, c in enumerate(node.left.columns + node.right.columns)
     }
-    rows: list[tuple] = []
     if pairs:
-        lpos = [left.position(a) for a, _ in pairs]
-        right_attrs = tuple(b for _, b in pairs)
-        probe_values = [tuple(lr[i] for i in lpos) for lr in left.rows]
-        right = fetch(node.right, db, Bindings(right_attrs, probe_values), caches)
-        rpos = [right.position(b) for b in right_attrs]
-        buckets: dict[tuple, list[tuple]] = {}
-        for rr in right.rows:
-            key = tuple(rr[i] for i in rpos)
-            if None in key:
-                continue  # SQL: NULL never equi-joins
-            buckets.setdefault(key, []).append(rr)
-        for lr, probe in zip(left.rows, probe_values):
-            candidates = buckets.get(probe, ())
-            matched = any(
-                matches(residual, combined_positions, lr + rr) for rr in candidates
-            )
-            if matched != negated:
-                rows.append(lr)
+        candidates = _probe(left, node.right, pairs, db, caches)
     else:
-        right = fetch(node.right, db, None, caches)
-        for lr in left.rows:
-            matched = any(
-                matches(node.condition, combined_positions, lr + rr)
-                for rr in right.rows
-            )
-            if matched != negated:
-                rows.append(lr)
+        candidates = [fetch(node.right, db, None, caches).rows] * len(left.rows)
+    rows = [
+        lr
+        for lr, others in zip(left.rows, candidates)
+        if any(matches(residual, combined_positions, lr + rr) for rr in others)
+        != negated
+    ]
     return Relation(node.columns, rows)
 
 

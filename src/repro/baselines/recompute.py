@@ -46,11 +46,12 @@ class RecomputeEngine(MaintenanceEngine):
         before = counters.snapshot()
         with counted_phase(counters, "recompute"):
             result = evaluate_plan(view.plan, self.db)
-            fresh = Table(view.table.schema, counters=counters)
+            fresh = Table(
+                view.table.schema, counters, auto_index=view.table.auto_index
+            )
             for row in result.rows:
                 fresh.insert(row)
-        view.table._rows = fresh._rows  # swap in the fresh content
-        view.table._indexes.clear()
+        view.table = fresh
         return MaintenanceReport(
             view.name, phase_counts=counts_since(counters, before)
         )

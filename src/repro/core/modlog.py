@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 from ..errors import DiffError, WorkloadError
 from ..obs import metrics
 from ..obs import spans as obs
-from ..storage import Database, Table
+from ..storage import Database
 from .diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
 
 
@@ -129,7 +129,7 @@ class ModificationLog:
         old = t.update_uncounted(key, changes)
         if old is None:
             raise WorkloadError(f"cannot update absent key {key} in {table!r}")
-        if _apply_changes(t, old, changes) == old:
+        if t.get_uncounted(key) == old:
             # The new values equal the old ones: the table is unchanged,
             # so the update folds to a no-op here rather than forcing the
             # next maintenance round to reconstruct the pre-state and run
@@ -189,7 +189,7 @@ def fold_log(
                     raise DiffError(
                         f"log updates unknown tuple {entry.key} of {entry.table!r}"
                     )
-                post = _apply_changes(table, pre_row, entry.changes)
+                post = table.schema.patched(pre_row, entry.changes)
                 if post == pre_row:
                     continue
                 per_table[entry.key] = _NetChange(UPDATE, pre_row, post)
@@ -197,7 +197,7 @@ def fold_log(
                 base = current.post_row
                 if base is None:
                     raise DiffError(f"update of deleted tuple {entry.key} in log")
-                post = _apply_changes(table, base, entry.changes)
+                post = table.schema.patched(base, entry.changes)
                 if current.kind == INSERT:
                     per_table[entry.key] = _NetChange(INSERT, None, post)
                 else:
@@ -208,13 +208,6 @@ def fold_log(
                             UPDATE, current.pre_row, post
                         )
     return net
-
-
-def _apply_changes(table: Table, row: tuple, changes: Mapping[str, object]) -> tuple:
-    new = list(row)
-    for column, value in changes.items():
-        new[table.schema.position(column)] = value
-    return tuple(new)
 
 
 def populate_instances(
@@ -239,7 +232,7 @@ def populate_instances(
             nonempty_instances=sum(1 for diff in out.values() if diff),
         )
         metrics.histogram("modlog.idiff_rows_per_round").observe(total_rows)
-        metrics.loghist("modlog.fold_rows", unit="rows").observe(total_rows)
+        metrics.loghist("modlog.fold_rows", unit="rows").observe(len(entries))
         if entries:
             metrics.histogram("modlog.fold_ratio").observe(
                 total_rows / len(entries)

@@ -2,7 +2,8 @@
 
 One module per operator; support for a new operator = a new module with a
 ``propagate_<op>`` function plus an ID-inference rule in
-:mod:`repro.core.idinfer`.
+:mod:`repro.core.idinfer` — unless it is an existing rule at another
+setting, as the semijoin is the antisemijoin's with ``negated=False``.
 """
 
 from .aggregate import AssociativeAggregateStep, GeneralAggregateStep, OpCacheSpec

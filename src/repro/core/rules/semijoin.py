@@ -4,195 +4,22 @@ The semijoin is not one of the paper's QSPJADU core operators — it is
 the repository's worked example of the operator-extensibility layer
 (Section 4: "the supported view definition language can be easily
 extended by adding rules for additional relational algebra operators";
-see docs/EXTENDING.md).  The rules mirror the antisemijoin's (Table 13)
-with the match polarity flipped:
-
-Left-side diffs
-    inserts are semi-probed against ``Input_post`` of the right side
-    (kept only with a match); deletes and updates pass through; updates
-    touching X̄ additionally emit an insert branch (rows whose new values
-    now match) and a delete branch (rows that no longer match anything).
-
-Right-side diffs
-    an insert on the right *inserts* the left rows it newly matches; a
-    delete on the right *deletes* the left rows that matched it and now
-    match nothing; an update on Ȳ is treated as delete-then-insert.
+see docs/EXTENDING.md).  Its rules are the antisemijoin's (Table 13,
+:mod:`repro.core.rules.antijoin`) with the match polarity flipped, so
+this module only names that polarity.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...algebra.plan import SemiJoin
-from ...expr import TRUE, Expr, col, columns_of, equi_join_pairs, rename_columns
-from ..diffs import DELETE, INSERT, DiffSchema, pre_col
-from ..ir import (
-    POST,
-    PRE,
-    SUB_PREFIX,
-    Compute,
-    Distinct,
-    IrNode,
-    ProbeJoin,
-    ProbeSemi,
-)
-from .base import (
-    ValueSource,
-    make_insert,
-    passthrough_schema,
-    state_mapping,
-    target_name,
-    values_via_probe,
-)
+from ..diffs import DiffSchema
+from ..ir import IrNode
+from .antijoin import propagate_semi_like
 
 
 def propagate_semijoin(
     op: SemiJoin, source: IrNode, in_schema: DiffSchema, side: int
 ) -> list[tuple[DiffSchema, IrNode]]:
-    """Instantiate the semijoin rules (Table 13 with the membership
-    polarity flipped) for the diff arriving from child *side*."""
-    if side == 0:
-        return _left_rules(op, source, in_schema)
-    return _right_rules(op, source, in_schema)
-
-
-def _pairs(op: SemiJoin) -> tuple[list[tuple[str, str]], Optional[Expr]]:
-    pairs, residual = equi_join_pairs(op.condition, op.left.columns, op.right.columns)
-    return pairs, (None if residual == TRUE else residual)
-
-
-def _semi_right(
-    op: SemiJoin,
-    values: ValueSource,
-    pairs: list[tuple[str, str]],
-    residual: Optional[Expr],
-    negated: bool,
-) -> ProbeSemi:
-    on = [(values.mapping[l], r) for l, r in pairs]
-    residual_expr = None
-    if residual is not None:
-        mapping = dict(values.mapping)
-        mapping.update({c: SUB_PREFIX + c for c in op.right.columns})
-        residual_expr = rename_columns(residual, mapping)
-    return ProbeSemi(
-        values.ir, op.right, POST, on=on, residual=residual_expr, negated=negated
-    )
-
-
-# ----------------------------------------------------------------------
-# left-side diffs
-# ----------------------------------------------------------------------
-def _left_rules(
-    op: SemiJoin, source: IrNode, in_schema: DiffSchema
-) -> list[tuple[DiffSchema, IrNode]]:
-    pairs, residual = _pairs(op)
-    left_condition_attrs = set(columns_of(op.condition)) & set(op.left.columns)
-
-    if in_schema.kind == INSERT:
-        values = ValueSource(source, state_mapping(in_schema, POST), probed=False)
-        ir = _semi_right(op, values, pairs, residual, negated=False)
-        return [(passthrough_schema(op, in_schema), ir)]
-
-    if in_schema.kind == DELETE:
-        return [(passthrough_schema(op, in_schema), source)]
-
-    out: list[tuple[DiffSchema, IrNode]] = [
-        (passthrough_schema(op, in_schema), source)
-    ]
-    if not (left_condition_attrs & set(in_schema.post_attrs)):
-        return out
-
-    # Insert branch: new values now match something on the right.
-    post_values = values_via_probe(source, in_schema, op.left, POST, list(op.left.columns))
-    now_matches = _semi_right(op, post_values, pairs, residual, negated=False)
-    insert_values = ValueSource(now_matches, post_values.mapping, post_values.probed)
-    out.append(make_insert(op, insert_values, {c: col(c) for c in op.columns}))
-
-    # Delete branch: new values match nothing -> the row leaves V.
-    needed = sorted(left_condition_attrs)
-    dpost = values_via_probe(source, in_schema, op.left, POST, needed, prefix="vd__")
-    no_match = _semi_right(op, dpost, pairs, residual, negated=True)
-    delete_schema = DiffSchema(
-        DELETE, target_name(op), in_schema.id_attrs, pre_attrs=in_schema.pre_attrs
-    )
-    items = [(a, col(a)) for a in in_schema.id_attrs]
-    items += [(pre_col(a), col(pre_col(a))) for a in in_schema.pre_attrs]
-    out.append((delete_schema, Compute(no_match, items)))
-    return out
-
-
-# ----------------------------------------------------------------------
-# right-side diffs
-# ----------------------------------------------------------------------
-def _probe_left(
-    op: SemiJoin,
-    values: ValueSource,
-    pairs: list[tuple[str, str]],
-    residual: Optional[Expr],
-    state: str,
-) -> ProbeJoin:
-    on = [(values.mapping[r], l) for l, r in pairs]
-    keep = [(c, c) for c in op.left.columns]
-    residual_expr = None
-    if residual is not None:
-        residual_expr = rename_columns(residual, dict(values.mapping))
-    return ProbeJoin(values.ir, op.left, state, on=on, keep=keep, residual=residual_expr)
-
-
-def _right_rules(
-    op: SemiJoin, source: IrNode, in_schema: DiffSchema
-) -> list[tuple[DiffSchema, IrNode]]:
-    pairs, residual = _pairs(op)
-    right_condition_attrs = set(columns_of(op.condition)) & set(op.right.columns)
-    needed = sorted(right_condition_attrs)
-    left_ids = tuple(op.ids)
-
-    if in_schema.kind == INSERT:
-        # Newly matched left rows enter the semijoin output (identical
-        # inserts for rows already present are absorbed by APPLY).
-        values = ValueSource(source, state_mapping(in_schema, POST), probed=False)
-        probe = _probe_left(op, values, pairs, residual, POST)
-        dedup = _dedupe_left(op, probe)
-        insert_values = ValueSource(dedup, {c: c for c in op.left.columns}, probed=True)
-        return [make_insert(op, insert_values, {c: col(c) for c in op.columns})]
-
-    if in_schema.kind == DELETE:
-        # Left rows that matched the deleted right rows leave the output
-        # unless something else on the right still matches them.
-        values = values_via_probe(source, in_schema, op.right, PRE, needed)
-        probe = _probe_left(op, values, pairs, residual, POST)
-        left_values = ValueSource(probe, {c: c for c in op.left.columns}, probed=True)
-        gone = _semi_right(op, left_values, pairs, residual, negated=True)
-        delete_schema = DiffSchema(DELETE, target_name(op), left_ids)
-        ir = Distinct(Compute(gone, [(a, col(a)) for a in left_ids]))
-        return [(delete_schema, ir)]
-
-    # UPDATE: delete-then-insert, as for the antisemijoin.
-    if not (right_condition_attrs & set(in_schema.post_attrs)):
-        return []
-    out: list[tuple[DiffSchema, IrNode]] = []
-
-    # Delete branch: left rows matching the OLD values that now match
-    # nothing at all.
-    pre_values = values_via_probe(source, in_schema, op.right, PRE, needed, prefix="vp__")
-    probe_old = _probe_left(op, pre_values, pairs, residual, POST)
-    left_values = ValueSource(probe_old, {c: c for c in op.left.columns}, probed=True)
-    gone = _semi_right(op, left_values, pairs, residual, negated=True)
-    delete_schema = DiffSchema(DELETE, target_name(op), left_ids)
-    out.append(
-        (delete_schema, Distinct(Compute(gone, [(a, col(a)) for a in left_ids])))
-    )
-
-    # Insert branch: left rows matching the NEW values.
-    post_values = values_via_probe(source, in_schema, op.right, POST, needed, prefix="vq__")
-    probe_new = _probe_left(op, post_values, pairs, residual, POST)
-    dedup = _dedupe_left(op, probe_new)
-    insert_values = ValueSource(dedup, {c: c for c in op.left.columns}, probed=True)
-    out.append(make_insert(op, insert_values, {c: col(c) for c in op.columns}))
-    return out
-
-
-def _dedupe_left(op: SemiJoin, ir: IrNode) -> IrNode:
-    """Keep one copy of each left row (several right diff rows may have
-    matched the same left row)."""
-    return Distinct(Compute(ir, [(c, col(c)) for c in op.left.columns]))
+    """Instantiate the Table 13 rules with the membership polarity
+    flipped, for the diff arriving from child *side*."""
+    return propagate_semi_like(op, source, in_schema, side, negated=False)

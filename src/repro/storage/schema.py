@@ -8,7 +8,7 @@ key extraction helpers used everywhere else.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import SchemaError, UnknownColumnError
 
@@ -132,6 +132,18 @@ class TableSchema:
     def project(self, row: tuple, columns: Sequence[str]) -> tuple:
         """Extract the values of *columns* from *row* (in the given order)."""
         return tuple(row[self.position(c)] for c in columns)
+
+    def patched(self, row: tuple, changes: Mapping[str, object]) -> tuple:
+        """*row* with *changes* (column -> new value) applied.  Key
+        columns are immutable (the paper's Section 5, footnote 7)."""
+        new = list(row)
+        for column, value in changes.items():
+            if column in self.key:
+                raise SchemaError(
+                    f"key column {column!r} of {self.name!r} is immutable"
+                )
+            new[self.position(column)] = value
+        return tuple(new)
 
     def check_row(self, row: tuple) -> None:
         if len(row) != len(self.columns):

@@ -37,7 +37,7 @@ def database_to_dict(db: Database) -> dict:
                 "name": table.schema.name,
                 "columns": list(table.schema.columns),
                 "key": list(table.schema.key),
-                "indexes": sorted(list(columns) for columns in table._indexes),
+                "indexes": [list(columns) for columns in table.index_columns()],
                 "rows": [list(row) for row in table.rows_uncounted()],
             }
             for table in db.tables.values()

@@ -6,16 +6,23 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
 * fetching the ``m`` rows matching an indexed value costs ``1 + m``
   (one index lookup, ``m`` tuple reads);
 * a full scan of ``n`` rows costs ``n`` tuple reads;
-* writing a row (insert / in-place update / delete) costs one index lookup
-  (to locate the slot) plus one tuple write;
+* APPLY writes a row in two steps (``docs/COST_MODEL.md``): ``locate``
+  identifies the target keys for one index lookup, then each
+  ``write_at`` / ``delete_at`` of a located row is one tuple write;
+  ``insert_checked`` (and ``insert``) is one index lookup, plus one tuple
+  write when a row is stored;
 * secondary-index maintenance does not enter the paper's cost metric — the
   paper explicitly grants the tuple-based baseline free index maintenance
   ("without counting the associated index maintenance cost", Section 7.2)
   and we extend the same courtesy to every approach.  Counted write paths
   nevertheless *track* every index-entry mutation in the separate
   ``index_maintenance`` counter (excluded from ``AccessCounts.total``), so
-  the work is visible and reconcilable; ``*_uncounted`` paths touch no
-  counter at all and must stay exactly count-neutral.
+  the work is visible and reconcilable; ``*_uncounted`` paths and
+  ``replay_writes`` touch no counter at all and must stay exactly
+  count-neutral.
+
+Every writer, counted or not, changes the rows dict and the indexes
+through ``Table._store`` / ``Table._discard`` and nothing else.
 
 Concurrency: a table is read and written by one thread — shards run one
 after another in the coordinator, or in worker processes that own their
@@ -218,7 +225,40 @@ class Table:
             yield row
 
     # ------------------------------------------------------------------
-    # counted writes
+    # the physical write path: every mutation of the rows dict and of the
+    # secondary indexes is one of the two primitives below; a counted
+    # writer adds the accounting tail, an uncounted one adds nothing.
+    # ------------------------------------------------------------------
+    def _store(self, key: tuple, row: tuple, old: tuple | None = None) -> None:
+        """Put *row* at *key*, replacing *old* (the row stored there now,
+        None when the key is free) in the rows dict and every index."""
+        for index in self._indexes.values():
+            if old is not None:
+                index.remove(key, old)
+            index.add(key, row)
+        self._rows[key] = row
+
+    def _discard(self, key: tuple, row: tuple) -> None:
+        """Drop *row*, stored at *key*, from the rows dict and every index."""
+        del self._rows[key]
+        for index in self._indexes.values():
+            index.remove(key, row)
+
+    def _account(self, op: tuple, per_index: int) -> None:
+        """Tail of every counted write: *per_index* tracked entry
+        mutations in each index, the replayable *op* (or the
+        uncaptured-write audit), one tuple write."""
+        self.counters.count_index_maintenance(per_index * len(self._indexes))
+        if self._capture is not None:
+            self._capture.append(op)
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
+        self.counters.count_tuple_write()
+
+    # ------------------------------------------------------------------
+    # counted writes: the APPLY primitives (paper Appendix A: identifying
+    # the to-be-modified tuples costs one index lookup per diff tuple;
+    # each read-modify-write of a located row costs one tuple access).
     # ------------------------------------------------------------------
     def insert(self, row: Sequence) -> None:
         """Insert *row*; raises :class:`IntegrityError` on duplicate key."""
@@ -231,96 +271,34 @@ class Table:
                 raise IntegrityError(
                     f"duplicate key {key} in relation {self.schema.name!r}"
                 )
-            self._rows[key] = row
-            for index in self._indexes.values():
-                index.add(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("s", key, row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
+            self._store(key, row)
+            self._account(("s", key, row), 1)
 
-    def delete_key(self, key: tuple) -> tuple | None:
-        """Delete the row with primary key *key*; returns it (or None)."""
-        key = tuple(key)
-        self.counters.count_index_lookup()
-        with self._lock:
-            row = self._rows.pop(key, None)
-            if row is None:
-                return None
-            for index in self._indexes.values():
-                index.remove(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("d", key))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
-        return row
+    def insert_checked(self, row: tuple) -> bool:
+        """Insert with the APPLY ∆+ NOT-IN guard (Section 2).
 
-    def update_key(self, key: tuple, changes: Mapping[str, object]) -> tuple | None:
-        """Set *changes* (column -> new value) on the row with key *key*.
-
-        Returns the pre-state row, or None when the key is absent.  Key
-        columns are immutable (the paper's Section 5, footnote 7).
+        Returns True when inserted, False when the identical row already
+        exists (several insert i-diffs may carry the same tuple).  A row
+        with the same key but *different* values signals an ineffective
+        diff set and raises :class:`IntegrityError`.
         """
-        key = tuple(key)
+        row = tuple(row)
+        self.schema.check_row(row)
+        key = self.schema.key_of(row)
         self.counters.count_index_lookup()
         with self._lock:
-            old = self._rows.get(key)
-            if old is None:
-                return None
-            for column in changes:
-                if column in self.schema.key:
-                    raise SchemaError(
-                        f"key column {column!r} of {self.schema.name!r} is immutable"
-                    )
-            new = list(old)
-            for column, value in changes.items():
-                new[self.schema.position(column)] = value
-            new_row = tuple(new)
-            for index in self._indexes.values():
-                index.remove(key, old)
-                index.add(key, new_row)
-            self.counters.count_index_maintenance(2 * len(self._indexes))
-            self._rows[key] = new_row
-            if self._capture is not None:
-                self._capture.append(("s", key, new_row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
-        return old
+            existing = self._rows.get(key)
+            if existing is not None:
+                if existing == row:
+                    return False
+                raise IntegrityError(
+                    f"insert of {row} conflicts with existing {existing} "
+                    f"in {self.schema.name!r}"
+                )
+            self._store(key, row)
+            self._account(("s", key, row), 1)
+        return True
 
-    def replace_row(self, key: tuple, new_row: tuple) -> tuple | None:
-        """Replace the whole row at *key* (key columns must be unchanged)."""
-        key = tuple(key)
-        self.schema.check_row(new_row)
-        if self.schema.key_of(new_row) != key:
-            raise SchemaError("replace_row must preserve the primary key")
-        self.counters.count_index_lookup()
-        with self._lock:
-            old = self._rows.get(key)
-            if old is None:
-                return None
-            for index in self._indexes.values():
-                index.remove(key, old)
-                index.add(key, new_row)
-            self.counters.count_index_maintenance(2 * len(self._indexes))
-            self._rows[key] = new_row
-            if self._capture is not None:
-                self._capture.append(("s", key, new_row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
-        return old
-
-    # ------------------------------------------------------------------
-    # APPLY-oriented primitives (paper Appendix A cost accounting:
-    # identifying the to-be-modified tuples costs one index lookup per
-    # diff tuple; each read-modify-write of a located row costs one
-    # tuple access).
-    # ------------------------------------------------------------------
     def locate(self, columns: Sequence[str], value: tuple) -> list[tuple]:
         """Primary keys of rows whose *columns* equal *value*.
 
@@ -349,78 +327,25 @@ class Table:
         """Read-modify-write the already-located row at *key*.
 
         Costs one tuple write (the paper counts the combined
-        read-modify-write as a single access).  Returns the pre-state row.
+        read-modify-write as a single access).  Returns the pre-state
+        row.  Key columns are immutable (Section 5, footnote 7).
         """
         key = tuple(key)
         with self._lock:
             old = self._rows[key]
-            new = list(old)
-            for column, value in changes.items():
-                position = self.schema.position(column)
-                if column in self.schema.key:
-                    raise SchemaError(
-                        f"key column {column!r} of {self.schema.name!r} is immutable"
-                    )
-                new[position] = value
-            new_row = tuple(new)
-            for index in self._indexes.values():
-                index.remove(key, old)
-                index.add(key, new_row)
-            self.counters.count_index_maintenance(2 * len(self._indexes))
-            self._rows[key] = new_row
-            if self._capture is not None:
-                self._capture.append(("s", key, new_row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
+            new_row = self.schema.patched(old, changes)
+            self._store(key, new_row, old)
+            self._account(("s", key, new_row), 2)
         return old
 
     def delete_at(self, key: tuple) -> tuple:
         """Delete the already-located row at *key* (one tuple write)."""
         key = tuple(key)
         with self._lock:
-            row = self._rows.pop(key)
-            for index in self._indexes.values():
-                index.remove(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("d", key))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
+            row = self._rows[key]
+            self._discard(key, row)
+            self._account(("d", key), 1)
         return row
-
-    def insert_checked(self, row: tuple) -> bool:
-        """Insert with the APPLY ∆+ NOT-IN guard (Section 2).
-
-        Returns True when inserted, False when the identical row already
-        exists (several insert i-diffs may carry the same tuple).  A row
-        with the same key but *different* values signals an ineffective
-        diff set and raises :class:`IntegrityError`.
-        """
-        row = tuple(row)
-        self.schema.check_row(row)
-        key = self.schema.key_of(row)
-        self.counters.count_index_lookup()
-        with self._lock:
-            existing = self._rows.get(key)
-            if existing is not None:
-                if existing == row:
-                    return False
-                raise IntegrityError(
-                    f"insert of {row} conflicts with existing {existing} "
-                    f"in {self.schema.name!r}"
-                )
-            self._rows[key] = row
-            for index in self._indexes.values():
-                index.add(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("s", key, row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
-        return True
 
     # ------------------------------------------------------------------
     # write-set capture and replay (process shard workers)
@@ -480,13 +405,8 @@ class Table:
                 if op[0] == "s":
                     key, row = op[1], op[2]
                     old = self._rows.get(key)
-                    if old == row:
-                        continue
-                    for index in self._indexes.values():
-                        if old is not None:
-                            index.remove(key, old)
-                        index.add(key, row)
-                    self._rows[key] = row
+                    if old != row:
+                        self._store(key, row, old)
                 elif op[0] == "d":
                     self.delete_uncounted(op[1])
                 elif op[0] == "x":
@@ -495,7 +415,7 @@ class Table:
                     raise SchemaError(f"unknown write op {op[0]!r}")
 
     # ------------------------------------------------------------------
-    # uncounted helpers (setup, oracles, copying)
+    # uncounted helpers (setup, oracles, the modification log, copying)
     # ------------------------------------------------------------------
     def insert_uncounted(self, row: Sequence) -> None:
         row = tuple(row)
@@ -505,9 +425,7 @@ class Table:
             raise IntegrityError(
                 f"duplicate key {key} in relation {self.schema.name!r}"
             )
-        self._rows[key] = row
-        for index in self._indexes.values():
-            index.add(key, row)
+        self._store(key, row)
 
     def load(self, rows: Iterable[Sequence]) -> None:
         """Bulk-load rows without counting (workload setup)."""
@@ -517,31 +435,17 @@ class Table:
     def delete_uncounted(self, key: tuple) -> tuple | None:
         """Uncounted delete (modification time is outside the IVM cost)."""
         key = tuple(key)
-        row = self._rows.pop(key, None)
-        if row is None:
-            return None
-        for index in self._indexes.values():
-            index.remove(key, row)
+        row = self._rows.get(key)
+        if row is not None:
+            self._discard(key, row)
         return row
 
     def update_uncounted(self, key: tuple, changes: Mapping[str, object]) -> tuple | None:
         """Uncounted in-place update; returns the pre-state row."""
         key = tuple(key)
         old = self._rows.get(key)
-        if old is None:
-            return None
-        new = list(old)
-        for column, value in changes.items():
-            if column in self.schema.key:
-                raise SchemaError(
-                    f"key column {column!r} of {self.schema.name!r} is immutable"
-                )
-            new[self.schema.position(column)] = value
-        new_row = tuple(new)
-        for index in self._indexes.values():
-            index.remove(key, old)
-            index.add(key, new_row)
-        self._rows[key] = new_row
+        if old is not None:
+            self._store(key, self.schema.patched(old, changes), old)
         return old
 
     def rows_uncounted(self) -> list[tuple]:

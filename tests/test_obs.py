@@ -182,6 +182,27 @@ class TestMetrics:
         assert reg.counter("c").as_dict()["value"] == 0
 
 
+class TestModlogFoldMetrics:
+    def test_fold_rows_is_raw_entries_and_idiff_rows_is_folded(self):
+        """Ten logged updates of one key fold to one i-diff row:
+        ``modlog.fold_rows`` observes what went into the fold,
+        ``modlog.idiff_rows_per_round`` what came out, ``fold_ratio``
+        the share that survived."""
+        db = build_devices_database(CONFIG)
+        engine = IdIvmEngine(db)
+        engine.define_view("V", build_aggregate_view(db, CONFIG))
+        key = db.table("parts").rows_uncounted()[0][:1]
+        for price in range(1000, 1010):
+            engine.log.update("parts", key, {"price": price})
+        with metrics.scoped() as reg:
+            engine.maintain()
+            out = reg.as_dict()
+        assert out["modlog.fold_rows"]["count"] == 1
+        assert out["modlog.fold_rows"]["max"] == 10
+        assert out["modlog.idiff_rows_per_round"]["sum"] == 1
+        assert out["modlog.fold_ratio"]["sum"] == pytest.approx(0.1)
+
+
 class TestMetricsConcurrency:
     """Regression pins for the lost-increment and scoped-swap races."""
 

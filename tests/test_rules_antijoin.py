@@ -1,8 +1,11 @@
 """Rule-level tests for antisemijoin propagation (paper Table 13)."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.algebra import AntiJoin, rename, scan
+from repro.algebra import AntiJoin, SemiJoin, rename, scan
+from repro.core import IdIvmEngine
 from repro.core.diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
 from repro.core.idinfer import annotate_plan
 from repro.core.ir import DiffSource
@@ -145,3 +148,24 @@ class TestRightSide:
         ctx.diffs["in"] = Diff(schema, [(1, "x", "y")])
         outputs = propagate_antijoin(plan, DiffSource("in", schema), schema, 1)
         assert outputs == []
+
+
+@pytest.mark.parametrize("name, operator", [("semijoin", SemiJoin), ("antijoin", AntiJoin)])
+def test_generated_script_matches_golden(name, operator):
+    """The semijoin and the antisemijoin instantiate one rule body at two
+    polarities; the ∆-script each view generates — every left- and
+    right-side diff kind, equi pair plus residual — is pinned to the text
+    recorded when they were two separate modules (tests/golden/)."""
+    database = Database()
+    database.create_table("products", ("sku", "price"), ("sku",))
+    database.create_table("orders", ("oid", "o_sku", "qty"), ("oid",))
+    view = IdIvmEngine(database).define_view(
+        "V",
+        operator(
+            scan(database, "products"),
+            rename(scan(database, "orders"), {"oid": "o_oid"}),
+            col("sku").eq(col("o_sku")) & col("price").gt(col("qty")),
+        ),
+    )
+    golden = Path(__file__).parent / "golden" / f"{name}_script.txt"
+    assert view.describe_script() + "\n" == golden.read_text()

@@ -1,7 +1,10 @@
 """Unit tests for the storage substrate (tables, indexes, counters)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crosscheck.invariants import check_table
 from repro.errors import IntegrityError, SchemaError, UnknownColumnError, UnknownTableError
 from repro.storage import CounterSet, Database, Table, TableSchema
 
@@ -11,6 +14,18 @@ def parts() -> Table:
     table = Table(TableSchema("parts", ("pid", "price"), ("pid",)))
     table.load([("P1", 10), ("P2", 20), ("P3", 30)])
     return table
+
+
+def update(table: Table, key: tuple, changes: dict) -> tuple:
+    """APPLY's update of one row: ``locate`` it by key, then ``write_at``."""
+    (located,) = table.locate(table.schema.key, key)
+    return table.write_at(located, changes)
+
+
+def delete(table: Table, key: tuple) -> tuple:
+    """APPLY's delete of one row: ``locate`` it by key, then ``delete_at``."""
+    (located,) = table.locate(table.schema.key, key)
+    return table.delete_at(located)
 
 
 class TestTableSchema:
@@ -70,21 +85,26 @@ class TestTableBasics:
             parts.insert(("P1", 99))
 
     def test_update(self, parts):
-        old = parts.update_key(("P1",), {"price": 11})
+        old = update(parts, ("P1",), {"price": 11})
         assert old == ("P1", 10)
         assert parts.get(("P1",)) == ("P1", 11)
 
     def test_update_missing_key_returns_none(self, parts):
-        assert parts.update_key(("P9",), {"price": 1}) is None
+        assert parts.locate(("pid",), ("P9",)) == []
+        assert parts.update_uncounted(("P9",), {"price": 1}) is None
 
     def test_update_key_column_rejected(self, parts):
         with pytest.raises(SchemaError):
-            parts.update_key(("P1",), {"pid": "P9"})
+            parts.write_at(("P1",), {"pid": "P9"})
+        with pytest.raises(SchemaError):
+            parts.update_uncounted(("P1",), {"pid": "P9"})
+        assert parts.get(("P1",)) == ("P1", 10)
 
     def test_delete(self, parts):
-        assert parts.delete_key(("P2",)) == ("P2", 20)
+        assert delete(parts, ("P2",)) == ("P2", 20)
         assert parts.get(("P2",)) is None
-        assert parts.delete_key(("P2",)) is None
+        assert parts.locate(("pid",), ("P2",)) == []
+        assert parts.delete_uncounted(("P2",)) is None
 
     def test_scan(self, parts):
         assert sorted(parts.scan()) == [("P1", 10), ("P2", 20), ("P3", 30)]
@@ -127,14 +147,14 @@ class TestSecondaryIndexes:
         table.create_index(("pid",))
         table.insert(("D1", "P1"))
         table.insert(("D2", "P1"))
-        table.delete_key(("D1", "P1"))
+        delete(table, ("D1", "P1"))
         assert table.lookup(("pid",), ("P1",)) == [("D2", "P1")]
 
     def test_index_maintained_across_updates(self):
         table = Table(TableSchema("parts", ("pid", "cat"), ("pid",)))
         table.create_index(("cat",))
         table.insert(("P1", "phone"))
-        table.update_key(("P1",), {"cat": "tablet"})
+        update(table, ("P1",), {"cat": "tablet"})
         assert table.lookup(("cat",), ("phone",)) == []
         assert table.lookup(("cat",), ("tablet",)) == [("P1", "tablet")]
 
@@ -148,8 +168,8 @@ class TestSecondaryIndexes:
         for i in range(200):
             table.insert(("D1", f"P{i}"))
             table.insert_uncounted(("D2", f"P{i}"))
-            table.update_key(("D1", f"P{i}"), {})
-            table.delete_key(("D1", f"P{i}"))
+            update(table, ("D1", f"P{i}"), {})
+            delete(table, ("D1", f"P{i}"))
             table.delete_uncounted(("D2", f"P{i}"))
         buckets = table._indexes[("pid",)].buckets
         assert buckets == {("keep",): {("D0", "keep")}}
@@ -164,7 +184,7 @@ class TestSecondaryIndexes:
         assert clone.index_columns() == table.index_columns()
         for columns in table.index_columns():
             assert clone._indexes[columns].buckets == table._indexes[columns].buckets
-        clone.delete_key(("D1", "P1"))
+        delete(clone, ("D1", "P1"))
         clone.insert(("D3", "P3"))
         assert sorted(table.lookup(("pid",), ("P1",))) == [("D1", "P1"), ("D2", "P1")]
         assert table.lookup(("pid",), ("P3",)) == []
@@ -203,10 +223,11 @@ class TestCounters:
     def test_write_costs(self, parts):
         parts.counters.reset()
         parts.insert(("P4", 40))
-        parts.update_key(("P1",), {"price": 11})
-        parts.delete_key(("P2",))
+        update(parts, ("P1",), {"price": 11})   # locate: 1 lookup, write_at: 1 write
+        delete(parts, ("P2",))
         assert parts.counters.total.tuple_writes == 3
         assert parts.counters.total.index_lookups == 3
+        assert parts.counters.total.tuple_reads == 0
 
     def test_phases(self, parts):
         parts.counters.reset()
@@ -264,7 +285,7 @@ class TestDatabase:
         r = db.create_table("r", ("a", "b"), ("a",))
         r.load([(1, 10)])
         clone = db.copy()
-        clone.table("r").update_key((1,), {"b": 99})
+        update(clone.table("r"), (1,), {"b": 99})
         assert db.table("r").get_uncounted((1,)) == (1, 10)
         assert clone.table("r").get_uncounted((1,)) == (1, 99)
 
@@ -309,18 +330,12 @@ class TestIndexMaintenanceAccounting:
         db.counters.reset()
         t.insert((4, 40, "w"))          # 1 entry added per index
         assert db.counters.total.index_maintenance == 2
-        t.update_key((4,), {"a": 41})   # remove + add per index
+        t.write_at((4,), {"a": 41})     # remove + add per index
         assert db.counters.total.index_maintenance == 6
-        t.replace_row((4,), (4, 42, "w"))
-        assert db.counters.total.index_maintenance == 10
-        t.write_at((4,), {"b": "v"})
-        assert db.counters.total.index_maintenance == 14
-        t.delete_key((4,))
-        assert db.counters.total.index_maintenance == 16
-        t.insert_checked((4, 40, "w"))
-        assert db.counters.total.index_maintenance == 18
         t.delete_at((4,))
-        assert db.counters.total.index_maintenance == 20
+        assert db.counters.total.index_maintenance == 8
+        t.insert_checked((4, 40, "w"))
+        assert db.counters.total.index_maintenance == 10
         # The paper's headline metric is unaffected.
         assert db.counters.total.total == (
             db.counters.total.index_lookups
@@ -409,8 +424,8 @@ class TestWriteSetCapture:
         source = self._fresh()
         source.begin_capture()
         source.insert(("P3", 30))
-        source.update_key(("P1",), {"price": 11})
-        source.delete_key(("P2",))
+        update(source, ("P1",), {"price": 11})
+        delete(source, ("P2",))
         ops = source.end_capture()
 
         replica = self._fresh()
@@ -426,9 +441,9 @@ class TestWriteSetCapture:
         or the replica converges to the wrong row."""
         source = self._fresh()
         source.begin_capture()
-        source.delete_key(("P1",))
+        delete(source, ("P1",))
         source.insert(("P1", 99))
-        source.update_key(("P1",), {"price": 100})
+        update(source, ("P1",), {"price": 100})
         ops = source.end_capture()
         assert [op[0] for op in ops] == ["d", "s", "s"]
 
@@ -441,7 +456,7 @@ class TestWriteSetCapture:
         source = self._fresh()
         source.begin_capture()
         source.insert(("P3", 30))
-        source.delete_key(("P2",))
+        delete(source, ("P2",))
         ops = source.end_capture()
         replica = self._fresh()
         replica.replay_writes(ops)
@@ -463,3 +478,88 @@ class TestWriteSetCapture:
         table.audit_uncaptured(None)
         table.insert(("P5", 50))
         assert hits == ["parts"]
+
+
+WRITERS = (
+    "insert", "insert_checked", "write_at", "delete_at", "insert_uncounted",
+    "load", "delete_uncounted", "update_uncounted", "replay_writes",
+)
+
+
+class TestOneWritePath:
+    """Every public writer ends in the same two primitives, so any
+    sequence of them reduces to the upsert/delete ops a capture records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(WRITERS),
+                st.integers(0, 4), st.integers(0, 2), st.integers(0, 2),
+            ),
+            max_size=25,
+        )
+    )
+    def test_any_writer_sequence_replays_from_its_capture(self, steps):
+        table = Table(TableSchema("r", ("k", "a", "b"), ("k",)))
+        table.create_index(("a",))
+        table.create_index(("a", "b"))
+        table.load([(0, 0, 0), (1, 1, 1)])
+        replica = table.copy(counters=CounterSet())
+        # The sink takes the counted writes; the uncounted writers record
+        # nothing, so the test appends the op each of them amounts to.
+        log = table.begin_capture()
+        for writer, k, a, b in steps:
+            key, row = (k,), (k, a, b)
+            stored = table.get_uncounted(key)
+            counts = table.counters.snapshot()
+            if writer in ("insert", "insert_uncounted", "load"):
+                write = getattr(table, writer)
+                arg = [row] if writer == "load" else row
+                if stored is None:
+                    write(arg)
+                    if writer != "insert":
+                        log.append(("s", key, row))
+                else:
+                    with pytest.raises(IntegrityError):
+                        write(arg)
+            elif writer == "insert_checked":
+                if stored is None or stored == row:
+                    assert table.insert_checked(row) is (stored is None)
+                else:
+                    with pytest.raises(IntegrityError):
+                        table.insert_checked(row)
+            elif writer == "write_at":
+                if stored is None:
+                    with pytest.raises(KeyError):
+                        table.write_at(key, {"a": a, "b": b})
+                else:
+                    assert table.write_at(key, {"a": a, "b": b}) == stored
+            elif writer == "delete_at":
+                if stored is None:
+                    with pytest.raises(KeyError):
+                        table.delete_at(key)
+                else:
+                    assert table.delete_at(key) == stored
+            elif writer == "delete_uncounted":
+                assert table.delete_uncounted(key) == stored
+                log.append(("d", key))
+            elif writer == "update_uncounted":
+                assert table.update_uncounted(key, {"b": b}) == stored
+                if stored is not None:
+                    log.append(("s", key, stored[:2] + (b,)))
+            else:
+                ops = [("s", key, row), ("d", ((k + 1) % 5,))]
+                table.replay_writes(ops)
+                log.extend(ops)
+            if writer not in ("insert", "insert_checked", "write_at", "delete_at"):
+                assert table.counters.snapshot() == counts, writer
+            assert check_table(table, writer) == []
+            for index in table._indexes.values():
+                assert all(index.buckets.values()), "an emptied bucket stayed"
+        assert table.end_capture() is log
+        replica.replay_writes(log)
+        assert replica._rows == table._rows
+        assert list(replica._rows) == list(table._rows)  # same insertion order
+        for columns in table.index_columns():
+            assert replica._indexes[columns].buckets == table._indexes[columns].buckets
