@@ -83,7 +83,9 @@ lint-catalog:
 # (core/engine.py), and the crosscheck oracle's private log is the only
 # other place allowed to drain one; and there is one physical write
 # path (storage/table.py) — only it and the crosscheck invariants that
-# audit it may name another object's rows dict or index map.
+# audit it may name another object's rows dict or index map; and APPLY
+# is one bulk `Table` call per diff (core/apply.py) — the per-row
+# primitives are for the baselines and the γ group-creation path.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -92,6 +94,9 @@ lint-static:
 	@if grep -rnE '\._(rows|indexes)\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(storage/table|crosscheck/invariants)\.py:|\bself\._rows\b'; then \
 	    echo "Table internals outside storage/table.py: use its public readers and writers"; \
+	    exit 1; fi
+	@if grep -nE '\b(write_at|delete_at|insert_checked|locate)\(' src/repro/core/apply.py; then \
+	    echo "per-row Table write in core/apply.py: use update_many / insert_many / delete_many"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

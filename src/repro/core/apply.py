@@ -15,7 +15,7 @@ from typing import Sequence
 
 from ..algebra.relation import Relation
 from ..errors import DiffError
-from ..storage import Table
+from ..storage import Table, TableSchema, row_extractor
 from .diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema, post_col, pre_col
 
 
@@ -61,22 +61,15 @@ class AppliedChanges:
             + tuple(pre_col(a) for a in attrs)
             + tuple(post_col(a) for a in attrs)
         )
-        attr_positions = [schema.position(a) for a in attrs]
-        rows: list[tuple] = []
-        for pre_row, post_row in self.changes:
-            some_row = post_row if post_row is not None else pre_row
-            key = schema.key_of(some_row)
-            pre_vals = (
-                tuple(pre_row[i] for i in attr_positions)
-                if pre_row is not None
-                else (None,) * len(attrs)
-            )
-            post_vals = (
-                tuple(post_row[i] for i in attr_positions)
-                if post_row is not None
-                else (None,) * len(attrs)
-            )
-            rows.append(key + pre_vals + post_vals)
+        key_of = schema.key_of
+        values_of = row_extractor(schema.positions(attrs))
+        absent = (None,) * len(attrs)
+        rows = [
+            key_of(pre if post is None else post)
+            + (absent if pre is None else values_of(pre))
+            + (absent if post is None else values_of(post))
+            for pre, post in self.changes
+        ]
         return Relation(columns, rows)
 
     def as_full_diff(self) -> Diff:
@@ -85,83 +78,69 @@ class AppliedChanges:
         Used when a cache application must be re-expressed as the diff
         feeding the operators above the cache.
         """
-        schema = self.table_schema
-        non_key = schema.non_key_columns
-        if self.kind == INSERT:
-            diff_schema = DiffSchema(INSERT, schema.name, schema.key, post_attrs=non_key)
-            rows = [
-                schema.key_of(post) + schema.project(post, non_key)
-                for _, post in self.changes
-            ]
-            return Diff(diff_schema, rows)
-        if self.kind == DELETE:
-            diff_schema = DiffSchema(DELETE, schema.name, schema.key, pre_attrs=non_key)
-            rows = [
-                schema.key_of(pre) + schema.project(pre, non_key)
-                for pre, _ in self.changes
-            ]
-            return Diff(diff_schema, rows)
-        attrs = self.updated_attrs
-        diff_schema = DiffSchema(
-            UPDATE, schema.name, schema.key, pre_attrs=attrs, post_attrs=attrs
+        return changes_to_diff(
+            self.kind, self.changes, self.table_schema, self.table_schema.name,
+            self.updated_attrs if self.kind == UPDATE else None,
+        )
+
+
+def changes_to_diff(
+    kind: str,
+    changes: list[tuple],
+    table_schema: TableSchema,
+    target: str,
+    attrs: Sequence[str] | None = None,
+) -> Diff:
+    """Applied ``(pre, post)`` rows of a table as a full-ID effective
+    diff on *target* carrying *attrs* (default: every non-key column)."""
+    if attrs is None:
+        attrs = table_schema.non_key_columns
+    key_of = table_schema.key_of
+    values_of = row_extractor(table_schema.positions(attrs))
+    if kind == INSERT:
+        schema = DiffSchema(INSERT, target, table_schema.key, post_attrs=attrs)
+        rows = [key_of(post) + values_of(post) for _, post in changes]
+    elif kind == DELETE:
+        schema = DiffSchema(DELETE, target, table_schema.key, pre_attrs=attrs)
+        rows = [key_of(pre) + values_of(pre) for pre, _ in changes]
+    else:
+        schema = DiffSchema(
+            UPDATE, target, table_schema.key, pre_attrs=attrs, post_attrs=attrs
         )
         rows = [
-            schema.key_of(post) + schema.project(pre, attrs) + schema.project(post, attrs)
-            for pre, post in self.changes
+            key_of(post) + values_of(pre) + values_of(post) for pre, post in changes
         ]
-        return Diff(diff_schema, rows)
+    return Diff(schema, rows)
 
 
 def apply_diff(table: Table, diff: Diff) -> AppliedChanges:
-    """Apply *diff* to *table* per the Section 2 DML semantics."""
-    kind = diff.schema.kind
+    """Apply *diff* to *table* per the Section 2 DML semantics: one bulk
+    ``Table`` call per diff, whatever its size."""
+    schema = diff.schema
+    kind = schema.kind
+    n_ids = len(schema.id_attrs)
     if kind == UPDATE:
-        return _apply_update(table, diff)
+        # APPLY ∆u: UPDATE V SET Ā″ = Ā″_post WHERE V.Ī′ = ∆.Ī′.  A diff
+        # row is laid out Ī′ + Ā′_pre + Ā″_post.
+        n_post = len(schema.post_attrs)
+        changes = table.update_many(
+            schema.id_attrs,
+            schema.post_attrs,
+            [(row[:n_ids], row[-n_post:]) for row in diff.rows],
+        )
+        return AppliedChanges(UPDATE, table.schema, changes, schema.post_attrs)
     if kind == INSERT:
-        return _apply_insert(table, diff)
+        # APPLY ∆+: INSERT ... WHERE ROW NOT IN (SELECT ... FROM V).
+        diff_attrs = schema.id_attrs + schema.post_attrs
+        in_table_order = row_extractor(
+            [diff_attrs.index(c) for c in table.schema.columns]
+        )
+        changes = table.insert_many([in_table_order(row) for row in diff.rows])
+        return AppliedChanges(INSERT, table.schema, changes)
     if kind == DELETE:
-        return _apply_delete(table, diff)
+        # APPLY ∆−: DELETE FROM V WHERE ROW(Ī′) IN (SELECT Ī′ FROM ∆−).
+        changes = table.delete_many(
+            schema.id_attrs, [row[:n_ids] for row in diff.rows]
+        )
+        return AppliedChanges(DELETE, table.schema, changes)
     raise DiffError(f"unknown diff kind {kind!r}")
-
-
-def _apply_update(table: Table, diff: Diff) -> AppliedChanges:
-    """APPLY ∆u: UPDATE V SET Ā″ = Ā″_post WHERE V.Ī′ = ∆.Ī′."""
-    schema = diff.schema
-    post_attrs = schema.post_attrs
-    post_positions = [schema.position(post_col(a)) for a in post_attrs]
-    changes: list[tuple] = []
-    for diff_row in diff.rows:
-        ident = diff.id_of(diff_row)
-        new_values = {
-            a: diff_row[i] for a, i in zip(post_attrs, post_positions)
-        }
-        for key in table.locate(schema.id_attrs, ident):
-            old_row = table.write_at(key, new_values)
-            new_row = table.get_uncounted(key)
-            changes.append((old_row, new_row))
-    return AppliedChanges(UPDATE, table.schema, changes, updated_attrs=post_attrs)
-
-
-def _apply_insert(table: Table, diff: Diff) -> AppliedChanges:
-    """APPLY ∆+: INSERT ... WHERE ROW NOT IN (SELECT ... FROM V)."""
-    schema = diff.schema
-    table_columns = schema.id_attrs + schema.post_attrs
-    order = [table_columns.index(c) for c in table.schema.columns]
-    changes: list[tuple] = []
-    for diff_row in diff.rows:
-        row = tuple(diff_row[i] for i in order)
-        if table.insert_checked(row):
-            changes.append((None, row))
-    return AppliedChanges(INSERT, table.schema, changes)
-
-
-def _apply_delete(table: Table, diff: Diff) -> AppliedChanges:
-    """APPLY ∆−: DELETE FROM V WHERE ROW(Ī′) IN (SELECT Ī′ FROM ∆−)."""
-    schema = diff.schema
-    changes: list[tuple] = []
-    for diff_row in diff.rows:
-        ident = diff.id_of(diff_row)
-        for key in table.locate(schema.id_attrs, ident):
-            old_row = table.delete_at(key)
-            changes.append((old_row, None))
-    return AppliedChanges(DELETE, table.schema, changes)

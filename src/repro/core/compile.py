@@ -186,6 +186,9 @@ def _compile_expr(expr: Expr, positions: dict[str, int]) -> Callable[[tuple], ob
         args = [_compile_expr(a, positions) for a in expr.args]
         fn = SCALAR_FUNCTIONS[expr.func]
         if expr.func in NULL_TOLERANT_FUNCTIONS:
+            if len(args) == 2:  # is_distinct and friends: no list per row
+                first, second = args
+                return lambda row: fn(first(row), second(row))
             return lambda row: fn(*[a(row) for a in args])
 
         def call(row):
@@ -573,9 +576,27 @@ class CompiledComputeDiffStep(ComputeDiffStep):
     def __init__(self, base: ComputeDiffStep, fn: RowsFn):
         super().__init__(base.name, base.schema, base.ir, base.phase)
         self._fn = fn
+        #: name of the diff an identity step (``d2 := ∆[d1]``, same
+        #: columns) passes through, else None.
+        self._renames = (
+            base.ir.name
+            if isinstance(base.ir, DiffSource) and base.ir.columns == base.schema.columns
+            else None
+        )
 
     def run(self, ctx: IrContext) -> None:
-        ctx.diffs[self.name] = ColumnarDiff.from_rows(self.schema, self._fn(ctx))
+        source = ctx.diffs.get(self._renames) if self._renames is not None else None
+        schema = self.schema
+        if (
+            source is not None
+            and source.schema.columns == schema.columns
+            and source.schema.id_attrs == schema.id_attrs
+        ):
+            # Same columns, same IDs: the rows were validated and
+            # deduplicated on exactly these IDs when *source* was built.
+            ctx.diffs[self.name] = ColumnarDiff(schema, rows=source.rows)
+        else:
+            ctx.diffs[self.name] = ColumnarDiff.from_rows(self.schema, self._fn(ctx))
 
 
 def _driving_sources(node: IrNode) -> Optional[set[str]]:

@@ -287,12 +287,11 @@ class MaintenanceEngine:
         # another thread after the take() stay pending.
         stamped = [e.seq for e in entries if e.seq]
         position = max(stamped) if stamped else self.log.position
-        entry_times = [e.logged_at for e in entries if e.seq]
         now = self.freshness.clock()
+        # Observed once, merged into each view: O(entries + views).
+        lags = self.freshness.round_lags((e.logged_at for e in entries if e.seq), now)
         for view_name, report in reports.items():
-            self.freshness.note_maintained(
-                view_name, position, entry_times, now=now
-            )
+            self.freshness.note_maintained(view_name, position, lags, now=now)
             self.drift.update_from_report(report)
             self.last_reports[view_name] = report
             ratio = self.drift.worst_ratio(view_name)

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 from ..errors import DiffError, WorkloadError
 from ..obs import metrics
 from ..obs import spans as obs
-from ..storage import Database
+from ..storage import Database, row_extractor
 from .diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
 
 
@@ -246,68 +246,62 @@ def _populate_instances(
     db: Database,
 ) -> dict[str, Diff]:
     net = fold_log(entries, db)
-    out: dict[str, Diff] = {}
-    update_schemas: dict[str, list[DiffSchema]] = {}
-    for schema in schemas:
-        if schema.kind == UPDATE:
-            update_schemas.setdefault(schema.target, []).append(schema)
-    # Route every net tuple-update to exactly ONE schema: the smallest
-    # whose post attributes cover all modified attributes.  (Splitting a
-    # tuple's change across instances would entangle them: each instance
-    # implies its non-post attributes are unchanged — the derivation the
-    # rules and Figure 8 rewrites rely on — and aggregate deltas would
-    # double-count the shared row.  The per-group schemas of Section 5
-    # still serve the common case of updates within one group; the
-    # catch-all schema absorbs the rest.)
-    routed: dict[tuple[str, tuple], DiffSchema] = {}
-    for table, per_table in net.items():
-        if table not in update_schemas:
-            continue  # the view does not read this table
-        table_schema = db.table(table).schema
-        for key, change in per_table.items():
-            if change.kind != UPDATE:
-                continue
-            modified = frozenset(
-                a
-                for a in table_schema.non_key_columns
-                if change.pre_row[table_schema.position(a)]
-                != change.post_row[table_schema.position(a)]
-            )
-            candidates = [
-                s
-                for s in update_schemas.get(table, [])
-                if modified <= set(s.post_attrs)
-            ]
-            if not candidates:
-                raise DiffError(
-                    f"no update i-diff schema of {table!r} covers modified "
-                    f"attributes {sorted(modified)}"
-                )
-            chosen = min(candidates, key=lambda s: len(s.post_attrs))
-            routed[(table, key)] = chosen
-
-    for schema in schemas:
-        rows: list[tuple] = []
+    # Per target table and kind, one projector per schema — its pre and
+    # post extractors and the row list of its instance — built once.
+    names = [schema_instance_name(schema) for schema in schemas]
+    rows: dict[str, list[tuple]] = {name: [] for name in names}
+    projectors: dict[str, dict[str, list[tuple]]] = {}
+    for name, schema in zip(names, schemas):
         table_schema = db.table(schema.target).schema
-        per_table = net.get(schema.target, {})
-        for key, change in per_table.items():
-            if schema.kind == INSERT and change.kind == INSERT:
-                rows.append(
-                    key + table_schema.project(change.post_row, schema.post_attrs)
-                )
-            elif schema.kind == DELETE and change.kind == DELETE:
-                rows.append(
-                    key + table_schema.project(change.pre_row, schema.pre_attrs)
-                )
-            elif schema.kind == UPDATE and change.kind == UPDATE:
-                if routed.get((schema.target, key)) is schema:
-                    rows.append(
-                        key
-                        + table_schema.project(change.pre_row, schema.pre_attrs)
-                        + table_schema.project(change.post_row, schema.post_attrs)
+        projectors.setdefault(schema.target, {}).setdefault(schema.kind, []).append((
+            schema,
+            row_extractor(table_schema.positions(schema.pre_attrs)),
+            row_extractor(table_schema.positions(schema.post_attrs)),
+            rows[name],
+        ))
+    for target, by_kind in projectors.items():
+        table_schema = db.table(target).schema
+        non_key = table_schema.positions(table_schema.non_key_columns)
+        inserts, deletes, updates = (by_kind.get(k, ()) for k in (INSERT, DELETE, UPDATE))
+        # Route every net tuple-update to exactly ONE schema: the smallest
+        # whose post attributes cover all modified attributes, chosen once
+        # per distinct set of modified positions.  (Splitting a tuple's
+        # change across instances would entangle them: each instance
+        # implies its non-post attributes are unchanged — the derivation
+        # the rules and Figure 8 rewrites rely on — and aggregate deltas
+        # would double-count the shared row.  The per-group schemas of
+        # Section 5 still serve the common case of updates within one
+        # group; the catch-all schema absorbs the rest.)
+        routes: dict[tuple, tuple] = {}
+        for key, change in net.get(target, {}).items():
+            pre_row, post_row = change.pre_row, change.post_row
+            if change.kind == INSERT:
+                for _, _, post, sink in inserts:
+                    sink.append(key + post(post_row))
+            elif change.kind == DELETE:
+                for _, pre, _, sink in deletes:
+                    sink.append(key + pre(pre_row))
+            elif updates:  # else: the view does not read this table's updates
+                modified = tuple(i for i in non_key if pre_row[i] != post_row[i])
+                route = routes.get(modified)
+                if route is None:
+                    route = routes[modified] = _route_update(
+                        updates, {table_schema.columns[i] for i in modified}
                     )
-        out[schema_instance_name(schema)] = Diff(schema, rows)
-    return out
+                _, pre, post, sink = route
+                sink.append(key + pre(pre_row) + post(post_row))
+    return {name: Diff(schema, rows[name]) for name, schema in zip(names, schemas)}
+
+
+def _route_update(updates: Sequence[tuple], modified: set[str]) -> tuple:
+    """The projector of the minimal update schema covering *modified*."""
+    candidates = [u for u in updates if modified <= set(u[0].post_attrs)]
+    if not candidates:
+        raise DiffError(
+            f"no update i-diff schema of {updates[0][0].target!r} covers "
+            f"modified attributes {sorted(modified)}"
+        )
+    return min(candidates, key=lambda u: len(u[0].post_attrs))
 
 
 def schema_instance_name(schema: DiffSchema) -> str:

@@ -36,9 +36,10 @@ from ...algebra.plan import GroupBy
 from ...algebra.relation import Relation
 from ...errors import ScriptError
 from ...expr import evaluate as eval_expr
-from ...storage import Table, TableSchema, sort_rows
-from ..apply import AppliedChanges
-from ..diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
+from ...storage import Table, TableSchema, row_extractor, sort_rows
+from ..apply import AppliedChanges, changes_to_diff
+from ..compile import compile_expr
+from ..diffs import DELETE, INSERT, UPDATE, Diff
 from ..ir_exec import IrContext
 from ..script import Step
 
@@ -299,7 +300,7 @@ class AssociativeAggregateStep(Step):
         for change, kind in zip(applied, kinds):
             grouped[kind].append(change)
         for kind, name in self.emitted.items():
-            ctx.diffs[name] = _changes_to_diff(
+            ctx.diffs[name] = changes_to_diff(
                 kind, grouped[kind], out_table.schema, f"n{self.gnode.node_id}"
             )
         ctx.mark_cache_updated(self.gnode.node_id)
@@ -324,16 +325,30 @@ def apply_group_deltas(
     of Table 9 fused with the UPDATE — this is what makes the Table 3
     view-modification cost |D|pg rather than double).  The *opcache*
     bookkeeping is touched only when a cardinality / non-null count (or
-    an avg's running sum) actually changes.
+    an avg's running sum) actually changes.  Groups it is not touched
+    for — a live group whose aggregates move, the whole round of a
+    pure-update workload — queue into one ``update_many``, flushed
+    before any other write so *out_table* sees today's write order.
 
     Returns ``(applied, kinds)``: the (pre, post) full output rows plus
     their change kinds, for re-emission as effective diffs.
     """
     aggs = gnode.aggs
-    out_schema = out_table.schema
-    agg_positions = [out_schema.position(a.name) for a in aggs]
+    book_of = _Book(gnode, opcache)
+    agg_names = tuple(a.name for a in aggs)
+    aggs_of = row_extractor(out_table.schema.positions(agg_names))
+    by_key = tuple(gnode.keys) == out_table.schema.key
     applied: list[tuple] = []
     kinds: list[str] = []
+    queued: list[tuple] = []
+
+    def flush() -> None:
+        if queued:
+            written = out_table.update_many(gnode.keys, agg_names, queued)
+            applied.extend(written)
+            kinds.extend([UPDATE] * len(written))
+            queued.clear()
+
     has_avg = any(a.func == "avg" for a in aggs)
     for g, delta in deltas.items():
         if delta.is_zero():
@@ -341,138 +356,123 @@ def apply_group_deltas(
         touch_opcache = (
             delta.n != 0 or any(delta.cnts) or (has_avg and any(delta.sums))
         )
-        book = _read_book(opcache, g, touch_opcache)
+        if by_key and not touch_opcache:
+            old_row = out_table.get_uncounted(g)
+            book = book_of.read(g, False)
+            if old_row is not None and book is not None and book[0]:
+                old_values = aggs_of(old_row)
+                values = book_of.new_values(old_values, delta, book)
+                if values != old_values:
+                    queued.append((g, values))
+                    continue
+        flush()
+        book = book_of.read(g, touch_opcache)
         keys = out_table.locate(gnode.keys, g)
         if keys:
             old_row = out_table.get_uncounted(keys[0])
-            new_n = book["__n"] + delta.n
+            new_n = (book[0] if book is not None else 0) + delta.n
             if new_n == 0:
                 out_table.delete_at(keys[0])
-                _write_book(gnode, opcache, g, None, touch_opcache)
+                book_of.write(g, None, touch_opcache)
                 applied.append((old_row, None))
                 kinds.append(DELETE)
                 continue
-            new_book = _bump_book(gnode, book, delta, new_n)
-            new_values = _new_values(gnode, old_row, agg_positions, delta, new_book)
-            new_row = list(old_row)
-            for pos, value in zip(agg_positions, new_values):
-                new_row[pos] = value
-            new_row = tuple(new_row)
-            if new_row != old_row:
-                out_table.write_at(
-                    keys[0], {a.name: v for a, v in zip(aggs, new_values)}
-                )
-                applied.append((old_row, new_row))
+            new_book = book_of.bumped(book, delta, new_n)
+            old_values = aggs_of(old_row)
+            values = book_of.new_values(old_values, delta, new_book)
+            if values != old_values:
+                out_table.write_at(keys[0], dict(zip(agg_names, values)))
+                applied.append((old_row, out_table.get_uncounted(keys[0])))
                 kinds.append(UPDATE)
-            _write_book(gnode, opcache, g, new_book, touch_opcache)
+            book_of.write(g, new_book, touch_opcache)
         else:
             if delta.n <= 0:
                 continue  # dummy deltas for a group that never existed
-            new_book = _bump_book(gnode, {"__n": 0}, delta, delta.n)
-            values = _insert_values(gnode, delta, new_book)
-            row = g + tuple(values)
+            new_book = book_of.bumped(None, delta, delta.n)
+            row = g + book_of.insert_values(delta, new_book)
             out_table.insert_checked(row)
-            _write_book(gnode, opcache, g, new_book, True, inserting=True)
+            book_of.write(g, new_book, True, inserting=True)
             applied.append((None, row))
             kinds.append(INSERT)
+    flush()
     return applied, kinds
 
 
-def _read_book(opcache: Table, g: tuple, touch: bool) -> dict:
-    """Bookkeeping row for group *g* (counted only when touched)."""
-    if touch:
-        rows = opcache.lookup(opcache.schema.key, g)
-    else:
-        row = opcache.get_uncounted(g)
-        rows = [row] if row is not None else []
-    if not rows:
-        return {"__n": 0}
-    schema = opcache.schema
-    return {
-        c: rows[0][schema.position(c)]
-        for c in schema.columns
-        if c.startswith("__")
-    }
+class _Book:
+    """A γ node's operator-cache bookkeeping, read and written by
+    position: a *book* is an opcache row past the group key — ``__n``
+    first, then the ``__cnt_`` / ``__sum_`` slots — and the slot of every
+    aggregate is resolved here, once per call."""
 
+    def __init__(self, gnode: GroupBy, opcache: Table):
+        self.aggs = gnode.aggs
+        self.opcache = opcache
+        self.columns = opcache.schema.columns[len(gnode.keys):]
+        slot = {c: i for i, c in enumerate(self.columns)}
+        self.cnt_at = [slot.get(f"__cnt_{a.name}") for a in self.aggs]
+        self.sum_at = [slot.get(f"__sum_{a.name}") for a in self.aggs]
 
-def _bump_book(gnode: GroupBy, book: dict, delta: _GroupDelta, new_n: int) -> dict:
-    new_book = {"__n": new_n}
-    for i, agg in enumerate(gnode.aggs):
-        if agg.func in ("sum", "avg"):
-            new_book[f"__cnt_{agg.name}"] = (
-                book.get(f"__cnt_{agg.name}", 0) + delta.cnts[i]
-            )
-        if agg.func == "avg":
-            new_book[f"__sum_{agg.name}"] = (
-                book.get(f"__sum_{agg.name}", 0) + delta.sums[i]
-            )
-    return new_book
+    def read(self, g: tuple, touch: bool) -> Optional[tuple]:
+        """The book of group *g* (a counted lookup only when touched)."""
+        if touch:
+            rows = self.opcache.lookup(self.opcache.schema.key, g)
+            row = rows[0] if rows else None
+        else:
+            row = self.opcache.get_uncounted(g)
+        return row[len(g):] if row is not None else None
 
+    def bumped(self, book: Optional[tuple], delta: _GroupDelta, new_n: int) -> tuple:
+        new = list(book) if book is not None else [0] * len(self.columns)
+        new[0] = new_n
+        for i, (cnt, total) in enumerate(zip(self.cnt_at, self.sum_at)):
+            if cnt is not None:
+                new[cnt] += delta.cnts[i]
+            if total is not None:
+                new[total] += delta.sums[i]
+        return tuple(new)
 
-def _write_book(
-    gnode: GroupBy,
-    opcache: Table,
-    g: tuple,
-    new_book: Optional[dict],
-    touch: bool,
-    inserting: bool = False,
-) -> None:
-    if not touch:
-        return
-    if new_book is None:
-        opcache.delete_at(g)
-        return
-    row = g + tuple(new_book.get(c, 0) for c in opcache.schema.columns[len(g):])
-    if inserting or opcache.get_uncounted(g) is None:
-        opcache.insert_checked(row)
-    else:
-        opcache.write_at(
-            g,
-            {c: new_book.get(c, 0) for c in opcache.schema.columns[len(g):]},
-        )
+    def write(
+        self, g: tuple, new_book: Optional[tuple], touch: bool, inserting: bool = False
+    ) -> None:
+        opcache = self.opcache
+        if not touch:
+            return
+        if new_book is None:
+            opcache.delete_at(g)
+        elif inserting or opcache.get_uncounted(g) is None:
+            opcache.insert_checked(g + new_book)
+        else:
+            opcache.write_at(g, dict(zip(self.columns, new_book)))
 
-
-def _new_values(
-    gnode: GroupBy,
-    old_row: tuple,
-    agg_positions: list[int],
-    delta: _GroupDelta,
-    book: dict,
-) -> list:
-    values = []
-    for i, agg in enumerate(gnode.aggs):
-        old = old_row[agg_positions[i]]
-        if agg.func == "count":
-            if agg.arg is None:
-                values.append((old or 0) + delta.n)
+    def new_values(self, old_values: tuple, delta: _GroupDelta, book: tuple) -> tuple:
+        values = []
+        for i, (agg, old) in enumerate(zip(self.aggs, old_values)):
+            if agg.func == "count":
+                values.append((old or 0) + (delta.n if agg.arg is None else delta.cnts[i]))
+            elif agg.func == "sum":
+                values.append(
+                    None if book[self.cnt_at[i]] == 0 else (old or 0) + delta.sums[i]
+                )
             else:
-                values.append((old or 0) + delta.cnts[i])
-        elif agg.func == "sum":
-            cnt = book[f"__cnt_{agg.name}"]
-            values.append(None if cnt == 0 else (old or 0) + delta.sums[i])
-        elif agg.func == "avg":
-            cnt = book[f"__cnt_{agg.name}"]
-            total = book[f"__sum_{agg.name}"]
-            values.append(None if cnt == 0 else total / cnt)
-        else:  # pragma: no cover - generator routes min/max elsewhere
-            raise ScriptError(f"associative step got {agg.func!r}")
-    return values
+                values.append(self._avg(i, agg, book))
+        return tuple(values)
 
+    def insert_values(self, delta: _GroupDelta, book: tuple) -> tuple:
+        values = []
+        for i, agg in enumerate(self.aggs):
+            if agg.func == "count":
+                values.append(delta.n if agg.arg is None else delta.cnts[i])
+            elif agg.func == "sum":
+                values.append(None if delta.cnts[i] == 0 else delta.sums[i])
+            else:
+                values.append(self._avg(i, agg, book))
+        return tuple(values)
 
-def _insert_values(gnode: GroupBy, delta: _GroupDelta, book: dict) -> list:
-    values = []
-    for i, agg in enumerate(gnode.aggs):
-        if agg.func == "count":
-            values.append(delta.n if agg.arg is None else delta.cnts[i])
-        elif agg.func == "sum":
-            values.append(None if delta.cnts[i] == 0 else delta.sums[i])
-        elif agg.func == "avg":
-            cnt = book[f"__cnt_{agg.name}"]
-            total = book[f"__sum_{agg.name}"]
-            values.append(None if cnt == 0 else total / cnt)
-        else:  # pragma: no cover
+    def _avg(self, i: int, agg, book: tuple):
+        if agg.func != "avg":  # pragma: no cover - generator routes min/max elsewhere
             raise ScriptError(f"associative step got {agg.func!r}")
-    return values
+        cnt = book[self.cnt_at[i]]
+        return None if cnt == 0 else book[self.sum_at[i]] / cnt
 
 
 def group_deltas_from_changes(
@@ -481,34 +481,36 @@ def group_deltas_from_changes(
     """Per-group deltas from (pre_row, post_row) child-row changes.
 
     Shared by the ID engine's blocking step and the tuple-based baseline
-    (whose t-diffs carry the full rows already)."""
-    positions = {c: i for i, c in enumerate(gnode.child.columns)}
-    key_idx = [positions[k] for k in gnode.keys]
-    aggs = gnode.aggs
+    (whose t-diffs carry the full rows already).  The group-key
+    extractor and one closure per aggregate argument are lowered here,
+    once per call; the loop below only calls them."""
     deltas: dict[tuple, _GroupDelta] = {}
-
-    def bump(row: tuple, sign: int) -> None:
-        g = tuple(row[i] for i in key_idx)
-        delta = deltas.get(g)
-        if delta is None:
-            delta = _GroupDelta(len(aggs))
-            deltas[g] = delta
-        delta.n += sign
-        for i, agg in enumerate(aggs):
-            if agg.arg is None:
+    if not changes:
+        return deltas
+    positions = {c: i for i, c in enumerate(gnode.child.columns)}
+    group_of = row_extractor([positions[k] for k in gnode.keys])
+    n_aggs = len(gnode.aggs)
+    # (aggregate index, argument closure, does it keep a sum) per argument.
+    arguments = [
+        (i, compile_expr(agg.arg, positions), agg.func in ("sum", "avg"))
+        for i, agg in enumerate(gnode.aggs)
+        if agg.arg is not None
+    ]
+    for change in changes:
+        for row, sign in zip(change, (-1, +1)):
+            if row is None:
                 continue
-            value = eval_expr(agg.arg, positions, row)
-            if value is None:
-                continue
-            delta.cnts[i] += sign
-            if agg.func in ("sum", "avg"):
-                delta.sums[i] += sign * value
-
-    for pre_row, post_row in changes:
-        if pre_row is not None:
-            bump(pre_row, -1)
-        if post_row is not None:
-            bump(post_row, +1)
+            g = group_of(row)
+            delta = deltas.get(g)
+            if delta is None:
+                delta = deltas[g] = _GroupDelta(n_aggs)
+            delta.n += sign
+            for i, argument, summed in arguments:
+                value = argument(row)
+                if value is not None:
+                    delta.cnts[i] += sign
+                    if summed:
+                        delta.sums[i] += sign * value
     return deltas
 
 
@@ -542,7 +544,7 @@ class GeneralAggregateStep(Step):
         groups = self._affected_groups(ctx)
         if not groups:
             for kind, name in self.emitted.items():
-                ctx.diffs[name] = _changes_to_diff(
+                ctx.diffs[name] = changes_to_diff(
                     kind, [], out_table.schema, f"n{gnode.node_id}"
                 )
             ctx.mark_cache_updated(gnode.node_id)
@@ -584,7 +586,7 @@ class GeneralAggregateStep(Step):
         for change, kind in zip(applied, kinds):
             grouped[kind].append(change)
         for kind, name in self.emitted.items():
-            ctx.diffs[name] = _changes_to_diff(
+            ctx.diffs[name] = changes_to_diff(
                 kind, grouped[kind], out_table.schema, f"n{gnode.node_id}"
             )
         ctx.mark_cache_updated(gnode.node_id)
@@ -638,31 +640,3 @@ class GeneralAggregateStep(Step):
             f"γ-recompute n{self.gnode.node_id} [{self.gnode.label()}] "
             f"from {srcs} -> {', '.join(self.emitted.values())}"
         )
-
-
-def _changes_to_diff(kind: str, changes: list[tuple], table_schema, target: str) -> Diff:
-    """Applied (pre, post) output rows as an effective diff on *target*."""
-    non_key = table_schema.non_key_columns
-    if kind == INSERT:
-        schema = DiffSchema(INSERT, target, table_schema.key, post_attrs=non_key)
-        rows = [
-            table_schema.key_of(post) + table_schema.project(post, non_key)
-            for _, post in changes
-        ]
-    elif kind == DELETE:
-        schema = DiffSchema(DELETE, target, table_schema.key, pre_attrs=non_key)
-        rows = [
-            table_schema.key_of(pre) + table_schema.project(pre, non_key)
-            for pre, _ in changes
-        ]
-    else:
-        schema = DiffSchema(
-            UPDATE, target, table_schema.key, pre_attrs=non_key, post_attrs=non_key
-        )
-        rows = [
-            table_schema.key_of(post)
-            + table_schema.project(pre, non_key)
-            + table_schema.project(post, non_key)
-            for pre, post in changes
-        ]
-    return Diff(schema, rows)

@@ -133,17 +133,27 @@ class FreshnessTracker:
         self._log_position = seq
         self._pending.append((seq, logged_at))
 
+    def round_lags(self, entry_times: Iterable[float], now: float) -> LogHistogram:
+        """One observed-lag sample per ``logged_at`` stamp of a round's
+        entries, observed once; :meth:`note_maintained` merges the result
+        (exactly, bucket by bucket) into every view the round maintained."""
+        lags = LogHistogram(unit="seconds")
+        for logged_at in entry_times:
+            lags.observe(max(0.0, now - logged_at))
+        return lags
+
     def note_maintained(
         self,
         name: str,
         position: int,
-        entry_times: Iterable[float] = (),
+        entry_times: "Iterable[float] | LogHistogram" = (),
         now: Optional[float] = None,
     ) -> None:
         """View *name* absorbed the log up to *position*.
 
         *entry_times* are the ``logged_at`` stamps of the entries this
-        round applied; each contributes one observed-lag sample.
+        round applied — each contributes one observed-lag sample — or
+        the :meth:`round_lags` histogram already made from them.
         """
         if now is None:
             now = self.clock()
@@ -152,11 +162,14 @@ class FreshnessTracker:
             state.applied_position = position
         state.last_maintained_at = now
         state.rounds += 1
-        for logged_at in entry_times:
-            lag = max(0.0, now - logged_at)
-            state.entries_applied += 1
-            state.lag_hist.observe(lag)
-            self.observed_lag.observe(lag)
+        lags = (
+            entry_times
+            if isinstance(entry_times, LogHistogram)
+            else self.round_lags(entry_times, now)
+        )
+        state.entries_applied += lags.count
+        state.lag_hist.merge(lags)
+        self.observed_lag.merge(lags)
         self._prune()
 
     def _prune(self) -> None:

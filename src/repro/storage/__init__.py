@@ -8,7 +8,7 @@ the quantity the paper's Section 6 cost model is defined over.
 from .counters import AccessCounts, CostBreakdown, CounterSet
 from .database import Database, load_rows
 from .partition import shard_key_bytes, shard_of
-from .schema import ForeignKey, TableSchema
+from .schema import ForeignKey, TableSchema, row_extractor
 from .snapshot import (
     database_from_dict,
     database_to_dict,
@@ -30,6 +30,7 @@ __all__ = [
     "load_database",
     "save_database",
     "load_rows",
+    "row_extractor",
     "shard_key_bytes",
     "shard_of",
     "sort_rows",

@@ -49,11 +49,13 @@ class TableSchema:
         Optional declared column types, a mapping ``column -> type name``
         from :data:`COLUMN_TYPES`.  Declarative only, like *nullable*.
 
-    ``key_of(row)`` extracts the primary-key values from a row tuple.
+    ``key_of(row)`` extracts the primary-key values from a row tuple;
+    ``non_key_columns`` are the remaining columns, in schema order.
     """
 
     __slots__ = (
         "name", "columns", "key", "nullable", "types", "_positions", "key_of",
+        "non_key_columns",
     )
 
     def __init__(
@@ -111,11 +113,7 @@ class TableSchema:
         self.types = types
         self._positions = {c: i for i, c in enumerate(columns)}
         self.key_of = row_extractor([self._positions[k] for k in key])
-
-    @property
-    def non_key_columns(self) -> tuple[str, ...]:
-        key_set = set(self.key)
-        return tuple(c for c in self.columns if c not in key_set)
+        self.non_key_columns = tuple(c for c in columns if c not in key)
 
     def position(self, column: str) -> int:
         """Index of *column* in a row tuple."""
@@ -129,6 +127,18 @@ class TableSchema:
     def positions(self, columns: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.position(c) for c in columns)
 
+    def mutable_positions(self, columns: Iterable[str]) -> tuple[int, ...]:
+        """:meth:`positions` of *columns* as the targets of an update —
+        none may be a key column (immutable, like :meth:`patched`)."""
+        columns = tuple(columns)
+        for column in columns:
+            if column in self.key:
+                raise self._immutable(column)
+        return self.positions(columns)
+
+    def _immutable(self, column: str) -> SchemaError:
+        return SchemaError(f"key column {column!r} of {self.name!r} is immutable")
+
     def project(self, row: tuple, columns: Sequence[str]) -> tuple:
         """Extract the values of *columns* from *row* (in the given order)."""
         return tuple(row[self.position(c)] for c in columns)
@@ -139,9 +149,7 @@ class TableSchema:
         new = list(row)
         for column, value in changes.items():
             if column in self.key:
-                raise SchemaError(
-                    f"key column {column!r} of {self.name!r} is immutable"
-                )
+                raise self._immutable(column)
             new[self.position(column)] = value
         return tuple(new)
 

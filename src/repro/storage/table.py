@@ -10,7 +10,8 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
   identifies the target keys for one index lookup, then each
   ``write_at`` / ``delete_at`` of a located row is one tuple write;
   ``insert_checked`` (and ``insert``) is one index lookup, plus one tuple
-  write when a row is stored;
+  write when a row is stored.  ``update_many`` / ``delete_many`` /
+  ``insert_many`` apply a whole diff for the same price, charged once;
 * secondary-index maintenance does not enter the paper's cost metric — the
   paper explicitly grants the tuple-based baseline free index maintenance
   ("without counting the associated index maintenance cost", Section 7.2)
@@ -22,7 +23,10 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
   count-neutral.
 
 Every writer, counted or not, changes the rows dict and the indexes
-through ``Table._store`` / ``Table._discard`` and nothing else.
+through ``Table._store`` / ``Table._discard`` and nothing else; the bulk
+writers are loops over the two.  A bulk call on an empty batch returns
+before it resolves an index: most APPLY steps of a round carry no rows,
+and an index auto-created for them would never serve a lookup.
 
 Concurrency: a table is read and written by one thread — shards run one
 after another in the coordinator, or in worker processes that own their
@@ -244,16 +248,30 @@ class Table:
         for index in self._indexes.values():
             index.remove(key, row)
 
-    def _account(self, op: tuple, per_index: int) -> None:
-        """Tail of every counted write: *per_index* tracked entry
-        mutations in each index, the replayable *op* (or the
-        uncaptured-write audit), one tuple write."""
-        self.counters.count_index_maintenance(per_index * len(self._indexes))
+    def _account(
+        self, changes: Sequence[tuple], per_index: int, lookups: int = 0
+    ) -> None:
+        """Tail of every counted write, single or batched: *lookups*
+        index lookups, then per ``(pre, post)`` row pair of *changes*
+        (None marks an absent side) *per_index* tracked entry mutations
+        in each index, the replayable op (or the uncaptured-write audit)
+        and one tuple write."""
+        counters = self.counters
+        if lookups:
+            counters.count_index_lookup(lookups)
+        if not changes:
+            return
+        counters.count_index_maintenance(per_index * len(self._indexes) * len(changes))
         if self._capture is not None:
-            self._capture.append(op)
+            key_of = self.schema.key_of
+            self._capture.extend(
+                ("d", key_of(pre)) if post is None else ("s", key_of(post), post)
+                for pre, post in changes
+            )
         elif self._uncaptured_audit is not None:
-            self._uncaptured_audit(self.schema.name)
-        self.counters.count_tuple_write()
+            for _ in changes:
+                self._uncaptured_audit(self.schema.name)
+        counters.count_tuple_write(len(changes))
 
     # ------------------------------------------------------------------
     # counted writes: the APPLY primitives (paper Appendix A: identifying
@@ -272,56 +290,44 @@ class Table:
                     f"duplicate key {key} in relation {self.schema.name!r}"
                 )
             self._store(key, row)
-            self._account(("s", key, row), 1)
+            self._account(((None, row),), 1)
 
     def insert_checked(self, row: tuple) -> bool:
-        """Insert with the APPLY ∆+ NOT-IN guard (Section 2).
+        """:meth:`insert_many` of one row: True when it was inserted."""
+        return bool(self.insert_many((tuple(row),)))
 
-        Returns True when inserted, False when the identical row already
-        exists (several insert i-diffs may carry the same tuple).  A row
-        with the same key but *different* values signals an ineffective
-        diff set and raises :class:`IntegrityError`.
-        """
-        row = tuple(row)
-        self.schema.check_row(row)
-        key = self.schema.key_of(row)
-        self.counters.count_index_lookup()
-        with self._lock:
-            existing = self._rows.get(key)
-            if existing is not None:
-                if existing == row:
-                    return False
-                raise IntegrityError(
-                    f"insert of {row} conflicts with existing {existing} "
-                    f"in {self.schema.name!r}"
-                )
-            self._store(key, row)
-            self._account(("s", key, row), 1)
-        return True
+    def _finder(self, columns: tuple[str, ...]):
+        """``(find, lookups)``: ``find(ident)`` gives the primary keys of
+        the rows whose *columns* equal *ident* — resolved once, for one
+        ``locate`` or a whole batch — and costs *lookups* index lookups,
+        which the caller charges; 0 when no index serves *columns* and
+        ``find`` is a full scan that counts its own tuple reads."""
+        rows = self._rows
+        if columns == self.schema.key:
+            return (lambda ident: (ident,) if ident in rows else ()), 1
+        index = self._index_for(columns)
+        if index is not None:
+            return index.get, 1  # a copy: a caller's writes mutate the bucket
+        value_of = row_extractor(self.schema.positions(columns))
+
+        def scan(ident: tuple) -> list[tuple]:
+            if rows:
+                self.counters.count_tuple_read(len(rows))
+            return [key for key, row in rows.items() if value_of(row) == ident]
+
+        return scan, 0
 
     def locate(self, columns: Sequence[str], value: tuple) -> list[tuple]:
         """Primary keys of rows whose *columns* equal *value*.
 
         Costs exactly one index lookup (no tuple reads) — the
-        "identification" step of applying a diff.
+        "identification" step of applying a diff; without an index, a
+        counted full scan.
         """
-        columns = tuple(columns)
-        value = tuple(value)
-        if columns == self.schema.key:
+        find, lookups = self._finder(tuple(columns))
+        if lookups:
             self.counters.count_index_lookup()
-            return [value] if value in self._rows else []
-        index = self._index_for(columns)
-        if index is not None:
-            self.counters.count_index_lookup()
-            return list(index.get(value))
-        # No index: a counted full scan locates the rows.
-        positions = self.schema.positions(columns)
-        keys = []
-        for key, row in self._rows.items():
-            self.counters.count_tuple_read()
-            if tuple(row[i] for i in positions) == value:
-                keys.append(key)
-        return keys
+        return list(find(tuple(value)))
 
     def write_at(self, key: tuple, changes: Mapping[str, object]) -> tuple:
         """Read-modify-write the already-located row at *key*.
@@ -335,7 +341,7 @@ class Table:
             old = self._rows[key]
             new_row = self.schema.patched(old, changes)
             self._store(key, new_row, old)
-            self._account(("s", key, new_row), 2)
+            self._account(((old, new_row),), 2)
         return old
 
     def delete_at(self, key: tuple) -> tuple:
@@ -344,8 +350,94 @@ class Table:
         with self._lock:
             row = self._rows[key]
             self._discard(key, row)
-            self._account(("d", key), 1)
+            self._account(((row, None),), 1)
         return row
+
+    # ------------------------------------------------------------------
+    # bulk APPLY: one call per diff.  Each is the per-row loop above —
+    # ``locate`` + ``write_at`` / ``delete_at``, or the ∆+ NOT-IN guard —
+    # under one lock acquire, with the index resolved once and one
+    # ``_account`` tail, in a ``finally``: a batch that raises half-way
+    # has charged what its completed rows cost.  All return the
+    # (pre, post) row pairs written.
+    # ------------------------------------------------------------------
+    def update_many(
+        self,
+        columns: Sequence[str],
+        attrs: Sequence[str],
+        pairs: Sequence[tuple[tuple, tuple]],
+    ) -> list[tuple]:
+        """APPLY ∆u: per ``(ident, values)`` of *pairs*, set *attrs* to
+        *values* in every row whose *columns* equal *ident*."""
+        if not pairs:
+            return []
+        positions = self.schema.mutable_positions(attrs)
+        changes: list[tuple] = []
+        lookups = 0
+        with self._lock:
+            find, per_ident = self._finder(tuple(columns))
+            try:
+                for ident, values in pairs:
+                    lookups += per_ident
+                    for key in find(ident):
+                        old = self._rows[key]
+                        patched = list(old)
+                        for i, value in zip(positions, values):
+                            patched[i] = value
+                        new = tuple(patched)
+                        self._store(key, new, old)
+                        changes.append((old, new))
+            finally:
+                self._account(changes, 2, lookups)
+        return changes
+
+    def delete_many(self, columns: Sequence[str], idents: Sequence[tuple]) -> list[tuple]:
+        """APPLY ∆−: delete every row whose *columns* equal one of *idents*."""
+        if not idents:
+            return []
+        changes: list[tuple] = []
+        lookups = 0
+        with self._lock:
+            find, per_ident = self._finder(tuple(columns))
+            try:
+                for ident in idents:
+                    lookups += per_ident
+                    for key in find(ident):
+                        old = self._rows[key]
+                        self._discard(key, old)
+                        changes.append((old, None))
+            finally:
+                self._account(changes, 1, lookups)
+        return changes
+
+    def insert_many(self, rows: Sequence[tuple]) -> list[tuple]:
+        """APPLY ∆+ with its NOT-IN guard (Section 2): insert each of
+        *rows* (tuples in schema order) unless the identical row is
+        stored already — several insert i-diffs may carry the same
+        tuple.  A row with the same key but *different* values signals
+        an ineffective diff set and raises :class:`IntegrityError`.
+        """
+        changes: list[tuple] = []
+        lookups = 0
+        key_of = self.schema.key_of
+        with self._lock:
+            try:
+                for row in rows:
+                    self.schema.check_row(row)
+                    lookups += 1
+                    key = key_of(row)
+                    existing = self._rows.get(key)
+                    if existing is None:
+                        self._store(key, row)
+                        changes.append((None, row))
+                    elif existing != row:
+                        raise IntegrityError(
+                            f"insert of {row} conflicts with existing {existing} "
+                            f"in {self.schema.name!r}"
+                        )
+            finally:
+                self._account(changes, 1, lookups)
+        return changes
 
     # ------------------------------------------------------------------
     # write-set capture and replay (process shard workers)

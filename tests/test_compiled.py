@@ -17,9 +17,11 @@ import pytest
 
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
-from repro.core.compile import CompiledComputeDiffStep, compile_script, script_for
+from repro.core.compile import CompiledComputeDiffStep, compile_script, compile_step, script_for
 from repro.core.diffs import INSERT, ColumnarDiff, Diff, DiffSchema
 from repro.core.engine import EXEC_BACKENDS
+from repro.core.ir import DiffSource
+from repro.core.ir_exec import IrContext
 from repro.core.script import ComputeDiffStep
 from repro.errors import DiffError
 from repro.workloads import (
@@ -160,6 +162,38 @@ class TestBackendSelection:
             else:
                 assert new is old  # APPLY/aggregate steps are shared
         assert swapped > 0
+
+
+class TestIdentityStep:
+    """``d2 := ∆[d1]`` with the same columns passes the validated rows on."""
+
+    @staticmethod
+    def _run(source: Diff) -> Diff:
+        target = source.schema.rename_target("up")
+        step = compile_step(
+            ComputeDiffStep("d2", target, DiffSource("d1", target), "view_diff")
+        )
+        ctx = IrContext(None, None, diffs={"d1": source})
+        step.run(ctx)
+        return ctx.diffs["d2"]
+
+    def test_rebinds_rows_without_revalidating(self):
+        source = Diff(_schema(), [(1, "x", 2), (2, "y", 3)])
+        out = self._run(source)
+        assert out.rows is source.rows and out.schema.target == "up"
+        assert isinstance(out, ColumnarDiff) and len(out) == 2
+
+    def test_other_ids_are_revalidated(self):
+        # Same columns, but the source was deduplicated on (k, a), not (k,).
+        loose = DiffSchema(INSERT, "t", ("k", "a__post"), (), ("b",))
+        assert loose.columns == _schema().columns
+        source = Diff(loose, [(1, "x", 2), (1, "y", 3)])
+        step = compile_step(
+            ComputeDiffStep("d2", _schema(), DiffSource("d1", _schema()), "view_diff")
+        )
+        ctx = IrContext(None, None, diffs={"d1": source})
+        with pytest.raises(DiffError):
+            step.run(ctx)
 
 
 # ----------------------------------------------------------------------

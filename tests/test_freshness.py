@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core import IdIvmEngine
 from repro.obs.freshness import FreshnessTracker
+from repro.obs.hist import LogHistogram
 from repro.sql import sql_to_plan
 from repro.storage import Database
 
@@ -132,6 +133,38 @@ class TestEngineIntegration:
         assert engine.freshness.staleness("V").rounds == 2
         assert engine.freshness.lag_histogram("V").count == 3
         assert engine.freshness.log_position == 3
+
+    def test_three_view_round_equals_the_per_entry_path(self):
+        """The round's lags are observed once and merged into every view;
+        what each histogram holds is what per-entry observation gave."""
+        db = _demo_db()
+        engine = IdIvmEngine(db)
+        clock = engine.freshness.clock = FakeClock()
+        for name in "ABC":
+            engine.define_view(name, sql_to_plan(db, "SELECT pid, price FROM parts"))
+        stamps = []
+        for i, (pid, price) in enumerate([("P1", 11), ("P2", 21), ("P1", 12), ("P2", 22)]):
+            clock.advance(0.7 * (i + 1))
+            stamps.append(clock.now)
+            engine.log.update("parts", (pid,), {"price": price})
+        engine.log.update("parts", ("P1",), {"price": 13})  # lag 0: the zero bucket
+        stamps.append(clock.now)
+        engine.maintain()
+        per_view, overall = LogHistogram(), LogHistogram()
+        for hist, repeats in ((per_view, 1), (overall, 3)):
+            for _ in range(repeats):
+                for logged_at in stamps:
+                    hist.observe(clock.now - logged_at)
+        tracker = engine.freshness
+        pairs = [(tracker.lag_histogram(name), per_view) for name in "ABC"]
+        for got, expected in pairs + [(tracker.observed_lag, overall)]:
+            assert (got.count, got.buckets, got.zero_count, got.min, got.max) == (
+                expected.count, expected.buckets, expected.zero_count,
+                expected.min, expected.max,
+            )
+        # an iterable of stamps is still accepted, one sample each
+        tracker.note_maintained("A", tracker.log_position, iter(stamps))
+        assert tracker.lag_histogram("A").count == 2 * len(stamps)
 
     def test_modlog_entries_carry_seq_and_logged_at(self):
         db = _demo_db()

@@ -6,6 +6,8 @@ whatever rules the engine applies per view.
 
 from __future__ import annotations
 
+import pickle
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -14,6 +16,8 @@ from repro.algebra import evaluate_plan, where
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine, sdbt, tuple_ivm
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
 from repro.core.engine import MaintenanceEngine
+from repro.core.rules.aggregate import AssociativeAggregateStep
+from repro.core.script import ApplyDiffStep
 from repro.errors import StaticAnalysisError
 from repro.expr import col
 from repro.obs import (
@@ -25,12 +29,14 @@ from repro.obs import (
     validate_trace,
     write_trace,
 )
-from repro.storage import Database
+from repro.shard import build_blueprint
+from repro.storage import Database, Table
 from repro.workloads import (
     DevicesConfig,
     apply_price_updates,
     build_aggregate_view,
     build_devices_database,
+    build_flat_view,
 )
 
 CONFIG = DevicesConfig(n_parts=60, n_devices=60, diff_size=12)
@@ -147,3 +153,75 @@ def test_eager_engine_passes_constructor_options_through():
     engine.update("parts", ("P0",), {"price": 4242})
     assert len(engine.rounds) == 1
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+BIG = DevicesConfig(n_parts=500, n_devices=120, diff_size=400)
+COUNTED_WRITERS = (
+    "update_many", "insert_many", "delete_many",
+    "insert", "insert_checked", "write_at", "delete_at",
+)
+
+
+def _big_round(**engine_options):
+    """A 400-update round over the flat view V and the aggregate view V′."""
+    db = build_devices_database(BIG)
+    engine = IdIvmEngine(db, **engine_options)
+    engine.define_view("V", build_flat_view(db, BIG))
+    engine.define_view("Vagg", build_aggregate_view(db, BIG))
+    apply_price_updates(engine, db, BIG)
+    return db, engine
+
+
+def test_round_is_batched_by_call_count():
+    """One counted ``Table`` write call per APPLY step and one per γ
+    flush: the calls are bounded by the script, not by the rows written."""
+    db, engine = _big_round()
+    calls: list[str] = []
+
+    def spy(name):
+        real = getattr(Table, name)
+
+        def writer(self, *args, **kwargs):
+            calls.append(name)
+            return real(self, *args, **kwargs)
+
+        return writer
+
+    with ExitStack() as stack:
+        for name in COUNTED_WRITERS:
+            stack.enter_context(mock.patch.object(Table, name, spy(name)))
+        reports = engine.maintain()
+    steps = [step for view in engine.views.values() for step in view.script.steps]
+    batched = [
+        s for s in steps if isinstance(s, (ApplyDiffStep, AssociativeAggregateStep))
+    ]
+    writes = sum(r.phase_counts["__total__"].tuple_writes for r in reports.values())
+    assert writes > 10 * len(steps)
+    assert 0 < len(calls) <= len(batched) <= len(steps)
+    assert set(calls) <= {"update_many", "insert_many", "delete_many"}
+    # ... and the same accesses, phase by phase, as the reference executor.
+    _, reference = _big_round(exec_backend="interp")
+    expected = reference.maintain()
+    for name, view in engine.views.items():
+        assert reports[name].phase_counts == expected[name].phase_counts
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+def test_blueprint_pickles_after_a_round_has_run():
+    """The stored script's step objects travel in every worker blueprint:
+    whatever a round lowers (γ argument closures, exec plans) must not
+    stick to them.  A view defined after round 1 re-boots the pool."""
+    db = build_devices_database(CONFIG)
+    engine = ShardedEngine(db, shards=2, backend="process")
+    try:
+        engine.define_view("V", build_aggregate_view(db, CONFIG))
+        apply_price_updates(engine, db, CONFIG)
+        engine.maintain()
+        pickle.dumps(build_blueprint(engine.db, engine.views, engine.exec_backend))
+        engine.define_view("W", build_flat_view(db, CONFIG))
+        apply_price_updates(engine, db, CONFIG, round_seed=1)
+        engine.maintain()
+        for view in engine.views.values():
+            assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+    finally:
+        engine.close()

@@ -13,6 +13,8 @@ from repro.core.rules.aggregate import (
     AssociativeAggregateStep,
     GeneralAggregateStep,
     OpCacheSpec,
+    apply_group_deltas,
+    group_deltas_from_changes,
 )
 from repro.core.rules.union import propagate_union
 from repro.algebra.evaluate import evaluate_plan, materialize
@@ -173,6 +175,44 @@ class TestAssociativeStep:
             [Diff(upd, [(1, "a", 5, 6)]), Diff(upd, [(2, "a", 7, 8)])],
         )
         assert ("a", 14) in out.as_set()
+
+
+    def test_queued_updates_keep_the_write_order(self, db):
+        """Live groups whose bookkeeping does not move are written in one
+        batch, flushed before every group creation / deletion: same rows,
+        same order of writes, same accesses as one write per group."""
+        db.table("m").load([(4, "c", 1), (5, "d", 3)])
+        plan, out, opc = _setup_aggregate(
+            db, [("sum", col("v"), "s"), ("count", None, "n")]
+        )
+        changes = [
+            ((1, "a", 5), (1, "a", 6)),    # a: sum moves
+            (None, (9, "e", 4)),           # e: group created
+            ((3, "b", 2), (3, "b", 9)),    # b: sum moves
+            ((4, "c", 1), None),           # c: last row gone, group deleted
+            ((5, "d", 3), (5, "d", 0)),    # d: sum moves
+            ((2, "a", 7), (2, "a", 8)),    # a again: folded into one write
+        ]
+        db.counters.reset()
+        sink = out.begin_capture()
+        deltas = group_deltas_from_changes(plan, changes)
+        assert list(deltas) == [("a",), ("e",), ("b",), ("c",), ("d",)]
+        applied, kinds = apply_group_deltas(plan, deltas, out, opc)
+        assert kinds == [UPDATE, INSERT, UPDATE, DELETE, UPDATE]
+        assert applied == [
+            (("a", 12, 2), ("a", 14, 2)), (None, ("e", 4, 1)),
+            (("b", 2, 1), ("b", 9, 1)), (("c", 1, 1), None),
+            (("d", 3, 1), ("d", 0, 1)),
+        ]
+        assert [op[:2] for op in out.end_capture()] == [
+            ("s", ("a",)), ("s", ("e",)), ("s", ("b",)), ("d", ("c",)), ("s", ("d",)),
+        ]
+        assert opc.as_set() == {("a", 2, 2), ("b", 1, 1), ("d", 1, 1), ("e", 1, 1)}
+        total = db.counters.total
+        # Output: a lookup and a write per group, and the NOT-IN probe of
+        # e's insert.  Opcache: e probed (absent) and inserted behind its
+        # own probe, c probed (found) and deleted; a, b, d untouched.
+        assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == (9, 1, 7)
 
 
 class TestGeneralStep:

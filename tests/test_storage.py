@@ -563,3 +563,152 @@ class TestOneWritePath:
         assert list(replica._rows) == list(table._rows)  # same insertion order
         for columns in table.index_columns():
             assert replica._indexes[columns].buckets == table._indexes[columns].buckets
+
+
+# ----------------------------------------------------------------------
+# bulk APPLY writers vs the per-row loop they replace in core/apply.py
+# ----------------------------------------------------------------------
+def update_rows(table: Table, columns, attrs, pairs) -> list[tuple]:
+    """The per-row APPLY ∆u loop: ``locate`` then ``write_at``."""
+    out = []
+    for ident, values in pairs:
+        for key in table.locate(columns, ident):
+            old = table.write_at(key, dict(zip(attrs, values)))
+            out.append((old, table.get_uncounted(key)))
+    return out
+
+
+def delete_rows(table: Table, columns, idents) -> list[tuple]:
+    """The per-row APPLY ∆− loop: ``locate`` then ``delete_at``."""
+    out = []
+    for ident in idents:
+        for key in table.locate(columns, ident):
+            out.append((table.delete_at(key), None))
+    return out
+
+
+def insert_rows(table: Table, rows) -> list[tuple]:
+    """The per-row APPLY ∆+ loop: ``insert_checked``."""
+    return [(None, row) for row in rows if table.insert_checked(row)]
+
+
+small = st.integers(0, 3)
+# (writer, ID columns, updated attributes): keys, an indexed column, an
+# indexed pair, and ("b",) — no index, so auto-created or scanned; the
+# update of ("a", "b") by ("a",) moves rows between the buckets probed.
+BULK_SHAPES = (
+    [("update", c, a) for c in (("k",), ("a",), ("a", "b"), ("b",)) for a in (("b",), ("a", "b"))]
+    + [("delete", c, ()) for c in (("k",), ("a",), ("a", "b"), ("b",))]
+    + [("insert", ("k",), ())]
+)
+bulk_ops = st.lists(
+    st.tuples(
+        st.sampled_from(BULK_SHAPES),
+        st.lists(st.tuples(small, small, small), max_size=6),  # may repeat an ident
+    ),
+    min_size=1, max_size=4,
+)
+
+
+class TestBulkWriters:
+    """``update_many`` / ``delete_many`` / ``insert_many`` against the
+    per-row ``locate`` + ``write_at`` / ``delete_at`` / ``insert_checked``
+    loops on an identically built table."""
+
+    @staticmethod
+    def build(initial, auto_index: bool, capture: bool):
+        table = Table(TableSchema("r", ("k", "a", "b"), ("k",)), auto_index=auto_index)
+        table.create_index(("a",))
+        table.create_index(("a", "b"))
+        table.load(dict((row[0], row) for row in initial).values())
+        audited: list[str] = []
+        sink = table.begin_capture() if capture else None
+        table.audit_uncaptured(audited.append)
+        return table, sink, audited
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), small, small), max_size=6),
+        st.booleans(), st.booleans(), bulk_ops,
+    )
+    def test_bulk_equals_the_per_row_loop(self, initial, auto_index, capture, ops):
+        # Two tables with one history: a bucket's iteration order is a
+        # function of its history, and both paths iterate a copy of it.
+        bulk, bulk_sink, bulk_audited = self.build(initial, auto_index, capture)
+        ref, ref_sink, ref_audited = self.build(initial, auto_index, capture)
+        for (writer, columns, attrs), batch in ops:
+            idents = [row[: len(columns)] for row in batch]
+            calls = {
+                "update": (
+                    lambda t: t.update_many(
+                        columns, attrs, [(i, r[-len(attrs):]) for i, r in zip(idents, batch)]
+                    ),
+                    lambda t: update_rows(
+                        t, columns, attrs, [(i, r[-len(attrs):]) for i, r in zip(idents, batch)]
+                    ),
+                ),
+                "delete": (
+                    lambda t: t.delete_many(columns, idents),
+                    lambda t: delete_rows(t, columns, idents),
+                ),
+                "insert": (lambda t: t.insert_many(batch), lambda t: insert_rows(t, batch)),
+            }[writer]
+            indexes_before = bulk.index_columns()
+            counts_before = bulk.counters.snapshot()
+            results = []
+            for table, call in zip((bulk, ref), calls):
+                with table.counters.phase("view_update"):
+                    try:
+                        results.append(call(table))
+                    except IntegrityError as exc:  # a conflicting insert mid-batch
+                        results.append(type(exc))
+            assert results[0] == results[1], (writer, columns, batch)
+            if not batch:
+                assert bulk.index_columns() == indexes_before
+                assert bulk.counters.snapshot() == counts_before
+            assert list(bulk._rows.items()) == list(ref._rows.items())
+            assert bulk.index_columns() == ref.index_columns()
+            for columns_, index in bulk._indexes.items():
+                assert index.buckets == ref._indexes[columns_].buckets
+            assert bulk.counters.snapshot() == ref.counters.snapshot(), (writer, columns, batch)
+            assert bulk_sink == ref_sink
+            assert bulk_audited == ref_audited
+            assert check_table(bulk, writer) == []
+
+    def test_empty_batch_resolves_no_index(self, parts):
+        """Most APPLY steps of a round carry an empty diff; the per-row
+        loop never probed for them, so no index may appear."""
+        assert parts.update_many(("price",), ("price",), []) == []
+        assert parts.delete_many(("price",), []) == []
+        assert parts.insert_many([]) == []
+        assert parts.index_columns() == []
+        assert parts.counters.total == CounterSet().total
+        assert parts.counters.phases == {}
+
+    def test_scans_without_an_index(self):
+        """``auto_index=False``: a batch keeps ``locate``'s counted scan."""
+        table = Table(TableSchema("r", ("k", "a"), ("k",)), auto_index=False)
+        table.load([(1, "x"), (2, "y"), (3, "x")])
+        written = table.delete_many(("a",), [("x",), ("x",), ("z",)])
+        assert written == [((1, "x"), None), ((3, "x"), None)]
+        assert table.index_columns() == []
+        total = table.counters.total
+        # scans of 3, 1 and 1 rows; no index to look up
+        assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == (0, 5, 2)
+
+    def test_key_columns_are_immutable(self, parts):
+        sink = parts.begin_capture()
+        with pytest.raises(SchemaError):
+            parts.update_many(("pid",), ("pid",), [(("P1",), ("P9",))])
+        assert sink == [] and parts.counters.total == CounterSet().total
+        assert parts.get_uncounted(("P1",)) == ("P1", 10)
+
+    def test_conflicting_insert_charges_the_rows_before_it(self, parts):
+        sink = parts.begin_capture()
+        with pytest.raises(IntegrityError):
+            parts.insert_many([("P4", 40), ("P1", 10), ("P2", 99), ("P5", 50)])
+        assert sink == [("s", ("P4",), ("P4", 40))]
+        assert parts.get_uncounted(("P5",)) is None
+        total = parts.counters.total
+        # P4 stored, P1 identical (skipped), P2 conflicts: three probes, one write
+        assert (total.index_lookups, total.tuple_writes) == (3, 1)
