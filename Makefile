@@ -51,8 +51,8 @@ bench-compare:
 
 # Perf-regression gate: re-run the fast access-count benchmarks and
 # diff each fresh BENCH_*.json against benchmarks/baselines/.  Access
-# counts must match exactly (they are deterministic); wall times gate
-# with a one-sided slack factor (REPRO_PERF_GATE_SLACK, default 3x).
+# counts must match exactly (they are deterministic); wall-clock fields
+# must be present and their values are never compared.
 PERF_GATE_BENCHES = \
     benchmarks/bench_table2_spj_costs.py \
     benchmarks/bench_table3_agg_costs.py \
@@ -85,7 +85,9 @@ lint-catalog:
 # path (storage/table.py) — only it and the crosscheck invariants that
 # audit it may name another object's rows dict or index map; and APPLY
 # is one bulk `Table` call per diff (core/apply.py) — the per-row
-# primitives are for the baselines and the γ group-creation path.
+# primitives are for the baselines and the γ group-creation path; and
+# there is one i-diff batch class (core/diffs.py `Diff`, no subclass)
+# and one statement loop (core/script.py `execute_script`, no twin).
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -97,6 +99,12 @@ lint-static:
 	    exit 1; fi
 	@if grep -nE '\b(write_at|delete_at|insert_checked|locate)\(' src/repro/core/apply.py; then \
 	    echo "per-row Table write in core/apply.py: use update_many / insert_many / delete_many"; \
+	    exit 1; fi
+	@if grep -rnE 'class +\w+\((\w+\.)?Diff\)' src/repro --include='*.py'; then \
+	    echo "second i-diff batch class: Diff is the one batch type (Diff.trusted adopts validated rows)"; \
+	    exit 1; fi
+	@if [ "$$(grep -cE 'def +\w*execute_script' src/repro/core/script.py)" != 1 ]; then \
+	    echo "core/script.py must hold exactly one execute_script: tracing is a branch of its loop, not a twin"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

@@ -27,7 +27,6 @@ from repro.bench import (
     sweep_point_to_dict,
     system_result_to_dict,
 )
-from repro.bench.perfgate import DEFAULT_WALL_SLACK
 from repro.core import IdIvmEngine
 from repro.storage import AccessCounts
 from repro.workloads import (
@@ -128,11 +127,8 @@ def write_bench_json(name: str, data: object) -> Path:
     if os.environ.get("REPRO_PERF_GATE"):
         # Perf-regression gate: access-count metrics must match the
         # committed baseline exactly (they are deterministic); wall
-        # times only canary gross slowdowns via a slack factor.
-        slack = float(
-            os.environ.get("REPRO_PERF_GATE_SLACK", DEFAULT_WALL_SLACK)
-        )
-        violations = run_gate(name, json.loads(text), BASELINES_DIR, slack)
+        # times are not compared.
+        violations = run_gate(name, json.loads(text), BASELINES_DIR)
         if violations:
             pytest.fail(
                 f"perf gate: BENCH_{name}.json regressed vs "

@@ -6,8 +6,8 @@ counts — which is **deterministic** for a fixed configuration: the same
 writes on every machine.  So the gate can hold those to *exact*
 equality against a committed baseline (``benchmarks/baselines/``): any
 drift is a real plan/executor change, intended or not.  Wall-clock
-fields are machine-dependent noise and only gate with a generous
-one-sided slack factor, as a canary for gross slowdowns.
+fields are machine-dependent noise: they must be present, and their
+values are never compared (timing evidence is ``make bench-compare``).
 
 Wired in :mod:`benchmarks.conftest`: when ``REPRO_PERF_GATE`` is set,
 ``write_bench_json`` compares the fresh payload against the baseline
@@ -20,21 +20,10 @@ import json
 from pathlib import Path
 from typing import Optional
 
-#: Default one-sided slack for wall-clock fields: fresh may be up to
-#: this factor above baseline before the gate trips.  Overridable via
-#: the ``REPRO_PERF_GATE_SLACK`` environment variable.
-DEFAULT_WALL_SLACK = 3.0
-
-#: Wall times below this many seconds never gate — at that scale the
-#: measurement is dominated by scheduler noise, not by the benchmark.
-WALL_FLOOR_SECONDS = 0.05
-
-#: Keys holding machine-dependent timings (slack-gated, not exact).
-_WALL_KEYS = frozenset({"wall_seconds"})
-
-#: Keys describing the machine a payload was produced on, or ratios
-#: derived from wall clocks — incomparable across hosts, never gated.
-_MACHINE_KEYS = frozenset({"effective_cpus", "wall_speedup"})
+#: Keys whose values depend on the machine a payload was produced on —
+#: wall clocks, ratios derived from them, the CPU count.  Held to be
+#: present on both sides, never compared.
+_MACHINE_KEYS = frozenset({"wall_seconds", "effective_cpus", "wall_speedup"})
 
 #: Top-level envelope keys that are volatile by construction — run
 #: provenance (git SHA, timestamp) and the final metrics-registry
@@ -43,14 +32,10 @@ _MACHINE_KEYS = frozenset({"effective_cpus", "wall_speedup"})
 #: telemetry a benchmark wants gated belongs in its ``data`` payload.
 _ENVELOPE_VOLATILE = frozenset({"provenance", "metrics"})
 
-#: Wall-clock histogram dict fields compared with the slack factor;
-#: everything else value-ish (buckets, zero_count, min) is skipped —
-#: bucket boundaries move with the machine, and smaller/faster is fine.
-_WALL_HIST_SLACK_KEYS = ("sum", "max", "mean", "p50", "p95", "p99")
-
-#: Wall-clock histogram dict fields still held exactly: the observation
+#: Wall-clock histogram dict fields held exactly: the observation
 #: *count* is a workload fact (rounds run, entries applied), not a
-#: timing.
+#: timing.  Every other field (sums, percentiles, buckets) moves with
+#: the machine and is not compared.
 _WALL_HIST_EXACT_KEYS = ("type", "unit", "count")
 
 
@@ -63,68 +48,44 @@ def _is_wall_hist(value: object) -> bool:
     )
 
 
-def _gate_wall_hist(
-    baseline: dict, fresh: dict, wall_slack: float, path: str
-) -> list[str]:
-    violations: list[str] = []
-    for key in _WALL_HIST_EXACT_KEYS:
-        if baseline.get(key) != fresh.get(key):
-            violations.append(
-                f"{path}.{key}: {baseline.get(key)!r} -> {fresh.get(key)!r}"
-            )
-    for key in _WALL_HIST_SLACK_KEYS:
-        b, f = baseline.get(key), fresh.get(key)
-        if b is None or f is None:
-            continue
-        violations.extend(_gate_wall(b, f, wall_slack, f"{path}.{key}"))
-    return violations
+def _gate_wall_hist(baseline: dict, fresh: dict, path: str) -> list[str]:
+    return [
+        f"{path}.{key}: {baseline.get(key)!r} -> {fresh.get(key)!r}"
+        for key in _WALL_HIST_EXACT_KEYS
+        if baseline.get(key) != fresh.get(key)
+    ]
 
 
-def compare_payloads(
-    baseline: object,
-    fresh: object,
-    wall_slack: float = DEFAULT_WALL_SLACK,
-    _path: str = "$",
-) -> list[str]:
+def compare_payloads(baseline: object, fresh: object, _path: str = "$") -> list[str]:
     """Diff a fresh benchmark payload against its baseline.
 
     Returns a list of human-readable violations (empty = gate passes).
-    Numbers compare exactly except under a wall-clock key; shape
+    Numbers compare exactly except under a machine-dependent key; shape
     mismatches (missing/extra keys, list lengths, type changes) are
     violations too — a benchmark that silently stops reporting a metric
     must not pass the gate.
     """
     violations: list[str] = []
     if _is_wall_hist(baseline) and _is_wall_hist(fresh):
-        return _gate_wall_hist(baseline, fresh, wall_slack, _path)
+        return _gate_wall_hist(baseline, fresh, _path)
     if isinstance(baseline, dict) and isinstance(fresh, dict):
         for key in sorted(baseline.keys() | fresh.keys()):
             here = f"{_path}.{key}"
             if _path == "$" and key in _ENVELOPE_VOLATILE:
                 continue
-            if key in _MACHINE_KEYS:
-                continue
             if key not in fresh:
                 violations.append(f"{here}: missing from fresh payload")
             elif key not in baseline:
                 violations.append(f"{here}: not in baseline (refresh baselines?)")
-            elif key in _WALL_KEYS:
-                violations.extend(
-                    _gate_wall(baseline[key], fresh[key], wall_slack, here)
-                )
-            else:
-                violations.extend(
-                    compare_payloads(baseline[key], fresh[key], wall_slack, here)
-                )
+            elif key not in _MACHINE_KEYS:
+                violations.extend(compare_payloads(baseline[key], fresh[key], here))
     elif isinstance(baseline, list) and isinstance(fresh, list):
         if len(baseline) != len(fresh):
             violations.append(
                 f"{_path}: length {len(baseline)} -> {len(fresh)}"
             )
         for i, (b, f) in enumerate(zip(baseline, fresh)):
-            violations.extend(
-                compare_payloads(b, f, wall_slack, f"{_path}[{i}]")
-            )
+            violations.extend(compare_payloads(b, f, f"{_path}[{i}]"))
     elif isinstance(baseline, bool) or isinstance(fresh, bool) or not (
         isinstance(baseline, (int, float)) and isinstance(fresh, (int, float))
     ):
@@ -135,22 +96,6 @@ def compare_payloads(
             f"{_path}: access/count metric changed {baseline} -> {fresh}"
         )
     return violations
-
-
-def _gate_wall(
-    baseline: object, fresh: object, wall_slack: float, path: str
-) -> list[str]:
-    if not isinstance(baseline, (int, float)) or not isinstance(
-        fresh, (int, float)
-    ):
-        return [f"{path}: non-numeric wall time {baseline!r} -> {fresh!r}"]
-    allowed = wall_slack * max(float(baseline), WALL_FLOOR_SECONDS)
-    if float(fresh) > allowed:
-        return [
-            f"{path}: wall time {fresh:.4f}s exceeds "
-            f"{wall_slack:g}x baseline ({baseline:.4f}s; allowed {allowed:.4f}s)"
-        ]
-    return []
 
 
 def baseline_path(name: str, baselines_dir: Path) -> Path:
@@ -164,12 +109,7 @@ def load_baseline(name: str, baselines_dir: Path) -> Optional[dict]:
     return json.loads(path.read_text())
 
 
-def run_gate(
-    name: str,
-    fresh_payload: dict,
-    baselines_dir: Path,
-    wall_slack: float = DEFAULT_WALL_SLACK,
-) -> list[str]:
+def run_gate(name: str, fresh_payload: dict, baselines_dir: Path) -> list[str]:
     """Gate one benchmark's fresh payload; list of violations.
 
     A missing baseline is itself a violation: every benchmark in the
@@ -182,4 +122,4 @@ def run_gate(
             f"no committed baseline {baseline_path(name, baselines_dir)}; "
             "copy the fresh BENCH json there to (re)baseline"
         ]
-    return compare_payloads(baseline, fresh_payload, wall_slack)
+    return compare_payloads(baseline, fresh_payload)

@@ -9,7 +9,7 @@ every one of those decisions once at view-definition time and emits one
 Python closure per :class:`~repro.core.script.ComputeDiffStep` —
 pre-resolved attribute offsets, fused filter/probe loops, compiled
 predicate closures, direct counted ``Table.lookup`` loops against valid
-caches and base-table scans — producing :class:`ColumnarDiff` batches.
+caches and base-table scans — producing the rows of a :class:`Diff`.
 
 Count invariance is the contract: a compiled closure performs *exactly*
 the counted accesses (``index_lookups`` / ``tuple_reads`` /
@@ -55,7 +55,7 @@ from ..expr.ast import (
     Or,
 )
 from ..expr.eval import _ARITH_OPS, compare
-from .diffs import ColumnarDiff
+from .diffs import Diff
 from .ir import (
     PRE,
     SUB_PREFIX,
@@ -566,8 +566,8 @@ class CompiledComputeDiffStep(ComputeDiffStep):
     — the analysis passes (script-safety, typecheck, shard routing), the
     symbolic cost walker, tracing labels and ``describe()`` all read the
     retained ``name`` / ``schema`` / ``ir`` attributes.  Only ``run``
-    changes: it invokes the closure and validates the produced rows into
-    a :class:`ColumnarDiff` with ``Diff``'s exact dedup semantics.
+    changes: it invokes the closure and validates the produced rows
+    through ``Diff``'s constructor.
 
     Not picklable (it closes over bound methods and local state); shard
     workers recompile locally from the shipped interpretable script.
@@ -584,7 +584,7 @@ class CompiledComputeDiffStep(ComputeDiffStep):
             else None
         )
 
-    def run(self, ctx: IrContext) -> None:
+    def run(self, ctx: IrContext) -> int:
         source = ctx.diffs.get(self._renames) if self._renames is not None else None
         schema = self.schema
         if (
@@ -594,9 +594,11 @@ class CompiledComputeDiffStep(ComputeDiffStep):
         ):
             # Same columns, same IDs: the rows were validated and
             # deduplicated on exactly these IDs when *source* was built.
-            ctx.diffs[self.name] = ColumnarDiff(schema, rows=source.rows)
+            diff = Diff.trusted(schema, source.rows)
         else:
-            ctx.diffs[self.name] = ColumnarDiff.from_rows(self.schema, self._fn(ctx))
+            diff = Diff(schema, self._fn(ctx))
+        ctx.diffs[self.name] = diff
+        return len(diff.rows)
 
 
 def _driving_sources(node: IrNode) -> Optional[set[str]]:

@@ -136,31 +136,51 @@ class Diff:
 
     The ID attributes form the primary key of the diff (Section 2 remark);
     exact duplicate rows are merged, conflicting rows with equal IDs are
-    rejected.
+    rejected.  Rows are validated once, by the constructor; code that
+    re-binds or subsets the rows of a validated diff on the same IDs
+    uses :meth:`trusted`.
     """
 
     __slots__ = ("schema", "rows")
 
     def __init__(self, schema: DiffSchema, rows: Iterable[tuple] = ()):
         self.schema = schema
+        if not isinstance(rows, list):
+            rows = list(rows)
+        if not rows:
+            # The dominant case per maintenance round: most steps of a
+            # large script see no matching modifications.
+            self.rows = rows
+            return
         deduped: dict[tuple, tuple] = {}
+        lookup = deduped.get
         n_ids = len(schema.id_attrs)
         n_cols = len(schema.columns)
         for row in rows:
-            row = tuple(row)
             if len(row) != n_cols:
                 raise DiffError(
                     f"diff row arity {len(row)} != schema arity {n_cols} for {schema!r}"
                 )
             key = row[:n_ids]
-            existing = deduped.get(key)
-            if existing is not None and existing != row:
+            existing = lookup(key)
+            if existing is None:
+                deduped[key] = row
+            elif existing != row:
                 raise DiffError(
                     f"conflicting diff rows for ID {key} in {schema!r}: "
                     f"{existing} vs {row}"
                 )
-            deduped[key] = row
         self.rows = list(deduped.values())
+
+    @classmethod
+    def trusted(cls, schema: DiffSchema, rows: list[tuple]) -> "Diff":
+        """Adopt *rows* as they are: a list of tuples of *schema*'s arity
+        already known unique on its IDs (the rows, or a subset of the
+        rows, of a diff validated on those IDs).  Shared, not copied."""
+        diff = cls.__new__(cls)
+        diff.schema = schema
+        diff.rows = rows
+        return diff
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -190,116 +210,10 @@ class Diff:
     def from_relation(cls, schema: DiffSchema, relation: Relation) -> "Diff":
         """Build a diff from any relation with compatible column names."""
         idx = [relation.position(c) for c in schema.columns]
-        return cls(schema, (tuple(r[i] for i in idx) for r in relation.rows))
+        return cls(schema, [tuple(r[i] for i in idx) for r in relation.rows])
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"Diff({self.schema!r}, {len(self.rows)} rows)"
-
-
-class ColumnarDiff(Diff):
-    """An i-diff instance stored columnar: one list per diff column.
-
-    This is the batch representation the compiled execution backend and
-    the :mod:`repro.core.wire` shard codec share — a wire document's
-    ``cols`` lists can become a diff (and vice versa) without
-    re-materializing row tuples.  Row tuples are produced lazily on
-    first access and cached, so a diff that a ∆-script never reads
-    costs nothing beyond its column lists; a diff built row-first
-    (``from_rows``) materializes columns only if it is wire-encoded.
-
-    Duck- and isinstance-compatible with :class:`Diff`: ``schema``,
-    ``rows``, the row accessors and ``as_relation`` behave identically.
-    """
-
-    __slots__ = ("_cols", "_row_cache", "_n")
-
-    def __init__(self, schema: DiffSchema, columns=None, rows=None):
-        # Deliberately does not chain to Diff.__init__: validation is the
-        # classmethods' job (from_rows validates, from_wire_columns
-        # trusts the encoder, which validated at construction time).
-        self.schema = schema
-        self._cols = columns
-        self._row_cache = rows
-        self._n = len(rows) if rows is not None else (len(columns[0]) if columns else 0)
-
-    @property
-    def rows(self) -> list[tuple]:
-        if self._row_cache is None:
-            cols = self._cols
-            self._row_cache = list(zip(*cols)) if self._n else []
-        return self._row_cache
-
-    def column_data(self) -> list[list]:
-        """Per-column value lists (the wire layout), materialized once."""
-        if self._cols is None:
-            n_cols = len(self.schema.columns)
-            cols: list[list] = [[] for _ in range(n_cols)]
-            for row in self._row_cache:
-                for i in range(n_cols):
-                    cols[i].append(row[i])
-            self._cols = cols
-        return self._cols
-
-    def __len__(self) -> int:
-        return self._n
-
-    def is_empty(self) -> bool:
-        return not self._n
-
-    @classmethod
-    def from_rows(cls, schema: DiffSchema, rows: Iterable[tuple]) -> "ColumnarDiff":
-        """Build from row tuples with :class:`Diff`'s exact validation
-        (arity check, duplicate merge, conflicting-ID rejection)."""
-        if not isinstance(rows, list):
-            rows = list(rows)
-        if not rows:
-            # The dominant case per maintenance round: most steps of a
-            # large script see no matching modifications.
-            return cls(schema, rows=rows)
-        deduped: dict[tuple, tuple] = {}
-        lookup = deduped.get
-        n_ids = len(schema.id_attrs)
-        n_cols = len(schema.columns)
-        for row in rows:
-            if len(row) != n_cols:
-                raise DiffError(
-                    f"diff row arity {len(row)} != schema arity {n_cols} for {schema!r}"
-                )
-            key = row[:n_ids]
-            existing = lookup(key)
-            if existing is None:
-                deduped[key] = row
-            elif existing != row:
-                raise DiffError(
-                    f"conflicting diff rows for ID {key} in {schema!r}: "
-                    f"{existing} vs {row}"
-                )
-        return cls(schema, rows=list(deduped.values()))
-
-    @classmethod
-    def from_diff(cls, diff: Diff) -> "ColumnarDiff":
-        """Re-wrap an already-validated :class:`Diff` (no copy of rows)."""
-        if isinstance(diff, ColumnarDiff):
-            return diff
-        return cls(diff.schema, rows=diff.rows)
-
-    @classmethod
-    def from_wire_columns(cls, schema: DiffSchema, columns: list[list]) -> "ColumnarDiff":
-        """Adopt decoded wire column lists directly (trusted: the encoder
-        side validated the diff when it was constructed)."""
-        return cls(schema, columns=columns)
-
-    def __reduce__(self):
-        # The ``rows`` property shadows Diff's slot, which breaks the
-        # default slot-state pickling; rebuild from materialized rows.
-        return (_rebuild_columnar, (self.schema, self.rows))
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return f"ColumnarDiff({self.schema!r}, {self._n} rows)"
-
-
-def _rebuild_columnar(schema: DiffSchema, rows: list[tuple]) -> "ColumnarDiff":
-    return ColumnarDiff(schema, rows=rows)
 
 
 # ----------------------------------------------------------------------

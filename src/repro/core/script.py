@@ -20,6 +20,7 @@ computation / view update).
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from typing import Optional
 
 from ..errors import ScriptError
@@ -42,7 +43,9 @@ class Step:
 
     phase: str = PHASE_VIEW_DIFF
 
-    def run(self, ctx: IrContext) -> None:
+    def run(self, ctx: IrContext) -> Optional[int]:
+        """Execute the statement; returns the number of rows of the diff
+        it computed or applied, ``None`` where it has no single diff."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -58,9 +61,10 @@ class ComputeDiffStep(Step):
         self.ir = ir
         self.phase = phase
 
-    def run(self, ctx: IrContext) -> None:
+    def run(self, ctx: IrContext) -> int:
         relation = run_ir(self.ir, ctx)
-        ctx.diffs[self.name] = Diff.from_relation(self.schema, relation)
+        diff = ctx.diffs[self.name] = Diff.from_relation(self.schema, relation)
+        return len(diff.rows)
 
     def describe(self) -> str:
         return f"{self.name} := {self.schema!r}\n{self.ir.pretty(1)}"
@@ -83,7 +87,7 @@ class ApplyDiffStep(Step):
         self.phase = phase
         self.returning_name = returning_name
 
-    def run(self, ctx: IrContext) -> None:
+    def run(self, ctx: IrContext) -> int:
         diff = ctx.diffs.get(self.diff_name)
         if diff is None:
             raise ScriptError(f"diff {self.diff_name!r} was never computed")
@@ -95,6 +99,7 @@ class ApplyDiffStep(Step):
         applied = apply_diff(table, diff)
         if self.returning_name is not None:
             ctx.expansions[self.returning_name] = applied
+        return len(diff.rows)
 
     def describe(self) -> str:
         tail = f" RETURNING {self.returning_name}" if self.returning_name else ""
@@ -125,30 +130,22 @@ class DeltaScript:
         self._exec_plan: Optional[list] = None
 
     def exec_plan(self) -> list:
-        """Per-step ``(run, phase, cardinality_fn)`` triples, bound once.
+        """Per-step ``(run, phase)`` pairs, bound once.
 
         Scripts are immutable after construction and re-executed every
-        round, so the per-step isinstance dispatch and attribute lookups
-        of the hot loop are resolved here a single time.
+        round, so the attribute lookups of the hot loop are resolved
+        here a single time.
         """
         plan = self._exec_plan
         if plan is None:
-            plan = []
-            for step in self.steps:
-                if isinstance(step, ComputeDiffStep):
-                    card = _diff_len(step.name)
-                elif isinstance(step, ApplyDiffStep):
-                    card = _diff_len(step.diff_name)
-                else:
-                    card = None
-                plan.append((step.run, step.phase, card))
-            self._exec_plan = plan
+            plan = self._exec_plan = [(step.run, step.phase) for step in self.steps]
         return plan
 
     def __getstate__(self) -> dict:
-        # The exec plan caches bound methods and local closures — process
-        # local and unpicklable.  A worker process that receives this
-        # script (shard bootstrap blueprint) rebuilds it lazily.
+        # The exec plan caches bound methods of steps that may hold
+        # closures — process local and unpicklable.  A worker process
+        # that receives this script (shard bootstrap blueprint) rebuilds
+        # it lazily.
         state = self.__dict__.copy()
         state["_exec_plan"] = None
         return state
@@ -164,134 +161,74 @@ class DeltaScript:
         return len(self.steps)
 
 
-def _diff_len(name: str):
-    """Cardinality probe for a named diff; runs right after its step."""
-
-    def card(ctx: IrContext) -> int:
-        return len(ctx.diffs[name])
-
-    return card
-
-
-def _step_cardinality(step: Step, ctx: IrContext) -> Optional[int]:
-    """Diff rows produced/applied by *step*, where that is meaningful."""
-    if isinstance(step, ComputeDiffStep):
-        diff = ctx.diffs.get(step.name)
-        return len(diff) if diff is not None else None
-    if isinstance(step, ApplyDiffStep):
-        diff = ctx.diffs.get(step.diff_name)
-        return len(diff) if diff is not None else None
-    return None
-
-
 def execute_script(
     script: DeltaScript, ctx: IrContext, counters: CounterSet
 ) -> dict[str, Diff]:
-    """Run every step under its phase label; returns the diff environment."""
-    recorder = obs.current_recorder()
-    if recorder is None:
-        from contextlib import ExitStack
+    """Run every step under its phase label; returns the diff environment.
 
-        # Steps of one phase are contiguous, so the counter phase (a
-        # generator context manager) is entered once per phase run, not
-        # once per statement — attribution is identical and a 500-step
-        # script stops paying ~500 context switches per round.
-        stmt_hist = metrics.histogram("script.stmt_diff_rows")
-        observe = stmt_hist.observe
-        stack = ExitStack()
-        open_phase: Optional[str] = None
-        phase_started = 0.0
-        try:
-            for run, phase, card in script.exec_plan():
-                if phase != open_phase:
-                    now = time.perf_counter()
-                    if open_phase is not None:
-                        _observe_phase_seconds(open_phase, now - phase_started)
-                    stack.close()
-                    stack = ExitStack()
-                    stack.enter_context(counters.phase(phase))
-                    open_phase = phase
-                    phase_started = now
-                run(ctx)
-                if card is not None:
-                    observe(card(ctx))
-        finally:
-            stack.close()
-            if open_phase is not None:
-                _observe_phase_seconds(
-                    open_phase, time.perf_counter() - phase_started
-                )
-        return ctx.diffs
-    return _execute_script_traced(script, ctx, counters, recorder)
-
-
-def _observe_phase_seconds(phase: str, seconds: float) -> None:
-    """Latency of one contiguous phase run (safe from shard workers)."""
-    metrics.loghist(f"script.phase_seconds.{phase}", unit="seconds").observe(seconds)
-
-
-def _execute_script_traced(
-    script: DeltaScript,
-    ctx: IrContext,
-    counters: CounterSet,
-    recorder: "obs.SpanRecorder",
-) -> dict[str, Diff]:
-    """Traced execution: one span per contiguous phase run, one per statement.
-
-    Each phase span's access-count delta equals exactly what the
-    counters attribute to that phase over the same statements, so
+    Steps of one phase are contiguous, so the counter phase (a generator
+    context manager) is entered once per phase run, not once per
+    statement — a 500-step script stops paying ~500 context switches per
+    round.  With a recorder installed the phase run is also a ``phase:``
+    span and every statement a ``stmt[i]`` span.  The phase span's
+    access-count delta is that of the phase's counter *bucket*, so
     per-phase sums over a round's phase spans reconcile with the
     engine's ``MaintenanceReport.phase_counts``.
     """
-    from contextlib import ExitStack
-
+    recorder = obs.current_recorder()
+    observe = metrics.histogram("script.stmt_diff_rows").observe
     stack = ExitStack()
     open_phase: Optional[str] = None
     phase_started = 0.0
     try:
-        for i, step in enumerate(script.steps, start=1):
-            if step.phase != open_phase:
+        for i, (run, phase) in enumerate(script.exec_plan(), start=1):
+            if phase != open_phase:
                 now = time.perf_counter()
                 if open_phase is not None:
                     _observe_phase_seconds(open_phase, now - phase_started)
                 stack.close()
                 stack = ExitStack()
-                stack.enter_context(
-                    recorder.span(
-                        f"phase:{step.phase}",
-                        kind="phase",
-                        counters=counters,
-                        phase_of=step.phase,
-                        phase=step.phase,
+                if recorder is not None:
+                    stack.enter_context(
+                        recorder.span(
+                            f"phase:{phase}",
+                            kind="phase",
+                            counters=counters,
+                            phase_of=phase,
+                            phase=phase,
+                        )
                     )
-                )
-                open_phase = step.phase
+                stack.enter_context(counters.phase(phase))
+                open_phase = phase
                 phase_started = now
-            with counters.phase(step.phase):
-                label = (
-                    step.name
-                    if isinstance(step, ComputeDiffStep)
-                    else step.describe().splitlines()[0]
-                )
+            if recorder is None:
+                diff_rows = run(ctx)
+            else:
+                step = script.steps[i - 1]
                 with recorder.span(
                     f"stmt[{i}]",
                     kind="stmt",
                     counters=counters,
-                    phase=step.phase,
+                    phase=phase,
                     step=type(step).__name__,
-                    stmt=label,
+                    stmt=(
+                        step.name
+                        if isinstance(step, ComputeDiffStep)
+                        else step.describe().splitlines()[0]
+                    ),
                 ) as sp:
-                    step.run(ctx)
-                    cardinality = _step_cardinality(step, ctx)
-                    if cardinality is not None:
-                        sp.set(diff_rows=cardinality)
-                        metrics.histogram("script.stmt_diff_rows").observe(
-                            cardinality
-                        )
+                    diff_rows = run(ctx)
+                    if diff_rows is not None:
+                        sp.set(diff_rows=diff_rows)
+            if diff_rows is not None:
+                observe(diff_rows)
     finally:
         stack.close()
         if open_phase is not None:
-            _observe_phase_seconds(
-                open_phase, time.perf_counter() - phase_started
-            )
+            _observe_phase_seconds(open_phase, time.perf_counter() - phase_started)
     return ctx.diffs
+
+
+def _observe_phase_seconds(phase: str, seconds: float) -> None:
+    """Latency of one contiguous phase run (safe from shard workers)."""
+    metrics.loghist(f"script.phase_seconds.{phase}", unit="seconds").observe(seconds)

@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 
 from ..errors import WireError
 from ..storage.counters import AccessCounts, CounterSet
-from .diffs import ColumnarDiff, Diff, DiffSchema
+from .diffs import Diff, DiffSchema
 from .modlog import LoggedModification
 
 WIRE_VERSION = 1
@@ -107,22 +107,12 @@ def encode_instances(instances: Mapping[str, Diff]) -> dict:
         diff = instances[name]
         schema = diff.schema
         n_cols = len(schema.columns)
-        if isinstance(diff, ColumnarDiff):
-            # Already in the wire layout: validate column-wise, no row
-            # tuples materialized.
-            n_rows = len(diff)
-            columns = [
-                _check_values(col, f"diff {name!r} column {schema.columns[i]!r}")
-                for i, col in enumerate(diff.column_data())
-            ]
-        else:
-            n_rows = len(diff.rows)
-            columns = [[] for _ in range(n_cols)]
-            for row in diff.rows:
-                for i in range(n_cols):
-                    columns[i].append(
-                        check_primitive(row[i], f"diff {name!r} column {schema.columns[i]!r}")
-                    )
+        columns: list[list] = [[] for _ in range(n_cols)]
+        for row in diff.rows:
+            for i in range(n_cols):
+                columns[i].append(
+                    check_primitive(row[i], f"diff {name!r} column {schema.columns[i]!r}")
+                )
         diffs.append(
             {
                 "name": interner.intern(name),
@@ -131,7 +121,7 @@ def encode_instances(instances: Mapping[str, Diff]) -> dict:
                 "id": [interner.intern(a) for a in schema.id_attrs],
                 "pre": [interner.intern(a) for a in schema.pre_attrs],
                 "post": [interner.intern(a) for a in schema.post_attrs],
-                "rows": n_rows,
+                "rows": len(diff.rows),
                 "cols": columns,
             }
         )
@@ -143,18 +133,18 @@ def encode_instances(instances: Mapping[str, Diff]) -> dict:
     }
 
 
-def decode_instances(doc: Mapping, columnar: bool = False) -> dict[str, Diff]:
+def decode_instances(doc: Mapping) -> dict[str, Diff]:
     """Rebuild named :class:`Diff` instances from :func:`encode_instances`.
 
-    With ``columnar=True`` the wire column lists are adopted directly as
-    :class:`ColumnarDiff` batches — no row tuples are materialized and
-    the encoder-side validation is trusted (the shard workers' hot
-    path); the default re-validates through ``Diff``'s constructor.
+    The document's shape is checked (every column of a diff holds
+    ``rows`` values); the rows themselves are trusted — the encoder was
+    handed diffs validated at construction.
     """
     _expect_kind(doc, "idiff-batch")
     strings = doc["strings"]
     out: dict[str, Diff] = {}
     for entry in doc["diffs"]:
+        name = strings[entry["name"]]
         schema = DiffSchema(
             strings[entry["kind"]],
             strings[entry["target"]],
@@ -164,11 +154,17 @@ def decode_instances(doc: Mapping, columnar: bool = False) -> dict[str, Diff]:
         )
         n_rows = entry["rows"]
         columns = entry["cols"]
-        if columnar:
-            out[strings[entry["name"]]] = ColumnarDiff.from_wire_columns(schema, columns)
-        else:
-            rows = [tuple(col[r] for col in columns) for r in range(n_rows)]
-            out[strings[entry["name"]]] = Diff(schema, rows)
+        if len(columns) != len(schema.columns):
+            raise WireError(
+                f"diff {name!r}: {len(columns)} columns for schema {schema.columns}"
+            )
+        for column, values in zip(schema.columns, columns):
+            if len(values) != n_rows:
+                raise WireError(
+                    f"diff {name!r} column {column!r}: {len(values)} values "
+                    f"in a document of {n_rows} rows"
+                )
+        out[name] = Diff.trusted(schema, list(zip(*columns)))
     return out
 
 

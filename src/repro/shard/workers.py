@@ -236,10 +236,7 @@ class _WorkerState:
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:
         view = self.views[view_name]
-        # Columnar adoption: the shipped per-attribute lists become
-        # ColumnarDiff batches directly — no dict/tuple re-materialization
-        # on the hot path (row views build lazily where a step needs them).
-        instances = wire.decode_instances(instances_doc, columnar=True)
+        instances = wire.decode_instances(instances_doc)
         ctx = round_context(
             self._pre.db, self.db, instances, view, self.modified_tables
         )

@@ -5,20 +5,17 @@ produce the same rows AND the same per-phase access counts as the IR
 interpreter — anything the compiler cannot lower with identical counted
 behaviour falls back to the interpreter's own helpers.  These tests pin
 that contract on the paper's devices workload, on every BSMA view, and
-through both sharded execution backends, plus the :class:`ColumnarDiff`
-batch representation the compiled path runs on.
+through both sharded execution backends.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.core.compile import CompiledComputeDiffStep, compile_script, compile_step, script_for
-from repro.core.diffs import INSERT, ColumnarDiff, Diff, DiffSchema
+from repro.core.diffs import INSERT, Diff, DiffSchema
 from repro.core.engine import EXEC_BACKENDS
 from repro.core.ir import DiffSource
 from repro.core.ir_exec import IrContext
@@ -50,62 +47,8 @@ def _phase_totals(report):
     }
 
 
-# ----------------------------------------------------------------------
-# ColumnarDiff: the batch representation
-# ----------------------------------------------------------------------
 def _schema():
     return DiffSchema(INSERT, "t", ("k",), (), ("a", "b"))
-
-
-class TestColumnarDiff:
-    def test_from_rows_matches_diff_semantics(self):
-        rows = [(1, "x", 2), (2, "y", 3), (1, "x", 2)]  # dup merges
-        columnar = ColumnarDiff.from_rows(_schema(), rows)
-        plain = Diff(_schema(), rows)
-        assert columnar.rows == plain.rows
-        assert len(columnar) == len(plain) == 2
-        assert not columnar.is_empty()
-
-    def test_from_rows_rejects_conflicts_and_arity(self):
-        with pytest.raises(DiffError):
-            ColumnarDiff.from_rows(_schema(), [(1, "x", 2), (1, "x", 99)])
-        with pytest.raises(DiffError):
-            ColumnarDiff.from_rows(_schema(), [(1, "x")])
-
-    def test_column_data_is_wire_layout(self):
-        columnar = ColumnarDiff.from_rows(_schema(), [(1, "x", 2), (2, "y", 3)])
-        assert columnar.column_data() == [[1, 2], ["x", "y"], [2, 3]]
-
-    def test_wire_columns_round_trip_lazily(self):
-        cols = [[1, 2], ["x", "y"], [2, 3]]
-        columnar = ColumnarDiff.from_wire_columns(_schema(), cols)
-        assert len(columnar) == 2  # length without materializing rows
-        assert columnar.rows == [(1, "x", 2), (2, "y", 3)]
-        assert columnar.column_data() is cols  # adopted, not copied
-
-    def test_from_diff_rewraps_without_copy(self):
-        plain = Diff(_schema(), [(1, "x", 2)])
-        columnar = ColumnarDiff.from_diff(plain)
-        assert columnar.rows is plain.rows
-        assert ColumnarDiff.from_diff(columnar) is columnar
-
-    def test_row_accessors_inherited(self):
-        columnar = ColumnarDiff.from_rows(_schema(), [(1, "x", 2)])
-        row = columnar.rows[0]
-        assert columnar.id_of(row) == (1,)
-        assert columnar.post_value(row, "a") == "x"
-        assert columnar.as_relation().rows == [(1, "x", 2)]
-
-    def test_pickle_round_trip(self):
-        # The process shard backend pickles result diffs; the ``rows``
-        # property shadows Diff's slot, so this exercises __reduce__.
-        columnar = ColumnarDiff.from_wire_columns(
-            _schema(), [[1, 2], ["x", "y"], [2, 3]]
-        )
-        back = pickle.loads(pickle.dumps(columnar))
-        assert isinstance(back, ColumnarDiff)
-        assert back.schema.columns == columnar.schema.columns
-        assert back.rows == columnar.rows
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +124,7 @@ class TestIdentityStep:
         source = Diff(_schema(), [(1, "x", 2), (2, "y", 3)])
         out = self._run(source)
         assert out.rows is source.rows and out.schema.target == "up"
-        assert isinstance(out, ColumnarDiff) and len(out) == 2
+        assert type(out) is Diff and len(out) == 2
 
     def test_other_ids_are_revalidated(self):
         # Same columns, but the source was deduplicated on (k, a), not (k,).
@@ -278,8 +221,16 @@ def _interp_engine(db):
     return IdIvmEngine(db, exec_backend="interp")
 
 
-def test_bsma_views_counts_match_interpreter_exactly():
-    base = _run_bsma(_interp_engine)
+@pytest.fixture(scope="module")
+def interp_reference():
+    """Three seeded interpreter rounds over all BSMA views — the one
+    reference every leg below compares against (round *r* is seeded by
+    *r*, so the sharded legs' two rounds are its first two)."""
+    return _run_bsma(_interp_engine, rounds=3)
+
+
+def test_bsma_views_counts_match_interpreter_exactly(interp_reference):
+    base = interp_reference
     compiled = _run_bsma(lambda db: IdIvmEngine(db, exec_backend="compiled"))
     assert set(base[0]) == set(BSMA_QUERIES)
     for round_b, round_c in zip(base, compiled):
@@ -294,8 +245,8 @@ def test_bsma_views_counts_match_interpreter_exactly():
 # equivalence: through both shard backends
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shard_backend", ["inline", "process"])
-def test_sharded_compiled_matches_interpreter(shard_backend):
-    base = _run_bsma(_interp_engine, rounds=2)
+def test_sharded_compiled_matches_interpreter(shard_backend, interp_reference):
+    base = interp_reference[:2]
     sharded = _run_bsma(
         lambda db: ShardedEngine(
             db, shards=2, backend=shard_backend, exec_backend="compiled"

@@ -1,5 +1,7 @@
 """Tests for the i-diff formalism and APPLY semantics (paper Section 2)."""
 
+import pickle
+
 import pytest
 
 from repro.core.apply import apply_diff
@@ -62,6 +64,13 @@ class TestDiffSchema:
         assert upd.pre_attrs == ("price",) and upd.post_attrs == ("price",)
 
 
+class _NoIteration(list):
+    """A row list that fails the test if anything walks it."""
+
+    def __iter__(self):
+        raise AssertionError("rows were iterated")
+
+
 class TestDiffInstance:
     def test_dedupes_identical_rows(self):
         schema = DiffSchema(DELETE, "V", ("pid",))
@@ -85,6 +94,36 @@ class TestDiffInstance:
         assert diff.id_of(row) == ("P1",)
         assert diff.pre_value(row, "price") == 10
         assert diff.post_value(row, "price") == 11
+
+    def test_validation_merges_duplicates_in_first_seen_order(self):
+        schema = DiffSchema(INSERT, "t", ("k",), (), ("a", "b"))
+        diff = Diff(schema, [(1, "x", 2), (2, "y", 3), (1, "x", 2)])
+        assert diff.rows == [(1, "x", 2), (2, "y", 3)]
+        assert len(diff) == 2 and not diff.is_empty()
+        assert diff.as_relation().rows == diff.rows
+
+    def test_empty_list_returns_early(self):
+        schema = DiffSchema(DELETE, "V", ("pid",))
+        rows = _NoIteration()
+        diff = Diff(schema, rows)
+        assert diff.rows is rows and diff.is_empty()
+        assert Diff(schema, iter(())).rows == []
+
+    def test_trusted_shares_rows_without_iterating(self):
+        schema = DiffSchema(UPDATE, "V", ("pid",), (), ("price",))
+        rows = _NoIteration([("P1", 11), ("P2", 12)])
+        diff = Diff.trusted(schema, rows)
+        assert type(diff) is Diff and diff.schema is schema
+        assert diff.rows is rows and len(diff) == 2
+
+    def test_pickle_round_trip(self):
+        # The process shard backend pickles result diffs.
+        schema = DiffSchema(UPDATE, "V", ("pid",), (), ("price",))
+        rows = [("P1", 11), ("P2", 12)]
+        for diff in (Diff(schema, rows), Diff.trusted(schema, rows)):
+            back = pickle.loads(pickle.dumps(diff))
+            assert type(back) is Diff
+            assert back.schema == schema and back.rows == rows
 
     def test_merge(self):
         schema = DiffSchema(DELETE, "V", ("pid",))

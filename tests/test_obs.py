@@ -9,6 +9,7 @@ not change any counted cost.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 
 import pytest
 
@@ -29,10 +30,14 @@ from repro.obs import (
 )
 from repro.storage import AccessCounts, CounterSet
 from repro.workloads import (
+    BSMA_QUERIES,
+    BsmaConfig,
     DevicesConfig,
     apply_price_updates,
     build_aggregate_view,
+    build_bsma_database,
     build_devices_database,
+    log_user_updates,
 )
 
 CONFIG = DevicesConfig(n_parts=120, n_devices=120, diff_size=25)
@@ -317,6 +322,59 @@ class TestReconciliation:
         assert {
             n: c.as_dict() for n, c in traced.phase_counts.items()
         } == {n: c.as_dict() for n, c in baseline.phase_counts.items()}
+
+
+def _devices_round(exec_backend):
+    db = build_devices_database(CONFIG)
+    engine = IdIvmEngine(db, exec_backend=exec_backend)
+    view = engine.define_view("V", build_aggregate_view(db, CONFIG))
+    apply_price_updates(engine, db, CONFIG)
+    return engine, view
+
+
+def _bsma_round(exec_backend):
+    config = BsmaConfig(n_users=150)
+    db = build_bsma_database(config)
+    engine = IdIvmEngine(db, exec_backend=exec_backend)
+    view = engine.define_view("V", BSMA_QUERIES["Q*2"](db, config))
+    log_user_updates(engine, db, config, 20)
+    return engine, view
+
+
+@pytest.mark.parametrize("exec_backend", ["compiled", "interp"])
+@pytest.mark.parametrize("setup", [_devices_round, _bsma_round], ids=["devices", "bsma"])
+def test_one_statement_loop_traced_and_untraced(setup, exec_backend):
+    """The statement loop is the same loop with and without a recorder:
+    same view, same per-phase counts, same ``script.stmt_diff_rows``
+    observations — and the phase spans it adds when traced sum to the
+    report's phase counts."""
+
+    def run(recorder):
+        with metrics.scoped() as reg:
+            engine, view = setup(exec_backend)
+            with recording(recorder) if recorder is not None else nullcontext():
+                report = engine.maintain()["V"]
+            hist = reg.histogram("script.stmt_diff_rows")
+            return sorted(view.table.rows_uncounted()), report, (hist.count, hist.total)
+
+    recorder = SpanRecorder()
+    rows_plain, plain, stmt_rows_plain = run(None)
+    rows_traced, traced, stmt_rows_traced = run(recorder)
+    assert rows_traced == rows_plain
+    assert {n: c.as_dict() for n, c in traced.phase_counts.items()} == {
+        n: c.as_dict() for n, c in plain.phase_counts.items()
+    }
+    assert stmt_rows_traced == stmt_rows_plain and stmt_rows_plain[0] > 0
+    stmts = recorder.find(kind="stmt")
+    assert [sp.name for sp in stmts] == [f"stmt[{i}]" for i in range(1, len(stmts) + 1)]
+    with_rows = [sp.attrs["diff_rows"] for sp in stmts if "diff_rows" in sp.attrs]
+    assert (len(with_rows), sum(with_rows)) == stmt_rows_traced
+    span_sums = phase_totals(recorder)
+    for name, counts in traced.phase_counts.items():
+        if name != "__total__":
+            assert span_sums.get(name, AccessCounts()).as_dict() == counts.as_dict(), name
+    for name, counts in span_sums.items():
+        assert name in traced.phase_counts or counts.total == 0, name
 
 
 class TestTraceFile:

@@ -310,6 +310,26 @@ def test_shard_of_is_stable_and_in_range():
     assert shard_of(("P17",), 4) == shard_of(("P17",), 4)
 
 
+def test_split_instances_buckets_are_plain_diffs_of_the_routed_rows():
+    from repro.core.diffs import UPDATE, Diff, DiffSchema
+    from repro.shard import split_instances
+    from repro.shard.router import RoutePlan
+
+    schema = DiffSchema(UPDATE, "parts", ("pid",), (), ("price",))
+    routed = Diff(schema, [(f"P{i}", i) for i in range(20)])
+    empty = Diff(schema, [])
+    plan = RoutePlan(
+        True, "", anchor="parts", anchor_key=("pid",),
+        instance_positions={"routed": (0,), "empty": (0,)},
+    )
+    envs = split_instances(plan, {"routed": routed, "empty": empty, "shared": routed}, 3)
+    assert all(type(diff) is Diff for env in envs for diff in env.values())
+    assert sorted(r for env in envs for r in env["routed"].rows) == sorted(routed.rows)
+    for shard, env in enumerate(envs):
+        assert all(shard_of(row[:1], 3) == shard for row in env["routed"].rows)
+        assert env["empty"] is empty and env["shared"] is routed
+
+
 def test_sharded_engine_rejects_bad_shard_count():
     from repro.errors import SchemaError
 

@@ -49,6 +49,7 @@ def test_instances_round_trip():
     assert sorted(back) == sorted(instances)
     for name, diff in instances.items():
         got = back[name]
+        assert type(got) is Diff
         assert got.schema.kind == diff.schema.kind
         assert got.schema.target == diff.schema.target
         assert got.schema.columns == diff.schema.columns
@@ -153,6 +154,20 @@ def test_decoders_reject_wrong_kind():
         wire.decode_log_batch({"kind": "modlog-batch", "v": 999})
 
 
+def test_decode_instances_rejects_ragged_columns():
+    # A column shorter than ``rows`` used to lose the row silently on the
+    # worker path and raise a bare IndexError on the default one.
+    doc = wire.encode_instances(_sample_instances())
+    entry = doc["diffs"][0]
+    assert entry["rows"] == 2
+    entry["cols"][2].pop()
+    with pytest.raises(WireError, match=r"'d1_ins' column 'b__post'"):
+        wire.decode_instances(doc)
+    entry["cols"].pop()
+    with pytest.raises(WireError, match="'d1_ins'"):
+        wire.decode_instances(doc)
+
+
 # ----------------------------------------------------------------------
 # canonical bytes: float edge cases and injectivity
 # ----------------------------------------------------------------------
@@ -207,12 +222,11 @@ def test_instances_round_trip_float_edge_cases():
     schema = DiffSchema(INSERT, "t", ("k",), (), ("a",))
     rows = [(1, 1.0), (2, -0.0), (3, float("nan")), (4, 1)]
     doc = wire.encode_instances({"d": Diff(schema, rows)})
-    for columnar in (False, True):
-        back = wire.decode_instances(doc, columnar=columnar)["d"].rows
-        assert back[0] == (1, 1.0) and type(back[0][1]) is float
-        assert str(back[1][1]) == "-0.0"
-        assert back[2][1] != back[2][1]  # NaN survives
-        assert type(back[3][1]) is int
+    back = wire.decode_instances(doc)["d"].rows
+    assert back[0] == (1, 1.0) and type(back[0][1]) is float
+    assert str(back[1][1]) == "-0.0"
+    assert back[2][1] != back[2][1]  # NaN survives
+    assert type(back[3][1]) is int
 
 
 # ----------------------------------------------------------------------
