@@ -87,7 +87,11 @@ lint-catalog:
 # is one bulk `Table` call per diff (core/apply.py) — the per-row
 # primitives are for the baselines and the γ group-creation path; and
 # there is one i-diff batch class (core/diffs.py `Diff`, no subclass)
-# and one statement loop (core/script.py `execute_script`, no twin).
+# and one statement loop (core/script.py `execute_script`, no twin);
+# and one ∆-script per view: compilation binds kernels onto the stored
+# script (core/compile.py `bind_kernels`) — no `ComputeDiffStep`
+# subclass carrying a second `run`, no second `DeltaScript` built by
+# the compiler.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -105,6 +109,12 @@ lint-static:
 	    exit 1; fi
 	@if [ "$$(grep -cE 'def +\w*execute_script' src/repro/core/script.py)" != 1 ]; then \
 	    echo "core/script.py must hold exactly one execute_script: tracing is a branch of its loop, not a twin"; \
+	    exit 1; fi
+	@if grep -rnE 'class +\w+\((\w+\.)?ComputeDiffStep\)' src/repro --include='*.py'; then \
+	    echo "ComputeDiffStep subclass: lower the step to a kernel and bind it (core/compile.py bind_kernels)"; \
+	    exit 1; fi
+	@if grep -nE '\bDeltaScript\(' src/repro/core/compile.py; then \
+	    echo "core/compile.py builds a DeltaScript: kernels are bound onto the view's one stored script"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

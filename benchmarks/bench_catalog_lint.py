@@ -44,9 +44,7 @@ def _lint_once(cache_dir: Path) -> dict:
     facts_list = []
     n_errors = n_warnings = 0
     for label, plan in catalog_views(db, config):
-        report, _, facts = _lint_view_entry(
-            label, plan, db, cache, with_compiled=False
-        )
+        report, facts = _lint_view_entry(label, plan, db, cache)
         facts_list.append(facts)
         n_errors += len(report.errors)
         n_warnings += len(report.warnings)

@@ -87,20 +87,18 @@ def analyze_plan(plan, names=None) -> AnalysisReport:
 
 
 def analyze_generated(
-    generated, db=None, n_shards: int = 2, names=None, script=None
+    generated, db=None, n_shards: int = 2, names=None
 ) -> AnalysisReport:
     """Run every applicable pass over a :class:`GeneratedPlan`.
 
     Without *db* the shard and interference passes skip themselves
     (routability needs the foreign-key graph); everything else runs.
-    *script* substitutes an alternative ∆-script for the generated one —
-    the lint surface uses it to analyze the compiled execution backend
-    (``CompiledComputeDiffStep`` subclasses ``ComputeDiffStep``, so the
-    step-level passes apply unchanged).
+    The script analyzed is ``generated.script`` — the one object the
+    engine executes under either backend.
     """
     ctx = AnalysisContext(
         plan=generated.plan,
-        script=script if script is not None else generated.script,
+        script=generated.script,
         base_schemas=list(generated.base_schemas),
         generated=generated,
         db=db,

@@ -41,7 +41,7 @@ from .fingerprint import (
 )
 from .registry import pass_versions
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "REPRO_ANALYSIS_CACHE"
 DEFAULT_CACHE_DIR = ".repro-cache"
 _CACHE_FILE = "analysis.json"

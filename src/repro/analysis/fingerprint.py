@@ -35,8 +35,9 @@ schemas hashes differently.
 Script fingerprints build on plan fingerprints: IR nodes reference plan
 sub-DAGs by their node fingerprint, columns positionally, and
 generator-invented diff/returning names through a first-seen interner —
-so a compiled script that merely renames intermediates keeps the
-interpreted script's alpha fingerprint.
+so a script that merely renames intermediates keeps its alpha
+fingerprint.  Bound kernels (:mod:`repro.core.compile`) are executor
+state, not script content, and never enter a fingerprint.
 """
 
 from __future__ import annotations
@@ -554,8 +555,6 @@ class _ScriptWalker:
 
     def step_doc(self, step: Step) -> Doc:
         if isinstance(step, ComputeDiffStep):
-            # CompiledComputeDiffStep subclasses keep name/schema/ir, so
-            # compiled and interpreted scripts canonicalize identically.
             return [
                 "compute",
                 self._intern(step.name),

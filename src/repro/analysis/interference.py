@@ -38,9 +38,7 @@ On router-approved routes the pass is expected to stay silent — any
 RACE6xx finding means either a router regression or a *forced* route
 (``GeneratedPlan.route_override``, the mis-route fixture knob); both
 detectors — this pass and the engine's dynamic ``race_check`` — must
-agree on such fixtures.  The pass works unchanged on compiled scripts:
-``CompiledComputeDiffStep`` subclasses ``ComputeDiffStep`` and keeps the
-``ir`` tree the footprint walk consumes.
+agree on such fixtures.
 
 Needs a database (for foreign keys / anchor keys); RACE604 only needs
 the :class:`GeneratedPlan`.

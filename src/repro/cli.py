@@ -144,12 +144,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: annotated plan + ∆-script for a SQL view."""
     db = demo_database()
     engine = IdIvmEngine(db, optimize=not args.no_minimize)
+    expr_fallbacks = metrics.counter("compile.expr_fallbacks")
+    fallbacks_before = expr_fallbacks.value
     view = engine.define_view("V", sql_to_plan(db, args.sql))
     print("-- annotated plan (Pass 1) " + "-" * 34)
     print(explain_plan(view.plan))
     print()
     print("-- generated ∆-script " + "-" * 39)
     print(view.describe_script())
+    n_fallbacks = expr_fallbacks.value - fallbacks_before
+    if n_fallbacks:
+        print(
+            f"-- {n_fallbacks} expression(s) not lowered: interpreted per row "
+            "inside their kernels (compile.expr_fallbacks)"
+        )
     if args.analyze:
         print()
         print("-- EXPLAIN ANALYZE (actual rows / accesses) " + "-" * 17)
@@ -495,55 +503,31 @@ def _cmd_lint_cost(args: argparse.Namespace, rules, json_out: dict) -> int:
 _LINT_KNOBS = ("policy=equi", "optimize", "cost-select")
 
 
-def _script_level_subset(report):
-    """The diagnostics a script+interference re-run would reproduce."""
-    from .analysis import AnalysisReport
-
-    subset = AnalysisReport()
-    subset.diagnostics.extend(
-        d
-        for d in report.diagnostics
-        if d.rule_id.startswith(("SC3", "RACE6"))
-    )
-    return subset
-
-
-def _lint_view_entry(label, plan, db, cache, with_compiled):
+def _lint_view_entry(label, plan, db, cache):
     """Analyze one lint target through the incremental analysis cache.
 
-    Returns ``(report, compiled_report, facts)`` — *compiled_report* is
-    None unless *with_compiled*.  On a cache hit the frozen diagnostics
+    Returns ``(report, facts)``.  On a cache hit the frozen diagnostics
     and sharing facts replay without generating or analyzing anything.
+    The analyzed script is the one the engine would store and execute —
+    there is one per view, whatever the execution backend.
     """
     from .analysis import (
         analyze_generated,
         entry_from_report,
         plan_cache_key,
         report_from_entry,
-        script_fingerprint,
         view_facts,
     )
     from .analysis.sharing import facts_from_json, facts_to_json
-    from .core.compile import compile_script
     from .core.generator import ScriptGenerator
     from .core.schema_gen import generate_base_schemas
 
-    knobs = _LINT_KNOBS + (label,) + (("compiled",) if with_compiled else ())
     key = ""
     if cache is not None:
-        key = plan_cache_key(plan, db, knobs=knobs)
+        key = plan_cache_key(plan, db, knobs=_LINT_KNOBS + (label,))
         entry = cache.get(key)
         if entry is not None:
-            report = report_from_entry(entry)
-            facts = facts_from_json(entry["facts"])
-            compiled_report = (
-                report_from_entry(
-                    {"diagnostics": entry["compiled_diagnostics"]}
-                )
-                if with_compiled
-                else None
-            )
-            return report, compiled_report, facts
+            return report_from_entry(entry), facts_from_json(entry["facts"])
 
     # cost_db: lint analyzes the scripts the engine would actually
     # ship, i.e. after cost-based candidate selection (COST501/502
@@ -552,37 +536,9 @@ def _lint_view_entry(label, plan, db, cache, with_compiled):
     generated = generator.generate(generate_base_schemas(generator.plan, db))
     report = analyze_generated(generated, db=db)
     facts = view_facts(label, generated, db)
-    compiled_report = None
-    if with_compiled:
-        # The compiled execution backend runs a different ∆-script
-        # object (CompiledComputeDiffStep subclasses ComputeDiffStep),
-        # so the step-level passes apply to it as well.  Compilation
-        # shares every name, schema and IR tree, which an exact script
-        # fingerprint match certifies — in that case the interpreted
-        # run's script/interference diagnostics are reused instead of
-        # re-running both passes over an identical script.
-        compiled = compile_script(generated)
-        interpreted_fp = script_fingerprint(
-            generated.script, generated.plan, db, alpha=False
-        )
-        compiled_fp = script_fingerprint(
-            compiled, generated.plan, db, alpha=False
-        )
-        if compiled_fp == interpreted_fp:
-            compiled_report = _script_level_subset(report)
-        else:
-            compiled_report = analyze_generated(
-                generated, db=db, script=compiled,
-                names=("script", "interference"),
-            )
     if cache is not None:
-        extra = {"facts": facts_to_json(facts)}
-        if compiled_report is not None:
-            extra["compiled_diagnostics"] = entry_from_report(
-                compiled_report
-            )["diagnostics"]
-        cache.put(key, entry_from_report(report, extra))
-    return report, compiled_report, facts
+        cache.put(key, entry_from_report(report, {"facts": facts_to_json(facts)}))
+    return report, facts
 
 
 def _cmd_lint_catalog(args: argparse.Namespace, rules, cache) -> int:
@@ -603,9 +559,7 @@ def _cmd_lint_catalog(args: argparse.Namespace, rules, cache) -> int:
     reports = []
     facts_list = []
     for label, plan in catalog_views(db, config):
-        report, _, facts = _lint_view_entry(
-            label, plan, db, cache, with_compiled=False
-        )
+        report, facts = _lint_view_entry(label, plan, db, cache)
         facts_list.append(facts)
         reports.append((label, _filter_report(report, rules, args.min_severity)))
     if cache is not None:
@@ -680,17 +634,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     reports = []
     facts_list = []
     for label, plan, db in lint_targets():
-        report, compiled_report, facts = _lint_view_entry(
-            label, plan, db, cache, with_compiled=True
-        )
+        report, facts = _lint_view_entry(label, plan, db, cache)
         facts_list.append(facts)
         reports.append((label, _filter_report(report, rules, args.min_severity)))
-        reports.append(
-            (
-                f"{label} [compiled]",
-                _filter_report(compiled_report, rules, args.min_severity),
-            )
-        )
     if cache is not None:
         cache.flush()
     # Catalog-scope pass 7 over the shipped views (cross-view sharing).

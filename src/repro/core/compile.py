@@ -4,12 +4,17 @@ The interpreter (:mod:`repro.core.ir_exec`) walks the IR tree per
 execution and dispatches per node — and, inside expressions, per row.
 For a *stored* ∆-script all of that dispatch is invariant across
 maintenance rounds: the tree shape, the column positions, the probe
-attributes, the residual predicates.  :func:`compile_script` resolves
-every one of those decisions once at view-definition time and emits one
-Python closure per :class:`~repro.core.script.ComputeDiffStep` —
-pre-resolved attribute offsets, fused filter/probe loops, compiled
-predicate closures, direct counted ``Table.lookup`` loops against valid
-caches and base-table scans — producing the rows of a :class:`Diff`.
+attributes, the residual predicates.  :func:`bind_kernels` resolves
+every one of those decisions once at view-definition time: it lowers
+each :class:`~repro.core.script.ComputeDiffStep` of the view's stored
+script to one kernel — pre-resolved attribute offsets, fused
+filter/probe loops, compiled predicate closures, direct counted
+``Table.lookup`` loops against valid caches and base-table scans,
+producing the rows of a :class:`Diff` — and binds the kernels onto that
+script as executor state.  There is no second script: the router, the
+analysis passes and the cost walker read the object the executor runs,
+and a script with no kernels bound (``exec_backend="interp"``, or one
+fresh out of a pickle) interprets.
 
 Count invariance is the contract: a compiled closure performs *exactly*
 the counted accesses (``index_lookups`` / ``tuple_reads`` /
@@ -55,6 +60,7 @@ from ..expr.ast import (
     Or,
 )
 from ..expr.eval import _ARITH_OPS, compare
+from ..obs import metrics
 from .diffs import Diff
 from .ir import (
     PRE,
@@ -75,14 +81,24 @@ from .ir import (
 from .ir_exec import IrContext, _resolve_probe
 from .script import ComputeDiffStep, DeltaScript
 
+#: Supported ∆-script execution backends: the closure compiler (the
+#: default) and the per-node IR interpreter — the paper-faithful
+#: reference the compiled path is pinned against (same counted accesses,
+#: more dispatch).
+EXEC_BACKENDS = ("interp", "compiled")
+
 #: A compiled IR fragment: context in, diff-shaped row tuples out.
 RowsFn = Callable[[IrContext], list]
+#: A lowered compute step: binds its diff in the context, returns its
+#: row count (what ``ComputeDiffStep.run`` does by interpreting).
+Kernel = Callable[[IrContext], int]
 
 
 class _Fallback(Exception):
     """Raised during expression lowering when a node form is unknown;
     the compiler then falls back to the interpreter for that expression
-    (behavior stays identical, only the speedup is lost)."""
+    (behavior stays identical, only the speedup is lost) and counts it
+    in ``compile.expr_fallbacks``."""
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +111,7 @@ def compile_expr(expr: Expr, positions: dict[str, int]) -> Callable[[tuple], obj
     try:
         return _compile_expr(expr, positions)
     except _Fallback:
+        metrics.counter("compile.expr_fallbacks").inc()
         return lambda row: eval_expr(expr, positions, row)
 
 
@@ -212,6 +229,7 @@ def compile_predicate(expr: Expr, positions: dict[str, int]) -> Callable[[tuple]
     try:
         return _compile_bool(expr, positions)
     except _Fallback:
+        metrics.counter("compile.expr_fallbacks").inc()
         return lambda row: eval_expr(expr, positions, row) is True
 
 
@@ -557,50 +575,8 @@ def _compile_probe_semi(node: ProbeSemi) -> RowsFn:
 
 
 # ----------------------------------------------------------------------
-# step + script compilation
+# step lowering + binding onto the view's one script
 # ----------------------------------------------------------------------
-class CompiledComputeDiffStep(ComputeDiffStep):
-    """A :class:`ComputeDiffStep` whose IR tree has been lowered.
-
-    Subclassing keeps every isinstance-based consumer working unchanged
-    — the analysis passes (script-safety, typecheck, shard routing), the
-    symbolic cost walker, tracing labels and ``describe()`` all read the
-    retained ``name`` / ``schema`` / ``ir`` attributes.  Only ``run``
-    changes: it invokes the closure and validates the produced rows
-    through ``Diff``'s constructor.
-
-    Not picklable (it closes over bound methods and local state); shard
-    workers recompile locally from the shipped interpretable script.
-    """
-
-    def __init__(self, base: ComputeDiffStep, fn: RowsFn):
-        super().__init__(base.name, base.schema, base.ir, base.phase)
-        self._fn = fn
-        #: name of the diff an identity step (``d2 := ∆[d1]``, same
-        #: columns) passes through, else None.
-        self._renames = (
-            base.ir.name
-            if isinstance(base.ir, DiffSource) and base.ir.columns == base.schema.columns
-            else None
-        )
-
-    def run(self, ctx: IrContext) -> int:
-        source = ctx.diffs.get(self._renames) if self._renames is not None else None
-        schema = self.schema
-        if (
-            source is not None
-            and source.schema.columns == schema.columns
-            and source.schema.id_attrs == schema.id_attrs
-        ):
-            # Same columns, same IDs: the rows were validated and
-            # deduplicated on exactly these IDs when *source* was built.
-            diff = Diff.trusted(schema, source.rows)
-        else:
-            diff = Diff(schema, self._fn(ctx))
-        ctx.diffs[self.name] = diff
-        return len(diff.rows)
-
-
 def _driving_sources(node: IrNode) -> Optional[set[str]]:
     """Diff names that *drive* the tree, or ``None`` if it has a source
     that is read regardless of diff contents.
@@ -635,8 +611,11 @@ def _driving_sources(node: IrNode) -> Optional[set[str]]:
     return None
 
 
-def compile_step(step: ComputeDiffStep) -> CompiledComputeDiffStep:
-    """Lower one compute step's IR tree into a specialized closure."""
+def lower_step(step: ComputeDiffStep) -> Kernel:
+    """Lower one compute step's IR tree into its kernel: what
+    ``step.run`` does — evaluate, validate through ``Diff``'s
+    constructor, bind under ``step.name`` — with the tree walk resolved
+    here, once."""
     fn = _compile_node(step.ir)
     drivers = _driving_sources(step.ir)
     if drivers:
@@ -652,40 +631,61 @@ def compile_step(step: ComputeDiffStep) -> CompiledComputeDiffStep:
                 if diff is None or len(diff):
                     return _fn(ctx)
             return []
+    name, schema = step.name, step.schema
     ir_columns = tuple(step.ir.columns)
-    want = step.schema.columns
+    want = schema.columns
     if ir_columns != want:
         # Diff.from_relation's reorder, resolved once at compile time.
         getter = _tuple_getter(tuple(ir_columns.index(c) for c in want))
         inner = fn
         fn = lambda ctx: [getter(r) for r in inner(ctx)]  # noqa: E731
-    return CompiledComputeDiffStep(step, fn)
+    # Name of the diff an identity step (``d2 := ∆[d1]``, same columns)
+    # passes through, else None.
+    renames = (
+        step.ir.name
+        if isinstance(step.ir, DiffSource) and ir_columns == want
+        else None
+    )
 
-
-def compile_script(generated) -> DeltaScript:
-    """Compile a :class:`~repro.core.generator.GeneratedPlan`'s ∆-script.
-
-    Returns a new :class:`DeltaScript` sharing every non-compute step
-    object (APPLY, cache marks, the blocking aggregate steps — they are
-    already direct table code with no per-row IR dispatch) and replacing
-    each plain :class:`ComputeDiffStep` with its compiled form.  The
-    original script is left untouched, so it stays available as the
-    reference.
-    """
-    steps = []
-    for step in generated.script.steps:
-        if type(step) is ComputeDiffStep:
-            steps.append(compile_step(step))
+    def kernel(ctx: IrContext) -> int:
+        source = ctx.diffs.get(renames) if renames is not None else None
+        if (
+            source is not None
+            and source.schema.columns == want
+            and source.schema.id_attrs == schema.id_attrs
+        ):
+            # Same columns, same IDs: the rows were validated and
+            # deduplicated on exactly these IDs when *source* was built.
+            diff = Diff.trusted(schema, source.rows)
         else:
-            steps.append(step)
-    return DeltaScript(steps, generated.script.view_node_id)
+            diff = Diff(schema, fn(ctx))
+        ctx.diffs[name] = diff
+        return len(diff.rows)
+
+    return kernel
 
 
-def script_for(generated, backend: str) -> DeltaScript:
-    """The ∆-script a view of *generated* executes under *backend* — the
-    one place that decides: closures compiled here and now for
-    ``"compiled"`` (they cannot be pickled, so every process that runs a
-    view calls this itself), the stored interpretable script otherwise."""
-    if backend == "compiled":
-        return compile_script(generated)
-    return generated.script
+def check_backend(backend: str) -> str:
+    """*backend* if it names an execution backend, else ``ValueError``."""
+    if backend not in EXEC_BACKENDS:
+        raise ValueError(
+            f"unknown exec_backend {backend!r}; expected one of {EXEC_BACKENDS}"
+        )
+    return backend
+
+
+def bind_kernels(script: DeltaScript, backend: str) -> DeltaScript:
+    """Make *script* — a view's one stored ∆-script — execute under
+    *backend*, in place: ``"compiled"`` lowers every compute step here
+    and now and binds the kernels onto it (closures cannot be pickled,
+    so every process that runs the view calls this itself);
+    ``"interp"`` binds none.  APPLY, cache marks and the blocking
+    aggregate steps are already direct table code with no per-row IR
+    dispatch and keep their own ``run``.  Returns *script*."""
+    kernels = {}
+    if check_backend(backend) == "compiled":
+        for i, step in enumerate(script.steps):
+            if isinstance(step, ComputeDiffStep):
+                kernels[i] = lower_step(step)
+    script.bind_kernels(kernels)
+    return script

@@ -36,7 +36,8 @@ from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
 from ..obs.freshness import FreshnessTracker
 from ..storage import AccessCounts, CounterSet, Database, Table
-from .compile import script_for
+from .compile import EXEC_BACKENDS as EXEC_BACKENDS  # re-exported
+from .compile import bind_kernels, check_backend
 from .diffs import DELETE, INSERT
 from .generator import GeneratedPlan, ScriptGenerator
 from .idinfer import node_by_id
@@ -44,12 +45,6 @@ from .ir_exec import IrContext
 from .modlog import ModificationLog, populate_instances
 from .schema_gen import generate_base_schemas
 from .script import DeltaScript, execute_script
-
-#: Supported ∆-script execution backends: the closure compiler
-#: (:mod:`repro.core.compile`, the default) and the per-node IR
-#: interpreter — the paper-faithful reference the compiled path is
-#: pinned against (same counted accesses, more dispatch).
-EXEC_BACKENDS = ("interp", "compiled")
 
 
 @dataclass
@@ -85,7 +80,14 @@ class MaintenanceReport:
 
 
 class MaterializedView:
-    """A defined view: its generated plan plus the materializations."""
+    """A defined view: its generated plan plus the materializations.
+
+    The view has one ∆-script, ``generated.script`` — the object the
+    router, the analysis passes and the cost model read is the object a
+    round executes, under either backend.  Whoever builds the view (an
+    engine's ``define_view``, a shard worker at boot) binds that
+    script's kernels with :func:`repro.core.compile.bind_kernels`.
+    """
 
     def __init__(
         self,
@@ -93,19 +95,12 @@ class MaterializedView:
         table: Table,
         caches: dict[int, Table],
         operator_caches: dict[int, Table],
-        script: DeltaScript,
         cost_model=None,
     ):
         self.generated = generated
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
-        #: the ∆-script maintenance executes, chosen once at define time
-        #: by :func:`repro.core.compile.script_for`: closures compiled
-        #: from ``generated.script`` or that interpretable script itself.
-        #: Shares the caches above and is invalidated with them (a
-        #: redefine rebuilds the MaterializedView wholesale).
-        self.script = script
         #: symbolic per-phase cost model (repro.analysis.cost), inferred
         #: at define time; None when inference did not apply.
         self.cost_model = cost_model
@@ -118,8 +113,13 @@ class MaterializedView:
     def plan(self) -> PlanNode:
         return self.generated.plan
 
+    @property
+    def script(self) -> DeltaScript:
+        """The ∆-script maintenance executes: ``generated.script``."""
+        return self.generated.script
+
     def describe_script(self) -> str:
-        return self.generated.script.describe()
+        return self.script.describe()
 
 
 def counts_since(
@@ -312,17 +312,13 @@ class IdIvmEngine(MaintenanceEngine):
         exec_backend: str = "compiled",
         cost_select: bool = True,
     ):
-        if exec_backend not in EXEC_BACKENDS:
-            raise ValueError(
-                f"unknown exec_backend {exec_backend!r}; expected one of "
-                f"{EXEC_BACKENDS}"
-            )
+        #: how stored ∆-scripts execute: "compiled" runs the kernels
+        #: bound at define time, "interp" walks the IR per round
+        #: (identical counts).
+        self.exec_backend = check_backend(exec_backend)
         super().__init__(db, strict=strict)
         self.optimize = optimize
         self.cache_policy = cache_policy
-        #: how stored ∆-scripts execute: "compiled" runs the specialized
-        #: closures, "interp" walks the IR per round (identical counts).
-        self.exec_backend = exec_backend
         #: let the generator compare candidate scripts under the symbolic
         #: cost model and keep the cheapest (fixes COST501/COST502).
         #: Disable to study the un-selected pipeline (ablations, drift
@@ -366,12 +362,12 @@ class IdIvmEngine(MaintenanceEngine):
             operator_caches[opspec.gnode.node_id] = opspec.build(
                 child_rows, self.db.counters
             )
+        bind_kernels(generated.script, self.exec_backend)
         view = MaterializedView(
             generated,
             view_table,
             caches,
             operator_caches,
-            script_for(generated, self.exec_backend),
             cost_model=_infer_cost_model(generated, self.db),
         )
         return self._register(name, view)
@@ -429,9 +425,9 @@ def _infer_cost_model(generated: GeneratedPlan, db: Database):
 def round_context(db_pre: Database, db_post: Database, instances, view, modified) -> IrContext:
     """The context one execution of *view*'s ∆-script runs in: the two
     database states, the round's i-diff *instances* and the view's
-    writable tables.  *view* is anything carrying ``caches`` and
-    ``operator_caches`` (a shard worker's replica qualifies); *modified*
-    names the base tables this round's log touched."""
+    writable tables (*view* is the coordinator's
+    :class:`MaterializedView` or a shard worker's replica of it);
+    *modified* names the base tables this round's log touched."""
     ctx = IrContext(db_pre, db_post, diffs=instances, caches=view.caches)
     ctx.operator_caches = view.operator_caches
     ctx.unchanged_tables = set(db_post.table_names()) - modified

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import ScriptError
 from ..obs import metrics
@@ -122,15 +122,34 @@ class MarkCacheUpdatedStep(Step):
 
 
 class DeltaScript:
-    """An ordered ∆-script plus the metadata needed to execute it."""
+    """An ordered ∆-script plus the metadata needed to execute it.
+
+    One per view: the generator stores it on the view's
+    :class:`~repro.core.generator.GeneratedPlan`, and the router, the
+    analysis passes, the cost walker and the executor all read that
+    object.  What differs between the execution backends is executor
+    state hung on it — the kernels :func:`repro.core.compile.bind_kernels`
+    lowered from its compute steps — never a second script.
+    """
 
     def __init__(self, steps: list[Step], view_node_id: int):
         self.steps = steps
         self.view_node_id = view_node_id
+        #: step index -> ``kernel(ctx) -> diff rows``, the lowered form
+        #: of that compute step; a step without one interprets its IR.
+        self._kernels: dict[int, Callable[[IrContext], int]] = {}
         self._exec_plan: Optional[list] = None
 
+    def bind_kernels(self, kernels: dict[int, Callable[[IrContext], int]]) -> None:
+        """Replace the bound kernels (``{}`` unbinds: every step then
+        interprets) and drop the exec plan resolved from the old ones."""
+        self._kernels = kernels
+        self._exec_plan = None
+
     def exec_plan(self) -> list:
-        """Per-step ``(run, phase)`` pairs, bound once.
+        """Per-step ``(run, phase)`` pairs, bound once — the one place
+        that decides what runs for a step: its bound kernel, else the
+        step's own ``run`` (for a compute step, ``run_ir`` over its IR).
 
         Scripts are immutable after construction and re-executed every
         round, so the attribute lookups of the hot loop are resolved
@@ -138,15 +157,20 @@ class DeltaScript:
         """
         plan = self._exec_plan
         if plan is None:
-            plan = self._exec_plan = [(step.run, step.phase) for step in self.steps]
+            kernels = self._kernels
+            plan = self._exec_plan = [
+                (kernels.get(i, step.run), step.phase)
+                for i, step in enumerate(self.steps)
+            ]
         return plan
 
     def __getstate__(self) -> dict:
-        # The exec plan caches bound methods of steps that may hold
-        # closures — process local and unpicklable.  A worker process
-        # that receives this script (shard bootstrap blueprint) rebuilds
-        # it lazily.
+        # Kernels are closures and the exec plan holds them beside bound
+        # methods — process local and unpicklable.  Whoever unpickles
+        # the script re-binds (a shard worker does at boot); until then
+        # it interprets.
         state = self.__dict__.copy()
+        state["_kernels"] = {}
         state["_exec_plan"] = None
         return state
 

@@ -68,6 +68,7 @@ from ..shard.workers import (
     ProcessShardPool,
     ShardResult,
     build_blueprint,
+    captured_writes,
     run_shard,
     tagged_tables,
 )
@@ -256,7 +257,7 @@ class ShardedEngine(IdIvmEngine):
     ) -> ShardedMaintenanceReport:
         """Route the round, then run it: parallel shards when provably
         safe, one global execution (broadcast) otherwise."""
-        plan = plan_route(view.generated.script, instances, self.db, self.shards)
+        plan = plan_route(view.script, instances, self.db, self.shards)
         override = getattr(view.generated, "route_override", None)
         if (
             not plan.parallel
@@ -267,7 +268,7 @@ class ShardedEngine(IdIvmEngine):
             # Ablation / race-fixture knob: run the round parallel on
             # the forced anchor WITHOUT the router's proof.  The race
             # detector exists to catch exactly what this can cause.
-            plan = force_route(view.generated.script, instances, self.db, override)
+            plan = force_route(view.script, instances, self.db, override)
         view_span.set(route=describe_plan(plan))
         if plan.parallel:
             metrics.counter("shard.rounds_parallel").inc()
@@ -285,13 +286,8 @@ class ShardedEngine(IdIvmEngine):
         # replay them on every worker so their view/cache replicas stay
         # current for the next parallel round.
         tables = list(tagged_tables(view.caches, view.operator_caches))
-        sinks = {tag: table.begin_capture() for tag, table in tables}
-        try:
+        with captured_writes(tables) as writes:
             self._run_broadcast(report, view, instances, db_pre, entries)
-        finally:
-            for _, table in tables:
-                table.end_capture()
-        writes = {tag: ops for tag, ops in sinks.items() if ops}
         if writes:
             pool.apply_writes(view.name, wire.encode_writeset(writes))
         return report

@@ -13,8 +13,10 @@ columnar, interned, primitive-only; the one-time bootstrap blueprint
 travels as a pickle over the pipe, which is fine for a single message):
 
 1. ``("boot", blueprint)`` — build the replica: base tables, foreign
-   keys, each view's :class:`GeneratedPlan` plus cache/op-cache tables,
-   with :class:`~repro.shard.counters.ShardRoutingCounters` installed so
+   keys, each view's :class:`GeneratedPlan` plus cache/op-cache tables
+   as the same :class:`~repro.core.engine.MaterializedView` the
+   coordinator holds, kernels re-bound onto its script locally, with
+   :class:`~repro.shard.counters.ShardRoutingCounters` installed so
    counted accesses route per activation exactly like the inline
    backend.
 2. ``("round", log_batch, sync)`` — receive the round's modification
@@ -48,11 +50,12 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+from contextlib import contextmanager
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..core import wire
-from ..core.compile import script_for
-from ..core.engine import PreState, apply_log, round_context
+from ..core.compile import bind_kernels, check_backend
+from ..core.engine import MaterializedView, PreState, apply_log, round_context
 from ..storage import CounterSet, Database, Table
 from .counters import ShardRoutingCounters
 
@@ -87,6 +90,24 @@ def tagged_tables(
 ShardResult = tuple[CounterSet, dict[str, list[tuple]], dict[str, int], float]
 
 
+@contextmanager
+def captured_writes(
+    tables: Sequence[tuple[str, Table]],
+) -> Iterator[dict[str, list[tuple]]]:
+    """Arm write-set capture on the tagged *tables* for the block and
+    disarm it on the way out, failed or not.  Yields the write-set
+    (tag -> replayable ops), filled in when the block ends with the
+    tables that were written."""
+    sinks = {tag: table.begin_capture() for tag, table in tables}
+    writes: dict[str, list[tuple]] = {}
+    try:
+        yield writes
+    finally:
+        for _, table in tables:
+            table.end_capture()
+    writes.update((tag, ops) for tag, ops in sinks.items() if ops)
+
+
 def run_shard(
     router: ShardRoutingCounters,
     script: Any,
@@ -99,16 +120,11 @@ def run_shard(
     armed on the view's tagged *tables*."""
     from ..core.script import execute_script
 
-    sinks = {tag: table.begin_capture() for tag, table in tables}
-    started = time.perf_counter()
-    try:
+    with captured_writes(tables) as writes:
+        started = time.perf_counter()
         with router.activate(counters):
             execute_script(script, ctx, counters)
-    finally:
-        for _, table in tables:
-            table.end_capture()
     seconds = time.perf_counter() - started
-    writes = {tag: ops for tag, ops in sinks.items() if ops}
     diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
     return counters, writes, diff_sizes, seconds
 
@@ -141,11 +157,12 @@ def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str) -
     post-state base tables and the views' current (stale-for-this-round)
     cache contents — exactly what the coordinator itself sees.
 
-    Compiled closures are not picklable, so only ``exec_backend`` ships;
-    each worker recompiles its views' scripts locally at boot.
+    Kernels are not picklable — pickling a view's ``generated`` drops
+    them from its script — so only ``exec_backend`` ships; each worker
+    re-binds its views' scripts locally at boot.
     """
     return {
-        "exec_backend": exec_backend,
+        "exec_backend": check_backend(exec_backend),
         "auto_index": db.auto_index,
         "tables": [_table_payload(t) for _, t in sorted(db.tables.items())],
         "foreign_keys": [
@@ -173,26 +190,6 @@ def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str) -
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _WorkerView:
-    """A view replica: the generated plan plus its writable tables."""
-
-    __slots__ = ("generated", "caches", "operator_caches", "script")
-
-    def __init__(self, generated, caches, operator_caches, exec_backend):
-        self.generated = generated
-        self.caches = caches
-        self.operator_caches = operator_caches
-        #: the ∆-script this worker executes each round, chosen once at
-        #: boot (compiled closures cannot cross the pipe).
-        self.script = script_for(generated, exec_backend)
-
-    def table_by_tag(self, tag: str) -> Table:
-        node_id = int(tag[1:])
-        if tag.startswith("c"):
-            return self.caches[node_id]
-        return self.operator_caches[node_id]
-
-
 class _WorkerState:
     """Everything one worker process holds between messages."""
 
@@ -206,7 +203,7 @@ class _WorkerState:
         self.router = ShardRoutingCounters.install(db)
         self.db = db
         exec_backend = blueprint["exec_backend"]
-        self.views: dict[str, _WorkerView] = {}
+        self.views: dict[str, MaterializedView] = {}
         for entry in blueprint["views"]:
             caches = {
                 node_id: _restore_table(payload, db.counters, db.auto_index)
@@ -216,8 +213,10 @@ class _WorkerState:
                 node_id: _restore_table(payload, db.counters, db.auto_index)
                 for node_id, payload in entry["opcaches"]
             }
-            self.views[entry["name"]] = _WorkerView(
-                entry["generated"], caches, opcaches, exec_backend
+            generated = entry["generated"]
+            bind_kernels(generated.script, exec_backend)
+            self.views[entry["name"]] = MaterializedView(
+                generated, caches[generated.plan.node_id], caches, opcaches
             )
         self._pre = PreState()
         self._entries: Sequence = ()
@@ -253,8 +252,9 @@ class _WorkerState:
 
     def apply_writes(self, view_name: str, writeset_doc: Mapping) -> None:
         view = self.views[view_name]
+        tables = dict(tagged_tables(view.caches, view.operator_caches))
         for tag, ops in wire.decode_writeset(writeset_doc).items():
-            view.table_by_tag(tag).replay_writes(ops)
+            tables[tag].replay_writes(ops)
 
 
 def worker_main(conn) -> None:

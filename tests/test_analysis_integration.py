@@ -78,10 +78,11 @@ class TestLintCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == 0
         views = {entry["view"] for entry in payload["views"]}
-        # every view is analyzed twice: the generated script and the
-        # compiled-backend script the engine may execute instead.
-        assert "devices/aggregate" in views and len(views) == 20
-        assert "devices/aggregate [compiled]" in views
+        # one entry per view: there is one ∆-script to analyze, whatever
+        # backend executes it.
+        assert "devices/aggregate" in views and len(views) == 10
+        assert len(payload["views"]) == 10
+        assert not any("[compiled]" in label for label in views)
         for entry in payload["views"]:
             for diag in entry["diagnostics"]:
                 assert diag["severity"] in ("warning", "info")

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.compile as compile_mod
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
-from repro.core.compile import CompiledComputeDiffStep, compile_script, compile_step, script_for
+from repro.core.compile import bind_kernels, lower_step
 from repro.core.diffs import INSERT, Diff, DiffSchema
 from repro.core.engine import EXEC_BACKENDS
-from repro.core.ir import DiffSource
+from repro.core.ir import DiffSource, Filter
 from repro.core.ir_exec import IrContext
 from repro.core.script import ComputeDiffStep
-from repro.errors import DiffError
+from repro.errors import DiffError, UnknownColumnError
+from repro.expr.ast import Cmp, Col, Lit
+from repro.obs import metrics
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -52,10 +55,10 @@ def _schema():
 
 
 # ----------------------------------------------------------------------
-# backend selection + script caching
+# backend selection + kernel binding
 # ----------------------------------------------------------------------
 def _is_compiled(script) -> bool:
-    return any(isinstance(step, CompiledComputeDiffStep) for step in script.steps)
+    return bool(script._kernels)
 
 
 class TestBackendSelection:
@@ -65,14 +68,26 @@ class TestBackendSelection:
             IdIvmEngine(db, exec_backend="jit")
         assert set(EXEC_BACKENDS) == {"interp", "compiled"}
 
-    def test_define_view_caches_compiled_script(self):
+    def test_binder_rejects_unknown_backend(self):
+        """A misspelt backend used to fall through to the interpreter
+        without a word; the binder raises and leaves the script alone."""
+        db = build_devices_database(DEV_CONFIG)
+        view = IdIvmEngine(db).define_view("V", build_flat_view(db, DEV_CONFIG))
+        kernels = view.script._kernels
+        with pytest.raises(ValueError, match="complied"):
+            bind_kernels(view.script, "complied")
+        assert view.script._kernels is kernels
+
+    def test_define_view_binds_kernels_on_the_stored_script(self):
         db = build_devices_database(DEV_CONFIG)
         engine = IdIvmEngine(db, exec_backend="compiled")
         view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        # one script: what the analyses read is what the round executes
+        assert view.script is view.generated.script
         assert _is_compiled(view.script)
-        # the interpretable original stays next to it, as the reference
-        assert not _is_compiled(view.generated.script)
-        assert script_for(view.generated, "interp") is view.generated.script
+        # "interp" is the same object with nothing bound
+        assert bind_kernels(view.script, "interp") is view.script
+        assert not _is_compiled(view.script)
 
     def test_interp_engine_skips_compilation(self):
         """Explicit ``"interp"`` executes the stored script as it is; the
@@ -81,30 +96,35 @@ class TestBackendSelection:
         engine = IdIvmEngine(db, exec_backend="interp")
         view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
         assert view.script is view.generated.script
+        assert not _is_compiled(view.script)
         db = build_devices_database(DEV_CONFIG)
         engine = IdIvmEngine(db)
         assert engine.exec_backend == "compiled"
         view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        assert view.script is view.generated.script
         assert _is_compiled(view.script)
 
-    def test_compile_script_replaces_only_compute_steps(self):
+    def test_bind_kernels_lowers_only_compute_steps(self):
         db = build_devices_database(DEV_CONFIG)
-        engine = IdIvmEngine(db)
+        engine = IdIvmEngine(db, exec_backend="interp")
         view = engine.define_view("V", build_aggregate_view(db, DEV_CONFIG))
-        compiled = compile_script(view.generated)
-        assert compiled.view_node_id == view.generated.script.view_node_id
-        pairs = list(zip(compiled.steps, view.generated.script.steps))
-        assert len(pairs) == len(view.generated.script.steps)
-        swapped = 0
-        for new, old in pairs:
-            if type(old) is ComputeDiffStep:
-                assert isinstance(new, CompiledComputeDiffStep)
-                assert new.name == old.name
-                assert new.schema is old.schema
-                swapped += 1
+        script = view.script
+        steps = list(script.steps)
+        interpreted = script.exec_plan()
+        bind_kernels(script, "compiled")
+        assert script.steps == steps  # no step is replaced or subclassed
+        plan = script.exec_plan()
+        assert plan is not interpreted and len(plan) == len(steps)
+        lowered = 0
+        for i, (step, (run, phase)) in enumerate(zip(steps, plan)):
+            assert phase == step.phase
+            if type(step) is ComputeDiffStep:
+                assert run is script._kernels[i]
+                lowered += 1
             else:
-                assert new is old  # APPLY/aggregate steps are shared
-        assert swapped > 0
+                assert i not in script._kernels
+                assert run == step.run  # APPLY/aggregate steps run themselves
+        assert lowered > 0
 
 
 class TestIdentityStep:
@@ -113,11 +133,11 @@ class TestIdentityStep:
     @staticmethod
     def _run(source: Diff) -> Diff:
         target = source.schema.rename_target("up")
-        step = compile_step(
+        kernel = lower_step(
             ComputeDiffStep("d2", target, DiffSource("d1", target), "view_diff")
         )
         ctx = IrContext(None, None, diffs={"d1": source})
-        step.run(ctx)
+        assert kernel(ctx) == len(source)
         return ctx.diffs["d2"]
 
     def test_rebinds_rows_without_revalidating(self):
@@ -131,12 +151,66 @@ class TestIdentityStep:
         loose = DiffSchema(INSERT, "t", ("k", "a__post"), (), ("b",))
         assert loose.columns == _schema().columns
         source = Diff(loose, [(1, "x", 2), (1, "y", 3)])
-        step = compile_step(
+        kernel = lower_step(
             ComputeDiffStep("d2", _schema(), DiffSource("d1", _schema()), "view_diff")
         )
         ctx = IrContext(None, None, diffs={"d1": source})
         with pytest.raises(DiffError):
-            step.run(ctx)
+            kernel(ctx)
+
+
+class TestExprFallback:
+    def test_unknown_column_is_counted_and_still_raises_at_run_time(self):
+        """A predicate the compiler cannot lower is interpreted — counted
+        in ``compile.expr_fallbacks`` when the step is lowered, and the
+        interpreter's own error surfaces when it runs."""
+        schema = _schema()
+        node = Filter(DiffSource("d1", schema), Cmp(">", Col("k"), Lit(1)))
+        # Filter's constructor refuses an unknown column; a rewrite that
+        # left a stale reference behind would look like this.
+        node.predicate = Cmp(">", Col("nope"), Lit(1))
+        step = ComputeDiffStep("d2", schema, node, "view_diff")
+        fallbacks = metrics.counter("compile.expr_fallbacks")
+        before = fallbacks.value
+        kernel = lower_step(step)
+        assert fallbacks.value == before + 1
+        source = Diff(schema, [(1, "x", 2)])
+        for run in (kernel, step.run):
+            with pytest.raises(UnknownColumnError):
+                run(IrContext(None, None, diffs={"d1": source}))
+
+    @staticmethod
+    def _refuse_cmp(monkeypatch):
+        """Make the compiler unable to lower any ``Cmp`` it meets as a
+        general expression."""
+        lower = compile_mod._compile_expr
+
+        def refuse_cmp(expr, positions):
+            if isinstance(expr, Cmp):
+                raise compile_mod._Fallback
+            return lower(expr, positions)
+
+        monkeypatch.setattr(compile_mod, "_compile_expr", refuse_cmp)
+
+    def test_view_with_a_fallback_counts_like_the_interpreter(self, monkeypatch):
+        base = _run_devices("interp", build_flat_view, rounds=1)
+        fallbacks = metrics.counter("compile.expr_fallbacks")
+        before = fallbacks.value
+        self._refuse_cmp(monkeypatch)
+        compiled = _run_devices("compiled", build_flat_view, rounds=1)
+        assert fallbacks.value > before
+        assert compiled[0][0] == base[0][0]
+        assert _phase_totals(compiled[0][1]) == _phase_totals(base[0][1])
+
+    def test_explain_prints_the_count_only_when_not_zero(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        argv = ["explain", "--sql", "SELECT pid, price FROM parts WHERE NOT (price > 5)"]
+        assert main(argv) == 0
+        assert "compile.expr_fallbacks" not in capsys.readouterr().out
+        self._refuse_cmp(monkeypatch)
+        assert main(argv) == 0
+        assert "compile.expr_fallbacks" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

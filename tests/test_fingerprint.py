@@ -260,27 +260,6 @@ class TestScriptFingerprint:
         )
         assert generated_fingerprint(g1, db) == generated_fingerprint(g2, db)
 
-    def test_compiled_script_matches_interpreted(self):
-        """The basis for the lint ``[compiled]`` dedup: compilation
-        preserves every name, schema and IR tree, so the exact script
-        fingerprints coincide."""
-        from repro.core.compile import compile_script
-
-        db = make_db()
-        plan = group_by(
-            equi_join(scan(db, "t"), scan(db, "u"), [("k", "j")]),
-            ("b",),
-            [("sum", col("a"), "tot")],
-        )
-        generated = _generate(db, "V", plan)
-        interpreted = script_fingerprint(
-            generated.script, generated.plan, db, alpha=False
-        )
-        compiled = script_fingerprint(
-            compile_script(generated), generated.plan, db, alpha=False
-        )
-        assert interpreted == compiled
-
     def test_script_change_changes_fingerprint(self):
         db = make_db()
         g1 = _generate(db, "V", where(scan(db, "t"), Cmp(">", col("a"), lit(5))))

@@ -21,7 +21,6 @@ from repro.algebra.evaluate import evaluate_plan
 from repro.algebra import scan
 from repro.analysis import AnalysisReport, analyze_generated
 from repro.analysis.interference import check_round
-from repro.core.compile import compile_script
 from repro.core.diffs import Diff, DiffSchema
 from repro.core.generator import ScriptGenerator
 from repro.core.ir import Compute, DiffSource, ProbeJoin
@@ -54,10 +53,8 @@ def generate(db, plan, name="V"):
     return generator.generate(generate_base_schemas(generator.plan, db))
 
 
-def race_diags(generated, db, script=None):
-    report = analyze_generated(
-        generated, db=db, script=script, names=["interference"]
-    )
+def race_diags(generated, db):
+    report = analyze_generated(generated, db=db, names=["interference"])
     return [d for d in report.diagnostics if d.rule_id.startswith("RACE")]
 
 
@@ -83,15 +80,6 @@ class TestStaysQuiet:
         generated = generate(db, build(db, DEV_CONFIG))
         assert race_diags(generated, db) == []
 
-    @pytest.mark.parametrize("build", [build_flat_view, build_aggregate_view])
-    def test_compiled_scripts_analyze_identically(self, build):
-        """CompiledComputeDiffStep subclasses ComputeDiffStep: the pass
-        must hold on the compiled execution backend's script too."""
-        db = build_database(DEV_CONFIG)
-        generated = generate(db, build(db, DEV_CONFIG))
-        compiled = compile_script(generated)
-        assert race_diags(generated, db, script=compiled) == []
-
     def test_pass_skips_without_database(self):
         db = build_database(DEV_CONFIG)
         generated = generate(db, build_flat_view(db, DEV_CONFIG))
@@ -116,12 +104,6 @@ class TestForcedRouteStatic:
         # The price-update round specifically (the one the dynamic
         # fixture drives) is among the flagged round shapes.
         assert any("base_u_parts__price" in d.location for d in r601)
-
-    def test_race601_on_compiled_script_too(self):
-        db, _, forced = make_misrouted()
-        compiled = compile_script(forced)
-        diags = race_diags(forced, db, script=compiled)
-        assert any(d.rule_id == "RACE601" for d in diags)
 
     def test_unforced_view_is_quiet(self):
         db, _, forced = make_misrouted()

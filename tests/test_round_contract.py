@@ -14,8 +14,13 @@ import pytest
 
 from repro.algebra import evaluate_plan, where
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine, sdbt, tuple_ivm
+import repro.analysis as analysis_mod
+import repro.core.engine as engine_mod
+import repro.core.script as script_mod
+import repro.core.sharded as sharded_mod
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
-from repro.core.engine import MaintenanceEngine
+from repro.core.compile import bind_kernels
+from repro.core.engine import EXEC_BACKENDS, MaintenanceEngine, MaterializedView
 from repro.core.rules.aggregate import AssociativeAggregateStep
 from repro.core.script import ApplyDiffStep
 from repro.errors import StaticAnalysisError
@@ -30,6 +35,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.shard import build_blueprint
+from repro.shard.workers import _WorkerState
 from repro.storage import Database, Table
 from repro.workloads import (
     DevicesConfig,
@@ -225,3 +231,129 @@ def test_blueprint_pickles_after_a_round_has_run():
             assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
     finally:
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# one ∆-script per view: what is routed, analyzed and executed is
+# ``view.generated.script`` — identity, not equality — on both backends
+# ----------------------------------------------------------------------
+ONE_SCRIPT_ENGINES = {
+    "id": IdIvmEngine,
+    "eager": EagerIvmEngine,
+    "sharded-inline": lambda db, **kw: ShardedEngine(db, shards=2, **kw),
+    "sharded-process": lambda db, **kw: ShardedEngine(
+        db, shards=2, backend="process", **kw
+    ),
+}
+
+
+def _recording_first_arg(real, seen):
+    def spy(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    return spy
+
+
+@pytest.mark.parametrize("exec_backend", EXEC_BACKENDS)
+@pytest.mark.parametrize("kind", sorted(ONE_SCRIPT_ENGINES))
+def test_one_script_is_routed_analyzed_and_executed(kind, exec_backend):
+    db = build_devices_database(CONFIG)
+    engine = ONE_SCRIPT_ENGINES[kind](db, exec_backend=exec_backend)
+    routed, analyzed, executed = [], [], []
+    execute_spy = _recording_first_arg(script_mod.execute_script, executed)
+    with ExitStack() as stack:
+        stack.callback(getattr(engine, "close", lambda: None))
+        for target, name, spy in (
+            (sharded_mod, "plan_route", _recording_first_arg(sharded_mod.plan_route, routed)),
+            # the engine binds the name at import, run_shard at call time
+            (engine_mod, "execute_script", execute_spy),
+            (script_mod, "execute_script", execute_spy),
+            (
+                analysis_mod,
+                "run_passes",
+                lambda ctx, names=None: analyzed.append(ctx.script) or ctx.report,
+            ),
+        ):
+            stack.enter_context(mock.patch.object(target, name, spy))
+        # the flat view routes parallel on price updates, γ broadcasts
+        views = [
+            engine.define_view("V", build_flat_view(db, CONFIG)),
+            engine.define_view("A", build_aggregate_view(db, CONFIG)),
+        ]
+        for view in views:
+            assert view.script is view.generated.script
+            assert bool(view.script._kernels) == (exec_backend == "compiled")
+            analysis_mod.analyze_generated(view.generated, db=db)
+        apply_price_updates(engine, db, CONFIG)
+        engine.maintain()
+    scripts = [view.generated.script for view in views]
+    assert [s is t for s, t in zip(analyzed, scripts)] == [True, True]
+    if kind.startswith("sharded"):
+        assert [s is t for s, t in zip(routed, scripts)] == [True, True]
+    # in-process executions: every shard of V plus A's broadcast; the
+    # process backend runs V in its workers (their replica: next test)
+    assert executed and all(any(s is t for t in scripts) for s in executed)
+    assert any(s is scripts[1] for s in executed)
+    assert any(s is scripts[0] for s in executed) == (kind != "sharded-process")
+    for view in views:
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+@pytest.mark.parametrize("exec_backend", EXEC_BACKENDS)
+def test_worker_builds_the_same_view_and_binds_its_one_script(exec_backend):
+    db = build_devices_database(CONFIG)
+    engine = IdIvmEngine(db, exec_backend=exec_backend)
+    engine.define_view("V", build_flat_view(db, CONFIG))
+    blueprint = build_blueprint(db, engine.views, exec_backend)
+    # what crosses the pipe carries no kernels, whatever the coordinator bound
+    wired = pickle.loads(pickle.dumps(blueprint))
+    assert not wired["views"][0]["generated"].script._kernels
+    view = _WorkerState(wired).views["V"]
+    assert type(view) is MaterializedView
+    assert view.script is view.generated.script
+    assert view.table is view.caches[view.plan.node_id]
+    assert bool(view.script._kernels) == (exec_backend == "compiled")
+
+
+def test_misspelt_backend_is_refused_not_interpreted():
+    """``script_for(generated, "complied")`` used to hand back the
+    interpretable script without a word, on the coordinator and in every
+    worker."""
+    db = build_devices_database(CONFIG)
+    engine = IdIvmEngine(db)
+    engine.define_view("V", build_flat_view(db, CONFIG))
+    with pytest.raises(ValueError, match="complied"):
+        build_blueprint(db, engine.views, "complied")
+    blueprint = build_blueprint(db, engine.views, "compiled")
+    blueprint["exec_backend"] = "complied"
+    with pytest.raises(ValueError, match="complied"):
+        _WorkerState(blueprint)
+
+
+def test_pickled_plan_runs_interpreted_until_kernels_are_rebound():
+    def twin():
+        db = build_devices_database(CONFIG)
+        engine = IdIvmEngine(db)
+        return db, engine, engine.define_view("V", build_aggregate_view(db, CONFIG))
+
+    def round_(db, engine, seed):
+        apply_price_updates(engine, db, CONFIG, round_seed=seed)
+        recorder = SpanRecorder()
+        with recording(recorder):
+            report = engine.maintain()["V"]
+        return report.phase_counts, len(recorder.find(kind="ir_op"))
+
+    db, engine, view = twin()
+    db2, engine2, view2 = twin()
+    view2.generated = pickle.loads(pickle.dumps(view2.generated))
+    assert view.script._kernels and not view2.script._kernels
+    counts, ir_ops = round_(db, engine, 0)
+    counts2, ir_ops2 = round_(db2, engine2, 0)
+    assert counts2 == counts and ir_ops == 0 < ir_ops2
+    assert bind_kernels(view2.script, "compiled") is view2.generated.script
+    assert view2.script._kernels.keys() == view.script._kernels.keys()
+    counts, _ = round_(db, engine, 1)
+    counts2, ir_ops2 = round_(db2, engine2, 1)
+    assert counts2 == counts and ir_ops2 == 0
+    assert view2.table.as_set() == evaluate_plan(view2.plan, db2).as_set()
