@@ -91,7 +91,11 @@ lint-catalog:
 # and one ∆-script per view: compilation binds kernels onto the stored
 # script (core/compile.py `bind_kernels`) — no `ComputeDiffStep`
 # subclass carrying a second `run`, no second `DeltaScript` built by
-# the compiler.
+# the compiler; and one mechanism that skips idle statements: the live
+# slice of `DeltaScript.live_plan`, closed by the one `step_liveness`
+# (core/script.py) for both backends and the shard workers — no per-step
+# emptiness wrapper in the compiler, no second closure over
+# `driving_sources`.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -115,6 +119,14 @@ lint-static:
 	    exit 1; fi
 	@if grep -nE '\bDeltaScript\(' src/repro/core/compile.py; then \
 	    echo "core/compile.py builds a DeltaScript: kernels are bound onto the view's one stored script"; \
+	    exit 1; fi
+	@if grep -nE 'for name in _names' src/repro/core/compile.py; then \
+	    echo "per-step emptiness wrapper in core/compile.py: idle statements are skipped by the live slice (DeltaScript.live_plan)"; \
+	    exit 1; fi
+	@if [ "$$(grep -rhE 'def +step_liveness\b' src/repro --include='*.py' | wc -l)" != 1 ] \
+	    || grep -rnE '\bdriving_sources\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/core/(ir_exec|script)\.py:'; then \
+	    echo "liveness is closed in one place: step_liveness in core/script.py, over ir_exec.driving_sources"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

@@ -51,6 +51,7 @@ from .obs import spans as obs
 from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .core import IdIvmEngine, ShardedEngine
+from .core.engine import COST_MODEL_FALLBACKS
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -158,6 +159,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"-- {n_fallbacks} expression(s) not lowered: interpreted per row "
             "inside their kernels (compile.expr_fallbacks)"
         )
+    if COST_MODEL_FALLBACKS + view.name in metrics.registry().names():
+        print(
+            "-- no cost model (inferring it failed; a strict=True engine "
+            "re-raises the error): the view runs without predictions or a "
+            "drift signal (engine.cost_model_fallbacks)"
+        )
+    print()
+    print("-- live slices: statements a round on one base i-diff runs --")
+    print(_describe_reach(view.script))
     if args.analyze:
         print()
         print("-- EXPLAIN ANALYZE (actual rows / accesses) " + "-" * 17)
@@ -184,6 +194,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 rebuilds = metrics.counter("engine.prestate_rebuilds").value
                 print(f"  Input_pre: replica rolled forward by the log ({rebuilds} rebuilds)")
     return 0
+
+
+def _describe_reach(script) -> str:
+    """Per base i-diff instance, how many of the script's statements a
+    round that modifies only it runs (always-live ones included)."""
+    always = sum(script.reached(frozenset()))
+    lines = [
+        f"  {name}: {sum(script.reached(frozenset((name,))))} of {len(script)}"
+        for name in sorted(script.leaves())
+    ]
+    lines.append(f"  (always live: {always}; an empty round runs only those)")
+    return "\n".join(lines)
 
 
 def _print_reconciliation(report) -> None:

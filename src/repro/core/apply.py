@@ -41,6 +41,18 @@ class AppliedChanges:
         self.changes = changes
         self.updated_attrs = updated_attrs
 
+    @classmethod
+    def of(
+        cls, diff_schema: DiffSchema, table_schema, changes: list[tuple]
+    ) -> "AppliedChanges":
+        """What applying a diff of *diff_schema* made of a table: its
+        kind and, for an update, the attributes it set."""
+        kind = diff_schema.kind
+        return cls(
+            kind, table_schema, changes,
+            diff_schema.post_attrs if kind == UPDATE else (),
+        )
+
     def __len__(self) -> int:
         return len(self.changes)
 
@@ -128,19 +140,18 @@ def apply_diff(table: Table, diff: Diff) -> AppliedChanges:
             schema.post_attrs,
             [(row[:n_ids], row[-n_post:]) for row in diff.rows],
         )
-        return AppliedChanges(UPDATE, table.schema, changes, schema.post_attrs)
-    if kind == INSERT:
+    elif kind == INSERT:
         # APPLY ∆+: INSERT ... WHERE ROW NOT IN (SELECT ... FROM V).
         diff_attrs = schema.id_attrs + schema.post_attrs
         in_table_order = row_extractor(
             [diff_attrs.index(c) for c in table.schema.columns]
         )
         changes = table.insert_many([in_table_order(row) for row in diff.rows])
-        return AppliedChanges(INSERT, table.schema, changes)
-    if kind == DELETE:
+    elif kind == DELETE:
         # APPLY ∆−: DELETE FROM V WHERE ROW(Ī′) IN (SELECT Ī′ FROM ∆−).
         changes = table.delete_many(
             schema.id_attrs, [row[:n_ids] for row in diff.rows]
         )
-        return AppliedChanges(DELETE, table.schema, changes)
-    raise DiffError(f"unknown diff kind {kind!r}")
+    else:
+        raise DiffError(f"unknown diff kind {kind!r}")
+    return AppliedChanges.of(schema, table.schema, changes)

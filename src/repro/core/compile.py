@@ -577,60 +577,12 @@ def _compile_probe_semi(node: ProbeSemi) -> RowsFn:
 # ----------------------------------------------------------------------
 # step lowering + binding onto the view's one script
 # ----------------------------------------------------------------------
-def _driving_sources(node: IrNode) -> Optional[set[str]]:
-    """Diff names that *drive* the tree, or ``None`` if it has a source
-    that is read regardless of diff contents.
-
-    A tree is diff-driven when every counted access is reached through
-    rows originating in a :class:`DiffSource` — probe joins/semis read
-    their subview side only for a non-empty left (both backends return
-    early on an empty probe side), so only the left child drives.  For a
-    diff-driven tree whose driving diffs are all empty this round, the
-    result is empty and no counted access happens; the interpreter walks
-    the IR to discover that, a compiled step can skip the walk outright.
-    """
-    if isinstance(node, DiffSource):
-        return {node.name}
-    if isinstance(node, Empty):
-        return set()
-    if isinstance(node, (Filter, Compute, Distinct, GroupAgg)):
-        return _driving_sources(node.child)
-    if isinstance(node, UnionRows):
-        names: set[str] = set()
-        for part in node.parts:
-            sub = _driving_sources(part)
-            if sub is None:
-                return None
-            names |= sub
-        return names
-    if isinstance(node, (ProbeJoin, ProbeSemi)):
-        return _driving_sources(node.left)
-    # SubviewSource / AppliedSource (and anything unknown): read
-    # unconditionally, so the step can produce rows and counted accesses
-    # even when every diff is empty.
-    return None
-
-
 def lower_step(step: ComputeDiffStep) -> Kernel:
     """Lower one compute step's IR tree into its kernel: what
     ``step.run`` does — evaluate, validate through ``Diff``'s
     constructor, bind under ``step.name`` — with the tree walk resolved
     here, once."""
     fn = _compile_node(step.ir)
-    drivers = _driving_sources(step.ir)
-    if drivers:
-        inner_fn = fn
-        names = tuple(drivers)
-
-        def fn(ctx: IrContext, _fn=inner_fn, _names=names) -> list:
-            diffs = ctx.diffs
-            for name in _names:
-                diff = diffs.get(name)
-                # Missing diff: fall through so DiffSource raises its
-                # usual ScriptError with the proper message.
-                if diff is None or len(diff):
-                    return _fn(ctx)
-            return []
     name, schema = step.name, step.schema
     ir_columns = tuple(step.ir.columns)
     want = schema.columns

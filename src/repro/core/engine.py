@@ -42,9 +42,14 @@ from .diffs import DELETE, INSERT
 from .generator import GeneratedPlan, ScriptGenerator
 from .idinfer import node_by_id
 from .ir_exec import IrContext
-from .modlog import ModificationLog, populate_instances
+from .modlog import InstanceLayout, ModificationLog, populate_instances
 from .schema_gen import generate_base_schemas
 from .script import DeltaScript, execute_script
+
+
+#: Prefix of the per-view counters of cost models that could not be
+#: inferred at ``define_view``.
+COST_MODEL_FALLBACKS = "engine.cost_model_fallbacks."
 
 
 @dataclass
@@ -98,6 +103,9 @@ class MaterializedView:
         cost_model=None,
     ):
         self.generated = generated
+        #: the base i-diff schemas as ``populate_instances`` takes them:
+        #: names, empties and projectors resolved once for the view.
+        self.instance_layout = InstanceLayout(generated.base_schemas)
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
@@ -368,7 +376,7 @@ class IdIvmEngine(MaintenanceEngine):
             view_table,
             caches,
             operator_caches,
-            cost_model=_infer_cost_model(generated, self.db),
+            cost_model=_infer_cost_model(generated, self.db, self.strict),
         )
         return self._register(name, view)
 
@@ -378,7 +386,13 @@ class IdIvmEngine(MaintenanceEngine):
     def _maintain_view(
         self, view: MaterializedView, db_pre: Database, entries, view_span
     ) -> MaintenanceReport:
-        instances = populate_instances(view.generated.base_schemas, entries, db_pre)
+        instances = populate_instances(view.instance_layout, entries, db_pre)
+        if obs.current_recorder() is not None:
+            script = view.script
+            view_span.set(
+                stmts_live=sum(script.reached(script.live_mask(instances))),
+                stmts_total=len(script),
+            )
         report = self._run_view(view, instances, db_pre, entries, view_span)
         if view.cost_model is not None:
             report.predicted_counts = view.cost_model.predict_from_diff_sizes(
@@ -408,17 +422,24 @@ class IdIvmEngine(MaintenanceEngine):
         before = counters.snapshot()
         execute_script(view.script, ctx, counters)
         report.phase_counts = counts_since(counters, before)
-        report.diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
+        report.diff_sizes = ctx.diff_sizes
 
 
-def _infer_cost_model(generated: GeneratedPlan, db: Database):
-    """Symbolic cost model for a fresh view, or None when inference does
-    not apply.  Deferred import: repro.analysis imports core modules."""
+def _infer_cost_model(generated: GeneratedPlan, db: Database, strict: bool):
+    """Symbolic cost model for a fresh view, or None when inference
+    fails: the view then runs with no prediction and no drift signal, so
+    the fallback is counted — ``engine.cost_model_fallbacks.<view>``,
+    printed by ``repro explain`` — and a *strict* engine re-raises the
+    error instead, which is also how to see why.  Deferred import:
+    repro.analysis imports core modules."""
     try:
         from ..analysis.cost import infer_script_cost
 
         return infer_script_cost(generated, db)
     except Exception:
+        if strict:
+            raise
+        metrics.counter(f"{COST_MODEL_FALLBACKS}{generated.view_name}").inc()
         return None
 
 

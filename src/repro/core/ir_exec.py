@@ -70,6 +70,9 @@ class IrContext:
         #: base tables with no modifications in this batch — gates the
         #: Section 9 view-reuse probes (set by the engine per round).
         self.unchanged_tables: set[str] = set()
+        #: rows per named diff of the executed round, the zeros of the
+        #: statements it skipped included (set by ``execute_script``).
+        self.diff_sizes: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def database_for(self, state: str) -> Database:
@@ -186,6 +189,41 @@ def _run_ir(node: IrNode, ctx: IrContext) -> Relation:
     if isinstance(node, ProbeSemi):
         return _run_probe_semi(node, ctx)
     raise ScriptError(f"cannot execute IR node {node!r}")
+
+
+def driving_sources(node: IrNode) -> Optional[set[str]]:
+    """Diff names that *drive* the tree, or ``None`` if it has a source
+    that is read regardless of diff contents.
+
+    A tree is diff-driven when every counted access is reached through
+    rows originating in a :class:`DiffSource` — probe joins/semis read
+    their subview side only for a non-empty left (both backends return
+    early on an empty probe side), so only the left child drives.  For a
+    diff-driven tree whose driving diffs are all empty this round, the
+    result is empty and no counted access happens — which is what lets a
+    round skip the statement outright, under either backend
+    (:func:`repro.core.script.step_liveness`).
+    """
+    if isinstance(node, DiffSource):
+        return {node.name}
+    if isinstance(node, Empty):
+        return set()
+    if isinstance(node, (Filter, Compute, Distinct, GroupAgg)):
+        return driving_sources(node.child)
+    if isinstance(node, UnionRows):
+        names: set[str] = set()
+        for part in node.parts:
+            sub = driving_sources(part)
+            if sub is None:
+                return None
+            names |= sub
+        return names
+    if isinstance(node, (ProbeJoin, ProbeSemi)):
+        return driving_sources(node.left)
+    # SubviewSource / AppliedSource (and anything unknown): read
+    # unconditionally, so the step can produce rows and counted accesses
+    # even when every diff is empty.
+    return None
 
 
 def _run_probe_join(node: ProbeJoin, ctx: IrContext) -> Relation:

@@ -210,8 +210,88 @@ def fold_log(
     return net
 
 
+class InstanceLayout(Sequence):
+    """A view's base-table i-diff schemas — it iterates as them — with
+    what :func:`populate_instances` needs of each resolved once instead
+    of once per round: the instance names, a shared empty instance per
+    schema and, per target table on the first round that touches it, one
+    projector per schema and the update routes chosen so far."""
+
+    def __init__(self, schemas: Sequence[DiffSchema]):
+        self.schemas = tuple(schemas)
+        self.names = tuple(schema_instance_name(schema) for schema in self.schemas)
+        #: every schema's instance for a round that leaves it empty
+        #: (shared across rounds: nothing mutates a diff's rows)
+        self.empties = {
+            name: Diff.trusted(schema, [])
+            for name, schema in zip(self.names, self.schemas)
+        }
+        self._tables: dict[str, Optional[_TableProjectors]] = {}
+
+    def __getitem__(self, index):
+        return self.schemas[index]
+
+    def __len__(self) -> int:
+        return len(self.schemas)
+
+    def table(self, target: str, db: Database) -> Optional["_TableProjectors"]:
+        """The projectors of the schemas on *target*, resolved on first
+        use; ``None`` when the view reads no i-diff of that table."""
+        if target not in self._tables:
+            on_target = [
+                (name, schema)
+                for name, schema in zip(self.names, self.schemas)
+                if schema.target == target
+            ]
+            self._tables[target] = (
+                _TableProjectors(db.table(target).schema, on_target)
+                if on_target
+                else None
+            )
+        return self._tables[target]
+
+
+class _TableProjectors:
+    """Per kind, one ``(slot, schema, pre, post)`` projector per schema
+    on one base table: which of the table's instances it fills (an index
+    into ``on_target``) and the extractors of its pre and post
+    attributes."""
+
+    def __init__(self, table_schema, on_target: Sequence[tuple[str, DiffSchema]]):
+        self.on_target = on_target
+        self.columns = table_schema.columns
+        self.non_key = table_schema.positions(table_schema.non_key_columns)
+        self.by_kind: dict[str, list[tuple]] = {INSERT: [], DELETE: [], UPDATE: []}
+        for slot, (_, schema) in enumerate(on_target):
+            self.by_kind[schema.kind].append((
+                slot,
+                schema,
+                row_extractor(table_schema.positions(schema.pre_attrs)),
+                row_extractor(table_schema.positions(schema.post_attrs)),
+            ))
+        #: modified positions -> the projector their updates route to
+        self.routes: dict[tuple, tuple] = {}
+
+    def route(self, modified: tuple) -> tuple:
+        """Route a net tuple-update to exactly ONE schema: the smallest
+        whose post attributes cover all modified attributes, chosen once
+        per distinct set of modified positions.  (Splitting a tuple's
+        change across instances would entangle them: each instance
+        implies its non-post attributes are unchanged — the derivation
+        the rules and Figure 8 rewrites rely on — and aggregate deltas
+        would double-count the shared row.  The per-group schemas of
+        Section 5 still serve the common case of updates within one
+        group; the catch-all schema absorbs the rest.)"""
+        route = self.routes.get(modified)
+        if route is None:
+            route = self.routes[modified] = _route_update(
+                self.by_kind[UPDATE], {self.columns[i] for i in modified}
+            )
+        return route
+
+
 def populate_instances(
-    schemas: Sequence[DiffSchema],
+    schemas: InstanceLayout,
     entries: Sequence[LoggedModification],
     db: Database,
 ) -> dict[str, Diff]:
@@ -220,17 +300,17 @@ def populate_instances(
     Returns a mapping from a stable schema name (used as the ∆-script's
     DiffSource name) to the populated instance.  Every schema gets an
     instance (possibly empty) so scripts can reference all of them.
+    *schemas* is the view's :class:`InstanceLayout`: the schemas, resolved
+    once per view rather than once per call.
     """
     with obs.span(
         "log_to_idiffs", kind="engine", counters=db.counters,
         n_log_entries=len(entries), n_schemas=len(schemas),
     ) as sp:
         out = _populate_instances(schemas, entries, db)
-        total_rows = sum(len(diff) for diff in out.values())
-        sp.set(
-            idiff_rows=total_rows,
-            nonempty_instances=sum(1 for diff in out.values() if diff),
-        )
+        sizes = [len(diff.rows) for diff in out.values()]
+        total_rows = sum(sizes)
+        sp.set(idiff_rows=total_rows, nonempty_instances=len(sizes) - sizes.count(0))
         metrics.histogram("modlog.idiff_rows_per_round").observe(total_rows)
         metrics.loghist("modlog.fold_rows", unit="rows").observe(len(entries))
         if entries:
@@ -241,67 +321,49 @@ def populate_instances(
 
 
 def _populate_instances(
-    schemas: Sequence[DiffSchema],
+    layout: InstanceLayout,
     entries: Sequence[LoggedModification],
     db: Database,
 ) -> dict[str, Diff]:
-    net = fold_log(entries, db)
-    # Per target table and kind, one projector per schema — its pre and
-    # post extractors and the row list of its instance — built once.
-    names = [schema_instance_name(schema) for schema in schemas]
-    rows: dict[str, list[tuple]] = {name: [] for name in names}
-    projectors: dict[str, dict[str, list[tuple]]] = {}
-    for name, schema in zip(names, schemas):
-        table_schema = db.table(schema.target).schema
-        projectors.setdefault(schema.target, {}).setdefault(schema.kind, []).append((
-            schema,
-            row_extractor(table_schema.positions(schema.pre_attrs)),
-            row_extractor(table_schema.positions(schema.post_attrs)),
-            rows[name],
-        ))
-    for target, by_kind in projectors.items():
-        table_schema = db.table(target).schema
-        non_key = table_schema.positions(table_schema.non_key_columns)
-        inserts, deletes, updates = (by_kind.get(k, ()) for k in (INSERT, DELETE, UPDATE))
-        # Route every net tuple-update to exactly ONE schema: the smallest
-        # whose post attributes cover all modified attributes, chosen once
-        # per distinct set of modified positions.  (Splitting a tuple's
-        # change across instances would entangle them: each instance
-        # implies its non-post attributes are unchanged — the derivation
-        # the rules and Figure 8 rewrites rely on — and aggregate deltas
-        # would double-count the shared row.  The per-group schemas of
-        # Section 5 still serve the common case of updates within one
-        # group; the catch-all schema absorbs the rest.)
-        routes: dict[tuple, tuple] = {}
-        for key, change in net.get(target, {}).items():
+    out = dict(layout.empties)
+    # Work follows the folded log: a table it does not touch resolves no
+    # projector and builds no instance.
+    for target, changes in fold_log(entries, db).items():
+        projectors = layout.table(target, db)
+        if projectors is None:
+            continue  # the view reads no i-diff of this table
+        non_key = projectors.non_key
+        inserts, deletes, updates = (
+            projectors.by_kind[k] for k in (INSERT, DELETE, UPDATE)
+        )
+        sinks: list[list[tuple]] = [[] for _ in projectors.on_target]
+        for key, change in changes.items():
             pre_row, post_row = change.pre_row, change.post_row
             if change.kind == INSERT:
-                for _, _, post, sink in inserts:
-                    sink.append(key + post(post_row))
+                for slot, _, _, post in inserts:
+                    sinks[slot].append(key + post(post_row))
             elif change.kind == DELETE:
-                for _, pre, _, sink in deletes:
-                    sink.append(key + pre(pre_row))
+                for slot, _, pre, _ in deletes:
+                    sinks[slot].append(key + pre(pre_row))
             elif updates:  # else: the view does not read this table's updates
                 modified = tuple(i for i in non_key if pre_row[i] != post_row[i])
-                route = routes.get(modified)
-                if route is None:
-                    route = routes[modified] = _route_update(
-                        updates, {table_schema.columns[i] for i in modified}
-                    )
-                _, pre, post, sink = route
-                sink.append(key + pre(pre_row) + post(post_row))
-    return {name: Diff(schema, rows[name]) for name, schema in zip(names, schemas)}
+                slot, _, pre, post = projectors.route(modified)
+                sinks[slot].append(key + pre(pre_row) + post(post_row))
+        for (name, schema), rows in zip(projectors.on_target, sinks):
+            if rows:
+                out[name] = Diff(schema, rows)
+    return out
 
 
 def _route_update(updates: Sequence[tuple], modified: set[str]) -> tuple:
     """The projector of the minimal update schema covering *modified*."""
-    candidates = [u for u in updates if modified <= set(u[0].post_attrs)]
+    candidates = [u for u in updates if modified <= set(u[1].post_attrs)]
     if not candidates:
         raise DiffError(
-            f"no update i-diff schema of {updates[0][0].target!r} covers "
+            f"no update i-diff schema of {updates[0][1].target!r} covers "
             f"modified attributes {sorted(modified)}"
         )
-    return min(candidates, key=lambda u: len(u[0].post_attrs))
+    return min(candidates, key=lambda u: len(u[1].post_attrs))
 
 
 def schema_instance_name(schema: DiffSchema) -> str:

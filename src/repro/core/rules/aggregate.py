@@ -230,7 +230,72 @@ class _ChangeCollector:
         return changes
 
 
-class AssociativeAggregateStep(Step):
+class _AggregateStep(Step):
+    """What the two γ rules share: branches in, the applied changes of
+    the γ output re-emitted as three effective diffs, and the output
+    marked post-state."""
+
+    def __init__(
+        self,
+        gnode: GroupBy,
+        inputs: Sequence[tuple[str, str]],
+        emit_prefix: str,
+        phase: str,
+    ):
+        """*inputs* is a list of ("expansion"|"diff", name) pairs."""
+        self.gnode = gnode
+        self.inputs = list(inputs)
+        self.emit_prefix = emit_prefix
+        self.phase = phase
+        self.emitted: dict[str, str] = {
+            INSERT: f"{emit_prefix}_ins",
+            DELETE: f"{emit_prefix}_del",
+            UPDATE: f"{emit_prefix}_upd",
+        }
+
+    def _output(self, ctx: IrContext) -> Table:
+        out_table = ctx.caches.get(self.gnode.node_id)
+        if out_table is None:
+            raise ScriptError(
+                f"aggregate n{self.gnode.node_id} has no output materialization"
+            )
+        return out_table
+
+    def _emit(
+        self,
+        ctx: IrContext,
+        out_table: Table,
+        applied: Sequence[tuple] = (),
+        kinds: Sequence[str] = (),
+    ) -> None:
+        """Re-express the applied changes as effective diffs for the
+        operators above (and mark our output as post-state)."""
+        grouped = {INSERT: [], DELETE: [], UPDATE: []}
+        for change, kind in zip(applied, kinds):
+            grouped[kind].append(change)
+        for kind, name in self.emitted.items():
+            ctx.diffs[name] = changes_to_diff(
+                kind, grouped[kind], out_table.schema, f"n{self.gnode.node_id}"
+            )
+        self.settle(ctx)
+
+    # -- liveness: every input drives (an empty branch probes nothing,
+    # an empty γ-delta writes nothing); skipped, the step still emits
+    # its three (empty) diffs and still marks its output ----------------
+    def reads(self) -> list[tuple[str, str]]:
+        return self.inputs
+
+    def binds(self) -> list[tuple[str, str]]:
+        return [("diff", name) for name in self.emitted.values()]
+
+    def idle(self, ctx: IrContext) -> None:
+        self._emit(ctx, self._output(ctx))
+
+    def settle(self, ctx: IrContext) -> None:
+        ctx.mark_cache_updated(self.gnode.node_id)
+
+
+class AssociativeAggregateStep(_AggregateStep):
     """Delta maintenance for sum / count / avg (Tables 9, 11, 12)."""
 
     def __init__(
@@ -241,17 +306,8 @@ class AssociativeAggregateStep(Step):
         emit_prefix: str,
         phase: str,
     ):
-        """*inputs* is a list of ("expansion"|"diff", name) pairs."""
-        self.gnode = gnode
-        self.inputs = list(inputs)
+        super().__init__(gnode, inputs, emit_prefix, phase)
         self.opcache_name = opcache_name
-        self.emit_prefix = emit_prefix
-        self.phase = phase
-        self.emitted: dict[str, str] = {
-            INSERT: f"{self.emit_prefix}_ins",
-            DELETE: f"{self.emit_prefix}_del",
-            UPDATE: f"{self.emit_prefix}_upd",
-        }
 
     # ------------------------------------------------------------------
     def run(self, ctx: IrContext) -> None:
@@ -275,35 +331,12 @@ class AssociativeAggregateStep(Step):
     # ------------------------------------------------------------------
     def _apply_deltas(self, ctx: IrContext, deltas: dict[tuple, _GroupDelta]) -> None:
         gnode = self.gnode
-        out_table = ctx.caches.get(gnode.node_id)
-        if out_table is None:
-            raise ScriptError(
-                f"aggregate n{gnode.node_id} has no output materialization"
-            )
+        out_table = self._output(ctx)
         opcache = ctx.operator_caches.get(gnode.node_id)
         if opcache is None:
             raise ScriptError(f"aggregate n{gnode.node_id} has no operator cache")
         applied, kinds = apply_group_deltas(gnode, deltas, out_table, opcache)
         self._emit(ctx, out_table, applied, kinds)
-
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        ctx: IrContext,
-        out_table: Table,
-        applied: list[tuple],
-        kinds: list[str],
-    ) -> None:
-        """Re-express the applied changes as effective diffs for the
-        operators above (and mark our output as post-state)."""
-        grouped = {INSERT: [], DELETE: [], UPDATE: []}
-        for change, kind in zip(applied, kinds):
-            grouped[kind].append(change)
-        for kind, name in self.emitted.items():
-            ctx.diffs[name] = changes_to_diff(
-                kind, grouped[kind], out_table.schema, f"n{self.gnode.node_id}"
-            )
-        ctx.mark_cache_updated(self.gnode.node_id)
 
     def describe(self) -> str:
         srcs = ", ".join(f"{k}:{n}" for k, n in self.inputs)
@@ -514,40 +547,15 @@ def group_deltas_from_changes(
     return deltas
 
 
-class GeneralAggregateStep(Step):
+class GeneralAggregateStep(_AggregateStep):
     """Recompute-based maintenance for arbitrary aggregates (Table 7)."""
-
-    def __init__(
-        self,
-        gnode: GroupBy,
-        inputs: Sequence[tuple[str, str]],
-        emit_prefix: str,
-        phase: str,
-    ):
-        self.gnode = gnode
-        self.inputs = list(inputs)
-        self.emit_prefix = emit_prefix
-        self.phase = phase
-        self.emitted: dict[str, str] = {
-            INSERT: f"{emit_prefix}_ins",
-            DELETE: f"{emit_prefix}_del",
-            UPDATE: f"{emit_prefix}_upd",
-        }
 
     def run(self, ctx: IrContext) -> None:
         gnode = self.gnode
-        out_table = ctx.caches.get(gnode.node_id)
-        if out_table is None:
-            raise ScriptError(
-                f"aggregate n{gnode.node_id} has no output materialization"
-            )
+        out_table = self._output(ctx)
         groups = self._affected_groups(ctx)
         if not groups:
-            for kind, name in self.emitted.items():
-                ctx.diffs[name] = changes_to_diff(
-                    kind, [], out_table.schema, f"n{gnode.node_id}"
-                )
-            ctx.mark_cache_updated(gnode.node_id)
+            self._emit(ctx, out_table)
             return
         # Recompute the affected groups from Input_post (Table 7's
         # γ(∆ ⋉Ḡ Input_post)).  sort_rows, not sorted: group keys may
@@ -582,14 +590,7 @@ class GeneralAggregateStep(Step):
                 out_table.write_at(keys[0], changes)
                 applied.append((old_row, new_row))
                 kinds.append(UPDATE)
-        grouped = {INSERT: [], DELETE: [], UPDATE: []}
-        for change, kind in zip(applied, kinds):
-            grouped[kind].append(change)
-        for kind, name in self.emitted.items():
-            ctx.diffs[name] = changes_to_diff(
-                kind, grouped[kind], out_table.schema, f"n{gnode.node_id}"
-            )
-        ctx.mark_cache_updated(gnode.node_id)
+        self._emit(ctx, out_table, applied, kinds)
 
     def _affected_groups(self, ctx: IrContext) -> set[tuple]:
         """Group keys whose membership may have changed, from both states."""

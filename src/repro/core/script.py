@@ -15,22 +15,32 @@ A ∆-script is an ordered list of steps:
 Steps carry a *phase* label so the harness can attribute access counts to
 the paper's Figure 12 cost components (cache update / view diff
 computation / view update).
+
+A script covers every modification class of every base table (Section 5)
+and a round touches few of them, so a round runs a *live slice* of its
+script: :func:`step_liveness` closes each step's driving inputs over the
+def-use graph down to the base i-diff instances that can make it do
+anything, and :meth:`DeltaScript.live_plan` keeps, per set of non-empty
+instances, the steps that set reaches plus the shared empties the
+skipped ones would have bound.  A round's cost follows the statements
+its modifications reach, not the length of the script.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import ExitStack
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..errors import ScriptError
 from ..obs import metrics
 from ..obs import spans as obs
-from ..storage import CounterSet
-from .apply import apply_diff
+from ..storage import CounterSet, Table
+from .apply import AppliedChanges, apply_diff
 from .diffs import Diff, DiffSchema
 from .ir import IrNode
-from .ir_exec import IrContext, run_ir
+from .ir_exec import IrContext, driving_sources, run_ir
 
 PHASE_CACHE_DIFF = "cache_diff"
 PHASE_CACHE_UPDATE = "cache_update"
@@ -47,6 +57,29 @@ class Step:
         """Execute the statement; returns the number of rows of the diff
         it computed or applied, ``None`` where it has no single diff."""
         raise NotImplementedError
+
+    # -- the liveness contract (what lets a round skip the statement) --
+    def reads(self) -> Optional[Sequence[tuple[str, str]]]:
+        """The inputs that *drive* the statement, as ``("diff" |
+        "expansion", name)`` pairs: with every one of them empty ``run``
+        makes no counted access, writes no table and binds only empties.
+        ``None``: it reads something unconditionally and always runs."""
+        return None
+
+    def binds(self) -> Sequence[tuple[str, str]]:
+        """What ``run`` binds in ``ctx.diffs`` / ``ctx.expansions``, in
+        the same ``(space, name)`` form."""
+        return ()
+
+    def idle(self, ctx: IrContext) -> Optional[int]:
+        """What ``run`` binds and returns over empty driving inputs,
+        without the run: called once per live slice, on the environment
+        every round of that slice then shares."""
+        raise NotImplementedError
+
+    #: ``settle(ctx)``: what a skipped statement must still do at its
+    #: script position (a γ step's cache mark); ``None``: nothing.
+    settle: Optional[Callable[[IrContext], None]] = None
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -65,6 +98,17 @@ class ComputeDiffStep(Step):
         relation = run_ir(self.ir, ctx)
         diff = ctx.diffs[self.name] = Diff.from_relation(self.schema, relation)
         return len(diff.rows)
+
+    def reads(self) -> Optional[list[tuple[str, str]]]:
+        names = driving_sources(self.ir)
+        return None if names is None else [("diff", name) for name in names]
+
+    def binds(self) -> list[tuple[str, str]]:
+        return [("diff", self.name)]
+
+    def idle(self, ctx: IrContext) -> int:
+        ctx.diffs[self.name] = Diff.trusted(self.schema, [])
+        return 0
 
     def describe(self) -> str:
         return f"{self.name} := {self.schema!r}\n{self.ir.pretty(1)}"
@@ -87,7 +131,7 @@ class ApplyDiffStep(Step):
         self.phase = phase
         self.returning_name = returning_name
 
-    def run(self, ctx: IrContext) -> int:
+    def _operands(self, ctx: IrContext) -> tuple[Table, Diff]:
         diff = ctx.diffs.get(self.diff_name)
         if diff is None:
             raise ScriptError(f"diff {self.diff_name!r} was never computed")
@@ -96,10 +140,30 @@ class ApplyDiffStep(Step):
             raise ScriptError(
                 f"no materialization registered for node {self.target_node_id}"
             )
+        return table, diff
+
+    def run(self, ctx: IrContext) -> int:
+        table, diff = self._operands(ctx)
         applied = apply_diff(table, diff)
         if self.returning_name is not None:
             ctx.expansions[self.returning_name] = applied
         return len(diff.rows)
+
+    def reads(self) -> list[tuple[str, str]]:
+        return [("diff", self.diff_name)]
+
+    def binds(self) -> list[tuple[str, str]]:
+        if self.returning_name is None:
+            return []
+        return [("expansion", self.returning_name)]
+
+    def idle(self, ctx: IrContext) -> int:
+        if self.returning_name is not None:
+            table, diff = self._operands(ctx)
+            ctx.expansions[self.returning_name] = AppliedChanges.of(
+                diff.schema, table.schema, []
+            )
+        return 0
 
     def describe(self) -> str:
         tail = f" RETURNING {self.returning_name}" if self.returning_name else ""
@@ -121,6 +185,72 @@ class MarkCacheUpdatedStep(Step):
         return f"-- {self.label} is now post-state"
 
 
+def step_liveness(steps: Sequence[Step]) -> list[Optional[frozenset[str]]]:
+    """Per step, the *leaf* diff names — names no step binds: the base
+    i-diff instances — that can make it do anything; ``None``: always
+    live.
+
+    The closure of every step's driving inputs (:meth:`Step.reads`) over
+    the script's def-use graph, in script order: a step is driven by the
+    leaves driving whatever bound its inputs.  A step stays always live
+    when it reads something unconditionally, reads a name bound only
+    later or an expansion nothing binds, or binds a name that is bound
+    twice — everything a slice cannot prove idle runs, so counts cannot
+    move and a malformed script still raises on the round.
+    """
+    times_bound = Counter(key for step in steps for key in step.binds())
+    reach: dict[tuple[str, str], Optional[frozenset[str]]] = {}
+    liveness: list[Optional[frozenset[str]]] = []
+    for step in steps:
+        reads = step.reads()
+        live: Optional[frozenset[str]] = None
+        if reads is not None and all(times_bound[key] == 1 for key in step.binds()):
+            leaves: set[str] = set()
+            for key in reads:
+                space, name = key
+                if key in reach:
+                    driven_by = reach[key]
+                elif key in times_bound or space != "diff":
+                    driven_by = None
+                else:
+                    driven_by = frozenset((name,))
+                if driven_by is None:
+                    break
+                leaves |= driven_by
+            else:
+                live = frozenset(leaves)
+        liveness.append(live)
+        for key in step.binds():
+            reach[key] = live
+    return liveness
+
+
+class LiveSlice(NamedTuple):
+    """What one round of a script runs, for one set of non-empty base
+    instances — and what it leaves in place of the rest."""
+
+    #: ``(script index, run, phase)`` of every live statement, in script
+    #: order; phase ``None`` marks a skipped statement's ``settle``.
+    steps: list[tuple[int, Callable[[IrContext], Optional[int]], Optional[str]]]
+    #: the empties the skipped statements would have bound, shared by
+    #: every round of the slice (nothing mutates a diff's rows)
+    idle_diffs: dict[str, Diff]
+    idle_expansions: dict[str, AppliedChanges]
+    #: ``{name: 0}`` over ``idle_diffs``, for ``IrContext.diff_sizes``
+    idle_sizes: dict[str, int]
+    #: diff names the live statements bind
+    binds: tuple[str, ...]
+    #: statements skipped, and how many of them report a diff-row count
+    skipped: int
+    skipped_counted: int
+
+
+#: Live slices memoised per script; a workload sees a handful of masks
+#: (one per combination of modified tables), an adversarial one gets the
+#: memo dropped and rebuilt.
+SLICE_MEMO_MAX = 64
+
+
 class DeltaScript:
     """An ordered ∆-script plus the metadata needed to execute it.
 
@@ -139,12 +269,19 @@ class DeltaScript:
         #: of that compute step; a step without one interprets its IR.
         self._kernels: dict[int, Callable[[IrContext], int]] = {}
         self._exec_plan: Optional[list] = None
+        self._liveness: Optional[list[Optional[frozenset[str]]]] = None
+        self._leaves: frozenset[str] = frozenset()
+        self._slices: dict[frozenset[str], LiveSlice] = {}
 
     def bind_kernels(self, kernels: dict[int, Callable[[IrContext], int]]) -> None:
         """Replace the bound kernels (``{}`` unbinds: every step then
-        interprets) and drop the exec plan resolved from the old ones."""
+        interprets) and drop the exec plan and the live slices resolved
+        from the old ones.  Liveness is closed here, at bind time, so no
+        round pays for it."""
         self._kernels = kernels
         self._exec_plan = None
+        self._slices = {}
+        self.liveness()
 
     def exec_plan(self) -> list:
         """Per-step ``(run, phase)`` pairs, bound once — the one place
@@ -164,14 +301,81 @@ class DeltaScript:
             ]
         return plan
 
+    # ------------------------------------------------------------------
+    # live slices: a round runs what its non-empty instances can reach
+    # ------------------------------------------------------------------
+    def liveness(self) -> list[Optional[frozenset[str]]]:
+        """:func:`step_liveness` of the steps, closed once."""
+        liveness = self._liveness
+        if liveness is None:
+            liveness = self._liveness = step_liveness(self.steps)
+            self._leaves = frozenset().union(*(live for live in liveness if live))
+        return liveness
+
+    def leaves(self) -> frozenset[str]:
+        """Every name some step is driven by and no step binds: the base
+        i-diff instances the script reads.  As a mask, the full plan."""
+        self.liveness()
+        return self._leaves
+
+    def live_mask(self, diffs: dict[str, Diff]) -> frozenset[str]:
+        """The leaves that can make a step run this round: the non-empty
+        instances of *diffs* — and any leaf missing from it, so the step
+        that reads it runs and raises."""
+        get = diffs.get
+        return frozenset(
+            name for name in self.leaves()
+            if (diff := get(name)) is None or diff.rows
+        )
+
+    def reached(self, mask: frozenset[str]) -> list[bool]:
+        """Per step, whether a round whose non-empty leaves are *mask*
+        runs it: an always-live step, or one a name of *mask* drives."""
+        return [
+            live is None or not live.isdisjoint(mask) for live in self.liveness()
+        ]
+
+    def live_plan(self, mask: frozenset[str], ctx: IrContext) -> LiveSlice:
+        """The slice of :meth:`exec_plan` that *mask* reaches, memoised
+        per mask.  *ctx* supplies the table schemas the idle bindings of
+        a new slice are built from (the same for every round of a view);
+        its environment is not touched."""
+        live = self._slices.get(mask)
+        if live is None:
+            if len(self._slices) >= SLICE_MEMO_MAX:
+                self._slices.clear()
+            live = self._slices[mask] = self._slice(mask, ctx)
+        return live
+
+    def _slice(self, mask: frozenset[str], ctx: IrContext) -> LiveSlice:
+        env = IrContext(ctx.db_pre, ctx.db_post, diffs=ctx.diffs, caches=ctx.caches)
+        steps, binds, skipped, skipped_counted = [], [], 0, 0
+        plan = zip(self.steps, self.exec_plan(), self.reached(mask))
+        for i, (step, (run, phase), reached) in enumerate(plan, start=1):
+            if reached:
+                steps.append((i, run, phase))
+                binds.extend(n for space, n in step.binds() if space == "diff")
+                continue
+            skipped += 1
+            if step.idle(env) is not None:
+                skipped_counted += 1
+            if step.settle is not None:
+                steps.append((i, step.settle, None))
+        idle_diffs = {n: d for n, d in env.diffs.items() if n not in ctx.diffs}
+        return LiveSlice(
+            steps, idle_diffs, env.expansions, dict.fromkeys(idle_diffs, 0),
+            tuple(binds), skipped, skipped_counted,
+        )
+
     def __getstate__(self) -> dict:
-        # Kernels are closures and the exec plan holds them beside bound
-        # methods — process local and unpicklable.  Whoever unpickles
-        # the script re-binds (a shard worker does at boot); until then
-        # it interprets.
+        # Kernels are closures, and the exec plan and the live slices
+        # hold them beside bound methods — process local and unpicklable.
+        # Whoever unpickles the script re-binds (a shard worker does at
+        # boot); until then it interprets.
         state = self.__dict__.copy()
         state["_kernels"] = {}
         state["_exec_plan"] = None
+        state["_slices"] = {}
         return state
 
     def describe(self) -> str:
@@ -188,24 +392,43 @@ class DeltaScript:
 def execute_script(
     script: DeltaScript, ctx: IrContext, counters: CounterSet
 ) -> dict[str, Diff]:
-    """Run every step under its phase label; returns the diff environment.
+    """Run the round's live slice of *script*, every statement under its
+    phase label; returns the diff environment.
+
+    The statements the round's non-empty instances cannot reach are not
+    run (:meth:`DeltaScript.live_plan`): the names they would have bound
+    are in the environment as shared empties, ``ctx.diff_sizes`` carries
+    their zeros, and ``script.stmt_diff_rows`` receives their zero
+    observations in one call — a reader of the round cannot tell.
 
     Steps of one phase are contiguous, so the counter phase (a generator
-    context manager) is entered once per phase run, not once per
-    statement — a 500-step script stops paying ~500 context switches per
-    round.  With a recorder installed the phase run is also a ``phase:``
-    span and every statement a ``stmt[i]`` span.  The phase span's
+    context manager) is entered once per phase run that holds a live
+    statement, not once per statement.  With a recorder installed the
+    phase run is also a ``phase:`` span and every live statement a
+    ``stmt[i]`` span, *i* its script index.  The phase span's
     access-count delta is that of the phase's counter *bucket*, so
     per-phase sums over a round's phase spans reconcile with the
     engine's ``MaintenanceReport.phase_counts``.
     """
     recorder = obs.current_recorder()
+    diffs = ctx.diffs
+    live = script.live_plan(script.live_mask(diffs), ctx)
+    sizes = {name: len(diff.rows) for name, diff in diffs.items()}
+    sizes.update(live.idle_sizes)
+    diffs.update(live.idle_diffs)
+    ctx.expansions.update(live.idle_expansions)
     observe = metrics.histogram("script.stmt_diff_rows").observe
+    metrics.counter("script.stmts_skipped").inc(live.skipped)
+    if live.skipped_counted:
+        observe(0, live.skipped_counted)
     stack = ExitStack()
     open_phase: Optional[str] = None
     phase_started = 0.0
     try:
-        for i, (run, phase) in enumerate(script.exec_plan(), start=1):
+        for i, run, phase in live.steps:
+            if phase is None:  # a skipped γ step's cache mark
+                run(ctx)
+                continue
             if phase != open_phase:
                 now = time.perf_counter()
                 if open_phase is not None:
@@ -250,7 +473,10 @@ def execute_script(
         stack.close()
         if open_phase is not None:
             _observe_phase_seconds(open_phase, time.perf_counter() - phase_started)
-    return ctx.diffs
+    for name in live.binds:
+        sizes[name] = len(diffs[name].rows)
+    ctx.diff_sizes = sizes
+    return diffs
 
 
 def _observe_phase_seconds(phase: str, seconds: float) -> None:

@@ -130,10 +130,12 @@ class Histogram:
             self._local.cell = cell
         return cell
 
-    def observe(self, value: Number) -> None:
+    def observe(self, value: Number, times: int = 1) -> None:
+        """Record *value*, *times* over (a round that skipped *n*
+        statements observes their zero diff rows in one call)."""
         cell = self._cell()
-        cell.count += 1
-        cell.total += value
+        cell.count += times
+        cell.total += value * times
         if cell.min is None or value < cell.min:
             cell.min = value
         if cell.max is None or value > cell.max:

@@ -45,6 +45,7 @@ _LABELED_PREFIXES = (
     ("view.round_seconds.", "repro_view_round_seconds", "view"),
     ("drift.worst_ratio.", "repro_drift_worst_ratio", "view"),
     ("script.phase_seconds.", "repro_script_phase_seconds", "phase"),
+    ("engine.cost_model_fallbacks.", "repro_engine_cost_model_fallbacks", "view"),
 )
 
 

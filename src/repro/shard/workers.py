@@ -125,8 +125,7 @@ def run_shard(
         with router.activate(counters):
             execute_script(script, ctx, counters)
     seconds = time.perf_counter() - started
-    diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
-    return counters, writes, diff_sizes, seconds
+    return counters, writes, ctx.diff_sizes, seconds
 
 
 # ----------------------------------------------------------------------

@@ -60,7 +60,7 @@ class TestEffectiveness:
         log_mixed(engine)
         entries = engine.log.take()
         db_pre = _reconstruct_pre(db, entries)
-        instances = populate_instances(view.generated.base_schemas, entries, db_pre)
+        instances = populate_instances(view.instance_layout, entries, db_pre)
         ctx = IrContext(db_pre, db, diffs=instances, caches=view.caches)
         ctx.operator_caches = view.operator_caches
         execute_script(view.generated.script, ctx, db.counters)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.diffs import DELETE, INSERT, UPDATE
 from repro.core.modlog import (
+    InstanceLayout,
     ModificationLog,
     fold_log,
     populate_instances,
@@ -135,7 +136,9 @@ class TestInstanceGeneration:
         log.update("parts", ("P1",), {"price": 11})
         log.insert("devices", ("D4", "phone"))
         log.delete("devices_parts", ("D1", "P2"))
-        instances = populate_instances(schemas, log.take(), running_example_db)
+        instances = populate_instances(
+            InstanceLayout(schemas), log.take(), running_example_db
+        )
         non_empty = {name for name, diff in instances.items() if len(diff)}
         assert "base_u_parts__price" in non_empty
         assert "base_ins_devices" in non_empty
@@ -156,7 +159,7 @@ class TestInstanceGeneration:
         log.update("r", (1,), {"a": 11})
         log.update("r", (2,), {"a": 21, "b": "q"})
         instances = populate_instances(
-            [schema_a, schema_b, schema_ab], log.take(), db
+            InstanceLayout([schema_a, schema_b, schema_ab]), log.take(), db
         )
         assert len(instances[schema_instance_name(schema_a)]) == 1
         assert len(instances[schema_instance_name(schema_b)]) == 0
@@ -172,7 +175,7 @@ class TestInstanceGeneration:
         import pytest as _pytest
 
         with _pytest.raises(DiffError):
-            populate_instances([schema_a], log.take(), db)
+            populate_instances(InstanceLayout([schema_a]), log.take(), db)
 
     def test_instance_names_are_stable(self, db):
         from repro.core.diffs import delete_schema_for, insert_schema_for
@@ -327,3 +330,112 @@ class TestNoOpUpdateFolding:
         noop_report = engine.maintain()["V"]
         assert noop_report.total_cost == empty_report.total_cost == 0
         assert view.table.as_set() == {(1, 10, "x"), (2, 20, "y")}
+
+
+# ----------------------------------------------------------------------
+# InstanceLayout: the schemas' statics resolved once per view
+# ----------------------------------------------------------------------
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import repro.core.modlog as modlog_mod  # noqa: E402
+
+_KEYS = st.integers(min_value=0, max_value=5)
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["r", "s"]),
+        _KEYS,
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from("xyz"),
+    ),
+    max_size=25,
+)
+
+
+def _two_table_db():
+    database = Database()
+    for name in ("r", "s", "t"):
+        database.create_table(name, ("k", "a", "b"), ("k",))
+        database.table(name).load([(k, k * 10, "x") for k in range(0, 6, 2)])
+    return database
+
+
+def _all_schemas(database):
+    from repro.core.diffs import delete_schema_for, insert_schema_for, update_schema_for
+
+    schemas = []
+    for name in ("r", "s", "t"):
+        table_schema = database.table(name).schema
+        schemas += [
+            insert_schema_for(table_schema),
+            delete_schema_for(table_schema),
+            update_schema_for(table_schema, ("a",)),
+            update_schema_for(table_schema, ("a", "b")),
+        ]
+    return schemas
+
+
+def _log_ops(log, database, ops):
+    """Whatever legal modification each (table, key, a, b) draw allows."""
+    for table, k, a, b in ops:
+        current = database.table(table).get_uncounted((k,))
+        if current is None:
+            log.insert(table, (k, a, b))
+        elif a == 0:
+            log.delete(table, (k,))
+        else:
+            log.update(table, (k,), {"a": a} if a % 2 else {"a": a, "b": b})
+
+
+class TestInstanceLayout:
+    def test_iterates_as_the_schemas(self):
+        database = _two_table_db()
+        schemas = _all_schemas(database)
+        layout = InstanceLayout(schemas)
+        assert list(layout) == schemas and len(layout) == len(schemas)
+        assert layout[0] is schemas[0]
+        assert list(layout.names) == [schema_instance_name(s) for s in schemas]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rounds=st.lists(_OPS, min_size=1, max_size=4))
+    def test_resolved_once_equals_a_fresh_resolution(self, rounds):
+        """One layout reused across rounds returns what a layout
+        resolved afresh for the call returns: same names, in the same
+        order, same schemas, same rows."""
+        database = _two_table_db()
+        schemas = _all_schemas(database)
+        layout = InstanceLayout(schemas)
+        log = ModificationLog(database)
+        for ops in rounds:
+            _log_ops(log, database, ops)
+            entries = log.take()
+            once = populate_instances(layout, entries, database)
+            fresh = populate_instances(InstanceLayout(schemas), entries, database)
+            assert list(once) == list(fresh) == list(layout.names)
+            for name in fresh:
+                assert once[name].schema == fresh[name].schema
+                assert once[name].rows == fresh[name].rows
+
+    def test_untouched_tables_build_no_projector(self, monkeypatch):
+        database = _two_table_db()
+        schemas = _all_schemas(database)
+        built = []
+        real = modlog_mod.row_extractor
+        monkeypatch.setattr(
+            modlog_mod, "row_extractor",
+            lambda positions: built.append(tuple(positions)) or real(positions),
+        )
+        log = ModificationLog(database)
+        # an empty log: no table is touched, nothing is resolved
+        instances = populate_instances(InstanceLayout(schemas), [], database)
+        assert built == [] and len(instances) == len(schemas)
+        # a log on r alone resolves r's four schemas (pre + post each)
+        log.update("r", (0,), {"a": 5})
+        layout = InstanceLayout(schemas)
+        populate_instances(layout, log.take(), database)
+        assert len(built) == 8 and set(layout._tables) == {"r"}
+        # ... once: the next round on r builds nothing more
+        log.update("r", (2,), {"a": 6})
+        log.insert("t", (9, 1, "z"))
+        populate_instances(layout, log.take(), database)
+        assert len(built) == 16 and set(layout._tables) == {"r", "t"}
