@@ -95,7 +95,12 @@ lint-catalog:
 # slice of `DeltaScript.live_plan`, closed by the one `step_liveness`
 # (core/script.py) for both backends and the shard workers — no per-step
 # emptiness wrapper in the compiler, no second closure over
-# `driving_sources`.
+# `driving_sources`; and one compiler: a compute step is lowered to one
+# generated function (core/compile.py `lower_step`) — no tree of per-row
+# closures beside it; and one fold per round: `fold_log` is called by
+# core/modlog.py (the round's `RoundEntries` memoise it) and by the two
+# baselines' `_begin_round` — the engine, `PreState` and the shard
+# workers read the round's entries.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -127,6 +132,13 @@ lint-static:
 	    || grep -rnE '\bdriving_sources\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/(ir_exec|script)\.py:'; then \
 	    echo "liveness is closed in one place: step_liveness in core/script.py, over ir_exec.driving_sources"; \
+	    exit 1; fi
+	@if grep -nE 'lambda +row\b' src/repro/core/compile.py; then \
+	    echo "per-row closure in core/compile.py: emit the expression into the step's generated source (_Source.value / .truth)"; \
+	    exit 1; fi
+	@if grep -rnE '\bfold_log\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/(core/modlog|baselines/(sdbt|tuple_ivm))\.py:'; then \
+	    echo "fold_log outside core/modlog.py and the baselines: read the round's entries (RoundEntries.folded)"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

@@ -45,7 +45,7 @@ from ..core.modlog import fold_log
 from ..core.rules.aggregate import (
     OpCacheSpec,
     apply_group_deltas,
-    group_deltas_from_changes,
+    group_accumulator,
 )
 from ..errors import PlanError, ScriptError
 from ..expr import Col, columns_of
@@ -188,6 +188,7 @@ class SdbtView:
         self.plan = plan
         self.table = table
         self.shape = shape
+        self.accumulate = group_accumulator(shape.gnode)
         #: base table -> (map table, its columns in SPJ naming)
         self.maps: dict[str, Table] = {}
         self.map_columns: dict[str, list[str]] = {}
@@ -308,7 +309,7 @@ class SdbtEngine(MaintenanceEngine):
                 )
             with counted_phase(counters, "map_update"):
                 self._maintain_maps(view, base_table, per_key, hybrid)
-        deltas = group_deltas_from_changes(shape.gnode, changes)
+        deltas = view.accumulate(changes)
         with counted_phase(counters, "view_update"):
             apply_group_deltas(shape.gnode, deltas, view.table, view.opcache)
         return MaintenanceReport(

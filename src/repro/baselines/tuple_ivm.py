@@ -32,7 +32,7 @@ aggregates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..algebra.delta_eval import Bindings, fetch
 from ..algebra.evaluate import evaluate_plan, materialize
@@ -56,7 +56,7 @@ from ..core.engine import (
 )
 from ..core.idinfer import annotate_plan
 from ..core.modlog import fold_log
-from ..core.rules.aggregate import OpCacheSpec
+from ..core.rules.aggregate import OpCacheSpec, apply_group_deltas, group_accumulator
 from ..errors import PlanError, ScriptError
 from ..expr import columns_of, equi_join_pairs, evaluate as eval_expr, matches
 from ..storage import Database, Table, sort_rows
@@ -114,6 +114,8 @@ class TupleView:
         self.agg_outputs: dict[int, Table] = {}
         #: group bookkeeping, same policy as the ID engine's op caches
         self.opcaches: dict[int, Table] = {}
+        #: γ node id -> its generated delta accumulation loop
+        self.accumulate: dict[int, Callable] = {}
 
 
 class TupleIvmEngine(MaintenanceEngine):
@@ -134,6 +136,7 @@ class TupleIvmEngine(MaintenanceEngine):
                 # associative delta path; the min/max recompute path
                 # would leave it stale.
                 if all(a.func in ("sum", "count", "avg") for a in node.aggs):
+                    view.accumulate[node.node_id] = group_accumulator(node)
                     spec = OpCacheSpec(node, f"{name}__tuple_opc_n{node.node_id}")
                     child_rows = evaluate_plan(node.child, self.db)
                     view.opcaches[node.node_id] = spec.build(
@@ -532,9 +535,7 @@ def _groupby_delta_associative(node: GroupBy, view: TupleView, child: TDelta) ->
     """Group deltas from the full t-diff rows (free — Appendix A's
     pipelined γ over Du_Vspj), then read-modify-write the affected groups
     of the output materialization."""
-    from ..core.rules.aggregate import apply_group_deltas, group_deltas_from_changes
-
-    deltas = group_deltas_from_changes(node, child.as_changes())
+    deltas = view.accumulate[node.node_id](child.as_changes())
     out_table = _output_table(node, view)
     opcache = view.opcaches[node.node_id]
     # This re-phases nested work (we are inside the view_diff scope); the

@@ -4,11 +4,12 @@ Commands
 --------
 ``demo``
     Run the paper's running example end to end (Figures 1–7).
-``explain --sql "SELECT ..." [--analyze]``
+``explain --sql "SELECT ..." [--analyze] [--compiled]``
     Parse a view over the demo devices schema, print the annotated plan
     (Pass 1's Figure 5a shape) and the generated ∆-script (Figure 7).
     With ``--analyze``, also execute the plan and print per-operator
-    actual row counts and access costs.
+    actual row counts and access costs; with ``--compiled``, the Python
+    source generated for every compute step and γ accumulation loop.
 ``sweep --param {d,s,f,j} --values 100,200,...``
     Run a Figure 12 style sweep of the devices workload for the chosen
     parameter and print the paper-style table.
@@ -145,19 +146,22 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: annotated plan + ∆-script for a SQL view."""
     db = demo_database()
     engine = IdIvmEngine(db, optimize=not args.no_minimize)
-    expr_fallbacks = metrics.counter("compile.expr_fallbacks")
-    fallbacks_before = expr_fallbacks.value
     view = engine.define_view("V", sql_to_plan(db, args.sql))
     print("-- annotated plan (Pass 1) " + "-" * 34)
     print(explain_plan(view.plan))
     print()
     print("-- generated ∆-script " + "-" * 39)
     print(view.describe_script())
-    n_fallbacks = expr_fallbacks.value - fallbacks_before
-    if n_fallbacks:
+    script = view.script
+    interpreted = [
+        f"stmt[{i + 1}] {script.steps[i].name}"
+        for i, kernel in sorted(script._kernels.items())
+        if not hasattr(kernel, "__source__")
+    ]
+    if interpreted:
         print(
-            f"-- {n_fallbacks} expression(s) not lowered: interpreted per row "
-            "inside their kernels (compile.expr_fallbacks)"
+            f"-- {len(interpreted)} step(s) not lowered, interpreted as whole "
+            f"steps (compile.step_fallbacks): {', '.join(interpreted)}"
         )
     if COST_MODEL_FALLBACKS + view.name in metrics.registry().names():
         print(
@@ -165,6 +169,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
             "re-raises the error): the view runs without predictions or a "
             "drift signal (engine.cost_model_fallbacks)"
         )
+    if args.compiled:
+        print()
+        print("-- generated kernels (one function per compute step) " + "-" * 8)
+        accumulators = (getattr(step, "accumulate", None) for step in script.steps)
+        for fn in (*script._kernels.values(), *accumulators):
+            if hasattr(fn, "__source__"):
+                print(f"# {fn.__code__.co_filename}")
+                print(fn.__source__)
     print()
     print("-- live slices: statements a round on one base i-diff runs --")
     print(_describe_reach(view.script))
@@ -732,6 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze",
         action="store_true",
         help="execute the plan and print per-operator actual rows and accesses",
+    )
+    explain.add_argument(
+        "--compiled",
+        action="store_true",
+        help="print the Python source generated for each compute step "
+        "and γ accumulation loop",
     )
     explain.add_argument(
         "--cost",

@@ -42,7 +42,7 @@ from .diffs import DELETE, INSERT
 from .generator import GeneratedPlan, ScriptGenerator
 from .idinfer import node_by_id
 from .ir_exec import IrContext
-from .modlog import InstanceLayout, ModificationLog, populate_instances
+from .modlog import InstanceLayout, ModificationLog, RoundEntries, populate_instances
 from .schema_gen import generate_base_schemas
 from .script import DeltaScript, execute_script
 
@@ -477,16 +477,15 @@ def _reconstruct_pre(db: Database, entries) -> Database:
 
 
 def apply_log(db: Database, entries) -> None:
-    """Forward-apply raw log *entries* to *db*, uncounted: how a replica
-    catches up with the live database in O(|entries|)."""
-    for entry in entries:
-        table = db.table(entry.table)
-        if entry.kind == INSERT:
-            table.insert_uncounted(entry.row)
-        elif entry.kind == DELETE:
-            table.delete_uncounted(entry.key)
-        else:
-            table.update_uncounted(entry.key, entry.changes)
+    """Bring *db* — at the state before *entries* — up to the state
+    after them, uncounted: how a replica catches up with the live
+    database in O(|entries|).  It reads the round's one fold (the net
+    changes every view was maintained from) and makes one bulk write per
+    modified table, not one per raw entry."""
+    for name, changes in RoundEntries.of(entries).folded(db).items():
+        db.table(name).roll_forward(
+            [(key, change.post_row) for key, change in changes.items()]
+        )
 
 
 class PreState:
@@ -528,7 +527,8 @@ class PreState:
 
     def roll_forward(self, entries) -> None:
         """Absorb a finished (or failed) round's *entries*.  A replica
-        they do not apply to is dropped, and rebuilt by the next round."""
+        they do not apply to — or a log that does not fold — is dropped,
+        and rebuilt by the next round."""
         pre, self.db = self.db, None
         if pre is not None:
             apply_log(pre, entries)

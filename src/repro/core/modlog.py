@@ -17,7 +17,7 @@ a cover exists).
 from __future__ import annotations
 
 import time
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import DiffError, WorkloadError
 from ..obs import metrics
@@ -120,16 +120,17 @@ class ModificationLog:
     def update(self, table: str, key: Sequence, changes: Mapping[str, object]) -> None:
         t = self.db.table(table)
         key = tuple(key)
-        immutable = set(changes) & set(t.schema.key)
-        if immutable:
+        if not t.schema.key_set.isdisjoint(changes):
+            immutable = sorted(t.schema.key_set.intersection(changes))
             raise WorkloadError(
-                f"key columns {sorted(immutable)} of {table!r} are immutable "
+                f"key columns {immutable} of {table!r} are immutable "
                 f"(paper Section 5, footnote 7); delete and re-insert instead"
             )
-        old = t.update_uncounted(key, changes)
-        if old is None:
+        written = t.patch_uncounted(key, changes)
+        if written is None:
             raise WorkloadError(f"cannot update absent key {key} in {table!r}")
-        if t.get_uncounted(key) == old:
+        old, new = written
+        if new is old:
             # The new values equal the old ones: the table is unchanged,
             # so the update folds to a no-op here rather than forcing the
             # next maintenance round to reconstruct the pre-state and run
@@ -143,10 +144,43 @@ class ModificationLog:
             LoggedModification(UPDATE, table, key, row=old, changes=dict(changes))
         )
 
-    def take(self) -> list[LoggedModification]:
+    def take(self) -> "RoundEntries":
         """Drain the log for one maintenance round."""
         entries, self.entries = self.entries, []
-        return entries
+        return RoundEntries(entries)
+
+
+class RoundEntries(list):
+    """One round's log entries — a list — carrying what the round derives
+    from them, so that every reader of the round shares it: the fold
+    (:func:`fold_log`; every view, the baselines' ``_begin_round`` and
+    the replica's roll-forward read one) and the populated i-diff
+    instances of each table, per set of schemas read on it
+    (:func:`populate_instances`).  The memo lives and dies with the
+    round's entries; nothing is cached at module level, and a plain
+    hand-built list still folds — for itself, every time."""
+
+    __slots__ = ("net", "instances")
+
+    def __init__(self, entries: Iterable[LoggedModification] = ()):
+        super().__init__(entries)
+        #: the fold, once made (table schemas only are read from the
+        #: database it is made against, and the replica shares the live
+        #: one's)
+        self.net: Optional[dict[str, dict[tuple, _NetChange]]] = None
+        #: ``_TableProjectors.key`` -> the non-empty instances filled
+        self.instances: dict[tuple, dict[str, Diff]] = {}
+
+    @classmethod
+    def of(cls, entries: Sequence[LoggedModification]) -> "RoundEntries":
+        """*entries* as a round's entries: itself when it is one."""
+        return entries if isinstance(entries, cls) else cls(entries)
+
+    def folded(self, db: Database) -> dict[str, dict[tuple, _NetChange]]:
+        net = self.net
+        if net is None:
+            net = self.net = _fold(self, db)
+        return net
 
 
 def fold_log(
@@ -155,8 +189,17 @@ def fold_log(
     """Fold the log into net per-tuple changes (effective diffs).
 
     Pre-state rows come from the log entries themselves (the trigger
-    captured them); *db* is only consulted for table schemas.
+    captured them); *db* is only consulted for table schemas.  A round's
+    :class:`RoundEntries` are folded once, whoever asks first.
     """
+    if isinstance(entries, RoundEntries):
+        return entries.folded(db)
+    return _fold(entries, db)
+
+
+def _fold(
+    entries: Sequence[LoggedModification], db: Database
+) -> dict[str, dict[tuple, _NetChange]]:
     net: dict[str, dict[tuple, _NetChange]] = {}
     for entry in entries:
         table = db.table(entry.table)
@@ -259,6 +302,11 @@ class _TableProjectors:
 
     def __init__(self, table_schema, on_target: Sequence[tuple[str, DiffSchema]]):
         self.on_target = on_target
+        #: what the instances filled here depend on: the table and the
+        #: *whole* tuple of schemas read on it — an update routes to the
+        #: minimal cover among them, so two views share instances only
+        #: when they read the same set
+        self.key = (table_schema.name,) + tuple(s.signature() for _, s in on_target)
         self.columns = table_schema.columns
         self.non_key = table_schema.positions(table_schema.non_key_columns)
         self.by_kind: dict[str, list[tuple]] = {INSERT: [], DELETE: [], UPDATE: []}
@@ -269,6 +317,12 @@ class _TableProjectors:
                 row_extractor(table_schema.positions(schema.pre_attrs)),
                 row_extractor(table_schema.positions(schema.post_attrs)),
             ))
+        # Rows are laid out key + pre + post out of a dict keyed by the
+        # table's key: unique on a schema's IDs when those are that key.
+        self.adopt = [
+            Diff.trusted if schema.id_attrs == table_schema.key else Diff
+            for _, schema in on_target
+        ]
         #: modified positions -> the projector their updates route to
         self.routes: dict[tuple, tuple] = {}
 
@@ -289,6 +343,30 @@ class _TableProjectors:
             )
         return route
 
+    def fill(self, changes: Mapping[tuple, _NetChange]) -> dict[str, Diff]:
+        """The non-empty instances of this table's schemas, from its
+        net *changes*."""
+        non_key = self.non_key
+        inserts, deletes, updates = (self.by_kind[k] for k in (INSERT, DELETE, UPDATE))
+        sinks: list[list[tuple]] = [[] for _ in self.on_target]
+        for key, change in changes.items():
+            pre_row, post_row = change.pre_row, change.post_row
+            if change.kind == INSERT:
+                for slot, _, _, post in inserts:
+                    sinks[slot].append(key + post(post_row))
+            elif change.kind == DELETE:
+                for slot, _, pre, _ in deletes:
+                    sinks[slot].append(key + pre(pre_row))
+            elif updates:  # else: the view does not read this table's updates
+                modified = tuple(i for i in non_key if pre_row[i] != post_row[i])
+                slot, _, pre, post = self.route(modified)
+                sinks[slot].append(key + pre(pre_row) + post(post_row))
+        return {
+            name: adopt(schema, rows)
+            for (name, schema), adopt, rows in zip(self.on_target, self.adopt, sinks)
+            if rows
+        }
+
 
 def populate_instances(
     schemas: InstanceLayout,
@@ -301,7 +379,9 @@ def populate_instances(
     DiffSource name) to the populated instance.  Every schema gets an
     instance (possibly empty) so scripts can reference all of them.
     *schemas* is the view's :class:`InstanceLayout`: the schemas, resolved
-    once per view rather than once per call.
+    once per view rather than once per call.  Views that read the same
+    schemas on a table share, within one round's :class:`RoundEntries`,
+    the very instances: nothing mutates a diff's rows.
     """
     with obs.span(
         "log_to_idiffs", kind="engine", counters=db.counters,
@@ -326,32 +406,18 @@ def _populate_instances(
     db: Database,
 ) -> dict[str, Diff]:
     out = dict(layout.empties)
+    # A hand-built list shares nothing: its memo dies with this call.
+    memo = entries.instances if isinstance(entries, RoundEntries) else {}
     # Work follows the folded log: a table it does not touch resolves no
     # projector and builds no instance.
     for target, changes in fold_log(entries, db).items():
         projectors = layout.table(target, db)
         if projectors is None:
             continue  # the view reads no i-diff of this table
-        non_key = projectors.non_key
-        inserts, deletes, updates = (
-            projectors.by_kind[k] for k in (INSERT, DELETE, UPDATE)
-        )
-        sinks: list[list[tuple]] = [[] for _ in projectors.on_target]
-        for key, change in changes.items():
-            pre_row, post_row = change.pre_row, change.post_row
-            if change.kind == INSERT:
-                for slot, _, _, post in inserts:
-                    sinks[slot].append(key + post(post_row))
-            elif change.kind == DELETE:
-                for slot, _, pre, _ in deletes:
-                    sinks[slot].append(key + pre(pre_row))
-            elif updates:  # else: the view does not read this table's updates
-                modified = tuple(i for i in non_key if pre_row[i] != post_row[i])
-                slot, _, pre, post = projectors.route(modified)
-                sinks[slot].append(key + pre(pre_row) + post(post_row))
-        for (name, schema), rows in zip(projectors.on_target, sinks):
-            if rows:
-                out[name] = Diff(schema, rows)
+        filled = memo.get(projectors.key)
+        if filled is None:
+            filled = memo[projectors.key] = projectors.fill(changes)
+        out.update(filled)
     return out
 
 

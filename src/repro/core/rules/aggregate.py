@@ -38,7 +38,7 @@ from ...errors import ScriptError
 from ...expr import evaluate as eval_expr
 from ...storage import Table, TableSchema, row_extractor, sort_rows
 from ..apply import AppliedChanges, changes_to_diff
-from ..compile import compile_expr
+from ..compile import lower_group_deltas
 from ..diffs import DELETE, INSERT, UPDATE, Diff
 from ..ir_exec import IrContext
 from ..script import Step
@@ -308,6 +308,16 @@ class AssociativeAggregateStep(_AggregateStep):
     ):
         super().__init__(gnode, inputs, emit_prefix, phase)
         self.opcache_name = opcache_name
+        #: the generated accumulation loop, built once per step
+        #: (:meth:`prepare`) and — not picklable — never shipped
+        self.accumulate = None
+
+    def prepare(self) -> None:
+        if self.accumulate is None:
+            self.accumulate = group_accumulator(self.gnode)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "accumulate": None}
 
     # ------------------------------------------------------------------
     def run(self, ctx: IrContext) -> None:
@@ -325,8 +335,8 @@ class AssociativeAggregateStep(_AggregateStep):
                 if diff is None:
                     raise ScriptError(f"diff {name!r} not available")
                 changes.extend(collector.from_diff(diff))
-        deltas = group_deltas_from_changes(self.gnode, changes)
-        self._apply_deltas(ctx, deltas)
+        self.prepare()
+        self._apply_deltas(ctx, self.accumulate(changes))
 
     # ------------------------------------------------------------------
     def _apply_deltas(self, ctx: IrContext, deltas: dict[tuple, _GroupDelta]) -> None:
@@ -508,43 +518,21 @@ class _Book:
         return None if cnt == 0 else book[self.sum_at[i]] / cnt
 
 
+def group_accumulator(gnode: GroupBy):
+    """``accumulate(changes) -> {group: _GroupDelta}`` over ``(pre_row,
+    post_row)`` child-row changes of *gnode*: one generated loop
+    (:func:`repro.core.compile.lower_group_deltas`), for whoever holds
+    the γ node across rounds to build once — the ID engine's blocking
+    step, and the tuple-based and SDBT baselines, whose t-diffs carry
+    the full rows already."""
+    return lower_group_deltas(gnode, _GroupDelta)
+
+
 def group_deltas_from_changes(
     gnode: GroupBy, changes: list[tuple]
 ) -> dict[tuple, _GroupDelta]:
-    """Per-group deltas from (pre_row, post_row) child-row changes.
-
-    Shared by the ID engine's blocking step and the tuple-based baseline
-    (whose t-diffs carry the full rows already).  The group-key
-    extractor and one closure per aggregate argument are lowered here,
-    once per call; the loop below only calls them."""
-    deltas: dict[tuple, _GroupDelta] = {}
-    if not changes:
-        return deltas
-    positions = {c: i for i, c in enumerate(gnode.child.columns)}
-    group_of = row_extractor([positions[k] for k in gnode.keys])
-    n_aggs = len(gnode.aggs)
-    # (aggregate index, argument closure, does it keep a sum) per argument.
-    arguments = [
-        (i, compile_expr(agg.arg, positions), agg.func in ("sum", "avg"))
-        for i, agg in enumerate(gnode.aggs)
-        if agg.arg is not None
-    ]
-    for change in changes:
-        for row, sign in zip(change, (-1, +1)):
-            if row is None:
-                continue
-            g = group_of(row)
-            delta = deltas.get(g)
-            if delta is None:
-                delta = deltas[g] = _GroupDelta(n_aggs)
-            delta.n += sign
-            for i, argument, summed in arguments:
-                value = argument(row)
-                if value is not None:
-                    delta.cnts[i] += sign
-                    if summed:
-                        delta.sums[i] += sign * value
-    return deltas
+    """:func:`group_accumulator`, built for this one call."""
+    return group_accumulator(gnode)(changes) if changes else {}
 
 
 class GeneralAggregateStep(_AggregateStep):

@@ -77,6 +77,11 @@ class Step:
         every round of that slice then shares."""
         raise NotImplementedError
 
+    def prepare(self) -> None:
+        """Resolve whatever the statement resolves once, ahead of its
+        first run (:meth:`DeltaScript.bind_kernels` calls it, so no
+        round pays): nothing by default."""
+
     #: ``settle(ctx)``: what a skipped statement must still do at its
     #: script position (a γ step's cache mark); ``None``: nothing.
     settle: Optional[Callable[[IrContext], None]] = None
@@ -282,6 +287,8 @@ class DeltaScript:
         self._exec_plan = None
         self._slices = {}
         self.liveness()
+        for step in self.steps:
+            step.prepare()
 
     def exec_plan(self) -> list:
         """Per-step ``(run, phase)`` pairs, bound once — the one place

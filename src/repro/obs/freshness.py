@@ -138,8 +138,10 @@ class FreshnessTracker:
         entries, observed once; :meth:`note_maintained` merges the result
         (exactly, bucket by bucket) into every view the round maintained."""
         lags = LogHistogram(unit="seconds")
+        observe = lags.observe
         for logged_at in entry_times:
-            lags.observe(max(0.0, now - logged_at))
+            lag = now - logged_at
+            observe(lag if lag > 0.0 else 0.0)
         return lags
 
     def note_maintained(

@@ -56,6 +56,7 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 from ..core import wire
 from ..core.compile import bind_kernels, check_backend
 from ..core.engine import MaterializedView, PreState, apply_log, round_context
+from ..core.modlog import RoundEntries
 from ..storage import CounterSet, Database, Table
 from .counters import ShardRoutingCounters
 
@@ -226,7 +227,9 @@ class _WorkerState:
         # No message ends a round, so the pre-state replica absorbs the
         # previous round's log when the next one begins.
         self._pre.roll_forward(self._entries)
-        self._entries = entries = wire.decode_log_batch(log_doc)
+        # One fold serves the live tables' catch-up now and the replica's
+        # when the next round begins.
+        self._entries = entries = RoundEntries(wire.decode_log_batch(log_doc))
         if sync:
             apply_log(self.db, entries)
         self._pre.begin(self.db, entries)

@@ -54,8 +54,8 @@ class TableSchema:
     """
 
     __slots__ = (
-        "name", "columns", "key", "nullable", "types", "_positions", "key_of",
-        "non_key_columns",
+        "name", "columns", "key", "key_set", "nullable", "types", "_positions",
+        "key_of", "non_key_columns",
     )
 
     def __init__(
@@ -84,6 +84,9 @@ class TableSchema:
         self.name = name
         self.columns = columns
         self.key = key
+        #: the key columns as a set: what a per-modification immutability
+        #: check tests against without building one
+        self.key_set = frozenset(key)
         if nullable is None:
             self.nullable = frozenset(c for c in columns if c not in key)
         else:

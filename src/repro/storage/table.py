@@ -18,15 +18,21 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
   and we extend the same courtesy to every approach.  Counted write paths
   nevertheless *track* every index-entry mutation in the separate
   ``index_maintenance`` counter (excluded from ``AccessCounts.total``), so
-  the work is visible and reconcilable; ``*_uncounted`` paths and
-  ``replay_writes`` touch no counter at all and must stay exactly
-  count-neutral.
+  the work is visible and reconcilable; ``*_uncounted`` paths,
+  ``replay_writes`` and ``roll_forward`` touch no counter at all and must
+  stay exactly count-neutral.  An *entry mutation* is one that happens:
+  an update removes and re-adds a row only in the indexes whose columns
+  it sets (PostgreSQL's heap-only-tuple rule), so an update of a
+  non-indexed column tracks none.
 
 Every writer, counted or not, changes the rows dict and the indexes
 through ``Table._store`` / ``Table._discard`` and nothing else; the bulk
-writers are loops over the two.  A bulk call on an empty batch returns
-before it resolves an index: most APPLY steps of a round carry no rows,
-and an index auto-created for them would never serve a lookup.
+writers are loops over the two.  A writer that knows the attributes it
+sets resolves the indexes they touch once per call and hands ``_store``
+only those; one that holds finished rows compares the indexed values.
+A bulk call on an empty batch returns before it resolves an index: most
+APPLY steps of a round carry no rows, and an index auto-created for
+them would never serve a lookup.
 
 Concurrency: a table is read and written by one thread — shards run one
 after another in the coordinator, or in worker processes that own their
@@ -233,10 +239,17 @@ class Table:
     # secondary indexes is one of the two primitives below; a counted
     # writer adds the accounting tail, an uncounted one adds nothing.
     # ------------------------------------------------------------------
-    def _store(self, key: tuple, row: tuple, old: tuple | None = None) -> None:
+    def _store(
+        self,
+        key: tuple,
+        row: tuple,
+        old: tuple | None = None,
+        indexes: Iterable[_SecondaryIndex] | None = None,
+    ) -> None:
         """Put *row* at *key*, replacing *old* (the row stored there now,
-        None when the key is free) in the rows dict and every index."""
-        for index in self._indexes.values():
+        None when the key is free) in the rows dict and in *indexes* —
+        every index unless the caller knows which ones *row* moves in."""
+        for index in self._indexes.values() if indexes is None else indexes:
             if old is not None:
                 index.remove(key, old)
             index.add(key, row)
@@ -248,20 +261,42 @@ class Table:
         for index in self._indexes.values():
             index.remove(key, row)
 
+    def _touched(self, attrs: Iterable[str]) -> Sequence[_SecondaryIndex]:
+        """The indexes an update of *attrs* moves a row in: those over
+        one of them.  Resolved once per call, never per row."""
+        if not self._indexes:
+            return ()
+        attrs = frozenset(attrs)
+        return [
+            index for columns, index in self._indexes.items()
+            if not attrs.isdisjoint(columns)
+        ]
+
+    def _moved(self, old: tuple, row: tuple) -> Sequence[_SecondaryIndex]:
+        """The indexes overwriting *old* with the finished *row* moves
+        it in, for a writer that has no attribute list to resolve."""
+        if not self._indexes:
+            return ()
+        return [
+            index for index in self._indexes.values()
+            if index.value_of(old) != index.value_of(row)
+        ]
+
     def _account(
-        self, changes: Sequence[tuple], per_index: int, lookups: int = 0
+        self, changes: Sequence[tuple], entries: int, lookups: int = 0
     ) -> None:
         """Tail of every counted write, single or batched: *lookups*
         index lookups, then per ``(pre, post)`` row pair of *changes*
-        (None marks an absent side) *per_index* tracked entry mutations
-        in each index, the replayable op (or the uncaptured-write audit)
+        (None marks an absent side) the *entries* index entries the
+        write mutated, the replayable op (or the uncaptured-write audit)
         and one tuple write."""
         counters = self.counters
         if lookups:
             counters.count_index_lookup(lookups)
         if not changes:
             return
-        counters.count_index_maintenance(per_index * len(self._indexes) * len(changes))
+        if entries:
+            counters.count_index_maintenance(entries * len(changes))
         if self._capture is not None:
             key_of = self.schema.key_of
             self._capture.extend(
@@ -290,7 +325,7 @@ class Table:
                     f"duplicate key {key} in relation {self.schema.name!r}"
                 )
             self._store(key, row)
-            self._account(((None, row),), 1)
+            self._account(((None, row),), len(self._indexes))
 
     def insert_checked(self, row: tuple) -> bool:
         """:meth:`insert_many` of one row: True when it was inserted."""
@@ -340,8 +375,9 @@ class Table:
         with self._lock:
             old = self._rows[key]
             new_row = self.schema.patched(old, changes)
-            self._store(key, new_row, old)
-            self._account(((old, new_row),), 2)
+            touched = self._touched(changes)
+            self._store(key, new_row, old, touched)
+            self._account(((old, new_row),), 2 * len(touched))
         return old
 
     def delete_at(self, key: tuple) -> tuple:
@@ -350,7 +386,7 @@ class Table:
         with self._lock:
             row = self._rows[key]
             self._discard(key, row)
-            self._account(((row, None),), 1)
+            self._account(((row, None),), len(self._indexes))
         return row
 
     # ------------------------------------------------------------------
@@ -371,24 +407,39 @@ class Table:
         *values* in every row whose *columns* equal *ident*."""
         if not pairs:
             return []
+        columns = tuple(columns)
         positions = self.schema.mutable_positions(attrs)
         changes: list[tuple] = []
         lookups = 0
         with self._lock:
-            find, per_ident = self._finder(tuple(columns))
+            find, per_ident = self._finder(columns)
+            touched = self._touched(attrs)
+            serving = self._indexes.get(columns)
+            if serving is not None and serving not in touched:
+                # No write below moves a key of the serving index, so
+                # its buckets are read in place (None: no such value),
+                # not copied per ident.
+                find = serving.buckets.get
+            rows, store = self._rows, self._store
+            # A lone attribute with no index to maintain patches by
+            # slicing (*values* is the 1-tuple of its new value).
+            at = positions[0] if len(positions) == 1 and not touched else -1
             try:
                 for ident, values in pairs:
                     lookups += per_ident
-                    for key in find(ident):
-                        old = self._rows[key]
-                        patched = list(old)
-                        for i, value in zip(positions, values):
-                            patched[i] = value
-                        new = tuple(patched)
-                        self._store(key, new, old)
+                    for key in find(ident) or ():
+                        old = rows[key]
+                        if at >= 0:
+                            new = old[:at] + values + old[at + 1:]
+                        else:
+                            patched = list(old)
+                            for i, value in zip(positions, values):
+                                patched[i] = value
+                            new = tuple(patched)
+                        store(key, new, old, touched)
                         changes.append((old, new))
             finally:
-                self._account(changes, 2, lookups)
+                self._account(changes, 2 * len(touched), lookups)
         return changes
 
     def delete_many(self, columns: Sequence[str], idents: Sequence[tuple]) -> list[tuple]:
@@ -407,7 +458,7 @@ class Table:
                         self._discard(key, old)
                         changes.append((old, None))
             finally:
-                self._account(changes, 1, lookups)
+                self._account(changes, len(self._indexes), lookups)
         return changes
 
     def insert_many(self, rows: Sequence[tuple]) -> list[tuple]:
@@ -436,7 +487,7 @@ class Table:
                             f"in {self.schema.name!r}"
                         )
             finally:
-                self._account(changes, 1, lookups)
+                self._account(changes, len(self._indexes), lookups)
         return changes
 
     # ------------------------------------------------------------------
@@ -495,16 +546,33 @@ class Table:
         with self._lock:
             for op in ops:
                 if op[0] == "s":
-                    key, row = op[1], op[2]
-                    old = self._rows.get(key)
-                    if old != row:
-                        self._store(key, row, old)
+                    self._put(op[1], op[2])
                 elif op[0] == "d":
-                    self.delete_uncounted(op[1])
+                    self._put(op[1], None)
                 elif op[0] == "x":
                     self.create_index(op[1])
                 else:  # pragma: no cover - encoder validates opcodes
                     raise SchemaError(f"unknown write op {op[0]!r}")
+
+    def roll_forward(self, changes: Iterable[tuple[tuple, tuple | None]]) -> None:
+        """Catch this replica up with a round's net changes, uncounted
+        and idempotently: per ``(key, row)``, *row* is what *key* holds
+        afterwards — ``None``: nothing.  One call per table and round."""
+        with self._lock:
+            for key, row in changes:
+                self._put(key, row)
+
+    def _put(self, key: tuple, row: tuple | None) -> None:
+        """Make *key* hold the finished *row* (``None``: no row); an
+        overwrite maintains only the indexes the row moves in."""
+        old = self._rows.get(key)
+        if row is None:
+            if old is not None:
+                self._discard(key, old)
+        elif old is None:
+            self._store(key, row)
+        elif old != row:
+            self._store(key, row, old, self._moved(old, row))
 
     # ------------------------------------------------------------------
     # uncounted helpers (setup, oracles, the modification log, copying)
@@ -534,11 +602,24 @@ class Table:
 
     def update_uncounted(self, key: tuple, changes: Mapping[str, object]) -> tuple | None:
         """Uncounted in-place update; returns the pre-state row."""
-        key = tuple(key)
+        written = self.patch_uncounted(tuple(key), changes)
+        return written[0] if written is not None else None
+
+    def patch_uncounted(
+        self, key: tuple, changes: Mapping[str, object]
+    ) -> tuple[tuple, tuple] | None:
+        """:meth:`update_uncounted` for a caller that needs both states:
+        the ``(pre, post)`` rows at *key* (a tuple already), ``None``
+        when it holds no row.  The row is read once and written only if
+        *changes* change it — *post* ``is`` *pre* otherwise."""
         old = self._rows.get(key)
-        if old is not None:
-            self._store(key, self.schema.patched(old, changes), old)
-        return old
+        if old is None:
+            return None
+        new = self.schema.patched(old, changes)
+        if new == old:
+            return old, old
+        self._store(key, new, old, self._touched(changes))
+        return old, new
 
     def rows_uncounted(self) -> list[tuple]:
         return list(self._rows.values())

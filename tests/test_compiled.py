@@ -16,13 +16,13 @@ import repro.core.compile as compile_mod
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.core.compile import bind_kernels, lower_step
-from repro.core.diffs import INSERT, Diff, DiffSchema
+from repro.core.diffs import INSERT, UPDATE, Diff, DiffSchema
 from repro.core.engine import EXEC_BACKENDS
-from repro.core.ir import DiffSource, Filter
+from repro.core.ir import Compute, DiffSource, Filter
 from repro.core.ir_exec import IrContext
 from repro.core.script import ComputeDiffStep
 from repro.errors import DiffError, UnknownColumnError
-from repro.expr.ast import Cmp, Col, Lit
+from repro.expr.ast import Call, Cmp, Col, Lit
 from repro.obs import metrics
 from repro.workloads import (
     BSMA_QUERIES,
@@ -159,46 +159,119 @@ class TestIdentityStep:
             kernel(ctx)
 
 
+class TestTrustedAdoption:
+    """A kernel adopts its rows unvalidated only when they are unique on
+    the step's IDs by construction: row-wise over one source diff, every
+    ID of that diff a bare column among the output's IDs."""
+
+    SOURCE = DiffSchema(UPDATE, "t", ("k", "j"), ("a",), ("a",))
+
+    def _kernel(self, out_schema, items, predicate=None):
+        node = DiffSource("d1", self.SOURCE)
+        if predicate is not None:
+            node = Filter(node, predicate)
+        step = ComputeDiffStep("d2", out_schema, Compute(node, items), "view_diff")
+        kernel = lower_step(step)
+        assert kernel is not step.run
+        return kernel
+
+    def _run(self, kernel, rows):
+        ctx = IrContext(None, None, diffs={"d1": Diff(self.SOURCE, rows)})
+        kernel(ctx)
+        return ctx.diffs["d2"]
+
+    def test_filter_and_rename_keeping_every_id_is_trusted(self):
+        out = DiffSchema(UPDATE, "up", ("k", "jj"), ("a",), ("a",))
+        kernel = self._kernel(
+            out,
+            [("k", Col("k")), ("jj", Col("j")), ("a__pre", Col("a__pre")),
+             ("a__post", Col("a__post"))],
+            Call("is_distinct", (Col("a__post"), Col("a__pre"))),
+        )
+        assert ".trusted(" in kernel.__source__
+        rows = [(1, 1, 5, 6), (1, 2, 5, 5), (2, 1, None, 7)]
+        assert self._run(kernel, rows).rows == [(1, 1, 5, 6), (2, 1, None, 7)]
+
+    def test_dropping_an_id_column_still_validates(self):
+        out = DiffSchema(UPDATE, "up", ("k",), ("a",), ("a",))
+        items = [("k", Col("k")), ("a__pre", Col("a__pre")), ("a__post", Col("a__post"))]
+        kernel = self._kernel(out, items)
+        assert ".trusted(" not in kernel.__source__
+        # equal rows merge, as the constructor merges them ...
+        assert self._run(kernel, [(1, 1, 5, 6), (1, 2, 5, 6)]).rows == [(1, 5, 6)]
+        # ... and conflicting ones on the remaining ID are refused
+        with pytest.raises(DiffError):
+            self._run(kernel, [(1, 1, 5, 6), (1, 2, 5, 7)])
+
+    def test_computing_an_id_column_still_validates(self):
+        out = DiffSchema(UPDATE, "up", ("k", "j"), ("a",), ("a",))
+        items = [("k", Col("k")), ("j", Col("j") * 0), ("a__pre", Col("a__pre")),
+                 ("a__post", Col("a__post"))]
+        kernel = self._kernel(out, items)
+        assert ".trusted(" not in kernel.__source__
+        with pytest.raises(DiffError):
+            self._run(kernel, [(1, 1, 5, 6), (1, 2, 5, 7)])
+
+    def test_a_source_bound_with_other_ids_is_revalidated_at_run_time(self):
+        out = DiffSchema(UPDATE, "up", ("k", "j"), ("a",), ("a",))
+        items = [(c, Col(c)) for c in self.SOURCE.columns]
+        kernel = self._kernel(out, items)
+        loose = DiffSchema(UPDATE, "t", ("k", "j", "a__pre"), (), ("a",))
+        # same columns, but deduplicated on (k, j, a__pre), not (k, j)
+        assert loose.columns == self.SOURCE.columns
+        ctx = IrContext(None, None, diffs={"d1": Diff(loose, [(1, 1, 5, 6), (1, 1, 4, 6)])})
+        with pytest.raises(DiffError):
+            kernel(ctx)
+
+
 class TestExprFallback:
+    """A step holding a form the emitter refuses stays on the
+    interpreter as a whole step, counted once."""
+
     def test_unknown_column_is_counted_and_still_raises_at_run_time(self):
-        """A predicate the compiler cannot lower is interpreted — counted
-        in ``compile.expr_fallbacks`` when the step is lowered, and the
-        interpreter's own error surfaces when it runs."""
         schema = _schema()
         node = Filter(DiffSource("d1", schema), Cmp(">", Col("k"), Lit(1)))
         # Filter's constructor refuses an unknown column; a rewrite that
         # left a stale reference behind would look like this.
         node.predicate = Cmp(">", Col("nope"), Lit(1))
         step = ComputeDiffStep("d2", schema, node, "view_diff")
-        fallbacks = metrics.counter("compile.expr_fallbacks")
+        fallbacks = metrics.counter("compile.step_fallbacks")
         before = fallbacks.value
         kernel = lower_step(step)
         assert fallbacks.value == before + 1
+        assert kernel == step.run  # the whole step interprets
         source = Diff(schema, [(1, "x", 2)])
-        for run in (kernel, step.run):
-            with pytest.raises(UnknownColumnError):
-                run(IrContext(None, None, diffs={"d1": source}))
+        with pytest.raises(UnknownColumnError):
+            kernel(IrContext(None, None, diffs={"d1": source}))
 
     @staticmethod
     def _refuse_cmp(monkeypatch):
-        """Make the compiler unable to lower any ``Cmp`` it meets as a
-        general expression."""
-        lower = compile_mod._compile_expr
+        """Make the emitter unable to lower any ``Cmp`` it meets."""
+        value = compile_mod._Source.value
 
-        def refuse_cmp(expr, positions):
+        def refuse_cmp(self, expr, cols):
             if isinstance(expr, Cmp):
-                raise compile_mod._Fallback
-            return lower(expr, positions)
+                raise compile_mod._Refused("Cmp")
+            return value(self, expr, cols)
 
-        monkeypatch.setattr(compile_mod, "_compile_expr", refuse_cmp)
+        monkeypatch.setattr(compile_mod._Source, "value", refuse_cmp)
+        monkeypatch.setattr(compile_mod._Source, "truth", lambda self, e, c: self.value(e, c))
 
     def test_view_with_a_fallback_counts_like_the_interpreter(self, monkeypatch):
         base = _run_devices("interp", build_flat_view, rounds=1)
-        fallbacks = metrics.counter("compile.expr_fallbacks")
+        fallbacks = metrics.counter("compile.step_fallbacks")
         before = fallbacks.value
         self._refuse_cmp(monkeypatch)
+        db = build_devices_database(DEV_CONFIG)
+        view = IdIvmEngine(db).define_view("V", build_flat_view(db, DEV_CONFIG))
+        refused = [
+            i for i, step in enumerate(view.script.steps)
+            if type(step) is ComputeDiffStep and view.script._kernels[i] == step.run
+        ]
+        # once per refused step, however many expressions it holds
+        assert 0 < len(refused) == fallbacks.value - before
+        assert len(refused) < len(view.script._kernels)  # the others are generated
         compiled = _run_devices("compiled", build_flat_view, rounds=1)
-        assert fallbacks.value > before
         assert compiled[0][0] == base[0][0]
         assert _phase_totals(compiled[0][1]) == _phase_totals(base[0][1])
 
@@ -207,10 +280,25 @@ class TestExprFallback:
 
         argv = ["explain", "--sql", "SELECT pid, price FROM parts WHERE NOT (price > 5)"]
         assert main(argv) == 0
-        assert "compile.expr_fallbacks" not in capsys.readouterr().out
+        assert "compile.step_fallbacks" not in capsys.readouterr().out
         self._refuse_cmp(monkeypatch)
         assert main(argv) == 0
-        assert "compile.expr_fallbacks" in capsys.readouterr().out
+        assert "compile.step_fallbacks" in capsys.readouterr().out
+
+    def test_explain_compiled_prints_the_generated_source(self, capsys):
+        from repro.cli import main
+
+        sql = (
+            "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN devices_parts "
+            "NATURAL JOIN devices WHERE category = 'phone' GROUP BY did"
+        )
+        assert main(["explain", "--sql", sql]) == 0
+        assert "def " not in capsys.readouterr().out
+        assert main(["explain", "--sql", sql, "--compiled"]) == 0
+        out = capsys.readouterr().out
+        assert "<delta:d38_upd_n4>" in out and "def d38_upd_n4(ctx):" in out
+        assert "if (r1[2] != r1[1])]" in out        # 3VL spelled inline
+        assert "def gamma_n0(changes):" in out      # the γ accumulation loop
 
 
 # ----------------------------------------------------------------------

@@ -130,3 +130,75 @@ def test_conjuncts_partition_conjunction(parts, row):
     direct = matches(conjunction, POSITIONS, row)
     split = all(matches(p, POSITIONS, row) for p in pieces)
     assert direct == split
+
+
+# ----------------------------------------------------------------------
+# the emitted source (repro.core.compile) against the evaluator
+# ----------------------------------------------------------------------
+def _mixed_exprs():
+    """Any expression form over columns and literals of mixed types,
+    NULL included: comparisons between unordered types, arithmetic that
+    raises, IN lists holding NULL, NULL-tolerant and plain calls."""
+    from repro.expr.ast import Call, InList
+
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, 2.0, "", "x"])
+    )
+    leaves = st.one_of(st.sampled_from(COLUMNS).map(col), scalars.map(lit))
+
+    def grow(children):
+        some = st.lists(children, min_size=1, max_size=3)
+        return st.one_of(
+            st.builds(Arith, st.sampled_from(["+", "-", "*", "/"]), children, children),
+            st.builds(
+                Cmp, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), children, children
+            ),
+            st.builds(Not, children),
+            st.builds(And, some.map(tuple)),
+            st.builds(Or, some.map(tuple)),
+            st.builds(InList, children, st.lists(scalars, max_size=3).map(tuple)),
+            st.builds(lambda a, b: Call("is_distinct", (a, b)), children, children),
+            st.builds(lambda a: Call("is_true", (a,)), children),
+            st.builds(lambda a: Call("abs", (a,)), children),
+            st.builds(lambda args: Call("coalesce", tuple(args)), some),
+            st.builds(lambda args: Call("concat", tuple(args)), some),
+            st.builds(lambda a, b: Call("greatest", (a, b)), children, children),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8), st.tuples(scalars, scalars, scalars)
+
+
+def _outcome(thunk):
+    """``("value", v)`` — with *v*'s type, so ``1`` is not ``True`` — or
+    ``("raised", type)``."""
+    try:
+        value = thunk()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return "raised", type(exc)
+    return "value", type(value), value
+
+
+_MIXED_EXPRS, _MIXED_ROWS = _mixed_exprs()
+
+
+@given(expr=_MIXED_EXPRS, row=_MIXED_ROWS)
+def test_emitted_source_evaluates_like_the_evaluator(expr, row):
+    """One function per expression, as a kernel holds it: the value form
+    is ``evaluate``, the filter-boundary form is ``evaluate(...) is
+    True`` (it may decide, by short-circuit, before reaching an operand
+    that raises — never the other way round)."""
+    from repro.core.compile import _Source
+
+    src = _Source("probe")
+    cols = {name: f"r[{i}]" for name, i in POSITIONS.items()}
+    src.emit(f"value = lambda: {src.value(expr, cols)}")
+    src.emit(f"truth = lambda: {src.truth(expr, cols)}")
+    src.emit("return value, truth")
+    value, truth = src.build("r")(row)
+    expected = _outcome(lambda: evaluate(expr, POSITIONS, row))
+    assert _outcome(value) == expected, src.lines
+    at_boundary = _outcome(truth)
+    if expected[0] == "value":
+        assert at_boundary == ("value", bool, expected[2] is True), src.lines
+    else:
+        assert at_boundary in (expected, ("value", bool, False), ("value", bool, True))

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.core.diffs import DELETE, INSERT, UPDATE
+from repro.core.diffs import DELETE, INSERT, UPDATE, DiffSchema, update_schema_for
 from repro.core.modlog import (
     InstanceLayout,
     ModificationLog,
@@ -12,7 +12,7 @@ from repro.core.modlog import (
     schema_instance_name,
 )
 from repro.core.schema_gen import generate_base_schemas
-from repro.errors import WorkloadError
+from repro.errors import DiffError, WorkloadError
 from repro.storage import Database
 from tests.conftest import build_view_v
 
@@ -410,7 +410,8 @@ class TestInstanceLayout:
             _log_ops(log, database, ops)
             entries = log.take()
             once = populate_instances(layout, entries, database)
-            fresh = populate_instances(InstanceLayout(schemas), entries, database)
+            # (a plain list: shares nothing with the round's memo)
+            fresh = populate_instances(InstanceLayout(schemas), list(entries), database)
             assert list(once) == list(fresh) == list(layout.names)
             for name in fresh:
                 assert once[name].schema == fresh[name].schema
@@ -439,3 +440,98 @@ class TestInstanceLayout:
         log.insert("t", (9, 1, "z"))
         populate_instances(layout, log.take(), database)
         assert len(built) == 16 and set(layout._tables) == {"r", "t"}
+
+
+class TestRoundEntries:
+    """``take()`` hands out the round's entries with what the round
+    derives from them memoised on them: one fold for every reader, one
+    populated instance per table and schema set for every view."""
+
+    @staticmethod
+    def _count_folds(monkeypatch) -> list:
+        folds, real = [], modlog_mod._fold
+        monkeypatch.setattr(
+            modlog_mod, "_fold", lambda *args: folds.append(1) or real(*args)
+        )
+        return folds
+
+    def test_every_reader_of_the_round_shares_one_fold(self, monkeypatch):
+        database = _two_table_db()
+        schemas = _all_schemas(database)
+        log = ModificationLog(database)
+        log.update("r", (0,), {"a": 5})
+        log.insert("t", (9, 1, "z"))
+        folds = self._count_folds(monkeypatch)
+        entries = log.take()
+        assert isinstance(entries, list) and len(entries) == 2 and folds == []
+        net = fold_log(entries, database)
+        assert fold_log(entries, database) is net
+        populate_instances(InstanceLayout(schemas), entries, database)
+        populate_instances(InstanceLayout(schemas[:2]), entries, database)
+        assert folds == [1]
+        assert log.take() == [] and log.entries == []
+
+    def test_a_hand_built_list_folds_every_time_and_shares_nothing(self, monkeypatch):
+        database = _two_table_db()
+        schemas = _all_schemas(database)
+        log = ModificationLog(database)
+        log.update("r", (0,), {"a": 5})
+        entries = list(log.take())
+        folds = self._count_folds(monkeypatch)
+        first, again = fold_log(entries, database), fold_log(entries, database)
+        assert first is not again and first.keys() == again.keys() == {"r"}
+        assert first["r"][(0,)].post_row == again["r"][(0,)].post_row == (0, 5, "x")
+        one = populate_instances(InstanceLayout(schemas), entries, database)
+        two = populate_instances(InstanceLayout(schemas), entries, database)
+        assert len(folds) == 4
+        filled = [name for name, diff in one.items() if diff.rows]
+        assert filled and all(
+            one[n].rows == two[n].rows and one[n] is not two[n] for n in filled
+        )
+
+    def test_views_reading_the_same_schemas_get_the_same_instances(self):
+        database = _two_table_db()
+        schemas = _all_schemas(database)
+        log = ModificationLog(database)
+        log.update("r", (0,), {"a": 5})
+        log.insert("t", (9, 1, "z"))
+        entries = log.take()
+        one = populate_instances(InstanceLayout(schemas), entries, database)
+        two = populate_instances(InstanceLayout(list(schemas)), entries, database)
+        filled = [name for name, diff in one.items() if diff.rows]
+        assert len(filled) == 2 and all(one[name] is two[name] for name in filled)
+
+    def test_update_routing_follows_the_whole_schema_set_of_the_view(self):
+        """Keyed by one schema, the second view would be handed the
+        first one's routing: its catch-all instance would stay empty."""
+        db = Database()
+        db.create_table("r", ("k", "a", "b"), ("k",))
+        db.table("r").load([(1, 10, "x"), (2, 20, "y")])
+        narrow = update_schema_for(db.table("r").schema, ("a",))
+        wide = update_schema_for(db.table("r").schema, ("a", "b"))
+        log = ModificationLog(db)
+        log.update("r", (1,), {"a": 11})
+        entries = log.take()
+        both = populate_instances(InstanceLayout([narrow, wide]), entries, db)
+        only_wide = populate_instances(InstanceLayout([wide]), entries, db)
+        wide_name = schema_instance_name(wide)
+        assert len(both[schema_instance_name(narrow)]) == 1 and not both[wide_name].rows
+        assert only_wide[wide_name].rows == [(1, 10, "x", 11, "x")]
+
+    def test_base_instances_are_adopted_unvalidated_only_on_the_full_key(self):
+        db = Database()
+        db.create_table("r", ("k", "j", "a"), ("k", "j"))
+        db.table("r").load([(1, 1, 10), (1, 2, 20)])
+        log = ModificationLog(db)
+        log.update("r", (1, 1), {"a": 11})
+        log.update("r", (1, 2), {"a": 21})
+        entries = log.take()
+        full = update_schema_for(db.table("r").schema, ("a",))
+        assert len(populate_instances(InstanceLayout([full]), entries, db)[
+            schema_instance_name(full)
+        ]) == 2
+        # IDs that are not the table's key: the rows (key + pre + post) do
+        # not fit the schema, and the validating constructor says so.
+        partial = DiffSchema(UPDATE, "r", ("k",), ("a",), ("a",))
+        with pytest.raises(DiffError):
+            populate_instances(InstanceLayout([partial]), list(entries), db)

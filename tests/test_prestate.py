@@ -286,8 +286,8 @@ def test_worker_replica_follows_the_round_messages(rounds):
 # ----------------------------------------------------------------------
 def _round_costs(n_parts: int, rounds: int = 4):
     """Per round of a d=20 price-update stream: (Database.copy calls,
-    Table.copy calls, uncounted writes that landed on the replica,
-    log entries)."""
+    Table.copy calls, uncounted write calls that landed on the replica —
+    one bulk ``roll_forward`` per modified table — log entries)."""
     config = DevicesConfig(n_parts=n_parts, n_devices=n_parts // 10, fanout=2, diff_size=20)
     db = build_devices_database(config)
     # Cost-model inference evaluates the plan several times over: most of
@@ -313,7 +313,8 @@ def _round_costs(n_parts: int, rounds: int = 4):
     with spy(Database, "copy", "db_copy"), spy(Table, "copy", "table_copy"), \
             spy(Table, "insert_uncounted", "write"), \
             spy(Table, "delete_uncounted", "write"), \
-            spy(Table, "update_uncounted", "write"):
+            spy(Table, "update_uncounted", "write"), \
+            spy(Table, "roll_forward", "write"):
         for number in range(rounds):
             calls.clear()
             del replica_writes[:]
@@ -420,3 +421,80 @@ def test_process_workers_serve_the_pre_state_across_rounds():
             for view in (flat, agg):
                 assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
         assert reports["V"].backend == "process"
+
+
+# ----------------------------------------------------------------------
+# the bulk roll-forward: the replica catches up from the round's net
+# changes, one write per table, and must land where the raw log lands
+# ----------------------------------------------------------------------
+def test_seeded_mixed_rounds_keep_the_replica_on_the_reconstruction():
+    config = DevicesConfig(n_parts=60, n_devices=60, fanout=3, diff_size=12)
+    db = build_devices_database(config)
+    engine = IdIvmEngine(db)
+    flat = engine.define_view("V", build_flat_view(db, config))
+    agg = engine.define_view("Vp", build_aggregate_view(db, config))
+    for number in range(6):
+        log_batch(engine, mixed_modification_batch(db, config, 8, 4, 3, round_seed=number))
+        entries = list(engine.log.entries)
+        if number:  # round 0 builds the replica from this very oracle
+            assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+        engine.maintain()
+        assert_same_database(engine._pre.db, db)
+        for view in (flat, agg):
+            assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+def test_modification_chains_on_one_key_roll_forward_to_the_live_rows(running_example_db):
+    db = running_example_db
+    engine = IdIvmEngine(db)
+    view = engine.define_view("Vp", build_view_v_prime(db))
+    engine.log.update("parts", ("P1",), {"price": 11})
+    engine.maintain()
+    rolled = []
+    real = Table.roll_forward
+    log = engine.log
+    # insert∘update∘delete nets to nothing; delete∘insert to an update;
+    # insert∘update to an insert of the final row; update∘delete to a delete
+    log.insert("parts", ("P7", 1)); log.update("parts", ("P7",), {"price": 2}); log.delete("parts", ("P7",))
+    log.delete("parts", ("P2",)); log.insert("parts", ("P2", 99))
+    log.insert("parts", ("P8", 3)); log.update("parts", ("P8",), {"price": 4})
+    log.insert("devices_parts", ("D1", "P8"))
+    log.update("parts", ("P1",), {"price": 12}); log.delete("devices_parts", ("D1", "P1"))
+    entries = list(log.entries)
+    assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+    with mock.patch.object(
+        Table, "roll_forward",
+        lambda self, changes: rolled.append((self.name, sorted(changes))) or real(self, changes),
+    ):
+        engine.maintain()
+    assert_same_database(engine._pre.db, db)
+    assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+    # one bulk write per modified table, of net changes only (P7 is gone)
+    assert sorted(rolled) == [
+        ("devices_parts", [(("D1", "P1"), None), (("D1", "P8"), ("D1", "P8"))]),
+        ("parts", [(("P1",), ("P1", 12)), (("P2",), ("P2", 99)), (("P8",), ("P8", 4))]),
+    ]
+
+
+def test_a_log_that_does_not_fold_drops_the_replica(running_example_db):
+    from repro.core.modlog import LoggedModification
+    from repro.errors import DiffError
+
+    db = running_example_db
+    engine = IdIvmEngine(db)
+    view = engine.define_view("Vp", build_view_v_prime(db))
+    engine.log.update("parts", ("P1",), {"price": 11})
+    engine.maintain()
+    assert engine._pre.db is not None
+    # a second, hand-appended insert of the tuple the log just inserted
+    # (a part no device holds: no view row depends on it): the fold
+    # refuses the log, in the round and again in the roll-forward
+    engine.log.insert("parts", ("P9", 5))
+    engine.log.entries.append(LoggedModification("+", "parts", ("P9",), row=("P9", 6)))
+    with pytest.raises(DiffError):
+        engine.maintain()
+    assert engine._pre.db is None
+    engine.log.update("parts", ("P2",), {"price": 21})
+    engine.maintain()   # rebuilt from the live tables, and in step again
+    assert_same_database(engine._pre.db, db)
+    assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()

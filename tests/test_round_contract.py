@@ -16,11 +16,14 @@ from repro.algebra import evaluate_plan, where
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine, sdbt, tuple_ivm
 import repro.analysis as analysis_mod
 import repro.core.engine as engine_mod
+import repro.core.modlog as modlog_mod
 import repro.core.script as script_mod
 import repro.core.sharded as sharded_mod
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
 from repro.core.compile import bind_kernels
+from repro.core.diffs import UPDATE
 from repro.core.engine import EXEC_BACKENDS, MaintenanceEngine, MaterializedView
+from repro.core.modlog import schema_instance_name
 from repro.core.rules.aggregate import AssociativeAggregateStep
 from repro.core.script import ApplyDiffStep
 from repro.errors import StaticAnalysisError
@@ -38,11 +41,15 @@ from repro.shard import build_blueprint
 from repro.shard.workers import _WorkerState
 from repro.storage import Database, Table
 from repro.workloads import (
+    BSMA_QUERIES,
+    BsmaConfig,
     DevicesConfig,
     apply_price_updates,
     build_aggregate_view,
+    build_bsma_database,
     build_devices_database,
     build_flat_view,
+    log_user_updates,
 )
 
 CONFIG = DevicesConfig(n_parts=60, n_devices=60, diff_size=12)
@@ -144,6 +151,94 @@ def test_log_is_folded_once_per_round_not_per_view(kind, module):
             engine.maintain()
             assert len(folds) == number
     for view in views:
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+def test_the_log_is_folded_once_per_round_by_every_engine(kind):
+    """Every view's i-diff population, the baselines' ``_begin_round``
+    and the replica's roll-forward read the one fold the round's entries
+    memoise; recomputation reads no pre-state and folds nothing."""
+    db, engine, views = _engine_with_views(kind, names=("A", "B"))
+    real_fold, folds = modlog_mod._fold, []
+
+    def spy(*args):
+        folds.append(1)
+        return real_fold(*args)
+
+    with mock.patch.object(modlog_mod, "_fold", spy):
+        for number in range(1, 4):
+            apply_price_updates(engine, db, CONFIG, round_seed=number)
+            engine.maintain()
+            assert len(folds) == (0 if kind == "recompute" else number)
+    for view in views:
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+    if kind != "recompute":
+        assert_same_rows(engine._pre.db, db)
+
+
+def assert_same_rows(replica, live):
+    assert replica.tables.keys() == live.tables.keys()
+    for name, table in live.tables.items():
+        assert replica.tables[name].as_set() == table.as_set(), name
+
+
+def _instances_per_view(engine):
+    """``maintain()`` once; the instances each view's round was handed."""
+    real, handed = engine_mod.populate_instances, {}
+
+    def spy(layout, entries, db):
+        out = real(layout, entries, db)
+        view = next(v for v in engine.views.values() if v.instance_layout is layout)
+        handed[view.name] = out
+        return out
+
+    with mock.patch.object(engine_mod, "populate_instances", spy):
+        engine.maintain()
+    return handed
+
+
+def test_views_with_equal_schema_sets_are_handed_the_same_instances():
+    db = build_devices_database(CONFIG)
+    engine = IdIvmEngine(db)
+    flat = engine.define_view("V", build_flat_view(db, CONFIG))
+    agg = engine.define_view("Vagg", build_aggregate_view(db, CONFIG))
+    apply_price_updates(engine, db, CONFIG)
+    handed = _instances_per_view(engine)
+    assert handed["V"].keys() == handed["Vagg"].keys()
+    filled = [name for name, diff in handed["V"].items() if diff.rows]
+    assert filled == ["base_u_parts__price"]
+    assert handed["V"][filled[0]] is handed["Vagg"][filled[0]]
+    for view in (flat, agg):
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+def test_views_with_different_update_schemas_route_independently():
+    """BSMA ``Q7`` and ``Q*1`` both read updates of ``users`` through
+    different sets of update schemas: an update routes to the minimal
+    cover *within the view's set*, so neither may be handed the other's
+    instances."""
+    config = BsmaConfig(n_users=60)
+    db = build_bsma_database(config)
+    engine = IdIvmEngine(db)
+    views = {
+        name: engine.define_view(name, BSMA_QUERIES[name](db, config))
+        for name in ("Q7", "Q*1")
+    }
+    on_users = {
+        name: {
+            schema_instance_name(s) for s in view.instance_layout
+            if s.target == "users" and s.kind == UPDATE
+        }
+        for name, view in views.items()
+    }
+    assert on_users["Q7"] != on_users["Q*1"]
+    log_user_updates(engine, db, config, 12, round_seed=3)
+    handed = _instances_per_view(engine)
+    for name, instances in handed.items():
+        filled = {n for n, diff in instances.items() if diff.rows}
+        assert filled and filled <= on_users[name], name
+    for view in views.values():
         assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
 
 

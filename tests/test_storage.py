@@ -330,18 +330,33 @@ class TestIndexMaintenanceAccounting:
         db.counters.reset()
         t.insert((4, 40, "w"))          # 1 entry added per index
         assert db.counters.total.index_maintenance == 2
-        t.write_at((4,), {"a": 41})     # remove + add per index
+        t.write_at((4,), {"a": 41})     # remove + add in the index on a
+        assert db.counters.total.index_maintenance == 4
+        t.delete_at((4,))               # 1 entry removed per index
         assert db.counters.total.index_maintenance == 6
-        t.delete_at((4,))
-        assert db.counters.total.index_maintenance == 8
         t.insert_checked((4, 40, "w"))
-        assert db.counters.total.index_maintenance == 10
+        assert db.counters.total.index_maintenance == 8
         # The paper's headline metric is unaffected.
         assert db.counters.total.total == (
             db.counters.total.index_lookups
             + db.counters.total.tuple_reads
             + db.counters.total.tuple_writes
         )
+
+    def test_update_of_a_non_indexed_column_mutates_no_entry(self):
+        db = Database()
+        t = db.create_table("r", ("k", "a", "b"), ("k",))
+        t.load([(1, 10, "x"), (2, 10, "y")])
+        t.create_index(("a",))
+        db.counters.reset()
+        t.write_at((1,), {"b": "z"})
+        assert t.update_many(("a",), ("b",), [((10,), ("w",))]) == [
+            ((1, 10, "z"), (1, 10, "w")), ((2, 10, "y"), (2, 10, "w")),
+        ]
+        assert db.counters.total.index_maintenance == 0
+        assert db.counters.total.tuple_writes == 3
+        t.update_many(("k",), ("a", "b"), [((1,), (11, "v"))])
+        assert db.counters.total.index_maintenance == 2
 
     def test_duplicate_insert_checked_is_maintenance_free(self):
         db, t = self._table()
@@ -712,3 +727,128 @@ class TestBulkWriters:
         total = parts.counters.total
         # P4 stored, P1 identical (skipped), P2 conflicts: three probes, one write
         assert (total.index_lookups, total.tuple_writes) == (3, 1)
+
+
+class TestTouchedIndexMaintenance:
+    """An update maintains only the indexes whose columns it changes:
+    whatever the writer, every index equals a rebuild from the rows, and
+    ``index_maintenance`` is the number of index entries a counted write
+    actually added or removed (0 for the uncounted ones)."""
+
+    #: (writer, WHERE columns, updated attributes).  ("a",)/("a",) and
+    #: ("a", "b")/("b",) update a column of the very index that serves
+    #: the WHERE: its bucket must be read from a copy, not in place.
+    SHAPES = (
+        [("update_many", c, a)
+         for c in (("k",), ("a",), ("a", "b"), ("c",))
+         for a in (("a",), ("b",), ("c",), ("a", "c"))]
+        + [(w, ("k",), ()) for w in (
+            "insert_many", "delete_many", "write_at", "update_uncounted",
+            "patch_uncounted", "replay_writes", "roll_forward",
+        )]
+    )
+    batches = st.lists(
+        st.tuples(
+            st.sampled_from(SHAPES),
+            st.lists(st.tuples(st.integers(0, 5), small, small, small), max_size=6),
+        ),
+        min_size=1, max_size=5,
+    )
+
+    @staticmethod
+    def rebuilt(table: Table) -> dict:
+        fresh = Table(table.schema, auto_index=False)
+        fresh.load(table.rows_uncounted())
+        for columns in table.index_columns():
+            fresh.create_index(columns)
+        return {c: fresh._indexes[c].buckets for c in fresh.index_columns()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), small, small, small), max_size=6),
+        batches,
+    )
+    def test_every_writer_leaves_every_index_equal_to_a_rebuild(self, initial, ops):
+        from repro.storage.table import _SecondaryIndex
+
+        table = Table(TableSchema("r", ("k", "a", "b", "c"), ("k",)))
+        table.create_index(("a",))
+        table.create_index(("a", "b"))
+        table.load(dict((row[0], row) for row in initial).values())
+        mutated = []
+        real_add, real_remove = _SecondaryIndex.add, _SecondaryIndex.remove
+
+        def add(index, key, row):
+            mutated.append(1)
+            real_add(index, key, row)
+
+        def remove(index, key, row):
+            mutated.append(key in index.buckets.get(index.value_of(row), ()))
+            real_remove(index, key, row)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_SecondaryIndex, "add", add)
+            patch.setattr(_SecondaryIndex, "remove", remove)
+            for (writer, columns, attrs), batch in ops:
+                del mutated[:]
+                before = table.counters.snapshot()["__total__"].index_maintenance
+                n_indexes = len(table.index_columns())
+                if writer == "update_many":
+                    pos = table.schema.positions
+                    table.update_many(columns, attrs, [
+                        (tuple(r[i] for i in pos(columns)), tuple(r[i] for i in pos(attrs)))
+                        for r in batch
+                    ])
+                elif writer == "insert_many":
+                    try:
+                        table.insert_many(batch)
+                    except IntegrityError:
+                        pass  # a conflicting row: the rows before it stay
+                elif writer == "delete_many":
+                    table.delete_many(columns, [r[:1] for r in batch])
+                elif writer == "replay_writes":
+                    table.replay_writes(
+                        [("d", r[:1]) if r[3] == 0 else ("s", r[:1], r) for r in batch]
+                    )
+                elif writer == "roll_forward":
+                    table.roll_forward(
+                        [(r[:1], None if r[3] == 0 else r) for r in batch]
+                    )
+                else:
+                    for r in batch:
+                        key, changes = r[:1], {"b": r[2], "c": r[3]}
+                        if table.get_uncounted(key) is None:
+                            continue
+                        if writer == "write_at":
+                            table.write_at(key, changes)
+                        elif writer == "update_uncounted":
+                            table.update_uncounted(key, {"a": r[1], **changes})
+                        else:
+                            pre, post = table.patch_uncounted(key, {"a": r[1]})
+                            assert post == pre[:1] + (r[1],) + pre[2:]
+                            assert (post is pre) == (post == pre)
+                n_mutated = sum(mutated)
+                assert check_table(table, writer) == []
+                built = {c: table._indexes[c].buckets for c in table.index_columns()}
+                assert built == self.rebuilt(table), (writer, columns, attrs, batch)
+                counted = (
+                    table.counters.snapshot()["__total__"].index_maintenance - before
+                )
+                if writer in ("update_many", "insert_many", "delete_many", "write_at"):
+                    # an index auto-created for the WHERE is built, not maintained
+                    built_here = len(table.index_columns()) - n_indexes
+                    assert counted == n_mutated - built_here * len(table), (
+                        writer, columns, attrs, batch,
+                    )
+                else:
+                    assert counted == 0
+
+    def test_update_of_the_serving_index_column_reads_a_copy_of_its_bucket(self):
+        table = Table(TableSchema("r", ("k", "a"), ("k",)))
+        table.create_index(("a",))
+        table.load([(k, 1) for k in range(50)])
+        # Every row moves out of the bucket the WHERE is served from.
+        written = table.update_many(("a",), ("a",), [((1,), (2,))])
+        assert len(written) == 50 and table.lookup(("a",), (1,)) == []
+        assert len(table.lookup(("a",), (2,))) == 50
+        assert table.counters.total.index_maintenance == 100
