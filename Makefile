@@ -100,7 +100,11 @@ lint-catalog:
 # closures beside it; and one fold per round: `fold_log` is called by
 # core/modlog.py (the round's `RoundEntries` memoise it) and by the two
 # baselines' `_begin_round` — the engine, `PreState` and the shard
-# workers read the round's entries.
+# workers read the round's entries; and one evaluation per definition:
+# in the files that hold a `define_view` every `evaluate_plan` /
+# `materialize` / `infer_script_cost` call passes the definition's one
+# `PlanStats` (analysis/cost.py), so no sub-plan is derived twice — the
+# two-argument `evaluate_plan(plan, db)` is for oracles and rounds.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -139,6 +143,12 @@ lint-static:
 	@if grep -rnE '\bfold_log\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/modlog|baselines/(sdbt|tuple_ivm))\.py:'; then \
 	    echo "fold_log outside core/modlog.py and the baselines: read the round's entries (RoundEntries.folded)"; \
+	    exit 1; fi
+	@if grep -nE '\b(evaluate_plan|materialize|infer_script_cost)\(' \
+	    src/repro/core/engine.py src/repro/core/generator.py \
+	    src/repro/baselines/tuple_ivm.py src/repro/baselines/sdbt.py \
+	    | grep -vE '\bstats\)'; then \
+	    echo "definition-time evaluation without the definition's PlanStats: pass it (evaluate_plan(node, db, stats) / memo=stats / stats=stats)"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

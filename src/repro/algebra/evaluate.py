@@ -29,16 +29,33 @@ from .plan import (
 from .relation import Relation
 
 
-def evaluate_plan(node: PlanNode, db: Database) -> Relation:
+def evaluate_plan(node: PlanNode, db: Database, memo=None) -> Relation:
     """Evaluate the subview rooted at *node* against *db*.
 
     With a span recorder installed, each plan operator gets a span with
     its actual output row count and the (cumulative) access-count delta
     it incurred — the raw material of ``explain --analyze``.
+
+    *memo* (a :class:`repro.analysis.cost.PlanStats`, one per view
+    definition) is consulted at every node on the way down and handed
+    the result of *node* alone — the interior of a join nobody asked for
+    is never kept.  Without it this is the un-memoised reference every
+    oracle compares against.
     """
+    out = _evaluate(node, db, memo)
+    if memo is not None:
+        memo.store(node, out)
+    return out
+
+
+def _evaluate(node: PlanNode, db: Database, memo) -> Relation:
+    if memo is not None:
+        hit = memo.lookup(node)
+        if hit is not None:
+            return hit
     recorder = obs.current_recorder()
     if recorder is None:
-        return _evaluate_plan(node, db)
+        return _evaluate_plan(node, db, memo)
     with recorder.span(
         node.label(),
         kind="plan_op",
@@ -46,37 +63,37 @@ def evaluate_plan(node: PlanNode, db: Database) -> Relation:
         op=type(node).__name__,
         node_id=node.node_id,
     ) as sp:
-        out = _evaluate_plan(node, db)
+        out = _evaluate_plan(node, db, memo)
         sp.set(rows_out=len(out.rows))
         return out
 
 
-def _evaluate_plan(node: PlanNode, db: Database) -> Relation:
+def _evaluate_plan(node: PlanNode, db: Database, memo) -> Relation:
     if isinstance(node, Scan):
         table = db.table(node.table)
         return Relation(node.columns, list(table.scan()))
     if isinstance(node, Select):
-        child = evaluate_plan(node.child, db)
+        child = _evaluate(node.child, db, memo)
         pos = child.positions
         rows = [r for r in child.rows if matches(node.predicate, pos, r)]
         return Relation(node.columns, rows)
     if isinstance(node, Project):
-        child = evaluate_plan(node.child, db)
+        child = _evaluate(node.child, db, memo)
         return project_rows(node, child)
     if isinstance(node, Join):
-        return _evaluate_join(node, db)
+        return _evaluate_join(node, db, memo)
     if isinstance(node, AntiJoin):
-        return _evaluate_semi_like(node, db, negated=True)
+        return _evaluate_semi_like(node, db, memo, negated=True)
     if isinstance(node, SemiJoin):
-        return _evaluate_semi_like(node, db, negated=False)
+        return _evaluate_semi_like(node, db, memo, negated=False)
     if isinstance(node, UnionAll):
-        left = evaluate_plan(node.left, db)
-        right = evaluate_plan(node.right, db)
+        left = _evaluate(node.left, db, memo)
+        right = _evaluate(node.right, db, memo)
         rows = [r + (0,) for r in left.rows]
         rows.extend(r + (1,) for r in right.rows)
         return Relation(node.columns, rows)
     if isinstance(node, GroupBy):
-        child = evaluate_plan(node.child, db)
+        child = _evaluate(node.child, db, memo)
         return aggregate_rows(child, node.keys, node.aggs)
     raise PlanError(f"cannot evaluate plan node {node!r}")
 
@@ -97,9 +114,9 @@ def project_rows(node: Project, child: Relation) -> Relation:
     return Relation(node.columns, rows)
 
 
-def _evaluate_join(node: Join, db: Database) -> Relation:
-    left = evaluate_plan(node.left, db)
-    right = evaluate_plan(node.right, db)
+def _evaluate_join(node: Join, db: Database, memo) -> Relation:
+    left = _evaluate(node.left, db, memo)
+    right = _evaluate(node.right, db, memo)
     out_columns = node.columns
     if node.condition is None:
         rows = [lr + rr for lr in left.rows for rr in right.rows]
@@ -131,9 +148,9 @@ def _evaluate_join(node: Join, db: Database) -> Relation:
     return Relation(out_columns, rows)
 
 
-def _evaluate_semi_like(node, db: Database, negated: bool) -> Relation:
-    left = evaluate_plan(node.left, db)
-    right = evaluate_plan(node.right, db)
+def _evaluate_semi_like(node, db: Database, memo, negated: bool) -> Relation:
+    left = _evaluate(node.left, db, memo)
+    right = _evaluate(node.right, db, memo)
     pairs, residual = equi_join_pairs(node.condition, left.columns, right.columns)
     combined_positions = {
         c: i for i, c in enumerate(left.columns + right.columns)
@@ -256,6 +273,7 @@ def materialize(
     db: Database,
     name: str,
     key: Iterable[str] | None = None,
+    memo=None,
 ) -> Table:
     """Evaluate *node* and store the result as a keyed table.
 
@@ -268,7 +286,7 @@ def materialize(
         raise PlanError(
             f"cannot materialize {name!r}: no key; run ID inference first"
         )
-    result = evaluate_plan(node, db)
+    result = evaluate_plan(node, db, memo)
     schema = TableSchema(name, result.columns, key)
     table = Table(schema, counters=db.counters, auto_index=db.auto_index)
     table.load(result.rows)

@@ -90,6 +90,7 @@ from ..costmodel.symbolic import (
 )
 from ..expr import Col, columns_of, equi_join_pairs
 from ..storage import Database
+from .fingerprint import FingerprintError, _PlanWalker
 from .registry import AnalysisContext, register_pass
 
 #: Nominal per-instance diff cardinality used when no observation binds
@@ -126,49 +127,80 @@ _MARGIN_REL = 0.05
 # node statistics
 # ----------------------------------------------------------------------
 class PlanStats:
-    """Per-plan-node row statistics measured from a live database.
+    """One evaluation of a plan, shared by everyone defining a view from
+    it: the rows of each sub-plan somebody asked for and the scalar
+    statistics read off them, computed at most once.  Keys are *exact*
+    sub-plan fingerprints, so a re-annotated copy of the plan (cost
+    selection's cache-free candidate) hits the original's entries.
 
-    Evaluation is counted (it goes through the ordinary evaluator); the
-    callers that care — ``IdIvmEngine.define_view`` — run inference
-    before their counter reset, so inference never pollutes maintenance
-    phase counts.
+    ``define_view`` holds one in a local, so nothing here outlives the
+    database state it was read from.  Evaluation is counted (it goes
+    through the ordinary evaluator); ``define_view`` resets the counters
+    after it, so it never pollutes maintenance phase counts.
     """
 
     def __init__(self, db: Database):
         self.db = db
-        self._rows: dict[int, Relation] = {}
+        self._prints = _PlanWalker(db, alpha=False)
+        #: every node fingerprinted: the walker memoises by id(), which
+        #: a collected node would hand to the next one allocated
+        self._pinned: dict[int, PlanNode] = {}
+        #: key -> Relation, (key, statistic, columns) -> scalar
+        self._memo: dict = {}
+        #: operators evaluated / sub-plans answered from the memo
+        self.evaluations = self.hits = 0
+
+    def _key(self, node: PlanNode) -> object:
+        self._pinned[id(node)] = node
+        try:
+            return self._prints.visit(node)[0]
+        except FingerprintError:  # e.g. an exotic literal: share by identity
+            return id(node)
+
+    def lookup(self, node: PlanNode) -> Optional[Relation]:
+        """The evaluator's question at every node on its way down; a
+        miss is an operator it goes on to evaluate."""
+        rel = self._memo.get(self._key(node))
+        if rel is None:
+            self.evaluations += 1
+        else:
+            self.hits += 1
+        return rel
+
+    def store(self, node: PlanNode, rel: Relation) -> None:
+        """Keep *rel*: *node* is what a caller asked to have evaluated."""
+        self._memo[self._key(node)] = rel
 
     def rows(self, node: PlanNode) -> Relation:
-        cached = self._rows.get(node.node_id)
-        if cached is not None:
-            return cached
-        if isinstance(node, Scan):
-            table = self.db.table(node.table)
-            rel = Relation(node.columns, list(table.rows_uncounted()))
-        else:
-            rel = evaluate_plan(node, self.db)
-        self._rows[node.node_id] = rel
-        return rel
+        return evaluate_plan(node, self.db, self)
+
+    def _stat(self, name: str, node: PlanNode, cols: Sequence[str], compute):
+        key = (self._key(node), name, tuple(cols))
+        if key not in self._memo:
+            self._memo[key] = compute(self.rows(node))
+        return self._memo[key]
 
     def n(self, node: PlanNode) -> int:
         return len(self.rows(node).rows)
 
     def distinct(self, node: PlanNode, cols: Sequence[str]) -> int:
-        rel = self.rows(node)
-        idx = [rel.position(c) for c in cols]
-        return len({tuple(r[i] for i in idx) for r in rel.rows})
+        def count(rel: Relation) -> int:
+            idx = [rel.position(c) for c in cols]
+            return len({tuple(r[i] for i in idx) for r in rel.rows})
+
+        return self._stat("distinct", node, cols, count)
 
     def fanout(self, node: PlanNode, cols: Sequence[str]) -> float:
         """Average matching rows per distinct value of *cols*."""
-        rel = self.rows(node)
-        if not rel.rows:
-            return 0.0
-        return len(rel.rows) / max(self.distinct(node, cols), 1)
+        n = self.n(node)
+        return n / max(self.distinct(node, cols), 1) if n else 0.0
 
     def has_nulls(self, node: PlanNode, cols: Sequence[str]) -> bool:
-        rel = self.rows(node)
-        idx = [rel.position(c) for c in cols if c in rel.columns]
-        return any(r[i] is None for r in rel.rows for i in idx)
+        def any_null(rel: Relation) -> bool:
+            idx = [rel.position(c) for c in cols if c in rel.columns]
+            return any(r[i] is None for r in rel.rows for i in idx)
+
+        return self._stat("has_nulls", node, cols, any_null)
 
     def grouping_compression(
         self, node: PlanNode, id_cols: Sequence[str], key_cols: Sequence[str]
@@ -197,13 +229,11 @@ class CostInferenceError(Exception):
 
 
 class _CostWalker:
-    def __init__(self, generated: object, db: Database, nominal_card: float):
-        self.gp = generated
-        self.db = db
+    def __init__(self, generated: object, stats: PlanStats, nominal_card: float):
         self.plan: PlanNode = generated.plan  # type: ignore[attr-defined]
         self.script = generated.script  # type: ignore[attr-defined]
         self.model = ScriptCostModel(generated.view_name)  # type: ignore[attr-defined]
-        self.stats = PlanStats(db)
+        self.stats = stats
         self.nodes: dict[int, PlanNode] = {n.node_id: n for n in self.plan.walk()}
         cache_specs = list(generated.cache_specs)  # type: ignore[attr-defined]
         self.cache_ids: set[int] = {s.node_id for s in cache_specs}
@@ -652,15 +682,20 @@ def _emitted_schema(gnode: GroupBy, kind: str) -> DiffSchema:
 # entry points
 # ----------------------------------------------------------------------
 def infer_script_cost(
-    generated: object, db: Database, nominal_card: float = NOMINAL_DIFF_CARD
+    generated: object,
+    db: Database,
+    nominal_card: float = NOMINAL_DIFF_CARD,
+    stats: Optional[PlanStats] = None,
 ) -> ScriptCostModel:
     """Symbolic per-phase cost model for a :class:`GeneratedPlan`.
 
+    *stats* is the :class:`PlanStats` of the definition this runs in;
+    without one the run evaluates its own.
     Raises :class:`CostInferenceError` on constructs the walker cannot
     cost; callers embedding this in engines or fuzzers should treat any
     exception as "no model available".
     """
-    return _CostWalker(generated, db, nominal_card).walk()
+    return _CostWalker(generated, stats or PlanStats(db), nominal_card).walk()
 
 
 @dataclass(frozen=True)

@@ -219,11 +219,15 @@ class SdbtEngine(MaintenanceEngine):
         annotated = annotate_plan(plan)
         if not isinstance(annotated, GroupBy):
             raise PlanError("SDBT views must be aggregates over SPJ")
+        from ..analysis.cost import PlanStats  # deferred: it imports core
+
         shape = _decompose(annotated)
-        table = materialize(annotated, self.db, name)
+        stats = PlanStats(self.db)  # this definition's one evaluation
+        # The SPJ first: it stores its rows and the γ above reads them.
+        child_rows = evaluate_plan(shape.spj, self.db, stats)
+        table = materialize(annotated, self.db, name, memo=stats)
         view = SdbtView(name, annotated, table, shape)
         spec = OpCacheSpec(annotated, f"{name}__sdbt_opc")
-        child_rows = evaluate_plan(shape.spj, self.db)
         view.opcache = spec.build(child_rows, self.db.counters)
 
         streamed = (
@@ -253,7 +257,7 @@ class SdbtEngine(MaintenanceEngine):
                 )
             relaxed = _relaxed_spj(shape.spj, own_non_key)
             view.relaxed[base_table] = relaxed
-            relaxed_result = evaluate_plan(relaxed, self.db)
+            relaxed_result = evaluate_plan(relaxed, self.db, stats)
             schema = TableSchema(f"{name}__map_{base_table}", tuple(keep), tuple(key))
             map_table = Table(schema, counters=self.db.counters)
             idx = [relaxed_result.position(c) for c in keep]

@@ -127,25 +127,31 @@ class TupleIvmEngine(MaintenanceEngine):
         """Materialize *plan* (plus γ bookkeeping) for t-diff maintenance."""
         if name in self.views:
             raise ScriptError(f"view {name!r} already defined")
+        from ..analysis.cost import PlanStats  # deferred: it imports core
+
         annotated = annotate_plan(plan)
-        table = materialize(annotated, self.db, name)
-        view = TupleView(name, annotated, table)
-        for node in annotated.walk():
+        stats = PlanStats(self.db)  # this definition's one evaluation
+        accumulate, opcaches, agg_outputs = {}, {}, {}
+        # Innermost γ first, the view last: each request stores its rows
+        # and the ones above it read them instead of re-deriving them.
+        for node in reversed(list(annotated.walk())):
             if isinstance(node, GroupBy):
                 # Bookkeeping is only consulted (and maintained) by the
                 # associative delta path; the min/max recompute path
                 # would leave it stale.
                 if all(a.func in ("sum", "count", "avg") for a in node.aggs):
-                    view.accumulate[node.node_id] = group_accumulator(node)
+                    accumulate[node.node_id] = group_accumulator(node)
                     spec = OpCacheSpec(node, f"{name}__tuple_opc_n{node.node_id}")
-                    child_rows = evaluate_plan(node.child, self.db)
-                    view.opcaches[node.node_id] = spec.build(
+                    child_rows = evaluate_plan(node.child, self.db, stats)
+                    opcaches[node.node_id] = spec.build(
                         child_rows, self.db.counters
                     )
                 if node.node_id != annotated.node_id:
-                    view.agg_outputs[node.node_id] = materialize(
-                        node, self.db, f"{name}__tuple_out_n{node.node_id}"
-                    )
+                    out_name = f"{name}__tuple_out_n{node.node_id}"
+                    agg_outputs[node.node_id] = materialize(node, self.db, out_name, memo=stats)
+        table = materialize(annotated, self.db, name, memo=stats)
+        view = TupleView(name, annotated, table)
+        view.accumulate, view.opcaches, view.agg_outputs = accumulate, opcaches, agg_outputs
         return self._register(name, view)
 
     # ------------------------------------------------------------------

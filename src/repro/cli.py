@@ -53,6 +53,7 @@ from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .core import IdIvmEngine, ShardedEngine
 from .core.engine import COST_MODEL_FALLBACKS
+from .core.generator import COST_SELECT_FALLBACKS
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -168,6 +169,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
             "-- no cost model (inferring it failed; a strict=True engine "
             "re-raises the error): the view runs without predictions or a "
             "drift signal (engine.cost_model_fallbacks)"
+        )
+    if COST_SELECT_FALLBACKS + view.name in metrics.registry().names():
+        print(
+            "-- script not cost-selected (pricing the candidates failed; a "
+            "strict=True engine re-raises the error): the requested script "
+            "runs as generated (engine.cost_select_fallbacks)"
         )
     if args.compiled:
         print()

@@ -344,39 +344,57 @@ class IdIvmEngine(MaintenanceEngine):
     # view definition time
     # ------------------------------------------------------------------
     def define_view(self, name: str, plan: PlanNode) -> MaterializedView:
-        """Register a view: generate its ∆-script and materialize it."""
+        """Register a view: generate its ∆-script and materialize it —
+        from one evaluation of the plan: script selection, the cost model
+        and every materialization read one ``PlanStats``, a local here."""
         if name in self.views:
             raise ScriptError(f"view {name!r} already defined")
-        generator = ScriptGenerator(
-            name,
-            plan,
-            optimize=self.optimize,
-            cache_policy=self.cache_policy,
-            view_reuse=self.view_reuse,
-            strict=self.strict,
-            cost_db=self.db if (self.cost_select and self.optimize) else None,
-        )
-        base_schemas = generate_base_schemas(generator.plan, self.db)
-        generated = generator.generate(base_schemas)
-        annotated = generated.plan
-        view_table = materialize(annotated, self.db, name)
-        caches: dict[int, Table] = {annotated.node_id: view_table}
-        for spec in generated.cache_specs:
-            node = node_by_id(annotated, spec.node_id)
-            caches[spec.node_id] = materialize(node, self.db, spec.name)
-        operator_caches: dict[int, Table] = {}
-        for opspec in generated.opcache_specs:
-            child_rows = evaluate_plan(opspec.gnode.child, self.db)
-            operator_caches[opspec.gnode.node_id] = opspec.build(
-                child_rows, self.db.counters
+        from ..analysis.cost import PlanStats  # deferred: it imports core
+
+        started = time.perf_counter()
+        stats = PlanStats(self.db)
+        with obs.span("define_view", kind="engine", view=name) as span:
+            generator = ScriptGenerator(
+                name,
+                plan,
+                optimize=self.optimize,
+                cache_policy=self.cache_policy,
+                view_reuse=self.view_reuse,
+                strict=self.strict,
+                cost_db=self.db if (self.cost_select and self.optimize) else None,
+                cost_stats=stats,
             )
-        bind_kernels(generated.script, self.exec_backend)
-        view = MaterializedView(
-            generated,
-            view_table,
-            caches,
-            operator_caches,
-            cost_model=_infer_cost_model(generated, self.db, self.strict),
+            base_schemas = generate_base_schemas(generator.plan, self.db)
+            generated = generator.generate(base_schemas)
+            annotated = generated.plan
+            # Only requested sub-plans are kept, so the requests run
+            # leaves-first — the cost walker, then the materialized nodes
+            # innermost first — and each reads what the ones below it
+            # stored instead of re-deriving it.
+            cost_model = _infer_cost_model(generated, stats, self.strict)
+            wanted = {spec.node_id for spec in generated.cache_specs}
+            wanted.update(op.gnode.child.node_id for op in generated.opcache_specs)
+            for node in reversed(list(annotated.walk())):
+                if node.node_id in wanted:
+                    evaluate_plan(node, self.db, stats)
+            view_table = materialize(annotated, self.db, name, memo=stats)
+            caches: dict[int, Table] = {annotated.node_id: view_table}
+            for spec in generated.cache_specs:
+                node = node_by_id(annotated, spec.node_id)
+                caches[spec.node_id] = materialize(node, self.db, spec.name, memo=stats)
+            operator_caches: dict[int, Table] = {}
+            for opspec in generated.opcache_specs:
+                child_rows = evaluate_plan(opspec.gnode.child, self.db, stats)
+                operator_caches[opspec.gnode.node_id] = opspec.build(
+                    child_rows, self.db.counters
+                )
+            bind_kernels(generated.script, self.exec_backend)
+            view = MaterializedView(
+                generated, view_table, caches, operator_caches, cost_model=cost_model
+            )
+            span.set(plan_evaluations=stats.evaluations, memo_hits=stats.hits)
+        metrics.loghist(f"view.define_seconds.{name}", unit="seconds").observe(
+            time.perf_counter() - started
         )
         return self._register(name, view)
 
@@ -425,7 +443,7 @@ class IdIvmEngine(MaintenanceEngine):
         report.diff_sizes = ctx.diff_sizes
 
 
-def _infer_cost_model(generated: GeneratedPlan, db: Database, strict: bool):
+def _infer_cost_model(generated: GeneratedPlan, stats, strict: bool):
     """Symbolic cost model for a fresh view, or None when inference
     fails: the view then runs with no prediction and no drift signal, so
     the fallback is counted — ``engine.cost_model_fallbacks.<view>``,
@@ -435,7 +453,7 @@ def _infer_cost_model(generated: GeneratedPlan, db: Database, strict: bool):
     try:
         from ..analysis.cost import infer_script_cost
 
-        return infer_script_cost(generated, db)
+        return infer_script_cost(generated, stats.db, stats=stats)
     except Exception:
         if strict:
             raise

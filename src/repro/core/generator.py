@@ -39,6 +39,7 @@ from ..algebra.plan import (
 from ..expr import Col
 from ..errors import RuleError
 from ..expr import equi_join_pairs
+from ..obs import metrics
 from .diffs import DELETE, INSERT, UPDATE, DiffSchema
 from .idinfer import annotate_plan
 from .ir import DiffSource, IrNode, OutputHint, ProbeJoin
@@ -69,6 +70,9 @@ from .script import (
 )
 
 _KIND_ORDER = {DELETE: 0, UPDATE: 1, INSERT: 2}
+
+#: Prefix of the per-view counters of failed cost selections.
+COST_SELECT_FALLBACKS = "engine.cost_select_fallbacks."
 
 
 @dataclass
@@ -151,6 +155,7 @@ class ScriptGenerator:
         view_reuse: bool = False,
         strict: bool = False,
         cost_db=None,
+        cost_stats=None,
     ):
         self.view_name = view_name
         self.plan = annotate_plan(plan)
@@ -164,6 +169,8 @@ class ScriptGenerator:
         #: minimized script, the negative-benefit intermediate caches on
         #: Q7/Q10/Q11/Q18) they *raise* the predicted maintenance cost.
         self.cost_db = cost_db
+        #: the PlanStats of the definition generate() runs in, if any
+        self.cost_stats = cost_stats
         #: run the static analyzer over the output and refuse to hand
         #: back a plan carrying error-severity diagnostics
         self.strict = strict
@@ -266,17 +273,19 @@ class ScriptGenerator:
         weighs every family equally, and a workload concentrated on the
         losing family would pay for the swap every round.
 
-        Ties keep the requested variant; a candidate that fails to
+        Ties keep the requested variant.  A candidate that fails to
         generate or to cost is skipped (the requested script always
-        survives)."""
+        survives) — counted, ``engine.cost_select_fallbacks.<view>``,
+        since a failure here silently decides which script runs; a
+        *strict* generator re-raises instead."""
         if self.cache_policy == "never":
             return generated
         # Deferred import: repro.analysis consumes this module.
         try:
-            from ..analysis.cost import dominated_by, infer_script_cost
-            from .modlog import schema_instance_name
+            from ..analysis.cost import PlanStats, dominated_by, infer_script_cost
 
-            current = infer_script_cost(generated, self.cost_db)
+            stats = self.cost_stats or PlanStats(self.cost_db)
+            current = infer_script_cost(generated, self.cost_db, stats=stats)
             alt = ScriptGenerator(
                 self.view_name,
                 self.plan,
@@ -285,12 +294,14 @@ class ScriptGenerator:
                 view_reuse=self.view_reuse,
             )
             candidate = alt.generate(list(base_schemas))
-            candidate_model = infer_script_cost(candidate, self.cost_db)
+            candidate_model = infer_script_cost(candidate, self.cost_db, stats=stats)
             families = [schema_instance_name(s) for s in base_schemas]
             if dominated_by(current, candidate_model, families):
                 return candidate
         except Exception:
-            return generated
+            if self.strict:
+                raise
+            metrics.counter(f"{COST_SELECT_FALLBACKS}{self.view_name}").inc()
         return generated
 
     # ------------------------------------------------------------------

@@ -46,6 +46,8 @@ _LABELED_PREFIXES = (
     ("drift.worst_ratio.", "repro_drift_worst_ratio", "view"),
     ("script.phase_seconds.", "repro_script_phase_seconds", "phase"),
     ("engine.cost_model_fallbacks.", "repro_engine_cost_model_fallbacks", "view"),
+    ("engine.cost_select_fallbacks.", "repro_engine_cost_select_fallbacks", "view"),
+    ("view.define_seconds.", "repro_view_define_seconds", "view"),
 )
 
 

@@ -166,7 +166,7 @@ class TestCostModelFallback:
     def _break_inference(monkeypatch):
         import repro.analysis.cost as cost_mod
 
-        def boom(generated, db):
+        def boom(generated, db, stats=None):
             raise ZeroDivisionError("no statistics")
 
         monkeypatch.setattr(cost_mod, "infer_script_cost", boom)
