@@ -98,13 +98,18 @@ lint-catalog:
 # `driving_sources`; and one compiler: a compute step is lowered to one
 # generated function (core/compile.py `lower_step`) — no tree of per-row
 # closures beside it; and one fold per round: `fold_log` is called by
-# core/modlog.py (the round's `RoundEntries` memoise it) and by the two
-# baselines' `_begin_round` — the engine, `PreState` and the shard
-# workers read the round's entries; and one evaluation per definition:
-# in the files that hold a `define_view` every `evaluate_plan` /
-# `materialize` / `infer_script_cost` call passes the definition's one
-# `PlanStats` (analysis/cost.py), so no sub-plan is derived twice — the
-# two-argument `evaluate_plan(plan, db)` is for oracles and rounds.
+# core/modlog.py alone (the round's `RoundEntries` memoise it) — the
+# engines, the baselines, `PreState` and the shard workers read the
+# round's entries; and one evaluation per definition: inside every
+# definition hook (`_define`, `define_script`, `lint_definition`) each
+# `evaluate_plan` / `materialize` / `define_script` / `price_script` call
+# passes the definition's one `PlanStats`, so no sub-plan is derived
+# twice — the two-argument `evaluate_plan(plan, db)` is for oracles and
+# rounds; and a script is priced once: `infer_script_cost` is called only
+# in analysis/cost.py (by `price_script`, the one guarded inference), a
+# `PlanStats` is built only there and by `MaintenanceEngine.define_view`
+# (core/engine.py), and the generator, the engine and the sharing pass
+# swallow no exception.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -141,14 +146,29 @@ lint-static:
 	    echo "per-row closure in core/compile.py: emit the expression into the step's generated source (_Source.value / .truth)"; \
 	    exit 1; fi
 	@if grep -rnE '\bfold_log\(' src/repro --include='*.py' \
-	    | grep -vE '^src/repro/(core/modlog|baselines/(sdbt|tuple_ivm))\.py:'; then \
-	    echo "fold_log outside core/modlog.py and the baselines: read the round's entries (RoundEntries.folded)"; \
+	    | grep -vE '^src/repro/core/modlog\.py:'; then \
+	    echo "fold_log outside core/modlog.py: read the round's entries (entries.folded(db))"; \
 	    exit 1; fi
-	@if grep -nE '\b(evaluate_plan|materialize|infer_script_cost)\(' \
-	    src/repro/core/engine.py src/repro/core/generator.py \
-	    src/repro/baselines/tuple_ivm.py src/repro/baselines/sdbt.py \
-	    | grep -vE '\bstats\)'; then \
-	    echo "definition-time evaluation without the definition's PlanStats: pass it (evaluate_plan(node, db, stats) / memo=stats / stats=stats)"; \
+	@if awk 'FNR == 1 { f = 0 } \
+	        /^ *def (_define|define_script|lint_definition)\(/ { f = 1; next } \
+	        /^ *(def|class) |^[^ #)]/ { f = 0 } \
+	        f { print FILENAME ":" FNR ": " $$0 }' \
+	    src/repro/core/engine.py src/repro/analysis/cost.py src/repro/baselines/*.py \
+	    | grep -E '\b(evaluate_plan|materialize|define_script|price_script)\(' \
+	    | grep -vE '\bstats[,)]'; then \
+	    echo "definition-time evaluation without the definition's PlanStats: pass it (evaluate_plan(node, db, stats) / memo=stats / define_script(name, plan, stats, ...))"; \
+	    exit 1; fi
+	@if grep -rnE '\binfer_script_cost\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/analysis/cost\.py:'; then \
+	    echo "infer_script_cost outside analysis/cost.py: price through price_script (or read generated.cost_model)"; \
+	    exit 1; fi
+	@if grep -rnE '\bPlanStats\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/(core/engine|analysis/cost)\.py:'; then \
+	    echo "PlanStats built outside MaintenanceEngine.define_view and analysis/cost.py: one per definition"; \
+	    exit 1; fi
+	@if grep -nE 'except +(\(.*)?Exception\b' src/repro/core/generator.py \
+	    src/repro/core/engine.py src/repro/analysis/sharing.py; then \
+	    echo "swallowed exception: a pricing failure is counted by analysis.cost.price_script, nothing else guards"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

@@ -87,14 +87,15 @@ def analyze_plan(plan, names=None) -> AnalysisReport:
 
 
 def analyze_generated(
-    generated, db=None, n_shards: int = 2, names=None
+    generated, db=None, n_shards: int = 2, names=None, stats=None
 ) -> AnalysisReport:
     """Run every applicable pass over a :class:`GeneratedPlan`.
 
-    Without *db* the shard and interference passes skip themselves
-    (routability needs the foreign-key graph); everything else runs.
-    The script analyzed is ``generated.script`` — the one object the
-    engine executes under either backend.
+    Without *db* the shard, interference and cost passes skip themselves
+    (routability needs the foreign-key graph, pricing the data);
+    everything else runs.  The script analyzed is ``generated.script`` —
+    the one object the engine executes under either backend.  *stats* is
+    the ``PlanStats`` of the definition that produced it, if any.
     """
     ctx = AnalysisContext(
         plan=generated.plan,
@@ -103,11 +104,12 @@ def analyze_generated(
         generated=generated,
         db=db,
         n_shards=n_shards,
+        stats=stats,
     )
     return run_passes(ctx, names)
 
 
-def check_generated(generated, db=None) -> AnalysisReport:
+def check_generated(generated, db=None, stats=None) -> AnalysisReport:
     """Strict gate: analyze and raise on error-severity diagnostics.
 
     When ``REPRO_ANALYSIS_CACHE`` names a directory, a previously seen
@@ -123,7 +125,7 @@ def check_generated(generated, db=None) -> AnalysisReport:
         if entry is not None:
             report = report_from_entry(entry)
     if report is None:
-        report = analyze_generated(generated, db=db)
+        report = analyze_generated(generated, db=db, stats=stats)
         if cache is not None:
             cache.put(key, entry_from_report(report))
             cache.flush()

@@ -20,7 +20,10 @@ charged whenever it *may* be touched.  Index lookups of pure
 apply/locate phases (SPJ update rounds) carry no estimated symbols and
 are exact.
 
-Three consumers:
+Which script a view ships and what it costs is decided here, once per
+definition, by :func:`define_script` (every engine and ``repro lint``
+define through it); the model travels with the script as
+``GeneratedPlan.cost_model``.  Three consumers of the model:
 
 * the registered ``cost`` pass — minimality lints COST501 (the emitted
   script predicts costlier than an enumerated generator alternative) and
@@ -54,6 +57,7 @@ from ..algebra.plan import (
 )
 from ..algebra.relation import Relation
 from ..core.diffs import DELETE, INSERT, UPDATE, DiffSchema
+from ..core.generator import GeneratedPlan, ScriptGenerator
 from ..core.ir import (
     AppliedSource,
     Compute,
@@ -70,6 +74,7 @@ from ..core.ir import (
 )
 from ..core.modlog import schema_instance_name
 from ..core.rules.aggregate import AssociativeAggregateStep, GeneralAggregateStep
+from ..core.schema_gen import generate_base_schemas
 from ..core.script import (
     PHASE_CACHE_DIFF,
     PHASE_CACHE_UPDATE,
@@ -89,7 +94,9 @@ from ..costmodel.symbolic import (
     writes,
 )
 from ..expr import Col, columns_of, equi_join_pairs
+from ..obs import metrics
 from ..storage import Database
+from .diagnostics import AnalysisReport
 from .fingerprint import FingerprintError, _PlanWalker
 from .registry import AnalysisContext, register_pass
 
@@ -122,6 +129,11 @@ RECONCILE_TOLERANCES: dict[str, tuple[float, float]] = {
 _MARGIN_ABS = 8.0
 _MARGIN_REL = 0.05
 
+#: Per-view counters of failed pricings (:func:`price_script`): of the
+#: requested script, and of a candidate or lint alternative.
+COST_MODEL_FALLBACKS = "engine.cost_model_fallbacks."
+COST_SELECT_FALLBACKS = "engine.cost_select_fallbacks."
+
 
 # ----------------------------------------------------------------------
 # node statistics
@@ -133,10 +145,10 @@ class PlanStats:
     sub-plan fingerprints, so a re-annotated copy of the plan (cost
     selection's cache-free candidate) hits the original's entries.
 
-    ``define_view`` holds one in a local, so nothing here outlives the
-    database state it was read from.  Evaluation is counted (it goes
-    through the ordinary evaluator); ``define_view`` resets the counters
-    after it, so it never pollutes maintenance phase counts.
+    ``define_view`` and :func:`lint_definition` hold one in a local, so
+    nothing here outlives the database state it was read from.
+    Evaluation is counted (it goes through the ordinary evaluator);
+    ``define_view`` resets the counters after it.
     """
 
     def __init__(self, db: Database):
@@ -692,10 +704,28 @@ def infer_script_cost(
     *stats* is the :class:`PlanStats` of the definition this runs in;
     without one the run evaluates its own.
     Raises :class:`CostInferenceError` on constructs the walker cannot
-    cost; callers embedding this in engines or fuzzers should treat any
-    exception as "no model available".
+    cost; inside a definition it is called through :func:`price_script`,
+    which turns any exception into "no model available".
     """
     return _CostWalker(generated, stats or PlanStats(db), nominal_card).walk()
+
+
+def price_script(
+    generated: GeneratedPlan, stats: PlanStats, fallbacks: str, strict: bool = False
+) -> Optional[ScriptCostModel]:
+    """The cost model of *generated* from the definition's *stats*, or
+    None when inference fails — the one guarded :func:`infer_script_cost`.
+    A failure is counted as ``<fallbacks><view>``
+    (:data:`COST_MODEL_FALLBACKS` or :data:`COST_SELECT_FALLBACKS`) and
+    printed by ``repro explain``; under *strict* it is re-raised instead,
+    which is also how to see why."""
+    try:
+        return infer_script_cost(generated, stats.db, stats=stats)
+    except Exception:
+        if strict:
+            raise
+        metrics.counter(f"{fallbacks}{generated.view_name}").inc()
+        return None
 
 
 @dataclass(frozen=True)
@@ -797,26 +827,8 @@ def drift_diagnostics(monitor: object, analysis_report: object) -> list:
 
 
 # ----------------------------------------------------------------------
-# the registered pass: minimality lints
+# the one definition pipeline: which script ships, and what it costs
 # ----------------------------------------------------------------------
-def _alternative_model(
-    generated: object, db: Database, optimize: bool, cache_policy: str
-) -> Optional[ScriptCostModel]:
-    from ..core.generator import ScriptGenerator
-
-    try:
-        gen = ScriptGenerator(
-            generated.view_name,  # type: ignore[attr-defined]
-            generated.plan,  # type: ignore[attr-defined]
-            optimize=optimize,
-            cache_policy=cache_policy,
-        )
-        alt = gen.generate(list(generated.base_schemas))  # type: ignore[attr-defined]
-        return infer_script_cost(alt, db)
-    except Exception:
-        return None
-
-
 def _margin(baseline: float) -> float:
     return max(_MARGIN_ABS, _MARGIN_REL * baseline)
 
@@ -856,36 +868,105 @@ def dominated_by(
     return all(alt_f[f] <= cur_f[f] + _margin(cur_f[f]) for f in families)
 
 
+def _families(generated: GeneratedPlan) -> list[str]:
+    return [schema_instance_name(s) for s in generated.base_schemas]
+
+
+def _alternative(
+    generated: GeneratedPlan, optimize: bool, cache_policy: str, view_reuse: bool = False
+) -> GeneratedPlan:
+    """*generated*'s view through the generator with other knobs."""
+    generator = ScriptGenerator(
+        generated.view_name, generated.plan, optimize, cache_policy, view_reuse
+    )
+    return generator.generate(generated.base_schemas)
+
+
+def define_script(
+    view_name: str,
+    plan: PlanNode,
+    stats: PlanStats,
+    optimize: bool = True,
+    cache_policy: str = "equi",
+    view_reuse: bool = False,
+    strict: bool = False,
+    cost_select: bool = True,
+) -> GeneratedPlan:
+    """The ∆-script a view ships and its cost model
+    (``generated.cost_model``), decided once from the definition's
+    *stats*: generate (:class:`ScriptGenerator`), price, select, and under
+    *strict* the analyzer's gate (:func:`repro.analysis.check_generated`).
+
+    Selection (*cost_select*) ships the cache-free alternative only when
+    it *dominates* the requested script (:func:`dominated_by`) — a
+    summed-total win can hide a regression in the one diff family a
+    workload produces; ties keep the requested script.  Only cache
+    placement varies: un-minimizing is never an unambiguous win, the
+    minimizer being strictly cheaper on the update rounds it targets."""
+    generator = ScriptGenerator(view_name, plan, optimize, cache_policy, view_reuse)
+    generated = generator.generate(generate_base_schemas(generator.plan, stats.db))
+    generated.cost_model = price_script(generated, stats, COST_MODEL_FALLBACKS, strict)
+    if cost_select and cache_policy != "never" and generated.cost_model is not None:
+        candidate = _alternative(generated, optimize, "never", view_reuse)
+        candidate.cost_model = price_script(candidate, stats, COST_SELECT_FALLBACKS, strict)
+        if candidate.cost_model is not None and dominated_by(
+            generated.cost_model, candidate.cost_model, _families(generated)
+        ):
+            generated = candidate
+    if strict:
+        from . import check_generated  # deferred: the package imports this module
+
+        check_generated(generated, db=stats.db, stats=stats)
+    return generated
+
+
+def lint_definition(
+    label: str, plan: PlanNode, db: Database
+) -> tuple[GeneratedPlan, AnalysisReport]:
+    """``(generated, report)`` for one view of ``repro lint``: the script
+    an engine would ship (:func:`define_script`) and the analyzer's report
+    on it, both read from one :class:`PlanStats` — the lint's counterpart
+    of ``MaintenanceEngine.define_view``."""
+    from . import analyze_generated  # deferred: the package imports this module
+
+    stats = PlanStats(db)
+    generated = define_script(label, plan, stats)
+    return generated, analyze_generated(generated, db=db, stats=stats)
+
+
+# ----------------------------------------------------------------------
+# the registered pass: minimality lints
+# ----------------------------------------------------------------------
 @register_pass("cost")
 def cost_pass(ctx: AnalysisContext) -> None:
     """COST501/COST502: predicted-cost minimality of the emitted script.
 
     Needs the full ``GeneratedPlan`` and a live database (for node
-    statistics); skips silently otherwise.  Never raises: the fuzzer
-    treats analyzer crashes as divergences.
+    statistics); skips silently otherwise.  Reads the model the script
+    carries (a bare generator's output is priced here) and prices only
+    the alternatives, from the definition's ``ctx.stats`` or one object
+    of its own.  Never raises: the fuzzer treats analyzer crashes as
+    divergences, so a failed pricing is counted and its lint skipped.
     """
     if ctx.generated is None or ctx.db is None:
         return
-    try:
-        model = infer_script_cost(ctx.generated, ctx.db)
-    except Exception:
+    generated: GeneratedPlan = ctx.generated
+    stats = ctx.stats or PlanStats(ctx.db)
+    model = generated.cost_model or price_script(generated, stats, COST_MODEL_FALLBACKS)
+    if model is None:
         return
     current = model.total()
-    view = getattr(ctx.generated, "view_name", "?")
-    families = [
-        schema_instance_name(s)
-        for s in ctx.generated.base_schemas  # type: ignore[attr-defined]
-    ]
+    families = _families(generated)
     # COST501: the minimizer must never make the script costlier than
     # the unminimized form it started from.  Fires only when the
     # unminimized form dominates per diff family — a summed-total loss
     # alone may just mean the workload weighting is undecidable at
     # define time (see dominated_by).
-    unopt = _alternative_model(ctx.generated, ctx.db, optimize=False, cache_policy="equi")
+    unopt = price_script(_alternative(generated, False, "equi"), stats, COST_SELECT_FALLBACKS)
     if unopt is not None and dominated_by(model, unopt, families):
         ctx.report.add(
             "COST501",
-            f"view:{view}",
+            f"view:{generated.view_name}",
             f"emitted ∆-script predicts {current:.0f} accesses/round vs "
             f"{unopt.total():.0f} for the unminimized alternative, and the "
             f"alternative is no costlier in any diff family",
@@ -893,17 +974,13 @@ def cost_pass(ctx: AnalysisContext) -> None:
         )
     # COST502: intermediate caches must pay for their own maintenance —
     # flagged when dropping every intermediate cache dominates.
-    has_intermediate = any(
-        s.kind == "intermediate"
-        for s in getattr(ctx.generated, "cache_specs", [])
-    )
-    if has_intermediate:
-        nocache = _alternative_model(
-            ctx.generated, ctx.db, optimize=True, cache_policy="never"
+    if any(s.kind == "intermediate" for s in generated.cache_specs):
+        nocache = price_script(
+            _alternative(generated, True, "never"), stats, COST_SELECT_FALLBACKS
         )
         if nocache is not None and dominated_by(model, nocache, families):
             benefit = nocache.total() - current
-            for spec in ctx.generated.cache_specs:  # type: ignore[attr-defined]
+            for spec in generated.cache_specs:
                 if spec.kind != "intermediate":
                     continue
                 ctx.report.add(

@@ -10,13 +10,16 @@ full-workload analyses alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..algebra.plan import PlanNode
 from ..core.diffs import DiffSchema
 from ..core.script import DeltaScript
 from ..storage import Database
 from .diagnostics import AnalysisReport
+
+if TYPE_CHECKING:  # analysis.cost imports this module
+    from .cost import PlanStats
 
 
 @dataclass
@@ -31,6 +34,9 @@ class AnalysisContext:
     generated: object = None
     db: Optional[Database] = None
     n_shards: int = 2
+    #: the ``PlanStats`` of the definition being analyzed, when there is
+    #: one: the cost pass prices its alternatives from it
+    stats: Optional[PlanStats] = None
     report: AnalysisReport = field(default_factory=AnalysisReport)
 
 

@@ -8,9 +8,10 @@ actually sharing intermediate caches across views.
 * **SHARE701** — an identical sub-plan (by alpha fingerprint) is
   materialized as an intermediate cache in two or more views.  Each
   extra copy repeats the cache's whole maintenance pipeline every
-  round; the diagnostic prices that duplicated work with the PR 5
-  symbolic cost model (the transitive compute/aggregate/apply steps
-  feeding the cache, evaluated at nominal diff cardinalities).
+  round; the diagnostic prices that duplicated work with the symbolic
+  cost model the script carries from its definition
+  (``generated.cost_model``: the transitive compute/aggregate/apply
+  steps feeding the cache, evaluated at nominal diff cardinalities).
 * **SHARE702** — a view is semantically equivalent (same root alpha
   fingerprint) to an already-defined view.
 * **SHARE703** — a view is a selection/projection over a sub-plan that
@@ -138,16 +139,11 @@ def _cache_step_labels(generated: object, node_id: int) -> set[str]:
     return labels
 
 
-def _price_cache(
-    generated: object, db: Optional[Database], node_id: int
-) -> Optional[dict[str, float]]:
-    if db is None:
-        return None
-    try:
-        from .cost import infer_script_cost
-
-        model = infer_script_cost(generated, db)
-    except Exception:
+def _price_cache(generated: object, node_id: int) -> Optional[dict[str, float]]:
+    """One cache's maintenance, priced from the model that travels with
+    the script (``generated.cost_model``); None without one."""
+    model = generated.cost_model  # type: ignore[attr-defined]
+    if model is None:
         return None
     labels = _cache_step_labels(generated, node_id)
     vector = CostVector()
@@ -191,7 +187,7 @@ def view_facts(
         if node is None or fp is None:
             continue
         price = (
-            _price_cache(generated, db, spec.node_id)
+            _price_cache(generated, spec.node_id)
             if spec.kind == "intermediate"
             else None
         )

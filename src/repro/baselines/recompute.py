@@ -12,8 +12,6 @@ from ..core.engine import (
     counted_phase,
     counts_since,
 )
-from ..core.idinfer import annotate_plan
-from ..errors import ScriptError
 from ..storage import Table
 
 
@@ -30,13 +28,10 @@ class RecomputeEngine(MaintenanceEngine):
 
     reads_pre_state = False
 
-    def define_view(self, name: str, plan: PlanNode) -> RecomputeView:
-        """Materialize *plan*; maintenance will rebuild it from scratch."""
-        if name in self.views:
-            raise ScriptError(f"view {name!r} already defined")
-        annotated = annotate_plan(plan)
-        table = materialize(annotated, self.db, name)
-        return self._register(name, RecomputeView(name, annotated, table))
+    def _define(self, name: str, annotated: PlanNode, stats) -> RecomputeView:
+        """Materialize the plan; maintenance will rebuild it from scratch."""
+        table = materialize(annotated, self.db, name, memo=stats)
+        return RecomputeView(name, annotated, table)
 
     def _maintain_view(
         self, view: RecomputeView, db_pre, entries, view_span

@@ -41,7 +41,6 @@ from ..core.engine import (
     counts_since,
 )
 from ..core.idinfer import annotate_plan
-from ..core.modlog import fold_log
 from ..core.rules.aggregate import (
     OpCacheSpec,
     apply_group_deltas,
@@ -211,18 +210,12 @@ class SdbtEngine(MaintenanceEngine):
         )
 
     # ------------------------------------------------------------------
-    def define_view(self, name: str, plan: PlanNode) -> SdbtView:
+    def _define(self, name: str, annotated: PlanNode, stats) -> SdbtView:
         """Materialize the view plus one DBToaster-style map per streamed
         base table (relaxed of its own selection conjuncts)."""
-        if name in self.views:
-            raise ScriptError(f"view {name!r} already defined")
-        annotated = annotate_plan(plan)
         if not isinstance(annotated, GroupBy):
             raise PlanError("SDBT views must be aggregates over SPJ")
-        from ..analysis.cost import PlanStats  # deferred: it imports core
-
         shape = _decompose(annotated)
-        stats = PlanStats(self.db)  # this definition's one evaluation
         # The SPJ first: it stores its rows and the γ above reads them.
         child_rows = evaluate_plan(shape.spj, self.db, stats)
         table = materialize(annotated, self.db, name, memo=stats)
@@ -270,21 +263,19 @@ class SdbtEngine(MaintenanceEngine):
             map_table.create_index(tuple(shape.key_columns[base_table]))
             view.maps[base_table] = map_table
             view.map_columns[base_table] = keep
-        return self._register(name, view)
+        return view
 
     # ------------------------------------------------------------------
-    def _begin_round(self, entries, round_span) -> None:
-        self._net = fold_log(entries, self.db)
-
     def _maintain_view(
         self, view: SdbtView, db_pre: Database, entries, view_span
     ) -> MaintenanceReport:
         """Sequential per-table delta evaluation (DBToaster's first-order
-        semantics): table i's delta is computed against a hybrid state
-        where already-processed tables are post and the rest pre, with
-        the maps advanced in lock step — this is what prevents a combo
-        created by two same-batch inserts from being counted twice."""
-        net = self._net
+        semantics) of the round's net changes (its one fold): table i's
+        delta is computed against a hybrid state where already-processed
+        tables are post and the rest pre, with the maps advanced in lock
+        step — this is what prevents a combo created by two same-batch
+        inserts from being counted twice."""
+        net = entries.folded(self.db)
         shape = view.shape
         counters = self.db.counters
         before = counters.snapshot()

@@ -54,10 +54,8 @@ from ..core.engine import (
     counted_phase,
     counts_since,
 )
-from ..core.idinfer import annotate_plan
-from ..core.modlog import fold_log
 from ..core.rules.aggregate import OpCacheSpec, apply_group_deltas, group_accumulator
-from ..errors import PlanError, ScriptError
+from ..errors import PlanError
 from ..expr import columns_of, equi_join_pairs, evaluate as eval_expr, matches
 from ..storage import Database, Table, sort_rows
 
@@ -123,14 +121,8 @@ class TupleIvmEngine(MaintenanceEngine):
     maintenance round, tuple-based propagation rules."""
 
     # ------------------------------------------------------------------
-    def define_view(self, name: str, plan: PlanNode) -> TupleView:
-        """Materialize *plan* (plus γ bookkeeping) for t-diff maintenance."""
-        if name in self.views:
-            raise ScriptError(f"view {name!r} already defined")
-        from ..analysis.cost import PlanStats  # deferred: it imports core
-
-        annotated = annotate_plan(plan)
-        stats = PlanStats(self.db)  # this definition's one evaluation
+    def _define(self, name: str, annotated: PlanNode, stats) -> TupleView:
+        """Materialize the plan (plus γ bookkeeping) for t-diff maintenance."""
         accumulate, opcaches, agg_outputs = {}, {}, {}
         # Innermost γ first, the view last: each request stores its rows
         # and the ones above it read them instead of re-deriving them.
@@ -152,20 +144,19 @@ class TupleIvmEngine(MaintenanceEngine):
         table = materialize(annotated, self.db, name, memo=stats)
         view = TupleView(name, annotated, table)
         view.accumulate, view.opcaches, view.agg_outputs = accumulate, opcaches, agg_outputs
-        return self._register(name, view)
+        return view
 
     # ------------------------------------------------------------------
-    def _begin_round(self, entries, round_span) -> None:
-        self._net = fold_log(entries, self.db)
-
     def _maintain_view(
         self, view: TupleView, db_pre: Database, entries, view_span
     ) -> MaintenanceReport:
-        """Propagate the logged changes as full-tuple diffs and apply."""
+        """Propagate the round's net changes (its one fold) as full-tuple
+        diffs and apply."""
         counters = self.db.counters
         before = counters.snapshot()
+        net = entries.folded(self.db)
         with counted_phase(counters, "view_diff"):
-            delta = _t_delta(view.plan, view, self._net, db_pre, self.db)
+            delta = _t_delta(view.plan, view, net, db_pre, self.db)
         with counted_phase(counters, "view_update"):
             _apply_delta(view.table, view.plan, delta)
         return MaintenanceReport(

@@ -51,9 +51,8 @@ from .obs import metrics, recording, write_trace
 from .obs import spans as obs
 from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
+from .analysis.cost import COST_MODEL_FALLBACKS, COST_SELECT_FALLBACKS
 from .core import IdIvmEngine, ShardedEngine
-from .core.engine import COST_MODEL_FALLBACKS
-from .core.generator import COST_SELECT_FALLBACKS
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -164,18 +163,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"-- {len(interpreted)} step(s) not lowered, interpreted as whole "
             f"steps (compile.step_fallbacks): {', '.join(interpreted)}"
         )
-    if COST_MODEL_FALLBACKS + view.name in metrics.registry().names():
-        print(
-            "-- no cost model (inferring it failed; a strict=True engine "
-            "re-raises the error): the view runs without predictions or a "
-            "drift signal (engine.cost_model_fallbacks)"
-        )
-    if COST_SELECT_FALLBACKS + view.name in metrics.registry().names():
-        print(
-            "-- script not cost-selected (pricing the candidates failed; a "
-            "strict=True engine re-raises the error): the requested script "
-            "runs as generated (engine.cost_select_fallbacks)"
-        )
+    for family, what, consequence in (
+        (COST_MODEL_FALLBACKS, "no cost model (inferring it failed",
+         "the view runs without predictions or a drift signal"),
+        (COST_SELECT_FALLBACKS, "script not cost-selected (pricing its candidate failed",
+         "the requested script runs as generated"),
+    ):
+        if family + view.name in metrics.registry().names():
+            print(
+                f"-- {what}; a strict=True engine re-raises the error): "
+                f"{consequence} ({family.rstrip('.')})"
+            )
     if args.compiled:
         print()
         print("-- generated kernels (one function per compute step) " + "-" * 8)
@@ -552,16 +550,9 @@ def _lint_view_entry(label, plan, db, cache):
     The analyzed script is the one the engine would store and execute —
     there is one per view, whatever the execution backend.
     """
-    from .analysis import (
-        analyze_generated,
-        entry_from_report,
-        plan_cache_key,
-        report_from_entry,
-        view_facts,
-    )
+    from .analysis import entry_from_report, plan_cache_key, report_from_entry, view_facts
+    from .analysis.cost import lint_definition
     from .analysis.sharing import facts_from_json, facts_to_json
-    from .core.generator import ScriptGenerator
-    from .core.schema_gen import generate_base_schemas
 
     key = ""
     if cache is not None:
@@ -570,12 +561,10 @@ def _lint_view_entry(label, plan, db, cache):
         if entry is not None:
             return report_from_entry(entry), facts_from_json(entry["facts"])
 
-    # cost_db: lint analyzes the scripts the engine would actually
-    # ship, i.e. after cost-based candidate selection (COST501/502
-    # findings on the default pipeline are fixed, not just reported).
-    generator = ScriptGenerator(label, plan, cost_db=db)
-    generated = generator.generate(generate_base_schemas(generator.plan, db))
-    report = analyze_generated(generated, db=db)
+    # The script the engine would ship — through the same definition
+    # pipeline, cost selection included (COST501/502 findings on the
+    # default pipeline are fixed, not just reported) — and its model.
+    generated, report = lint_definition(label, plan, db)
     facts = view_facts(label, generated, db)
     if cache is not None:
         cache.put(key, entry_from_report(report, {"facts": facts_to_json(facts)}))

@@ -1,17 +1,18 @@
 """The idIVM engine facade — the Figure 3 architecture.
 
-One maintenance *round* for every engine, split from the *rules* the
-way the paper's Section 7 baseline is ("idIVM with tuple-based diff
-propagation rules"): :class:`MaintenanceEngine` owns the round —
-modification log, ``Input_pre`` replica, spans, metrics, freshness —
-and an engine supplies ``define_view`` plus :meth:`_maintain_view`.
-:class:`IdIvmEngine` ties the ID-based rules together across the three
-times of the paper:
+One definition and one maintenance *round* for every engine, split from
+the *rules* the way the paper's Section 7 baseline is ("idIVM with
+tuple-based diff propagation rules"): :class:`MaintenanceEngine` owns
+``define_view`` and the round — modification log, ``Input_pre``
+replica, spans, metrics, freshness — and an engine supplies
+:meth:`_define` plus :meth:`_maintain_view`.  :class:`IdIvmEngine` ties
+the ID-based rules together across the three times of the paper:
 
-* **view definition time** — :meth:`IdIvmEngine.define_view` runs the
-  base-table i-diff schema generator, the 4-pass ∆-script generator, and
-  materializes the view, the intermediate/output caches and the operator
-  caches;
+* **view definition time** — :meth:`IdIvmEngine._define` runs the
+  definition pipeline (``repro.analysis.cost.define_script``: base-table
+  i-diff schemas, the 4-pass ∆-script generator, pricing and cost
+  selection) and materializes the view, the intermediate/output caches
+  and the operator caches;
 * **data modification time** — the engine's :attr:`log` records base
   table modifications (trigger-style) while applying them to the live
   database;
@@ -39,17 +40,11 @@ from ..storage import AccessCounts, CounterSet, Database, Table
 from .compile import EXEC_BACKENDS as EXEC_BACKENDS  # re-exported
 from .compile import bind_kernels, check_backend
 from .diffs import DELETE, INSERT
-from .generator import GeneratedPlan, ScriptGenerator
-from .idinfer import node_by_id
+from .generator import GeneratedPlan
+from .idinfer import annotate_plan, node_by_id
 from .ir_exec import IrContext
 from .modlog import InstanceLayout, ModificationLog, RoundEntries, populate_instances
-from .schema_gen import generate_base_schemas
 from .script import DeltaScript, execute_script
-
-
-#: Prefix of the per-view counters of cost models that could not be
-#: inferred at ``define_view``.
-COST_MODEL_FALLBACKS = "engine.cost_model_fallbacks."
 
 
 @dataclass
@@ -100,7 +95,6 @@ class MaterializedView:
         table: Table,
         caches: dict[int, Table],
         operator_caches: dict[int, Table],
-        cost_model=None,
     ):
         self.generated = generated
         #: the base i-diff schemas as ``populate_instances`` takes them:
@@ -109,9 +103,13 @@ class MaterializedView:
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
-        #: symbolic per-phase cost model (repro.analysis.cost), inferred
-        #: at define time; None when inference did not apply.
-        self.cost_model = cost_model
+
+    @property
+    def cost_model(self):
+        """The script's symbolic per-phase cost model, priced once at
+        definition (``generated.cost_model``); None when inference did
+        not apply."""
+        return self.generated.cost_model
 
     @property
     def name(self) -> str:
@@ -153,10 +151,10 @@ def counted_phase(counters: CounterSet, phase: str, **attrs) -> Iterator[None]:
 
 
 class MaintenanceEngine:
-    """The maintenance round every engine shares: what is logged, when
-    ``Input_pre`` is read, what is traced and what is reported.  A
-    subclass supplies the rules — ``define_view`` (ending in
-    :meth:`_register`) and :meth:`_maintain_view`."""
+    """The definition and the maintenance round every engine shares: what
+    is logged, when ``Input_pre`` is read, what is traced and what is
+    reported.  A subclass supplies the rules — :meth:`_define` and
+    :meth:`_maintain_view`."""
 
     #: whether the rules read ``Input_pre``; an engine that does not
     #: (recomputation) never pays for the replica.
@@ -177,9 +175,22 @@ class MaintenanceEngine:
     # ------------------------------------------------------------------
     # view definition time
     # ------------------------------------------------------------------
-    def _register(self, name: str, view):
-        """The tail of every ``define_view``: adopt the materialized
-        *view* and return it."""
+    def define_view(self, name: str, plan: PlanNode):
+        """Register a view — from one evaluation of the plan: whatever
+        the engine's :meth:`_define` evaluates or prices reads one
+        ``PlanStats``, a local here, which dies with the call."""
+        if name in self.views:
+            raise ScriptError(f"view {name!r} already defined")
+        from ..analysis.cost import PlanStats  # deferred: it imports core
+
+        started = time.perf_counter()
+        stats = PlanStats(self.db)
+        with obs.span("define_view", kind="engine", view=name) as span:
+            view = self._define(name, annotate_plan(plan), stats)
+            span.set(plan_evaluations=stats.evaluations, memo_hits=stats.hits)
+        metrics.loghist(f"view.define_seconds.{name}", unit="seconds").observe(
+            time.perf_counter() - started
+        )
         # Definition-time evaluation reads (including the cost model's
         # statistics probes) are not maintenance cost.
         self.db.counters.reset()
@@ -187,6 +198,11 @@ class MaintenanceEngine:
         # A just-materialized view reflects the current database state.
         self.freshness.note_view(name)
         return view
+
+    def _define(self, name: str, annotated: PlanNode, stats):
+        """Hook: build the view of the *annotated* plan, reading every
+        sub-plan's rows and statistics from the definition's *stats*."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # data modification time: use engine.log.insert/update/delete
@@ -343,60 +359,39 @@ class IdIvmEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
     # view definition time
     # ------------------------------------------------------------------
-    def define_view(self, name: str, plan: PlanNode) -> MaterializedView:
-        """Register a view: generate its ∆-script and materialize it —
-        from one evaluation of the plan: script selection, the cost model
-        and every materialization read one ``PlanStats``, a local here."""
-        if name in self.views:
-            raise ScriptError(f"view {name!r} already defined")
-        from ..analysis.cost import PlanStats  # deferred: it imports core
+    def _define(self, name: str, annotated: PlanNode, stats) -> MaterializedView:
+        """Decide the view's ∆-script and its cost model (the definition
+        pipeline), then materialize the view, its caches and operator
+        caches."""
+        from ..analysis.cost import define_script  # deferred: it imports core
 
-        started = time.perf_counter()
-        stats = PlanStats(self.db)
-        with obs.span("define_view", kind="engine", view=name) as span:
-            generator = ScriptGenerator(
-                name,
-                plan,
-                optimize=self.optimize,
-                cache_policy=self.cache_policy,
-                view_reuse=self.view_reuse,
-                strict=self.strict,
-                cost_db=self.db if (self.cost_select and self.optimize) else None,
-                cost_stats=stats,
+        generated = define_script(name, annotated, stats, optimize=self.optimize,
+                                  cache_policy=self.cache_policy,
+                                  view_reuse=self.view_reuse, strict=self.strict,
+                                  cost_select=self.cost_select and self.optimize)
+        annotated = generated.plan
+        # Only requested sub-plans are kept, so the requests run
+        # leaves-first — the cost walker (above), then the materialized
+        # nodes innermost first — and each reads what the ones below it
+        # stored instead of re-deriving it.
+        wanted = {spec.node_id for spec in generated.cache_specs}
+        wanted.update(op.gnode.child.node_id for op in generated.opcache_specs)
+        for node in reversed(list(annotated.walk())):
+            if node.node_id in wanted:
+                evaluate_plan(node, self.db, stats)
+        view_table = materialize(annotated, self.db, name, memo=stats)
+        caches: dict[int, Table] = {annotated.node_id: view_table}
+        for spec in generated.cache_specs:
+            node = node_by_id(annotated, spec.node_id)
+            caches[spec.node_id] = materialize(node, self.db, spec.name, memo=stats)
+        operator_caches: dict[int, Table] = {}
+        for opspec in generated.opcache_specs:
+            child_rows = evaluate_plan(opspec.gnode.child, self.db, stats)
+            operator_caches[opspec.gnode.node_id] = opspec.build(
+                child_rows, self.db.counters
             )
-            base_schemas = generate_base_schemas(generator.plan, self.db)
-            generated = generator.generate(base_schemas)
-            annotated = generated.plan
-            # Only requested sub-plans are kept, so the requests run
-            # leaves-first — the cost walker, then the materialized nodes
-            # innermost first — and each reads what the ones below it
-            # stored instead of re-deriving it.
-            cost_model = _infer_cost_model(generated, stats, self.strict)
-            wanted = {spec.node_id for spec in generated.cache_specs}
-            wanted.update(op.gnode.child.node_id for op in generated.opcache_specs)
-            for node in reversed(list(annotated.walk())):
-                if node.node_id in wanted:
-                    evaluate_plan(node, self.db, stats)
-            view_table = materialize(annotated, self.db, name, memo=stats)
-            caches: dict[int, Table] = {annotated.node_id: view_table}
-            for spec in generated.cache_specs:
-                node = node_by_id(annotated, spec.node_id)
-                caches[spec.node_id] = materialize(node, self.db, spec.name, memo=stats)
-            operator_caches: dict[int, Table] = {}
-            for opspec in generated.opcache_specs:
-                child_rows = evaluate_plan(opspec.gnode.child, self.db, stats)
-                operator_caches[opspec.gnode.node_id] = opspec.build(
-                    child_rows, self.db.counters
-                )
-            bind_kernels(generated.script, self.exec_backend)
-            view = MaterializedView(
-                generated, view_table, caches, operator_caches, cost_model=cost_model
-            )
-            span.set(plan_evaluations=stats.evaluations, memo_hits=stats.hits)
-        metrics.loghist(f"view.define_seconds.{name}", unit="seconds").observe(
-            time.perf_counter() - started
-        )
-        return self._register(name, view)
+        bind_kernels(generated.script, self.exec_backend)
+        return MaterializedView(generated, view_table, caches, operator_caches)
 
     # ------------------------------------------------------------------
     # view maintenance time: the ID-based rules of one view's round
@@ -441,24 +436,6 @@ class IdIvmEngine(MaintenanceEngine):
         execute_script(view.script, ctx, counters)
         report.phase_counts = counts_since(counters, before)
         report.diff_sizes = ctx.diff_sizes
-
-
-def _infer_cost_model(generated: GeneratedPlan, stats, strict: bool):
-    """Symbolic cost model for a fresh view, or None when inference
-    fails: the view then runs with no prediction and no drift signal, so
-    the fallback is counted — ``engine.cost_model_fallbacks.<view>``,
-    printed by ``repro explain`` — and a *strict* engine re-raises the
-    error instead, which is also how to see why.  Deferred import:
-    repro.analysis imports core modules."""
-    try:
-        from ..analysis.cost import infer_script_cost
-
-        return infer_script_cost(generated, stats.db, stats=stats)
-    except Exception:
-        if strict:
-            raise
-        metrics.counter(f"{COST_MODEL_FALLBACKS}{generated.view_name}").inc()
-        return None
 
 
 def round_context(db_pre: Database, db_post: Database, instances, view, modified) -> IrContext:

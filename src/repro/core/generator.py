@@ -39,7 +39,6 @@ from ..algebra.plan import (
 from ..expr import Col
 from ..errors import RuleError
 from ..expr import equi_join_pairs
-from ..obs import metrics
 from .diffs import DELETE, INSERT, UPDATE, DiffSchema
 from .idinfer import annotate_plan
 from .ir import DiffSource, IrNode, OutputHint, ProbeJoin
@@ -71,9 +70,6 @@ from .script import (
 
 _KIND_ORDER = {DELETE: 0, UPDATE: 1, INSERT: 2}
 
-#: Prefix of the per-view counters of failed cost selections.
-COST_SELECT_FALLBACKS = "engine.cost_select_fallbacks."
-
 
 @dataclass
 class CacheSpec:
@@ -99,6 +95,11 @@ class GeneratedPlan:
     #: for ablation studies and race-detector fixtures; the interference
     #: analysis pass verifies forced routes instead of the router's.
     route_override: Optional[str] = None
+    #: the script's symbolic cost model (``repro.costmodel.ScriptCostModel``),
+    #: computed once by the definition pipeline that priced and selected
+    #: it (``repro.analysis.cost.define_script``); None when it could not
+    #: be inferred or nothing priced the script.
+    cost_model: Optional[object] = None
 
 
 #: Cache-placement policies (paper Section 4, footnote 6).  The paper
@@ -144,7 +145,10 @@ def has_mvd_risk(node: PlanNode, policy: str = "equi") -> bool:
 
 
 class ScriptGenerator:
-    """Generates a :class:`GeneratedPlan` for one view definition."""
+    """Generates a :class:`GeneratedPlan` for one view definition: Passes
+    1–4 and nothing else — pricing, cost selection and the strict
+    analyzer gate are the definition pipeline's
+    (``repro.analysis.cost.define_script``)."""
 
     def __init__(
         self,
@@ -153,27 +157,12 @@ class ScriptGenerator:
         optimize: bool = True,
         cache_policy: str = "equi",
         view_reuse: bool = False,
-        strict: bool = False,
-        cost_db=None,
-        cost_stats=None,
     ):
         self.view_name = view_name
         self.plan = annotate_plan(plan)
         self.optimize = optimize
         self.cache_policy = cache_policy
         self.view_reuse = view_reuse
-        #: when set (a Database), generate() prices the requested script
-        #: against un-minimized / cache-free candidate pipelines under the
-        #: symbolic cost model and keeps the cheapest — minimization and
-        #: cache placement are heuristics, and on some shapes (BSMA Q7's
-        #: minimized script, the negative-benefit intermediate caches on
-        #: Q7/Q10/Q11/Q18) they *raise* the predicted maintenance cost.
-        self.cost_db = cost_db
-        #: the PlanStats of the definition generate() runs in, if any
-        self.cost_stats = cost_stats
-        #: run the static analyzer over the output and refuse to hand
-        #: back a plan carrying error-severity diagnostics
-        self.strict = strict
         self._parents: dict[int, tuple[PlanNode, int]] = {}
         for node in self.plan.walk():
             for side, child in enumerate(node.children):
@@ -234,75 +223,14 @@ class ScriptGenerator:
             self._minimize()
         if self.view_reuse:
             self._attach_view_reuse_hints()
-        script = DeltaScript(self._steps, self.plan.node_id)
-        generated = GeneratedPlan(
+        return GeneratedPlan(
             view_name=self.view_name,
             plan=self.plan,
-            script=script,
+            script=DeltaScript(self._steps, self.plan.node_id),
             base_schemas=base_schemas,
             cache_specs=self.cache_specs,
             opcache_specs=self.opcache_specs,
         )
-        if self.cost_db is not None:
-            generated = self._select_cheapest(generated, base_schemas)
-        if self.strict:
-            # Deferred import: repro.analysis consumes this module.
-            from ..analysis import check_generated
-
-            check_generated(generated, db=self.cost_db)
-        return generated
-
-    # ------------------------------------------------------------------
-    def _select_cheapest(
-        self, generated: GeneratedPlan, base_schemas: list[DiffSchema]
-    ) -> GeneratedPlan:
-        """Price the requested pipeline against its no-cache alternative
-        and keep the cheaper one (the COST502 decision, resolved at
-        define time instead of only being linted after the fact).
-
-        The candidate space deliberately varies cache placement ONLY.
-        The optimize dimension is excluded: un-minimizing a script is
-        never an unambiguous win — the minimizer's pass-through update
-        propagation is strictly cheaper on the update rounds it targets,
-        whatever the summed working point says about other families.
-
-        The swap happens only when the candidate *dominates*: cheaper at
-        the uniform working point and no costlier in any single diff
-        family (see :func:`repro.analysis.cost.dominated_by`).  A
-        summed-total win alone can hide a family regression — the sum
-        weighs every family equally, and a workload concentrated on the
-        losing family would pay for the swap every round.
-
-        Ties keep the requested variant.  A candidate that fails to
-        generate or to cost is skipped (the requested script always
-        survives) — counted, ``engine.cost_select_fallbacks.<view>``,
-        since a failure here silently decides which script runs; a
-        *strict* generator re-raises instead."""
-        if self.cache_policy == "never":
-            return generated
-        # Deferred import: repro.analysis consumes this module.
-        try:
-            from ..analysis.cost import PlanStats, dominated_by, infer_script_cost
-
-            stats = self.cost_stats or PlanStats(self.cost_db)
-            current = infer_script_cost(generated, self.cost_db, stats=stats)
-            alt = ScriptGenerator(
-                self.view_name,
-                self.plan,
-                optimize=self.optimize,
-                cache_policy="never",
-                view_reuse=self.view_reuse,
-            )
-            candidate = alt.generate(list(base_schemas))
-            candidate_model = infer_script_cost(candidate, self.cost_db, stats=stats)
-            families = [schema_instance_name(s) for s in base_schemas]
-            if dominated_by(current, candidate_model, families):
-                return candidate
-        except Exception:
-            if self.strict:
-                raise
-            metrics.counter(f"{COST_SELECT_FALLBACKS}{self.view_name}").inc()
-        return generated
 
     # ------------------------------------------------------------------
     def _fresh(self, hint: str) -> str:

@@ -153,8 +153,8 @@ class ModificationLog:
 class RoundEntries(list):
     """One round's log entries — a list — carrying what the round derives
     from them, so that every reader of the round shares it: the fold
-    (:func:`fold_log`; every view, the baselines' ``_begin_round`` and
-    the replica's roll-forward read one) and the populated i-diff
+    (:func:`fold_log`; every view of every engine and the replica's
+    roll-forward read one) and the populated i-diff
     instances of each table, per set of schemas read on it
     (:func:`populate_instances`).  The memo lives and dies with the
     round's entries; nothing is cached at module level, and a plain

@@ -49,11 +49,9 @@ SMALL = CatalogConfig(
 
 
 def _generate(db, label, plan):
-    from repro.core.generator import ScriptGenerator
-    from repro.core.schema_gen import generate_base_schemas
+    from repro.analysis.cost import PlanStats, define_script
 
-    generator = ScriptGenerator(label, plan, cost_db=db)
-    return generator.generate(generate_base_schemas(generator.plan, db))
+    return define_script(label, plan, PlanStats(db))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Definition time is one evaluation of the plan.
+"""Definition time is one evaluation of the plan, and a script is priced
+once.
 
-``define_view`` creates one :class:`repro.analysis.cost.PlanStats` and
-everything that needs a sub-plan's rows or statistics — script
-selection, the view, its caches and operator caches, the cost model —
-reads it.  Pinned here: *how often* the evaluator runs, by call count;
-that a memoised definition is indistinguishable from an un-memoised one;
-that nothing of it survives the call; what it keeps; and that a failed
-script selection is counted instead of vanishing.
+``MaintenanceEngine.define_view`` creates one
+:class:`repro.analysis.cost.PlanStats` and everything that needs a
+sub-plan's rows or statistics — script selection, the view, its caches
+and operator caches, the cost model — reads it.  Pinned here: *how
+often* the evaluator runs, by call count; that a memoised definition is
+indistinguishable from an un-memoised one; that nothing of it survives
+the call; what it keeps; and that a failed script selection is counted
+instead of vanishing.  And the one definition pipeline
+(:func:`repro.analysis.cost.define_script`): how often the cost walker
+runs for a definition and for ``repro lint``, that the model selection
+computed is the one the view keeps, that all six engine classes define
+through one ``define_view``, and that a failed lint alternative is
+counted.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ import repro.analysis.cost as cost_mod
 from repro.algebra.evaluate import evaluate_plan
 from repro.algebra.plan import GroupBy, Join
 from repro.algebra.relation import Relation
+from repro.analysis import analyze_generated
 from repro.analysis.cost import PlanStats, infer_script_cost
-from repro.baselines import SdbtEngine, TupleIvmEngine
-from repro.core import IdIvmEngine
+from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
+from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
+from repro.core.engine import MaintenanceEngine
 from repro.core.idinfer import annotate_plan
+from repro.errors import ScriptError
 from repro.obs import SpanRecorder, metrics, recording
 from repro.obs.serve import render_prometheus
 from repro.obs.trace import validate_trace, write_trace
@@ -263,14 +273,15 @@ def test_two_positionals_keep_working():
 class TestCostSelectFallback:
     @staticmethod
     def _break_selection(monkeypatch):
-        """Inference fails inside ``_select_cheapest`` only: the cost
-        model ``define_view`` infers afterwards is healthy."""
+        """Pricing fails on the cache-free candidate only (the second
+        inference of a definition): the requested script and its model,
+        priced first, are healthy."""
         real = cost_mod.infer_script_cost
         calls = []
 
         def flaky(generated, db, *args, **kwargs):
             calls.append(generated)
-            if len(calls) == 1:
+            if len(calls) == 2:
                 raise ZeroDivisionError("no statistics")
             return real(generated, db, *args, **kwargs)
 
@@ -343,3 +354,117 @@ def test_bsma_definitions_are_visible_too():
     engine.maintain()
     for name in BSMA_QUERIES:
         assert metrics.loghist(f"view.define_seconds.{name}", unit="seconds").count == 1
+
+
+# ----------------------------------------------------------------------
+# a script is priced once: the one definition pipeline
+# ----------------------------------------------------------------------
+@pytest.fixture
+def walks(monkeypatch):
+    """Cost-walker runs — one per pricing of one script — by view."""
+    calls: Counter = Counter()
+    walk = cost_mod._CostWalker.walk
+
+    def spy(self):
+        calls[self.model.view_name] += 1
+        return walk(self)
+
+    monkeypatch.setattr(cost_mod._CostWalker, "walk", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cost_select, per_view", [(True, 2), (False, 1)])
+def test_a_definition_prices_each_script_once(cost_select, per_view, walks):
+    """The requested script and, under cost selection, its cache-free
+    candidate — once each; the model the view keeps is the one selection
+    computed (devices ``V`` + ``Vagg`` 6 → 4, the eight BSMA views
+    24 → 16 runs)."""
+    db = build_devices_database(DEV_CONFIG)
+    engine = IdIvmEngine(db, cost_select=cost_select)
+    for name in ("V", "Vagg"):
+        engine.define_view(name, VIEWS[name][1](db, DEV_CONFIG))
+    db = build_bsma_database(BSMA_CONFIG)
+    engine = IdIvmEngine(db, cost_select=cost_select)
+    for name, build in BSMA_QUERIES.items():
+        engine.define_view(name, build(db, BSMA_CONFIG))
+    assert walks == {name: per_view for name in VIEWS}
+
+
+def test_lint_prices_from_one_statistics_object_per_view(walks, monkeypatch):
+    """``repro lint`` defines through the same pipeline, and its cost and
+    sharing passes read the model that travels with the script: 56 → ≤ 38
+    walker runs, 46 → 10 ``PlanStats`` over the ten shipped views."""
+    from repro.cli import _lint_view_entry, lint_targets
+
+    born = []
+    init = PlanStats.__init__
+
+    def tracking_init(self, db):
+        init(self, db)
+        born.append(self)
+
+    monkeypatch.setattr(PlanStats, "__init__", tracking_init)
+    targets = list(lint_targets())
+    for label, plan, db in targets:
+        _lint_view_entry(label, plan, db, None)
+    assert len(targets) == len(born) == 10
+    # Selection prices two scripts per view; the lint adds only the
+    # COST501/COST502 alternatives, never the shipped script again.
+    assert sum(walks.values()) <= 38
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_the_view_keeps_the_model_selection_computed(name):
+    db, _engine, view = _define(name)
+    assert view.cost_model is view.generated.cost_model
+    assert view.cost_model.estimates == infer_script_cost(view.generated, db).estimates
+
+
+ENGINE_CLASSES = (
+    IdIvmEngine, ShardedEngine, EagerIvmEngine, TupleIvmEngine, SdbtEngine,
+    RecomputeEngine,
+)
+
+
+@pytest.mark.parametrize("engine_cls", ENGINE_CLASSES, ids=lambda c: c.__name__)
+def test_every_engine_defines_through_one_define_view(engine_cls):
+    """Duplicate names, the span and the histogram: the same for all six
+    classes, since only ``MaintenanceEngine.define_view`` exists (plus
+    the sharded engine's pool-closing override)."""
+    owners = [c for c in engine_cls.__mro__ if "define_view" in vars(c)]
+    assert owners[-1] is MaintenanceEngine
+    assert set(owners) <= {ShardedEngine, MaintenanceEngine}
+    db = build_devices_database(DEV_CONFIG)
+    engine = engine_cls(db)
+    recorder = SpanRecorder()
+    with recording(recorder):
+        view = engine.define_view("Vagg", build_aggregate_view(db, DEV_CONFIG))
+        with pytest.raises(ScriptError):
+            engine.define_view("Vagg", build_aggregate_view(db, DEV_CONFIG))
+    assert engine.views == {"Vagg": view}
+    (span,) = recorder.find(kind="engine", name="define_view")
+    assert span.attrs["view"] == "Vagg"
+    assert span.attrs["plan_evaluations"] > 0
+    assert metrics.loghist("view.define_seconds.Vagg", unit="seconds").count == 1
+
+
+def test_a_failing_lint_alternative_is_counted(monkeypatch):
+    """COST501's unminimized alternative cannot be priced: its lint is
+    skipped and counted as a failed candidate pricing, never silent."""
+    db, _engine, view = _define("Vagg")
+    real, calls = cost_mod.infer_script_cost, []
+
+    def flaky(generated, db, *args, **kwargs):
+        calls.append(generated)
+        if len(calls) == 1:
+            raise ZeroDivisionError("no statistics")
+        return real(generated, db, *args, **kwargs)
+
+    monkeypatch.setattr(cost_mod, "infer_script_cost", flaky)
+    report = analyze_generated(view.generated, db=db)
+    assert metrics.counter("engine.cost_select_fallbacks.Vagg").value == 1
+    assert not [d for d in report.diagnostics if d.rule_id in ("COST501", "COST502")]
+    # the COST501 alternative, then COST502's; the shipped script is not
+    # priced again
+    assert len(calls) == 2
+    assert all(generated is not view.generated for generated in calls)

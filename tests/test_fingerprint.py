@@ -228,11 +228,9 @@ def test_distinct_predicates_distinct_fingerprints(parts, other):
 # ∆-script fingerprints
 # ----------------------------------------------------------------------
 def _generate(db, label, plan):
-    from repro.core.generator import ScriptGenerator
-    from repro.core.schema_gen import generate_base_schemas
+    from repro.analysis.cost import PlanStats, define_script
 
-    generator = ScriptGenerator(label, plan, cost_db=db)
-    return generator.generate(generate_base_schemas(generator.plan, db))
+    return define_script(label, plan, PlanStats(db))
 
 
 class TestScriptFingerprint:
@@ -296,9 +294,8 @@ class TestNodeFingerprints:
 _FP_CHILD = r"""
 import sys
 from repro.analysis import generated_fingerprint, plan_fingerprint
+from repro.analysis.cost import PlanStats, define_script
 from repro.catalog import CatalogConfig, build_catalog_database, catalog_views
-from repro.core.generator import ScriptGenerator
-from repro.core.schema_gen import generate_base_schemas
 
 config = CatalogConfig(n_views=10, n_overlap_groups=2, group_size=2,
                        n_duplicates=1, n_subsumed=1)
@@ -308,8 +305,7 @@ for label, plan in catalog_views(db, config):
     out.append(plan_fingerprint(plan, db))
     out.append(plan_fingerprint(plan, db, alpha=False))
 label, plan = catalog_views(db, config)[0]
-gen = ScriptGenerator(label, plan, cost_db=db)
-generated = gen.generate(generate_base_schemas(gen.plan, db))
+generated = define_script(label, plan, PlanStats(db))
 out.append(generated_fingerprint(generated, db, alpha=False))
 sys.stdout.write("\n".join(out))
 """

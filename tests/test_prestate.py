@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import evaluate_plan, group_by, scan
+from repro.analysis import cost as cost_module
 from repro.baselines import SdbtEngine, TupleIvmEngine, sdbt, tuple_ivm
 from repro.core import IdIvmEngine, wire
 from repro.core import engine as engine_module
@@ -293,7 +294,7 @@ def _round_costs(n_parts: int, rounds: int = 4):
     # Cost-model inference evaluates the plan several times over: most of
     # define_view at 20k parts, and nothing this test looks at.
     engine = IdIvmEngine(db, exec_backend="compiled", cost_select=False)
-    with mock.patch.object(engine_module, "_infer_cost_model", lambda *_: None):
+    with mock.patch.object(cost_module, "price_script", lambda *_: None):
         engine.define_view("Vp", build_aggregate_view(db, config))
     calls = Counter()
     replica_writes = []
