@@ -101,11 +101,14 @@ lint-catalog:
 # core/modlog.py alone (the round's `RoundEntries` memoise it) — the
 # engines, the baselines, `PreState` and the shard workers read the
 # round's entries; and one evaluation per definition: inside every
-# definition hook (`_define`, `define_script`, `lint_definition`) each
-# `evaluate_plan` / `materialize` / `define_script` / `price_script` call
-# passes the definition's one `PlanStats`, so no sub-plan is derived
-# twice — the two-argument `evaluate_plan(plan, db)` is for oracles and
-# rounds; and a script is priced once: `infer_script_cost` is called only
+# definition hook (`_define`, `define_script`, `lint_definition`) rows
+# are read from the definition's one `PlanStats` — `stats.rows(node)`,
+# `materialize(…, stats)`, `define_script(…, stats, …)`, `price_script(…,
+# stats, …)` — so no sub-plan is derived twice and every one runs the
+# generated plan operators; and the interpretive reference stays
+# independent of them: `evaluate_plan(node, db)` takes no third argument
+# (no memo) and algebra/evaluate.py imports nothing from repro.core (the
+# code generator lives there); and a script is priced once: `infer_script_cost` is called only
 # in analysis/cost.py (by `price_script`, the one guarded inference), a
 # `PlanStats` is built only there and by `MaintenanceEngine.define_view`
 # (core/engine.py), and the generator, the engine and the sharing pass
@@ -155,8 +158,16 @@ lint-static:
 	        f { print FILENAME ":" FNR ": " $$0 }' \
 	    src/repro/core/engine.py src/repro/analysis/cost.py src/repro/baselines/*.py \
 	    | grep -E '\b(evaluate_plan|materialize|define_script|price_script)\(' \
-	    | grep -vE '\bstats[,)]'; then \
-	    echo "definition-time evaluation without the definition's PlanStats: pass it (evaluate_plan(node, db, stats) / memo=stats / define_script(name, plan, stats, ...))"; \
+	    | grep -vE '\bmaterialize\([^)]*, stats\)|\b(define_script|price_script)\(.*\bstats[,)]'; then \
+	    echo "definition-time evaluation outside the definition's PlanStats: read stats.rows(node) / materialize(node, db, name, stats) / define_script(name, plan, stats, ...)"; \
+	    exit 1; fi
+	@if grep -nE '^\s*(from\s+(\.\.core|repro\.core)\b|import\s+repro\.core\b|from\s+(\.\.|repro)\s+import\s.*\bcore\b)' \
+	    src/repro/algebra/evaluate.py; then \
+	    echo "algebra/evaluate.py imports repro.core: the interpretive reference must not share the generated operators' code"; \
+	    exit 1; fi
+	@if grep -rnP '\bevaluate_plan\((?:[^(),]|(?<p>\((?:[^()]|(?&p))*\)))*,(?:[^(),]|(?&p))*,' \
+	    src/repro tests benchmarks --include='*.py'; then \
+	    echo "evaluate_plan with a third argument: it is the memo-free reference; a definition reads stats.rows(node)"; \
 	    exit 1; fi
 	@if grep -rnE '\binfer_script_cost\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/analysis/cost\.py:'; then \

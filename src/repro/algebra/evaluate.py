@@ -1,14 +1,22 @@
-"""Full (non-incremental) evaluation of algebra plans.
+"""Full (non-incremental) evaluation of algebra plans: the interpretive
+reference.
 
-Used to materialize views and caches at definition time, by the recompute
-baseline, and as the correctness oracle in tests.  Base-table rows read
-during evaluation are counted through the table's counters; intermediate
-results are pipelined and free, matching the paper's cost model.
+:func:`evaluate_plan` is what every oracle compares against — the
+crosscheck oracle and its invariants, the benchmark checkpoints,
+``explain --analyze``, :mod:`repro.query` and the tests — and it
+interprets: each expression is evaluated per row by
+:func:`repro.expr.evaluate`.  Definitions and the recompute baseline run
+the generated operators of :func:`repro.core.compile.lower_plan` through
+the same traversal (:func:`evaluate_node`); this module imports nothing
+from :mod:`repro.core`, so the reference never shares their code
+generator.  Base-table rows read during evaluation are counted through
+the table's counters; intermediate results are pipelined and free,
+matching the paper's cost model.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..errors import PlanError
 from ..expr import equi_join_pairs, evaluate as eval_expr, matches
@@ -29,33 +37,31 @@ from .plan import (
 from .relation import Relation
 
 
-def evaluate_plan(node: PlanNode, db: Database, memo=None) -> Relation:
-    """Evaluate the subview rooted at *node* against *db*.
+#: ``operator(node, db, inputs)``: *node*'s output over the relations of
+#: its inputs (its children's, in order) — :func:`apply_operator`, or a
+#: generated operator of :func:`repro.core.compile.lower_plan`.
+Operator = Callable[[PlanNode, Database, list], Relation]
+
+
+def evaluate_plan(node: PlanNode, db: Database) -> Relation:
+    """Evaluate the subview rooted at *node* against *db*: the memo-free
+    interpretive reference.
 
     With a span recorder installed, each plan operator gets a span with
     its actual output row count and the (cumulative) access-count delta
     it incurred — the raw material of ``explain --analyze``.
-
-    *memo* (a :class:`repro.analysis.cost.PlanStats`, one per view
-    definition) is consulted at every node on the way down and handed
-    the result of *node* alone — the interior of a join nobody asked for
-    is never kept.  Without it this is the un-memoised reference every
-    oracle compares against.
     """
-    out = _evaluate(node, db, memo)
-    if memo is not None:
-        memo.store(node, out)
-    return out
+    return evaluate_node(node, db, evaluate_plan, apply_operator)
 
 
-def _evaluate(node: PlanNode, db: Database, memo) -> Relation:
-    if memo is not None:
-        hit = memo.lookup(node)
-        if hit is not None:
-            return hit
+def evaluate_node(node: PlanNode, db: Database, evaluate, operator: Operator) -> Relation:
+    """*node* as one operator evaluation: its inputs by ``evaluate(child,
+    db)``, then ``operator(node, db, inputs)``, under a ``plan_op`` span
+    when a recorder is installed.  The one traversal of the reference and of
+    the generated operators, so both trace alike."""
     recorder = obs.current_recorder()
     if recorder is None:
-        return _evaluate_plan(node, db, memo)
+        return _evaluate_plan(node, db, evaluate, operator)
     with recorder.span(
         node.label(),
         kind="plan_op",
@@ -63,38 +69,42 @@ def _evaluate(node: PlanNode, db: Database, memo) -> Relation:
         op=type(node).__name__,
         node_id=node.node_id,
     ) as sp:
-        out = _evaluate_plan(node, db, memo)
+        out = _evaluate_plan(node, db, evaluate, operator)
         sp.set(rows_out=len(out.rows))
         return out
 
 
-def _evaluate_plan(node: PlanNode, db: Database, memo) -> Relation:
+def _evaluate_plan(node: PlanNode, db: Database, evaluate, operator: Operator) -> Relation:
+    """The operator dispatch every evaluation passes once per operator."""
+    return operator(node, db, [evaluate(child, db) for child in node.children])
+
+
+def apply_operator(node: PlanNode, db: Database, inputs: list) -> Relation:
+    """The reference operator: *node* over its evaluated *inputs*, every
+    expression interpreted per row (:func:`repro.expr.evaluate`)."""
     if isinstance(node, Scan):
         table = db.table(node.table)
         return Relation(node.columns, list(table.scan()))
     if isinstance(node, Select):
-        child = _evaluate(node.child, db, memo)
+        (child,) = inputs
         pos = child.positions
         rows = [r for r in child.rows if matches(node.predicate, pos, r)]
         return Relation(node.columns, rows)
     if isinstance(node, Project):
-        child = _evaluate(node.child, db, memo)
-        return project_rows(node, child)
+        return project_rows(node, inputs[0])
     if isinstance(node, Join):
-        return _evaluate_join(node, db, memo)
+        return _join(node, *inputs)
     if isinstance(node, AntiJoin):
-        return _evaluate_semi_like(node, db, memo, negated=True)
+        return _semi_like(node, *inputs, negated=True)
     if isinstance(node, SemiJoin):
-        return _evaluate_semi_like(node, db, memo, negated=False)
+        return _semi_like(node, *inputs, negated=False)
     if isinstance(node, UnionAll):
-        left = _evaluate(node.left, db, memo)
-        right = _evaluate(node.right, db, memo)
+        left, right = inputs
         rows = [r + (0,) for r in left.rows]
         rows.extend(r + (1,) for r in right.rows)
         return Relation(node.columns, rows)
     if isinstance(node, GroupBy):
-        child = _evaluate(node.child, db, memo)
-        return aggregate_rows(child, node.keys, node.aggs)
+        return aggregate_rows(inputs[0], node.keys, node.aggs)
     raise PlanError(f"cannot evaluate plan node {node!r}")
 
 
@@ -114,9 +124,7 @@ def project_rows(node: Project, child: Relation) -> Relation:
     return Relation(node.columns, rows)
 
 
-def _evaluate_join(node: Join, db: Database, memo) -> Relation:
-    left = _evaluate(node.left, db, memo)
-    right = _evaluate(node.right, db, memo)
+def _join(node: Join, left: Relation, right: Relation) -> Relation:
     out_columns = node.columns
     if node.condition is None:
         rows = [lr + rr for lr in left.rows for rr in right.rows]
@@ -148,9 +156,7 @@ def _evaluate_join(node: Join, db: Database, memo) -> Relation:
     return Relation(out_columns, rows)
 
 
-def _evaluate_semi_like(node, db: Database, memo, negated: bool) -> Relation:
-    left = _evaluate(node.left, db, memo)
-    right = _evaluate(node.right, db, memo)
+def _semi_like(node, left: Relation, right: Relation, negated: bool) -> Relation:
     pairs, residual = equi_join_pairs(node.condition, left.columns, right.columns)
     combined_positions = {
         c: i for i, c in enumerate(left.columns + right.columns)
@@ -272,13 +278,15 @@ def materialize(
     node: PlanNode,
     db: Database,
     name: str,
+    stats=None,
     key: Iterable[str] | None = None,
-    memo=None,
 ) -> Table:
     """Evaluate *node* and store the result as a keyed table.
 
-    *key* defaults to the node's inferred IDs (Pass 1 must have run).
-    The materialized table shares the database's counters but is **not**
+    *stats* is the definition's :class:`repro.analysis.cost.PlanStats`,
+    which supplies the rows; without it they are the reference's.  *key*
+    defaults to the node's inferred IDs (Pass 1 must have run).  The
+    materialized table shares the database's counters but is **not**
     registered in its catalog (views/caches live beside base tables).
     """
     key = tuple(key) if key is not None else tuple(node.ids)
@@ -286,7 +294,7 @@ def materialize(
         raise PlanError(
             f"cannot materialize {name!r}: no key; run ID inference first"
         )
-    result = evaluate_plan(node, db, memo)
+    result = stats.rows(node) if stats is not None else evaluate_plan(node, db)
     schema = TableSchema(name, result.columns, key)
     table = Table(schema, counters=db.counters, auto_index=db.auto_index)
     table.load(result.rows)

@@ -41,9 +41,10 @@ define through it); the model travels with the script as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
-from ..algebra.evaluate import evaluate_plan
+from ..algebra.evaluate import evaluate_node
 from ..algebra.plan import (
     AntiJoin,
     GroupBy,
@@ -56,6 +57,7 @@ from ..algebra.plan import (
     UnionAll,
 )
 from ..algebra.relation import Relation
+from ..core.compile import PlanKernel, lower_plan
 from ..core.diffs import DELETE, INSERT, UPDATE, DiffSchema
 from ..core.generator import GeneratedPlan, ScriptGenerator
 from ..core.ir import (
@@ -95,7 +97,7 @@ from ..costmodel.symbolic import (
 )
 from ..expr import Col, columns_of, equi_join_pairs
 from ..obs import metrics
-from ..storage import Database
+from ..storage import Database, row_extractor
 from .diagnostics import AnalysisReport
 from .fingerprint import FingerprintError, _PlanWalker
 from .registry import AnalysisContext, register_pass
@@ -145,10 +147,12 @@ class PlanStats:
     sub-plan fingerprints, so a re-annotated copy of the plan (cost
     selection's cache-free candidate) hits the original's entries.
 
-    ``define_view`` and :func:`lint_definition` hold one in a local, so
-    nothing here outlives the database state it was read from.
-    Evaluation is counted (it goes through the ordinary evaluator);
-    ``define_view`` resets the counters after it.
+    Evaluation runs the generated operators
+    (:func:`repro.core.compile.lower_plan`), one kernel per key kept
+    beside the rows.  ``define_view`` and :func:`lint_definition` hold one
+    in a local, so nothing here outlives the database state it was read
+    from.  Evaluation is counted like the reference's; ``define_view``
+    resets the counters after it.
     """
 
     def __init__(self, db: Database):
@@ -159,6 +163,8 @@ class PlanStats:
         self._pinned: dict[int, PlanNode] = {}
         #: key -> Relation, (key, statistic, columns) -> scalar
         self._memo: dict = {}
+        #: key -> the node's generated operator
+        self._kernels: dict = {}
         #: operators evaluated / sub-plans answered from the memo
         self.evaluations = self.hits = 0
 
@@ -170,8 +176,8 @@ class PlanStats:
             return id(node)
 
     def lookup(self, node: PlanNode) -> Optional[Relation]:
-        """The evaluator's question at every node on its way down; a
-        miss is an operator it goes on to evaluate."""
+        """The question asked at every node on the way down; a miss is
+        an operator evaluated next."""
         rel = self._memo.get(self._key(node))
         if rel is None:
             self.evaluations += 1
@@ -179,12 +185,29 @@ class PlanStats:
             self.hits += 1
         return rel
 
-    def store(self, node: PlanNode, rel: Relation) -> None:
-        """Keep *rel*: *node* is what a caller asked to have evaluated."""
-        self._memo[self._key(node)] = rel
-
     def rows(self, node: PlanNode) -> Relation:
-        return evaluate_plan(node, self.db, self)
+        """The rows of *node*, kept: the sub-plans under it are read from
+        the memo where somebody asked for them before."""
+        rel = self._evaluate(node, self.db)
+        self._memo[self._key(node)] = rel
+        return rel
+
+    def _evaluate(self, node: PlanNode, db: Database) -> Relation:
+        rel = self.lookup(node)
+        if rel is None:
+            rel = evaluate_node(node, db, self._evaluate, self._operator)
+        return rel
+
+    def _operator(self, node: PlanNode, db: Database, inputs: list) -> Relation:
+        return self.kernel(node)(db, inputs)
+
+    def kernel(self, node: PlanNode) -> PlanKernel:
+        """*node*'s generated operator, lowered once per key."""
+        key = self._key(node)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = lower_plan(node)
+        return kernel
 
     def _stat(self, name: str, node: PlanNode, cols: Sequence[str], compute):
         key = (self._key(node), name, tuple(cols))
@@ -197,8 +220,7 @@ class PlanStats:
 
     def distinct(self, node: PlanNode, cols: Sequence[str]) -> int:
         def count(rel: Relation) -> int:
-            idx = [rel.position(c) for c in cols]
-            return len({tuple(r[i] for i in idx) for r in rel.rows})
+            return len(set(map(row_extractor([rel.position(c) for c in cols]), rel.rows)))
 
         return self._stat("distinct", node, cols, count)
 
@@ -209,8 +231,8 @@ class PlanStats:
 
     def has_nulls(self, node: PlanNode, cols: Sequence[str]) -> bool:
         def any_null(rel: Relation) -> bool:
-            idx = [rel.position(c) for c in cols if c in rel.columns]
-            return any(r[i] is None for r in rel.rows for i in idx)
+            values = row_extractor([rel.position(c) for c in cols if c in rel.columns])
+            return None in chain.from_iterable(map(values, rel.rows))
 
         return self._stat("has_nulls", node, cols, any_null)
 
@@ -222,13 +244,11 @@ class PlanStats:
         rel = self.rows(node)
         if not rel.rows:
             return 1.0
-        id_idx = [rel.position(c) for c in id_cols]
-        key_idx = [rel.position(c) for c in key_cols]
+        id_of = row_extractor([rel.position(c) for c in id_cols])
+        key_of = row_extractor([rel.position(c) for c in key_cols])
         groups: dict[tuple, list[tuple]] = {}
-        for r in rel.rows:
-            groups.setdefault(tuple(r[i] for i in id_idx), []).append(
-                tuple(r[i] for i in key_idx)
-            )
+        for ident, key in zip(map(id_of, rel.rows), map(key_of, rel.rows)):
+            groups.setdefault(ident, []).append(key)
         ratios = [len(set(keys)) / len(keys) for keys in groups.values()]
         return sum(ratios) / len(ratios)
 

@@ -4,8 +4,9 @@ sizes of ~15k tuples, Section 7.2 footnote 9)."""
 
 from __future__ import annotations
 
-from ..algebra.evaluate import evaluate_plan, materialize
+from ..algebra.evaluate import materialize
 from ..algebra.plan import PlanNode
+from ..core.compile import LoweredPlan
 from ..core.engine import (
     MaintenanceEngine,
     MaintenanceReport,
@@ -16,10 +17,12 @@ from ..storage import Table
 
 
 class RecomputeView:
-    def __init__(self, name: str, plan: PlanNode, table: Table):
+    def __init__(self, name: str, plan: PlanNode, table: Table, lowered: LoweredPlan):
         self.name = name
         self.plan = plan
         self.table = table
+        #: the plan's generated operators, lowered at definition
+        self.lowered = lowered
 
 
 class RecomputeEngine(MaintenanceEngine):
@@ -29,9 +32,10 @@ class RecomputeEngine(MaintenanceEngine):
     reads_pre_state = False
 
     def _define(self, name: str, annotated: PlanNode, stats) -> RecomputeView:
-        """Materialize the plan; maintenance will rebuild it from scratch."""
-        table = materialize(annotated, self.db, name, memo=stats)
-        return RecomputeView(name, annotated, table)
+        """Materialize the plan and keep its generated operators;
+        maintenance will re-run them from scratch."""
+        table = materialize(annotated, self.db, name, stats)
+        return RecomputeView(name, annotated, table, LoweredPlan(annotated, stats.kernel))
 
     def _maintain_view(
         self, view: RecomputeView, db_pre, entries, view_span
@@ -40,7 +44,7 @@ class RecomputeEngine(MaintenanceEngine):
         counters = self.db.counters
         before = counters.snapshot()
         with counted_phase(counters, "recompute"):
-            result = evaluate_plan(view.plan, self.db)
+            result = view.lowered.evaluate(view.plan, self.db)
             fresh = Table(
                 view.table.schema, counters, auto_index=view.table.auto_index
             )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..algebra.delta_eval import Bindings, fetch
-from ..algebra.evaluate import evaluate_plan, materialize
+from ..algebra.evaluate import materialize
 from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select
 from ..core.diffs import DELETE, INSERT, UPDATE
 # _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
@@ -217,8 +217,8 @@ class SdbtEngine(MaintenanceEngine):
             raise PlanError("SDBT views must be aggregates over SPJ")
         shape = _decompose(annotated)
         # The SPJ first: it stores its rows and the γ above reads them.
-        child_rows = evaluate_plan(shape.spj, self.db, stats)
-        table = materialize(annotated, self.db, name, memo=stats)
+        child_rows = stats.rows(shape.spj)
+        table = materialize(annotated, self.db, name, stats)
         view = SdbtView(name, annotated, table, shape)
         spec = OpCacheSpec(annotated, f"{name}__sdbt_opc")
         view.opcache = spec.build(child_rows, self.db.counters)
@@ -250,7 +250,7 @@ class SdbtEngine(MaintenanceEngine):
                 )
             relaxed = _relaxed_spj(shape.spj, own_non_key)
             view.relaxed[base_table] = relaxed
-            relaxed_result = evaluate_plan(relaxed, self.db, stats)
+            relaxed_result = stats.rows(relaxed)
             schema = TableSchema(f"{name}__map_{base_table}", tuple(keep), tuple(key))
             map_table = Table(schema, counters=self.db.counters)
             idx = [relaxed_result.position(c) for c in keep]

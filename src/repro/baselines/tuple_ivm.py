@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..algebra.delta_eval import Bindings, fetch
-from ..algebra.evaluate import evaluate_plan, materialize
+from ..algebra.evaluate import materialize
 from ..algebra.plan import (
     AntiJoin,
     GroupBy,
@@ -134,14 +134,14 @@ class TupleIvmEngine(MaintenanceEngine):
                 if all(a.func in ("sum", "count", "avg") for a in node.aggs):
                     accumulate[node.node_id] = group_accumulator(node)
                     spec = OpCacheSpec(node, f"{name}__tuple_opc_n{node.node_id}")
-                    child_rows = evaluate_plan(node.child, self.db, stats)
+                    child_rows = stats.rows(node.child)
                     opcaches[node.node_id] = spec.build(
                         child_rows, self.db.counters
                     )
                 if node.node_id != annotated.node_id:
                     out_name = f"{name}__tuple_out_n{node.node_id}"
-                    agg_outputs[node.node_id] = materialize(node, self.db, out_name, memo=stats)
-        table = materialize(annotated, self.db, name, memo=stats)
+                    agg_outputs[node.node_id] = materialize(node, self.db, out_name, stats)
+        table = materialize(annotated, self.db, name, stats)
         view = TupleView(name, annotated, table)
         view.accumulate, view.opcaches, view.agg_outputs = accumulate, opcaches, agg_outputs
         return view
@@ -348,10 +348,7 @@ def _join_delta(node: Join, view, net, db_pre, db_post) -> TDelta:
     l_updates = list(left.updates)
     r_updates = list(right.updates)
     if right.is_empty() and pairs:
-        fast = [
-            (p, q) for p, q in l_updates if condition_preserved(p, q, lcols)
-        ]
-        l_updates = [x for x in l_updates if x not in fast]
+        fast, l_updates = _partition(l_updates, lcols, condition_preserved)
         rows = [q for _, q in fast]
         buckets = probe(node.right, db_post, ((lpair, rpair)), rows, lcols)
         for pre_l, post_l in fast:
@@ -359,10 +356,7 @@ def _join_delta(node: Join, view, net, db_pre, db_post) -> TDelta:
                 if combine(post_l, rr) is not None:
                     updates.append((pre_l + rr, post_l + rr))
     elif left.is_empty() and pairs:
-        fast = [
-            (p, q) for p, q in r_updates if condition_preserved(p, q, rcols)
-        ]
-        r_updates = [x for x in r_updates if x not in fast]
+        fast, r_updates = _partition(r_updates, rcols, condition_preserved)
         rows = [q for _, q in fast]
         buckets = probe(node.left, db_post, ((rpair, lpair)), rows, rcols)
         for pre_r, post_r in fast:
@@ -415,6 +409,17 @@ def _join_delta(node: Join, view, net, db_pre, db_post) -> TDelta:
     delta = TDelta(inserts=inserts, deletes=deletes, updates=updates)
     id_positions = [list(node.columns).index(c) for c in node.ids]
     return repair_updates(delta, id_positions)
+
+
+def _partition(updates: list, cols: list[str], preserved) -> tuple[list, list]:
+    """``(kept, rest)``: the ``(pre, post)`` updates that keep the join
+    condition's columns (*preserved*), and the others — one pass, order
+    kept."""
+    kept: list = []
+    rest: list = []
+    for update in updates:
+        (kept if preserved(*update, cols) else rest).append(update)
+    return kept, rest
 
 
 def _union_delta(node: UnionAll, view, net, db_pre, db_post) -> TDelta:

@@ -24,7 +24,13 @@ what is generated:
   through the one helper that stays a function — the counted reader of
   :func:`_subview_reader`, called once per probe, not per row;
 * a γ step's per-group accumulation (:func:`lower_group_deltas`) is one
-  loop from the same expression emitter.
+  loop from the same expression emitter;
+* a *plan* operator — σ / π / ⋈ / ⋉ / ▷ / ∪ / γ over the relations of
+  its inputs — is one function too (:func:`lower_plan`, ``<delta:plan_nN>``):
+  what a definition evaluates (``analysis.cost.PlanStats``) and what the
+  recompute baseline re-runs each round.  The interpretive
+  :func:`repro.algebra.evaluate_plan` stays the oracle they are checked
+  against; it imports nothing from here.
 
 Count invariance is the contract: a kernel performs *exactly* the
 counted accesses the interpreted step performs, per phase
@@ -45,14 +51,25 @@ trace spans; phase and statement spans still wrap every step.
 from __future__ import annotations
 
 import linecache
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..algebra.delta_eval import Bindings
-from ..algebra.evaluate import aggregate_rows
-from ..algebra.plan import PlanNode, Scan
+from ..algebra.evaluate import _lt, aggregate_rows, apply_operator, evaluate_node
+from ..algebra.plan import (
+    AntiJoin,
+    GroupBy,
+    Join,
+    PlanNode,
+    Project,
+    Scan,
+    Select,
+    SemiJoin,
+    UnionAll,
+)
 from ..algebra.relation import Relation
 from ..errors import ScriptError
-from ..expr import evaluate as eval_expr
+from ..expr import TRUE, equi_join_pairs, evaluate as eval_expr
 from ..expr.ast import (
     NULL_TOLERANT_FUNCTIONS,
     SCALAR_FUNCTIONS,
@@ -69,7 +86,7 @@ from ..expr.ast import (
 )
 from ..expr.eval import compare
 from ..obs import metrics
-from ..storage import row_extractor
+from ..storage import Database, row_extractor
 from .diffs import Diff
 from .ir import (
     PRE,
@@ -98,6 +115,10 @@ EXEC_BACKENDS = ("interp", "compiled")
 #: A lowered compute step: binds its diff in the context, returns its
 #: row count (what ``ComputeDiffStep.run`` does by interpreting).
 Kernel = Callable[[IrContext], int]
+
+#: A lowered plan operator: its output over the relations of its inputs
+#: (what :func:`repro.algebra.evaluate.apply_operator` does by interpreting).
+PlanKernel = Callable[[Database, Sequence[Relation]], Relation]
 
 
 class _Refused(Exception):
@@ -404,6 +425,22 @@ class _Source:
             return self._probe(node)
         raise _Refused(f"IR node {node!r}")
 
+    def bucket(self, buckets: str, rows: str, var: str, key: str, single: bool, depth: int) -> None:
+        """Emit, at *depth*, the build of the dict *buckets* over *rows*
+        by *key* (source over the row *var*; one value when *single*,
+        else a tuple), NULL never joining."""
+        k, bucket = self.fresh("k"), self.fresh("b")
+        self.emit(f"{buckets} = {{}}", depth)
+        self.emit(f"for {var} in {rows}:", depth)
+        self.emit(f"{k} = {key}", depth + 1)
+        self.emit(f"if {f'{k} is None' if single else f'None in {k}'}:", depth + 1)
+        self.emit("continue  # SQL: NULL never equi-joins", depth + 2)
+        self.emit(f"{bucket} = {buckets}.get({k})", depth + 1)
+        self.emit(f"if {bucket} is None:", depth + 1)
+        self.emit(f"{buckets}[{k}] = [{var}]", depth + 2)
+        self.emit("else:", depth + 1)
+        self.emit(f"{bucket}.append({var})", depth + 2)
+
     def _probe(self, node) -> _Rows:
         """``left ⋈ / ⋉ / ▷ Subview`` as the interpreter runs it: the
         subview is read — through its counted reader, for the left
@@ -441,17 +478,8 @@ class _Source:
             values = _tuple_of([cols[a] for a, _ in node.on])
             self.emit(f"{probe} = [{values} for {lvar} in {left}]", 2)
             self.emit(f"{sub} = {read.format(probe)}", 2)
-            key, bucket = self.fresh("k"), self.fresh("b")
-            self.emit(f"{buckets} = {{}}", 2)
-            self.emit(f"for {svar} in {sub}:", 2)
-            self.emit(f"{key} = {_tuple_of([f'{svar}[{sub_columns.index(b)}]' for b in sub_attrs])}", 3)
-            self.emit(f"if None in {key}:", 3)
-            self.emit("continue  # SQL: NULL never equi-joins", 4)
-            self.emit(f"{bucket} = {buckets}.get({key})", 3)
-            self.emit(f"if {bucket} is None:", 3)
-            self.emit(f"{buckets}[{key}] = [{svar}]", 4)
-            self.emit("else:", 3)
-            self.emit(f"{bucket}.append({svar})", 4)
+            key = _tuple_of([f"{svar}[{sub_columns.index(b)}]" for b in sub_attrs])
+            self.bucket(buckets, sub, svar, key, False, 2)
             clauses, matches = [f"for {lvar}, {pvar} in zip({left}, {probe})"], f"{buckets}.get({pvar}, ())"
         if not semi:
             rows = _Rows(clauses + [f"for {svar} in {matches}"], seen)
@@ -614,6 +642,163 @@ def lower_group_deltas(gnode, new_delta: Callable[[int], object]) -> Callable[[S
                 src.emit(f"d.sums[{i}] {sign}= v", 4)
     src.emit("return deltas")
     return src.build("changes")
+
+
+# ----------------------------------------------------------------------
+# plan lowering: one generated function per plan operator
+# ----------------------------------------------------------------------
+def _key_of(var: str, positions: Sequence[int]) -> str:
+    """Source of a hash key over *positions* of the row *var*: the value
+    itself for one position (equal and hashing alike to its 1-tuple)."""
+    if len(positions) == 1:
+        return f"{var}[{positions[0]}]"
+    return _tuple_of([f"{var}[{i}]" for i in positions])
+
+
+def _plan_join(src: _Source, node) -> str:
+    """``⋈`` / ``⋉`` / ``▷`` as the reference runs it: the right side
+    bucketed by the equi-join columns, NULL never joining, and the
+    residual inline — dropped when it is the literal TRUE."""
+    left_columns, right_columns = node.left.columns, node.right.columns
+    lvar, svar = src.fresh("l"), src.fresh("s")
+    cols = {c: f"{lvar}[{i}]" for i, c in enumerate(left_columns)}
+    # A name on both sides of a semijoin reads the right row, as the
+    # reference's combined positions do.
+    cols.update({c: f"{svar}[{i}]" for i, c in enumerate(right_columns)})
+    pairs, residual = [], None
+    if node.condition is not None:
+        pairs, residual = equi_join_pairs(node.condition, left_columns, right_columns)
+    if not pairs:
+        residual = node.condition  # what the reference tests then, whole
+    test = None if residual is None or residual == TRUE else src.truth(residual, cols)
+    src.emit("left, right = inputs[0].rows, inputs[1].rows")
+    matches = "right"
+    if pairs:
+        lkey = _key_of(lvar, [left_columns.index(a) for a, _ in pairs])
+        rkey = _key_of(svar, [right_columns.index(b) for _, b in pairs])
+        buckets = src.fresh("buckets")
+        src.bucket(buckets, "right", svar, rkey, len(pairs) == 1, 1)
+        matches = f"{buckets}.get({lkey}, ())"
+    if isinstance(node, Join):
+        where = f" if {test}" if test else ""
+        return f"[{lvar} + {svar} for {lvar} in left for {svar} in {matches}{where}]"
+    if test:
+        found = f"any({test} for {svar} in {matches})"
+    else:
+        found = f"{lkey} in {buckets}" if pairs else "right"
+    keep = f"not {found}" if isinstance(node, AntiJoin) else found
+    return f"[{lvar} for {lvar} in left if {keep}]"
+
+
+def _plan_group(src: _Source, node: GroupBy) -> str:
+    """γ as one accumulation loop with ``_Accumulator``'s semantics: NULL
+    enters nothing but ``count(*)``, sum / avg take numeric non-bool
+    values only, min / max order by the mixed-type ``_lt``."""
+    columns = node.child.columns
+    cols = {c: f"r[{i}]" for i, c in enumerate(columns)}
+    init, updates, results = ["0"], [], []
+    for agg in node.aggs:
+        at = len(init)
+        if agg.arg is None:
+            results.append("a[0]")
+            continue
+        updates.append((src.value(agg.arg, cols), agg.func, at))
+        if agg.func == "count":
+            init.append("0")
+            results.append(f"a[{at}]")
+        elif agg.func in ("sum", "avg"):
+            init += ["0", "0"]
+            total = f"a[{at}] / a[{at + 1}]" if agg.func == "avg" else f"a[{at}]"
+            results.append(f"({total} if a[{at + 1}] else None)")
+        else:
+            init.append("None")
+            results.append(f"a[{at}]")
+    src.emit("groups = {}")
+    src.emit("for r in inputs[0].rows:")
+    src.emit(f"g = {_key_of('r', [columns.index(k) for k in node.keys])}", 2)
+    src.emit("a = groups.get(g)", 2)
+    src.emit("if a is None:", 2)
+    src.emit(f"a = groups[g] = [{', '.join(init)}]", 3)
+    src.emit("a[0] += 1", 2)
+    for value, func, at in updates:
+        src.emit(f"v = {value}", 2)
+        if func == "count":
+            src.emit("if v is not None:", 2)
+            src.emit(f"a[{at}] += 1", 3)
+        elif func in ("sum", "avg"):
+            src.emit("if isinstance(v, (int, float)) and not isinstance(v, bool):", 2)
+            src.emit(f"a[{at}] += v", 3)
+            src.emit(f"a[{at + 1}] += 1", 3)
+        else:
+            lt = src.bind("lt", _lt)
+            order = f"{lt}(v, m)" if func == "min" else f"{lt}(m, v)"
+            src.emit("if v is not None:", 2)
+            src.emit(f"m = a[{at}]", 3)
+            src.emit(f"if m is None or {order}:", 3)
+            src.emit(f"a[{at}] = v", 4)
+    group = "(g,)" if len(node.keys) == 1 else "g"
+    return f"[{group} + {_tuple_of(results)} for g, a in groups.items()]"
+
+
+def _plan_rows(src: _Source, node: PlanNode) -> str:
+    """Emit *node*'s operator over ``inputs`` into *src*; returns the
+    source of its output rows."""
+    if isinstance(node, Scan):
+        # One counted bulk read: the counts of a per-row scan, in the
+        # same phase bucket (none at all for an empty table).
+        src.emit(f"table = db.table({node.table!r})")
+        src.emit("rows = table.rows_uncounted()")
+        src.emit("if rows:")
+        src.emit("table.counters.count_tuple_read(len(rows))", 2)
+        return "rows"
+    if isinstance(node, (Select, Project)):
+        rows = src.over("inputs[0].rows", node.child.columns)
+        if isinstance(node, Select):
+            rows.conds.append(src.truth(node.predicate, rows.cols))
+        else:
+            rows.cols = {name: src.value(expr, rows.cols) for name, expr in node.items}
+        return src.listed(rows, node.columns)
+    if isinstance(node, (Join, SemiJoin, AntiJoin)):
+        return _plan_join(src, node)
+    if isinstance(node, UnionAll):
+        return "[*[r + (0,) for r in inputs[0].rows], *[r + (1,) for r in inputs[1].rows]]"
+    if isinstance(node, GroupBy):
+        return _plan_group(src, node)
+    raise _Refused(f"plan node {node!r}")
+
+
+def lower_plan(node: PlanNode) -> PlanKernel:
+    """One plan operator — *node* over the relations of its inputs — as
+    one generated function ``plan_nN(db, inputs)`` (``kernel.__source__``):
+    what :func:`repro.algebra.evaluate.apply_operator` does, set at a
+    time, with the same counted reads.  A form the emitter refuses keeps
+    the reference operator, counted in ``compile.plan_fallbacks``."""
+    src = _Source(f"plan_n{node.node_id}")
+    try:
+        rows = _plan_rows(src, node)
+    except _Refused:
+        metrics.counter("compile.plan_fallbacks").inc()
+        return partial(apply_operator, node)
+    src.emit(f"return {src.bind('Relation', Relation)}({src.const(tuple(node.columns))}, {rows})")
+    return src.build("db, inputs")
+
+
+class LoweredPlan:
+    """The generated operators of one plan, each lowered once
+    (*lower*: :func:`lower_plan`, or a definition's
+    ``PlanStats.kernel``): :meth:`evaluate` runs a sub-plan of it through
+    them, traced like the reference (:func:`evaluate_node`)."""
+
+    def __init__(self, plan: PlanNode, lower: Callable[[PlanNode], PlanKernel] = lower_plan):
+        #: the nodes stay alive, so their ids stay theirs
+        self.plan = plan
+        self.kernels = {id(node): lower(node) for node in plan.walk()}
+
+    def evaluate(self, node: PlanNode, db: Database) -> Relation:
+        return evaluate_node(node, db, self.evaluate, self._operator)
+
+    def _operator(self, node: PlanNode, db: Database, inputs: list) -> Relation:
+        return self.kernels[id(node)](db, inputs)
 
 
 def check_backend(backend: str) -> str:

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..algebra.evaluate import evaluate_plan, materialize
+from ..algebra.evaluate import materialize
 from ..algebra.plan import PlanNode
 from ..errors import IntegrityError, ScriptError, UnknownTableError
 from ..obs import metrics
@@ -378,15 +378,15 @@ class IdIvmEngine(MaintenanceEngine):
         wanted.update(op.gnode.child.node_id for op in generated.opcache_specs)
         for node in reversed(list(annotated.walk())):
             if node.node_id in wanted:
-                evaluate_plan(node, self.db, stats)
-        view_table = materialize(annotated, self.db, name, memo=stats)
+                stats.rows(node)
+        view_table = materialize(annotated, self.db, name, stats)
         caches: dict[int, Table] = {annotated.node_id: view_table}
         for spec in generated.cache_specs:
             node = node_by_id(annotated, spec.node_id)
-            caches[spec.node_id] = materialize(node, self.db, spec.name, memo=stats)
+            caches[spec.node_id] = materialize(node, self.db, spec.name, stats)
         operator_caches: dict[int, Table] = {}
         for opspec in generated.opcache_specs:
-            child_rows = evaluate_plan(opspec.gnode.child, self.db, stats)
+            child_rows = stats.rows(opspec.gnode.child)
             operator_caches[opspec.gnode.node_id] = opspec.build(
                 child_rows, self.db.counters
             )

@@ -35,7 +35,6 @@ from ...algebra.delta_eval import Bindings
 from ...algebra.plan import GroupBy
 from ...algebra.relation import Relation
 from ...errors import ScriptError
-from ...expr import evaluate as eval_expr
 from ...storage import Table, TableSchema, row_extractor, sort_rows
 from ..apply import AppliedChanges, changes_to_diff
 from ..compile import lower_group_deltas
@@ -66,29 +65,13 @@ class OpCacheSpec:
 
     def build(self, child_rows: Relation, counters) -> Table:
         """Materialize the operator cache from the child's current rows
-        (view-definition time; uncounted)."""
+        (view-definition time; uncounted): the γ-delta accumulation a
+        round runs, fed every child row as an insert."""
         table = Table(TableSchema(self.name, self.columns, self.key), counters=counters)
-        pos = child_rows.positions
-        key_idx = [child_rows.position(k) for k in self.gnode.keys]
-        groups: dict[tuple, dict[str, int]] = {}
-        for row in child_rows.rows:
-            g = tuple(row[i] for i in key_idx)
-            acc = groups.setdefault(g, {"__n": 0})
-            acc["__n"] += 1
-            for agg in self.gnode.aggs:
-                if agg.func not in ("sum", "avg"):
-                    continue
-                value = eval_expr(agg.arg, pos, row)
-                acc.setdefault(f"__cnt_{agg.name}", 0)
-                acc.setdefault(f"__sum_{agg.name}", 0)
-                if value is not None:
-                    acc[f"__cnt_{agg.name}"] += 1
-                    acc[f"__sum_{agg.name}"] += value
-        for g, acc in groups.items():
-            row = list(g)
-            for c in self.columns[len(g):]:
-                row.append(acc.get(c, 0))
-            table.insert_uncounted(tuple(row))
+        deltas = group_deltas_from_changes(self.gnode, [(None, row) for row in child_rows.rows])
+        book = _Book(self.gnode, table)
+        for g, delta in deltas.items():
+            table.insert_uncounted(g + book.bumped(None, delta, delta.n))
         return table
 
 

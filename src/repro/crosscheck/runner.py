@@ -1,9 +1,11 @@
 """Run one crosscheck case: every strategy against the recompute oracle.
 
-The oracle is :func:`repro.algebra.evaluate_plan` — the same from-scratch
-evaluator :class:`repro.baselines.recompute.RecomputeEngine` swaps in,
-applied after every batch to a private database that receives the same
-modification stream.  Each maintenance strategy then runs on its *own*
+The oracle is :func:`repro.algebra.evaluate_plan` — the interpretive
+from-scratch evaluator — applied after every batch to a private database
+that receives the same modification stream; beside it, the plan's
+generated operators (:class:`repro.core.compile.LoweredPlan`, what
+definitions and :class:`repro.baselines.recompute.RecomputeEngine` run)
+must agree with it in rows and per-phase counts.  Each maintenance strategy then runs on its *own*
 fresh database; after every batch its view table must equal the oracle's
 multiset exactly, and the engine must pass every invariant in
 :mod:`repro.crosscheck.invariants`.
@@ -21,6 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ..baselines import TupleIvmEngine
 from ..core import IdIvmEngine
+from ..core.compile import LoweredPlan
 from ..obs import metrics
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog
@@ -56,7 +59,7 @@ class Divergence:
     batch: int  # -1: view definition / initial state
     kind: str  # "view_mismatch" | "invariant" | "exception" |
     #          # "oracle_error" | "analysis" | "cost" | "drift" |
-    #          # "race" | "fingerprint"
+    #          # "race" | "fingerprint" | "plan_eval"
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - display helper
@@ -100,23 +103,50 @@ def _multiset_detail(expected: Counter, actual: Counter) -> str:
     return " ".join(parts) or "multisets differ"
 
 
-def oracle_states(case: Mapping) -> list[Counter]:
+def oracle_states(
+    case: Mapping, plan_eval: Optional[list] = None
+) -> list[Counter]:
     """Expected view multisets after each batch (full recomputation).
 
     Raises whatever the evaluator raises — the caller classifies an
     oracle failure as ``oracle_error`` (the case is unusable as a
     differential test, but a *crashing* oracle is still a finding: the
-    shared expression/algebra layer blew up).
+    shared expression/algebra layer blew up).  With a *plan_eval* list,
+    the plan's generated operators run after every batch too, and each
+    batch where their columns, rows or per-phase counts differ from the
+    oracle's — or where they raise — appends a ``plan_eval``
+    :class:`Divergence`.
     """
     db = build_database(case)
     plan = annotate_plan(build_plan(case["plan"], db))
+    lowered = LoweredPlan(plan) if plan_eval is not None else None
     log = ModificationLog(db)
     states = []
-    for batch in case["batches"]:
+    for bi, batch in enumerate(case["batches"]):
         for op in batch:
             apply_modification(log, op)
         log.take()
-        states.append(Counter(evaluate_plan(plan, db).rows))
+        db.counters.reset()
+        expected = evaluate_plan(plan, db)
+        states.append(Counter(expected.rows))
+        if lowered is None:
+            continue
+        counts = db.counters.as_dict()
+        db.counters.reset()
+        try:
+            actual = lowered.evaluate(plan, db)
+        except Exception as exc:  # noqa: BLE001 - the fuzzer reports, never raises
+            plan_eval.append(Divergence("generated", bi, "plan_eval", _tail(exc)))
+            continue
+        if actual.columns != expected.columns:
+            detail = f"columns {actual.columns} != {expected.columns}"
+        elif Counter(actual.rows) != states[-1]:
+            detail = _multiset_detail(states[-1], Counter(actual.rows))
+        elif db.counters.as_dict() != counts:
+            detail = f"counts {db.counters.as_dict()} != {counts}"
+        else:
+            continue
+        plan_eval.append(Divergence("generated", bi, "plan_eval", detail))
     return states
 
 
@@ -336,7 +366,7 @@ def run_case(
                     Divergence("analyzer", -1, "fingerprint", mismatch)
                 )
     try:
-        expected = oracle_states(case)
+        expected = oracle_states(case, plan_eval=result.divergences)
     except Exception as exc:  # noqa: BLE001
         result.divergences.append(
             Divergence("oracle", -1, "oracle_error", _tail(exc))

@@ -231,8 +231,8 @@ def test_only_requested_nodes_are_kept():
     assert isinstance(plan, GroupBy)
     stats = PlanStats(db)
     # A definition's shape: the γ's input (cache + opcache), then the view.
-    below = evaluate_plan(plan.child, db, stats)
-    top = evaluate_plan(plan, db, stats)
+    below = stats.rows(plan.child)
+    top = stats.rows(plan)
     assert stats.lookup(plan) is top and stats.lookup(plan.child) is below
     interior = [n for n in plan.child.walk() if n is not plan.child]
     assert any(isinstance(n, Join) for n in interior)

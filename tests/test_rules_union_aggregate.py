@@ -336,3 +336,31 @@ class TestMinMaxDeleteRescan:
         engine.log.delete("m", (2,))
         engine.maintain()
         assert view.table.as_set() == {(1, 5, 5), ("a", 2, 2)}
+
+
+class TestOperatorCacheBuild:
+    """The opcache is filled by the γ-delta accumulation a round runs,
+    fed every child row as an insert: NULL enters no count, and a sum /
+    avg argument is added as the round adds it (a bool as its int)."""
+
+    @staticmethod
+    def _build(rows):
+        db = Database()
+        db.create_table("m", ("k", "g", "v"), ("k",)).load(rows)
+        plan = annotate_plan(group_by(scan(db, "m"), ("g",), [
+            ("sum", col("v"), "s"), ("avg", col("v"), "m"),
+            ("count", col("v"), "c"), ("count", None, "n"),
+        ]))
+        return OpCacheSpec(plan, "opc").build(evaluate_plan(plan.child, db), db.counters)
+
+    def test_null_and_non_numeric_sum_arguments(self):
+        opcache = self._build([
+            (1, "a", None), (2, "a", True), (3, "a", 2), (4, "a", 2.5),
+            (5, "b", None), (6, "b", None),
+        ])
+        assert opcache.schema.columns == ("g", "__n", "__cnt_s", "__cnt_m", "__sum_m")
+        assert opcache.rows_uncounted() == [("a", 4, 3, 3, 5.5), ("b", 2, 0, 0, 0)]
+
+    def test_a_string_sum_argument_raises(self):
+        with pytest.raises(TypeError):
+            self._build([(1, "a", 1), (2, "a", "x")])
