@@ -61,7 +61,14 @@ PERF_GATE_BENCHES = \
     benchmarks/bench_minimization.py \
     benchmarks/bench_parallel_shards.py \
     benchmarks/bench_compiled.py \
-    benchmarks/bench_catalog_lint.py
+    benchmarks/bench_catalog_lint.py \
+    benchmarks/bench_fig10_bsma.py \
+    benchmarks/bench_fig12a_diff_size.py \
+    benchmarks/bench_fig12b_joins.py \
+    benchmarks/bench_fig12c_selectivity.py \
+    benchmarks/bench_fig12d_fanout.py \
+    benchmarks/bench_break_even.py \
+    benchmarks/bench_ablation_cache_policy.py
 perf-gate:
 	REPRO_PERF_GATE=1 $(PYTHON) -m pytest $(PERF_GATE_BENCHES) --benchmark-disable -q
 
@@ -112,7 +119,12 @@ lint-catalog:
 # in analysis/cost.py (by `price_script`, the one guarded inference), a
 # `PlanStats` is built only there and by `MaintenanceEngine.define_view`
 # (core/engine.py), and the generator, the engine and the sharing pass
-# swallow no exception.
+# swallow no exception; and the tuple-based baseline is idIVM with the
+# tuple rule set: baselines/tuple_ivm.py holds the engine class and
+# evaluates nothing itself, the rule bodies live under core/rules/, and
+# a script reads subviews through `IrContext.resolve_subview` — `fetch`
+# is called only by algebra/delta_eval.py, core/ir_exec.py and the SDBT
+# baseline.
 lint-static:
 	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
@@ -180,6 +192,19 @@ lint-static:
 	@if grep -nE 'except +(\(.*)?Exception\b' src/repro/core/generator.py \
 	    src/repro/core/engine.py src/repro/analysis/sharing.py; then \
 	    echo "swallowed exception: a pricing failure is counted by analysis.cost.price_script, nothing else guards"; \
+	    exit 1; fi
+	@if grep -nE '^\s*(from\s+(\.\.|repro\.)(algebra\.(delta_eval|evaluate)|expr\.eval)\b|import\s+repro\.(algebra\.(delta_eval|evaluate)|expr\.eval)\b|from\s+(\.\.|repro\.)expr\s+import\s.*\b(evaluate|matches)\b)' \
+	    src/repro/baselines/tuple_ivm.py; then \
+	    echo "baselines/tuple_ivm.py evaluates nothing itself: it is IdIvmEngine with the tuple rule set (core/rules/tdiff.py)"; \
+	    exit 1; fi
+	@if grep -rnE '\bfetch\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/(algebra/delta_eval|core/ir_exec|baselines/sdbt)\.py:'; then \
+	    echo "fetch outside algebra/delta_eval.py, core/ir_exec.py and baselines/sdbt.py: a script reads subviews through IrContext.resolve_subview"; \
+	    exit 1; fi
+	@if [ "$$(grep -cE '^(def|class) |^[A-Za-z_]+ *=' src/repro/baselines/tuple_ivm.py)" != 1 ] \
+	    || grep -rnE '^(def|class) +(_join_delta|_semi_like_delta|repair_updates|TupleJoinStep)\b|^TUPLE_RULES\b' \
+	    src/repro --include='*.py' | grep -vE '^src/repro/core/rules/'; then \
+	    echo "tuple rule bodies live under core/rules/ (tdiff.py); baselines/tuple_ivm.py holds the engine class only"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

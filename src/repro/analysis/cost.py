@@ -59,7 +59,7 @@ from ..algebra.plan import (
 from ..algebra.relation import Relation
 from ..core.compile import PlanKernel, lower_plan
 from ..core.diffs import DELETE, INSERT, UPDATE, DiffSchema
-from ..core.generator import GeneratedPlan, ScriptGenerator
+from ..core.generator import ID_RULES, GeneratedPlan, RuleSet, ScriptGenerator
 from ..core.ir import (
     AppliedSource,
     Compute,
@@ -76,7 +76,6 @@ from ..core.ir import (
 )
 from ..core.modlog import schema_instance_name
 from ..core.rules.aggregate import AssociativeAggregateStep, GeneralAggregateStep
-from ..core.schema_gen import generate_base_schemas
 from ..core.script import (
     PHASE_CACHE_DIFF,
     PHASE_CACHE_UPDATE,
@@ -911,11 +910,15 @@ def define_script(
     view_reuse: bool = False,
     strict: bool = False,
     cost_select: bool = True,
+    rules: RuleSet = ID_RULES,
 ) -> GeneratedPlan:
     """The ∆-script a view ships and its cost model
     (``generated.cost_model``), decided once from the definition's
-    *stats*: generate (:class:`ScriptGenerator`), price, select, and under
-    *strict* the analyzer's gate (:func:`repro.analysis.check_generated`).
+    *stats*: generate (:class:`ScriptGenerator`, with *rules*), price,
+    select, and under *strict* the analyzer's gate
+    (:func:`repro.analysis.check_generated`).  A t-diff script
+    (``rules.full_rows``, the tuple-based baseline) is generated only:
+    the cost model and the analyzer speak of i-diff scripts.
 
     Selection (*cost_select*) ships the cache-free alternative only when
     it *dominates* the requested script (:func:`dominated_by`) — a
@@ -923,8 +926,10 @@ def define_script(
     workload produces; ties keep the requested script.  Only cache
     placement varies: un-minimizing is never an unambiguous win, the
     minimizer being strictly cheaper on the update rounds it targets."""
-    generator = ScriptGenerator(view_name, plan, optimize, cache_policy, view_reuse)
-    generated = generator.generate(generate_base_schemas(generator.plan, stats.db))
+    generator = ScriptGenerator(view_name, plan, optimize, cache_policy, view_reuse, rules)
+    generated = generator.generate(rules.base_schemas(generator.plan, stats.db))
+    if rules.full_rows:
+        return generated
     generated.cost_model = price_script(generated, stats, COST_MODEL_FALLBACKS, strict)
     if cost_select and cache_policy != "never" and generated.cost_model is not None:
         candidate = _alternative(generated, optimize, "never", view_reuse)

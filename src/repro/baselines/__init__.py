@@ -2,6 +2,6 @@
 
 from .recompute import RecomputeEngine
 from .sdbt import SdbtEngine
-from .tuple_ivm import TDelta, TupleIvmEngine, repair_updates
+from .tuple_ivm import TupleIvmEngine
 
-__all__ = ["RecomputeEngine", "SdbtEngine", "TDelta", "TupleIvmEngine", "repair_updates"]
+__all__ = ["RecomputeEngine", "SdbtEngine", "TupleIvmEngine"]

@@ -47,7 +47,7 @@ from ..core.rules.aggregate import (
     group_accumulator,
 )
 from ..errors import PlanError, ScriptError
-from ..expr import Col, columns_of
+from ..expr import Col, Expr, columns_of, matches
 from ..storage import Database, Table, TableSchema
 
 
@@ -194,6 +194,25 @@ class SdbtView:
         #: base table -> SPJ plan with its own selection conjuncts dropped
         self.relaxed: dict[str, PlanNode] = {}
         self.opcache: Optional[Table] = None
+        # The lineage a round reads, resolved once per view.
+        #: SPJ column -> position, for re-checking selections on a row
+        self.positions = {c: i for i, c in enumerate(shape.spj.columns)}
+        #: base table -> {SPJ column -> base column} of the columns only
+        #: that table supplies
+        self.own: dict[str, dict[str, str]] = {t: {} for t in shape.table_columns}
+        for column, sources in _origins(shape.spj).items():
+            if len(sources) == 1:
+                ((table, base),) = sources
+                self.own[table][column] = base
+        #: base table -> the selection predicates over its SPJ columns
+        self.checks: dict[str, list[Expr]] = {
+            table: [
+                node.predicate
+                for node in shape.spj.walk()
+                if isinstance(node, Select) and columns_of(node.predicate) & columns
+            ]
+            for table, columns in shape.table_columns.items()
+        }
 
 
 class SdbtEngine(MaintenanceEngine):
@@ -324,12 +343,7 @@ class SdbtEngine(MaintenanceEngine):
         map_cols = view.map_columns[base_table]
         key_cols = shape.key_columns[base_table]
         spj_cols = list(shape.spj.columns)
-        origins = _origins(shape.spj)
-        own = {
-            c: next(iter(sources))[1]
-            for c, sources in origins.items()
-            if len(sources) == 1 and next(iter(sources))[0] == base_table
-        }
+        own = view.own[base_table]
         base_schema = self.db.table(base_table).schema
         changes: list[tuple] = []
 
@@ -372,28 +386,17 @@ class SdbtEngine(MaintenanceEngine):
     def _row_passes(self, view: SdbtView, base_table: str, spj_row: tuple) -> bool:
         """Re-check the selection conditions over *base_table*'s own
         attributes (they were dropped when building the map)."""
-        shape = view.shape
-        own_cols = shape.table_columns.get(base_table, set())
-        positions = {c: i for i, c in enumerate(shape.spj.columns)}
-        from ..expr import matches
-
-        for node in shape.spj.walk():
-            if isinstance(node, Select) and (columns_of(node.predicate) & own_cols):
-                if not matches(node.predicate, positions, spj_row):
-                    return False
-        return True
+        return all(
+            matches(predicate, view.positions, spj_row)
+            for predicate in view.checks[base_table]
+        )
 
     # ------------------------------------------------------------------
     def _maintain_maps(self, view: SdbtView, base_table: str, per_key, hybrid) -> None:
         """Bring every map embedding *base_table*'s data up to date."""
         shape = view.shape
         key_cols = tuple(shape.key_columns[base_table])
-        origins = _origins(shape.spj)
-        own = {
-            c: next(iter(sources))[1]
-            for c, sources in origins.items()
-            if len(sources) == 1 and next(iter(sources))[0] == base_table
-        }
+        own = view.own[base_table]
         base_schema = self.db.table(base_table).schema
         # Own columns some selection reads: an update changing one can
         # move the row into or out of the *other* tables' maps, which

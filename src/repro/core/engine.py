@@ -6,7 +6,9 @@ tuple-based diff propagation rules"): :class:`MaintenanceEngine` owns
 ``define_view`` and the round — modification log, ``Input_pre``
 replica, spans, metrics, freshness — and an engine supplies
 :meth:`_define` plus :meth:`_maintain_view`.  :class:`IdIvmEngine` ties
-the ID-based rules together across the three times of the paper:
+its rule set (:attr:`IdIvmEngine.rules`: the ID-based rules; the
+tuple-based baseline's are ``repro.core.rules.tdiff.TUPLE_RULES``)
+together across the three times of the paper:
 
 * **view definition time** — :meth:`IdIvmEngine._define` runs the
   definition pipeline (``repro.analysis.cost.define_script``: base-table
@@ -40,7 +42,7 @@ from ..storage import AccessCounts, CounterSet, Database, Table
 from .compile import EXEC_BACKENDS as EXEC_BACKENDS  # re-exported
 from .compile import bind_kernels, check_backend
 from .diffs import DELETE, INSERT
-from .generator import GeneratedPlan
+from .generator import ID_RULES, GeneratedPlan
 from .idinfer import annotate_plan, node_by_id
 from .ir_exec import IrContext
 from .modlog import InstanceLayout, ModificationLog, RoundEntries, populate_instances
@@ -326,6 +328,9 @@ class MaintenanceEngine:
 class IdIvmEngine(MaintenanceEngine):
     """ID-based incremental view maintenance over a :class:`Database`."""
 
+    #: the diff propagation rules its ∆-scripts are generated with
+    rules = ID_RULES
+
     def __init__(
         self,
         db: Database,
@@ -368,7 +373,8 @@ class IdIvmEngine(MaintenanceEngine):
         generated = define_script(name, annotated, stats, optimize=self.optimize,
                                   cache_policy=self.cache_policy,
                                   view_reuse=self.view_reuse, strict=self.strict,
-                                  cost_select=self.cost_select and self.optimize)
+                                  cost_select=self.cost_select and self.optimize,
+                                  rules=self.rules)
         annotated = generated.plan
         # Only requested sub-plans are kept, so the requests run
         # leaves-first — the cost walker (above), then the materialized

@@ -17,12 +17,17 @@ attempted below every aggregate operator — skipped when the subtree risks
 multi-valued dependencies (a join that is not a key-join on either side)
 or when the input is a bare scan; the aggregate's output is materialized
 too, with the view itself serving at the root (Example 4.6).
+
+The rules are a parameter (:class:`RuleSet`): the paper's i-diff rules
+(:data:`ID_RULES`) by default, and its Section 7 baseline — "idIVM with
+tuple-based diff propagation rules" — is this generator with the t-diff
+rules of :mod:`repro.core.rules.tdiff`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from ..algebra.plan import (
     ASSOCIATIVE_AGGS,
@@ -50,12 +55,13 @@ from .rules.aggregate import (
     OpCacheSpec,
 )
 from .rules.antijoin import propagate_antijoin
-from .rules.base import target_name
+from .rules.base import full_schemas, target_name
 from .rules.join import propagate_join
 from .rules.project import propagate_project
 from .rules.select import propagate_select
 from .rules.semijoin import propagate_semijoin
 from .rules.union import propagate_union
+from .schema_gen import generate_base_schemas
 from .script import (
     PHASE_CACHE_DIFF,
     PHASE_CACHE_UPDATE,
@@ -100,6 +106,49 @@ class GeneratedPlan:
     #: it (``repro.analysis.cost.define_script``); None when it could not
     #: be inferred or nothing priced the script.
     cost_model: Optional[object] = None
+
+
+class RuleSet(NamedTuple):
+    """What Passes 2–3 build a view's ∆-script from: the base-table diff
+    schemas (Section 5), the rules of the row-wise operators and the
+    blocking steps of the others."""
+
+    #: ``base_schemas(plan, db)``: the base-table diff schemas
+    base_schemas: Callable
+    #: ``instantiate(op, source, schema, side)``: ``[(schema, ir)]`` of a
+    #: row-wise operator's rules for one input diff
+    instantiate: Callable
+    #: operator type -> ``step(op, inputs, prefix, phase)``, the blocking
+    #: step of an operator besides γ that collects every input diff
+    #: (``(name, side)`` pairs) first
+    blocking: Mapping = {}
+    #: the diffs carry full rows (t-diffs): γ reads its changes off them,
+    #: and its output materializations are written, never read — no cache
+    #: (Section 6.2), so no cache phase and no cost model
+    full_rows: bool = False
+
+
+def _instantiate(
+    op: PlanNode, source: DiffSource, schema: DiffSchema, side: int
+) -> list[tuple[DiffSchema, IrNode]]:
+    """Pass 2: select and instantiate the operator's rules."""
+    if isinstance(op, Select):
+        return propagate_select(op, source, schema)
+    if isinstance(op, Project):
+        return propagate_project(op, source, schema)
+    if isinstance(op, Join):
+        return propagate_join(op, source, schema, side)
+    if isinstance(op, UnionAll):
+        return propagate_union(op, source, schema, side)
+    if isinstance(op, AntiJoin):
+        return propagate_antijoin(op, source, schema, side)
+    if isinstance(op, SemiJoin):
+        return propagate_semijoin(op, source, schema, side)
+    raise RuleError(f"no propagation rules for operator {op.label()!r}")
+
+
+#: The paper's ID-based rules.
+ID_RULES = RuleSet(generate_base_schemas, _instantiate)
 
 
 #: Cache-placement policies (paper Section 4, footnote 6).  The paper
@@ -157,19 +206,22 @@ class ScriptGenerator:
         optimize: bool = True,
         cache_policy: str = "equi",
         view_reuse: bool = False,
+        rules: RuleSet = ID_RULES,
     ):
         self.view_name = view_name
         self.plan = annotate_plan(plan)
         self.optimize = optimize
         self.cache_policy = cache_policy
         self.view_reuse = view_reuse
+        self.rules = rules
         self._parents: dict[int, tuple[PlanNode, int]] = {}
         for node in self.plan.walk():
             for side, child in enumerate(node.children):
                 self._parents[child.node_id] = (node, side)
         self._steps: list[Step] = []
         self._finals: list[tuple[str, DiffSchema]] = []
-        self._parked: dict[int, list[tuple[str, DiffSchema]]] = {}
+        #: blocking node id -> the ``(name, schema, side)`` diffs parked there
+        self._parked: dict[int, list[tuple[str, DiffSchema, int]]] = {}
         self._counter = 0
         self.cache_specs: list[CacheSpec] = []
         self.opcache_specs: list[OpCacheSpec] = []
@@ -187,7 +239,8 @@ class ScriptGenerator:
                 self.cache_specs.append(
                     CacheSpec(node.node_id, f"{self.view_name}__out_n{node.node_id}", "output")
                 )
-                self._cached_nodes.add(node.node_id)
+                if not self.rules.full_rows:
+                    self._cached_nodes.add(node.node_id)
             # Operator cache (group bookkeeping) for the delta path.
             # Only the associative step consults it; the general
             # (min/max) step recomputes groups and would leave the
@@ -217,7 +270,7 @@ class ScriptGenerator:
                 if isinstance(scan, Scan) and scan.table == schema.target:
                     branch_schema = schema.rename_target(target_name(scan))
                     self._climb(scan, schema_instance_name(schema), branch_schema)
-        self._process_aggregates()
+        self._process_parked()
         self._emit_view_applies()
         if self.optimize:
             self._minimize()
@@ -243,16 +296,12 @@ class ScriptGenerator:
             self._finals.append((name, schema))
             return
         parent, side = self._parents[node.node_id]
-        if isinstance(parent, GroupBy):
-            self._parked.setdefault(parent.node_id, []).append((name, schema))
+        if isinstance(parent, GroupBy) or type(parent) in self.rules.blocking:
+            self._parked.setdefault(parent.node_id, []).append((name, schema, side))
             return
         source = DiffSource(name, schema)
-        outputs = _instantiate(parent, source, schema, side)
-        phase = (
-            PHASE_CACHE_DIFF
-            if self._under_cache(parent)
-            else PHASE_VIEW_DIFF
-        )
+        outputs = self.rules.instantiate(parent, source, schema, side)
+        phase = self._diff_phase(parent)
         for out_schema, ir in outputs:
             out_name = self._fresh(f"{out_schema.kind_label()}_{target_name(parent)}")
             self._steps.append(ComputeDiffStep(out_name, out_schema, ir, phase))
@@ -268,30 +317,45 @@ class ScriptGenerator:
             current = parent[0] if parent else None
         return False
 
+    def _diff_phase(self, node: PlanNode) -> str:
+        return PHASE_CACHE_DIFF if self._under_cache(node) else PHASE_VIEW_DIFF
+
     # ------------------------------------------------------------------
-    def _process_aggregates(self) -> None:
+    def _process_parked(self) -> None:
+        depths = {node.node_id: depth for depth, node in _with_depths(self.plan)}
         while self._parked:
-            # Deepest parked aggregate first: its emissions may park at a
+            # Deepest parked operator first: its emissions may park at a
             # shallower one.
-            depths = {
-                node.node_id: depth
-                for depth, node in _with_depths(self.plan)
-            }
-            gid = max(self._parked, key=lambda nid: depths[nid])
-            branches = self._parked.pop(gid)
-            gnode = _node_by_id(self.plan, gid)
-            assert isinstance(gnode, GroupBy)
-            self._compile_aggregate(gnode, branches)
+            nid = max(self._parked, key=lambda n: depths[n])
+            branches = self._parked.pop(nid)
+            node = _node_by_id(self.plan, nid)
+            if isinstance(node, GroupBy):
+                self._compile_aggregate(node, branches)
+                continue
+            prefix = self._fresh(f"t_{target_name(node)}")
+            step = self.rules.blocking[type(node)](
+                node, [(name, side) for name, _, side in branches], prefix,
+                self._diff_phase(node),
+            )
+            self._steps.append(step)
+            self._climb_emitted(node, step.emitted)
+
+    def _climb_emitted(self, node: PlanNode, emitted: dict[str, str]) -> None:
+        """Continue climbing from a blocking *node* with the (exact, full)
+        diffs its step emits."""
+        schemas = full_schemas(node)
+        for kind, name in emitted.items():
+            self._climb(node, name, schemas[kind])
 
     def _compile_aggregate(
-        self, gnode: GroupBy, branches: list[tuple[str, DiffSchema]]
+        self, gnode: GroupBy, branches: list[tuple[str, DiffSchema, int]]
     ) -> None:
         child = gnode.child
         child_cached = any(s.node_id == child.node_id for s in self.cache_specs)
         inputs: list[tuple[str, str]] = []
         if child_cached:
             ordered = sorted(branches, key=lambda b: _KIND_ORDER[b[1].kind])
-            for name, schema in ordered:
+            for name, _schema, _side in ordered:
                 ret = f"ret_{name}"
                 self._steps.append(
                     ApplyDiffStep(
@@ -311,48 +375,22 @@ class ScriptGenerator:
             # collector's overlay replays sequential-apply semantics, so
             # branch order must match what the cached path would do.
             ordered = sorted(branches, key=lambda b: _KIND_ORDER[b[1].kind])
-            inputs = [("diff", name) for name, _ in ordered]
-        is_root = gnode.node_id == self.plan.node_id
-        phase = PHASE_VIEW_UPDATE if is_root else PHASE_CACHE_UPDATE
+            inputs = [("diff", name) for name, _, _ in ordered]
+        phase = PHASE_CACHE_UPDATE if self._under_cache(gnode) else PHASE_VIEW_UPDATE
         prefix = self._fresh(f"agg_n{gnode.node_id}")
+        full_rows = self.rules.full_rows
         if all(a.func in ASSOCIATIVE_AGGS for a in gnode.aggs):
             opcache = next(
                 s for s in self.opcache_specs if s.gnode.node_id == gnode.node_id
             )
             step: Step = AssociativeAggregateStep(
-                gnode, inputs, opcache.name, prefix, phase
+                gnode, inputs, opcache.name, prefix, phase, full_rows
             )
         else:
-            step = GeneralAggregateStep(gnode, inputs, prefix, phase)
+            step = GeneralAggregateStep(gnode, inputs, prefix, phase, full_rows)
         self._steps.append(step)
-        if is_root:
-            return
-        # Continue climbing with the emitted (exact) diffs.
-        out_schema_non_ids = tuple(
-            c for c in gnode.columns if c not in set(gnode.keys)
-        )
-        emitted = {
-            INSERT: DiffSchema(
-                INSERT, target_name(gnode), gnode.keys, post_attrs=out_schema_non_ids
-            ),
-            DELETE: DiffSchema(
-                DELETE, target_name(gnode), gnode.keys, pre_attrs=out_schema_non_ids
-            ),
-            UPDATE: DiffSchema(
-                UPDATE,
-                target_name(gnode),
-                gnode.keys,
-                pre_attrs=out_schema_non_ids,
-                post_attrs=out_schema_non_ids,
-            ),
-        }
-        names = (
-            step.emitted
-            if isinstance(step, (AssociativeAggregateStep, GeneralAggregateStep))
-            else {}
-        )
-        for kind, name in names.items():
-            self._climb(gnode, name, emitted[kind])
+        if gnode.node_id != self.plan.node_id:
+            self._climb_emitted(gnode, step.emitted)
 
     # ------------------------------------------------------------------
     def _emit_view_applies(self) -> None:
@@ -388,7 +426,7 @@ class ScriptGenerator:
                     empty_names.add(step.name)
                     changed = True
         # Dropping an APPLY also drops its RETURNING expansion, so any
-        # aggregate input that consumed it must be pruned too.
+        # blocking step's input that consumed it must be pruned too.
         dead_expansions = {
             step.returning_name
             for step in self._steps
@@ -402,7 +440,7 @@ class ScriptGenerator:
                 continue
             if isinstance(step, ApplyDiffStep) and step.diff_name in empty_names:
                 continue
-            if isinstance(step, (AssociativeAggregateStep, GeneralAggregateStep)):
+            if hasattr(step, "inputs"):  # a blocking step
                 step.inputs = [
                     (k, n)
                     for k, n in step.inputs
@@ -519,25 +557,6 @@ def _substitute_empty(node: IrNode, empty_names: set[str]) -> IrNode:
             node.negated,
         )
     return node
-
-
-def _instantiate(
-    op: PlanNode, source: DiffSource, schema: DiffSchema, side: int
-) -> list[tuple[DiffSchema, IrNode]]:
-    """Pass 2: select and instantiate the operator's rules."""
-    if isinstance(op, Select):
-        return propagate_select(op, source, schema)
-    if isinstance(op, Project):
-        return propagate_project(op, source, schema)
-    if isinstance(op, Join):
-        return propagate_join(op, source, schema, side)
-    if isinstance(op, UnionAll):
-        return propagate_union(op, source, schema, side)
-    if isinstance(op, AntiJoin):
-        return propagate_antijoin(op, source, schema, side)
-    if isinstance(op, SemiJoin):
-        return propagate_semijoin(op, source, schema, side)
-    raise RuleError(f"no propagation rules for operator {op.label()!r}")
 
 
 def _with_depths(root: PlanNode, depth: int = 0):

@@ -91,18 +91,24 @@ class IrContext:
         self.cache_state[node_id] = POST
 
     def resolve_subview(
-        self, node: PlanNode, state: str, bindings: Optional[Bindings] = None
+        self,
+        node: PlanNode,
+        state: str,
+        bindings: Optional[Bindings] = None,
+        cached: bool = True,
     ) -> Relation:
         """Rows of the subview at *node* in *state* (optionally filtered).
 
         Reads the node's own cache when its content matches *state*; other
-        matching caches shortcut recomputation below it either way.
+        matching caches shortcut recomputation below it either way.  Not
+        *cached*: recomputed from the base tables, whatever is materialized
+        (the tuple rule set's probes, Section 6.2).
         """
         return fetch(
             node,
             self.database_for(state),
             bindings,
-            caches=self.valid_caches(state),
+            caches=self.valid_caches(state) if cached else None,
         )
 
 

@@ -7,7 +7,8 @@ arriving at the operator before emitting output diffs, Example 4.4):
 :class:`AssociativeAggregateStep` (sum / count / avg — Tables 9, 11, 12)
     Converts each incoming branch into row-level changes of the γ input —
     for free from ``UPDATE ... RETURNING`` expansions when an input cache
-    exists (Appendix A), via counted ``Input_pre`` probes otherwise — then
+    exists (Appendix A) or off the rows of the tuple rule set's t-diffs,
+    via counted ``Input_pre`` probes otherwise — then
     aggregates per-group deltas (the ∆1 ∪ ∆2 ∪ ∆3 union of Table 9),
     applies them to the operator's output materialization in a single
     read-modify-write pass per group, and re-emits the applied changes as
@@ -41,6 +42,7 @@ from ..compile import lower_group_deltas
 from ..diffs import DELETE, INSERT, UPDATE, Diff
 from ..ir_exec import IrContext
 from ..script import Step
+from .base import row_changes, state_mapping
 
 
 class OpCacheSpec:
@@ -224,12 +226,17 @@ class _AggregateStep(Step):
         inputs: Sequence[tuple[str, str]],
         emit_prefix: str,
         phase: str,
+        full_rows: bool = False,
     ):
-        """*inputs* is a list of ("expansion"|"diff", name) pairs."""
+        """*inputs* is a list of ("expansion"|"diff", name) pairs; with
+        *full_rows* the diffs are t-diffs, whose rows are the changed
+        child rows themselves (Appendix A: the tuple-based γ delta is
+        free), so no ``Input`` probe derives them."""
         self.gnode = gnode
         self.inputs = list(inputs)
         self.emit_prefix = emit_prefix
         self.phase = phase
+        self.full_rows = full_rows
         self.emitted: dict[str, str] = {
             INSERT: f"{emit_prefix}_ins",
             DELETE: f"{emit_prefix}_del",
@@ -288,8 +295,9 @@ class AssociativeAggregateStep(_AggregateStep):
         opcache_name: str,
         emit_prefix: str,
         phase: str,
+        full_rows: bool = False,
     ):
-        super().__init__(gnode, inputs, emit_prefix, phase)
+        super().__init__(gnode, inputs, emit_prefix, phase, full_rows)
         self.opcache_name = opcache_name
         #: the generated accumulation loop, built once per step
         #: (:meth:`prepare`) and — not picklable — never shipped
@@ -317,7 +325,11 @@ class AssociativeAggregateStep(_AggregateStep):
                 diff = ctx.diffs.get(name)
                 if diff is None:
                     raise ScriptError(f"diff {name!r} not available")
-                changes.extend(collector.from_diff(diff))
+                changes.extend(
+                    row_changes(diff, gnode.child.columns)
+                    if self.full_rows
+                    else collector.from_diff(diff)
+                )
         self.prepare()
         self._apply_deltas(ctx, self.accumulate(changes))
 
@@ -505,9 +517,8 @@ def group_accumulator(gnode: GroupBy):
     """``accumulate(changes) -> {group: _GroupDelta}`` over ``(pre_row,
     post_row)`` child-row changes of *gnode*: one generated loop
     (:func:`repro.core.compile.lower_group_deltas`), for whoever holds
-    the γ node across rounds to build once — the ID engine's blocking
-    step, and the tuple-based and SDBT baselines, whose t-diffs carry
-    the full rows already."""
+    the γ node across rounds to build once — the blocking γ step of
+    either rule set, and the SDBT baseline."""
     return lower_group_deltas(gnode, _GroupDelta)
 
 
@@ -533,7 +544,8 @@ class GeneralAggregateStep(_AggregateStep):
         # contain NULLs or mixed types, which Python's < cannot order.
         ordered_groups = sort_rows(groups)
         recomputed = ctx.resolve_subview(
-            gnode, "post", Bindings(gnode.keys, ordered_groups)
+            gnode, "post", Bindings(gnode.keys, ordered_groups),
+            cached=not self.full_rows,
         )
         key_idx = [recomputed.position(k) for k in gnode.keys]
         new_rows = {tuple(r[i] for i in key_idx): r for r in recomputed.rows}
@@ -577,33 +589,36 @@ class GeneralAggregateStep(_AggregateStep):
                 applied = ctx.expansions.get(name)
                 if applied is None:
                     raise ScriptError(f"expansion {name!r} not available")
-                for pre_row, post_row in applied.changes:
-                    for row in (pre_row, post_row):
-                        if row is not None:
-                            groups.add(tuple(row[i] for i in key_idx))
-                continue
-            diff = ctx.diffs.get(name)
-            if diff is None:
-                raise ScriptError(f"diff {name!r} not available")
-            if not diff.rows:
-                continue
-            ids = diff.schema.id_attrs
-            bindings = Bindings(ids, [diff.id_of(r) for r in diff.rows])
-            for state in ("pre", "post"):
-                rel = ctx.resolve_subview(gnode.child, state, bindings)
-                k_idx = [rel.position(k) for k in gnode.keys]
-                groups.update(tuple(r[i] for i in k_idx) for r in rel.rows)
-            # Insert diffs carry their group keys directly.
-            if diff.schema.kind == INSERT:
-                from .base import state_mapping
-
-                mapping = state_mapping(diff.schema, "post")
-                if all(k in mapping for k in gnode.keys):
-                    pos = diff.schema.positions
-                    groups.update(
-                        tuple(r[pos[mapping[k]]] for k in gnode.keys)
-                        for r in diff.rows
-                    )
+                changes = applied.changes
+            else:
+                diff = ctx.diffs.get(name)
+                if diff is None:
+                    raise ScriptError(f"diff {name!r} not available")
+                if not diff.rows:
+                    continue
+                if self.full_rows:  # a t-diff: its rows are the child rows
+                    changes = row_changes(diff, gnode.child.columns)
+                else:
+                    ids = diff.schema.id_attrs
+                    bindings = Bindings(ids, [diff.id_of(r) for r in diff.rows])
+                    for state in ("pre", "post"):
+                        rel = ctx.resolve_subview(gnode.child, state, bindings)
+                        k_idx = [rel.position(k) for k in gnode.keys]
+                        groups.update(tuple(r[i] for i in k_idx) for r in rel.rows)
+                    # Insert diffs carry their group keys directly.
+                    if diff.schema.kind == INSERT:
+                        mapping = state_mapping(diff.schema, "post")
+                        if all(k in mapping for k in gnode.keys):
+                            pos = diff.schema.positions
+                            groups.update(
+                                tuple(r[pos[mapping[k]]] for k in gnode.keys)
+                                for r in diff.rows
+                            )
+                    continue
+            for pre_row, post_row in changes:
+                for row in (pre_row, post_row):
+                    if row is not None:
+                        groups.add(tuple(row[i] for i in key_idx))
         return groups
 
     def describe(self) -> str:

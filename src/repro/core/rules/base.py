@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 from ...algebra.plan import PlanNode
 from ...errors import RuleError
 from ...expr import Expr, all_of, col, columns_of, conjuncts_of, rename_columns
-from ..diffs import DELETE, INSERT, UPDATE, DiffSchema, post_col, pre_col
+from ...storage import row_extractor
+from ..diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema, post_col, pre_col
 from ..ir import POST, PRE, Compute, DiffSource, IrNode, ProbeJoin
 
 #: Prefix for subview columns pulled in by a value-providing probe.
@@ -180,6 +181,42 @@ def make_insert(
 def passthrough_schema(op: PlanNode, in_schema: DiffSchema) -> DiffSchema:
     """The input schema re-targeted at *op*'s subview (columns unchanged)."""
     return in_schema.rename_target(target_name(op))
+
+
+def full_schemas(op: PlanNode) -> dict[str, DiffSchema]:
+    """Per kind, the full-ID diff schema of *op*'s subview carrying every
+    non-ID attribute: what a blocking operator emits (no update schema
+    when there is no non-ID attribute to update)."""
+    non_ids = tuple(c for c in op.columns if c not in set(op.ids))
+    target = target_name(op)
+    schemas = {
+        INSERT: DiffSchema(INSERT, target, op.ids, post_attrs=non_ids),
+        DELETE: DiffSchema(DELETE, target, op.ids, pre_attrs=non_ids),
+    }
+    if non_ids:
+        schemas[UPDATE] = DiffSchema(
+            UPDATE, target, op.ids, pre_attrs=non_ids, post_attrs=non_ids
+        )
+    return schemas
+
+
+def row_changes(diff: Diff, columns: Sequence[str]) -> list[tuple]:
+    """The ``(pre_row, post_row)`` pairs, laid out as *columns* (None: the
+    absent side), of a diff that derives every one of them in the states
+    its kind has — a t-diff."""
+    schema = diff.schema
+
+    def rows_in(state: str):
+        mapping = state_mapping(schema, state)
+        return row_extractor([schema.position(mapping[c]) for c in columns])
+
+    pre = None if schema.kind == INSERT else rows_in(PRE)
+    post = None if schema.kind == DELETE else rows_in(POST)
+    if pre is None:
+        return [(None, post(row)) for row in diff.rows]
+    if post is None:
+        return [(pre(row), None) for row in diff.rows]
+    return [(pre(row), post(row)) for row in diff.rows]
 
 
 def diff_source(name: str, schema: DiffSchema) -> DiffSource:

@@ -114,18 +114,13 @@ def _multiset_diff(expected, actual) -> str:
 
 
 def check_caches(view, db) -> list[str]:
-    """Semantic cache consistency against a fresh recompute of each node.
-
-    Works for both engines' view objects: ``caches`` (ID engine
-    intermediate caches), ``agg_outputs`` (tuple engine hidden aggregate
-    outputs) and ``operator_caches``/``opcaches`` (γ bookkeeping).
-    """
+    """Semantic cache consistency against a fresh recompute of each node:
+    the view's ``caches`` (intermediate caches and aggregate outputs,
+    hidden ones of the tuple rule set included) and ``operator_caches``
+    (γ bookkeeping)."""
     problems: list[str] = []
     plan = view.plan
-    materializations: dict[int, Table] = {}
-    materializations.update(getattr(view, "caches", {}))
-    materializations.update(getattr(view, "agg_outputs", {}))
-    for node_id, table in materializations.items():
+    for node_id, table in getattr(view, "caches", {}).items():
         node = _node_by_id(plan, node_id)
         if node is None:
             problems.append(f"cache n{node_id}: node not found in plan")
@@ -139,10 +134,7 @@ def check_caches(view, db) -> list[str]:
                 f"cache n{node_id} ({node.label()}) stale: "
                 + _multiset_diff(expected, actual)
             )
-    opcaches: dict[int, Table] = {}
-    opcaches.update(getattr(view, "operator_caches", {}))
-    opcaches.update(getattr(view, "opcaches", {}))
-    for node_id, table in opcaches.items():
+    for node_id, table in getattr(view, "operator_caches", {}).items():
         gnode = _node_by_id(plan, node_id)
         if gnode is None:
             problems.append(f"opcache n{node_id}: node not found in plan")
@@ -165,9 +157,7 @@ def check_engine_state(view, db, report) -> list[str]:
     problems += check_table(view.table, f"view {view.name!r}")
     for node_id, table in {
         **getattr(view, "caches", {}),
-        **getattr(view, "agg_outputs", {}),
         **getattr(view, "operator_caches", {}),
-        **getattr(view, "opcaches", {}),
     }.items():
         problems += check_table(table, f"materialization n{node_id}")
     for name in db.table_names():

@@ -2,18 +2,28 @@
 
 import pytest
 
-from repro.algebra import evaluate_plan, group_by, natural_join, scan, where
+from repro.algebra import (
+    equi_join,
+    evaluate_plan,
+    group_by,
+    natural_join,
+    project_columns,
+    scan,
+    where,
+)
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
-from repro.baselines.tuple_ivm import TDelta, repair_updates
 from repro.core import IdIvmEngine
+from repro.core.rules.tdiff import TChanges, repair_updates
+from repro.core.script import ApplyDiffStep
 from repro.errors import PlanError
 from repro.expr import col, lit
+from repro.storage import Database
 from tests.conftest import build_view_v, build_view_v_prime
 
 
 class TestRepairUpdates:
     def test_pairs_delete_and_insert_on_same_key(self):
-        delta = TDelta(
+        delta = TChanges(
             inserts=[(1, "new"), (3, "c")],
             deletes=[(1, "old"), (2, "b")],
         )
@@ -23,7 +33,7 @@ class TestRepairUpdates:
         assert out.deletes == [(2, "b")]
 
     def test_identical_rows_cancel(self):
-        delta = TDelta(inserts=[(1, "same")], deletes=[(1, "same")])
+        delta = TChanges(inserts=[(1, "same")], deletes=[(1, "same")])
         out = repair_updates(delta, [0])
         assert out.is_empty()
 
@@ -61,10 +71,69 @@ class TestTupleEngine:
 
     def test_diff_sizes_reported(self, running_example_db):
         engine = TupleIvmEngine(running_example_db)
-        engine.define_view("V", build_view_v(running_example_db))
+        view = engine.define_view("V", build_view_v(running_example_db))
         engine.log.update("parts", ("P1",), {"price": 11})
         report = engine.maintain()["V"]
-        assert report.diff_sizes["Du"] == 2  # one per view tuple (p = 2)
+        (du,) = [  # the view-level update t-diff, by its script name
+            step.diff_name
+            for step in view.script.steps
+            if isinstance(step, ApplyDiffStep) and step.diff_name.endswith("_upd_n0")
+        ]
+        assert report.diff_sizes[du] == 2  # one per view tuple (p = 2)
+
+
+def _users_posts_db():
+    db = Database()
+    db.create_table("users", ("uid", "city", "score"), ("uid",))
+    db.create_table("posts", ("pid", "author", "ts"), ("pid",))
+    db.table("users").load([(u, u % 3, 10 * u) for u in range(6)])
+    db.table("posts").load([(p, p % 6, p) for p in range(12)])
+    return db
+
+
+class TestTupleJoinChoice:
+    """Which t-diff join rule runs depends on the rows reaching the join,
+    not on the tables a round changed."""
+
+    def _round(self, build):
+        db = _users_posts_db()
+        engine = TupleIvmEngine(db)
+        view = engine.define_view("V", build(db))
+        for uid in (1, 2):
+            engine.log.update("users", (uid,), {"score": 99})
+        for pid in (1, 4):
+            engine.log.update("posts", (pid,), {"ts": 50})
+        report = engine.maintain()["V"]
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+        return report
+
+    def test_fast_path_when_the_other_side_has_no_rows(self):
+        """``users`` changed, but only in a column the π drops (Q10's
+        shape): one probe of the users side per updated post."""
+        report = self._round(
+            lambda db: equi_join(
+                project_columns(scan(db, "users"), ("uid", "city")),
+                scan(db, "posts"),
+                [("uid", "author")],
+            )
+        )
+        assert report.phase_counts["view_diff"].as_dict() == {
+            "index_lookups": 2, "tuple_reads": 2, "tuple_writes": 0,
+            "index_maintenance": 0, "total": 4,
+        }
+        assert report.total_cost == 8
+
+    def test_normal_form_when_both_sides_change(self):
+        """Updates on both sides in one round (Q*1's shape): the four
+        delete/insert probes, re-paired into updates."""
+        report = self._round(
+            lambda db: equi_join(scan(db, "users"), scan(db, "posts"), [("uid", "author")])
+        )
+        assert report.phase_counts["view_diff"].as_dict() == {
+            "index_lookups": 8, "tuple_reads": 12, "tuple_writes": 0,
+            "index_maintenance": 0, "total": 20,
+        }
+        assert report.total_cost == 30
 
 
 class TestRecomputeEngine:

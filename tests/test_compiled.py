@@ -14,6 +14,7 @@ import pytest
 
 import repro.core.compile as compile_mod
 from repro.algebra.evaluate import evaluate_plan
+from repro.baselines import TupleIvmEngine
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.core.compile import bind_kernels, lower_step
 from repro.core.diffs import INSERT, UPDATE, Diff, DiffSchema
@@ -304,10 +305,18 @@ class TestExprFallback:
 # ----------------------------------------------------------------------
 # equivalence: devices
 # ----------------------------------------------------------------------
-def _run_devices(exec_backend, build_view, rounds=3, mixed=False):
+def _run_devices(exec_backend, build_view, rounds=3, mixed=False, engine_cls=None):
+    """*engine_cls* (default: an ``IdIvmEngine`` of *exec_backend*) defines
+    the view; its script is then rebound to *exec_backend*."""
     db = build_devices_database(DEV_CONFIG)
-    engine = IdIvmEngine(db, exec_backend=exec_backend)
-    view = engine.define_view("V", build_view(db, DEV_CONFIG))
+    if engine_cls is None:
+        engine = IdIvmEngine(db, exec_backend=exec_backend)
+        view = engine.define_view("V", build_view(db, DEV_CONFIG))
+    else:
+        engine = engine_cls(db)
+        view = engine.define_view("V", build_view(db, DEV_CONFIG))
+        bind_kernels(view.script, exec_backend)
+        assert _is_compiled(view.script) == (exec_backend == "compiled")
     out = []
     for r in range(rounds):
         if mixed:
@@ -336,6 +345,21 @@ def test_devices_counts_match_interpreter_exactly(build_view, mixed):
         assert rep_c.total_cost == rep_i.total_cost
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["updates", "mixed"])
+@pytest.mark.parametrize(
+    "build_view", [build_flat_view, build_aggregate_view], ids=["flat", "agg"]
+)
+def test_tuple_devices_counts_match_interpreter_exactly(build_view, mixed):
+    """The tuple rule set's scripts run on the same executor: its kernels
+    count exactly what its interpreted statements do."""
+    base = _run_devices("interp", build_view, mixed=mixed, engine_cls=TupleIvmEngine)
+    compiled = _run_devices("compiled", build_view, mixed=mixed, engine_cls=TupleIvmEngine)
+    for (rows_i, rep_i), (rows_c, rep_c) in zip(base, compiled):
+        assert rows_c == rows_i
+        assert _phase_totals(rep_c) == _phase_totals(rep_i)
+        assert rep_c.total_cost == rep_i.total_cost
+
+
 def test_compiled_report_reconciles_with_cost_model():
     # COST503 leg: the symbolic model's predictions must hold for the
     # compiled backend without any compiled-specific calibration.
@@ -349,7 +373,8 @@ def test_compiled_report_reconciles_with_cost_model():
 # ----------------------------------------------------------------------
 # equivalence: every BSMA view
 # ----------------------------------------------------------------------
-def _run_bsma(engine_factory, rounds=3):
+def _run_bsma(engine_factory, rounds=3, exec_backend=None):
+    """With *exec_backend*, every view's script is rebound to it."""
     db = build_bsma_database(BSMA_CONFIG)
     engine = engine_factory(db)
     try:
@@ -357,6 +382,9 @@ def _run_bsma(engine_factory, rounds=3):
             name: engine.define_view(name, build(db, BSMA_CONFIG))
             for name, build in BSMA_QUERIES.items()
         }
+        if exec_backend is not None:
+            for view in views.values():
+                bind_kernels(view.script, exec_backend)
         out = []
         for r in range(rounds):
             log_user_updates(engine, db, BSMA_CONFIG, 20, round_seed=r)
@@ -394,6 +422,20 @@ def interp_reference():
 def test_bsma_views_counts_match_interpreter_exactly(interp_reference):
     base = interp_reference
     compiled = _run_bsma(lambda db: IdIvmEngine(db, exec_backend="compiled"))
+    assert set(base[0]) == set(BSMA_QUERIES)
+    for round_b, round_c in zip(base, compiled):
+        for name in round_b:
+            rows_b, counts_b = round_b[name]
+            rows_c, counts_c = round_c[name]
+            assert rows_c == rows_b, name
+            assert counts_c == counts_b, name
+
+
+def test_tuple_bsma_views_counts_match_interpreter_exactly():
+    """Every BSMA view under the tuple rule set: its kernels count
+    exactly what its interpreted statements do."""
+    base = _run_bsma(TupleIvmEngine, exec_backend="interp")
+    compiled = _run_bsma(TupleIvmEngine, exec_backend="compiled")
     assert set(base[0]) == set(BSMA_QUERIES)
     for round_b, round_c in zip(base, compiled):
         for name in round_b:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.algebra import evaluate_plan, group_by, scan
 from repro.analysis import cost as cost_module
-from repro.baselines import SdbtEngine, TupleIvmEngine, sdbt, tuple_ivm
+from repro.baselines import SdbtEngine, TupleIvmEngine, sdbt
 from repro.core import IdIvmEngine, wire
 from repro.core import engine as engine_module
 from repro.core import script as script_module
@@ -202,7 +202,7 @@ ENGINES = {
         lambda db: ShardedEngine(db, shards=2),
         [(engine_module, "execute_script"), (script_module, "execute_script")],
     ),
-    "tuple": (TupleIvmEngine, [(tuple_ivm, "_apply_delta")]),
+    "tuple": (TupleIvmEngine, [(engine_module, "execute_script")]),
     "sdbt": (SdbtEngine, [(sdbt, "apply_group_deltas")]),
 }
 
