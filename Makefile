@@ -88,7 +88,9 @@ lint-catalog:
 # the target stays green locally and strict in CI (which installs them).
 # The grep guards always run: there is one maintenance round loop
 # (core/engine.py), and the crosscheck oracle's private log is the only
-# other place allowed to drain one; and there is one physical write
+# place allowed to drain one; and the modification log is the one ledger
+# of what each view absorbed — only core/modlog.py assigns a cursor, and
+# obs/freshness.py keeps no position of its own; and there is one physical write
 # path (storage/table.py) — only it and the crosscheck invariants that
 # audit it may name another object's rows dict or index map; and APPLY
 # is one bulk `Table` call per diff (core/apply.py) — the per-row
@@ -126,9 +128,20 @@ lint-catalog:
 # is called only by algebra/delta_eval.py, core/ir_exec.py and the SDBT
 # baseline.
 lint-static:
-	@if grep -rnE 'def maintain\b|log\.take\(\)' src/repro --include='*.py' \
-	    | grep -vE '^src/repro/(core/engine\.py:|crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$)'; then \
+	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/core/engine\.py:'; then \
 	    echo "round loop outside core/engine.py: use MaintenanceEngine.maintain"; \
+	    exit 1; fi
+	@if grep -rnE 'log\.take\(\)' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/crosscheck/runner\.py:[0-9]+: *log\.take\(\)$$'; then \
+	    echo "log.take() outside the crosscheck oracle: a view reads the log from its cursor (ModificationLog.since)"; \
+	    exit 1; fi
+	@if grep -nE '_pending|note_logged|_log_position|applied_position' src/repro/obs/freshness.py; then \
+	    echo "obs/freshness.py keeps a log position: read the ModificationLog's head, cursors and stamps"; \
+	    exit 1; fi
+	@if grep -rnE 'cursors(\[[^]]*\])? *[-+]?=[^=]|cursors\.(update|setdefault|pop|clear)\(' \
+	    src/repro --include='*.py' | grep -vE '^src/repro/core/modlog\.py:'; then \
+	    echo "a cursor assigned outside core/modlog.py: ModificationLog.advance / discard move them"; \
 	    exit 1; fi
 	@if grep -rnE '\._(rows|indexes)\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(storage/table|crosscheck/invariants)\.py:|\bself\._rows\b'; then \

@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 
 from ..algebra.evaluate import materialize
 from ..algebra.plan import PlanNode
-from ..errors import IntegrityError, ScriptError, UnknownTableError
+from ..errors import DiffError, IntegrityError, ScriptError, UnknownTableError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
@@ -164,11 +164,11 @@ class MaintenanceEngine:
 
     def __init__(self, db: Database, strict: bool = False):
         self.db = db
-        #: freshness + drift telemetry (repro.obs); the modlog reports
-        #: every appended entry so staleness is queryable at any instant.
-        self.freshness = FreshnessTracker()
+        self.log = ModificationLog(db)
+        #: freshness + drift telemetry (repro.obs); freshness reads the
+        #: log's cursors, so staleness is queryable at any instant.
+        self.freshness = FreshnessTracker(self.log)
         self.drift = DriftMonitor()
-        self.log = ModificationLog(db, freshness=self.freshness)
         self._pre = PreState(strict)
         self.views: dict = {}
         #: most recent MaintenanceReport per view (dashboards read this).
@@ -197,8 +197,8 @@ class MaintenanceEngine:
         # statistics probes) are not maintenance cost.
         self.db.counters.reset()
         self.views[name] = view
-        # A just-materialized view reflects the current database state.
-        self.freshness.note_view(name)
+        # A just-materialized view reflects the whole log so far.
+        self.log.advance(name, self.log.position)
         return view
 
     def _define(self, name: str, annotated: PlanNode, stats):
@@ -216,78 +216,99 @@ class MaintenanceEngine:
     def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
         """Bring the named view (default: all) up to date.
 
-        The live database already holds the post-state (deferred IVM);
-        rules that need ``Input_pre`` read the :class:`PreState` replica,
-        rolled forward by the round's log on the way out, failed or not.
-        This is the only round loop: subclasses change what maintaining
-        one view means (:meth:`_maintain_view`), never the round around
-        it.
+        Each view absorbs the log from its own cursor: the groups of
+        targets at one cursor run in ascending order over their ranges
+        ``(cursor, head]``.  The live database already holds the
+        post-state (deferred IVM); rules that need ``Input_pre`` read the
+        :class:`PreState` replica, moved to each group's cursor.  A
+        cursor moves once its view's :meth:`_maintain_view` has returned,
+        so a view that fails keeps its entries.  This is the only round
+        loop: subclasses change what maintaining one view means
+        (:meth:`_maintain_view`), never the round around it.
         """
-        # Resolve every target before taking the log: an unknown name
-        # must not cost the pending batch.
+        # Resolve every target first: an unknown name starts no round.
         if name is None:
             targets = list(self.views.values())
         elif name in self.views:
             targets = [self.views[name]]
         else:
             raise UnknownTableError(f"no view named {name!r}")
-        entries = self.log.take()
-        try:
-            return self._round(targets, entries)
-        finally:
-            self._pre.roll_forward(entries)
+        return self._round(targets)
 
-    def _round(self, targets, entries) -> dict[str, MaintenanceReport]:
-        counters = self.db.counters
+    def _round(self, targets) -> dict[str, MaintenanceReport]:
+        log, counters = self.log, self.db.counters
         round_started = time.perf_counter()
+        retained = log.since(log.floor)
+        groups: dict[int, list] = {}
+        for view in targets:
+            groups.setdefault(log.cursors[view.name], []).append(view)
         metrics.counter("engine.maintain_rounds").inc()
-        metrics.histogram("engine.log_entries").observe(len(entries))
+        metrics.histogram("engine.log_entries").observe(len(retained))
+        reports: dict[str, MaintenanceReport] = {}
         with obs.span(
             "maintain",
             kind="engine",
             counters=counters,
             engine=type(self).__name__,
-            n_log_entries=len(entries),
+            n_log_entries=len(retained),
             views=",".join(view.name for view in targets),
         ) as round_span:
-            self._begin_round(entries, round_span)
             db_pre = None
             if self.reads_pre_state:
                 with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                    db_pre = self._pre.begin(self.db, entries)
-            reports: dict[str, MaintenanceReport] = {}
-            for view in targets:
-                view_name = view.name
-                view_started = time.perf_counter()
-                with obs.span(
-                    f"view:{view_name}", kind="view", counters=counters,
-                    view=view_name,
-                ) as vsp:
-                    report = self._maintain_view(view, db_pre, entries, vsp)
-                    reports[view_name] = report
-                    stamped_phases = {
-                        phase: counts.as_dict()
-                        for phase, counts in report.phase_counts.items()
-                        if phase != "__total__"
-                    }
-                    vsp.set(total_cost=report.total_cost)
-                    if report.counted_remotely:
-                        # No phase spans exist in this trace to reconcile
-                        # against; stamp the merged counts under a
-                        # different key so the validator stays honest.
-                        vsp.set(phase_counts_remote=stamped_phases)
-                    else:
-                        vsp.set(phase_counts=stamped_phases)
-                metrics.histogram("engine.round_cost").observe(report.total_cost)
-                metrics.loghist(
-                    f"view.round_seconds.{view_name}", unit="seconds"
-                ).observe(time.perf_counter() - view_started)
-        self._finish_round(reports, entries, round_started)
+                    # back to the floor if a failed round left it ahead
+                    self._pre.move(retained, log.floor)
+                    try:
+                        retained.folded(self.db)
+                    except DiffError:  # a log no view could ever absorb
+                        log.discard()
+                        self._pre.db = None
+                        raise
+                    db_pre = self._pre.begin(self.db, retained)
+            for cursor in sorted(groups):
+                entries = retained.between(cursor, retained.end)
+                self._begin_round(entries, round_span)
+                if db_pre is not None:
+                    self._pre.move(retained, cursor)
+                for view in groups[cursor]:
+                    view_name = view.name
+                    view_started = time.perf_counter()
+                    with obs.span(
+                        f"view:{view_name}", kind="view", counters=counters,
+                        view=view_name,
+                    ) as vsp:
+                        report = self._maintain_view(view, db_pre, entries, vsp)
+                        log.advance(view_name, entries.end)
+                        reports[view_name] = report
+                        stamped_phases = {
+                            phase: counts.as_dict()
+                            for phase, counts in report.phase_counts.items()
+                            if phase != "__total__"
+                        }
+                        vsp.set(total_cost=report.total_cost)
+                        if report.counted_remotely:
+                            # No phase spans exist in this trace to reconcile
+                            # against; stamp the merged counts under a
+                            # different key so the validator stays honest.
+                            vsp.set(phase_counts_remote=stamped_phases)
+                        else:
+                            vsp.set(phase_counts=stamped_phases)
+                    metrics.histogram("engine.round_cost").observe(report.total_cost)
+                    metrics.loghist(
+                        f"view.round_seconds.{view_name}", unit="seconds"
+                    ).observe(time.perf_counter() - view_started)
+                floor = log.prune()
+                if db_pre is not None:  # forward, or back to a view it passed
+                    self._pre.move(entries if floor >= cursor else retained, floor)
+                self._finish_round([reports[v.name] for v in groups[cursor]], entries)
+        metrics.loghist("engine.round_seconds", unit="seconds").observe(
+            time.perf_counter() - round_started
+        )
         return reports
 
     def _begin_round(self, entries, round_span) -> None:
-        """Hook: runs once per round, after the log is taken and before
-        the pre-state is read.  Nothing to do by default."""
+        """Hook: runs once per group of views at one cursor, before the
+        pre-state moves to the group's *entries*.  Nothing by default."""
 
     def _maintain_view(
         self, view, db_pre: Optional[Database], entries, view_span
@@ -298,26 +319,16 @@ class MaintenanceEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _finish_round(
-        self,
-        reports: dict[str, MaintenanceReport],
-        entries,
-        round_started: float,
-    ) -> None:
-        """Fold one finished round into the telemetry surfaces: round
-        latency histograms, per-view freshness, and cost drift."""
-        metrics.loghist("engine.round_seconds", unit="seconds").observe(
-            time.perf_counter() - round_started
-        )
-        # The round absorbed everything it took; entries logged by
-        # another thread after the take() stay pending.
-        stamped = [e.seq for e in entries if e.seq]
-        position = max(stamped) if stamped else self.log.position
+    def _finish_round(self, reports: list[MaintenanceReport], entries) -> None:
+        """Fold the *reports* of the views that absorbed *entries* (a
+        group of a round) into the telemetry surfaces: per-view freshness
+        and cost drift."""
         now = self.freshness.clock()
         # Observed once, merged into each view: O(entries + views).
         lags = self.freshness.round_lags((e.logged_at for e in entries if e.seq), now)
-        for view_name, report in reports.items():
-            self.freshness.note_maintained(view_name, position, lags, now=now)
+        for report in reports:
+            view_name = report.view_name
+            self.freshness.note_maintained(view_name, lags, now=now)
             self.drift.update_from_report(report)
             self.last_reports[view_name] = report
             ratio = self.drift.worst_ratio(view_name)
@@ -465,8 +476,14 @@ def _reconstruct_pre(db: Database, entries) -> Database:
     # Reads of pre-state during maintenance must count, so the copy
     # shares the live counters.
     pre = db.copy(db.counters)
+    _unapply(pre, entries)
+    return pre
+
+
+def _unapply(db: Database, entries) -> None:
+    """Take *db* from the state after *entries* back to the one before."""
     for entry in reversed(entries):
-        table = pre.table(entry.table)
+        table = db.table(entry.table)
         if entry.kind == INSERT:
             table.delete_uncounted(entry.key)
         elif entry.kind == DELETE:
@@ -474,7 +491,6 @@ def _reconstruct_pre(db: Database, entries) -> Database:
         else:  # UPDATE: restore the captured pre-state row
             table.delete_uncounted(entry.key)
             table.insert_uncounted(entry.row)
-    return pre
 
 
 def apply_log(db: Database, entries) -> None:
@@ -490,15 +506,18 @@ def apply_log(db: Database, entries) -> None:
 
 
 class PreState:
-    """``Input_pre`` as a persistent replica of the base tables: built by
-    the first round (:func:`_reconstruct_pre`, the one ``Database.copy``
-    an engine pays), then rolled forward by every round's log, so between
-    rounds it equals *live minus pending log* and a round costs O(|diff|).
-    Readers see a plain :class:`Database` counting into the live counters.
+    """``Input_pre`` as a persistent replica of the base tables at a log
+    :attr:`position`: built by the first round (:func:`_reconstruct_pre`,
+    the one ``Database.copy`` an engine pays), then moved along the log,
+    so between rounds it equals *live minus the retained log* and a round
+    costs O(|diff|).  Readers see a plain :class:`Database` counting into
+    the live counters.
     """
 
     def __init__(self, strict: bool = False):
         self.db: Optional[Database] = None
+        #: the log position the replica reflects
+        self.position = 0
         self.strict = strict
 
     def begin(self, live: Database, entries) -> Database:
@@ -526,11 +545,12 @@ class PreState:
         net.subtract(e.table for e in entries if e.kind == DELETE)
         return all(len(pre.tables[t]) + net[t] == len(live.tables[t]) for t in live.tables)
 
-    def roll_forward(self, entries) -> None:
-        """Absorb a finished (or failed) round's *entries*.  A replica
-        they do not apply to — or a log that does not fold — is dropped,
-        and rebuilt by the next round."""
+    def move(self, entries, position: int) -> None:
+        """Move the replica to log *position* across *entries*, a range
+        spanning both positions: forward with :func:`apply_log`, backward
+        with :func:`_unapply`.  A failed move drops the replica."""
         pre, self.db = self.db, None
-        if pre is not None:
-            apply_log(pre, entries)
-            self.db = pre
+        if pre is not None and position != self.position:
+            crossed = entries.between(*sorted((self.position, position)))
+            (apply_log if position > self.position else _unapply)(pre, crossed)
+        self.db, self.position = pre, position

@@ -17,7 +17,7 @@ a cover exists).
 from __future__ import annotations
 
 import time
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..errors import DiffError, WorkloadError
 from ..obs import metrics
@@ -68,35 +68,67 @@ class _NetChange:
 
 
 class ModificationLog:
-    """Records base-table modifications and applies them to the database.
+    """Records base-table modifications, applies them to the database and
+    keeps each one until every view has absorbed it.
 
     ``log.insert/update/delete`` both mutate the live database (deferred
     IVM: base tables move to post-state immediately) and append to the
-    log.  ``take()`` drains the log for a maintenance round.
+    log.  Each view has a *cursor*, the position it has absorbed the log
+    up to; a round reads a view's share with :meth:`since`.  ``take()``
+    drains a log no view reads.
     """
 
-    def __init__(self, db: Database, freshness=None):
+    def __init__(self, db: Database):
         self.db = db
+        #: stamps ``logged_at``; freshness reads the same (injectable) clock
+        self.clock: Callable[[], float] = time.monotonic
+        #: the retained log: every entry after :attr:`floor`, the lowest
+        #: cursor as of the last :meth:`prune`
         self.entries: list[LoggedModification] = []
-        #: optional :class:`~repro.obs.freshness.FreshnessTracker`; when
-        #: attached, every appended entry advances its log position.
-        self.freshness = freshness
-        self._seq = 0
-
-    @property
-    def position(self) -> int:
-        """Sequence number of the newest logged modification."""
-        return self._seq
+        self.floor = 0
+        #: view name -> the position the view has absorbed the log up to
+        self.cursors: dict[str, int] = {}
+        #: sequence number of the newest logged modification (the head)
+        self.position = 0
 
     def _append(self, entry: LoggedModification) -> None:
-        self._seq += 1
-        entry.seq = self._seq
-        if self.freshness is not None:
-            entry.logged_at = self.freshness.clock()
-            self.freshness.note_logged(entry.seq, entry.logged_at)
-        else:
-            entry.logged_at = time.monotonic()
+        self.position += 1
+        entry.seq = self.position
+        entry.logged_at = self.clock()
         self.entries.append(entry)
+
+    def advance(self, name: str, position: int) -> None:
+        """View *name* has absorbed the log up to *position* (a view
+        defined now: up to the head)."""
+        self.cursors[name] = position
+
+    def since(self, start: int) -> "RoundEntries":
+        """The retained range ``(start, head]``; *start* >= :attr:`floor`."""
+        return RoundEntries(self.entries[start - self.floor:], start)
+
+    def prune(self) -> int:
+        """Drop what every view has absorbed; returns the new floor."""
+        floor = min(self.cursors.values(), default=self.position)
+        if floor > self.floor:
+            self.entries = self.entries[floor - self.floor:]
+            self.floor = floor
+        return self.floor
+
+    def discard(self) -> None:
+        """Drop every retained entry; every cursor moves to the head."""
+        self.entries, self.floor = [], self.position
+        self.cursors = dict.fromkeys(self.cursors, self.position)
+
+    def take(self) -> "RoundEntries":
+        """Drain a log no view reads: every retained entry, as one range."""
+        entries = self.since(self.floor)
+        self.discard()
+        return entries
+
+    def oldest_after(self, position: int) -> Optional[LoggedModification]:
+        """The first retained entry after *position*, if any."""
+        entries, at = self.entries, position - self.floor
+        return entries[at] if 0 <= at < len(entries) else None
 
     # ------------------------------------------------------------------
     def insert(self, table: str, row: Sequence) -> None:
@@ -144,26 +176,22 @@ class ModificationLog:
             LoggedModification(UPDATE, table, key, row=old, changes=dict(changes))
         )
 
-    def take(self) -> "RoundEntries":
-        """Drain the log for one maintenance round."""
-        entries, self.entries = self.entries, []
-        return RoundEntries(entries)
-
 
 class RoundEntries(list):
-    """One round's log entries — a list — carrying what the round derives
-    from them, so that every reader of the round shares it: the fold
-    (:func:`fold_log`; every view of every engine and the replica's
-    roll-forward read one) and the populated i-diff
-    instances of each table, per set of schemas read on it
+    """The log entries of one range ``(start, end]`` of positions — a
+    list — carrying what a round derives from them, so that every reader
+    of the range shares it: the fold (:func:`fold_log`; every view of
+    every engine and the replica's moves read one) and the populated
+    i-diff instances of each table, per set of schemas read on it
     (:func:`populate_instances`).  The memo lives and dies with the
-    round's entries; nothing is cached at module level, and a plain
-    hand-built list still folds — for itself, every time."""
+    entries; nothing is cached at module level, and a plain hand-built
+    list still folds — for itself, every time."""
 
-    __slots__ = ("net", "instances")
+    __slots__ = ("net", "instances", "start", "end")
 
-    def __init__(self, entries: Iterable[LoggedModification] = ()):
+    def __init__(self, entries: Iterable[LoggedModification] = (), start: int = 0):
         super().__init__(entries)
+        self.start, self.end = start, start + len(self)
         #: the fold, once made (table schemas only are read from the
         #: database it is made against, and the replica shares the live
         #: one's)
@@ -175,6 +203,12 @@ class RoundEntries(list):
     def of(cls, entries: Sequence[LoggedModification]) -> "RoundEntries":
         """*entries* as a round's entries: itself when it is one."""
         return entries if isinstance(entries, cls) else cls(entries)
+
+    def between(self, start: int, end: int) -> "RoundEntries":
+        """The sub-range ``(start, end]``: itself when it is all of it."""
+        if (start, end) == (self.start, self.end):
+            return self
+        return RoundEntries(self[start - self.start:end - self.start], start)
 
     def folded(self, db: Database) -> dict[str, dict[tuple, _NetChange]]:
         net = self.net
@@ -192,9 +226,7 @@ def fold_log(
     captured them); *db* is only consulted for table schemas.  A round's
     :class:`RoundEntries` are folded once, whoever asks first.
     """
-    if isinstance(entries, RoundEntries):
-        return entries.folded(db)
-    return _fold(entries, db)
+    return RoundEntries.of(entries).folded(db)
 
 
 def _fold(
@@ -407,10 +439,11 @@ def _populate_instances(
 ) -> dict[str, Diff]:
     out = dict(layout.empties)
     # A hand-built list shares nothing: its memo dies with this call.
-    memo = entries.instances if isinstance(entries, RoundEntries) else {}
+    entries = RoundEntries.of(entries)
+    memo = entries.instances
     # Work follows the folded log: a table it does not touch resolves no
     # projector and builds no instance.
-    for target, changes in fold_log(entries, db).items():
+    for target, changes in entries.folded(db).items():
         projectors = layout.table(target, db)
         if projectors is None:
             continue  # the view reads no i-diff of this table

@@ -29,7 +29,7 @@ from ...errors import RuleError
 from ...expr import Expr, all_of, col, columns_of, conjuncts_of, rename_columns
 from ...storage import row_extractor
 from ..diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema, post_col, pre_col
-from ..ir import POST, PRE, Compute, DiffSource, IrNode, ProbeJoin
+from ..ir import POST, PRE, Compute, IrNode, ProbeJoin
 
 #: Prefix for subview columns pulled in by a value-providing probe.
 VALUE_PREFIX = "v__"
@@ -217,10 +217,6 @@ def row_changes(diff: Diff, columns: Sequence[str]) -> list[tuple]:
     if post is None:
         return [(pre(row), None) for row in diff.rows]
     return [(pre(row), post(row)) for row in diff.rows]
-
-
-def diff_source(name: str, schema: DiffSchema) -> DiffSource:
-    return DiffSource(name, schema)
 
 
 def lower_key_update(

@@ -238,7 +238,7 @@ class ShardedEngine(IdIvmEngine):
             except BaseException:
                 pool.close()
                 raise
-            self._pool = pool
+            self._pool, self._pool_position = pool, entries.end  # replicas' position
         return pool
 
     # ------------------------------------------------------------------
@@ -247,10 +247,16 @@ class ShardedEngine(IdIvmEngine):
     def _begin_round(self, entries, round_span) -> None:
         round_span.set(shards=self.shards)
         pool = self._live_pool()
-        if pool is not None:
+        if pool is not None and entries.start != self._pool_position:
+            # Replicas at another log position (after a subset or failed
+            # round): the next parallel group re-boots them at its cursor.
+            metrics.counter("shard.pool_restarts").inc()
+            self.close()
+        elif pool is not None:
             # Workers already ran earlier rounds: bring their base-table
-            # replicas to this round's post-state before anything else.
+            # replicas to this group's post-state before anything else.
             pool.begin_round(wire.encode_log_batch(entries), sync=True)
+            self._pool_position = entries.end
 
     def _run_view(
         self, view: MaterializedView, instances, db_pre: Database, entries, view_span

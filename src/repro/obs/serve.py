@@ -147,11 +147,11 @@ def render_prometheus(
         drift = getattr(engine, "drift", None)
         if freshness is not None:
             now = freshness.clock()
-            add(
-                "repro_modlog_position",
-                "gauge",
-                [f"repro_modlog_position {freshness.log_position}"],
-            )
+            for family, value in (
+                ("repro_modlog_position", freshness.log_position),
+                ("repro_modlog_retained_entries", len(freshness.log.entries)),
+            ):
+                add(family, "gauge", [f"{family} {value}"])
             for view in freshness.views():
                 staleness = freshness.staleness(view, now=now)
                 labels = {"view": view}

@@ -27,6 +27,7 @@ _REQUIRED_FAMILIES = (
     "repro_view_pending_entries",
     "repro_view_lag_seconds",
     "repro_modlog_position",
+    "repro_modlog_retained_entries",
     "repro_drift_ewma",
 )
 

@@ -75,9 +75,10 @@ def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
 
     round_q = _quantiles(snapshot, "engine.round_seconds")
     lines.append(
-        "log position {pos}   rounds {rounds}   round latency p50 {p50} "
-        "p95 {p95} p99 {p99} max {max}".format(
+        "log position {pos}   retained {kept}   rounds {rounds}   round latency "
+        "p50 {p50} p95 {p95} p99 {p99} max {max}".format(
             pos=freshness.get("log_position", "-"),
+            kept=freshness.get("retained", "-"),
             rounds=rounds if rounds is not None else (rounds_metric or "-"),
             p50=_ms(round_q["p50"]),
             p95=_ms(round_q["p95"]),

@@ -226,7 +226,7 @@ class _WorkerState:
     def begin_round(self, log_doc: Mapping, sync: bool) -> None:
         # No message ends a round, so the pre-state replica absorbs the
         # previous round's log when the next one begins.
-        self._pre.roll_forward(self._entries)
+        apply_log(self._pre.db, self._entries)
         # One fold serves the live tables' catch-up now and the replica's
         # when the next round begins.
         self._entries = entries = RoundEntries(wire.decode_log_batch(log_doc))

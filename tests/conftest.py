@@ -1,8 +1,11 @@
 """Shared fixtures: the paper's running example (Figures 1-2)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.algebra import natural_join, scan, where
+from repro.algebra import evaluate_plan, natural_join, scan, where
+from repro.core.engine import _reconstruct_pre
 from repro.expr import col, lit
 from repro.storage import Database
 
@@ -49,6 +52,22 @@ def build_view_v_prime(db: Database):
     )
     filtered = where(joined, col("category").eq(lit("phone")))
     return group_by(filtered, ("did",), [("sum", col("price"), "cost")])
+
+
+def view_bag(engine, name: str):
+    """View *name*'s rows as a bag, in its plan's column order."""
+    view = engine.views[name]
+    at = [view.table.schema.columns.index(c) for c in view.plan.columns]
+    return Counter(tuple(row[i] for i in at) for row in view.table.rows_uncounted())
+
+
+def assert_views_at_their_cursors(engine, db: Database) -> None:
+    """Each view equals its recomputation as of its own log cursor: over
+    the live database with the log after that cursor taken back."""
+    log = engine.log
+    for name, view in engine.views.items():
+        as_of = _reconstruct_pre(db, log.since(log.cursors[name]))
+        assert view_bag(engine, name) == Counter(evaluate_plan(view.plan, as_of).rows), name
 
 
 @pytest.fixture(autouse=True)

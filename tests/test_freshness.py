@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import IdIvmEngine
+from repro.core.modlog import ModificationLog
+from repro.errors import UnknownTableError
 from repro.obs.freshness import FreshnessTracker
 from repro.obs.hist import LogHistogram
 from repro.sql import sql_to_plan
@@ -20,25 +24,37 @@ class FakeClock:
         self.now += seconds
 
 
+def _tracked_log(*views: str):
+    """A tracker over a fresh log with a cursor per view, on a fake clock."""
+    clock = FakeClock()
+    tracker = FreshnessTracker(ModificationLog(_demo_db()))
+    tracker.clock = clock
+    for name in views:
+        tracker.log.advance(name, 0)
+    return tracker, tracker.log, clock
+
+
+def _log_update(log: ModificationLog) -> None:
+    """Log one (always effective) price update."""
+    log.update("parts", ("P1",), {"price": 100 + log.position})
+
+
 class TestFreshnessTracker:
     def test_new_view_starts_fresh(self):
-        clock = FakeClock()
-        tracker = FreshnessTracker(clock=clock)
-        tracker.note_logged(1)
-        tracker.note_logged(2)
-        tracker.note_view("V")  # defined *after* two entries: starts fresh
+        tracker, log, _ = _tracked_log()
+        _log_update(log)
+        _log_update(log)
+        log.advance("V", log.position)  # defined *after* two entries: starts fresh
         stale = tracker.staleness("V")
         assert stale.pending == 0
         assert stale.fresh
 
     def test_pending_and_seconds_behind(self):
-        clock = FakeClock()
-        tracker = FreshnessTracker(clock=clock)
-        tracker.note_view("V")
+        tracker, log, clock = _tracked_log("V")
         clock.advance(10)
-        tracker.note_logged(1)
+        _log_update(log)
         clock.advance(5)
-        tracker.note_logged(2)
+        _log_update(log)
         clock.advance(5)
         stale = tracker.staleness("V")
         assert stale.pending == 2
@@ -47,12 +63,11 @@ class TestFreshnessTracker:
         assert not stale.fresh
 
     def test_maintained_clears_pending_and_observes_lag(self):
-        clock = FakeClock()
-        tracker = FreshnessTracker(clock=clock)
-        tracker.note_view("V")
-        tracker.note_logged(1, logged_at=clock())
+        tracker, log, clock = _tracked_log("V")
+        _log_update(log)
         clock.advance(3)
-        tracker.note_maintained("V", 1, entry_times=[clock.now - 3])
+        log.advance("V", 1)
+        tracker.note_maintained("V", entry_times=[clock.now - 3])
         stale = tracker.staleness("V")
         assert stale.pending == 0
         assert stale.seconds_behind == 0.0
@@ -62,38 +77,34 @@ class TestFreshnessTracker:
         assert tracker.observed_lag.count == 1
 
     def test_per_view_positions_are_independent(self):
-        clock = FakeClock()
-        tracker = FreshnessTracker(clock=clock)
-        tracker.note_view("A")
-        tracker.note_view("B")
-        tracker.note_logged(1)
-        tracker.note_logged(2)
-        tracker.note_maintained("A", 2)
+        tracker, log, _ = _tracked_log("A", "B")
+        _log_update(log)
+        _log_update(log)
+        log.advance("A", 2)
         assert tracker.staleness("A").pending == 0
         assert tracker.staleness("B").pending == 2
 
     def test_prune_keeps_entries_some_view_needs(self):
-        clock = FakeClock()
-        tracker = FreshnessTracker(clock=clock)
-        tracker.note_view("A")
-        tracker.note_view("B")
-        for seq in range(1, 6):
-            tracker.note_logged(seq)
-        tracker.note_maintained("A", 5)
-        # B still needs 1..5: pending deque must keep them
+        tracker, log, _ = _tracked_log("A", "B")
+        for _ in range(5):
+            _log_update(log)
+        log.advance("A", 5)
+        log.prune()
+        # B still needs 1..5: the log must keep them
         assert tracker.staleness("B").pending == 5
-        assert len(tracker._pending) == 5
-        tracker.note_maintained("B", 5)
-        assert len(tracker._pending) == 0
+        assert len(log.entries) == 5
+        log.advance("B", 5)
+        log.prune()
+        assert len(log.entries) == 0
 
     def test_report_shape(self):
-        clock = FakeClock()
-        tracker = FreshnessTracker(clock=clock)
-        tracker.note_view("V")
-        tracker.note_logged(1)
-        tracker.note_maintained("V", 1, entry_times=[clock.now])
+        tracker, log, clock = _tracked_log("V")
+        _log_update(log)
+        log.advance("V", 1)
+        tracker.note_maintained("V", entry_times=[clock.now])
         report = tracker.report()
         assert report["log_position"] == 1
+        assert report["retained"] == 1
         assert report["views"]["V"]["pending"] == 0
         assert report["views"]["V"]["rounds"] == 1
         assert report["views"]["V"]["observed_lag"]["count"] == 1
@@ -163,8 +174,22 @@ class TestEngineIntegration:
                 expected.min, expected.max,
             )
         # an iterable of stamps is still accepted, one sample each
-        tracker.note_maintained("A", tracker.log_position, iter(stamps))
+        tracker.note_maintained("A", iter(stamps))
         assert tracker.lag_histogram("A").count == 2 * len(stamps)
+
+    def test_asking_about_an_unknown_view_registers_no_phantom(self):
+        db = _demo_db()
+        engine = IdIvmEngine(db)
+        engine.define_view("V", sql_to_plan(db, "SELECT pid, price FROM parts"))
+        with pytest.raises(UnknownTableError):
+            engine.freshness.staleness("no_such_view")
+        # a phantom view would pin the log's floor: every entry would stay
+        for price in range(11, 16):
+            engine.log.update("parts", ("P1",), {"price": price})
+            engine.maintain()
+        assert engine.log.entries == [] and engine.log.floor == 5
+        assert engine.freshness.views() == ["V"]
+        assert list(engine.freshness.report()["views"]) == ["V"]
 
     def test_modlog_entries_carry_seq_and_logged_at(self):
         db = _demo_db()

@@ -39,7 +39,7 @@ from repro.workloads import (
     build_flat_view,
 )
 from repro.workloads.devices import log_batch, mixed_modification_batch
-from tests.conftest import build_view_v_prime
+from tests.conftest import assert_views_at_their_cursors, build_view_v_prime, view_bag
 
 
 # ----------------------------------------------------------------------
@@ -140,17 +140,6 @@ def apply_op(log: ModificationLog, db: Database, op, fresh: _Fresh) -> None:
         _churn(log, db, "scratch", (fresh("S"), v), "payload", i, v)
 
 
-def ops_for(mode: str, ops):
-    """The ops a round of *mode* may log without starving a view: the
-    log is drained whole, so a round that skips B must not touch
-    ``notes`` and a failing round may touch only ``scratch``."""
-    if mode == "only_A":
-        return [op for op in ops if op[0] != "note"]
-    if mode == "fail":
-        return [("scratch", i, v) for _, i, v in ops]
-    return ops
-
-
 # ----------------------------------------------------------------------
 # comparing two databases: rows as bags, indexes by what they answer
 # ----------------------------------------------------------------------
@@ -171,12 +160,6 @@ def assert_same_database(actual: Database, expected: Database) -> None:
             assert index.buckets == answers, (name, columns)
 
 
-def view_bag(engine, name: str) -> Counter:
-    view = engine.views[name]
-    at = [view.table.schema.columns.index(c) for c in view.plan.columns]
-    return Counter(tuple(row[i] for i in at) for row in view.table.rows_uncounted())
-
-
 def assert_views_fresh(engine, db: Database) -> None:
     for name, view in engine.views.items():
         assert view_bag(engine, name) == Counter(evaluate_plan(view.plan, db).rows), name
@@ -191,7 +174,7 @@ def _boom(*_args, **_kwargs):
 
 
 #: engine under test -> (factory, where a round of it can be made to fail
-#: after the pre-state was read)
+#: after the pre-state was read and before a view's first write)
 ENGINES = {
     "interp": (
         lambda db: IdIvmEngine(db, exec_backend="interp"),
@@ -203,7 +186,8 @@ ENGINES = {
         [(engine_module, "execute_script"), (script_module, "execute_script")],
     ),
     "tuple": (TupleIvmEngine, [(engine_module, "execute_script")]),
-    "sdbt": (SdbtEngine, [(sdbt, "apply_group_deltas")]),
+    # the first map write, or the view write of a round that changes no map
+    "sdbt": (SdbtEngine, [(SdbtEngine, "_maintain_maps"), (sdbt, "apply_group_deltas")]),
 }
 
 
@@ -233,7 +217,7 @@ def test_replica_equals_reconstruction_before_every_round(kind, rounds):
             if mode == "late":
                 db.create_table(f"late{number}", ("k", "v"), ("k",))
                 load_rows(db, f"late{number}", [(1, 2), (3, 4)])
-            for op in ops_for(mode, ops):
+            for op in ops:
                 apply_op(engine.log, db, op, fresh)
             pending = len(engine.log.entries)
             if mode == "fail":
@@ -252,11 +236,13 @@ def test_replica_equals_reconstruction_before_every_round(kind, rounds):
                 engine.maintain()
             # begin ran once, over the whole pending log
             assert len(checked) == number + 1 and checked[-1] == pending
-            # between rounds: live minus pending log, and the log is empty
-            assert_same_database(engine._pre.db, db)
+            # between rounds: live minus the retained log
+            assert_same_database(engine._pre.db, _reconstruct_pre(db, engine.log.entries))
             expected_rebuilds = 1 if mode == "late" and number > 0 else 0
             assert rebuilds.value - rebuilt_before == expected_rebuilds
-            assert_views_fresh(engine, db)
+            assert_views_at_their_cursors(engine, db)
+        engine.maintain()
+        assert_views_fresh(engine, db)
 
 
 @settings(max_examples=40)
@@ -338,7 +324,7 @@ def test_one_copy_ever_and_rounds_cost_the_diff_at_any_database_size():
     assert small[1:] == large[1:]
 
 
-def test_failed_round_still_rolls_the_replica_forward(running_example_db):
+def test_failed_view_keeps_its_entries_and_a_retry_converges(running_example_db):
     db = running_example_db
     engine = IdIvmEngine(db)
     engine.define_view("A", build_view_v_prime(db))
@@ -358,10 +344,42 @@ def test_failed_round_still_rolls_the_replica_forward(running_example_db):
     with mock.patch.object(engine_module, "execute_script", second_call_fails):
         with pytest.raises(Boom):
             engine.maintain()
-    assert_same_database(engine._pre.db, db)
+    # A absorbed the round, B keeps both entries, and the replica sits
+    # where B is: live minus the retained log
+    assert engine.log.cursors == {"A": 3, "B": 1}
+    assert len(engine.log.entries) == 2
+    assert_same_database(engine._pre.db, _reconstruct_pre(db, engine.log.entries))
+    assert_views_at_their_cursors(engine, db)
     engine.log.delete("parts", ("P3",))
     entries = list(engine.log.entries)
     assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+    engine.maintain()
+    assert_views_fresh(engine, db)
+    assert engine.log.entries == [] and engine.log.cursors == {"A": 4, "B": 4}
+    assert_same_database(engine._pre.db, db)
+
+
+def test_a_subset_round_moves_the_replica_past_a_lagging_view_and_back(running_example_db):
+    db = running_example_db
+    engine = IdIvmEngine(db)
+    engine.define_view("A", build_view_v_prime(db))
+    engine.define_view("B", build_view_v_prime(db))
+    engine.log.update("parts", ("P1",), {"price": 11})
+    engine.log.insert("parts", ("P3", 5))
+    engine.maintain("A")
+    # A read the pre-state at its cursor; the replica is back at B's
+    assert engine.log.cursors == {"A": 2, "B": 0} and engine._pre.position == 0
+    assert_same_database(engine._pre.db, _reconstruct_pre(db, engine.log.entries))
+    engine.log.insert("parts", ("P4", 6))
+    with mock.patch.object(engine_module, "execute_script", _boom), pytest.raises(Boom):
+        engine.maintain("A")
+    # A failed at its cursor: the replica stays there until the next
+    # round moves it back to the floor before reading anything
+    assert engine.log.cursors == {"A": 2, "B": 0} and engine._pre.position == 2
+    engine.maintain()
+    assert_views_fresh(engine, db)
+    assert_same_database(engine._pre.db, db)
+    assert metrics.counter("engine.prestate_rebuilds").value == 0
 
 
 def test_stale_replica_is_rebuilt_and_counted(running_example_db):

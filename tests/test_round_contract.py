@@ -12,9 +12,10 @@ from unittest import mock
 
 import pytest
 
-from repro.algebra import evaluate_plan, where
+from repro.algebra import evaluate_plan, group_by, where
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 import repro.analysis as analysis_mod
+import repro.baselines.recompute as recompute_mod
 import repro.core.engine as engine_mod
 import repro.core.modlog as modlog_mod
 import repro.core.script as script_mod
@@ -51,6 +52,7 @@ from repro.workloads import (
     build_flat_view,
     log_user_updates,
 )
+from tests.conftest import assert_views_at_their_cursors, build_view_v, build_view_v_prime
 
 CONFIG = DevicesConfig(n_parts=60, n_devices=60, diff_size=12)
 
@@ -465,3 +467,74 @@ def test_pickled_plan_runs_interpreted_until_kernels_are_rebound():
     counts2, ir_ops2 = round_(db2, engine2, 1)
     assert counts2 == counts and ir_ops2 == 0
     assert view2.table.as_set() == evaluate_plan(view2.plan, db2).as_set()
+
+
+# ----------------------------------------------------------------------
+# one ledger of what each view absorbed: maintaining one view of several
+# (i) and a view failing before its first write (ii) lose nothing; the
+# ShardedEngine's cases run in tests/test_sharded.py, on every backend
+# ----------------------------------------------------------------------
+CURSOR_KINDS = sorted(set(ENGINES) - {"sharded"})
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def _two_view_engine(kind: str, db):
+    """Views A (flat) and B (a γ-sum) over the running example; SDBT
+    takes aggregates over SPJ only, so its A is a γ-count."""
+    engine = ENGINES[kind](db)
+    b = build_view_v_prime(db)
+    engine.define_view(
+        "A",
+        group_by(b.child, ("did",), [("count", None, "parts")])
+        if kind == "sdbt" else build_view_v(db),
+    )
+    engine.define_view("B", b)
+    for price in range(11, 31):   # 20 updates of P1
+        engine.log.update("parts", ("P1",), {"price": price})
+    return engine
+
+
+def _second_view_fails(kind: str):
+    """Make the round's second view raise before its first write: at the
+    ∆-script's entry, SDBT's first map write, or the recomputation."""
+    owner, name = {
+        "sdbt": (SdbtEngine, "_maintain_maps"),
+        "recompute": (recompute_mod, "counted_phase"),
+    }.get(kind, (engine_mod, "execute_script"))
+    real, calls = getattr(owner, name), []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise Boom("injected")
+        return real(*args, **kwargs)
+
+    return mock.patch.object(owner, name, second_call_fails)
+
+
+def _assert_b_kept_its_entries_then_converges(engine, db) -> None:
+    log = engine.log
+    assert log.cursors == {"A": 20, "B": 0} and len(log.entries) == 20
+    assert engine.freshness.staleness("B").pending == 20
+    assert_views_at_their_cursors(engine, db)
+    engine.maintain()
+    assert log.cursors == {"A": 20, "B": 20} and log.entries == []
+    assert_views_at_their_cursors(engine, db)
+
+
+@pytest.mark.parametrize("kind", CURSOR_KINDS)
+def test_maintaining_one_view_of_several_loses_nothing(kind, running_example_db):
+    engine = _two_view_engine(kind, running_example_db)
+    engine.maintain("A")
+    _assert_b_kept_its_entries_then_converges(engine, running_example_db)
+
+
+@pytest.mark.parametrize("kind", CURSOR_KINDS)
+def test_a_view_that_fails_keeps_its_entries(kind, running_example_db):
+    engine = _two_view_engine(kind, running_example_db)
+    with _second_view_fails(kind), pytest.raises(Boom):
+        engine.maintain()
+    _assert_b_kept_its_entries_then_converges(engine, running_example_db)

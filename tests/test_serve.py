@@ -191,6 +191,37 @@ class TestLiveEngine:
             server.server_close()
 
 
+def lagging_engine(db):
+    """Two views over the running example; three updates absorbed by A
+    only, so B's cursor keeps them in the log."""
+    from repro.core import IdIvmEngine
+    from tests.conftest import build_view_v, build_view_v_prime
+
+    engine = IdIvmEngine(db)
+    engine.define_view("A", build_view_v(db))
+    engine.define_view("B", build_view_v_prime(db))
+    for price in (11, 12, 13):
+        engine.log.update("parts", ("P1",), {"price": price})
+    engine.maintain("A")
+    return engine
+
+
+class TestRetainedLog:
+    def test_a_lagging_view_shows_what_the_log_retains(self, running_example_db):
+        engine = lagging_engine(running_example_db)
+        text = render_prometheus(metrics.registry(), engine=engine)
+        assert validate_exposition(text) == []
+        assert "repro_modlog_retained_entries 3" in text
+        report = build_snapshot(engine)["freshness"]
+        assert report["retained"] == 3
+        assert (report["views"]["A"]["pending"], report["views"]["B"]["pending"]) == (0, 3)
+        engine.maintain("B")
+        assert "repro_modlog_retained_entries 0" in render_prometheus(
+            metrics.registry(), engine=engine
+        )
+        assert build_snapshot(engine)["freshness"]["retained"] == 0
+
+
 class TestDemoLoopLifecycle:
     """stop() must join the loop; a dead loop must be *visible*."""
 

@@ -19,12 +19,15 @@ disjointness-proof checker on real workloads.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import pytest
 
+import repro.core.engine as engine_mod
 from repro.algebra.evaluate import evaluate_plan
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
+from repro.obs import metrics
 from repro.shard import ShardRoutingCounters, shard_of
 from repro.storage import AccessCounts, CounterSet, Database
 from repro.workloads import (
@@ -42,6 +45,7 @@ from repro.workloads.devices import (
     log_batch,
     mixed_modification_batch,
 )
+from tests.conftest import assert_views_at_their_cursors
 
 SHARD_COUNTS = tuple(
     int(v) for v in os.environ.get("REPRO_SHARDS", "1,2,4,8").split(",")
@@ -523,6 +527,60 @@ def test_unknown_view_name_keeps_the_pending_batch(engine_factory):
         close = getattr(engine, "close", None)
         if close is not None:
             close()
+
+
+# ----------------------------------------------------------------------
+# one ledger of what each view absorbed: maintaining one view of several
+# (i) and a view failing before its first write (ii) lose nothing, and a
+# process pool at another log position re-boots at the group's cursor
+# ----------------------------------------------------------------------
+def _two_view_engine(backend):
+    """A flat view A (parallel on the parts anchor), a γ-sum B
+    (broadcast) and one batch of price updates pending."""
+    db = build_devices_database(DEV_CONFIG)
+    engine = ShardedEngine(db, shards=2, backend=backend, race_check=RACE_CHECK)
+    engine.define_view("A", build_flat_view(db, DEV_CONFIG))
+    engine.define_view("B", build_aggregate_view(db, DEV_CONFIG))
+    return db, engine, apply_price_updates(engine, db, DEV_CONFIG)
+
+
+def _assert_b_kept_its_entries_then_converges(db, engine, n: int) -> None:
+    log = engine.log
+    assert log.cursors == {"A": n, "B": 0} and len(log.entries) == n
+    assert_views_at_their_cursors(engine, db)
+    engine.maintain()
+    assert log.cursors == {"A": n, "B": n} and log.entries == []
+    assert_views_at_their_cursors(engine, db)
+    apply_price_updates(engine, db, DEV_CONFIG, round_seed=1)
+    assert engine.maintain()["A"].parallel
+    assert_views_at_their_cursors(engine, db)
+    restarts = metrics.counter("shard.pool_restarts").value
+    assert restarts == (1 if engine.backend == "process" else 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_maintaining_one_view_of_several_loses_nothing(backend):
+    db, engine, n = _two_view_engine(backend)
+    with engine:
+        assert engine.maintain("A")["A"].parallel
+        _assert_b_kept_its_entries_then_converges(db, engine, n)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_view_that_fails_keeps_its_entries(backend):
+    db, engine, n = _two_view_engine(backend)
+
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("injected")
+
+    with engine:
+        # B's broadcast runs the coordinator's execute_script; A's shards
+        # do not (inline shards run script.execute_script, process ones
+        # run in the workers)
+        with mock.patch.object(engine_mod, "execute_script", boom):
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.maintain()
+        _assert_b_kept_its_entries_then_converges(db, engine, n)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

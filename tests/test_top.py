@@ -41,6 +41,14 @@ class TestRenderDashboard:
         assert "rounds 2" in frame
         assert f"log position {snapshot['freshness']['log_position']}" in frame
 
+    def test_header_shows_the_retained_log(self, running_example_db):
+        from tests.test_serve import lagging_engine
+
+        snapshot, _loop = _demo_snapshot()
+        assert "retained 0" in render_dashboard(snapshot)
+        engine = lagging_engine(running_example_db)
+        assert "retained 3" in render_dashboard(build_snapshot(engine))
+
     def test_drift_alerts_section(self):
         snapshot, _loop = _demo_snapshot()
         if snapshot["drift"]["alerts"]:
