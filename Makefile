@@ -126,7 +126,11 @@ lint-catalog:
 # evaluates nothing itself, the rule bodies live under core/rules/, and
 # a script reads subviews through `IrContext.resolve_subview` — `fetch`
 # is called only by algebra/delta_eval.py, core/ir_exec.py and the SDBT
-# baseline.
+# baseline, whose sequential hybrid state copies no database; and
+# telemetry keeps one copy of each fact: every registry histogram is the
+# log histogram of obs/hist.py (no histogram class in obs/metrics.py, no
+# summary family on /metrics), and a view's worst drift ratio is derived
+# from the EWMAs where it is read, never stored.
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -218,6 +222,18 @@ lint-static:
 	    || grep -rnE '^(def|class) +(_join_delta|_semi_like_delta|repair_updates|TupleJoinStep)\b|^TUPLE_RULES\b' \
 	    src/repro --include='*.py' | grep -vE '^src/repro/core/rules/'; then \
 	    echo "tuple rule bodies live under core/rules/ (tdiff.py); baselines/tuple_ivm.py holds the engine class only"; \
+	    exit 1; fi
+	@if grep -nE 'class +\w*Histogram' src/repro/obs/metrics.py; then \
+	    echo "histogram class in obs/metrics.py: every registry histogram is obs/hist.py's log histogram"; \
+	    exit 1; fi
+	@if grep -rn 'worst_ratio' src/repro --include='*.py'; then \
+	    echo "a stored worst drift ratio: /metrics exports every EWMA (repro_drift_ewma), repro top takes the worst"; \
+	    exit 1; fi
+	@if grep -n '"summary"' src/repro/obs/serve.py | grep -vE '_PROM_TYPES *='; then \
+	    echo "obs/serve.py emits a summary family: every histogram is a log histogram (native Prometheus histogram)"; \
+	    exit 1; fi
+	@if grep -n '\.copy(' src/repro/baselines/sdbt.py; then \
+	    echo "baselines/sdbt.py copies: the hybrid state switches table references from the replica to the live tables"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

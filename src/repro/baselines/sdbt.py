@@ -293,13 +293,17 @@ class SdbtEngine(MaintenanceEngine):
         delta is computed against a hybrid state where already-processed
         tables are post and the rest pre, with the maps advanced in lock
         step — this is what prevents a combo created by two same-batch
-        inserts from being counted twice."""
+        inserts from being counted twice.  The hybrid copies no row: its
+        catalog starts at the replica's tables and switches a table to
+        the live one once that table's changes are processed (both count
+        into the live counters)."""
         net = entries.folded(self.db)
         shape = view.shape
         counters = self.db.counters
         before = counters.snapshot()
         changes: list[tuple] = []
-        hybrid = db_pre.copy(counters)
+        hybrid = Database(counters)
+        hybrid.tables = dict(db_pre.tables)
         affected = sorted(
             t for t, per_key in net.items()
             if t in shape.key_columns and per_key
@@ -316,7 +320,7 @@ class SdbtEngine(MaintenanceEngine):
                 changes.extend(
                     self._update_delete_changes(view, base_table, per_key, hybrid)
                 )
-            _advance_hybrid(hybrid, base_table, per_key)
+            hybrid.tables[base_table] = self.db.table(base_table)
             with counted_phase(counters, "view_diff"):
                 changes.extend(
                     self._insert_changes(view, base_table, per_key, hybrid)
@@ -447,16 +451,3 @@ class SdbtEngine(MaintenanceEngine):
                             map_table.schema.key_of(projected)
                         ) is None:
                             map_table.insert_checked(projected)
-
-
-def _advance_hybrid(hybrid: Database, base_table: str, per_key) -> None:
-    """Apply one table's net changes to the hybrid state (uncounted)."""
-    table = hybrid.table(base_table)
-    for key, change in per_key.items():
-        if change.kind == INSERT:
-            table.insert_uncounted(change.post_row)
-        elif change.kind == DELETE:
-            table.delete_uncounted(key)
-        else:
-            table.delete_uncounted(key)
-            table.insert_uncounted(change.post_row)

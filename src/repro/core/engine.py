@@ -280,19 +280,21 @@ class MaintenanceEngine:
                         report = self._maintain_view(view, db_pre, entries, vsp)
                         log.advance(view_name, entries.end)
                         reports[view_name] = report
-                        stamped_phases = {
-                            phase: counts.as_dict()
-                            for phase, counts in report.phase_counts.items()
-                            if phase != "__total__"
-                        }
-                        vsp.set(total_cost=report.total_cost)
-                        if report.counted_remotely:
-                            # No phase spans exist in this trace to reconcile
-                            # against; stamp the merged counts under a
-                            # different key so the validator stays honest.
-                            vsp.set(phase_counts_remote=stamped_phases)
-                        else:
-                            vsp.set(phase_counts=stamped_phases)
+                        if obs.current_recorder() is not None:
+                            stamped_phases = {
+                                phase: counts.as_dict()
+                                for phase, counts in report.phase_counts.items()
+                                if phase != "__total__"
+                            }
+                            vsp.set(total_cost=report.total_cost)
+                            if report.counted_remotely:
+                                # No phase spans exist in this trace to
+                                # reconcile against; stamp the merged counts
+                                # under a different key so the validator
+                                # stays honest.
+                                vsp.set(phase_counts_remote=stamped_phases)
+                            else:
+                                vsp.set(phase_counts=stamped_phases)
                     metrics.histogram("engine.round_cost").observe(report.total_cost)
                     metrics.loghist(
                         f"view.round_seconds.{view_name}", unit="seconds"
@@ -323,17 +325,14 @@ class MaintenanceEngine:
         """Fold the *reports* of the views that absorbed *entries* (a
         group of a round) into the telemetry surfaces: per-view freshness
         and cost drift."""
-        now = self.freshness.clock()
         # Observed once, merged into each view: O(entries + views).
-        lags = self.freshness.round_lags((e.logged_at for e in entries if e.seq), now)
+        lags = self.freshness.round_lags(
+            (e.logged_at for e in entries if e.seq), self.log.clock()
+        )
         for report in reports:
-            view_name = report.view_name
-            self.freshness.note_maintained(view_name, lags, now=now)
+            self.freshness.note_maintained(report.view_name, lags)
             self.drift.update_from_report(report)
-            self.last_reports[view_name] = report
-            ratio = self.drift.worst_ratio(view_name)
-            if ratio is not None:
-                metrics.gauge(f"drift.worst_ratio.{view_name}").set(ratio)
+            self.last_reports[report.view_name] = report
 
 
 class IdIvmEngine(MaintenanceEngine):

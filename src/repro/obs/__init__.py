@@ -7,7 +7,7 @@ machinery to do the same attribution live, on every maintenance round:
 * :mod:`repro.obs.spans` — timed, access-counted spans forming a tree
   (engine round -> phase -> ∆-script statement -> plan/IR operator);
 * :mod:`repro.obs.metrics` — a process-wide registry of named counters,
-  gauges and histograms (i-diff sizes, cache hit rates, ...);
+  gauges and log histograms (i-diff sizes, cache hit rates, ...);
 * :mod:`repro.obs.hist` — log-bucketed percentile histograms with
   per-thread accumulation and exact merging;
 * :mod:`repro.obs.freshness` — per-view staleness (pending modlog
@@ -31,7 +31,6 @@ from .hist import ConcurrentLogHistogram, LogHistogram
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
     gauge,
@@ -65,7 +64,6 @@ __all__ = [
     "DriftMonitor",
     "FreshnessTracker",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "Span",

@@ -199,16 +199,6 @@ class DriftMonitor:
         state = self._states.get((view, metric))
         return state.ewma if state is not None else None
 
-    def worst_ratio(self, view: str) -> Optional[float]:
-        """The view's EWMA ratio farthest from 1.0 (for dashboards)."""
-        worst: Optional[float] = None
-        for state in self._states.values():
-            if state.view != view or state.ewma is None:
-                continue
-            if worst is None or abs(state.ewma - 1.0) > abs(worst - 1.0):
-                worst = state.ewma
-        return worst
-
     def alerts(self) -> list[DriftAlert]:
         """Every (view, metric) whose EWMA sits outside [low, high] with
         at least ``min_rounds`` rounds of evidence."""

@@ -18,16 +18,16 @@ minus log time) of the views it maintained.
 From those it can answer, at any instant and per view: how many log
 entries are pending, how many seconds behind the newest pending entry
 the view is (``seconds_behind``), and the full distribution of observed
-lag (a :class:`~repro.obs.hist.LogHistogram` per view plus a global
-``freshness.observed_lag_seconds`` metric).
+lag (a :class:`~repro.obs.hist.LogHistogram` per view; :meth:`report`
+merges them into the global ``freshness.observed_lag_seconds``).
 
-The clock is the log's, injectable so tests can drive staleness
-deterministically.
+The clock is the log's (``log.clock``), injectable so tests can drive
+staleness deterministically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..errors import UnknownTableError
 from .hist import LogHistogram
@@ -85,18 +85,6 @@ class FreshnessTracker:
         #: the :class:`~repro.core.modlog.ModificationLog` read
         self.log = log
         self._views: dict[str, ViewFreshness] = {}
-        #: Global observed-lag distribution across all views.
-        self.observed_lag = LogHistogram(
-            "freshness.observed_lag_seconds", unit="seconds"
-        )
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self.log.clock
-
-    @clock.setter
-    def clock(self, clock: Callable[[], float]) -> None:
-        self.log.clock = clock
 
     # ------------------------------------------------------------------
     # event intake
@@ -112,28 +100,12 @@ class FreshnessTracker:
             observe(lag if lag > 0.0 else 0.0)
         return lags
 
-    def note_maintained(
-        self,
-        name: str,
-        entry_times: "Iterable[float] | LogHistogram" = (),
-        now: Optional[float] = None,
-    ) -> None:
+    def note_maintained(self, name: str, lags: LogHistogram) -> None:
         """View *name* absorbed a round's entries (how far, its log
-        cursor says).
-
-        *entry_times* are the ``logged_at`` stamps of the entries this
-        round applied — each contributes one observed-lag sample — or
-        the :meth:`round_lags` histogram already made from them.
-        """
+        cursor says); *lags* is their :meth:`round_lags` histogram."""
         state = self._state(name)
         state.rounds += 1
-        lags = (
-            entry_times
-            if isinstance(entry_times, LogHistogram)
-            else self.round_lags(entry_times, self.clock() if now is None else now)
-        )
         state.lag_hist.merge(lags)
-        self.observed_lag.merge(lags)
 
     def _state(self, name: str) -> ViewFreshness:
         state = self._views.get(name)
@@ -164,7 +136,7 @@ class FreshnessTracker:
         if cursor is None:
             raise UnknownTableError(f"no view named {name!r}")
         if now is None:
-            now = self.clock()
+            now = log.clock()
         oldest = log.oldest_after(cursor)
         seconds_behind = max(0.0, now - oldest.logged_at) if oldest is not None else 0.0
         return ViewStaleness(
@@ -172,9 +144,10 @@ class FreshnessTracker:
         )
 
     def report(self, now: Optional[float] = None) -> dict[str, Any]:
-        """JSON-ready freshness report for every defined view."""
+        """JSON-ready freshness report for every defined view; the global
+        observed lag is the merge of the per-view histograms."""
         if now is None:
-            now = self.clock()
+            now = self.log.clock()
         views: dict[str, Any] = {}
         for name in self.views():
             record = self.staleness(name, now).as_dict()
@@ -184,5 +157,8 @@ class FreshnessTracker:
             "log_position": self.log.position,
             "retained": len(self.log.entries),
             "views": views,
-            "observed_lag": self.observed_lag.as_dict(),
+            "observed_lag": LogHistogram.merged(
+                (state.lag_hist for state in self._views.values()),
+                "freshness.observed_lag_seconds", "seconds",
+            ).as_dict(),
         }

@@ -1,10 +1,9 @@
 """Log-bucketed histograms: percentiles, exact merges, thread sharding.
 
-The plain :class:`repro.obs.metrics.Histogram` keeps a streaming
-count/sum/min/max — enough for a mean, useless for a tail.  Freshness
-and latency telemetry live in the tail (Snowflake Dynamic Tables gates
-on observed-lag *percentiles*, not means), so this module provides the
-real thing:
+Every histogram of the metrics registry is one of these: freshness and
+latency telemetry live in the tail (Snowflake Dynamic Tables gates on
+observed-lag *percentiles*, not means), and a size histogram reports
+its count, sum, min, max and mean from the same fields.
 
 * :class:`LogHistogram` — sparse log-spaced buckets (4 sub-buckets per
   power of two, ≤ ~12% relative error at any quantile), computed with
@@ -15,8 +14,9 @@ real thing:
 * :class:`ConcurrentLogHistogram` — the same, behind per-thread shards:
   ``observe`` touches only the calling thread's private histogram (no
   lock on the hot path; the only critical section is first-observation
-  shard registration), and readers merge the shards on demand.  This is
-  the shape the :class:`~repro.core.sharded.ShardedEngine` workers need.
+  shard registration), and readers merge the shards on demand.  One thread
+  writes (the caller's, or a :class:`~repro.obs.live.DemoLoop`'s);
+  ``serve`` handler threads only read, through merged snapshots.
 
 Both expose ``p50/p95/p99/max`` and serialize through ``as_dict`` /
 ``from_dict`` so traces, ``BENCH_*.json`` payloads and the ``/metrics``
@@ -85,18 +85,20 @@ class LogHistogram:
         self.buckets: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def observe(self, value: Number) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: Number, times: int = 1) -> None:
+        """Record *value*, *times* over (a round that skips *n*
+        statements observes their zero diff rows in one call)."""
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         if value <= 0:
-            self.zero_count += 1
+            self.zero_count += times
         else:
             idx = bucket_index(float(value))
-            self.buckets[idx] = self.buckets.get(idx, 0) + 1
+            self.buckets[idx] = self.buckets.get(idx, 0) + times
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold *other*'s observations into self (exact) and return self."""
@@ -211,14 +213,14 @@ class ConcurrentLogHistogram:
         self._shards: list[LogHistogram] = []
         self._lock = threading.Lock()
 
-    def observe(self, value: Number) -> None:
+    def observe(self, value: Number, times: int = 1) -> None:
         shard = getattr(self._local, "shard", None)
         if shard is None:
             shard = LogHistogram(self.name, self.unit)
             with self._lock:
                 self._shards.append(shard)
             self._local.shard = shard
-        shard.observe(value)
+        shard.observe(value, times)
 
     def shards(self) -> list[LogHistogram]:
         """The live per-thread shards (shared objects, do not mutate)."""

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: named counters, gauges, histograms.
+"""Process-wide metrics registry: named counters, gauges, log histograms.
 
 Unlike spans (opt-in, per-trace), metrics are always on: they are cheap
 enough to record unconditionally at statement/round granularity — a dict
@@ -36,9 +36,10 @@ class Counter:
     """A monotonically increasing count.
 
     Increments land in a per-thread cell (registered once under a lock,
-    like :class:`~repro.obs.hist.ConcurrentLogHistogram` shards), so
-    shard workers incrementing the same counter never lose an update to
-    the classic read-modify-write race.  Reads fold the cells.
+    like :class:`~repro.obs.hist.ConcurrentLogHistogram` shards), so an
+    increment is never a read-modify-write on shared state: the one
+    writer thread (the caller's, or a ``DemoLoop``'s) owns its cell, and
+    ``serve`` handler threads only read, folding the cells.
     """
 
     __slots__ = ("name", "_local", "_cells", "_lock")
@@ -93,115 +94,18 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
-class _HistogramCell:
-    """Per-thread accumulator for :class:`Histogram`."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total: Number = 0
-        self.min: Optional[Number] = None
-        self.max: Optional[Number] = None
-
-
-class Histogram:
-    """Streaming summary of observed values (count/sum/min/max/mean).
-
-    Observations land in per-thread cells that fold losslessly on read,
-    mirroring :class:`Counter`: count and sum are exact no matter how
-    many shard workers observe concurrently.
-    """
-
-    __slots__ = ("name", "_local", "_cells", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._local = threading.local()
-        self._cells: list[_HistogramCell] = []
-        self._lock = threading.Lock()
-
-    def _cell(self) -> _HistogramCell:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = _HistogramCell()
-            with self._lock:
-                self._cells.append(cell)
-            self._local.cell = cell
-        return cell
-
-    def observe(self, value: Number, times: int = 1) -> None:
-        """Record *value*, *times* over (a round that skipped *n*
-        statements observes their zero diff rows in one call)."""
-        cell = self._cell()
-        cell.count += times
-        cell.total += value * times
-        if cell.min is None or value < cell.min:
-            cell.min = value
-        if cell.max is None or value > cell.max:
-            cell.max = value
-
-    def _folded(self) -> _HistogramCell:
-        with self._lock:
-            cells = list(self._cells)
-        out = _HistogramCell()
-        for cell in cells:
-            out.count += cell.count
-            out.total += cell.total
-            if cell.min is not None and (out.min is None or cell.min < out.min):
-                out.min = cell.min
-            if cell.max is not None and (out.max is None or cell.max > out.max):
-                out.max = cell.max
-        return out
-
-    @property
-    def count(self) -> int:
-        return self._folded().count
-
-    @property
-    def total(self) -> Number:
-        return self._folded().total
-
-    @property
-    def min(self) -> Optional[Number]:
-        return self._folded().min
-
-    @property
-    def max(self) -> Optional[Number]:
-        return self._folded().max
-
-    @property
-    def mean(self) -> Optional[float]:
-        folded = self._folded()
-        return folded.total / folded.count if folded.count else None
-
-    def as_dict(self) -> dict[str, Any]:
-        folded = self._folded()
-        return {
-            "type": "histogram",
-            "count": folded.count,
-            "sum": folded.total,
-            "min": folded.min,
-            "max": folded.max,
-            "mean": (folded.total / folded.count) if folded.count else None,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return f"Histogram({self.name!r}, n={self.count}, sum={self.total})"
-
-
-Metric = Union[Counter, Gauge, Histogram, ConcurrentLogHistogram]
+Metric = Union[Counter, Gauge, ConcurrentLogHistogram]
 
 
 class MetricsRegistry:
     """Namespace of metrics; one global default instance per process.
 
-    Metric *creation* is locked so shard workers racing on first use of
-    a name cannot strand each other's metric object (after which the
+    Metric *creation* is locked so two threads racing on first use of a
+    name cannot strand each other's metric object (after which the
     loser's observations would silently vanish).  Increments and
     observations are lossless too: :class:`Counter` and
-    :class:`Histogram` accumulate into per-thread cells that fold on
-    read, so concurrent shard workers never drop an update.
+    :class:`~repro.obs.hist.ConcurrentLogHistogram` accumulate into
+    per-thread cells that fold on read.
     """
 
     def __init__(self) -> None:
@@ -228,9 +132,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
 
     def loghist(self, name: str, unit: str = "") -> ConcurrentLogHistogram:
         """A log-bucketed, thread-sharded histogram (p50/p95/p99/max).
@@ -311,9 +212,10 @@ def gauge(name: str) -> Gauge:
     return reg.gauge(name)
 
 
-def histogram(name: str) -> Histogram:
+def histogram(name: str) -> ConcurrentLogHistogram:
+    """The log histogram *name*, whatever its unit (:func:`loghist`)."""
     reg = _current
-    return reg.histogram(name)
+    return reg.loghist(name)
 
 
 def loghist(name: str, unit: str = "") -> ConcurrentLogHistogram:

@@ -5,12 +5,12 @@
 exposing:
 
 * ``/metrics``   — Prometheus text exposition (format 0.0.4).  Counters
-  and gauges map directly; streaming histograms become summaries
-  (``_count``/``_sum``); log-bucketed histograms become native
-  Prometheus histograms with cumulative ``le`` buckets taken from the
-  exact frexp bucket bounds.  Per-view and per-phase metric families
-  are folded into labels (``repro_view_round_seconds{view="Q7"}``)
-  instead of per-view metric names.
+  and gauges map directly; every histogram is log-bucketed and becomes
+  a native Prometheus histogram with cumulative ``le`` buckets taken
+  from the exact frexp bucket bounds.  Per-view and per-phase metric
+  families are folded into labels
+  (``repro_view_round_seconds{view="Q7"}``) instead of per-view metric
+  names.
 * ``/snapshot``  — a JSON document with the full registry, freshness
   report, drift monitor state and per-view last-round reports; this is
   the wire format ``repro top --url`` consumes.
@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 from . import metrics
 from .hist import LogHistogram
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -43,7 +43,6 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: cardinality-exploding) metric name per view.
 _LABELED_PREFIXES = (
     ("view.round_seconds.", "repro_view_round_seconds", "view"),
-    ("drift.worst_ratio.", "repro_drift_worst_ratio", "view"),
     ("script.phase_seconds.", "repro_script_phase_seconds", "phase"),
     ("engine.cost_model_fallbacks.", "repro_engine_cost_model_fallbacks", "view"),
     ("engine.cost_select_fallbacks.", "repro_engine_cost_select_fallbacks", "view"),
@@ -130,15 +129,6 @@ def render_prometheus(
             if metric.value is None:
                 continue
             add(family, "gauge", [f"{family}{_labels(labels)} {_fmt(metric.value)}"])
-        elif isinstance(metric, Histogram):
-            add(
-                family,
-                "summary",
-                [
-                    f"{family}_sum{_labels(labels)} {_fmt(metric.total)}",
-                    f"{family}_count{_labels(labels)} {metric.count}",
-                ],
-            )
         else:  # ConcurrentLogHistogram
             add(family, "histogram", _hist_lines(family, labels, metric.merged()))
 
@@ -146,7 +136,7 @@ def render_prometheus(
         freshness = getattr(engine, "freshness", None)
         drift = getattr(engine, "drift", None)
         if freshness is not None:
-            now = freshness.clock()
+            now = freshness.log.clock()
             for family, value in (
                 ("repro_modlog_position", freshness.log_position),
                 ("repro_modlog_retained_entries", len(freshness.log.entries)),

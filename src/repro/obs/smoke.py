@@ -65,6 +65,11 @@ def run_smoke(
         for family in _REQUIRED_FAMILIES:
             if family not in text:
                 failures.append(f"/metrics: family {family} missing")
+        failures.extend(
+            f"/metrics: {line!r}: every histogram is a log histogram"
+            for line in text.splitlines()
+            if line.startswith("# TYPE ") and line.endswith(" summary")
+        )
         print(f"/metrics   {len(text.splitlines())} lines, "
               f"{len(errors)} exposition error(s)")
 

@@ -134,13 +134,10 @@ def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
         route = "-"
         if "parallel" in info:
             route = "parallel" if info["parallel"] else "broadcast"
-        worst = None
-        for metric_name, state in drift_views.get(name, {}).items():
-            ewma = state.get("ewma")
-            if ewma is None:
-                continue
-            if worst is None or abs(ewma - 1.0) > abs(worst - 1.0):
-                worst = ewma
+        # the view's EWMA ratio farthest from 1.0
+        ewmas = [s["ewma"] for s in drift_views.get(name, {}).values()
+                 if s.get("ewma") is not None]
+        worst = max(ewmas, key=lambda ewma: abs(ewma - 1.0), default=None)
         alerts = ",".join(
             sorted(m for v, m in alert_keys if v == name and m)
         )

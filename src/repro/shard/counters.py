@@ -1,13 +1,18 @@
-"""Thread-routing counter fan-out for shard-parallel maintenance.
+"""Per-shard counter routing for sharded maintenance.
 
 Every :class:`~repro.storage.Table` holds a reference to its database's
-:class:`~repro.storage.CounterSet`, captured at construction.  To give
-each shard worker its own counters *without* rebuilding the table graph
-per round, the sharded engine swaps the database's counter set for a
-:class:`ShardRoutingCounters`: a ``CounterSet`` whose state (total,
-phase buckets, phase stack) is a set of properties delegating to a
-thread-local *target* — the shard's private ``CounterSet`` inside a
-worker, the original base ``CounterSet`` everywhere else.
+:class:`~repro.storage.CounterSet`, captured at construction.  To count
+each shard's execution into its own counters *without* rebuilding the
+table graph per round, the sharded engine swaps the database's counter
+set for a :class:`ShardRoutingCounters`: a ``CounterSet`` whose state
+(total, phase buckets, phase stack) is a set of properties delegating to
+the activated *target* — the shard's private ``CounterSet`` while
+``run_shard`` executes that shard, the original base ``CounterSet``
+otherwise.  One thread writes: on the inline backend the shards run one
+after another on the caller's thread (or a ``DemoLoop``'s), and a worker
+process runs its shards on its one thread; ``serve`` handler threads
+only read.  The target is kept per thread, so a reader never sees a
+shard's counters.
 
 Because the delegation happens at the attribute level, every inherited
 ``CounterSet`` method (``count_*``, ``phase``, ``snapshot``, ``reset``)

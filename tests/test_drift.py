@@ -8,6 +8,7 @@ from repro.analysis import AnalysisReport
 from repro.analysis.cost import SCRIPT_PHASES, drift_diagnostics
 from repro.core import IdIvmEngine
 from repro.obs.drift import DriftMonitor
+from repro.obs.serve import render_prometheus
 from repro.workloads import BsmaConfig, build_bsma_database, log_user_updates
 from repro.workloads.bsma import BSMA_QUERIES
 
@@ -59,16 +60,6 @@ class TestDriftMonitor:
         _feed(monitor, "V", predicted=100, observed=100, rounds=5)
         _feed(monitor, "V", predicted=100, observed=25, rounds=12)
         assert monitor.ratio("V", "tuple_writes") < 0.3
-
-    def test_worst_ratio_picks_farthest_from_one(self):
-        monitor = DriftMonitor()
-        monitor.update(
-            "V",
-            {PHASE: {"tuple_writes": 100, "tuple_reads": 100}},
-            {PHASE: {"tuple_writes": 90, "tuple_reads": 10}},
-        )
-        worst = monitor.worst_ratio("V")
-        assert worst == pytest.approx(monitor.ratio("V", "tuple_reads"))
 
     def test_snapshot_is_json_shaped(self):
         import json
@@ -144,10 +135,14 @@ class TestEngineDrift:
             phase in report.predicted_counts for phase in SCRIPT_PHASES
         )
 
-    def test_worst_ratio_gauge_exported(self, _scoped_metrics):
-        # engine rounds export drift.worst_ratio.<view> gauges into the
-        # active registry (the autouse fixture scoped one).
-        _run_seeded_engine()
-        gauge = _scoped_metrics.gauge("drift.worst_ratio.Q7")
-        assert gauge.value is not None
-        assert gauge.value < 1.0
+    def test_drift_ewmas_are_exported(self, _scoped_metrics):
+        # /metrics reads every EWMA off the monitor when scraped; rounds
+        # store no per-view drift gauge in the registry.
+        engine = _run_seeded_engine()
+        text = render_prometheus(_scoped_metrics, engine=engine)
+        (line,) = [
+            line for line in text.splitlines()
+            if line.startswith('repro_drift_ewma{metric="tuple_writes",view="Q7"} ')
+        ]
+        assert float(line.split()[-1]) == engine.drift.ratio("Q7", "tuple_writes") < 1.0
+        assert not [name for name in _scoped_metrics.names() if name.startswith("drift.")]

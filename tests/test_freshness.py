@@ -28,7 +28,7 @@ def _tracked_log(*views: str):
     """A tracker over a fresh log with a cursor per view, on a fake clock."""
     clock = FakeClock()
     tracker = FreshnessTracker(ModificationLog(_demo_db()))
-    tracker.clock = clock
+    tracker.log.clock = clock
     for name in views:
         tracker.log.advance(name, 0)
     return tracker, tracker.log, clock
@@ -67,14 +67,14 @@ class TestFreshnessTracker:
         _log_update(log)
         clock.advance(3)
         log.advance("V", 1)
-        tracker.note_maintained("V", entry_times=[clock.now - 3])
+        tracker.note_maintained("V", tracker.round_lags([clock.now - 3], clock.now))
         stale = tracker.staleness("V")
         assert stale.pending == 0
         assert stale.seconds_behind == 0.0
         lag = tracker.lag_histogram("V")
         assert lag.count == 1
         assert lag.total == 3.0
-        assert tracker.observed_lag.count == 1
+        assert tracker.report()["observed_lag"]["count"] == 1
 
     def test_per_view_positions_are_independent(self):
         tracker, log, _ = _tracked_log("A", "B")
@@ -101,7 +101,7 @@ class TestFreshnessTracker:
         tracker, log, clock = _tracked_log("V")
         _log_update(log)
         log.advance("V", 1)
-        tracker.note_maintained("V", entry_times=[clock.now])
+        tracker.note_maintained("V", tracker.round_lags([clock.now], clock.now))
         report = tracker.report()
         assert report["log_position"] == 1
         assert report["retained"] == 1
@@ -150,7 +150,7 @@ class TestEngineIntegration:
         what each histogram holds is what per-entry observation gave."""
         db = _demo_db()
         engine = IdIvmEngine(db)
-        clock = engine.freshness.clock = FakeClock()
+        clock = engine.log.clock = FakeClock()
         for name in "ABC":
             engine.define_view(name, sql_to_plan(db, "SELECT pid, price FROM parts"))
         stamps = []
@@ -168,14 +168,35 @@ class TestEngineIntegration:
                     hist.observe(clock.now - logged_at)
         tracker = engine.freshness
         pairs = [(tracker.lag_histogram(name), per_view) for name in "ABC"]
-        for got, expected in pairs + [(tracker.observed_lag, overall)]:
+        global_lag = LogHistogram.from_dict(tracker.report()["observed_lag"])
+        for got, expected in pairs + [(global_lag, overall)]:
             assert (got.count, got.buckets, got.zero_count, got.min, got.max) == (
                 expected.count, expected.buckets, expected.zero_count,
                 expected.min, expected.max,
             )
-        # an iterable of stamps is still accepted, one sample each
-        tracker.note_maintained("A", iter(stamps))
-        assert tracker.lag_histogram("A").count == 2 * len(stamps)
+
+    def test_global_lag_is_the_merge_of_the_per_view_histograms(self):
+        """The global observed lag is derived when read: after
+        ``maintain("A")`` then ``maintain()`` it is the exact merge of A's
+        two rounds and B's one."""
+        db = _demo_db()
+        engine = IdIvmEngine(db)
+        clock = engine.log.clock = FakeClock()
+        for name in "AB":
+            engine.define_view(name, sql_to_plan(db, "SELECT pid, price FROM parts"))
+        for price in (11, 12, 13):
+            clock.advance(1.5)
+            engine.log.update("parts", ("P1",), {"price": price})
+        clock.advance(2.0)
+        engine.maintain("A")
+        engine.log.update("parts", ("P2",), {"price": 21})
+        clock.advance(0.5)
+        engine.maintain()
+        tracker = engine.freshness
+        per_view = [tracker.lag_histogram(name) for name in "AB"]
+        assert [hist.count for hist in per_view] == [4, 4]
+        expected = LogHistogram.merged(per_view, "freshness.observed_lag_seconds", "seconds")
+        assert tracker.report()["observed_lag"] == expected.as_dict()
 
     def test_asking_about_an_unknown_view_registers_no_phantom(self):
         db = _demo_db()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs import metrics
 from repro.obs.hist import (
     SUBBUCKETS,
     ConcurrentLogHistogram,
@@ -123,6 +124,30 @@ class TestLogHistogram:
         assert left.buckets == right.buckets
         assert left.zero_count == right.zero_count
         assert left.min == right.min and left.max == right.max
+
+    @given(observations, st.one_of(st.just(0), positive_values), st.integers(1, 60))
+    def test_observe_times_equals_repeated_observations(self, before, value, times):
+        """``observe(v, times=n)`` is *n* single observations, bucket for
+        bucket and zeros included, on a plain histogram and on the
+        metrics registry's (the one every ``metrics.histogram`` is)."""
+        with metrics.scoped():
+            pairs = [
+                (LogHistogram(), LogHistogram()),
+                (metrics.histogram("bulk"), metrics.histogram("single")),
+            ]
+        for bulk, single in pairs:
+            for v in before:
+                bulk.observe(v)
+                single.observe(v)
+            bulk.observe(value, times=times)
+            for _ in range(times):
+                single.observe(value)
+            if isinstance(bulk, ConcurrentLogHistogram):
+                bulk, single = bulk.merged(), single.merged()
+            assert (bulk.count, bulk.zero_count, bulk.buckets, bulk.min, bulk.max) == (
+                single.count, single.zero_count, single.buckets, single.min, single.max
+            )
+            assert bulk.total == pytest.approx(single.total)
 
     def test_percentile_within_bucket_error(self):
         hist = LogHistogram("x")

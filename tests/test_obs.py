@@ -17,6 +17,7 @@ from repro.baselines import TupleIvmEngine
 from repro.core import IdIvmEngine
 from repro.obs import metrics
 from repro.obs import (
+    ConcurrentLogHistogram,
     MetricsRegistry,
     SpanRecorder,
     current_recorder,
@@ -28,6 +29,7 @@ from repro.obs import (
     validate_trace,
     write_trace,
 )
+from repro.obs.hist import bucket_index
 from repro.storage import AccessCounts, CounterSet
 from repro.workloads import (
     BSMA_QUERIES,
@@ -165,7 +167,7 @@ class TestMetrics:
         reg.counter("c").inc(4)
         reg.gauge("g").set(2.5)
         for v in (1, 2, 3):
-            reg.histogram("h").observe(v)
+            reg.loghist("h").observe(v)
         out = reg.as_dict()
         assert out["c"]["value"] == 5
         assert out["g"]["value"] == 2.5
@@ -214,10 +216,12 @@ class TestMetricsConcurrency:
     def test_counter_and_histogram_are_lossless_under_contention(self):
         # Pre-fix, Counter.inc was a read-modify-write on one shared int
         # and this hammer reliably lost increments.  Per-thread cells
-        # (folded on read, like ConcurrentLogHistogram) must be exact.
+        # (folded on read) must be exact, on the counter and on the log
+        # histogram every registry histogram is.
         reg = MetricsRegistry()
         counter = reg.counter("hammer.count")
-        hist = reg.histogram("hammer.hist")
+        hist = reg.loghist("hammer.hist")
+        assert isinstance(hist, ConcurrentLogHistogram)
         n_threads, per_thread = 8, 5000
 
         def work():
@@ -232,9 +236,11 @@ class TestMetricsConcurrency:
             t.join()
         expected = n_threads * per_thread
         assert counter.value == expected
-        assert hist.count == expected
-        assert hist.total == expected * 2.0
-        assert hist.min == hist.max == 2.0
+        merged = hist.merged()
+        assert hist.count == merged.count == expected
+        assert merged.total == expected * 2.0
+        assert merged.min == merged.max == 2.0
+        assert merged.buckets == {bucket_index(2.0): expected}
 
     def test_counter_folds_cells_of_dead_threads(self):
         reg = MetricsRegistry()
@@ -341,6 +347,25 @@ def _bsma_round(exec_backend):
     return engine, view
 
 
+def test_stmt_diff_rows_over_a_seeded_bsma_stream():
+    """Every BSMA view over three seeded rounds: the statement-size
+    histogram's count, sum, min and max are pinned at what the count/sum
+    summary type recorded before every registry histogram became a log
+    histogram; the skipped statements' zeros sit in its zero bucket."""
+    config = BsmaConfig(n_users=60)
+    db = build_bsma_database(config)
+    engine = IdIvmEngine(db)
+    for name in sorted(BSMA_QUERIES):
+        engine.define_view(name, BSMA_QUERIES[name](db, config))
+    with metrics.scoped() as reg:
+        for round_seed in range(3):
+            log_user_updates(engine, db, config, 12, round_seed=round_seed)
+            engine.maintain()
+        hist = reg.loghist("script.stmt_diff_rows").merged()
+    assert (hist.count, hist.total, hist.min, hist.max) == (2265, 1512, 0, 12)
+    assert 0 < hist.zero_count < hist.count
+
+
 @pytest.mark.parametrize("exec_backend", ["compiled", "interp"])
 @pytest.mark.parametrize("setup", [_devices_round, _bsma_round], ids=["devices", "bsma"])
 def test_one_statement_loop_traced_and_untraced(setup, exec_backend):
@@ -354,7 +379,7 @@ def test_one_statement_loop_traced_and_untraced(setup, exec_backend):
             engine, view = setup(exec_backend)
             with recording(recorder) if recorder is not None else nullcontext():
                 report = engine.maintain()["V"]
-            hist = reg.histogram("script.stmt_diff_rows")
+            hist = reg.loghist("script.stmt_diff_rows").merged()
             return sorted(view.table.rows_uncounted()), report, (hist.count, hist.total)
 
     recorder = SpanRecorder()

@@ -24,7 +24,7 @@ class TestRenderPrometheus:
         reg = metrics.MetricsRegistry()
         reg.counter("engine.maintain_rounds").inc(3)
         reg.gauge("some.gauge").set(1.5)
-        reg.histogram("engine.log_entries").observe(10)
+        reg.loghist("engine.log_entries").observe(10)
         hist = reg.loghist("engine.round_seconds", unit="seconds")
         for v in (0.01, 0.02, 0.4):
             hist.observe(v)
@@ -32,7 +32,10 @@ class TestRenderPrometheus:
         assert "# TYPE repro_engine_maintain_rounds counter" in text
         assert "repro_engine_maintain_rounds 3" in text
         assert "repro_some_gauge 1.5" in text
-        assert "# TYPE repro_engine_log_entries summary" in text
+        # every histogram is a log histogram: no summary family
+        assert "# TYPE repro_engine_log_entries histogram" in text
+        assert "repro_engine_log_entries_count 1" in text
+        assert " summary" not in text
         assert "# TYPE repro_engine_round_seconds histogram" in text
         assert "repro_engine_round_seconds_count 3" in text
         assert 'le="+Inf"' in text
@@ -42,12 +45,10 @@ class TestRenderPrometheus:
         reg = metrics.MetricsRegistry()
         reg.loghist("view.round_seconds.Q*1", unit="seconds").observe(0.01)
         reg.loghist("view.round_seconds.Q7", unit="seconds").observe(0.02)
-        reg.gauge("drift.worst_ratio.Q*1").set(0.97)
         text = render_prometheus(reg)
         # the star never reaches a metric name; it lives in a label
         assert 'repro_view_round_seconds_count{view="Q*1"} 1' in text
         assert 'repro_view_round_seconds_count{view="Q7"} 1' in text
-        assert 'repro_drift_worst_ratio{view="Q*1"} 0.97' in text
         # one TYPE header for the whole labeled family
         assert text.count("# TYPE repro_view_round_seconds histogram") == 1
         assert validate_exposition(text) == []
@@ -133,8 +134,15 @@ class TestLiveEngine:
         assert validate_exposition(text) == []
         assert "repro_view_pending_entries" in text
         assert "repro_view_lag_seconds_bucket" in text
-        assert "repro_drift_ewma" in text
         assert "repro_modlog_position" in text
+        # the drift of every (view, metric) is its EWMA, read when scraped
+        states = demo_loop.engine.drift.states()
+        assert states
+        for state in states:
+            labels = f'{{metric="{state.metric}",view="{state.view}"}}'
+            assert f"repro_drift_ewma{labels} " in text
+        assert "repro_drift_worst_ratio" not in text
+        assert " summary" not in text
 
     def test_snapshot_document(self, demo_loop):
         snap = build_snapshot(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
+from repro.analysis.cost import SCRIPT_PHASES
 from repro.obs import metrics
+from repro.obs.drift import DriftMonitor
 from repro.obs.serve import build_snapshot
 from repro.obs.top import render_dashboard
 
@@ -60,6 +62,19 @@ class TestRenderDashboard:
         assert "pre-state replica rebuilt" not in render_dashboard(snapshot)
         snapshot["metrics"]["engine.prestate_rebuilds"] = {"type": "counter", "value": 3}
         assert "pre-state replica rebuilt 3x" in render_dashboard(snapshot)
+
+    def test_drift_column_is_the_ewma_farthest_from_one(self):
+        monitor = DriftMonitor()
+        phase = SCRIPT_PHASES[-1]
+        monitor.update(
+            "V",
+            {phase: {"tuple_writes": 100, "tuple_reads": 100}},
+            {phase: {"tuple_writes": 90, "tuple_reads": 10}},
+        )
+        frame = render_dashboard({"drift": monitor.snapshot()})
+        (row,) = [line for line in frame.splitlines() if line.startswith("V ")]
+        *_, drift, alerts = row.split()
+        assert (drift, alerts) == (f"{monitor.ratio('V', 'tuple_reads'):.2f}", "-")
 
     def test_handles_empty_snapshot(self):
         frame = render_dashboard({"schema": "repro.obs.snapshot"})
