@@ -130,7 +130,10 @@ lint-catalog:
 # telemetry keeps one copy of each fact: every registry histogram is the
 # log histogram of obs/hist.py (no histogram class in obs/metrics.py, no
 # summary family on /metrics), and a view's worst drift ratio is derived
-# from the EWMAs where it is read, never stored.
+# from the EWMAs where it is read, never stored; and a round looks up one
+# metric by name: the statement loop, instance population, a view's
+# maintenance, the round's finish and the drift intake hold handles
+# (tools/check_round_metrics.py, an AST walk).
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -234,6 +237,9 @@ lint-static:
 	    exit 1; fi
 	@if grep -n '\.copy(' src/repro/baselines/sdbt.py; then \
 	    echo "baselines/sdbt.py copies: the hybrid state switches table references from the replica to the live tables"; \
+	    exit 1; fi
+	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
+	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \
 	    exit 1; fi
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping"; fi

@@ -689,7 +689,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             "warnings": n_warnings,
         }
         payload.update(json_out)
-        print(json.dumps(payload, indent=2))
+        # default=dict: the read-only predicted_counts mappings
+        print(json.dumps(payload, indent=2, default=dict))
     else:
         for label, report in reports:
             interesting = report.errors + report.warnings

@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from ..algebra.evaluate import materialize
 from ..algebra.plan import PlanNode
@@ -57,9 +57,9 @@ class MaintenanceReport:
     phase_counts: dict[str, AccessCounts] = field(default_factory=dict)
     diff_sizes: dict[str, int] = field(default_factory=dict)
     #: per-phase counts the symbolic cost model predicted for this round
-    #: (``{phase: {metric: value}}``), bound to the observed diff sizes;
-    #: None when no model could be inferred at define time.
-    predicted_counts: Optional[dict] = None
+    #: (read-only ``{phase: {metric: value}}``), bound to the observed diff
+    #: sizes; None when no model could be inferred at define time.
+    predicted_counts: Optional[Mapping] = None
 
     @property
     def total_cost(self) -> int:
@@ -152,6 +152,11 @@ def counted_phase(counters: CounterSet, phase: str, **attrs) -> Iterator[None]:
         yield
 
 
+_LOG_ENTRIES = metrics.Handle("histogram", "engine.log_entries")
+_ROUND_COST = metrics.Handle("histogram", "engine.round_cost")
+_ROUND_SECONDS = metrics.Handle("loghist", "engine.round_seconds", "seconds")
+
+
 class MaintenanceEngine:
     """The definition and the maintenance round every engine shares: what
     is logged, when ``Input_pre`` is read, what is traced and what is
@@ -171,6 +176,8 @@ class MaintenanceEngine:
         self.drift = DriftMonitor()
         self._pre = PreState(strict)
         self.views: dict = {}
+        #: ``view.round_seconds.<view>``, held once per view
+        self._view_seconds: dict[str, metrics.Handle] = {}
         #: most recent MaintenanceReport per view (dashboards read this).
         self.last_reports: dict[str, MaintenanceReport] = {}
 
@@ -197,6 +204,7 @@ class MaintenanceEngine:
         # statistics probes) are not maintenance cost.
         self.db.counters.reset()
         self.views[name] = view
+        self._view_seconds[name] = metrics.Handle("loghist", f"view.round_seconds.{name}", "seconds")
         # A just-materialized view reflects the whole log so far.
         self.log.advance(name, self.log.position)
         return view
@@ -242,8 +250,10 @@ class MaintenanceEngine:
         groups: dict[int, list] = {}
         for view in targets:
             groups.setdefault(log.cursors[view.name], []).append(view)
+        # The round's one lookup by name; everything else it records
+        # goes through handles.
         metrics.counter("engine.maintain_rounds").inc()
-        metrics.histogram("engine.log_entries").observe(len(retained))
+        _LOG_ENTRIES().observe(len(retained))
         reports: dict[str, MaintenanceReport] = {}
         with obs.span(
             "maintain",
@@ -295,17 +305,13 @@ class MaintenanceEngine:
                                 vsp.set(phase_counts_remote=stamped_phases)
                             else:
                                 vsp.set(phase_counts=stamped_phases)
-                    metrics.histogram("engine.round_cost").observe(report.total_cost)
-                    metrics.loghist(
-                        f"view.round_seconds.{view_name}", unit="seconds"
-                    ).observe(time.perf_counter() - view_started)
+                    _ROUND_COST().observe(report.total_cost)
+                    self._view_seconds[view_name]().observe(time.perf_counter() - view_started)
                 floor = log.prune()
                 if db_pre is not None:  # forward, or back to a view it passed
                     self._pre.move(entries if floor >= cursor else retained, floor)
                 self._finish_round([reports[v.name] for v in groups[cursor]], entries)
-        metrics.loghist("engine.round_seconds", unit="seconds").observe(
-            time.perf_counter() - round_started
-        )
+        _ROUND_SECONDS().observe(time.perf_counter() - round_started)
         return reports
 
     def _begin_round(self, entries, round_span) -> None:

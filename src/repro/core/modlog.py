@@ -423,13 +423,16 @@ def populate_instances(
         sizes = [len(diff.rows) for diff in out.values()]
         total_rows = sum(sizes)
         sp.set(idiff_rows=total_rows, nonempty_instances=len(sizes) - sizes.count(0))
-        metrics.histogram("modlog.idiff_rows_per_round").observe(total_rows)
-        metrics.loghist("modlog.fold_rows", unit="rows").observe(len(entries))
+        _IDIFF_ROWS().observe(total_rows)
+        _FOLD_ROWS().observe(len(entries))
         if entries:
-            metrics.histogram("modlog.fold_ratio").observe(
-                total_rows / len(entries)
-            )
+            _FOLD_RATIO().observe(total_rows / len(entries))
         return out
+
+
+_IDIFF_ROWS = metrics.Handle("histogram", "modlog.idiff_rows_per_round")
+_FOLD_ROWS = metrics.Handle("loghist", "modlog.fold_rows", "rows")
+_FOLD_RATIO = metrics.Handle("histogram", "modlog.fold_ratio")
 
 
 def _populate_instances(

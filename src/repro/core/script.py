@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from contextlib import ExitStack
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..errors import ScriptError
@@ -408,14 +407,14 @@ def execute_script(
     their zeros, and ``script.stmt_diff_rows`` receives their zero
     observations in one call — a reader of the round cannot tell.
 
-    Steps of one phase are contiguous, so the counter phase (a generator
-    context manager) is entered once per phase run that holds a live
-    statement, not once per statement.  With a recorder installed the
-    phase run is also a ``phase:`` span and every live statement a
-    ``stmt[i]`` span, *i* its script index.  The phase span's
-    access-count delta is that of the phase's counter *bucket*, so
-    per-phase sums over a round's phase spans reconcile with the
-    engine's ``MaintenanceReport.phase_counts``.
+    Steps of one phase are contiguous, so the counter phase is entered
+    once per phase run that holds a live statement, not once per
+    statement.  With a recorder installed the phase run is also a
+    ``phase:`` span and every live statement a ``stmt[i]`` span, *i* its
+    script index.  The phase span's access-count delta is that of the
+    phase's counter *bucket*, so per-phase sums over a round's phase
+    spans reconcile with the engine's ``MaintenanceReport.phase_counts``.
+    The statements' diff-row counts are observed once per distinct value.
     """
     recorder = obs.current_recorder()
     diffs = ctx.diffs
@@ -424,11 +423,10 @@ def execute_script(
     sizes.update(live.idle_sizes)
     diffs.update(live.idle_diffs)
     ctx.expansions.update(live.idle_expansions)
-    observe = metrics.histogram("script.stmt_diff_rows").observe
-    metrics.counter("script.stmts_skipped").inc(live.skipped)
-    if live.skipped_counted:
-        observe(0, live.skipped_counted)
-    stack = ExitStack()
+    _STMTS_SKIPPED().inc(live.skipped)
+    # diff rows -> how many statements reported that many
+    diff_rows_seen = {0: live.skipped_counted} if live.skipped_counted else {}
+    scope = span = None  # the open phase run's counter phase and span
     open_phase: Optional[str] = None
     phase_started = 0.0
     try:
@@ -439,20 +437,13 @@ def execute_script(
             if phase != open_phase:
                 now = time.perf_counter()
                 if open_phase is not None:
-                    _observe_phase_seconds(open_phase, now - phase_started)
-                stack.close()
-                stack = ExitStack()
+                    _close_phase(scope, span, open_phase, now - phase_started)
                 if recorder is not None:
-                    stack.enter_context(
-                        recorder.span(
-                            f"phase:{phase}",
-                            kind="phase",
-                            counters=counters,
-                            phase_of=phase,
-                            phase=phase,
-                        )
-                    )
-                stack.enter_context(counters.phase(phase))
+                    span = recorder.span(f"phase:{phase}", kind="phase",
+                                         counters=counters, phase_of=phase, phase=phase)
+                    span.__enter__()
+                scope = counters.phase(phase)
+                scope.__enter__()
                 open_phase = phase
                 phase_started = now
             if recorder is None:
@@ -475,17 +466,33 @@ def execute_script(
                     if diff_rows is not None:
                         sp.set(diff_rows=diff_rows)
             if diff_rows is not None:
-                observe(diff_rows)
+                diff_rows_seen[diff_rows] = diff_rows_seen.get(diff_rows, 0) + 1
     finally:
-        stack.close()
         if open_phase is not None:
-            _observe_phase_seconds(open_phase, time.perf_counter() - phase_started)
+            _close_phase(scope, span, open_phase, time.perf_counter() - phase_started)
+        observe = _STMT_DIFF_ROWS().observe
+        for diff_rows, times in diff_rows_seen.items():
+            observe(diff_rows, times)
     for name in live.binds:
         sizes[name] = len(diffs[name].rows)
     ctx.diff_sizes = sizes
     return diffs
 
 
-def _observe_phase_seconds(phase: str, seconds: float) -> None:
-    """Latency of one contiguous phase run (safe from shard workers)."""
-    metrics.loghist(f"script.phase_seconds.{phase}", unit="seconds").observe(seconds)
+_STMT_DIFF_ROWS = metrics.Handle("histogram", "script.stmt_diff_rows")
+_STMTS_SKIPPED = metrics.Handle("counter", "script.stmts_skipped")
+#: ``script.phase_seconds.<phase>``, one handle per phase met
+_PHASE_SECONDS: dict[str, metrics.Handle] = {}
+
+
+def _close_phase(scope, span, phase: str, seconds: float) -> None:
+    """Leave a phase run (counter phase, then span); observe its latency."""
+    scope.__exit__(None, None, None)
+    if span is not None:
+        span.__exit__(None, None, None)
+    handle = _PHASE_SECONDS.get(phase)
+    if handle is None:
+        handle = _PHASE_SECONDS[phase] = metrics.Handle(
+            "loghist", f"script.phase_seconds.{phase}", "seconds"
+        )
+    handle().observe(seconds)

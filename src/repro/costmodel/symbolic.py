@@ -29,6 +29,7 @@ estimate used by the minimality lint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 Monomial = tuple[str, ...]
@@ -250,7 +251,7 @@ class ScriptCostModel:
         self.estimates: dict[str, float] = {}
         self.reconcile_sums: dict[str, tuple[str, ...]] = {}
         self.notes: list[str] = []
-        self._predict_memo: dict[tuple, dict[str, dict[str, float]]] = {}
+        self._predict_memo: dict[tuple, Mapping[str, Mapping[str, float]]] = {}
 
     # -- construction --------------------------------------------------
     def add(self, label: str, phase: str, vector: CostVector, note: str = "") -> None:
@@ -316,24 +317,31 @@ class ScriptCostModel:
 
     def predict_from_diff_sizes(
         self, diff_sizes: Mapping[str, int]
-    ) -> dict[str, dict[str, float]]:
+    ) -> Mapping[str, Mapping[str, float]]:
         """Reconciliation prediction: bind every observed diff cardinality.
 
-        Memoized on the size vector — steady workloads produce the same
-        cardinalities round after round, and the polynomial evaluation is
-        pure.  Fresh inner dicts are returned so callers may mutate them.
-        """
-        key = tuple(sorted(diff_sizes.items()))
+        Memoized on the size vector as ordered (steady workloads repeat
+        it round after round; the evaluation is pure) and served as the
+        memo's own read-only mappings, copied for no caller."""
+        key = (tuple(diff_sizes), tuple(diff_sizes.values()))
         memo = self._predict_memo
         cached = memo.get(key)
         if cached is None:
             if len(memo) > 256:
                 memo.clear()
-            cached = self.predict(
+            prediction = self.predict(
                 {f"card[{name}]": float(n) for name, n in diff_sizes.items()}
             )
-            memo[key] = cached
-        return {phase: dict(counts) for phase, counts in cached.items()}
+            cached = memo[key] = MappingProxyType(
+                {phase: MappingProxyType(counts) for phase, counts in prediction.items()}
+            )
+        return cached
+
+    def __getstate__(self) -> dict:
+        # Read-only mappings do not pickle: a shard worker memoises afresh.
+        state = self.__dict__.copy()
+        state["_predict_memo"] = {}
+        return state
 
     def total(self, env: Optional[Mapping[str, float]] = None) -> float:
         return sum(p["total"] for p in self.predict(env).values())

@@ -29,7 +29,7 @@ scheduler is the intended consumer here.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 #: The CostVector metrics the PR 5 reconciliation compares (and we track).
 DRIFT_METRICS = ("index_lookups", "tuple_reads", "tuple_writes")
@@ -141,34 +141,32 @@ class DriftMonitor:
         self.high = high
         self.min_volume = min_volume
         self._states: dict[tuple[str, str], DriftState] = {}
+        from ..analysis.cost import SCRIPT_PHASES  # deferred: it imports obs
+
+        #: the phases both sides are summed over
+        self._phases: tuple[str, ...] = SCRIPT_PHASES
 
     # ------------------------------------------------------------------
-    def update(
-        self,
-        view: str,
-        predicted: Optional[Mapping[str, Mapping[str, float]]],
-        observed: Mapping[str, Mapping[str, float]],
-    ) -> None:
-        """Fold one round's prediction/observation into the EWMA.
-
-        *predicted* and *observed* are ``{phase: {metric: value}}``
-        (the ``MaintenanceReport.predicted_counts`` shape and the
-        ``as_dict`` form of ``phase_counts``).  A ``None`` prediction
-        (no model inferred) contributes nothing.
-        """
+    def update_from_report(self, report: object) -> None:
+        """Fold a ``MaintenanceReport``'s ``predicted_counts`` against its
+        ``phase_counts`` (read in place) into the EWMAs, each summed over
+        the script phases left to right, as ``sum()`` did before Python
+        3.12; a report without a prediction contributes nothing."""
+        predicted = getattr(report, "predicted_counts", None)
         if not predicted:
             return
-        from ..analysis.cost import SCRIPT_PHASES
-
+        forecast = [c for c in map(predicted.get, self._phases) if c is not None]
+        observed = [
+            c for c in map(report.phase_counts.get, self._phases)  # type: ignore[attr-defined]
+            if c is not None
+        ]
+        view = report.view_name  # type: ignore[attr-defined]
         for metric in DRIFT_METRICS:
-            p = sum(
-                float(predicted.get(phase, {}).get(metric, 0.0))
-                for phase in SCRIPT_PHASES
-            )
-            o = sum(
-                float(observed.get(phase, {}).get(metric, 0.0))
-                for phase in SCRIPT_PHASES
-            )
+            p = o = 0.0
+            for predicted_counts in forecast:
+                p += predicted_counts.get(metric, 0.0)
+            for counts in observed:
+                o += getattr(counts, metric)
             if p < self.min_volume and o < self.min_volume:
                 continue
             state = self._states.get((view, metric))
@@ -178,18 +176,6 @@ class DriftMonitor:
             state.observed_total += o
             state.predicted_total += p
             state.update((o + _SMOOTHING) / (p + _SMOOTHING), self.alpha)
-
-    def update_from_report(self, report: object) -> None:
-        """Convenience intake for a ``MaintenanceReport``."""
-        predicted = getattr(report, "predicted_counts", None)
-        if not predicted:
-            return
-        observed = {
-            phase: counts.as_dict()
-            for phase, counts in report.phase_counts.items()  # type: ignore[attr-defined]
-            if phase != "__total__"
-        }
-        self.update(report.view_name, predicted, observed)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     def states(self) -> list[DriftState]:

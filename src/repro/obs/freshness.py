@@ -91,13 +91,11 @@ class FreshnessTracker:
     # ------------------------------------------------------------------
     def round_lags(self, entry_times: Iterable[float], now: float) -> LogHistogram:
         """One observed-lag sample per ``logged_at`` stamp of a round's
-        entries, observed once; :meth:`note_maintained` merges the result
-        (exactly, bucket by bucket) into every view the round maintained."""
+        entries, observed once, in one batch; :meth:`note_maintained`
+        merges the result (exactly, bucket by bucket) into every view the
+        round maintained."""
         lags = LogHistogram(unit="seconds")
-        observe = lags.observe
-        for logged_at in entry_times:
-            lag = now - logged_at
-            observe(lag if lag > 0.0 else 0.0)
+        lags.observe_many([lag if (lag := now - t) > 0.0 else 0.0 for t in entry_times])
         return lags
 
     def note_maintained(self, name: str, lags: LogHistogram) -> None:

@@ -100,6 +100,13 @@ class LogHistogram:
             idx = bucket_index(float(value))
             self.buckets[idx] = self.buckets.get(idx, 0) + times
 
+    def observe_many(self, values: Iterable[Number]) -> None:
+        """Record each of *values* once, in their order (so ``total`` is
+        bit-identical to observing them one by one), in one call."""
+        observe = self.observe
+        for value in values:
+            observe(value)
+
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold *other*'s observations into self (exact) and return self."""
         self.count += other.count
@@ -213,14 +220,20 @@ class ConcurrentLogHistogram:
         self._shards: list[LogHistogram] = []
         self._lock = threading.Lock()
 
-    def observe(self, value: Number, times: int = 1) -> None:
+    def _shard(self) -> LogHistogram:
         shard = getattr(self._local, "shard", None)
         if shard is None:
             shard = LogHistogram(self.name, self.unit)
             with self._lock:
                 self._shards.append(shard)
             self._local.shard = shard
-        shard.observe(value, times)
+        return shard
+
+    def observe(self, value: Number, times: int = 1) -> None:
+        self._shard().observe(value, times)
+
+    def observe_many(self, values: Iterable[Number]) -> None:
+        self._shard().observe_many(values)
 
     def shards(self) -> list[LogHistogram]:
         """The live per-thread shards (shared objects, do not mutate)."""

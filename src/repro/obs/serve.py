@@ -107,8 +107,9 @@ def render_prometheus(
     """The Prometheus text exposition for a registry (+ engine extras).
 
     With an *engine* attached, per-view freshness (pending entries,
-    seconds-behind, observed-lag histograms) and drift EWMAs are emitted
-    as labeled families on top of the raw registry contents.
+    seconds-behind, observed-lag histograms), drift EWMAs and cache sizes
+    (:func:`cache_rows`) are emitted as labeled families on top of the
+    raw registry contents.
     """
     registry = registry if registry is not None else metrics.registry()
     # family -> (prom type, [(labels, metric-ish)]); insertion order kept
@@ -185,6 +186,9 @@ def render_prometheus(
                 "gauge",
                 [f"repro_drift_alerts {len(drift.alerts())}"],
             )
+        for view, cache, kind, rows in cache_rows(engine):
+            labels = {"view": view, "cache": cache, "kind": kind}
+            add("repro_cache_rows", "gauge", [f"repro_cache_rows{_labels(labels)} {rows}"])
 
     out: list[str] = []
     for family, (prom_type, lines) in families.items():
@@ -226,8 +230,24 @@ def build_snapshot(
                 if report.broadcast_reason:
                     entry["broadcast_reason"] = report.broadcast_reason
             views[name] = entry
+        for name, cache, kind, rows in cache_rows(engine):
+            views.setdefault(name, {}).setdefault(f"{kind}_rows", {})[cache] = rows
         snapshot["views"] = views
     return snapshot
+
+
+def cache_rows(engine) -> list[tuple[str, str, str, int]]:
+    """``(view, cache, kind, rows)`` for every intermediate cache (kind
+    ``"cache"``) and operator cache (``"opcache"``) of *engine*'s views,
+    read off the tables by the scrape, never by a round."""
+    return [
+        (name, table.name, kind, len(table))
+        for name, view in sorted(getattr(engine, "views", {}).items())
+        for kind, tables in (("cache", getattr(view, "caches", {})),
+                             ("opcache", getattr(view, "operator_caches", {})))
+        for table in tables.values()
+        if table is not view.table  # the view itself is no cache
+    ]
 
 
 # ----------------------------------------------------------------------

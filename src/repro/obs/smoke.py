@@ -29,6 +29,7 @@ _REQUIRED_FAMILIES = (
     "repro_modlog_position",
     "repro_modlog_retained_entries",
     "repro_drift_ewma",
+    "repro_cache_rows",
 )
 
 

@@ -24,7 +24,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator, Optional
+from typing import Any, ContextManager, Iterator, Optional
 
 from ..storage import AccessCounts, CounterSet
 
@@ -245,7 +245,8 @@ def recording(recorder: Optional[SpanRecorder] = None) -> Iterator[SpanRecorder]
 
 
 class _NullSpan:
-    """Shared do-nothing span yielded when tracing is disabled."""
+    """The shared do-nothing span of disabled tracing — and its own
+    context manager, so an untraced ``with span(...)`` allocates nothing."""
 
     __slots__ = ()
     counts = None
@@ -254,24 +255,25 @@ class _NullSpan:
     def set(self, **attrs: Any) -> None:
         pass
 
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 
 
-@contextmanager
 def span(
     name: str,
     kind: str = "span",
     counters: Optional[CounterSet] = None,
     phase_of: Optional[str] = None,
     **attrs: Any,
-) -> Iterator[Any]:
-    """Module-level span helper, safe to call with tracing disabled."""
+) -> ContextManager[Any]:
+    """Module-level span helper: the one null span while tracing is off."""
     rec = _recorder
     if rec is None:
-        yield _NULL_SPAN
-        return
-    with rec.span(
-        name, kind=kind, counters=counters, phase_of=phase_of, **attrs
-    ) as sp:
-        yield sp
+        return _NULL_SPAN
+    return rec.span(name, kind=kind, counters=counters, phase_of=phase_of, **attrs)

@@ -10,9 +10,7 @@ update).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass
@@ -111,14 +109,9 @@ class CounterSet:
     def current_phase(self) -> str:
         return self._stack[-1]
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> "PhaseScope":
         """Attribute accesses within the block to phase *name*."""
-        self._stack.append(name)
-        try:
-            yield
-        finally:
-            self._stack.pop()
+        return PhaseScope(self, name)
 
     def _bucket(self) -> AccessCounts:
         name = self._stack[-1]
@@ -183,6 +176,22 @@ class CounterSet:
             out.phases[name] = counts.copy()
             out.total.add(counts)
         return out
+
+
+class PhaseScope:
+    """``with counters.phase(name)``: a plain object, not a generator —
+    a round enters one per phase run of every script it executes."""
+
+    __slots__ = ("counters", "name")
+
+    def __init__(self, counters: CounterSet, name: str):
+        self.counters, self.name = counters, name
+
+    def __enter__(self) -> None:
+        self.counters._stack.append(self.name)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.counters._stack.pop()
 
 
 @dataclass

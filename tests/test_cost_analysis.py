@@ -9,6 +9,8 @@ benchmarks, and the crosscheck runner's cost leg.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.analysis import analyze_generated
@@ -70,6 +72,26 @@ class TestInference:
             for metric, value in metrics.items():
                 assert isinstance(value, float), (phase, metric)
                 assert value >= 0.0
+
+    def test_prediction_is_the_read_only_memo(self):
+        """``predict_from_diff_sizes`` equals a fresh ``predict()`` of the
+        same sizes, given in any key order, and serves its memo: the
+        same read-only mappings, which refuse mutation."""
+        _db, _engine, view = _define(build_view=build_aggregate_view)
+        model = view.cost_model
+        sizes = dict.fromkeys(view.generated.script.leaves(), 0)
+        sizes.update({"Du": 6, "Dc": 2})
+        fresh = model.predict({f"card[{n}]": float(k) for n, k in sizes.items()})
+        forward = model.predict_from_diff_sizes(sizes)
+        backward = model.predict_from_diff_sizes(dict(reversed(sizes.items())))
+        for served in (forward, backward):
+            assert {phase: dict(counts) for phase, counts in served.items()} == fresh
+        assert model.predict_from_diff_sizes(dict(sizes)) is forward
+        with pytest.raises(TypeError):
+            forward["view_update"] = {}  # type: ignore[index]
+        with pytest.raises(TypeError):
+            forward["cache_update"]["total"] = 0.0  # type: ignore[index]
+        pickle.loads(pickle.dumps(model))  # the memo does not travel
 
 
 class TestReconciliation:

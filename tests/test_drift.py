@@ -7,9 +7,11 @@ import pytest
 from repro.analysis import AnalysisReport
 from repro.analysis.cost import SCRIPT_PHASES, drift_diagnostics
 from repro.core import IdIvmEngine
+from repro.core.engine import MaintenanceReport
 from repro.obs.drift import DriftMonitor
 from repro.obs.serve import render_prometheus
 from repro.workloads import BsmaConfig, build_bsma_database, log_user_updates
+from repro.storage import AccessCounts
 from repro.workloads.bsma import BSMA_QUERIES
 
 PHASE = SCRIPT_PHASES[-1]  # any single phase works for unit tests
@@ -17,11 +19,11 @@ PHASE = SCRIPT_PHASES[-1]  # any single phase works for unit tests
 
 def _feed(monitor, view, predicted, observed, rounds):
     for _ in range(rounds):
-        monitor.update(
+        monitor.update_from_report(MaintenanceReport(
             view,
-            {PHASE: {"tuple_writes": predicted}},
-            {PHASE: {"tuple_writes": observed}},
-        )
+            phase_counts={PHASE: AccessCounts(tuple_writes=observed)},
+            predicted_counts={PHASE: {"tuple_writes": predicted}},
+        ))
 
 
 class TestDriftMonitor:

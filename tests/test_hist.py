@@ -149,6 +149,32 @@ class TestLogHistogram:
             )
             assert bulk.total == pytest.approx(single.total)
 
+    @given(observations, observations)
+    def test_observe_many_equals_sequential_observations(self, before, values):
+        """``observe_many(values)`` is ``observe(v)`` for each value in
+        order, on both histogram types: every field equal, zeros
+        included, and ``total`` bit-identical (it is added in order)."""
+        with metrics.scoped():
+            pairs = [
+                (LogHistogram(), LogHistogram()),
+                (metrics.histogram("batch"), metrics.histogram("single")),
+            ]
+        for batch, single in pairs:
+            for v in before:
+                batch.observe(v)
+                single.observe(v)
+            batch.observe_many(iter(values))
+            for v in values:
+                single.observe(v)
+            if isinstance(batch, ConcurrentLogHistogram):
+                batch, single = batch.merged(), single.merged()
+            fields = ("count", "zero_count", "buckets", "min", "max", "total")
+            assert [getattr(batch, f) for f in fields] == [
+                getattr(single, f) for f in fields
+            ]
+            assert type(batch.total) is type(single.total)
+            assert math.copysign(1.0, batch.total) == math.copysign(1.0, single.total)
+
     def test_percentile_within_bucket_error(self):
         hist = LogHistogram("x")
         values = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]

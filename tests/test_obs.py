@@ -366,6 +366,41 @@ def test_stmt_diff_rows_over_a_seeded_bsma_stream():
     assert 0 < hist.zero_count < hist.count
 
 
+def test_rounds_record_in_the_registry_active_when_they_run():
+    """Round telemetry goes through handles resolved once per registry:
+    a view defined under one registry and maintained under another
+    records every per-view and per-statement family in the one active
+    during the round, and nothing in the others."""
+    config = BsmaConfig(n_users=60)
+    with metrics.scoped() as defined_in:
+        db = build_bsma_database(config)
+        engine = IdIvmEngine(db)
+        engine.define_view("Q7", BSMA_QUERIES["Q7"](db, config))
+    definition_names = set(defined_in.names())
+    round_families = {
+        "engine.maintain_rounds", "engine.log_entries", "engine.round_cost",
+        "engine.round_seconds", "view.round_seconds.Q7",
+        "modlog.idiff_rows_per_round", "modlog.fold_rows", "modlog.fold_ratio",
+        "script.stmt_diff_rows", "script.stmts_skipped",
+    }
+    registries, first_after_its_round = [], None
+    for round_seed in range(2):  # the second registry must re-resolve
+        log_user_updates(engine, db, config, 5, round_seed=round_seed)
+        with metrics.scoped() as reg:
+            engine.maintain()
+        names = set(reg.names())
+        assert round_families <= names
+        assert any(name.startswith("script.phase_seconds.") for name in names)
+        assert reg.counter("engine.maintain_rounds").value == 1
+        assert reg.loghist("view.round_seconds.Q7").count == 1
+        registries.append(reg)
+        first_after_its_round = first_after_its_round or reg.as_dict()
+    assert set(defined_in.names()) == definition_names
+    assert not definition_names & round_families
+    # the second round left the first round's registry untouched
+    assert registries[0].as_dict() == first_after_its_round
+
+
 @pytest.mark.parametrize("exec_backend", ["compiled", "interp"])
 @pytest.mark.parametrize("setup", [_devices_round, _bsma_round], ids=["devices", "bsma"])
 def test_one_statement_loop_traced_and_untraced(setup, exec_backend):

@@ -230,6 +230,57 @@ class TestRetainedLog:
         assert build_snapshot(engine)["freshness"]["retained"] == 0
 
 
+class TestCacheRows:
+    """Cache and opcache sizes, read off the tables at scrape time."""
+
+    def _engine(self, engine_cls):
+        from repro.workloads import (
+            BSMA_QUERIES, BsmaConfig, build_bsma_database, log_user_updates,
+        )
+
+        config = BsmaConfig(n_users=60)
+        db = build_bsma_database(config)
+        engine = engine_cls(db)
+        engine.define_view("Q10", BSMA_QUERIES["Q10"](db, config))
+        log_user_updates(engine, db, config, 8)
+        engine.maintain()
+        return engine
+
+    def test_every_cache_is_a_gauge_and_a_snapshot_entry(self):
+        from repro.core import IdIvmEngine
+
+        engine = self._engine(IdIvmEngine)
+        view = engine.views["Q10"]
+        expected = {
+            (table.name, kind): len(table)
+            for kind, tables in (("cache", view.caches), ("opcache", view.operator_caches))
+            for table in tables.values()
+            if table is not view.table
+        }
+        assert {kind for _, kind in expected} == {"cache", "opcache"}
+        text = render_prometheus(metrics.registry(), engine=engine)
+        assert validate_exposition(text) == []
+        assert text.count("# TYPE repro_cache_rows gauge") == 1
+        for (cache, kind), rows in expected.items():
+            assert f'repro_cache_rows{{cache="{cache}",kind="{kind}",view="Q10"}} {rows}\n' in text
+        entry = build_snapshot(engine)["views"]["Q10"]
+        assert {(c, "cache"): n for c, n in entry["cache_rows"].items()} | {
+            (c, "opcache"): n for c, n in entry["opcache_rows"].items()
+        } == expected
+        # read at scrape time: a round registers nothing for it
+        assert not [n for n in metrics.registry().names() if "rows" in n and "cache" in n]
+
+    def test_views_without_caches_report_none(self):
+        from repro.baselines import RecomputeEngine
+
+        engine = self._engine(RecomputeEngine)
+        text = render_prometheus(metrics.registry(), engine=engine)
+        assert validate_exposition(text) == []
+        assert "repro_cache_rows" not in text
+        entry = build_snapshot(engine)["views"]["Q10"]
+        assert "cache_rows" not in entry and "opcache_rows" not in entry
+
+
 class TestDemoLoopLifecycle:
     """stop() must join the loop; a dead loop must be *visible*."""
 

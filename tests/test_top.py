@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 
 from repro.analysis.cost import SCRIPT_PHASES
+from repro.core.engine import MaintenanceReport
 from repro.obs import metrics
 from repro.obs.drift import DriftMonitor
 from repro.obs.serve import build_snapshot
 from repro.obs.top import render_dashboard
+from repro.storage import AccessCounts
 
 
 def _demo_snapshot():
@@ -66,11 +68,11 @@ class TestRenderDashboard:
     def test_drift_column_is_the_ewma_farthest_from_one(self):
         monitor = DriftMonitor()
         phase = SCRIPT_PHASES[-1]
-        monitor.update(
+        monitor.update_from_report(MaintenanceReport(
             "V",
-            {phase: {"tuple_writes": 100, "tuple_reads": 100}},
-            {phase: {"tuple_writes": 90, "tuple_reads": 10}},
-        )
+            phase_counts={phase: AccessCounts(tuple_writes=90, tuple_reads=10)},
+            predicted_counts={phase: {"tuple_writes": 100, "tuple_reads": 100}},
+        ))
         frame = render_dashboard({"drift": monitor.snapshot()})
         (row,) = [line for line in frame.splitlines() if line.startswith("V ")]
         *_, drift, alerts = row.split()
