@@ -133,7 +133,9 @@ lint-catalog:
 # from the EWMAs where it is read, never stored; and a round looks up one
 # metric by name: the statement loop, instance population, a view's
 # maintenance, the round's finish and the drift intake hold handles
-# (tools/check_round_metrics.py, an AST walk).
+# (tools/check_round_metrics.py, an AST walk); and one thread writes the
+# engine's state: only obs/live.py and obs/smoke.py, which start the
+# threads, name `threading`, and no histogram is sharded per thread.
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -237,6 +239,13 @@ lint-static:
 	    exit 1; fi
 	@if grep -n '\.copy(' src/repro/baselines/sdbt.py; then \
 	    echo "baselines/sdbt.py copies: the hybrid state switches table references from the replica to the live tables"; \
+	    exit 1; fi
+	@if grep -rnw 'threading' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/obs/(live|smoke)\.py:'; then \
+	    echo "threading outside obs/live.py and obs/smoke.py: one thread writes the engine's state, so nothing takes a lock or keeps per-thread state"; \
+	    exit 1; fi
+	@if grep -rn 'ConcurrentLogHistogram' src; then \
+	    echo "ConcurrentLogHistogram in src/: every registry histogram is one LogHistogram, written by one thread"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

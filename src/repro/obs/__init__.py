@@ -9,7 +9,7 @@ machinery to do the same attribution live, on every maintenance round:
 * :mod:`repro.obs.metrics` — a process-wide registry of named counters,
   gauges and log histograms (i-diff sizes, cache hit rates, ...);
 * :mod:`repro.obs.hist` — log-bucketed percentile histograms with
-  per-thread accumulation and exact merging;
+  exact merging;
 * :mod:`repro.obs.freshness` — per-view staleness (pending modlog
   entries, seconds-behind, observed-lag percentiles);
 * :mod:`repro.obs.drift` — EWMA monitoring of the symbolic cost model's
@@ -23,11 +23,15 @@ machinery to do the same attribution live, on every maintenance round:
 Tracing is off by default: with no recorder installed every
 instrumentation site reduces to a single global read, so baseline
 benchmark numbers are unaffected.
+
+One thread writes all of it — the caller's, or a
+:class:`~repro.obs.live.DemoLoop`'s — and the ``serve`` handler threads
+only read the live objects; nothing here takes a lock.
 """
 
 from .drift import DriftAlert, DriftMonitor
 from .freshness import FreshnessTracker, ViewStaleness
-from .hist import ConcurrentLogHistogram, LogHistogram
+from .hist import LogHistogram
 from .metrics import (
     Counter,
     Gauge,
@@ -58,7 +62,6 @@ from .trace import (
 )
 
 __all__ = [
-    "ConcurrentLogHistogram",
     "Counter",
     "DriftAlert",
     "DriftMonitor",

@@ -75,10 +75,10 @@ class ViewStaleness:
 class FreshnessTracker:
     """Per-view staleness over a modification log's cursors.
 
-    Thread-safety: entries are logged and rounds finished from the
-    engine's coordinating thread (shard workers never touch the modlog),
-    so no locking is needed; readers (``serve``/``top``) may see a
-    slightly stale snapshot of the log.
+    Thread-safety: one thread writes — entries are logged and rounds
+    finished on the engine's thread (shard workers never touch the
+    modlog) — and readers (``serve``/``top``) read the live log and
+    histograms, possibly mid-round.
     """
 
     def __init__(self, log):

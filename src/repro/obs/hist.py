@@ -1,32 +1,26 @@
-"""Log-bucketed histograms: percentiles, exact merges, thread sharding.
+"""Log-bucketed histograms: percentiles and exact merges.
 
-Every histogram of the metrics registry is one of these: freshness and
-latency telemetry live in the tail (Snowflake Dynamic Tables gates on
-observed-lag *percentiles*, not means), and a size histogram reports
-its count, sum, min, max and mean from the same fields.
+Every histogram of the metrics registry is a :class:`LogHistogram`:
+freshness and latency telemetry live in the tail (Snowflake Dynamic
+Tables gates on observed-lag *percentiles*, not means), and a size
+histogram reports its count, sum, min, max and mean from the same
+fields.  Buckets are sparse and log-spaced (4 sub-buckets per power of
+two, ≤ ~12% relative error at any quantile), computed with exact
+``math.frexp`` integer arithmetic so bucket assignment has no
+float-boundary ambiguity.  Merging two histograms adds bucket counts —
+merge is associative and commutative to the count, which is what lets
+per-shard histograms reconcile *exactly* with merged ones.
 
-* :class:`LogHistogram` — sparse log-spaced buckets (4 sub-buckets per
-  power of two, ≤ ~12% relative error at any quantile), computed with
-  exact ``math.frexp`` integer arithmetic so bucket assignment has no
-  float-boundary ambiguity.  Merging two histograms adds bucket counts
-  — merge is associative and commutative to the count, which is what
-  lets per-shard histograms reconcile *exactly* with merged ones.
-* :class:`ConcurrentLogHistogram` — the same, behind per-thread shards:
-  ``observe`` touches only the calling thread's private histogram (no
-  lock on the hot path; the only critical section is first-observation
-  shard registration), and readers merge the shards on demand.  One thread
-  writes (the caller's, or a :class:`~repro.obs.live.DemoLoop`'s);
-  ``serve`` handler threads only read, through merged snapshots.
-
-Both expose ``p50/p95/p99/max`` and serialize through ``as_dict`` /
-``from_dict`` so traces, ``BENCH_*.json`` payloads and the ``/metrics``
-endpoint all speak the same histogram.
+One thread writes a histogram (the caller's, or a
+:class:`~repro.obs.live.DemoLoop`'s); ``serve`` handler threads only
+read it.  A histogram exposes ``p50/p95/p99/max`` and serializes through
+``as_dict`` / ``from_dict``, so traces, ``BENCH_*.json`` payloads and
+the ``/metrics`` endpoint all speak the same histogram.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Any, Iterable, Optional, Union
 
 Number = Union[int, float]
@@ -87,7 +81,9 @@ class LogHistogram:
     # ------------------------------------------------------------------
     def observe(self, value: Number, times: int = 1) -> None:
         """Record *value*, *times* over (a round that skips *n*
-        statements observes their zero diff rows in one call)."""
+        statements observes their zero diff rows in one call).  The
+        count moves first, so a reader on another thread never sees more
+        bucketed observations than counted ones."""
         self.count += times
         self.total += value * times
         if self.min is None or value < self.min:
@@ -137,14 +133,14 @@ class LogHistogram:
         return self.total / self.count if self.count else None
 
     def percentile(self, q: float) -> Optional[float]:
-        """The q-th percentile (bucket upper bound, clamped to observed
-        ``[min, max]`` so ``p50 <= p95 <= p99 <= max`` always holds)."""
+        """The q-th percentile (bucket upper bound, clamped to the
+        observed ``max`` so ``p50 <= p95 <= p99 <= max`` always holds)."""
         if not self.count:
             return None
         rank = max(1, math.ceil(self.count * q / 100.0))
         seen = self.zero_count
         if rank <= seen:
-            return float(max(self.min if self.min is not None else 0.0, 0.0) * 0)
+            return 0.0
         value = None
         for idx in sorted(self.buckets):
             seen += self.buckets[idx]
@@ -155,8 +151,6 @@ class LogHistogram:
             value = float(self.max if self.max is not None else 0.0)
         if self.max is not None:
             value = min(value, float(self.max))
-        if self.min is not None:
-            value = max(value, float(min(self.min, value)))
         return value
 
     def quantile_summary(self) -> dict[str, Optional[float]]:
@@ -198,66 +192,3 @@ class LogHistogram:
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"LogHistogram({self.name!r}, n={self.count}, sum={self.total})"
-
-
-class ConcurrentLogHistogram:
-    """A :class:`LogHistogram` sharded per observing thread.
-
-    The hot path (``observe``) runs entirely against the calling
-    thread's private shard — no lock, no contention; the registry lock
-    is taken once per thread, on its first observation.  ``merged()``
-    folds all shards into a fresh :class:`LogHistogram`; under
-    concurrent writers the snapshot is eventually consistent (it may
-    miss in-flight observations, never corrupt counts).
-    """
-
-    __slots__ = ("name", "unit", "_local", "_shards", "_lock")
-
-    def __init__(self, name: str = "", unit: str = ""):
-        self.name = name
-        self.unit = unit
-        self._local = threading.local()
-        self._shards: list[LogHistogram] = []
-        self._lock = threading.Lock()
-
-    def _shard(self) -> LogHistogram:
-        shard = getattr(self._local, "shard", None)
-        if shard is None:
-            shard = LogHistogram(self.name, self.unit)
-            with self._lock:
-                self._shards.append(shard)
-            self._local.shard = shard
-        return shard
-
-    def observe(self, value: Number, times: int = 1) -> None:
-        self._shard().observe(value, times)
-
-    def observe_many(self, values: Iterable[Number]) -> None:
-        self._shard().observe_many(values)
-
-    def shards(self) -> list[LogHistogram]:
-        """The live per-thread shards (shared objects, do not mutate)."""
-        with self._lock:
-            return list(self._shards)
-
-    def merged(self) -> LogHistogram:
-        return LogHistogram.merged(self.shards(), self.name, self.unit)
-
-    # -- reader conveniences (all via a merged snapshot) ---------------
-    @property
-    def count(self) -> int:
-        return sum(s.count for s in self.shards())
-
-    def percentile(self, q: float) -> Optional[float]:
-        return self.merged().percentile(q)
-
-    def quantile_summary(self) -> dict[str, Optional[float]]:
-        return self.merged().quantile_summary()
-
-    def as_dict(self) -> dict[str, Any]:
-        out = self.merged().as_dict()
-        out["shards"] = len(self.shards())
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return f"ConcurrentLogHistogram({self.name!r}, shards={len(self.shards())})"

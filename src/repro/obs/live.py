@@ -11,8 +11,8 @@ stream — only the wall-clock telemetry differs.
 
 The loop is deliberately single-threaded on the engine side (one
 background thread does both logging and maintenance), matching the
-engine's concurrency contract; shard parallelism happens *inside*
-``maintain()``.
+engine's concurrency contract: one thread writes the engine's state,
+and the ``serve`` handler threads only read it.
 """
 
 from __future__ import annotations

@@ -3,9 +3,14 @@
 Unlike spans (opt-in, per-trace), metrics are always on and give the
 engine a running picture of its workload (i-diff sizes per statement,
 view-reuse cache hit rates, modification-log fold ratios).  A lookup by
-name costs an accessor call, a dict lookup and a type check, and an
-observation a per-thread cell read plus, for a histogram, a bucket; so
-hot paths hold :class:`Handle`\\ s and observe once per distinct value.
+name costs an accessor call, a dict lookup and a type check, and a
+histogram observation a bucket computation; so hot paths hold
+:class:`Handle`\\ s and observe once per distinct value.
+
+One thread writes the metrics (the caller's, or a
+:class:`~repro.obs.live.DemoLoop`'s); ``serve`` handler threads only
+read the live objects.  An increment is ``value += n``, a creation one
+dict store, and nothing here takes a lock.
 
 The catalog of metrics the engine emits is documented in
 ``docs/OBSERVABILITY.md``.  All metric objects are created lazily on
@@ -15,59 +20,25 @@ first use, so the registry also serves extensions: any component may
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Union
 
-from .hist import ConcurrentLogHistogram
+from .hist import LogHistogram
 
 Number = Union[int, float]
 
 
-class _CounterCell:
-    """Per-thread accumulator for :class:`Counter`."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Number = 0
-
-
 class Counter:
-    """A monotonically increasing count.
+    """A monotonically increasing count."""
 
-    Increments land in a per-thread cell (registered once under a lock,
-    like :class:`~repro.obs.hist.ConcurrentLogHistogram` shards), so an
-    increment is never a read-modify-write on shared state: the one
-    writer thread (the caller's, or a ``DemoLoop``'s) owns its cell, and
-    ``serve`` handler threads only read, folding the cells.
-    """
-
-    __slots__ = ("name", "_local", "_cells", "_lock")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self._local = threading.local()
-        self._cells: list[_CounterCell] = []
-        self._lock = threading.Lock()
-
-    def _cell(self) -> _CounterCell:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = _CounterCell()
-            with self._lock:
-                self._cells.append(cell)
-            self._local.cell = cell
-        return cell
+        self.value: Number = 0
 
     def inc(self, n: Number = 1) -> None:
-        self._cell().value += n
-
-    @property
-    def value(self) -> Number:
-        with self._lock:
-            cells = list(self._cells)
-        return sum(cell.value for cell in cells)
+        self.value += n
 
     def as_dict(self) -> dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -95,32 +66,19 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
-Metric = Union[Counter, Gauge, ConcurrentLogHistogram]
+Metric = Union[Counter, Gauge, LogHistogram]
 
 
 class MetricsRegistry:
-    """Namespace of metrics; one global default instance per process.
-
-    Metric *creation* is locked so two threads racing on first use of a
-    name cannot strand each other's metric object (after which the
-    loser's observations would silently vanish).  Increments and
-    observations are lossless too: :class:`Counter` and
-    :class:`~repro.obs.hist.ConcurrentLogHistogram` accumulate into
-    per-thread cells that fold on read.
-    """
+    """Namespace of metrics; one global default instance per process."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        self._create_lock = threading.Lock()
 
     def _get_or_create(self, name: str, cls, **kwargs):
         metric = self._metrics.get(name)
         if metric is None:
-            with self._create_lock:
-                metric = self._metrics.get(name)
-                if metric is None:
-                    metric = cls(name, **kwargs)
-                    self._metrics[name] = metric
+            metric = self._metrics[name] = cls(name, **kwargs)
         if not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as "
@@ -134,13 +92,13 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def loghist(self, name: str, unit: str = "") -> ConcurrentLogHistogram:
-        """A log-bucketed, thread-sharded histogram (p50/p95/p99/max).
+    def loghist(self, name: str, unit: str = "") -> LogHistogram:
+        """A log-bucketed histogram (p50/p95/p99/max).
 
         The ``unit`` is sticky: the first caller's unit wins (an empty
         unit never overwrites a set one).
         """
-        metric = self._get_or_create(name, ConcurrentLogHistogram, unit=unit)
+        metric = self._get_or_create(name, LogHistogram, unit=unit)
         if unit and not metric.unit:
             metric.unit = unit
         return metric
@@ -163,7 +121,6 @@ class MetricsRegistry:
 
 _default = MetricsRegistry()
 _current = _default
-_swap_lock = threading.Lock()
 
 
 def registry() -> MetricsRegistry:
@@ -183,46 +140,38 @@ def scoped(reg: Optional[MetricsRegistry] = None) -> Iterator[MetricsRegistry]:
     gives it a fresh registry and restores the previous one on exit —
     including on exceptions, and correctly under nesting.
 
-    The swap itself is guarded by a module lock, and every module-level
-    helper snapshots the registry reference exactly once per operation,
-    so a concurrent observer (a ``DemoLoop`` daemon thread, a ``serve``
-    handler thread) always lands its whole operation in *one* registry
-    — the old one or the new one, never a half-swapped mix.  Concurrent
-    *scopes* remain unsupported: the swap is process-global, matching
-    the registry itself.
+    Every module-level helper reads the registry reference exactly once
+    per operation, so another thread calling one (a ``DemoLoop`` daemon
+    thread, a ``serve`` handler thread) lands its whole operation in
+    *one* registry — the old one or the new one, never a mix.  Scopes
+    are entered by one thread: the swap is process-global, matching the
+    registry itself.
     """
     global _current
     if reg is None:
         reg = MetricsRegistry()
-    with _swap_lock:
-        previous = _current
-        _current = reg
+    previous, _current = _current, reg
     try:
         yield reg
     finally:
-        with _swap_lock:
-            _current = previous
+        _current = previous
 
 
 def counter(name: str) -> Counter:
-    reg = _current  # single snapshot: atomic with respect to scoped()
-    return reg.counter(name)
+    return _current.counter(name)
 
 
 def gauge(name: str) -> Gauge:
-    reg = _current
-    return reg.gauge(name)
+    return _current.gauge(name)
 
 
-def histogram(name: str) -> ConcurrentLogHistogram:
+def histogram(name: str) -> LogHistogram:
     """The log histogram *name*, whatever its unit (:func:`loghist`)."""
-    reg = _current
-    return reg.loghist(name)
+    return _current.loghist(name)
 
 
-def loghist(name: str, unit: str = "") -> ConcurrentLogHistogram:
-    reg = _current
-    return reg.loghist(name, unit)
+def loghist(name: str, unit: str = "") -> LogHistogram:
+    return _current.loghist(name, unit)
 
 
 class Handle:

@@ -95,9 +95,12 @@ def _hist_lines(family: str, labels: dict[str, str], hist: LogHistogram) -> list
         lines.append(
             f"{family}_bucket{_labels({**labels, 'le': repr(upper)})} {cumulative}"
         )
-    lines.append(f"{family}_bucket{_labels({**labels, 'le': '+Inf'})} {hist.count}")
+    # Read once, after the buckets: the writer moves the count first, so
+    # it covers them even while a round observes.
+    count = hist.count
+    lines.append(f"{family}_bucket{_labels({**labels, 'le': '+Inf'})} {count}")
     lines.append(f"{family}_sum{_labels(labels)} {_fmt(hist.total)}")
-    lines.append(f"{family}_count{_labels(labels)} {hist.count}")
+    lines.append(f"{family}_count{_labels(labels)} {count}")
     return lines
 
 
@@ -130,8 +133,8 @@ def render_prometheus(
             if metric.value is None:
                 continue
             add(family, "gauge", [f"{family}{_labels(labels)} {_fmt(metric.value)}"])
-        else:  # ConcurrentLogHistogram
-            add(family, "histogram", _hist_lines(family, labels, metric.merged()))
+        else:  # LogHistogram
+            add(family, "histogram", _hist_lines(family, labels, metric))
 
     if engine is not None:
         freshness = getattr(engine, "freshness", None)

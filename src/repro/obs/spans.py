@@ -20,7 +20,6 @@ a single global read.  Install a :class:`SpanRecorder` with
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -135,9 +134,6 @@ class SpanRecorder:
         self.roots: list[Span] = []
         self.epoch = time.perf_counter()
         self._next_id = 0
-        # Shard workers open spans concurrently; id allocation and the
-        # span/children lists need a short critical section.
-        self._lock = threading.Lock()
 
     @contextmanager
     def span(
@@ -159,20 +155,19 @@ class SpanRecorder:
         span sums reconcile exactly with the engine's phase totals.
         """
         parent = _current_span.get()
-        with self._lock:
-            self._next_id += 1
-            sp = Span(
-                self._next_id,
-                parent.span_id if parent is not None else None,
-                name,
-                kind,
-                attrs,
-            )
-            if parent is not None:
-                parent.children.append(sp)
-            else:
-                self.roots.append(sp)
-            self.spans.append(sp)
+        self._next_id += 1
+        sp = Span(
+            self._next_id,
+            parent.span_id if parent is not None else None,
+            name,
+            kind,
+            attrs,
+        )
+        if parent is not None:
+            parent.children.append(sp)
+        else:
+            self.roots.append(sp)
+        self.spans.append(sp)
         if counters is not None:
             sp._counters = counters
             sp._phase_of = phase_of

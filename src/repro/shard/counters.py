@@ -8,11 +8,10 @@ set for a :class:`ShardRoutingCounters`: a ``CounterSet`` whose state
 (total, phase buckets, phase stack) is a set of properties delegating to
 the activated *target* — the shard's private ``CounterSet`` while
 ``run_shard`` executes that shard, the original base ``CounterSet``
-otherwise.  One thread writes: on the inline backend the shards run one
-after another on the caller's thread (or a ``DemoLoop``'s), and a worker
-process runs its shards on its one thread; ``serve`` handler threads
-only read.  The target is kept per thread, so a reader never sees a
-shard's counters.
+otherwise.  One thread writes, so the target is one plain attribute: on
+the inline backend the shards run one after another on the caller's
+thread (or a ``DemoLoop``'s), and a worker process runs its shards on
+its one thread.
 
 Because the delegation happens at the attribute level, every inherited
 ``CounterSet`` method (``count_*``, ``phase``, ``snapshot``, ``reset``)
@@ -30,21 +29,20 @@ the inline backend increment for increment.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Optional
 
 from ..storage import AccessCounts, CounterSet
 
 
 class ShardRoutingCounters(CounterSet):
-    """A :class:`CounterSet` facade routing to a per-thread target."""
+    """A :class:`CounterSet` facade routing to the activated target."""
 
     def __init__(self, base: CounterSet):
         # Deliberately does NOT call CounterSet.__init__: total / phases /
         # _stack are properties over the routed target instead of own state.
         self._base = base
-        self._local = threading.local()
+        self._routed: Optional[CounterSet] = None
 
     # ------------------------------------------------------------------
     @property
@@ -53,18 +51,17 @@ class ShardRoutingCounters(CounterSet):
         return self._base
 
     def _target(self) -> CounterSet:
-        target = getattr(self._local, "target", None)
-        return target if target is not None else self._base
+        routed = self._routed
+        return routed if routed is not None else self._base
 
     @contextmanager
     def activate(self, target: CounterSet) -> Iterator[None]:
-        """Route this thread's counts into *target* for the block."""
-        previous = getattr(self._local, "target", None)
-        self._local.target = target
+        """Route the counts into *target* for the block."""
+        previous, self._routed = self._routed, target
         try:
             yield
         finally:
-            self._local.target = previous
+            self._routed = previous
 
     # ------------------------------------------------------------------
     # routed state: everything CounterSet methods touch
@@ -117,5 +114,4 @@ class ShardRoutingCounters(CounterSet):
         base.merge(shard)
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
-        routed = getattr(self._local, "target", None) is not None
-        return f"ShardRoutingCounters(routed={routed})"
+        return f"ShardRoutingCounters(routed={self._routed is not None})"

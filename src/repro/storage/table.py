@@ -36,14 +36,12 @@ them would never serve a lookup.
 
 Concurrency: a table is read and written by one thread — shards run one
 after another in the coordinator, or in worker processes that own their
-replicas.  Counted writes and index builds hold a per-table re-entrant
-lock (one uncontended acquire); bucket lookups hand out copies, so a
-caller may write to the table while it iterates a probe result.
+replicas — so no write takes a lock.  Bucket lookups hand out copies,
+so a caller may write to the table while it iterates a probe result.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import IntegrityError, SchemaError, ScriptError
@@ -98,9 +96,6 @@ class Table:
         self.auto_index = auto_index
         self._rows: dict[tuple, tuple] = {}
         self._indexes: dict[tuple[str, ...], _SecondaryIndex] = {}
-        # Guards structural mutation (counted row writes, index builds).
-        # Re-entrant: a locked read path may trigger an auto-index build.
-        self._lock = threading.RLock()
         # Optional write-set sink (see begin_capture): counted writes and
         # index builds append replayable ops here while active.
         self._capture: list[tuple] | None = None
@@ -125,8 +120,7 @@ class Table:
     def index_columns(self) -> list[tuple[str, ...]]:
         """Column tuples of the secondary indexes (sorted; replication
         snapshots use this so replicas rebuild the same index set)."""
-        with self._lock:
-            return sorted(self._indexes)
+        return sorted(self._indexes)
 
     # ------------------------------------------------------------------
     # index management (uncounted)
@@ -138,15 +132,12 @@ class Table:
             return
         for c in columns:
             self.schema.position(c)  # validates
-        with self._lock:
-            if columns in self._indexes:  # lost the build race
-                return
-            index = _SecondaryIndex(self.schema, columns)
-            for key, row in list(self._rows.items()):
-                index.add(key, row)
-            self._indexes[columns] = index
-            if self._capture is not None:
-                self._capture.append(("x", columns))
+        index = _SecondaryIndex(self.schema, columns)
+        for key, row in self._rows.items():
+            index.add(key, row)
+        self._indexes[columns] = index
+        if self._capture is not None:
+            self._capture.append(("x", columns))
 
     def _index_for(self, columns: tuple[str, ...]) -> _SecondaryIndex | None:
         index = self._indexes.get(columns)
@@ -319,13 +310,12 @@ class Table:
         self.schema.check_row(row)
         key = self.schema.key_of(row)
         self.counters.count_index_lookup()
-        with self._lock:
-            if key in self._rows:
-                raise IntegrityError(
-                    f"duplicate key {key} in relation {self.schema.name!r}"
-                )
-            self._store(key, row)
-            self._account(((None, row),), len(self._indexes))
+        if key in self._rows:
+            raise IntegrityError(
+                f"duplicate key {key} in relation {self.schema.name!r}"
+            )
+        self._store(key, row)
+        self._account(((None, row),), len(self._indexes))
 
     def insert_checked(self, row: tuple) -> bool:
         """:meth:`insert_many` of one row: True when it was inserted."""
@@ -372,30 +362,27 @@ class Table:
         row.  Key columns are immutable (Section 5, footnote 7).
         """
         key = tuple(key)
-        with self._lock:
-            old = self._rows[key]
-            new_row = self.schema.patched(old, changes)
-            touched = self._touched(changes)
-            self._store(key, new_row, old, touched)
-            self._account(((old, new_row),), 2 * len(touched))
+        old = self._rows[key]
+        new_row = self.schema.patched(old, changes)
+        touched = self._touched(changes)
+        self._store(key, new_row, old, touched)
+        self._account(((old, new_row),), 2 * len(touched))
         return old
 
     def delete_at(self, key: tuple) -> tuple:
         """Delete the already-located row at *key* (one tuple write)."""
         key = tuple(key)
-        with self._lock:
-            row = self._rows[key]
-            self._discard(key, row)
-            self._account(((row, None),), len(self._indexes))
+        row = self._rows[key]
+        self._discard(key, row)
+        self._account(((row, None),), len(self._indexes))
         return row
 
     # ------------------------------------------------------------------
     # bulk APPLY: one call per diff.  Each is the per-row loop above —
     # ``locate`` + ``write_at`` / ``delete_at``, or the ∆+ NOT-IN guard —
-    # under one lock acquire, with the index resolved once and one
-    # ``_account`` tail, in a ``finally``: a batch that raises half-way
-    # has charged what its completed rows cost.  All return the
-    # (pre, post) row pairs written.
+    # with the index resolved once and one ``_account`` tail, in a
+    # ``finally``: a batch that raises half-way has charged what its
+    # completed rows cost.  All return the (pre, post) row pairs written.
     # ------------------------------------------------------------------
     def update_many(
         self,
@@ -411,35 +398,34 @@ class Table:
         positions = self.schema.mutable_positions(attrs)
         changes: list[tuple] = []
         lookups = 0
-        with self._lock:
-            find, per_ident = self._finder(columns)
-            touched = self._touched(attrs)
-            serving = self._indexes.get(columns)
-            if serving is not None and serving not in touched:
-                # No write below moves a key of the serving index, so
-                # its buckets are read in place (None: no such value),
-                # not copied per ident.
-                find = serving.buckets.get
-            rows, store = self._rows, self._store
-            # A lone attribute with no index to maintain patches by
-            # slicing (*values* is the 1-tuple of its new value).
-            at = positions[0] if len(positions) == 1 and not touched else -1
-            try:
-                for ident, values in pairs:
-                    lookups += per_ident
-                    for key in find(ident) or ():
-                        old = rows[key]
-                        if at >= 0:
-                            new = old[:at] + values + old[at + 1:]
-                        else:
-                            patched = list(old)
-                            for i, value in zip(positions, values):
-                                patched[i] = value
-                            new = tuple(patched)
-                        store(key, new, old, touched)
-                        changes.append((old, new))
-            finally:
-                self._account(changes, 2 * len(touched), lookups)
+        find, per_ident = self._finder(columns)
+        touched = self._touched(attrs)
+        serving = self._indexes.get(columns)
+        if serving is not None and serving not in touched:
+            # No write below moves a key of the serving index, so
+            # its buckets are read in place (None: no such value),
+            # not copied per ident.
+            find = serving.buckets.get
+        rows, store = self._rows, self._store
+        # A lone attribute with no index to maintain patches by
+        # slicing (*values* is the 1-tuple of its new value).
+        at = positions[0] if len(positions) == 1 and not touched else -1
+        try:
+            for ident, values in pairs:
+                lookups += per_ident
+                for key in find(ident) or ():
+                    old = rows[key]
+                    if at >= 0:
+                        new = old[:at] + values + old[at + 1:]
+                    else:
+                        patched = list(old)
+                        for i, value in zip(positions, values):
+                            patched[i] = value
+                        new = tuple(patched)
+                    store(key, new, old, touched)
+                    changes.append((old, new))
+        finally:
+            self._account(changes, 2 * len(touched), lookups)
         return changes
 
     def delete_many(self, columns: Sequence[str], idents: Sequence[tuple]) -> list[tuple]:
@@ -448,17 +434,16 @@ class Table:
             return []
         changes: list[tuple] = []
         lookups = 0
-        with self._lock:
-            find, per_ident = self._finder(tuple(columns))
-            try:
-                for ident in idents:
-                    lookups += per_ident
-                    for key in find(ident):
-                        old = self._rows[key]
-                        self._discard(key, old)
-                        changes.append((old, None))
-            finally:
-                self._account(changes, len(self._indexes), lookups)
+        find, per_ident = self._finder(tuple(columns))
+        try:
+            for ident in idents:
+                lookups += per_ident
+                for key in find(ident):
+                    old = self._rows[key]
+                    self._discard(key, old)
+                    changes.append((old, None))
+        finally:
+            self._account(changes, len(self._indexes), lookups)
         return changes
 
     def insert_many(self, rows: Sequence[tuple]) -> list[tuple]:
@@ -471,23 +456,22 @@ class Table:
         changes: list[tuple] = []
         lookups = 0
         key_of = self.schema.key_of
-        with self._lock:
-            try:
-                for row in rows:
-                    self.schema.check_row(row)
-                    lookups += 1
-                    key = key_of(row)
-                    existing = self._rows.get(key)
-                    if existing is None:
-                        self._store(key, row)
-                        changes.append((None, row))
-                    elif existing != row:
-                        raise IntegrityError(
-                            f"insert of {row} conflicts with existing {existing} "
-                            f"in {self.schema.name!r}"
-                        )
-            finally:
-                self._account(changes, len(self._indexes), lookups)
+        try:
+            for row in rows:
+                self.schema.check_row(row)
+                lookups += 1
+                key = key_of(row)
+                existing = self._rows.get(key)
+                if existing is None:
+                    self._store(key, row)
+                    changes.append((None, row))
+                elif existing != row:
+                    raise IntegrityError(
+                        f"insert of {row} conflicts with existing {existing} "
+                        f"in {self.schema.name!r}"
+                    )
+        finally:
+            self._account(changes, len(self._indexes), lookups)
         return changes
 
     # ------------------------------------------------------------------
@@ -506,21 +490,19 @@ class Table:
         active raises :class:`~repro.errors.ScriptError` — the inner
         caller would silently steal the outer caller's write-set.
         """
-        with self._lock:
-            if self._capture is not None:
-                raise ScriptError(
-                    f"nested begin_capture on table {self.schema.name!r}: "
-                    f"a capture is already active"
-                )
-            sink: list[tuple] = []
-            self._capture = sink
-            return sink
+        if self._capture is not None:
+            raise ScriptError(
+                f"nested begin_capture on table {self.schema.name!r}: "
+                f"a capture is already active"
+            )
+        sink: list[tuple] = []
+        self._capture = sink
+        return sink
 
     def end_capture(self) -> list[tuple]:
         """Stop recording and return the captured op list."""
-        with self._lock:
-            sink, self._capture = self._capture, None
-            return sink if sink is not None else []
+        sink, self._capture = self._capture, None
+        return sink if sink is not None else []
 
     def audit_uncaptured(self, hook: Callable[[str], None] | None) -> None:
         """Install (or clear, with None) the capture-coverage audit.
@@ -531,8 +513,7 @@ class Table:
         round: any hit is a writer whose effects would escape the
         process backend's write-set merge (the dynamic face of RACE604).
         """
-        with self._lock:
-            self._uncaptured_audit = hook
+        self._uncaptured_audit = hook
 
     def replay_writes(self, ops: Sequence[tuple]) -> None:
         """Apply a captured write-set, uncounted and idempotently.
@@ -543,24 +524,22 @@ class Table:
         no-ops, index builds are idempotent — so replaying a merged
         round write-set on the worker that produced part of it is safe.
         """
-        with self._lock:
-            for op in ops:
-                if op[0] == "s":
-                    self._put(op[1], op[2])
-                elif op[0] == "d":
-                    self._put(op[1], None)
-                elif op[0] == "x":
-                    self.create_index(op[1])
-                else:  # pragma: no cover - encoder validates opcodes
-                    raise SchemaError(f"unknown write op {op[0]!r}")
+        for op in ops:
+            if op[0] == "s":
+                self._put(op[1], op[2])
+            elif op[0] == "d":
+                self._put(op[1], None)
+            elif op[0] == "x":
+                self.create_index(op[1])
+            else:  # pragma: no cover - encoder validates opcodes
+                raise SchemaError(f"unknown write op {op[0]!r}")
 
     def roll_forward(self, changes: Iterable[tuple[tuple, tuple | None]]) -> None:
         """Catch this replica up with a round's net changes, uncounted
         and idempotently: per ``(key, row)``, *row* is what *key* holds
         afterwards — ``None``: nothing.  One call per table and round."""
-        with self._lock:
-            for key, row in changes:
-                self._put(key, row)
+        for key, row in changes:
+            self._put(key, row)
 
     def _put(self, key: tuple, row: tuple | None) -> None:
         """Make *key* hold the finished *row* (``None``: no row); an

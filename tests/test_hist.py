@@ -1,9 +1,8 @@
-"""Log-bucketed histograms: bucketing, percentiles, merges, threading."""
+"""Log-bucketed histograms: bucketing, percentiles, merges."""
 
 from __future__ import annotations
 
 import math
-import threading
 
 import pytest
 from hypothesis import given
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from repro.obs import metrics
 from repro.obs.hist import (
     SUBBUCKETS,
-    ConcurrentLogHistogram,
     LogHistogram,
     bucket_bounds,
     bucket_index,
@@ -142,8 +140,6 @@ class TestLogHistogram:
             bulk.observe(value, times=times)
             for _ in range(times):
                 single.observe(value)
-            if isinstance(bulk, ConcurrentLogHistogram):
-                bulk, single = bulk.merged(), single.merged()
             assert (bulk.count, bulk.zero_count, bulk.buckets, bulk.min, bulk.max) == (
                 single.count, single.zero_count, single.buckets, single.min, single.max
             )
@@ -152,8 +148,9 @@ class TestLogHistogram:
     @given(observations, observations)
     def test_observe_many_equals_sequential_observations(self, before, values):
         """``observe_many(values)`` is ``observe(v)`` for each value in
-        order, on both histogram types: every field equal, zeros
-        included, and ``total`` bit-identical (it is added in order)."""
+        order, on a plain histogram and on the registry's: every field
+        equal, zeros included, and ``total`` bit-identical (it is added
+        in order)."""
         with metrics.scoped():
             pairs = [
                 (LogHistogram(), LogHistogram()),
@@ -166,8 +163,6 @@ class TestLogHistogram:
             batch.observe_many(iter(values))
             for v in values:
                 single.observe(v)
-            if isinstance(batch, ConcurrentLogHistogram):
-                batch, single = batch.merged(), single.merged()
             fields = ("count", "zero_count", "buckets", "min", "max", "total")
             assert [getattr(batch, f) for f in fields] == [
                 getattr(single, f) for f in fields
@@ -197,44 +192,3 @@ class TestLogHistogram:
         assert back.count == hist.count
         assert back.buckets == hist.buckets
         assert back.percentile(95.0) == hist.percentile(95.0)
-
-
-class TestConcurrentLogHistogram:
-    def test_single_thread_matches_plain(self):
-        conc = ConcurrentLogHistogram("x", unit="rows")
-        plain = LogHistogram("x", unit="rows")
-        for v in (1, 2, 3, 0, 9.5):
-            conc.observe(v)
-            plain.observe(v)
-        merged = conc.merged()
-        assert merged.count == plain.count
-        assert merged.buckets == plain.buckets
-        assert len(conc.shards()) == 1
-
-    def test_threaded_observations_all_land(self):
-        conc = ConcurrentLogHistogram("x")
-        n_threads, per_thread = 8, 500
-
-        def work(seed: int) -> None:
-            for i in range(per_thread):
-                conc.observe((seed * per_thread + i) % 97 + 1)
-
-        threads = [
-            threading.Thread(target=work, args=(t,)) for t in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        merged = conc.merged()
-        assert merged.count == n_threads * per_thread
-        assert len(conc.shards()) == n_threads
-        # merged equals the manual fold of the per-thread shards
-        manual = LogHistogram.merged(conc.shards())
-        assert manual.buckets == merged.buckets
-        assert manual.count == merged.count
-
-    def test_as_dict_reports_shards(self):
-        conc = ConcurrentLogHistogram("x")
-        conc.observe(1)
-        assert conc.as_dict()["shards"] == 1

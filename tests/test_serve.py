@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -197,6 +198,42 @@ class TestLiveEngine:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def test_scrapes_while_a_loop_maintains():
+    """One thread writes the engine's state and the handler threads read
+    the live objects: scrapes taken while rounds run are valid
+    expositions and parseable snapshots, and the loop keeps going."""
+    from repro.obs.live import DemoLoop
+
+    loop = DemoLoop(shards=2, users=40, updates=6, interval=0.0, views=("Q7", "Q10"))
+    loop.run_round()
+    server = serve(engine=loop.engine, loop=loop, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the threads more finely
+    loop.start()
+    try:
+        rounds_before = loop.rounds_run
+        for i in range(200):
+            with urllib.request.urlopen(
+                base + ("/metrics", "/snapshot")[i % 2], timeout=10
+            ) as response:
+                body = response.read().decode()
+            if i % 2:
+                assert json.loads(body)["schema"] == "repro.obs.snapshot"
+            else:
+                assert validate_exposition(body) == []
+        assert loop.healthy
+        assert loop.rounds_run > rounds_before
+    finally:
+        sys.setswitchinterval(switch_interval)
+        loop.stop()
+        server.shutdown()
+        server.server_close()
+    assert loop.last_error is None
 
 
 def lagging_engine(db):

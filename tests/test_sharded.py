@@ -369,25 +369,15 @@ def test_broadcast_round_has_no_shard_cost_hist():
 
 def test_shard_cost_histogram_merges_to_shard_totals(_scoped_metrics):
     """``shard.cost`` takes one observation per shard per parallel
-    round; the merged ConcurrentLogHistogram must equal the manual fold
-    of its per-thread cells and reconcile exactly with the round
-    reports."""
-    from repro.obs.hist import LogHistogram
-
+    round; the registry histogram must reconcile exactly with the round
+    reports' per-shard histograms."""
     results = _run_devices(
         lambda db: ShardedEngine(db, shards=4), build_flat_view, rounds=3
     )
     parallel_reports = [rep for _, rep in results if rep.parallel]
     assert parallel_reports  # the flat view routes parallel every round
 
-    conc = _scoped_metrics.loghist("shard.cost")
-    merged = conc.merged()
-    manual = LogHistogram.merged(conc.shards())
-    assert merged.count == manual.count
-    assert merged.buckets == manual.buckets
-    assert merged.total == manual.total
-    assert merged.zero_count == manual.zero_count
-
+    merged = _scoped_metrics.loghist("shard.cost")
     assert merged.total == sum(r.shard_cost_hist.total for r in parallel_reports)
     assert merged.count == sum(r.shard_cost_hist.count for r in parallel_reports)
     assert merged.total == sum(r.total_cost for r in parallel_reports)
