@@ -135,7 +135,11 @@ lint-catalog:
 # maintenance, the round's finish and the drift intake hold handles
 # (tools/check_round_metrics.py, an AST walk); and one thread writes the
 # engine's state: only obs/live.py and obs/smoke.py, which start the
-# threads, name `threading`, and no histogram is sharded per thread.
+# threads, name `threading`, and no histogram is sharded per thread; and
+# `Input_pre` holds only what a script reads: no engine flag says whether
+# its rules read the pre-state (`reads_pre_state`) — each view declares
+# its tables — and `_reconstruct_pre` (core/engine.py) makes the one
+# `Database.copy` of src/repro.
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -246,6 +250,14 @@ lint-static:
 	    exit 1; fi
 	@if grep -rn 'ConcurrentLogHistogram' src; then \
 	    echo "ConcurrentLogHistogram in src/: every registry histogram is one LogHistogram, written by one thread"; \
+	    exit 1; fi
+	@if grep -rn 'reads_pre_state' src; then \
+	    echo "reads_pre_state in src/: a view declares the tables it reads in Input_pre (Step.pre_tables); recomputation declares none"; \
+	    exit 1; fi
+	@if awk 'FNR == 1 { f = 0 } /^def _reconstruct_pre\(/ { f = 1; next } /^(def|class) / { f = 0 } \
+	        !f && /(^|[^A-Za-z0-9_])([A-Za-z0-9_]*(db|database)[A-Za-z0-9_]*|live|pre|replica)\.copy\(/ \
+	        { print FILENAME ":" FNR ": " $$0 }' $$(find src/repro -name '*.py') | grep .; then \
+	    echo "Database.copy outside _reconstruct_pre (core/engine.py): the Input_pre replica is the one copy, of the tables the views declare"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

@@ -339,6 +339,11 @@ def scans_of(root: PlanNode) -> list[Scan]:
     return [n for n in root.walk() if isinstance(n, Scan)]
 
 
+def base_tables(root: PlanNode) -> frozenset[str]:
+    """The base tables the plan's scan leaves read."""
+    return frozenset(n.table for n in scans_of(root))
+
+
 def validate_plan(root: PlanNode) -> None:
     """Re-run structural checks over the whole tree (defensive)."""
     for node in root.walk():

@@ -33,14 +33,13 @@ from ..core.ir import (
     DiffSource,
     ProbeJoin,
     ProbeSemi,
-    SubviewSource,
+    pre_state_reads,
 )
 from ..core.rules.aggregate import (
     AssociativeAggregateStep,
     GeneralAggregateStep,
 )
 from ..core.script import ApplyDiffStep, ComputeDiffStep, MarkCacheUpdatedStep
-from ..core.ir import PRE
 from ..core.modlog import schema_instance_name
 from .registry import AnalysisContext, register_pass
 from .typecheck import ir_column_facts
@@ -97,24 +96,20 @@ def script_pass(ctx: AnalysisContext) -> None:
                         )
                     else:
                         expansions_consumed.add(node.apply_name)
-                elif isinstance(node, (SubviewSource, ProbeJoin, ProbeSemi)):
-                    target = node.node.node_id
-                    if (
-                        node.state == PRE
-                        and target in applies_started
-                        and target not in marked
-                    ):
-                        report.add(
-                            "SC302",
-                            where,
-                            f"pre-state read of cache n{target} while its "
-                            f"update is in flight (applied but not yet "
-                            f"marked): the read sees mid-update content",
-                            hint="move the read before the first APPLY or "
-                            "after the MarkCacheUpdated",
-                        )
-                if isinstance(node, (ProbeJoin, ProbeSemi)):
+                elif isinstance(node, (ProbeJoin, ProbeSemi)):
                     _check_probe_keys(node, ctx, expansion_targets, where, report)
+            for read in pre_state_reads(step.ir):
+                target = read.node.node_id
+                if target in applies_started and target not in marked:
+                    report.add(
+                        "SC302",
+                        where,
+                        f"pre-state read of cache n{target} while its "
+                        f"update is in flight (applied but not yet "
+                        f"marked): the read sees mid-update content",
+                        hint="move the read before the first APPLY or "
+                        "after the MarkCacheUpdated",
+                    )
             defined.add(step.name)
         elif isinstance(step, ApplyDiffStep):
             where = f"step {i} (APPLY {step.diff_name})"

@@ -17,6 +17,9 @@ from ..storage import Table
 
 
 class RecomputeView:
+    #: recomputation reads the post-state only
+    pre_tables: frozenset[str] = frozenset()
+
     def __init__(self, name: str, plan: PlanNode, table: Table, lowered: LoweredPlan):
         self.name = name
         self.plan = plan
@@ -28,8 +31,6 @@ class RecomputeView:
 class RecomputeEngine(MaintenanceEngine):
     """Maintains views by recomputing them from scratch: the shared
     maintenance round with a rule that reads only the post-state."""
-
-    reads_pre_state = False
 
     def _define(self, name: str, annotated: PlanNode, stats) -> RecomputeView:
         """Materialize the plan and keep its generated operators;

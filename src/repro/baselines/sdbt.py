@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from ..algebra.delta_eval import Bindings, fetch
 from ..algebra.evaluate import materialize
-from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select
+from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select, base_tables
 from ..core.diffs import DELETE, INSERT, UPDATE
 # _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
 from ..core.engine import (
@@ -187,6 +187,8 @@ class SdbtView:
         self.plan = plan
         self.table = table
         self.shape = shape
+        #: the hybrid state starts from every SPJ table's pre-state
+        self.pre_tables = base_tables(shape.spj)
         self.accumulate = group_accumulator(shape.gnode)
         #: base table -> (map table, its columns in SPJ naming)
         self.maps: dict[str, Table] = {}

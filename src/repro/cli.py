@@ -47,6 +47,7 @@ import sys
 from typing import Sequence
 
 from .algebra.explain import explain_analyze, explain_plan
+from .algebra.plan import base_tables
 from .obs import metrics, recording, write_trace
 from .obs import spans as obs
 from .baselines import TupleIvmEngine
@@ -185,6 +186,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print()
     print("-- live slices: statements a round on one base i-diff runs --")
     print(_describe_reach(view.script))
+    # the base tables the engine replicates for this view's pre-state reads
+    print(f"Input_pre: {', '.join(sorted(view.pre_tables)) or 'none'}")
     if args.analyze:
         print()
         print("-- EXPLAIN ANALYZE (actual rows / accesses) " + "-" * 17)
@@ -196,13 +199,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print("no cost model could be inferred for this script")
         else:
             print(view.cost_model.render())
-            from .algebra.plan import Scan
-
-            reads_parts = any(
-                isinstance(n, Scan) and n.table == "parts"
-                for n in view.plan.walk()
-            )
-            if args.analyze and reads_parts:
+            if args.analyze and "parts" in base_tables(view.plan):
                 engine.log.update("parts", ("P1",), {"price": 11})
                 report = engine.maintain()["V"]
                 print()

@@ -102,6 +102,8 @@ class MaterializedView:
         #: the base i-diff schemas as ``populate_instances`` takes them:
         #: names, empties and projectors resolved once for the view.
         self.instance_layout = InstanceLayout(generated.base_schemas)
+        #: the base tables the script's steps read in ``Input_pre``
+        self.pre_tables = frozenset().union(*(s.pre_tables() for s in generated.script.steps))
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
@@ -161,11 +163,8 @@ class MaintenanceEngine:
     """The definition and the maintenance round every engine shares: what
     is logged, when ``Input_pre`` is read, what is traced and what is
     reported.  A subclass supplies the rules — :meth:`_define` and
-    :meth:`_maintain_view`."""
-
-    #: whether the rules read ``Input_pre``; an engine that does not
-    #: (recomputation) never pays for the replica.
-    reads_pre_state = True
+    :meth:`_maintain_view` — and its views name the tables they read in
+    ``Input_pre`` (``view.pre_tables``)."""
 
     def __init__(self, db: Database, strict: bool = False):
         self.db = db
@@ -174,7 +173,7 @@ class MaintenanceEngine:
         #: log's cursors, so staleness is queryable at any instant.
         self.freshness = FreshnessTracker(self.log)
         self.drift = DriftMonitor()
-        self._pre = PreState(strict)
+        self._pre = PreState(db, strict=strict)
         self.views: dict = {}
         #: ``view.round_seconds.<view>``, held once per view
         self._view_seconds: dict[str, metrics.Handle] = {}
@@ -204,6 +203,7 @@ class MaintenanceEngine:
         # statistics probes) are not maintenance cost.
         self.db.counters.reset()
         self.views[name] = view
+        self._pre.declare(view.pre_tables)
         self._view_seconds[name] = metrics.Handle("loghist", f"view.round_seconds.{name}", "seconds")
         # A just-materialized view reflects the whole log so far.
         self.log.advance(name, self.log.position)
@@ -263,23 +263,20 @@ class MaintenanceEngine:
             n_log_entries=len(retained),
             views=",".join(view.name for view in targets),
         ) as round_span:
-            db_pre = None
-            if self.reads_pre_state:
-                with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                    # back to the floor if a failed round left it ahead
-                    self._pre.move(retained, log.floor)
-                    try:
-                        retained.folded(self.db)
-                    except DiffError:  # a log no view could ever absorb
-                        log.discard()
-                        self._pre.db = None
-                        raise
-                    db_pre = self._pre.begin(self.db, retained)
+            with obs.span("reconstruct_pre", kind="engine", counters=counters):
+                # back to the floor if a failed round left it ahead
+                self._pre.move(retained, log.floor)
+                try:
+                    retained.folded(self.db)
+                except DiffError:  # a log no view could ever absorb
+                    log.discard()
+                    self._pre.db = None
+                    raise
+                db_pre = self._pre.begin(retained)
             for cursor in sorted(groups):
                 entries = retained.between(cursor, retained.end)
                 self._begin_round(entries, round_span)
-                if db_pre is not None:
-                    self._pre.move(retained, cursor)
+                self._pre.move(retained, cursor)
                 for view in groups[cursor]:
                     view_name = view.name
                     view_started = time.perf_counter()
@@ -308,8 +305,8 @@ class MaintenanceEngine:
                     _ROUND_COST().observe(report.total_cost)
                     self._view_seconds[view_name]().observe(time.perf_counter() - view_started)
                 floor = log.prune()
-                if db_pre is not None:  # forward, or back to a view it passed
-                    self._pre.move(entries if floor >= cursor else retained, floor)
+                # forward, or back to a view it passed
+                self._pre.move(entries if floor >= cursor else retained, floor)
                 self._finish_round([reports[v.name] for v in groups[cursor]], entries)
         _ROUND_SECONDS().observe(time.perf_counter() - round_started)
         return reports
@@ -319,11 +316,11 @@ class MaintenanceEngine:
         pre-state moves to the group's *entries*.  Nothing by default."""
 
     def _maintain_view(
-        self, view, db_pre: Optional[Database], entries, view_span
+        self, view, db_pre: Database, entries, view_span
     ) -> MaintenanceReport:
         """Hook: bring *view* up to date with this round's *entries*
-        (``self.db`` already holds the post-state, *db_pre* the state
-        before them) and report what it cost."""
+        (``self.db`` already holds the post-state, *db_pre* the replicated
+        tables before them) and report what it cost."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -421,7 +418,7 @@ class IdIvmEngine(MaintenanceEngine):
     def _maintain_view(
         self, view: MaterializedView, db_pre: Database, entries, view_span
     ) -> MaintenanceReport:
-        instances = populate_instances(view.instance_layout, entries, db_pre)
+        instances = populate_instances(view.instance_layout, entries, self.db)
         if obs.current_recorder() is not None:
             script = view.script
             view_span.set(
@@ -472,23 +469,24 @@ def round_context(db_pre: Database, db_post: Database, instances, view, modified
     return ctx
 
 
-def _reconstruct_pre(db: Database, entries) -> Database:
-    """Rebuild the pre-state database by reverse-applying the log to a
-    copy of *db*: O(|DB|), uncounted (it is not part of the maintenance
-    plan's accesses).  :class:`PreState` pays it once and then keeps the
-    result current; tests use it as the replica's oracle.
+def _reconstruct_pre(db: Database, entries, tables=None) -> Database:
+    """Rebuild the pre-state of *db*'s *tables* (default: all) by
+    reverse-applying the log to a copy — O(|tables|), uncounted: not part
+    of the maintenance plan's accesses.  The one ``Database.copy`` of the
+    engine: :class:`PreState` pays it once; tests use it as the oracle.
     """
     # Reads of pre-state during maintenance must count, so the copy
     # shares the live counters.
-    pre = db.copy(db.counters)
+    pre = db.copy(db.counters, tables)
     _unapply(pre, entries)
     return pre
 
 
 def _unapply(db: Database, entries) -> None:
-    """Take *db* from the state after *entries* back to the one before."""
-    for entry in reversed(entries):
-        table = db.table(entry.table)
+    """Take *db*'s tables from the state after *entries* back to the one
+    before (entries on a table *db* does not hold are skipped)."""
+    for entry in reversed([e for e in entries if e.table in db.tables]):
+        table = db.tables[entry.table]
         if entry.kind == INSERT:
             table.delete_uncounted(entry.key)
         elif entry.kind == DELETE:
@@ -498,38 +496,46 @@ def _unapply(db: Database, entries) -> None:
             table.insert_uncounted(entry.row)
 
 
-def apply_log(db: Database, entries) -> None:
-    """Bring *db* — at the state before *entries* — up to the state
-    after them, uncounted: how a replica catches up with the live
-    database in O(|entries|).  It reads the round's one fold (the net
-    changes every view was maintained from) and makes one bulk write per
-    modified table, not one per raw entry."""
-    for name, changes in RoundEntries.of(entries).folded(db).items():
-        db.table(name).roll_forward(
-            [(key, change.post_row) for key, change in changes.items()]
-        )
+def apply_log(db: Database, entries, live: Optional[Database] = None) -> None:
+    """Bring *db*'s tables — at the state before *entries* — up to the
+    state after them, uncounted, in O(|entries|): one bulk write per
+    modified table *db* holds, from the round's one fold (made against
+    the *live* catalog, default *db*), not one per raw entry."""
+    for name, changes in RoundEntries.of(entries).folded(live or db).items():
+        if name in db.tables:
+            db.tables[name].roll_forward([(key, c.post_row) for key, c in changes.items()])
 
 
 class PreState:
-    """``Input_pre`` as a persistent replica of the base tables at a log
-    :attr:`position`: built by the first round (:func:`_reconstruct_pre`,
-    the one ``Database.copy`` an engine pays), then moved along the log,
-    so between rounds it equals *live minus the retained log* and a round
-    costs O(|diff|).  Readers see a plain :class:`Database` counting into
-    the live counters.
+    """``Input_pre`` as a persistent replica of the :attr:`tables` the
+    views read in pre-state, at a log :attr:`position`: built by the
+    first round (:func:`_reconstruct_pre`), then moved along the log, so
+    between rounds each table equals *live minus the retained log* and a
+    round costs O(|diff|).  Readers see a plain :class:`Database`
+    counting into the live counters; reading another table raises.
     """
 
-    def __init__(self, strict: bool = False):
+    def __init__(self, live: Database, tables: frozenset[str] = frozenset(), strict: bool = False):
+        self.live = live
+        self.tables = frozenset(tables)
         self.db: Optional[Database] = None
         #: the log position the replica reflects
         self.position = 0
         self.strict = strict
 
-    def begin(self, live: Database, entries) -> Database:
-        """The database as it was before *entries*.  A replica that does
-        not account for *live* — something changed behind the log's back
-        — is never trusted: rebuilt and counted, or refused if strict."""
-        if self.db is not None and not self._accounts_for(live, entries):
+    def declare(self, tables: frozenset[str]) -> None:
+        """Replicate *tables* too: a replica lacking one is dropped, and
+        the next :meth:`begin` builds the wider one, uncounted."""
+        if not tables <= self.tables:
+            self.tables |= tables
+            self.db = None
+
+    def begin(self, entries) -> Database:
+        """The replicated tables as they were before *entries*.  A replica
+        that does not account for the live tables — something changed
+        behind the log's back — is rebuilt and counted, or refused if
+        strict."""
+        if self.db is not None and not self._accounts_for(entries):
             self.db = None
             if self.strict:
                 raise IntegrityError(
@@ -537,18 +543,18 @@ class PreState:
                 )
             metrics.counter("engine.prestate_rebuilds").inc()
         if self.db is None:
-            self.db = _reconstruct_pre(live, entries)
+            self.db = _reconstruct_pre(self.live, entries, self.tables)
         return self.db
 
-    def _accounts_for(self, live: Database, entries) -> bool:
-        # O(#tables + |entries|): same catalog and counters, and every
-        # table as many rows behind *live* as *entries* insert net.
-        pre = self.db
-        if pre.counters is not live.counters or pre.tables.keys() != live.tables.keys():
-            return False
+    def _accounts_for(self, entries) -> bool:
+        # O(#tables + |entries|): the live counters, and every table as
+        # many rows behind the live one as *entries* insert net.
         net = Counter(e.table for e in entries if e.kind == INSERT)
         net.subtract(e.table for e in entries if e.kind == DELETE)
-        return all(len(pre.tables[t]) + net[t] == len(live.tables[t]) for t in live.tables)
+        pre, live = self.db, self.live
+        return pre.counters is live.counters and all(
+            len(pre.tables[t]) + net[t] == len(live.tables[t]) for t in self.tables
+        )
 
     def move(self, entries, position: int) -> None:
         """Move the replica to log *position* across *entries*, a range
@@ -557,5 +563,8 @@ class PreState:
         pre, self.db = self.db, None
         if pre is not None and position != self.position:
             crossed = entries.between(*sorted((self.position, position)))
-            (apply_log if position > self.position else _unapply)(pre, crossed)
+            if position > self.position:
+                apply_log(pre, crossed, self.live)
+            else:
+                _unapply(pre, crossed)
         self.db, self.position = pre, position

@@ -40,6 +40,7 @@ from ..algebra.plan import (
     SemiJoin,
     Select,
     UnionAll,
+    base_tables,
 )
 from ..expr import Col
 from ..errors import RuleError
@@ -480,11 +481,7 @@ class ScriptGenerator:
         while True:
             parent_info = self._parents.get(current.node_id)
             if current is not target and current.node_id in self._cached_nodes:
-                guard = tuple(
-                    sorted(
-                        {n.table for n in target.walk() if isinstance(n, Scan)}
-                    )
-                )
+                guard = tuple(sorted(base_tables(target)))
                 return OutputHint(current.node_id, mapping, guard)
             if parent_info is None:
                 return None

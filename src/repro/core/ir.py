@@ -370,6 +370,15 @@ class ProbeSemi(IrNode):
         return f"{mark} Subview[n{self.node.node_id}] ({self.state}) on {on}"
 
 
+def pre_state_reads(root: IrNode) -> list["SubviewSource | ProbeJoin | ProbeSemi"]:
+    """The subview reads of the tree in state ``pre``: where it reads
+    ``Input_pre``."""
+    return [
+        n for n in root.walk()
+        if isinstance(n, (SubviewSource, ProbeJoin, ProbeSemi)) and n.state == PRE
+    ]
+
+
 def diff_sources_of(root: IrNode) -> list[DiffSource]:
     """All DiffSource leaves (for script dependency ordering)."""
     return [n for n in root.walk() if isinstance(n, DiffSource)]

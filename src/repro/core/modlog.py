@@ -192,9 +192,9 @@ class RoundEntries(list):
     def __init__(self, entries: Iterable[LoggedModification] = (), start: int = 0):
         super().__init__(entries)
         self.start, self.end = start, start + len(self)
-        #: the fold, once made (table schemas only are read from the
-        #: database it is made against, and the replica shares the live
-        #: one's)
+        #: the fold, once made (only table schemas are read from the
+        #: database it is made against: the live one, whose catalog the
+        #: replica's is a part of)
         self.net: Optional[dict[str, dict[tuple, _NetChange]]] = None
         #: ``_TableProjectors.key`` -> the non-empty instances filled
         self.instances: dict[tuple, dict[str, Diff]] = {}

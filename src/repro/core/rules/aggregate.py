@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ...algebra.delta_eval import Bindings
-from ...algebra.plan import GroupBy
+from ...algebra.plan import GroupBy, base_tables
 from ...algebra.relation import Relation
 from ...errors import ScriptError
 from ...storage import Table, TableSchema, row_extractor, sort_rows
@@ -277,6 +277,13 @@ class _AggregateStep(Step):
 
     def binds(self) -> list[tuple[str, str]]:
         return [("diff", name) for name in self.emitted.values()]
+
+    def pre_tables(self) -> frozenset[str]:
+        # an i-diff input is completed by an Input_pre probe of the
+        # child; an expansion or a t-diff carries the child rows
+        if self.full_rows or all(kind == "expansion" for kind, _ in self.inputs):
+            return frozenset()
+        return base_tables(self.gnode.child)
 
     def idle(self, ctx: IrContext) -> None:
         self._emit(ctx, self._output(ctx))

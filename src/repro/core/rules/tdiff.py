@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from ...algebra.delta_eval import Bindings
-from ...algebra.plan import AntiJoin, Join, PlanNode, Scan, SemiJoin
+from ...algebra.plan import AntiJoin, Join, PlanNode, SemiJoin, base_tables
 from ...errors import ScriptError
 from ...expr import TRUE, columns_of, equi_join_pairs, matches
 from ...storage import Database, row_extractor
@@ -58,7 +58,7 @@ def tuple_base_schemas(plan: PlanNode, db: Database) -> list[DiffSchema]:
     """Per base table of *plan*: its insert, delete and — when it has a
     non-key attribute — update t-diff schema."""
     schemas: list[DiffSchema] = []
-    for table in sorted({n.table for n in plan.walk() if isinstance(n, Scan)}):
+    for table in sorted(base_tables(plan)):
         schema = db.table(table).schema
         schemas += [insert_schema_for(schema), delete_schema_for(schema)]
         if schema.non_key_columns:
@@ -125,6 +125,10 @@ class TupleJoinStep(Step):
 
     def binds(self) -> list[tuple[str, str]]:
         return [("diff", name) for name in self.emitted.values()]
+
+    def pre_tables(self) -> frozenset[str]:
+        # both children are read uncached, in either state
+        return base_tables(self.node)
 
     def idle(self, ctx: IrContext) -> None:
         for kind, name in self.emitted.items():

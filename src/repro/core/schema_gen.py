@@ -18,7 +18,7 @@ all non-key attributes in pre-state form.
 
 from __future__ import annotations
 
-from ..algebra.plan import AntiJoin, GroupBy, Join, PlanNode, Scan, Select
+from ..algebra.plan import AntiJoin, GroupBy, Join, PlanNode, Scan, Select, base_tables
 from ..expr import columns_of
 from ..storage import Database
 from .diffs import DiffSchema, delete_schema_for, insert_schema_for, update_schema_for
@@ -116,7 +116,7 @@ def _column_origins(plan: PlanNode) -> dict[int, dict[str, tuple[str, str]]]:
 
 def generate_base_schemas(plan: PlanNode, db: Database) -> list[DiffSchema]:
     """All base-table i-diff schemas for maintaining *plan* (Section 5)."""
-    tables = sorted({n.table for n in plan.walk() if isinstance(n, Scan)})
+    tables = sorted(base_tables(plan))
     cond_groups = conditional_attribute_groups(plan)
     schemas: list[DiffSchema] = []
     seen: set[tuple] = set()

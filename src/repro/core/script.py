@@ -32,13 +32,14 @@ import time
 from collections import Counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from ..algebra.plan import base_tables
 from ..errors import ScriptError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..storage import CounterSet, Table
 from .apply import AppliedChanges, apply_diff
 from .diffs import Diff, DiffSchema
-from .ir import IrNode
+from .ir import IrNode, pre_state_reads
 from .ir_exec import IrContext, driving_sources, run_ir
 
 PHASE_CACHE_DIFF = "cache_diff"
@@ -76,6 +77,12 @@ class Step:
         every round of that slice then shares."""
         raise NotImplementedError
 
+    def pre_tables(self) -> frozenset[str]:
+        """The base tables ``run`` may read in ``ctx.db_pre``, the only
+        ones an engine replicates (another raises on the round).  None
+        by default."""
+        return frozenset()
+
     def prepare(self) -> None:
         """Resolve whatever the statement resolves once, ahead of its
         first run (:meth:`DeltaScript.bind_kernels` calls it, so no
@@ -109,6 +116,9 @@ class ComputeDiffStep(Step):
 
     def binds(self) -> list[tuple[str, str]]:
         return [("diff", self.name)]
+
+    def pre_tables(self) -> frozenset[str]:
+        return frozenset().union(*(base_tables(read.node) for read in pre_state_reads(self.ir)))
 
     def idle(self, ctx: IrContext) -> int:
         ctx.diffs[self.name] = Diff.trusted(self.schema, [])

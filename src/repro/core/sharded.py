@@ -233,7 +233,7 @@ class ShardedEngine(IdIvmEngine):
         if pool is None:
             pool = ProcessShardPool(self.shards)
             try:
-                pool.boot(build_blueprint(self.db, self.views, self.exec_backend))
+                pool.boot(build_blueprint(self.db, self.views, self.exec_backend, self._pre.tables))
                 pool.begin_round(wire.encode_log_batch(entries), sync=False)
             except BaseException:
                 pool.close()

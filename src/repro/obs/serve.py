@@ -110,8 +110,9 @@ def render_prometheus(
     """The Prometheus text exposition for a registry (+ engine extras).
 
     With an *engine* attached, per-view freshness (pending entries,
-    seconds-behind, observed-lag histograms), drift EWMAs and cache sizes
-    (:func:`cache_rows`) are emitted as labeled families on top of the
+    seconds-behind, observed-lag histograms), drift EWMAs, cache sizes
+    (:func:`cache_rows`) and ``Input_pre`` replica sizes
+    (:func:`prestate_rows`) are emitted as labeled families on top of the
     raw registry contents.
     """
     registry = registry if registry is not None else metrics.registry()
@@ -192,6 +193,9 @@ def render_prometheus(
         for view, cache, kind, rows in cache_rows(engine):
             labels = {"view": view, "cache": cache, "kind": kind}
             add("repro_cache_rows", "gauge", [f"repro_cache_rows{_labels(labels)} {rows}"])
+        for table, rows in prestate_rows(engine).items():
+            add("repro_prestate_rows", "gauge",
+                [f"repro_prestate_rows{_labels({'table': table})} {rows}"])
 
     out: list[str] = []
     for family, (prom_type, lines) in families.items():
@@ -236,6 +240,7 @@ def build_snapshot(
         for name, cache, kind, rows in cache_rows(engine):
             views.setdefault(name, {}).setdefault(f"{kind}_rows", {})[cache] = rows
         snapshot["views"] = views
+        snapshot["prestate_rows"] = prestate_rows(engine)
     return snapshot
 
 
@@ -251,6 +256,13 @@ def cache_rows(engine) -> list[tuple[str, str, str, int]]:
         for table in tables.values()
         if table is not view.table  # the view itself is no cache
     ]
+
+
+def prestate_rows(engine) -> dict[str, int]:
+    """``{table: rows}`` of *engine*'s ``Input_pre`` replica (empty until
+    the first round builds it), read by the scrape, never by a round."""
+    replica = getattr(getattr(engine, "_pre", None), "db", None)
+    return {} if replica is None else {n: len(t) for n, t in sorted(replica.tables.items())}
 
 
 # ----------------------------------------------------------------------

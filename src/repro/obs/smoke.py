@@ -30,6 +30,7 @@ _REQUIRED_FAMILIES = (
     "repro_modlog_retained_entries",
     "repro_drift_ewma",
     "repro_cache_rows",
+    "repro_prestate_rows",
 )
 
 

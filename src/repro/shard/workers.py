@@ -24,7 +24,7 @@ travels as a pickle over the pipe, which is fine for a single message):
    replica's base tables first — a worker that was just booted already
    has them baked into its blueprint, so its first round passes
    ``sync=False``.  The pre-state comes from the worker's own
-   :class:`~repro.core.engine.PreState`, as on the coordinator.
+   :class:`~repro.core.engine.PreState` of the coordinator's tables.
 3. ``("exec", view, instances)`` — :func:`run_shard` the view's full
    ∆-script over this shard's i-diff rows in a private ``IrContext``.
    Replies with the wire-encoded :data:`ShardResult`: the exact counter
@@ -150,7 +150,7 @@ def _restore_table(payload: tuple, counters, auto_index: bool) -> Table:
     return table
 
 
-def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str) -> dict:
+def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str, pre_tables) -> dict:
     """Snapshot the engine's state for worker bootstrap.
 
     Taken lazily at first parallel round, so it reflects the current
@@ -159,10 +159,12 @@ def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str) -
 
     Kernels are not picklable — pickling a view's ``generated`` drops
     them from its script — so only ``exec_backend`` ships; each worker
-    re-binds its views' scripts locally at boot.
+    re-binds its views' scripts locally at boot.  *pre_tables* are the
+    base tables the coordinator replicates in pre-state.
     """
     return {
         "exec_backend": check_backend(exec_backend),
+        "pre_tables": sorted(pre_tables),
         "auto_index": db.auto_index,
         "tables": [_table_payload(t) for _, t in sorted(db.tables.items())],
         "foreign_keys": [
@@ -218,21 +220,22 @@ class _WorkerState:
             self.views[entry["name"]] = MaterializedView(
                 generated, caches[generated.plan.node_id], caches, opcaches
             )
-        self._pre = PreState()
-        self._entries: Sequence = ()
+        self._pre = PreState(db, frozenset(blueprint["pre_tables"]))
+        self._entries = RoundEntries()
         self.modified_tables: set[str] = set()
 
     # ------------------------------------------------------------------
     def begin_round(self, log_doc: Mapping, sync: bool) -> None:
         # No message ends a round, so the pre-state replica absorbs the
         # previous round's log when the next one begins.
-        apply_log(self._pre.db, self._entries)
+        previous = self._entries
+        self._pre.move(previous, previous.end)
         # One fold serves the live tables' catch-up now and the replica's
         # when the next round begins.
-        self._entries = entries = RoundEntries(wire.decode_log_batch(log_doc))
+        self._entries = entries = RoundEntries(wire.decode_log_batch(log_doc), previous.end)
         if sync:
             apply_log(self.db, entries)
-        self._pre.begin(self.db, entries)
+        self._pre.begin(entries)
         self.modified_tables = {entry.table for entry in entries}
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:

@@ -75,14 +75,16 @@ class Database:
     # ------------------------------------------------------------------
     # copying
     # ------------------------------------------------------------------
-    def copy(self, counters: CounterSet | None = None) -> "Database":
-        """Deep copy of all tables (used to derive the post-state database)."""
+    def copy(
+        self, counters: CounterSet | None = None, tables: Iterable[str] | None = None
+    ) -> "Database":
+        """Deep copy of the named *tables* (default: all of them)."""
         clone = Database(
             counters=counters if counters is not None else CounterSet(),
             auto_index=self.auto_index,
         )
-        for name, table in self.tables.items():
-            clone.tables[name] = table.copy(counters=clone.counters)
+        for name in self.tables if tables is None else sorted(tables):
+            clone.tables[name] = self.table(name).copy(counters=clone.counters)
         clone.foreign_keys = list(self.foreign_keys)
         return clone
 

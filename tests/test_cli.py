@@ -33,6 +33,16 @@ class TestExplain:
         naive = capsys.readouterr().out
         assert naive.count("Subview") > minimized.count("Subview")
 
+    def test_explain_names_the_pre_state_tables(self, capsys):
+        main(["explain", "--sql", "SELECT pid, price FROM parts WHERE price > 15"])
+        assert "\nInput_pre: none\n" in capsys.readouterr().out
+        sql = (
+            "SELECT a.did, b.did AS did2 FROM devices a JOIN devices b "
+            "ON a.category = b.category WHERE a.did < b.did"
+        )
+        main(["explain", "--sql", sql])
+        assert "\nInput_pre: devices\n" in capsys.readouterr().out
+
     def test_bad_sql_raises(self):
         from repro.errors import SqlError
 

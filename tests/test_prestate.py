@@ -1,11 +1,13 @@
 """``Input_pre`` as a replica rolled forward by the log
-(:class:`repro.core.engine.PreState`).
+(:class:`repro.core.engine.PreState`), of the tables the views declare.
 
 The replica must equal what the old per-round reconstruction built —
-``_reconstruct_pre(live, entries)`` is the oracle — before every round,
-on every engine that reads a pre-state, whatever the round before it
-did: maintained a subset of the views, failed mid-way, or ran after the
-catalog grew.  And a round must cost the diff, not the database.
+``_reconstruct_pre(live, entries, tables)`` is the oracle — on each
+replicated table, before every round, on every engine, whatever the
+round before it did: maintained a subset of the views, failed mid-way,
+or ran after the catalog grew.  Every test runs views that read
+pre-state (a ▷ view, or the tuple rules), so none passes by comparing
+two empty catalogs.  And a round must cost the diff, not the database.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import evaluate_plan, group_by, scan
+from repro.algebra import equi_join, evaluate_plan, group_by, rename, scan, where
+from repro.algebra.plan import AntiJoin
 from repro.analysis import cost as cost_module
 from repro.baselines import SdbtEngine, TupleIvmEngine, sdbt
 from repro.core import IdIvmEngine, wire
 from repro.core import engine as engine_module
 from repro.core import script as script_module
 from repro.core.engine import PreState, _reconstruct_pre
-from repro.core.modlog import ModificationLog
 from repro.core.sharded import ShardedEngine
 from repro.errors import IntegrityError
-from repro.expr import col
+from repro.expr import col, lit
 from repro.obs import metrics
 from repro.shard.workers import _WorkerState, build_blueprint
 from repro.storage import Database, Table, load_rows
@@ -66,6 +68,36 @@ def make_db() -> Database:
 
 def view_b(db: Database):
     return group_by(scan(db, "notes"), ("kind",), [("sum", col("weight"), "total")])
+
+
+def unused_parts(db: Database):
+    """Parts no phone holds: ``parts ▷ (devices_parts ⋈ phones)``, whose
+    ID rules read ``devices`` and ``devices_parts`` in pre-state."""
+    phones = where(
+        equi_join(
+            scan(db, "devices_parts"),
+            rename(scan(db, "devices"), {"did": "d_did"}),
+            [("did", "d_did")],
+        ),
+        col("category").eq(lit("phone")),
+    )
+    held = rename(phones, {"pid": "h_pid", "did": "h_did"})
+    return AntiJoin(scan(db, "parts"), held, col("pid").eq(col("h_pid")))
+
+
+def late_view(kind: str, db: Database, table: str):
+    """A view reading the late *table* in pre-state: ``parts ▷ table``
+    (SDBT takes aggregates only: a γ over it)."""
+    if kind == "sdbt":
+        return group_by(scan(db, table), ("v",), [("count", None, "n")])
+    late = rename(scan(db, table), {"k": "l_k", "v": "l_v"})
+    return AntiJoin(scan(db, "parts"), late, col("price").eq(col("l_v")))
+
+
+def oracle(engine, live: Database, entries) -> Database:
+    """The engine's replicated tables as of before *entries*."""
+    assert engine._pre.tables, "a test of the replica needs a non-empty one"
+    return _reconstruct_pre(live, entries, engine._pre.tables)
 
 
 A_OPS = ("price", "flip", "add_part", "chain", "ins_upd", "del_link", "del_ins")
@@ -200,23 +232,29 @@ def test_replica_equals_reconstruction_before_every_round(kind, rounds):
     engine = factory(db)
     engine.define_view("A", build_view_v_prime(db))
     engine.define_view("B", view_b(db))
+    if kind != "sdbt":  # SDBT takes aggregates only
+        engine.define_view("C", unused_parts(db))
+    assert {"devices", "devices_parts"} <= engine._pre.tables
     fresh = _Fresh()
     checked = []
     real_begin = PreState.begin
 
-    def checked_begin(self, live, entries):
-        pre = real_begin(self, live, entries)
-        assert_same_database(pre, _reconstruct_pre(live, entries))
+    def checked_begin(self, entries):
+        pre = real_begin(self, entries)
+        assert_same_database(pre, _reconstruct_pre(self.live, entries, self.tables))
         checked.append(len(entries))
         return pre
 
     rebuilds = metrics.counter("engine.prestate_rebuilds")
     with mock.patch.object(PreState, "begin", checked_begin):
         for number, (mode, ops) in enumerate(rounds):
-            rebuilt_before = rebuilds.value
+            rebuilt_before, replica_before = rebuilds.value, engine._pre.db
+            late = f"late{number}"
             if mode == "late":
-                db.create_table(f"late{number}", ("k", "v"), ("k",))
-                load_rows(db, f"late{number}", [(1, 2), (3, 4)])
+                db.create_table(late, ("k", "v"), ("k",))
+                load_rows(db, late, [(1, 2), (3, 4)])
+                if number % 2:  # a view that reads it: the replica widens
+                    engine.define_view(late, late_view(kind, db, late))
             for op in ops:
                 apply_op(engine.log, db, op, fresh)
             pending = len(engine.log.entries)
@@ -237,9 +275,12 @@ def test_replica_equals_reconstruction_before_every_round(kind, rounds):
             # begin ran once, over the whole pending log
             assert len(checked) == number + 1 and checked[-1] == pending
             # between rounds: live minus the retained log
-            assert_same_database(engine._pre.db, _reconstruct_pre(db, engine.log.entries))
-            expected_rebuilds = 1 if mode == "late" and number > 0 else 0
-            assert rebuilds.value - rebuilt_before == expected_rebuilds
+            assert_same_database(engine._pre.db, oracle(engine, db, engine.log.entries))
+            # only a late table a view reads enters the replica: rebuilt,
+            # and not counted (nothing changed behind the log's back)
+            rebuilt = replica_before is not None and engine._pre.db is not replica_before
+            assert rebuilt == (late in engine._pre.tables and number > 0)
+            assert rebuilds.value == rebuilt_before
             assert_views_at_their_cursors(engine, db)
         engine.maintain()
         assert_views_fresh(engine, db)
@@ -252,7 +293,9 @@ def test_worker_replica_follows_the_round_messages(rounds):
     coordinator sends: no end-of-round message exists, so the replica
     absorbs a round's log when the next ``round`` arrives."""
     db = make_db()
-    log = ModificationLog(db)
+    coordinator = IdIvmEngine(db)
+    coordinator.define_view("C", unused_parts(db))
+    log = coordinator.log
     fresh = _Fresh()
     state = None
     for ops in rounds:
@@ -260,12 +303,15 @@ def test_worker_replica_follows_the_round_messages(rounds):
             apply_op(log, db, op, fresh)
         entries = log.take()
         if state is None:   # booted from a blueprint that holds round 1
-            state = _WorkerState(build_blueprint(db, {}, "compiled"))
+            state = _WorkerState(build_blueprint(
+                db, coordinator.views, "compiled", coordinator._pre.tables
+            ))
             state.begin_round(wire.encode_log_batch(entries), sync=False)
         else:
             state.begin_round(wire.encode_log_batch(entries), sync=True)
+        assert state._pre.tables == {"devices", "devices_parts"}
         assert_same_database(state.db, db)
-        assert_same_database(state._pre.db, _reconstruct_pre(db, entries))
+        assert_same_database(state._pre.db, oracle(coordinator, db, entries))
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +319,9 @@ def test_worker_replica_follows_the_round_messages(rounds):
 # ----------------------------------------------------------------------
 def _round_costs(n_parts: int, rounds: int = 4):
     """Per round of a d=20 price-update stream: (Database.copy calls,
-    Table.copy calls, uncounted write calls that landed on the replica —
-    one bulk ``roll_forward`` per modified table — log entries)."""
+    Table.copy calls, uncounted write calls that landed on the replica,
+    log entries).  ``Vp`` reads no table in pre-state: the one copy is
+    of an empty replica, and the stream never writes it."""
     config = DevicesConfig(n_parts=n_parts, n_devices=n_parts // 10, fanout=2, diff_size=20)
     db = build_devices_database(config)
     # Cost-model inference evaluates the plan several times over: most of
@@ -296,6 +343,7 @@ def _round_costs(n_parts: int, rounds: int = 4):
 
         return mock.patch.object(cls, name, wrapper)
 
+    assert engine._pre.tables == frozenset()
     out = []
     with spy(Database, "copy", "db_copy"), spy(Table, "copy", "table_copy"), \
             spy(Table, "insert_uncounted", "write"), \
@@ -317,16 +365,16 @@ def test_one_copy_ever_and_rounds_cost_the_diff_at_any_database_size():
     small, large = _round_costs(2_000), _round_costs(20_000)
     for costs in (small, large):
         (db_copies, table_copies, _, _), later = costs[0], costs[1:]
-        assert (db_copies, table_copies) == (1, 3)     # the one replica build
+        assert (db_copies, table_copies) == (1, 0)     # the one (empty) replica build
         for db_copies, table_copies, writes, n_entries in later:
-            assert (db_copies, table_copies) == (0, 0)
-            assert 0 < writes <= n_entries
+            assert (db_copies, table_copies, writes) == (0, 0, 0)
+            assert n_entries > 0
     assert small[1:] == large[1:]
 
 
 def test_failed_view_keeps_its_entries_and_a_retry_converges(running_example_db):
     db = running_example_db
-    engine = IdIvmEngine(db)
+    engine = TupleIvmEngine(db)
     engine.define_view("A", build_view_v_prime(db))
     engine.define_view("B", build_view_v_prime(db))
     engine.log.update("parts", ("P1",), {"price": 11})
@@ -348,20 +396,20 @@ def test_failed_view_keeps_its_entries_and_a_retry_converges(running_example_db)
     # where B is: live minus the retained log
     assert engine.log.cursors == {"A": 3, "B": 1}
     assert len(engine.log.entries) == 2
-    assert_same_database(engine._pre.db, _reconstruct_pre(db, engine.log.entries))
+    assert_same_database(engine._pre.db, oracle(engine, db, engine.log.entries))
     assert_views_at_their_cursors(engine, db)
     engine.log.delete("parts", ("P3",))
     entries = list(engine.log.entries)
-    assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+    assert_same_database(engine._pre.begin(entries), oracle(engine, db, entries))
     engine.maintain()
     assert_views_fresh(engine, db)
     assert engine.log.entries == [] and engine.log.cursors == {"A": 4, "B": 4}
-    assert_same_database(engine._pre.db, db)
+    assert_same_database(engine._pre.db, oracle(engine, db, []))
 
 
 def test_a_subset_round_moves_the_replica_past_a_lagging_view_and_back(running_example_db):
     db = running_example_db
-    engine = IdIvmEngine(db)
+    engine = TupleIvmEngine(db)
     engine.define_view("A", build_view_v_prime(db))
     engine.define_view("B", build_view_v_prime(db))
     engine.log.update("parts", ("P1",), {"price": 11})
@@ -369,7 +417,7 @@ def test_a_subset_round_moves_the_replica_past_a_lagging_view_and_back(running_e
     engine.maintain("A")
     # A read the pre-state at its cursor; the replica is back at B's
     assert engine.log.cursors == {"A": 2, "B": 0} and engine._pre.position == 0
-    assert_same_database(engine._pre.db, _reconstruct_pre(db, engine.log.entries))
+    assert_same_database(engine._pre.db, oracle(engine, db, engine.log.entries))
     engine.log.insert("parts", ("P4", 6))
     with mock.patch.object(engine_module, "execute_script", _boom), pytest.raises(Boom):
         engine.maintain("A")
@@ -378,13 +426,13 @@ def test_a_subset_round_moves_the_replica_past_a_lagging_view_and_back(running_e
     assert engine.log.cursors == {"A": 2, "B": 0} and engine._pre.position == 2
     engine.maintain()
     assert_views_fresh(engine, db)
-    assert_same_database(engine._pre.db, db)
+    assert_same_database(engine._pre.db, oracle(engine, db, []))
     assert metrics.counter("engine.prestate_rebuilds").value == 0
 
 
 def test_stale_replica_is_rebuilt_and_counted(running_example_db):
     db = running_example_db
-    engine = IdIvmEngine(db)
+    engine = TupleIvmEngine(db)
     view = engine.define_view("Vp", build_view_v_prime(db))
     rebuilds = metrics.counter("engine.prestate_rebuilds")
     engine.log.update("parts", ("P1",), {"price": 11})
@@ -395,22 +443,23 @@ def test_stale_replica_is_rebuilt_and_counted(running_example_db):
     engine.log.update("parts", ("P1",), {"price": 12})
     engine.maintain()
     assert rebuilds.value == 1
-    # a table created after the first round
+    # a table created after the first round is read by no view: the
+    # replica does not hold it, so there is nothing to rebuild
     db.create_table("late", ("k",), ("k",))
     engine.log.update("parts", ("P2",), {"price": 21})
     engine.maintain()
-    assert rebuilds.value == 2
+    assert rebuilds.value == 1 and "late" not in engine._pre.db.tables
     # and a healthy round after that rebuilds nothing
     engine.log.update("parts", ("P2",), {"price": 22})
     engine.maintain()
-    assert rebuilds.value == 2
-    assert_same_database(engine._pre.db, db)
+    assert rebuilds.value == 1
+    assert_same_database(engine._pre.db, oracle(engine, db, []))
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
 
 
 def test_strict_engine_refuses_a_stale_replica(running_example_db):
     db = running_example_db
-    engine = IdIvmEngine(db, strict=True)
+    engine = TupleIvmEngine(db, strict=True)
     engine.define_view("Vp", build_view_v_prime(db))
     engine.log.update("parts", ("P1",), {"price": 11})
     engine.maintain()
@@ -422,7 +471,7 @@ def test_strict_engine_refuses_a_stale_replica(running_example_db):
     # the refused replica is gone; the next round starts from a fresh one
     engine.log.update("parts", ("P1",), {"price": 13})
     engine.maintain()
-    assert_same_database(engine._pre.db, db)
+    assert_same_database(engine._pre.db, oracle(engine, db, []))
 
 
 def test_process_workers_serve_the_pre_state_across_rounds():
@@ -431,13 +480,15 @@ def test_process_workers_serve_the_pre_state_across_rounds():
     with ShardedEngine(db, shards=2, backend="process") as engine:
         flat = engine.define_view("V", build_flat_view(db, config))
         agg = engine.define_view("Vp", build_aggregate_view(db, config))
+        unused = engine.define_view("C", unused_parts(db))
+        assert engine._pre.tables == {"devices", "devices_parts"}
         for number in range(4):
             if number % 2:
                 log_batch(engine, mixed_modification_batch(db, config, 6, 3, 3, round_seed=number))
             else:
                 apply_price_updates(engine, db, config, round_seed=number)
             reports = engine.maintain()
-            for view in (flat, agg):
+            for view in (flat, agg, unused):
                 assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
         assert reports["V"].backend == "process"
 
@@ -452,20 +503,21 @@ def test_seeded_mixed_rounds_keep_the_replica_on_the_reconstruction():
     engine = IdIvmEngine(db)
     flat = engine.define_view("V", build_flat_view(db, config))
     agg = engine.define_view("Vp", build_aggregate_view(db, config))
+    unused = engine.define_view("C", unused_parts(db))
     for number in range(6):
         log_batch(engine, mixed_modification_batch(db, config, 8, 4, 3, round_seed=number))
         entries = list(engine.log.entries)
         if number:  # round 0 builds the replica from this very oracle
-            assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+            assert_same_database(engine._pre.begin(entries), oracle(engine, db, entries))
         engine.maintain()
-        assert_same_database(engine._pre.db, db)
-        for view in (flat, agg):
+        assert_same_database(engine._pre.db, oracle(engine, db, []))
+        for view in (flat, agg, unused):
             assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
 
 
 def test_modification_chains_on_one_key_roll_forward_to_the_live_rows(running_example_db):
     db = running_example_db
-    engine = IdIvmEngine(db)
+    engine = TupleIvmEngine(db)
     view = engine.define_view("Vp", build_view_v_prime(db))
     engine.log.update("parts", ("P1",), {"price": 11})
     engine.maintain()
@@ -480,13 +532,13 @@ def test_modification_chains_on_one_key_roll_forward_to_the_live_rows(running_ex
     log.insert("devices_parts", ("D1", "P8"))
     log.update("parts", ("P1",), {"price": 12}); log.delete("devices_parts", ("D1", "P1"))
     entries = list(log.entries)
-    assert_same_database(engine._pre.begin(db, entries), _reconstruct_pre(db, entries))
+    assert_same_database(engine._pre.begin(entries), oracle(engine, db, entries))
     with mock.patch.object(
         Table, "roll_forward",
         lambda self, changes: rolled.append((self.name, sorted(changes))) or real(self, changes),
     ):
         engine.maintain()
-    assert_same_database(engine._pre.db, db)
+    assert_same_database(engine._pre.db, oracle(engine, db, []))
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
     # one bulk write per modified table, of net changes only (P7 is gone)
     assert sorted(rolled) == [
@@ -500,7 +552,7 @@ def test_a_log_that_does_not_fold_drops_the_replica(running_example_db):
     from repro.errors import DiffError
 
     db = running_example_db
-    engine = IdIvmEngine(db)
+    engine = TupleIvmEngine(db)
     view = engine.define_view("Vp", build_view_v_prime(db))
     engine.log.update("parts", ("P1",), {"price": 11})
     engine.maintain()
@@ -515,5 +567,5 @@ def test_a_log_that_does_not_fold_drops_the_replica(running_example_db):
     assert engine._pre.db is None
     engine.log.update("parts", ("P2",), {"price": 21})
     engine.maintain()   # rebuilt from the live tables, and in step again
-    assert_same_database(engine._pre.db, db)
+    assert_same_database(engine._pre.db, oracle(engine, db, []))
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()

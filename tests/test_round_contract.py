@@ -125,21 +125,25 @@ def test_round_feeds_metrics_and_freshness(kind):
 
 @pytest.mark.parametrize("kind", sorted(ENGINES))
 def test_live_database_is_copied_at_most_once(kind):
-    """Round 1 builds the ``Input_pre`` replica; recomputation reads no
-    pre-state and never pays for one.  No engine copies any database
-    after that (SDBT's sequential hybrid state included)."""
-    db, engine, _ = _engine_with_views(kind)
+    """Round 1 builds the ``Input_pre`` replica: one copy of the live
+    database holding exactly the tables the views declare (none for
+    recomputation, nor for the ID rules on this view).  No engine copies
+    any database after that (SDBT's sequential hybrid state included)."""
+    db, engine, (view,) = _engine_with_views(kind)
     real_copy, copied = Database.copy, []
 
     def spy(self, *args, **kwargs):
-        copied.append(self is db)
-        return real_copy(self, *args, **kwargs)
+        clone = real_copy(self, *args, **kwargs)
+        copied.append((self is db, set(clone.tables)))
+        return clone
 
+    declared = {"devices", "devices_parts", "parts"} if kind in ("tuple", "sdbt") else set()
+    assert view.pre_tables == engine._pre.tables == declared
     with mock.patch.object(Database, "copy", spy):
         for number in range(3):
             apply_price_updates(engine, db, CONFIG, round_seed=number)
             engine.maintain()
-            assert copied == ([] if kind == "recompute" else [True])
+            assert copied == [(True, declared)]
 
 
 @pytest.mark.parametrize("kind", ["tuple", "sdbt"])
@@ -178,8 +182,9 @@ def test_log_is_folded_once_per_round_not_per_view(kind):
 def test_the_log_is_folded_once_per_round_by_every_engine(kind):
     """Every view's i-diff population, every view of the tuple and SDBT
     baselines and the replica's roll-forward read the one fold the
-    round's entries memoise; recomputation reads no pre-state and folds
-    nothing."""
+    round's entries memoise.  Recomputation reads none of it, but its
+    round folds the log all the same: the round refuses a log that does
+    not fold before any view runs, whatever the engine."""
     db, engine, views = _engine_with_views(kind, names=("A", "B"))
     real_fold, folds = modlog_mod._fold, []
 
@@ -191,17 +196,16 @@ def test_the_log_is_folded_once_per_round_by_every_engine(kind):
         for number in range(1, 4):
             apply_price_updates(engine, db, CONFIG, round_seed=number)
             engine.maintain()
-            assert len(folds) == (0 if kind == "recompute" else number)
+            assert len(folds) == number
     for view in views:
         assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
-    if kind != "recompute":
-        assert_same_rows(engine._pre.db, db)
+    assert_same_rows(engine._pre.db, db, engine._pre.tables)
 
 
-def assert_same_rows(replica, live):
-    assert replica.tables.keys() == live.tables.keys()
-    for name, table in live.tables.items():
-        assert replica.tables[name].as_set() == table.as_set(), name
+def assert_same_rows(replica, live, tables):
+    assert replica.tables.keys() == tables
+    for name in tables:
+        assert replica.tables[name].as_set() == live.tables[name].as_set(), name
 
 
 def _instances_per_view(engine):
@@ -339,7 +343,9 @@ def test_blueprint_pickles_after_a_round_has_run():
         engine.define_view("V", build_aggregate_view(db, CONFIG))
         apply_price_updates(engine, db, CONFIG)
         engine.maintain()
-        pickle.dumps(build_blueprint(engine.db, engine.views, engine.exec_backend))
+        pickle.dumps(build_blueprint(
+            engine.db, engine.views, engine.exec_backend, engine._pre.tables
+        ))
         engine.define_view("W", build_flat_view(db, CONFIG))
         apply_price_updates(engine, db, CONFIG, round_seed=1)
         engine.maintain()
@@ -421,7 +427,7 @@ def test_worker_builds_the_same_view_and_binds_its_one_script(exec_backend):
     db = build_devices_database(CONFIG)
     engine = IdIvmEngine(db, exec_backend=exec_backend)
     engine.define_view("V", build_flat_view(db, CONFIG))
-    blueprint = build_blueprint(db, engine.views, exec_backend)
+    blueprint = build_blueprint(db, engine.views, exec_backend, engine._pre.tables)
     # what crosses the pipe carries no kernels, whatever the coordinator bound
     wired = pickle.loads(pickle.dumps(blueprint))
     assert not wired["views"][0]["generated"].script._kernels
@@ -440,8 +446,8 @@ def test_misspelt_backend_is_refused_not_interpreted():
     engine = IdIvmEngine(db)
     engine.define_view("V", build_flat_view(db, CONFIG))
     with pytest.raises(ValueError, match="complied"):
-        build_blueprint(db, engine.views, "complied")
-    blueprint = build_blueprint(db, engine.views, "compiled")
+        build_blueprint(db, engine.views, "complied", engine._pre.tables)
+    blueprint = build_blueprint(db, engine.views, "compiled", engine._pre.tables)
     blueprint["exec_backend"] = "complied"
     with pytest.raises(ValueError, match="complied"):
         _WorkerState(blueprint)

@@ -307,6 +307,30 @@ class TestCacheRows:
         # read at scrape time: a round registers nothing for it
         assert not [n for n in metrics.registry().names() if "rows" in n and "cache" in n]
 
+    def test_the_pre_state_replica_is_a_gauge_and_a_snapshot_entry(self):
+        from repro.core import IdIvmEngine
+        from repro.workloads import (
+            BSMA_QUERIES, BsmaConfig, build_bsma_database, log_user_updates,
+        )
+
+        config = BsmaConfig(n_users=30, friends_per_user=3, n_tweets=60)
+        db = build_bsma_database(config)
+        engine = IdIvmEngine(db)
+        engine.define_view("Q18", BSMA_QUERIES["Q18"](db, config))
+        # declared at definition; the replica exists from the first round
+        assert "repro_prestate_rows" not in render_prometheus(metrics.registry(), engine=engine)
+        assert engine._pre.tables == {"mentions"}
+        assert build_snapshot(engine)["prestate_rows"] == {}
+        log_user_updates(engine, db, config, 8)
+        engine.maintain()
+        text = render_prometheus(metrics.registry(), engine=engine)
+        assert validate_exposition(text) == []
+        rows = len(db.table("mentions"))
+        assert f'repro_prestate_rows{{table="mentions"}} {rows}\n' in text
+        assert text.count("repro_prestate_rows{") == 1
+        assert build_snapshot(engine)["prestate_rows"] == {"mentions": rows}
+        assert not [n for n in metrics.registry().names() if "prestate" in n]
+
     def test_views_without_caches_report_none(self):
         from repro.baselines import RecomputeEngine
 
