@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sharded smoke smoke-obs bench bench-compare perf-gate fuzz \
+.PHONY: test test-sharded smoke smoke-obs bench bench-compare ab-rounds perf-gate fuzz \
 	lint lint-catalog lint-static
 
 test:
@@ -48,6 +48,15 @@ REPS ?= 3
 bench-compare:
 	$(PYTHON) benchmarks/compare_revisions.py --base $(BASE) --reps $(REPS) \
 	    $(BENCH_COMPARE_ARGS)
+
+# Interleaved A/B rounds of revision BASE against this tree in one
+# process (tools/ab_rounds.py): the same op stream, the order alternating
+# every round, equal per-round access counts asserted; prints per-side
+# medians and the paired round ratios.  WORKLOADS: a comma-separated
+# subset of the e2e suite (default: the gated four).
+WORKLOADS ?=
+ab-rounds:
+	$(PYTHON) tools/ab_rounds.py --base $(BASE) $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 # Perf-regression gate: re-run the fast access-count benchmarks and
 # diff each fresh BENCH_*.json against benchmarks/baselines/.  Access

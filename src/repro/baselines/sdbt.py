@@ -42,6 +42,7 @@ from ..core.engine import (
 )
 from ..core.idinfer import annotate_plan
 from ..core.rules.aggregate import (
+    GroupWriter,
     OpCacheSpec,
     apply_group_deltas,
     group_accumulator,
@@ -196,6 +197,8 @@ class SdbtView:
         #: base table -> SPJ plan with its own selection conjuncts dropped
         self.relaxed: dict[str, PlanNode] = {}
         self.opcache: Optional[Table] = None
+        #: the view's γ-delta writer, bound once its operator cache exists
+        self.writer: Optional[GroupWriter] = None
         # The lineage a round reads, resolved once per view.
         #: SPJ column -> position, for re-checking selections on a row
         self.positions = {c: i for i, c in enumerate(shape.spj.columns)}
@@ -243,6 +246,7 @@ class SdbtEngine(MaintenanceEngine):
         view = SdbtView(name, annotated, table, shape)
         spec = OpCacheSpec(annotated, f"{name}__sdbt_opc")
         view.opcache = spec.build(child_rows, self.db.counters)
+        view.writer = GroupWriter(annotated, table, view.opcache)
 
         streamed = (
             set(shape.key_columns)
@@ -331,7 +335,7 @@ class SdbtEngine(MaintenanceEngine):
                 self._maintain_maps(view, base_table, per_key, hybrid)
         deltas = view.accumulate(changes)
         with counted_phase(counters, "view_update"):
-            apply_group_deltas(shape.gnode, deltas, view.table, view.opcache)
+            apply_group_deltas(view.writer, deltas)
         return MaintenanceReport(
             view.name, phase_counts=counts_since(counters, before)
         )

@@ -74,7 +74,7 @@ class AppliedChanges:
             + tuple(post_col(a) for a in attrs)
         )
         key_of = schema.key_of
-        values_of = row_extractor(schema.positions(attrs))
+        values_of = schema.extractor(attrs)
         absent = (None,) * len(attrs)
         rows = [
             key_of(pre if post is None else post)
@@ -90,39 +90,54 @@ class AppliedChanges:
         Used when a cache application must be re-expressed as the diff
         feeding the operators above the cache.
         """
-        return changes_to_diff(
-            self.kind, self.changes, self.table_schema, self.table_schema.name,
-            self.updated_attrs if self.kind == UPDATE else None,
+        schema, kind = self.table_schema, self.kind
+        attrs = self.updated_attrs if kind == UPDATE else schema.non_key_columns
+        return Diff(
+            _effective_schema(kind, schema.name, schema.key, attrs),
+            _effective_rows(kind, self.changes, schema.key_of, schema.extractor(attrs)),
         )
 
 
-def changes_to_diff(
-    kind: str,
-    changes: list[tuple],
-    table_schema: TableSchema,
-    target: str,
-    attrs: Sequence[str] | None = None,
-) -> Diff:
-    """Applied ``(pre, post)`` rows of a table as a full-ID effective
-    diff on *target* carrying *attrs* (default: every non-key column)."""
-    if attrs is None:
+class EffectiveDiffs:
+    """Applied ``(pre, post)`` rows of a table as full-ID effective diffs
+    on *target* carrying every non-key column, resolved once by a writer
+    that emits every round (a γ step): the three schemas, their shared
+    empty diffs (nothing mutates a diff's rows) and the row layouts."""
+
+    def __init__(self, table_schema: TableSchema, target: str):
         attrs = table_schema.non_key_columns
-    key_of = table_schema.key_of
-    values_of = row_extractor(table_schema.positions(attrs))
-    if kind == INSERT:
-        schema = DiffSchema(INSERT, target, table_schema.key, post_attrs=attrs)
-        rows = [key_of(post) + values_of(post) for _, post in changes]
-    elif kind == DELETE:
-        schema = DiffSchema(DELETE, target, table_schema.key, pre_attrs=attrs)
-        rows = [key_of(pre) + values_of(pre) for pre, _ in changes]
-    else:
-        schema = DiffSchema(
-            UPDATE, target, table_schema.key, pre_attrs=attrs, post_attrs=attrs
+        self.key_of = table_schema.key_of
+        self.values_of = table_schema.extractor(attrs)
+        self.empty = {
+            kind: Diff.trusted(_effective_schema(kind, target, table_schema.key, attrs), [])
+            for kind in (INSERT, DELETE, UPDATE)
+        }
+
+    def trusted(self, kind: str, changes: list[tuple]) -> Diff:
+        """The *changes* of *kind*, adopted without validation: the
+        caller wrote at most one change per key."""
+        empty = self.empty[kind]
+        if not changes:
+            return empty
+        return Diff.trusted(
+            empty.schema, _effective_rows(kind, changes, self.key_of, self.values_of)
         )
-        rows = [
-            key_of(post) + values_of(pre) + values_of(post) for pre, post in changes
-        ]
-    return Diff(schema, rows)
+
+
+def _effective_schema(kind: str, target: str, key: tuple, attrs: tuple) -> DiffSchema:
+    if kind == INSERT:
+        return DiffSchema(INSERT, target, key, post_attrs=attrs)
+    if kind == DELETE:
+        return DiffSchema(DELETE, target, key, pre_attrs=attrs)
+    return DiffSchema(UPDATE, target, key, pre_attrs=attrs, post_attrs=attrs)
+
+
+def _effective_rows(kind: str, changes: list[tuple], key_of, values_of) -> list[tuple]:
+    if kind == INSERT:
+        return [key_of(post) + values_of(post) for _, post in changes]
+    if kind == DELETE:
+        return [key_of(pre) + values_of(pre) for pre, _ in changes]
+    return [key_of(post) + values_of(pre) + values_of(post) for pre, post in changes]
 
 
 def apply_diff(table: Table, diff: Diff) -> AppliedChanges:
@@ -143,9 +158,9 @@ def apply_diff(table: Table, diff: Diff) -> AppliedChanges:
     elif kind == INSERT:
         # APPLY ∆+: INSERT ... WHERE ROW NOT IN (SELECT ... FROM V).
         diff_attrs = schema.id_attrs + schema.post_attrs
-        in_table_order = row_extractor(
+        in_table_order = table.bound(("+", diff_attrs), lambda: row_extractor(
             [diff_attrs.index(c) for c in table.schema.columns]
-        )
+        ))
         changes = table.insert_many([in_table_order(row) for row in diff.rows])
     elif kind == DELETE:
         # APPLY ∆−: DELETE FROM V WHERE ROW(Ī′) IN (SELECT Ī′ FROM ∆−).

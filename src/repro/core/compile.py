@@ -86,7 +86,7 @@ from ..expr.ast import (
 )
 from ..expr.eval import compare
 from ..obs import metrics
-from ..storage import Database, row_extractor
+from ..storage import Database
 from .diffs import Diff
 from .ir import (
     PRE,
@@ -556,7 +556,7 @@ def _subview_reader(
                     rows.extend(lookup(sub_attrs, value))
         schema = table.schema
         if columns != schema.columns:
-            getter = row_extractor(schema.positions(columns))
+            getter = schema.extractor(columns)
             rows = [getter(r) for r in rows]
         return rows
 
@@ -642,6 +642,37 @@ def lower_group_deltas(gnode, new_delta: Callable[[int], object]) -> Callable[[S
                 src.emit(f"d.sums[{i}] {sign}= v", 4)
     src.emit("return deltas")
     return src.build("changes")
+
+
+def lower_group_values(
+    gnode, cnt_at: Sequence[Optional[int]], sum_at: Sequence[Optional[int]]
+) -> Callable[[tuple, object, tuple], tuple]:
+    """The new aggregate values of a live group of *gnode* as one
+    generated tuple display: ``values(old, d, book)`` over the group's
+    old aggregate values, its accumulated delta ``d`` and its operator-
+    cache *book* (the opcache row past the group key), whose non-NULL
+    counts and running sums sit at slots *cnt_at* / *sum_at*: ``count``
+    adds the delta's count, ``sum`` its sum — NULL once no non-NULL
+    value is left — and ``avg`` divides the book's running sum."""
+    src = _Source(f"gamma_values_n{gnode.node_id}")
+    items = []
+    for i, agg in enumerate(gnode.aggs):
+        if agg.func == "count":
+            moved = "d.n" if agg.arg is None else f"d.cnts[{i}]"
+            items.append(f"(old[{i}] or 0) + {moved}")
+        elif agg.func == "sum":
+            items.append(f"None if book[{cnt_at[i]}] == 0 else (old[{i}] or 0) + d.sums[{i}]")
+        elif agg.func == "avg":
+            cnt = f"book[{cnt_at[i]}]"
+            items.append(f"None if {cnt} == 0 else book[{sum_at[i]}] / {cnt}")
+        else:  # the generator routes min / max to the recompute rule
+            items.append(f"{src.bind('refuse', _refuse_aggregate)}({agg.func!r})")
+    src.emit(f"return ({', '.join(items)},)")
+    return src.build("old, d, book")
+
+
+def _refuse_aggregate(func: str):
+    raise ScriptError(f"associative step got {func!r}")
 
 
 # ----------------------------------------------------------------------

@@ -136,11 +136,14 @@ def counts_since(
     counters: CounterSet, before: dict[str, AccessCounts]
 ) -> dict[str, AccessCounts]:
     """Per-phase accesses *counters* gained since the *before* snapshot:
-    what a :class:`MaintenanceReport` carries as ``phase_counts``."""
-    return {
-        phase: counts - before[phase] if phase in before else counts
-        for phase, counts in counters.snapshot().items()
+    what a :class:`MaintenanceReport` carries as ``phase_counts`` — the
+    keys of a snapshot, in one pass over the live buckets."""
+    since = {
+        phase: counts - before[phase] if phase in before else counts.copy()
+        for phase, counts in counters.phases.items()
     }
+    since["__total__"] = counters.total - before["__total__"]
+    return since
 
 
 @contextmanager
@@ -255,13 +258,14 @@ class MaintenanceEngine:
         metrics.counter("engine.maintain_rounds").inc()
         _LOG_ENTRIES().observe(len(retained))
         reports: dict[str, MaintenanceReport] = {}
+        traced = obs.current_recorder() is not None
         with obs.span(
             "maintain",
             kind="engine",
             counters=counters,
             engine=type(self).__name__,
             n_log_entries=len(retained),
-            views=",".join(view.name for view in targets),
+            views=",".join(view.name for view in targets) if traced else "",
         ) as round_span:
             with obs.span("reconstruct_pre", kind="engine", counters=counters):
                 # back to the floor if a failed round left it ahead
@@ -287,7 +291,7 @@ class MaintenanceEngine:
                         report = self._maintain_view(view, db_pre, entries, vsp)
                         log.advance(view_name, entries.end)
                         reports[view_name] = report
-                        if obs.current_recorder() is not None:
+                        if traced:
                             stamped_phases = {
                                 phase: counts.as_dict()
                                 for phase, counts in report.phase_counts.items()
@@ -449,7 +453,7 @@ class IdIvmEngine(MaintenanceEngine):
         with the per-phase delta and the diff sizes."""
         counters = self.db.counters
         ctx = round_context(
-            db_pre, self.db, instances, view, {entry.table for entry in entries}
+            db_pre, self.db, instances, view, RoundEntries.of(entries).unchanged(self.db)
         )
         before = counters.snapshot()
         execute_script(view.script, ctx, counters)
@@ -457,15 +461,18 @@ class IdIvmEngine(MaintenanceEngine):
         report.diff_sizes = ctx.diff_sizes
 
 
-def round_context(db_pre: Database, db_post: Database, instances, view, modified) -> IrContext:
+def round_context(
+    db_pre: Database, db_post: Database, instances, view, unchanged: frozenset[str]
+) -> IrContext:
     """The context one execution of *view*'s ∆-script runs in: the two
     database states, the round's i-diff *instances* and the view's
     writable tables (*view* is the coordinator's
     :class:`MaterializedView` or a shard worker's replica of it);
-    *modified* names the base tables this round's log touched."""
+    *unchanged* names the base tables this round's log leaves alone
+    (``RoundEntries.unchanged``, once per round)."""
     ctx = IrContext(db_pre, db_post, diffs=instances, caches=view.caches)
     ctx.operator_caches = view.operator_caches
-    ctx.unchanged_tables = set(db_post.table_names()) - modified
+    ctx.unchanged_tables = unchanged
     return ctx
 
 

@@ -62,14 +62,14 @@ class IrContext:
         self.db_post = db_post
         self.diffs: dict[str, Diff] = dict(diffs) if diffs else {}
         self.caches: dict[int, Table] = dict(caches) if caches else {}
-        self.cache_state: dict[int, str] = {nid: PRE for nid in self.caches}
+        self.cache_state: dict[int, str] = dict.fromkeys(self.caches, PRE)
         self.expansions: dict[str, AppliedChanges] = {}
         #: node_id -> hidden bookkeeping table of a γ node (Table 12's
         #: operator caches, generalized); maintained by the aggregate steps.
         self.operator_caches: dict[int, Table] = {}
         #: base tables with no modifications in this batch — gates the
         #: Section 9 view-reuse probes (set by the engine per round).
-        self.unchanged_tables: set[str] = set()
+        self.unchanged_tables: frozenset[str] = frozenset()
         #: rows per named diff of the executed round, the zeros of the
         #: statements it skipped included (set by ``execute_script``).
         self.diff_sizes: dict[str, int] = {}

@@ -31,10 +31,13 @@ class LoggedModification:
 
     ``seq`` (1-based, monotone per log) and ``logged_at`` are stamped by
     the owning :class:`ModificationLog`; hand-built records default to
-    0/0.0 and simply don't participate in freshness accounting.
+    0/0.0 and simply don't participate in freshness accounting.  An
+    update the log applied itself carries its *post* row as well, the
+    one the write produced; the fold patches ``row`` with ``changes``
+    for one without (hand-built or wire-decoded records).
     """
 
-    __slots__ = ("kind", "table", "key", "row", "changes", "seq", "logged_at")
+    __slots__ = ("kind", "table", "key", "row", "changes", "post", "seq", "logged_at")
 
     def __init__(
         self,
@@ -43,12 +46,14 @@ class LoggedModification:
         key: tuple,
         row: Optional[tuple] = None,
         changes: Optional[dict[str, object]] = None,
+        post: Optional[tuple] = None,
     ):
         self.kind = kind
         self.table = table
         self.key = key
         self.row = row
         self.changes = changes
+        self.post = post
         self.seq = 0
         self.logged_at = 0.0
 
@@ -171,9 +176,9 @@ class ModificationLog:
             # hand-built logs.
             return
         # Trigger-style logging: capture the pre-state row alongside the
-        # changed attributes.
+        # changed attributes, and the row the write produced.
         self._append(
-            LoggedModification(UPDATE, table, key, row=old, changes=dict(changes))
+            LoggedModification(UPDATE, table, key, row=old, changes=dict(changes), post=new)
         )
 
 
@@ -187,7 +192,7 @@ class RoundEntries(list):
     entries; nothing is cached at module level, and a plain hand-built
     list still folds — for itself, every time."""
 
-    __slots__ = ("net", "instances", "start", "end")
+    __slots__ = ("net", "instances", "start", "end", "_unchanged")
 
     def __init__(self, entries: Iterable[LoggedModification] = (), start: int = 0):
         super().__init__(entries)
@@ -198,6 +203,7 @@ class RoundEntries(list):
         self.net: Optional[dict[str, dict[tuple, _NetChange]]] = None
         #: ``_TableProjectors.key`` -> the non-empty instances filled
         self.instances: dict[tuple, dict[str, Diff]] = {}
+        self._unchanged: Optional[frozenset[str]] = None
 
     @classmethod
     def of(cls, entries: Sequence[LoggedModification]) -> "RoundEntries":
@@ -215,6 +221,17 @@ class RoundEntries(list):
         if net is None:
             net = self.net = _fold(self, db)
         return net
+
+    def unchanged(self, db: Database) -> frozenset[str]:
+        """The tables of *db* no entry of the range modifies: what every
+        view of the round reads as ``IrContext.unchanged_tables``."""
+        unchanged = self._unchanged
+        if unchanged is None:
+            modified = {entry.table for entry in self}
+            unchanged = self._unchanged = frozenset(
+                name for name in db.table_names() if name not in modified
+            )
+        return unchanged
 
 
 def fold_log(
@@ -264,7 +281,9 @@ def _fold(
                     raise DiffError(
                         f"log updates unknown tuple {entry.key} of {entry.table!r}"
                     )
-                post = table.schema.patched(pre_row, entry.changes)
+                post = entry.post
+                if post is None:
+                    post = table.schema.patched(pre_row, entry.changes)
                 if post == pre_row:
                     continue
                 per_table[entry.key] = _NetChange(UPDATE, pre_row, post)
@@ -272,7 +291,9 @@ def _fold(
                 base = current.post_row
                 if base is None:
                     raise DiffError(f"update of deleted tuple {entry.key} in log")
-                post = table.schema.patched(base, entry.changes)
+                post = entry.post
+                if post is None:
+                    post = table.schema.patched(base, entry.changes)
                 if current.kind == INSERT:
                     per_table[entry.key] = _NetChange(INSERT, None, post)
                 else:

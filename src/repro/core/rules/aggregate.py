@@ -36,9 +36,9 @@ from ...algebra.delta_eval import Bindings
 from ...algebra.plan import GroupBy, base_tables
 from ...algebra.relation import Relation
 from ...errors import ScriptError
-from ...storage import Table, TableSchema, row_extractor, sort_rows
-from ..apply import AppliedChanges, changes_to_diff
-from ..compile import lower_group_deltas
+from ...storage import Table, TableSchema, sort_rows
+from ..apply import EffectiveDiffs
+from ..compile import lower_group_deltas, lower_group_values
 from ..diffs import DELETE, INSERT, UPDATE, Diff
 from ..ir_exec import IrContext
 from ..script import Step
@@ -87,9 +87,6 @@ class _GroupDelta:
         self.sums = [0] * n_aggs
         self.cnts = [0] * n_aggs
 
-    def is_zero(self) -> bool:
-        return self.n == 0 and not any(self.sums) and not any(self.cnts)
-
 
 #: sentinel distinguishing "not touched this round" from "deleted".
 _UNTOUCHED = object()
@@ -124,9 +121,6 @@ class _ChangeCollector:
 
     def _child_id(self, row: tuple) -> tuple:
         return tuple(row[i] for i in self._child_id_idx)
-
-    def from_expansion(self, applied: AppliedChanges) -> list[tuple]:
-        return list(applied.changes)
 
     def _probe_current(self, diff: Diff) -> dict[tuple, list[tuple]]:
         """diff-ID -> current child rows: the counted ``Input_pre`` probe
@@ -242,32 +236,59 @@ class _AggregateStep(Step):
             DELETE: f"{emit_prefix}_del",
             UPDATE: f"{emit_prefix}_upd",
         }
+        #: what a round resolves of the output table, bound on the first
+        #: run against it (:meth:`_bind`) and — not picklable — never
+        #: shipped
+        self._bound: Optional[_Bound] = None
+        #: input name -> its t-diff's row extractors (``row_changes``)
+        self._layouts: dict[str, tuple] = {}
 
-    def _output(self, ctx: IrContext) -> Table:
-        out_table = ctx.caches.get(self.gnode.node_id)
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_bound": None}
+
+    def _bind(self, ctx: IrContext) -> "_Bound":
+        """The output materialization and operator cache of the γ node in
+        *ctx*, with their round constants — resolved again only when
+        either table is another object than the last run's."""
+        node_id = self.gnode.node_id
+        out_table = ctx.caches.get(node_id)
         if out_table is None:
-            raise ScriptError(
-                f"aggregate n{self.gnode.node_id} has no output materialization"
+            raise ScriptError(f"aggregate n{node_id} has no output materialization")
+        opcache = ctx.operator_caches.get(node_id)
+        bound = self._bound
+        if bound is None or bound.output is not out_table or bound.opcache is not opcache:
+            bound = self._bound = _Bound(
+                out_table, opcache, EffectiveDiffs(out_table.schema, f"n{node_id}")
             )
-        return out_table
+        return bound
 
     def _emit(
         self,
         ctx: IrContext,
-        out_table: Table,
+        bound: "_Bound",
         applied: Sequence[tuple] = (),
         kinds: Sequence[str] = (),
     ) -> None:
         """Re-express the applied changes as effective diffs for the
-        operators above (and mark our output as post-state)."""
-        grouped = {INSERT: [], DELETE: [], UPDATE: []}
+        operators above (and mark our output as post-state).  One change
+        per group: the rows are unique on the output key as they are."""
+        grouped: dict[str, list[tuple]] = {INSERT: [], DELETE: [], UPDATE: []}
         for change, kind in zip(applied, kinds):
             grouped[kind].append(change)
+        emits = bound.emits
         for kind, name in self.emitted.items():
-            ctx.diffs[name] = changes_to_diff(
-                kind, grouped[kind], out_table.schema, f"n{self.gnode.node_id}"
-            )
+            ctx.diffs[name] = emits.trusted(kind, grouped[kind])
         self.settle(ctx)
+
+    def _inputs(self, ctx: IrContext):
+        """``(kind, name, input)`` per input: the applied changes of an
+        expansion, or a diff."""
+        diffs, expansions = ctx.diffs, ctx.expansions
+        for source_kind, name in self.inputs:
+            got = (expansions if source_kind == "expansion" else diffs).get(name)
+            if got is None:
+                raise ScriptError(f"{source_kind} {name!r} not available")
+            yield source_kind, name, got
 
     # -- liveness: every input drives (an empty branch probes nothing,
     # an empty γ-delta writes nothing); skipped, the step still emits
@@ -286,7 +307,7 @@ class _AggregateStep(Step):
         return base_tables(self.gnode.child)
 
     def idle(self, ctx: IrContext) -> None:
-        self._emit(ctx, self._output(ctx))
+        self._emit(ctx, self._bind(ctx))
 
     def settle(self, ctx: IrContext) -> None:
         ctx.mark_cache_updated(self.gnode.node_id)
@@ -315,40 +336,33 @@ class AssociativeAggregateStep(_AggregateStep):
             self.accumulate = group_accumulator(self.gnode)
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "accumulate": None}
+        return {**super().__getstate__(), "accumulate": None}
 
     # ------------------------------------------------------------------
     def run(self, ctx: IrContext) -> None:
         gnode = self.gnode
-        collector = _ChangeCollector(gnode, ctx)
+        bound = self._bind(ctx)
+        # built by the first i-diff input that needs its Input_pre probe
+        collector: Optional[_ChangeCollector] = None
         changes: list[tuple] = []
-        for source_kind, name in self.inputs:
+        for source_kind, name, got in self._inputs(ctx):
             if source_kind == "expansion":
-                applied = ctx.expansions.get(name)
-                if applied is None:
-                    raise ScriptError(f"expansion {name!r} not available")
-                changes.extend(collector.from_expansion(applied))
-            else:
-                diff = ctx.diffs.get(name)
-                if diff is None:
-                    raise ScriptError(f"diff {name!r} not available")
-                changes.extend(
-                    row_changes(diff, gnode.child.columns)
-                    if self.full_rows
-                    else collector.from_diff(diff)
-                )
+                changes.extend(got.changes)
+            elif self.full_rows:
+                changes.extend(row_changes(got, gnode.child.columns, self._layouts, name))
+            elif got.rows:
+                if collector is None:
+                    collector = _ChangeCollector(gnode, ctx)
+                changes.extend(collector.from_diff(got))
         self.prepare()
-        self._apply_deltas(ctx, self.accumulate(changes))
-
-    # ------------------------------------------------------------------
-    def _apply_deltas(self, ctx: IrContext, deltas: dict[tuple, _GroupDelta]) -> None:
-        gnode = self.gnode
-        out_table = self._output(ctx)
-        opcache = ctx.operator_caches.get(gnode.node_id)
-        if opcache is None:
-            raise ScriptError(f"aggregate n{gnode.node_id} has no operator cache")
-        applied, kinds = apply_group_deltas(gnode, deltas, out_table, opcache)
-        self._emit(ctx, out_table, applied, kinds)
+        deltas = self.accumulate(changes)
+        writer = bound.writer
+        if writer is None:
+            if bound.opcache is None:
+                raise ScriptError(f"aggregate n{gnode.node_id} has no operator cache")
+            writer = bound.writer = GroupWriter(gnode, bound.output, bound.opcache)
+        applied, kinds = apply_group_deltas(writer, deltas)
+        self._emit(ctx, bound, applied, kinds)
 
     def describe(self) -> str:
         srcs = ", ".join(f"{k}:{n}" for k, n in self.inputs)
@@ -358,76 +372,105 @@ class AssociativeAggregateStep(_AggregateStep):
         )
 
 
+class _Bound:
+    """A γ step's round constants: its output table and operator cache,
+    the effective diffs it emits, and the :class:`GroupWriter` of the
+    delta rule (built by its first run)."""
+
+    __slots__ = ("output", "opcache", "emits", "writer")
+
+    def __init__(self, output: Table, opcache: Optional[Table], emits: EffectiveDiffs):
+        self.output, self.opcache, self.emits = output, opcache, emits
+        self.writer: Optional[GroupWriter] = None
+
+
+class GroupWriter:
+    """What :func:`apply_group_deltas` resolves of a γ node's output
+    table and operator cache, once per pair of tables: the bookkeeping
+    slots (:class:`_Book`), the aggregate columns and their extractor,
+    and the generated new-values display of the node
+    (:func:`repro.core.compile.lower_group_values`).  Holds generated
+    code: whoever keeps one drops it from a pickle."""
+
+    def __init__(self, gnode: GroupBy, out_table: Table, opcache: Table):
+        self.out_table, self.opcache = out_table, opcache
+        self.keys = tuple(gnode.keys)
+        self.book = _Book(gnode, opcache)
+        self.agg_names = tuple(a.name for a in gnode.aggs)
+        self.aggs_of = out_table.schema.extractor(self.agg_names)
+        self.by_key = self.keys == out_table.schema.key
+        self.has_avg = any(a.func == "avg" for a in gnode.aggs)
+        #: ``new_values(old values, delta, book) -> values`` of a live group
+        self.new_values = lower_group_values(gnode, self.book.cnt_at, self.book.sum_at)
+
+
 def apply_group_deltas(
-    gnode: GroupBy,
-    deltas: dict[tuple, _GroupDelta],
-    out_table: Table,
-    opcache: Table,
+    writer: GroupWriter, deltas: dict[tuple, _GroupDelta]
 ) -> tuple[list[tuple], list[str]]:
-    """Fused read-modify-write of group deltas against *out_table*.
+    """Fused read-modify-write of group deltas against the output table
+    of *writer* (a γ node's output and operator cache, bound).
 
     Per affected group: one index lookup + one tuple access (the Output ⋈
     of Table 9 fused with the UPDATE — this is what makes the Table 3
-    view-modification cost |D|pg rather than double).  The *opcache*
-    bookkeeping is touched only when a cardinality / non-null count (or
-    an avg's running sum) actually changes.  Groups it is not touched
-    for — a live group whose aggregates move, the whole round of a
-    pure-update workload — queue into one ``update_many``, flushed
-    before any other write so *out_table* sees today's write order.
+    view-modification cost |D|pg rather than double).  The operator
+    cache's bookkeeping is touched only when a cardinality / non-null
+    count (or an avg's running sum) actually changes.  Groups it is not
+    touched for — a live group whose aggregates move, the whole round
+    of a pure-update workload — are read uncounted and queue into one
+    ``update_many``, flushed before any other write so the output sees
+    today's write order.
 
     Returns ``(applied, kinds)``: the (pre, post) full output rows plus
     their change kinds, for re-emission as effective diffs.
     """
-    aggs = gnode.aggs
-    book_of = _Book(gnode, opcache)
-    agg_names = tuple(a.name for a in aggs)
-    aggs_of = row_extractor(out_table.schema.positions(agg_names))
-    by_key = tuple(gnode.keys) == out_table.schema.key
+    out_table, book_of, keys = writer.out_table, writer.book, writer.keys
+    agg_names, aggs_of, new_values = writer.agg_names, writer.aggs_of, writer.new_values
+    has_avg, by_key, n_keys = writer.has_avg, writer.by_key, len(keys)
+    output_row, book_row = out_table.get_uncounted, writer.opcache.get_uncounted
     applied: list[tuple] = []
     kinds: list[str] = []
     queued: list[tuple] = []
 
     def flush() -> None:
         if queued:
-            written = out_table.update_many(gnode.keys, agg_names, queued)
+            written = out_table.update_many(keys, agg_names, queued)
             applied.extend(written)
             kinds.extend([UPDATE] * len(written))
             queued.clear()
 
-    has_avg = any(a.func == "avg" for a in aggs)
     for g, delta in deltas.items():
-        if delta.is_zero():
-            continue
         touch_opcache = (
             delta.n != 0 or any(delta.cnts) or (has_avg and any(delta.sums))
         )
-        if by_key and not touch_opcache:
-            old_row = out_table.get_uncounted(g)
-            book = book_of.read(g, False)
-            if old_row is not None and book is not None and book[0]:
-                old_values = aggs_of(old_row)
-                values = book_of.new_values(old_values, delta, book)
-                if values != old_values:
-                    queued.append((g, values))
-                    continue
+        if not touch_opcache:
+            if not any(delta.sums):
+                continue  # a zero delta
+            if by_key:
+                old_row, book = output_row(g), book_row(g)
+                if old_row is not None and book is not None and book[n_keys]:
+                    old_values = aggs_of(old_row)
+                    values = new_values(old_values, delta, book[n_keys:])
+                    if values != old_values:
+                        queued.append((g, values))
+                        continue
         flush()
         book = book_of.read(g, touch_opcache)
-        keys = out_table.locate(gnode.keys, g)
-        if keys:
-            old_row = out_table.get_uncounted(keys[0])
+        located = out_table.locate(keys, g)
+        if located:
+            old_row = out_table.get_uncounted(located[0])
             new_n = (book[0] if book is not None else 0) + delta.n
             if new_n == 0:
-                out_table.delete_at(keys[0])
+                out_table.delete_at(located[0])
                 book_of.write(g, None, touch_opcache)
                 applied.append((old_row, None))
                 kinds.append(DELETE)
                 continue
             new_book = book_of.bumped(book, delta, new_n)
             old_values = aggs_of(old_row)
-            values = book_of.new_values(old_values, delta, new_book)
+            values = new_values(old_values, delta, new_book)
             if values != old_values:
-                out_table.write_at(keys[0], dict(zip(agg_names, values)))
-                applied.append((old_row, out_table.get_uncounted(keys[0])))
+                out_table.write_at(located[0], dict(zip(agg_names, values)))
+                applied.append((old_row, out_table.get_uncounted(located[0])))
                 kinds.append(UPDATE)
             book_of.write(g, new_book, touch_opcache)
         else:
@@ -489,19 +532,6 @@ class _Book:
         else:
             opcache.write_at(g, dict(zip(self.columns, new_book)))
 
-    def new_values(self, old_values: tuple, delta: _GroupDelta, book: tuple) -> tuple:
-        values = []
-        for i, (agg, old) in enumerate(zip(self.aggs, old_values)):
-            if agg.func == "count":
-                values.append((old or 0) + (delta.n if agg.arg is None else delta.cnts[i]))
-            elif agg.func == "sum":
-                values.append(
-                    None if book[self.cnt_at[i]] == 0 else (old or 0) + delta.sums[i]
-                )
-            else:
-                values.append(self._avg(i, agg, book))
-        return tuple(values)
-
     def insert_values(self, delta: _GroupDelta, book: tuple) -> tuple:
         values = []
         for i, agg in enumerate(self.aggs):
@@ -541,10 +571,11 @@ class GeneralAggregateStep(_AggregateStep):
 
     def run(self, ctx: IrContext) -> None:
         gnode = self.gnode
-        out_table = self._output(ctx)
+        bound = self._bind(ctx)
+        out_table = bound.output
         groups = self._affected_groups(ctx)
         if not groups:
-            self._emit(ctx, out_table)
+            self._emit(ctx, bound)
             return
         # Recompute the affected groups from Input_post (Table 7's
         # γ(∆ ⋉Ḡ Input_post)).  sort_rows, not sorted: group keys may
@@ -580,7 +611,7 @@ class GeneralAggregateStep(_AggregateStep):
                 out_table.write_at(keys[0], changes)
                 applied.append((old_row, new_row))
                 kinds.append(UPDATE)
-        self._emit(ctx, out_table, applied, kinds)
+        self._emit(ctx, bound, applied, kinds)
 
     def _affected_groups(self, ctx: IrContext) -> set[tuple]:
         """Group keys whose membership may have changed, from both states."""
@@ -588,23 +619,18 @@ class GeneralAggregateStep(_AggregateStep):
         groups: set[tuple] = set()
         positions = {c: i for i, c in enumerate(gnode.child.columns)}
         key_idx = [positions[k] for k in gnode.keys]
-        for source_kind, name in self.inputs:
+        for source_kind, name, got in self._inputs(ctx):
             if source_kind == "expansion":
                 # Cached child: the APPLY's RETURNING expansion already
                 # carries full (pre, post) child rows — the group keys
                 # are right there, no Input probes needed.
-                applied = ctx.expansions.get(name)
-                if applied is None:
-                    raise ScriptError(f"expansion {name!r} not available")
-                changes = applied.changes
+                changes = got.changes
             else:
-                diff = ctx.diffs.get(name)
-                if diff is None:
-                    raise ScriptError(f"diff {name!r} not available")
+                diff = got
                 if not diff.rows:
                     continue
                 if self.full_rows:  # a t-diff: its rows are the child rows
-                    changes = row_changes(diff, gnode.child.columns)
+                    changes = row_changes(diff, gnode.child.columns, self._layouts, name)
                 else:
                     ids = diff.schema.id_attrs
                     bindings = Bindings(ids, [diff.id_of(r) for r in diff.rows])

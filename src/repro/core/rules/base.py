@@ -200,23 +200,35 @@ def full_schemas(op: PlanNode) -> dict[str, DiffSchema]:
     return schemas
 
 
-def row_changes(diff: Diff, columns: Sequence[str]) -> list[tuple]:
+def row_changes(diff: Diff, columns: Sequence[str], layouts: dict, name: str) -> list[tuple]:
     """The ``(pre_row, post_row)`` pairs, laid out as *columns* (None: the
     absent side), of a diff that derives every one of them in the states
-    its kind has — a t-diff."""
+    its kind has — a t-diff.  The step reading it as input *name* keeps
+    the extractors in *layouts*, resolved once per input schema."""
     schema = diff.schema
-
-    def rows_in(state: str):
-        mapping = state_mapping(schema, state)
-        return row_extractor([schema.position(mapping[c]) for c in columns])
-
-    pre = None if schema.kind == INSERT else rows_in(PRE)
-    post = None if schema.kind == DELETE else rows_in(POST)
+    bound = layouts.get(name)
+    if bound is None or bound[0] is not schema:
+        bound = layouts[name] = (schema, _row_layout(schema, columns))
+    pre, post = bound[1]
     if pre is None:
         return [(None, post(row)) for row in diff.rows]
     if post is None:
         return [(pre(row), None) for row in diff.rows]
     return [(pre(row), post(row)) for row in diff.rows]
+
+
+def _row_layout(schema: DiffSchema, columns: Sequence[str]) -> tuple:
+    """The pre and post row extractors of a t-diff of *schema* (None: the
+    state its kind lacks)."""
+
+    def rows_in(state: str):
+        mapping = state_mapping(schema, state)
+        return row_extractor([schema.position(mapping[c]) for c in columns])
+
+    return (
+        None if schema.kind == INSERT else rows_in(PRE),
+        None if schema.kind == DELETE else rows_in(POST),
+    )
 
 
 def lower_key_update(

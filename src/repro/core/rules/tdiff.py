@@ -119,6 +119,8 @@ class TupleJoinStep(Step):
         #: an output row's IDs, and its other values, in schema order
         self._ids_of = row_extractor([at[c] for c in ids])
         self._values_of = row_extractor([at[c] for c in node.columns if c not in set(ids)])
+        #: input name -> its t-diff's row extractors (``row_changes``)
+        self._layouts: dict[str, tuple] = {}
 
     def reads(self) -> list[tuple[str, str]]:
         return self.inputs
@@ -144,7 +146,7 @@ class TupleJoinStep(Step):
             if not diff.rows:
                 continue
             side = self.sides[name]
-            changes = row_changes(diff, node.children[side].columns)
+            changes = row_changes(diff, node.children[side].columns, self._layouts, name)
             kind = diff.schema.kind
             if kind == INSERT:
                 sides[side].inserts.extend(post for _, post in changes)

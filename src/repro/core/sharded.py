@@ -82,6 +82,7 @@ from .engine import (
     _reconstruct_pre,
     round_context,
 )
+from .modlog import RoundEntries
 
 BACKENDS = ("inline", "process")
 
@@ -341,7 +342,7 @@ class ShardedEngine(IdIvmEngine):
         tables; also returns the tables whose counted writes escaped
         capture (checked rounds only)."""
         tables = list(tagged_tables(view.caches, view.operator_caches))
-        modified = {entry.table for entry in entries}
+        unchanged = RoundEntries.of(entries).unchanged(self.db)
         # Coverage audit for checked rounds: a counted write landing on a
         # base table (outside the tagged set) would escape a process
         # round's write-set merge — dynamic RACE604.
@@ -352,7 +353,7 @@ class ShardedEngine(IdIvmEngine):
         results = []
         try:
             for i in range(self.shards):
-                ctx = round_context(db_pre, self.db, shard_instances[i], view, modified)
+                ctx = round_context(db_pre, self.db, shard_instances[i], view, unchanged)
                 sc = CounterSet()
                 with obs.span(
                     f"shard:{i}", kind="shard", counters=sc,

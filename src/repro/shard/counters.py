@@ -33,6 +33,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from ..storage import AccessCounts, CounterSet
+from ..storage.counters import PhaseScope
 
 
 class ShardRoutingCounters(CounterSet):
@@ -43,6 +44,8 @@ class ShardRoutingCounters(CounterSet):
         # _stack are properties over the routed target instead of own state.
         self._base = base
         self._routed: Optional[CounterSet] = None
+        # its own phase scopes: entering one pushes on the routed stack
+        self._scopes: dict[str, PhaseScope] = {}
 
     # ------------------------------------------------------------------
     @property

@@ -222,7 +222,7 @@ class _WorkerState:
             )
         self._pre = PreState(db, frozenset(blueprint["pre_tables"]))
         self._entries = RoundEntries()
-        self.modified_tables: set[str] = set()
+        self.unchanged_tables: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------
     def begin_round(self, log_doc: Mapping, sync: bool) -> None:
@@ -236,13 +236,13 @@ class _WorkerState:
         if sync:
             apply_log(self.db, entries)
         self._pre.begin(entries)
-        self.modified_tables = {entry.table for entry in entries}
+        self.unchanged_tables = entries.unchanged(self.db)
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:
         view = self.views[view_name]
         instances = wire.decode_instances(instances_doc)
         ctx = round_context(
-            self._pre.db, self.db, instances, view, self.modified_tables
+            self._pre.db, self.db, instances, view, self.unchanged_tables
         )
         tables = list(tagged_tables(view.caches, view.operator_caches))
         counters, writes, diff_sizes, seconds = run_shard(

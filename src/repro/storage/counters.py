@@ -104,14 +104,21 @@ class CounterSet:
         self.total = AccessCounts()
         self.phases: dict[str, AccessCounts] = {}
         self._stack: list[str] = [self.DEFAULT_PHASE]
+        #: one reusable scope per phase name (see phase)
+        self._scopes: dict[str, PhaseScope] = {}
 
     @property
     def current_phase(self) -> str:
         return self._stack[-1]
 
     def phase(self, name: str) -> "PhaseScope":
-        """Attribute accesses within the block to phase *name*."""
-        return PhaseScope(self, name)
+        """Attribute accesses within the block to phase *name*.  A scope
+        holds no state of its own (entering pushes, leaving pops), so
+        one per name serves every block, nested ones included."""
+        scope = self._scopes.get(name)
+        if scope is None:
+            scope = self._scopes[name] = PhaseScope(self, name)
+        return scope
 
     def _bucket(self) -> AccessCounts:
         name = self._stack[-1]
@@ -180,7 +187,8 @@ class CounterSet:
 
 class PhaseScope:
     """``with counters.phase(name)``: a plain object, not a generator —
-    a round enters one per phase run of every script it executes."""
+    a round enters one per phase run of every script it executes, the
+    same object every time."""
 
     __slots__ = ("counters", "name")
 

@@ -55,7 +55,7 @@ class TableSchema:
 
     __slots__ = (
         "name", "columns", "key", "key_set", "nullable", "types", "_positions",
-        "key_of", "non_key_columns",
+        "key_of", "non_key_columns", "_extractors",
     )
 
     def __init__(
@@ -117,6 +117,7 @@ class TableSchema:
         self._positions = {c: i for i, c in enumerate(columns)}
         self.key_of = row_extractor([self._positions[k] for k in key])
         self.non_key_columns = tuple(c for c in columns if c not in key)
+        self._extractors: dict[tuple[str, ...], Callable[[tuple], tuple]] = {}
 
     def position(self, column: str) -> int:
         """Index of *column* in a row tuple."""
@@ -129,6 +130,15 @@ class TableSchema:
 
     def positions(self, columns: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.position(c) for c in columns)
+
+    def extractor(self, columns: tuple[str, ...]) -> Callable[[tuple], tuple]:
+        """``row -> the values of *columns*``, resolved once per column
+        tuple: the schema is immutable, so every reader of a round —
+        an expansion, an emitted diff, a reordered probe — shares it."""
+        got = self._extractors.get(columns)
+        if got is None:
+            got = self._extractors[columns] = row_extractor(self.positions(columns))
+        return got
 
     def mutable_positions(self, columns: Iterable[str]) -> tuple[int, ...]:
         """:meth:`positions` of *columns* as the targets of an update —

@@ -42,7 +42,7 @@ so a caller may write to the table while it iterates a probe result.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import IntegrityError, SchemaError, ScriptError
 from .counters import CounterSet
@@ -102,6 +102,9 @@ class Table:
         # Optional coverage audit (see audit_uncaptured): called with the
         # table name on every counted write that no capture records.
         self._uncaptured_audit: Callable[[str], None] | None = None
+        # What a writer resolves once per shape of call (see bound):
+        # dropped when the index set changes, never copied or pickled.
+        self._bound: dict = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -136,6 +139,7 @@ class Table:
         for key, row in self._rows.items():
             index.add(key, row)
         self._indexes[columns] = index
+        self._bound = {}  # finders and touched sets were resolved without it
         if self._capture is not None:
             self._capture.append(("x", columns))
 
@@ -145,6 +149,19 @@ class Table:
             self.create_index(columns)
             index = self._indexes.get(columns)
         return index
+
+    def bound(self, key: Hashable, make: Callable[[], object]):
+        """What ``make()`` resolves for this table, once per *key*: a
+        writer's finder, touched indexes and row patcher for one shape
+        of call (:meth:`update_many`), an APPLY's column reorder for one
+        layout of insert diff (``core.apply.apply_diff``).  The memo is dropped
+        when the index set changes (:meth:`create_index`: lazy builds
+        and replayed ``"x"`` ops too), starts empty in a :meth:`copy`
+        and is not pickled."""
+        got = self._bound.get(key)
+        if got is None:
+            got = self._bound[key] = make()
+        return got
 
     # ------------------------------------------------------------------
     # counted reads
@@ -394,39 +411,44 @@ class Table:
         *values* in every row whose *columns* equal *ident*."""
         if not pairs:
             return []
-        columns = tuple(columns)
-        positions = self.schema.mutable_positions(attrs)
+        columns, attrs = tuple(columns), tuple(attrs)
+        find, per_ident, touched, patch = self.bound(
+            ("u", columns, attrs), lambda: self._bind_update(columns, attrs)
+        )
         changes: list[tuple] = []
         lookups = 0
-        find, per_ident = self._finder(columns)
-        touched = self._touched(attrs)
-        serving = self._indexes.get(columns)
-        if serving is not None and serving not in touched:
-            # No write below moves a key of the serving index, so
-            # its buckets are read in place (None: no such value),
-            # not copied per ident.
-            find = serving.buckets.get
         rows, store = self._rows, self._store
-        # A lone attribute with no index to maintain patches by
-        # slicing (*values* is the 1-tuple of its new value).
-        at = positions[0] if len(positions) == 1 and not touched else -1
         try:
             for ident, values in pairs:
                 lookups += per_ident
                 for key in find(ident) or ():
                     old = rows[key]
-                    if at >= 0:
-                        new = old[:at] + values + old[at + 1:]
-                    else:
-                        patched = list(old)
-                        for i, value in zip(positions, values):
-                            patched[i] = value
-                        new = tuple(patched)
+                    new = patch(old, values)
                     store(key, new, old, touched)
                     changes.append((old, new))
         finally:
             self._account(changes, 2 * len(touched), lookups)
         return changes
+
+    def _bind_update(self, columns: tuple[str, ...], attrs: tuple[str, ...]) -> tuple:
+        """``(find, lookups per ident, touched indexes, patch)`` of an
+        :meth:`update_many` setting *attrs* in the rows *columns* find;
+        ``patch(old, values)`` is one generated tuple display, e.g.
+        ``(old[0], values[0], old[2])``."""
+        positions = self.schema.mutable_positions(attrs)
+        find, per_ident = self._finder(columns)
+        touched = self._touched(attrs)
+        serving = self._indexes.get(columns)
+        if serving is not None and serving not in touched:
+            # No write moves a key of the serving index, so its buckets
+            # are read in place (None: no such value), not copied per
+            # ident.
+            find = serving.buckets.get
+        # The last of repeated attributes wins, as in a per-column loop.
+        source = {at: f"values[{i}]" for i, at in enumerate(positions)}
+        display = ", ".join(source.get(i, f"old[{i}]") for i in range(len(self.schema.columns)))
+        patch = eval(f"lambda old, values: ({display},)")
+        return find, per_ident, touched, patch
 
     def delete_many(self, columns: Sequence[str], idents: Sequence[tuple]) -> list[tuple]:
         """APPLY ∆−: delete every row whose *columns* equal one of *idents*."""
@@ -622,6 +644,10 @@ class Table:
             twin = clone._indexes[columns] = _SecondaryIndex(self.schema, columns)
             twin.buckets = {value: set(keys) for value, keys in index.buckets.items()}
         return clone
+
+    def __getstate__(self) -> dict:
+        # The memo holds generated functions and bound methods.
+        return {**self.__dict__, "_bound": {}}
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"Table({self.schema.name}, {len(self._rows)} rows)"

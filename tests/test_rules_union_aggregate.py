@@ -12,6 +12,7 @@ from repro.core.minimize import minimize_ir
 from repro.core.rules.aggregate import (
     AssociativeAggregateStep,
     GeneralAggregateStep,
+    GroupWriter,
     OpCacheSpec,
     apply_group_deltas,
     group_deltas_from_changes,
@@ -197,7 +198,7 @@ class TestAssociativeStep:
         sink = out.begin_capture()
         deltas = group_deltas_from_changes(plan, changes)
         assert list(deltas) == [("a",), ("e",), ("b",), ("c",), ("d",)]
-        applied, kinds = apply_group_deltas(plan, deltas, out, opc)
+        applied, kinds = apply_group_deltas(GroupWriter(plan, out, opc), deltas)
         assert kinds == [UPDATE, INSERT, UPDATE, DELETE, UPDATE]
         assert applied == [
             (("a", 12, 2), ("a", 14, 2)), (None, ("e", 4, 1)),

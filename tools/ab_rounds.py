@@ -1,0 +1,202 @@
+"""Interleaved A/B rounds: two revisions of ``repro`` in one process.
+
+    python tools/ab_rounds.py --base <rev-or-dir> [--workloads a,b]
+                              [--seed 1] [--seconds 20] [--smoke]
+
+(``make ab-rounds BASE=<rev> WORKLOADS=a,b``.)  Loads the package of
+revision BASE (a detached ``git worktree``, as
+``benchmarks/compare_revisions.py`` gets its tree, or a directory that
+already holds a checkout) and the package of this tree side by side, under
+the names ``repro_a`` and ``repro_b``.  For each workload of the e2e suite
+(``benchmarks/e2e/workloads.py``) both sides build the same database and
+views and are fed the same operation stream; every round logs the batch
+and runs ``maintain()`` on both, A first on even rounds and B first on
+odd ones, so that a drifting host is charged to both sides alike.
+
+Every round's per-view, per-phase access counts must be equal on the two
+sides — the tool exits 1 otherwise.  It prints, per workload, each side's
+median round (``maintain()`` only) and log time, and the paired ratios
+B / A of the round times: their median and quartiles.  A ratio below 1
+means B — this tree — is faster.
+
+Known biases: two packages in one process are not free of order
+effects.  The log columns of the two sides differ by up to ~5 %, either
+way, on one tree (2-CPU container), so do not read a log difference
+that small as a change.  The collector is shared: garbage one side
+makes triggers collections inside the other side's rounds, so absolute
+times beside another tree read higher than beside itself, and the ratio
+of a change that allocates less is understated.  The round ratio of a
+tree against itself is 0.98–1.00, quartiles about 0.95–1.05.
+
+Timings are wall clock on whatever host runs it, never gated: the tool
+is a measuring instrument for a change, the gated numbers come from
+``benchmarks/e2e``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+E2E = REPO_ROOT / "benchmarks" / "e2e"
+
+
+def load_package(tree: Path, alias: str):
+    """The ``repro`` package of *tree* imported as *alias* (its modules
+    import each other relatively, so two copies do not mix)."""
+    package = tree / "src" / "repro"
+    spec = importlib.util.spec_from_file_location(
+        alias, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One revision's database, engine and views for one workload."""
+
+    def __init__(self, pkg, workload, seed: int):
+        from workloads import FANOUT
+
+        wl = importlib.import_module(f"{pkg.__name__}.workloads")
+        if workload.family == "devices":
+            config = wl.DevicesConfig(
+                n_parts=workload.n_rows, n_devices=workload.n_rows,
+                diff_size=workload.batch.updates, fanout=FANOUT, seed=seed,
+            )
+            self.db = wl.build_devices_database(config)
+            builders = {"V": wl.build_flat_view, "Vagg": wl.build_aggregate_view}
+            plans = {name: builders[name](self.db, config) for name in workload.views}
+        else:
+            scale = workload.n_rows / 1_000
+            config = wl.BsmaConfig(
+                n_users=workload.n_rows, n_tweets=int(4_000 * scale),
+                n_events=max(5, int(50 * scale)), seed=seed,
+            )
+            self.db = wl.build_bsma_database(config)
+            plans = {name: wl.BSMA_QUERIES[name](self.db, config) for name in workload.views}
+        self.engine = pkg.IdIvmEngine(self.db, exec_backend="compiled")
+        for name, plan in plans.items():
+            self.engine.define_view(name, plan)
+        self.round_s: list[float] = []
+        self.log_s: list[float] = []
+
+    def round(self, batch, timed: bool) -> dict:
+        """Log *batch* and maintain; the round's counts per view and phase."""
+        from loadgen import log_batch
+
+        t0 = perf_counter()
+        log_batch(self.engine.log, batch)
+        t1 = perf_counter()
+        reports = self.engine.maintain()
+        t2 = perf_counter()
+        if timed:
+            self.log_s.append(t1 - t0)
+            self.round_s.append(t2 - t1)
+        return {
+            name: {phase: counts.as_dict() for phase, counts in report.phase_counts.items()}
+            for name, report in reports.items()
+        }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, q2, q3
+
+
+def run_workload(pkgs, workload, seed: int) -> dict:
+    """Both sides of one workload, interleaved; raises AssertionError on
+    the first round whose counts differ."""
+    sides = [Side(pkg, workload, seed) for pkg in pkgs]
+    batches = workload.generate_rounds(
+        sides[1].db, seed, workload.warmup_rounds + workload.rounds
+    )
+    for i, batch in enumerate(batches):
+        timed = i >= workload.warmup_rounds
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        counts = {side: sides[side].round(batch, timed) for side in order}
+        if counts[0] != counts[1]:
+            raise AssertionError(
+                f"{workload.name} round {i}: access counts differ\n"
+                f"  A: {counts[0]}\n  B: {counts[1]}"
+            )
+    a, b = sides
+    ratios = [rb / ra for ra, rb in zip(a.round_s, b.round_s) if ra > 0]
+    del sides
+    gc.collect()
+    return {
+        "rounds": len(ratios),
+        "a_round_ms": statistics.median(a.round_s) * 1e3,
+        "b_round_ms": statistics.median(b.round_s) * 1e3,
+        "a_log_us": statistics.median(a.log_s) * 1e6,
+        "b_log_us": statistics.median(b.log_s) * 1e6,
+        "ratio": quartiles(ratios),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision (or checkout directory)")
+    parser.add_argument("--workloads", help="comma-separated subset (default: the gated four)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20.0,
+                        help="the e2e run length the round counts are sized for")
+    parser.add_argument("--smoke", action="store_true", help="e2e smoke scale")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(E2E))
+    from workloads import GATED, WORKLOADS
+
+    names = args.workloads.split(",") if args.workloads else list(GATED)
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; have {sorted(WORKLOADS)}")
+
+    added = not Path(args.base).is_dir()
+    workdir = Path(tempfile.mkdtemp(prefix="repro-ab-rounds-")) if added else None
+    base_tree = workdir / "base-tree" if added else Path(args.base).resolve()
+    if added:
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", str(base_tree), args.base],
+            cwd=REPO_ROOT, check=True,
+        )
+    try:
+        pkgs = (load_package(base_tree, "repro_a"), load_package(REPO_ROOT, "repro_b"))
+        print(f"A = {base_tree}\nB = {REPO_ROOT}")
+        print(f"{'workload':<22} {'rounds':>6} {'A ms':>8} {'B ms':>8} "
+              f"{'B/A q1':>7} {'median':>7} {'q3':>6} {'A log us':>9} {'B log us':>9}")
+        for name in names:
+            workload = WORKLOADS[name].sized(args.seconds, args.smoke)
+            if workload.shards:
+                print(f"{name:<22} skipped: a sharded workload runs worker processes")
+                continue
+            got = run_workload(pkgs, workload, args.seed)
+            q1, median, q3 = got["ratio"]
+            print(f"{name:<22} {got['rounds']:>6} {got['a_round_ms']:>8.3f} "
+                  f"{got['b_round_ms']:>8.3f} {q1:>7.3f} {median:>7.3f} {q3:>6.3f} "
+                  f"{got['a_log_us']:>9.1f} {got['b_log_us']:>9.1f}", flush=True)
+        print("access counts equal on every round")
+    except AssertionError as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if added:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(base_tree)],
+                cwd=REPO_ROOT, check=False,
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
