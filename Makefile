@@ -172,6 +172,10 @@ lint-static:
 	@if grep -nE '\b(write_at|delete_at|insert_checked|locate)\(' src/repro/core/apply.py; then \
 	    echo "per-row Table write in core/apply.py: use update_many / insert_many / delete_many"; \
 	    exit 1; fi
+	@if grep -rnE '\b(eval|exec)\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/(core/compile|storage/table)\.py:'; then \
+	    echo "generated code outside core/compile.py and storage/table.py: a generated writer is a second write path unless the table module owns it"; \
+	    exit 1; fi
 	@if grep -rnE 'class +\w+\((\w+\.)?Diff\)' src/repro --include='*.py'; then \
 	    echo "second i-diff batch class: Diff is the one batch type (Diff.trusted adopts validated rows)"; \
 	    exit 1; fi

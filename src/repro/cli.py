@@ -54,6 +54,7 @@ from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .analysis.cost import COST_MODEL_FALLBACKS, COST_SELECT_FALLBACKS
 from .core import IdIvmEngine, ShardedEngine
+from .core.compile import subview_fallbacks
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -163,6 +164,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(
             f"-- {len(interpreted)} step(s) not lowered, interpreted as whole "
             f"steps (compile.step_fallbacks): {', '.join(interpreted)}"
+        )
+    falling_back = subview_fallbacks(script, view.caches)
+    if falling_back:
+        print(
+            f"-- {len(falling_back)} subview read(s) interpreted, counted per read "
+            f"(compile.subview_fallbacks): {'; '.join(falling_back)}"
         )
     for family, what, consequence in (
         (COST_MODEL_FALLBACKS, "no cost model (inferring it failed",

@@ -140,20 +140,25 @@ def _effective_rows(kind: str, changes: list[tuple], key_of, values_of) -> list[
     return [key_of(post) + values_of(pre) + values_of(post) for pre, post in changes]
 
 
-def apply_diff(table: Table, diff: Diff) -> AppliedChanges:
+def apply_diff(table: Table, diff: Diff, returning: bool = True) -> AppliedChanges | None:
     """Apply *diff* to *table* per the Section 2 DML semantics: one bulk
-    ``Table`` call per diff, whatever its size."""
+    ``Table`` call per diff, whatever its size, reading the diff's rows
+    in place.  The applied changes when *returning* (an ``APPLY …
+    RETURNING``), None otherwise — and then the table keeps no row
+    pairs for them, for the same counted accesses."""
     schema = diff.schema
     kind = schema.kind
     n_ids = len(schema.id_attrs)
     if kind == UPDATE:
         # APPLY ∆u: UPDATE V SET Ā″ = Ā″_post WHERE V.Ī′ = ∆.Ī′.  A diff
         # row is laid out Ī′ + Ā′_pre + Ā″_post.
-        n_post = len(schema.post_attrs)
+        width = len(schema.columns)
         changes = table.update_many(
             schema.id_attrs,
             schema.post_attrs,
-            [(row[:n_ids], row[-n_post:]) for row in diff.rows],
+            diff.rows,
+            (tuple(range(n_ids)), tuple(range(width - len(schema.post_attrs), width))),
+            returning,
         )
     elif kind == INSERT:
         # APPLY ∆+: INSERT ... WHERE ROW NOT IN (SELECT ... FROM V).
@@ -161,12 +166,12 @@ def apply_diff(table: Table, diff: Diff) -> AppliedChanges:
         in_table_order = table.bound(("+", diff_attrs), lambda: row_extractor(
             [diff_attrs.index(c) for c in table.schema.columns]
         ))
-        changes = table.insert_many([in_table_order(row) for row in diff.rows])
+        changes = table.insert_many([in_table_order(row) for row in diff.rows], returning)
     elif kind == DELETE:
         # APPLY ∆−: DELETE FROM V WHERE ROW(Ī′) IN (SELECT Ī′ FROM ∆−).
         changes = table.delete_many(
-            schema.id_attrs, [row[:n_ids] for row in diff.rows]
+            schema.id_attrs, [row[:n_ids] for row in diff.rows], returning
         )
     else:
         raise DiffError(f"unknown diff kind {kind!r}")
-    return AppliedChanges.of(schema, table.schema, changes)
+    return AppliedChanges.of(schema, table.schema, changes) if returning else None

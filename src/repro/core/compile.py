@@ -89,6 +89,7 @@ from ..obs import metrics
 from ..storage import Database
 from .diffs import Diff
 from .ir import (
+    POST,
     PRE,
     SUB_PREFIX,
     AppliedSource,
@@ -105,7 +106,7 @@ from .ir import (
     UnionRows,
 )
 from .ir_exec import IrContext, _resolve_probe
-from .script import ComputeDiffStep, DeltaScript
+from .script import ComputeDiffStep, DeltaScript, MarkCacheUpdatedStep
 
 #: Supported ∆-script execution backends: generated kernels (the
 #: default) and the per-node IR interpreter — the reference the kernels
@@ -159,6 +160,8 @@ class _Source:
         self.lines: list[str] = []
         self.env: dict[str, object] = {}
         self._serials: dict[str, int] = {}
+        #: ``(node, state)`` of every subview read that is not a bare scan
+        self.subviews: list[tuple[PlanNode, str]] = []
 
     def fresh(self, stem: str) -> str:
         serial = self._serials[stem] = self._serials.get(stem, 0) + 1
@@ -365,7 +368,7 @@ class _Source:
                 f"{diff}.rows", node.columns, (node, diff, {c: c for c in node.columns})
             )
         if isinstance(node, SubviewSource):
-            reader = self.bind("read", _subview_reader(node.node, node.state, None))
+            reader = self.bind("read", self.subview_reader(node, None))
             rows = self.fresh("rows")
             self.emit(f"{rows} = {reader}(ctx, None)")
             return self.over(rows, node.columns)
@@ -441,6 +444,13 @@ class _Source:
         self.emit("else:", depth + 1)
         self.emit(f"{bucket}.append({var})", depth + 2)
 
+    def subview_reader(self, node, sub_attrs: Optional[tuple[str, ...]]) -> Callable:
+        """:func:`_subview_reader` of the IR subview *node*, noted in
+        :attr:`subviews` unless it reads a bare scan."""
+        if not isinstance(node.node, Scan):
+            self.subviews.append((node.node, node.state))
+        return _subview_reader(node.node, node.state, sub_attrs)
+
     def _probe(self, node) -> _Rows:
         """``left ⋈ / ⋉ / ▷ Subview`` as the interpreter runs it: the
         subview is read — through its counted reader, for the left
@@ -466,7 +476,7 @@ class _Source:
             resolve, hinted = self.bind("resolve_probe", _resolve_probe), self.bind("node", node)
             read = f"{resolve}({hinted}, ctx, {sub_attrs!r}, {{}}).rows"
         else:
-            reader = _subview_reader(node.node, node.state, sub_attrs or None)
+            reader = self.subview_reader(node, sub_attrs or None)
             read = f"{self.bind('read', reader)}(ctx, {{}})"
         if not node.on:
             self.emit(f"{sub} = {read.format(None)} if {left} else ()")
@@ -523,7 +533,9 @@ def _subview_reader(
     replicating ``_fetch_from_table`` access for access (ordered dedup
     of probe values, reorder only when the stored column order
     differs).  Everything else is ``ctx.resolve_subview``, the
-    interpreter's own resolution."""
+    interpreter's own resolution, counted per read in
+    ``compile.subview_fallbacks`` (:func:`subview_fallbacks` lists
+    them)."""
     node_id = sub_node.node_id
     columns = tuple(sub_node.columns)
     is_scan = isinstance(sub_node, Scan)
@@ -538,9 +550,10 @@ def _subview_reader(
             if is_scan:
                 db = ctx.db_pre if is_pre else ctx.db_post
                 table = db.table(table_name)
-            elif probe_values is None:
-                return ctx.resolve_subview(sub_node, state).rows
             else:
+                _SUBVIEW_FALLBACKS().inc()
+                if probe_values is None:
+                    return ctx.resolve_subview(sub_node, state).rows
                 return ctx.resolve_subview(
                     sub_node, state, Bindings(sub_attrs, probe_values)
                 ).rows
@@ -599,7 +612,31 @@ def lower_step(step: ComputeDiffStep) -> Kernel:
         src.emit(validated)
     src.emit(f"ctx.diffs[{step.name!r}] = diff")
     src.emit("return len(diff.rows)")
-    return src.build("ctx")
+    kernel = src.build("ctx")
+    kernel.subviews = tuple(src.subviews)
+    return kernel
+
+
+_SUBVIEW_FALLBACKS = metrics.Handle("counter", "compile.subview_fallbacks")
+
+
+def subview_fallbacks(script: DeltaScript, caches) -> list[str]:
+    """The subview reads of *script*'s kernels that fall back to the
+    interpreter (``ctx.resolve_subview``), one line each: a subview that
+    is not a bare scan, read where *caches* (the view's, by node id)
+    hold no table of it in the state it reads — pre until the script's
+    ``MarkCacheUpdatedStep`` of the node, post after it."""
+    kernels = script._kernels
+    updated: set[int] = set()
+    out = []
+    for i, step in enumerate(script.steps):
+        if isinstance(step, MarkCacheUpdatedStep):
+            updated.add(step.node_id)
+        for node, state in getattr(kernels.get(i), "subviews", ()):
+            cached = node.node_id in caches and (node.node_id in updated) == (state == POST)
+            if not cached:
+                out.append(f"stmt[{i + 1}] {step.name}: {state} n{node.node_id} {node.label()}")
+    return out
 
 
 def lower_group_deltas(gnode, new_delta: Callable[[int], object]) -> Callable[[Sequence], dict]:
@@ -669,6 +706,16 @@ def lower_group_values(
             items.append(f"{src.bind('refuse', _refuse_aggregate)}({agg.func!r})")
     src.emit(f"return ({', '.join(items)},)")
     return src.build("old, d, book")
+
+
+def lower_instance_row(name: str, parts: Sequence[tuple[str, int]]) -> Callable[[tuple, tuple], tuple]:
+    """One base-table i-diff instance row as a generated tuple display:
+    ``row(pre, post)`` of the ``(side, position)`` *parts*, side
+    ``"pre"`` or ``"post"`` — e.g. ``(post[0], pre[2], post[2])`` for
+    key + pre + post of an update (``core.modlog``'s instance fill)."""
+    src = _Source(name)
+    src.emit(f"return {_tuple_of([f'{side}[{i}]' for side, i in parts])}")
+    return src.build("pre, post")
 
 
 def _refuse_aggregate(func: str):

@@ -26,7 +26,6 @@ together across the three times of the paper:
 from __future__ import annotations
 
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
@@ -554,14 +553,26 @@ class PreState:
         return self.db
 
     def _accounts_for(self, entries) -> bool:
-        # O(#tables + |entries|): the live counters, and every table as
-        # many rows behind the live one as *entries* insert net.
-        net = Counter(e.table for e in entries if e.kind == INSERT)
-        net.subtract(e.table for e in entries if e.kind == DELETE)
+        # O(#tables + the net changes to them), off the round's fold: the
+        # live counters, and every table as many rows behind the live one
+        # as *entries* insert net (a fold keeps each key's net insert or
+        # delete, so it keeps the row count of the raw entries).
         pre, live = self.db, self.live
-        return pre.counters is live.counters and all(
-            len(pre.tables[t]) + net[t] == len(live.tables[t]) for t in self.tables
-        )
+        if pre.counters is not live.counters:
+            return False
+        if not self.tables:
+            return True
+        net = RoundEntries.of(entries).folded(live)
+        for t in self.tables:
+            grown = 0
+            for change in net.get(t, {}).values():
+                if change.kind == INSERT:
+                    grown += 1
+                elif change.kind == DELETE:
+                    grown -= 1
+            if len(pre.tables[t]) + grown != len(live.tables[t]):
+                return False
+        return True
 
     def move(self, entries, position: int) -> None:
         """Move the replica to log *position* across *entries*, a range

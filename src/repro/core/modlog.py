@@ -19,10 +19,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ..errors import DiffError, WorkloadError
+from ..errors import DiffError, SchemaError, UnknownColumnError, WorkloadError
 from ..obs import metrics
 from ..obs import spans as obs
-from ..storage import Database, row_extractor
+from ..storage import Database
+from .compile import lower_instance_row
 from .diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
 
 
@@ -47,6 +48,8 @@ class LoggedModification:
         row: Optional[tuple] = None,
         changes: Optional[dict[str, object]] = None,
         post: Optional[tuple] = None,
+        seq: int = 0,
+        logged_at: float = 0.0,
     ):
         self.kind = kind
         self.table = table
@@ -54,8 +57,8 @@ class LoggedModification:
         self.row = row
         self.changes = changes
         self.post = post
-        self.seq = 0
-        self.logged_at = 0.0
+        self.seq = seq
+        self.logged_at = logged_at
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"Mod({self.kind} {self.table} {self.key})"
@@ -96,11 +99,16 @@ class ModificationLog:
         #: sequence number of the newest logged modification (the head)
         self.position = 0
 
-    def _append(self, entry: LoggedModification) -> None:
+    def _append(
+        self, kind: str, table: str, key: tuple, row: tuple,
+        changes: Optional[dict[str, object]] = None, post: Optional[tuple] = None,
+    ) -> None:
+        """Log one modification, stamped with the next position and the
+        clock."""
         self.position += 1
-        entry.seq = self.position
-        entry.logged_at = self.clock()
-        self.entries.append(entry)
+        self.entries.append(LoggedModification(
+            kind, table, key, row, changes, post, self.position, self.clock()
+        ))
 
     def advance(self, name: str, position: int) -> None:
         """View *name* has absorbed the log up to *position* (a view
@@ -141,9 +149,7 @@ class ModificationLog:
         t = self.db.table(table)
         row = tuple(row)
         t.insert_uncounted(row)
-        self._append(
-            LoggedModification(INSERT, table, t.schema.key_of(row), row=row)
-        )
+        self._append(INSERT, table, t.schema.key_of(row), row)
 
     def delete(self, table: str, key: Sequence) -> None:
         """Delete the row with *key* and log the modification."""
@@ -152,20 +158,31 @@ class ModificationLog:
         old = t.delete_uncounted(key)
         if old is None:
             raise WorkloadError(f"cannot delete absent key {key} from {table!r}")
-        self._append(LoggedModification(DELETE, table, key, row=old))
+        self._append(DELETE, table, key, old)
 
     def update(self, table: str, key: Sequence, changes: Mapping[str, object]) -> None:
+        """Set *changes* (column -> value) in the row with *key* of the
+        live table and log the modification, through the table's writer
+        bound to the changed columns (:meth:`Table.patcher`)."""
         t = self.db.table(table)
         key = tuple(key)
-        if not t.schema.key_set.isdisjoint(changes):
+        try:
+            patch = t.patcher(tuple(changes))
+        except (SchemaError, UnknownColumnError):
+            # Nothing was bound; report the call as an unbound check
+            # would: a key column first, then an absent key.
             immutable = sorted(t.schema.key_set.intersection(changes))
-            raise WorkloadError(
-                f"key columns {immutable} of {table!r} are immutable "
-                f"(paper Section 5, footnote 7); delete and re-insert instead"
-            )
-        written = t.patch_uncounted(key, changes)
+            if immutable:
+                raise WorkloadError(
+                    f"key columns {immutable} of {table!r} are immutable "
+                    f"(paper Section 5, footnote 7); delete and re-insert instead"
+                ) from None
+            if t.get_uncounted(key) is None:
+                raise _absent(key, table) from None
+            raise
+        written = patch(key, changes)
         if written is None:
-            raise WorkloadError(f"cannot update absent key {key} in {table!r}")
+            raise _absent(key, table)
         old, new = written
         if new is old:
             # The new values equal the old ones: the table is unchanged,
@@ -177,9 +194,11 @@ class ModificationLog:
             return
         # Trigger-style logging: capture the pre-state row alongside the
         # changed attributes, and the row the write produced.
-        self._append(
-            LoggedModification(UPDATE, table, key, row=old, changes=dict(changes), post=new)
-        )
+        self._append(UPDATE, table, key, old, dict(changes), new)
+
+
+def _absent(key: tuple, table: str) -> WorkloadError:
+    return WorkloadError(f"cannot update absent key {key} in {table!r}")
 
 
 class RoundEntries(list):
@@ -224,10 +243,12 @@ class RoundEntries(list):
 
     def unchanged(self, db: Database) -> frozenset[str]:
         """The tables of *db* no entry of the range modifies: what every
-        view of the round reads as ``IrContext.unchanged_tables``."""
+        view of the round reads as ``IrContext.unchanged_tables``.  Read
+        off the fold, which holds a (possibly empty) entry per table
+        the range names."""
         unchanged = self._unchanged
         if unchanged is None:
-            modified = {entry.table for entry in self}
+            modified = self.folded(db)
             unchanged = self._unchanged = frozenset(
                 name for name in db.table_names() if name not in modified
             )
@@ -251,8 +272,10 @@ def _fold(
 ) -> dict[str, dict[tuple, _NetChange]]:
     net: dict[str, dict[tuple, _NetChange]] = {}
     for entry in entries:
-        table = db.table(entry.table)
-        per_table = net.setdefault(entry.table, {})
+        per_table = net.get(entry.table)
+        if per_table is None:
+            db.table(entry.table)  # an unknown table raises, once per table
+            per_table = net[entry.table] = {}
         current = per_table.get(entry.key)
         if entry.kind == INSERT:
             if current is None:
@@ -283,7 +306,7 @@ def _fold(
                     )
                 post = entry.post
                 if post is None:
-                    post = table.schema.patched(pre_row, entry.changes)
+                    post = db.table(entry.table).schema.patched(pre_row, entry.changes)
                 if post == pre_row:
                     continue
                 per_table[entry.key] = _NetChange(UPDATE, pre_row, post)
@@ -293,7 +316,7 @@ def _fold(
                     raise DiffError(f"update of deleted tuple {entry.key} in log")
                 post = entry.post
                 if post is None:
-                    post = table.schema.patched(base, entry.changes)
+                    post = db.table(entry.table).schema.patched(base, entry.changes)
                 if current.kind == INSERT:
                     per_table[entry.key] = _NetChange(INSERT, None, post)
                 else:
@@ -348,10 +371,11 @@ class InstanceLayout(Sequence):
 
 
 class _TableProjectors:
-    """Per kind, one ``(slot, schema, pre, post)`` projector per schema
-    on one base table: which of the table's instances it fills (an index
-    into ``on_target``) and the extractors of its pre and post
-    attributes."""
+    """Per kind, one ``(slot, schema, row)`` projector per schema on one
+    base table: which of the table's instances it fills (an index into
+    ``on_target``) and ``row(pre, post)``, the generated display of an
+    instance row — key, then the schema's pre and post attributes — out
+    of a net change's rows."""
 
     def __init__(self, table_schema, on_target: Sequence[tuple[str, DiffSchema]]):
         self.on_target = on_target
@@ -363,13 +387,15 @@ class _TableProjectors:
         self.columns = table_schema.columns
         self.non_key = table_schema.positions(table_schema.non_key_columns)
         self.by_kind: dict[str, list[tuple]] = {INSERT: [], DELETE: [], UPDATE: []}
+        # A change's rows are never absent on the side a schema reads,
+        # and its key is the key columns of either.
+        key_side = {INSERT: "post", DELETE: "pre", UPDATE: "post"}
         for slot, (_, schema) in enumerate(on_target):
-            self.by_kind[schema.kind].append((
-                slot,
-                schema,
-                row_extractor(table_schema.positions(schema.pre_attrs)),
-                row_extractor(table_schema.positions(schema.post_attrs)),
-            ))
+            parts = [(key_side[schema.kind], i) for i in table_schema.positions(table_schema.key)]
+            parts += [("pre", i) for i in table_schema.positions(schema.pre_attrs)]
+            parts += [("post", i) for i in table_schema.positions(schema.post_attrs)]
+            name = f"instance_{schema_instance_name(schema)}"
+            self.by_kind[schema.kind].append((slot, schema, lower_instance_row(name, parts)))
         # Rows are laid out key + pre + post out of a dict keyed by the
         # table's key: unique on a schema's IDs when those are that key.
         self.adopt = [
@@ -378,6 +404,16 @@ class _TableProjectors:
         ]
         #: modified positions -> the projector their updates route to
         self.routes: dict[tuple, tuple] = {}
+        #: the route of every update when one schema covers every
+        #: non-key column (the minimal cover of any modified set), so
+        #: modified positions need not be computed; None otherwise
+        updates = self.by_kind[UPDATE]
+        self.only_route = (
+            updates[0]
+            if len(updates) == 1
+            and set(table_schema.non_key_columns) <= set(updates[0][1].post_attrs)
+            else None
+        )
 
     def route(self, modified: tuple) -> tuple:
         """Route a net tuple-update to exactly ONE schema: the smallest
@@ -399,21 +435,22 @@ class _TableProjectors:
     def fill(self, changes: Mapping[tuple, _NetChange]) -> dict[str, Diff]:
         """The non-empty instances of this table's schemas, from its
         net *changes*."""
-        non_key = self.non_key
+        non_key, only_route = self.non_key, self.only_route
         inserts, deletes, updates = (self.by_kind[k] for k in (INSERT, DELETE, UPDATE))
         sinks: list[list[tuple]] = [[] for _ in self.on_target]
-        for key, change in changes.items():
+        for change in changes.values():
             pre_row, post_row = change.pre_row, change.post_row
             if change.kind == INSERT:
-                for slot, _, _, post in inserts:
-                    sinks[slot].append(key + post(post_row))
+                for slot, _, row in inserts:
+                    sinks[slot].append(row(None, post_row))
             elif change.kind == DELETE:
-                for slot, _, pre, _ in deletes:
-                    sinks[slot].append(key + pre(pre_row))
+                for slot, _, row in deletes:
+                    sinks[slot].append(row(pre_row, None))
             elif updates:  # else: the view does not read this table's updates
-                modified = tuple(i for i in non_key if pre_row[i] != post_row[i])
-                slot, _, pre, post = self.route(modified)
-                sinks[slot].append(key + pre(pre_row) + post(post_row))
+                slot, _, row = only_route or self.route(
+                    tuple(i for i in non_key if pre_row[i] != post_row[i])
+                )
+                sinks[slot].append(row(pre_row, post_row))
         return {
             name: adopt(schema, rows)
             for (name, schema), adopt, rows in zip(self.on_target, self.adopt, sinks)

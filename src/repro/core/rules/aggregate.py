@@ -417,8 +417,8 @@ def apply_group_deltas(
     count (or an avg's running sum) actually changes.  Groups it is not
     touched for — a live group whose aggregates move, the whole round
     of a pure-update workload — are read uncounted and queue into one
-    ``update_many``, flushed before any other write so the output sees
-    today's write order.
+    ``update_many`` as ``key + values`` rows, flushed before any other
+    write so the output sees today's write order.
 
     Returns ``(applied, kinds)``: the (pre, post) full output rows plus
     their change kinds, for re-emission as effective diffs.
@@ -451,7 +451,7 @@ def apply_group_deltas(
                     old_values = aggs_of(old_row)
                     values = new_values(old_values, delta, book[n_keys:])
                     if values != old_values:
-                        queued.append((g, values))
+                        queued.append(g + values)
                         continue
         flush()
         book = book_of.read(g, touch_opcache)

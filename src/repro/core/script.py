@@ -158,9 +158,10 @@ class ApplyDiffStep(Step):
 
     def run(self, ctx: IrContext) -> int:
         table, diff = self._operands(ctx)
-        applied = apply_diff(table, diff)
-        if self.returning_name is not None:
-            ctx.expansions[self.returning_name] = applied
+        name = self.returning_name
+        applied = apply_diff(table, diff, name is not None)
+        if name is not None:
+            ctx.expansions[name] = applied
         return len(diff.rows)
 
     def reads(self) -> list[tuple[str, str]]:

@@ -21,6 +21,7 @@ the ``/metrics`` endpoint all speak the same histogram.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Iterable, Optional, Union
 
 Number = Union[int, float]
@@ -28,6 +29,9 @@ Number = Union[int, float]
 #: Sub-buckets per power of two.  Must be a power of two so the
 #: sub-bucket computation below stays exact in binary floating point.
 SUBBUCKETS = 4
+
+#: The smallest positive normal float: below it a bucket bound may round.
+_MIN_NORMAL = sys.float_info.min
 
 #: The quantiles every summary exports.
 SUMMARY_QUANTILES = (50.0, 95.0, 99.0)
@@ -98,10 +102,41 @@ class LogHistogram:
 
     def observe_many(self, values: Iterable[Number]) -> None:
         """Record each of *values* once, in their order (so ``total`` is
-        bit-identical to observing them one by one), in one call."""
-        observe = self.observe
+        bit-identical to observing them one by one), in one call.  A run
+        of values in one bucket — a round's lags over its monotone log
+        stamps — costs one :func:`bucket_index`: the next value is tested
+        against the bucket's bounds first."""
+        n = zeros = run = 0
+        total, low, high = self.total, self.min, self.max
+        runs: list[tuple[int, int]] = []
+        idx, lower, upper = 0, 0.0, 0.0
         for value in values:
-            observe(value)
+            n += 1
+            total += value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+            if value <= 0:
+                zeros += 1
+                continue
+            value = float(value)  # what bucket_index reads
+            if lower <= value < upper:
+                run += 1
+                continue
+            if run:
+                runs.append((idx, run))
+            idx, run = bucket_index(value), 1
+            # bounds are exact products only among normal floats
+            lower, upper = bucket_bounds(idx) if value >= _MIN_NORMAL else (0.0, 0.0)
+        if run:
+            runs.append((idx, run))
+        self.count += n  # first, as in observe
+        self.total, self.min, self.max = total, low, high
+        self.zero_count += zeros
+        buckets = self.buckets
+        for i, times in runs:
+            buckets[i] = buckets.get(i, 0) + times
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold *other*'s observations into self (exact) and return self."""

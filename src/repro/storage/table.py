@@ -27,9 +27,11 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
 
 Every writer, counted or not, changes the rows dict and the indexes
 through ``Table._store`` / ``Table._discard`` and nothing else; the bulk
-writers are loops over the two.  A writer that knows the attributes it
-sets resolves the indexes they touch once per call and hands ``_store``
-only those; one that holds finished rows compares the indexed values.
+writers are loops over the two — the ∆u loop and the trigger writer
+(:meth:`Table.patcher`) generated here, once per shape of call.  A
+writer that knows the attributes it sets resolves the indexes they
+touch once per call and hands ``_store`` only those; one that holds
+finished rows compares the indexed values.
 A bulk call on an empty batch returns before it resolves an index: most
 APPLY steps of a round carry no rows, and an index auto-created for
 them would never serve a lookup.
@@ -151,13 +153,15 @@ class Table:
         return index
 
     def bound(self, key: Hashable, make: Callable[[], object]):
-        """What ``make()`` resolves for this table, once per *key*: a
-        writer's finder, touched indexes and row patcher for one shape
-        of call (:meth:`update_many`), an APPLY's column reorder for one
-        layout of insert diff (``core.apply.apply_diff``).  The memo is dropped
-        when the index set changes (:meth:`create_index`: lazy builds
-        and replayed ``"x"`` ops too), starts empty in a :meth:`copy`
-        and is not pickled."""
+        """What ``make()`` resolves for this table, once per *key*: the
+        generated loop of one shape of :meth:`update_many` (finder,
+        touched indexes, new-row display), the trigger writer of one
+        column set (:meth:`patcher`), an APPLY's column reorder for one
+        layout of insert diff (``core.apply.apply_diff``).  A ``make()``
+        that raises stores nothing.  The memo is dropped when the index
+        set changes (:meth:`create_index`: lazy builds and replayed
+        ``"x"`` ops too), starts empty in a :meth:`copy` and is not
+        pickled."""
         got = self._bound.get(key)
         if got is None:
             got = self._bound[key] = make()
@@ -291,20 +295,23 @@ class Table:
         ]
 
     def _account(
-        self, changes: Sequence[tuple], entries: int, lookups: int = 0
+        self, changes: Sequence[tuple] | int, entries: int, lookups: int = 0
     ) -> None:
         """Tail of every counted write, single or batched: *lookups*
         index lookups, then per ``(pre, post)`` row pair of *changes*
         (None marks an absent side) the *entries* index entries the
         write mutated, the replayable op (or the uncaptured-write audit)
-        and one tuple write."""
+        and one tuple write.  A bulk writer whose caller reads no pairs
+        passes only their number — never while a capture or an audit is
+        armed (:meth:`_keeps_pairs`), which read the pairs."""
         counters = self.counters
         if lookups:
             counters.count_index_lookup(lookups)
-        if not changes:
+        written = changes if isinstance(changes, int) else len(changes)
+        if not written:
             return
         if entries:
-            counters.count_index_maintenance(entries * len(changes))
+            counters.count_index_maintenance(entries * written)
         if self._capture is not None:
             key_of = self.schema.key_of
             self._capture.extend(
@@ -314,7 +321,12 @@ class Table:
         elif self._uncaptured_audit is not None:
             for _ in changes:
                 self._uncaptured_audit(self.schema.name)
-        counters.count_tuple_write(len(changes))
+        counters.count_tuple_write(written)
+
+    def _keeps_pairs(self, returning: bool) -> bool:
+        """Whether a bulk write builds its ``(pre, post)`` pairs: when its
+        caller reads them, or a capture or an audit is armed."""
+        return returning or self._capture is not None or self._uncaptured_audit is not None
 
     # ------------------------------------------------------------------
     # counted writes: the APPLY primitives (paper Appendix A: identifying
@@ -399,42 +411,56 @@ class Table:
     # ``locate`` + ``write_at`` / ``delete_at``, or the ∆+ NOT-IN guard —
     # with the index resolved once and one ``_account`` tail, in a
     # ``finally``: a batch that raises half-way has charged what its
-    # completed rows cost.  All return the (pre, post) row pairs written.
+    # completed rows cost.  Each returns the (pre, post) row pairs
+    # written when *returning* (the default), None otherwise — and then
+    # builds no pairs unless a capture or an audit reads them, for the
+    # same lookups, writes and index maintenance.
     # ------------------------------------------------------------------
     def update_many(
         self,
         columns: Sequence[str],
         attrs: Sequence[str],
-        pairs: Sequence[tuple[tuple, tuple]],
-    ) -> list[tuple]:
-        """APPLY ∆u: per ``(ident, values)`` of *pairs*, set *attrs* to
-        *values* in every row whose *columns* equal *ident*."""
-        if not pairs:
-            return []
+        rows: Sequence[tuple],
+        layout: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+        returning: bool = True,
+    ) -> list[tuple] | None:
+        """APPLY ∆u: per row of *rows*, set *attrs* to the values it
+        holds at the value positions of *layout* in every stored row
+        whose *columns* equal the values it holds at the ID positions.
+        *layout* is ``(ID positions, value positions)``, default: the
+        ident, then the values; a diff's rows are read in place."""
+        if not rows:
+            return [] if returning else None
         columns, attrs = tuple(columns), tuple(attrs)
-        find, per_ident, touched, patch = self.bound(
-            ("u", columns, attrs), lambda: self._bind_update(columns, attrs)
+        if layout is None:
+            n = len(columns)
+            layout = (tuple(range(n)), tuple(range(n, n + len(attrs))))
+        keep = self._keeps_pairs(returning)
+        write = self.bound(
+            ("u", columns, attrs, layout, keep),
+            lambda: self._bind_update(columns, attrs, layout, keep),
         )
-        changes: list[tuple] = []
-        lookups = 0
-        rows, store = self._rows, self._store
-        try:
-            for ident, values in pairs:
-                lookups += per_ident
-                for key in find(ident) or ():
-                    old = rows[key]
-                    new = patch(old, values)
-                    store(key, new, old, touched)
-                    changes.append((old, new))
-        finally:
-            self._account(changes, 2 * len(touched), lookups)
-        return changes
+        changes = write(rows)
+        return changes if returning else None
 
-    def _bind_update(self, columns: tuple[str, ...], attrs: tuple[str, ...]) -> tuple:
-        """``(find, lookups per ident, touched indexes, patch)`` of an
-        :meth:`update_many` setting *attrs* in the rows *columns* find;
-        ``patch(old, values)`` is one generated tuple display, e.g.
-        ``(old[0], values[0], old[2])``."""
+    def _bind_update(
+        self,
+        columns: tuple[str, ...],
+        attrs: tuple[str, ...],
+        layout: tuple[tuple[int, ...], tuple[int, ...]],
+        keep: bool,
+    ) -> Callable[[Sequence[tuple]], list[tuple] | None]:
+        """The loop of an :meth:`update_many` of one shape, generated:
+        the finder, the touched indexes and the new row's display (e.g.
+        ``(old[0], row[3], old[2])``) are resolved here, every row is
+        written by :meth:`_store`, and the ``_account`` tail runs in a
+        ``finally`` with the pairs (*keep*) or their number."""
+        id_at, value_at = layout
+        if len(id_at) != len(columns) or len(value_at) != len(attrs):
+            raise SchemaError(
+                f"update layout {layout} does not fit {columns} -> {attrs} "
+                f"of {self.schema.name!r}"
+            )
         positions = self.schema.mutable_positions(attrs)
         find, per_ident = self._finder(columns)
         touched = self._touched(attrs)
@@ -444,18 +470,78 @@ class Table:
             # are read in place (None: no such value), not copied per
             # ident.
             find = serving.buckets.get
+        ident = "(" + "".join(f"row[{i}], " for i in id_at) + ")"
         # The last of repeated attributes wins, as in a per-column loop.
-        source = {at: f"values[{i}]" for i, at in enumerate(positions)}
-        display = ", ".join(source.get(i, f"old[{i}]") for i in range(len(self.schema.columns)))
-        patch = eval(f"lambda old, values: ({display},)")
-        return find, per_ident, touched, patch
+        new = _display(
+            len(self.schema.columns), dict(zip(positions, (f"row[{i}]" for i in value_at)))
+        )
+        if columns == self.schema.key:
+            locate = [f"key = {ident}", "old = get(key)", "if old is not None:"]
+        else:
+            locate = [f"for key in find({ident}) or ():", "    old = stored[key]"]
+        written = "changes.append((old, new))" if keep else "written += 1"
+        tail = "changes" if keep else "written"
+        return _generated("update_rows", [
+            "def update_rows(rows):",
+            "    changes = []" if keep else "    changes = None",
+            "    seen = written = 0",
+            "    try:",
+            "        for seen, row in enumerate(rows, 1):",
+            *(f"            {line}" for line in locate),
+            f"                new = {new}",
+            "                store(key, new, old, touched)",
+            f"                {written}",
+            "    finally:",
+            f"        account({tail}, ENTRIES, seen * PER_IDENT)",
+            "    return changes",
+        ], {
+            "ENTRIES": 2 * len(touched), "PER_IDENT": per_ident,
+            "find": find, "get": self._rows.get, "stored": self._rows,
+            "store": self._store, "touched": touched, "account": self._account,
+        })
 
-    def delete_many(self, columns: Sequence[str], idents: Sequence[tuple]) -> list[tuple]:
+    def patcher(
+        self, attrs: tuple[str, ...]
+    ) -> Callable[[tuple, Mapping[str, object]], tuple[tuple, tuple] | None]:
+        """:meth:`patch_uncounted` of one tuple of *attrs*, bound:
+        ``patch(key, changes)`` sets each of them to its value in
+        *changes* in the row at *key* and returns its ``(pre, post)``
+        rows (*post* ``is`` *pre* when nothing changed, None when *key*
+        holds no row).  The row's display, the touched indexes and the
+        verdict that no key column is set are resolved once per tuple;
+        a bind that raises binds nothing, so every bad call raises."""
+        patch = self._bound.get(("p", attrs))
+        if patch is None:
+            patch = self.bound(("p", attrs), lambda: self._bind_patch(attrs))
+        return patch
+
+    def _bind_patch(self, attrs: tuple[str, ...]) -> Callable:
+        positions = self.schema.mutable_positions(attrs)
+        new = _display(len(self.schema.columns), {
+            at: f"changes[{attr!r}]" for attr, at in zip(attrs, positions)
+        })
+        return _generated("patch", [
+            "def patch(key, changes):",
+            "    old = get(key)",
+            "    if old is None:",
+            "        return None",
+            f"    new = {new}",
+            "    if new == old:",
+            "        return old, old",
+            "    store(key, new, old, touched)",
+            "    return old, new",
+        ], {
+            "get": self._rows.get, "store": self._store, "touched": self._touched(attrs),
+        })
+
+    def delete_many(
+        self, columns: Sequence[str], idents: Sequence[tuple], returning: bool = True
+    ) -> list[tuple] | None:
         """APPLY ∆−: delete every row whose *columns* equal one of *idents*."""
         if not idents:
-            return []
-        changes: list[tuple] = []
-        lookups = 0
+            return [] if returning else None
+        changes: list[tuple] | None = [] if self._keeps_pairs(returning) else None
+        lookups = written = 0
         find, per_ident = self._finder(tuple(columns))
         try:
             for ident in idents:
@@ -463,20 +549,22 @@ class Table:
                 for key in find(ident):
                     old = self._rows[key]
                     self._discard(key, old)
-                    changes.append((old, None))
+                    written += 1
+                    if changes is not None:
+                        changes.append((old, None))
         finally:
-            self._account(changes, len(self._indexes), lookups)
-        return changes
+            self._account(written if changes is None else changes, len(self._indexes), lookups)
+        return changes if returning else None
 
-    def insert_many(self, rows: Sequence[tuple]) -> list[tuple]:
+    def insert_many(self, rows: Sequence[tuple], returning: bool = True) -> list[tuple] | None:
         """APPLY ∆+ with its NOT-IN guard (Section 2): insert each of
         *rows* (tuples in schema order) unless the identical row is
         stored already — several insert i-diffs may carry the same
         tuple.  A row with the same key but *different* values signals
         an ineffective diff set and raises :class:`IntegrityError`.
         """
-        changes: list[tuple] = []
-        lookups = 0
+        changes: list[tuple] | None = [] if self._keeps_pairs(returning) else None
+        lookups = written = 0
         key_of = self.schema.key_of
         try:
             for row in rows:
@@ -486,15 +574,17 @@ class Table:
                 existing = self._rows.get(key)
                 if existing is None:
                     self._store(key, row)
-                    changes.append((None, row))
+                    written += 1
+                    if changes is not None:
+                        changes.append((None, row))
                 elif existing != row:
                     raise IntegrityError(
                         f"insert of {row} conflicts with existing {existing} "
                         f"in {self.schema.name!r}"
                     )
         finally:
-            self._account(changes, len(self._indexes), lookups)
-        return changes
+            self._account(written if changes is None else changes, len(self._indexes), lookups)
+        return changes if returning else None
 
     # ------------------------------------------------------------------
     # write-set capture and replay (process shard workers)
@@ -613,14 +703,7 @@ class Table:
         the ``(pre, post)`` rows at *key* (a tuple already), ``None``
         when it holds no row.  The row is read once and written only if
         *changes* change it — *post* ``is`` *pre* otherwise."""
-        old = self._rows.get(key)
-        if old is None:
-            return None
-        new = self.schema.patched(old, changes)
-        if new == old:
-            return old, old
-        self._store(key, new, old, self._touched(changes))
-        return old, new
+        return self.patcher(tuple(changes))(key, changes)
 
     def rows_uncounted(self) -> list[tuple]:
         return list(self._rows.values())
@@ -651,6 +734,22 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"Table({self.schema.name}, {len(self._rows)} rows)"
+
+
+def _display(width: int, sources: Mapping[int, str]) -> str:
+    """Source of a new row of *width* columns: ``sources[i]`` where
+    given, the old row's column otherwise."""
+    return "(" + "".join(f"{sources.get(i, f'old[{i}]')}, " for i in range(width)) + ")"
+
+
+def _generated(name: str, lines: Sequence[str], env: dict) -> Callable:
+    """The function *name* the source *lines* define in namespace *env*:
+    a writer's loop, generated once per shape of call (``Table.bound``)."""
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, f"<table:{name}>", "exec"), env)
+    fn = env[name]
+    fn.__source__ = source
+    return fn
 
 
 def sort_rows(rows: Iterable[tuple]) -> list[tuple]:

@@ -463,3 +463,62 @@ def test_sharded_compiled_matches_interpreter(shard_backend, interp_reference):
             rows_s, counts_s = round_s[name]
             assert rows_s == rows_b, name
             assert counts_s == counts_b, name
+
+
+class TestSubviewFallbacks:
+    """A kernel's subview read that is neither the node's cache in the
+    state it reads nor a bare scan goes to the interpreter
+    (``ctx.resolve_subview``), counted per read in
+    ``compile.subview_fallbacks`` and listed by ``repro explain``."""
+
+    @staticmethod
+    def _e2e_rounds(name: str, rounds: int) -> list[int]:
+        """Per steady round of e2e workload *name* (smoke scale, seed 1):
+        the subview reads that fell back."""
+        import sys
+        from pathlib import Path
+
+        e2e = str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e")
+        if e2e not in sys.path:
+            sys.path.insert(0, e2e)
+        from loadgen import log_batch as log_e2e_batch
+        from workloads import FANOUT, WORKLOADS
+
+        workload = WORKLOADS[name].sized(20, True)
+        config = DevicesConfig(
+            n_parts=workload.n_rows, n_devices=workload.n_rows,
+            diff_size=workload.batch.updates, fanout=FANOUT, seed=1,
+        )
+        db = build_devices_database(config)
+        engine = IdIvmEngine(db)
+        engine.define_view("V", build_flat_view(db, config))
+        engine.define_view("Vagg", build_aggregate_view(db, config))
+        per_round = []
+        for batch in workload.generate_rounds(db, 1, 3 + rounds):
+            fallbacks = metrics.counter("compile.subview_fallbacks")
+            before = fallbacks.value
+            log_e2e_batch(engine.log, batch)
+            engine.maintain()
+            per_round.append(fallbacks.value - before)
+        return per_round[3:]
+
+    def test_churn_reads_six_subviews_through_the_interpreter_per_round(self):
+        # π over devices four times, π over devices_parts twice
+        assert self._e2e_rounds("devices_churn_m98", 4) == [6] * 4
+
+    def test_bigdiff_reads_none(self):
+        assert self._e2e_rounds("devices_bigdiff_d400", 2) == [0, 0]
+
+    def test_explain_lists_the_falling_back_probes(self, capsys):
+        from repro.cli import main
+
+        sql = (
+            "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN devices_parts "
+            "NATURAL JOIN devices WHERE category = 'phone' GROUP BY did"
+        )
+        assert main(["explain", "--sql", sql]) == 0
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if "compile.subview_fallbacks" in line]
+        assert "post n9 π __rhs_did, category" in line
+        assert main(["explain", "--sql", "SELECT pid, price FROM parts WHERE price > 5"]) == 0
+        assert "compile.subview_fallbacks" not in capsys.readouterr().out

@@ -92,7 +92,7 @@ def test_users_only_round_runs_only_what_users_diffs_reach(monkeypatch):
     real_apply = script_mod.apply_diff
     monkeypatch.setattr(
         script_mod, "apply_diff",
-        lambda table, diff: applies.append(len(diff)) or real_apply(table, diff),
+        lambda table, diff, *rest: applies.append(len(diff)) or real_apply(table, diff, *rest),
     )
     opened: list[str] = []
     real_phase = CounterSet.phase

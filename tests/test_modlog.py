@@ -421,25 +421,25 @@ class TestInstanceLayout:
         database = _two_table_db()
         schemas = _all_schemas(database)
         built = []
-        real = modlog_mod.row_extractor
+        real = modlog_mod.lower_instance_row
         monkeypatch.setattr(
-            modlog_mod, "row_extractor",
-            lambda positions: built.append(tuple(positions)) or real(positions),
+            modlog_mod, "lower_instance_row",
+            lambda name, parts: built.append(name) or real(name, parts),
         )
         log = ModificationLog(database)
         # an empty log: no table is touched, nothing is resolved
         instances = populate_instances(InstanceLayout(schemas), [], database)
         assert built == [] and len(instances) == len(schemas)
-        # a log on r alone resolves r's four schemas (pre + post each)
+        # a log on r alone resolves r's four schemas (one row display each)
         log.update("r", (0,), {"a": 5})
         layout = InstanceLayout(schemas)
         populate_instances(layout, log.take(), database)
-        assert len(built) == 8 and set(layout._tables) == {"r"}
+        assert len(built) == 4 and set(layout._tables) == {"r"}
         # ... once: the next round on r builds nothing more
         log.update("r", (2,), {"a": 6})
         log.insert("t", (9, 1, "z"))
         populate_instances(layout, log.take(), database)
-        assert len(built) == 16 and set(layout._tables) == {"r", "t"}
+        assert len(built) == 8 and set(layout._tables) == {"r", "t"}
 
 
 class TestRoundEntries:

@@ -138,23 +138,23 @@ def _table():
 
 def test_update_many_binds_once_and_a_new_index_drops_the_binding():
     table = _table()
-    assert table.update_many(("a",), ("b",), [(("x",), (11,))]) == [
+    assert table.update_many(("a",), ("b",), [("x", 11)]) == [
         ((1, "x", 10), (1, "x", 11)), ((3, "x", 30), (3, "x", 11)),
     ]
-    bound = table._bound[("u", ("a",), ("b",))]
-    table.update_many(("a",), ("b",), [(("y",), (21,))])
-    assert table._bound[("u", ("a",), ("b",))] is bound
+    bound = table._bound[("u", ("a",), ("b",), ((0,), (1,)), True)]
+    table.update_many(("a",), ("b",), [("y", 21)])
+    assert table._bound[("u", ("a",), ("b",), ((0,), (1,)), True)] is bound
     table.create_index(("b",))
     assert table._bound == {}
     # the touched index is maintained by the rebound writer
-    table.update_many(("a",), ("b",), [(("x",), (12,))])
+    table.update_many(("a",), ("b",), [("x", 12)])
     assert sorted(table._indexes[("b",)].buckets) == [(12,), (21,)]
     assert table.lookup(("b",), (12,)) and not table.lookup(("b",), (11,))
 
 
 def test_the_memo_is_not_copied_or_pickled_and_refuses_key_columns_each_call():
     table = _table()
-    table.update_many(("k",), ("a", "b"), [((1,), ("z", 1))])
+    table.update_many(("k",), ("a", "b"), [(1, "z", 1)])
     assert table.get_uncounted((1,)) == (1, "z", 1)
     assert table._bound
     assert table.copy()._bound == {}
@@ -162,12 +162,12 @@ def test_the_memo_is_not_copied_or_pickled_and_refuses_key_columns_each_call():
     assert clone._bound == {} and clone.as_set() == table.as_set()
     for _ in range(2):
         with pytest.raises(SchemaError):
-            table.update_many(("a",), ("k",), [(("z",), (9,))])
+            table.update_many(("a",), ("k",), [("z", 9)])
 
 
 def test_a_repeated_attribute_takes_its_last_value():
     table = _table()
-    table.update_many(("k",), ("b", "b"), [((2,), (7, 8))])
+    table.update_many(("k",), ("b", "b"), [(2, 7, 8)])
     assert table.get_uncounted((2,)) == (2, "y", 8)
 
 

@@ -350,12 +350,12 @@ class TestIndexMaintenanceAccounting:
         t.create_index(("a",))
         db.counters.reset()
         t.write_at((1,), {"b": "z"})
-        assert t.update_many(("a",), ("b",), [((10,), ("w",))]) == [
+        assert t.update_many(("a",), ("b",), [(10, "w")]) == [
             ((1, 10, "z"), (1, 10, "w")), ((2, 10, "y"), (2, 10, "w")),
         ]
         assert db.counters.total.index_maintenance == 0
         assert db.counters.total.tuple_writes == 3
-        t.update_many(("k",), ("a", "b"), [((1,), (11, "v"))])
+        t.update_many(("k",), ("a", "b"), [(1, 11, "v")])
         assert db.counters.total.index_maintenance == 2
 
     def test_duplicate_insert_checked_is_maintenance_free(self):
@@ -655,9 +655,10 @@ class TestBulkWriters:
             idents = [row[: len(columns)] for row in batch]
             calls = {
                 "update": (
-                    lambda t: t.update_many(
-                        columns, attrs, [(i, r[-len(attrs):]) for i, r in zip(idents, batch)]
-                    ),
+                    # the rows read in place, laid out as a diff's
+                    lambda t: t.update_many(columns, attrs, batch, (
+                        tuple(range(len(columns))), tuple(range(3 - len(attrs), 3))
+                    )),
                     lambda t: update_rows(
                         t, columns, attrs, [(i, r[-len(attrs):]) for i, r in zip(idents, batch)]
                     ),
@@ -714,7 +715,7 @@ class TestBulkWriters:
     def test_key_columns_are_immutable(self, parts):
         sink = parts.begin_capture()
         with pytest.raises(SchemaError):
-            parts.update_many(("pid",), ("pid",), [(("P1",), ("P9",))])
+            parts.update_many(("pid",), ("pid",), [("P1", "P9")])
         assert sink == [] and parts.counters.total == CounterSet().total
         assert parts.get_uncounted(("P1",)) == ("P1", 10)
 
@@ -796,7 +797,7 @@ class TestTouchedIndexMaintenance:
                 if writer == "update_many":
                     pos = table.schema.positions
                     table.update_many(columns, attrs, [
-                        (tuple(r[i] for i in pos(columns)), tuple(r[i] for i in pos(attrs)))
+                        tuple(r[i] for i in pos(columns)) + tuple(r[i] for i in pos(attrs))
                         for r in batch
                     ])
                 elif writer == "insert_many":
@@ -848,7 +849,7 @@ class TestTouchedIndexMaintenance:
         table.create_index(("a",))
         table.load([(k, 1) for k in range(50)])
         # Every row moves out of the bucket the WHERE is served from.
-        written = table.update_many(("a",), ("a",), [((1,), (2,))])
+        written = table.update_many(("a",), ("a",), [(1, 2)])
         assert len(written) == 50 and table.lookup(("a",), (1,)) == []
         assert len(table.lookup(("a",), (2,))) == 50
         assert table.counters.total.index_maintenance == 100

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import IdIvmEngine
 from repro.obs import hist, metrics
+from repro.obs.freshness import FreshnessTracker
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -121,13 +122,24 @@ def watch_counts(monkeypatch):
     return arm
 
 
-def test_a_steady_round_makes_a_constant_number_of_lookups(watch_counts):
+def test_a_steady_round_makes_a_constant_number_of_lookups(watch_counts, monkeypatch):
     """1, 4 and 8 views: the same lookups per round (the round counter's
     one), and a bounded number of bucket computations per view — not one
     per statement."""
     rounds, updates = 4, 5
     lookups, per_view_buckets = {}, {}
     counts = None
+    lag_buckets: list[int] = []  # per round: computed by the lag intake
+    real_round_lags = FreshnessTracker.round_lags
+
+    def counted_round_lags(self, entry_times, now):
+        before = counts["buckets"] if counts else 0
+        lags = real_round_lags(self, entry_times, now)
+        if counts:
+            lag_buckets.append(counts["buckets"] - before)
+        return lags
+
+    monkeypatch.setattr(FreshnessTracker, "round_lags", counted_round_lags)
     for n_views in (1, 4, 8):
         db = build_bsma_database(CONFIG)
         engine = IdIvmEngine(db)
@@ -137,16 +149,23 @@ def test_a_steady_round_makes_a_constant_number_of_lookups(watch_counts):
             log_user_updates(engine, db, CONFIG, updates, round_seed=round_seed)
             engine.maintain()
         counts = counts or watch_counts()
-        before = dict(counts)
+        before, first = dict(counts), len(lag_buckets)
         for round_seed in range(2, 2 + rounds):
             log_user_updates(engine, db, CONFIG, updates, round_seed=round_seed)
             engine.maintain()
         lookups[n_views] = (counts["lookups"] - before["lookups"]) / rounds
-        # what is not per view: one lag per logged update, the round's
-        # log-size and latency histograms
-        buckets = (counts["buckets"] - before["buckets"]) / rounds - updates - 2
+        # what is not per view: the lag intake, the round's log-size and
+        # latency histograms
+        timed = lag_buckets[first:]
+        assert len(timed) == rounds
+        lags = sum(timed)
+        buckets = (counts["buckets"] - before["buckets"] - lags) / rounds - 2
         per_view_buckets[n_views] = buckets / n_views
     assert set(lookups.values()) == {1.0}, lookups
+    # The lag intake computes a bucket per run of lags in one bucket, not
+    # one per logged update: a round's stamps, logged back to back, span
+    # at most one bucket boundary.
+    assert max(lag_buckets) <= 2 < updates, lag_buckets
     # A view-round observes five fixed-name histograms, its phase runs'
     # latencies and its statements' diff-row counts once per distinct
     # value: 9-9.5 computations on these views, where one observation

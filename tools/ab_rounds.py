@@ -15,9 +15,12 @@ odd ones, so that a drifting host is charged to both sides alike.
 
 Every round's per-view, per-phase access counts must be equal on the two
 sides — the tool exits 1 otherwise.  It prints, per workload, each side's
-median round (``maintain()`` only) and log time, and the paired ratios
-B / A of the round times: their median and quartiles.  A ratio below 1
-means B — this tree — is faster.
+median round (``maintain()`` only, ms) and median log time per
+modification (µs, what the e2e suite's ``log_us_per_mod`` gates), and
+the paired ratios B / A, their quartiles and median, of three times per
+round: ``maintain()``, the log, and log + ``maintain()`` (what
+``mods_per_s`` measures).  A ratio below 1 means B — this tree — is
+faster.
 
 Known biases: two packages in one process are not free of order
 effects.  The log columns of the two sides differ by up to ~5 %, either
@@ -90,6 +93,7 @@ class Side:
             self.engine.define_view(name, plan)
         self.round_s: list[float] = []
         self.log_s: list[float] = []
+        self.log_per_mod_s: list[float] = []
 
     def round(self, batch, timed: bool) -> dict:
         """Log *batch* and maintain; the round's counts per view and phase."""
@@ -103,15 +107,29 @@ class Side:
         if timed:
             self.log_s.append(t1 - t0)
             self.round_s.append(t2 - t1)
+            self.log_per_mod_s.append((t1 - t0) / max(len(batch), 1))
         return {
             name: {phase: counts.as_dict() for phase, counts in report.phase_counts.items()}
             for name, report in reports.items()
         }
 
+    def total_s(self) -> list[float]:
+        """Log + ``maintain()`` per timed round."""
+        return [log + maintain for log, maintain in zip(self.log_s, self.round_s)]
+
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return q1, q2, q3
+
+
+def paired(times_a: list[float], times_b: list[float]) -> tuple[float, float, float]:
+    """Quartiles of the per-round ratios B / A."""
+    return quartiles([tb / ta for ta, tb in zip(times_a, times_b) if ta > 0])
+
+
+def _spread(q: tuple[float, float, float]) -> str:
+    return f"{q[0]:>5.3f} {q[1]:>6.3f} {q[2]:>5.3f}"
 
 
 def run_workload(pkgs, workload, seed: int) -> dict:
@@ -131,16 +149,17 @@ def run_workload(pkgs, workload, seed: int) -> dict:
                 f"  A: {counts[0]}\n  B: {counts[1]}"
             )
     a, b = sides
-    ratios = [rb / ra for ra, rb in zip(a.round_s, b.round_s) if ra > 0]
     del sides
     gc.collect()
     return {
-        "rounds": len(ratios),
+        "rounds": len(a.round_s),
         "a_round_ms": statistics.median(a.round_s) * 1e3,
         "b_round_ms": statistics.median(b.round_s) * 1e3,
-        "a_log_us": statistics.median(a.log_s) * 1e6,
-        "b_log_us": statistics.median(b.log_s) * 1e6,
-        "ratio": quartiles(ratios),
+        "a_log_us_per_mod": statistics.median(a.log_per_mod_s) * 1e6,
+        "b_log_us_per_mod": statistics.median(b.log_per_mod_s) * 1e6,
+        "ratio": paired(a.round_s, b.round_s),
+        "log_ratio": paired(a.log_s, b.log_s),
+        "total_ratio": paired(a.total_s(), b.total_s()),
     }
 
 
@@ -173,18 +192,21 @@ def main(argv=None) -> int:
     try:
         pkgs = (load_package(base_tree, "repro_a"), load_package(REPO_ROOT, "repro_b"))
         print(f"A = {base_tree}\nB = {REPO_ROOT}")
+        print(f"{'':<29} {'maintain(): ms, B/A':<36} {'log: us per mod':<19} "
+              f"{'log: B/A':<18} {'log + maintain(): B/A'}")
         print(f"{'workload':<22} {'rounds':>6} {'A ms':>8} {'B ms':>8} "
-              f"{'B/A q1':>7} {'median':>7} {'q3':>6} {'A log us':>9} {'B log us':>9}")
+              f"{'q1':>5} {'median':>6} {'q3':>5} {'A us':>9} {'B us':>9} "
+              f"{'q1':>5} {'median':>6} {'q3':>5} {'q1':>5} {'median':>6} {'q3':>5}")
         for name in names:
             workload = WORKLOADS[name].sized(args.seconds, args.smoke)
             if workload.shards:
                 print(f"{name:<22} skipped: a sharded workload runs worker processes")
                 continue
             got = run_workload(pkgs, workload, args.seed)
-            q1, median, q3 = got["ratio"]
             print(f"{name:<22} {got['rounds']:>6} {got['a_round_ms']:>8.3f} "
-                  f"{got['b_round_ms']:>8.3f} {q1:>7.3f} {median:>7.3f} {q3:>6.3f} "
-                  f"{got['a_log_us']:>9.1f} {got['b_log_us']:>9.1f}", flush=True)
+                  f"{got['b_round_ms']:>8.3f} {_spread(got['ratio'])} "
+                  f"{got['a_log_us_per_mod']:>9.2f} {got['b_log_us_per_mod']:>9.2f} "
+                  f"{_spread(got['log_ratio'])} {_spread(got['total_ratio'])}", flush=True)
         print("access counts equal on every round")
     except AssertionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
