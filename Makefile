@@ -53,10 +53,13 @@ bench-compare:
 # process (tools/ab_rounds.py): the same op stream, the order alternating
 # every round, equal per-round access counts asserted; prints per-side
 # medians and the paired round ratios.  WORKLOADS: a comma-separated
-# subset of the e2e suite (default: the gated four).
+# subset of the e2e suite (default: the gated four).  GC=1: also run each
+# side alone and print its collections per round (gen0 / gen1 / gen2).
 WORKLOADS ?=
+GC ?=
 ab-rounds:
-	$(PYTHON) tools/ab_rounds.py --base $(BASE) $(if $(WORKLOADS),--workloads $(WORKLOADS))
+	$(PYTHON) tools/ab_rounds.py --base $(BASE) $(if $(WORKLOADS),--workloads $(WORKLOADS)) \
+	    $(if $(GC),--gc)
 
 # Perf-regression gate: re-run the fast access-count benchmarks and
 # diff each fresh BENCH_*.json against benchmarks/baselines/.  Access

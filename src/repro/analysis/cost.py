@@ -642,10 +642,11 @@ class _CostWalker:
         e_del = CostExpr.var(card_symbol(step.emitted[DELETE]))
         e_upd = CostExpr.var(card_symbol(step.emitted[UPDATE]))
         t = 1.0 if touch_updates else 0.0
-        # Per-group read-modify-write costs by emitted kind (see
-        # apply_group_deltas): update = book(t) + locate + write(+book);
-        # delete = book + locate + delete + book-delete; insert = book
-        # miss + locate miss + out insert + book insert.
+        # Per-group read-modify-write costs by emitted kind (the write
+        # half of compile.lower_group_pass): update = book(t) + locate +
+        # write(+book) — a queued update_many row when the book does not
+        # move; delete = book + locate + delete + book-delete; insert =
+        # book miss + locate miss + out insert + book insert.
         vec = vec + lookups(e_upd * (1.0 + t)) + reads(e_upd * t) + writes(
             e_upd * (1.0 + t)
         )

@@ -45,7 +45,6 @@ from ..core.rules.aggregate import (
     GroupWriter,
     OpCacheSpec,
     apply_group_deltas,
-    group_accumulator,
 )
 from ..errors import PlanError, ScriptError
 from ..expr import Col, Expr, columns_of, matches
@@ -190,14 +189,14 @@ class SdbtView:
         self.shape = shape
         #: the hybrid state starts from every SPJ table's pre-state
         self.pre_tables = base_tables(shape.spj)
-        self.accumulate = group_accumulator(shape.gnode)
         #: base table -> (map table, its columns in SPJ naming)
         self.maps: dict[str, Table] = {}
         self.map_columns: dict[str, list[str]] = {}
         #: base table -> SPJ plan with its own selection conjuncts dropped
         self.relaxed: dict[str, PlanNode] = {}
         self.opcache: Optional[Table] = None
-        #: the view's γ-delta writer, bound once its operator cache exists
+        #: the view's γ-delta writer (its generated pass), bound once its
+        #: operator cache exists
         self.writer: Optional[GroupWriter] = None
         # The lineage a round reads, resolved once per view.
         #: SPJ column -> position, for re-checking selections on a row
@@ -333,9 +332,8 @@ class SdbtEngine(MaintenanceEngine):
                 )
             with counted_phase(counters, "map_update"):
                 self._maintain_maps(view, base_table, per_key, hybrid)
-        deltas = view.accumulate(changes)
         with counted_phase(counters, "view_update"):
-            apply_group_deltas(view.writer, deltas)
+            apply_group_deltas(view.writer, changes)
         return MaintenanceReport(
             view.name, phase_counts=counts_since(counters, before)
         )

@@ -185,8 +185,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.compiled:
         print()
         print("-- generated kernels (one function per compute step) " + "-" * 8)
-        accumulators = (getattr(step, "accumulate", None) for step in script.steps)
-        for fn in (*script._kernels.values(), *accumulators):
+        passes = (getattr(step, "group_pass", None) for step in script.steps)
+        for fn in (*script._kernels.values(), *passes):
             if hasattr(fn, "__source__"):
                 print(f"# {fn.__code__.co_filename}")
                 print(fn.__source__)

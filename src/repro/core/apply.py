@@ -99,10 +99,13 @@ class AppliedChanges:
 
 
 class EffectiveDiffs:
-    """Applied ``(pre, post)`` rows of a table as full-ID effective diffs
-    on *target* carrying every non-key column, resolved once by a writer
-    that emits every round (a γ step): the three schemas, their shared
-    empty diffs (nothing mutates a diff's rows) and the row layouts."""
+    """Applied changes of a table as full-ID effective diffs on *target*
+    carrying every non-key column, resolved once by a writer that emits
+    every round (a γ step): the three schemas, their shared empty diffs
+    (nothing mutates a diff's rows) and the row layouts the writer
+    builds its rows with — ``key_of(row) + values_of(row)`` inserted or
+    deleted, ``key_of(post) + values_of(pre) + values_of(post)``
+    updated."""
 
     def __init__(self, table_schema: TableSchema, target: str):
         attrs = table_schema.non_key_columns
@@ -113,15 +116,11 @@ class EffectiveDiffs:
             for kind in (INSERT, DELETE, UPDATE)
         }
 
-    def trusted(self, kind: str, changes: list[tuple]) -> Diff:
-        """The *changes* of *kind*, adopted without validation: the
-        caller wrote at most one change per key."""
+    def adopt(self, kind: str, rows: list[tuple]) -> Diff:
+        """The effective *rows* of *kind*, adopted without validation:
+        the caller wrote at most one change per key."""
         empty = self.empty[kind]
-        if not changes:
-            return empty
-        return Diff.trusted(
-            empty.schema, _effective_rows(kind, changes, self.key_of, self.values_of)
-        )
+        return Diff.trusted(empty.schema, rows) if rows else empty
 
 
 def _effective_schema(kind: str, target: str, key: tuple, attrs: tuple) -> DiffSchema:

@@ -23,8 +23,9 @@ what is generated:
   dedup, bucket build and NULL-never-joins rule, reading the subview
   through the one helper that stays a function — the counted reader of
   :func:`_subview_reader`, called once per probe, not per row;
-* a γ step's per-group accumulation (:func:`lower_group_deltas`) is one
-  loop from the same expression emitter;
+* a γ-delta step is one pass per γ node (:func:`lower_group_pass`):
+  its accumulation loop, from the same expression emitter, and the
+  per-group read-modify-write of its output and operator cache;
 * a *plan* operator — σ / π / ⋈ / ⋉ / ▷ / ∪ / γ over the relations of
   its inputs — is one function too (:func:`lower_plan`, ``<delta:plan_nN>``):
   what a definition evaluates (``analysis.cost.PlanStats``) and what the
@@ -639,73 +640,265 @@ def subview_fallbacks(script: DeltaScript, caches) -> list[str]:
     return out
 
 
-def lower_group_deltas(gnode, new_delta: Callable[[int], object]) -> Callable[[Sequence], dict]:
-    """The γ-delta accumulation of *gnode* as one generated loop:
-    ``accumulate(changes) -> {group: delta}`` over ``(pre, post)``
-    child-row changes, a delta being ``new_delta(len(aggs))`` with the
-    row count ``n`` and, per aggregate argument, the non-NULL count
-    ``cnts[i]`` and (sum / avg) the running ``sums[i]``."""
+def group_slots(gnode) -> tuple[int, list, list, int]:
+    """The payload layout of γ node *gnode*: ``(book width, count slots,
+    sum slots, width)``.  A payload is a plain list: slot 0 the row
+    count ``n``, then the operator-cache book's slots in its column
+    order (per sum / avg the non-NULL count ``__cnt_``, per avg the
+    running sum ``__sum_``), then what the book does not keep (the
+    non-NULL count of a ``count(col)``, the running sum of a ``sum``);
+    the count / sum slot of an aggregate without one is None.
+    ``payload[:book width]`` is the book's delta."""
+    cnt: list = [None] * len(gnode.aggs)
+    total: list = [None] * len(gnode.aggs)
+    width = 1
+    for i, agg in enumerate(gnode.aggs):
+        if agg.func in ("sum", "avg"):
+            cnt[i], width = width, width + 1
+        if agg.func == "avg":
+            total[i], width = width, width + 1
+    book = width
+    for i, agg in enumerate(gnode.aggs):
+        if agg.arg is not None and cnt[i] is None:
+            cnt[i], width = width, width + 1
+        if agg.func == "sum":
+            total[i], width = width, width + 1
+    return book, cnt, total, width
+
+
+def lower_group_pass(gnode, output=None, opcache=None) -> Callable:
+    """The γ-delta maintenance of *gnode* as one generated pass,
+    ``gamma_nN(changes) -> (ins, dels, upd)`` over ``(pre, post)``
+    child-row changes, bound to its *output* table and operator cache
+    (paper Tables 9, 11 and 12; ``rules.aggregate.GroupWriter``).
+
+    *Accumulate*: each change folds into its group's payload
+    (:func:`group_slots`) — pre side subtracted, then post side added,
+    change by change, so float sums are the sequential ones; a change
+    that stays in its group (every key equal on both sides) probes the
+    payload dict once and leaves ``n`` alone.  A non-column argument the
+    emitter refuses is evaluated per row by :func:`repro.expr.evaluate`,
+    counted once in ``compile.step_fallbacks``.
+
+    *Write*, per group: one whose book does not move (``n`` and every
+    non-NULL count unchanged, and with an avg every running sum) and
+    whose live output row changes reads that row and its book uncounted
+    and queues ``key + values`` into one ``update_many``; every other
+    group — created, deleted, book touched, values unchanged — first
+    flushes the queue, then makes the counted per-group calls: the book
+    (a lookup when it moves), ``locate`` and the output and book writes.
+    Returns the effective rows of the three emitted diffs: ``key +
+    values`` inserted and deleted, ``key + old values + new values``
+    updated.
+
+    Without tables, the pass stops after accumulating and returns its
+    ``{group: payload}`` (``OpCacheSpec.build``)."""
     src = _Source(f"gamma_n{gnode.node_id}")
+    book_width, cnt, total, width = group_slots(gnode)
     positions = {c: i for i, c in enumerate(gnode.child.columns)}
-    cols = {c: f"r[{i}]" for c, i in positions.items()}
-    arguments = []
+    keys = [positions[k] for k in gnode.keys]
+    arguments: dict[str, list] = {"pre": [], "post": []}
     for i, agg in enumerate(gnode.aggs):
         if agg.arg is None:
             continue
         try:
-            argument = src.value(agg.arg, cols)
+            sources = {
+                side: src.value(agg.arg, {c: f"{side}[{j}]" for c, j in positions.items()})
+                for side in arguments
+            }
         except _Refused:  # this argument alone is interpreted, per row
             metrics.counter("compile.step_fallbacks").inc()
-            argument = (
-                f"{src.bind('evaluate', eval_expr)}"
-                f"({src.bind('arg', agg.arg)}, {src.bind('positions', positions)}, r)"
-            )
-        arguments.append((i, argument, agg.func in ("sum", "avg")))
-    src.emit("deltas = {}")
+            evaluate = f"{src.bind('evaluate', eval_expr)}({src.bind('arg', agg.arg)}, "
+            sources = {side: f"{evaluate}{src.bind('positions', positions)}, {side})"
+                       for side in arguments}
+        for side, folded in arguments.items():
+            folded.append((sources[side], cnt[i], total[i]))
+
+    def fold(side: str, sign: str, depth: int) -> None:
+        for argument, c, t in arguments[side]:
+            src.emit(f"v = {argument}", depth)
+            src.emit("if v is not None:", depth)
+            src.emit(f"p[{c}] {sign}= 1", depth + 1)
+            if t is not None:
+                src.emit(f"p[{t}] {sign}= v", depth + 1)
+
+    def fold_both(depth: int) -> None:
+        """Pre side out, post side in, of a change within its group: a
+        count moves only where one side is NULL, a sum is still
+        ``sum - pre + post``, in that order."""
+        for (before, c, t), (after, _, _) in zip(arguments["pre"], arguments["post"]):
+            src.emit(f"x = {before}", depth)
+            src.emit(f"y = {after}", depth)
+            src.emit("if x is None:", depth)
+            src.emit("if y is not None:", depth + 1)
+            src.emit(f"p[{c}] += 1", depth + 2)
+            if t is not None:
+                src.emit(f"p[{t}] += y", depth + 2)
+            src.emit("elif y is None:", depth)
+            src.emit(f"p[{c}] -= 1", depth + 1)
+            if t is not None:
+                src.emit(f"p[{t}] -= x", depth + 1)
+                src.emit("else:", depth)
+                src.emit(f"p[{t}] = p[{t}] - x + y", depth + 1)
+
+    # one group key is its own dict key (two values are equal and hash
+    # alike exactly when their 1-tuples do), several are a tuple
+    def group_of(side: str) -> str:
+        if len(keys) == 1:
+            return f"{side}[{keys[0]}]"
+        return _tuple_of([f"{side}[{k}]" for k in keys])
+
+    def probe(side: str, depth: int) -> None:
+        src.emit(f"g = {group_of(side)}", depth)
+        src.emit("p = get(g)", depth)
+        src.emit("if p is None:", depth)
+        src.emit(f"p = acc[g] = {[0] * width!r}", depth + 1)
+
+    src.emit("acc = {}")
+    src.emit("get = acc.get")
     src.emit("for pre, post in changes:")
-    for side, sign in (("pre", "-"), ("post", "+")):
-        src.emit(f"r = {side}", 2)
-        src.emit("if r is not None:", 2)
-        src.emit(f"g = {_tuple_of([cols[k] for k in gnode.keys])}", 3)
-        src.emit("d = deltas.get(g)", 3)
-        src.emit("if d is None:", 3)
-        src.emit(f"d = deltas[g] = {src.bind('delta', new_delta)}({len(gnode.aggs)})", 4)
-        src.emit(f"d.n {sign}= 1", 3)
-        for i, argument, summed in arguments:
-            src.emit(f"v = {argument}", 3)
-            src.emit("if v is not None:", 3)
-            src.emit(f"d.cnts[{i}] {sign}= 1", 4)
-            if summed:
-                src.emit(f"d.sums[{i}] {sign}= v", 4)
-    src.emit("return deltas")
+    src.emit("if pre is not None:", 2)
+    probe("pre", 3)
+    same = " and ".join(f"post[{k}] == pre[{k}]" for k in keys) or "True"
+    src.emit(f"if post is not None and {same}:", 3)
+    fold_both(4)
+    src.emit("continue", 4)
+    fold("pre", "-", 3)
+    src.emit("p[0] -= 1", 3)
+    src.emit("if post is None:", 3)
+    src.emit("continue", 4)
+    probe("post", 2)
+    src.emit("p[0] += 1", 2)
+    fold("post", "+", 2)
+    tupled = "acc" if len(keys) != 1 else "{(g,): p for g, p in acc.items()}"
+    if output is None:
+        src.emit(f"return {tupled}")
+        return src.build("changes")
+
+    for agg in gnode.aggs:
+        if agg.func not in ("count", "sum", "avg"):  # the generator routes
+            raise ScriptError(f"associative step got {agg.func!r}")  # min / max elsewhere
+    out_schema, n_keys = output.schema, len(gnode.keys)
+    agg_names = tuple(a.name for a in gnode.aggs)
+    at = [out_schema.position(a) for a in agg_names]
+    # the two tables' readers and writers: every write is a Table call
+    src.env.update(
+        _out_get=output.peek(), _locate=output.locate, _update_many=output.update_many,
+        _write_at=output.write_at, _delete_at=output.delete_at,
+        _insert=output.insert_checked, _book_get=opcache.peek(),
+        _book_lookup=opcache.lookup, _book_write_at=opcache.write_at,
+        _book_delete_at=opcache.delete_at, _book_insert=opcache.insert_checked,
+        _key_of=out_schema.key_of,
+        _values_of=out_schema.extractor(out_schema.non_key_columns),
+    )
+    group_keys, names = src.const(tuple(gnode.keys)), src.const(agg_names)
+    old = _tuple_of([f"row[{a}]" for a in at])
+
+    def values(book) -> str:
+        """The new values of a live group over its *book* slots."""
+        items = []
+        for i, agg in enumerate(gnode.aggs):
+            c, t = cnt[i], total[i]
+            if agg.func == "count":
+                items.append(f"(row[{at[i]}] or 0) + p[{0 if c is None else c}]")
+            elif agg.func == "sum":
+                items.append(f"None if {book(c)} == 0 else (row[{at[i]}] or 0) + p[{t}]")
+            else:
+                items.append(f"None if {book(c)} == 0 else {book(t)} / {book(c)}")
+        return _tuple_of(items)
+
+    def inserted() -> str:
+        """The values of a created group: its payload's."""
+        items = []
+        for i, agg in enumerate(gnode.aggs):
+            c, t = cnt[i], total[i]
+            if agg.func == "count":
+                items.append(f"p[{0 if c is None else c}]")
+            elif agg.func == "sum":
+                items.append(f"None if p[{c}] == 0 else p[{t}]")
+            else:
+                items.append(f"None if p[{c}] == 0 else p[{t}] / p[{c}]")
+        return _tuple_of(items)
+
+    moved = ["p[0]"] + [f"p[{c}]" for c in cnt if c is not None]
+    summed = [f"p[{t}]" for t in total if t is not None]
+    if any(a.func == "avg" for a in gnode.aggs):
+        moved += summed
+    flush = [
+        ("if queued:", 2),
+        (f"_update_many({group_keys}, {names}, queued, None, False)", 3),
+        ("queued = []", 3),
+    ]
+    src.emit("ins, dels, upd, queued = [], [], [], []")
+    if len(keys) == 1:
+        src.emit("for k, p in acc.items():")
+        src.emit("g = (k,)", 2)
+    else:
+        src.emit("for g, p in acc.items():")
+    src.emit(f"if not ({' or '.join(moved)}):", 2)
+    src.emit(f"if not ({' or '.join(summed) or 'False'}):", 3)
+    src.emit("continue  # a zero delta", 4)
+    if out_schema.key == gnode.keys and out_schema.non_key_columns == agg_names:
+        # a live group whose book does not move: its write is queued
+        src.emit("row = _out_get(g)", 3)
+        src.emit("b = _book_get(g)", 3)
+        src.emit(f"if row is not None and b is not None and b[{n_keys}]:", 3)
+        src.emit(f"old = {old}", 4)
+        src.emit(f"values = {values(lambda j: f'b[{n_keys + j}]')}", 4)
+        src.emit("if values != old:", 4)
+        src.emit("queued.append(g + values)", 5)
+        src.emit("upd.append(g + old + values)", 5)
+        src.emit("continue", 5)
+    src.emit("touch = False", 3)
+    src.emit("else:", 2)
+    src.emit("touch = True", 3)
+    for line, depth in flush:
+        src.emit(line, depth)
+    # every other group: the counted per-group read-modify-write
+    src.emit("if touch:", 2)
+    src.emit(f"b = _book_lookup({src.const(opcache.schema.key)}, g)", 3)
+    src.emit("b = b[0] if b else None", 3)
+    src.emit("else:", 2)
+    src.emit("b = _book_get(g)", 3)
+    src.emit(f"located = _locate({group_keys}, g)", 2)
+    src.emit("if located:", 2)
+    src.emit("k = located[0]", 3)
+    src.emit("row = _out_get(k)", 3)
+    src.emit("missing = b is None", 3)
+    src.emit("if missing:", 3)
+    src.emit(f"b = {(0,) * (n_keys + book_width)!r}", 4)
+    src.emit(f"n = b[{n_keys}] + p[0]", 3)
+    src.emit("if n == 0:", 3)
+    src.emit("_delete_at(k)", 4)
+    src.emit("if touch:", 4)
+    src.emit("_book_delete_at(g)", 5)
+    src.emit("dels.append(_key_of(row) + _values_of(row))", 4)
+    src.emit("continue", 4)
+    book = ["n"] + [f"b[{n_keys + j}] + p[{j}]" for j in range(1, book_width)]
+    src.emit(f"nb = {_tuple_of(book)}", 3)
+    src.emit(f"values = {values(lambda j: f'nb[{j}]')}", 3)
+    src.emit(f"if values != {old}:", 3)
+    written = ", ".join(f"{a!r}: values[{i}]" for i, a in enumerate(agg_names))
+    src.emit(f"_write_at(k, {{{written}}})", 4)
+    src.emit("new = _out_get(k)", 4)
+    src.emit("upd.append(_key_of(new) + _values_of(row) + _values_of(new))", 4)
+    src.emit("if touch:", 3)
+    src.emit("if missing:", 4)
+    src.emit("_book_insert(g + nb)", 5)
+    src.emit("else:", 4)
+    book_columns = opcache.schema.columns[n_keys:]
+    slots = ", ".join(f"{c!r}: nb[{j}]" for j, c in enumerate(book_columns))
+    src.emit(f"_book_write_at(g, {{{slots}}})", 5)
+    src.emit("elif p[0] > 0:  # else a dummy delta of a group that never existed", 2)
+    src.emit(f"nb = {_tuple_of([f'p[{j}]' for j in range(book_width)])}", 3)
+    src.emit(f"row = g + {inserted()}", 3)
+    src.emit("_insert(row)", 3)
+    src.emit("_book_insert(g + nb)", 3)
+    src.emit("ins.append(_key_of(row) + _values_of(row))", 3)
+    for line, depth in flush:
+        src.emit(line, depth - 1)
+    src.emit("return ins, dels, upd")
     return src.build("changes")
-
-
-def lower_group_values(
-    gnode, cnt_at: Sequence[Optional[int]], sum_at: Sequence[Optional[int]]
-) -> Callable[[tuple, object, tuple], tuple]:
-    """The new aggregate values of a live group of *gnode* as one
-    generated tuple display: ``values(old, d, book)`` over the group's
-    old aggregate values, its accumulated delta ``d`` and its operator-
-    cache *book* (the opcache row past the group key), whose non-NULL
-    counts and running sums sit at slots *cnt_at* / *sum_at*: ``count``
-    adds the delta's count, ``sum`` its sum — NULL once no non-NULL
-    value is left — and ``avg`` divides the book's running sum."""
-    src = _Source(f"gamma_values_n{gnode.node_id}")
-    items = []
-    for i, agg in enumerate(gnode.aggs):
-        if agg.func == "count":
-            moved = "d.n" if agg.arg is None else f"d.cnts[{i}]"
-            items.append(f"(old[{i}] or 0) + {moved}")
-        elif agg.func == "sum":
-            items.append(f"None if book[{cnt_at[i]}] == 0 else (old[{i}] or 0) + d.sums[{i}]")
-        elif agg.func == "avg":
-            cnt = f"book[{cnt_at[i]}]"
-            items.append(f"None if {cnt} == 0 else book[{sum_at[i]}] / {cnt}")
-        else:  # the generator routes min / max to the recompute rule
-            items.append(f"{src.bind('refuse', _refuse_aggregate)}({agg.func!r})")
-    src.emit(f"return ({', '.join(items)},)")
-    return src.build("old, d, book")
 
 
 def lower_instance_row(name: str, parts: Sequence[tuple[str, int]]) -> Callable[[tuple, tuple], tuple]:
@@ -716,10 +909,6 @@ def lower_instance_row(name: str, parts: Sequence[tuple[str, int]]) -> Callable[
     src = _Source(name)
     src.emit(f"return {_tuple_of([f'{side}[{i}]' for side, i in parts])}")
     return src.build("pre, post")
-
-
-def _refuse_aggregate(func: str):
-    raise ScriptError(f"associative step got {func!r}")
 
 
 # ----------------------------------------------------------------------

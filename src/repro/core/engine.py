@@ -87,7 +87,9 @@ class MaterializedView:
     router, the analysis passes and the cost model read is the object a
     round executes, under either backend.  Whoever builds the view (an
     engine's ``define_view``, a shard worker at boot) binds that
-    script's kernels with :func:`repro.core.compile.bind_kernels`.
+    script's kernels with :func:`repro.core.compile.bind_kernels`; the
+    view binds its statements to its tables (``Step.bind_tables``: a γ
+    step generates its pass here, not in a round).
     """
 
     def __init__(
@@ -106,6 +108,8 @@ class MaterializedView:
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
+        for step in generated.script.steps:
+            step.bind_tables(caches, operator_caches)
 
     @property
     def cost_model(self):

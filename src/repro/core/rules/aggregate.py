@@ -8,11 +8,12 @@ arriving at the operator before emitting output diffs, Example 4.4):
     Converts each incoming branch into row-level changes of the γ input —
     for free from ``UPDATE ... RETURNING`` expansions when an input cache
     exists (Appendix A) or off the rows of the tuple rule set's t-diffs,
-    via counted ``Input_pre`` probes otherwise — then
-    aggregates per-group deltas (the ∆1 ∪ ∆2 ∪ ∆3 union of Table 9),
-    applies them to the operator's output materialization in a single
-    read-modify-write pass per group, and re-emits the applied changes as
-    effective diffs for the operators above.
+    via counted ``Input_pre`` probes otherwise — then runs the node's one
+    generated pass (:func:`repro.core.compile.lower_group_pass`): it
+    folds them into per-group payloads (the ∆1 ∪ ∆2 ∪ ∆3 union of
+    Table 9), applies each to the operator's output materialization in a
+    single read-modify-write, and builds the effective rows re-emitted
+    for the operators above.
 
     An *operator cache* (Table 12's ``Cache_sum`` / ``Cache_count``,
     generalized) tracks group cardinalities and per-aggregate non-null
@@ -38,7 +39,7 @@ from ...algebra.relation import Relation
 from ...errors import ScriptError
 from ...storage import Table, TableSchema, sort_rows
 from ..apply import EffectiveDiffs
-from ..compile import lower_group_deltas, lower_group_values
+from ..compile import group_slots, lower_group_pass
 from ..diffs import DELETE, INSERT, UPDATE, Diff
 from ..ir_exec import IrContext
 from ..script import Step
@@ -67,25 +68,15 @@ class OpCacheSpec:
 
     def build(self, child_rows: Relation, counters) -> Table:
         """Materialize the operator cache from the child's current rows
-        (view-definition time; uncounted): the γ-delta accumulation a
-        round runs, fed every child row as an insert."""
+        (view-definition time; uncounted): the accumulation half of the
+        γ-delta pass a round runs, fed every child row as an insert."""
         table = Table(TableSchema(self.name, self.columns, self.key), counters=counters)
-        deltas = group_deltas_from_changes(self.gnode, [(None, row) for row in child_rows.rows])
-        book = _Book(self.gnode, table)
-        for g, delta in deltas.items():
-            table.insert_uncounted(g + book.bumped(None, delta, delta.n))
+        if child_rows.rows:
+            accumulate = lower_group_pass(self.gnode)
+            width = group_slots(self.gnode)[0]
+            for g, payload in accumulate([(None, row) for row in child_rows.rows]).items():
+                table.insert_uncounted(g + tuple(payload[:width]))
         return table
-
-
-class _GroupDelta:
-    """Accumulated per-group deltas across all incoming branches."""
-
-    __slots__ = ("n", "sums", "cnts")
-
-    def __init__(self, n_aggs: int):
-        self.n = 0
-        self.sums = [0] * n_aggs
-        self.cnts = [0] * n_aggs
 
 
 #: sentinel distinguishing "not touched this round" from "deleted".
@@ -236,9 +227,9 @@ class _AggregateStep(Step):
             DELETE: f"{emit_prefix}_del",
             UPDATE: f"{emit_prefix}_upd",
         }
-        #: what a round resolves of the output table, bound on the first
-        #: run against it (:meth:`_bind`) and — not picklable — never
-        #: shipped
+        #: what a round resolves of the output table, bound at definition
+        #: (:meth:`bind_tables`) or on the first run against another
+        #: table (:meth:`_bind`) and — not picklable — never shipped
         self._bound: Optional[_Bound] = None
         #: input name -> its t-diff's row extractors (``row_changes``)
         self._layouts: dict[str, tuple] = {}
@@ -246,38 +237,48 @@ class _AggregateStep(Step):
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_bound": None}
 
-    def _bind(self, ctx: IrContext) -> "_Bound":
-        """The output materialization and operator cache of the γ node in
-        *ctx*, with their round constants — resolved again only when
-        either table is another object than the last run's."""
+    def bind_tables(self, caches, operator_caches) -> "_Bound":
+        """Bind the γ node's output materialization and operator cache
+        in *caches* / *operator_caches* with their round constants."""
         node_id = self.gnode.node_id
-        out_table = ctx.caches.get(node_id)
+        out_table = caches.get(node_id)
         if out_table is None:
             raise ScriptError(f"aggregate n{node_id} has no output materialization")
-        opcache = ctx.operator_caches.get(node_id)
+        self._bound = _Bound(
+            out_table, operator_caches.get(node_id),
+            EffectiveDiffs(out_table.schema, f"n{node_id}"),
+        )
+        return self._bound
+
+    def _bind(self, ctx: IrContext) -> "_Bound":
+        """:meth:`bind_tables` of *ctx*'s tables — again only when either
+        table is another object than the bound one (a shard worker's
+        replica, a replaced table)."""
+        node_id = self.gnode.node_id
         bound = self._bound
-        if bound is None or bound.output is not out_table or bound.opcache is not opcache:
-            bound = self._bound = _Bound(
-                out_table, opcache, EffectiveDiffs(out_table.schema, f"n{node_id}")
-            )
+        if (
+            bound is None or bound.output is not ctx.caches.get(node_id)
+            or bound.opcache is not ctx.operator_caches.get(node_id)
+        ):
+            bound = self.bind_tables(ctx.caches, ctx.operator_caches)
         return bound
 
     def _emit(
         self,
         ctx: IrContext,
         bound: "_Bound",
-        applied: Sequence[tuple] = (),
-        kinds: Sequence[str] = (),
+        ins: Sequence[tuple] = (),
+        dels: Sequence[tuple] = (),
+        upd: Sequence[tuple] = (),
     ) -> None:
-        """Re-express the applied changes as effective diffs for the
-        operators above (and mark our output as post-state).  One change
-        per group: the rows are unique on the output key as they are."""
-        grouped: dict[str, list[tuple]] = {INSERT: [], DELETE: [], UPDATE: []}
-        for change, kind in zip(applied, kinds):
-            grouped[kind].append(change)
-        emits = bound.emits
-        for kind, name in self.emitted.items():
-            ctx.diffs[name] = emits.trusted(kind, grouped[kind])
+        """Bind the effective rows of the applied changes as the diffs
+        the operators above read (and mark our output as post-state).
+        One change per group: the rows are unique on the output key as
+        they are."""
+        adopt, diffs, emitted = bound.emits.adopt, ctx.diffs, self.emitted
+        diffs[emitted[INSERT]] = adopt(INSERT, ins)
+        diffs[emitted[DELETE]] = adopt(DELETE, dels)
+        diffs[emitted[UPDATE]] = adopt(UPDATE, upd)
         self.settle(ctx)
 
     def _inputs(self, ctx: IrContext):
@@ -327,16 +328,20 @@ class AssociativeAggregateStep(_AggregateStep):
     ):
         super().__init__(gnode, inputs, emit_prefix, phase, full_rows)
         self.opcache_name = opcache_name
-        #: the generated accumulation loop, built once per step
-        #: (:meth:`prepare`) and — not picklable — never shipped
-        self.accumulate = None
 
-    def prepare(self) -> None:
-        if self.accumulate is None:
-            self.accumulate = group_accumulator(self.gnode)
+    def bind_tables(self, caches, operator_caches) -> "_Bound":
+        """Also binds the node's :class:`GroupWriter`, and so generates
+        its pass."""
+        bound = super().bind_tables(caches, operator_caches)
+        if bound.opcache is None:
+            raise ScriptError(f"aggregate n{self.gnode.node_id} has no operator cache")
+        bound.writer = GroupWriter(self.gnode, bound.output, bound.opcache)
+        return bound
 
-    def __getstate__(self) -> dict:
-        return {**super().__getstate__(), "accumulate": None}
+    @property
+    def group_pass(self):
+        """The generated pass bound at definition (None before)."""
+        return self._bound.writer.run if self._bound is not None else None
 
     # ------------------------------------------------------------------
     def run(self, ctx: IrContext) -> None:
@@ -354,15 +359,7 @@ class AssociativeAggregateStep(_AggregateStep):
                 if collector is None:
                     collector = _ChangeCollector(gnode, ctx)
                 changes.extend(collector.from_diff(got))
-        self.prepare()
-        deltas = self.accumulate(changes)
-        writer = bound.writer
-        if writer is None:
-            if bound.opcache is None:
-                raise ScriptError(f"aggregate n{gnode.node_id} has no operator cache")
-            writer = bound.writer = GroupWriter(gnode, bound.output, bound.opcache)
-        applied, kinds = apply_group_deltas(writer, deltas)
-        self._emit(ctx, bound, applied, kinds)
+        self._emit(ctx, bound, *apply_group_deltas(bound.writer, changes))
 
     def describe(self) -> str:
         srcs = ", ".join(f"{k}:{n}" for k, n in self.inputs)
@@ -375,7 +372,7 @@ class AssociativeAggregateStep(_AggregateStep):
 class _Bound:
     """A γ step's round constants: its output table and operator cache,
     the effective diffs it emits, and the :class:`GroupWriter` of the
-    delta rule (built by its first run)."""
+    delta rule."""
 
     __slots__ = ("output", "opcache", "emits", "writer")
 
@@ -385,30 +382,20 @@ class _Bound:
 
 
 class GroupWriter:
-    """What :func:`apply_group_deltas` resolves of a γ node's output
-    table and operator cache, once per pair of tables: the bookkeeping
-    slots (:class:`_Book`), the aggregate columns and their extractor,
-    and the generated new-values display of the node
-    (:func:`repro.core.compile.lower_group_values`).  Holds generated
+    """A γ node's one generated pass bound to its output table and
+    operator cache (:func:`repro.core.compile.lower_group_pass`):
+    ``run(changes) -> (ins, dels, upd)`` effective rows.  Holds generated
     code: whoever keeps one drops it from a pickle."""
 
     def __init__(self, gnode: GroupBy, out_table: Table, opcache: Table):
-        self.out_table, self.opcache = out_table, opcache
-        self.keys = tuple(gnode.keys)
-        self.book = _Book(gnode, opcache)
-        self.agg_names = tuple(a.name for a in gnode.aggs)
-        self.aggs_of = out_table.schema.extractor(self.agg_names)
-        self.by_key = self.keys == out_table.schema.key
-        self.has_avg = any(a.func == "avg" for a in gnode.aggs)
-        #: ``new_values(old values, delta, book) -> values`` of a live group
-        self.new_values = lower_group_values(gnode, self.book.cnt_at, self.book.sum_at)
+        self.run = lower_group_pass(gnode, out_table, opcache)
 
 
 def apply_group_deltas(
-    writer: GroupWriter, deltas: dict[tuple, _GroupDelta]
-) -> tuple[list[tuple], list[str]]:
-    """Fused read-modify-write of group deltas against the output table
-    of *writer* (a γ node's output and operator cache, bound).
+    writer: GroupWriter, changes: Sequence[tuple]
+) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """Fused read-modify-write of the ``(pre, post)`` child-row *changes*
+    of a γ node against its output table, through *writer*'s pass.
 
     Per affected group: one index lookup + one tuple access (the Output ⋈
     of Table 9 fused with the UPDATE — this is what makes the Table 3
@@ -418,152 +405,12 @@ def apply_group_deltas(
     touched for — a live group whose aggregates move, the whole round
     of a pure-update workload — are read uncounted and queue into one
     ``update_many`` as ``key + values`` rows, flushed before any other
-    write so the output sees today's write order.
+    write so the output sees the per-group write order.
 
-    Returns ``(applied, kinds)``: the (pre, post) full output rows plus
-    their change kinds, for re-emission as effective diffs.
+    Returns the effective rows of the applied changes: inserted and
+    deleted ``key + values``, updated ``key + old values + new values``.
     """
-    out_table, book_of, keys = writer.out_table, writer.book, writer.keys
-    agg_names, aggs_of, new_values = writer.agg_names, writer.aggs_of, writer.new_values
-    has_avg, by_key, n_keys = writer.has_avg, writer.by_key, len(keys)
-    output_row, book_row = out_table.get_uncounted, writer.opcache.get_uncounted
-    applied: list[tuple] = []
-    kinds: list[str] = []
-    queued: list[tuple] = []
-
-    def flush() -> None:
-        if queued:
-            written = out_table.update_many(keys, agg_names, queued)
-            applied.extend(written)
-            kinds.extend([UPDATE] * len(written))
-            queued.clear()
-
-    for g, delta in deltas.items():
-        touch_opcache = (
-            delta.n != 0 or any(delta.cnts) or (has_avg and any(delta.sums))
-        )
-        if not touch_opcache:
-            if not any(delta.sums):
-                continue  # a zero delta
-            if by_key:
-                old_row, book = output_row(g), book_row(g)
-                if old_row is not None and book is not None and book[n_keys]:
-                    old_values = aggs_of(old_row)
-                    values = new_values(old_values, delta, book[n_keys:])
-                    if values != old_values:
-                        queued.append(g + values)
-                        continue
-        flush()
-        book = book_of.read(g, touch_opcache)
-        located = out_table.locate(keys, g)
-        if located:
-            old_row = out_table.get_uncounted(located[0])
-            new_n = (book[0] if book is not None else 0) + delta.n
-            if new_n == 0:
-                out_table.delete_at(located[0])
-                book_of.write(g, None, touch_opcache)
-                applied.append((old_row, None))
-                kinds.append(DELETE)
-                continue
-            new_book = book_of.bumped(book, delta, new_n)
-            old_values = aggs_of(old_row)
-            values = new_values(old_values, delta, new_book)
-            if values != old_values:
-                out_table.write_at(located[0], dict(zip(agg_names, values)))
-                applied.append((old_row, out_table.get_uncounted(located[0])))
-                kinds.append(UPDATE)
-            book_of.write(g, new_book, touch_opcache)
-        else:
-            if delta.n <= 0:
-                continue  # dummy deltas for a group that never existed
-            new_book = book_of.bumped(None, delta, delta.n)
-            row = g + book_of.insert_values(delta, new_book)
-            out_table.insert_checked(row)
-            book_of.write(g, new_book, True, inserting=True)
-            applied.append((None, row))
-            kinds.append(INSERT)
-    flush()
-    return applied, kinds
-
-
-class _Book:
-    """A γ node's operator-cache bookkeeping, read and written by
-    position: a *book* is an opcache row past the group key — ``__n``
-    first, then the ``__cnt_`` / ``__sum_`` slots — and the slot of every
-    aggregate is resolved here, once per call."""
-
-    def __init__(self, gnode: GroupBy, opcache: Table):
-        self.aggs = gnode.aggs
-        self.opcache = opcache
-        self.columns = opcache.schema.columns[len(gnode.keys):]
-        slot = {c: i for i, c in enumerate(self.columns)}
-        self.cnt_at = [slot.get(f"__cnt_{a.name}") for a in self.aggs]
-        self.sum_at = [slot.get(f"__sum_{a.name}") for a in self.aggs]
-
-    def read(self, g: tuple, touch: bool) -> Optional[tuple]:
-        """The book of group *g* (a counted lookup only when touched)."""
-        if touch:
-            rows = self.opcache.lookup(self.opcache.schema.key, g)
-            row = rows[0] if rows else None
-        else:
-            row = self.opcache.get_uncounted(g)
-        return row[len(g):] if row is not None else None
-
-    def bumped(self, book: Optional[tuple], delta: _GroupDelta, new_n: int) -> tuple:
-        new = list(book) if book is not None else [0] * len(self.columns)
-        new[0] = new_n
-        for i, (cnt, total) in enumerate(zip(self.cnt_at, self.sum_at)):
-            if cnt is not None:
-                new[cnt] += delta.cnts[i]
-            if total is not None:
-                new[total] += delta.sums[i]
-        return tuple(new)
-
-    def write(
-        self, g: tuple, new_book: Optional[tuple], touch: bool, inserting: bool = False
-    ) -> None:
-        opcache = self.opcache
-        if not touch:
-            return
-        if new_book is None:
-            opcache.delete_at(g)
-        elif inserting or opcache.get_uncounted(g) is None:
-            opcache.insert_checked(g + new_book)
-        else:
-            opcache.write_at(g, dict(zip(self.columns, new_book)))
-
-    def insert_values(self, delta: _GroupDelta, book: tuple) -> tuple:
-        values = []
-        for i, agg in enumerate(self.aggs):
-            if agg.func == "count":
-                values.append(delta.n if agg.arg is None else delta.cnts[i])
-            elif agg.func == "sum":
-                values.append(None if delta.cnts[i] == 0 else delta.sums[i])
-            else:
-                values.append(self._avg(i, agg, book))
-        return tuple(values)
-
-    def _avg(self, i: int, agg, book: tuple):
-        if agg.func != "avg":  # pragma: no cover - generator routes min/max elsewhere
-            raise ScriptError(f"associative step got {agg.func!r}")
-        cnt = book[self.cnt_at[i]]
-        return None if cnt == 0 else book[self.sum_at[i]] / cnt
-
-
-def group_accumulator(gnode: GroupBy):
-    """``accumulate(changes) -> {group: _GroupDelta}`` over ``(pre_row,
-    post_row)`` child-row changes of *gnode*: one generated loop
-    (:func:`repro.core.compile.lower_group_deltas`), for whoever holds
-    the γ node across rounds to build once — the blocking γ step of
-    either rule set, and the SDBT baseline."""
-    return lower_group_deltas(gnode, _GroupDelta)
-
-
-def group_deltas_from_changes(
-    gnode: GroupBy, changes: list[tuple]
-) -> dict[tuple, _GroupDelta]:
-    """:func:`group_accumulator`, built for this one call."""
-    return group_accumulator(gnode)(changes) if changes else {}
+    return writer.run(changes)
 
 
 class GeneralAggregateStep(_AggregateStep):
@@ -587,8 +434,11 @@ class GeneralAggregateStep(_AggregateStep):
         )
         key_idx = [recomputed.position(k) for k in gnode.keys]
         new_rows = {tuple(r[i] for i in key_idx): r for r in recomputed.rows}
-        applied: list[tuple] = []
-        kinds: list[str] = []
+        emits = bound.emits
+        key_of, values_of = emits.key_of, emits.values_of
+        ins: list[tuple] = []
+        dels: list[tuple] = []
+        upd: list[tuple] = []
         for g in ordered_groups:
             keys = out_table.locate(gnode.keys, g)
             old_row = out_table.get_uncounted(keys[0]) if keys else None
@@ -597,21 +447,18 @@ class GeneralAggregateStep(_AggregateStep):
                 continue
             if old_row is None:
                 out_table.insert_checked(new_row)
-                applied.append((None, new_row))
-                kinds.append(INSERT)
+                ins.append(key_of(new_row) + values_of(new_row))
             elif new_row is None:
                 out_table.delete_at(keys[0])
-                applied.append((old_row, None))
-                kinds.append(DELETE)
+                dels.append(key_of(old_row) + values_of(old_row))
             elif old_row != new_row:
                 changes = {
                     a.name: new_row[out_table.schema.position(a.name)]
                     for a in gnode.aggs
                 }
                 out_table.write_at(keys[0], changes)
-                applied.append((old_row, new_row))
-                kinds.append(UPDATE)
-        self._emit(ctx, bound, applied, kinds)
+                upd.append(key_of(new_row) + values_of(old_row) + values_of(new_row))
+        self._emit(ctx, bound, ins, dels, upd)
 
     def _affected_groups(self, ctx: IrContext) -> set[tuple]:
         """Group keys whose membership may have changed, from both states."""

@@ -83,10 +83,11 @@ class Step:
         by default."""
         return frozenset()
 
-    def prepare(self) -> None:
-        """Resolve whatever the statement resolves once, ahead of its
-        first run (:meth:`DeltaScript.bind_kernels` calls it, so no
-        round pays): nothing by default."""
+    def bind_tables(self, caches, operator_caches) -> None:
+        """Resolve what the statement binds of the view's *caches* and
+        *operator_caches* (by node id), once they exist and ahead of its
+        first run (:class:`~repro.core.engine.MaterializedView` calls
+        it): nothing by default."""
 
     #: ``settle(ctx)``: what a skipped statement must still do at its
     #: script position (a γ step's cache mark); ``None``: nothing.
@@ -297,8 +298,6 @@ class DeltaScript:
         self._exec_plan = None
         self._slices = {}
         self.liveness()
-        for step in self.steps:
-            step.prepare()
 
     def exec_plan(self) -> list:
         """Per-step ``(run, phase)`` pairs, bound once — the one place
@@ -366,6 +365,7 @@ class DeltaScript:
 
     def _slice(self, mask: frozenset[str], ctx: IrContext) -> LiveSlice:
         env = IrContext(ctx.db_pre, ctx.db_post, diffs=ctx.diffs, caches=ctx.caches)
+        env.operator_caches = ctx.operator_caches
         steps, binds, skipped, skipped_counted = [], [], 0, 0
         plan = zip(self.steps, self.exec_plan(), self.reached(mask))
         for i, (step, (run, phase), reached) in enumerate(plan, start=1):

@@ -711,6 +711,11 @@ class Table:
     def get_uncounted(self, key: tuple) -> tuple | None:
         return self._rows.get(tuple(key))
 
+    def peek(self) -> Callable[[tuple], tuple | None]:
+        """:meth:`get_uncounted` of a key that is a tuple already, bound
+        once: the rows dict's own ``get``, for generated code."""
+        return self._rows.get
+
     def as_set(self) -> frozenset[tuple]:
         """Frozen set of rows, for order-insensitive comparisons in tests."""
         return frozenset(self._rows.values())

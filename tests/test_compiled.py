@@ -299,7 +299,9 @@ class TestExprFallback:
         out = capsys.readouterr().out
         assert "<delta:d38_upd_n4>" in out and "def d38_upd_n4(ctx):" in out
         assert "if (r1[2] != r1[1])]" in out        # 3VL spelled inline
-        assert "def gamma_n0(changes):" in out      # the γ accumulation loop
+        # the γ pass: accumulation, then the queued write of live groups
+        assert "<delta:gamma_n0>" in out and "def gamma_n0(changes):" in out
+        assert "_update_many(('did',), ('cost',), queued, None, False)" in out
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """A round re-derives nothing its statements fixed at definition.
 
 What a stored ∆-script's statements resolve of their tables — the
-emitted diff schemas of a γ step, its operator-cache book, an
+emitted diff schemas of a γ step, its generated pass, an
 ``update_many``'s finder, touched indexes and row patcher, an APPLY's
 column reorder, a t-diff's row extractors — is bound once and read by
-every later round; a steady round builds none of it.  Also pinned here:
+every later round; a steady round builds none of it, and a γ step's
+pass is generated at definition, not in the first round.  Also pinned here:
 what invalidates the table memo, that a γ step's emitted diffs are unique
 on their IDs (they are adopted without validation), that a logged update
 folds from the post row it carries exactly as from a patched one, and
@@ -23,6 +24,7 @@ from unittest import mock
 
 import pytest
 
+import repro.core.compile as compile_mod
 import repro.core.rules.aggregate as aggregate_mod
 from repro.algebra.evaluate import evaluate_plan
 from repro.baselines import TupleIvmEngine
@@ -100,7 +102,7 @@ def test_steady_rounds_construct_no_definition_time_constant(kind, stream):
 
     patches = [
         spy(DiffSchema, "__init__"),
-        spy(aggregate_mod._Book, "__init__"),
+        spy(aggregate_mod.GroupWriter, "__init__"),
         spy(aggregate_mod._ChangeCollector, "__init__"),
         spy(TableSchema, "positions"),
         spy(TableSchema, "mutable_positions"),
@@ -122,6 +124,37 @@ def test_steady_rounds_construct_no_definition_time_constant(kind, stream):
         for patch in patches:
             patch.stop()
     assert made == Counter()
+    for view in engine.views.values():
+        assert view.table.as_set() == frozenset(evaluate_plan(view.plan, db).rows)
+
+
+@pytest.mark.parametrize("stream", [_devices, _bsma], ids=["devices", "bsma"])
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+def test_no_gamma_pass_is_generated_inside_a_round(kind, stream):
+    """Each γ-delta step generates its pass when its view is defined:
+    the first round compiles no ``<delta:gamma…>`` source."""
+    db, engine, one_round = stream(ENGINES[kind])
+    steps = [
+        step for view in engine.views.values() for step in view.script.steps
+        if isinstance(step, aggregate_mod.AssociativeAggregateStep)
+    ]
+    assert steps and all(step.group_pass is not None for step in steps)
+    compiled: Counter = Counter()
+
+    def counted(source, filename, *args, **kwargs):
+        compiled[filename] += 1
+        return compile(source, filename, *args, **kwargs)
+
+    def gamma_sources() -> int:
+        return sum(n for name, n in compiled.items() if name.startswith("<delta:gamma"))
+
+    one_round(0)
+    with mock.patch.object(compile_mod, "compile", counted, create=True):
+        engine.maintain()
+        assert gamma_sources() == 0
+        bound = steps[0]._bound  # the spy sees a pass being generated
+        aggregate_mod.GroupWriter(steps[0].gnode, bound.output, bound.opcache)
+        assert gamma_sources() == 1
     for view in engine.views.values():
         assert view.table.as_set() == frozenset(evaluate_plan(view.plan, db).rows)
 
@@ -200,17 +233,17 @@ def _bsma_churn(engine, db, config: BsmaConfig, rng: random.Random, fresh: list)
 @pytest.mark.parametrize("kind", sorted(ENGINES))
 def test_emitted_group_diffs_are_unique_on_their_ids(kind, family):
     checked = Counter()
-    real = EffectiveDiffs.trusted
+    real = EffectiveDiffs.adopt
 
-    def validated(self, change_kind, changes):
-        diff = real(self, change_kind, changes)
+    def validated(self, change_kind, rows):
+        diff = real(self, change_kind, rows)
         if diff.rows:
             assert Diff(diff.schema, diff.rows).rows == diff.rows
             checked[change_kind] += 1
         return diff
 
     rng = random.Random(7)
-    with mock.patch.object(EffectiveDiffs, "trusted", validated):
+    with mock.patch.object(EffectiveDiffs, "adopt", validated):
         if family == "devices":
             db, engine, one_round = _devices(ENGINES[kind])
         else:
@@ -276,11 +309,17 @@ def test_a_logged_update_folds_alike_with_and_without_its_post_row():
 # the interleaved A/B rig
 # ----------------------------------------------------------------------
 def test_ab_rounds_runs_one_tree_against_itself_with_equal_counts():
+    workloads = ("bsma_8views_d5", "devices_churn_m98")
     done = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "ab_rounds.py"), "--base", str(REPO_ROOT),
-         "--smoke", "--workloads", "bsma_8views_d5,devices_churn_m98"],
+         "--smoke", "--gc", "--workloads", ",".join(workloads)],
         capture_output=True, text=True, timeout=300, cwd=REPO_ROOT,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "access counts equal on every round" in done.stdout
-    assert "bsma_8views_d5" in done.stdout and "devices_churn_m98" in done.stdout
+    # each side alone collects alike: gen0 / gen1 / gen2 runs per round
+    table = done.stdout.split("collections per timed round", 1)[1]
+    rows = {line.split()[0]: line.split()[1:] for line in table.splitlines()[2:] if line}
+    assert sorted(rows) == sorted(workloads)
+    for counts in rows.values():
+        assert len(counts) == 6 and counts[:3] == counts[3:]

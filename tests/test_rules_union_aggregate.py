@@ -1,6 +1,8 @@
 """Rule-level tests for union-all (Table 5) and the blocking aggregate
 steps (Tables 7, 9, 11, 12)."""
 
+import random
+
 import pytest
 
 from repro.algebra import UnionAll, group_by, scan, where
@@ -15,7 +17,6 @@ from repro.core.rules.aggregate import (
     GroupWriter,
     OpCacheSpec,
     apply_group_deltas,
-    group_deltas_from_changes,
 )
 from repro.core.rules.union import propagate_union
 from repro.algebra.evaluate import evaluate_plan, materialize
@@ -194,17 +195,14 @@ class TestAssociativeStep:
             ((5, "d", 3), (5, "d", 0)),    # d: sum moves
             ((2, "a", 7), (2, "a", 8)),    # a again: folded into one write
         ]
+        writer = GroupWriter(plan, out, opc)
         db.counters.reset()
-        sink = out.begin_capture()
-        deltas = group_deltas_from_changes(plan, changes)
-        assert list(deltas) == [("a",), ("e",), ("b",), ("c",), ("d",)]
-        applied, kinds = apply_group_deltas(GroupWriter(plan, out, opc), deltas)
-        assert kinds == [UPDATE, INSERT, UPDATE, DELETE, UPDATE]
-        assert applied == [
-            (("a", 12, 2), ("a", 14, 2)), (None, ("e", 4, 1)),
-            (("b", 2, 1), ("b", 9, 1)), (("c", 1, 1), None),
-            (("d", 3, 1), ("d", 0, 1)),
-        ]
+        out.begin_capture()
+        ins, dels, upd = apply_group_deltas(writer, changes)
+        # effective rows per kind: key + values, key + old + new values
+        assert ins == [("e", 4, 1)]
+        assert dels == [("c", 1, 1)]
+        assert upd == [("a", 12, 2, 14, 2), ("b", 2, 1, 9, 1), ("d", 3, 1, 0, 1)]
         assert [op[:2] for op in out.end_capture()] == [
             ("s", ("a",)), ("s", ("e",)), ("s", ("b",)), ("d", ("c",)), ("s", ("d",)),
         ]
@@ -365,3 +363,214 @@ class TestOperatorCacheBuild:
     def test_a_string_sum_argument_raises(self):
         with pytest.raises(TypeError):
             self._build([(1, "a", 1), (2, "a", "x")])
+
+
+# ----------------------------------------------------------------------
+# the γ pass against a sequential reference, over seeded change lists
+# ----------------------------------------------------------------------
+SWEEP_COLUMNS = ("k", "g", "h", "i", "f", "x")
+SWEEP_PLANS = {
+    # NULL-heavy ints and dyadic floats: every sum is exact, so the
+    # output and opcache must equal a definition over the post rows.
+    # With an avg, a moving sum moves the book: every group is written
+    # by its own calls.
+    "exact": [
+        ("count", None, "n"), ("count", col("i"), "ci"), ("sum", col("i"), "si"),
+        ("avg", col("i"), "ai"), ("sum", col("f"), "sf"), ("avg", col("f"), "af"),
+    ],
+    # without one, a live group whose sums alone move is queued
+    "exact_sums": [("count", None, "n"), ("sum", col("i"), "si"), ("sum", col("f"), "sf")],
+    # floats of mixed magnitude: the order of the additions shows, and
+    # a sum that moves can leave the value unchanged (1e16 + 1.0)
+    "float": [("count", col("x"), "cx"), ("sum", col("x"), "sx"), ("avg", col("x"), "ax")],
+    "float_sum": [("sum", col("x"), "sx")],
+    "count": [("count", None, "n")],
+}
+
+
+def _sweep_row(rng, k: int, group) -> tuple:
+    def maybe(value):
+        return None if rng.random() < 0.4 else value
+
+    return (
+        k, *group, maybe(rng.randint(-5, 9)), maybe(rng.randint(-40, 40) / 4),
+        maybe(rng.choice((1e16, -1e16, 1.0, 0.1, 3.3, -2.7)) * rng.uniform(0.5, 2)),
+    )
+
+
+def _sweep_stream(seed: int):
+    """Initial rows, then ``(pre, post)`` changes that update in place,
+    move rows between groups, create groups, delete whole groups and
+    touch one key in several changes (as several branches do)."""
+    rng = random.Random(seed)
+    groups = [(g, h) for g in "abcd" for h in (0, 1)]
+    current = {k: _sweep_row(rng, k, rng.choice(groups)) for k in range(24)}
+    initial = list(current.values())
+    changes, touched, fresh = [], [], [100]
+
+    def change(k, post):
+        pre = current.pop(k, None)
+        if post is not None:
+            current[k] = post
+        changes.append((pre, post))
+        touched.append(k)
+
+    for _ in range(rng.randint(1, 30)):
+        op = rng.random()
+        live = sorted(current)
+        if touched and rng.random() < 0.3:
+            live = sorted(set(touched) & set(current)) or live
+        k = rng.choice(live) if live else None
+        if op < 0.3 and k is not None:  # values change in place
+            change(k, _sweep_row(rng, k, current[k][1:3]))
+        elif op < 0.5 and k is not None:  # the row moves to another group
+            change(k, _sweep_row(rng, k, rng.choice(groups)))
+        elif op < 0.7:  # an insert, into a new group now and then
+            fresh[0] += 1
+            group = (f"z{fresh[0]}", 0) if rng.random() < 0.3 else rng.choice(groups)
+            change(fresh[0], _sweep_row(rng, fresh[0], group))
+        elif op < 0.85 and k is not None:
+            change(k, None)
+        elif k is not None:  # every row of a group goes
+            group = current[k][1:3]
+            for other in sorted(current):
+                if current[other][1:3] == group:
+                    change(other, None)
+    return initial, changes, list(current.values())
+
+
+def _sweep_define(rows, aggs):
+    db = Database()
+    db.create_table("m", SWEEP_COLUMNS, ("k",)).load(rows)
+    plan = annotate_plan(group_by(scan(db, "m"), ("g", "h"), aggs))
+    out = materialize(plan, db, "OUT")
+    opc = OpCacheSpec(plan, "opc").build(evaluate_plan(plan.child, db), db.counters)
+    return db, plan, out, opc
+
+
+def _reference(plan, changes, out_rows: dict, book_rows: dict):
+    """The γ-delta of *changes* by the rules, sequentially: per group,
+    ``n`` and per aggregate the non-NULL count and the sum, pre side
+    then post side, change by change; then per group the one
+    read-modify-write, charged as the per-group calls charge it.
+    Updates *out_rows* / *book_rows* (key -> row) in place; returns the
+    charges ``(lookups, reads, writes)`` and the output's write ops."""
+    aggs = plan.aggs
+    at = {c: i for i, c in enumerate(plan.child.columns)}
+    book_columns = OpCacheSpec(plan, "opc").columns[len(plan.keys):]
+    deltas: dict = {}
+    for pre, post in changes:
+        for row, sign in ((pre, -1), (post, 1)):
+            if row is None:
+                continue
+            d = deltas.setdefault(tuple(row[at[k]] for k in plan.keys), {
+                "n": 0, "cnt": [0] * len(aggs), "sum": [0] * len(aggs),
+            })
+            d["n"] += sign
+            for i, agg in enumerate(aggs):
+                v = None if agg.arg is None else row[at[agg.arg.name]]
+                if v is not None:
+                    d["cnt"][i] += sign
+                    d["sum"][i] = d["sum"][i] - v if sign < 0 else d["sum"][i] + v
+    has_avg = any(a.func == "avg" for a in aggs)
+    summed = [i for i, a in enumerate(aggs) if a.func in ("sum", "avg")]
+    lookups = reads = writes = 0
+    ops = []
+
+    def values(old, d, book):
+        out = []
+        for i, agg in enumerate(aggs):
+            prior = 0 if old is None else (old[len(plan.keys) + i] or 0)
+            if agg.func == "count":
+                out.append(prior + (d["n"] if agg.arg is None else d["cnt"][i]))
+            elif book[f"__cnt_{agg.name}"] == 0:
+                out.append(None)
+            elif agg.func == "sum":
+                out.append(prior + d["sum"][i] if old is not None else d["sum"][i])
+            else:
+                out.append(book[f"__sum_{agg.name}"] / book[f"__cnt_{agg.name}"])
+        return tuple(out)
+
+    def bumped(book, d, n):
+        new = dict(book) if book else dict.fromkeys(book_columns, 0)
+        new["__n"] = n
+        for i, agg in enumerate(aggs):
+            if agg.func in ("sum", "avg"):
+                new[f"__cnt_{agg.name}"] += d["cnt"][i]
+            if agg.func == "avg":
+                new[f"__sum_{agg.name}"] += d["sum"][i]
+        return new
+
+    books = {g: dict(zip(book_columns, row[len(g):])) for g, row in book_rows.items()}
+    for g, d in deltas.items():
+        old, book = out_rows.get(g), books.get(g)
+        touch = d["n"] != 0 or any(d["cnt"]) or (has_avg and any(d["sum"][i] for i in summed))
+        if not touch:
+            if not any(d["sum"][i] for i in summed):
+                continue
+            if old is not None and book is not None and book["__n"]:
+                new = values(old, d, book)
+                if new != old[len(g):]:  # queued into the one update_many
+                    lookups, writes = lookups + 1, writes + 1
+                    out_rows[g] = g + new
+                    ops.append(("s", g))
+                    continue
+        lookups += 2 if touch else 1  # the book (when it moves), locate
+        reads += 1 if touch and book is not None else 0
+        if old is not None:
+            n = (book["__n"] if book else 0) + d["n"]
+            if n == 0:
+                writes += 2
+                del out_rows[g], books[g]
+                ops.append(("d", g))
+                continue
+            new_book = bumped(book, d, n)
+            new = values(old, d, new_book)
+            if new != old[len(g):]:
+                writes += 1
+                out_rows[g] = g + new
+                ops.append(("s", g))
+            if touch:
+                lookups, writes = lookups + (book is None), writes + 1
+                books[g] = new_book
+        elif d["n"] > 0:
+            books[g] = bumped(None, d, d["n"])
+            out_rows[g] = g + values(None, d, books[g])
+            lookups, writes = lookups + 2, writes + 2
+            ops.append(("s", g))
+    book_rows.clear()
+    book_rows.update({g: g + tuple(b[c] for c in book_columns) for g, b in books.items()})
+    return (lookups, reads, writes), ops
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_group_pass_matches_the_sequential_reference(seed):
+    initial, changes, post_rows = _sweep_stream(seed)
+    for name, aggs in SWEEP_PLANS.items():
+        db, plan, out, opc = _sweep_define(initial, aggs)
+        before = {row[:2]: row for row in out.rows_uncounted()}
+        expected_out, expected_book = dict(before), {r[:2]: r for r in opc.rows_uncounted()}
+        charges, ops = _reference(plan, changes, expected_out, expected_book)
+        writer = GroupWriter(plan, out, opc)
+        db.counters.reset()
+        out.begin_capture()
+        ins, dels, upd = apply_group_deltas(writer, changes)
+        assert [op[:2] for op in out.end_capture()] == ops, name
+        total = db.counters.total
+        assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == charges, name
+        # bit for bit: repr tells -0.0 from 0.0 and 1e16 + 1.0 from 1e16
+        after = {row[:2]: row for row in out.rows_uncounted()}
+        assert repr(sorted(after.items())) == repr(sorted(expected_out.items())), name
+        books = {row[:2]: row for row in opc.rows_uncounted()}
+        assert repr(sorted(books.items())) == repr(sorted(expected_book.items())), name
+        # the emitted rows are the difference of the output's snapshots
+        assert sorted(ins) == sorted(after[g] for g in after.keys() - before.keys())
+        assert sorted(dels) == sorted(before[g] for g in before.keys() - after.keys())
+        assert sorted(upd) == sorted(
+            g + before[g][2:] + after[g][2:]
+            for g in after.keys() & before.keys() if after[g] != before[g]
+        )
+        if name.startswith("exact") or name == "count":
+            _, _, rebuilt, rebuilt_book = _sweep_define(post_rows, aggs)
+            assert out.as_set() == rebuilt.as_set(), name
+            assert opc.as_set() == rebuilt_book.as_set(), name

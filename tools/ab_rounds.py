@@ -1,7 +1,7 @@
 """Interleaved A/B rounds: two revisions of ``repro`` in one process.
 
     python tools/ab_rounds.py --base <rev-or-dir> [--workloads a,b]
-                              [--seed 1] [--seconds 20] [--smoke]
+                              [--seed 1] [--seconds 20] [--smoke] [--gc]
 
 (``make ab-rounds BASE=<rev> WORKLOADS=a,b``.)  Loads the package of
 revision BASE (a detached ``git worktree``, as
@@ -30,6 +30,14 @@ makes triggers collections inside the other side's rounds, so absolute
 times beside another tree read higher than beside itself, and the ratio
 of a change that allocates less is understated.  The round ratio of a
 tree against itself is 0.98–1.00, quartiles about 0.95–1.05.
+
+``--gc`` shows the allocation the shared collector hides: after the
+interleaved pass of a workload, each side runs alone over the same
+stream, from a collected heap, and the tool prints its generation 0 / 1
+/ 2 collections per timed round (a ``gc.callbacks`` tally).  Those
+counts are a property of what the code allocates, not of the host: they
+repeat exactly from run to run, and a tree against itself reads the
+same on both sides.
 
 Timings are wall clock on whatever host runs it, never gated: the tool
 is a measuring instrument for a change, the gated numbers come from
@@ -95,6 +103,27 @@ class Side:
         self.log_s: list[float] = []
         self.log_per_mod_s: list[float] = []
 
+    def collections(self, batches, warmup: int) -> tuple[float, ...]:
+        """Run *batches* alone, from a collected heap: the collector's
+        runs per timed round, per generation."""
+        runs = [0, 0, 0]
+
+        def tally(phase: str, info: dict) -> None:
+            if phase == "start" and counting:
+                runs[info["generation"]] += 1
+
+        counting = False
+        gc.collect()
+        gc.callbacks.append(tally)
+        try:
+            for i, batch in enumerate(batches):
+                counting = i >= warmup
+                self.round(batch, timed=False)
+        finally:
+            gc.callbacks.remove(tally)
+        timed = max(len(batches) - warmup, 1)
+        return tuple(n / timed for n in runs)
+
     def round(self, batch, timed: bool) -> dict:
         """Log *batch* and maintain; the round's counts per view and phase."""
         from loadgen import log_batch
@@ -132,9 +161,11 @@ def _spread(q: tuple[float, float, float]) -> str:
     return f"{q[0]:>5.3f} {q[1]:>6.3f} {q[2]:>5.3f}"
 
 
-def run_workload(pkgs, workload, seed: int) -> dict:
+def run_workload(pkgs, workload, seed: int, collections: bool = False) -> dict:
     """Both sides of one workload, interleaved; raises AssertionError on
-    the first round whose counts differ."""
+    the first round whose counts differ.  With *collections*, each side
+    then runs the stream again alone, on a new database, for its
+    collector runs per timed round (``a_gc`` / ``b_gc``)."""
     sides = [Side(pkg, workload, seed) for pkg in pkgs]
     batches = workload.generate_rounds(
         sides[1].db, seed, workload.warmup_rounds + workload.rounds
@@ -151,7 +182,14 @@ def run_workload(pkgs, workload, seed: int) -> dict:
     a, b = sides
     del sides
     gc.collect()
-    return {
+    got = {}
+    if collections:
+        for name, pkg in zip(("a_gc", "b_gc"), pkgs):
+            got[name] = Side(pkg, workload, seed).collections(
+                batches, workload.warmup_rounds
+            )
+            gc.collect()
+    return got | {
         "rounds": len(a.round_s),
         "a_round_ms": statistics.median(a.round_s) * 1e3,
         "b_round_ms": statistics.median(b.round_s) * 1e3,
@@ -171,6 +209,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0,
                         help="the e2e run length the round counts are sized for")
     parser.add_argument("--smoke", action="store_true", help="e2e smoke scale")
+    parser.add_argument("--gc", action="store_true",
+                        help="also run each side alone and count its collections")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(E2E))
@@ -197,17 +237,28 @@ def main(argv=None) -> int:
         print(f"{'workload':<22} {'rounds':>6} {'A ms':>8} {'B ms':>8} "
               f"{'q1':>5} {'median':>6} {'q3':>5} {'A us':>9} {'B us':>9} "
               f"{'q1':>5} {'median':>6} {'q3':>5} {'q1':>5} {'median':>6} {'q3':>5}")
+        collections = {}
         for name in names:
             workload = WORKLOADS[name].sized(args.seconds, args.smoke)
             if workload.shards:
                 print(f"{name:<22} skipped: a sharded workload runs worker processes")
                 continue
-            got = run_workload(pkgs, workload, args.seed)
+            got = run_workload(pkgs, workload, args.seed, args.gc)
             print(f"{name:<22} {got['rounds']:>6} {got['a_round_ms']:>8.3f} "
                   f"{got['b_round_ms']:>8.3f} {_spread(got['ratio'])} "
                   f"{got['a_log_us_per_mod']:>9.2f} {got['b_log_us_per_mod']:>9.2f} "
                   f"{_spread(got['log_ratio'])} {_spread(got['total_ratio'])}", flush=True)
+            if args.gc:
+                collections[name] = (got["a_gc"], got["b_gc"])
         print("access counts equal on every round")
+        if collections:
+            print("\ncollections per timed round, each side alone (gen0 gen1 gen2)")
+            print(f"{'workload':<22} {'A: gen0':>8} {'gen1':>6} {'gen2':>6} "
+                  f"{'B: gen0':>8} {'gen1':>6} {'gen2':>6}")
+            for name, (a_gc, b_gc) in collections.items():
+                print(f"{name:<22} " + " ".join(
+                    f"{n:>{w}.3f}" for n, w in zip(a_gc + b_gc, (8, 6, 6, 8, 6, 6))
+                ))
     except AssertionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
