@@ -136,9 +136,12 @@ lint-catalog:
 # swallow no exception; and the tuple-based baseline is idIVM with the
 # tuple rule set: baselines/tuple_ivm.py holds the engine class and
 # evaluates nothing itself, the rule bodies live under core/rules/, and
-# a script reads subviews through `IrContext.resolve_subview` — `fetch`
-# is called only by algebra/delta_eval.py, core/ir_exec.py and the SDBT
-# baseline, whose sequential hybrid state copies no database; and
+# a script reads subviews through its view's generated readers
+# (core/compile.py `SubviewReaders`) — `IrContext.resolve_subview` is
+# called only by the interpreter (core/ir_exec.py) and by the counted
+# refusal of `lower_reader`, and `fetch` only by algebra/delta_eval.py,
+# core/ir_exec.py and the SDBT baseline, whose sequential hybrid state
+# copies no database; and
 # telemetry keeps one copy of each fact: every registry histogram is the
 # log histogram of obs/hist.py (no histogram class in obs/metrics.py, no
 # summary family on /metrics), and a view's worst drift ratio is derived
@@ -241,7 +244,12 @@ lint-static:
 	    exit 1; fi
 	@if grep -rnE '\bfetch\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(algebra/delta_eval|core/ir_exec|baselines/sdbt)\.py:'; then \
-	    echo "fetch outside algebra/delta_eval.py, core/ir_exec.py and baselines/sdbt.py: a script reads subviews through IrContext.resolve_subview"; \
+	    echo "fetch outside algebra/delta_eval.py, core/ir_exec.py and baselines/sdbt.py: a script reads subviews through its view's generated readers (core.compile.SubviewReaders), the interpreter through IrContext.resolve_subview"; \
+	    exit 1; fi
+	@if grep -rnE '\bresolve_subview\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/core/ir_exec\.py:|^src/repro/core/compile\.py:[0-9]+: +return ctx\.resolve_subview\(node, state, bindings, cached\)\.rows$$' \
+	    || [ "$$(grep -cE '\bresolve_subview\(' src/repro/core/compile.py)" != 1 ]; then \
+	    echo "resolve_subview outside core/ir_exec.py (the interp backend) and the counted refusal of core/compile.py (lower_reader): a round reads subviews through its view's generated readers"; \
 	    exit 1; fi
 	@if [ "$$(grep -cE '^(def|class) |^[A-Za-z_]+ *=' src/repro/baselines/tuple_ivm.py)" != 1 ] \
 	    || grep -rnE '^(def|class) +(_join_delta|_semi_like_delta|repair_updates|TupleJoinStep)\b|^TUPLE_RULES\b' \

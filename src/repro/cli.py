@@ -54,7 +54,7 @@ from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .analysis.cost import COST_MODEL_FALLBACKS, COST_SELECT_FALLBACKS
 from .core import IdIvmEngine, ShardedEngine
-from .core.compile import subview_fallbacks
+from .core.compile import readers_of, subview_fallbacks
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -165,7 +165,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"-- {len(interpreted)} step(s) not lowered, interpreted as whole "
             f"steps (compile.step_fallbacks): {', '.join(interpreted)}"
         )
-    falling_back = subview_fallbacks(script, view.caches)
+    falling_back = subview_fallbacks(script)
     if falling_back:
         print(
             f"-- {len(falling_back)} subview read(s) interpreted, counted per read "
@@ -184,9 +184,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
     if args.compiled:
         print()
-        print("-- generated kernels (one function per compute step) " + "-" * 8)
+        print("-- generated code: per compute step, γ node and subview read " + "-" * 3)
         passes = (getattr(step, "group_pass", None) for step in script.steps)
-        for fn in (*script._kernels.values(), *passes):
+        readers = readers_of(script).built.values()
+        for fn in (*script._kernels.values(), *passes, *readers):
             if hasattr(fn, "__source__"):
                 print(f"# {fn.__code__.co_filename}")
                 print(fn.__source__)

@@ -21,8 +21,13 @@ what is generated:
 * ``ProbeJoin`` / ``ProbeSemi`` / ``GroupAgg`` and the sources are
   statements of the same function: the interpreter's ordered probe
   dedup, bucket build and NULL-never-joins rule, reading the subview
-  through the one helper that stays a function — the counted reader of
-  :func:`_subview_reader`, called once per probe, not per row;
+  through its reader, called once per probe, not per row;
+* a subview read — a kernel's, and the γ and tuple rules' own — is one
+  generated reader per ``(node, state, binding columns, cached)``
+  (:func:`lower_reader`, ``<delta:read_…>``, shared per view by
+  :class:`SubviewReaders`): the interpreter's diff-driven loop
+  (``algebra.delta_eval``) for that read, each probe of a stored table
+  one batch ``Table.probe``;
 * a γ-delta step is one pass per γ node (:func:`lower_group_pass`):
   its accumulation loop, from the same expression emitter, and the
   per-group read-modify-write of its output and operator cache;
@@ -37,8 +42,9 @@ Count invariance is the contract: a kernel performs *exactly* the
 counted accesses the interpreted step performs, per phase
 (``tests/test_compiled.py`` pins it on the devices and BSMA workloads;
 the crosscheck fuzzer runs the compiled engine against the recompute
-oracle).  A step holding a form the emitter does not know stays on the
-interpreter *as a whole step*, counted once in
+oracle; ``tests/test_subview_readers.py`` holds every reader form to the
+interpretive ``fetch``).  A step holding a form the emitter does not
+know stays on the interpreter *as a whole step*, counted once in
 ``compile.step_fallbacks``.  A kernel's rows go through :class:`Diff`'s
 validating constructor unless they are unique on the step's IDs by
 construction — the step is row-wise over one source diff and every ID
@@ -90,7 +96,6 @@ from ..obs import metrics
 from ..storage import Database
 from .diffs import Diff
 from .ir import (
-    POST,
     PRE,
     SUB_PREFIX,
     AppliedSource,
@@ -107,7 +112,7 @@ from .ir import (
     UnionRows,
 )
 from .ir_exec import IrContext, _resolve_probe
-from .script import ComputeDiffStep, DeltaScript, MarkCacheUpdatedStep
+from .script import ComputeDiffStep, DeltaScript
 
 #: Supported ∆-script execution backends: generated kernels (the
 #: default) and the per-node IR interpreter — the reference the kernels
@@ -154,15 +159,17 @@ class _Source:
     """The source of one generated function, and the namespace the
     constants and helpers it names are bound in."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, readers: Optional["SubviewReaders"] = None):
         self.name = name if name.isidentifier() else "".join(
             c if c.isalnum() else "_" for c in "_" + name
         )
         self.lines: list[str] = []
         self.env: dict[str, object] = {}
         self._serials: dict[str, int] = {}
-        #: ``(node, state)`` of every subview read that is not a bare scan
-        self.subviews: list[tuple[PlanNode, str]] = []
+        #: the view's readers, which the function's subview reads go through
+        self.readers = readers
+        #: the reader key of every subview read
+        self.subviews: list[tuple] = []
 
     def fresh(self, stem: str) -> str:
         serial = self._serials[stem] = self._serials.get(stem, 0) + 1
@@ -446,11 +453,13 @@ class _Source:
         self.emit(f"{bucket}.append({var})", depth + 2)
 
     def subview_reader(self, node, sub_attrs: Optional[tuple[str, ...]]) -> Callable:
-        """:func:`_subview_reader` of the IR subview *node*, noted in
-        :attr:`subviews` unless it reads a bare scan."""
-        if not isinstance(node.node, Scan):
-            self.subviews.append((node.node, node.state))
-        return _subview_reader(node.node, node.state, sub_attrs)
+        """The view's reader of the IR subview *node* for *sub_attrs*
+        (:class:`SubviewReaders`), its key noted in :attr:`subviews`."""
+        if self.readers is None:
+            self.readers = SubviewReaders()
+        key = (node.node, node.state, sub_attrs, True)
+        self.subviews.append(key)
+        return self.readers(*key)
 
     def _probe(self, node) -> _Rows:
         """``left ⋈ / ⋉ / ▷ Subview`` as the interpreter runs it: the
@@ -471,14 +480,15 @@ class _Source:
         seen.update(cols)
         residual = self.truth(node.residual, seen) if node.residual is not None else None
         sub = self.fresh("sub")
+        reader = self.bind("read", self.subview_reader(node, sub_attrs or None))
         if node.on and getattr(node, "via_output", None) is not None:
-            # Section 9 view-reuse hint: the interpreter's own
-            # hit-or-fallback resolution (identical counts, metrics).
+            # Section 9 view-reuse hint: the interpreter's hit-or-fallback
+            # resolution (identical counts, metrics), its misses read by
+            # the reader.
             resolve, hinted = self.bind("resolve_probe", _resolve_probe), self.bind("node", node)
-            read = f"{resolve}({hinted}, ctx, {sub_attrs!r}, {{}}).rows"
+            read = f"{resolve}({hinted}, ctx, {sub_attrs!r}, {{}}, {reader}).rows"
         else:
-            reader = self.subview_reader(node, sub_attrs or None)
-            read = f"{self.bind('read', reader)}(ctx, {{}})"
+            read = f"{reader}(ctx, {{}})"
         if not node.on:
             self.emit(f"{sub} = {read.format(None)} if {left} else ()")
             clauses, matches = [f"for {lvar} in {left}"], sub
@@ -523,69 +533,338 @@ def _is_plain(value: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# subview readers (the counted access paths)
+# subview readers: the counted access paths, one generated function each
 # ----------------------------------------------------------------------
-def _subview_reader(
-    sub_node: PlanNode, state: str, sub_attrs: Optional[tuple[str, ...]]
-) -> Callable[[IrContext, Optional[list]], list]:
-    """``reader(ctx, probe_values) -> rows`` in ``sub_node.columns``
-    order; ``probe_values=None`` fetches all.  The node's own cache
-    valid for *state*, or a bare scan: counted ``lookup``/``scan`` loops
-    replicating ``_fetch_from_table`` access for access (ordered dedup
-    of probe values, reorder only when the stored column order
-    differs).  Everything else is ``ctx.resolve_subview``, the
-    interpreter's own resolution, counted per read in
-    ``compile.subview_fallbacks`` (:func:`subview_fallbacks` lists
-    them)."""
-    node_id = sub_node.node_id
-    columns = tuple(sub_node.columns)
-    is_scan = isinstance(sub_node, Scan)
-    table_name = sub_node.table if is_scan else None
-    is_pre = state == PRE
+#: ``reader(ctx, values) -> rows``: the rows of a subview, in its node's
+#: column order, whose binding columns equal one of *values* (every row
+#: for a reader without binding columns, which takes ``values=None``)
+Reader = Callable[[IrContext, Optional[Sequence[tuple]]], list]
 
-    def reader(ctx: IrContext, probe_values: Optional[list]) -> list:
-        table = ctx.caches.get(node_id)
-        if table is not None and ctx.cache_state.get(node_id, PRE) != state:
-            table = None
-        if table is None:
-            if is_scan:
-                db = ctx.db_pre if is_pre else ctx.db_post
-                table = db.table(table_name)
-            else:
-                _SUBVIEW_FALLBACKS().inc()
-                if probe_values is None:
-                    return ctx.resolve_subview(sub_node, state).rows
-                return ctx.resolve_subview(
-                    sub_node, state, Bindings(sub_attrs, probe_values)
-                ).rows
-        if probe_values is None:
-            rows = list(table.scan())
+_SUBVIEW_FALLBACKS = metrics.Handle("counter", "compile.subview_fallbacks")
+
+
+def _always(residual: Optional[Expr]) -> bool:
+    """Whether a join residual keeps every pair (none, or the literal TRUE)."""
+    return residual is None or residual == TRUE
+
+
+class _Read:
+    """The emitter of one subview reader: :meth:`rows` writes the
+    statements that read a plan node's rows the way the interpreter's
+    diff-driven loop (``algebra.delta_eval``) reads them — the bindings
+    pushed where it pushes them, the probes made in its order and
+    counted alike — into the reader's source."""
+
+    def __init__(self, src: _Source, state: str, cached: bool):
+        self.src, self.state, self.cached = src, state, cached
+        #: value lists tested non-empty; everything a node reads is
+        #: emitted inside its test, so they stay so below it
+        self.nonempty: set[str] = set()
+
+    def rows(self, node: PlanNode, attrs: Optional[tuple], values: Optional[str], depth: int) -> str:
+        """Emit, at *depth*, the read of *node*'s rows whose *attrs* equal
+        one of the distinct tuples the variable *values* holds (every row
+        for no *attrs*); returns the variable that holds them.  A node
+        whose cache holds the state read is read from its cache."""
+        src = self.src
+        out = src.fresh("rows")
+        if attrs is not None:
+            if not set(attrs) <= set(node.columns):
+                # the interpreter raises its PlanError at run time
+                raise _Refused(f"bindings {attrs} not produced by {node.label()}")
+            if values not in self.nonempty:  # no values, no read
+                self.nonempty.add(values)
+                src.emit(f"if not {values}:", depth)
+                src.emit(f"{out} = []", depth + 1)
+                src.emit("else:", depth)
+                depth += 1
+        if self.cached:
+            table, nid = src.fresh("t"), node.node_id
+            src.emit(f"{table} = caches.get({nid})", depth)
+            src.emit(f"if {table} is not None and marks.get({nid}, {PRE!r}) == {self.state!r}:", depth)
+            self.stored(table, node.columns, attrs, values, out, depth + 1)
+            src.emit("else:", depth)
+            depth += 1
+        if isinstance(node, Scan):
+            table = src.fresh("t")
+            src.emit(f"{table} = db.table({node.table!r})", depth)
+            self.stored(table, node.columns, attrs, values, out, depth)
+        elif isinstance(node, Select):
+            child = self.rows(node.child, attrs, values, depth)
+            r = src.fresh("r")
+            cols = {c: f"{r}[{i}]" for i, c in enumerate(node.child.columns)}
+            src.emit(f"{out} = [{r} for {r} in {child} if {src.truth(node.predicate, cols)}]", depth)
+        elif isinstance(node, Project):
+            self.project(node, attrs, values, out, depth)
+        elif isinstance(node, Join):
+            self.join(node, attrs, values, out, depth)
+        elif isinstance(node, (SemiJoin, AntiJoin)):
+            self.semi(node, attrs, values, out, depth)
+        elif isinstance(node, UnionAll):
+            self.union(node, attrs, values, out, depth)
+        elif isinstance(node, GroupBy):
+            self.group(node, attrs, values, out, depth)
         else:
-            lookup = table.lookup
-            rows = []
-            seen = set()
-            for value in probe_values:
-                if value not in seen:
-                    seen.add(value)
-                    rows.extend(lookup(sub_attrs, value))
-        schema = table.schema
-        if columns != schema.columns:
-            getter = schema.extractor(columns)
-            rows = [getter(r) for r in rows]
-        return rows
+            raise _Refused(f"plan node {node!r}")
+        return out
 
-    return reader
+    def stored(self, table: str, columns, attrs, values, out: str, depth: int) -> None:
+        """Counted reads of the stored *table* (base table, cache or
+        view): one batch probe (``Table.probe``), or every row; reordered
+        when its column order is not *columns*."""
+        src = self.src
+        if attrs is None:
+            src.emit(f"{out} = {table}.read_all()", depth)
+        else:
+            src.emit(f"{out} = {table}.probe({src.const(attrs)})({values})", depth)
+        cols = src.const(tuple(columns))
+        src.emit(f"if {table}.schema.columns != {cols}:", depth)
+        src.emit(f"{out} = [*map({table}.schema.extractor({cols}), {out})]", depth + 1)
+
+    def keep_bound(self, out: str, columns, attrs, values: str, depth: int) -> None:
+        """Keep the rows of *out* whose *attrs* take one of *values* —
+        read unbound, filtered after (``_filter_by_bindings``)."""
+        src = self.src
+        r, allowed = src.fresh("r"), src.fresh("allowed")
+        key = _tuple_of([f"{r}[{columns.index(a)}]" for a in attrs])
+        src.emit(f"{allowed} = set({values})", depth)
+        src.emit(f"{out} = [{r} for {r} in {out} if {key} in {allowed}]", depth)
+
+    def narrowed(self, attrs: tuple, sub: tuple, values: str, depth: int) -> str:
+        """The distinct values of the *sub* attributes of *attrs* among
+        *values* (``Bindings.project``)."""
+        if sub == attrs:
+            return values
+        v, name = self.src.fresh("v"), self.src.fresh("values")
+        picked = _tuple_of([f"{v}[{attrs.index(a)}]" for a in sub])
+        self.src.emit(f"{name} = [*dict.fromkeys([{picked} for {v} in {values}])]", depth)
+        return name
+
+    def probe(self, outer: str, outer_cols, probed: PlanNode, pairs, depth: int) -> tuple[str, str]:
+        """For each row of *outer*, its values on the *pairs* of (outer
+        column, *probed* column); *probed* read once, bound to their
+        distinct values, and bucketed, NULL never joining.  Returns the
+        variables of the values and of the buckets."""
+        src = self.src
+        d, s = src.fresh("d"), src.fresh("s")
+        probe, distinct, buckets = src.fresh("probe"), src.fresh("values"), src.fresh("buckets")
+        picked = _tuple_of([f"{d}[{outer_cols.index(a)}]" for a, _ in pairs])
+        src.emit(f"{probe} = [{picked} for {d} in {outer}]", depth)
+        src.emit(f"{distinct} = [*dict.fromkeys({probe})]", depth)
+        attrs = tuple(b for _, b in pairs)
+        fetched = self.rows(probed, attrs, distinct, depth)
+        key = _tuple_of([f"{s}[{probed.columns.index(b)}]" for b in attrs])
+        src.bucket(buckets, fetched, s, key, False, depth)
+        return probe, buckets
+
+    def project(self, node: Project, attrs, values, out: str, depth: int) -> None:
+        """π: bindings pushed to the child when every bound attribute is a
+        bare column passthrough; otherwise every row, filtered after."""
+        src = self.src
+        child_attrs, filtered = None, False
+        if attrs is not None:
+            passthrough = {name: e.name for name, e in node.items if isinstance(e, Col)}
+            if all(a in passthrough for a in attrs):
+                child_attrs = tuple(passthrough[a] for a in attrs)
+            else:
+                filtered = True
+        child = self.rows(node.child, child_attrs, values if child_attrs else None, depth)
+        r = src.fresh("r")
+        cols = {c: f"{r}[{i}]" for i, c in enumerate(node.child.columns)}
+        display = _tuple_of([src.value(e, cols) for _, e in node.items])
+        src.emit(f"{out} = [{display} for {r} in {child}]", depth)
+        if filtered:
+            self.keep_bound(out, node.columns, attrs, values, depth)
+
+    def join(self, node: Join, attrs, values, out: str, depth: int) -> None:
+        """⋈: the side the bindings bind is the outer one (the left one
+        when both do, the bindings checked again on the result), the
+        other side probed once for all outer rows."""
+        src = self.src
+        left_cols, right_cols = node.left.columns, node.right.columns
+        pairs, residual = [], None  # no condition: a cross product
+        if node.condition is not None:
+            pairs, residual = equi_join_pairs(node.condition, left_cols, right_cols)
+        reverse, final = False, None
+        if attrs is None:
+            outer = self.rows(node.left, None, None, depth)
+        else:
+            on_left = tuple(a for a in attrs if a in left_cols)
+            on_right = tuple(a for a in attrs if a in right_cols)
+            if on_left:
+                outer = self.rows(node.left, on_left, self.narrowed(attrs, on_left, values, depth), depth)
+                final = attrs if on_right else None
+            else:
+                reverse = True
+                outer = self.rows(node.right, on_right, self.narrowed(attrs, on_right, values, depth), depth)
+        probed = node.left if reverse else node.right
+        d, o = src.fresh("d"), src.fresh("o")
+        lvar, rvar = (o, d) if reverse else (d, o)
+        cols = {c: f"{lvar}[{i}]" for i, c in enumerate(left_cols)}
+        cols.update({c: f"{rvar}[{i}]" for i, c in enumerate(right_cols)})
+        test = "" if _always(residual) else f" if {src.truth(residual, cols)}"
+        if pairs:
+            if reverse:
+                pairs = [(b, a) for a, b in pairs]
+            probe, buckets = self.probe(
+                outer, right_cols if reverse else left_cols, probed, pairs, depth
+            )
+            p = src.fresh("p")
+            clauses = f"for {d}, {p} in zip({outer}, {probe}) for {o} in {buckets}.get({p}, ())"
+        else:
+            other = self.rows(probed, None, None, depth)
+            first, then = (other, outer) if reverse else (outer, other)
+            clauses = f"for {lvar} in {first} for {rvar} in {then}"
+        src.emit(f"{out} = [{lvar} + {rvar} {clauses}{test}]", depth)
+        if final is not None:
+            self.keep_bound(out, node.columns, final, values, depth)
+
+    def semi(self, node, attrs, values, out: str, depth: int) -> None:
+        """⋉ / ▷: the left rows under the bindings, each kept when some
+        right row it equi-joins satisfies the residual (none does, ▷)."""
+        if node.condition is None:
+            raise _Refused(f"{node.label()} without a condition")
+        src = self.src
+        left = self.rows(node.left, attrs, values, depth)
+        left_cols, right_cols = node.left.columns, node.right.columns
+        pairs, residual = equi_join_pairs(node.condition, left_cols, right_cols)
+        lvar, svar = src.fresh("l"), src.fresh("s")
+        # a name on both sides reads the right row, as the interpreter's
+        # combined positions do
+        cols = {c: f"{lvar}[{i}]" for i, c in enumerate(left_cols)}
+        cols.update({c: f"{svar}[{i}]" for i, c in enumerate(right_cols)})
+        if pairs:
+            probe, buckets = self.probe(left, left_cols, node.right, pairs, depth)
+            p = src.fresh("p")
+            clauses, candidates = f"for {lvar}, {p} in zip({left}, {probe})", f"{buckets}.get({p}, ())"
+            hit = f"{p} in {buckets}"
+        else:
+            candidates = self.rows(node.right, None, None, depth)
+            clauses, hit = f"for {lvar} in {left}", f"bool({candidates})"
+        if not _always(residual):
+            hit = f"any({src.truth(residual, cols)} for {svar} in {candidates})"
+        keep = f"not {hit}" if isinstance(node, AntiJoin) else hit
+        src.emit(f"{out} = [{lvar} {clauses} if {keep}]", depth)
+
+    def union(self, node: UnionAll, attrs, values, out: str, depth: int) -> None:
+        """∪: bindings on the branch column split by its value and routed
+        to that branch alone; any others go to both branches."""
+        src = self.src
+        branch, r = node.branch_column, src.fresh("r")
+        if attrs is None or branch not in attrs:
+            left = self.rows(node.left, attrs, values, depth)
+            right = self.rows(node.right, attrs, values, depth)
+            src.emit(f"{out} = [*[{r} + (0,) for {r} in {left}], *[{r} + (1,) for {r} in {right}]]", depth)
+            return
+        at = attrs.index(branch)
+        rest = [i for i, a in enumerate(attrs) if a != branch]
+        rest_attrs = tuple(attrs[i] for i in rest)
+        by, v = src.fresh("by"), src.fresh("v")
+        src.emit(f"{by} = {{0: [], 1: []}}", depth)
+        src.emit(f"for {v} in {values}:", depth)
+        src.emit(f"if {v}[{at}] in {by}:", depth + 1)
+        src.emit(f"{by}[{v}[{at}]].append({_tuple_of([f'{v}[{i}]' for i in rest])})", depth + 2)
+        src.emit(f"{out} = []", depth)
+        for b, child in ((0, node.left), (1, node.right)):
+            src.emit(f"if {by}[{b}]:", depth)
+            if rest_attrs:
+                part_values = src.fresh("values")
+                src.emit(f"{part_values} = [*dict.fromkeys({by}[{b}])]", depth + 1)
+                part = self.rows(child, rest_attrs, part_values, depth + 1)
+            else:
+                part = self.rows(child, None, None, depth + 1)
+            src.emit(f"{out} += [{r} + ({b},) for {r} in {part}]", depth + 1)
+
+    def group(self, node: GroupBy, attrs, values, out: str, depth: int) -> None:
+        """γ: bindings on group keys only pushed to the child; otherwise
+        every group, filtered after."""
+        src = self.src
+        pushed = attrs is not None and set(attrs) <= set(node.keys)
+        child = self.rows(node.child, attrs if pushed else None, values if pushed else None, depth)
+        relation = f"{src.bind('Relation', Relation)}({src.const(tuple(node.child.columns))}, {child})"
+        src.emit(
+            f"{out} = {src.bind('aggregate_rows', aggregate_rows)}"
+            f"({relation}, {src.bind('keys', node.keys)}, {src.bind('aggs', node.aggs)}).rows",
+            depth,
+        )
+        if attrs is not None and not pushed:
+            self.keep_bound(out, node.columns, attrs, values, depth)
+
+
+def lower_reader(node: PlanNode, state: str, attrs: Optional[tuple], cached: bool = True) -> Reader:
+    """The subview at *node* in *state* as one generated reader,
+    ``read_nN_STATE…(ctx, values)`` (``reader.__source__``): the rows
+    ``algebra.delta_eval``'s diff-driven loop returns for the bindings
+    *attrs* = *values* (values deduplicated in order; every row without
+    *attrs*), from the same counted accesses — each probe a batch
+    ``Table.probe`` of the same values, each full read a
+    ``Table.read_all``.  *cached*: a node whose cache holds *state* is read
+    from it (``IrContext.valid_caches``); not: only base tables (the
+    tuple rules' reads).  A form the emitter refuses is read through
+    ``ctx.resolve_subview``, the interpreter, counted per read in
+    ``compile.subview_fallbacks``."""
+    name = f"read_n{node.node_id}_{state}" + (f"_by_{'_'.join(attrs)}" if attrs else "")
+    src = _Source(name + ("" if cached else "_base"))
+    src.emit(f"db = ctx.{'db_pre' if state == PRE else 'db_post'}")
+    if cached:
+        src.emit("caches, marks = ctx.caches, ctx.cache_state")
+    if attrs is not None:
+        src.emit("values = [*dict.fromkeys(values)]")
+    try:
+        rows = _Read(src, state, cached).rows(node, attrs, "values" if attrs else None, 1)
+    except _Refused:
+
+        def interpreted(ctx: IrContext, values: Optional[Sequence[tuple]]) -> list:
+            _SUBVIEW_FALLBACKS().inc()
+            bindings = None if attrs is None else Bindings(attrs, values)
+            return ctx.resolve_subview(node, state, bindings, cached).rows
+
+        return interpreted
+    src.emit(f"return {rows}")
+    return src.build("ctx, values")
+
+
+class SubviewReaders:
+    """A view's subview readers — every subview read its kernels and its
+    rule steps make — one per ``(node, state, binding columns, cached)``
+    (:func:`lower_reader`), generated on the first request for it: at
+    definition, where :func:`bind_kernels` lowers the kernels and
+    ``Step.bind_tables`` binds the rules' reads (``Step.subview_reads``).
+    A view's script holds them (:func:`readers_of`); a pickle drops them."""
+
+    def __init__(self):
+        #: key -> reader, in the order they were generated
+        self.built: dict[tuple, Reader] = {}
+
+    def __call__(
+        self, node: PlanNode, state: str, attrs: Optional[Sequence[str]] = None, cached: bool = True
+    ) -> Reader:
+        attrs = tuple(attrs) if attrs else None
+        key = (node.node_id, state, attrs, cached)
+        reader = self.built.get(key)
+        if reader is None:
+            reader = self.built[key] = lower_reader(node, state, attrs, cached)
+        return reader
+
+
+def readers_of(script: DeltaScript) -> SubviewReaders:
+    """The :class:`SubviewReaders` of *script*'s view (made on first use)."""
+    if script.readers is None:
+        script.readers = SubviewReaders()
+    return script.readers
 
 
 # ----------------------------------------------------------------------
 # step lowering + binding onto the view's one script
 # ----------------------------------------------------------------------
-def lower_step(step: ComputeDiffStep) -> Kernel:
+def lower_step(step: ComputeDiffStep, readers: Optional[SubviewReaders] = None) -> Kernel:
     """Lower one compute step's IR tree into its kernel: what
     ``step.run`` does — evaluate, make the ``Diff``, bind it under
-    ``step.name`` — as one generated function (``kernel.__source__``).
-    A step holding a form the emitter refuses keeps its own ``run``."""
-    src = _Source(step.name)
+    ``step.name`` — as one generated function (``kernel.__source__``),
+    reading its subviews through *readers* (the view's; its own
+    otherwise) — their keys in ``kernel.subviews``.  A step holding a
+    form the emitter refuses keeps its own ``run``."""
+    src = _Source(step.name, readers)
     schema = step.schema
     try:
         rows = src.rows_of(step.ir)
@@ -618,25 +897,18 @@ def lower_step(step: ComputeDiffStep) -> Kernel:
     return kernel
 
 
-_SUBVIEW_FALLBACKS = metrics.Handle("counter", "compile.subview_fallbacks")
-
-
-def subview_fallbacks(script: DeltaScript, caches) -> list[str]:
-    """The subview reads of *script*'s kernels that fall back to the
-    interpreter (``ctx.resolve_subview``), one line each: a subview that
-    is not a bare scan, read where *caches* (the view's, by node id)
-    hold no table of it in the state it reads — pre until the script's
-    ``MarkCacheUpdatedStep`` of the node, post after it."""
-    kernels = script._kernels
-    updated: set[int] = set()
+def subview_fallbacks(script: DeltaScript) -> list[str]:
+    """The subview reads of *script* — its kernels' and its rule steps'
+    (``Step.subview_reads``) — whose reader the emitter refused, so that
+    they go to the interpreter (``ctx.resolve_subview``), one line each."""
+    readers = readers_of(script)
     out = []
     for i, step in enumerate(script.steps):
-        if isinstance(step, MarkCacheUpdatedStep):
-            updated.add(step.node_id)
-        for node, state in getattr(kernels.get(i), "subviews", ()):
-            cached = node.node_id in caches and (node.node_id in updated) == (state == POST)
-            if not cached:
-                out.append(f"stmt[{i + 1}] {step.name}: {state} n{node.node_id} {node.label()}")
+        kernel = script._kernels.get(i)
+        for node, state, attrs, cached in (*getattr(kernel, "subviews", ()), *step.subview_reads()):
+            if not hasattr(readers(node, state, attrs, cached), "__source__"):
+                name = getattr(step, "name", type(step).__name__)
+                out.append(f"stmt[{i + 1}] {name}: {state} n{node.node_id} {node.label()}")
     return out
 
 
@@ -1013,11 +1285,7 @@ def _plan_rows(src: _Source, node: PlanNode) -> str:
     if isinstance(node, Scan):
         # One counted bulk read: the counts of a per-row scan, in the
         # same phase bucket (none at all for an empty table).
-        src.emit(f"table = db.table({node.table!r})")
-        src.emit("rows = table.rows_uncounted()")
-        src.emit("if rows:")
-        src.emit("table.counters.count_tuple_read(len(rows))", 2)
-        return "rows"
+        return f"db.table({node.table!r}).read_all()"
     if isinstance(node, (Select, Project)):
         rows = src.over("inputs[0].rows", node.child.columns)
         if isinstance(node, Select):
@@ -1084,11 +1352,14 @@ def bind_kernels(script: DeltaScript, backend: str) -> DeltaScript:
     be pickled, so every process that runs the view calls this itself);
     ``"interp"`` binds none.  APPLY, cache marks and the blocking
     aggregate steps are already direct table code with no per-row IR
-    dispatch and keep their own ``run``.  Returns *script*."""
+    dispatch and keep their own ``run`` — the blocking steps read their
+    subviews through the view's readers under either backend
+    (``Step.bind_tables``).  Returns *script*."""
     kernels = {}
     if check_backend(backend) == "compiled":
+        readers = readers_of(script)
         for i, step in enumerate(script.steps):
             if isinstance(step, ComputeDiffStep):
-                kernels[i] = lower_step(step)
+                kernels[i] = lower_step(step, readers)
     script.bind_kernels(kernels)
     return script

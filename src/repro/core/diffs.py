@@ -152,10 +152,18 @@ class Diff:
             # large script see no matching modifications.
             self.rows = rows
             return
-        deduped: dict[tuple, tuple] = {}
-        lookup = deduped.get
         n_ids = len(schema.id_attrs)
         n_cols = len(schema.columns)
+        # The common case at C speed: one arity, no ID twice — then the
+        # rows are valid as they stand.
+        deduped: dict[tuple, tuple] = {row[:n_ids]: row for row in rows}
+        if len(deduped) == len(rows) and set(map(len, rows)) == {n_cols}:
+            self.rows = list(rows)
+            return
+        # Otherwise row by row: exact duplicates merge at their first
+        # position, the first bad row raises.
+        deduped = {}
+        lookup = deduped.get
         for row in rows:
             if len(row) != n_cols:
                 raise DiffError(

@@ -39,7 +39,7 @@ from ..obs.drift import DriftMonitor
 from ..obs.freshness import FreshnessTracker
 from ..storage import AccessCounts, CounterSet, Database, Table
 from .compile import EXEC_BACKENDS as EXEC_BACKENDS  # re-exported
-from .compile import bind_kernels, check_backend
+from .compile import bind_kernels, check_backend, readers_of
 from .diffs import DELETE, INSERT
 from .generator import ID_RULES, GeneratedPlan
 from .idinfer import annotate_plan, node_by_id
@@ -88,8 +88,9 @@ class MaterializedView:
     round executes, under either backend.  Whoever builds the view (an
     engine's ``define_view``, a shard worker at boot) binds that
     script's kernels with :func:`repro.core.compile.bind_kernels`; the
-    view binds its statements to its tables (``Step.bind_tables``: a γ
-    step generates its pass here, not in a round).
+    view binds its statements to its tables and to its subview readers
+    (``Step.bind_tables``: a γ step generates its pass here, and every
+    rule step the readers of its reads, not in a round).
     """
 
     def __init__(
@@ -108,8 +109,9 @@ class MaterializedView:
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
+        readers = readers_of(generated.script)
         for step in generated.script.steps:
-            step.bind_tables(caches, operator_caches)
+            step.bind_tables(caches, operator_caches, readers)
 
     @property
     def cost_model(self):

@@ -380,15 +380,16 @@ class ScriptGenerator:
         phase = PHASE_CACHE_UPDATE if self._under_cache(gnode) else PHASE_VIEW_UPDATE
         prefix = self._fresh(f"agg_n{gnode.node_id}")
         full_rows = self.rules.full_rows
+        ids = {name: schema.id_attrs for name, schema, _ in branches}
         if all(a.func in ASSOCIATIVE_AGGS for a in gnode.aggs):
             opcache = next(
                 s for s in self.opcache_specs if s.gnode.node_id == gnode.node_id
             )
             step: Step = AssociativeAggregateStep(
-                gnode, inputs, opcache.name, prefix, phase, full_rows
+                gnode, inputs, opcache.name, prefix, phase, full_rows, ids
             )
         else:
-            step = GeneralAggregateStep(gnode, inputs, prefix, phase, full_rows)
+            step = GeneralAggregateStep(gnode, inputs, prefix, phase, full_rows, ids)
         self._steps.append(step)
         if gnode.node_id != self.plan.node_id:
             self._climb_emitted(gnode, step.emitted)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..algebra.delta_eval import Bindings, fetch
 from ..algebra.evaluate import aggregate_rows
@@ -266,7 +266,8 @@ def _run_probe_join(node: ProbeJoin, ctx: IrContext) -> Relation:
 
 
 def _resolve_probe(
-    node: ProbeJoin, ctx: IrContext, sub_attrs: tuple, probe_values: list[tuple]
+    node: ProbeJoin, ctx: IrContext, sub_attrs: tuple, probe_values: list[tuple],
+    read: Optional[Callable[[IrContext, list], list]] = None,
 ) -> Relation:
     """Fetch the probed subview rows, opportunistically through an
     ancestor materialization (Section 9's insert i-diff extension).
@@ -275,8 +276,14 @@ def _resolve_probe(
     in this batch: then every materialization row holds a genuine,
     current row of the probed subview.  Per-value misses (the subview
     row exists but no view row exposes it) fall back to the ordinary
-    base probe.
+    base probe: ``read(ctx, values)`` — a compiled kernel's reader of the
+    subview — or the interpreter's own resolution.
     """
+    if read is None:
+
+        def read(ctx: IrContext, values: list) -> list:
+            return ctx.resolve_subview(node.node, node.state, Bindings(sub_attrs, values)).rows
+
     hint = node.via_output
     usable = (
         hint is not None
@@ -284,9 +291,7 @@ def _resolve_probe(
         and hint.mat_node_id in ctx.caches
     )
     if not usable:
-        return ctx.resolve_subview(
-            node.node, node.state, Bindings(sub_attrs, probe_values)
-        )
+        return Relation(node.node.columns, read(ctx, probe_values))
     mat = ctx.caches[hint.mat_node_id]
     mat_attrs = tuple(hint.column_map[a] for a in sub_attrs)
     sub_columns = node.node.columns
@@ -305,10 +310,7 @@ def _resolve_probe(
     metrics.counter("view_reuse.probe_hits").inc(len(rows))
     metrics.counter("view_reuse.probe_misses").inc(len(missed))
     if missed:
-        fallback = ctx.resolve_subview(
-            node.node, node.state, Bindings(sub_attrs, missed)
-        )
-        rows.extend(fallback.rows)
+        rows.extend(read(ctx, missed))
     return Relation(sub_columns, rows)
 
 

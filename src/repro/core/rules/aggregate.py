@@ -31,16 +31,16 @@ arriving at the operator before emitting output diffs, Example 4.4):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from ...algebra.delta_eval import Bindings
 from ...algebra.plan import GroupBy, base_tables
 from ...algebra.relation import Relation
 from ...errors import ScriptError
 from ...storage import Table, TableSchema, sort_rows
 from ..apply import EffectiveDiffs
-from ..compile import group_slots, lower_group_pass
+from ..compile import SubviewReaders, group_slots, lower_group_pass
 from ..diffs import DELETE, INSERT, UPDATE, Diff
+from ..ir import POST, PRE
 from ..ir_exec import IrContext
 from ..script import Step
 from .base import row_changes, state_mapping
@@ -97,14 +97,16 @@ class _ChangeCollector:
     shadows the ``Input_pre`` probes, so each branch's changes are
     computed against the current state, not the round's start.  The
     counted probe traffic is exactly the historical per-branch
-    ``Input_pre`` lookup — the overlay is pure bookkeeping.
+    ``Input_pre`` lookup — the overlay is pure bookkeeping.  The probes
+    go through the view's readers of the child in ``pre`` (*readers*).
     """
 
-    def __init__(self, gnode: GroupBy, ctx: IrContext):
+    def __init__(self, gnode: GroupBy, ctx: IrContext, readers: SubviewReaders):
         self.gnode = gnode
         self.child = gnode.child
         self.ctx = ctx
-        positions = {c: i for i, c in enumerate(self.child.columns)}
+        self.readers = readers
+        self._positions = positions = {c: i for i, c in enumerate(self.child.columns)}
         self._child_id_idx = tuple(positions[a] for a in self.child.ids)
         #: child-ID -> current row (None = deleted) for rows changed by
         #: branches already collected this round.
@@ -113,16 +115,20 @@ class _ChangeCollector:
     def _child_id(self, row: tuple) -> tuple:
         return tuple(row[i] for i in self._child_id_idx)
 
+    def _input_pre(self, diff: Diff) -> list[tuple]:
+        """The child's ``Input_pre`` rows matching *diff*'s IDs: one
+        counted probe, bound to them."""
+        read = self.readers(self.child, PRE, diff.schema.id_attrs)
+        return read(self.ctx, [diff.id_of(r) for r in diff.rows])
+
     def _probe_current(self, diff: Diff) -> dict[tuple, list[tuple]]:
         """diff-ID -> current child rows: the counted ``Input_pre`` probe
         with this round's overlay folded in (earlier branches win)."""
-        schema = diff.schema
-        ids = schema.id_attrs
-        bindings = Bindings(ids, [diff.id_of(r) for r in diff.rows])
-        pre = self.ctx.resolve_subview(self.child, "pre", bindings)
-        id_idx = [pre.position(a) for a in ids]
+        ids = diff.schema.id_attrs
+        positions = self._positions
+        id_idx = [positions[a] for a in ids]
         by_id: dict[tuple, list[tuple]] = {}
-        for row in pre.rows:
+        for row in self._input_pre(diff):
             if self._child_id(row) in self._overlay:
                 continue  # superseded by an earlier branch this round
             by_id.setdefault(tuple(row[i] for i in id_idx), []).append(row)
@@ -130,7 +136,6 @@ class _ChangeCollector:
             # Rows created or rewritten by earlier branches are absent
             # from Input_pre; fold the live overlay rows matching the
             # diff's IDs back in (uncounted: they are in memory already).
-            positions = {c: i for i, c in enumerate(self.child.columns)}
             o_idx = [positions[a] for a in ids]
             wanted = {diff.id_of(r) for r in diff.rows}
             for current in self._overlay.values():
@@ -158,7 +163,7 @@ class _ChangeCollector:
                     self._overlay[self._child_id(row)] = None
             return changes
         # UPDATE: post rows are the current rows with updated attrs replaced.
-        positions = {c: i for i, c in enumerate(self.child.columns)}
+        positions = self._positions
         for diff_row in diff.rows:
             overrides = {
                 positions[a]: diff.post_value(diff_row, a) for a in schema.post_attrs
@@ -179,12 +184,8 @@ class _ChangeCollector:
             (schema.id_attrs + schema.post_attrs).index(c)
             for c in self.child.columns
         ]
-        bindings = Bindings(schema.id_attrs, [diff.id_of(r) for r in diff.rows])
-        pre = self.ctx.resolve_subview(self.child, "pre", bindings)
-        id_positions = [
-            list(self.child.columns).index(a) for a in schema.id_attrs
-        ]
-        existing = {tuple(r[i] for i in id_positions) for r in pre.rows}
+        id_positions = [self._positions[a] for a in schema.id_attrs]
+        existing = {tuple(r[i] for i in id_positions) for r in self._input_pre(diff)}
         changes: list[tuple] = []
         for diff_row in diff.rows:
             row = tuple(diff_row[i] for i in order)
@@ -212,13 +213,16 @@ class _AggregateStep(Step):
         emit_prefix: str,
         phase: str,
         full_rows: bool = False,
+        input_ids: Optional[Mapping[str, tuple]] = None,
     ):
-        """*inputs* is a list of ("expansion"|"diff", name) pairs; with
+        """*inputs* is a list of ("expansion"|"diff", name) pairs, and
+        *input_ids* the ID attributes of each diff's schema; with
         *full_rows* the diffs are t-diffs, whose rows are the changed
         child rows themselves (Appendix A: the tuple-based γ delta is
         free), so no ``Input`` probe derives them."""
         self.gnode = gnode
         self.inputs = list(inputs)
+        self.input_ids = dict(input_ids or {})
         self.emit_prefix = emit_prefix
         self.phase = phase
         self.full_rows = full_rows
@@ -231,15 +235,35 @@ class _AggregateStep(Step):
         #: (:meth:`bind_tables`) or on the first run against another
         #: table (:meth:`_bind`) and — not picklable — never shipped
         self._bound: Optional[_Bound] = None
+        #: the view's subview readers, bound with the tables
+        self._readers: Optional[SubviewReaders] = None
         #: input name -> its t-diff's row extractors (``row_changes``)
         self._layouts: dict[str, tuple] = {}
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_bound": None}
+        return {**self.__dict__, "_bound": None, "_readers": None}
 
-    def bind_tables(self, caches, operator_caches) -> "_Bound":
+    #: the states an i-diff input is completed in (``Input`` probes of
+    #: the child, bound to its IDs)
+    _completed_in: tuple[str, ...] = (PRE,)
+
+    def subview_reads(self) -> list[tuple]:
+        if self.full_rows:
+            return []
+        child = self.gnode.child
+        return list(dict.fromkeys(
+            (child, state, self.input_ids[name], True)
+            for kind, name in self.inputs if kind == "diff" and name in self.input_ids
+            for state in self._completed_in
+        ))
+
+    def bind_tables(self, caches, operator_caches, readers: SubviewReaders) -> "_Bound":
         """Bind the γ node's output materialization and operator cache
-        in *caches* / *operator_caches* with their round constants."""
+        in *caches* / *operator_caches* with their round constants, and
+        generate the *readers* of its subview reads."""
+        self._readers = readers
+        for key in self.subview_reads():
+            readers(*key)
         node_id = self.gnode.node_id
         out_table = caches.get(node_id)
         if out_table is None:
@@ -260,7 +284,8 @@ class _AggregateStep(Step):
             bound is None or bound.output is not ctx.caches.get(node_id)
             or bound.opcache is not ctx.operator_caches.get(node_id)
         ):
-            bound = self.bind_tables(ctx.caches, ctx.operator_caches)
+            readers = self._readers if self._readers is not None else SubviewReaders()
+            bound = self.bind_tables(ctx.caches, ctx.operator_caches, readers)
         return bound
 
     def _emit(
@@ -325,14 +350,15 @@ class AssociativeAggregateStep(_AggregateStep):
         emit_prefix: str,
         phase: str,
         full_rows: bool = False,
+        input_ids: Optional[Mapping[str, tuple]] = None,
     ):
-        super().__init__(gnode, inputs, emit_prefix, phase, full_rows)
+        super().__init__(gnode, inputs, emit_prefix, phase, full_rows, input_ids)
         self.opcache_name = opcache_name
 
-    def bind_tables(self, caches, operator_caches) -> "_Bound":
+    def bind_tables(self, caches, operator_caches, readers: SubviewReaders) -> "_Bound":
         """Also binds the node's :class:`GroupWriter`, and so generates
         its pass."""
-        bound = super().bind_tables(caches, operator_caches)
+        bound = super().bind_tables(caches, operator_caches, readers)
         if bound.opcache is None:
             raise ScriptError(f"aggregate n{self.gnode.node_id} has no operator cache")
         bound.writer = GroupWriter(self.gnode, bound.output, bound.opcache)
@@ -357,7 +383,7 @@ class AssociativeAggregateStep(_AggregateStep):
                 changes.extend(row_changes(got, gnode.child.columns, self._layouts, name))
             elif got.rows:
                 if collector is None:
-                    collector = _ChangeCollector(gnode, ctx)
+                    collector = _ChangeCollector(gnode, ctx, self._readers)
                 changes.extend(collector.from_diff(got))
         self._emit(ctx, bound, *apply_group_deltas(bound.writer, changes))
 
@@ -416,6 +442,13 @@ def apply_group_deltas(
 class GeneralAggregateStep(_AggregateStep):
     """Recompute-based maintenance for arbitrary aggregates (Table 7)."""
 
+    _completed_in = (PRE, POST)
+
+    def subview_reads(self) -> list[tuple]:
+        # and the recompute of the affected groups
+        gnode = self.gnode
+        return [*super().subview_reads(), (gnode, POST, gnode.keys, not self.full_rows)]
+
     def run(self, ctx: IrContext) -> None:
         gnode = self.gnode
         bound = self._bind(ctx)
@@ -428,12 +461,9 @@ class GeneralAggregateStep(_AggregateStep):
         # γ(∆ ⋉Ḡ Input_post)).  sort_rows, not sorted: group keys may
         # contain NULLs or mixed types, which Python's < cannot order.
         ordered_groups = sort_rows(groups)
-        recomputed = ctx.resolve_subview(
-            gnode, "post", Bindings(gnode.keys, ordered_groups),
-            cached=not self.full_rows,
-        )
-        key_idx = [recomputed.position(k) for k in gnode.keys]
-        new_rows = {tuple(r[i] for i in key_idx): r for r in recomputed.rows}
+        recompute = self._readers(gnode, POST, gnode.keys, not self.full_rows)
+        key_idx = [gnode.columns.index(k) for k in gnode.keys]
+        new_rows = {tuple(r[i] for i in key_idx): r for r in recompute(ctx, ordered_groups)}
         emits = bound.emits
         key_of, values_of = emits.key_of, emits.values_of
         ins: list[tuple] = []
@@ -480,11 +510,10 @@ class GeneralAggregateStep(_AggregateStep):
                     changes = row_changes(diff, gnode.child.columns, self._layouts, name)
                 else:
                     ids = diff.schema.id_attrs
-                    bindings = Bindings(ids, [diff.id_of(r) for r in diff.rows])
-                    for state in ("pre", "post"):
-                        rel = ctx.resolve_subview(gnode.child, state, bindings)
-                        k_idx = [rel.position(k) for k in gnode.keys]
-                        groups.update(tuple(r[i] for i in k_idx) for r in rel.rows)
+                    values = [diff.id_of(r) for r in diff.rows]
+                    for state in self._completed_in:
+                        read = self._readers(gnode.child, state, ids)
+                        groups.update(tuple(r[i] for i in key_idx) for r in read(ctx, values))
                     # Insert diffs carry their group keys directly.
                     if diff.schema.kind == INSERT:
                         mapping = state_mapping(diff.schema, "post")

@@ -30,9 +30,8 @@ never benchmarks nested aggregates).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from ...algebra.delta_eval import Bindings
 from ...algebra.plan import AntiJoin, Join, PlanNode, SemiJoin, base_tables
 from ...errors import ScriptError
 from ...expr import TRUE, columns_of, equi_join_pairs, matches
@@ -47,6 +46,7 @@ from ..diffs import (
     insert_schema_for,
     update_schema_for,
 )
+from ..compile import SubviewReaders
 from ..generator import ID_RULES, RuleSet
 from ..ir import POST, PRE
 from ..ir_exec import IrContext
@@ -121,9 +121,30 @@ class TupleJoinStep(Step):
         self._values_of = row_extractor([at[c] for c in node.columns if c not in set(ids)])
         #: input name -> its t-diff's row extractors (``row_changes``)
         self._layouts: dict[str, tuple] = {}
+        #: the view's subview readers (:meth:`bind_tables`)
+        self._readers: Optional[SubviewReaders] = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_readers": None}
 
     def reads(self) -> list[tuple[str, str]]:
         return self.inputs
+
+    def subview_reads(self) -> list[tuple]:
+        """Every probe of a child, uncached, in both states: the right
+        one bound to its equi-join columns (for left rows), the left one
+        to its own (for right rows)."""
+        node = self.node
+        pairs = []
+        if node.condition is not None:
+            pairs, _ = equi_join_pairs(node.condition, node.left.columns, node.right.columns)
+        probed = ((node.right, tuple(b for _, b in pairs)), (node.left, tuple(a for a, _ in pairs)))
+        return [(child, state, attrs or None, False) for child, attrs in probed for state in (PRE, POST)]
+
+    def bind_tables(self, caches, operator_caches, readers: SubviewReaders) -> None:
+        self._readers = readers
+        for key in self.subview_reads():
+            readers(*key)
 
     def binds(self) -> list[tuple[str, str]]:
         return [("diff", name) for name in self.emitted.values()]
@@ -154,10 +175,13 @@ class TupleJoinStep(Step):
                 sides[side].deletes.extend(pre for pre, _ in changes)
             else:
                 sides[side].updates.extend(changes)
+        if self._readers is None:
+            self._readers = SubviewReaders()
+        read = _Reads(ctx, self._readers)
         if isinstance(node, Join):
-            delta = _join_delta(node, *sides, ctx)
+            delta = _join_delta(node, *sides, read)
         else:
-            delta = _semi_like_delta(node, *sides, ctx, isinstance(node, AntiJoin))
+            delta = _semi_like_delta(node, *sides, read, isinstance(node, AntiJoin))
         ids_of, values_of = self._ids_of, self._values_of
         rows = {
             INSERT: [ids_of(r) + values_of(r) for r in delta.inserts],
@@ -175,14 +199,19 @@ class TupleJoinStep(Step):
         )
 
 
-def _read(ctx: IrContext, node: PlanNode, state: str, attrs: tuple, values: list) -> list:
-    """Rows of *node* in *state* whose *attrs* take one of *values* (all of
-    them for no *attrs*): a counted probe of the base tables."""
-    bindings = Bindings(attrs, values) if attrs else None
-    return ctx.resolve_subview(node, state, bindings, cached=False).rows
+class _Reads(NamedTuple):
+    """A round's reads of the other side, through the view's readers."""
+
+    ctx: IrContext
+    readers: SubviewReaders
+
+    def __call__(self, node: PlanNode, state: str, attrs: tuple, values: list) -> list:
+        """Rows of *node* in *state* whose *attrs* take one of *values*
+        (all of them for no *attrs*): a counted probe of the base tables."""
+        return self.readers(node, state, attrs, False)(self.ctx, values)
 
 
-def _join_delta(node: Join, left: TChanges, right: TChanges, ctx: IrContext) -> TChanges:
+def _join_delta(node: Join, left: TChanges, right: TChanges, read: _Reads) -> TChanges:
     if left.is_empty() and right.is_empty():
         return TChanges()
     pairs, residual = (
@@ -211,11 +240,11 @@ def _join_delta(node: Join, left: TChanges, right: TChanges, ctx: IrContext) -> 
             return []
         other = node.children[1 - side]
         if not pairs:
-            return [_read(ctx, other, state, (), [])] * len(rows)
+            return [read(other, state, (), None)] * len(rows)
         at = [node.children[side].columns.index(a) for a, _ in on[side]]
         values = [tuple(r[i] for i in at) for r in rows]
         attrs = tuple(b for _, b in on[side])
-        fetched = _read(ctx, other, state, attrs, values)
+        fetched = read(other, state, attrs, values)
         key_at = [other.columns.index(b) for b in attrs]
         buckets: dict[tuple, list[tuple]] = {}
         for r in fetched:
@@ -270,7 +299,7 @@ def _join_delta(node: Join, left: TChanges, right: TChanges, ctx: IrContext) -> 
 
 
 def _semi_like_delta(
-    node, left: TChanges, right: TChanges, ctx: IrContext, negated: bool
+    node, left: TChanges, right: TChanges, read: _Reads, negated: bool
 ) -> TChanges:
     pairs, _ = equi_join_pairs(node.condition, node.left.columns, node.right.columns)
     lcols, rcols = node.left.columns, node.right.columns
@@ -283,7 +312,7 @@ def _semi_like_delta(
     def survives(lr: tuple, state: str) -> bool:
         """Membership test, one probe per row: no match for the antijoin,
         a match for the semijoin."""
-        rows = _read(ctx, node.right, state, rpair, [tuple(lr[i] for i in l_at)])
+        rows = read(node.right, state, rpair, [tuple(lr[i] for i in l_at)])
         return any(matches(node.condition, positions, lr + rr) for rr in rows) != negated
 
     # Left-side changes, checked against the right side.
@@ -303,7 +332,7 @@ def _semi_like_delta(
         if not rows:
             return []
         values = [tuple(r[i] for i in r_at) for r in rows]
-        return [r for r in _read(ctx, node.left, state, lpair, values) if r not in changed_left]
+        return [r for r in read(node.left, state, lpair, values) if r not in changed_left]
 
     affected = affected_left([*right.inserts, *(q for _, q in right.updates)], POST)
     seen = set(affected)

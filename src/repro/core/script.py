@@ -83,11 +83,20 @@ class Step:
         by default."""
         return frozenset()
 
-    def bind_tables(self, caches, operator_caches) -> None:
+    def bind_tables(self, caches, operator_caches, readers) -> None:
         """Resolve what the statement binds of the view's *caches* and
         *operator_caches* (by node id), once they exist and ahead of its
         first run (:class:`~repro.core.engine.MaterializedView` calls
-        it): nothing by default."""
+        it), and the view's *readers* (``core.compile.SubviewReaders``)
+        of what it reads of subviews (:meth:`subview_reads`): nothing by
+        default."""
+
+    def subview_reads(self) -> Sequence[tuple]:
+        """The subview reads ``run`` makes itself, as reader keys
+        ``(node, state, binding columns or None, cached)``: what
+        :meth:`bind_tables` generates their readers for.  None by
+        default — a compute step's reads are its kernel's."""
+        return ()
 
     #: ``settle(ctx)``: what a skipped statement must still do at its
     #: script position (a γ step's cache mark); ``None``: nothing.
@@ -288,6 +297,8 @@ class DeltaScript:
         self._liveness: Optional[list[Optional[frozenset[str]]]] = None
         self._leaves: frozenset[str] = frozenset()
         self._slices: dict[frozenset[str], LiveSlice] = {}
+        #: the view's subview readers (``core.compile.readers_of``)
+        self.readers = None
 
     def bind_kernels(self, kernels: dict[int, Callable[[IrContext], int]]) -> None:
         """Replace the bound kernels (``{}`` unbinds: every step then
@@ -385,14 +396,16 @@ class DeltaScript:
         )
 
     def __getstate__(self) -> dict:
-        # Kernels are closures, and the exec plan and the live slices
-        # hold them beside bound methods — process local and unpicklable.
+        # Kernels and readers are generated functions, and the exec plan
+        # and the live slices hold them beside bound methods — process
+        # local and unpicklable.
         # Whoever unpickles the script re-binds (a shard worker does at
         # boot); until then it interprets.
         state = self.__dict__.copy()
         state["_kernels"] = {}
         state["_exec_plan"] = None
         state["_slices"] = {}
+        state["readers"] = None
         return state
 
     def describe(self) -> str:

@@ -38,8 +38,9 @@ them would never serve a lookup.
 
 Concurrency: a table is read and written by one thread — shards run one
 after another in the coordinator, or in worker processes that own their
-replicas — so no write takes a lock.  Bucket lookups hand out copies,
-so a caller may write to the table while it iterates a probe result.
+replicas — so no write takes a lock.  A read builds its rows list before
+it returns, and ``locate`` hands out a copy of the keys, so a caller may
+write to the table while it iterates either result.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ class Table:
         """What ``make()`` resolves for this table, once per *key*: the
         generated loop of one shape of :meth:`update_many` (finder,
         touched indexes, new-row display), the trigger writer of one
-        column set (:meth:`patcher`), an APPLY's column reorder for one
+        column set (:meth:`patcher`), the batch probe of one (:meth:`probe`),
+        an APPLY's column reorder for one
         layout of insert diff (``core.apply.apply_diff``).  A ``make()``
         that raises stores nothing.  The memo is dropped when the index
         set changes (:meth:`create_index`: lazy builds and replayed
@@ -204,9 +206,63 @@ class Table:
                     out.append(row)
             return out
         self.counters.count_index_lookup()
-        keys = index.get(value)
-        rows = [self._rows[k] for k in keys]
+        # the bucket read in place: the rows list is built before any write
+        rows = [self._rows[k] for k in index.buckets.get(value, ())]
         self.counters.count_tuple_read(len(rows))
+        return rows
+
+    def probe(self, columns: tuple[str, ...]) -> Callable[[Sequence[tuple]], list[tuple]]:
+        """:meth:`lookup` of a batch, bound once per tuple of *columns*:
+        ``probe(values)`` returns the rows whose *columns* equal each of
+        *values* in turn, the caller's values as given (one lookup per
+        value, duplicates too).  The key or index is resolved at the bind
+        (a lazy index is built then, as the first ``lookup`` builds it),
+        each bucket is read in place, and the batch is charged once: one
+        ``count_index_lookup(n)`` for *n* values and one
+        ``count_tuple_read(m)`` for *m* rows — a per-value ``lookup`` loop's
+        totals, a table without a serving index included (a counted full
+        scan per value).  A zero is never charged, so no empty phase
+        bucket appears."""
+        probe = self._bound.get(("r", columns))
+        if probe is None:
+            probe = self.bound(("r", columns), lambda: self._bind_probe(columns))
+        return probe
+
+    def _bind_probe(self, columns: tuple[str, ...]) -> Callable[[Sequence[tuple]], list[tuple]]:
+        stored = self._rows
+        index = None if columns == self.schema.key else self._index_for(columns)
+        if columns == self.schema.key:
+            get = stored.get
+            fetch = ["row = get(value)", "if row is not None:", "    out.append(row)"]
+        elif index is not None:
+            get = index.buckets.get
+            fetch = ["keys = get(value)", "if keys:", "    out += map(at, keys)"]
+        else:
+            get = row_extractor(self.schema.positions(columns))
+            fetch = ["out += [row for row in stored.values() if get(row) == value]"]
+        if columns == self.schema.key or index is not None:
+            charge = ["if values:", "    counters.count_index_lookup(len(values))",
+                      "reads = len(out)"]
+        else:  # a full scan per value, as many reads as rows
+            charge = ["reads = len(stored) * len(values)"]
+        return _generated("probe_rows", [
+            "def probe_rows(values):",
+            "    out = []",
+            "    for value in values:",
+            *(f"        {line}" for line in fetch),
+            "    counters = table.counters",
+            *(f"    {line}" for line in charge),
+            "    if reads:",
+            "        counters.count_tuple_read(reads)",
+            "    return out",
+        ], {"get": get, "at": stored.__getitem__, "stored": stored, "table": self})
+
+    def read_all(self) -> list[tuple]:
+        """Every row, as a list: a :meth:`scan`'s *n* tuple reads charged
+        once (nothing for an empty table)."""
+        rows = list(self._rows.values())
+        if rows:
+            self.counters.count_tuple_read(len(rows))
         return rows
 
     def lookup_one(self, columns: Sequence[str], value: tuple) -> tuple | None:

@@ -10,6 +10,8 @@ through both sharded execution backends.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import repro.core.compile as compile_mod
@@ -468,10 +470,11 @@ def test_sharded_compiled_matches_interpreter(shard_backend, interp_reference):
 
 
 class TestSubviewFallbacks:
-    """A kernel's subview read that is neither the node's cache in the
-    state it reads nor a bare scan goes to the interpreter
-    (``ctx.resolve_subview``), counted per read in
-    ``compile.subview_fallbacks`` and listed by ``repro explain``."""
+    """Every subview read a round makes — a kernel's, a γ rule's, a tuple
+    rule's — goes through the view's generated reader; only a form the
+    emitter refuses goes to the interpreter (``ctx.resolve_subview``),
+    counted per read in ``compile.subview_fallbacks`` and listed by
+    ``repro explain``."""
 
     @staticmethod
     def _e2e_rounds(name: str, rounds: int) -> list[int]:
@@ -504,14 +507,45 @@ class TestSubviewFallbacks:
             per_round.append(fallbacks.value - before)
         return per_round[3:]
 
-    def test_churn_reads_six_subviews_through_the_interpreter_per_round(self):
+    def test_churn_reads_no_subview_through_the_interpreter(self):
+        # the six reads that fell back before the readers were generated:
         # π over devices four times, π over devices_parts twice
-        assert self._e2e_rounds("devices_churn_m98", 4) == [6] * 4
+        assert self._e2e_rounds("devices_churn_m98", 4) == [0] * 4
 
     def test_bigdiff_reads_none(self):
         assert self._e2e_rounds("devices_bigdiff_d400", 2) == [0, 0]
 
-    def test_explain_lists_the_falling_back_probes(self, capsys):
+    @pytest.mark.parametrize("engine_cls", [IdIvmEngine, TupleIvmEngine], ids=["id", "tuple"])
+    def test_no_shipped_view_reads_through_the_interpreter(self, engine_cls):
+        from repro.core.compile import subview_fallbacks
+
+        views = []
+        db = build_devices_database(DEV_CONFIG)
+        engine = engine_cls(db)
+        engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        engine.define_view("Vagg", build_aggregate_view(db, DEV_CONFIG))
+        views += engine.views.values()
+        db = build_bsma_database(BSMA_CONFIG)
+        engine = engine_cls(db)
+        for name, make in sorted(BSMA_QUERIES.items()):
+            engine.define_view(name, make(db, BSMA_CONFIG))
+        views += engine.views.values()
+        assert len(views) == 10
+        reads = Counter()
+        for view in views:
+            assert subview_fallbacks(view.script) == [], view.name
+            script = view.script
+            reads["kernels"] += sum(len(k.subviews) for k in script._kernels.values())
+            reads["rules"] += sum(len(step.subview_reads()) for step in script.steps)
+        # the ID rules probe in kernels (the shipped γ nodes read their
+        # child's cache expansions, so their γ steps probe nothing), the
+        # tuple rules in their join steps
+        if engine_cls is TupleIvmEngine:
+            assert reads["rules"] > 0 and reads["kernels"] == 0
+        else:
+            assert reads["kernels"] > 0 and reads["rules"] == 0
+
+    def test_explain_lists_the_falling_back_probes(self, capsys, monkeypatch):
         from repro.cli import main
 
         sql = (
@@ -519,8 +553,18 @@ class TestSubviewFallbacks:
             "NATURAL JOIN devices WHERE category = 'phone' GROUP BY did"
         )
         assert main(["explain", "--sql", sql]) == 0
+        assert "compile.subview_fallbacks" not in capsys.readouterr().out
+        # positive control: a form the emitter refuses (π, here) is read
+        # by the interpreter and listed
+        real = compile_mod._Read.project
+
+        def refused(self, node, *args):
+            if "__rhs_did" in node.columns:
+                raise compile_mod._Refused("π")
+            return real(self, node, *args)
+
+        monkeypatch.setattr(compile_mod._Read, "project", refused)
+        assert main(["explain", "--sql", sql]) == 0
         out = capsys.readouterr().out
         (line,) = [line for line in out.splitlines() if "compile.subview_fallbacks" in line]
         assert "post n9 π __rhs_did, category" in line
-        assert main(["explain", "--sql", "SELECT pid, price FROM parts WHERE price > 5"]) == 0
-        assert "compile.subview_fallbacks" not in capsys.readouterr().out

@@ -135,15 +135,16 @@ def test_a_churned_stream_keeps_every_view_exact_on_the_restricted_replica():
     ]
     assert engine._pre.tables == {"retweets", "mentions"}
     replica_reads = []
-    real_lookup = Table.lookup
+    real_probe = Table.probe
 
     def spy(self, *args, **kwargs):
         if engine._pre.db is not None and self in engine._pre.db.tables.values():
             replica_reads.append(self.name)
-        return real_lookup(self, *args, **kwargs)
+        return real_probe(self, *args, **kwargs)
 
     rng, fresh = random.Random(7), [0]
-    with mock.patch.object(Table, "lookup", spy):
+    # a round's subview reads probe through Table.probe (the readers)
+    with mock.patch.object(Table, "probe", spy):
         for _ in range(6):
             _churn(engine, db, rng, fresh)
             engine.maintain()

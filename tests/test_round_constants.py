@@ -159,6 +159,36 @@ def test_no_gamma_pass_is_generated_inside_a_round(kind, stream):
         assert view.table.as_set() == frozenset(evaluate_plan(view.plan, db).rows)
 
 
+@pytest.mark.parametrize("stream", [_devices, _bsma], ids=["devices", "bsma"])
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+def test_no_subview_reader_is_generated_inside_a_round(kind, stream):
+    """Every subview read a script makes — its kernels' and its rule
+    steps' — has its reader generated when its view is defined: the
+    first round, which reads through them, compiles no ``<delta:read…>``
+    source."""
+    db, engine, one_round = stream(ENGINES[kind])
+    built = {name: dict(view.script.readers.built) for name, view in engine.views.items()}
+    assert any(built.values())
+    compiled: Counter = Counter()
+
+    def counted(source, filename, *args, **kwargs):
+        compiled[filename] += 1
+        return compile(source, filename, *args, **kwargs)
+
+    def read_sources() -> int:
+        return sum(n for name, n in compiled.items() if name.startswith("<delta:read"))
+
+    one_round(0)
+    with mock.patch.object(compile_mod, "compile", counted, create=True):
+        engine.maintain()
+        assert read_sources() == 0
+        compile_mod.lower_reader(next(iter(engine.views.values())).plan, "post", None)
+        assert read_sources() == 1  # the spy sees a reader being generated
+    for name, view in engine.views.items():
+        assert view.script.readers.built == built[name]
+        assert view.table.as_set() == frozenset(evaluate_plan(view.plan, db).rows)
+
+
 # ----------------------------------------------------------------------
 # the table memo: dropped with the index set, never copied or pickled
 # ----------------------------------------------------------------------
