@@ -104,7 +104,9 @@ lint-catalog:
 # of what each view absorbed — only core/modlog.py assigns a cursor, and
 # obs/freshness.py keeps no position of its own; and there is one physical write
 # path (storage/table.py) — only it and the crosscheck invariants that
-# audit it may name another object's rows dict or index map; and APPLY
+# audit it may name another object's rows dict or index map, and only it
+# its write journal, armed by the view-round (core/engine.py) and the
+# shard write-sets (shard/workers.py, core/sharded.py) alone; and APPLY
 # is one bulk `Table` call per diff (core/apply.py) — the per-row
 # primitives are for the baselines and the γ group-creation path; and
 # there is one i-diff batch class (core/diffs.py `Diff`, no subclass)
@@ -174,6 +176,13 @@ lint-static:
 	@if grep -rnE '\._(rows|indexes)\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(storage/table|crosscheck/invariants)\.py:|\bself\._rows\b'; then \
 	    echo "Table internals outside storage/table.py: use its public readers and writers"; \
+	    exit 1; fi
+	@if grep -rnE '\bbegin_journal\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/(core/engine|shard/workers|core/sharded)\.py:|^src/repro/storage/table\.py:[0-9]+: +def begin_journal\('; then \
+	    echo "begin_journal outside core/engine.py (the view-round), shard/workers.py and core/sharded.py (write-sets, the RACE604 check): one journal per view-round"; \
+	    exit 1; fi
+	@if grep -rnE '\b_journal\b' src/repro --include='*.py' | grep -vE '^src/repro/storage/table\.py:'; then \
+	    echo "a Table's journal read outside storage/table.py: use begin_journal / end_journal"; \
 	    exit 1; fi
 	@if grep -nE '\b(write_at|delete_at|insert_checked|locate)\(' src/repro/core/apply.py; then \
 	    echo "per-row Table write in core/apply.py: use update_many / insert_many / delete_many"; \

@@ -30,8 +30,9 @@ Rules:
   the replicated writes are value-identical, a routed reader can observe
   the window between another shard's write and its own.
 * RACE604 (error) — a counted writer targets a table that is not
-  registered as a cache/op-cache of the view, so its writes bypass
-  ``Table.begin_capture`` and a process-backend replica replay would
+  registered as a cache/op-cache of the view, so its writes bypass the
+  view-round's write journal (``Table.begin_journal``): a failed round
+  would not roll them back, and a process-backend replica replay would
   silently diverge.
 
 On router-approved routes the pass is expected to stay silent — any
@@ -90,8 +91,8 @@ class _Access:
 
 
 class _TableNames:
-    """Display names for the write targets (tags match the capture tags
-    of :func:`repro.shard.workers.tagged_tables`)."""
+    """Display names for the write targets (tags match the write-set tags
+    of :func:`repro.core.engine.tagged_tables`)."""
 
     def __init__(self, generated, script: DeltaScript):
         self.view_node_id = script.view_node_id
@@ -351,9 +352,9 @@ def check_round(
 
 
 # ----------------------------------------------------------------------
-# RACE604: capture coverage (route-independent)
+# RACE604: journal coverage (route-independent)
 # ----------------------------------------------------------------------
-def _check_capture_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
+def _check_journal_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
     generated = ctx.generated
     registered = {script.view_node_id} | {
         spec.node_id for spec in getattr(generated, "cache_specs", ())
@@ -363,7 +364,7 @@ def _check_capture_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
     }
     hint = (
         "register the materialization in the GeneratedPlan's cache/"
-        "op-cache specs so tagged_tables() captures it"
+        "op-cache specs so tagged_tables() journals it"
     )
     for index, step in enumerate(script.steps, start=1):
         if isinstance(step, ApplyDiffStep):
@@ -373,8 +374,8 @@ def _check_capture_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
                     f"step {index} (APPLY {step.diff_name})",
                     f"APPLY targets node n{step.target_node_id}, which no "
                     f"cache spec registers: its counted writes bypass "
-                    f"Table.begin_capture and replica replay would "
-                    f"silently diverge",
+                    f"the view-round's write journal, so neither a "
+                    f"rollback nor replica replay sees them",
                     hint=hint,
                 )
         elif isinstance(step, AssociativeAggregateStep):
@@ -385,7 +386,7 @@ def _check_capture_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
                     f"step {index} (γ n{gid})",
                     f"associative aggregate writes output n{gid}, which no "
                     f"cache spec registers: its counted writes escape "
-                    f"write-set capture",
+                    f"the write journal",
                     hint=hint,
                 )
             if gid not in opcaches:
@@ -394,8 +395,8 @@ def _check_capture_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
                     f"step {index} (γ n{gid})",
                     f"associative aggregate writes operator cache "
                     f"{step.opcache_name!r} (n{gid}), which no op-cache "
-                    f"spec registers: its counted writes escape write-set "
-                    f"capture",
+                    f"spec registers: its counted writes escape the write "
+                    f"journal",
                     hint=hint,
                 )
         elif isinstance(step, GeneralAggregateStep):
@@ -406,7 +407,7 @@ def _check_capture_coverage(ctx: AnalysisContext, script: DeltaScript) -> None:
                     f"step {index} (γ n{gid})",
                     f"general aggregate writes output n{gid}, which no "
                     f"cache spec registers: its counted writes escape "
-                    f"write-set capture",
+                    f"the write journal",
                     hint=hint,
                 )
 
@@ -420,7 +421,7 @@ def interference_pass(ctx: AnalysisContext) -> None:
     if script is None or not ctx.base_schemas:
         return
     if ctx.generated is not None:
-        _check_capture_coverage(ctx, script)
+        _check_journal_coverage(ctx, script)
     if ctx.db is None:
         return
 

@@ -19,6 +19,8 @@ from ..storage import Table
 class RecomputeView:
     #: recomputation reads the post-state only
     pre_tables: frozenset[str] = frozenset()
+    #: nothing to journal: a round swaps a fresh table in only on success
+    written_tables: tuple[Table, ...] = ()
 
     def __init__(self, name: str, plan: PlanNode, table: Table, lowered: LoweredPlan):
         self.name = name

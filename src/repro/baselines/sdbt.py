@@ -218,6 +218,12 @@ class SdbtView:
             for table, columns in shape.table_columns.items()
         }
 
+    @property
+    def written_tables(self) -> tuple[Table, ...]:
+        """What a round writes: the view, its maps and its opcache."""
+        opcache = () if self.opcache is None else (self.opcache,)
+        return (self.table, *self.maps.values(), *opcache)
+
 
 class SdbtEngine(MaintenanceEngine):
     """Simulated DBToaster over the instrumented storage engine: the

@@ -215,6 +215,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 _print_reconciliation(report)
                 rebuilds = metrics.counter("engine.prestate_rebuilds").value
                 print(f"  Input_pre: replica rolled forward by the log ({rebuilds} rebuilds)")
+                rollbacks = metrics.counter("engine.view_rollbacks").value
+                print(f"  view-rounds rolled back after a failure: {rollbacks} (engine.view_rollbacks)")
     return 0
 
 

@@ -93,6 +93,9 @@ class MaterializedView:
     rule step the readers of its reads, not in a round).
     """
 
+    #: what a view-round writes, journaled around it by the engine
+    written_tables: tuple[Table, ...]
+
     def __init__(
         self,
         generated: GeneratedPlan,
@@ -109,6 +112,7 @@ class MaterializedView:
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
+        self.written_tables = tuple(t for _, t in tagged_tables(caches, operator_caches))
         readers = readers_of(generated.script)
         for step in generated.script.steps:
             step.bind_tables(caches, operator_caches, readers)
@@ -135,6 +139,19 @@ class MaterializedView:
 
     def describe_script(self) -> str:
         return self.script.describe()
+
+
+def tagged_tables(
+    caches: Mapping[int, Table], operator_caches: Mapping[int, Table]
+) -> Iterator[tuple[str, Table]]:
+    """(tag, table) for every table a view's ∆-script may write: the
+    caches (including the view table at the plan root) and the hidden
+    aggregate book-keeping tables.  A tag is a stable name shared by the
+    coordinator and the shard workers, which key write-sets by it."""
+    for node_id in sorted(caches):
+        yield f"c{node_id}", caches[node_id]
+    for node_id in sorted(operator_caches):
+        yield f"o{node_id}", operator_caches[node_id]
 
 
 def counts_since(
@@ -165,6 +182,7 @@ def counted_phase(counters: CounterSet, phase: str, **attrs) -> Iterator[None]:
 _LOG_ENTRIES = metrics.Handle("histogram", "engine.log_entries")
 _ROUND_COST = metrics.Handle("histogram", "engine.round_cost")
 _ROUND_SECONDS = metrics.Handle("loghist", "engine.round_seconds", "seconds")
+_VIEW_ROLLBACKS = metrics.Handle("counter", "engine.view_rollbacks")
 
 
 class MaintenanceEngine:
@@ -172,7 +190,8 @@ class MaintenanceEngine:
     is logged, when ``Input_pre`` is read, what is traced and what is
     reported.  A subclass supplies the rules — :meth:`_define` and
     :meth:`_maintain_view` — and its views name the tables they read in
-    ``Input_pre`` (``view.pre_tables``)."""
+    ``Input_pre`` (``view.pre_tables``) and the tables its maintenance
+    writes (``view.written_tables``)."""
 
     def __init__(self, db: Database, strict: bool = False):
         self.db = db
@@ -237,8 +256,11 @@ class MaintenanceEngine:
         ``(cursor, head]``.  The live database already holds the
         post-state (deferred IVM); rules that need ``Input_pre`` read the
         :class:`PreState` replica, moved to each group's cursor.  A
-        cursor moves once its view's :meth:`_maintain_view` has returned,
-        so a view that fails keeps its entries.  This is the only round
+        view-round commits or does nothing: its written tables are
+        journaled around :meth:`_maintain_view`, a view that raises is
+        rolled back to the rows it held before (``engine.view_rollbacks``)
+        and keeps its entries, and a cursor moves once its view has
+        returned.  This is the only round
         loop: subclasses change what maintaining one view means
         (:meth:`_maintain_view`), never the round around it.
         """
@@ -293,7 +315,18 @@ class MaintenanceEngine:
                         f"view:{view_name}", kind="view", counters=counters,
                         view=view_name,
                     ) as vsp:
-                        report = self._maintain_view(view, db_pre, entries, vsp)
+                        written = view.written_tables
+                        for table in written:
+                            table.begin_journal()
+                        try:
+                            report = self._maintain_view(view, db_pre, entries, vsp)
+                        except BaseException:
+                            for table in written:
+                                table.end_journal(commit=False)
+                            _VIEW_ROLLBACKS().inc()
+                            raise
+                        for table in written:
+                            table.end_journal()
                         log.advance(view_name, entries.end)
                         reports[view_name] = report
                         if traced:

@@ -23,7 +23,7 @@ static interference pass (``repro.analysis.interference``, rules
 RACE6xx) re-proves the per-round write-footprint disjointness at lint /
 define time, and the **dynamic race detector** — ``race_check=True`` on
 this engine — verifies it at run time by asserting pairwise
-key-disjointness of the shards' captured write-sets.  Under
+key-disjointness of the shards' journaled write-sets.  Under
 ``race_check="strict"`` an overlap raises
 :class:`~repro.errors.ShardRaceError` (naming the table, key and
 shards); under plain ``True`` it records a ``shard.race_overlaps``
@@ -70,7 +70,6 @@ from ..shard.workers import (
     build_blueprint,
     captured_writes,
     run_shard,
-    tagged_tables,
 )
 from ..storage import CounterSet, Database
 from . import wire
@@ -81,6 +80,7 @@ from .engine import (
     MaterializedView,
     _reconstruct_pre,
     round_context,
+    tagged_tables,
 )
 from .modlog import RoundEntries
 
@@ -92,7 +92,7 @@ def _writeset_overlaps(
 ) -> list[tuple[str, tuple, tuple[int, ...]]]:
     """Pairwise key-disjointness check over per-shard write-sets.
 
-    *per_shard* maps, per shard index, capture tag -> replayable ops.
+    *per_shard* maps, per shard index, table tag -> replayable ops.
     Returns every (tag, key, shard indices) written by more than one
     shard.  Index builds (``"x"`` ops) are idempotent DDL, not row
     writes, and are excluded.
@@ -140,8 +140,9 @@ class ShardedMaintenanceReport(MaintenanceReport):
     #: found (``race_check`` rounds only; empty means the round's
     #: write-sets were pairwise disjoint, as the router's proof claims).
     race_overlaps: list = field(default_factory=list)
-    #: tables whose counted writes escaped capture during a checked
-    #: round (the dynamic face of RACE604); empty on healthy rounds.
+    #: untagged tables written during a checked round (the dynamic face
+    #: of RACE604: neither write-sets nor a rollback see them); empty on
+    #: healthy rounds.
     uncaptured_tables: list = field(default_factory=list)
 
     @property
@@ -289,7 +290,7 @@ class ShardedEngine(IdIvmEngine):
         if pool is None:
             self._run_broadcast(report, view, instances, db_pre, entries)
             return report
-        # Live worker replicas: capture the coordinator's writes and
+        # Live worker replicas: journal the coordinator's writes and
         # replay them on every worker so their view/cache replicas stay
         # current for the next parallel round.
         tables = list(tagged_tables(view.caches, view.operator_caches))
@@ -339,17 +340,17 @@ class ShardedEngine(IdIvmEngine):
         plan: RoutePlan,
     ) -> tuple[list[ShardResult], list[str]]:
         """Run the shard contexts one after another over the shared
-        tables; also returns the tables whose counted writes escaped
-        capture (checked rounds only)."""
+        tables; also returns the untagged tables they wrote (checked
+        rounds only)."""
         tables = list(tagged_tables(view.caches, view.operator_caches))
         unchanged = RoundEntries.of(entries).unchanged(self.db)
-        # Coverage audit for checked rounds: a counted write landing on a
-        # base table (outside the tagged set) would escape a process
-        # round's write-set merge — dynamic RACE604.
-        audit_hits: set[str] = set()
-        audited = list(self.db.tables.values()) if self.race_check else []
+        # Coverage check for checked rounds: a write landing on a catalog
+        # table outside the tagged set would escape a process round's
+        # write-set merge — dynamic RACE604.
+        tagged = {id(table) for _, table in tables}
+        audited = [t for t in self.db.tables.values() if id(t) not in tagged] if self.race_check else []
         for table in audited:
-            table.audit_uncaptured(audit_hits.add)
+            table.begin_journal()
         results = []
         try:
             for i in range(self.shards):
@@ -361,9 +362,8 @@ class ShardedEngine(IdIvmEngine):
                 ):
                     results.append(run_shard(self._router, view.script, ctx, tables, sc))
         finally:
-            for table in audited:
-                table.audit_uncaptured(None)
-        return results, sorted(audit_hits)
+            written = [table.name for table in audited if table.end_journal(write_set=True)]
+        return results, sorted(written)
 
     def _shards_in_workers(
         self, pool: ProcessShardPool, view: MaterializedView, shard_instances,

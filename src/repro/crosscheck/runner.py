@@ -10,14 +10,22 @@ fresh database; after every batch its view table must equal the oracle's
 multiset exactly, and the engine must pass every invariant in
 :mod:`repro.crosscheck.invariants`.
 
+The ``faults`` strategy runs the compiled engine with one failure
+injected per batch, after the round's k-th counted write (k seeded by
+the batch): the failed round must leave every table the view writes as
+it was, and the retry must converge with every cursor at the log head —
+a view is always some past version of its query, never a mix.
+
 A divergence names the strategy, the batch and what went wrong; the
 shrinker and the regression corpus both consume this structure.
 """
 
 from __future__ import annotations
 
+import random
 import traceback
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -46,6 +54,8 @@ STRATEGY_FACTORIES: dict[str, Callable] = {
     "sharded1": lambda db: ShardedEngine(db, shards=1, race_check=True),
     "sharded2": lambda db: ShardedEngine(db, shards=2, race_check=True),
     "sharded4": lambda db: ShardedEngine(db, shards=4, race_check=True),
+    # Each round fails once after a counted write, then is retried.
+    "faults": lambda db: IdIvmEngine(db, exec_backend="compiled"),
 }
 
 ALL_STRATEGIES = tuple(STRATEGY_FACTORIES)
@@ -59,7 +69,7 @@ class Divergence:
     batch: int  # -1: view definition / initial state
     kind: str  # "view_mismatch" | "invariant" | "exception" |
     #          # "oracle_error" | "analysis" | "cost" | "drift" |
-    #          # "race" | "fingerprint" | "plan_eval"
+    #          # "race" | "fingerprint" | "plan_eval" | "rollback"
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - display helper
@@ -150,6 +160,59 @@ def oracle_states(
     return states
 
 
+class InjectedFault(RuntimeError):
+    """The failure the ``faults`` strategy raises inside a round."""
+
+
+#: A ``faults`` round raises once its k-th tuple write is charged, k in
+#: 1..FAULT_MAX_WRITE.  A round with fewer writes completes, so k stays
+#: small: most fuzzed rounds write a handful of rows or none.
+FAULT_MAX_WRITE = 4
+
+
+@contextmanager
+def _failing_write(counters, k: int):
+    """Raise :class:`InjectedFault` right after *counters* charge the
+    *k*-th tuple write of the block."""
+    real = counters.count_tuple_write
+    written = 0
+
+    def count_tuple_write(n: int = 1) -> None:
+        nonlocal written
+        real(n)
+        written += n
+        if written >= k:
+            raise InjectedFault(f"injected after tuple write {written}")
+
+    counters.count_tuple_write = count_tuple_write
+    try:
+        yield
+    finally:
+        vars(counters).pop("count_tuple_write", None)
+
+
+def _faulty_round(engine, view, batch_index: int, batch) -> Optional[Divergence]:
+    """Run the round of *batch* with a failure injected after a seeded
+    counted write; a round that fails must leave each table *view*
+    writes as it was before the round."""
+    k = random.Random(f"{batch_index}:{batch!r}").randint(1, FAULT_MAX_WRITE)
+    tables = view.written_tables
+    before = [Counter(t.rows_uncounted()) for t in tables]
+    try:
+        with _failing_write(engine.db.counters, k):
+            engine.maintain()
+    except InjectedFault:
+        for table, rows in zip(tables, before):
+            after = Counter(table.rows_uncounted())
+            if after != rows:
+                return Divergence(
+                    "faults", batch_index, "rollback",
+                    f"{table.name} half applied after a failure at write {k}: "
+                    + _multiset_detail(rows, after),
+                )
+    return None
+
+
 def run_strategy(
     case: Mapping,
     strategy: str,
@@ -169,9 +232,19 @@ def run_strategy(
         try:
             for op in batch:
                 apply_modification(engine.log, op)
+            if strategy == "faults":
+                half_applied = _faulty_round(engine, view, bi, batch)
+                if half_applied is not None:
+                    return half_applied
             report = engine.maintain()["V"]
         except Exception as exc:  # noqa: BLE001
             return Divergence(strategy, bi, "exception", _tail(exc))
+        behind = {n: c for n, c in engine.log.cursors.items() if c != engine.log.position}
+        if behind:
+            return Divergence(
+                strategy, bi, "invariant", f"cursors {behind} behind the log head "
+                f"{engine.log.position} after a complete round",
+            )
         actual = Counter(view.table.rows_uncounted())
         if actual != expected[bi]:
             return Divergence(

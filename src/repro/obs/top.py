@@ -106,6 +106,9 @@ def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
     rebuilds = metrics_map.get("engine.prestate_rebuilds", {}).get("value")
     if rebuilds:
         lines.append(f"pre-state replica rebuilt {rebuilds}x: database changed outside the log")
+    rollbacks = metrics_map.get("engine.view_rollbacks", {}).get("value")
+    if rollbacks:
+        lines.append(f"view-rounds rolled back {rollbacks}x: a view failed and kept its entries")
     lines.append("")
 
     # -- per-view table ------------------------------------------------

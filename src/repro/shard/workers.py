@@ -28,7 +28,7 @@ travels as a pickle over the pipe, which is fine for a single message):
 3. ``("exec", view, instances)`` — :func:`run_shard` the view's full
    ∆-script over this shard's i-diff rows in a private ``IrContext``.
    Replies with the wire-encoded :data:`ShardResult`: the exact counter
-   snapshot, the captured write-set, per-instance diff sizes and the
+   snapshot, the journaled write-set, per-instance diff sizes and the
    wall-clock duration.
 4. ``("apply", view, writeset)`` — replay a (merged) write-set onto the
    replica's view tables, uncounted and idempotently; this is how every
@@ -40,7 +40,7 @@ Exactness: the router only parallelizes rounds whose counted reads and
 writes are anchor-local, so during ``exec`` each replica's visible state
 restricted to this shard's rows is identical to the shared database of
 the inline backend — every counted access (including auto-index builds,
-whose creations are captured and replayed so index sets never drift)
+whose creations are journaled and replayed so index sets never drift)
 costs the same, and the per-shard counter sets merge exactly to the
 single-shard counts.
 """
@@ -55,7 +55,7 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..core import wire
 from ..core.compile import bind_kernels, check_backend
-from ..core.engine import MaterializedView, PreState, apply_log, round_context
+from ..core.engine import MaterializedView, PreState, apply_log, round_context, tagged_tables
 from ..core.modlog import RoundEntries
 from ..storage import CounterSet, Database, Table
 from .counters import ShardRoutingCounters
@@ -65,27 +65,11 @@ _CLOSE_TIMEOUT = 5.0
 
 
 # ----------------------------------------------------------------------
-# table tags: a stable name for every writable table of a view, shared
-# by coordinator and workers (write-sets are keyed by tag)
-# ----------------------------------------------------------------------
-def tagged_tables(
-    caches: Mapping[int, Table], operator_caches: Mapping[int, Table]
-) -> Iterator[tuple[str, Table]]:
-    """(tag, table) for every table a view's ∆-script may write: the
-    caches (including the view table at the plan root) and the hidden
-    aggregate book-keeping tables."""
-    for node_id in sorted(caches):
-        yield f"c{node_id}", caches[node_id]
-    for node_id in sorted(operator_caches):
-        yield f"o{node_id}", operator_caches[node_id]
-
-
-# ----------------------------------------------------------------------
 # the shard protocol's one execution step, run by the inline backend in
 # the coordinator and by every worker process
 # ----------------------------------------------------------------------
-#: What one shard hands the coordinator's merge: its counters, captured
-#: write-set (tag -> replayable ops), per-instance diff sizes and its
+#: What one shard hands the coordinator's merge: its counters, journaled
+#: write-set (tag -> net replayable ops), per-instance diff sizes and its
 #: wall-clock duration (a ``perf_counter`` *delta* — never a raw
 #: monotonic reading, which would not be comparable across processes).
 ShardResult = tuple[CounterSet, dict[str, list[tuple]], dict[str, int], float]
@@ -95,18 +79,20 @@ ShardResult = tuple[CounterSet, dict[str, list[tuple]], dict[str, int], float]
 def captured_writes(
     tables: Sequence[tuple[str, Table]],
 ) -> Iterator[dict[str, list[tuple]]]:
-    """Arm write-set capture on the tagged *tables* for the block and
-    disarm it on the way out, failed or not.  Yields the write-set
-    (tag -> replayable ops), filled in when the block ends with the
-    tables that were written."""
-    sinks = {tag: table.begin_capture() for tag, table in tables}
+    """Journal the tagged *tables* for the block (:meth:`Table.begin_journal`,
+    nested in a view-round's journal where one is armed) and commit on the
+    way out, failed or not.  Yields the write-set (tag -> net replayable
+    ops), filled in when the block ends with the tables written."""
+    for _, table in tables:
+        table.begin_journal()
     writes: dict[str, list[tuple]] = {}
     try:
         yield writes
     finally:
-        for _, table in tables:
-            table.end_capture()
-    writes.update((tag, ops) for tag, ops in sinks.items() if ops)
+        for tag, table in tables:
+            ops = table.end_journal(write_set=True)
+            if ops:
+                writes[tag] = ops
 
 
 def run_shard(
@@ -117,8 +103,8 @@ def run_shard(
     counters: CounterSet,
 ) -> ShardResult:
     """Execute *script* over one shard's context *ctx*, counting into the
-    fresh *counters* under *router* activation, with write-set capture
-    armed on the view's tagged *tables*."""
+    fresh *counters* under *router* activation, with the view's tagged
+    *tables* journaled for the shard's write-set."""
     from ..core.script import execute_script
 
     with captured_writes(tables) as writes:

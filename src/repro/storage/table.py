@@ -36,6 +36,11 @@ A bulk call on an empty batch returns before it resolves an index: most
 APPLY steps of a round carry no rows, and an index auto-created for
 them would never serve a lookup.
 
+The two primitives also feed the table's write journal
+(:meth:`Table.begin_journal`), so it sees every writer: the engine arms
+one around each view-round and rolls a failed view back whole, and the
+shard backends read a round's net write-set off it.
+
 Concurrency: a table is read and written by one thread — shards run one
 after another in the coordinator, or in worker processes that own their
 replicas — so no write takes a lock.  A read builds its rows list before
@@ -79,6 +84,17 @@ class _SecondaryIndex:
         return set(bucket) if bucket else set()
 
 
+class _Journal(dict):
+    """key → the row it held when the journal was armed (None: no row);
+    ``built``: the indexes created since, ``outer``: the enclosing one."""
+
+    __slots__ = ("built", "outer")
+
+    def __init__(self, outer: "_Journal | None"):
+        self.built: list[tuple[str, ...]] = []
+        self.outer = outer
+
+
 class Table:
     """A stored relation: primary-key dict plus secondary hash indexes.
 
@@ -99,12 +115,8 @@ class Table:
         self.auto_index = auto_index
         self._rows: dict[tuple, tuple] = {}
         self._indexes: dict[tuple[str, ...], _SecondaryIndex] = {}
-        # Optional write-set sink (see begin_capture): counted writes and
-        # index builds append replayable ops here while active.
-        self._capture: list[tuple] | None = None
-        # Optional coverage audit (see audit_uncaptured): called with the
-        # table name on every counted write that no capture records.
-        self._uncaptured_audit: Callable[[str], None] | None = None
+        # The armed write journal, innermost first (see begin_journal).
+        self._journal: _Journal | None = None
         # What a writer resolves once per shape of call (see bound):
         # dropped when the index set changes, never copied or pickled.
         self._bound: dict = {}
@@ -143,8 +155,8 @@ class Table:
             index.add(key, row)
         self._indexes[columns] = index
         self._bound = {}  # finders and touched sets were resolved without it
-        if self._capture is not None:
-            self._capture.append(("x", columns))
+        if self._journal is not None:
+            self._journal.built.append(columns)
 
     def _index_for(self, columns: tuple[str, ...]) -> _SecondaryIndex | None:
         index = self._indexes.get(columns)
@@ -317,6 +329,9 @@ class Table:
         """Put *row* at *key*, replacing *old* (the row stored there now,
         None when the key is free) in the rows dict and in *indexes* —
         every index unless the caller knows which ones *row* moves in."""
+        journal = self._journal
+        if journal is not None:
+            journal.setdefault(key, old)
         for index in self._indexes.values() if indexes is None else indexes:
             if old is not None:
                 index.remove(key, old)
@@ -325,6 +340,9 @@ class Table:
 
     def _discard(self, key: tuple, row: tuple) -> None:
         """Drop *row*, stored at *key*, from the rows dict and every index."""
+        journal = self._journal
+        if journal is not None:
+            journal.setdefault(key, row)
         del self._rows[key]
         for index in self._indexes.values():
             index.remove(key, row)
@@ -356,10 +374,8 @@ class Table:
         """Tail of every counted write, single or batched: *lookups*
         index lookups, then per ``(pre, post)`` row pair of *changes*
         (None marks an absent side) the *entries* index entries the
-        write mutated, the replayable op (or the uncaptured-write audit)
-        and one tuple write.  A bulk writer whose caller reads no pairs
-        passes only their number — never while a capture or an audit is
-        armed (:meth:`_keeps_pairs`), which read the pairs."""
+        write mutated and one tuple write.  A bulk writer whose caller
+        reads no pairs passes only their number."""
         counters = self.counters
         if lookups:
             counters.count_index_lookup(lookups)
@@ -368,21 +384,7 @@ class Table:
             return
         if entries:
             counters.count_index_maintenance(entries * written)
-        if self._capture is not None:
-            key_of = self.schema.key_of
-            self._capture.extend(
-                ("d", key_of(pre)) if post is None else ("s", key_of(post), post)
-                for pre, post in changes
-            )
-        elif self._uncaptured_audit is not None:
-            for _ in changes:
-                self._uncaptured_audit(self.schema.name)
         counters.count_tuple_write(written)
-
-    def _keeps_pairs(self, returning: bool) -> bool:
-        """Whether a bulk write builds its ``(pre, post)`` pairs: when its
-        caller reads them, or a capture or an audit is armed."""
-        return returning or self._capture is not None or self._uncaptured_audit is not None
 
     # ------------------------------------------------------------------
     # counted writes: the APPLY primitives (paper Appendix A: identifying
@@ -469,8 +471,7 @@ class Table:
     # ``finally``: a batch that raises half-way has charged what its
     # completed rows cost.  Each returns the (pre, post) row pairs
     # written when *returning* (the default), None otherwise — and then
-    # builds no pairs unless a capture or an audit reads them, for the
-    # same lookups, writes and index maintenance.
+    # builds no pairs, for the same lookups, writes and index maintenance.
     # ------------------------------------------------------------------
     def update_many(
         self,
@@ -491,10 +492,9 @@ class Table:
         if layout is None:
             n = len(columns)
             layout = (tuple(range(n)), tuple(range(n, n + len(attrs))))
-        keep = self._keeps_pairs(returning)
         write = self.bound(
-            ("u", columns, attrs, layout, keep),
-            lambda: self._bind_update(columns, attrs, layout, keep),
+            ("u", columns, attrs, layout, returning),
+            lambda: self._bind_update(columns, attrs, layout, returning),
         )
         changes = write(rows)
         return changes if returning else None
@@ -596,7 +596,7 @@ class Table:
         """APPLY ∆−: delete every row whose *columns* equal one of *idents*."""
         if not idents:
             return [] if returning else None
-        changes: list[tuple] | None = [] if self._keeps_pairs(returning) else None
+        changes: list[tuple] | None = [] if returning else None
         lookups = written = 0
         find, per_ident = self._finder(tuple(columns))
         try:
@@ -619,7 +619,7 @@ class Table:
         tuple.  A row with the same key but *different* values signals
         an ineffective diff set and raises :class:`IntegrityError`.
         """
-        changes: list[tuple] | None = [] if self._keeps_pairs(returning) else None
+        changes: list[tuple] | None = [] if returning else None
         lookups = written = 0
         key_of = self.schema.key_of
         try:
@@ -643,50 +643,46 @@ class Table:
         return changes if returning else None
 
     # ------------------------------------------------------------------
-    # write-set capture and replay (process shard workers)
+    # the write journal (view-round rollback, shard write-sets) and replay
     # ------------------------------------------------------------------
-    def begin_capture(self) -> list[tuple]:
-        """Start recording counted writes as replayable ops.
+    def begin_journal(self) -> None:
+        """Arm a write journal: the first write of each key, by any
+        writer, records the row the key held, and an index build its
+        columns.  Armed inside another, it is a savepoint of it."""
+        self._journal = _Journal(self._journal)
 
-        Because primary keys are immutable, every counted mutation of
-        this table reduces to an upsert ``("s", key, row)`` or a delete
-        ``("d", key)``; index builds record ``("x", columns)`` so a
-        replica's index set (and hence its ``index_maintenance`` counts)
-        tracks the original's.  Returns the sink list.
-
-        Captures do not nest: arming a second capture while one is
-        active raises :class:`~repro.errors.ScriptError` — the inner
-        caller would silently steal the outer caller's write-set.
-        """
-        if self._capture is not None:
-            raise ScriptError(
-                f"nested begin_capture on table {self.schema.name!r}: "
-                f"a capture is already active"
-            )
-        sink: list[tuple] = []
-        self._capture = sink
-        return sink
-
-    def end_capture(self) -> list[tuple]:
-        """Stop recording and return the captured op list."""
-        sink, self._capture = self._capture, None
-        return sink if sink is not None else []
-
-    def audit_uncaptured(self, hook: Callable[[str], None] | None) -> None:
-        """Install (or clear, with None) the capture-coverage audit.
-
-        While set and no capture is armed, every counted write calls
-        ``hook(table_name)``.  The dynamic race detector arms this on
-        tables *outside* the view's tagged cache set during a checked
-        round: any hit is a writer whose effects would escape the
-        process backend's write-set merge (the dynamic face of RACE604).
-        """
-        self._uncaptured_audit = hook
+    def end_journal(self, commit: bool = True, write_set: bool = False) -> list[tuple] | None:
+        """Disarm the innermost journal: *commit* keeps its writes (a
+        savepoint folds into the outer journal, which keeps a key's older
+        row); otherwise every recorded row is put back, uncounted (an
+        index built meanwhile stays).  *write_set*: return the net ops
+        for :meth:`replay_writes` — ``("x", columns)`` per index built,
+        then per key, in first-touch order, ``("s", key, row)`` or
+        ``("d", key)``."""
+        journal = self._journal
+        if journal is None:
+            raise ScriptError(f"end_journal on table {self.schema.name!r}: no journal is armed")
+        outer, self._journal = journal.outer, None  # a restore journals nothing
+        if not commit:
+            for key, row in journal.items():
+                self._put(key, row)
+        elif outer is not None:
+            for key, row in journal.items():
+                outer.setdefault(key, row)
+            outer.built += journal.built
+        self._journal = outer
+        if not write_set:
+            return None
+        get = self._rows.get
+        return [("x", columns) for columns in journal.built] + [
+            ("d", key) if (row := get(key)) is None else ("s", key, row) for key in journal
+        ]
 
     def replay_writes(self, ops: Sequence[tuple]) -> None:
-        """Apply a captured write-set, uncounted and idempotently.
+        """Apply a write-set (:meth:`end_journal`), uncounted and
+        idempotently.
 
-        The counted work already happened wherever the ops were captured
+        The counted work already happened wherever the ops were journaled
         (a shard worker process); replay only moves this replica to the
         same post-state.  Upserts overwrite, deletes of absent keys are
         no-ops, index builds are idempotent — so replaying a merged
@@ -790,8 +786,9 @@ class Table:
         return clone
 
     def __getstate__(self) -> dict:
-        # The memo holds generated functions and bound methods.
-        return {**self.__dict__, "_bound": {}}
+        # The memo holds generated functions and bound methods; a journal
+        # armed by the sender's round is the sender's.
+        return {**self.__dict__, "_bound": {}, "_journal": None}
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"Table({self.schema.name}, {len(self._rows)} rows)"

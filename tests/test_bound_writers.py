@@ -4,8 +4,8 @@
   table's writer bound to the changed columns (``Table.patcher``); a
   column set that cannot bind binds nothing, so every bad call raises.
 * Bulk APPLY keeps ``(pre, post)`` pairs only for a reader: a
-  RETURNING-less ``apply_diff`` charges, captures and audits exactly what
-  a RETURNING one does, batches that raise half-way included.
+  RETURNING-less ``apply_diff`` charges and journals exactly what a
+  RETURNING one does, batches that raise half-way included.
 * The lag intake: ``FreshnessTracker.round_lags`` computes one bucket per
   run of lags in one bucket and equals one-by-one observation field by
   field.
@@ -75,11 +75,11 @@ def test_an_absent_key_raises_on_every_call_bound_or_not():
 def test_a_no_op_update_logs_and_writes_nothing():
     db, table, log = _logged()
     stored = table.get_uncounted((2,))
-    sink = table.begin_capture()
+    table.begin_journal()
     log.update("t", (2,), {"a": "y", "b": 20})
     assert table.get_uncounted((2,)) is stored
     assert log.entries == [] and log.position == 0
-    assert sink == [] and db.counters.total.total == 0
+    assert table.end_journal(write_set=True) == [] and db.counters.total.total == 0
     # a real change through the same binding is logged with both rows
     log.update("t", (2,), {"a": "y", "b": 21})
     (entry,) = log.entries
@@ -100,7 +100,7 @@ def test_a_new_index_on_a_changed_column_is_maintained():
 
 
 # ----------------------------------------------------------------------
-# (b) RETURNING-less APPLY: no pairs, the same accesses, ops and audits
+# (b) RETURNING-less APPLY: no pairs, the same accesses and journal
 # ----------------------------------------------------------------------
 SCHEMA = TableSchema("r", ("k", "a", "b"), ("k",))
 
@@ -110,11 +110,9 @@ def _table(seed: int, arm: str):
     table.create_index(("a",))  # touched by the ∆u on a
     rng = random.Random(seed)
     table.load([(k, rng.randrange(4), rng.randrange(100)) for k in range(12)])
-    audited: list[str] = []
-    sink = table.begin_capture() if arm == "capture" else None
-    if arm == "audit":
-        table.audit_uncaptured(audited.append)
-    return table, sink, audited
+    if arm != "none":  # the write-set capture, or the RACE604 check
+        table.begin_journal()
+    return table
 
 
 def _diffs(seed: int, poisoned: bool) -> list[Diff]:
@@ -160,9 +158,7 @@ def test_returningless_apply_keeps_no_pairs_and_charges_the_same(seed, poisoned,
         return real_account(self, changes, entries, lookups)
 
     monkeypatch.setattr(Table, "_account", spying_account)
-    (reading, read_sink, read_audit), (blind, blind_sink, blind_audit) = (
-        _table(seed, arm), _table(seed, arm)
-    )
+    reading, blind = _table(seed, arm), _table(seed, arm)
     for diff in _diffs(seed, poisoned):
         outcomes = []
         for table, returning in ((reading, True), (blind, False)):
@@ -175,24 +171,26 @@ def test_returningless_apply_keeps_no_pairs_and_charges_the_same(seed, poisoned,
                 outcomes.append(None if applied is None else len(applied))
                 if returning:
                     assert all(isinstance(c, list) for c in accounted)
-                elif arm == "none":
-                    # the blind APPLY built no pairs: its tail got a number
+                else:
+                    # the blind APPLY built no pairs, journaled or not:
+                    # its tail got a number
                     assert accounted and all(isinstance(c, int) for c in accounted)
         if poisoned:
             assert outcomes[0] is outcomes[1] is not None, outcomes
         else:
             assert isinstance(outcomes[0], int) and outcomes[1] is None, outcomes
         assert _state(reading) == _state(blind), diff.schema
-        assert read_sink == blind_sink and read_audit == blind_audit
         assert check_table(blind, "blind") == []
     if arm == "capture":
-        assert blind_sink
-    if arm == "audit":
-        assert blind_audit and set(blind_audit) == {"r"}
+        ops = blind.end_journal(write_set=True)
+        assert ops and ops == reading.end_journal(write_set=True)
+    if arm == "audit":  # as ShardedEngine's check reports a written table
+        audited = [t.name for t in (reading, blind) if t.end_journal(write_set=True)]
+        assert audited == ["r", "r"]
 
 
 def test_the_update_loop_reads_a_diff_in_place_and_binds_per_layout():
-    table, _, _ = _table(0, "none")
+    table = _table(0, "none")
     rows = [(k, "ignored", 7) for k in range(3)]
     assert table.update_many(("k",), ("b",), rows, ((0,), (2,)), returning=False) is None
     assert [table.get_uncounted((k,))[2] for k in range(3)] == [7, 7, 7]

@@ -447,3 +447,4 @@ class TestCli:
         assert "predicted vs measured" in out
         assert "reconciliation: all phases within tolerance" in out
         assert "Input_pre: replica rolled forward by the log (0 rebuilds)" in out
+        assert "view-rounds rolled back after a failure: 0 (engine.view_rollbacks)" in out

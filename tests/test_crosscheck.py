@@ -109,6 +109,34 @@ class TestRunner:
         assert divergence.kind == "view_mismatch"
 
 
+    def test_faults_strategy_reports_a_half_applied_round(self, monkeypatch):
+        """The ``faults`` strategy is clean on a case whose round writes,
+        and reports the round once a rollback keeps its writes."""
+        from repro.crosscheck.runner import oracle_states, run_strategy
+        from repro.storage import Table
+
+        case = {
+            "version": 1,
+            "tables": [
+                {"name": "t0", "columns": ["k", "c0"], "key": ["k"],
+                 "rows": [[0, 1]]},
+            ],
+            "foreign_keys": [],
+            "plan": {"op": "scan", "table": "t0", "alias": "s0"},
+            "batches": [[{"op": "insert", "table": "t0", "row": [1, 2]}]],
+        }
+        assert "faults" in ALL_STRATEGIES
+        expected = oracle_states(case)
+        assert run_strategy(case, "faults", expected) is None
+        real_end = Table.end_journal
+        monkeypatch.setattr(
+            Table, "end_journal",
+            lambda self, commit=True, write_set=False: real_end(self, True, write_set),
+        )
+        divergence = run_strategy(case, "faults", expected)
+        assert divergence is not None and divergence.kind == "rollback"
+
+
 class TestShrinker:
     def _base_case(self):
         return generate_case(0, 2)

@@ -7,6 +7,7 @@ whatever rules the engine applies per view.
 from __future__ import annotations
 
 import pickle
+import sys
 from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
@@ -28,6 +29,7 @@ from repro.core.engine import EXEC_BACKENDS, MaintenanceEngine, MaterializedView
 from repro.core.modlog import schema_instance_name
 from repro.core.rules.aggregate import AssociativeAggregateStep
 from repro.core.script import ApplyDiffStep
+from repro.crosscheck.invariants import check_table
 from repro.errors import StaticAnalysisError
 from repro.expr import col
 from repro.obs import (
@@ -552,46 +554,137 @@ def test_a_view_that_fails_keeps_its_entries(kind, running_example_db):
     _assert_b_kept_its_entries_then_converges(engine, running_example_db)
 
 
-def _second_view_fails_after_its_first_write(engine):
-    """Make B, the round's second view, raise right after its first
-    counted write (a ``Table._account`` tail with rows): half applied."""
-    real_view, real_account = type(engine)._maintain_view, Table._account
-    in_b = []
+def _in_view(engine, name: str):
+    """A patch of the engine's ``_maintain_view`` and the list it keeps
+    ``[True]`` while view *name* is maintained (``[False]`` for another
+    view, empty between views)."""
+    real_view, inside = type(engine)._maintain_view, []
 
     def maintain_view(self, view, *args, **kwargs):
-        in_b[:] = [view.name == "B"]
+        inside[:] = [view.name == name]
         try:
             return real_view(self, view, *args, **kwargs)
         finally:
-            in_b.clear()
+            inside.clear()
+
+    return mock.patch.object(type(engine), "_maintain_view", maintain_view), inside
+
+
+def _fails_after_its_first_write(engine, stack):
+    """B raises right after its first counted write (a ``Table._account``
+    tail with rows)."""
+    patch, in_b = _in_view(engine, "B")
+    real_account = Table._account
 
     def account(self, changes, *args, **kwargs):
         real_account(self, changes, *args, **kwargs)
         if changes and in_b == [True]:
             raise Boom("injected after a write")
 
-    stack = ExitStack()
-    stack.enter_context(mock.patch.object(type(engine), "_maintain_view", maintain_view))
+    stack.enter_context(patch)
     stack.enter_context(mock.patch.object(Table, "_account", account))
-    return stack
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param(kind, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP 1b"
-    ))
-    if kind in ("eager", "id", "tuple") else kind
-    for kind in CURSOR_KINDS
+def _fails_inside_a_bulk_batch(engine, stack):
+    """B raises at the second row a bulk writer stores or drops: the
+    writer's ``finally`` charges the row before it."""
+    patch, in_b = _in_view(engine, "B")
+    real_store, real_discard = Table._store, Table._discard
+    bulk = {"update_rows", "insert_many", "delete_many"}
+    rows_of: Counter = Counter()
+
+    def second_row_raises():
+        caller = sys._getframe(2)
+        if in_b == [True] and caller.f_code.co_name in bulk:
+            rows_of[id(caller)] += 1
+            if rows_of[id(caller)] == 2:
+                raise Boom("injected inside a bulk batch")
+
+    def store(self, *args, **kwargs):
+        second_row_raises()
+        real_store(self, *args, **kwargs)
+
+    def discard(self, *args, **kwargs):
+        second_row_raises()
+        real_discard(self, *args, **kwargs)
+
+    stack.enter_context(patch)
+    stack.enter_context(mock.patch.object(Table, "_store", store))
+    stack.enter_context(mock.patch.object(Table, "_discard", discard))
+
+
+def _fails_after_its_group_pass(engine, stack):
+    """B's γ pass writes its groups, then raises."""
+    view = engine.views["B"]
+    writers = [view.writer] if hasattr(view, "writer") else [
+        step._bound.writer for step in view.script.steps
+        if isinstance(step, AssociativeAggregateStep)
+    ]
+    for writer in writers:
+        real = writer.run
+
+        def run(changes, real=real):
+            real(changes)
+            raise Boom("injected after the group pass")
+
+        stack.enter_context(mock.patch.object(writer, "run", run))
+
+
+FAILURE_POINTS = {
+    "first_write": _fails_after_its_first_write,
+    "bulk_batch": _fails_inside_a_bulk_batch,
+    "group_pass": _fails_after_its_group_pass,
+}
+
+
+def _snapshot(table: Table) -> tuple:
+    return dict(table._rows), {
+        columns: {value: set(keys) for value, keys in index.buckets.items()}
+        for columns, index in table._indexes.items()
+    }
+
+
+@pytest.mark.parametrize("kind,point", [
+    pytest.param(kind, point, id=kind if point == "first_write" else f"{kind}-{point}")
+    for kind in CURSOR_KINDS for point in FAILURE_POINTS
+    # recomputation fills a fresh table row by row: no batch, no γ pass
+    if kind != "recompute" or point == "first_write"
 ])
-def test_a_view_that_fails_after_its_first_write_converges(kind, running_example_db):
-    """ROADMAP item 1b's open half: a view that fails after a write is
-    half applied, and a retry applies its range again on top.
-    Recomputation (it rewrites the whole view) and SDBT converge today;
-    the ∆-script engines do not until a view's writes are staged."""
+def test_a_view_that_fails_after_its_first_write_converges(kind, point, running_example_db):
+    """ROADMAP item 1b: a view that fails after a write — its first, one
+    inside a bulk batch, or its γ pass — is rolled back whole: each of
+    its tables holds the rows and index buckets it held before the
+    round, the restore charges nothing, and a retry converges."""
     db = running_example_db
     engine = _two_view_engine(kind, db)
-    with _second_view_fails_after_its_first_write(engine), pytest.raises(Boom):
-        engine.maintain()
+    b = engine.views["B"]
+    tables = {id(t): t for t in (b.table, *b.written_tables)}.values()
+    before = [_snapshot(t) for t in tables]
+    rollbacks = metrics.counter("engine.view_rollbacks")
+    restores = []
+    real_end = Table.end_journal
+
+    def end_journal(self, commit=True, write_set=False):
+        counts = self.counters.snapshot()
+        got = real_end(self, commit, write_set)
+        if not commit:
+            restores.append(self.counters.snapshot() == counts)
+        return got
+
+    with ExitStack() as stack:
+        FAILURE_POINTS[point](engine, stack)
+        stack.enter_context(mock.patch.object(Table, "end_journal", end_journal))
+        with pytest.raises(Boom):
+            engine.maintain()
+    assert rollbacks.value == 1
+    assert len(restores) == len(b.written_tables) and all(restores)
+    assert engine.log.cursors == {"A": 20, "B": 0}
+    for table, (rows, buckets) in zip(tables, before):
+        assert _snapshot(table)[0] == rows, table.name
+        for columns, bucket in buckets.items():
+            assert _snapshot(table)[1][columns] == bucket, (table.name, columns)
+        assert check_table(table, table.name) == []
     engine.maintain()
+    assert rollbacks.value == 1
     for name, view in engine.views.items():
         assert view_bag(engine, name) == Counter(evaluate_plan(view.plan, db).rows), name

@@ -197,13 +197,13 @@ class TestAssociativeStep:
         ]
         writer = GroupWriter(plan, out, opc)
         db.counters.reset()
-        out.begin_capture()
+        out.begin_journal()
         ins, dels, upd = apply_group_deltas(writer, changes)
         # effective rows per kind: key + values, key + old + new values
         assert ins == [("e", 4, 1)]
         assert dels == [("c", 1, 1)]
         assert upd == [("a", 12, 2, 14, 2), ("b", 2, 1, 9, 1), ("d", 3, 1, 0, 1)]
-        assert [op[:2] for op in out.end_capture()] == [
+        assert [op[:2] for op in out.end_journal(write_set=True)] == [
             ("s", ("a",)), ("s", ("e",)), ("s", ("b",)), ("d", ("c",)), ("s", ("d",)),
         ]
         assert opc.as_set() == {("a", 2, 2), ("b", 1, 1), ("d", 1, 1), ("e", 1, 1)}
@@ -553,9 +553,9 @@ def test_group_pass_matches_the_sequential_reference(seed):
         charges, ops = _reference(plan, changes, expected_out, expected_book)
         writer = GroupWriter(plan, out, opc)
         db.counters.reset()
-        out.begin_capture()
+        out.begin_journal()
         ins, dels, upd = apply_group_deltas(writer, changes)
-        assert [op[:2] for op in out.end_capture()] == ops, name
+        assert [op[:2] for op in out.end_journal(write_set=True)] == ops, name
         total = db.counters.total
         assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == charges, name
         # bit for bit: repr tells -0.0 from 0.0 and 1e16 + 1.0 from 1e16

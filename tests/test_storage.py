@@ -399,11 +399,13 @@ class TestIndexMaintenanceAccounting:
 
 
 class TestWriteSetCapture:
-    """begin_capture / end_capture / replay_writes edge cases.
+    """The write journal (begin_journal / end_journal) and replay_writes:
+    edge cases.
 
-    These primitives carry the process-backend write-set merge AND the
-    dynamic shard race detector; their edge semantics (no nesting, replay
-    is uncounted, op order is the mutation order) are load-bearing.
+    The journal carries a failed view-round's rollback, the process
+    backend's write-set merge AND the dynamic shard race detector; its
+    edge semantics (savepoint nesting, an uncounted restore, one net op
+    per key, replay is uncounted) are load-bearing.
     """
 
     def _fresh(self):
@@ -411,37 +413,90 @@ class TestWriteSetCapture:
         table.load([("P1", 10), ("P2", 20)])
         return table
 
-    def test_nested_capture_is_an_error(self):
+    def test_nested_journals_are_savepoints(self):
+        table = self._fresh()
+        table.begin_journal()
+        table.insert(("P3", 30))
+        table.begin_journal()
+        update(table, ("P3",), {"price": 31})
+        table.insert(("P4", 40))
+        # a rolled-back savepoint restores its own writes only
+        table.end_journal(commit=False)
+        assert table.as_set() == {("P1", 10), ("P2", 20), ("P3", 30)}
+        table.begin_journal()
+        delete(table, ("P1",))
+        update(table, ("P3",), {"price": 32})
+        table.end_journal()  # folded into the outer journal
+        assert table.end_journal(write_set=True) == [
+            ("s", ("P3",), ("P3", 32)), ("d", ("P1",)),
+        ]
+        # and an outer rollback restores what the inner one committed
+        table.begin_journal()
+        table.begin_journal()
+        delete(table, ("P2",))
+        table.end_journal()
+        table.end_journal(commit=False)
+        assert table.get_uncounted(("P2",)) == ("P2", 20)
+
+    def test_end_journal_without_begin_is_an_error(self):
         from repro.errors import ScriptError
 
         table = self._fresh()
-        table.begin_capture()
         with pytest.raises(ScriptError):
-            table.begin_capture()
-        # The original capture stays armed and intact.
-        table.insert(("P3", 30))
-        ops = table.end_capture()
-        assert ops == [("s", ("P3",), ("P3", 30))]
+            table.end_journal()
 
-    def test_end_capture_without_begin_is_empty(self):
+    def test_a_pickled_table_carries_no_journal(self):
+        """A process-backend blueprint is pickled inside a view-round:
+        the replica must not inherit the coordinator's armed journal."""
+        import pickle
+
+        from repro.errors import ScriptError
+
         table = self._fresh()
-        assert table.end_capture() == []
+        table.begin_journal()
+        table.insert(("P3", 30))
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.as_set() == table.as_set()
+        with pytest.raises(ScriptError):
+            clone.end_journal()
+        table.end_journal(commit=False)
+        assert ("P3", 30) not in table.as_set()
 
     def test_capture_stops_recording_after_end(self):
         table = self._fresh()
-        table.begin_capture()
+        table.begin_journal()
         table.insert(("P3", 30))
-        ops = table.end_capture()
+        ops = table.end_journal(write_set=True)
         table.insert(("P4", 40))
         assert ops == [("s", ("P3",), ("P3", 30))]
 
+    def test_rollback_restores_rows_and_buckets_uncounted(self):
+        table = self._fresh()
+        table.create_index(("price",))
+        rows = dict(table._rows)
+        buckets = {v: set(k) for v, k in table._indexes[("price",)].buckets.items()}
+        table.begin_journal()
+        table.insert(("P3", 30))
+        update(table, ("P1",), {"price": 20})
+        delete(table, ("P2",))
+        table.insert_uncounted(("P2", 21))
+        table.create_index(("pid", "price"))
+        counts = table.counters.snapshot()
+        table.end_journal(commit=False)
+        assert table.counters.snapshot() == counts
+        assert table._rows == rows
+        assert table._indexes[("price",)].buckets == buckets
+        # an index built in the journal stays built, over the restored rows
+        assert table.index_columns() == [("pid", "price"), ("price",)]
+        assert check_table(table, "restored") == []
+
     def test_replay_is_count_neutral(self):
         source = self._fresh()
-        source.begin_capture()
+        source.begin_journal()
         source.insert(("P3", 30))
         update(source, ("P1",), {"price": 11})
         delete(source, ("P2",))
-        ops = source.end_capture()
+        ops = source.end_journal(write_set=True)
 
         replica = self._fresh()
         counters = replica.counters
@@ -451,16 +506,18 @@ class TestWriteSetCapture:
         assert after == before, "replay must not count work twice"
         assert replica.as_set() == source.as_set()
 
-    def test_replay_preserves_op_order(self):
-        """delete + reinsert of the same key must land in capture order,
-        or the replica converges to the wrong row."""
+    def test_write_set_holds_one_net_op_per_key(self):
+        """delete + reinsert + update of one key is one op: the row the
+        key holds at the end, which the replica converges to."""
         source = self._fresh()
-        source.begin_capture()
+        source.begin_journal()
         delete(source, ("P1",))
         source.insert(("P1", 99))
         update(source, ("P1",), {"price": 100})
-        ops = source.end_capture()
-        assert [op[0] for op in ops] == ["d", "s", "s"]
+        source.insert(("P5", 50))
+        delete(source, ("P5",))
+        ops = source.end_journal(write_set=True)
+        assert ops == [("s", ("P1",), ("P1", 100)), ("d", ("P5",))]
 
         replica = self._fresh()
         replica.replay_writes(ops)
@@ -469,30 +526,14 @@ class TestWriteSetCapture:
 
     def test_replay_is_idempotent(self):
         source = self._fresh()
-        source.begin_capture()
+        source.begin_journal()
         source.insert(("P3", 30))
         delete(source, ("P2",))
-        ops = source.end_capture()
+        ops = source.end_journal(write_set=True)
         replica = self._fresh()
         replica.replay_writes(ops)
         replica.replay_writes(ops)  # upserts overwrite, deletes no-op
         assert replica.as_set() == source.as_set()
-
-    def test_uncaptured_audit_fires_only_without_capture(self):
-        table = self._fresh()
-        hits: list[str] = []
-        table.audit_uncaptured(hits.append)
-        table.insert(("P3", 30))
-        assert hits == ["parts"]
-        # An armed capture silences the audit (the write is recorded).
-        table.begin_capture()
-        table.insert(("P4", 40))
-        table.end_capture()
-        assert hits == ["parts"]
-        # Clearing the hook stops the audit.
-        table.audit_uncaptured(None)
-        table.insert(("P5", 50))
-        assert hits == ["parts"]
 
 
 WRITERS = (
@@ -502,8 +543,9 @@ WRITERS = (
 
 
 class TestOneWritePath:
-    """Every public writer ends in the same two primitives, so any
-    sequence of them reduces to the upsert/delete ops a capture records."""
+    """Every public writer ends in the same two primitives, so the
+    journal records any sequence of them: its net write-set replays the
+    sequence, and its rollback undoes it."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -521,9 +563,25 @@ class TestOneWritePath:
         table.create_index(("a", "b"))
         table.load([(0, 0, 0), (1, 1, 1)])
         replica = table.copy(counters=CounterSet())
-        # The sink takes the counted writes; the uncounted writers record
-        # nothing, so the test appends the op each of them amounts to.
-        log = table.begin_capture()
+        initial = dict(table._rows)
+        for commit in (True, False):
+            table.begin_journal()
+            self.run(table, steps)
+            ops = table.end_journal(commit, write_set=commit)
+            if commit:
+                replica.replay_writes(ops)
+                assert replica._rows == table._rows
+                for columns in table.index_columns():
+                    assert replica._indexes[columns].buckets == table._indexes[columns].buckets
+                # the second pass starts where the first ended, and its
+                # rollback returns there
+                initial = dict(table._rows)
+                continue
+            assert table._rows == initial
+            assert check_table(table, "restored") == []
+
+    @staticmethod
+    def run(table: Table, steps) -> None:
         for writer, k, a, b in steps:
             key, row = (k,), (k, a, b)
             stored = table.get_uncounted(key)
@@ -533,8 +591,6 @@ class TestOneWritePath:
                 arg = [row] if writer == "load" else row
                 if stored is None:
                     write(arg)
-                    if writer != "insert":
-                        log.append(("s", key, row))
                 else:
                     with pytest.raises(IntegrityError):
                         write(arg)
@@ -558,26 +614,15 @@ class TestOneWritePath:
                     assert table.delete_at(key) == stored
             elif writer == "delete_uncounted":
                 assert table.delete_uncounted(key) == stored
-                log.append(("d", key))
             elif writer == "update_uncounted":
                 assert table.update_uncounted(key, {"b": b}) == stored
-                if stored is not None:
-                    log.append(("s", key, stored[:2] + (b,)))
             else:
-                ops = [("s", key, row), ("d", ((k + 1) % 5,))]
-                table.replay_writes(ops)
-                log.extend(ops)
+                table.replay_writes([("s", key, row), ("d", ((k + 1) % 5,))])
             if writer not in ("insert", "insert_checked", "write_at", "delete_at"):
                 assert table.counters.snapshot() == counts, writer
             assert check_table(table, writer) == []
             for index in table._indexes.values():
                 assert all(index.buckets.values()), "an emptied bucket stayed"
-        assert table.end_capture() is log
-        replica.replay_writes(log)
-        assert replica._rows == table._rows
-        assert list(replica._rows) == list(table._rows)  # same insertion order
-        for columns in table.index_columns():
-            assert replica._indexes[columns].buckets == table._indexes[columns].buckets
 
 
 # ----------------------------------------------------------------------
@@ -631,26 +676,27 @@ class TestBulkWriters:
     loops on an identically built table."""
 
     @staticmethod
-    def build(initial, auto_index: bool, capture: bool):
+    def build(initial, auto_index: bool, journal: bool):
         table = Table(TableSchema("r", ("k", "a", "b"), ("k",)), auto_index=auto_index)
         table.create_index(("a",))
         table.create_index(("a", "b"))
         table.load(dict((row[0], row) for row in initial).values())
-        audited: list[str] = []
-        sink = table.begin_capture() if capture else None
-        table.audit_uncaptured(audited.append)
-        return table, sink, audited
+        if journal:  # a savepoint in a journal
+            table.begin_journal()
+            table.begin_journal()
+        return table
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(0, 5), small, small), max_size=6),
         st.booleans(), st.booleans(), bulk_ops,
     )
-    def test_bulk_equals_the_per_row_loop(self, initial, auto_index, capture, ops):
+    def test_bulk_equals_the_per_row_loop(self, initial, auto_index, journal, ops):
         # Two tables with one history: a bucket's iteration order is a
         # function of its history, and both paths iterate a copy of it.
-        bulk, bulk_sink, bulk_audited = self.build(initial, auto_index, capture)
-        ref, ref_sink, ref_audited = self.build(initial, auto_index, capture)
+        bulk = self.build(initial, auto_index, journal)
+        ref = self.build(initial, auto_index, journal)
+        rows = dict(bulk._rows)
         for (writer, columns, attrs), batch in ops:
             idents = [row[: len(columns)] for row in batch]
             calls = {
@@ -687,9 +733,12 @@ class TestBulkWriters:
             for columns_, index in bulk._indexes.items():
                 assert index.buckets == ref._indexes[columns_].buckets
             assert bulk.counters.snapshot() == ref.counters.snapshot(), (writer, columns, batch)
-            assert bulk_sink == ref_sink
-            assert bulk_audited == ref_audited
             assert check_table(bulk, writer) == []
+        if journal:
+            assert bulk.end_journal(write_set=True) == ref.end_journal(write_set=True)
+            bulk.end_journal(commit=False)
+            assert bulk._rows == rows
+            assert check_table(bulk, "restored") == []
 
     def test_empty_batch_resolves_no_index(self, parts):
         """Most APPLY steps of a round carry an empty diff; the per-row
@@ -713,17 +762,18 @@ class TestBulkWriters:
         assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == (0, 5, 2)
 
     def test_key_columns_are_immutable(self, parts):
-        sink = parts.begin_capture()
+        parts.begin_journal()
         with pytest.raises(SchemaError):
             parts.update_many(("pid",), ("pid",), [("P1", "P9")])
-        assert sink == [] and parts.counters.total == CounterSet().total
+        assert parts.end_journal(write_set=True) == []
+        assert parts.counters.total == CounterSet().total
         assert parts.get_uncounted(("P1",)) == ("P1", 10)
 
     def test_conflicting_insert_charges_the_rows_before_it(self, parts):
-        sink = parts.begin_capture()
+        parts.begin_journal()
         with pytest.raises(IntegrityError):
             parts.insert_many([("P4", 40), ("P1", 10), ("P2", 99), ("P5", 50)])
-        assert sink == [("s", ("P4",), ("P4", 40))]
+        assert parts.end_journal(write_set=True) == [("s", ("P4",), ("P4", 40))]
         assert parts.get_uncounted(("P5",)) is None
         total = parts.counters.total
         # P4 stored, P1 identical (skipped), P2 conflicts: three probes, one write

@@ -65,6 +65,12 @@ class TestRenderDashboard:
         snapshot["metrics"]["engine.prestate_rebuilds"] = {"type": "counter", "value": 3}
         assert "pre-state replica rebuilt 3x" in render_dashboard(snapshot)
 
+    def test_view_rollbacks_show_only_when_they_happened(self):
+        snapshot, _loop = _demo_snapshot()
+        assert "rolled back" not in render_dashboard(snapshot)
+        snapshot["metrics"]["engine.view_rollbacks"] = {"type": "counter", "value": 2}
+        assert "view-rounds rolled back 2x" in render_dashboard(snapshot)
+
     def test_drift_column_is_the_ewma_farthest_from_one(self):
         monitor = DriftMonitor()
         phase = SCRIPT_PHASES[-1]
