@@ -67,6 +67,7 @@ RULES: dict[str, Rule] = {
         Rule("SHARE701", INFO, "identical sub-plan cached by multiple views"),
         Rule("SHARE702", INFO, "view semantically equivalent to an existing view"),
         Rule("SHARE703", INFO, "view subsumed by σ/π over another view's cache"),
+        Rule("SHARE704", INFO, "statement computed by k views, executed once per round"),
     )
 }
 

@@ -17,9 +17,14 @@ actually sharing intermediate caches across views.
 * **SHARE703** — a view is a selection/projection over a sub-plan that
   another view materializes: its σ/π root chain bottoms out in a
   fingerprint another view caches.
+* **SHARE704** — compute statements that two or more views hold
+  identically, by round-share key (:func:`repro.core.share.share_keys`,
+  the function the engine keys them with): an engine computes each once
+  per round and the other views bind its rows.  One finding per set of
+  views, with the number of statements they share.
 
-All three are informational: they report sharing *opportunities*, not
-defects.
+SHARE701–703 report sharing *opportunities*; SHARE704 reports sharing
+an engine does.  All four are informational.
 
 Facts (:class:`CatalogViewFacts`) are deliberately tiny and
 JSON-serializable so the incremental analysis cache can persist them —
@@ -41,7 +46,7 @@ from ..storage.database import Database
 from .fingerprint import plan_fingerprint, plan_fingerprints
 from .registry import CatalogContext, register_catalog_pass
 
-SHARING_PASS_VERSION = 1
+SHARING_PASS_VERSION = 2
 
 #: how many view names a SHARE7xx message spells out before eliding
 _MAX_NAMED_VIEWS = 5
@@ -70,6 +75,9 @@ class CatalogViewFacts:
     #: fingerprints reachable from the root through σ/π operators only,
     #: root included — the "selection/projection over X" witnesses
     chain: tuple[str, ...]
+    #: the round-share keys of the view's eligible compute statements,
+    #: in script order (``core.share.share_keys``)
+    share_keys: tuple[str, ...]
 
 
 def _ir_dependencies(ir: IrNode) -> tuple[set[str], set[str]]:
@@ -177,6 +185,8 @@ def view_facts(
     label: str, generated: object, db: Optional[Database] = None
 ) -> CatalogViewFacts:
     """Distill one generated view into the sharing pass's input facts."""
+    from ..core.share import share_keys  # deferred: it imports this package
+
     plan = generated.plan  # type: ignore[attr-defined]
     fps = plan_fingerprints(plan, db)
     nodes = {n.node_id: n for n in plan.walk()}
@@ -199,6 +209,7 @@ def view_facts(
         root_fingerprint=plan_fingerprint(plan, db),
         caches=tuple(caches),
         chain=_root_chain(plan, fps),
+        share_keys=tuple(share_keys(generated).values()),
     )
 
 
@@ -217,6 +228,7 @@ def facts_to_json(facts: CatalogViewFacts) -> dict:
             for c in facts.caches
         ],
         "chain": list(facts.chain),
+        "share_keys": list(facts.share_keys),
     }
 
 
@@ -235,7 +247,19 @@ def facts_from_json(payload: dict) -> CatalogViewFacts:
             for c in payload["caches"]
         ),
         chain=tuple(payload["chain"]),
+        share_keys=tuple(payload["share_keys"]),
     )
+
+
+def share_groups(views: list[CatalogViewFacts]) -> dict[str, tuple[str, ...]]:
+    """Round-share key -> the labels of the views holding it, for every
+    key two views or more hold: what an engine defining these views
+    runs once per round (``IdIvmEngine.share_holders``)."""
+    holders: dict[str, list[str]] = {}
+    for facts in views:
+        for key in dict.fromkeys(facts.share_keys):
+            holders.setdefault(key, []).append(facts.label)
+    return {key: tuple(labels) for key, labels in holders.items() if len(labels) > 1}
 
 
 def _name_views(labels: list[str]) -> str:
@@ -298,6 +322,20 @@ def sharing_pass(ctx: CatalogContext) -> None:
             f"{_name_views(rest)} {'is' if len(rest) == 1 else 'are'} "
             f"semantically equivalent to {first} (same alpha fingerprint)",
             "define the view once and alias the duplicates",
+        )
+
+    # SHARE704: statements computed by several views, run once a round.
+    by_views: dict[tuple[str, ...], int] = {}
+    for labels in share_groups(views).values():
+        by_views[labels] = by_views.get(labels, 0) + 1
+    for labels in sorted(by_views):
+        ctx.report.add(
+            "SHARE704",
+            f"shared:{','.join(labels)}",
+            f"{by_views[labels]} statement(s) computed by {len(labels)} views "
+            f"({_name_views(list(labels))}), executed once per round",
+            "nothing to do: the engine runs them once and the later views "
+            "bind the rows",
         )
 
     # SHARE703: a view's σ/π chain bottoms out in another view's cache.

@@ -149,6 +149,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     db = demo_database()
     engine = IdIvmEngine(db, optimize=not args.no_minimize)
     view = engine.define_view("V", sql_to_plan(db, args.sql))
+    others = [
+        engine.define_view(f"V{i}", sql_to_plan(db, sql))
+        for i, sql in enumerate(args.also or (), start=2)
+    ]
     print("-- annotated plan (Pass 1) " + "-" * 34)
     print(explain_plan(view.plan))
     print()
@@ -191,6 +195,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             if hasattr(fn, "__source__"):
                 print(f"# {fn.__code__.co_filename}")
                 print(fn.__source__)
+    for other in others:
+        theirs = set(other.share_keys.values())
+        shared = sum(key in theirs for key in view.share_keys.values())
+        print(f"-- {shared} statements shared with {other.name}: a round computes them once")
     print()
     print("-- live slices: statements a round on one base i-diff runs --")
     print(_describe_reach(view.script))
@@ -741,6 +749,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser("explain", help="show the plan and ∆-script of a view")
     explain.add_argument("--sql", required=True, help="view definition over the demo schema")
+    explain.add_argument(
+        "--also", action="append", metavar="SQL",
+        help="another view defined beside V (V2, V3, …); prints how many of "
+        "V's statements it holds too, which a round computes once",
+    )
     explain.add_argument(
         "--no-minimize", action="store_true", help="skip Pass 4 (Figure 8 rewrites)"
     )

@@ -25,6 +25,7 @@ together across the three times of the paper:
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -57,8 +58,12 @@ class MaintenanceReport:
     diff_sizes: dict[str, int] = field(default_factory=dict)
     #: per-phase counts the symbolic cost model predicted for this round
     #: (read-only ``{phase: {metric: value}}``), bound to the observed diff
-    #: sizes; None when no model could be inferred at define time.
+    #: sizes, less the statements in :attr:`reused`; None when no model
+    #: could be inferred at define time.
     predicted_counts: Optional[Mapping] = None
+    #: ``(statement, lender view)`` of every compute statement this round
+    #: bound from rows another view computed (``core.share``)
+    reused: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def total_cost(self) -> int:
@@ -90,7 +95,9 @@ class MaterializedView:
     script's kernels with :func:`repro.core.compile.bind_kernels`; the
     view binds its statements to its tables and to its subview readers
     (``Step.bind_tables``: a γ step generates its pass here, and every
-    rule step the readers of its reads, not in a round).
+    rule step the readers of its reads, not in a round).  An engine that
+    runs several views reads :attr:`share_keys`, the round-share keys of
+    its statements, once at definition.
     """
 
     #: what a view-round writes, journaled around it by the engine
@@ -116,6 +123,15 @@ class MaterializedView:
         readers = readers_of(generated.script)
         for step in generated.script.steps:
             step.bind_tables(caches, operator_caches, readers)
+
+    @functools.cached_property
+    def share_keys(self) -> dict[int, str]:
+        """Script index -> round-share key of each compute statement
+        whose rows depend on nothing the view owns
+        (:func:`repro.core.share.share_keys`)."""
+        from .share import share_keys  # deferred: it imports the analysis
+
+        return share_keys(self.generated)
 
     @property
     def cost_model(self):
@@ -183,6 +199,7 @@ _LOG_ENTRIES = metrics.Handle("histogram", "engine.log_entries")
 _ROUND_COST = metrics.Handle("histogram", "engine.round_cost")
 _ROUND_SECONDS = metrics.Handle("loghist", "engine.round_seconds", "seconds")
 _VIEW_ROLLBACKS = metrics.Handle("counter", "engine.view_rollbacks")
+_SHARED_STATEMENTS = metrics.Handle("counter", "engine.shared_statements")
 
 
 class MaintenanceEngine:
@@ -415,6 +432,9 @@ class IdIvmEngine(MaintenanceEngine):
         #: the probed tables are untouched in a batch.  Off by default to
         #: keep the paper's cost profile.
         self.view_reuse = view_reuse
+        #: round-share key -> the views holding a statement under it
+        #: (``core.share``); a key held by two views runs once per round
+        self.share_holders: dict[str, list[MaterializedView]] = {}
 
     # ------------------------------------------------------------------
     # view definition time
@@ -452,7 +472,26 @@ class IdIvmEngine(MaintenanceEngine):
                 child_rows, self.db.counters
             )
         bind_kernels(generated.script, self.exec_backend)
-        return MaterializedView(generated, view_table, caches, operator_caches)
+        view = MaterializedView(generated, view_table, caches, operator_caches)
+        self._register_shares(view)
+        return view
+
+    def _register_shares(self, view: MaterializedView) -> None:
+        """Enter *view*'s round-share keys in :attr:`share_holders`; the
+        statements of every key now held by two views or more become
+        shared (``DeltaScript.share``) in each of them."""
+        holders = self.share_holders
+        for key in dict.fromkeys(view.share_keys.values()):
+            holders.setdefault(key, []).append(view)
+        touched = {view.name: view}
+        for key in view.share_keys.values():
+            if len(holders[key]) > 1:
+                touched.update((other.name, other) for other in holders[key])
+        for other in touched.values():
+            other.script.share(
+                {i: key for i, key in other.share_keys.items() if len(holders[key]) > 1},
+                other.name,
+            )
 
     # ------------------------------------------------------------------
     # view maintenance time: the ID-based rules of one view's round
@@ -468,9 +507,13 @@ class IdIvmEngine(MaintenanceEngine):
                 stmts_total=len(script),
             )
         report = self._run_view(view, instances, db_pre, entries, view_span)
+        reused = ()
+        if report.reused:
+            reused = tuple(name for name, _ in report.reused)
+            _SHARED_STATEMENTS().inc(len(reused))
         if view.cost_model is not None:
             report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
+                report.diff_sizes, reused
             )
         return report
 
@@ -488,29 +531,37 @@ class IdIvmEngine(MaintenanceEngine):
         db_pre: Database, entries,
     ) -> None:
         """One global execution against the live counters; fills *report*
-        with the per-phase delta and the diff sizes."""
+        with the per-phase delta, the diff sizes and the statements bound
+        from another view of the range."""
         counters = self.db.counters
+        entries = RoundEntries.of(entries)
         ctx = round_context(
-            db_pre, self.db, instances, view, RoundEntries.of(entries).unchanged(self.db)
+            db_pre, self.db, instances, view, entries.unchanged(self.db), entries.derived
         )
         before = counters.snapshot()
         execute_script(view.script, ctx, counters)
         report.phase_counts = counts_since(counters, before)
         report.diff_sizes = ctx.diff_sizes
+        report.reused = ctx.reused
 
 
 def round_context(
-    db_pre: Database, db_post: Database, instances, view, unchanged: frozenset[str]
+    db_pre: Database, db_post: Database, instances, view, unchanged: frozenset[str],
+    derived: Optional[dict] = None,
 ) -> IrContext:
     """The context one execution of *view*'s ∆-script runs in: the two
     database states, the round's i-diff *instances* and the view's
     writable tables (*view* is the coordinator's
     :class:`MaterializedView` or a shard worker's replica of it);
     *unchanged* names the base tables this round's log leaves alone
-    (``RoundEntries.unchanged``, once per round)."""
+    (``RoundEntries.unchanged``, once per round); *derived* is the
+    range's ``RoundEntries.derived`` on the one-execution path, where
+    shared statements run once across views — a shard's context gets
+    none and computes them itself."""
     ctx = IrContext(db_pre, db_post, diffs=instances, caches=view.caches)
     ctx.operator_caches = view.operator_caches
     ctx.unchanged_tables = unchanged
+    ctx.derived = derived
     return ctx
 
 

@@ -73,6 +73,13 @@ class IrContext:
         #: rows per named diff of the executed round, the zeros of the
         #: statements it skipped included (set by ``execute_script``).
         self.diff_sizes: dict[str, int] = {}
+        #: round-share key -> ``(view, rows)`` computed this round, shared
+        #: by the views at one log cursor (``RoundEntries.derived``); None:
+        #: this execution shares nothing (``core.script.shared_run``)
+        self.derived: Optional[dict[str, tuple[str, list]]] = None
+        #: ``(statement, lender view)`` of each statement this execution
+        #: bound from another view's rows
+        self.reused: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     def database_for(self, state: str) -> Database:

@@ -205,13 +205,14 @@ class RoundEntries(list):
     """The log entries of one range ``(start, end]`` of positions — a
     list — carrying what a round derives from them, so that every reader
     of the range shares it: the fold (:func:`fold_log`; every view of
-    every engine and the replica's moves read one) and the populated
+    every engine and the replica's moves read one), the populated
     i-diff instances of each table, per set of schemas read on it
-    (:func:`populate_instances`).  The memo lives and dies with the
-    entries; nothing is cached at module level, and a plain hand-built
-    list still folds — for itself, every time."""
+    (:func:`populate_instances`), and the rows of the compute statements
+    views hold identically (:attr:`derived`).  The memo lives and dies
+    with the entries; nothing is cached at module level, and a plain
+    hand-built list still folds — for itself, every time."""
 
-    __slots__ = ("net", "instances", "start", "end", "_unchanged")
+    __slots__ = ("net", "instances", "derived", "start", "end", "_unchanged")
 
     def __init__(self, entries: Iterable[LoggedModification] = (), start: int = 0):
         super().__init__(entries)
@@ -222,6 +223,10 @@ class RoundEntries(list):
         self.net: Optional[dict[str, dict[tuple, _NetChange]]] = None
         #: ``_TableProjectors.key`` -> the non-empty instances filled
         self.instances: dict[tuple, dict[str, Diff]] = {}
+        #: round-share key -> ``(view, rows)``: the shared compute
+        #: statements' rows, computed by the first view of the range
+        #: (``core.script.shared_run``)
+        self.derived: dict[str, tuple[str, list]] = {}
         self._unchanged: Optional[frozenset[str]] = None
 
     @classmethod
@@ -379,11 +384,8 @@ class _TableProjectors:
 
     def __init__(self, table_schema, on_target: Sequence[tuple[str, DiffSchema]]):
         self.on_target = on_target
-        #: what the instances filled here depend on: the table and the
-        #: *whole* tuple of schemas read on it — an update routes to the
-        #: minimal cover among them, so two views share instances only
-        #: when they read the same set
-        self.key = (table_schema.name,) + tuple(s.signature() for _, s in on_target)
+        #: what the instances filled here depend on (``instances_key``)
+        self.key = instances_key(table_schema.name, [s for _, s in on_target])
         self.columns = table_schema.columns
         self.non_key = table_schema.positions(table_schema.non_key_columns)
         self.by_kind: dict[str, list[tuple]] = {INSERT: [], DELETE: [], UPDATE: []}
@@ -513,6 +515,14 @@ def _populate_instances(
             filled = memo[projectors.key] = projectors.fill(changes)
         out.update(filled)
     return out
+
+
+def instances_key(target: str, schemas: Sequence[DiffSchema]) -> tuple:
+    """What the instances of table *target* filled for a view depend on:
+    the table and the *whole* tuple of schemas the view reads on it — an
+    update routes to the minimal cover among them, so two views share
+    instances only when they read the same set."""
+    return (target,) + tuple(s.signature() for s in schemas if s.target == target)
 
 
 def _route_update(updates: Sequence[tuple], modified: set[str]) -> tuple:

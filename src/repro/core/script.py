@@ -299,6 +299,10 @@ class DeltaScript:
         self._slices: dict[frozenset[str], LiveSlice] = {}
         #: the view's subview readers (``core.compile.readers_of``)
         self.readers = None
+        #: step index -> round-share key of the statements another view
+        #: of the engine holds identically (:meth:`share`)
+        self._shared: dict[int, str] = {}
+        self._owner = ""
 
     def bind_kernels(self, kernels: dict[int, Callable[[IrContext], int]]) -> None:
         """Replace the bound kernels (``{}`` unbinds: every step then
@@ -310,10 +314,21 @@ class DeltaScript:
         self._slices = {}
         self.liveness()
 
+    def share(self, keys: dict[int, str], owner: str) -> None:
+        """Run the statements at the indices of *keys* once per round
+        across the views that hold their keys (``core.share``): *owner*
+        — the view — binds a statement another view computed this round
+        and publishes the ones it computes first.  ``{}`` shares none.
+        Drops the exec plan and the live slices resolved without it."""
+        self._shared, self._owner = keys, owner
+        self._exec_plan = None
+        self._slices = {}
+
     def exec_plan(self) -> list:
         """Per-step ``(run, phase)`` pairs, bound once — the one place
         that decides what runs for a step: its bound kernel, else the
-        step's own ``run`` (for a compute step, ``run_ir`` over its IR).
+        step's own ``run`` (for a compute step, ``run_ir`` over its IR),
+        wrapped by :func:`shared_run` when the statement is shared.
 
         Scripts are immutable after construction and re-executed every
         round, so the attribute lookups of the hot loop are resolved
@@ -321,11 +336,14 @@ class DeltaScript:
         """
         plan = self._exec_plan
         if plan is None:
-            kernels = self._kernels
+            kernels, shared = self._kernels, self._shared
             plan = self._exec_plan = [
                 (kernels.get(i, step.run), step.phase)
                 for i, step in enumerate(self.steps)
             ]
+            for i, key in shared.items():
+                step = self.steps[i]
+                plan[i] = (shared_run(plan[i][0], key, self._owner, step.name, step.schema), step.phase)
         return plan
 
     # ------------------------------------------------------------------
@@ -406,6 +424,8 @@ class DeltaScript:
         state["_exec_plan"] = None
         state["_slices"] = {}
         state["readers"] = None
+        # A replica runs alone: it shares nothing.
+        state["_shared"] = {}
         return state
 
     def describe(self) -> str:
@@ -417,6 +437,34 @@ class DeltaScript:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+def shared_run(
+    run: Callable[[IrContext], int], key: str, owner: str, name: str, schema: DiffSchema
+) -> Callable[[IrContext], int]:
+    """The compute statement *run* of view *owner*, run once per round
+    across views under its round-share *key*: when another view already
+    published the key's rows in ``ctx.derived``, bind them as diff
+    *name* under this view's *schema* and record ``(name, lender)`` in
+    ``ctx.reused``; otherwise run, and publish the rows if the key is
+    new.  A context without ``derived`` (a shard's) just runs."""
+
+    def shared(ctx: IrContext) -> int:
+        derived = ctx.derived
+        if derived is None:
+            return run(ctx)
+        published = derived.get(key)
+        if published is not None and published[0] != owner:
+            lender, rows = published
+            ctx.diffs[name] = Diff.trusted(schema, rows)
+            ctx.reused.append((name, lender))
+            return len(rows)
+        diff_rows = run(ctx)
+        if published is None:
+            derived[key] = (owner, ctx.diffs[name].rows)
+        return diff_rows
+
+    return shared
 
 
 def execute_script(
@@ -435,9 +483,11 @@ def execute_script(
     once per phase run that holds a live statement, not once per
     statement.  With a recorder installed the phase run is also a
     ``phase:`` span and every live statement a ``stmt[i]`` span, *i* its
-    script index.  The phase span's access-count delta is that of the
-    phase's counter *bucket*, so per-phase sums over a round's phase
-    spans reconcile with the engine's ``MaintenanceReport.phase_counts``.
+    script index, carrying ``shared_from=<view>`` when the statement
+    bound rows another view computed (:func:`shared_run`).  The phase
+    span's access-count delta is that of the phase's counter *bucket*,
+    so per-phase sums over a round's phase spans reconcile with the
+    engine's ``MaintenanceReport.phase_counts``.
     The statements' diff-row counts are observed once per distinct value.
     """
     recorder = obs.current_recorder()
@@ -486,9 +536,12 @@ def execute_script(
                         else step.describe().splitlines()[0]
                     ),
                 ) as sp:
+                    reused = len(ctx.reused)
                     diff_rows = run(ctx)
                     if diff_rows is not None:
                         sp.set(diff_rows=diff_rows)
+                    if len(ctx.reused) > reused:  # bound from another view
+                        sp.set(shared_from=ctx.reused[-1][1])
             if diff_rows is not None:
                 diff_rows_seen[diff_rows] = diff_rows_seen.get(diff_rows, 0) + 1
     finally:

@@ -1,0 +1,114 @@
+"""Round-share keys: the compute statements two views' ∆-scripts hold
+identically.
+
+The paper composes one rule per operator into each view's ∆-script
+(§4), so two views over one sub-plan derive the same i-diffs from the
+same base i-diffs.  :func:`share_keys` gives every *eligible* compute
+statement of a view a key at definition; an engine runs each key once
+per round across its views — the first view in round order computes the
+rows, every later view binds them under its own schema
+(``DeltaScript.share``).  ``repro lint`` groups statements with the same
+function (SHARE704), so the lint and the engine cannot disagree.
+
+A statement is eligible when the rows it computes depend on nothing its
+view owns:
+
+* every subview it reads (``SubviewSource``, ``ProbeJoin``,
+  ``ProbeSemi``) is a sub-plan with no node the view materializes — no
+  view table, cache or operator cache below it — so its reads go to the
+  base tables only (``Input_pre`` for ``pre``, the live tables for
+  ``post``), which no view-round writes;
+* no probe carries a Section 9 hint (``via_output``: it reads the view);
+* it reads no ``AppliedSource`` (the expansion of the view's own APPLY);
+* every diff it reads is a base i-diff instance or the diff of an
+  eligible statement.
+
+The key digests the exact-mode fingerprint documents
+(:mod:`repro.analysis.fingerprint`) of the statement's diff schema — its
+target named by the target sub-plan's fingerprint, not the view's node
+id — and of its IR, where a subview read is its plan's fingerprint and
+state and each diff read is its producer's key: a base instance is keyed
+by its table's ``instances_key`` (the set of schemas the view reads on
+the table, which update routing depends on) and its name.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Optional
+
+from ..analysis.fingerprint import Doc, _PlanWalker, _ScriptWalker
+from .ir import AppliedSource, DiffSource, IrNode, ProbeJoin, ProbeSemi, SubviewSource
+from .modlog import instances_key, schema_instance_name
+from .script import ComputeDiffStep
+
+#: Bump when the key document changes.
+SHARE_KEY_VERSION = 1
+
+
+def _digest(doc: Doc) -> str:
+    """128 bits of SHA-256 over the document's ``repr``: a document
+    holds only lists, tuples, strings, numbers, booleans and None, whose
+    reprs are the same in every process."""
+    return hashlib.sha256(repr(doc).encode()).hexdigest()[:32]
+
+
+class _KeyWalker(_ScriptWalker):
+    """Exact-mode statement documents in which a diff read is its
+    producer's key and a diff-schema target its sub-plan's fingerprint."""
+
+    def __init__(self, plan):
+        super().__init__(_PlanWalker(None, alpha=False), {n.node_id: n for n in plan.walk()}, alpha=False)
+        #: diff name -> the key of the diff it holds now (None: not shareable)
+        self.produced: dict[str, Optional[str]] = {}
+
+    def schema_doc(self, schema) -> Doc:
+        doc = super().schema_doc(schema)
+        columns = self._target_columns(schema.target)
+        if columns is not None:
+            doc[2] = ["node", self._node_fp(self._nodes[int(schema.target[1:])])]
+        return doc
+
+    def ir_doc(self, node: IrNode) -> Doc:
+        if isinstance(node, DiffSource):
+            return ["dsrc", self.produced[node.name]]
+        return super().ir_doc(node)
+
+
+def _reads_nothing_owned(ir: IrNode, owned: set[int], produced: dict) -> bool:
+    for node in ir.walk():
+        if isinstance(node, AppliedSource):
+            return False
+        if isinstance(node, DiffSource) and produced.get(node.name) is None:
+            return False
+        if isinstance(node, (SubviewSource, ProbeJoin, ProbeSemi)):
+            if getattr(node, "via_output", None) is not None:
+                return False
+            if any(sub.node_id in owned for sub in node.node.walk()):
+                return False
+    return True
+
+
+def share_keys(generated) -> dict[int, str]:
+    """Script index -> round-share key of every eligible compute
+    statement of *generated* (a ``GeneratedPlan``), in script order."""
+    owned = {generated.plan.node_id}
+    owned.update(spec.node_id for spec in generated.cache_specs)
+    owned.update(spec.gnode.node_id for spec in generated.opcache_specs)
+    walker = _KeyWalker(generated.plan)
+    produced = walker.produced
+    schemas = generated.base_schemas
+    for schema in schemas:
+        table = instances_key(schema.target, schemas)
+        produced[schema_instance_name(schema)] = _digest(["inst", table, schema_instance_name(schema)])
+    keys: dict[int, str] = {}
+    for i, step in enumerate(generated.script.steps):
+        key = None
+        if isinstance(step, ComputeDiffStep) and _reads_nothing_owned(step.ir, owned, produced):
+            key = keys[i] = _digest([
+                "share", SHARE_KEY_VERSION, walker.schema_doc(step.schema), walker.ir_doc(step.ir),
+            ])
+        for space, name in step.binds():
+            if space == "diff":
+                produced[name] = key
+    return keys

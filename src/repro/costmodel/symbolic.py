@@ -252,12 +252,15 @@ class ScriptCostModel:
         self.reconcile_sums: dict[str, tuple[str, ...]] = {}
         self.notes: list[str] = []
         self._predict_memo: dict[tuple, Mapping[str, Mapping[str, float]]] = {}
+        #: step labels left out -> the phase formulas of the other steps
+        self._phases_without: dict[frozenset[str], dict[str, CostVector]] = {}
 
     # -- construction --------------------------------------------------
     def add(self, label: str, phase: str, vector: CostVector, note: str = "") -> None:
         if vector.is_zero():
             return
         self.steps.append(StepCost(label, phase, vector, note))
+        self._phases_without.clear()
         current = self.phases.get(phase)
         self.phases[phase] = vector if current is None else current + vector
 
@@ -301,13 +304,22 @@ class ScriptCostModel:
 
     # -- prediction ----------------------------------------------------
     def predict(
-        self, env: Optional[Mapping[str, float]] = None
+        self, env: Optional[Mapping[str, float]] = None, without: frozenset[str] = frozenset()
     ) -> dict[str, dict[str, float]]:
         """Per-phase predicted counts under *env* (falling back to
-        definitions, then estimates, for unbound symbols)."""
+        definitions, then estimates, for unbound symbols), of every step
+        but those labelled in *without*."""
         full = self._augment_env(env)
+        phases = self.phases
+        if without:
+            phases = self._phases_without.get(without)
+            if phases is None:
+                phases = self._phases_without[without] = dict.fromkeys(self.phases, CostVector())
+                for step in self.steps:
+                    if step.label not in without:
+                        phases[step.phase] = phases[step.phase] + step.vector
         out: dict[str, dict[str, float]] = {}
-        for phase, vector in sorted(self.phases.items()):
+        for phase, vector in sorted(phases.items()):
             out[phase] = {
                 metric: self._eval(getattr(vector, metric), full)
                 for metric in CostVector.METRICS
@@ -316,21 +328,26 @@ class ScriptCostModel:
         return out
 
     def predict_from_diff_sizes(
-        self, diff_sizes: Mapping[str, int]
+        self, diff_sizes: Mapping[str, int], reused: tuple[str, ...] = ()
     ) -> Mapping[str, Mapping[str, float]]:
         """Reconciliation prediction: bind every observed diff cardinality.
+        The compute statements named in *reused* ran in another view this
+        round (``MaintenanceReport.reused``), so their ``COMPUTE <name>``
+        steps are left out: the prediction is of what the view ran.
 
-        Memoized on the size vector as ordered (steady workloads repeat
-        it round after round; the evaluation is pure) and served as the
-        memo's own read-only mappings, copied for no caller."""
-        key = (tuple(diff_sizes), tuple(diff_sizes.values()))
+        Memoized on the size vector as ordered and *reused* (steady
+        workloads repeat them round after round; the evaluation is pure)
+        and served as the memo's own read-only mappings, copied for no
+        caller."""
+        key = (tuple(diff_sizes), tuple(diff_sizes.values()), reused)
         memo = self._predict_memo
         cached = memo.get(key)
         if cached is None:
             if len(memo) > 256:
                 memo.clear()
             prediction = self.predict(
-                {f"card[{name}]": float(n) for name, n in diff_sizes.items()}
+                {f"card[{name}]": float(n) for name, n in diff_sizes.items()},
+                frozenset(f"COMPUTE {name}" for name in reused),
             )
             cached = memo[key] = MappingProxyType(
                 {phase: MappingProxyType(counts) for phase, counts in prediction.items()}

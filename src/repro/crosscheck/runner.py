@@ -16,6 +16,13 @@ the batch): the failed round must leave every table the view writes as
 it was, and the retry must converge with every cursor at the log head —
 a view is always some past version of its query, never a mix.
 
+The ``shared`` strategy defines the case's plan twice, as ``V`` and
+``V2``, on one compiled engine, so that every statement eligible for
+round sharing (:mod:`repro.core.share`) is computed once per round by
+``V`` and bound by ``V2``: both views must equal the oracle, ``V`` must
+report exactly the per-phase counts of a solo engine, and ``V2`` those
+of ``V`` less the statements it reused.
+
 A divergence names the strategy, the batch and what went wrong; the
 shrinker and the regression corpus both consume this structure.
 """
@@ -32,11 +39,12 @@ from typing import Callable, Mapping, Optional, Sequence
 from ..baselines import TupleIvmEngine
 from ..core import IdIvmEngine
 from ..core.compile import LoweredPlan
-from ..obs import metrics
+from ..obs import metrics, recording
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog
 from ..core.sharded import ShardedEngine
 from ..algebra.evaluate import evaluate_plan
+from ..storage import AccessCounts
 from .invariants import check_engine_state
 from .spec import apply_modification, build_database, build_plan
 
@@ -56,6 +64,8 @@ STRATEGY_FACTORIES: dict[str, Callable] = {
     "sharded4": lambda db: ShardedEngine(db, shards=4, race_check=True),
     # Each round fails once after a counted write, then is retried.
     "faults": lambda db: IdIvmEngine(db, exec_backend="compiled"),
+    # The plan defined twice: the twin binds what the first computed.
+    "shared": lambda db: IdIvmEngine(db, exec_backend="compiled"),
 }
 
 ALL_STRATEGIES = tuple(STRATEGY_FACTORIES)
@@ -220,6 +230,8 @@ def run_strategy(
     diag_sink: Optional[list] = None,
 ) -> Optional[Divergence]:
     """Run one strategy over the case; return its first divergence."""
+    if strategy == "shared":
+        return _run_shared(case, expected, diag_sink)
     factory = STRATEGY_FACTORIES[strategy]
     try:
         db = build_database(case)
@@ -277,6 +289,87 @@ def run_strategy(
     if drift_divergence is not None:
         return drift_divergence
     return None
+
+
+def _phases(phase_counts) -> dict:
+    """*phase_counts* as plain dicts, the phases that counted nothing left out."""
+    return {
+        phase: counts.as_dict() for phase, counts in phase_counts.items()
+        if any(counts.as_dict().values())
+    }
+
+
+def _run_shared(
+    case: Mapping, expected: Sequence[Counter], diag_sink: Optional[list]
+) -> Optional[Divergence]:
+    """The ``shared`` strategy: the case's plan as ``V`` on a solo engine,
+    and as ``V`` and ``V2`` on a twin engine whose rounds are traced, so
+    that the statements ``V2`` reused can be priced from ``V``'s
+    statement spans."""
+    factory = STRATEGY_FACTORIES["shared"]
+    try:
+        solo_db, db = build_database(case), build_database(case)
+        solo = factory(solo_db)
+        solo.define_view("V", build_plan(case["plan"], solo_db))
+        engine = factory(db)
+        views = [engine.define_view(name, build_plan(case["plan"], db)) for name in ("V", "V2")]
+    except Exception as exc:  # noqa: BLE001
+        return Divergence("shared", -1, "exception", _tail(exc))
+    twin = views[1]
+    if set(twin.script._shared) != set(twin.share_keys):
+        return Divergence(
+            "shared", -1, "invariant",
+            f"V2 shares statements {sorted(twin.script._shared)} of the eligible "
+            f"{sorted(twin.share_keys)}",
+        )
+    for bi, batch in enumerate(case["batches"]):
+        try:
+            for op in batch:
+                apply_modification(solo.log, op)
+                apply_modification(engine.log, op)
+            alone = solo.maintain()["V"]
+            with recording() as recorder:
+                reports = engine.maintain()
+        except Exception as exc:  # noqa: BLE001
+            return Divergence("shared", bi, "exception", _tail(exc))
+        for view in views:
+            actual = Counter(view.table.rows_uncounted())
+            if actual != expected[bi]:
+                return Divergence(
+                    "shared", bi, "view_mismatch",
+                    f"{view.name}: " + _multiset_detail(expected[bi], actual),
+                )
+            try:
+                problems = check_engine_state(view, db, reports[view.name])
+            except Exception as exc:  # noqa: BLE001
+                return Divergence("shared", bi, "exception", _tail(exc))
+            if problems:
+                return Divergence("shared", bi, "invariant", f"{view.name}: " + "; ".join(problems[:3]))
+            cost_divergence = _reconcile_cost(reports[view.name], "shared", bi, diag_sink)
+            if cost_divergence is not None:
+                return cost_divergence
+        lender, borrower = reports["V"], reports["V2"]
+        if _phases(lender.phase_counts) != _phases(alone.phase_counts):
+            return Divergence(
+                "shared", bi, "cost",
+                f"lender V counts {_phases(lender.phase_counts)} != solo V "
+                f"{_phases(alone.phase_counts)}",
+            )
+        # What V2 bound, priced by V's statement spans of the same names.
+        reused = {name for name, _lender in borrower.reused}
+        owed = dict(lender.phase_counts)
+        for view_span in recorder.find(kind="view", name="view:V"):
+            for span in view_span.walk():
+                if span.kind == "stmt" and span.attrs.get("stmt") in reused:
+                    for phase in (span.attrs["phase"], "__total__"):
+                        owed[phase] = owed.get(phase, AccessCounts()) - span.counts
+        if _phases(borrower.phase_counts) != _phases(owed):
+            return Divergence(
+                "shared", bi, "cost",
+                f"V2 counts {_phases(borrower.phase_counts)} != V's less its "
+                f"{len(reused)} reused statement(s) {_phases(owed)}",
+            )
+    return _check_drift(engine, "shared", len(case["batches"]) - 1, diag_sink)
 
 
 #: A measured count this far above the symbolic prediction is a fuzz

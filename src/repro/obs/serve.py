@@ -231,6 +231,11 @@ def build_snapshot(
         views: dict[str, Any] = {}
         for name, report in getattr(engine, "last_reports", {}).items():
             entry: dict[str, Any] = {"total_cost": report.total_cost}
+            if report.reused:
+                shared_from: dict[str, int] = {}
+                for _stmt, lender in report.reused:
+                    shared_from[lender] = shared_from.get(lender, 0) + 1
+                entry["shared_from"] = shared_from
             if hasattr(report, "parallel"):
                 entry["parallel"] = report.parallel
                 entry["critical_path"] = report.critical_path()

@@ -154,6 +154,11 @@ def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
             f"{_num(worst):>7} {alerts or '-'}"
         )
 
+    # -- statements bound from another view's rows (core.share) -------
+    for name in view_names:
+        for lender, k in sorted(views_info.get(name, {}).get("shared_from", {}).items()):
+            lines.append(f"{name}: {k} statements shared with {lender}")
+
     # -- drift alert detail -------------------------------------------
     alerts = drift.get("alerts", [])
     if alerts:

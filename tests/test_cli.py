@@ -43,6 +43,22 @@ class TestExplain:
         main(["explain", "--sql", sql])
         assert "\nInput_pre: devices\n" in capsys.readouterr().out
 
+    def test_explain_counts_the_statements_shared_with_another_view(self, capsys):
+        flat = (
+            "SELECT did, pid, price FROM parts NATURAL JOIN devices_parts "
+            "NATURAL JOIN devices WHERE category = 'phone'"
+        )
+        agg = (
+            "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN devices_parts "
+            "NATURAL JOIN devices WHERE category = 'phone' GROUP BY did"
+        )
+        assert main(["explain", "--sql", agg, "--also", flat, "--also", "SELECT did FROM devices"]) == 0
+        out = capsys.readouterr().out
+        assert "\n-- 41 statements shared with V2: a round computes them once\n" in out
+        assert "\n-- 0 statements shared with V3: a round computes them once\n" in out
+        main(["explain", "--sql", agg])
+        assert "statements shared" not in capsys.readouterr().out
+
     def test_bad_sql_raises(self):
         from repro.errors import SqlError
 

@@ -111,7 +111,7 @@ def test_users_only_round_runs_only_what_users_diffs_reach(monkeypatch):
     monkeypatch.setattr(DeltaScript, "live_plan", spying_live_plan)
 
     log_user_updates(engine, db, BSMA_CONFIG, 5)
-    engine.maintain()
+    reports = engine.maintain()
 
     total = ran_applies = 0
     for (name, view), (script, mask, live) in zip(views.items(), slices):
@@ -122,7 +122,12 @@ def test_users_only_round_runs_only_what_users_diffs_reach(monkeypatch):
             i for i, reach in enumerate(liveness)
             if reach is None or not reach.isdisjoint(mask)
         ]
-        ran = [i for view_name, i in executed if view_name == name]
+        # a statement another view computed this round is bound, not run
+        # again (core.share): it ran as a reused statement
+        names = [getattr(step, "name", None) for step in script.steps]
+        reused = [names.index(stmt) for stmt, _lender in reports[name].reused]
+        assert all(i in script._shared for i in reused), name
+        ran = sorted([i for view_name, i in executed if view_name == name] + reused)
         # exactly the reachable statements, in script order — none whose
         # liveness set lacks a users instance (a tweets-only statement,
         # say), and no reachable one dropped

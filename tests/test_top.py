@@ -71,6 +71,17 @@ class TestRenderDashboard:
         snapshot["metrics"]["engine.view_rollbacks"] = {"type": "counter", "value": 2}
         assert "view-rounds rolled back 2x" in render_dashboard(snapshot)
 
+    def test_statements_bound_from_another_view_show_with_their_lender(self):
+        report = MaintenanceReport("Vagg", reused=[("d15_ins_n7", "V"), ("d16_ins_n5", "V")])
+
+        class _Engine:
+            last_reports = {"Vagg": report}
+
+        snapshot = build_snapshot(_Engine())
+        assert snapshot["views"]["Vagg"]["shared_from"] == {"V": 2}
+        assert "\nVagg: 2 statements shared with V" in render_dashboard(snapshot)
+        assert "shared with" not in render_dashboard(_demo_snapshot()[0])
+
     def test_drift_column_is_the_ewma_farthest_from_one(self):
         monitor = DriftMonitor()
         phase = SCRIPT_PHASES[-1]
