@@ -296,6 +296,6 @@ def materialize(
         )
     result = stats.rows(node) if stats is not None else evaluate_plan(node, db)
     schema = TableSchema(name, result.columns, key)
-    table = Table(schema, counters=db.counters, auto_index=db.auto_index)
+    table = Table(schema, counters=db.counters)
     table.load(result.rows)
     return table

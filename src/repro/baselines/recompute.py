@@ -48,9 +48,7 @@ class RecomputeEngine(MaintenanceEngine):
         before = counters.snapshot()
         with counted_phase(counters, "recompute"):
             result = view.lowered.evaluate(view.plan, self.db)
-            fresh = Table(
-                view.table.schema, counters, auto_index=view.table.auto_index
-            )
+            fresh = Table(view.table.schema, counters)
             for row in result.rows:
                 fresh.insert(row)
         view.table = fresh

@@ -586,6 +586,27 @@ def _lint_view_entry(label, plan, db, cache):
     return report, facts
 
 
+def _lint_reports(targets, rules, min_severity, cache):
+    """Lint every ``(label, plan, db)`` of *targets* (or replay it from
+    the cache), then run the catalog-scope sharing pass over their
+    facts.  Returns ``(reports, sharing, n_errors, n_warnings)``, each
+    report filtered by *rules* and *min_severity*."""
+    from .analysis import analyze_catalog
+
+    reports = []
+    facts_list = []
+    for label, plan, db in targets:
+        report, facts = _lint_view_entry(label, plan, db, cache)
+        facts_list.append(facts)
+        reports.append((label, _filter_report(report, rules, min_severity)))
+    if cache is not None:
+        cache.flush()
+    sharing = _filter_report(analyze_catalog(facts_list), rules, min_severity)
+    n_errors = sum(len(r.errors) for _, r in reports) + len(sharing.errors)
+    n_warnings = sum(len(r.warnings) for _, r in reports) + len(sharing.warnings)
+    return reports, sharing, n_errors, n_warnings
+
+
 def _cmd_lint_catalog(args: argparse.Namespace, rules, cache) -> int:
     """``repro lint --catalog``: the generated thousand-view catalog.
 
@@ -596,26 +617,13 @@ def _cmd_lint_catalog(args: argparse.Namespace, rules, cache) -> int:
     """
     import json
 
-    from .analysis import analyze_catalog
     from .catalog import CatalogConfig, build_catalog_database, catalog_views
 
     config = CatalogConfig(n_views=args.catalog_views)
     db = build_catalog_database(config)
-    reports = []
-    facts_list = []
-    for label, plan in catalog_views(db, config):
-        report, facts = _lint_view_entry(label, plan, db, cache)
-        facts_list.append(facts)
-        reports.append((label, _filter_report(report, rules, args.min_severity)))
-    if cache is not None:
-        cache.flush()
-    sharing = _filter_report(
-        analyze_catalog(facts_list), rules, args.min_severity
-    )
-
-    n_errors = sum(len(r.errors) for _, r in reports) + len(sharing.errors)
-    n_warnings = sum(len(r.warnings) for _, r in reports) + len(
-        sharing.warnings
+    reports, sharing, n_errors, n_warnings = _lint_reports(
+        ((label, plan, db) for label, plan in catalog_views(db, config)),
+        rules, args.min_severity, cache,
     )
     if args.json:
         findings = [
@@ -657,7 +665,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: static analysis over every shipped view."""
     import json
 
-    from .analysis import RULES, AnalysisCache, analyze_catalog
+    from .analysis import RULES, AnalysisCache
 
     rules: set[str] = set()
     if args.rule:
@@ -676,22 +684,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.cost:
         cost_status = _cmd_lint_cost(args, rules, json_out)
 
-    reports = []
-    facts_list = []
-    for label, plan, db in lint_targets():
-        report, facts = _lint_view_entry(label, plan, db, cache)
-        facts_list.append(facts)
-        reports.append((label, _filter_report(report, rules, args.min_severity)))
-    if cache is not None:
-        cache.flush()
-    # Catalog-scope pass 7 over the shipped views (cross-view sharing).
-    sharing = _filter_report(
-        analyze_catalog(facts_list), rules, args.min_severity
-    )
-
-    n_errors = sum(len(r.errors) for _, r in reports) + len(sharing.errors)
-    n_warnings = sum(len(r.warnings) for _, r in reports) + len(
-        sharing.warnings
+    # Catalog-scope pass 7 runs over the shipped views (cross-view sharing).
+    reports, sharing, n_errors, n_warnings = _lint_reports(
+        lint_targets(), rules, args.min_severity, cache
     )
     if args.json:
         payload = {

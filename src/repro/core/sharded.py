@@ -85,6 +85,8 @@ from .engine import (
 from .modlog import RoundEntries
 
 BACKENDS = ("inline", "process")
+_ROUNDS_PARALLEL = metrics.Handle("counter", "shard.rounds_parallel")
+_ROUNDS_BROADCAST = metrics.Handle("counter", "shard.rounds_broadcast")
 
 
 def _writeset_overlaps(
@@ -279,9 +281,9 @@ class ShardedEngine(IdIvmEngine):
             plan = force_route(view.script, instances, self.db, override)
         view_span.set(route=describe_plan(plan))
         if plan.parallel:
-            metrics.counter("shard.rounds_parallel").inc()
+            _ROUNDS_PARALLEL().inc()
             return self._run_parallel(view, instances, db_pre, entries, plan)
-        metrics.counter("shard.rounds_broadcast").inc()
+        _ROUNDS_BROADCAST().inc()
         report = ShardedMaintenanceReport(
             view.name, parallel=False, broadcast_reason=plan.reason,
             backend=self.backend,

@@ -127,9 +127,9 @@ def _table_payload(table: Table) -> tuple:
     )
 
 
-def _restore_table(payload: tuple, counters, auto_index: bool) -> Table:
+def _restore_table(payload: tuple, counters) -> Table:
     schema, rows, indexes = payload
-    table = Table(schema, counters=counters, auto_index=auto_index)
+    table = Table(schema, counters=counters)
     table.load(rows)
     for columns in indexes:
         table.create_index(columns)
@@ -151,7 +151,6 @@ def build_blueprint(db: Database, views: Mapping[str, Any], exec_backend: str, p
     return {
         "exec_backend": check_backend(exec_backend),
         "pre_tables": sorted(pre_tables),
-        "auto_index": db.auto_index,
         "tables": [_table_payload(t) for _, t in sorted(db.tables.items())],
         "foreign_keys": [
             (fk.child_table, tuple(fk.child_columns), fk.parent_table)
@@ -182,9 +181,9 @@ class _WorkerState:
     """Everything one worker process holds between messages."""
 
     def __init__(self, blueprint: dict):
-        db = Database(auto_index=blueprint["auto_index"])
+        db = Database()
         for payload in blueprint["tables"]:
-            table = _restore_table(payload, db.counters, db.auto_index)
+            table = _restore_table(payload, db.counters)
             db.tables[table.schema.name] = table
         for child_table, child_columns, parent_table in blueprint["foreign_keys"]:
             db.add_foreign_key(child_table, child_columns, parent_table)
@@ -194,11 +193,11 @@ class _WorkerState:
         self.views: dict[str, MaterializedView] = {}
         for entry in blueprint["views"]:
             caches = {
-                node_id: _restore_table(payload, db.counters, db.auto_index)
+                node_id: _restore_table(payload, db.counters)
                 for node_id, payload in entry["caches"]
             }
             opcaches = {
-                node_id: _restore_table(payload, db.counters, db.auto_index)
+                node_id: _restore_table(payload, db.counters)
                 for node_id, payload in entry["opcaches"]
             }
             generated = entry["generated"]

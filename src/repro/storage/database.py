@@ -19,9 +19,8 @@ class Database:
     cache (paper Section 4, footnote 6).
     """
 
-    def __init__(self, counters: CounterSet | None = None, auto_index: bool = True):
+    def __init__(self, counters: CounterSet | None = None):
         self.counters = counters if counters is not None else CounterSet()
-        self.auto_index = auto_index
         self.tables: dict[str, Table] = {}
         self.foreign_keys: list[ForeignKey] = []
 
@@ -40,7 +39,7 @@ class Database:
         if name in self.tables:
             raise SchemaError(f"relation {name!r} already exists")
         schema = TableSchema(name, columns, key, nullable=nullable, types=types)
-        table = Table(schema, counters=self.counters, auto_index=self.auto_index)
+        table = Table(schema, counters=self.counters)
         self.tables[name] = table
         return table
 
@@ -79,10 +78,7 @@ class Database:
         self, counters: CounterSet | None = None, tables: Iterable[str] | None = None
     ) -> "Database":
         """Deep copy of the named *tables* (default: all of them)."""
-        clone = Database(
-            counters=counters if counters is not None else CounterSet(),
-            auto_index=self.auto_index,
-        )
+        clone = Database(counters if counters is not None else CounterSet())
         for name in self.tables if tables is None else sorted(tables):
             clone.tables[name] = self.table(name).copy(counters=clone.counters)
         clone.foreign_keys = list(self.foreign_keys)

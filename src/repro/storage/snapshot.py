@@ -22,21 +22,22 @@ FORMAT_VERSION = 1
 def database_to_dict(db: Database) -> dict:
     """Plain-dict snapshot of schemas, rows, indexes and foreign keys.
 
-    Secondary-index column sets and the ``auto_index`` setting are
-    persisted so a restored database probes exactly like the original
-    (an ``auto_index=False`` database would otherwise silently fall back
-    to counted full scans).  Index *contents* are never serialized —
-    restore rebuilds them from the rows, so stale entries cannot survive
-    a round trip.
+    A schema keeps its declared ``nullable`` columns and ``types``, which
+    the static analyzer reads.  Secondary-index column sets are persisted
+    so a restored database holds the same indexes as the original before
+    its first probe.  Index *contents* are never serialized — restore
+    rebuilds them from the rows, so stale entries cannot survive a round
+    trip.
     """
     return {
         "format": FORMAT_VERSION,
-        "auto_index": db.auto_index,
         "tables": [
             {
                 "name": table.schema.name,
                 "columns": list(table.schema.columns),
                 "key": list(table.schema.key),
+                "nullable": sorted(table.schema.nullable),
+                "types": dict(table.schema.types),
                 "indexes": [list(columns) for columns in table.index_columns()],
                 "rows": [list(row) for row in table.rows_uncounted()],
             }
@@ -60,14 +61,20 @@ def database_from_dict(payload: dict) -> Database:
             f"unsupported snapshot format {payload.get('format')!r}; "
             f"expected {FORMAT_VERSION}"
         )
-    db = Database(auto_index=bool(payload.get("auto_index", True)))
+    db = Database()
     for spec in payload["tables"]:
-        table = db.create_table(spec["name"], spec["columns"], spec["key"])
+        # Older snapshots carry no "nullable" / "types" (the schema
+        # defaults apply); a field this loader does not read, such as a
+        # retired index-policy flag, is ignored.
+        table = db.create_table(
+            spec["name"], spec["columns"], spec["key"],
+            nullable=spec.get("nullable"), types=spec.get("types"),
+        )
         table.load(tuple(row) for row in spec["rows"])
-        # Rebuild secondary indexes from the loaded rows (pre-1.1
-        # snapshots carry no "indexes" field; auto_index re-creates them
-        # lazily for those).  Counters start at zero: neither the bulk
-        # load nor the index builds are maintenance cost.
+        # Rebuild secondary indexes from the loaded rows (older snapshots
+        # carry no "indexes" field; the first probe builds them lazily).
+        # Counters start at zero: neither the bulk load nor the index
+        # builds are maintenance cost.
         for columns in spec.get("indexes", []):
             table.create_index(columns)
     for fk in payload.get("foreign_keys", []):

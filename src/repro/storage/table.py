@@ -104,15 +104,9 @@ class Table:
     setup only.
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        counters: CounterSet | None = None,
-        auto_index: bool = True,
-    ):
+    def __init__(self, schema: TableSchema, counters: CounterSet | None = None):
         self.schema = schema
         self.counters = counters if counters is not None else CounterSet()
-        self.auto_index = auto_index
         self._rows: dict[tuple, tuple] = {}
         self._indexes: dict[tuple[str, ...], _SecondaryIndex] = {}
         # The armed write journal, innermost first (see begin_journal).
@@ -158,11 +152,12 @@ class Table:
         if self._journal is not None:
             self._journal.built.append(columns)
 
-    def _index_for(self, columns: tuple[str, ...]) -> _SecondaryIndex | None:
+    def _index_for(self, columns: tuple[str, ...]) -> _SecondaryIndex:
+        """The secondary index on *columns*, built on first use."""
         index = self._indexes.get(columns)
-        if index is None and self.auto_index:
+        if index is None:
             self.create_index(columns)
-            index = self._indexes.get(columns)
+            index = self._indexes[columns]
         return index
 
     def bound(self, key: Hashable, make: Callable[[], object]):
@@ -196,8 +191,7 @@ class Table:
         """Fetch rows whose *columns* equal *value*.
 
         Uses the PK index when *columns* is exactly the key, a secondary
-        index otherwise (auto-created when ``auto_index`` is on, falling
-        back to a counted full scan when not).
+        index otherwise (built on first use).
         """
         columns = tuple(columns)
         value = tuple(value)
@@ -209,14 +203,6 @@ class Table:
             self.counters.count_tuple_read()
             return [row]
         index = self._index_for(columns)
-        if index is None:
-            positions = self.schema.positions(columns)
-            out = []
-            for row in self._rows.values():
-                self.counters.count_tuple_read()
-                if tuple(row[i] for i in positions) == value:
-                    out.append(row)
-            return out
         self.counters.count_index_lookup()
         # the bucket read in place: the rows list is built before any write
         rows = [self._rows[k] for k in index.buckets.get(value, ())]
@@ -232,9 +218,8 @@ class Table:
         each bucket is read in place, and the batch is charged once: one
         ``count_index_lookup(n)`` for *n* values and one
         ``count_tuple_read(m)`` for *m* rows — a per-value ``lookup`` loop's
-        totals, a table without a serving index included (a counted full
-        scan per value).  A zero is never charged, so no empty phase
-        bucket appears."""
+        totals.  A zero is never charged, so no empty phase bucket
+        appears."""
         probe = self._bound.get(("r", columns))
         if probe is None:
             probe = self.bound(("r", columns), lambda: self._bind_probe(columns))
@@ -242,32 +227,24 @@ class Table:
 
     def _bind_probe(self, columns: tuple[str, ...]) -> Callable[[Sequence[tuple]], list[tuple]]:
         stored = self._rows
-        index = None if columns == self.schema.key else self._index_for(columns)
         if columns == self.schema.key:
             get = stored.get
             fetch = ["row = get(value)", "if row is not None:", "    out.append(row)"]
-        elif index is not None:
-            get = index.buckets.get
-            fetch = ["keys = get(value)", "if keys:", "    out += map(at, keys)"]
         else:
-            get = row_extractor(self.schema.positions(columns))
-            fetch = ["out += [row for row in stored.values() if get(row) == value]"]
-        if columns == self.schema.key or index is not None:
-            charge = ["if values:", "    counters.count_index_lookup(len(values))",
-                      "reads = len(out)"]
-        else:  # a full scan per value, as many reads as rows
-            charge = ["reads = len(stored) * len(values)"]
+            get = self._index_for(columns).buckets.get
+            fetch = ["keys = get(value)", "if keys:", "    out += map(at, keys)"]
         return _generated("probe_rows", [
             "def probe_rows(values):",
             "    out = []",
             "    for value in values:",
             *(f"        {line}" for line in fetch),
             "    counters = table.counters",
-            *(f"    {line}" for line in charge),
-            "    if reads:",
-            "        counters.count_tuple_read(reads)",
+            "    if values:",
+            "        counters.count_index_lookup(len(values))",
+            "    if out:",
+            "        counters.count_tuple_read(len(out))",
             "    return out",
-        ], {"get": get, "at": stored.__getitem__, "stored": stored, "table": self})
+        ], {"get": get, "at": stored.__getitem__, "table": self})
 
     def read_all(self) -> list[tuple]:
         """Every row, as a list: a :meth:`scan`'s *n* tuple reads charged
@@ -294,19 +271,12 @@ class Table:
                 self.counters.count_tuple_read()
             return row
         index = self._index_for(columns)
-        if index is not None:
-            self.counters.count_index_lookup()
-            keys = index.get(value)
-            if not keys:
-                return None
-            self.counters.count_tuple_read()
-            return self._rows[next(iter(keys))]
-        positions = self.schema.positions(columns)
-        for row in self._rows.values():
-            self.counters.count_tuple_read()
-            if tuple(row[i] for i in positions) == value:
-                return row
-        return None
+        self.counters.count_index_lookup()
+        keys = index.get(value)
+        if not keys:
+            return None
+        self.counters.count_tuple_read()
+        return self._rows[next(iter(keys))]
 
     def scan(self) -> Iterator[tuple]:
         """Iterate all rows; each yielded row costs one tuple read."""
@@ -408,37 +378,23 @@ class Table:
         """:meth:`insert_many` of one row: True when it was inserted."""
         return bool(self.insert_many((tuple(row),)))
 
-    def _finder(self, columns: tuple[str, ...]):
-        """``(find, lookups)``: ``find(ident)`` gives the primary keys of
-        the rows whose *columns* equal *ident* — resolved once, for one
-        ``locate`` or a whole batch — and costs *lookups* index lookups,
-        which the caller charges; 0 when no index serves *columns* and
-        ``find`` is a full scan that counts its own tuple reads."""
+    def _finder(self, columns: tuple[str, ...]) -> Callable[[tuple], Iterable[tuple]]:
+        """``find(ident)``: the primary keys of the rows whose *columns*
+        equal *ident* — resolved once, for one ``locate`` or a whole
+        batch, each call one index lookup that the caller charges."""
         rows = self._rows
         if columns == self.schema.key:
-            return (lambda ident: (ident,) if ident in rows else ()), 1
-        index = self._index_for(columns)
-        if index is not None:
-            return index.get, 1  # a copy: a caller's writes mutate the bucket
-        value_of = row_extractor(self.schema.positions(columns))
-
-        def scan(ident: tuple) -> list[tuple]:
-            if rows:
-                self.counters.count_tuple_read(len(rows))
-            return [key for key, row in rows.items() if value_of(row) == ident]
-
-        return scan, 0
+            return lambda ident: (ident,) if ident in rows else ()
+        return self._index_for(columns).get  # a copy: a caller's writes mutate the bucket
 
     def locate(self, columns: Sequence[str], value: tuple) -> list[tuple]:
         """Primary keys of rows whose *columns* equal *value*.
 
         Costs exactly one index lookup (no tuple reads) — the
-        "identification" step of applying a diff; without an index, a
-        counted full scan.
+        "identification" step of applying a diff.
         """
-        find, lookups = self._finder(tuple(columns))
-        if lookups:
-            self.counters.count_index_lookup()
+        find = self._finder(tuple(columns))
+        self.counters.count_index_lookup()
         return list(find(tuple(value)))
 
     def write_at(self, key: tuple, changes: Mapping[str, object]) -> tuple:
@@ -518,7 +474,7 @@ class Table:
                 f"of {self.schema.name!r}"
             )
         positions = self.schema.mutable_positions(attrs)
-        find, per_ident = self._finder(columns)
+        find = self._finder(columns)
         touched = self._touched(attrs)
         serving = self._indexes.get(columns)
         if serving is not None and serving not in touched:
@@ -548,10 +504,10 @@ class Table:
             "                store(key, new, old, touched)",
             f"                {written}",
             "    finally:",
-            f"        account({tail}, ENTRIES, seen * PER_IDENT)",
+            f"        account({tail}, ENTRIES, seen)",
             "    return changes",
         ], {
-            "ENTRIES": 2 * len(touched), "PER_IDENT": per_ident,
+            "ENTRIES": 2 * len(touched),
             "find": find, "get": self._rows.get, "stored": self._rows,
             "store": self._store, "touched": touched, "account": self._account,
         })
@@ -598,10 +554,10 @@ class Table:
             return [] if returning else None
         changes: list[tuple] | None = [] if returning else None
         lookups = written = 0
-        find, per_ident = self._finder(tuple(columns))
+        find = self._finder(tuple(columns))
         try:
             for ident in idents:
-                lookups += per_ident
+                lookups += 1
                 for key in find(ident):
                     old = self._rows[key]
                     self._discard(key, old)
@@ -774,11 +730,7 @@ class Table:
 
     def copy(self, counters: CounterSet | None = None) -> "Table":
         """Deep copy (rows are immutable tuples, so sharing them is safe)."""
-        clone = Table(
-            self.schema,
-            counters=counters if counters is not None else self.counters,
-            auto_index=self.auto_index,
-        )
+        clone = Table(self.schema, counters if counters is not None else self.counters)
         clone._rows = dict(self._rows)
         for columns, index in self._indexes.items():
             twin = clone._indexes[columns] = _SecondaryIndex(self.schema, columns)

@@ -13,8 +13,8 @@ from repro.storage import Database
 from tests.conftest import build_view_v, build_view_v_prime
 
 
-def make_db(auto_index: bool = True) -> Database:
-    db = Database(auto_index=auto_index)
+def make_db() -> Database:
+    db = Database()
     db.create_table("devices", ("did", "category"), ("did",))
     db.create_table("parts", ("pid", "price"), ("pid",))
     db.create_table("devices_parts", ("did", "pid"), ("did", "pid"))
@@ -22,33 +22,6 @@ def make_db(auto_index: bool = True) -> Database:
     db.table("parts").load([("P1", 10), ("P2", 20)])
     db.table("devices_parts").load([("D1", "P1"), ("D2", "P1"), ("D1", "P2")])
     return db
-
-
-class TestWithoutIndexes:
-    """Without secondary indexes everything degrades to counted scans —
-    costs change, results must not."""
-
-    @pytest.mark.parametrize("build", [build_view_v, build_view_v_prime])
-    def test_correct_without_auto_indexes(self, build):
-        db = make_db(auto_index=False)
-        engine = IdIvmEngine(db)
-        view = engine.define_view("V", build(db))
-        engine.log.update("parts", ("P1",), {"price": 11})
-        engine.log.insert("parts", ("P3", 9))
-        engine.log.insert("devices_parts", ("D2", "P3"))
-        engine.log.delete("devices_parts", ("D1", "P2"))
-        engine.maintain()
-        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
-
-    def test_scan_fallback_costs_more(self):
-        def cost(auto_index: bool) -> int:
-            db = make_db(auto_index=auto_index)
-            engine = IdIvmEngine(db)
-            engine.define_view("V", build_view_v_prime(db))
-            engine.log.update("parts", ("P1",), {"price": 11})
-            return engine.maintain()["V"].total_cost
-
-        assert cost(auto_index=False) > cost(auto_index=True)
 
 
 class TestScriptMisuse:

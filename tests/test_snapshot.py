@@ -48,6 +48,30 @@ class TestSnapshot:
         row = next(iter(restored.table("parts").rows_uncounted()))
         assert isinstance(row, tuple)
 
+    def test_schema_round_trips(self, tmp_path):
+        """Declared ``nullable`` columns and ``types`` survive a save and
+        load (the schema's ``==`` compares only name, columns and key)."""
+        from repro.storage import Database
+
+        db = Database()
+        db.create_table("t", ("k", "a", "b"), ("k",), nullable=("a",), types={"a": "int", "b": "str"})
+        db.create_table("u", ("k", "v"), ("k",))  # the defaults: every non-key column nullable
+        path = tmp_path / "db.json"
+        save_database(db, path)
+        restored = load_database(path)
+        for name in ("t", "u"):
+            before, after = db.table(name).schema, restored.table(name).schema
+            assert (after.nullable, after.types) == (before.nullable, before.types)
+        assert restored.table("t").schema.nullable == {"a"}
+        assert restored.table("t").schema.types == {"a": "int", "b": "str"}
+
+    def test_snapshot_without_schema_fields_loads(self, running_example_db):
+        payload = database_to_dict(running_example_db)
+        for spec in payload["tables"]:
+            del spec["nullable"], spec["types"]
+        schema = database_from_dict(payload).table("parts").schema
+        assert (schema.nullable, schema.types) == ({"price"}, {})
+
     def test_unknown_format_rejected(self):
         with pytest.raises(SchemaError):
             database_from_dict({"format": 99, "tables": []})
@@ -114,20 +138,24 @@ class TestSnapshotIndexes:
         assert restored.counters.total.total == 0
         assert restored.counters.phases == {}
 
-    def test_auto_index_setting_round_trips(self):
-        from repro.storage import Database
-
-        db = Database(auto_index=False)
-        db.create_table("t", ("k", "v"), ("k",))
-        restored = database_from_dict(database_to_dict(db))
-        assert restored.auto_index is False
-        assert restored.table("t").auto_index is False
-
     def test_legacy_snapshot_without_index_fields_loads(self):
         db = self._db()
         payload = database_to_dict(db)
-        payload.pop("auto_index")
         for spec in payload["tables"]:
             spec.pop("indexes")
         restored = database_from_dict(payload)
         assert restored.table("parts").as_set() == db.table("parts").as_set()
+
+    def test_snapshot_with_the_retired_index_flag_loads(self):
+        """Files written while tables could opt out of lazy indexes carry
+        a top-level ``auto_index`` flag; it is ignored, and the restored
+        tables build their indexes on first use."""
+        db = self._db()
+        payload = {**database_to_dict(db), "auto_index": False}
+        for spec in payload["tables"]:
+            spec.pop("indexes")
+        t = database_from_dict(payload).table("parts")
+        assert t.lookup(("vendor",), ("bolt",)) == [(3, 30, "bolt")]
+        assert t.has_index(("vendor",))
+        assert t.counters.total.index_lookups == 1
+

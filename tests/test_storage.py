@@ -123,24 +123,36 @@ class TestSecondaryIndexes:
         assert sorted(rows) == [("D1", "P1"), ("D2", "P1")]
 
     def test_auto_index_creation(self):
-        table = Table(TableSchema("dp", ("did", "pid"), ("did", "pid")), auto_index=True)
+        table = Table(TableSchema("dp", ("did", "pid"), ("did", "pid")))
         table.load([("D1", "P1"), ("D2", "P1")])
         assert not table.has_index(("pid",))
         assert len(table.lookup(("pid",), ("P1",))) == 2
         assert table.has_index(("pid",))
 
-    def test_no_auto_index_falls_back_to_scan(self):
-        counters = CounterSet()
-        table = Table(
-            TableSchema("dp", ("did", "pid"), ("did", "pid")),
-            counters=counters,
-            auto_index=False,
-        )
-        table.load([("D1", "P1"), ("D2", "P1"), ("D3", "P2")])
-        rows = table.lookup(("pid",), ("P1",))
-        assert len(rows) == 2
-        assert counters.total.tuple_reads == 3  # full scan
-        assert counters.total.index_lookups == 0
+    @pytest.mark.parametrize("reader", ["lookup", "lookup_one", "probe", "locate", "delete_many"])
+    def test_first_use_builds_the_serving_index(self, reader):
+        """A fresh table has no secondary index; the first read or
+        APPLY on a non-key column set builds one, uncounted, and pays
+        one index lookup per value and a read per row returned — never
+        a scan."""
+        table = Table(TableSchema("dp", ("did", "pid", "qty"), ("did", "pid")))
+        table.load([("D1", "P1", 1), ("D2", "P1", 2), ("D3", "P2", 1), ("D4", "P3", 5)])
+        values = [("P1",), ("P9",), ("P2",)]
+        assert table.index_columns() == []
+        call = {
+            "lookup": lambda: [r for v in values for r in table.lookup(("pid",), v)],
+            "lookup_one": lambda: [r for v in values if (r := table.lookup_one(("pid",), v))],
+            "probe": lambda: table.probe(("pid",))(values),
+            "locate": lambda: [k for v in values for k in table.locate(("pid",), v)],
+            "delete_many": lambda: table.delete_many(("pid",), values),
+        }[reader]
+        got = call()
+        assert table.index_columns() == [("pid",)]
+        total = table.counters.total
+        assert total.index_lookups == len(values)
+        reads = {"lookup": 3, "lookup_one": 2, "probe": 3, "locate": 0, "delete_many": 0}[reader]
+        assert total.tuple_reads == reads and len(got) == (2 if reader == "lookup_one" else 3)
+        assert total.tuple_writes == (3 if reader == "delete_many" else 0)
 
     def test_index_maintained_across_writes(self):
         table = Table(TableSchema("dp", ("did", "pid"), ("did", "pid")))
@@ -676,8 +688,8 @@ class TestBulkWriters:
     loops on an identically built table."""
 
     @staticmethod
-    def build(initial, auto_index: bool, journal: bool):
-        table = Table(TableSchema("r", ("k", "a", "b"), ("k",)), auto_index=auto_index)
+    def build(initial, journal: bool):
+        table = Table(TableSchema("r", ("k", "a", "b"), ("k",)))
         table.create_index(("a",))
         table.create_index(("a", "b"))
         table.load(dict((row[0], row) for row in initial).values())
@@ -689,13 +701,13 @@ class TestBulkWriters:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(0, 5), small, small), max_size=6),
-        st.booleans(), st.booleans(), bulk_ops,
+        st.booleans(), bulk_ops,
     )
-    def test_bulk_equals_the_per_row_loop(self, initial, auto_index, journal, ops):
+    def test_bulk_equals_the_per_row_loop(self, initial, journal, ops):
         # Two tables with one history: a bucket's iteration order is a
         # function of its history, and both paths iterate a copy of it.
-        bulk = self.build(initial, auto_index, journal)
-        ref = self.build(initial, auto_index, journal)
+        bulk = self.build(initial, journal)
+        ref = self.build(initial, journal)
         rows = dict(bulk._rows)
         for (writer, columns, attrs), batch in ops:
             idents = [row[: len(columns)] for row in batch]
@@ -750,17 +762,6 @@ class TestBulkWriters:
         assert parts.counters.total == CounterSet().total
         assert parts.counters.phases == {}
 
-    def test_scans_without_an_index(self):
-        """``auto_index=False``: a batch keeps ``locate``'s counted scan."""
-        table = Table(TableSchema("r", ("k", "a"), ("k",)), auto_index=False)
-        table.load([(1, "x"), (2, "y"), (3, "x")])
-        written = table.delete_many(("a",), [("x",), ("x",), ("z",)])
-        assert written == [((1, "x"), None), ((3, "x"), None)]
-        assert table.index_columns() == []
-        total = table.counters.total
-        # scans of 3, 1 and 1 rows; no index to look up
-        assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == (0, 5, 2)
-
     def test_key_columns_are_immutable(self, parts):
         parts.begin_journal()
         with pytest.raises(SchemaError):
@@ -808,7 +809,7 @@ class TestTouchedIndexMaintenance:
 
     @staticmethod
     def rebuilt(table: Table) -> dict:
-        fresh = Table(table.schema, auto_index=False)
+        fresh = Table(table.schema)
         fresh.load(table.rows_uncounted())
         for columns in table.index_columns():
             fresh.create_index(columns)

@@ -45,17 +45,23 @@ SEED = 20240601
 VALUES = [None, 0, 1, 2, 3]
 
 
-def _world(rng_seed: int, auto_index: bool):
+def _world(rng_seed: int, indexed: bool):
     """Pre and post databases of ``r(rk, a, b)`` and ``s(sk, a2, c)``
     (nullable ``a`` / ``a2`` / ``b``), sharing one counter set; post is
-    pre plus a few inserts, deletes and updates."""
+    pre plus a few inserts, deletes and updates.  *indexed*: every
+    non-key column has a secondary index up front; otherwise none does
+    until a read builds it."""
     rng = random.Random(rng_seed)
     counters = CounterSet()
     dbs = {}
     for state in (PRE, POST):
-        db = dbs[state] = Database(counters=counters, auto_index=auto_index)
+        db = dbs[state] = Database(counters=counters)
         db.create_table("r", ("rk", "a", "b"), ("rk",), nullable=("a", "b"))
         db.create_table("s", ("sk", "a2", "c"), ("sk",), nullable=("a2",))
+        if indexed:
+            for table in db.tables.values():
+                for column in table.schema.non_key_columns:
+                    table.create_index((column,))
     for k in range(14):
         row = (k, rng.choice(VALUES), rng.choice(VALUES))
         dbs[PRE].table("r").insert_uncounted(row)
@@ -163,11 +169,11 @@ def _indexes(ctx: IrContext) -> dict:
     return {name: table.index_columns() for name, table in tables.items()}
 
 
-@pytest.mark.parametrize("auto_index", [True, False], ids=["indexed", "unindexed"])
+@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "unindexed"])
 @pytest.mark.parametrize("cached", ["none", "inner", "all", "marked"])
-def test_every_form_reads_what_the_interpreter_reads(auto_index, cached):
+def test_every_form_reads_what_the_interpreter_reads(indexed, cached):
     rng = random.Random(SEED)
-    schemas = {name: t.schema for name, t in _world(SEED, auto_index)[PRE].tables.items()}
+    schemas = {name: t.schema for name, t in _world(SEED, indexed)[PRE].tables.items()}
     reads = 0
     for name, plan in _plans(schemas).items():
         for state in (PRE, POST):
@@ -176,7 +182,7 @@ def test_every_form_reads_what_the_interpreter_reads(auto_index, cached):
                     # two identical worlds: the interpreter reads one, the reader the other
                     worlds = []
                     for _ in range(2):
-                        dbs = _world(SEED, auto_index)
+                        dbs = _world(SEED, indexed)
                         caches = _caches(plan, dbs, "all" if cached == "marked" else cached)
                         worlds.append(_context(dbs, caches, cached == "marked"))
                     oracle, lowered = worlds
@@ -227,13 +233,17 @@ def test_readers_are_shared_per_key_and_refused_forms_interpret(monkeypatch):
 # ----------------------------------------------------------------------
 # Table.probe: a lookup loop's rows and totals, charged once
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("auto_index", [True, False])
+@pytest.mark.parametrize("indexed", [True, False])
 @pytest.mark.parametrize("columns", [("k",), ("a",), ("a", "b"), ("b", "k")])
-def test_probe_is_a_counted_lookup_loop(auto_index, columns):
+def test_probe_is_a_counted_lookup_loop(indexed, columns):
+    """*indexed*: the index on *columns* exists before the first read;
+    otherwise the first ``lookup`` / ``probe`` builds it."""
     rng = random.Random(SEED)
     tables = []
     for _ in range(2):
-        table = Table(TableSchema("t", ("k", "a", "b"), ("k",), nullable=("a",)), auto_index=auto_index)
+        table = Table(TableSchema("t", ("k", "a", "b"), ("k",), nullable=("a",)))
+        if indexed:
+            table.create_index(columns)
         table.load((k, rng.choice([None, 1, 2]), k % 3) for k in range(12))
         tables.append(table)
         rng.seed(SEED)
@@ -251,14 +261,16 @@ def test_probe_is_a_counted_lookup_loop(auto_index, columns):
 
 
 def test_probe_rebinds_when_an_index_is_built():
-    table = Table(TableSchema("t", ("k", "a"), ("k",)), auto_index=False)
-    table.load([(1, "x"), (2, "y"), (3, "x")])
-    scan = table.probe(("a",))
-    assert scan([("x",)]) and table.counters.total.tuple_reads == 3
-    table.create_index(("a",))
-    assert table.probe(("a",)) is not scan
-    assert sorted(table.probe(("a",))([("x",)])) == [(1, "x"), (3, "x")]
-    assert table.counters.total.index_lookups == 1
+    table = Table(TableSchema("t", ("k", "a", "b"), ("k",)))
+    table.load([(1, "x", 0), (2, "y", 0), (3, "x", 1)])
+    first = table.probe(("a",))
+    assert table.index_columns() == [("a",)]  # built at the bind
+    assert sorted(first([("x",)])) == [(1, "x", 0), (3, "x", 1)]
+    table.create_index(("b",))
+    assert table.probe(("a",)) is not first
+    assert sorted(table.probe(("a",))([("x",)])) == [(1, "x", 0), (3, "x", 1)]
+    total = table.counters.total
+    assert (total.index_lookups, total.tuple_reads) == (2, 4)
 
 
 # ----------------------------------------------------------------------

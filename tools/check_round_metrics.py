@@ -22,6 +22,10 @@ HOT_PATHS = frozenset({
     "execute_script",
     "populate_instances",
     "_maintain_view",
+    "_run_view",
+    "_run_broadcast",
+    "shared_run",
+    "apply_diff",
     "_finish_round",
     "update_from_report",
 })
