@@ -22,7 +22,6 @@ test-sharded:
 smoke:
 	$(PYTHON) -m repro demo --trace /tmp/repro_trace.jsonl
 	$(PYTHON) -m repro.obs.trace /tmp/repro_trace.jsonl
-	$(PYTHON) -m repro demo --shards 4
 	$(PYTHON) -m pytest benchmarks/bench_parallel_shards.py --benchmark-disable -q
 
 # Observability smoke: boot the live telemetry endpoint (DemoLoop +

@@ -17,14 +17,10 @@ plus one catalog-scoped pass that sees every defined view at once:
 Entry points: :func:`analyze_plan` for a bare algebra plan,
 :func:`analyze_generated` for compiler output, :func:`check_generated`
 as the strict post-generation assertion (raises on error-severity
-diagnostics; consults the incremental analysis cache when
-``REPRO_ANALYSIS_CACHE`` is set), and :func:`analyze_catalog` for the
-catalog scope.
+diagnostics), and :func:`analyze_catalog` for the catalog scope.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..core.idinfer import annotate_plan
 from ..errors import StaticAnalysisError
@@ -70,8 +66,6 @@ from .fingerprint import (  # noqa: E402  (re-export)
 from .cache import (  # noqa: E402  (re-export)
     AnalysisCache,
     entry_from_report,
-    gate_cache,
-    generated_cache_key,
     plan_cache_key,
     report_from_entry,
 )
@@ -110,25 +104,8 @@ def analyze_generated(
 
 
 def check_generated(generated, db=None, stats=None) -> AnalysisReport:
-    """Strict gate: analyze and raise on error-severity diagnostics.
-
-    When ``REPRO_ANALYSIS_CACHE`` names a directory, a previously seen
-    (plan, script, statistics) triple replays its frozen diagnostics
-    instead of re-running the passes.
-    """
-    cache = gate_cache()
-    report: Optional[AnalysisReport] = None
-    key = ""
-    if cache is not None:
-        key = generated_cache_key(generated, db)
-        entry = cache.get(key)
-        if entry is not None:
-            report = report_from_entry(entry)
-    if report is None:
-        report = analyze_generated(generated, db=db, stats=stats)
-        if cache is not None:
-            cache.put(key, entry_from_report(report))
-            cache.flush()
+    """Strict gate: analyze and raise on error-severity diagnostics."""
+    report = analyze_generated(generated, db=db, stats=stats)
     if report.has_errors():
         lines = [d.render() for d in report.errors]
         raise StaticAnalysisError(
@@ -179,9 +156,7 @@ __all__ = [
     "FingerprintError",
     "FINGERPRINT_VERSION",
     "AnalysisCache",
-    "gate_cache",
     "plan_cache_key",
-    "generated_cache_key",
     "entry_from_report",
     "report_from_entry",
 ]

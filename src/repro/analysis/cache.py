@@ -17,10 +17,9 @@ invalidates the whole persisted cache at load time.  A truncated or
 garbage cache file is treated as empty — corruption can cost a cold
 re-analysis, never a wrong report.
 
-The strict engine gate (:func:`repro.analysis.check_generated`) consults
-a cache only when ``REPRO_ANALYSIS_CACHE`` names a directory — an
-explicit opt-in, so test runs stay hermetic by default.  ``repro lint``
-defaults to ``.repro-cache/`` with ``--no-cache`` as the escape hatch.
+``repro lint`` is the one user: it defaults to ``.repro-cache/`` with
+``--no-cache`` as the escape hatch.  The strict engine gate
+(:func:`repro.analysis.check_generated`) always re-runs the passes.
 """
 
 from __future__ import annotations
@@ -36,13 +35,11 @@ from .diagnostics import AnalysisReport, Diagnostic
 from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
-    generated_fingerprint,
     plan_fingerprint,
 )
 from .registry import pass_versions
 
 CACHE_SCHEMA_VERSION = 2
-CACHE_ENV_VAR = "REPRO_ANALYSIS_CACHE"
 DEFAULT_CACHE_DIR = ".repro-cache"
 _CACHE_FILE = "analysis.json"
 
@@ -75,22 +72,6 @@ def plan_cache_key(
             db_stats_digest(db),
             n_shards,
             list(knobs),
-        ]
-    )
-
-
-def generated_cache_key(
-    generated: object, db: Optional[Database], n_shards: int = 2
-) -> str:
-    """Cache key for the analysis of an already-generated plan (the
-    strict engine gate's entry point)."""
-    return digest(
-        [
-            "generated-key",
-            FINGERPRINT_VERSION,
-            generated_fingerprint(generated, db, alpha=False),
-            db_stats_digest(db),
-            n_shards,
         ]
     )
 
@@ -186,9 +167,3 @@ class AnalysisCache:
             raise
         self._dirty = False
 
-
-def gate_cache() -> Optional[AnalysisCache]:
-    """The strict engine gate's cache, or None when not opted in via
-    ``REPRO_ANALYSIS_CACHE=<dir>``."""
-    root = os.environ.get(CACHE_ENV_VAR)
-    return AnalysisCache(root) if root else None

@@ -26,11 +26,12 @@ DBToaster's insert/delete pairs); we do the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..algebra.delta_eval import Bindings, fetch
 from ..algebra.evaluate import materialize
 from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select, base_tables
+from ..core.compile import lower_group_pass
 from ..core.diffs import DELETE, INSERT, UPDATE
 # _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
 from ..core.engine import (
@@ -41,11 +42,7 @@ from ..core.engine import (
     counts_since,
 )
 from ..core.idinfer import annotate_plan
-from ..core.rules.aggregate import (
-    GroupWriter,
-    OpCacheSpec,
-    apply_group_deltas,
-)
+from ..core.rules.aggregate import OpCacheSpec
 from ..errors import PlanError, ScriptError
 from ..expr import Col, Expr, columns_of, matches
 from ..storage import Database, Table, TableSchema
@@ -195,9 +192,9 @@ class SdbtView:
         #: base table -> SPJ plan with its own selection conjuncts dropped
         self.relaxed: dict[str, PlanNode] = {}
         self.opcache: Optional[Table] = None
-        #: the view's γ-delta writer (its generated pass), bound once its
+        #: the view's γ-delta pass (generated code), bound once its
         #: operator cache exists
-        self.writer: Optional[GroupWriter] = None
+        self.group_pass: Optional[Callable] = None
         # The lineage a round reads, resolved once per view.
         #: SPJ column -> position, for re-checking selections on a row
         self.positions = {c: i for i, c in enumerate(shape.spj.columns)}
@@ -251,7 +248,7 @@ class SdbtEngine(MaintenanceEngine):
         view = SdbtView(name, annotated, table, shape)
         spec = OpCacheSpec(annotated, f"{name}__sdbt_opc")
         view.opcache = spec.build(child_rows, self.db.counters)
-        view.writer = GroupWriter(annotated, table, view.opcache)
+        view.group_pass = lower_group_pass(annotated, table, view.opcache)
 
         streamed = (
             set(shape.key_columns)
@@ -339,7 +336,7 @@ class SdbtEngine(MaintenanceEngine):
             with counted_phase(counters, "map_update"):
                 self._maintain_maps(view, base_table, per_key, hybrid)
         with counted_phase(counters, "view_update"):
-            apply_group_deltas(view.writer, changes)
+            view.group_pass(changes)
         return MaintenanceReport(
             view.name, phase_counts=counts_since(counters, before)
         )

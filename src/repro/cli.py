@@ -30,10 +30,9 @@ Commands
     sustained predicted-vs-observed drift (COST504, informational).
 ``top``
     Live terminal dashboard: per-view staleness, observed-lag and
-    round-latency percentiles, drift EWMAs, shard balance.  Runs a
-    local sharded BSMA demo loop, or polls a running
-    ``python -m repro.obs.serve`` with ``--url`` (see
-    ``docs/OBSERVABILITY.md``).
+    round-latency percentiles, drift EWMAs.  Runs a local BSMA demo
+    loop, or polls a running ``python -m repro.obs.serve`` with
+    ``--url`` (see ``docs/OBSERVABILITY.md``).
 
 ``demo``, ``sweep``, ``bsma`` and ``crosscheck`` accept ``--trace
 FILE.jsonl`` to record every maintenance round as a span tree (see
@@ -53,7 +52,7 @@ from .obs import spans as obs
 from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .analysis.cost import COST_MODEL_FALLBACKS, COST_SELECT_FALLBACKS
-from .core import IdIvmEngine, ShardedEngine
+from .core import IdIvmEngine
 from .core.compile import readers_of, subview_fallbacks
 from .sql import sql_to_plan
 from .storage import Database
@@ -67,13 +66,6 @@ from .workloads import (
     build_devices_database,
     log_user_updates,
 )
-
-
-def _id_engine_factory(shards: int, backend: str = "inline"):
-    """The idIVM engine constructor honouring ``--shards N --backend B``."""
-    if shards > 1:
-        return lambda db: ShardedEngine(db, shards=shards, backend=backend)
-    return IdIvmEngine
 
 
 def demo_database() -> Database:
@@ -109,38 +101,26 @@ def demo_database() -> Database:
 def cmd_demo(args: argparse.Namespace) -> int:
     """``repro demo``: the running example end to end."""
     db = demo_database()
-    engine = _id_engine_factory(args.shards, getattr(args, "backend", "inline"))(db)
-    try:
-        view = engine.define_view(
-            "V_prime",
-            sql_to_plan(
-                db,
-                "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN "
-                "devices_parts NATURAL JOIN devices WHERE category = 'phone' "
-                "GROUP BY did",
-            ),
-        )
-        print("Initial view:", sorted(view.table.as_set()))
-        print()
-        print(explain_plan(view.plan))
-        print()
-        print(view.describe_script())
-        print()
-        engine.log.update("parts", ("P1",), {"price": 11})
-        report = engine.maintain()["V_prime"]
-        print("After the Figure 2 update (P1: 10 -> 11):", sorted(view.table.as_set()))
-        print(f"maintenance cost: {report.total_cost} accesses")
-        if getattr(report, "parallel", False):
-            print(
-                f"route: parallel across {args.shards} shards "
-                f"(anchor {report.anchor})"
-            )
-        elif getattr(report, "broadcast_reason", None):
-            print(f"route: broadcast ({report.broadcast_reason})")
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+    engine = IdIvmEngine(db)
+    view = engine.define_view(
+        "V_prime",
+        sql_to_plan(
+            db,
+            "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN "
+            "devices_parts NATURAL JOIN devices WHERE category = 'phone' "
+            "GROUP BY did",
+        ),
+    )
+    print("Initial view:", sorted(view.table.as_set()))
+    print()
+    print(explain_plan(view.plan))
+    print()
+    print(view.describe_script())
+    print()
+    engine.log.update("parts", ("P1",), {"price": 11})
+    report = engine.maintain()["V_prime"]
+    print("After the Figure 2 update (P1: 10 -> 11):", sorted(view.table.as_set()))
+    print(f"maintenance cost: {report.total_cost} accesses")
     return 0
 
 
@@ -293,7 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config = DevicesConfig(**kwargs)
         results: dict[str, SystemResult] = {}
         for label, factory in (
-            ("idIVM", _id_engine_factory(args.shards, getattr(args, "backend", "inline"))),
+            ("idIVM", IdIvmEngine),
             ("tuple", TupleIvmEngine),
         ):
             results[label] = run_system(
@@ -325,19 +305,14 @@ def cmd_bsma(args: argparse.Namespace) -> int:
     for name, build in BSMA_QUERIES.items():
         costs = {}
         for label, factory in (
-            ("id", _id_engine_factory(args.shards, getattr(args, "backend", "inline"))),
+            ("id", IdIvmEngine),
             ("tuple", TupleIvmEngine),
         ):
             db = build_bsma_database(config)
             engine = factory(db)
-            try:
-                engine.define_view(name, build(db, config))
-                log_user_updates(engine, db, config, args.updates)
-                costs[label] = engine.maintain()[name].total_cost
-            finally:
-                close = getattr(engine, "close", None)
-                if close is not None:
-                    close()
+            engine.define_view(name, build(db, config))
+            log_user_updates(engine, db, config, args.updates)
+            costs[label] = engine.maintain()[name].total_cost
         rows.append(
             (name, costs["id"], costs["tuple"], costs["tuple"] / max(costs["id"], 1))
         )
@@ -619,7 +594,8 @@ def _cmd_lint_catalog(args: argparse.Namespace, rules, cache) -> int:
 
     from .catalog import CatalogConfig, build_catalog_database, catalog_views
 
-    config = CatalogConfig(n_views=args.catalog_views)
+    n_views = _CATALOG_VIEWS if args.catalog_views is None else args.catalog_views
+    config = CatalogConfig(n_views=n_views)
     db = build_catalog_database(config)
     reports, sharing, n_errors, n_warnings = _lint_reports(
         ((label, plan, db) for label, plan in catalog_views(db, config)),
@@ -661,11 +637,33 @@ def _cmd_lint_catalog(args: argparse.Namespace, rules, cache) -> int:
     return 1 if n_errors else 0
 
 
+#: ``--catalog`` size when ``--catalog-views`` is not given.
+_CATALOG_VIEWS = 1000
+
+
+def _ignored_lint_flag(args: argparse.Namespace) -> str | None:
+    """Names the first flag given that the selected lint mode never reads."""
+    for flag, ignored, mode in (
+        ("--cost", args.catalog and args.cost, "with --catalog"),
+        ("--verbose", args.catalog and args.verbose, "with --catalog"),
+        ("--catalog-views", not args.catalog and args.catalog_views is not None,
+         "without --catalog"),
+    ):
+        if ignored:
+            return f"{flag} has no effect {mode}"
+    return None
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: static analysis over every shipped view."""
     import json
 
     from .analysis import RULES, AnalysisCache
+
+    ignored = _ignored_lint_flag(args)
+    if ignored is not None:
+        print(f"lint: {ignored}", file=sys.stderr)
+        return 2
 
     rules: set[str] = set()
     if args.rule:
@@ -843,9 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--catalog-views",
         type=int,
-        default=1000,
+        default=None,
         metavar="N",
-        help="catalog size for --catalog (default: 1000)",
+        help=f"catalog size for --catalog (default: {_CATALOG_VIEWS})",
     )
     lint.add_argument(
         "--no-cache",
@@ -862,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live dashboard: staleness, latency percentiles, drift, "
-        "shard balance",
+        help="live dashboard: staleness, latency percentiles, drift",
     )
     from .obs.top import add_arguments as _top_arguments
 
@@ -876,21 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE.jsonl",
             default=None,
             help="record a JSONL span trace of every maintenance round",
-        )
-    for sharded in (demo, sweep, bsma):
-        sharded.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="run the idIVM engine shard-parallel across N workers",
-        )
-        sharded.add_argument(
-            "--backend",
-            choices=("inline", "process"),
-            default="inline",
-            help="shard execution backend: shards run one after another "
-            "over the shared database, or in long-lived worker processes "
-            "fed i-diffs over a compact wire format (default inline)",
         )
     return parser
 

@@ -942,7 +942,17 @@ def lower_group_pass(gnode, output=None, opcache=None) -> Callable:
     """The γ-delta maintenance of *gnode* as one generated pass,
     ``gamma_nN(changes) -> (ins, dels, upd)`` over ``(pre, post)``
     child-row changes, bound to its *output* table and operator cache
-    (paper Tables 9, 11 and 12; ``rules.aggregate.GroupWriter``).
+    (paper Tables 9, 11 and 12).  The γ-delta step binds one at
+    definition (``rules.aggregate.AssociativeAggregateStep.bind_tables``),
+    and so does the SDBT baseline; it holds generated code, so whoever
+    keeps one drops it from a pickle.
+
+    Cost, per affected group: one index lookup + one tuple access (the
+    Output ⋈ of Table 9 fused with the UPDATE — this is what makes the
+    Table 3 view-modification cost |D|pg rather than double).  The
+    operator cache's book is touched only when a cardinality / non-null
+    count (or an avg's running sum) actually changes, so a pure-update
+    round pays nothing for it (*Write* below).
 
     *Accumulate*: each change folds into its group's payload
     (:func:`group_slots`) — pre side subtracted, then post side added,

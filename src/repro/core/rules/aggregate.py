@@ -31,7 +31,7 @@ arriving at the operator before emitting output diffs, Example 4.4):
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ...algebra.plan import GroupBy, base_tables
 from ...algebra.relation import Relation
@@ -356,18 +356,18 @@ class AssociativeAggregateStep(_AggregateStep):
         self.opcache_name = opcache_name
 
     def bind_tables(self, caches, operator_caches, readers: SubviewReaders) -> "_Bound":
-        """Also binds the node's :class:`GroupWriter`, and so generates
-        its pass."""
+        """Also generates the node's γ pass, bound to the output table
+        and operator cache."""
         bound = super().bind_tables(caches, operator_caches, readers)
         if bound.opcache is None:
             raise ScriptError(f"aggregate n{self.gnode.node_id} has no operator cache")
-        bound.writer = GroupWriter(self.gnode, bound.output, bound.opcache)
+        bound.group_pass = lower_group_pass(self.gnode, bound.output, bound.opcache)
         return bound
 
     @property
     def group_pass(self):
         """The generated pass bound at definition (None before)."""
-        return self._bound.writer.run if self._bound is not None else None
+        return self._bound.group_pass if self._bound is not None else None
 
     # ------------------------------------------------------------------
     def run(self, ctx: IrContext) -> None:
@@ -385,7 +385,7 @@ class AssociativeAggregateStep(_AggregateStep):
                 if collector is None:
                     collector = _ChangeCollector(gnode, ctx, self._readers)
                 changes.extend(collector.from_diff(got))
-        self._emit(ctx, bound, *apply_group_deltas(bound.writer, changes))
+        self._emit(ctx, bound, *bound.group_pass(changes))
 
     def describe(self) -> str:
         srcs = ", ".join(f"{k}:{n}" for k, n in self.inputs)
@@ -397,46 +397,15 @@ class AssociativeAggregateStep(_AggregateStep):
 
 class _Bound:
     """A γ step's round constants: its output table and operator cache,
-    the effective diffs it emits, and the :class:`GroupWriter` of the
-    delta rule."""
+    the effective diffs it emits, and the delta rule's generated pass
+    (:func:`repro.core.compile.lower_group_pass`).  Holds generated
+    code: the step drops it from a pickle."""
 
-    __slots__ = ("output", "opcache", "emits", "writer")
+    __slots__ = ("output", "opcache", "emits", "group_pass")
 
     def __init__(self, output: Table, opcache: Optional[Table], emits: EffectiveDiffs):
         self.output, self.opcache, self.emits = output, opcache, emits
-        self.writer: Optional[GroupWriter] = None
-
-
-class GroupWriter:
-    """A γ node's one generated pass bound to its output table and
-    operator cache (:func:`repro.core.compile.lower_group_pass`):
-    ``run(changes) -> (ins, dels, upd)`` effective rows.  Holds generated
-    code: whoever keeps one drops it from a pickle."""
-
-    def __init__(self, gnode: GroupBy, out_table: Table, opcache: Table):
-        self.run = lower_group_pass(gnode, out_table, opcache)
-
-
-def apply_group_deltas(
-    writer: GroupWriter, changes: Sequence[tuple]
-) -> tuple[list[tuple], list[tuple], list[tuple]]:
-    """Fused read-modify-write of the ``(pre, post)`` child-row *changes*
-    of a γ node against its output table, through *writer*'s pass.
-
-    Per affected group: one index lookup + one tuple access (the Output ⋈
-    of Table 9 fused with the UPDATE — this is what makes the Table 3
-    view-modification cost |D|pg rather than double).  The operator
-    cache's bookkeeping is touched only when a cardinality / non-null
-    count (or an avg's running sum) actually changes.  Groups it is not
-    touched for — a live group whose aggregates move, the whole round
-    of a pure-update workload — are read uncounted and queue into one
-    ``update_many`` as ``key + values`` rows, flushed before any other
-    write so the output sees the per-group write order.
-
-    Returns the effective rows of the applied changes: inserted and
-    deleted ``key + values``, updated ``key + old values + new values``.
-    """
-    return writer.run(changes)
+        self.group_pass: Optional[Callable] = None
 
 
 class GeneralAggregateStep(_AggregateStep):

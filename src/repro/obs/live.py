@@ -2,12 +2,13 @@
 
 ``python -m repro.obs.serve`` and ``python -m repro top`` need an engine
 that is actually *doing* something.  :class:`DemoLoop` provides one: a
-BSMA database with a configurable set of views, maintained by a
-(by default sharded) idIVM engine on a background thread that logs a
-seeded batch of user updates and runs a maintenance round every
-``interval`` seconds.  Rounds use ``round_seed = round index``, so two
-demo loops with the same parameters replay the same modification
-stream — only the wall-clock telemetry differs.
+BSMA database with a configurable set of views, maintained by an
+:class:`~repro.core.IdIvmEngine` — the engine every benchmark measures —
+on a background thread that logs a seeded batch of user updates and
+runs a maintenance round every ``interval`` seconds.  Rounds use
+``round_seed = round index``, so two demo loops with the same
+parameters replay the same modification stream — only the wall-clock
+telemetry differs.
 
 The loop is deliberately single-threaded on the engine side (one
 background thread does both logging and maintenance), matching the
@@ -21,13 +22,13 @@ import threading
 import traceback
 from typing import Optional, Sequence
 
-from ..core import IdIvmEngine, ShardedEngine
+from ..core import IdIvmEngine
 from ..workloads import BsmaConfig, build_bsma_database, log_user_updates
 from ..workloads.bsma import BSMA_QUERIES
 
 #: Default views for the demo loop: small enough to define in a couple
-#: of seconds, varied enough to exercise parallel and broadcast routes
-#: plus the COST502/COST504 drift story (Q7, Q18).
+#: of seconds, varied enough to exercise the COST502/COST504 drift
+#: story (Q7, Q18).
 DEFAULT_VIEWS = ("Q7", "Q10", "Q15", "Q18")
 
 
@@ -36,12 +37,10 @@ class DemoLoop:
 
     def __init__(
         self,
-        shards: int = 2,
         users: int = 120,
         updates: int = 24,
         interval: float = 0.5,
         views: Optional[Sequence[str]] = None,
-        backend: str = "inline",
     ):
         self.config = BsmaConfig(
             n_users=users,
@@ -57,12 +56,7 @@ class DemoLoop:
                 f"unknown BSMA views {unknown}; choose from {sorted(BSMA_QUERIES)}"
             )
         self.db = build_bsma_database(self.config)
-        if shards > 1:
-            self.engine: IdIvmEngine = ShardedEngine(
-                self.db, shards=shards, backend=backend
-            )
-        else:
-            self.engine = IdIvmEngine(self.db)
+        self.engine = IdIvmEngine(self.db)
         for name in self.view_names:
             self.engine.define_view(name, BSMA_QUERIES[name](self.db, self.config))
         self.rounds_run = 0
@@ -116,11 +110,8 @@ class DemoLoop:
         return self._thread.is_alive()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Signal the loop, join it (bounded), and release engine workers."""
+        """Signal the loop and join it (bounded)."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()

@@ -1,7 +1,7 @@
 """Live metrics endpoint: Prometheus text + JSON snapshots over HTTP.
 
 ``python -m repro.obs.serve`` starts a :class:`~repro.obs.live.DemoLoop`
-(a sharded BSMA maintenance loop) and a stdlib ``ThreadingHTTPServer``
+(a BSMA maintenance loop) and a stdlib ``ThreadingHTTPServer``
 exposing:
 
 * ``/metrics``   — Prometheus text exposition (format 0.0.4).  Counters
@@ -432,11 +432,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=9301)
-    parser.add_argument("--shards", type=int, default=2,
-                        help="engine shards for the demo loop (default 2)")
-    parser.add_argument("--backend", choices=("inline", "process"),
-                        default="inline",
-                        help="shard execution backend (default inline)")
     parser.add_argument("--users", type=int, default=120,
                         help="BSMA users in the demo database")
     parser.add_argument("--updates", type=int, default=24,
@@ -450,12 +445,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     from .live import DemoLoop
 
     loop = DemoLoop(
-        shards=args.shards,
         users=args.users,
         updates=args.updates,
         interval=args.interval,
         views=args.views,
-        backend=args.backend,
     )
     loop.run_round()  # have data before the first scrape
     loop.start()
@@ -465,7 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(
         f"serving on http://{args.host}:{server.server_address[1]} "
         f"(endpoints: /metrics /snapshot /freshness /healthz; "
-        f"{args.shards} shard(s), views {' '.join(loop.view_names)})",
+        f"views {' '.join(loop.view_names)})",
         flush=True,
     )
     try:

@@ -43,7 +43,6 @@ def _get(base: str, path: str) -> str:
 
 def run_smoke(
     rounds: int = 3,
-    shards: int = 2,
     users: int = 60,
     updates: int = 12,
     out: Optional[str] = None,
@@ -52,7 +51,7 @@ def run_smoke(
     from .live import DemoLoop
 
     failures: list[str] = []
-    loop = DemoLoop(shards=shards, users=users, updates=updates)
+    loop = DemoLoop(users=users, updates=updates)
     for _ in range(rounds):
         loop.run_round()
 
@@ -111,7 +110,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Boot the live telemetry endpoint, scrape and validate it.",
     )
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--users", type=int, default=60)
     parser.add_argument("--updates", type=int, default=12)
     parser.add_argument("--out", default=None,
@@ -120,7 +118,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     failures = run_smoke(
         rounds=args.rounds,
-        shards=args.shards,
         users=args.users,
         updates=args.updates,
         out=args.out,

@@ -4,14 +4,15 @@ Renders, once per refresh interval, a plain-text dashboard of the
 engine's observability surface: per-view staleness (pending modlog
 entries, seconds-behind), observed-lag and round-latency percentiles,
 drift-monitor EWMAs with active COST504 alerts, and shard routing
-balance.  No curses — each frame is a full redraw behind an ANSI
-clear, so it works in any terminal and degrades to plain sequential
-frames when piped.
+balance when the engine is a :class:`~repro.core.ShardedEngine`.  No
+curses — each frame is a full redraw behind an ANSI clear, so it works
+in any terminal and degrades to plain sequential frames when piped.
 
 Two data sources, same renderer:
 
-* local (default): spin up a :class:`~repro.obs.live.DemoLoop` (BSMA,
-  sharded) in-process and read its engine directly;
+* local (default): spin up a :class:`~repro.obs.live.DemoLoop` (BSMA
+  on an :class:`~repro.core.IdIvmEngine`) in-process and read its engine
+  directly;
 * ``--url http://host:port`` — poll the ``/snapshot`` endpoint of a
   running ``python -m repro.obs.serve`` and render remotely.
 
@@ -198,8 +199,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="render a single frame and exit")
     parser.add_argument("--frames", type=int, default=0,
                         help="stop after N frames (0 = until interrupted)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="local demo loop: engine shards (default 2)")
     parser.add_argument("--users", type=int, default=120,
                         help="local demo loop: BSMA users")
     parser.add_argument("--updates", type=int, default=24,
@@ -216,7 +215,6 @@ def run(args: argparse.Namespace) -> int:
         from .live import DemoLoop
 
         loop = DemoLoop(
-            shards=args.shards,
             users=args.users,
             updates=args.updates,
             interval=args.interval,
@@ -251,7 +249,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.top",
         description="Live dashboard: per-view staleness, latency percentiles, "
-        "cost drift, shard balance.",
+        "cost drift.",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

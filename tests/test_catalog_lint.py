@@ -8,15 +8,13 @@ The load-bearing claims:
 * the sharing pass flags exactly the seeded overlap (and stays quiet on
   disjoint views), and its SHARE701 price reconciles with a *measured*
   twin-engine maintenance round under the COST503 tolerance policy;
-* the cache replays byte-identical reports warm, survives corruption
-  and version bumps by going cold (never by lying), and the strict
-  engine gate honors a poisoned entry only when explicitly opted in.
+* the cache replays byte-identical reports warm and survives
+  corruption and version bumps by going cold (never by lying).
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -24,11 +22,9 @@ from repro.analysis import (
     AnalysisCache,
     analyze_catalog,
     entry_from_report,
-    generated_cache_key,
     plan_fingerprint,
     view_facts,
 )
-from repro.analysis.cache import CACHE_ENV_VAR
 from repro.analysis.cost import SCRIPT_PHASES, reconcile_counts
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.sharing import _cache_step_labels, facts_from_json, facts_to_json
@@ -41,7 +37,6 @@ from repro.cli import main
 from repro.core import IdIvmEngine
 from repro.core.script import PHASE_CACHE_DIFF, PHASE_CACHE_UPDATE
 from repro.costmodel import diff_sizes_env
-from repro.errors import StaticAnalysisError
 
 SMALL = CatalogConfig(
     n_views=24, n_overlap_groups=3, group_size=3, n_duplicates=2, n_subsumed=2
@@ -293,48 +288,6 @@ class TestAnalysisCache:
         )
         cache.path.write_text(json.dumps(payload))
         assert AnalysisCache(tmp_path).get("k1") is None
-
-    def test_gate_consults_cache_only_when_opted_in(self, tmp_path, monkeypatch):
-        """Poison the cache entry for a clean view: the strict gate must
-        replay it (and raise) only under REPRO_ANALYSIS_CACHE."""
-        from repro.algebra import scan, where
-        from repro.analysis import check_generated
-        from repro.expr import Cmp, col, lit
-        from repro.storage import Database
-
-        db = Database()
-        db.create_table("t", ("k", "a"), ("k",), types={"k": "int", "a": "int"})
-        db.table("t").load([(1, 5)])
-        generated = _generate(db, "V", where(scan(db, "t"), Cmp(">", col("a"), lit(0))))
-
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        check_generated(generated, db=db)  # clean without a cache
-
-        poisoned = AnalysisReport()
-        poisoned.add("TC102", "n0", "poisoned entry")
-        cache = AnalysisCache(tmp_path)
-        cache.put(generated_cache_key(generated, db), entry_from_report(poisoned))
-        cache.flush()
-
-        check_generated(generated, db=db)  # still clean: not opted in
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        with pytest.raises(StaticAnalysisError, match="poisoned"):
-            check_generated(generated, db=db)
-
-    def test_gate_populates_cache_when_opted_in(self, tmp_path, monkeypatch):
-        from repro.algebra import scan, where
-        from repro.analysis import check_generated
-        from repro.expr import Cmp, col, lit
-        from repro.storage import Database
-
-        db = Database()
-        db.create_table("t", ("k", "a"), ("k",), types={"k": "int", "a": "int"})
-        db.table("t").load([(1, 5)])
-        generated = _generate(db, "V", where(scan(db, "t"), Cmp(">", col("a"), lit(0))))
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        check_generated(generated, db=db)
-        stored = AnalysisCache(tmp_path)
-        assert stored.get(generated_cache_key(generated, db)) is not None
 
 
 # ----------------------------------------------------------------------

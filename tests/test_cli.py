@@ -100,6 +100,23 @@ class TestBsma:
         assert "speedup" in out
 
 
+class TestLint:
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (["--catalog", "--catalog-views", "5", "--cost"], "--cost has no effect with --catalog"),
+            (["--catalog", "--catalog-views", "5", "--verbose"], "--verbose has no effect with --catalog"),
+            (["--catalog-views", "5"], "--catalog-views has no effect without --catalog"),
+        ],
+        ids=["cost-with-catalog", "verbose-with-catalog", "catalog-views-alone"],
+    )
+    def test_a_flag_the_mode_never_reads_is_rejected(self, capsys, argv, ignored):
+        assert main(["lint", *argv, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert ignored in captured.err
+        assert captured.out == ""
+
+
 class TestUsage:
     """No/unknown command prints usage and exits non-zero, consistently."""
 

@@ -218,8 +218,9 @@ ENGINES = {
         [(engine_module, "execute_script"), (script_module, "execute_script")],
     ),
     "tuple": (TupleIvmEngine, [(engine_module, "execute_script")]),
-    # the first map write, or the view write of a round that changes no map
-    "sdbt": (SdbtEngine, [(SdbtEngine, "_maintain_maps"), (sdbt, "apply_group_deltas")]),
+    # the first map write, or — a round that changes no map — the end of
+    # the view-round, after a view write the rollback undoes
+    "sdbt": (SdbtEngine, [(SdbtEngine, "_maintain_maps"), (sdbt, "counts_since")]),
 }
 
 

@@ -102,7 +102,7 @@ def test_steady_rounds_construct_no_definition_time_constant(kind, stream):
 
     patches = [
         spy(DiffSchema, "__init__"),
-        spy(aggregate_mod.GroupWriter, "__init__"),
+        spy(aggregate_mod, "lower_group_pass"),
         spy(aggregate_mod._ChangeCollector, "__init__"),
         spy(TableSchema, "positions"),
         spy(TableSchema, "mutable_positions"),
@@ -153,7 +153,7 @@ def test_no_gamma_pass_is_generated_inside_a_round(kind, stream):
         engine.maintain()
         assert gamma_sources() == 0
         bound = steps[0]._bound  # the spy sees a pass being generated
-        aggregate_mod.GroupWriter(steps[0].gnode, bound.output, bound.opcache)
+        compile_mod.lower_group_pass(steps[0].gnode, bound.output, bound.opcache)
         assert gamma_sources() == 1
     for view in engine.views.values():
         assert view.table.as_set() == frozenset(evaluate_plan(view.plan, db).rows)

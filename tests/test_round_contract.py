@@ -616,18 +616,18 @@ def _fails_inside_a_bulk_batch(engine, stack):
 def _fails_after_its_group_pass(engine, stack):
     """B's γ pass writes its groups, then raises."""
     view = engine.views["B"]
-    writers = [view.writer] if hasattr(view, "writer") else [
-        step._bound.writer for step in view.script.steps
+    holders = [view] if hasattr(view, "group_pass") else [
+        step._bound for step in view.script.steps
         if isinstance(step, AssociativeAggregateStep)
     ]
-    for writer in writers:
-        real = writer.run
+    for holder in holders:
+        real = holder.group_pass
 
-        def run(changes, real=real):
+        def group_pass(changes, real=real):
             real(changes)
             raise Boom("injected after the group pass")
 
-        stack.enter_context(mock.patch.object(writer, "run", run))
+        stack.enter_context(mock.patch.object(holder, "group_pass", group_pass))
 
 
 FAILURE_POINTS = {

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.algebra import UnionAll, group_by, scan, where
+from repro.core.compile import lower_group_pass
 from repro.core.diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
 from repro.core.idinfer import annotate_plan
 from repro.core.ir import DiffSource
@@ -14,9 +15,7 @@ from repro.core.minimize import minimize_ir
 from repro.core.rules.aggregate import (
     AssociativeAggregateStep,
     GeneralAggregateStep,
-    GroupWriter,
     OpCacheSpec,
-    apply_group_deltas,
 )
 from repro.core.rules.union import propagate_union
 from repro.algebra.evaluate import evaluate_plan, materialize
@@ -195,10 +194,10 @@ class TestAssociativeStep:
             ((5, "d", 3), (5, "d", 0)),    # d: sum moves
             ((2, "a", 7), (2, "a", 8)),    # a again: folded into one write
         ]
-        writer = GroupWriter(plan, out, opc)
+        group_pass = lower_group_pass(plan, out, opc)
         db.counters.reset()
         out.begin_journal()
-        ins, dels, upd = apply_group_deltas(writer, changes)
+        ins, dels, upd = group_pass(changes)
         # effective rows per kind: key + values, key + old + new values
         assert ins == [("e", 4, 1)]
         assert dels == [("c", 1, 1)]
@@ -551,10 +550,10 @@ def test_group_pass_matches_the_sequential_reference(seed):
         before = {row[:2]: row for row in out.rows_uncounted()}
         expected_out, expected_book = dict(before), {r[:2]: r for r in opc.rows_uncounted()}
         charges, ops = _reference(plan, changes, expected_out, expected_book)
-        writer = GroupWriter(plan, out, opc)
+        group_pass = lower_group_pass(plan, out, opc)
         db.counters.reset()
         out.begin_journal()
-        ins, dels, upd = apply_group_deltas(writer, changes)
+        ins, dels, upd = group_pass(changes)
         assert [op[:2] for op in out.end_journal(write_set=True)] == ops, name
         total = db.counters.total
         assert (total.index_lookups, total.tuple_reads, total.tuple_writes) == charges, name

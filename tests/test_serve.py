@@ -119,12 +119,50 @@ def demo_loop():
 
     registry = metrics.MetricsRegistry()
     with metrics.scoped(registry):
-        loop = DemoLoop(shards=2, users=60, updates=12, interval=0.05)
+        loop = DemoLoop(users=60, updates=12, interval=0.05)
         loop.run_round()
         loop.run_round()
         loop.run_round()
     loop.registry = registry
     return loop
+
+
+def sharded_demo():
+    """The demo loop's views over its BSMA database, maintained for two
+    seeded rounds by a 2-shard inline :class:`ShardedEngine` built
+    directly (a :class:`DemoLoop` runs an :class:`IdIvmEngine`)."""
+    from repro.core import ShardedEngine
+    from repro.obs.live import DEFAULT_VIEWS
+    from repro.workloads import (
+        BSMA_QUERIES, BsmaConfig, build_bsma_database, log_user_updates,
+    )
+
+    config = BsmaConfig(n_users=60, friends_per_user=5, n_tweets=120)
+    db = build_bsma_database(config)
+    engine = ShardedEngine(db, shards=2)
+    for name in DEFAULT_VIEWS:
+        engine.define_view(name, BSMA_QUERIES[name](db, config))
+    for seed in range(2):
+        log_user_updates(engine, db, config, 12, round_seed=seed)
+        engine.maintain()
+    return engine
+
+
+def test_the_demo_loop_runs_the_engine_the_benchmarks_measure():
+    from repro.core import IdIvmEngine
+    from repro.obs.live import DemoLoop
+
+    assert type(DemoLoop().engine) is IdIvmEngine
+
+
+def test_snapshot_reports_the_route_of_a_sharded_engine():
+    views = build_snapshot(sharded_demo())["views"]
+    assert {name: entry["parallel"] for name, entry in views.items()} == {
+        "Q7": True, "Q10": False, "Q15": True, "Q18": True,
+    }
+    assert all(entry["critical_path"] > 0 for entry in views.values())
+    assert "drops the anchor" in views["Q10"]["broadcast_reason"]
+    assert [name for name, entry in views.items() if "broadcast_reason" in entry] == ["Q10"]
 
 
 class TestLiveEngine:
@@ -156,7 +194,7 @@ class TestLiveEngine:
         for name in demo_loop.view_names:
             assert snap["freshness"]["views"][name]["pending"] == 0
             assert "total_cost" in snap["views"][name]
-            assert "parallel" in snap["views"][name]
+            assert "parallel" not in snap["views"][name]  # no shard route
 
     def test_http_round_trip(self, demo_loop):
         server = serve(
@@ -206,7 +244,7 @@ def test_scrapes_while_a_loop_maintains():
     expositions and parseable snapshots, and the loop keeps going."""
     from repro.obs.live import DemoLoop
 
-    loop = DemoLoop(shards=2, users=40, updates=6, interval=0.0, views=("Q7", "Q10"))
+    loop = DemoLoop(users=40, updates=6, interval=0.0, views=("Q7", "Q10"))
     loop.run_round()
     server = serve(engine=loop.engine, loop=loop, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -348,9 +386,7 @@ class TestDemoLoopLifecycle:
     def _loop(self):
         from repro.obs.live import DemoLoop
 
-        return DemoLoop(
-            shards=1, users=40, updates=5, interval=0.01, views=("Q7",)
-        )
+        return DemoLoop(users=40, updates=5, interval=0.01, views=("Q7",))
 
     def test_stop_joins_thread_and_stays_healthy(self):
         loop = self._loop()

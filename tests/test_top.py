@@ -17,7 +17,7 @@ def _demo_snapshot():
     from repro.obs.live import DemoLoop
 
     with metrics.scoped() as registry:
-        loop = DemoLoop(shards=2, users=60, updates=12)
+        loop = DemoLoop(users=60, updates=12)
         loop.run_round()
         loop.run_round()
         snapshot = build_snapshot(
@@ -36,8 +36,20 @@ class TestRenderDashboard:
             assert name in frame
         assert "log position" in frame
         assert "round latency" in frame
-        assert "shards:" in frame
+        assert "shards:" not in frame  # an IdIvmEngine routes nothing
         assert "pending" in frame
+
+    def test_a_sharded_engine_shows_its_shard_balance(self):
+        from tests.test_serve import sharded_demo
+
+        with metrics.scoped() as registry:
+            snapshot = build_snapshot(sharded_demo(), registry, rounds=2)
+        frame = render_dashboard(json.loads(json.dumps(snapshot)))
+        assert "shards: 6 parallel / 2 broadcast rounds (75% parallel)" in frame
+        routes = {line.split()[0]: line.split()[7] for line in frame.splitlines()
+                  if line.startswith("Q")}
+        assert routes == {"Q7": "parallel", "Q10": "broadcast",
+                          "Q15": "parallel", "Q18": "parallel"}
 
     def test_shows_round_count_and_position(self):
         snapshot, _loop = _demo_snapshot()
@@ -80,7 +92,11 @@ class TestRenderDashboard:
         snapshot = build_snapshot(_Engine())
         assert snapshot["views"]["Vagg"]["shared_from"] == {"V": 2}
         assert "\nVagg: 2 statements shared with V" in render_dashboard(snapshot)
-        assert "shared with" not in render_dashboard(_demo_snapshot()[0])
+
+        class _Unshared:
+            last_reports = {"Vagg": MaintenanceReport("Vagg")}
+
+        assert "shared with" not in render_dashboard(build_snapshot(_Unshared()))
 
     def test_drift_column_is_the_ewma_farthest_from_one(self):
         monitor = DriftMonitor()
