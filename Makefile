@@ -155,7 +155,13 @@ lint-catalog:
 # `Input_pre` holds only what a script reads: no engine flag says whether
 # its rules read the pre-state (`reads_pre_state`) — each view declares
 # its tables — and `_reconstruct_pre` (core/engine.py) makes the one
-# `Database.copy` of src/repro.
+# `Database.copy` of src/repro; and shard disjointness has one static
+# proof: the router's veto walk (`_analyze_step` / `_analyze_ir`) is
+# defined in shard/router.py alone — no lint pass keeps a copy of it —
+# and nothing in src/ forces a route past it (`route_override`,
+# `force_route`, a veto-less `ProvenanceTracker`); a mis-routed round is
+# a test fixture that patches the router, and the run-time check is
+# `ShardedEngine(race_check=...)`.
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -290,6 +296,10 @@ lint-static:
 	        !f && /(^|[^A-Za-z0-9_])([A-Za-z0-9_]*(db|database)[A-Za-z0-9_]*|live|pre|replica)\.copy\(/ \
 	        { print FILENAME ":" FNR ": " $$0 }' $$(find src/repro -name '*.py') | grep .; then \
 	    echo "Database.copy outside _reconstruct_pre (core/engine.py): the Input_pre replica is the one copy, of the tables the views declare"; \
+	    exit 1; fi
+	@if [ "$$(grep -rlE 'def +_analyze_(ir|step)\b' src --include='*.py')" != "src/repro/shard/router.py" ] \
+	    || grep -rnE 'route_override|force_route|ProvenanceTracker' src --include='*.py'; then \
+	    echo "a second anchor-provenance walk or a forced route in src/: the router's veto walk (shard/router.py _analyze_step / _analyze_ir) is the one static proof of shard disjointness"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

@@ -1,18 +1,22 @@
 """Static verifier + lint framework for plans, expressions and ∆-scripts.
 
-Six per-view passes over a shared diagnostic model (see
+Five per-view passes over a shared diagnostic model (see
 docs/ANALYSIS.md):
 
-* ``typecheck``    — 3VL-aware type & nullability inference (TC1xx)
-* ``keys``         — key/FD audit of the ID inference claims (KEY2xx)
-* ``script``       — ∆-script IR read/write-set checker (SC3xx)
-* ``shard``        — shard routability classification (SH4xx)
-* ``cost``         — symbolic cost inference & minimality lints (COST5xx)
-* ``interference`` — shard write/read footprint disjointness (RACE6xx)
+* ``typecheck`` — 3VL-aware type & nullability inference (TC1xx)
+* ``keys``      — key/FD audit of the ID inference claims (KEY2xx)
+* ``script``    — ∆-script IR read/write-set checker (SC3xx) and
+  write-journal coverage of every counted writer (RACE604)
+* ``shard``     — shard routability classification (SH4xx)
+* ``cost``      — symbolic cost inference & minimality lints (COST5xx)
 
 plus one catalog-scoped pass that sees every defined view at once:
 
-* ``sharing``      — cross-view sub-plan sharing detection (SHARE7xx)
+* ``sharing``   — cross-view sub-plan sharing detection (SHARE7xx)
+
+Shard disjointness has one static proof, the router's own veto walk
+(:func:`repro.shard.router.plan_route`), and one run-time check, the
+``race_check`` mode of :class:`~repro.core.sharded.ShardedEngine`.
 
 Entry points: :func:`analyze_plan` for a bare algebra plan,
 :func:`analyze_generated` for compiler output, :func:`check_generated`
@@ -46,13 +50,12 @@ from .registry import (
 )
 
 # Importing the pass modules registers them (registration order = run
-# order: cheap local checks first, router probing last).
+# order: cheap local checks first, router probing and pricing last).
 from . import typecheck as _typecheck  # noqa: F401
 from . import keys as _keys  # noqa: F401
 from . import script_check as _script_check  # noqa: F401
 from . import shard_check as _shard_check  # noqa: F401
 from . import cost as _cost  # noqa: F401
-from . import interference as _interference  # noqa: F401
 from . import sharing as _sharing  # noqa: F401
 
 from .fingerprint import (  # noqa: E402  (re-export)
@@ -85,7 +88,7 @@ def analyze_generated(
 ) -> AnalysisReport:
     """Run every applicable pass over a :class:`GeneratedPlan`.
 
-    Without *db* the shard, interference and cost passes skip themselves
+    Without *db* the shard and cost passes skip themselves
     (routability needs the foreign-key graph, pricing the data);
     everything else runs.  The script analyzed is ``generated.script`` —
     the one object the engine executes under either backend.  *stats* is

@@ -36,8 +36,9 @@ class Rule:
 
 
 #: The rule catalog.  Ids are grouped by pass: TC1xx type/nullability,
-#: KEY2xx key inference, SC3xx ∆-script IR, SH4xx shard safety,
-#: COST5xx symbolic cost inference, RACE6xx shard interference.
+#: KEY2xx key inference, SC3xx ∆-script IR (and RACE604, write-journal
+#: coverage, from the same pass), SH4xx shard safety, COST5xx symbolic
+#: cost inference, SHARE7xx cross-view sharing.
 RULES: dict[str, Rule] = {
     r.rule_id: r
     for r in (
@@ -60,9 +61,6 @@ RULES: dict[str, Rule] = {
         Rule("COST502", WARNING, "cache whose predicted amortized benefit is negative"),
         Rule("COST503", WARNING, "measured access counts exceed the symbolic prediction"),
         Rule("COST504", INFO, "sustained drift between predicted and observed cost"),
-        Rule("RACE601", ERROR, "overlapping per-shard write footprints"),
-        Rule("RACE602", ERROR, "cross-shard read of state mutated in the same round"),
-        Rule("RACE603", WARNING, "broadcast-window write under a routed reader"),
         Rule("RACE604", ERROR, "counted writer escapes write-set capture"),
         Rule("SHARE701", INFO, "identical sub-plan cached by multiple views"),
         Rule("SHARE702", INFO, "view semantically equivalent to an existing view"),

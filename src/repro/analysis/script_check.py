@@ -23,6 +23,13 @@ hazards the executor cannot or does not police:
   NULL.  The executor's index probe matches NULL to NULL (Python dict
   semantics) while 3VL join semantics never match NULL — silent
   divergence on exactly the rows carrying NULL keys.
+* RACE604 — a counted writer (an APPLY or a γ step) targets a table no
+  cache/op-cache spec of the :class:`GeneratedPlan` registers, so its
+  writes bypass the view-round's write journal
+  (``Table.begin_journal``): a failed round would not roll them back,
+  and a process-backend replica replay would silently diverge.  It is a
+  property of the plan alone, whatever the round's route; it needs no
+  database.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .registry import AnalysisContext, register_pass
 from .typecheck import ir_column_facts
 
 
-@register_pass("script")
+@register_pass("script", version=2)
 def script_pass(ctx: AnalysisContext) -> None:
     if ctx.script is None:
         return
@@ -56,6 +63,7 @@ def script_pass(ctx: AnalysisContext) -> None:
     # SC306 on the placement itself (specs exist even before any step).
     generated = ctx.generated
     if generated is not None:
+        _check_journal_coverage(generated, script, report)
         for spec in getattr(generated, "opcache_specs", ()):
             bad = [a.func for a in spec.gnode.aggs if a.func not in ASSOCIATIVE_AGGS]
             if bad:
@@ -205,3 +213,61 @@ def _check_probe_keys(node, ctx, expansion_targets, where, report) -> None:
                 f"NULL=NULL where 3VL join semantics never do",
                 hint="declare the column NOT NULL or join on a key column",
             )
+
+
+def _check_journal_coverage(generated, script, report) -> None:
+    """RACE604: every counted writer targets a registered materialization."""
+    registered = {script.view_node_id} | {
+        spec.node_id for spec in getattr(generated, "cache_specs", ())
+    }
+    opcaches = {
+        spec.gnode.node_id for spec in getattr(generated, "opcache_specs", ())
+    }
+    hint = (
+        "register the materialization in the GeneratedPlan's cache/"
+        "op-cache specs so tagged_tables() journals it"
+    )
+    for index, step in enumerate(script.steps, start=1):
+        if isinstance(step, ApplyDiffStep):
+            if step.target_node_id not in registered:
+                report.add(
+                    "RACE604",
+                    f"step {index} (APPLY {step.diff_name})",
+                    f"APPLY targets node n{step.target_node_id}, which no "
+                    f"cache spec registers: its counted writes bypass "
+                    f"the view-round's write journal, so neither a "
+                    f"rollback nor replica replay sees them",
+                    hint=hint,
+                )
+        elif isinstance(step, AssociativeAggregateStep):
+            gid = step.gnode.node_id
+            if gid not in registered:
+                report.add(
+                    "RACE604",
+                    f"step {index} (γ n{gid})",
+                    f"associative aggregate writes output n{gid}, which no "
+                    f"cache spec registers: its counted writes escape "
+                    f"the write journal",
+                    hint=hint,
+                )
+            if gid not in opcaches:
+                report.add(
+                    "RACE604",
+                    f"step {index} (γ n{gid})",
+                    f"associative aggregate writes operator cache "
+                    f"{step.opcache_name!r} (n{gid}), which no op-cache "
+                    f"spec registers: its counted writes escape the write "
+                    f"journal",
+                    hint=hint,
+                )
+        elif isinstance(step, GeneralAggregateStep):
+            gid = step.gnode.node_id
+            if gid not in registered:
+                report.add(
+                    "RACE604",
+                    f"step {index} (γ n{gid})",
+                    f"general aggregate writes output n{gid}, which no "
+                    f"cache spec registers: its counted writes escape "
+                    f"the write journal",
+                    hint=hint,
+                )

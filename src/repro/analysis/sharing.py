@@ -1,4 +1,4 @@
-"""Pass 7 — cross-view sharing detection (catalog scope, SHARE7xx).
+"""Pass 6 — cross-view sharing detection (catalog scope, SHARE7xx).
 
 The first catalog-scoped pass: where passes 1–6 verify one view at a
 time, this pass sees the *facts* of every defined view at once and

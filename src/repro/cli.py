@@ -670,7 +670,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         rules = {r.strip() for r in args.rule.split(",") if r.strip()}
         unknown = rules - set(RULES)
         if unknown:
-            print(f"lint: unknown rule id(s): {', '.join(sorted(unknown))}")
+            print(
+                f"lint: unknown rule id(s): {', '.join(sorted(unknown))}",
+                file=sys.stderr,
+            )
             return 2
 
     cache = None if args.no_cache else AnalysisCache(args.cache_dir)
@@ -682,7 +685,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.cost:
         cost_status = _cmd_lint_cost(args, rules, json_out)
 
-    # Catalog-scope pass 7 runs over the shipped views (cross-view sharing).
+    # The catalog-scope sharing pass runs over the shipped views.
     reports, sharing, n_errors, n_warnings = _lint_reports(
         lint_targets(), rules, args.min_severity, cache
     )

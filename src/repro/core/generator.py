@@ -97,11 +97,6 @@ class GeneratedPlan:
     base_schemas: list[DiffSchema]
     cache_specs: list[CacheSpec] = field(default_factory=list)
     opcache_specs: list[OpCacheSpec] = field(default_factory=list)
-    #: Force maintenance rounds onto this anchor table even when the
-    #: router's proof fails (``repro.shard.router.force_route``).  Exists
-    #: for ablation studies and race-detector fixtures; the interference
-    #: analysis pass verifies forced routes instead of the router's.
-    route_override: Optional[str] = None
     #: the script's symbolic cost model (``repro.costmodel.ScriptCostModel``),
     #: computed once by the definition pipeline that priced and selected
     #: it (``repro.analysis.cost.define_script``); None when it could not

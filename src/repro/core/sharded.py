@@ -18,12 +18,12 @@ counts — each shard counts into its own :class:`CounterSet` behind
 :class:`~repro.shard.ShardRoutingCounters` — sum *exactly* to the
 single-shard counts.
 
-That disjointness claim is *checked*, twice, rather than trusted: the
-static interference pass (``repro.analysis.interference``, rules
-RACE6xx) re-proves the per-round write-footprint disjointness at lint /
-define time, and the **dynamic race detector** — ``race_check=True`` on
-this engine — verifies it at run time by asserting pairwise
-key-disjointness of the shards' journaled write-sets.  Under
+That disjointness claim has one static proof — the router's veto walk
+(:func:`~repro.shard.router.plan_route`), which routes a round parallel
+only when every counted operation is anchor-local — and one run-time
+check: the **dynamic race detector**, ``race_check=True`` on this
+engine, asserts pairwise key-disjointness of the shards' journaled
+write-sets.  Under
 ``race_check="strict"`` an overlap raises
 :class:`~repro.errors.ShardRaceError` (naming the table, key and
 shards); under plain ``True`` it records a ``shard.race_overlaps``
@@ -57,13 +57,7 @@ from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.hist import LogHistogram
 from ..shard.counters import ShardRoutingCounters
-from ..shard.router import (
-    RoutePlan,
-    describe_plan,
-    force_route,
-    plan_route,
-    split_instances,
-)
+from ..shard.router import RoutePlan, describe_plan, plan_route, split_instances
 from ..shard.workers import (
     ProcessShardPool,
     ShardResult,
@@ -268,17 +262,6 @@ class ShardedEngine(IdIvmEngine):
         """Route the round, then run it: parallel shards when provably
         safe, one global execution (broadcast) otherwise."""
         plan = plan_route(view.script, instances, self.db, self.shards)
-        override = getattr(view.generated, "route_override", None)
-        if (
-            not plan.parallel
-            and override is not None
-            and self.shards > 1
-            and any(diff.rows for diff in instances.values())
-        ):
-            # Ablation / race-fixture knob: run the round parallel on
-            # the forced anchor WITHOUT the router's proof.  The race
-            # detector exists to catch exactly what this can cause.
-            plan = force_route(view.script, instances, self.db, override)
         view_span.set(route=describe_plan(plan))
         if plan.parallel:
             _ROUNDS_PARALLEL().inc()

@@ -11,28 +11,24 @@ row split; :class:`ShardRoutingCounters` routes each shard's
 access counts into its own :class:`~repro.storage.CounterSet` so per-shard
 costs merge back deterministically.
 
+The router's veto walk is the one static proof that a parallel round's
+shards touch disjoint rows; ``ShardedEngine(race_check=...)`` checks the
+same claim at run time on the shards' captured write-sets.
+
 See ``docs/SHARDING.md`` for the locality argument.
 """
 
 from .counters import ShardRoutingCounters
-from .router import (
-    ProvenanceTracker,
-    RoutePlan,
-    force_route,
-    plan_route,
-    split_instances,
-)
+from .router import RoutePlan, plan_route, split_instances
 from .workers import ProcessShardPool, WorkerError, build_blueprint
 from ..storage.partition import shard_of
 
 __all__ = [
     "ProcessShardPool",
-    "ProvenanceTracker",
     "RoutePlan",
     "ShardRoutingCounters",
     "WorkerError",
     "build_blueprint",
-    "force_route",
     "plan_route",
     "shard_of",
     "split_instances",

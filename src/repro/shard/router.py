@@ -53,11 +53,16 @@ and the process backend (:mod:`repro.shard.workers`) by executing each
 shard's instance subset against a replica database in a long-lived
 worker process.  Disjointness of the touched rows is exactly what makes
 the shards' write-sets safe to merge.
+
+This walk (:func:`plan_route` → ``_analyze_step`` / ``_analyze_ir``) is
+the one static proof of that disjointness; the ``race_check`` mode of
+:class:`~repro.core.sharded.ShardedEngine` is the independent run-time
+check on the shards' real write-sets.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.diffs import Diff, DiffSchema
 from ..core.ir import (
@@ -172,41 +177,6 @@ def plan_route(
         )
     reason = "; ".join(reasons) if reasons else "no anchor table candidate"
     return RoutePlan(False, reason)
-
-
-def force_route(
-    script: DeltaScript,
-    instances: dict[str, Diff],
-    db: Database,
-    anchor: str,
-) -> RoutePlan:
-    """Build a *parallel* :class:`RoutePlan` for *anchor* without the proof.
-
-    Instance row positions come from the anchor key mappings alone; the
-    per-statement locality obligations of :func:`plan_route` are NOT
-    checked.  This exists for ablation studies and for the race-detector
-    fixtures (a deliberately mis-routed round): executing the result can
-    genuinely race, which is exactly what the interference analyzer
-    (``repro.analysis.interference``) and the ``race_check`` mode of
-    :class:`~repro.core.sharded.ShardedEngine` are meant to catch.
-    Active instances with no key path to *anchor* get no positions and
-    are replicated to every shard by :func:`split_instances`.
-    """
-    anchor_key = db.table(anchor).schema.key
-    positions: dict[str, tuple[int, ...]] = {}
-    for name, diff in instances.items():
-        mapping = _anchor_mapping(diff.schema, anchor, anchor_key, db)
-        if mapping is not None:
-            positions[name] = tuple(
-                diff.schema.position(mapping[k]) for k in anchor_key
-            )
-    return RoutePlan(
-        True,
-        "",
-        anchor=anchor,
-        anchor_key=anchor_key,
-        instance_positions=positions,
-    )
 
 
 def split_instances(
@@ -507,123 +477,6 @@ def _analyze_ir(node: IrNode, st: _Analysis) -> _Result:
         # filters), so provenance carries through unchanged.
         return _Result(False, dict(left.prov))
     raise _Broadcast(f"unknown IR node {type(node).__name__}")
-
-
-# ----------------------------------------------------------------------
-# provenance exposure (for external checkers)
-# ----------------------------------------------------------------------
-class ProvenanceTracker:
-    """The router's anchor-key provenance walk, without the right to veto.
-
-    :func:`plan_route` aborts a candidate anchor on the first failed
-    locality obligation.  External checkers — the interference analysis
-    pass (``repro.analysis.interference``) re-proving shard disjointness
-    of write footprints, and mis-route fixtures that *force* an anchor
-    the router would reject — need the opposite: walk the whole ∆-script
-    under a given anchor claim, record every failure, and keep going
-    with conservatively degraded state (a failing statement's outputs
-    are marked provenance-free and statically non-empty).
-
-    Use :meth:`advance` step by step; inspect :meth:`prov` / :meth:`empty`
-    / :meth:`ids` *before* advancing past a step to see the state that
-    step executes under.  ``failures`` collects ``(step_index, reason)``
-    pairs (index 0 = instance seeding).
-    """
-
-    def __init__(
-        self,
-        script: DeltaScript,
-        instances: dict[str, Diff],
-        db: Database,
-        anchor: str,
-    ):
-        self.anchor = anchor
-        self.anchor_key = db.table(anchor).schema.key
-        self.failures: list[tuple[int, str]] = []
-        self._st = _Analysis(anchor, self.anchor_key)
-        self._step_index = 0
-        active = {name for name, diff in instances.items() if diff.rows}
-        st = self._st
-        for name in sorted(instances):
-            diff = instances[name]
-            schema = diff.schema
-            st.ids[name] = schema.id_attrs
-            st.empty[name] = not diff.rows
-            mapping = _anchor_mapping(schema, anchor, self.anchor_key, db)
-            if mapping is None:
-                if name in active:
-                    self.failures.append(
-                        (0, f"instance {name} has no key path to the anchor")
-                    )
-                    st.prov[name] = None
-                else:
-                    st.prov[name] = _WILD
-                continue
-            st.prov[name] = mapping
-
-    # ------------------------------------------------------------------
-    def advance(self, step) -> Optional[str]:
-        """Fold one ∆-script step into the state.
-
-        Returns the failure reason when a locality obligation broke (the
-        step's outputs are then degraded to provenance-free), else None.
-        """
-        self._step_index += 1
-        try:
-            _analyze_step(step, self._st)
-        except _Broadcast as exc:
-            self.failures.append((self._step_index, str(exc)))
-            self._degrade(step)
-            return str(exc)
-        return None
-
-    def _degrade(self, step) -> None:
-        """Post-failure state: outputs defined, non-empty, provenance-free."""
-        st = self._st
-        if isinstance(step, ComputeDiffStep):
-            st.ids[step.name] = step.schema.id_attrs
-            st.empty[step.name] = False
-            st.prov[step.name] = None
-            return
-        if isinstance(step, ApplyDiffStep):
-            if step.returning_name is not None:
-                st.expansions[step.returning_name] = (False, None)
-            return
-        if isinstance(step, (AssociativeAggregateStep, GeneralAggregateStep)):
-            for name in step.emitted.values():
-                st.ids[name] = tuple(step.gnode.keys)
-                st.empty[name] = False
-                st.prov[name] = None
-
-    # ------------------------------------------------------------------
-    # read-only views of the walk state
-    # ------------------------------------------------------------------
-    def prov(self, name: str):
-        """Provenance of diff *name*: a mapping anchor key column ->
-        carrying column, ``"*"`` (statically empty: vacuously anchored),
-        or None (lost)."""
-        return self._st.prov.get(name)
-
-    def empty(self, name: str) -> bool:
-        return bool(self._st.empty.get(name, True))
-
-    def ids(self, name: str) -> tuple[str, ...]:
-        return self._st.ids.get(name, ())
-
-    def expansion(self, name: str) -> Optional[tuple[bool, object]]:
-        """(statically-empty, provenance) of a RETURNING expansion."""
-        return self._st.expansions.get(name)
-
-    def anchored(self, prov, within) -> bool:
-        """True when *prov* proves per-shard disjointness through the
-        column set *within* (e.g. a diff's ID attributes or a γ's group
-        keys): every anchor key column is carried by a column of
-        *within*, so rows on different shards differ inside *within*."""
-        if prov == _WILD:
-            return True
-        if not isinstance(prov, dict):
-            return False
-        return set(prov.values()) <= set(within)
 
 
 def describe_plan(plan: RoutePlan) -> str:

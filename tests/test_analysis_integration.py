@@ -140,13 +140,13 @@ class TestLintDeterminism:
     def test_report_orders_diagnostics_deterministically(self):
         report = AnalysisReport()
         report.add("SH402", "z-loc", "zzz")
-        report.add("RACE601", "step 2 [round mixed]", "b")
-        report.add("RACE601", "step 1 [round mixed]", "a")
+        report.add("RACE604", "step 2 (γ n0)", "b")
+        report.add("RACE604", "step 1 (APPLY d)", "a")
         report.add("TC102", "n0", "boom")
         rules = [d.rule_id for d in report.sorted_diagnostics()]
-        assert rules == ["RACE601", "RACE601", "SH402", "TC102"]
+        assert rules == ["RACE604", "RACE604", "SH402", "TC102"]
         locs = [d.location for d in report.sorted_diagnostics()[:2]]
-        assert locs == ["step 1 [round mixed]", "step 2 [round mixed]"]
+        assert locs == ["step 1 (APPLY d)", "step 2 (γ n0)"]
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +225,6 @@ class TestDiagnosticModel:
             "script",
             "shard",
             "cost",
-            "interference",
         )
         with pytest.raises(ValueError):
             register_pass("typecheck")(lambda ctx: None)

@@ -421,7 +421,12 @@ class TestCli:
         from repro.cli import main
 
         assert main(["lint", "--rule", "BOGUS1"]) == 2
-        assert "unknown rule" in capsys.readouterr().out
+        assert "unknown rule" in capsys.readouterr().err
+        # A JSON consumer gets no stray line; RACE601 left with its pass.
+        assert main(["lint", "--json", "--rule", "RACE601"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RACE601" in captured.err
 
     def test_lint_min_severity_error_silences_warnings(self, capsys):
         from repro.cli import main

@@ -1,36 +1,30 @@
-"""Pass 6 (interference, RACE6xx) + the dynamic write-set race detector.
+"""RACE604 (write-journal coverage) and the dynamic write-set race detector.
 
-The two detectors check the same claim — per-round shard disjointness of
-write footprints — at different times: the static pass at lint/define
-time from anchor-key provenance, the dynamic ``race_check`` mode of
-:class:`ShardedEngine` at run time from the workers' captured
-write-sets.  The central fixture here is a deliberately mis-routed view
-(``GeneratedPlan.route_override`` forces the anchor the router rejects):
-BOTH detectors must flag it, on both execution backends.
+Shard disjointness has one static proof — the router's veto walk
+(:func:`repro.shard.router.plan_route`) — and one run-time check, the
+``race_check`` mode of :class:`ShardedEngine`, which asserts pairwise
+key-disjointness of the shards' captured write-sets.  The central
+fixture here is a deliberately mis-routed view: the test patches the
+router to return a parallel route the real one rejects, and the
+detector must flag it on both execution backends.  Route-independent
+journal coverage (RACE604) is a rule of the ``script`` pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from types import SimpleNamespace
 
 import pytest
 
 from repro.algebra.evaluate import evaluate_plan
-from repro.algebra import scan
-from repro.analysis import AnalysisReport, analyze_generated
-from repro.analysis.interference import check_round
-from repro.core.diffs import Diff, DiffSchema
+from repro.analysis import analyze_generated, pass_names
 from repro.core.generator import ScriptGenerator
-from repro.core.ir import Compute, DiffSource, ProbeJoin
 from repro.core.schema_gen import generate_base_schemas
-from repro.core.script import ApplyDiffStep, ComputeDiffStep, DeltaScript
 from repro.core.sharded import ShardedEngine
 from repro.errors import ShardRaceError
-from repro.expr import Col
-from repro.shard.router import force_route
-from repro.storage import Database
+from repro.shard.router import RoutePlan, _anchor_mapping
+from repro.workloads import BSMA_QUERIES, BsmaConfig, build_bsma_database, log_user_updates
 from repro.workloads.devices import (
     DevicesConfig,
     apply_price_updates,
@@ -40,6 +34,9 @@ from repro.workloads.devices import (
 )
 
 DEV_CONFIG = DevicesConfig(n_parts=80, n_devices=80, diff_size=24)
+BSMA_CONFIG = BsmaConfig(n_users=150)
+#: BSMA views whose user-update rounds the router proves parallel.
+BSMA_PARALLEL = ("Q7", "Q11", "Q15", "Q18")
 
 BACKENDS = tuple(
     b.strip()
@@ -54,61 +51,8 @@ def generate(db, plan, name="V"):
 
 
 def race_diags(generated, db):
-    report = analyze_generated(generated, db=db, names=["interference"])
+    report = analyze_generated(generated, db=db, names=["script"])
     return [d for d in report.diagnostics if d.rule_id.startswith("RACE")]
-
-
-def make_misrouted(cfg=DEV_CONFIG):
-    """The fixture: the devices aggregate view γ(did; sum(price)) with
-    maintenance rounds FORCED onto anchor ``parts``.  The router proves
-    γ drops the parts anchor from its group keys and would broadcast;
-    the override runs those rounds parallel anyway — two shards then
-    read-modify-write the same device's group row."""
-    db = build_database(cfg)
-    plan = build_aggregate_view(db, cfg)
-    generated = generate(db, plan, name="agg")
-    return db, plan, dataclasses.replace(generated, route_override="parts")
-
-
-# ----------------------------------------------------------------------
-# static: shipped views stay quiet
-# ----------------------------------------------------------------------
-class TestStaysQuiet:
-    @pytest.mark.parametrize("build", [build_flat_view, build_aggregate_view])
-    def test_devices_views_have_no_race_findings(self, build):
-        db = build_database(DEV_CONFIG)
-        generated = generate(db, build(db, DEV_CONFIG))
-        assert race_diags(generated, db) == []
-
-    def test_pass_skips_without_database(self):
-        db = build_database(DEV_CONFIG)
-        generated = generate(db, build_flat_view(db, DEV_CONFIG))
-        assert race_diags(generated, db=None) == []
-
-
-# ----------------------------------------------------------------------
-# static: the mis-routed fixture is flagged (RACE601)
-# ----------------------------------------------------------------------
-class TestForcedRouteStatic:
-    def test_race601_on_forced_anchor(self):
-        db, _, forced = make_misrouted()
-        diags = race_diags(forced, db)
-        r601 = [d for d in diags if d.rule_id == "RACE601"]
-        assert r601, "forced mis-route must produce RACE601"
-        assert all(d.severity == "error" for d in r601)
-        # The γ RMW on the view output (and its operator cache) is the
-        # characteristic overlap: group keys (did) dropped the anchor.
-        gamma = [d for d in r601 if "group keys ['did']" in d.message]
-        assert gamma
-        assert any("anchor parts" in d.message for d in gamma)
-        # The price-update round specifically (the one the dynamic
-        # fixture drives) is among the flagged round shapes.
-        assert any("base_u_parts__price" in d.location for d in r601)
-
-    def test_unforced_view_is_quiet(self):
-        db, _, forced = make_misrouted()
-        unforced = dataclasses.replace(forced, route_override=None)
-        assert race_diags(unforced, db) == []
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +86,17 @@ class TestCaptureCoverage:
             d.rule_id == "RACE604" for d in race_diags(stripped, db=None)
         )
 
+    def test_race604_is_a_script_pass_rule(self):
+        """One static proof of shard disjointness (the router's walk):
+        no interference pass; journal coverage rides on ``script``."""
+        assert "interference" not in pass_names()
+        db = build_database(DEV_CONFIG)
+        generated = generate(db, build_aggregate_view(db, DEV_CONFIG))
+        stripped = dataclasses.replace(generated, opcache_specs=[])
+        report = analyze_generated(stripped, db=None, names=["script"])
+        r604 = [d for d in report.diagnostics if d.rule_id == "RACE604"]
+        assert r604 and all("op-cache" in d.message for d in r604)
+
     def test_complete_specs_stay_quiet(self):
         db = build_database(DEV_CONFIG)
         generated = generate(db, build_aggregate_view(db, DEV_CONFIG))
@@ -149,135 +104,44 @@ class TestCaptureCoverage:
 
 
 # ----------------------------------------------------------------------
-# static: seeded RACE602 / RACE603 rounds (check_round directly)
-# ----------------------------------------------------------------------
-def _seeded_env():
-    """A one-table world with a forced parallel route to feed check_round.
-
-    Table t(k, v); the round's instance is an update diff on t carrying
-    the anchor key in its IDs.  The probed/written materialization is
-    plan node 7, registered as a cache spec so reads of it count.
-    """
-    db = Database()
-    db.create_table(
-        "t", ("k", "v"), ("k",), nullable=(), types={"k": "int", "v": "int"}
-    )
-    db.table("t").load([(1, 10)])
-    base = DiffSchema("u", "t", ("k",), post_attrs=("v",))
-    instances = {"d_t": Diff(base, [(1, 99)])}
-    node = scan(db, "t")
-    node.node_id = 7
-    generated = SimpleNamespace(
-        view_name="V",
-        cache_specs=[SimpleNamespace(node_id=7, name="probe_cache")],
-        opcache_specs=[],
-    )
-    return db, base, instances, node, generated
-
-
-def _run_seeded(steps, db, instances, generated):
-    script = DeltaScript(steps, view_node_id=99)
-    route = force_route(script, instances, db, "t")
-    report = AnalysisReport()
-    check_round(script, instances, db, route, generated, report, "seeded")
-    return report
-
-
-class TestSeededRounds:
-    def test_race602_non_anchored_read_of_written_cache(self):
-        db, base, instances, node, generated = _seeded_env()
-        # Probe of node 7 bound on a NON-key column: the read does not
-        # carry the anchor, while the APPLY writes node 7 (anchored).
-        probe = ProbeJoin(
-            left=DiffSource("d_t", base),
-            node=node,
-            state="pre",
-            on=[("v__post", "v")],
-            keep=[("w", "v")],
-        )
-        steps = [
-            ComputeDiffStep(
-                "d1", DiffSchema("+", "t", ("k",)), probe, "view_diff"
-            ),
-            ApplyDiffStep("d_t", 7, "probe_cache", "cache_update"),
-        ]
-        report = _run_seeded(steps, db, instances, generated)
-        assert sorted(report.rule_ids()) == ["RACE602"]
-        [diag] = report.diagnostics
-        assert diag.severity == "error"
-        assert "probe_cache" in diag.message
-
-    def test_race603_routed_reader_under_unanchored_writer(self):
-        db, base, instances, node, generated = _seeded_env()
-        # d2 projects the anchor key away -> its APPLY write is not
-        # anchored (RACE601); a second statement reads the same cache
-        # through an anchored probe -> broadcast-window RACE603.
-        lossy = Compute(DiffSource("d_t", base), [("w", Col("v__post"))])
-        anchored_probe = ProbeJoin(
-            left=DiffSource("d_t", base),
-            node=node,
-            state="pre",
-            on=[("k", "k")],
-            keep=[("w", "v")],
-        )
-        steps = [
-            ComputeDiffStep(
-                "d2", DiffSchema("+", "t", ("w",)), lossy, "cache_diff"
-            ),
-            ComputeDiffStep(
-                "d3",
-                DiffSchema("+", "t", ("k",)),
-                anchored_probe,
-                "view_diff",
-            ),
-            ApplyDiffStep("d2", 7, "probe_cache", "cache_update"),
-        ]
-        report = _run_seeded(steps, db, instances, generated)
-        assert sorted(report.rule_ids()) == ["RACE601", "RACE603"]
-        [r603] = [d for d in report.diagnostics if d.rule_id == "RACE603"]
-        assert r603.severity == "warning"
-        assert "broadcast-window" in r603.message
-
-    def test_anchored_round_is_silent(self):
-        db, base, instances, node, generated = _seeded_env()
-        anchored_probe = ProbeJoin(
-            left=DiffSource("d_t", base),
-            node=node,
-            state="pre",
-            on=[("k", "k")],
-            keep=[("w", "v")],
-        )
-        steps = [
-            ComputeDiffStep(
-                "d3",
-                DiffSchema("+", "t", ("k",)),
-                anchored_probe,
-                "view_diff",
-            ),
-            ApplyDiffStep("d_t", 7, "probe_cache", "cache_update"),
-        ]
-        report = _run_seeded(steps, db, instances, generated)
-        assert report.diagnostics == []
-
-
-# ----------------------------------------------------------------------
 # dynamic: the race detector on live engines
 # ----------------------------------------------------------------------
-def _misrouted_engine(backend, race_check):
+def _parts_route(script, instances, db, n_shards):
+    """A parallel :class:`RoutePlan` on anchor ``parts``, without the
+    router's proof: each instance's anchor positions come from its key
+    path to ``parts``; an instance without one is replicated."""
+    anchor_key = db.table("parts").schema.key
+    positions = {}
+    for name, diff in instances.items():
+        mapping = _anchor_mapping(diff.schema, "parts", anchor_key, db)
+        if mapping is not None:
+            positions[name] = tuple(diff.schema.position(mapping[k]) for k in anchor_key)
+    return RoutePlan(
+        True, "", anchor="parts", anchor_key=anchor_key, instance_positions=positions
+    )
+
+
+def _misrouted_engine(monkeypatch, backend, race_check):
+    """The devices aggregate view γ(did; sum(price)) with its rounds
+    FORCED onto anchor ``parts``.  The router proves γ drops the parts
+    anchor from its group keys and would broadcast; the patched router
+    runs those rounds parallel anyway — two shards then read-modify-write
+    the same device's group row.  Routing runs in the coordinator, so the
+    patch covers the process backend too."""
     cfg = DEV_CONFIG
     db = build_database(cfg)
     plan = build_aggregate_view(db, cfg)
     engine = ShardedEngine(db, shards=2, backend=backend, race_check=race_check)
-    view = engine.define_view("agg", plan)
+    engine.define_view("agg", plan)
     engine.maintain()
-    view.generated.route_override = "parts"
+    monkeypatch.setattr("repro.core.sharded.plan_route", _parts_route)
     return engine, db, cfg
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestDynamicDetector:
-    def test_strict_raises_shard_race_error(self, backend):
-        engine, db, cfg = _misrouted_engine(backend, race_check="strict")
+    def test_strict_raises_shard_race_error(self, backend, monkeypatch):
+        engine, db, cfg = _misrouted_engine(monkeypatch, backend, race_check="strict")
         try:
             apply_price_updates(engine, db, cfg, round_seed=1)
             with pytest.raises(ShardRaceError) as exc_info:
@@ -293,8 +157,8 @@ class TestDynamicDetector:
         finally:
             engine.close()
 
-    def test_default_mode_records_overlaps_without_raising(self, backend):
-        engine, db, cfg = _misrouted_engine(backend, race_check=True)
+    def test_default_mode_records_overlaps_without_raising(self, backend, monkeypatch):
+        engine, db, cfg = _misrouted_engine(monkeypatch, backend, race_check=True)
         try:
             apply_price_updates(engine, db, cfg, round_seed=1)
             report = engine.maintain()["agg"]
@@ -304,35 +168,59 @@ class TestDynamicDetector:
             engine.close()
 
     def test_clean_parallel_round_passes_strict(self, backend):
-        """The flat view's price-update rounds carry a real router proof:
-        strict race_check must find nothing and the view must still
-        match the recompute oracle."""
-        cfg = DEV_CONFIG
-        db = build_database(cfg)
-        engine = ShardedEngine(
-            db, shards=2, backend=backend, race_check="strict"
-        )
-        try:
-            view = engine.define_view("flat", build_flat_view(db, cfg))
-            for seed in range(2):
-                apply_price_updates(engine, db, cfg, round_seed=seed)
-                report = engine.maintain()["flat"]
-                assert report.race_overlaps == []
-                assert report.uncaptured_tables == []
-            assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
-        finally:
-            engine.close()
+        """Router-approved parallel rounds do not race: on the devices
+        flat view and the BSMA views the router parallelizes, strict
+        race_check finds nothing, at least one round of each view runs
+        parallel, and every view still matches the recompute oracle."""
+        dev_db = build_database(DEV_CONFIG)
+        bsma_db = build_bsma_database(BSMA_CONFIG)
+        workloads = [
+            (
+                dev_db,
+                {"flat": build_flat_view(dev_db, DEV_CONFIG)},
+                lambda engine, seed: apply_price_updates(
+                    engine, dev_db, DEV_CONFIG, round_seed=seed
+                ),
+            ),
+            (
+                bsma_db,
+                {q: BSMA_QUERIES[q](bsma_db, BSMA_CONFIG) for q in BSMA_PARALLEL},
+                lambda engine, seed: log_user_updates(
+                    engine, bsma_db, BSMA_CONFIG, 60, round_seed=seed
+                ),
+            ),
+        ]
+        for db, plans, modify in workloads:
+            engine = ShardedEngine(
+                db, shards=2, backend=backend, race_check="strict"
+            )
+            try:
+                views = {name: engine.define_view(name, plan) for name, plan in plans.items()}
+                parallel = dict.fromkeys(views, 0)
+                for seed in range(2):
+                    modify(engine, seed)
+                    reports = engine.maintain()
+                    for name in views:
+                        report = reports[name]
+                        parallel[name] += report.parallel
+                        assert report.race_overlaps == [], name
+                        assert report.uncaptured_tables == [], name
+                for name, view in views.items():
+                    assert parallel[name] >= 1, name
+                    assert view.table.as_set() == evaluate_plan(view.plan, db).as_set(), name
+            finally:
+                engine.close()
 
 
 @pytest.mark.skipif(
     set(BACKENDS) != {"inline", "process"}, reason="needs both shard backends"
 )
-def test_backends_find_the_same_overlaps():
+def test_backends_find_the_same_overlaps(monkeypatch):
     """One shard protocol, one merge: the write-sets the race check sees
     are the same whether the shards ran inline or in worker processes."""
     found = {}
     for backend in BACKENDS:
-        engine, db, cfg = _misrouted_engine(backend, race_check=True)
+        engine, db, cfg = _misrouted_engine(monkeypatch, backend, race_check=True)
         try:
             apply_price_updates(engine, db, cfg, round_seed=1)
             found[backend] = engine.maintain()["agg"].race_overlaps
