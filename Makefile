@@ -161,7 +161,12 @@ lint-catalog:
 # and nothing in src/ forces a route past it (`route_override`,
 # `force_route`, a veto-less `ProvenanceTracker`); a mis-routed round is
 # a test fixture that patches the router, and the run-time check is
-# `ShardedEngine(race_check=...)`.
+# `ShardedEngine(race_check=...)`; and a database has one counter set,
+# which no engine rebinds: only src/repro/storage/ assigns `.counters`,
+# a shard is measured by the counts it adds to its database's set (a
+# process worker's are merged in once), and nothing in src/ brings back
+# the routing facade (`ShardRoutingCounters`) or the routability lint
+# that re-ran the router on dummy rows (`shard_check`, SH401/SH402).
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -300,6 +305,10 @@ lint-static:
 	@if [ "$$(grep -rlE 'def +_analyze_(ir|step)\b' src --include='*.py')" != "src/repro/shard/router.py" ] \
 	    || grep -rnE 'route_override|force_route|ProvenanceTracker' src --include='*.py'; then \
 	    echo "a second anchor-provenance walk or a forced route in src/: the router's veto walk (shard/router.py _analyze_step / _analyze_ir) is the one static proof of shard disjointness"; \
+	    exit 1; fi
+	@if grep -rnE 'ShardRoutingCounters|shard_check|SH40[12]' src --include='*.py' \
+	    || grep -rnE '\.counters *=([^=]|$$)' src --include='*.py' | grep -vE '^src/repro/storage/'; then \
+	    echo "a second counter set or a routability lint in src/: a database has one CounterSet, assigned in src/repro/storage/ alone; a shard is measured by the delta it adds there"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

@@ -1,22 +1,24 @@
 """Static verifier + lint framework for plans, expressions and ∆-scripts.
 
-Five per-view passes over a shared diagnostic model (see
+Four per-view passes over a shared diagnostic model (see
 docs/ANALYSIS.md):
 
 * ``typecheck`` — 3VL-aware type & nullability inference (TC1xx)
 * ``keys``      — key/FD audit of the ID inference claims (KEY2xx)
 * ``script``    — ∆-script IR read/write-set checker (SC3xx) and
   write-journal coverage of every counted writer (RACE604)
-* ``shard``     — shard routability classification (SH4xx)
 * ``cost``      — symbolic cost inference & minimality lints (COST5xx)
 
 plus one catalog-scoped pass that sees every defined view at once:
 
 * ``sharing``   — cross-view sub-plan sharing detection (SHARE7xx)
 
-Shard disjointness has one static proof, the router's own veto walk
-(:func:`repro.shard.router.plan_route`), and one run-time check, the
-``race_check`` mode of :class:`~repro.core.sharded.ShardedEngine`.
+Sharding is not linted: whether a round routes in parallel is decided
+per round by :func:`repro.shard.router.plan_route`, whose veto walk is
+the one static proof of shard disjointness, and reported on the round
+(``ShardedMaintenanceReport.parallel`` / ``.broadcast_reason``); the
+``race_check`` mode of :class:`~repro.core.sharded.ShardedEngine` checks
+the same claim at run time.
 
 Entry points: :func:`analyze_plan` for a bare algebra plan,
 :func:`analyze_generated` for compiler output, :func:`check_generated`
@@ -50,11 +52,10 @@ from .registry import (
 )
 
 # Importing the pass modules registers them (registration order = run
-# order: cheap local checks first, router probing and pricing last).
+# order: cheap local checks first, pricing last).
 from . import typecheck as _typecheck  # noqa: F401
 from . import keys as _keys  # noqa: F401
 from . import script_check as _script_check  # noqa: F401
-from . import shard_check as _shard_check  # noqa: F401
 from . import cost as _cost  # noqa: F401
 from . import sharing as _sharing  # noqa: F401
 
@@ -83,13 +84,10 @@ def analyze_plan(plan, names=None) -> AnalysisReport:
     return run_passes(ctx, names)
 
 
-def analyze_generated(
-    generated, db=None, n_shards: int = 2, names=None, stats=None
-) -> AnalysisReport:
+def analyze_generated(generated, db=None, names=None, stats=None) -> AnalysisReport:
     """Run every applicable pass over a :class:`GeneratedPlan`.
 
-    Without *db* the shard and cost passes skip themselves
-    (routability needs the foreign-key graph, pricing the data);
+    Without *db* the cost pass skips itself (pricing needs the data);
     everything else runs.  The script analyzed is ``generated.script`` —
     the one object the engine executes under either backend.  *stats* is
     the ``PlanStats`` of the definition that produced it, if any.
@@ -100,7 +98,6 @@ def analyze_generated(
         base_schemas=list(generated.base_schemas),
         generated=generated,
         db=db,
-        n_shards=n_shards,
         stats=stats,
     )
     return run_passes(ctx, names)

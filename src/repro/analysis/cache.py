@@ -8,7 +8,7 @@ fingerprint of everything the per-view passes can observe:
 * the plan in exact (syntactic) mode, base schemas and FKs folded in,
 * a digest of the database's per-table row counts (the cost pass reads
   cardinality statistics),
-* the shard count and generator knobs,
+* the generator knobs,
 * :data:`~repro.analysis.fingerprint.FINGERPRINT_VERSION`.
 
 Pass versions are *not* part of the key; they live in the file header,
@@ -52,12 +52,7 @@ def db_stats_digest(db: Optional[Database]) -> str:
     return digest(["stats", rows])
 
 
-def plan_cache_key(
-    plan: object,
-    db: Optional[Database],
-    n_shards: int = 2,
-    knobs: tuple = (),
-) -> str:
+def plan_cache_key(plan: object, db: Optional[Database], knobs: tuple = ()) -> str:
     """Cache key for the full per-view analysis of a plan.
 
     *knobs* captures generator configuration (cache policy, optimize,
@@ -70,7 +65,6 @@ def plan_cache_key(
             FINGERPRINT_VERSION,
             plan_fingerprint(plan, db, alpha=False),  # type: ignore[arg-type]
             db_stats_digest(db),
-            n_shards,
             list(knobs),
         ]
     )

@@ -1,4 +1,4 @@
-"""Pass 5: symbolic cost inference over ∆-scripts (COST5xx).
+"""Pass 4: symbolic cost inference over ∆-scripts (COST5xx).
 
 Walks a generated ∆-script step by step — replaying the same cache
 apply→mark state machine the executor runs — and derives, per maintenance

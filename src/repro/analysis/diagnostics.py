@@ -11,8 +11,8 @@ fix hint.  Severity policy:
 * ``warning`` — legal but suspicious; a known hazard class that needs
   data to bite (e.g. a NULL-unsafe equi key over a column that happens
   never to hold NULL).
-* ``info`` — neutral classification facts (e.g. shard routability per
-  base table) surfaced for operators.
+* ``info`` — neutral classification facts (e.g. sub-plans two views
+  could share) surfaced for operators.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class Rule:
 
 #: The rule catalog.  Ids are grouped by pass: TC1xx type/nullability,
 #: KEY2xx key inference, SC3xx ∆-script IR (and RACE604, write-journal
-#: coverage, from the same pass), SH4xx shard safety, COST5xx symbolic
-#: cost inference, SHARE7xx cross-view sharing.
+#: coverage, from the same pass), COST5xx symbolic cost inference,
+#: SHARE7xx cross-view sharing.
 RULES: dict[str, Rule] = {
     r.rule_id: r
     for r in (
@@ -55,8 +55,6 @@ RULES: dict[str, Rule] = {
         Rule("SC305", WARNING, "RETURNING expansion is never consumed"),
         Rule("SC306", ERROR, "operator cache over a non-associative aggregate"),
         Rule("SC307", WARNING, "NULL-unsafe equi-join key column"),
-        Rule("SH401", WARNING, "maintenance rounds fall back to broadcast"),
-        Rule("SH402", INFO, "per-table shard routability classification"),
         Rule("COST501", WARNING, "∆-script predicted costlier than an enumerated alternative"),
         Rule("COST502", WARNING, "cache whose predicted amortized benefit is negative"),
         Rule("COST503", WARNING, "measured access counts exceed the symbolic prediction"),

@@ -33,7 +33,6 @@ class AnalysisContext:
     #: to avoid importing the generator from the analyzer)
     generated: object = None
     db: Optional[Database] = None
-    n_shards: int = 2
     #: the ``PlanStats`` of the definition being analyzed, when there is
     #: one: the cost pass prices its alternatives from it
     stats: Optional[PlanStats] = None

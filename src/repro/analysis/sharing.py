@@ -1,6 +1,6 @@
-"""Pass 6 — cross-view sharing detection (catalog scope, SHARE7xx).
+"""Pass 5 — cross-view sharing detection (catalog scope, SHARE7xx).
 
-The first catalog-scoped pass: where passes 1–6 verify one view at a
+The first catalog-scoped pass: where passes 1–4 verify one view at a
 time, this pass sees the *facts* of every defined view at once and
 flags statically detectable overlap between them — the precondition for
 actually sharing intermediate caches across views.

@@ -646,6 +646,7 @@ def _ignored_lint_flag(args: argparse.Namespace) -> str | None:
     for flag, ignored, mode in (
         ("--cost", args.catalog and args.cost, "with --catalog"),
         ("--verbose", args.catalog and args.verbose, "with --catalog"),
+        ("--verbose", args.json and args.verbose, "with --json"),
         ("--catalog-views", not args.catalog and args.catalog_views is not None,
          "without --catalog"),
     ):
@@ -816,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--verbose",
         action="store_true",
-        help="include info-severity diagnostics (routability reports)",
+        help="include info-severity diagnostics (the SHARE70x sharing reports)",
     )
     lint.add_argument(
         "--rule",

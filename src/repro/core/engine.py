@@ -539,7 +539,7 @@ class IdIvmEngine(MaintenanceEngine):
             db_pre, self.db, instances, view, entries.unchanged(self.db), entries.derived
         )
         before = counters.snapshot()
-        execute_script(view.script, ctx, counters)
+        execute_script(view.script, ctx)
         report.phase_counts = counts_since(counters, before)
         report.diff_sizes = ctx.diff_sizes
         report.reused = ctx.reused

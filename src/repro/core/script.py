@@ -36,7 +36,7 @@ from ..algebra.plan import base_tables
 from ..errors import ScriptError
 from ..obs import metrics
 from ..obs import spans as obs
-from ..storage import CounterSet, Table
+from ..storage import Table
 from .apply import AppliedChanges, apply_diff
 from .diffs import Diff, DiffSchema
 from .ir import IrNode, pre_state_reads
@@ -467,11 +467,10 @@ def shared_run(
     return shared
 
 
-def execute_script(
-    script: DeltaScript, ctx: IrContext, counters: CounterSet
-) -> dict[str, Diff]:
+def execute_script(script: DeltaScript, ctx: IrContext) -> dict[str, Diff]:
     """Run the round's live slice of *script*, every statement under its
-    phase label; returns the diff environment.
+    phase label, counting into the post-state database's counters;
+    returns the diff environment.
 
     The statements the round's non-empty instances cannot reach are not
     run (:meth:`DeltaScript.live_plan`): the names they would have bound
@@ -491,6 +490,7 @@ def execute_script(
     The statements' diff-row counts are observed once per distinct value.
     """
     recorder = obs.current_recorder()
+    counters = ctx.db_post.counters
     diffs = ctx.diffs
     live = script.live_plan(script.live_mask(diffs), ctx)
     sizes = {name: len(diff.rows) for name, diff in diffs.items()}

@@ -14,9 +14,9 @@ full ∆-script over its row subset in a private :class:`IrContext`.
 Because the router proved every counted operation anchor-local, the
 shards read and write disjoint rows of the caches and view, the union
 of their outputs equals the single-shard result, and their access
-counts — each shard counts into its own :class:`CounterSet` behind
-:class:`~repro.shard.ShardRoutingCounters` — sum *exactly* to the
-single-shard counts.
+counts — each shard measured, like a broadcast execution, by the delta
+it adds to the database's one :class:`~repro.storage.CounterSet` — sum
+*exactly* to the single-shard counts.
 
 That disjointness claim has one static proof — the router's veto walk
 (:func:`~repro.shard.router.plan_route`), which routes a round parallel
@@ -30,20 +30,23 @@ shards); under plain ``True`` it records a ``shard.race_overlaps``
 metric and the overlap list on the round report.
 
 Both backends speak one shard protocol —
-:func:`repro.shard.workers.run_shard` produces (counters, write-set,
-diff sizes, seconds) per shard, :meth:`ShardedEngine._merge_shards`
-consumes them — and differ only in where a shard runs:
+:func:`repro.shard.workers.run_shard` produces (per-phase counts,
+write-set, diff sizes, seconds) per shard,
+:meth:`ShardedEngine._merge_shards` consumes them — and differ only in
+where a shard runs:
 
 * ``backend="inline"`` (default) — the N shard contexts run one after
-  another in the coordinator, over the shared tables.  Exact per-shard
-  access counts and the critical-path model at no set-up cost; wall
-  clock is the sum of the shards.
+  another in the coordinator, over the shared tables, counting straight
+  into the database's counters.  Exact per-shard access counts and the
+  critical-path model at no set-up cost; wall clock is the sum of the
+  shards.
 * ``backend="process"`` — long-lived worker processes, each owning a
   replica of the database and view caches (:mod:`repro.shard.workers`).
   Per-round inputs travel in the compact columnar wire format of
   :mod:`repro.core.wire`; the coordinator replays the merged write-set
-  onto its own tables and broadcasts it back so replicas converge.
-  Call :meth:`ShardedEngine.close` (or use the engine as a context
+  onto its own tables and broadcasts it back so replicas converge, and
+  merges the counts each worker's replica gained into the database's
+  counters.  Call :meth:`ShardedEngine.close` (or use the engine as a context
   manager) to shut the workers down.
 """
 
@@ -56,7 +59,6 @@ from ..errors import SchemaError, ShardRaceError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.hist import LogHistogram
-from ..shard.counters import ShardRoutingCounters
 from ..shard.router import RoutePlan, describe_plan, plan_route, split_instances
 from ..shard.workers import (
     ProcessShardPool,
@@ -65,7 +67,7 @@ from ..shard.workers import (
     captured_writes,
     run_shard,
 )
-from ..storage import CounterSet, Database
+from ..storage import Database
 from . import wire
 # _reconstruct_pre is unused here; benchmarks/e2e asserts it stays a module attribute.
 from .engine import (
@@ -123,10 +125,6 @@ class ShardedMaintenanceReport(MaintenanceReport):
     broadcast_reason: Optional[str] = None
     backend: str = "inline"
     shard_reports: list[MaintenanceReport] = field(default_factory=list)
-    #: distribution of per-shard total cost for parallel rounds (one
-    #: observation per worker); its sum reconciles *exactly* with
-    #: :attr:`total_cost` — shard counters are complete, no tolerance.
-    shard_cost_hist: Optional[LogHistogram] = None
     #: distribution of per-worker wall clocks for parallel rounds (one
     #: observation per worker, seconds).  Durations are measured inside
     #: each worker (``perf_counter`` deltas), so they are comparable
@@ -187,10 +185,6 @@ class ShardedEngine(IdIvmEngine):
         #: first provably-parallel round pays the spawn + bootstrap cost,
         #: broadcast-only workloads never do.
         self._pool: Optional[ProcessShardPool] = None
-        # Install the routing counter facade BEFORE the base constructor
-        # so every table created from here on (caches, opcaches) counts
-        # through it.
-        self._router = ShardRoutingCounters.install(db)
         super().__init__(db, **kwargs)
 
     # ------------------------------------------------------------------
@@ -309,7 +303,7 @@ class ShardedEngine(IdIvmEngine):
             for tag, ops in writes.items():
                 merged_writes.setdefault(tag, []).extend(ops)
         # The counted writes happened on the worker replicas; replay them
-        # (uncounted — the cost is already in the folded counters) onto
+        # (uncounted — the cost is already in the merged counters) onto
         # the coordinator's authoritative tables, then onto every worker
         # so all replicas converge.  Replay is idempotent, so the merged
         # set going back to its originating shard is safe.
@@ -340,12 +334,11 @@ class ShardedEngine(IdIvmEngine):
         try:
             for i in range(self.shards):
                 ctx = round_context(db_pre, self.db, shard_instances[i], view, unchanged)
-                sc = CounterSet()
                 with obs.span(
-                    f"shard:{i}", kind="shard", counters=sc,
+                    f"shard:{i}", kind="shard", counters=self.db.counters,
                     shard=i, view=view.name, anchor=plan.anchor,
                 ):
-                    results.append(run_shard(self._router, view.script, ctx, tables, sc))
+                    results.append(run_shard(view.script, ctx, tables))
         finally:
             written = [table.name for table in audited if table.end_journal(write_set=True)]
         return results, sorted(written)
@@ -363,15 +356,15 @@ class ShardedEngine(IdIvmEngine):
         )
         results = []
         for i, doc in enumerate(docs):
-            sc = wire.decode_counters(doc["counters"])
+            counts = wire.decode_counters(doc["counters"])
             with obs.span(
                 f"shard:{i}", kind="shard",
                 shard=i, view=view.name, anchor=plan.anchor,
-                worker_seconds=doc["seconds"], cost=sc.total.total,
+                worker_seconds=doc["seconds"], cost=counts["__total__"].total,
             ):
                 pass  # bookkeeping span: the work ran in the worker
             results.append((
-                sc, wire.decode_writeset(doc["writes"]),
+                counts, wire.decode_writeset(doc["writes"]),
                 doc["diff_sizes"], doc["seconds"],
             ))
         return results
@@ -381,38 +374,38 @@ class ShardedEngine(IdIvmEngine):
         results: list[ShardResult], uncaptured,
     ) -> ShardedMaintenanceReport:
         """Fold per-shard results into one round report: phase sums in
-        shard order, per-shard reports and histograms, database totals,
-        and the dynamic race check over the write-sets."""
+        shard order, per-shard reports and histograms, the counts of the
+        process workers' replicas into the database's counters, and the
+        dynamic race check over the write-sets."""
         report = ShardedMaintenanceReport(
             view.name, parallel=True, anchor=plan.anchor, backend=self.backend
         )
-        report.shard_cost_hist = LogHistogram("shard.round_cost", unit="accesses")
         report.shard_wall_hist = LogHistogram("shard.round_seconds", unit="seconds")
         apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
         shard_cost = metrics.loghist("shard.cost", unit="accesses")
-        for i, (sc, _, diff_sizes, seconds) in enumerate(results):
-            report.shard_cost_hist.observe(sc.total.total)
+        for i, (counts, _, diff_sizes, seconds) in enumerate(results):
             report.shard_wall_hist.observe(seconds)
             apply_seconds.observe(seconds)
-            shard_cost.observe(sc.total.total)
-            snapshot = sc.snapshot()
+            shard_cost.observe(counts["__total__"].total)
             shard_report = MaintenanceReport(f"{view.name}@shard{i}")
-            shard_report.phase_counts = snapshot
+            shard_report.phase_counts = counts
             shard_report.diff_sizes = diff_sizes
             report.shard_reports.append(shard_report)
-            for phase, counts in snapshot.items():
+            for phase, phase_counts in counts.items():
                 bucket = report.phase_counts.get(phase)
                 if bucket is None:
-                    report.phase_counts[phase] = counts.copy()
+                    report.phase_counts[phase] = phase_counts.copy()
                 else:
-                    bucket.add(counts)
+                    bucket.add(phase_counts)
             # Shard counts sum exactly to the single-shard counts, so the
             # merged diff sizes reconcile against the same prediction.
             for k, v in diff_sizes.items():
                 report.diff_sizes[k] = report.diff_sizes.get(k, 0) + v
-            # Keep the database-wide totals truthful: fold each shard's
-            # counts into the base counter set.
-            ShardRoutingCounters.fold(self._router.base, sc)
+            if self.backend == "process":
+                # Inline shards counted into the database's counters; a
+                # worker counted into its replica's, so its counts join
+                # the database's totals here, once.
+                self.db.counters.merge(counts)
         if self.race_check:
             self._handle_race(
                 view.name, report,

@@ -35,7 +35,7 @@ import json
 from typing import Any, Mapping, Sequence
 
 from ..errors import WireError
-from ..storage.counters import AccessCounts, CounterSet
+from ..storage.counters import AccessCounts
 from .diffs import Diff, DiffSchema
 from .modlog import LoggedModification
 
@@ -250,27 +250,33 @@ def decode_log_batch(doc: Mapping) -> list[LoggedModification]:
 
 
 # ----------------------------------------------------------------------
-# counter snapshots (worker -> coordinator, per shard execution)
+# per-phase counts (worker -> coordinator, per shard execution)
 # ----------------------------------------------------------------------
 _COUNT_FIELDS = ("index_lookups", "tuple_reads", "tuple_writes", "index_maintenance")
 
 
-def encode_counters(counters: CounterSet) -> dict:
-    """Encode per-phase access counts (fixed field order, sorted phases)."""
+def encode_counters(counts: Mapping[str, AccessCounts]) -> dict:
+    """Encode per-phase access counts shaped like ``CounterSet.snapshot``
+    (fixed field order, sorted phases; ``"__total__"`` is not sent)."""
     phases = [
-        [name] + [getattr(counters.phases[name], f) for f in _COUNT_FIELDS]
-        for name in sorted(counters.phases)
+        [name] + [getattr(counts[name], f) for f in _COUNT_FIELDS]
+        for name in sorted(counts)
+        if name != "__total__"
     ]
     return {"v": WIRE_VERSION, "kind": "counters", "phases": phases}
 
 
-def decode_counters(doc: Mapping) -> CounterSet:
-    """Rebuild an exact :class:`CounterSet` from :func:`encode_counters`."""
+def decode_counters(doc: Mapping) -> dict[str, AccessCounts]:
+    """Rebuild the exact per-phase counts of :func:`encode_counters`.  The
+    ``"__total__"`` is the sum of the phases — exact, because every
+    counted access lands in both its phase bucket and the total."""
     _expect_kind(doc, "counters")
-    phases = {
-        entry[0]: AccessCounts(*entry[1:]) for entry in doc["phases"]
-    }
-    return CounterSet.from_phase_counts(phases)
+    counts = {entry[0]: AccessCounts(*entry[1:]) for entry in doc["phases"]}
+    total = AccessCounts()
+    for phase in counts.values():
+        total.add(phase)
+    counts["__total__"] = total
+    return counts
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shard-parallel i-diff maintenance: routing, splitting, counter fan-out.
+"""Shard-parallel i-diff maintenance: routing, splitting, worker processes.
 
 The shared-database sharding model: one live :class:`~repro.storage.Database`
 serves every shard; what gets partitioned per maintenance round is the set
@@ -7,9 +7,9 @@ of *i-diff instance rows*.  :func:`plan_route` statically analyses a
 the rows by an *anchor key* keeps every counted operation shard-local
 (``parallel``) or falls back to a single global execution (``broadcast``
 — always correct, never slower).  :func:`split_instances` performs the
-row split; :class:`ShardRoutingCounters` routes each shard's
-access counts into its own :class:`~repro.storage.CounterSet` so per-shard
-costs merge back deterministically.
+row split.  A shard counts into its database's one
+:class:`~repro.storage.CounterSet` and is measured by the delta it adds
+there, the way a broadcast execution is.
 
 The router's veto walk is the one static proof that a parallel round's
 shards touch disjoint rows; ``ShardedEngine(race_check=...)`` checks the
@@ -18,7 +18,6 @@ same claim at run time on the shards' captured write-sets.
 See ``docs/SHARDING.md`` for the locality argument.
 """
 
-from .counters import ShardRoutingCounters
 from .router import RoutePlan, plan_route, split_instances
 from .workers import ProcessShardPool, WorkerError, build_blueprint
 from ..storage.partition import shard_of
@@ -26,7 +25,6 @@ from ..storage.partition import shard_of
 __all__ = [
     "ProcessShardPool",
     "RoutePlan",
-    "ShardRoutingCounters",
     "WorkerError",
     "build_blueprint",
     "plan_route",

@@ -374,10 +374,17 @@ def _analyze_associative(step: AssociativeAggregateStep, st: _Analysis) -> None:
 
 
 def _analyze_general(step: GeneralAggregateStep, st: _Analysis) -> None:
-    for _, name in step.inputs:
-        if name not in st.empty:
+    for kind, name in step.inputs:
+        if kind == "expansion":
+            record = st.expansions.get(name)
+            if record is None:
+                raise _Broadcast(f"aggregate reads unknown expansion {name!r}")
+            empty = record[0]
+        elif name not in st.empty:
             raise _Broadcast(f"aggregate reads undefined diff {name!r}")
-        if not st.empty[name]:
+        else:
+            empty = st.empty[name]
+        if not empty:
             raise _Broadcast(
                 f"general aggregate n{step.gnode.node_id} (recompute rule) is "
                 f"active; affected groups are not shard-local"

@@ -15,10 +15,8 @@ travels as a pickle over the pipe, which is fine for a single message):
 1. ``("boot", blueprint)`` — build the replica: base tables, foreign
    keys, each view's :class:`GeneratedPlan` plus cache/op-cache tables
    as the same :class:`~repro.core.engine.MaterializedView` the
-   coordinator holds, kernels re-bound onto its script locally, with
-   :class:`~repro.shard.counters.ShardRoutingCounters` installed so
-   counted accesses route per activation exactly like the inline
-   backend.
+   coordinator holds, kernels re-bound onto its script locally, every
+   table counting into the replica database's one counter set.
 2. ``("round", log_batch, sync)`` — receive the round's modification
    log.  When *sync* is true the entries are applied (uncounted) to the
    replica's base tables first — a worker that was just booted already
@@ -27,9 +25,9 @@ travels as a pickle over the pipe, which is fine for a single message):
    :class:`~repro.core.engine.PreState` of the coordinator's tables.
 3. ``("exec", view, instances)`` — :func:`run_shard` the view's full
    ∆-script over this shard's i-diff rows in a private ``IrContext``.
-   Replies with the wire-encoded :data:`ShardResult`: the exact counter
-   snapshot, the journaled write-set, per-instance diff sizes and the
-   wall-clock duration.
+   Replies with the wire-encoded :data:`ShardResult`: the exact counts
+   the execution added to the replica's counters, the journaled
+   write-set, per-instance diff sizes and the wall-clock duration.
 4. ``("apply", view, writeset)`` — replay a (merged) write-set onto the
    replica's view tables, uncounted and idempotently; this is how every
    worker learns the other shards' writes and how broadcast rounds
@@ -41,7 +39,7 @@ writes are anchor-local, so during ``exec`` each replica's visible state
 restricted to this shard's rows is identical to the shared database of
 the inline backend — every counted access (including auto-index builds,
 whose creations are journaled and replayed so index sets never drift)
-costs the same, and the per-shard counter sets merge exactly to the
+costs the same, and the per-shard counts sum exactly to the
 single-shard counts.
 """
 
@@ -55,10 +53,16 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..core import wire
 from ..core.compile import bind_kernels, check_backend
-from ..core.engine import MaterializedView, PreState, apply_log, round_context, tagged_tables
+from ..core.engine import (
+    MaterializedView,
+    PreState,
+    apply_log,
+    counts_since,
+    round_context,
+    tagged_tables,
+)
 from ..core.modlog import RoundEntries
-from ..storage import CounterSet, Database, Table
-from .counters import ShardRoutingCounters
+from ..storage import AccessCounts, Database, Table
 
 #: Join grace before terminating a worker at close().
 _CLOSE_TIMEOUT = 5.0
@@ -68,11 +72,12 @@ _CLOSE_TIMEOUT = 5.0
 # the shard protocol's one execution step, run by the inline backend in
 # the coordinator and by every worker process
 # ----------------------------------------------------------------------
-#: What one shard hands the coordinator's merge: its counters, journaled
+#: What one shard hands the coordinator's merge: the per-phase counts it
+#: added to its database's counters (``counts_since``), its journaled
 #: write-set (tag -> net replayable ops), per-instance diff sizes and its
 #: wall-clock duration (a ``perf_counter`` *delta* — never a raw
 #: monotonic reading, which would not be comparable across processes).
-ShardResult = tuple[CounterSet, dict[str, list[tuple]], dict[str, int], float]
+ShardResult = tuple[dict[str, AccessCounts], dict[str, list[tuple]], dict[str, int], float]
 
 
 @contextmanager
@@ -96,23 +101,20 @@ def captured_writes(
 
 
 def run_shard(
-    router: ShardRoutingCounters,
-    script: Any,
-    ctx: Any,
-    tables: Sequence[tuple[str, Table]],
-    counters: CounterSet,
+    script: Any, ctx: Any, tables: Sequence[tuple[str, Table]]
 ) -> ShardResult:
-    """Execute *script* over one shard's context *ctx*, counting into the
-    fresh *counters* under *router* activation, with the view's tagged
-    *tables* journaled for the shard's write-set."""
+    """Execute *script* over one shard's context *ctx*, with the view's
+    tagged *tables* journaled for the shard's write-set; the shard's
+    counts are what it adds to its database's counters."""
     from ..core.script import execute_script
 
+    counters = ctx.db_post.counters
+    before = counters.snapshot()
     with captured_writes(tables) as writes:
         started = time.perf_counter()
-        with router.activate(counters):
-            execute_script(script, ctx, counters)
+        execute_script(script, ctx)
     seconds = time.perf_counter() - started
-    return counters, writes, ctx.diff_sizes, seconds
+    return counts_since(counters, before), writes, ctx.diff_sizes, seconds
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +189,6 @@ class _WorkerState:
             db.tables[table.schema.name] = table
         for child_table, child_columns, parent_table in blueprint["foreign_keys"]:
             db.add_foreign_key(child_table, child_columns, parent_table)
-        self.router = ShardRoutingCounters.install(db)
         self.db = db
         exec_backend = blueprint["exec_backend"]
         self.views: dict[str, MaterializedView] = {}
@@ -230,11 +231,9 @@ class _WorkerState:
             self._pre.db, self.db, instances, view, self.unchanged_tables
         )
         tables = list(tagged_tables(view.caches, view.operator_caches))
-        counters, writes, diff_sizes, seconds = run_shard(
-            self.router, view.script, ctx, tables, CounterSet()
-        )
+        counts, writes, diff_sizes, seconds = run_shard(view.script, ctx, tables)
         return {
-            "counters": wire.encode_counters(counters),
+            "counters": wire.encode_counters(counts),
             "writes": wire.encode_writeset(writes),
             "diff_sizes": diff_sizes,
             "seconds": seconds,

@@ -151,16 +151,19 @@ class CounterSet:
         self.total = AccessCounts()
         self.phases = {}
 
-    def merge(self, other: "CounterSet") -> None:
-        """Fold *other*'s counts into self, phase by phase (exact integer
-        addition — the shard-merge reconciliation relies on it)."""
-        for name, counts in other.phases.items():
+    def merge(self, counts: dict[str, AccessCounts]) -> None:
+        """Fold per-phase *counts* shaped like :meth:`snapshot` into self
+        (exact integer addition — the shard-merge reconciliation relies
+        on it)."""
+        for name, phase in counts.items():
+            if name == "__total__":
+                self.total.add(phase)
+                continue
             bucket = self.phases.get(name)
             if bucket is None:
                 bucket = AccessCounts()
                 self.phases[name] = bucket
-            bucket.add(counts)
-        self.total.add(other.total)
+            bucket.add(phase)
 
     def snapshot(self) -> dict[str, AccessCounts]:
         """Copy of per-phase counts (plus ``"__total__"``)."""
@@ -171,18 +174,19 @@ class CounterSet:
     def as_dict(self) -> dict[str, dict[str, int]]:
         """JSON-serializable snapshot: phase name -> count dict."""
         return {name: counts.as_dict() for name, counts in self.snapshot().items()}
-
-    @classmethod
-    def from_phase_counts(cls, phases: dict[str, AccessCounts]) -> "CounterSet":
-        """Rebuild a counter set from per-phase counts (the wire-decode
-        path for process shard workers).  The grand total is recomputed
-        as the sum of the phases — exact, because every counted access
-        lands in both its phase bucket and the total."""
-        out = cls()
-        for name, counts in phases.items():
-            out.phases[name] = counts.copy()
-            out.total.add(counts)
-        return out
+    def merge(self, counts: dict[str, AccessCounts]) -> None:
+        """Fold per-phase *counts* shaped like :meth:`snapshot` into self
+        (exact integer addition — the shard-merge reconciliation relies
+        on it)."""
+        for name, phase in counts.items():
+            if name == "__total__":
+                self.total.add(phase)
+                continue
+            bucket = self.phases.get(name)
+            if bucket is None:
+                bucket = AccessCounts()
+                self.phases[name] = bucket
+            bucket.add(phase)
 
 
 class PhaseScope:

@@ -89,8 +89,9 @@ class TestLintCommand:
 
     def test_lint_verbose_shows_info_diagnostics(self, capsys):
         main(["lint", "--verbose"])
-        out = capsys.readouterr().out
-        assert "SH402" in out
+        assert "SHARE703" in capsys.readouterr().out
+        main(["lint"])
+        assert "SHARE703" not in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -139,13 +140,13 @@ class TestLintDeterminism:
 
     def test_report_orders_diagnostics_deterministically(self):
         report = AnalysisReport()
-        report.add("SH402", "z-loc", "zzz")
+        report.add("TC102", "n0", "boom")
         report.add("RACE604", "step 2 (γ n0)", "b")
         report.add("RACE604", "step 1 (APPLY d)", "a")
-        report.add("TC102", "n0", "boom")
+        report.add("COST504", "z-loc", "zzz")
         rules = [d.rule_id for d in report.sorted_diagnostics()]
-        assert rules == ["RACE604", "RACE604", "SH402", "TC102"]
-        locs = [d.location for d in report.sorted_diagnostics()[:2]]
+        assert rules == ["COST504", "RACE604", "RACE604", "TC102"]
+        locs = [d.location for d in report.sorted_diagnostics()[1:3]]
         assert locs == ["step 1 (APPLY d)", "step 2 (γ n0)"]
 
 
@@ -212,7 +213,7 @@ class TestDiagnosticModel:
 
     def test_has_errors_tracks_severity(self):
         report = AnalysisReport()
-        report.add("SH402", "t", "routable")
+        report.add("COST504", "t", "drifting")
         assert not report.has_errors()
         report.add("KEY201", "n1", "not a key")
         assert report.has_errors()
@@ -223,7 +224,6 @@ class TestDiagnosticModel:
             "typecheck",
             "keys",
             "script",
-            "shard",
             "cost",
         )
         with pytest.raises(ValueError):

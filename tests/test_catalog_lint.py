@@ -248,7 +248,7 @@ class TestShare701Reconciliation:
 class TestAnalysisCache:
     def _report(self):
         report = AnalysisReport()
-        report.add("SH402", "n3", "routable", hint="fine")
+        report.add("COST504", "n3", "drifting", hint="fine")
         return report
 
     def test_roundtrip_through_disk(self, tmp_path):
@@ -258,7 +258,7 @@ class TestAnalysisCache:
         fresh = AnalysisCache(tmp_path)
         entry = fresh.get("k1")
         assert entry is not None
-        assert entry["diagnostics"][0][0] == "SH402"
+        assert entry["diagnostics"][0][0] == "COST504"
         assert fresh.hits == 1 and fresh.misses == 0
 
     def test_corrupt_file_goes_cold(self, tmp_path):

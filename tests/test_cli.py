@@ -107,8 +107,9 @@ class TestLint:
             (["--catalog", "--catalog-views", "5", "--cost"], "--cost has no effect with --catalog"),
             (["--catalog", "--catalog-views", "5", "--verbose"], "--verbose has no effect with --catalog"),
             (["--catalog-views", "5"], "--catalog-views has no effect without --catalog"),
+            (["--json", "--verbose"], "--verbose has no effect with --json"),
         ],
-        ids=["cost-with-catalog", "verbose-with-catalog", "catalog-views-alone"],
+        ids=["cost-with-catalog", "verbose-with-catalog", "catalog-views-alone", "verbose-with-json"],
     )
     def test_a_flag_the_mode_never_reads_is_rejected(self, capsys, argv, ignored):
         assert main(["lint", *argv, "--no-cache"]) == 2

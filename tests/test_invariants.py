@@ -63,7 +63,7 @@ class TestEffectiveness:
         instances = populate_instances(view.instance_layout, entries, db_pre)
         ctx = IrContext(db_pre, db, diffs=instances, caches=view.caches)
         ctx.operator_caches = view.operator_caches
-        execute_script(view.generated.script, ctx, db.counters)
+        execute_script(view.generated.script, ctx)
         # Final diffs: those applied to the view (the root node).
         root = view.plan.node_id
         view_target = f"n{root}"

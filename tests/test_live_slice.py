@@ -287,8 +287,8 @@ def _run_family(family, make_engine, monkeypatch, rounds=3):
     cache_states: list[dict] = []
     real_execute = script_mod.execute_script
 
-    def execute_and_keep_state(script, ctx, counters):
-        out = real_execute(script, ctx, counters)
+    def execute_and_keep_state(script, ctx):
+        out = real_execute(script, ctx)
         cache_states.append(dict(ctx.cache_state))
         return out
 

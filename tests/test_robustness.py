@@ -32,7 +32,7 @@ class TestScriptMisuse:
         )
         ctx = IrContext(running_example_db, running_example_db)
         with pytest.raises(ScriptError):
-            execute_script(script, ctx, running_example_db.counters)
+            execute_script(script, ctx)
 
     def test_apply_to_unregistered_target_raises(self, running_example_db):
         schema = DiffSchema(UPDATE, "V", ("pid",), ("price",), ("price",))
@@ -46,7 +46,7 @@ class TestScriptMisuse:
         ctx = IrContext(running_example_db, running_example_db)
         ctx.diffs["base"] = Diff(schema, [("P1", 10, 11)])
         with pytest.raises(ScriptError):
-            execute_script(script, ctx, running_example_db.counters)
+            execute_script(script, ctx)
 
     def test_returning_before_apply_raises(self, running_example_db):
         ctx = IrContext(running_example_db, running_example_db)

@@ -1,4 +1,4 @@
-"""Shard-parallel maintenance: routing, equivalence, counter fan-out.
+"""Shard-parallel maintenance: routing, equivalence, counting.
 
 The equivalence tests are the heart: for every shard count the sharded
 engine must produce byte-identical view contents AND merged per-phase
@@ -27,9 +27,11 @@ import repro.core.engine as engine_mod
 from repro.algebra.evaluate import evaluate_plan
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
+from repro.crosscheck.corpus import DEFAULT_CORPUS_DIR, load_corpus_case
+from repro.crosscheck.spec import apply_modification, build_database, build_plan
 from repro.obs import metrics
-from repro.shard import ShardRoutingCounters, shard_of
-from repro.storage import AccessCounts, CounterSet, Database
+from repro.shard import shard_of
+from repro.storage import AccessCounts, Database
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -163,6 +165,38 @@ def test_devices_flat_view_routes_parallel():
     )
 
 
+def test_devices_flat_view_broadcasts_part_inserts():
+    """A new part reaches the view through a probe bound on ``did``, not
+    on the ``parts`` anchor: the round broadcasts, and says why."""
+    db = build_devices_database(DEV_CONFIG)
+    engine = ShardedEngine(db, shards=4)
+    engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+    engine.log.insert("parts", ("PX1", 7))
+    engine.log.insert("parts", ("PX2", 9))
+    report = engine.maintain()["V"]
+    assert not report.parallel
+    assert "does not cover the anchor columns" in report.broadcast_reason
+
+
+@pytest.mark.parametrize("name", ["min_extremum", "gamma_expansion"])
+def test_general_aggregate_cases_broadcast_every_round(name):
+    """min/max γ runs the general (recompute) rule, whose affected groups
+    no anchor makes shard-local: every round of the corpus case
+    broadcasts, with the general γ as the reason."""
+    case = load_corpus_case(DEFAULT_CORPUS_DIR / f"{name}.json")
+    db = build_database(case)
+    engine = ShardedEngine(db, shards=2, race_check=RACE_CHECK)
+    view = engine.define_view("V", build_plan(case["plan"], db))
+    assert case["batches"]
+    for batch in case["batches"]:
+        for op in batch:
+            apply_modification(engine.log, op)
+        report = engine.maintain()["V"]
+        assert not report.parallel
+        assert "general aggregate" in report.broadcast_reason
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
 def test_devices_aggregate_view_broadcasts():
     """γ(did) drops the anchor (pid): per-group RMWs are not shard-local."""
     [(_, report)] = _run_devices(
@@ -230,75 +264,36 @@ def test_bsma_equivalence(qname, backend, n_shards):
 
 
 # ----------------------------------------------------------------------
-# ShardRoutingCounters
-# ----------------------------------------------------------------------
-def test_routing_counters_delegate_and_activate():
-    base = CounterSet()
-    router = ShardRoutingCounters(base)
-    router.count_tuple_read(3)
-    assert base.total.tuple_reads == 3
-    shard = CounterSet()
-    with router.activate(shard):
-        with router.phase("view_update"):
-            router.count_tuple_write(2)
-    assert shard.total.tuple_writes == 2
-    assert shard.phases["view_update"].tuple_writes == 2
-    assert base.total.tuple_writes == 0
-    # outside the block, counts go to base again
-    router.count_index_lookup()
-    assert base.total.index_lookups == 1
-
-
-def test_routing_counters_install_is_idempotent():
-    db = Database()
-    db.create_table("t", ("a", "b"), ("a",))
-    router = ShardRoutingCounters.install(db)
-    assert ShardRoutingCounters.install(db) is router
-    assert db.counters is router
-    assert db.table("t").counters is router
-    db.table("t").insert((1, 2))
-    assert router.base.total.tuple_writes == 1
-
-
-def test_routing_counters_fold():
-    base, shard = CounterSet(), CounterSet()
-    with base.phase("p"):
-        base.count_tuple_read()
-    with shard.phase("p"):
-        shard.count_tuple_read(4)
-    with shard.phase("q"):
-        shard.count_tuple_write()
-    ShardRoutingCounters.fold(base, shard)
-    assert base.phases["p"].tuple_reads == 5
-    assert base.phases["q"].tuple_writes == 1
-    assert base.total.total == 6
-
-
-def test_routing_counters_reset_routes_to_target():
-    base = CounterSet()
-    router = ShardRoutingCounters(base)
-    router.count_tuple_read()
-    shard = CounterSet()
-    shard.count_tuple_write()
-    with router.activate(shard):
-        router.reset()
-    assert shard.total.total == 0
-    assert base.total.tuple_reads == 1  # base untouched
-
-
-# ----------------------------------------------------------------------
-# sharded engine counters stay truthful
+# one counter set per database: sharded rounds count into it
 # ----------------------------------------------------------------------
 def test_parallel_round_folds_into_database_totals():
     db = build_devices_database(DEV_CONFIG)
     engine = ShardedEngine(db, shards=4)
     engine.define_view("V", build_flat_view(db, DEV_CONFIG))
     apply_price_updates(engine, db, DEV_CONFIG)
-    before = engine._router.base.total.total
+    before = db.counters.total.total
     report = engine.maintain()["V"]
     assert report.parallel
-    after = engine._router.base.total.total
-    assert after - before >= report.total_cost  # script work folded back
+    assert db.counters.total.total - before == report.total_cost
+
+
+def test_a_sharded_engine_leaves_other_engines_on_the_database_alone():
+    """Building a ShardedEngine over a database another engine maintains
+    rebinds no counters, so the other engine's pre-state replica stays
+    valid: no rebuild, and a strict engine runs its next round."""
+    db = build_bsma_database(BSMA_CONFIG)
+    counters = db.counters
+    engine = IdIvmEngine(db, strict=True)
+    view = engine.define_view("V", BSMA_QUERIES["Q11"](db, BSMA_CONFIG))
+    log_user_updates(engine, db, BSMA_CONFIG, 60)
+    engine.maintain()
+    ShardedEngine(db, shards=2)
+    log_user_updates(engine, db, BSMA_CONFIG, 60, round_seed=1)
+    engine.maintain()
+    assert metrics.counter("engine.prestate_rebuilds").value == 0
+    assert db.counters is counters
+    assert all(table.counters is counters for table in db.tables.values())
+    assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
 
 
 # ----------------------------------------------------------------------
@@ -344,42 +339,22 @@ def test_sharded_engine_rejects_bad_shard_count():
 # ----------------------------------------------------------------------
 # telemetry: per-shard histograms reconcile exactly with the counters
 # ----------------------------------------------------------------------
-def test_parallel_round_shard_cost_hist_reconciles_exactly():
-    [(_, report)] = _run_devices(
-        lambda db: ShardedEngine(db, shards=4), build_flat_view
-    )
-    assert report.parallel
-    hist = report.shard_cost_hist
-    assert hist is not None
-    assert hist.count == len(report.shard_reports)
-    # per-shard costs are complete integer counters: the merged
-    # histogram's sum equals the round total with NO tolerance.
-    assert hist.total == report.total_cost
-    assert hist.total == sum(r.total_cost for r in report.shard_reports)
-    assert hist.max == report.critical_path()
-
-
-def test_broadcast_round_has_no_shard_cost_hist():
-    [(_, report)] = _run_devices(
-        lambda db: ShardedEngine(db, shards=4), build_aggregate_view
-    )
-    assert not report.parallel
-    assert report.shard_cost_hist is None
-
-
 def test_shard_cost_histogram_merges_to_shard_totals(_scoped_metrics):
     """``shard.cost`` takes one observation per shard per parallel
-    round; the registry histogram must reconcile exactly with the round
-    reports' per-shard histograms."""
+    round; the registry histogram must reconcile exactly with the
+    per-shard totals of the round reports."""
     results = _run_devices(
         lambda db: ShardedEngine(db, shards=4), build_flat_view, rounds=3
     )
     parallel_reports = [rep for _, rep in results if rep.parallel]
     assert parallel_reports  # the flat view routes parallel every round
+    shard_totals = [s.total_cost for r in parallel_reports for s in r.shard_reports]
 
     merged = _scoped_metrics.loghist("shard.cost")
-    assert merged.total == sum(r.shard_cost_hist.total for r in parallel_reports)
-    assert merged.count == sum(r.shard_cost_hist.count for r in parallel_reports)
+    # per-shard costs are complete integer counts: NO tolerance.
+    assert merged.total == sum(shard_totals)
+    assert merged.count == len(shard_totals)
+    assert merged.max == max(r.critical_path() for r in parallel_reports)
     assert merged.total == sum(r.total_cost for r in parallel_reports)
 
 
@@ -414,7 +389,7 @@ def test_process_backend_report_and_wall_clocks():
         # the only wall-clock quantity allowed across the process
         # boundary (raw monotonic timestamps are process-local).
         assert report.shard_wall_hist.count == 4
-        assert report.shard_cost_hist.total == report.total_cost
+        assert sum(r.total_cost for r in report.shard_reports) == report.total_cost
 
 
 @pytestmark_process
@@ -459,11 +434,10 @@ def test_process_backend_folds_into_database_totals():
     with ShardedEngine(db, shards=4, backend="process") as engine:
         engine.define_view("V", build_flat_view(db, DEV_CONFIG))
         apply_price_updates(engine, db, DEV_CONFIG)
-        before = engine._router.base.total.total
+        before = db.counters.total.total
         report = engine.maintain()["V"]
         assert report.parallel
-        after = engine._router.base.total.total
-        assert after - before >= report.total_cost
+        assert db.counters.total.total - before == report.total_cost
 
 
 @pytest.mark.parametrize("backend", ["fiber", "thread"])

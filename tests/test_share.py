@@ -59,9 +59,9 @@ def _diffs_by_view(engine, monkeypatch) -> dict:
     executions: list = []
     real = engine_mod.execute_script
 
-    def spy(script, ctx, counters):
+    def spy(script, ctx):
         executions.append((script, ctx.diffs))
-        return real(script, ctx, counters)
+        return real(script, ctx)
 
     monkeypatch.setattr(engine_mod, "execute_script", spy)
     diffs: dict = {}
