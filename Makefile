@@ -89,10 +89,12 @@ lint:
 	$(PYTHON) -m repro lint
 
 # Catalog-scale lint: the deterministic thousand-view catalog through
-# the incremental analysis cache (.repro-cache/) and the catalog-scope
-# sharing pass.  A second run is warm — CI uploads the cache artifact.
+# the incremental analysis cache in .repro-cache/ and the catalog-scope
+# sharing pass.  A second run of the same code is warm; the cache file
+# names the code that wrote it, so after any edit to src/repro the next
+# run is cold.  CI uploads the cache artifact.
 lint-catalog:
-	$(PYTHON) -m repro lint --catalog
+	$(PYTHON) -m repro lint --catalog --cache-dir .repro-cache
 
 # Conventional static checks (ruff + mypy, configured in pyproject).
 # Both are optional in the dev container; absent tools are skipped so
@@ -166,7 +168,16 @@ lint-catalog:
 # a shard is measured by the counts it adds to its database's set (a
 # process worker's are merged in once), and nothing in src/ brings back
 # the routing facade (`ShardRoutingCounters`) or the routability lint
-# that re-ran the router on dummy rows (`shard_check`, SH401/SH402).
+# that re-ran the router on dummy rows (`shard_check`, SH401/SH402); and
+# an analysis cache file is valid for the code that wrote it: its header
+# carries a digest of src/repro's Python files, so nothing in src/ keeps
+# a hand-bumped substitute (a pass `version=` through `register_pass` /
+# `register_catalog_pass` / `pass_versions`, `SHARING_PASS_VERSION`,
+# `CACHE_SCHEMA_VERSION`, `FINGERPRINT_VERSION`, the generator knobs of
+# `_LINT_KNOBS`), and `repro lint` caches only when given `--cache-dir`
+# (no `--no-cache` flag, no default cache directory written by a plain
+# run; "no-cache" alone is the cost model's word for a plan without an
+# intermediate cache, COST502).
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -309,6 +320,10 @@ lint-static:
 	@if grep -rnE 'ShardRoutingCounters|shard_check|SH40[12]' src --include='*.py' \
 	    || grep -rnE '\.counters *=([^=]|$$)' src --include='*.py' | grep -vE '^src/repro/storage/'; then \
 	    echo "a second counter set or a routability lint in src/: a database has one CounterSet, assigned in src/repro/storage/ alone; a shard is measured by the delta it adds there"; \
+	    exit 1; fi
+	@if grep -rnE 'register_pass|register_catalog_pass|pass_versions|SHARING_PASS_VERSION|CACHE_SCHEMA_VERSION|FINGERPRINT_VERSION|_LINT_KNOBS|--no-cache|args\.no_cache' \
+	    src --include='*.py'; then \
+	    echo "a hand-kept cache version or a default lint cache in src/: an analysis cache file is valid for the code that wrote it (analysis/cache.py code_digest), and repro lint caches only with --cache-dir"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

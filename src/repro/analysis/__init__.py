@@ -1,7 +1,7 @@
 """Static verifier + lint framework for plans, expressions and ∆-scripts.
 
-Four per-view passes over a shared diagnostic model (see
-docs/ANALYSIS.md):
+Four per-view passes over a shared diagnostic model, run in the order
+of the :data:`PASSES` table (see docs/ANALYSIS.md):
 
 * ``typecheck`` — 3VL-aware type & nullability inference (TC1xx)
 * ``keys``      — key/FD audit of the ID inference claims (KEY2xx)
@@ -9,7 +9,8 @@ docs/ANALYSIS.md):
   write-journal coverage of every counted writer (RACE604)
 * ``cost``      — symbolic cost inference & minimality lints (COST5xx)
 
-plus one catalog-scoped pass that sees every defined view at once:
+plus one catalog-scoped pass, in :data:`CATALOG_PASSES`, that sees
+every defined view at once:
 
 * ``sharing``   — cross-view sub-plan sharing detection (SHARE7xx)
 
@@ -24,9 +25,14 @@ Entry points: :func:`analyze_plan` for a bare algebra plan,
 :func:`analyze_generated` for compiler output, :func:`check_generated`
 as the strict post-generation assertion (raises on error-severity
 diagnostics), and :func:`analyze_catalog` for the catalog scope.
+``repro lint --cache-dir DIR`` replays reports through
+:class:`AnalysisCache`, whose file is valid only for the code that
+wrote it.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence
 
 from ..core.idinfer import annotate_plan
 from ..errors import StaticAnalysisError
@@ -39,41 +45,61 @@ from .diagnostics import (
     Diagnostic,
     Rule,
 )
-from .registry import (
-    AnalysisContext,
-    CatalogContext,
-    catalog_pass_names,
-    pass_names,
-    pass_versions,
-    register_catalog_pass,
-    register_pass,
-    run_catalog_passes,
-    run_passes,
-)
-
-# Importing the pass modules registers them (registration order = run
-# order: cheap local checks first, pricing last).
-from . import typecheck as _typecheck  # noqa: F401
-from . import keys as _keys  # noqa: F401
-from . import script_check as _script_check  # noqa: F401
-from . import cost as _cost  # noqa: F401
-from . import sharing as _sharing  # noqa: F401
-
-from .fingerprint import (  # noqa: E402  (re-export)
-    FINGERPRINT_VERSION,
+from .registry import AnalysisContext, CatalogContext, run_table
+from .typecheck import typecheck_pass
+from .keys import keys_pass
+from .script_check import script_pass
+from .cost import cost_pass
+from .sharing import CatalogViewFacts, sharing_pass, view_facts
+from .fingerprint import (
     FingerprintError,
     generated_fingerprint,
     plan_fingerprint,
     plan_fingerprints,
     script_fingerprint,
 )
-from .cache import (  # noqa: E402  (re-export)
+from .cache import (
     AnalysisCache,
     entry_from_report,
     plan_cache_key,
     report_from_entry,
 )
-from .sharing import CatalogViewFacts, view_facts  # noqa: E402
+
+#: The per-view passes, in run order: cheap local checks first, pricing
+#: last.  Adding a pass is adding a row.
+PASSES = (
+    ("typecheck", typecheck_pass),
+    ("keys", keys_pass),
+    ("script", script_pass),
+    ("cost", cost_pass),
+)
+
+#: The catalog-scoped passes: each runs once over the facts of every
+#: defined view (cross-view sharing needs the whole catalog), so they
+#: are kept apart from :data:`PASSES`, which callers run per view.
+CATALOG_PASSES = (("sharing", sharing_pass),)
+
+
+def pass_names() -> tuple[str, ...]:
+    return tuple(name for name, _ in PASSES)
+
+
+def catalog_pass_names() -> tuple[str, ...]:
+    return tuple(name for name, _ in CATALOG_PASSES)
+
+
+def run_passes(
+    ctx: AnalysisContext, names: Optional[Sequence[str]] = None
+) -> AnalysisReport:
+    """Run the selected per-view passes (all, by default) over *ctx*."""
+    return run_table(PASSES, ctx, names, "analysis")
+
+
+def run_catalog_passes(
+    ctx: CatalogContext, names: Optional[Sequence[str]] = None
+) -> AnalysisReport:
+    """Run the selected catalog passes (all, by default) over *ctx*."""
+    return run_table(CATALOG_PASSES, ctx, names, "catalog")
 
 
 def analyze_plan(plan, names=None) -> AnalysisReport:
@@ -136,12 +162,11 @@ __all__ = [
     "AnalysisReport",
     "AnalysisContext",
     "CatalogContext",
+    "PASSES",
+    "CATALOG_PASSES",
     "CatalogViewFacts",
-    "register_pass",
-    "register_catalog_pass",
     "pass_names",
     "catalog_pass_names",
-    "pass_versions",
     "run_passes",
     "run_catalog_passes",
     "analyze_plan",
@@ -154,7 +179,6 @@ __all__ = [
     "script_fingerprint",
     "generated_fingerprint",
     "FingerprintError",
-    "FINGERPRINT_VERSION",
     "AnalysisCache",
     "plan_cache_key",
     "entry_from_report",

@@ -1,4 +1,4 @@
-"""Incremental, content-addressed analysis cache (``.repro-cache/``).
+"""Incremental, content-addressed analysis cache.
 
 Re-linting a thousand-view catalog should re-analyze only what changed.
 This module persists frozen :class:`AnalysisReport` diagnostics — plus
@@ -8,40 +8,52 @@ fingerprint of everything the per-view passes can observe:
 * the plan in exact (syntactic) mode, base schemas and FKs folded in,
 * a digest of the database's per-table row counts (the cost pass reads
   cardinality statistics),
-* the generator knobs,
-* :data:`~repro.analysis.fingerprint.FINGERPRINT_VERSION`.
+* the view's label.
 
-Pass versions are *not* part of the key; they live in the file header,
-so bumping any pass's ``version=`` in ``@register_pass`` gracefully
-invalidates the whole persisted cache at load time.  A truncated or
-garbage cache file is treated as empty — corruption can cost a cold
-re-analysis, never a wrong report.
+What the passes *do* with those inputs is code, so the code is not in
+the key but in the file header: a digest of every ``*.py`` file of the
+``repro`` package.  A file written by other code — any edit to a pass,
+the generator, the rules or the fingerprints — replays nothing.  A
+truncated or garbage cache file is treated as empty — corruption can
+cost a cold re-analysis, never a wrong report.
 
-``repro lint`` is the one user: it defaults to ``.repro-cache/`` with
-``--no-cache`` as the escape hatch.  The strict engine gate
+``repro lint --cache-dir DIR`` is the one user; without the flag it
+caches nothing.  The strict engine gate
 (:func:`repro.analysis.check_generated`) always re-runs the passes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from ..storage.database import Database
 from .diagnostics import AnalysisReport, Diagnostic
-from .fingerprint import (
-    FINGERPRINT_VERSION,
-    digest,
-    plan_fingerprint,
-)
-from .registry import pass_versions
+from .fingerprint import digest, plan_fingerprint
 
-CACHE_SCHEMA_VERSION = 2
-DEFAULT_CACHE_DIR = ".repro-cache"
+_SCHEMA = "repro.analysis-cache"
 _CACHE_FILE = "analysis.json"
+
+
+@lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over the sorted (relative path, bytes) of every ``*.py``
+    file in the ``repro`` package directory: the code that reads and
+    writes a cache file.  Computed once per process."""
+    root = Path(__file__).resolve().parent.parent
+    sha = hashlib.sha256()
+    for rel, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        sha.update(f"{rel}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest()
 
 
 def db_stats_digest(db: Optional[Database]) -> str:
@@ -52,20 +64,14 @@ def db_stats_digest(db: Optional[Database]) -> str:
     return digest(["stats", rows])
 
 
-def plan_cache_key(plan: object, db: Optional[Database], knobs: tuple = ()) -> str:
-    """Cache key for the full per-view analysis of a plan.
-
-    *knobs* captures generator configuration (cache policy, optimize,
-    cost-based selection, …) — anything that changes which ∆-script the
-    plan compiles to must be in the key.
-    """
+def plan_cache_key(plan: object, db: Optional[Database], label: str) -> str:
+    """Cache key for the full per-view analysis of the view *label*."""
     return digest(
         [
             "plan-key",
-            FINGERPRINT_VERSION,
             plan_fingerprint(plan, db, alpha=False),  # type: ignore[arg-type]
             db_stats_digest(db),
-            list(knobs),
+            label,
         ]
     )
 
@@ -92,24 +98,18 @@ def report_from_entry(entry: dict) -> AnalysisReport:
 
 
 class AnalysisCache:
-    """One JSON file of ``key -> frozen analysis entry`` with a versioned
-    header.  Load is lazy; writes are atomic (temp file + rename)."""
+    """One JSON file of ``key -> frozen analysis entry`` under a header
+    naming the code that wrote it.  Load is lazy; writes are atomic
+    (temp file + rename)."""
 
-    def __init__(self, root: "str | Path" = DEFAULT_CACHE_DIR):
+    def __init__(self, root: "str | Path"):
         self.root = Path(root)
         self.path = self.root / _CACHE_FILE
+        self.header = {"schema": _SCHEMA, "code": code_digest()}
         self._entries: Optional[dict[str, dict]] = None
         self._dirty = False
         self.hits = 0
         self.misses = 0
-
-    def _header(self) -> dict:
-        return {
-            "schema": "repro.analysis-cache",
-            "version": CACHE_SCHEMA_VERSION,
-            "fingerprint_version": FINGERPRINT_VERSION,
-            "pass_versions": pass_versions(),
-        }
 
     def _load(self) -> dict[str, dict]:
         if self._entries is not None:
@@ -118,12 +118,10 @@ class AnalysisCache:
         try:
             with open(self.path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            header = {k: payload.get(k) for k in self._header()}
-            if header == self._header() and isinstance(
-                payload.get("entries"), dict
-            ):
+            header = {k: payload.get(k) for k in self.header}
+            if header == self.header and isinstance(payload.get("entries"), dict):
                 entries = payload["entries"]
-        except (OSError, ValueError):
+        except (OSError, ValueError, AttributeError):
             # Missing, truncated or garbage file: start cold.  Any
             # stale content is overwritten on the next flush().
             entries = {}
@@ -146,7 +144,7 @@ class AnalysisCache:
         if not self._dirty or self._entries is None:
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = dict(self._header())
+        payload = dict(self.header)
         payload["entries"] = self._entries
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

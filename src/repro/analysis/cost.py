@@ -25,7 +25,7 @@ definition, by :func:`define_script` (every engine and ``repro lint``
 define through it); the model travels with the script as
 ``GeneratedPlan.cost_model``.  Three consumers of the model:
 
-* the registered ``cost`` pass — minimality lints COST501 (the emitted
+* the ``cost`` pass — minimality lints COST501 (the emitted
   script predicts costlier than an enumerated generator alternative) and
   COST502 (intermediate caches whose predicted amortized benefit is
   negative under the no-cache alternative);
@@ -99,7 +99,7 @@ from ..obs import metrics
 from ..storage import Database, row_extractor
 from .diagnostics import AnalysisReport
 from .fingerprint import FingerprintError, _PlanWalker
-from .registry import AnalysisContext, register_pass
+from .registry import AnalysisContext
 
 #: Nominal per-instance diff cardinality used when no observation binds
 #: the base ``card[...]`` symbols (the minimality lint's working point).
@@ -961,9 +961,8 @@ def lint_definition(
 
 
 # ----------------------------------------------------------------------
-# the registered pass: minimality lints
+# the pass: minimality lints
 # ----------------------------------------------------------------------
-@register_pass("cost")
 def cost_pass(ctx: AnalysisContext) -> None:
     """COST501/COST502: predicted-cost minimality of the emitted script.
 

@@ -85,10 +85,6 @@ from ..errors import ReproError
 from ..expr.ast import And, Arith, Call, Cmp, Col, Expr, InList, Lit, Not, Or
 from ..storage.database import Database
 
-#: Bump when the canonical-document layout changes; folded into every
-#: top-level fingerprint so persisted caches invalidate gracefully.
-FINGERPRINT_VERSION = 1
-
 Doc = Union[None, bool, int, float, str, list]
 
 
@@ -363,10 +359,10 @@ def plan_fingerprints(
 def plan_fingerprint(
     plan: PlanNode, db: Optional[Database] = None, alpha: bool = True
 ) -> str:
-    """Top-level fingerprint of a plan (with the format version folded in)."""
+    """Top-level fingerprint of a plan."""
     walker = _PlanWalker(db, alpha)
     root, _ = walker.visit(plan)
-    return digest(["plan", FINGERPRINT_VERSION, root])
+    return digest(["plan", root])
 
 
 class _ScriptWalker:
@@ -626,7 +622,7 @@ def script_fingerprint(
     else:
         view_doc = ["t", script.view_node_id]
     steps = [walker.step_doc(s) for s in script.steps]
-    return digest(["script", FINGERPRINT_VERSION, view_doc, steps])
+    return digest(["script", view_doc, steps])
 
 
 def generated_fingerprint(
@@ -651,7 +647,6 @@ def generated_fingerprint(
     return digest(
         [
             "generated",
-            FINGERPRINT_VERSION,
             plan_fingerprint(plan, db, alpha),
             script_fingerprint(script, plan, db, alpha),
             cache_docs,

@@ -35,7 +35,7 @@ from ..algebra.plan import (
 )
 from ..expr import Col, columns_of, equi_join_pairs
 from .diagnostics import AnalysisReport
-from .registry import AnalysisContext, register_pass
+from .registry import AnalysisContext
 
 FD = tuple[frozenset, frozenset]  # lhs -> rhs
 
@@ -182,7 +182,6 @@ def _union_fds(
     return [_fd(ids, node.columns)], ok
 
 
-@register_pass("keys")
 def keys_pass(ctx: AnalysisContext) -> None:
     """Audit the whole plan from the root (children audited recursively)."""
     audit_plan_keys(ctx.plan, ctx.report)

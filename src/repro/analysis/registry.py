@@ -1,10 +1,11 @@
-"""Pluggable pass registry for the static analyzer.
+"""What an analysis pass reads, and the loop that runs a table of passes.
 
 A pass is a callable ``(AnalysisContext) -> None`` that appends to
-``ctx.report``.  Registration order is execution order; passes declare
-what they need (a script, a database) by returning early when the
-context lacks it, so one registry serves plan-only, post-generation and
-full-workload analyses alike.
+``ctx.report``.  The passes themselves are listed, in run order, in the
+tables of :mod:`repro.analysis` (``PASSES`` and ``CATALOG_PASSES``);
+passes declare what they need (a script, a database) by returning early
+when the context lacks it, so one table serves plan-only,
+post-generation and full-workload analyses alike.
 """
 
 from __future__ import annotations
@@ -39,108 +40,35 @@ class AnalysisContext:
     report: AnalysisReport = field(default_factory=AnalysisReport)
 
 
-PassFn = Callable[[AnalysisContext], None]
-
-_PASSES: dict[str, PassFn] = {}
-_PASS_VERSIONS: dict[str, int] = {}
-
-
-def register_pass(name: str, version: int = 1) -> Callable[[PassFn], PassFn]:
-    """Decorator: register a pass under *name* (registration order runs).
-
-    *version* feeds the incremental analysis cache: bumping it when a
-    pass's diagnostics change invalidates every persisted entry.
-    """
-
-    def deco(fn: PassFn) -> PassFn:
-        if name in _PASSES:
-            raise ValueError(f"analysis pass {name!r} already registered")
-        _PASSES[name] = fn
-        _PASS_VERSIONS[name] = version
-        return fn
-
-    return deco
-
-
-def pass_names() -> tuple[str, ...]:
-    return tuple(_PASSES)
-
-
 @dataclass
 class CatalogContext:
     """Input to catalog-scoped passes: facts about *all* defined views.
 
     ``views`` holds one :class:`~repro.analysis.sharing.CatalogViewFacts`
-    per view (duck-typed here so the registry does not import the pass
-    modules it hosts).
+    per view (duck-typed here so this module does not import the pass
+    modules).
     """
 
     views: list = field(default_factory=list)
     report: AnalysisReport = field(default_factory=AnalysisReport)
 
 
-CatalogPassFn = Callable[[CatalogContext], None]
-
-_CATALOG_PASSES: dict[str, CatalogPassFn] = {}
-
-
-def register_catalog_pass(
-    name: str, version: int = 1
-) -> Callable[[CatalogPassFn], CatalogPassFn]:
-    """Decorator: register a catalog-scoped pass.
-
-    Per-view passes see one view at a time; catalog passes run once over
-    the facts of every defined view (cross-view sharing detection needs
-    the whole catalog).  They live in a separate registry so
-    :func:`pass_names` — and every caller that iterates it per view —
-    is unaffected.
-    """
-
-    def deco(fn: CatalogPassFn) -> CatalogPassFn:
-        if name in _CATALOG_PASSES:
-            raise ValueError(f"catalog pass {name!r} already registered")
-        _CATALOG_PASSES[name] = fn
-        _PASS_VERSIONS[name] = version
-        return fn
-
-    return deco
-
-
-def catalog_pass_names() -> tuple[str, ...]:
-    return tuple(_CATALOG_PASSES)
-
-
-def pass_versions() -> dict[str, int]:
-    """Name -> version for every registered pass (both scopes), for the
-    analysis cache header."""
-    return dict(_PASS_VERSIONS)
-
-
-def run_catalog_passes(
-    ctx: CatalogContext, names: Optional[Sequence[str]] = None
+def run_table(
+    table: Sequence[tuple[str, Callable]],
+    ctx: "AnalysisContext | CatalogContext",
+    names: Optional[Sequence[str]],
+    scope: str,
 ) -> AnalysisReport:
-    """Run the selected catalog passes (all, by default) over *ctx*."""
-    for name in names if names is not None else _CATALOG_PASSES:
+    """Run the passes of *table* named in *names* (all, by default) over
+    *ctx*, in the order *names* gives; an unknown name is a
+    ``ValueError`` naming the *scope*."""
+    passes = dict(table)
+    for name in names if names is not None else passes:
         try:
-            fn = _CATALOG_PASSES[name]
+            fn = passes[name]
         except KeyError:
             raise ValueError(
-                f"unknown catalog pass {name!r}; have {sorted(_CATALOG_PASSES)}"
-            ) from None
-        fn(ctx)
-    return ctx.report
-
-
-def run_passes(
-    ctx: AnalysisContext, names: Optional[Sequence[str]] = None
-) -> AnalysisReport:
-    """Run the selected passes (all, by default) over *ctx*."""
-    for name in names if names is not None else _PASSES:
-        try:
-            fn = _PASSES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown analysis pass {name!r}; have {sorted(_PASSES)}"
+                f"unknown {scope} pass {name!r}; have {sorted(passes)}"
             ) from None
         fn(ctx)
     return ctx.report

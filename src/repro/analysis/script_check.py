@@ -48,11 +48,10 @@ from ..core.rules.aggregate import (
 )
 from ..core.script import ApplyDiffStep, ComputeDiffStep, MarkCacheUpdatedStep
 from ..core.modlog import schema_instance_name
-from .registry import AnalysisContext, register_pass
+from .registry import AnalysisContext
 from .typecheck import ir_column_facts
 
 
-@register_pass("script", version=2)
 def script_pass(ctx: AnalysisContext) -> None:
     if ctx.script is None:
         return

@@ -44,9 +44,7 @@ from ..core.script import ApplyDiffStep, ComputeDiffStep
 from ..costmodel.symbolic import CostVector, UnresolvedSymbolError
 from ..storage.database import Database
 from .fingerprint import plan_fingerprint, plan_fingerprints
-from .registry import CatalogContext, register_catalog_pass
-
-SHARING_PASS_VERSION = 2
+from .registry import CatalogContext
 
 #: how many view names a SHARE7xx message spells out before eliding
 _MAX_NAMED_VIEWS = 5
@@ -269,7 +267,6 @@ def _name_views(labels: list[str]) -> str:
     return f"{joined} and {extra} more" if extra > 0 else joined
 
 
-@register_catalog_pass("sharing", version=SHARING_PASS_VERSION)
 def sharing_pass(ctx: CatalogContext) -> None:
     views: list[CatalogViewFacts] = list(ctx.views)
 

@@ -75,7 +75,7 @@ from ..expr import (
     may_be_null,
 )
 from .diagnostics import AnalysisReport
-from .registry import AnalysisContext, register_pass
+from .registry import AnalysisContext
 
 NUMERIC_TYPES = frozenset(("int", "float", "bool"))
 ORDERING_OPS = frozenset(("<", "<=", ">", ">="))
@@ -532,7 +532,6 @@ def expansion_targets_of(script) -> dict[str, int]:
 # ----------------------------------------------------------------------
 # the pass
 # ----------------------------------------------------------------------
-@register_pass("typecheck")
 def typecheck_pass(ctx: AnalysisContext) -> None:
     report = ctx.report
     for node in ctx.plan.walk():

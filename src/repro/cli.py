@@ -527,11 +527,6 @@ def _cmd_lint_cost(args: argparse.Namespace, rules, json_out: dict) -> int:
     return 1 if n_gating else 0
 
 
-#: generator knobs folded into lint cache keys — anything that changes
-#: which ∆-script a plan compiles to must appear here.
-_LINT_KNOBS = ("policy=equi", "optimize", "cost-select")
-
-
 def _lint_view_entry(label, plan, db, cache):
     """Analyze one lint target through the incremental analysis cache.
 
@@ -546,7 +541,7 @@ def _lint_view_entry(label, plan, db, cache):
 
     key = ""
     if cache is not None:
-        key = plan_cache_key(plan, db, knobs=_LINT_KNOBS + (label,))
+        key = plan_cache_key(plan, db, label)
         entry = cache.get(key)
         if entry is not None:
             return report_from_entry(entry), facts_from_json(entry["facts"])
@@ -677,7 +672,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
 
-    cache = None if args.no_cache else AnalysisCache(args.cache_dir)
+    cache = None if args.cache_dir is None else AnalysisCache(args.cache_dir)
     if args.catalog:
         return _cmd_lint_catalog(args, rules, cache)
 
@@ -850,15 +845,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"catalog size for --catalog (default: {_CATALOG_VIEWS})",
     )
     lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental analysis cache (full re-analysis)",
-    )
-    lint.add_argument(
         "--cache-dir",
-        default=".repro-cache",
+        default=None,
         metavar="DIR",
-        help="incremental analysis cache location (default: .repro-cache)",
+        help="keep an incremental analysis cache in DIR; a later run of "
+        "the same code replays unchanged views from it (default: no cache)",
     )
     lint.set_defaults(handler=cmd_lint)
 

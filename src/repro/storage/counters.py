@@ -174,19 +174,6 @@ class CounterSet:
     def as_dict(self) -> dict[str, dict[str, int]]:
         """JSON-serializable snapshot: phase name -> count dict."""
         return {name: counts.as_dict() for name, counts in self.snapshot().items()}
-    def merge(self, counts: dict[str, AccessCounts]) -> None:
-        """Fold per-phase *counts* shaped like :meth:`snapshot` into self
-        (exact integer addition — the shard-merge reconciliation relies
-        on it)."""
-        for name, phase in counts.items():
-            if name == "__total__":
-                self.total.add(phase)
-                continue
-            bucket = self.phases.get(name)
-            if bucket is None:
-                bucket = AccessCounts()
-                self.phases[name] = bucket
-            bucket.add(phase)
 
 
 class PhaseScope:

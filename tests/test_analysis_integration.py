@@ -13,9 +13,8 @@ import sys
 import pytest
 
 from repro.algebra import scan, where
-from repro.analysis import AnalysisContext, RULES, analyze_plan, run_passes
+from repro.analysis import AnalysisContext, RULES, analyze_plan, pass_names, run_passes
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
-from repro.analysis.registry import pass_names, register_pass
 from repro.cli import main
 from repro.core.engine import IdIvmEngine
 from repro.errors import SchemaError, StaticAnalysisError
@@ -226,8 +225,6 @@ class TestDiagnosticModel:
             "script",
             "cost",
         )
-        with pytest.raises(ValueError):
-            register_pass("typecheck")(lambda ctx: None)
         db = make_db()
         ctx = AnalysisContext(plan=scan(db, "t"))
         with pytest.raises(ValueError):

@@ -9,12 +9,17 @@ The load-bearing claims:
   disjoint views), and its SHARE701 price reconciles with a *measured*
   twin-engine maintenance round under the COST503 tolerance policy;
 * the cache replays byte-identical reports warm and survives
-  corruption and version bumps by going cold (never by lying).
+  corruption and a change of code by going cold (never by lying).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +30,7 @@ from repro.analysis import (
     plan_fingerprint,
     view_facts,
 )
+from repro.analysis.cache import code_digest
 from repro.analysis.cost import SCRIPT_PHASES, reconcile_counts
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.sharing import _cache_step_labels, facts_from_json, facts_to_json
@@ -277,27 +283,29 @@ class TestAnalysisCache:
         path = tmp_path / "analysis.json"
         path.write_bytes(b"\x00\xff garbage")
         assert AnalysisCache(tmp_path).get("anything") is None
+        path.write_text("[]")  # valid JSON, but no header
+        assert AnalysisCache(tmp_path).get("anything") is None
 
-    def test_header_version_bump_invalidates(self, tmp_path):
+    def test_header_from_other_code_replays_nothing(self, tmp_path):
         cache = AnalysisCache(tmp_path)
         cache.put("k1", entry_from_report(self._report()))
         cache.flush()
         payload = json.loads(cache.path.read_text())
-        payload["pass_versions"] = dict(
-            payload["pass_versions"], typecheck=999
-        )
+        assert payload["code"] == code_digest()
+        payload["code"] = "0" * 64
         cache.path.write_text(json.dumps(payload))
-        assert AnalysisCache(tmp_path).get("k1") is None
+        fresh = AnalysisCache(tmp_path)
+        assert fresh.get("k1") is None
+        assert fresh.hits == 0 and fresh.misses == 1
 
 
 # ----------------------------------------------------------------------
 # repro lint --catalog (the CLI surface)
 # ----------------------------------------------------------------------
 def _catalog_json(capsys, cache_dir, *extra) -> str:
-    args = [
-        "lint", "--catalog", "--catalog-views", "30",
-        "--cache-dir", str(cache_dir), "--json", *extra,
-    ]
+    """``lint --catalog --json`` on 30 views; *cache_dir* None: no cache."""
+    cache = () if cache_dir is None else ("--cache-dir", str(cache_dir))
+    args = ["lint", "--catalog", "--catalog-views", "30", *cache, "--json", *extra]
     assert main(args) == 0
     return capsys.readouterr().out
 
@@ -306,7 +314,7 @@ class TestLintCatalogCli:
     def test_cold_and_warm_json_are_byte_identical(self, capsys, tmp_path):
         cold = _catalog_json(capsys, tmp_path / "c")
         warm = _catalog_json(capsys, tmp_path / "c")
-        nocache = _catalog_json(capsys, tmp_path / "other", "--no-cache")
+        nocache = _catalog_json(capsys, None)
         assert cold == warm
         assert cold == nocache
         payload = json.loads(cold)["catalog"]
@@ -335,7 +343,7 @@ class TestLintCatalogCli:
         for extra in (
             ("--cache-dir", str(tmp_path / "c")),
             ("--cache-dir", str(tmp_path / "c")),
-            ("--no-cache",),
+            (),
         ):
             assert main(["lint", "--json", *extra]) == 0
             outputs.append(capsys.readouterr().out)
@@ -353,3 +361,55 @@ class TestLintCatalogCli:
         again = _catalog_json(capsys, cache_dir)
         assert first == again
         assert json.loads(cache_file.read_text())["entries"]
+
+    def test_lint_without_cache_dir_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint"]) == 0
+        assert main(["lint", "--catalog", "--catalog-views", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "cache:" not in out
+        assert not (tmp_path / ".repro-cache").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# the cache is valid for the code that wrote it
+# ----------------------------------------------------------------------
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: an edit to a per-view pass that changes its output on every view
+_KEYS_PASS = "    audit_plan_keys(ctx.plan, ctx.report)\n"
+_PLANTED = '    ctx.report.add("KEY201", "root", "planted by an edit to the pass")\n'
+
+
+def _lint_copy(src: Path, cache_dir: Path) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "lint", "--catalog",
+         "--catalog-views", "30", "--json", "--cache-dir", str(cache_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=src.parent,
+        timeout=300,
+    )
+    assert proc.stderr == ""
+    return proc.returncode, proc.stdout
+
+
+def test_an_edit_to_a_pass_invalidates_the_cache(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(_SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cache_dir = tmp_path / "cache"
+    before = _lint_copy(src, cache_dir)
+
+    keys_py = src / "repro" / "analysis" / "keys.py"
+    text = keys_py.read_text()
+    assert text.count(_KEYS_PASS) == 1
+    keys_py.write_text(text.replace(_KEYS_PASS, _KEYS_PASS + _PLANTED))
+
+    warm = _lint_copy(src, cache_dir)
+    cold = _lint_copy(src, tmp_path / "cold")
+    assert warm == cold
+    assert warm != before
+    assert json.loads(warm[1])["catalog"]["errors"] == 30

@@ -112,7 +112,7 @@ class TestLint:
         ids=["cost-with-catalog", "verbose-with-catalog", "catalog-views-alone", "verbose-with-json"],
     )
     def test_a_flag_the_mode_never_reads_is_rejected(self, capsys, argv, ignored):
-        assert main(["lint", *argv, "--no-cache"]) == 2
+        assert main(["lint", *argv]) == 2
         captured = capsys.readouterr()
         assert ignored in captured.err
         assert captured.out == ""

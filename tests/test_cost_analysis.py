@@ -301,7 +301,7 @@ class TestMinimalityLints:
         assert not dominated_by(current, model({"base_ins_t": 20.0, "base_u_t": 4.0}), fams)
 
     def test_cost_pass_is_registered(self):
-        from repro.analysis.registry import pass_names
+        from repro.analysis import pass_names
 
         assert "cost" in pass_names()
 

@@ -287,7 +287,7 @@ class TestNodeFingerprints:
 # ----------------------------------------------------------------------
 # byte stability across processes and hash seeds
 # ----------------------------------------------------------------------
-# Fingerprints key a *persisted* cache (.repro-cache/) shared between
+# Fingerprints key a *persisted* cache (`repro lint --cache-dir`) shared between
 # runs, so a fingerprint computed today under one PYTHONHASHSEED must
 # equal the one computed tomorrow under another.  Same subprocess-matrix
 # idiom as tests/test_wire.py and TestLintDeterminism.
