@@ -79,7 +79,9 @@ PERF_GATE_BENCHES = \
     benchmarks/bench_fig12c_selectivity.py \
     benchmarks/bench_fig12d_fanout.py \
     benchmarks/bench_break_even.py \
-    benchmarks/bench_ablation_cache_policy.py
+    benchmarks/bench_ablation_cache_policy.py \
+    benchmarks/bench_crosscheck.py \
+    benchmarks/bench_view_reuse.py
 perf-gate:
 	REPRO_PERF_GATE=1 $(PYTHON) -m pytest $(PERF_GATE_BENCHES) --benchmark-disable -q
 
@@ -173,11 +175,17 @@ lint-catalog:
 # carries a digest of src/repro's Python files, so nothing in src/ keeps
 # a hand-bumped substitute (a pass `version=` through `register_pass` /
 # `register_catalog_pass` / `pass_versions`, `SHARING_PASS_VERSION`,
-# `CACHE_SCHEMA_VERSION`, `FINGERPRINT_VERSION`, the generator knobs of
-# `_LINT_KNOBS`), and `repro lint` caches only when given `--cache-dir`
-# (no `--no-cache` flag, no default cache directory written by a plain
-# run; "no-cache" alone is the cost model's word for a plan without an
-# intermediate cache, COST502).
+# `CACHE_SCHEMA_VERSION`, `FINGERPRINT_VERSION`, `SHARE_KEY_VERSION`,
+# the generator knobs of `_LINT_KNOBS`), and `repro lint` caches only
+# when given `--cache-dir` (no `--no-cache` flag, no default cache
+# directory written by a plain run; "no-cache" alone is the cost model's
+# word for a plan without an intermediate cache, COST502); and a view's
+# ∆-script is decided by one pipeline: `ScriptGenerator(` is built only
+# in analysis/cost.py (`define_script`, which prices and selects, and
+# the alternatives it and the cost pass price) — every engine, `repro
+# lint` and the crosscheck fuzzer define through `define_script` /
+# `lint_definition`, so nothing checks a script other than the one that
+# ships.
 lint-static:
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
@@ -321,9 +329,13 @@ lint-static:
 	    || grep -rnE '\.counters *=([^=]|$$)' src --include='*.py' | grep -vE '^src/repro/storage/'; then \
 	    echo "a second counter set or a routability lint in src/: a database has one CounterSet, assigned in src/repro/storage/ alone; a shard is measured by the delta it adds there"; \
 	    exit 1; fi
-	@if grep -rnE 'register_pass|register_catalog_pass|pass_versions|SHARING_PASS_VERSION|CACHE_SCHEMA_VERSION|FINGERPRINT_VERSION|_LINT_KNOBS|--no-cache|args\.no_cache' \
+	@if grep -rnE 'register_pass|register_catalog_pass|pass_versions|SHARING_PASS_VERSION|CACHE_SCHEMA_VERSION|FINGERPRINT_VERSION|SHARE_KEY_VERSION|_LINT_KNOBS|--no-cache|args\.no_cache' \
 	    src --include='*.py'; then \
 	    echo "a hand-kept cache version or a default lint cache in src/: an analysis cache file is valid for the code that wrote it (analysis/cache.py code_digest), and repro lint caches only with --cache-dir"; \
+	    exit 1; fi
+	@if grep -rnE '\bScriptGenerator\(' src/repro --include='*.py' \
+	    | grep -vE '^src/repro/analysis/cost\.py:'; then \
+	    echo "ScriptGenerator built outside analysis/cost.py: define through define_script / lint_definition, the one pipeline that prices and selects the script a view ships"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

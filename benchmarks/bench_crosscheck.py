@@ -2,9 +2,10 @@
 
 Not a paper figure — an infrastructure benchmark.  The crosscheck CI leg
 budget is set by this number: every generated case runs the recompute
-oracle plus six maintenance strategies over every batch, so cases/second
+oracle plus every maintenance strategy over every batch, so cases/second
 bounds how much adversarial coverage a nightly run can afford.  The
-functional assertion (every case clean) doubles as the fuzz smoke test.
+functional assertion (every case clean) doubles as the fuzz smoke test,
+and ``make perf-gate`` pins the strategy list it ran.
 """
 
 from __future__ import annotations

@@ -42,9 +42,6 @@ from .ir import AppliedSource, DiffSource, IrNode, ProbeJoin, ProbeSemi, Subview
 from .modlog import instances_key, schema_instance_name
 from .script import ComputeDiffStep
 
-#: Bump when the key document changes.
-SHARE_KEY_VERSION = 1
-
 
 def _digest(doc: Doc) -> str:
     """128 bits of SHA-256 over the document's ``repr``: a document
@@ -106,7 +103,7 @@ def share_keys(generated) -> dict[int, str]:
         key = None
         if isinstance(step, ComputeDiffStep) and _reads_nothing_owned(step.ir, owned, produced):
             key = keys[i] = _digest([
-                "share", SHARE_KEY_VERSION, walker.schema_doc(step.schema), walker.ir_doc(step.ir),
+                "share", walker.schema_doc(step.schema), walker.ir_doc(step.ir),
             ])
         for space, name in step.binds():
             if space == "diff":

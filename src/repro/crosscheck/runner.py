@@ -5,23 +5,23 @@ from-scratch evaluator — applied after every batch to a private database
 that receives the same modification stream; beside it, the plan's
 generated operators (:class:`repro.core.compile.LoweredPlan`, what
 definitions and :class:`repro.baselines.recompute.RecomputeEngine` run)
-must agree with it in rows and per-phase counts.  Each maintenance strategy then runs on its *own*
-fresh database; after every batch its view table must equal the oracle's
-multiset exactly, and the engine must pass every invariant in
-:mod:`repro.crosscheck.invariants`.
+must agree with it in rows and per-phase counts.  Before any round, the
+view is defined twice through the engines' one definition pipeline
+(:func:`repro.analysis.cost.lint_definition`): the twins must have one
+exact fingerprint, and the analyzer's report on the script that ships
+must hold no error.
 
-The ``faults`` strategy runs the compiled engine with one failure
-injected per batch, after the round's k-th counted write (k seeded by
-the batch): the failed round must leave every table the view writes as
-it was, and the retry must converge with every cursor at the log head —
-a view is always some past version of its query, never a mix.
-
-The ``shared`` strategy defines the case's plan twice, as ``V`` and
-``V2``, on one compiled engine, so that every statement eligible for
-round sharing (:mod:`repro.core.share`) is computed once per round by
-``V`` and bound by ``V2``: both views must equal the oracle, ``V`` must
-report exactly the per-phase counts of a solo engine, and ``V2`` those
-of ``V`` less the statements it reused.
+Each strategy then runs on its *own* fresh database, through one loop
+over the views it defines (:func:`run_strategy`): after every batch each
+view must equal the oracle's multiset exactly, every cursor must be at
+the log head, and the engine must pass every invariant in
+:mod:`repro.crosscheck.invariants`.  Two strategies add one step each:
+``faults`` first runs every round with a failure injected after a seeded
+counted write, which must leave every written table as it was (a view is
+always some past version of its query, never a mix); ``shared`` defines
+the plan as ``V`` and ``V2`` on one engine, so that ``V2`` binds every
+statement ``V`` computed (:mod:`repro.core.share`), and checks both
+views' counts against a solo engine.
 
 A divergence names the strategy, the batch and what went wrong; the
 shrinker and the regression corpus both consume this structure.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import traceback
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -44,6 +44,7 @@ from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog
 from ..core.sharded import ShardedEngine
 from ..algebra.evaluate import evaluate_plan
+from ..analysis import AnalysisReport, cost, generated_fingerprint
 from ..storage import AccessCounts
 from .invariants import check_engine_state
 from .spec import apply_modification, build_database, build_plan
@@ -201,12 +202,12 @@ def _failing_write(counters, k: int):
         vars(counters).pop("count_tuple_write", None)
 
 
-def _faulty_round(engine, view, batch_index: int, batch) -> Optional[Divergence]:
+def _faulty_round(engine, views, batch_index: int, batch) -> Optional[Divergence]:
     """Run the round of *batch* with a failure injected after a seeded
-    counted write; a round that fails must leave each table *view*
-    writes as it was before the round."""
+    counted write; a round that fails must leave each table *views*
+    write as it was before the round."""
     k = random.Random(f"{batch_index}:{batch!r}").randint(1, FAULT_MAX_WRITE)
-    tables = view.written_tables
+    tables = [table for view in views for table in view.written_tables]
     before = [Counter(t.rows_uncounted()) for t in tables]
     try:
         with _failing_write(engine.db.counters, k):
@@ -229,26 +230,48 @@ def run_strategy(
     expected: Sequence[Counter],
     diag_sink: Optional[list] = None,
 ) -> Optional[Divergence]:
-    """Run one strategy over the case; return its first divergence."""
-    if strategy == "shared":
-        return _run_shared(case, expected, diag_sink)
+    """Run one strategy over the case; return its first divergence.
+
+    One loop for every strategy: after every batch, every view the
+    strategy defines passes :func:`_check_view`.  Two strategies add a
+    step: ``faults`` fails each round once before the round that counts
+    (:func:`_faulty_round`), and ``shared`` checks its views' counts
+    against a solo engine (:func:`_shared_counts`)."""
     factory = STRATEGY_FACTORIES[strategy]
+    shared = strategy == "shared"
     try:
         db = build_database(case)
-        plan = build_plan(case["plan"], db)
         engine = factory(db)
-        view = engine.define_view("V", plan)
+        views = [
+            engine.define_view(name, build_plan(case["plan"], db))
+            for name in (("V", "V2") if shared else ("V",))
+        ]
+        if shared:
+            solo_db = build_database(case)
+            solo = factory(solo_db)
+            solo.define_view("V", build_plan(case["plan"], solo_db))
     except Exception as exc:  # noqa: BLE001 - the fuzzer reports, never raises
         return Divergence(strategy, -1, "exception", _tail(exc))
+    if shared and set(views[1].script._shared) != set(views[1].share_keys):
+        return Divergence(
+            strategy, -1, "invariant",
+            f"V2 shares statements {sorted(views[1].script._shared)} of the "
+            f"eligible {sorted(views[1].share_keys)}",
+        )
     for bi, batch in enumerate(case["batches"]):
         try:
             for op in batch:
                 apply_modification(engine.log, op)
+                if shared:
+                    apply_modification(solo.log, op)
             if strategy == "faults":
-                half_applied = _faulty_round(engine, view, bi, batch)
+                half_applied = _faulty_round(engine, views, bi, batch)
                 if half_applied is not None:
                     return half_applied
-            report = engine.maintain()["V"]
+            alone = solo.maintain()["V"] if shared else None
+            # A shared round is traced: V's statement spans price what V2 reused.
+            with recording() if shared else nullcontext() as recorder:
+                reports = engine.maintain()
         except Exception as exc:  # noqa: BLE001
             return Divergence(strategy, bi, "exception", _tail(exc))
         behind = {n: c for n, c in engine.log.cursors.items() if c != engine.log.position}
@@ -257,38 +280,48 @@ def run_strategy(
                 strategy, bi, "invariant", f"cursors {behind} behind the log head "
                 f"{engine.log.position} after a complete round",
             )
-        actual = Counter(view.table.rows_uncounted())
-        if actual != expected[bi]:
-            return Divergence(
-                strategy, bi, "view_mismatch", _multiset_detail(expected[bi], actual)
+        for view in views:
+            divergence = _check_view(
+                strategy, bi, view, db, reports[view.name], expected[bi], diag_sink
             )
-        try:
-            problems = check_engine_state(view, db, report)
-        except Exception as exc:  # noqa: BLE001
-            return Divergence(strategy, bi, "exception", _tail(exc))
-        if problems:
-            return Divergence(strategy, bi, "invariant", "; ".join(problems[:3]))
-        overlaps = getattr(report, "race_overlaps", None)
-        if overlaps:
-            shown = "; ".join(
-                f"{tag} key {key!r} by shards {list(shards)}"
-                for tag, key, shards in overlaps[:3]
-            )
-            return Divergence(
-                strategy,
-                bi,
-                "race",
-                f"{len(overlaps)} overlapping per-shard write(s): {shown}",
-            )
-        cost_divergence = _reconcile_cost(report, strategy, bi, diag_sink)
-        if cost_divergence is not None:
-            return cost_divergence
-    drift_divergence = _check_drift(
-        engine, strategy, len(case["batches"]) - 1, diag_sink
-    )
-    if drift_divergence is not None:
-        return drift_divergence
-    return None
+            if divergence is not None:
+                return divergence
+        if shared:
+            divergence = _shared_counts(bi, reports, alone, recorder)
+            if divergence is not None:
+                return divergence
+    return _check_drift(engine, strategy, len(case["batches"]) - 1, diag_sink)
+
+
+def _check_view(
+    strategy: str, bi: int, view, db, report, expected: Counter, diag_sink: Optional[list]
+) -> Optional[Divergence]:
+    """The checks every view of every strategy passes after a round:
+    the oracle multiset, the engine invariants, no racing shard writes
+    and COST503 reconciliation."""
+    actual = Counter(view.table.rows_uncounted())
+    if actual != expected:
+        return Divergence(
+            strategy, bi, "view_mismatch",
+            f"{view.name}: " + _multiset_detail(expected, actual),
+        )
+    try:
+        problems = check_engine_state(view, db, report)
+    except Exception as exc:  # noqa: BLE001
+        return Divergence(strategy, bi, "exception", _tail(exc))
+    if problems:
+        return Divergence(strategy, bi, "invariant", f"{view.name}: " + "; ".join(problems[:3]))
+    overlaps = getattr(report, "race_overlaps", None)
+    if overlaps:
+        shown = "; ".join(
+            f"{tag} key {key!r} by shards {list(shards)}"
+            for tag, key, shards in overlaps[:3]
+        )
+        return Divergence(
+            strategy, bi, "race",
+            f"{len(overlaps)} overlapping per-shard write(s): {shown}",
+        )
+    return _reconcile_cost(report, strategy, bi, diag_sink)
 
 
 def _phases(phase_counts) -> dict:
@@ -299,77 +332,32 @@ def _phases(phase_counts) -> dict:
     }
 
 
-def _run_shared(
-    case: Mapping, expected: Sequence[Counter], diag_sink: Optional[list]
-) -> Optional[Divergence]:
-    """The ``shared`` strategy: the case's plan as ``V`` on a solo engine,
-    and as ``V`` and ``V2`` on a twin engine whose rounds are traced, so
-    that the statements ``V2`` reused can be priced from ``V``'s
-    statement spans."""
-    factory = STRATEGY_FACTORIES["shared"]
-    try:
-        solo_db, db = build_database(case), build_database(case)
-        solo = factory(solo_db)
-        solo.define_view("V", build_plan(case["plan"], solo_db))
-        engine = factory(db)
-        views = [engine.define_view(name, build_plan(case["plan"], db)) for name in ("V", "V2")]
-    except Exception as exc:  # noqa: BLE001
-        return Divergence("shared", -1, "exception", _tail(exc))
-    twin = views[1]
-    if set(twin.script._shared) != set(twin.share_keys):
+def _shared_counts(bi: int, reports, alone, recorder) -> Optional[Divergence]:
+    """The ``shared`` strategy's count check: the lender ``V`` counts
+    exactly what *alone* (``V`` on a solo engine) counted, and ``V2``
+    what ``V`` counted less the statements it reused, priced from
+    ``V``'s traced statement spans of the same names."""
+    lender, borrower = reports["V"], reports["V2"]
+    if _phases(lender.phase_counts) != _phases(alone.phase_counts):
         return Divergence(
-            "shared", -1, "invariant",
-            f"V2 shares statements {sorted(twin.script._shared)} of the eligible "
-            f"{sorted(twin.share_keys)}",
+            "shared", bi, "cost",
+            f"lender V counts {_phases(lender.phase_counts)} != solo V "
+            f"{_phases(alone.phase_counts)}",
         )
-    for bi, batch in enumerate(case["batches"]):
-        try:
-            for op in batch:
-                apply_modification(solo.log, op)
-                apply_modification(engine.log, op)
-            alone = solo.maintain()["V"]
-            with recording() as recorder:
-                reports = engine.maintain()
-        except Exception as exc:  # noqa: BLE001
-            return Divergence("shared", bi, "exception", _tail(exc))
-        for view in views:
-            actual = Counter(view.table.rows_uncounted())
-            if actual != expected[bi]:
-                return Divergence(
-                    "shared", bi, "view_mismatch",
-                    f"{view.name}: " + _multiset_detail(expected[bi], actual),
-                )
-            try:
-                problems = check_engine_state(view, db, reports[view.name])
-            except Exception as exc:  # noqa: BLE001
-                return Divergence("shared", bi, "exception", _tail(exc))
-            if problems:
-                return Divergence("shared", bi, "invariant", f"{view.name}: " + "; ".join(problems[:3]))
-            cost_divergence = _reconcile_cost(reports[view.name], "shared", bi, diag_sink)
-            if cost_divergence is not None:
-                return cost_divergence
-        lender, borrower = reports["V"], reports["V2"]
-        if _phases(lender.phase_counts) != _phases(alone.phase_counts):
-            return Divergence(
-                "shared", bi, "cost",
-                f"lender V counts {_phases(lender.phase_counts)} != solo V "
-                f"{_phases(alone.phase_counts)}",
-            )
-        # What V2 bound, priced by V's statement spans of the same names.
-        reused = {name for name, _lender in borrower.reused}
-        owed = dict(lender.phase_counts)
-        for view_span in recorder.find(kind="view", name="view:V"):
-            for span in view_span.walk():
-                if span.kind == "stmt" and span.attrs.get("stmt") in reused:
-                    for phase in (span.attrs["phase"], "__total__"):
-                        owed[phase] = owed.get(phase, AccessCounts()) - span.counts
-        if _phases(borrower.phase_counts) != _phases(owed):
-            return Divergence(
-                "shared", bi, "cost",
-                f"V2 counts {_phases(borrower.phase_counts)} != V's less its "
-                f"{len(reused)} reused statement(s) {_phases(owed)}",
-            )
-    return _check_drift(engine, "shared", len(case["batches"]) - 1, diag_sink)
+    reused = {name for name, _lender in borrower.reused}
+    owed = dict(lender.phase_counts)
+    for view_span in recorder.find(kind="view", name="view:V"):
+        for span in view_span.walk():
+            if span.kind == "stmt" and span.attrs.get("stmt") in reused:
+                for phase in (span.attrs["phase"], "__total__"):
+                    owed[phase] = owed.get(phase, AccessCounts()) - span.counts
+    if _phases(borrower.phase_counts) != _phases(owed):
+        return Divergence(
+            "shared", bi, "cost",
+            f"V2 counts {_phases(borrower.phase_counts)} != V's less its "
+            f"{len(reused)} reused statement(s) {_phases(owed)}",
+        )
+    return None
 
 
 #: A measured count this far above the symbolic prediction is a fuzz
@@ -390,28 +378,18 @@ def _reconcile_cost(
     fuzzer must not cry wolf on estimate noise).
     """
     try:
-        from ..analysis.cost import reconcile_report
-
-        deviations = reconcile_report(report)
-    except Exception:  # noqa: BLE001 - reconciliation must never kill a case
-        return None
+        deviations = cost.reconcile_report(report)
+    except Exception as exc:  # noqa: BLE001
+        return Divergence(strategy, batch_index, "exception", _tail(exc))
     if not deviations:
         return None
     metrics.counter("crosscheck.cost_deviations").inc(len(deviations))
     if diag_sink is not None:
-        diag_sink.extend(
-            f"COST503 [{strategy} @ batch {batch_index}] {d.render()}"
-            for d in deviations
-        )
-    egregious = [
-        d
-        for d in deviations
-        if d.measured > _COST_HARD_FACTOR * d.predicted + _COST_HARD_SLACK
-    ]
-    if egregious:
-        return Divergence(
-            strategy, batch_index, "cost", egregious[0].render()
-        )
+        diag_sink.extend(f"COST503 [{strategy} @ batch {batch_index}] {d.render()}"
+                         for d in deviations)
+    for d in deviations:
+        if d.measured > _COST_HARD_FACTOR * d.predicted + _COST_HARD_SLACK:
+            return Divergence(strategy, batch_index, "cost", d.render())
     return None
 
 
@@ -431,65 +409,49 @@ def _check_drift(
     sustained *under*-prediction beyond :data:`_DRIFT_HARD_RATIO`
     diverges, mirroring the hard-factor rule in :func:`_reconcile_cost`.
     """
-    monitor = getattr(engine, "drift", None)
-    if monitor is None:  # baseline engines carry no drift monitor
-        return None
     try:
-        alerts = monitor.alerts()
-    except Exception:  # noqa: BLE001 - telemetry must never kill a case
-        return None
+        alerts = engine.drift.alerts()
+    except Exception as exc:  # noqa: BLE001
+        return Divergence(strategy, batch_index, "exception", _tail(exc))
     if diag_sink is not None:
-        diag_sink.extend(
-            f"COST504 [{strategy}] {alert.render()}" for alert in alerts
-        )
-    egregious = [
-        alert
-        for alert in alerts
-        if alert.kind == "under_predicted" and alert.ewma > _DRIFT_HARD_RATIO
-    ]
-    if egregious:
-        return Divergence(strategy, batch_index, "drift", egregious[0].render())
+        diag_sink.extend(f"COST504 [{strategy}] {alert.render()}" for alert in alerts)
+    for alert in alerts:
+        if alert.kind == "under_predicted" and alert.ewma > _DRIFT_HARD_RATIO:
+            return Divergence(strategy, batch_index, "drift", alert.render())
     return None
 
 
-def analyze_case(case: Mapping):
-    """Static analysis of the case's generated plan (own database)."""
-    from ..analysis import analyze_generated
-    from ..core.generator import ScriptGenerator
-    from ..core.schema_gen import generate_base_schemas
-
+def _define(case: Mapping):
+    """``(generated, report, db)``: the case's view ``V`` defined as the
+    engines define it (:func:`repro.analysis.cost.lint_definition` —
+    the script the ``compiled`` strategy ships) and the analyzer's
+    report on it, on a database of its own."""
     db = build_database(case)
-    generator = ScriptGenerator("V", build_plan(case["plan"], db))
-    generated = generator.generate(generate_base_schemas(generator.plan, db))
-    return analyze_generated(generated, db=db)
+    generated, report = cost.lint_definition("V", build_plan(case["plan"], db), db)
+    return generated, report, db
 
 
-def fingerprint_check(case: Mapping) -> Optional[str]:
-    """Twin-generation fingerprint determinism check.
+def analyze_case(case: Mapping) -> AnalysisReport:
+    """Static analysis of the script the case's view ships."""
+    return _define(case)[1]
 
-    Builds the case's database and generates its ∆-script twice, fully
-    independently, and compares the exact (syntactic) fingerprints of
-    the two generated plans.  The generator is supposed to be a pure
-    function of (plan, statistics); a mismatch means some ambient state
-    (hash ordering, caching, RNG) leaked into plan or script structure —
-    exactly the bug class the incremental analysis cache cannot survive.
-    Returns a detail string on mismatch, None when the twins agree.
+
+def fingerprint_check(case: Mapping) -> tuple[AnalysisReport, Optional[str]]:
+    """Twin-definition fingerprint determinism check.
+
+    Defines the case's view twice, fully independently, and compares the
+    exact (syntactic) fingerprints of the two shipped scripts.
+    Definition is supposed to be a pure function of (plan, statistics);
+    a mismatch means some ambient state (hash ordering, caching, RNG)
+    leaked into plan or script structure — exactly the bug class the
+    incremental analysis cache cannot survive.  Returns the analyzer's
+    report on the first twin and a detail string on mismatch (None when
+    the twins agree).
     """
-    from ..analysis import generated_fingerprint
-    from ..core.generator import ScriptGenerator
-    from ..core.schema_gen import generate_base_schemas
-
-    prints = []
-    for _ in range(2):
-        db = build_database(case)
-        generator = ScriptGenerator("V", build_plan(case["plan"], db))
-        generated = generator.generate(
-            generate_base_schemas(generator.plan, db)
-        )
-        prints.append(generated_fingerprint(generated, db, alpha=False))
-    if prints[0] != prints[1]:
-        return f"twin generations fingerprint {prints[0]} != {prints[1]}"
-    return None
+    twins = [_define(case) for _ in range(2)]
+    first, second = (generated_fingerprint(g, db, alpha=False) for g, _, db in twins)
+    mismatch = f"twin definitions fingerprint {first} != {second}" if first != second else None
+    return twins[0][1], mismatch
 
 
 def run_case(
@@ -497,40 +459,30 @@ def run_case(
 ) -> CaseResult:
     """Differential-check one case across *strategies*.
 
-    The static analyzer runs first, as one more cross-check: a crash is
-    an ``exception`` divergence, an error-severity diagnostic on a plan
-    the generator was happy to emit is an ``analysis`` divergence —
-    either the generator produced a hazard or the analyzer cried wolf,
-    and both are findings.  Twin generations that disagree on their
-    exact fingerprint are a ``fingerprint`` divergence: nondeterminism
-    in the generator that would silently poison the analysis cache.
+    The static analyzer runs first, as one more cross-check, on the
+    script the view ships: a crash is an ``exception`` divergence, an
+    error-severity diagnostic on a script the pipeline was happy to
+    ship is an ``analysis`` divergence — either the generator produced
+    a hazard or the analyzer cried wolf, and both are findings.  Twin
+    definitions that disagree on their exact fingerprint are a
+    ``fingerprint`` divergence: nondeterminism in the pipeline that
+    would silently poison the analysis cache.
     """
     result = CaseResult()
     try:
-        report = analyze_case(case)
+        report, mismatch = fingerprint_check(case)
     except Exception as exc:  # noqa: BLE001
         result.divergences.append(
             Divergence("analyzer", -1, "exception", _tail(exc))
         )
     else:
         result.diagnostics = [d.render() for d in report.diagnostics]
-        for diag in report.errors:
-            result.divergences.append(
-                Divergence(
-                    "analyzer", -1, "analysis", diag.render().splitlines()[0]
-                )
-            )
-        try:
-            mismatch = fingerprint_check(case)
-        except Exception as exc:  # noqa: BLE001
-            result.divergences.append(
-                Divergence("analyzer", -1, "exception", _tail(exc))
-            )
-        else:
-            if mismatch is not None:
-                result.divergences.append(
-                    Divergence("analyzer", -1, "fingerprint", mismatch)
-                )
+        result.divergences += [
+            Divergence("analyzer", -1, "analysis", d.render().splitlines()[0])
+            for d in report.errors
+        ]
+        if mismatch is not None:
+            result.divergences.append(Divergence("analyzer", -1, "fingerprint", mismatch))
     try:
         expected = oracle_states(case, plan_eval=result.divergences)
     except Exception as exc:  # noqa: BLE001

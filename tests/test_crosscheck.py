@@ -75,6 +75,20 @@ class TestExprSpecRoundTrip:
         assert expr_from_spec(json.loads(json.dumps(spec))) == expr_from_spec(spec)
 
 
+def one_batch_case() -> dict:
+    """One table scanned as the view, one batch inserting one row."""
+    return {
+        "version": 1,
+        "tables": [
+            {"name": "t0", "columns": ["k", "c0"], "key": ["k"],
+             "rows": [[0, 1]]},
+        ],
+        "foreign_keys": [],
+        "plan": {"op": "scan", "table": "t0", "alias": "s0"},
+        "batches": [[{"op": "insert", "table": "t0", "row": [1, 2]}]],
+    }
+
+
 class TestRunner:
     def test_generated_cases_are_clean(self):
         """A handful of the seed-0 stream, all strategies vs the oracle
@@ -85,16 +99,7 @@ class TestRunner:
 
     def test_divergence_reported_for_wrong_view(self):
         """A case whose 'view' rows are tampered with must diverge."""
-        case = {
-            "version": 1,
-            "tables": [
-                {"name": "t0", "columns": ["k", "c0"], "key": ["k"],
-                 "rows": [[0, 1]]},
-            ],
-            "foreign_keys": [],
-            "plan": {"op": "scan", "table": "t0", "alias": "s0"},
-            "batches": [[{"op": "insert", "table": "t0", "row": [1, 2]}]],
-        }
+        case = one_batch_case()
         clean = run_case(case)
         assert clean.ok
         # Same case, but the stream deletes a row the oracle keeps: the
@@ -115,16 +120,7 @@ class TestRunner:
         from repro.crosscheck.runner import oracle_states, run_strategy
         from repro.storage import Table
 
-        case = {
-            "version": 1,
-            "tables": [
-                {"name": "t0", "columns": ["k", "c0"], "key": ["k"],
-                 "rows": [[0, 1]]},
-            ],
-            "foreign_keys": [],
-            "plan": {"op": "scan", "table": "t0", "alias": "s0"},
-            "batches": [[{"op": "insert", "table": "t0", "row": [1, 2]}]],
-        }
+        case = one_batch_case()
         assert "faults" in ALL_STRATEGIES
         expected = oracle_states(case)
         assert run_strategy(case, "faults", expected) is None
@@ -135,6 +131,81 @@ class TestRunner:
         )
         divergence = run_strategy(case, "faults", expected)
         assert divergence is not None and divergence.kind == "rollback"
+
+    @pytest.mark.parametrize("index", [14, 15, 33, 75, 85])
+    def test_the_analyzer_checks_the_script_the_engine_ships(self, monkeypatch, index):
+        """On these seed-0 cases cost selection ships the cache-free
+        script: the analyzer must see that script, not the generator's
+        unselected one."""
+        import repro.analysis
+        from repro.core import IdIvmEngine
+        from repro.crosscheck.runner import analyze_case
+
+        analyzed = []
+        real = repro.analysis.analyze_generated
+
+        def spy(generated, *args, **kwargs):
+            analyzed.append(generated.script.describe())
+            return real(generated, *args, **kwargs)
+
+        monkeypatch.setattr(repro.analysis, "analyze_generated", spy)
+        case = generate_case(0, index)
+        analyze_case(case)
+        db = build_database(case)
+        view = IdIvmEngine(db, exec_backend="compiled").define_view(
+            "V", build_plan(case["plan"], db)
+        )
+        assert analyzed == [view.script.describe()]
+
+    def test_shared_strategy_checks_every_cursor(self, monkeypatch):
+        """``shared`` holds both of its views to the log head: a round
+        that leaves ``V2``'s cursor behind is an invariant divergence."""
+        from repro.core.modlog import ModificationLog
+        from repro.crosscheck.runner import oracle_states, run_strategy
+
+        case = one_batch_case()
+        expected = oracle_states(case)
+        assert run_strategy(case, "shared", expected) is None
+        real = ModificationLog.advance
+
+        def advance(self, name, position):
+            if name != "V2" or name not in self.cursors:  # V2 is defined, never moved
+                real(self, name, position)
+
+        monkeypatch.setattr(ModificationLog, "advance", advance)
+        divergence = run_strategy(case, "shared", expected)
+        assert divergence is not None and divergence.kind == "invariant"
+        assert "V2" in divergence.detail
+
+    def test_a_failing_cost_reconciliation_is_reported(self, monkeypatch):
+        from repro.analysis import cost
+        from repro.crosscheck.runner import oracle_states, run_strategy
+
+        def broken(report):
+            raise RuntimeError("reconciliation broke")
+
+        case = one_batch_case()
+        expected = oracle_states(case)
+        monkeypatch.setattr(cost, "reconcile_report", broken)
+        divergence = run_strategy(case, "compiled", expected)
+        assert divergence is not None and divergence.kind == "exception"
+        assert (divergence.strategy, divergence.batch) == ("compiled", 0)
+        assert "reconciliation broke" in divergence.detail
+
+    def test_a_failing_drift_monitor_is_reported(self, monkeypatch):
+        from repro.obs.drift import DriftMonitor
+        from repro.crosscheck.runner import oracle_states, run_strategy
+
+        def broken(self):
+            raise RuntimeError("drift broke")
+
+        case = one_batch_case()
+        expected = oracle_states(case)
+        monkeypatch.setattr(DriftMonitor, "alerts", broken)
+        divergence = run_strategy(case, "compiled", expected)
+        assert divergence is not None and divergence.kind == "exception"
+        assert (divergence.strategy, divergence.batch) == ("compiled", 0)
+        assert "drift broke" in divergence.detail
 
 
 class TestShrinker:
