@@ -9,8 +9,9 @@ test:
 
 # Equivalence tests at an explicit shard count and backend set (the CI
 # matrix legs): REPRO_SHARDS=1,4 REPRO_BACKEND=process make test-sharded
-# REPRO_RACE_CHECK=strict arms the dynamic write-set race detector on
-# every engine the suite builds (overlaps raise ShardRaceError).
+# REPRO_RACE_CHECK=true arms the dynamic write-set race detector on
+# every engine the suite builds; a test after which shard.race_overlaps
+# or shard.uncaptured_writes is non-zero fails.
 REPRO_SHARDS ?= 1,2,4,8
 REPRO_BACKEND ?= inline,process
 REPRO_RACE_CHECK ?=
@@ -336,6 +337,11 @@ lint-static:
 	@if grep -rnE '\bScriptGenerator\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/analysis/cost\.py:'; then \
 	    echo "ScriptGenerator built outside analysis/cost.py: define through define_script / lint_definition, the one pipeline that prices and selects the script a view ships"; \
+	    exit 1; fi
+	@if grep -rnwE 'StaticAnalysisError|check_generated|ShardRaceError' src --include='*.py' \
+	    || grep -nE '\bstrict\b *(:|=[^=])|\.strict\b' \
+	        src/repro/core/engine.py src/repro/baselines/tuple_ivm.py src/repro/analysis/cost.py; then \
+	    echo "a strict mode in src/: a stale replica is rebuilt and counted (engine.prestate_rebuilds), a failed pricing is counted (engine.cost_*_fallbacks), the analyzer gate is lint_definition, and the race detector records overlaps"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

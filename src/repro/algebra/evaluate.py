@@ -16,7 +16,7 @@ matching the paper's cost model.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..errors import PlanError
 from ..expr import equi_join_pairs, evaluate as eval_expr, matches
@@ -279,17 +279,16 @@ def materialize(
     db: Database,
     name: str,
     stats=None,
-    key: Iterable[str] | None = None,
 ) -> Table:
-    """Evaluate *node* and store the result as a keyed table.
+    """Evaluate *node* and store the result as a table keyed on the
+    node's inferred IDs (Pass 1 must have run).
 
     *stats* is the definition's :class:`repro.analysis.cost.PlanStats`,
-    which supplies the rows; without it they are the reference's.  *key*
-    defaults to the node's inferred IDs (Pass 1 must have run).  The
+    which supplies the rows; without it they are the reference's.  The
     materialized table shares the database's counters but is **not**
     registered in its catalog (views/caches live beside base tables).
     """
-    key = tuple(key) if key is not None else tuple(node.ids)
+    key = tuple(node.ids)
     if not key:
         raise PlanError(
             f"cannot materialize {name!r}: no key; run ID inference first"

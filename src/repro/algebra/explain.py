@@ -10,7 +10,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..storage import Database
 
 
-def explain_plan(root: PlanNode, show_ids: bool = True) -> str:
+def explain_plan(root: PlanNode) -> str:
     """Indented operator-tree rendering of *root*.
 
     When Pass 1 has run (``node_id >= 0``), node identifiers and inferred
@@ -20,9 +20,8 @@ def explain_plan(root: PlanNode, show_ids: bool = True) -> str:
 
     def visit(node: PlanNode, depth: int) -> None:
         pad = "  " * depth
-        annotated = node.node_id >= 0
         suffix = ""
-        if show_ids and annotated:
+        if node.node_id >= 0:
             ids = ",".join(node.ids)
             suffix = f"   [n{node.node_id}  ids: {ids}]"
         lines.append(f"{pad}{node.label()}{suffix}")
@@ -33,7 +32,7 @@ def explain_plan(root: PlanNode, show_ids: bool = True) -> str:
     return "\n".join(lines)
 
 
-def explain_analyze(root: PlanNode, db: "Database", show_ids: bool = True) -> str:
+def explain_analyze(root: PlanNode, db: "Database") -> str:
     """EXPLAIN ANALYZE: execute the plan and annotate each operator with
     its *actual* output row count and (cumulative) access costs.
 
@@ -57,9 +56,8 @@ def explain_analyze(root: PlanNode, db: "Database", show_ids: bool = True) -> st
 
     def visit(node: PlanNode, depth: int) -> None:
         pad = "  " * depth
-        annotated = node.node_id >= 0
         suffix = ""
-        if show_ids and annotated:
+        if node.node_id >= 0:
             ids = ",".join(node.ids)
             suffix = f"   [n{node.node_id}  ids: {ids}]"
         actual = stats.get(node.node_id)

@@ -17,14 +17,15 @@ every defined view at once:
 Sharding is not linted: whether a round routes in parallel is decided
 per round by :func:`repro.shard.router.plan_route`, whose veto walk is
 the one static proof of shard disjointness, and reported on the round
-(``ShardedMaintenanceReport.parallel`` / ``.broadcast_reason``); the
-``race_check`` mode of :class:`~repro.core.sharded.ShardedEngine` checks
+(``ShardedMaintenanceReport.parallel`` / ``.broadcast_reason``);
+``race_check=True`` on :class:`~repro.core.sharded.ShardedEngine` checks
 the same claim at run time.
 
 Entry points: :func:`analyze_plan` for a bare algebra plan,
-:func:`analyze_generated` for compiler output, :func:`check_generated`
-as the strict post-generation assertion (raises on error-severity
-diagnostics), and :func:`analyze_catalog` for the catalog scope.
+:func:`analyze_generated` for compiler output (``repro lint`` and the
+fuzzer reach it through :func:`repro.analysis.cost.lint_definition`,
+the one gate a view's script passes), and :func:`analyze_catalog` for
+the catalog scope.
 ``repro lint --cache-dir DIR`` replays reports through
 :class:`AnalysisCache`, whose file is valid only for the code that
 wrote it.
@@ -35,7 +36,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core.idinfer import annotate_plan
-from ..errors import StaticAnalysisError
 from .diagnostics import (
     ERROR,
     INFO,
@@ -95,19 +95,11 @@ def run_passes(
     return run_table(PASSES, ctx, names, "analysis")
 
 
-def run_catalog_passes(
-    ctx: CatalogContext, names: Optional[Sequence[str]] = None
-) -> AnalysisReport:
-    """Run the selected catalog passes (all, by default) over *ctx*."""
-    return run_table(CATALOG_PASSES, ctx, names, "catalog")
-
-
-def analyze_plan(plan, names=None) -> AnalysisReport:
+def analyze_plan(plan) -> AnalysisReport:
     """Run the plan-level passes over a (possibly un-annotated) plan."""
     if plan.node_id == -1:
         plan = annotate_plan(plan)
-    ctx = AnalysisContext(plan=plan)
-    return run_passes(ctx, names)
+    return run_passes(AnalysisContext(plan=plan))
 
 
 def analyze_generated(generated, db=None, names=None, stats=None) -> AnalysisReport:
@@ -129,27 +121,14 @@ def analyze_generated(generated, db=None, names=None, stats=None) -> AnalysisRep
     return run_passes(ctx, names)
 
 
-def check_generated(generated, db=None, stats=None) -> AnalysisReport:
-    """Strict gate: analyze and raise on error-severity diagnostics."""
-    report = analyze_generated(generated, db=db, stats=stats)
-    if report.has_errors():
-        lines = [d.render() for d in report.errors]
-        raise StaticAnalysisError(
-            f"static analysis rejected the generated plan for "
-            f"{generated.view_name!r}:\n" + "\n".join(lines)
-        )
-    return report
-
-
-def analyze_catalog(views, names=None) -> AnalysisReport:
+def analyze_catalog(views) -> AnalysisReport:
     """Run the catalog-scoped passes over per-view facts.
 
     *views* is an iterable of :class:`~repro.analysis.sharing.
     CatalogViewFacts` (build them with :func:`view_facts`, or replay
     them from the analysis cache).
     """
-    ctx = CatalogContext(views=list(views))
-    return run_catalog_passes(ctx, names)
+    return run_table(CATALOG_PASSES, CatalogContext(views=list(views)), None, "catalog")
 
 
 __all__ = [
@@ -168,11 +147,9 @@ __all__ = [
     "pass_names",
     "catalog_pass_names",
     "run_passes",
-    "run_catalog_passes",
     "analyze_plan",
     "analyze_generated",
     "analyze_catalog",
-    "check_generated",
     "view_facts",
     "plan_fingerprint",
     "plan_fingerprints",

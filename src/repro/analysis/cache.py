@@ -18,8 +18,7 @@ truncated or garbage cache file is treated as empty — corruption can
 cost a cold re-analysis, never a wrong report.
 
 ``repro lint --cache-dir DIR`` is the one user; without the flag it
-caches nothing.  The strict engine gate
-(:func:`repro.analysis.check_generated`) always re-runs the passes.
+caches nothing.
 """
 
 from __future__ import annotations

@@ -260,7 +260,7 @@ class CostInferenceError(Exception):
 
 
 class _CostWalker:
-    def __init__(self, generated: object, stats: PlanStats, nominal_card: float):
+    def __init__(self, generated: object, stats: PlanStats):
         self.plan: PlanNode = generated.plan  # type: ignore[attr-defined]
         self.script = generated.script  # type: ignore[attr-defined]
         self.model = ScriptCostModel(generated.view_name)  # type: ignore[attr-defined]
@@ -276,7 +276,7 @@ class _CostWalker:
         for schema in generated.base_schemas:  # type: ignore[attr-defined]
             name = schema_instance_name(schema)
             self.diff_schemas[name] = schema
-            self.model.estimate(card_symbol(name), nominal_card)
+            self.model.estimate(card_symbol(name), NOMINAL_DIFF_CARD)
 
     # -- symbols -------------------------------------------------------
     def _sym(self, name: str, estimate: float) -> CostExpr:
@@ -714,10 +714,7 @@ def _emitted_schema(gnode: GroupBy, kind: str) -> DiffSchema:
 # entry points
 # ----------------------------------------------------------------------
 def infer_script_cost(
-    generated: object,
-    db: Database,
-    nominal_card: float = NOMINAL_DIFF_CARD,
-    stats: Optional[PlanStats] = None,
+    generated: object, db: Database, stats: Optional[PlanStats] = None
 ) -> ScriptCostModel:
     """Symbolic per-phase cost model for a :class:`GeneratedPlan`.
 
@@ -727,23 +724,21 @@ def infer_script_cost(
     cost; inside a definition it is called through :func:`price_script`,
     which turns any exception into "no model available".
     """
-    return _CostWalker(generated, stats or PlanStats(db), nominal_card).walk()
+    return _CostWalker(generated, stats or PlanStats(db)).walk()
 
 
 def price_script(
-    generated: GeneratedPlan, stats: PlanStats, fallbacks: str, strict: bool = False
+    generated: GeneratedPlan, stats: PlanStats, fallbacks: str
 ) -> Optional[ScriptCostModel]:
     """The cost model of *generated* from the definition's *stats*, or
     None when inference fails — the one guarded :func:`infer_script_cost`.
     A failure is counted as ``<fallbacks><view>``
     (:data:`COST_MODEL_FALLBACKS` or :data:`COST_SELECT_FALLBACKS`) and
-    printed by ``repro explain``; under *strict* it is re-raised instead,
-    which is also how to see why."""
+    printed by ``repro explain``; calling :func:`infer_script_cost`
+    on the same script shows why."""
     try:
         return infer_script_cost(generated, stats.db, stats=stats)
     except Exception:
-        if strict:
-            raise
         metrics.counter(f"{fallbacks}{generated.view_name}").inc()
         return None
 
@@ -767,7 +762,6 @@ class CostDeviation:
 def reconcile_counts(
     predicted: Mapping[str, Mapping[str, float]],
     measured: Mapping[str, Mapping[str, float]],
-    tolerances: Optional[Mapping[str, tuple[float, float]]] = None,
 ) -> list[CostDeviation]:
     """Compare per-phase predicted vs measured counts (COST503 policy).
 
@@ -776,14 +770,11 @@ def reconcile_counts(
     outside the four script phases are ignored (instance population and
     setup are not part of the ∆-script).
     """
-    tol = dict(RECONCILE_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     deviations: list[CostDeviation] = []
     for phase in SCRIPT_PHASES:
         measured_phase = measured.get(phase, {})
         predicted_phase = predicted.get(phase, {})
-        for metric, (rel, abs_slack) in tol.items():
+        for metric, (rel, abs_slack) in RECONCILE_TOLERANCES.items():
             m = float(measured_phase.get(metric, 0.0))
             p = float(predicted_phase.get(metric, 0.0))
             if m > p * (1.0 + rel) + abs_slack:
@@ -909,15 +900,13 @@ def define_script(
     optimize: bool = True,
     cache_policy: str = "equi",
     view_reuse: bool = False,
-    strict: bool = False,
     cost_select: bool = True,
     rules: RuleSet = ID_RULES,
 ) -> GeneratedPlan:
     """The ∆-script a view ships and its cost model
     (``generated.cost_model``), decided once from the definition's
     *stats*: generate (:class:`ScriptGenerator`, with *rules*), price,
-    select, and under *strict* the analyzer's gate
-    (:func:`repro.analysis.check_generated`).  A t-diff script
+    and select; the analyzer's gate is :func:`lint_definition`.  A t-diff script
     (``rules.full_rows``, the tuple-based baseline) is generated only:
     the cost model and the analyzer speak of i-diff scripts.
 
@@ -931,32 +920,36 @@ def define_script(
     generated = generator.generate(rules.base_schemas(generator.plan, stats.db))
     if rules.full_rows:
         return generated
-    generated.cost_model = price_script(generated, stats, COST_MODEL_FALLBACKS, strict)
+    generated.cost_model = price_script(generated, stats, COST_MODEL_FALLBACKS)
     if cost_select and cache_policy != "never" and generated.cost_model is not None:
         candidate = _alternative(generated, optimize, "never", view_reuse)
-        candidate.cost_model = price_script(candidate, stats, COST_SELECT_FALLBACKS, strict)
+        candidate.cost_model = price_script(candidate, stats, COST_SELECT_FALLBACKS)
         if candidate.cost_model is not None and dominated_by(
             generated.cost_model, candidate.cost_model, _families(generated)
         ):
             generated = candidate
-    if strict:
-        from . import check_generated  # deferred: the package imports this module
-
-        check_generated(generated, db=stats.db, stats=stats)
     return generated
+
+
+def define_alone(label: str, plan: PlanNode, db: Database) -> tuple[GeneratedPlan, PlanStats]:
+    """The script an engine would ship for *plan* over *db*
+    (:func:`define_script` with the engines' defaults) and the
+    :class:`PlanStats` it was decided from, outside any engine."""
+    stats = PlanStats(db)
+    return define_script(label, plan, stats), stats
 
 
 def lint_definition(
     label: str, plan: PlanNode, db: Database
 ) -> tuple[GeneratedPlan, AnalysisReport]:
     """``(generated, report)`` for one view of ``repro lint``: the script
-    an engine would ship (:func:`define_script`) and the analyzer's report
+    an engine would ship (:func:`define_alone`) and the analyzer's report
     on it, both read from one :class:`PlanStats` — the lint's counterpart
-    of ``MaintenanceEngine.define_view``."""
+    of ``MaintenanceEngine.define_view``, and the gate every shipped
+    view and every fuzz case passes."""
     from . import analyze_generated  # deferred: the package imports this module
 
-    stats = PlanStats(db)
-    generated = define_script(label, plan, stats)
+    generated, stats = define_alone(label, plan, db)
     return generated, analyze_generated(generated, db=db, stats=stats)
 
 

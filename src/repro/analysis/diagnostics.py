@@ -6,8 +6,8 @@ node, a script step, or a free-form anchor), a message, and an optional
 fix hint.  Severity policy:
 
 * ``error`` — the generated program is wrong or will crash: maintenance
-  results can diverge from recomputation.  ``repro lint`` exits nonzero;
-  a strict generator refuses to emit the script.
+  results can diverge from recomputation.  ``repro lint`` exits nonzero
+  and the fuzzer reports an ``analysis`` divergence.
 * ``warning`` — legal but suspicious; a known hazard class that needs
   data to bite (e.g. a NULL-unsafe equi key over a column that happens
   never to hold NULL).

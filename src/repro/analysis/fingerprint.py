@@ -343,15 +343,14 @@ class _PlanWalker:
         return doc
 
 
-def plan_fingerprints(
-    plan: PlanNode, db: Optional[Database] = None, alpha: bool = True
-) -> dict[int, str]:
-    """Fingerprint of every *annotated* sub-plan, keyed by ``node_id``.
+def plan_fingerprints(plan: PlanNode, db: Optional[Database] = None) -> dict[int, str]:
+    """Alpha fingerprint of every *annotated* sub-plan, keyed by
+    ``node_id``.
 
     Nodes still carrying the pre-annotation ``node_id == -1`` are
     fingerprinted (their parents need them) but omitted from the map.
     """
-    walker = _PlanWalker(db, alpha)
+    walker = _PlanWalker(db, True)
     walker.visit(plan)
     return dict(walker.by_node_id)
 
@@ -427,10 +426,10 @@ class _ScriptWalker:
             [self._attr_ref(a, cols) for a in schema.post_attrs],
         ]
 
-    def _env(self, columns: tuple[str, ...], prefix: str = "") -> dict[str, Doc]:
+    def _env(self, columns: tuple[str, ...]) -> dict[str, Doc]:
         if self.alpha:
-            return {prefix + c: [prefix or "p", i] for i, c in enumerate(columns)}
-        return {prefix + c: prefix + c for c in columns}
+            return {c: ["p", i] for i, c in enumerate(columns)}
+        return {c: c for c in columns}
 
     def ir_doc(self, node: IrNode) -> Doc:
         alpha = self.alpha

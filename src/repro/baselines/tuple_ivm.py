@@ -19,5 +19,5 @@ class TupleIvmEngine(IdIvmEngine):
 
     rules = TUPLE_RULES
 
-    def __init__(self, db: Database, strict: bool = False):
-        super().__init__(db, cache_policy="never", strict=strict)
+    def __init__(self, db: Database):
+        super().__init__(db, cache_policy="never")

@@ -156,16 +156,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"(compile.subview_fallbacks): {'; '.join(falling_back)}"
         )
     for family, what, consequence in (
-        (COST_MODEL_FALLBACKS, "no cost model (inferring it failed",
+        (COST_MODEL_FALLBACKS, "no cost model (inferring it failed)",
          "the view runs without predictions or a drift signal"),
-        (COST_SELECT_FALLBACKS, "script not cost-selected (pricing its candidate failed",
+        (COST_SELECT_FALLBACKS, "script not cost-selected (pricing its candidate failed)",
          "the requested script runs as generated"),
     ):
         if family + view.name in metrics.registry().names():
-            print(
-                f"-- {what}; a strict=True engine re-raises the error): "
-                f"{consequence} ({family.rstrip('.')})"
-            )
+            print(f"-- {what}: {consequence} ({family.rstrip('.')})")
     if args.compiled:
         print()
         print("-- generated code: per compute step, γ node and subview read " + "-" * 3)

@@ -308,20 +308,14 @@ def delete_schema_for(table_schema) -> DiffSchema:
     )
 
 
-def update_schema_for(
-    table_schema, post_attrs: Sequence[str], pre_attrs: Sequence[str] | None = None
-) -> DiffSchema:
-    """An update i-diff schema with full key and the given post attrs.
-
-    *pre_attrs* defaults to all non-key attributes (the schema generator's
-    choice: pre-state values only ever help — Section 5).
-    """
-    if pre_attrs is None:
-        pre_attrs = table_schema.non_key_columns
+def update_schema_for(table_schema, post_attrs: Sequence[str]) -> DiffSchema:
+    """An update i-diff schema with full key, the given post attrs and
+    every non-key attribute as a pre attr (the schema generator's
+    choice: pre-state values only ever help — Section 5)."""
     return DiffSchema(
         UPDATE,
         table_schema.name,
         table_schema.key,
-        pre_attrs=tuple(pre_attrs),
+        pre_attrs=tuple(table_schema.non_key_columns),
         post_attrs=tuple(post_attrs),
     )

@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Optional
 
 from ..algebra.evaluate import materialize
 from ..algebra.plan import PlanNode
-from ..errors import DiffError, IntegrityError, ScriptError, UnknownTableError
+from ..errors import DiffError, ScriptError, UnknownTableError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
@@ -210,14 +210,14 @@ class MaintenanceEngine:
     ``Input_pre`` (``view.pre_tables``) and the tables its maintenance
     writes (``view.written_tables``)."""
 
-    def __init__(self, db: Database, strict: bool = False):
+    def __init__(self, db: Database):
         self.db = db
         self.log = ModificationLog(db)
         #: freshness + drift telemetry (repro.obs); freshness reads the
         #: log's cursors, so staleness is queryable at any instant.
         self.freshness = FreshnessTracker(self.log)
         self.drift = DriftMonitor()
-        self._pre = PreState(db, strict=strict)
+        self._pre = PreState(db)
         self.views: dict = {}
         #: ``view.round_seconds.<view>``, held once per view
         self._view_seconds: dict[str, metrics.Handle] = {}
@@ -341,6 +341,12 @@ class MaintenanceEngine:
                             for table in written:
                                 table.end_journal(commit=False)
                             _VIEW_ROLLBACKS().inc()
+                            # the views of the group that committed keep
+                            # their telemetry
+                            self._finish_round(
+                                [reports[v.name] for v in groups[cursor] if v.name in reports],
+                                entries,
+                            )
                             raise
                         for table in written:
                             table.end_journal()
@@ -409,7 +415,6 @@ class IdIvmEngine(MaintenanceEngine):
         optimize: bool = True,
         cache_policy: str = "equi",
         view_reuse: bool = False,
-        strict: bool = False,
         exec_backend: str = "compiled",
         cost_select: bool = True,
     ):
@@ -417,7 +422,7 @@ class IdIvmEngine(MaintenanceEngine):
         #: bound at define time, "interp" walks the IR per round
         #: (identical counts).
         self.exec_backend = check_backend(exec_backend)
-        super().__init__(db, strict=strict)
+        super().__init__(db)
         self.optimize = optimize
         self.cache_policy = cache_policy
         #: let the generator compare candidate scripts under the symbolic
@@ -425,9 +430,6 @@ class IdIvmEngine(MaintenanceEngine):
         #: Disable to study the un-selected pipeline (ablations, drift
         #: demos, the crosscheck "eager" strategy).
         self.cost_select = cost_select
-        #: refuse view definitions whose generated plans fail the static
-        #: analyzer (repro.analysis) with error-severity diagnostics
-        self.strict = strict
         #: Section 9 extension: answer insert probes from the view when
         #: the probed tables are untouched in a batch.  Off by default to
         #: keep the paper's cost profile.
@@ -447,7 +449,7 @@ class IdIvmEngine(MaintenanceEngine):
 
         generated = define_script(name, annotated, stats, optimize=self.optimize,
                                   cache_policy=self.cache_policy,
-                                  view_reuse=self.view_reuse, strict=self.strict,
+                                  view_reuse=self.view_reuse,
                                   cost_select=self.cost_select and self.optimize,
                                   rules=self.rules)
         annotated = generated.plan
@@ -611,13 +613,12 @@ class PreState:
     counting into the live counters; reading another table raises.
     """
 
-    def __init__(self, live: Database, tables: frozenset[str] = frozenset(), strict: bool = False):
+    def __init__(self, live: Database, tables: frozenset[str] = frozenset()):
         self.live = live
         self.tables = frozenset(tables)
         self.db: Optional[Database] = None
         #: the log position the replica reflects
         self.position = 0
-        self.strict = strict
 
     def declare(self, tables: frozenset[str]) -> None:
         """Replicate *tables* too: a replica lacking one is dropped, and
@@ -629,14 +630,10 @@ class PreState:
     def begin(self, entries) -> Database:
         """The replicated tables as they were before *entries*.  A replica
         that does not account for the live tables — something changed
-        behind the log's back — is rebuilt and counted, or refused if
-        strict."""
+        behind the log's back — is rebuilt and counted
+        (``engine.prestate_rebuilds``)."""
         if self.db is not None and not self._accounts_for(entries):
             self.db = None
-            if self.strict:
-                raise IntegrityError(
-                    "pre-state replica is stale: the database changed outside the log"
-                )
             metrics.counter("engine.prestate_rebuilds").inc()
         if self.db is None:
             self.db = _reconstruct_pre(self.live, entries, self.tables)

@@ -191,9 +191,9 @@ def has_mvd_risk(node: PlanNode, policy: str = "equi") -> bool:
 
 class ScriptGenerator:
     """Generates a :class:`GeneratedPlan` for one view definition: Passes
-    1–4 and nothing else — pricing, cost selection and the strict
-    analyzer gate are the definition pipeline's
-    (``repro.analysis.cost.define_script``)."""
+    1–4 and nothing else — pricing and cost selection are the
+    definition pipeline's (``repro.analysis.cost.define_script``), the
+    analyzer gate is ``repro.analysis.cost.lint_definition``."""
 
     def __init__(
         self,

@@ -23,11 +23,8 @@ That disjointness claim has one static proof — the router's veto walk
 only when every counted operation is anchor-local — and one run-time
 check: the **dynamic race detector**, ``race_check=True`` on this
 engine, asserts pairwise key-disjointness of the shards' journaled
-write-sets.  Under
-``race_check="strict"`` an overlap raises
-:class:`~repro.errors.ShardRaceError` (naming the table, key and
-shards); under plain ``True`` it records a ``shard.race_overlaps``
-metric and the overlap list on the round report.
+write-sets and records an overlap as the ``shard.race_overlaps``
+metric and as the (table, key, shards) list on the round report.
 
 Both backends speak one shard protocol —
 :func:`repro.shard.workers.run_shard` produces (per-phase counts,
@@ -55,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import SchemaError, ShardRaceError
+from ..errors import SchemaError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.hist import LogHistogram
@@ -162,7 +159,7 @@ class ShardedEngine(IdIvmEngine):
         db: Database,
         shards: int = 2,
         backend: str = "inline",
-        race_check: "bool | str" = False,
+        race_check: bool = False,
         **kwargs,
     ):
         if shards < 1:
@@ -171,15 +168,12 @@ class ShardedEngine(IdIvmEngine):
             raise SchemaError(
                 f"unknown shard backend {backend!r}; expected one of {BACKENDS}"
             )
-        if race_check not in (False, True, "strict"):
-            raise SchemaError(
-                f"race_check must be False, True or 'strict', got {race_check!r}"
-            )
+        if not isinstance(race_check, bool):
+            raise SchemaError(f"race_check must be a bool, got {race_check!r}")
         self.shards = shards
         self.backend = backend
-        #: dynamic race detector: False (off), True (record overlaps as
-        #: the ``shard.race_overlaps`` metric + on the round report) or
-        #: "strict" (raise :class:`ShardRaceError` before merging).
+        #: dynamic race detector: record overlaps as the
+        #: ``shard.race_overlaps`` metric and on the round report.
         self.race_check = race_check
         #: lazily spawned process pool (``backend="process"`` only): the
         #: first provably-parallel round pays the spawn + bootstrap cost,
@@ -294,9 +288,8 @@ class ShardedEngine(IdIvmEngine):
             return self._merge_shards(view, plan, results, uncaptured)
         pool = self._ensure_pool(entries)
         results = self._shards_in_workers(pool, view, shard_instances, plan)
-        # Merging checks the write-sets' pairwise disjointness BEFORE any
-        # of them reaches the coordinator's tables: under "strict" a racy
-        # round leaves the authoritative state untouched.
+        # Merging records the write-sets' overlaps (race_check) before
+        # any of them reaches the coordinator's tables.
         report = self._merge_shards(view, plan, results, ())
         merged_writes: dict[str, list[tuple]] = {}
         for _, writes, _, _ in results:
@@ -408,16 +401,13 @@ class ShardedEngine(IdIvmEngine):
                 self.db.counters.merge(counts)
         if self.race_check:
             self._handle_race(
-                view.name, report,
-                _writeset_overlaps([writes for _, writes, _, _ in results]),
-                uncaptured,
+                report, _writeset_overlaps([writes for _, writes, _, _ in results]), uncaptured
             )
         return report
 
     # ------------------------------------------------------------------
     def _handle_race(
         self,
-        view_name: str,
         report: ShardedMaintenanceReport,
         overlaps: list[tuple[str, tuple, tuple[int, ...]]],
         uncaptured,
@@ -430,15 +420,3 @@ class ShardedEngine(IdIvmEngine):
             return
         metrics.counter("shard.race_overlaps").inc(len(overlaps))
         report.race_overlaps = overlaps
-        if self.race_check == "strict":
-            shown = "; ".join(
-                f"{tag} key {key!r} written by shards {list(shards)}"
-                for tag, key, shards in overlaps[:5]
-            )
-            more = f" (+{len(overlaps) - 5} more)" if len(overlaps) > 5 else ""
-            raise ShardRaceError(
-                f"parallel round for view {view_name!r} produced "
-                f"overlapping per-shard write-sets — the shard-disjointness "
-                f"claim is violated: {shown}{more}",
-                overlaps=overlaps,
-            )

@@ -360,8 +360,9 @@ class ScriptCostModel:
         state["_predict_memo"] = {}
         return state
 
-    def total(self, env: Optional[Mapping[str, float]] = None) -> float:
-        return sum(p["total"] for p in self.predict(env).values())
+    def total(self) -> float:
+        """Predicted accesses per round at the symbols' estimates."""
+        return sum(p["total"] for p in self.predict().values())
 
     def evaluate_vector(
         self, vector: CostVector, env: Optional[Mapping[str, float]] = None
@@ -383,7 +384,7 @@ class ScriptCostModel:
         return out
 
     # -- display -------------------------------------------------------
-    def render(self, include_steps: bool = False) -> str:
+    def render(self) -> str:
         lines = [f"symbolic cost model for view {self.view_name!r}:"]
         for phase, vector in sorted(self.phases.items()):
             lines.append(f"  {phase}:")
@@ -398,10 +399,6 @@ class ScriptCostModel:
             lines.append("  symbol estimates:")
             for symbol, value in sorted(self.estimates.items()):
                 lines.append(f"    {symbol} ≈ {_fmt(value)}")
-        if include_steps:
-            lines.append("  per-step attribution:")
-            for step in self.steps:
-                lines.append(f"    [{step.phase}] {step.label}: {step.vector.render()}")
         return "\n".join(lines)
 
 

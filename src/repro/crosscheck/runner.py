@@ -439,8 +439,11 @@ def analyze_case(case: Mapping) -> AnalysisReport:
 def fingerprint_check(case: Mapping) -> tuple[AnalysisReport, Optional[str]]:
     """Twin-definition fingerprint determinism check.
 
-    Defines the case's view twice, fully independently, and compares the
-    exact (syntactic) fingerprints of the two shipped scripts.
+    Defines the case's view twice, fully independently — the first
+    through :func:`repro.analysis.cost.lint_definition`, the twin through
+    :func:`repro.analysis.cost.define_alone`, the same pipeline without
+    the analyzer — and compares the exact (syntactic) fingerprints of
+    the two shipped scripts.
     Definition is supposed to be a pure function of (plan, statistics);
     a mismatch means some ambient state (hash ordering, caching, RNG)
     leaked into plan or script structure — exactly the bug class the
@@ -448,10 +451,13 @@ def fingerprint_check(case: Mapping) -> tuple[AnalysisReport, Optional[str]]:
     report on the first twin and a detail string on mismatch (None when
     the twins agree).
     """
-    twins = [_define(case) for _ in range(2)]
-    first, second = (generated_fingerprint(g, db, alpha=False) for g, _, db in twins)
+    generated, report, db = _define(case)
+    twin_db = build_database(case)
+    twin, _ = cost.define_alone("V", build_plan(case["plan"], twin_db), twin_db)
+    first = generated_fingerprint(generated, db, alpha=False)
+    second = generated_fingerprint(twin, twin_db, alpha=False)
     mismatch = f"twin definitions fingerprint {first} != {second}" if first != second else None
-    return twins[0][1], mismatch
+    return report, mismatch
 
 
 def run_case(

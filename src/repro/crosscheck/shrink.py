@@ -27,7 +27,7 @@ from .spec import plan_tables
 #: Ceiling on candidate evaluations (each runs the failing strategies
 #: plus the oracle over the whole case).  Generated cases are tiny, so
 #: the fixed point normally lands well under this.
-DEFAULT_MAX_TRIALS = 600
+MAX_TRIALS = 600
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +270,6 @@ def shrink_case(
     result: Optional[CaseResult] = None,
     *,
     predicate: Optional[Callable[[Mapping], bool]] = None,
-    max_trials: int = DEFAULT_MAX_TRIALS,
 ) -> dict:
     """Minimize a failing case while it keeps failing the same way.
 
@@ -296,11 +295,11 @@ def shrink_case(
 
     current = copy.deepcopy(case)
     progress = True
-    while progress and trials < max_trials:
+    while progress and trials < MAX_TRIALS:
         progress = False
         for reduce_pass in _PASSES:
             for candidate in reduce_pass(current):
-                if trials >= max_trials:
+                if trials >= MAX_TRIALS:
                     break
                 trials += 1
                 try:

@@ -67,35 +67,6 @@ class WorkloadError(ReproError):
     """A workload generator received inconsistent parameters."""
 
 
-class StaticAnalysisError(ReproError):
-    """The static analyzer found error-severity diagnostics in strict mode.
-
-    Raised by :class:`~repro.core.generator.ScriptGenerator` (and hence
-    :class:`~repro.core.engine.IdIvmEngine`) when constructed with
-    ``strict=True`` and the generated ∆-script fails verification.
-    """
-
-
-class ShardRaceError(ReproError):
-    """The dynamic race detector found overlapping per-shard write-sets.
-
-    Raised by :class:`~repro.core.sharded.ShardedEngine` under
-    ``race_check="strict"`` when two shard workers of one parallel
-    maintenance round wrote the same key of the same table — the
-    condition the shard router's static proof is supposed to exclude.
-    Carries the offending triples in :attr:`overlaps`.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        overlaps: "list[tuple[str, tuple, tuple[int, ...]]] | None" = None,
-    ):
-        super().__init__(message)
-        #: list of (table name, key, shard indices) triples
-        self.overlaps = overlaps or []
-
-
 class WireError(ReproError):
     """A value could not be encoded for (or decoded from) the compact
     cross-process wire format of :mod:`repro.core.wire`.

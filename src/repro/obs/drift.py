@@ -10,11 +10,11 @@ script phases).
 
 A calibrated model hovers near 1.0.  Sustained deviation is *drift*:
 
-* ratio **below** ``low`` — the model persistently over-predicts.  This
+* ratio **below** ``LOW`` — the model persistently over-predicts.  This
   is the signature of the negative-benefit caches COST502 flags
   statically (the model charges cache bookkeeping the workload never
   exercises), now confirmed by live counters.
-* ratio **above** ``high`` — observed work exceeds the predicted upper
+* ratio **above** ``HIGH`` — observed work exceeds the predicted upper
   bound round after round; the model misses an access path (the chronic
   form of COST503).
 
@@ -38,6 +38,23 @@ DRIFT_METRICS = ("index_lookups", "tuple_reads", "tuple_writes")
 #: rounds and zero predictions stay finite and well-behaved.
 _SMOOTHING = 1.0
 
+#: EWMA smoothing factor (weight of the newest round).
+ALPHA = 0.3
+#: Rounds of evidence required before a ratio can alert — a single
+#: unlucky batch is variance, not drift.
+MIN_ROUNDS = 3
+#: Alert thresholds on the EWMA ratio, deliberately asymmetric: the
+#: model is a documented upper bound, so mild over-prediction is
+#: expected and only a sustained EWMA below ``LOW`` (less than ~80% of
+#: predicted work materializing) counts as drift, while *any* sustained
+#: under-prediction beyond COST503's per-round tolerance is suspicious.
+LOW = 0.8
+HIGH = 1.25
+#: (view, metric) series whose per-round predicted *and* observed counts
+#: are both below this are ignored — ratios over a handful of accesses
+#: are noise.
+MIN_VOLUME = 8.0
+
 
 class DriftState:
     """EWMA state for one (view, metric) ratio series."""
@@ -54,13 +71,13 @@ class DriftState:
         self.observed_total = 0.0
         self.predicted_total = 0.0
 
-    def update(self, ratio: float, alpha: float) -> None:
+    def update(self, ratio: float) -> None:
         self.last_ratio = ratio
         self.rounds += 1
         if self.ewma is None:
             self.ewma = ratio
         else:
-            self.ewma = alpha * ratio + (1.0 - alpha) * self.ewma
+            self.ewma = ALPHA * ratio + (1.0 - ALPHA) * self.ewma
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -82,7 +99,7 @@ class DriftAlert:
         self.metric = metric
         self.ewma = ewma
         self.rounds = rounds
-        #: ``"over_predicted"`` (ewma < low) or ``"under_predicted"``.
+        #: ``"over_predicted"`` (ewma < LOW) or ``"under_predicted"``.
         self.kind = kind
 
     def render(self) -> str:
@@ -105,41 +122,11 @@ class DriftAlert:
 
 
 class DriftMonitor:
-    """Per-view EWMA drift tracker over maintenance reports.
+    """Per-view EWMA drift tracker over maintenance reports, with the
+    thresholds of this module (:data:`ALPHA`, :data:`MIN_ROUNDS`,
+    :data:`LOW` / :data:`HIGH`, :data:`MIN_VOLUME`)."""
 
-    Parameters
-    ----------
-    alpha:
-        EWMA smoothing factor (weight of the newest round).
-    min_rounds:
-        Rounds of evidence required before a ratio can alert — a single
-        unlucky batch is variance, not drift.
-    low / high:
-        Alert thresholds on the EWMA ratio.  The defaults are
-        deliberately asymmetric: the model is a documented upper bound,
-        so mild over-prediction is expected and only a sustained EWMA
-        below ``low`` (less than ~80% of predicted work materializing)
-        counts as drift, while *any* sustained under-prediction beyond
-        COST503's per-round tolerance is suspicious.
-    min_volume:
-        Ignore (view, metric) series whose per-round predicted *and*
-        observed counts are both below this — ratios over a handful of
-        accesses are noise.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        min_rounds: int = 3,
-        low: float = 0.8,
-        high: float = 1.25,
-        min_volume: float = 8.0,
-    ):
-        self.alpha = alpha
-        self.min_rounds = min_rounds
-        self.low = low
-        self.high = high
-        self.min_volume = min_volume
+    def __init__(self):
         self._states: dict[tuple[str, str], DriftState] = {}
         from ..analysis.cost import SCRIPT_PHASES  # deferred: it imports obs
 
@@ -167,7 +154,7 @@ class DriftMonitor:
                 p += predicted_counts.get(metric, 0.0)
             for counts in observed:
                 o += getattr(counts, metric)
-            if p < self.min_volume and o < self.min_volume:
+            if p < MIN_VOLUME and o < MIN_VOLUME:
                 continue
             state = self._states.get((view, metric))
             if state is None:
@@ -175,7 +162,7 @@ class DriftMonitor:
                 self._states[(view, metric)] = state
             state.observed_total += o
             state.predicted_total += p
-            state.update((o + _SMOOTHING) / (p + _SMOOTHING), self.alpha)
+            state.update((o + _SMOOTHING) / (p + _SMOOTHING))
 
     # ------------------------------------------------------------------
     def states(self) -> list[DriftState]:
@@ -186,20 +173,20 @@ class DriftMonitor:
         return state.ewma if state is not None else None
 
     def alerts(self) -> list[DriftAlert]:
-        """Every (view, metric) whose EWMA sits outside [low, high] with
-        at least ``min_rounds`` rounds of evidence."""
+        """Every (view, metric) whose EWMA sits outside [LOW, HIGH] with
+        at least :data:`MIN_ROUNDS` rounds of evidence."""
         out: list[DriftAlert] = []
         for state in self.states():
-            if state.rounds < self.min_rounds or state.ewma is None:
+            if state.rounds < MIN_ROUNDS or state.ewma is None:
                 continue
-            if state.ewma < self.low:
+            if state.ewma < LOW:
                 out.append(
                     DriftAlert(
                         state.view, state.metric, state.ewma, state.rounds,
                         "over_predicted",
                     )
                 )
-            elif state.ewma > self.high:
+            elif state.ewma > HIGH:
                 out.append(
                     DriftAlert(
                         state.view, state.metric, state.ewma, state.rounds,
@@ -220,10 +207,10 @@ class DriftMonitor:
             "views": views,
             "alerts": [alert.as_dict() for alert in self.alerts()],
             "thresholds": {
-                "low": self.low,
-                "high": self.high,
-                "alpha": self.alpha,
-                "min_rounds": self.min_rounds,
-                "min_volume": self.min_volume,
+                "low": LOW,
+                "high": HIGH,
+                "alpha": ALPHA,
+                "min_rounds": MIN_ROUNDS,
+                "min_volume": MIN_VOLUME,
             },
         }

@@ -142,11 +142,10 @@ class FreshnessTracker:
             name, log.position - cursor, seconds_behind, self._state(name).rounds
         )
 
-    def report(self, now: Optional[float] = None) -> dict[str, Any]:
+    def report(self) -> dict[str, Any]:
         """JSON-ready freshness report for every defined view; the global
         observed lag is the merge of the per-view histograms."""
-        if now is None:
-            now = self.log.clock()
+        now = self.log.clock()
         views: dict[str, Any] = {}
         for name in self.views():
             record = self.staleness(name, now).as_dict()

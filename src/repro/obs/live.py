@@ -109,9 +109,9 @@ class DemoLoop:
             return True
         return self._thread.is_alive()
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Signal the loop and join it (bounded)."""
+    def stop(self) -> None:
+        """Signal the loop and join it (for at most ten seconds)."""
         self._stop.set()
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=10.0)
             self._thread = None

@@ -60,7 +60,7 @@ def _quantiles(snapshot: dict, name: str) -> dict[str, Optional[float]]:
     return hist.quantile_summary()
 
 
-def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
+def render_dashboard(snapshot: dict[str, Any]) -> str:
     """One dashboard frame (plain text) from a ``/snapshot`` document."""
     lines: list[str] = []
     freshness = snapshot.get("freshness", {})
@@ -72,7 +72,7 @@ def render_dashboard(snapshot: dict[str, Any], width: int = 100) -> str:
     rounds_metric = metrics_map.get("engine.maintain_rounds", {}).get("value")
     header = "repro top — idIVM freshness / latency / drift"
     lines.append(header)
-    lines.append("=" * min(width, len(header) + 10))
+    lines.append("=" * (len(header) + 10))
 
     round_q = _quantiles(snapshot, "engine.round_seconds")
     lines.append(

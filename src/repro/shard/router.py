@@ -55,7 +55,7 @@ worker process.  Disjointness of the touched rows is exactly what makes
 the shards' write-sets safe to merge.
 
 This walk (:func:`plan_route` → ``_analyze_step`` / ``_analyze_ir``) is
-the one static proof of that disjointness; the ``race_check`` mode of
+the one static proof of that disjointness; ``race_check=True`` on
 :class:`~repro.core.sharded.ShardedEngine` is the independent run-time
 check on the shards' real write-sets.
 """

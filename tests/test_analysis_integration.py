@@ -1,4 +1,4 @@
-"""Integration points of the static analyzer: the strict generator gate,
+"""Integration points of the static analyzer: the definition gate,
 the ``repro lint`` CLI, the crosscheck runner wiring, the diagnostic
 model, and the schema metadata it all rests on."""
 
@@ -14,10 +14,11 @@ import pytest
 
 from repro.algebra import scan, where
 from repro.analysis import AnalysisContext, RULES, analyze_plan, pass_names, run_passes
+from repro.analysis.cost import lint_definition
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.cli import main
 from repro.core.engine import IdIvmEngine
-from repro.errors import SchemaError, StaticAnalysisError
+from repro.errors import SchemaError
 from repro.expr import Cmp, Col, Lit
 from repro.storage import Database
 from repro.storage.schema import TableSchema
@@ -33,18 +34,17 @@ def make_db() -> Database:
 
 
 # ----------------------------------------------------------------------
-# the strict generator / engine gate
+# the analyzer gate: lint_definition, the pipeline an engine defines with
 # ----------------------------------------------------------------------
-class TestStrictGate:
-    def test_strict_engine_rejects_non_boolean_filter(self):
+class TestAnalyzerGate:
+    def test_lint_definition_reports_non_boolean_filter(self):
         """σ(a) is a TC102 error: the truthiness filter silently drops
-        rows under 3VL.  A strict engine must refuse the definition."""
+        rows under 3VL.  The report on the script an engine would ship
+        names it (``repro lint`` exits 1, the fuzzer diverges)."""
         db = make_db()
-        engine = IdIvmEngine(db, strict=True)
-        with pytest.raises(StaticAnalysisError) as exc:
-            engine.define_view("V", where(scan(db, "t"), Col("a")))
-        assert "TC102" in str(exc.value)
-        assert "V" in str(exc.value)
+        generated, report = lint_definition("V", where(scan(db, "t"), Col("a")), db)
+        assert generated.view_name == "V"
+        assert "TC102" in {d.rule_id for d in report.errors}
 
     def test_default_engine_accepts_the_same_view(self):
         db = make_db()
@@ -52,13 +52,12 @@ class TestStrictGate:
         view = engine.define_view("V", where(scan(db, "t"), Col("a")))
         assert view is engine.views["V"]
 
-    def test_strict_engine_accepts_clean_view(self):
+    def test_lint_definition_passes_clean_view(self):
         db = make_db()
-        engine = IdIvmEngine(db, strict=True)
-        view = engine.define_view(
-            "V", where(scan(db, "t"), Cmp(">", Col("a"), Lit(0)))
+        _generated, report = lint_definition(
+            "V", where(scan(db, "t"), Cmp(">", Col("a"), Lit(0))), db
         )
-        assert view is engine.views["V"]
+        assert not report.has_errors()
 
 
 # ----------------------------------------------------------------------

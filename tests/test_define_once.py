@@ -263,7 +263,7 @@ def test_two_positionals_keep_working():
     db, _engine, view = _define("Vagg")
     model = infer_script_cost(view.generated, db)
     assert model.estimates == view.cost_model.estimates
-    assert infer_script_cost(view.generated, db, 4.0).estimates != {}
+    assert infer_script_cost(view.generated, db, PlanStats(db)).estimates == model.estimates
     assert set(evaluate_plan(view.plan, db).rows) == view.table.as_set()
 
 
@@ -293,11 +293,6 @@ class TestCostSelectFallback:
         assert metrics.counter("engine.cost_select_fallbacks.Vagg").value == 1
         assert view.cost_model is not None
         assert 'repro_engine_cost_select_fallbacks{view="Vagg"} 1' in render_prometheus()
-
-    def test_strict_engine_refuses(self, monkeypatch):
-        self._break_selection(monkeypatch)
-        with pytest.raises(ZeroDivisionError):
-            _define("Vagg", strict=True)
 
     @pytest.mark.parametrize("name", sorted(VIEWS))
     def test_shipped_views_count_nothing(self, name):

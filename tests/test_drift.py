@@ -8,6 +8,7 @@ from repro.analysis import AnalysisReport
 from repro.analysis.cost import SCRIPT_PHASES, drift_diagnostics
 from repro.core import IdIvmEngine
 from repro.core.engine import MaintenanceReport
+from repro.obs import drift as drift_mod
 from repro.obs.drift import DriftMonitor
 from repro.obs.serve import render_prometheus
 from repro.workloads import BsmaConfig, build_bsma_database, log_user_updates
@@ -33,8 +34,9 @@ class TestDriftMonitor:
         assert monitor.alerts() == []
         assert monitor.ratio("V", "tuple_writes") == pytest.approx(1.0, rel=0.02)
 
-    def test_over_prediction_alerts_after_min_rounds(self):
-        monitor = DriftMonitor(min_rounds=3)
+    def test_over_prediction_alerts_after_min_rounds(self, monkeypatch):
+        monkeypatch.setattr(drift_mod, "MIN_ROUNDS", 3)
+        monitor = DriftMonitor()
         _feed(monitor, "V", predicted=100, observed=20, rounds=2)
         assert monitor.alerts() == []  # not enough evidence yet
         _feed(monitor, "V", predicted=100, observed=20, rounds=1)
@@ -44,35 +46,44 @@ class TestDriftMonitor:
         assert alerts[0].view == "V"
         assert "over-predicts" in alerts[0].render()
 
-    def test_under_prediction_alerts(self):
-        monitor = DriftMonitor(min_rounds=3)
+    def test_under_prediction_alerts(self, monkeypatch):
+        monkeypatch.setattr(drift_mod, "MIN_ROUNDS", 3)
+        monitor = DriftMonitor()
         _feed(monitor, "V", predicted=50, observed=200, rounds=4)
         alerts = monitor.alerts()
         assert len(alerts) == 1
         assert alerts[0].kind == "under_predicted"
 
-    def test_small_volumes_are_ignored(self):
-        monitor = DriftMonitor(min_volume=8.0)
+    def test_small_volumes_are_ignored(self, monkeypatch):
+        monkeypatch.setattr(drift_mod, "MIN_VOLUME", 8.0)
+        monitor = DriftMonitor()
         _feed(monitor, "V", predicted=2, observed=0, rounds=10)
         assert monitor.states() == []
         assert monitor.alerts() == []
+        monkeypatch.setattr(drift_mod, "MIN_VOLUME", 2.0)
+        _feed(monitor, "V", predicted=2, observed=0, rounds=1)
+        assert [s.rounds for s in monitor.states()] == [1]
 
-    def test_ewma_converges_to_new_regime(self):
-        monitor = DriftMonitor(alpha=0.5)
+    def test_ewma_converges_to_new_regime(self, monkeypatch):
+        monkeypatch.setattr(drift_mod, "ALPHA", 0.5)
+        monitor = DriftMonitor()
         _feed(monitor, "V", predicted=100, observed=100, rounds=5)
         _feed(monitor, "V", predicted=100, observed=25, rounds=12)
         assert monitor.ratio("V", "tuple_writes") < 0.3
 
-    def test_snapshot_is_json_shaped(self):
+    def test_snapshot_is_json_shaped(self, monkeypatch):
         import json
 
-        monitor = DriftMonitor(min_rounds=1)
+        monkeypatch.setattr(drift_mod, "MIN_ROUNDS", 1)
+        monitor = DriftMonitor()
         _feed(monitor, "V", predicted=100, observed=10, rounds=2)
         snap = monitor.snapshot()
         json.dumps(snap)  # must not raise
         assert "V" in snap["views"]
         assert snap["alerts"]
-        assert snap["thresholds"]["low"] == monitor.low
+        assert snap["thresholds"] == {
+            "low": 0.8, "high": 1.25, "alpha": 0.3, "min_rounds": 1, "min_volume": 8.0,
+        }
 
 
 #: Seeded BSMA run shared by the acceptance tests below: fast, and big
@@ -110,9 +121,9 @@ class TestEngineDrift:
         assert "Q10" not in alerting
         for view in ("Q7", "Q11", "Q18"):
             ratio = engine.drift.ratio(view, "tuple_writes")
-            assert ratio is not None and ratio < engine.drift.low
+            assert ratio is not None and ratio < drift_mod.LOW
         q10 = engine.drift.ratio("Q10", "tuple_writes")
-        assert q10 is not None and q10 >= engine.drift.low
+        assert q10 is not None and q10 >= drift_mod.LOW
 
     def test_drift_diagnostics_emit_cost504(self):
         engine = _run_seeded_engine()

@@ -192,13 +192,6 @@ class TestCostModelFallback:
         assert engine.define_view("V", build_view_v(running_example_db)).cost_model
         assert not [n for n in metrics.registry().names() if "fallbacks" in n]
 
-    def test_strict_engine_refuses(self, running_example_db, monkeypatch):
-        self._break_inference(monkeypatch)
-        engine = IdIvmEngine(running_example_db, strict=True)
-        with pytest.raises(ZeroDivisionError):
-            engine.define_view("V", build_view_v(running_example_db))
-        assert "V" not in engine.views
-
     def test_explain_prints_the_line_only_when_it_happened(self, monkeypatch, capsys):
         from repro.cli import main
 

@@ -2,8 +2,8 @@
 
 Shard disjointness has one static proof — the router's veto walk
 (:func:`repro.shard.router.plan_route`) — and one run-time check, the
-``race_check`` mode of :class:`ShardedEngine`, which asserts pairwise
-key-disjointness of the shards' captured write-sets.  The central
+``race_check=True`` on :class:`ShardedEngine`, which records every key
+two shards' captured write-sets share.  The central
 fixture here is a deliberately mis-routed view: the test patches the
 router to return a parallel route the real one rejects, and the
 detector must flag it on both execution backends.  Route-independent
@@ -22,7 +22,8 @@ from repro.analysis import analyze_generated, pass_names
 from repro.core.generator import ScriptGenerator
 from repro.core.schema_gen import generate_base_schemas
 from repro.core.sharded import ShardedEngine
-from repro.errors import ShardRaceError
+from repro.errors import SchemaError
+from repro.obs import metrics
 from repro.shard.router import RoutePlan, _anchor_mapping
 from repro.workloads import BSMA_QUERIES, BsmaConfig, build_bsma_database, log_user_updates
 from repro.workloads.devices import (
@@ -121,7 +122,7 @@ def _parts_route(script, instances, db, n_shards):
     )
 
 
-def _misrouted_engine(monkeypatch, backend, race_check):
+def _misrouted_engine(monkeypatch, backend):
     """The devices aggregate view γ(did; sum(price)) with its rounds
     FORCED onto anchor ``parts``.  The router proves γ drops the parts
     anchor from its group keys and would broadcast; the patched router
@@ -131,7 +132,7 @@ def _misrouted_engine(monkeypatch, backend, race_check):
     cfg = DEV_CONFIG
     db = build_database(cfg)
     plan = build_aggregate_view(db, cfg)
-    engine = ShardedEngine(db, shards=2, backend=backend, race_check=race_check)
+    engine = ShardedEngine(db, shards=2, backend=backend, race_check=True)
     engine.define_view("agg", plan)
     engine.maintain()
     monkeypatch.setattr("repro.core.sharded.plan_route", _parts_route)
@@ -140,14 +141,15 @@ def _misrouted_engine(monkeypatch, backend, race_check):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestDynamicDetector:
-    def test_strict_raises_shard_race_error(self, backend, monkeypatch):
-        engine, db, cfg = _misrouted_engine(monkeypatch, backend, race_check="strict")
+    def test_default_mode_records_overlaps_without_raising(self, backend, monkeypatch):
+        engine, db, cfg = _misrouted_engine(monkeypatch, backend)
         try:
             apply_price_updates(engine, db, cfg, round_seed=1)
-            with pytest.raises(ShardRaceError) as exc_info:
-                engine.maintain()
-            overlaps = exc_info.value.overlaps
+            report = engine.maintain()["agg"]
+            assert report.parallel and report.anchor == "parts"
+            overlaps = report.race_overlaps
             assert overlaps
+            assert metrics.counter("shard.race_overlaps").value == len(overlaps)
             # Each overlap names (table tag, key, writing shards).
             for tag, key, shards in overlaps:
                 assert isinstance(tag, str) and isinstance(key, tuple)
@@ -157,20 +159,10 @@ class TestDynamicDetector:
         finally:
             engine.close()
 
-    def test_default_mode_records_overlaps_without_raising(self, backend, monkeypatch):
-        engine, db, cfg = _misrouted_engine(monkeypatch, backend, race_check=True)
-        try:
-            apply_price_updates(engine, db, cfg, round_seed=1)
-            report = engine.maintain()["agg"]
-            assert report.parallel and report.anchor == "parts"
-            assert report.race_overlaps
-        finally:
-            engine.close()
-
-    def test_clean_parallel_round_passes_strict(self, backend):
+    def test_clean_parallel_round_records_no_overlaps(self, backend):
         """Router-approved parallel rounds do not race: on the devices
-        flat view and the BSMA views the router parallelizes, strict
-        race_check finds nothing, at least one round of each view runs
+        flat view and the BSMA views the router parallelizes, the race
+        check records nothing, at least one round of each view runs
         parallel, and every view still matches the recompute oracle."""
         dev_db = build_database(DEV_CONFIG)
         bsma_db = build_bsma_database(BSMA_CONFIG)
@@ -191,9 +183,7 @@ class TestDynamicDetector:
             ),
         ]
         for db, plans, modify in workloads:
-            engine = ShardedEngine(
-                db, shards=2, backend=backend, race_check="strict"
-            )
+            engine = ShardedEngine(db, shards=2, backend=backend, race_check=True)
             try:
                 views = {name: engine.define_view(name, plan) for name, plan in plans.items()}
                 parallel = dict.fromkeys(views, 0)
@@ -210,6 +200,8 @@ class TestDynamicDetector:
                     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set(), name
             finally:
                 engine.close()
+        assert metrics.counter("shard.race_overlaps").value == 0
+        assert metrics.counter("shard.uncaptured_writes").value == 0
 
 
 @pytest.mark.skipif(
@@ -220,7 +212,7 @@ def test_backends_find_the_same_overlaps(monkeypatch):
     are the same whether the shards ran inline or in worker processes."""
     found = {}
     for backend in BACKENDS:
-        engine, db, cfg = _misrouted_engine(monkeypatch, backend, race_check=True)
+        engine, db, cfg = _misrouted_engine(monkeypatch, backend)
         try:
             apply_price_updates(engine, db, cfg, round_seed=1)
             found[backend] = engine.maintain()["agg"].race_overlaps
@@ -249,5 +241,6 @@ def test_inline_round_reports_writes_that_escape_capture(monkeypatch):
 
 def test_race_check_argument_is_validated():
     db = build_database(DevicesConfig(n_parts=20, n_devices=20, diff_size=2))
-    with pytest.raises(Exception):
-        ShardedEngine(db, shards=2, race_check="loose")
+    for value in ("loose", "strict", 1):
+        with pytest.raises(SchemaError):
+            ShardedEngine(db, shards=2, race_check=value)

@@ -28,7 +28,6 @@ from repro.core import engine as engine_module
 from repro.core import script as script_module
 from repro.core.engine import PreState, _reconstruct_pre
 from repro.core.sharded import ShardedEngine
-from repro.errors import IntegrityError
 from repro.expr import col, lit
 from repro.obs import metrics
 from repro.shard.workers import _WorkerState, build_blueprint
@@ -456,23 +455,6 @@ def test_stale_replica_is_rebuilt_and_counted(running_example_db):
     assert rebuilds.value == 1
     assert_same_database(engine._pre.db, oracle(engine, db, []))
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
-
-
-def test_strict_engine_refuses_a_stale_replica(running_example_db):
-    db = running_example_db
-    engine = TupleIvmEngine(db, strict=True)
-    engine.define_view("Vp", build_view_v_prime(db))
-    engine.log.update("parts", ("P1",), {"price": 11})
-    engine.maintain()
-    db.table("parts").insert_uncounted(("P9", 1))
-    engine.log.update("parts", ("P1",), {"price": 12})
-    with pytest.raises(IntegrityError, match="stale"):
-        engine.maintain()
-    assert metrics.counter("engine.prestate_rebuilds").value == 0
-    # the refused replica is gone; the next round starts from a fresh one
-    engine.log.update("parts", ("P1",), {"price": 13})
-    engine.maintain()
-    assert_same_database(engine._pre.db, oracle(engine, db, []))
 
 
 def test_process_workers_serve_the_pre_state_across_rounds():

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from repro.algebra import evaluate_plan, group_by, where
+from repro.algebra import evaluate_plan, group_by
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 import repro.analysis as analysis_mod
 import repro.baselines.recompute as recompute_mod
@@ -30,8 +30,6 @@ from repro.core.modlog import schema_instance_name
 from repro.core.rules.aggregate import AssociativeAggregateStep
 from repro.core.script import ApplyDiffStep
 from repro.crosscheck.invariants import check_table
-from repro.errors import StaticAnalysisError
-from repro.expr import col
 from repro.obs import (
     SpanRecorder,
     load_trace,
@@ -271,13 +269,12 @@ def test_views_with_different_update_schemas_route_independently():
 
 def test_eager_engine_passes_constructor_options_through():
     db = build_devices_database(CONFIG)
-    engine = EagerIvmEngine(db, strict=True, exec_backend="interp")
-    assert engine.strict and engine.exec_backend == "interp"
+    engine = EagerIvmEngine(db, cache_policy="never", exec_backend="interp")
+    assert engine.cache_policy == "never" and engine.exec_backend == "interp"
     view = engine.define_view("V", build_aggregate_view(db, CONFIG))
     assert view.script is view.generated.script
-    # strict=True: a non-boolean filter predicate is refused at define time
-    with pytest.raises(StaticAnalysisError):
-        engine.define_view("bad", where(build_aggregate_view(db, CONFIG), col("cost") + 1))
+    # cache_policy="never": the script places no intermediate cache
+    assert view.generated.cache_specs == [] and list(view.caches) == [view.plan.node_id]
     engine.update("parts", ("P0",), {"price": 4242})
     assert len(engine.rounds) == 1
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
@@ -552,6 +549,27 @@ def test_a_view_that_fails_keeps_its_entries(kind, running_example_db):
     with _second_view_fails(kind), pytest.raises(Boom):
         engine.maintain()
     _assert_b_kept_its_entries_then_converges(engine, running_example_db)
+
+
+@pytest.mark.parametrize("kind", CURSOR_KINDS)
+def test_a_failed_round_keeps_the_telemetry_of_the_views_that_committed(
+    kind, running_example_db
+):
+    """Round 2 fails in B: A committed before it, so A's report, round
+    count and lag observations are folded in; B's stay at round 1."""
+    engine = _two_view_engine(kind, running_example_db)
+    engine.maintain()
+    first = engine.last_reports["A"]
+    for price in range(31, 36):
+        engine.log.update("parts", ("P1",), {"price": price})
+    with _second_view_fails(kind), pytest.raises(Boom):
+        engine.maintain()
+    assert engine.log.cursors == {"A": 25, "B": 20}
+    assert engine.last_reports["A"] is not first
+    views = engine.freshness.report()["views"]
+    assert (views["A"]["rounds"], views["B"]["rounds"]) == (2, 1)
+    assert engine.freshness.lag_histogram("A").count == 25
+    assert engine.freshness.lag_histogram("B").count == 20
 
 
 def _in_view(engine, name: str):

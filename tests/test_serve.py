@@ -392,7 +392,7 @@ class TestDemoLoopLifecycle:
         loop = self._loop()
         assert loop.healthy  # never started: healthy by definition
         loop.start()
-        loop.stop(timeout=10)
+        loop.stop()
         assert loop._thread is None
         assert loop.healthy  # a *requested* stop is not a failure
         loop.stop()  # idempotent

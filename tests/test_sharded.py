@@ -10,10 +10,11 @@ counts exercised by the equivalence tests, and ``REPRO_BACKEND=inline``
 (or ``process``) to restrict the execution backends.  The process
 backend spawns real worker processes, so its equivalence coverage runs
 at bounded shard counts (≤ 4) to keep the suite quick.
-``REPRO_RACE_CHECK=true`` (or ``strict``, as the CI matrix sets) runs
-every sharded engine built here with the dynamic write-set race
-detector armed — the equivalence suite then doubles as a
-disjointness-proof checker on real workloads.
+``REPRO_RACE_CHECK=true`` (as the CI matrix sets) runs every sharded
+engine built here with the dynamic write-set race detector armed, and
+fails a test after which ``shard.race_overlaps`` or
+``shard.uncaptured_writes`` is non-zero — the equivalence suite then
+doubles as a disjointness-proof checker on real workloads.
 """
 
 from __future__ import annotations
@@ -61,11 +62,21 @@ BACKENDS = tuple(
 DEV_CONFIG = DevicesConfig(n_parts=80, n_devices=80, diff_size=24)
 BSMA_CONFIG = BsmaConfig(n_users=150)
 
-_RACE_ENV = os.environ.get("REPRO_RACE_CHECK", "").strip().lower()
-#: False | True | "strict" — threaded through every engine built here.
-RACE_CHECK = (
-    "strict" if _RACE_ENV == "strict" else _RACE_ENV in ("1", "true", "yes")
-)
+#: threaded through every engine built here
+RACE_CHECK = os.environ.get("REPRO_RACE_CHECK", "").strip().lower() in ("1", "true", "yes")
+
+
+@pytest.fixture(autouse=True)
+def _race_free(_scoped_metrics):
+    """With the race detector armed, a test whose rounds wrote one key
+    from two shards, or wrote a table outside the tagged set, fails."""
+    yield
+    if RACE_CHECK:
+        found = {
+            name: _scoped_metrics.counter(name).value
+            for name in ("shard.race_overlaps", "shard.uncaptured_writes")
+        }
+        assert not any(found.values()), found
 
 
 def _backend_shard_params(process_counts=(2, 4)):
@@ -280,10 +291,10 @@ def test_parallel_round_folds_into_database_totals():
 def test_a_sharded_engine_leaves_other_engines_on_the_database_alone():
     """Building a ShardedEngine over a database another engine maintains
     rebinds no counters, so the other engine's pre-state replica stays
-    valid: no rebuild, and a strict engine runs its next round."""
+    valid: its next round rebuilds nothing."""
     db = build_bsma_database(BSMA_CONFIG)
     counters = db.counters
-    engine = IdIvmEngine(db, strict=True)
+    engine = IdIvmEngine(db)
     view = engine.define_view("V", BSMA_QUERIES["Q11"](db, BSMA_CONFIG))
     log_user_updates(engine, db, BSMA_CONFIG, 60)
     engine.maintain()
