@@ -144,10 +144,17 @@ lint-catalog:
 # evaluates nothing itself, the rule bodies live under core/rules/, and
 # a script reads subviews through its view's generated readers
 # (core/compile.py `SubviewReaders`) — `IrContext.resolve_subview` is
-# called only by the interpreter (core/ir_exec.py) and by the counted
-# refusal of `lower_reader`, and `fetch` only by algebra/delta_eval.py,
-# core/ir_exec.py and the SDBT baseline, whose sequential hybrid state
-# copies no database; and
+# called only by the interpreter (core/ir_exec.py), and `fetch` only by
+# algebra/delta_eval.py, core/ir_exec.py and the SDBT baseline, whose
+# sequential hybrid state copies no database; and generated code has no
+# interpreter inside it: core/compile.py imports neither the diff-driven
+# loop (algebra.delta_eval, its `Bindings`), nor the per-row expression
+# evaluator (repro.expr `evaluate`), nor the reference plan operator
+# (`apply_operator`), and keeps no `*_fallbacks` counter — a form the
+# emitter cannot lower raises when the view is defined, the exception
+# class the interpreter raises for it at run time, so a compiled view
+# runs generated code only and the compiled-vs-interp count checks
+# compare two independent executors; and
 # telemetry keeps one copy of each fact: every registry histogram is the
 # log histogram of obs/hist.py (no histogram class in obs/metrics.py, no
 # summary family on /metrics), and a view's worst drift ratio is derived
@@ -286,9 +293,12 @@ lint-static:
 	    echo "fetch outside algebra/delta_eval.py, core/ir_exec.py and baselines/sdbt.py: a script reads subviews through its view's generated readers (core.compile.SubviewReaders), the interpreter through IrContext.resolve_subview"; \
 	    exit 1; fi
 	@if grep -rnE '\bresolve_subview\(' src/repro --include='*.py' \
-	    | grep -vE '^src/repro/core/ir_exec\.py:|^src/repro/core/compile\.py:[0-9]+: +return ctx\.resolve_subview\(node, state, bindings, cached\)\.rows$$' \
-	    || [ "$$(grep -cE '\bresolve_subview\(' src/repro/core/compile.py)" != 1 ]; then \
-	    echo "resolve_subview outside core/ir_exec.py (the interp backend) and the counted refusal of core/compile.py (lower_reader): a round reads subviews through its view's generated readers"; \
+	    | grep -vE '^src/repro/core/ir_exec\.py:'; then \
+	    echo "resolve_subview outside core/ir_exec.py (the interp backend): a round reads subviews through its view's generated readers"; \
+	    exit 1; fi
+	@if grep -nE '\b(apply_operator|eval_expr|Bindings)\b|_(fallbacks|FALLBACKS)\b|^\s*(from|import)\s+\S*\bdelta_eval\b|^\s*from\s+\S*\bexpr(\.eval)?\s+import\s.*\bevaluate\b|^\s+evaluate( +as +\w+)?,?\s*$$' \
+	    src/repro/core/compile.py; then \
+	    echo "core/compile.py reaches the interpreter (algebra.delta_eval, repro.expr evaluate, apply_operator) or counts a fallback: a form the emitter cannot lower raises at definition"; \
 	    exit 1; fi
 	@if [ "$$(grep -cE '^(def|class) |^[A-Za-z_]+ *=' src/repro/baselines/tuple_ivm.py)" != 1 ] \
 	    || grep -rnE '^(def|class) +(_join_delta|_semi_like_delta|repair_updates|TupleJoinStep)\b|^TUPLE_RULES\b' \

@@ -18,9 +18,9 @@ What it asserts is what it can hold: per-view rows equal between
 backends and equal to the recompute oracle, per-view per-phase access
 counts reconciling *exactly* every round — a kernel must perform
 precisely the counted accesses the interpreter performs, never trade
-counted work for speed — and no step of the eight views left on the
-interpreter (``compile.step_fallbacks`` does not move while they are
-defined).  Access counts and histogram observation counts are
+counted work for speed — and every compute step of the eight views
+running a generated kernel, so the two executors compared are
+independent.  Access counts and histogram observation counts are
 machine-independent and gated exactly by the perf gate.
 
 No wall-clock ratio is asserted.  Since both backends run the live
@@ -44,7 +44,7 @@ from conftest import write_bench_json
 
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine
-from repro.obs import metrics
+from repro.core.script import ComputeDiffStep
 from repro.obs.hist import LogHistogram
 from repro.workloads import (
     BsmaConfig,
@@ -68,10 +68,6 @@ BACKENDS = ("interp", "compiled")
 
 EFFECTIVE_CPUS = len(os.sched_getaffinity(0))
 
-#: ``compile.step_fallbacks`` gained while the views of every point were
-#: defined: steps the emitter refused and left on the interpreter.
-STEP_FALLBACKS = metrics.counter("compile.step_fallbacks")
-
 
 def _make_pair():
     """Identically-seeded (db, engine, views) per backend."""
@@ -87,6 +83,17 @@ def _make_pair():
     return out
 
 
+def _unlowered(views) -> list[str]:
+    """The compute steps of *views* that run without a generated kernel."""
+    return [
+        f"{name} {step.name}"
+        for name, view in views.items()
+        for i, step in enumerate(view.script.steps)
+        if isinstance(step, ComputeDiffStep)
+        and not hasattr(view.script._kernels.get(i), "__source__")
+    ]
+
+
 def _phase_totals(report) -> dict[str, dict[str, int]]:
     """Zero-filtered per-phase breakdown, comparable across backends."""
     return {
@@ -98,9 +105,8 @@ def _phase_totals(report) -> dict[str, dict[str, int]]:
 
 def _run_point(updates_per_round: int):
     """ROUNDS paired rounds; returns walls, counts and final contents."""
-    fallbacks_before = STEP_FALLBACKS.value
     pair = _make_pair()
-    step_fallbacks = STEP_FALLBACKS.value - fallbacks_before
+    unlowered = _unlowered(pair["compiled"][2])
     walls = {b: [] for b in BACKENDS}
     counts = {b: [] for b in BACKENDS}
     totals = {b: 0 for b in BACKENDS}
@@ -137,7 +143,7 @@ def _run_point(updates_per_round: int):
             )
         return {
             "updates": updates_per_round,
-            "step_fallbacks": step_fallbacks,
+            "unlowered": unlowered,
             "walls": walls,
             "counts": counts,
             "totals": totals,
@@ -223,9 +229,8 @@ def _assert_equivalence():
                 f"{label}: round {r} per-phase counts do not reconcile"
             )
         assert point["totals"]["compiled"] == point["totals"]["interp"], label
-        assert point["step_fallbacks"] == 0, (
-            f"{label}: {point['step_fallbacks']} step(s) of the BSMA views "
-            f"were left on the interpreter (compile.step_fallbacks)"
+        assert not point["unlowered"], (
+            f"{label}: compute steps without a generated kernel: {point['unlowered']}"
         )
 
 
@@ -248,15 +253,14 @@ def test_compiled_speedup(benchmark):
             },
             "effective_cpus": EFFECTIVE_CPUS,
             "wall_speedup": round(best, 3),
-            "step_fallbacks": sum(point["step_fallbacks"] for point in points),
             "note": (
                 "wall_speedup = best point's summed-warm-wall ratio "
                 "interp/compiled over paired alternating-order rounds, "
                 "recorded and never asserted (both backends run the same "
                 "live slice; see benchmarks/e2e for gated wall clock); "
                 "per-view per-phase access counts are asserted exactly "
-                "equal between backends every round and step_fallbacks "
-                "asserted 0; wall_hist entries are unit=seconds "
+                "equal between backends every round and every compute step "
+                "asserted to run a generated kernel; wall_hist entries are unit=seconds "
                 "LogHistograms over per-round maintenance walls"
             ),
             "points": [

@@ -27,7 +27,6 @@ from .plan import (
     Select,
     UnionAll,
     scans_of,
-    validate_plan,
 )
 from .relation import Relation
 
@@ -59,6 +58,5 @@ __all__ = [
     "rename",
     "scan",
     "scans_of",
-    "validate_plan",
     "where",
 ]

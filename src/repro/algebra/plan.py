@@ -342,10 +342,3 @@ def scans_of(root: PlanNode) -> list[Scan]:
 def base_tables(root: PlanNode) -> frozenset[str]:
     """The base tables the plan's scan leaves read."""
     return frozenset(n.table for n in scans_of(root))
-
-
-def validate_plan(root: PlanNode) -> None:
-    """Re-run structural checks over the whole tree (defensive)."""
-    for node in root.walk():
-        # Constructors validate; touching .columns re-validates cheaply.
-        _ = node.columns

@@ -84,10 +84,6 @@ def pass_names() -> tuple[str, ...]:
     return tuple(name for name, _ in PASSES)
 
 
-def catalog_pass_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in CATALOG_PASSES)
-
-
 def run_passes(
     ctx: AnalysisContext, names: Optional[Sequence[str]] = None
 ) -> AnalysisReport:
@@ -145,7 +141,6 @@ __all__ = [
     "CATALOG_PASSES",
     "CatalogViewFacts",
     "pass_names",
-    "catalog_pass_names",
     "run_passes",
     "analyze_plan",
     "analyze_generated",

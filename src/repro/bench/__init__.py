@@ -8,7 +8,6 @@ from .report import (
     format_sweep,
     format_table,
     sweep_point_to_dict,
-    sweep_to_dict,
     system_result_to_dict,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "run_system",
     "speedup",
     "sweep_point_to_dict",
-    "sweep_to_dict",
     "system_result_to_dict",
 ]

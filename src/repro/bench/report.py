@@ -122,14 +122,3 @@ def sweep_point_to_dict(point: SweepPoint) -> dict:
     if "tuple" in point.results and "idIVM" in point.results:
         out["speedup"] = point.speedup()
     return out
-
-
-def sweep_to_dict(
-    title: str, parameter_name: str, points: Sequence[SweepPoint]
-) -> dict:
-    """JSON-serializable form of a whole Figure 12 style sweep."""
-    return {
-        "title": title,
-        "parameter": parameter_name,
-        "points": [sweep_point_to_dict(p) for p in points],
-    }

@@ -53,7 +53,7 @@ from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .analysis.cost import COST_MODEL_FALLBACKS, COST_SELECT_FALLBACKS
 from .core import IdIvmEngine
-from .core.compile import readers_of, subview_fallbacks
+from .core.compile import readers_of
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -139,22 +139,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print("-- generated ∆-script " + "-" * 39)
     print(view.describe_script())
     script = view.script
-    interpreted = [
-        f"stmt[{i + 1}] {script.steps[i].name}"
-        for i, kernel in sorted(script._kernels.items())
-        if not hasattr(kernel, "__source__")
-    ]
-    if interpreted:
-        print(
-            f"-- {len(interpreted)} step(s) not lowered, interpreted as whole "
-            f"steps (compile.step_fallbacks): {', '.join(interpreted)}"
-        )
-    falling_back = subview_fallbacks(script)
-    if falling_back:
-        print(
-            f"-- {len(falling_back)} subview read(s) interpreted, counted per read "
-            f"(compile.subview_fallbacks): {'; '.join(falling_back)}"
-        )
     for family, what, consequence in (
         (COST_MODEL_FALLBACKS, "no cost model (inferring it failed)",
          "the view runs without predictions or a drift signal"),
@@ -169,7 +153,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         passes = (getattr(step, "group_pass", None) for step in script.steps)
         readers = readers_of(script).built.values()
         for fn in (*script._kernels.values(), *passes, *readers):
-            if hasattr(fn, "__source__"):
+            if fn is not None:
                 print(f"# {fn.__code__.co_filename}")
                 print(fn.__source__)
     for other in others:
@@ -414,7 +398,7 @@ def cost_targets():
     bsma_config = BsmaConfig(n_users=40, friends_per_user=4, n_tweets=80)
 
     def dev_updates(engine, db, round_seed=0):
-        apply_price_updates(engine, db, dev_config)
+        apply_price_updates(engine, db, dev_config, round_seed=round_seed)
 
     def bsma_updates(engine, db, round_seed=0):
         log_user_updates(

@@ -43,9 +43,12 @@ counted accesses the interpreted step performs, per phase
 (``tests/test_compiled.py`` pins it on the devices and BSMA workloads;
 the crosscheck fuzzer runs the compiled engine against the recompute
 oracle; ``tests/test_subview_readers.py`` holds every reader form to the
-interpretive ``fetch``).  A step holding a form the emitter does not
-know stays on the interpreter *as a whole step*, counted once in
-``compile.step_fallbacks``.  A kernel's rows go through :class:`Diff`'s
+interpretive ``fetch``).  Nothing generated calls back into the
+interpreter: a form the emitter cannot lower — a malformed tree, such
+as a stale column reference — raises when the view is lowered, the
+exception class the interpreter raises for it at run time
+(``UnknownColumnError``, ``ExpressionError``, ``PlanError``,
+``ScriptError``).  A kernel's rows go through :class:`Diff`'s
 validating constructor unless they are unique on the step's IDs by
 construction — the step is row-wise over one source diff and every ID
 attribute of that diff reaches the output's IDs as a bare column — and
@@ -58,11 +61,9 @@ trace spans; phase and statement spans still wrap every step.
 from __future__ import annotations
 
 import linecache
-from functools import partial
 from typing import Callable, Optional, Sequence
 
-from ..algebra.delta_eval import Bindings
-from ..algebra.evaluate import _lt, aggregate_rows, apply_operator, evaluate_node
+from ..algebra.evaluate import _lt, aggregate_rows, evaluate_node
 from ..algebra.plan import (
     AntiJoin,
     GroupBy,
@@ -75,8 +76,8 @@ from ..algebra.plan import (
     UnionAll,
 )
 from ..algebra.relation import Relation
-from ..errors import ScriptError
-from ..expr import TRUE, equi_join_pairs, evaluate as eval_expr
+from ..errors import ExpressionError, PlanError, ScriptError, UnknownColumnError
+from ..expr import TRUE, equi_join_pairs
 from ..expr.ast import (
     NULL_TOLERANT_FUNCTIONS,
     SCALAR_FUNCTIONS,
@@ -92,7 +93,6 @@ from ..expr.ast import (
     Or,
 )
 from ..expr.eval import compare
-from ..obs import metrics
 from ..storage import Database
 from .diffs import Diff
 from .ir import (
@@ -124,13 +124,9 @@ EXEC_BACKENDS = ("interp", "compiled")
 Kernel = Callable[[IrContext], int]
 
 #: A lowered plan operator: its output over the relations of its inputs
-#: (what :func:`repro.algebra.evaluate.apply_operator` does by interpreting).
+#: (what the reference operator of :mod:`repro.algebra.evaluate` does by
+#: interpreting).
 PlanKernel = Callable[[Database, Sequence[Relation]], Relation]
-
-
-class _Refused(Exception):
-    """Raised while emitting on an unknown node or expression form: the
-    step then stays on the interpreter, as a whole."""
 
 
 def _tuple_of(items: Sequence[str]) -> str:
@@ -168,8 +164,6 @@ class _Source:
         self._serials: dict[str, int] = {}
         #: the view's readers, which the function's subview reads go through
         self.readers = readers
-        #: the reader key of every subview read
-        self.subviews: list[tuple] = []
 
     def fresh(self, stem: str) -> str:
         serial = self._serials[stem] = self._serials.get(stem, 0) + 1
@@ -245,8 +239,7 @@ class _Source:
             return self.const(expr.value)
         if isinstance(expr, Col):
             if expr.name not in cols:
-                # Let the interpreter raise its UnknownColumnError at run time.
-                raise _Refused(f"unknown column {expr.name!r}")
+                raise UnknownColumnError(f"column {expr.name!r} not available; have {sorted(cols)}")
             return cols[expr.name]
         if isinstance(expr, Arith):
             (a, b), null = self._operands((expr.left, expr.right), cols)
@@ -288,7 +281,7 @@ class _Source:
                 return f"{fn}({', '.join(self.value(a, cols) for a in expr.args)})"
             refs, null = self._operands(expr.args, cols)
             return f"(None if {null} else {fn}({', '.join(refs)}))"
-        raise _Refused(f"expression {expr!r}")
+        raise ExpressionError(f"cannot evaluate expression node {expr!r}")
 
     def truth(self, expr: Expr, cols: dict[str, str]) -> str:
         """Source of ``evaluate(expr) is True`` — the filter boundary,
@@ -434,7 +427,7 @@ class _Source:
             return self.over(rows, node.columns)
         if isinstance(node, (ProbeJoin, ProbeSemi)):
             return self._probe(node)
-        raise _Refused(f"IR node {node!r}")
+        raise ScriptError(f"cannot execute IR node {node!r}")
 
     def bucket(self, buckets: str, rows: str, var: str, key: str, single: bool, depth: int) -> None:
         """Emit, at *depth*, the build of the dict *buckets* over *rows*
@@ -454,12 +447,10 @@ class _Source:
 
     def subview_reader(self, node, sub_attrs: Optional[tuple[str, ...]]) -> Callable:
         """The view's reader of the IR subview *node* for *sub_attrs*
-        (:class:`SubviewReaders`), its key noted in :attr:`subviews`."""
+        (:class:`SubviewReaders`)."""
         if self.readers is None:
             self.readers = SubviewReaders()
-        key = (node.node, node.state, sub_attrs, True)
-        self.subviews.append(key)
-        return self.readers(*key)
+        return self.readers(node.node, node.state, sub_attrs)
 
     def _probe(self, node) -> _Rows:
         """``left ⋈ / ⋉ / ▷ Subview`` as the interpreter runs it: the
@@ -540,8 +531,6 @@ def _is_plain(value: object) -> bool:
 #: for a reader without binding columns, which takes ``values=None``)
 Reader = Callable[[IrContext, Optional[Sequence[tuple]]], list]
 
-_SUBVIEW_FALLBACKS = metrics.Handle("counter", "compile.subview_fallbacks")
-
 
 def _always(residual: Optional[Expr]) -> bool:
     """Whether a join residual keeps every pair (none, or the literal TRUE)."""
@@ -569,9 +558,11 @@ class _Read:
         src = self.src
         out = src.fresh("rows")
         if attrs is not None:
-            if not set(attrs) <= set(node.columns):
-                # the interpreter raises its PlanError at run time
-                raise _Refused(f"bindings {attrs} not produced by {node.label()}")
+            unknown = set(attrs) - set(node.columns)
+            if unknown:
+                raise PlanError(
+                    f"bindings reference columns {sorted(unknown)} not produced by {node.label()}"
+                )
             if values not in self.nonempty:  # no values, no read
                 self.nonempty.add(values)
                 src.emit(f"if not {values}:", depth)
@@ -605,7 +596,7 @@ class _Read:
         elif isinstance(node, GroupBy):
             self.group(node, attrs, values, out, depth)
         else:
-            raise _Refused(f"plan node {node!r}")
+            raise PlanError(f"cannot fetch from plan node {node!r}")
         return out
 
     def stored(self, table: str, columns, attrs, values, out: str, depth: int) -> None:
@@ -632,7 +623,7 @@ class _Read:
 
     def narrowed(self, attrs: tuple, sub: tuple, values: str, depth: int) -> str:
         """The distinct values of the *sub* attributes of *attrs* among
-        *values* (``Bindings.project``)."""
+        *values*, as the interpreter projects its bindings."""
         if sub == attrs:
             return values
         v, name = self.src.fresh("v"), self.src.fresh("values")
@@ -722,8 +713,6 @@ class _Read:
     def semi(self, node, attrs, values, out: str, depth: int) -> None:
         """⋉ / ▷: the left rows under the bindings, each kept when some
         right row it equi-joins satisfies the residual (none does, ▷)."""
-        if node.condition is None:
-            raise _Refused(f"{node.label()} without a condition")
         src = self.src
         left = self.rows(node.left, attrs, values, depth)
         left_cols, right_cols = node.left.columns, node.right.columns
@@ -800,9 +789,7 @@ def lower_reader(node: PlanNode, state: str, attrs: Optional[tuple], cached: boo
     ``Table.probe`` of the same values, each full read a
     ``Table.read_all``.  *cached*: a node whose cache holds *state* is read
     from it (``IrContext.valid_caches``); not: only base tables (the
-    tuple rules' reads).  A form the emitter refuses is read through
-    ``ctx.resolve_subview``, the interpreter, counted per read in
-    ``compile.subview_fallbacks``."""
+    tuple rules' reads)."""
     name = f"read_n{node.node_id}_{state}" + (f"_by_{'_'.join(attrs)}" if attrs else "")
     src = _Source(name + ("" if cached else "_base"))
     src.emit(f"db = ctx.{'db_pre' if state == PRE else 'db_post'}")
@@ -810,16 +797,7 @@ def lower_reader(node: PlanNode, state: str, attrs: Optional[tuple], cached: boo
         src.emit("caches, marks = ctx.caches, ctx.cache_state")
     if attrs is not None:
         src.emit("values = [*dict.fromkeys(values)]")
-    try:
-        rows = _Read(src, state, cached).rows(node, attrs, "values" if attrs else None, 1)
-    except _Refused:
-
-        def interpreted(ctx: IrContext, values: Optional[Sequence[tuple]]) -> list:
-            _SUBVIEW_FALLBACKS().inc()
-            bindings = None if attrs is None else Bindings(attrs, values)
-            return ctx.resolve_subview(node, state, bindings, cached).rows
-
-        return interpreted
+    rows = _Read(src, state, cached).rows(node, attrs, "values" if attrs else None, 1)
     src.emit(f"return {rows}")
     return src.build("ctx, values")
 
@@ -862,18 +840,14 @@ def lower_step(step: ComputeDiffStep, readers: Optional[SubviewReaders] = None) 
     ``step.run`` does — evaluate, make the ``Diff``, bind it under
     ``step.name`` — as one generated function (``kernel.__source__``),
     reading its subviews through *readers* (the view's; its own
-    otherwise) — their keys in ``kernel.subviews``.  A step holding a
-    form the emitter refuses keeps its own ``run``."""
+    otherwise)."""
     src = _Source(step.name, readers)
     schema = step.schema
-    try:
-        rows = src.rows_of(step.ir)
-        if not set(schema.columns) <= set(rows.cols):
-            raise _Refused(f"{step.name} does not compute {schema.columns}")
-        out = src.named(rows, schema.columns, "out")
-    except _Refused:
-        metrics.counter("compile.step_fallbacks").inc()
-        return step.run
+    rows = src.rows_of(step.ir)
+    missing = [c for c in schema.columns if c not in rows.cols]
+    if missing:
+        raise UnknownColumnError(f"column {missing[0]!r} not in {tuple(rows.cols)}")
+    out = src.named(rows, schema.columns, "out")
     make, bound = src.bind("Diff", Diff), src.bind("schema", schema)
     validated = f"diff = {make}({bound}, {out})"
     source, diff, bare = rows.lineage or (None, None, {})
@@ -892,24 +866,7 @@ def lower_step(step: ComputeDiffStep, readers: Optional[SubviewReaders] = None) 
         src.emit(validated)
     src.emit(f"ctx.diffs[{step.name!r}] = diff")
     src.emit("return len(diff.rows)")
-    kernel = src.build("ctx")
-    kernel.subviews = tuple(src.subviews)
-    return kernel
-
-
-def subview_fallbacks(script: DeltaScript) -> list[str]:
-    """The subview reads of *script* — its kernels' and its rule steps'
-    (``Step.subview_reads``) — whose reader the emitter refused, so that
-    they go to the interpreter (``ctx.resolve_subview``), one line each."""
-    readers = readers_of(script)
-    out = []
-    for i, step in enumerate(script.steps):
-        kernel = script._kernels.get(i)
-        for node, state, attrs, cached in (*getattr(kernel, "subviews", ()), *step.subview_reads()):
-            if not hasattr(readers(node, state, attrs, cached), "__source__"):
-                name = getattr(step, "name", type(step).__name__)
-                out.append(f"stmt[{i + 1}] {name}: {state} n{node.node_id} {node.label()}")
-    return out
+    return src.build("ctx")
 
 
 def group_slots(gnode) -> tuple[int, list, list, int]:
@@ -958,9 +915,7 @@ def lower_group_pass(gnode, output=None, opcache=None) -> Callable:
     (:func:`group_slots`) — pre side subtracted, then post side added,
     change by change, so float sums are the sequential ones; a change
     that stays in its group (every key equal on both sides) probes the
-    payload dict once and leaves ``n`` alone.  A non-column argument the
-    emitter refuses is evaluated per row by :func:`repro.expr.evaluate`,
-    counted once in ``compile.step_fallbacks``.
+    payload dict once and leaves ``n`` alone.
 
     *Write*, per group: one whose book does not move (``n`` and every
     non-NULL count unchanged, and with an avg every running sum) and
@@ -983,18 +938,9 @@ def lower_group_pass(gnode, output=None, opcache=None) -> Callable:
     for i, agg in enumerate(gnode.aggs):
         if agg.arg is None:
             continue
-        try:
-            sources = {
-                side: src.value(agg.arg, {c: f"{side}[{j}]" for c, j in positions.items()})
-                for side in arguments
-            }
-        except _Refused:  # this argument alone is interpreted, per row
-            metrics.counter("compile.step_fallbacks").inc()
-            evaluate = f"{src.bind('evaluate', eval_expr)}({src.bind('arg', agg.arg)}, "
-            sources = {side: f"{evaluate}{src.bind('positions', positions)}, {side})"
-                       for side in arguments}
         for side, folded in arguments.items():
-            folded.append((sources[side], cnt[i], total[i]))
+            value = src.value(agg.arg, {c: f"{side}[{j}]" for c, j in positions.items()})
+            folded.append((value, cnt[i], total[i]))
 
     def fold(side: str, sign: str, depth: int) -> None:
         for argument, c, t in arguments[side]:
@@ -1309,21 +1255,17 @@ def _plan_rows(src: _Source, node: PlanNode) -> str:
         return "[*[r + (0,) for r in inputs[0].rows], *[r + (1,) for r in inputs[1].rows]]"
     if isinstance(node, GroupBy):
         return _plan_group(src, node)
-    raise _Refused(f"plan node {node!r}")
+    raise PlanError(f"cannot evaluate plan node {node!r}")
 
 
 def lower_plan(node: PlanNode) -> PlanKernel:
     """One plan operator — *node* over the relations of its inputs — as
     one generated function ``plan_nN(db, inputs)`` (``kernel.__source__``):
-    what :func:`repro.algebra.evaluate.apply_operator` does, set at a
-    time, with the same counted reads.  A form the emitter refuses keeps
-    the reference operator, counted in ``compile.plan_fallbacks``."""
+    what the reference operator of :mod:`repro.algebra.evaluate` does,
+    set at a time, with the same counted reads.  An operator it does not
+    know raises the reference's ``PlanError`` here, at lowering."""
     src = _Source(f"plan_n{node.node_id}")
-    try:
-        rows = _plan_rows(src, node)
-    except _Refused:
-        metrics.counter("compile.plan_fallbacks").inc()
-        return partial(apply_operator, node)
+    rows = _plan_rows(src, node)
     src.emit(f"return {src.bind('Relation', Relation)}({src.const(tuple(node.columns))}, {rows})")
     return src.build("db, inputs")
 

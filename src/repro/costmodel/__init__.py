@@ -9,7 +9,6 @@ from .symbolic import (
     StepCost,
     card_symbol,
     diff_sizes_env,
-    merge_predictions,
 )
 from .model import (
     AggCosts,
@@ -34,7 +33,6 @@ __all__ = [
     "StepCost",
     "card_symbol",
     "diff_sizes_env",
-    "merge_predictions",
     "agg_general_speedup_bound",
     "agg_insert_speedup",
     "agg_update_speedup",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 Monomial = tuple[str, ...]
 
@@ -409,16 +409,3 @@ def card_symbol(name: str) -> str:
 
 def diff_sizes_env(diff_sizes: Mapping[str, int]) -> dict[str, float]:
     return {card_symbol(name): float(n) for name, n in diff_sizes.items()}
-
-
-def merge_predictions(
-    parts: Iterable[dict[str, dict[str, float]]]
-) -> dict[str, dict[str, float]]:
-    """Sum per-phase predictions (used when several models cover a round)."""
-    out: dict[str, dict[str, float]] = {}
-    for part in parts:
-        for phase, metrics in part.items():
-            bucket = out.setdefault(phase, {})
-            for metric, value in metrics.items():
-                bucket[metric] = bucket.get(metric, 0.0) + value
-    return out

@@ -121,11 +121,6 @@ def equi_join_pairs(
     return pairs, all_of(*residual)
 
 
-def is_column_only(expr: Expr) -> bool:
-    """True when *expr* is a bare column reference."""
-    return isinstance(expr, Col)
-
-
 # ----------------------------------------------------------------------
 # nullability
 # ----------------------------------------------------------------------

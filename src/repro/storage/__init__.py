@@ -5,7 +5,7 @@ provides keyed tables with hash indexes and, crucially, *access counting* —
 the quantity the paper's Section 6 cost model is defined over.
 """
 
-from .counters import AccessCounts, CostBreakdown, CounterSet
+from .counters import AccessCounts, CounterSet
 from .database import Database, load_rows
 from .partition import shard_key_bytes, shard_of
 from .schema import ForeignKey, TableSchema, row_extractor
@@ -19,7 +19,6 @@ from .table import Table, sort_rows
 
 __all__ = [
     "AccessCounts",
-    "CostBreakdown",
     "CounterSet",
     "Database",
     "ForeignKey",

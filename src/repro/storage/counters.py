@@ -10,7 +10,7 @@ update).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -191,14 +191,3 @@ class PhaseScope:
 
     def __exit__(self, *exc_info: object) -> None:
         self.counters._stack.pop()
-
-
-@dataclass
-class CostBreakdown:
-    """Named cost components, used for the Figure 12 stacked bars."""
-
-    components: dict[str, AccessCounts] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(c.total for c in self.components.values())

@@ -2,10 +2,10 @@
 
 The backend's whole contract is *exactness*: a compiled closure must
 produce the same rows AND the same per-phase access counts as the IR
-interpreter — anything the compiler cannot lower with identical counted
-behaviour falls back to the interpreter's own helpers.  These tests pin
-that contract on the paper's devices workload, on every BSMA view, and
-through both sharded execution backends.
+interpreter, and a form the emitter cannot lower is an error when the
+view is lowered, never a silent fallback to the interpreter.  These
+tests pin that contract on the paper's devices workload, on every BSMA
+view, and through both sharded execution backends.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from collections import Counter
 
 import pytest
 
-import repro.core.compile as compile_mod
-from repro.algebra.evaluate import evaluate_plan
+from repro.algebra.builder import scan
+from repro.algebra.evaluate import aggregate_rows, evaluate_plan
+from repro.algebra.plan import AggSpec, GroupBy
+from repro.algebra.relation import Relation
 from repro.baselines import TupleIvmEngine
 from repro.core import IdIvmEngine, ShardedEngine
-from repro.core.compile import bind_kernels, lower_step
+from repro.core.compile import bind_kernels, lower_group_pass, lower_step, readers_of
 from repro.core.diffs import INSERT, UPDATE, Diff, DiffSchema
 from repro.core.engine import EXEC_BACKENDS
 from repro.core.ir import Compute, DiffSource, Filter
@@ -26,7 +28,6 @@ from repro.core.ir_exec import IrContext
 from repro.core.script import ComputeDiffStep
 from repro.errors import DiffError, UnknownColumnError
 from repro.expr.ast import Call, Cmp, Col, Lit
-from repro.obs import metrics
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -228,65 +229,48 @@ class TestTrustedAdoption:
 
 
 class TestExprFallback:
-    """A step holding a form the emitter refuses stays on the
-    interpreter as a whole step, counted once."""
+    """A form the emitter cannot lower — a malformed tree — raises when
+    the view is lowered, the exception class the interpreter raises for
+    it at run time: no generated step falls back to the interpreter."""
 
-    def test_unknown_column_is_counted_and_still_raises_at_run_time(self):
+    def test_unknown_column_raises_at_lowering(self):
         schema = _schema()
         node = Filter(DiffSource("d1", schema), Cmp(">", Col("k"), Lit(1)))
         # Filter's constructor refuses an unknown column; a rewrite that
         # left a stale reference behind would look like this.
         node.predicate = Cmp(">", Col("nope"), Lit(1))
         step = ComputeDiffStep("d2", schema, node, "view_diff")
-        fallbacks = metrics.counter("compile.step_fallbacks")
-        before = fallbacks.value
-        kernel = lower_step(step)
-        assert fallbacks.value == before + 1
-        assert kernel == step.run  # the whole step interprets
+        with pytest.raises(UnknownColumnError, match="nope"):
+            lower_step(step)
         source = Diff(schema, [(1, "x", 2)])
-        with pytest.raises(UnknownColumnError):
-            kernel(IrContext(None, None, diffs={"d1": source}))
+        with pytest.raises(UnknownColumnError, match="nope"):
+            step.run(IrContext(None, None, diffs={"d1": source}))
 
-    @staticmethod
-    def _refuse_cmp(monkeypatch):
-        """Make the emitter unable to lower any ``Cmp`` it meets."""
-        value = compile_mod._Source.value
-
-        def refuse_cmp(self, expr, cols):
-            if isinstance(expr, Cmp):
-                raise compile_mod._Refused("Cmp")
-            return value(self, expr, cols)
-
-        monkeypatch.setattr(compile_mod._Source, "value", refuse_cmp)
-        monkeypatch.setattr(compile_mod._Source, "truth", lambda self, e, c: self.value(e, c))
-
-    def test_view_with_a_fallback_counts_like_the_interpreter(self, monkeypatch):
-        base = _run_devices("interp", build_flat_view, rounds=1)
-        fallbacks = metrics.counter("compile.step_fallbacks")
-        before = fallbacks.value
-        self._refuse_cmp(monkeypatch)
+    def test_a_stale_aggregate_argument_raises_at_lowering(self):
         db = build_devices_database(DEV_CONFIG)
-        view = IdIvmEngine(db).define_view("V", build_flat_view(db, DEV_CONFIG))
-        refused = [
-            i for i, step in enumerate(view.script.steps)
-            if type(step) is ComputeDiffStep and view.script._kernels[i] == step.run
-        ]
-        # once per refused step, however many expressions it holds
-        assert 0 < len(refused) == fallbacks.value - before
-        assert len(refused) < len(view.script._kernels)  # the others are generated
-        compiled = _run_devices("compiled", build_flat_view, rounds=1)
-        assert compiled[0][0] == base[0][0]
-        assert _phase_totals(compiled[0][1]) == _phase_totals(base[0][1])
+        gnode = GroupBy(scan(db, "parts"), ("pid",), [AggSpec("sum", Col("price"), "total")])
+        gnode.aggs[0].arg = Col("nope")  # left stale by a rewrite
+        with pytest.raises(UnknownColumnError, match="nope"):
+            lower_group_pass(gnode)
+        parts = db.table("parts")
+        rows = Relation(parts.schema.columns, parts.rows_uncounted())
+        with pytest.raises(UnknownColumnError, match="nope"):
+            aggregate_rows(rows, gnode.keys, gnode.aggs)
 
-    def test_explain_prints_the_count_only_when_not_zero(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        argv = ["explain", "--sql", "SELECT pid, price FROM parts WHERE NOT (price > 5)"]
-        assert main(argv) == 0
-        assert "compile.step_fallbacks" not in capsys.readouterr().out
-        self._refuse_cmp(monkeypatch)
-        assert main(argv) == 0
-        assert "compile.step_fallbacks" in capsys.readouterr().out
+    def test_a_stale_view_fails_at_binding_as_the_interpreter_fails_in_a_round(self):
+        db = build_devices_database(DEV_CONFIG)
+        engine = IdIvmEngine(db, exec_backend="interp")
+        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        # the price-update filter of the flat view, left stale
+        (step,) = [s for s in view.script.steps if getattr(s, "name", None) == "d46_upd_n4"]
+        (stale,) = [node for node in step.ir.walk() if isinstance(node, Filter)]
+        stale.predicate = Call("is_distinct", (Col("nope"), Col("price__pre")))
+        with pytest.raises(UnknownColumnError, match="nope"):
+            bind_kernels(view.script, "compiled")
+        assert not _is_compiled(view.script)  # nothing bound
+        apply_price_updates(engine, db, DEV_CONFIG)
+        with pytest.raises(UnknownColumnError, match="nope"):
+            engine.maintain()
 
     def test_explain_compiled_prints_the_generated_source(self, capsys):
         from repro.cli import main
@@ -471,15 +455,26 @@ def test_sharded_compiled_matches_interpreter(shard_backend, interp_reference):
 
 class TestSubviewFallbacks:
     """Every subview read a round makes — a kernel's, a γ rule's, a tuple
-    rule's — goes through the view's generated reader; only a form the
-    emitter refuses goes to the interpreter (``ctx.resolve_subview``),
-    counted per read in ``compile.subview_fallbacks`` and listed by
-    ``repro explain``."""
+    rule's — goes through the view's generated reader: on the compiled
+    backend the interpreter's ``IrContext.resolve_subview`` is never
+    called."""
 
     @staticmethod
-    def _e2e_rounds(name: str, rounds: int) -> list[int]:
+    def _interpreted_reads(monkeypatch) -> list:
+        """The calls to ``IrContext.resolve_subview`` from here on."""
+        calls = []
+        real = IrContext.resolve_subview
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(IrContext, "resolve_subview", spy)
+        return calls
+
+    def _e2e_rounds(self, name: str, rounds: int, monkeypatch) -> list[int]:
         """Per steady round of e2e workload *name* (smoke scale, seed 1):
-        the subview reads that fell back."""
+        the subview reads that went through the interpreter."""
         import sys
         from pathlib import Path
 
@@ -498,45 +493,54 @@ class TestSubviewFallbacks:
         engine = IdIvmEngine(db)
         engine.define_view("V", build_flat_view(db, config))
         engine.define_view("Vagg", build_aggregate_view(db, config))
+        interpreted = self._interpreted_reads(monkeypatch)
         per_round = []
         for batch in workload.generate_rounds(db, 1, 3 + rounds):
-            fallbacks = metrics.counter("compile.subview_fallbacks")
-            before = fallbacks.value
+            before = len(interpreted)
             log_e2e_batch(engine.log, batch)
             engine.maintain()
-            per_round.append(fallbacks.value - before)
+            per_round.append(len(interpreted) - before)
         return per_round[3:]
 
-    def test_churn_reads_no_subview_through_the_interpreter(self):
-        # the six reads that fell back before the readers were generated:
-        # π over devices four times, π over devices_parts twice
-        assert self._e2e_rounds("devices_churn_m98", 4) == [0] * 4
+    def test_churn_reads_no_subview_through_the_interpreter(self, monkeypatch):
+        # the six reads that went to the interpreter before the readers
+        # were generated: π over devices four times, π over devices_parts twice
+        assert self._e2e_rounds("devices_churn_m98", 4, monkeypatch) == [0] * 4
 
-    def test_bigdiff_reads_none(self):
-        assert self._e2e_rounds("devices_bigdiff_d400", 2) == [0, 0]
+    def test_bigdiff_reads_none(self, monkeypatch):
+        assert self._e2e_rounds("devices_bigdiff_d400", 2, monkeypatch) == [0, 0]
 
     @pytest.mark.parametrize("engine_cls", [IdIvmEngine, TupleIvmEngine], ids=["id", "tuple"])
-    def test_no_shipped_view_reads_through_the_interpreter(self, engine_cls):
-        from repro.core.compile import subview_fallbacks
-
+    def test_no_shipped_view_reads_through_the_interpreter(self, engine_cls, monkeypatch):
+        interpreted = self._interpreted_reads(monkeypatch)
         views = []
         db = build_devices_database(DEV_CONFIG)
         engine = engine_cls(db)
         engine.define_view("V", build_flat_view(db, DEV_CONFIG))
         engine.define_view("Vagg", build_aggregate_view(db, DEV_CONFIG))
         views += engine.views.values()
+        log_batch(engine, mixed_modification_batch(db, DEV_CONFIG, updates=8, inserts=5, deletes=3))
+        engine.maintain()
         db = build_bsma_database(BSMA_CONFIG)
         engine = engine_cls(db)
         for name, make in sorted(BSMA_QUERIES.items()):
             engine.define_view(name, make(db, BSMA_CONFIG))
         views += engine.views.values()
+        log_user_updates(engine, db, BSMA_CONFIG, 5, round_seed=0)
+        engine.maintain()
         assert len(views) == 10
+        assert interpreted == []
         reads = Counter()
         for view in views:
-            assert subview_fallbacks(view.script) == [], view.name
-            script = view.script
-            reads["kernels"] += sum(len(k.subviews) for k in script._kernels.values())
-            reads["rules"] += sum(len(step.subview_reads()) for step in script.steps)
+            built = set(readers_of(view.script).built)
+            rules = {
+                (node.node_id, state, tuple(attrs) if attrs else None, cached)
+                for step in view.script.steps
+                for node, state, attrs, cached in step.subview_reads()
+            }
+            assert rules <= built, view.name
+            reads["kernels"] += len(built - rules)
+            reads["rules"] += len(rules)
         # the ID rules probe in kernels (the shipped γ nodes read their
         # child's cache expansions, so their γ steps probe nothing), the
         # tuple rules in their join steps
@@ -544,27 +548,3 @@ class TestSubviewFallbacks:
             assert reads["rules"] > 0 and reads["kernels"] == 0
         else:
             assert reads["kernels"] > 0 and reads["rules"] == 0
-
-    def test_explain_lists_the_falling_back_probes(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        sql = (
-            "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN devices_parts "
-            "NATURAL JOIN devices WHERE category = 'phone' GROUP BY did"
-        )
-        assert main(["explain", "--sql", sql]) == 0
-        assert "compile.subview_fallbacks" not in capsys.readouterr().out
-        # positive control: a form the emitter refuses (π, here) is read
-        # by the interpreter and listed
-        real = compile_mod._Read.project
-
-        def refused(self, node, *args):
-            if "__rhs_did" in node.columns:
-                raise compile_mod._Refused("π")
-            return real(self, node, *args)
-
-        monkeypatch.setattr(compile_mod._Read, "project", refused)
-        assert main(["explain", "--sql", sql]) == 0
-        out = capsys.readouterr().out
-        (line,) = [line for line in out.splitlines() if "compile.subview_fallbacks" in line]
-        assert "post n9 π __rhs_did, category" in line

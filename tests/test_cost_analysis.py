@@ -398,6 +398,31 @@ class TestCli:
         assert "bsma/" in out
         assert "reconciled" in out
 
+    def test_lint_cost_rounds_update_distinct_keys(self):
+        """Each seeded ``lint --cost`` round of a devices target logs its
+        own key set: the reconciliation and the drift EWMA see distinct
+        batches, not one batch again and again."""
+        from repro.cli import _LINT_DRIFT_ROUNDS, cost_targets
+
+        class Recorder:
+            def __init__(self):
+                self.log = self
+                self.keys = set()
+
+            def update(self, table, key, changes):
+                self.keys.add((table, key))
+
+        devices = [t for t in cost_targets() if t[0].startswith("devices/")]
+        assert len(devices) == 2
+        for label, make_db, _, log_updates in devices:
+            db = make_db()
+            rounds = []
+            for round_seed in range(_LINT_DRIFT_ROUNDS):
+                recorder = Recorder()
+                log_updates(recorder, db, round_seed=round_seed)
+                rounds.append(frozenset(recorder.keys))
+            assert len(set(rounds)) == _LINT_DRIFT_ROUNDS, label
+
     def test_lint_shipped_views_free_of_minimality_warnings(self, capsys):
         """Acceptance pin: with the generator consulting the cost model,
         ``repro lint --cost`` raises no COST501/COST502 on any shipped

@@ -24,6 +24,7 @@ from repro.obs import (
     enabled,
     phase_totals,
     recording,
+    render_tree,
     span,
     validate_trace,
     write_trace,
@@ -419,6 +420,60 @@ class TestTraceFile:
                 assert counts.total == 0, name
                 continue
             assert counts.as_dict() == report.phase_counts[name].as_dict()
+
+
+class TestRenderTree:
+    """``render_tree``: a recorded round as an indented listing, one line
+    per span, children below their parent."""
+
+    @staticmethod
+    def _lines(text: str) -> list[tuple[int, str, str]]:
+        """``(depth, name, kind)`` per rendered line."""
+        out = []
+        for line in text.splitlines():
+            name, kind = line.split()[:2]
+            out.append(((len(line) - len(line.lstrip(" "))) // 2, name, kind.strip("[]")))
+        return out
+
+    def test_a_devices_round_nests_round_view_phase_statement(self, tmp_path):
+        from repro.obs import load_trace
+
+        recorder = SpanRecorder()
+        _run_round(IdIvmEngine, recorder)
+        text = render_tree(recorder)
+        lines = self._lines(text)
+        assert lines[0] == (0, "maintain", "engine")
+        assert all(depth > 0 for depth, _, _ in lines[1:])  # the round is the one root
+        parent_kind = {"view": "engine", "phase": "view", "stmt": "phase"}
+        latest: dict[int, str] = {}  # depth -> kind of the last line there
+        nested = []
+        for depth, name, kind in lines:
+            latest[depth] = kind
+            if kind in parent_kind:
+                assert latest[depth - 1] == parent_kind[kind], (name, kind)
+                nested.append((depth, kind))
+        # preorder: the view, then each phase followed by its statements
+        assert nested[:2] == [(1, "view"), (2, "phase")]
+        assert (3, "stmt") in nested
+        assert {kind for _, kind in nested} == set(parent_kind)
+        # the JSONL records of the same round render the same tree
+        path = tmp_path / "round.jsonl"
+        write_trace(recorder, str(path))
+        assert self._lines(render_tree(load_trace(str(path)))) == lines
+
+    def test_max_depth_truncates(self):
+        recorder = SpanRecorder()
+        _run_round(IdIvmEngine, recorder)
+        full = render_tree(recorder).splitlines()
+        shallow = render_tree(recorder, max_depth=1).splitlines()
+        assert shallow == [line for line in full if not line.startswith("    ")]
+        kinds = {kind for _, _, kind in self._lines("\n".join(shallow))}
+        assert "view" in kinds and not kinds & {"phase", "stmt"}
+        assert render_tree(recorder, max_depth=0).splitlines() == full[:1]
+
+    def test_an_empty_recorder_renders_nothing(self):
+        assert render_tree(SpanRecorder()) == ""
+        assert render_tree([]) == ""
 
 
 class TestTraceReconcile:

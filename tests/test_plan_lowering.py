@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.compile as compile_mod
 from repro.algebra.builder import scan
 from repro.algebra.evaluate import evaluate_plan
 from repro.algebra.plan import (
@@ -41,11 +40,15 @@ from repro.core.modlog import ModificationLog
 from repro.crosscheck.generate import generate_case
 from repro.crosscheck.runner import oracle_states, run_case
 from repro.crosscheck.spec import apply_modification, build_database, build_plan
-from repro.errors import PlanError
+from repro.errors import PlanError, UnknownColumnError
 from repro.expr import And, Arith, Call, Cmp, InList, Not, Or, col, lit
-from repro.obs import metrics
 from repro.storage import Database
-from repro.workloads import DevicesConfig, build_aggregate_view, build_devices_database
+from repro.workloads import (
+    DevicesConfig,
+    build_aggregate_view,
+    build_devices_database,
+    build_flat_view,
+)
 
 #: Type chaos: NULL, bools (numeric to Python, not to sum/avg), ints,
 #: floats and strings in one column.
@@ -244,7 +247,7 @@ def test_aggregates_over_mixed_types():
 
 
 # ----------------------------------------------------------------------
-# a refused form: counted, and still correct
+# a form the emitter cannot lower: an error at lowering
 # ----------------------------------------------------------------------
 class _Unknown(PlanNode):
     """An operator neither the emitter nor the reference knows."""
@@ -262,36 +265,37 @@ class _Unknown(PlanNode):
         return (self.child,)
 
 
-def test_a_refused_form_is_counted_and_still_correct(monkeypatch):
-    """The refused operator alone runs the reference operator: it
-    behaves exactly as the reference, raising included, and its
-    neighbours stay generated."""
+def test_an_unknown_operator_raises_at_lowering():
+    """The emitter raises the reference's ``PlanError`` when the plan is
+    lowered — the reference raises it when the operator is evaluated —
+    and a stale column reference its ``UnknownColumnError``."""
     db = _database([(1, 2, 3), (2, None, 1)], [])
-    fallbacks = metrics.counter("compile.plan_fallbacks")
     unknown = _Unknown(scan(db, "r"))
-    lowered = LoweredPlan(unknown)
-    assert fallbacks.value == 1
-    with pytest.raises(PlanError):
-        lowered.evaluate(unknown, db)
-    assert_lowered_like_reference(unknown, db)
-
-    def refuse(self, expr, cols):
-        raise compile_mod._Refused(repr(expr))
-
-    monkeypatch.setattr(compile_mod._Source, "truth", refuse)
-    plan = Select(scan(db, "r"), Cmp(">", Arith("+", col("ra"), col("rb")), lit(4)))
-    before = fallbacks.value
-    lowered = LoweredPlan(plan)
-    assert fallbacks.value == before + 1  # the σ, not its scan
-    assert lowered.evaluate(plan, db).rows == [(1, 2, 3)]
-    assert_lowered_like_reference(plan, db)
+    with pytest.raises(PlanError, match="cannot evaluate plan node"):
+        LoweredPlan(unknown)
+    with pytest.raises(PlanError, match="cannot evaluate plan node"):
+        evaluate_plan(unknown, db)
+    plan = Select(scan(db, "r"), Cmp(">", col("ra"), lit(1)))
+    plan.predicate = Cmp(">", col("nope"), lit(1))  # left stale by a rewrite
+    with pytest.raises(UnknownColumnError, match="nope"):
+        LoweredPlan(plan)
+    with pytest.raises(UnknownColumnError, match="nope"):
+        evaluate_plan(plan, db)
 
 
-def test_shipped_definitions_lower_every_operator():
+def test_shipped_definitions_lower_every_operator(monkeypatch):
+    """Defining the shipped views evaluates through generated operators
+    only: the reference operator never runs."""
+    import repro.algebra.evaluate as reference
+
+    calls = []
+    monkeypatch.setattr(reference, "apply_operator", lambda *args: calls.append(args))
     config = DevicesConfig(n_parts=40, n_devices=40, diff_size=8)
     db = build_devices_database(config)
-    IdIvmEngine(db).define_view("Vagg", build_aggregate_view(db, config))
-    assert metrics.counter("compile.plan_fallbacks").value == 0
+    engine = IdIvmEngine(db)
+    engine.define_view("V", build_flat_view(db, config))
+    engine.define_view("Vagg", build_aggregate_view(db, config))
+    assert calls == []
 
 
 def test_plan_stats_keeps_one_kernel_per_fingerprint():

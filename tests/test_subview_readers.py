@@ -37,7 +37,7 @@ from repro.core.diffs import INSERT, Diff, DiffSchema
 from repro.core.idinfer import annotate_plan
 from repro.core.ir import POST, PRE
 from repro.core.ir_exec import IrContext
-from repro.errors import DiffError
+from repro.errors import DiffError, PlanError
 from repro.expr.ast import Arith, Cmp, Col, Lit
 from repro.storage import CounterSet, Database, Table, TableSchema
 
@@ -206,10 +206,7 @@ def test_every_form_reads_what_the_interpreter_reads(indexed, cached):
     assert reads > 300
 
 
-def test_readers_are_shared_per_key_and_refused_forms_interpret(monkeypatch):
-    import repro.core.compile as compile_mod
-    from repro.obs import metrics
-
+def test_readers_are_shared_per_key():
     dbs = _world(SEED, True)
     plans = _plans({name: t.schema for name, t in dbs[PRE].tables.items()})
     readers = SubviewReaders()
@@ -217,17 +214,17 @@ def test_readers_are_shared_per_key_and_refused_forms_interpret(monkeypatch):
     assert readers(plan, POST, ("x",)) is readers(plan, POST, ["x"])
     assert readers(plan, POST, ("x",)) is not readers(plan, POST, ("x",), False)
     assert readers(plan, POST, ()) is readers(plan, POST, None)
-    # a refused form keeps the interpreter, counted per read
-    monkeypatch.setattr(compile_mod._Read, "project", lambda *args: (_ for _ in ()).throw(
-        compile_mod._Refused("π")))
-    refused = lower_reader(plan, POST, ("x",))
-    assert not hasattr(refused, "__source__")
-    ctx = _context(dbs, {}, False)
-    fallbacks = metrics.counter("compile.subview_fallbacks")
-    before = fallbacks.value
-    rows = refused(ctx, [(1,), (1,), (None,)])
-    assert fallbacks.value == before + 1
-    assert Counter(rows) == Counter(fetch(plan, dbs[POST], Bindings(("x",), [(1,), (None,)])).rows)
+
+
+def test_bindings_a_node_does_not_produce_fail_at_lowering():
+    """The reader is not generated — ``PlanError``, as the interpreter's
+    ``fetch`` raises for the same read."""
+    dbs = _world(SEED, True)
+    plan = _plans({name: t.schema for name, t in dbs[PRE].tables.items()})["project"]
+    with pytest.raises(PlanError, match="nope"):
+        lower_reader(plan, POST, ("nope",))
+    with pytest.raises(PlanError, match="nope"):
+        fetch(plan, dbs[POST], Bindings(("nope",), [(1,)]))
 
 
 # ----------------------------------------------------------------------
