@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sharded smoke smoke-obs bench bench-compare ab-rounds perf-gate fuzz \
-	lint lint-catalog lint-static
+.PHONY: test test-sharded smoke smoke-obs bench bench-compare ab-rounds intercept perf-gate \
+	fuzz lint lint-catalog lint-static
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,6 +60,15 @@ GC ?=
 ab-rounds:
 	$(PYTHON) tools/ab_rounds.py --base $(BASE) $(if $(WORKLOADS),--workloads $(WORKLOADS)) \
 	    $(if $(GC),--gc)
+
+# The fixed cost of a round (tools/round_intercept.py): bsma's eight
+# views at 0 / 1 / 5 / 20 user updates per round, untraced maintain()
+# p50 over 400 rounds after 20 warm-up rounds, and the slope and
+# intercept of the line through it.  TREE=<dir> measures another
+# checkout's src/repro.
+TREE ?=
+intercept:
+	$(PYTHON) tools/round_intercept.py $(if $(TREE),--tree $(TREE))
 
 # Perf-regression gate: re-run the fast access-count benchmarks and
 # diff each fresh BENCH_*.json against benchmarks/baselines/.  Access

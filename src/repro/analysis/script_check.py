@@ -23,8 +23,9 @@ hazards the executor cannot or does not police:
   NULL.  The executor's index probe matches NULL to NULL (Python dict
   semantics) while 3VL join semantics never match NULL — silent
   divergence on exactly the rows carrying NULL keys.
-* RACE604 — a counted writer (an APPLY or a γ step) targets a table no
-  cache/op-cache spec of the :class:`GeneratedPlan` registers, so its
+* RACE604 — a counted writer (an APPLY or a γ step) declares it writes
+  (``Step.writes()``) a table no cache/op-cache spec of the
+  :class:`GeneratedPlan` registers, so its
   writes bypass the view-round's write journal
   (``Table.begin_journal``): a failed round would not roll them back,
   and a process-backend replica replay would silently diverge.  It is a
@@ -215,58 +216,28 @@ def _check_probe_keys(node, ctx, expansion_targets, where, report) -> None:
 
 
 def _check_journal_coverage(generated, script, report) -> None:
-    """RACE604: every counted writer targets a registered materialization."""
-    registered = {script.view_node_id} | {
-        spec.node_id for spec in getattr(generated, "cache_specs", ())
+    """RACE604: every table a counted writer declares (``Step.writes()``:
+    an APPLY its target, a γ step its output and operator cache) is a
+    registered materialization — what a view-round journals."""
+    registered = {
+        "cache": {script.view_node_id}
+        | {spec.node_id for spec in getattr(generated, "cache_specs", ())},
+        "opcache": {spec.gnode.node_id for spec in getattr(generated, "opcache_specs", ())},
     }
-    opcaches = {
-        spec.gnode.node_id for spec in getattr(generated, "opcache_specs", ())
-    }
+    spec_of = {"cache": "cache spec", "opcache": "op-cache spec"}
     hint = (
         "register the materialization in the GeneratedPlan's cache/"
         "op-cache specs so tagged_tables() journals it"
     )
     for index, step in enumerate(script.steps, start=1):
-        if isinstance(step, ApplyDiffStep):
-            if step.target_node_id not in registered:
+        for kind, node_id in step.writes() or ():
+            if node_id not in registered[kind]:
                 report.add(
                     "RACE604",
-                    f"step {index} (APPLY {step.diff_name})",
-                    f"APPLY targets node n{step.target_node_id}, which no "
-                    f"cache spec registers: its counted writes bypass "
-                    f"the view-round's write journal, so neither a "
-                    f"rollback nor replica replay sees them",
-                    hint=hint,
-                )
-        elif isinstance(step, AssociativeAggregateStep):
-            gid = step.gnode.node_id
-            if gid not in registered:
-                report.add(
-                    "RACE604",
-                    f"step {index} (γ n{gid})",
-                    f"associative aggregate writes output n{gid}, which no "
-                    f"cache spec registers: its counted writes escape "
-                    f"the write journal",
-                    hint=hint,
-                )
-            if gid not in opcaches:
-                report.add(
-                    "RACE604",
-                    f"step {index} (γ n{gid})",
-                    f"associative aggregate writes operator cache "
-                    f"{step.opcache_name!r} (n{gid}), which no op-cache "
-                    f"spec registers: its counted writes escape the write "
-                    f"journal",
-                    hint=hint,
-                )
-        elif isinstance(step, GeneralAggregateStep):
-            gid = step.gnode.node_id
-            if gid not in registered:
-                report.add(
-                    "RACE604",
-                    f"step {index} (γ n{gid})",
-                    f"general aggregate writes output n{gid}, which no "
-                    f"cache spec registers: its counted writes escape "
-                    f"the write journal",
+                    f"step {index} ({step.describe().splitlines()[0]})",
+                    f"{type(step).__name__} writes {kind} n{node_id}, which no "
+                    f"{spec_of[kind]} registers: its counted writes bypass "
+                    f"the view-round's write journal, so neither a rollback "
+                    f"nor replica replay sees them",
                     hint=hint,
                 )

@@ -41,11 +41,11 @@ class RecomputeEngine(MaintenanceEngine):
         return RecomputeView(name, annotated, table, LoweredPlan(annotated, stats.kernel))
 
     def _maintain_view(
-        self, view: RecomputeView, db_pre, entries, view_span
+        self, view: RecomputeView, db_pre, entries, view_span, prepared
     ) -> MaintenanceReport:
         """Re-evaluate the view over the current database (counted)."""
         counters = self.db.counters
-        before = counters.snapshot()
+        before = counters.mark()
         with counted_phase(counters, "recompute"):
             result = view.lowered.evaluate(view.plan, self.db)
             fresh = Table(view.table.schema, counters)

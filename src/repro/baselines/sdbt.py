@@ -294,7 +294,7 @@ class SdbtEngine(MaintenanceEngine):
 
     # ------------------------------------------------------------------
     def _maintain_view(
-        self, view: SdbtView, db_pre: Database, entries, view_span
+        self, view: SdbtView, db_pre: Database, entries, view_span, prepared
     ) -> MaintenanceReport:
         """Sequential per-table delta evaluation (DBToaster's first-order
         semantics) of the round's net changes (its one fold): table i's
@@ -308,7 +308,7 @@ class SdbtEngine(MaintenanceEngine):
         net = entries.folded(self.db)
         shape = view.shape
         counters = self.db.counters
-        before = counters.snapshot()
+        before = counters.mark()
         changes: list[tuple] = []
         hybrid = Database(counters)
         hybrid.tables = dict(db_pre.tables)

@@ -394,7 +394,10 @@ def cost_targets():
     mutates the database, unlike the purely static passes)."""
     from .workloads.devices import build_flat_view
 
-    dev_config = DevicesConfig(n_parts=50, n_devices=50, diff_size=8, fanout=3)
+    # 16 price updates write 10-13 view tuples a round: every round's
+    # writes reach the drift monitor's MIN_VOLUME, so the flat APPLY's
+    # write term is tracked over every round
+    dev_config = DevicesConfig(n_parts=50, n_devices=50, diff_size=16, fanout=3)
     bsma_config = BsmaConfig(n_users=40, friends_per_user=4, n_tweets=80)
 
     def dev_updates(engine, db, round_seed=0):

@@ -25,6 +25,7 @@ from ..obs import spans as obs
 from ..storage import Database
 from .compile import lower_instance_row
 from .diffs import DELETE, INSERT, UPDATE, Diff, DiffSchema
+from .script import ScriptSamples
 
 
 class LoggedModification:
@@ -212,7 +213,8 @@ class RoundEntries(list):
     with the entries; nothing is cached at module level, and a plain
     hand-built list still folds — for itself, every time."""
 
-    __slots__ = ("net", "instances", "derived", "start", "end", "_unchanged")
+    __slots__ = ("net", "instances", "derived", "populated", "samples", "start", "end",
+                 "_unchanged", "_changed")
 
     def __init__(self, entries: Iterable[LoggedModification] = (), start: int = 0):
         super().__init__(entries)
@@ -227,7 +229,15 @@ class RoundEntries(list):
         #: statements' rows, computed by the first view of the range
         #: (``core.script.shared_run``)
         self.derived: dict[str, tuple[str, list]] = {}
+        #: the i-diff rows of each :func:`populate_instances` call over
+        #: the range, until the round observes them
+        #: (:func:`observe_population`)
+        self.populated: list[int] = []
+        #: what the ∆-script executions of the range's views sample,
+        #: until the round observes it
+        self.samples = ScriptSamples()
         self._unchanged: Optional[frozenset[str]] = None
+        self._changed: Optional[frozenset[str]] = None
 
     @classmethod
     def of(cls, entries: Sequence[LoggedModification]) -> "RoundEntries":
@@ -258,6 +268,17 @@ class RoundEntries(list):
                 name for name in db.table_names() if name not in modified
             )
         return unchanged
+
+    def changed(self, db: Database) -> frozenset[str]:
+        """The tables the range leaves a net change on: a view that
+        reads none of them has nothing to absorb (the fold drops what
+        cancels out, an insert then its delete)."""
+        changed = self._changed
+        if changed is None:
+            changed = self._changed = frozenset(
+                name for name, changes in self.folded(db).items() if changes
+            )
+        return changed
 
 
 def fold_log(
@@ -473,21 +494,46 @@ def populate_instances(
     *schemas* is the view's :class:`InstanceLayout`: the schemas, resolved
     once per view rather than once per call.  Views that read the same
     schemas on a table share, within one round's :class:`RoundEntries`,
-    the very instances: nothing mutates a diff's rows.
+    the very instances: nothing mutates a diff's rows.  The rows filled
+    are noted on the entries (``RoundEntries.populated``) for the round
+    to observe once per group of views (:func:`observe_population`).
     """
-    with obs.span(
-        "log_to_idiffs", kind="engine", counters=db.counters,
-        n_log_entries=len(entries), n_schemas=len(schemas),
-    ) as sp:
-        out = _populate_instances(schemas, entries, db)
-        sizes = [len(diff.rows) for diff in out.values()]
-        total_rows = sum(sizes)
-        sp.set(idiff_rows=total_rows, nonempty_instances=len(sizes) - sizes.count(0))
-        _IDIFF_ROWS().observe(total_rows)
-        _FOLD_ROWS().observe(len(entries))
-        if entries:
-            _FOLD_RATIO().observe(total_rows / len(entries))
-        return out
+    entries = RoundEntries.of(entries)
+    if obs.current_recorder() is None:
+        out, rows = _populate_instances(schemas, entries, db)
+    else:
+        with obs.span(
+            "log_to_idiffs", kind="engine", counters=db.counters,
+            n_log_entries=len(entries), n_schemas=len(schemas),
+        ) as sp:
+            out, rows = _populate_instances(schemas, entries, db)
+            empty = sum(not diff.rows for diff in out.values())
+            sp.set(idiff_rows=rows, nonempty_instances=len(out) - empty)
+    entries.populated.append(rows)
+    return out
+
+
+def observe_population(entries: "RoundEntries") -> None:
+    """Observe what the :func:`populate_instances` calls over *entries*
+    filled — the raw entries folded, the i-diff rows and the share of
+    the entries they kept, one sample of each per call — in one batch:
+    the fold's size once, ``times`` the calls, and the rows once per
+    distinct value."""
+    populated = entries.populated
+    if not populated:
+        return
+    _FOLD_ROWS().observe(len(entries), len(populated))
+    seen: dict[int, int] = {}
+    for rows in populated:
+        seen[rows] = seen.get(rows, 0) + 1
+    observe = _IDIFF_ROWS().observe
+    for rows, times in seen.items():
+        observe(rows, times)
+    if entries:
+        # in call order: the ratios' float sum as if observed one by one
+        n = len(entries)
+        _FOLD_RATIO().observe_many([rows / n for rows in populated])
+    populated.clear()
 
 
 _IDIFF_ROWS = metrics.Handle("histogram", "modlog.idiff_rows_per_round")
@@ -497,13 +543,12 @@ _FOLD_RATIO = metrics.Handle("histogram", "modlog.fold_ratio")
 
 def _populate_instances(
     layout: InstanceLayout,
-    entries: Sequence[LoggedModification],
+    entries: "RoundEntries",
     db: Database,
-) -> dict[str, Diff]:
+) -> tuple[dict[str, Diff], int]:
     out = dict(layout.empties)
-    # A hand-built list shares nothing: its memo dies with this call.
-    entries = RoundEntries.of(entries)
     memo = entries.instances
+    rows = 0
     # Work follows the folded log: a table it does not touch resolves no
     # projector and builds no instance.
     for target, changes in entries.folded(db).items():
@@ -514,7 +559,9 @@ def _populate_instances(
         if filled is None:
             filled = memo[projectors.key] = projectors.fill(changes)
         out.update(filled)
-    return out
+        for diff in filled.values():
+            rows += len(diff.rows)
+    return out, rows
 
 
 def instances_key(target: str, schemas: Sequence[DiffSchema]) -> tuple:

@@ -325,6 +325,9 @@ class _AggregateStep(Step):
     def binds(self) -> list[tuple[str, str]]:
         return [("diff", name) for name in self.emitted.values()]
 
+    def writes(self) -> tuple[tuple[str, int], ...]:
+        return (("cache", self.gnode.node_id),)
+
     def pre_tables(self) -> frozenset[str]:
         # an i-diff input is completed by an Input_pre probe of the
         # child; an expansion or a t-diff carries the child rows
@@ -363,6 +366,10 @@ class AssociativeAggregateStep(_AggregateStep):
             raise ScriptError(f"aggregate n{self.gnode.node_id} has no operator cache")
         bound.group_pass = lower_group_pass(self.gnode, bound.output, bound.opcache)
         return bound
+
+    def writes(self) -> tuple[tuple[str, int], ...]:
+        # the γ pass writes the output and the operator cache
+        return (("cache", self.gnode.node_id), ("opcache", self.gnode.node_id))
 
     @property
     def group_pass(self):

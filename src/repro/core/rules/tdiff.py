@@ -149,6 +149,9 @@ class TupleJoinStep(Step):
     def binds(self) -> list[tuple[str, str]]:
         return [("diff", name) for name in self.emitted.values()]
 
+    def writes(self) -> tuple:
+        return ()
+
     def pre_tables(self) -> frozenset[str]:
         # both children are read uncached, in either state
         return base_tables(self.node)

@@ -129,9 +129,11 @@ class DriftMonitor:
     def __init__(self):
         self._states: dict[tuple[str, str], DriftState] = {}
         from ..analysis.cost import SCRIPT_PHASES  # deferred: it imports obs
-
         #: the phases both sides are summed over
         self._phases: tuple[str, ...] = SCRIPT_PHASES
+        #: view -> (its last prediction, that prediction summed per metric):
+        #: a memoised prediction comes back as the same mapping, summed once
+        self._forecasts: dict[str, tuple[Any, tuple[float, ...]]] = {}
 
     # ------------------------------------------------------------------
     def update_from_report(self, report: object) -> None:
@@ -142,18 +144,24 @@ class DriftMonitor:
         predicted = getattr(report, "predicted_counts", None)
         if not predicted:
             return
-        forecast = [c for c in map(predicted.get, self._phases) if c is not None]
-        observed = [
-            c for c in map(report.phase_counts.get, self._phases)  # type: ignore[attr-defined]
-            if c is not None
-        ]
         view = report.view_name  # type: ignore[attr-defined]
-        for metric in DRIFT_METRICS:
-            p = o = 0.0
-            for predicted_counts in forecast:
-                p += predicted_counts.get(metric, 0.0)
-            for counts in observed:
-                o += getattr(counts, metric)
+        forecast = self._forecasts.get(view)
+        if forecast is None or forecast[0] is not predicted:
+            phases = [c for c in map(predicted.get, self._phases) if c is not None]
+            sums = []
+            for metric in DRIFT_METRICS:
+                p = 0.0
+                for predicted_counts in phases:
+                    p += predicted_counts.get(metric, 0.0)
+                sums.append(p)
+            forecast = self._forecasts[view] = (predicted, tuple(sums))
+        lookups = reads = writes = 0.0
+        for counts in map(report.phase_counts.get, self._phases):  # type: ignore[attr-defined]
+            if counts is not None:
+                lookups += counts.index_lookups
+                reads += counts.tuple_reads
+                writes += counts.tuple_writes
+        for metric, p, o in zip(DRIFT_METRICS, forecast[1], (lookups, reads, writes)):
             if p < MIN_VOLUME and o < MIN_VOLUME:
                 continue
             state = self._states.get((view, metric))

@@ -165,6 +165,18 @@ class CounterSet:
                 self.phases[name] = bucket
             bucket.add(phase)
 
+    def mark(self) -> dict[str, tuple[int, int, int, int]]:
+        """Per-phase counts (plus ``"__total__"``) as plain tuples, the
+        fields in declaration order: the cheap "before" of a
+        ``counts_since`` delta."""
+        out = {
+            name: (c.index_lookups, c.tuple_reads, c.tuple_writes, c.index_maintenance)
+            for name, c in self.phases.items()
+        }
+        c = self.total
+        out["__total__"] = (c.index_lookups, c.tuple_reads, c.tuple_writes, c.index_maintenance)
+        return out
+
     def snapshot(self) -> dict[str, AccessCounts]:
         """Copy of per-phase counts (plus ``"__total__"``)."""
         out = {name: counts.copy() for name, counts in self.phases.items()}

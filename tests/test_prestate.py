@@ -13,6 +13,7 @@ two empty catalogs.  And a round must cost the diff, not the database.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import equi_join, evaluate_plan, group_by, rename, scan, where
-from repro.algebra.plan import AntiJoin
+from repro.algebra.plan import AntiJoin, base_tables
 from repro.analysis import cost as cost_module
 from repro.baselines import SdbtEngine, TupleIvmEngine, sdbt
 from repro.core import IdIvmEngine, wire
@@ -262,8 +263,15 @@ def test_replica_equals_reconstruction_before_every_round(kind, rounds):
                 patches = [mock.patch.object(m, a, _boom) for m, a in fault_sites]
                 for patch in patches:
                     patch.start()
+                # a range that changes no table a view reads leaves the
+                # view an idle round, with nothing in it to fail
+                log = engine.log
+                busy = any(
+                    log.since(log.cursors[name]).changed(db) & base_tables(view.plan)
+                    for name, view in engine.views.items()
+                )
                 try:
-                    with pytest.raises(Boom):
+                    with pytest.raises(Boom) if busy else nullcontext():
                         engine.maintain()
                 finally:
                     for patch in patches:

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from repro.algebra import evaluate_plan, group_by
+from repro.algebra import evaluate_plan, group_by, natural_join, scan
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 import repro.analysis as analysis_mod
 import repro.baselines.recompute as recompute_mod
@@ -30,6 +30,7 @@ from repro.core.modlog import schema_instance_name
 from repro.core.rules.aggregate import AssociativeAggregateStep
 from repro.core.script import ApplyDiffStep
 from repro.crosscheck.invariants import check_table
+from repro.expr import col
 from repro.obs import (
     SpanRecorder,
     load_trace,
@@ -159,8 +160,8 @@ def test_log_is_folded_once_per_round_not_per_view(kind):
         folds.append(1)
         return real_fold(*args)
 
-    def spy_maintain(self, view, db_pre, entries, view_span):
-        report = real_maintain(self, view, db_pre, entries, view_span)
+    def spy_maintain(self, view, db_pre, entries, *rest):
+        report = real_maintain(self, view, db_pre, entries, *rest)
         nets.append(entries.net)
         return report
 
@@ -492,17 +493,17 @@ class Boom(RuntimeError):
     pass
 
 
-def _two_view_engine(kind: str, db):
-    """Views A (flat) and B (a γ-sum) over the running example; SDBT
-    takes aggregates over SPJ only, so its A is a γ-count."""
+def _two_view_engine(kind: str, db, build_b=build_view_v_prime):
+    """Views A (flat) and B (by default a γ-sum) over the running
+    example; SDBT takes aggregates over SPJ only, so its A is a γ-count."""
     engine = ENGINES[kind](db)
-    b = build_view_v_prime(db)
+    a = build_view_v_prime(db)
     engine.define_view(
         "A",
-        group_by(b.child, ("did",), [("count", None, "parts")])
+        group_by(a.child, ("did",), [("count", None, "parts")])
         if kind == "sdbt" else build_view_v(db),
     )
-    engine.define_view("B", b)
+    engine.define_view("B", build_b(db))
     for price in range(11, 31):   # 20 updates of P1
         engine.log.update("parts", ("P1",), {"price": price})
     return engine
@@ -570,6 +571,103 @@ def test_a_failed_round_keeps_the_telemetry_of_the_views_that_committed(
     assert (views["A"]["rounds"], views["B"]["rounds"]) == (2, 1)
     assert engine.freshness.lag_histogram("A").count == 25
     assert engine.freshness.lag_histogram("B").count == 20
+
+
+def _idle_pair_engine(kind: str, db):
+    """B (a γ-sum over the running example) and C, a γ-count over a
+    table of its own, ``suppliers``, that B does not read."""
+    db.create_table("suppliers", ("sid", "city"), ("sid",))
+    db.table("suppliers").load([("S1", "Oslo"), ("S2", "Oslo"), ("S3", "Rome")])
+    engine = ENGINES[kind](db)
+    engine.define_view("B", build_view_v_prime(db))
+    engine.define_view(
+        "C", group_by(scan(db, "suppliers"), ("city",), [("count", None, "n")])
+    )
+    return engine
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+def test_an_idle_view_round_costs_nothing(kind, running_example_db):
+    """ROADMAP item 19(a): a range that changes none of C's base tables
+    leaves C an idle round on every engine — no journal armed on its
+    tables, no instance populated, no script run, no prediction, drift
+    or per-view sample — while its cursor moves, its freshness is noted
+    and the round still reports it, at no cost."""
+    db = running_example_db
+    engine = _idle_pair_engine(kind, db)
+    c = engine.views["C"]
+    owned = {id(t) for t in (c.table, *c.written_tables)}
+    armed, populated, executed, maintained = [], [], [], []
+    real_begin, real_populate = Table.begin_journal, engine_mod.populate_instances
+    real_execute, real_maintain = engine_mod.execute_script, type(engine)._maintain_view
+
+    def begin_journal(self):
+        armed.append(id(self))
+        return real_begin(self)
+
+    def populate(layout, *args):
+        populated.append(layout)
+        return real_populate(layout, *args)
+
+    def execute(script, ctx):
+        executed.append(script)
+        return real_execute(script, ctx)
+
+    def maintain_view(self, view, *args):
+        maintained.append(view.name)
+        return real_maintain(self, view, *args)
+
+    for price in range(11, 16):
+        engine.log.update("parts", ("P1",), {"price": price})
+    with metrics.scoped() as reg, ExitStack() as stack:
+        stack.enter_context(mock.patch.object(Table, "begin_journal", begin_journal))
+        stack.enter_context(mock.patch.object(engine_mod, "populate_instances", populate))
+        stack.enter_context(mock.patch.object(engine_mod, "execute_script", execute))
+        stack.enter_context(mock.patch.object(type(engine), "_maintain_view", maintain_view))
+        reports = engine.maintain()
+    assert maintained == ["B"]
+    # B's journals only (recomputation journals nothing)
+    assert bool(armed) == bool(engine.views["B"].written_tables)
+    assert not owned & set(armed)
+    assert all(layout is not getattr(c, "instance_layout", None) for layout in populated)
+    assert all(script is not getattr(c, "script", None) for script in executed)
+    assert reports["C"].total_cost == 0 and reports["C"].phase_counts == {}
+    assert reports["C"].predicted_counts is None
+    assert reports["B"].total_cost > 0
+    assert engine.last_reports["C"] is reports["C"]
+    assert engine.log.cursors == {"B": 5, "C": 5} and engine.log.entries == []
+    assert engine.freshness.staleness("C").rounds == 1
+    assert engine.freshness.lag_histogram("C").count == 5
+    assert "C" not in {view for view, _metric in engine.drift._states}
+    # only B's round is sampled
+    assert reg.loghist("engine.round_cost").count == 1
+    assert reg.loghist("view.round_seconds.C").count == 0
+    assert reg.loghist("view.round_seconds.B").count == 1
+    # a change on C's table makes its next round a real one
+    engine.log.update("suppliers", ("S3",), {"city": "Oslo"})
+    reports = engine.maintain()
+    assert reports["C"].total_cost > 0 and reports["B"].total_cost == 0
+    assert engine.freshness.staleness("C").rounds == 2
+    for name, view in engine.views.items():
+        assert view_bag(engine, name) == Counter(evaluate_plan(view.plan, db).rows), name
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+def test_a_traced_idle_view_round_validates_and_reconciles(kind, running_example_db, tmp_path):
+    db = running_example_db
+    engine = _idle_pair_engine(kind, db)
+    engine.log.update("parts", ("P2",), {"price": 21})
+    recorder = SpanRecorder()
+    with recording(recorder):
+        engine.maintain()
+    spans = {sp.name: sp for sp in recorder.find(kind="view")}
+    assert spans["view:C"].attrs["idle"] is True
+    assert spans["view:C"].attrs["total_cost"] == 0
+    assert spans["view:B"].attrs["total_cost"] > 0
+    path = str(tmp_path / "round.jsonl")
+    write_trace(recorder, path)
+    assert validate_trace(path) == []
+    assert reconcile_trace(load_trace(path)) == []
 
 
 def _in_view(engine, name: str):
@@ -662,40 +760,70 @@ def _snapshot(table: Table) -> tuple:
     }
 
 
+def _two_aggregates(db):
+    """Per device, its parts' total price joined with its placement
+    count: a price update reaches the first γ, its caches and the view,
+    and leaves the second γ's output and operator cache alone."""
+    cost = group_by(
+        natural_join(scan(db, "parts"), scan(db, "devices_parts")),
+        ("did",), [("sum", col("price"), "cost")],
+    )
+    placed = group_by(scan(db, "devices_parts"), ("did",), [("count", None, "n")])
+    return natural_join(cost, placed)
+
+
 @pytest.mark.parametrize("kind,point", [
     pytest.param(kind, point, id=kind if point == "first_write" else f"{kind}-{point}")
-    for kind in CURSOR_KINDS for point in FAILURE_POINTS
+    for kind in sorted(ENGINES) for point in FAILURE_POINTS
     # recomputation fills a fresh table row by row: no batch, no γ pass
     if kind != "recompute" or point == "first_write"
 ])
 def test_a_view_that_fails_after_its_first_write_converges(kind, point, running_example_db):
     """ROADMAP item 1b: a view that fails after a write — its first, one
-    inside a bulk batch, or its γ pass — is rolled back whole: each of
-    its tables holds the rows and index buckets it held before the
-    round, the restore charges nothing, and a retry converges."""
+    inside a bulk batch, or its γ pass — is rolled back whole: each table
+    its round journaled (for a ∆-script, the tables its live slice may
+    write: two of them at least) holds the rows and index buckets it held
+    before the round, the restore charges nothing, a table the slice does
+    not write is never journaled and is left as it was, and a retry
+    converges."""
     db = running_example_db
-    engine = _two_view_engine(kind, db)
+    # SDBT takes aggregates over SPJ only
+    engine = _two_view_engine(kind, db, build_view_v_prime if kind == "sdbt" else _two_aggregates)
     b = engine.views["B"]
     tables = {id(t): t for t in (b.table, *b.written_tables)}.values()
     before = [_snapshot(t) for t in tables]
     rollbacks = metrics.counter("engine.view_rollbacks")
-    restores = []
-    real_end = Table.end_journal
+    armed, restores = [], []
+    real_prepare, real_end = type(engine)._prepare_view, Table.end_journal
+
+    def prepare_view(self, view, *args):
+        written, prepared = real_prepare(self, view, *args)
+        if view.name == "B":
+            armed.extend(written)
+        return written, prepared
 
     def end_journal(self, commit=True, write_set=False):
         counts = self.counters.snapshot()
         got = real_end(self, commit, write_set)
         if not commit:
-            restores.append(self.counters.snapshot() == counts)
+            restores.append((self, self.counters.snapshot() == counts))
         return got
 
     with ExitStack() as stack:
         FAILURE_POINTS[point](engine, stack)
+        stack.enter_context(mock.patch.object(type(engine), "_prepare_view", prepare_view))
         stack.enter_context(mock.patch.object(Table, "end_journal", end_journal))
         with pytest.raises(Boom):
             engine.maintain()
     assert rollbacks.value == 1
-    assert len(restores) == len(b.written_tables) and all(restores)
+    assert [table for table, _ in restores] == armed and all(ok for _, ok in restores)
+    untouched = [t for t in b.written_tables if t not in armed]
+    if kind == "recompute":
+        assert armed == untouched == []  # it swaps a fresh table in on success
+    elif kind == "sdbt":
+        assert armed == list(b.written_tables)
+    else:
+        assert len(armed) >= 2 and len(untouched) == 2, [t.name for t in armed]
     assert engine.log.cursors == {"A": 20, "B": 0}
     for table, (rows, buckets) in zip(tables, before):
         assert _snapshot(table)[0] == rows, table.name
