@@ -852,7 +852,7 @@ def family_totals(
     out: dict[str, float] = {}
     for fam in families:
         sizes = {f: (NOMINAL_DIFF_CARD if f == fam else 0.0) for f in families}
-        pred = model.predict_from_diff_sizes(sizes)
+        pred = model.predict_from_diff_sizes(sizes, (tuple(families), fam))
         out[fam] = sum(p["total"] for p in pred.values())
     return out
 

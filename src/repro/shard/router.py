@@ -92,6 +92,8 @@ from ..storage.partition import shard_of
 
 #: Provenance value of a statically-empty branch: vacuously anchored.
 _WILD = "*"
+#: the route of a round whose instances are all empty
+EMPTY_BATCH = "empty modification batch"
 
 
 class RoutePlan:
@@ -160,7 +162,7 @@ def plan_route(
         return RoutePlan(False, "single shard requested")
     active = {name for name, diff in instances.items() if diff.rows}
     if not active:
-        return RoutePlan(False, "empty modification batch")
+        return RoutePlan(False, EMPTY_BATCH)
     reasons: list[str] = []
     for anchor in _anchor_candidates(instances, active, db):
         try:

@@ -14,7 +14,7 @@ from repro.core.diffs import Diff
 from repro.core.ir_exec import IrContext
 from repro.core.modlog import populate_instances
 from repro.core.engine import _reconstruct_pre
-from repro.core.script import ComputeDiffStep, execute_script
+from repro.core.script import ComputeDiffStep, ScriptSamples, execute_script
 from repro.storage import Database
 from tests.conftest import build_view_v, build_view_v_prime
 
@@ -63,7 +63,10 @@ class TestEffectiveness:
         instances = populate_instances(view.instance_layout, entries, db_pre)
         ctx = IrContext(db_pre, db, diffs=instances, caches=view.caches)
         ctx.operator_caches = view.operator_caches
-        execute_script(view.generated.script, ctx)
+        script = view.generated.script
+        ctx.live = script.live_plan(script.live_mask(instances), ctx)
+        ctx.samples = ScriptSamples()
+        execute_script(script, ctx)
         # Final diffs: those applied to the view (the root node).
         root = view.plan.node_id
         view_target = f"n{root}"

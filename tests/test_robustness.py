@@ -7,7 +7,13 @@ from repro.core import IdIvmEngine
 from repro.core.diffs import UPDATE, Diff, DiffSchema
 from repro.core.ir import AppliedSource, DiffSource
 from repro.core.ir_exec import IrContext, run_ir
-from repro.core.script import ApplyDiffStep, ComputeDiffStep, DeltaScript, execute_script
+from repro.core.script import (
+    ApplyDiffStep,
+    ComputeDiffStep,
+    DeltaScript,
+    ScriptSamples,
+    execute_script,
+)
 from repro.errors import ScriptError
 from repro.storage import Database
 from tests.conftest import build_view_v, build_view_v_prime
@@ -24,13 +30,21 @@ def make_db() -> Database:
     return db
 
 
+def _resolved(script, ctx):
+    """*ctx* with what ``round_context`` resolves for an engine round:
+    the live slice of its diffs and a sample batch."""
+    ctx.live = script.live_plan(script.live_mask(ctx.diffs), ctx)
+    ctx.samples = ScriptSamples()
+    return ctx
+
+
 class TestScriptMisuse:
     def test_apply_before_compute_raises(self, running_example_db):
         script = DeltaScript(
             [ApplyDiffStep("never_computed", 0, "view[V]", "view_update")],
             view_node_id=0,
         )
-        ctx = IrContext(running_example_db, running_example_db)
+        ctx = _resolved(script, IrContext(running_example_db, running_example_db))
         with pytest.raises(ScriptError):
             execute_script(script, ctx)
 
@@ -46,7 +60,7 @@ class TestScriptMisuse:
         ctx = IrContext(running_example_db, running_example_db)
         ctx.diffs["base"] = Diff(schema, [("P1", 10, 11)])
         with pytest.raises(ScriptError):
-            execute_script(script, ctx)
+            execute_script(script, _resolved(script, ctx))
 
     def test_returning_before_apply_raises(self, running_example_db):
         ctx = IrContext(running_example_db, running_example_db)
