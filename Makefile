@@ -139,21 +139,24 @@ lint-catalog:
 # round's entries; and one evaluation per definition: inside every
 # definition hook (`_define`, `define_script`, `lint_definition`) rows
 # are read from the definition's one `PlanStats` — `stats.rows(node)`,
-# `materialize(…, stats)`, `define_script(…, stats, …)`, `price_script(…,
-# stats, …)` — so no sub-plan is derived twice and every one runs the
-# generated plan operators; and the interpretive reference stays
-# independent of them: `evaluate_plan(node, db)` takes no third argument
-# (no memo) and algebra/evaluate.py imports nothing from repro.core (the
-# code generator lives there); and a script is priced once: `infer_script_cost` is called only
-# in analysis/cost.py (by `price_script`, the one guarded inference), a
-# `PlanStats` is built only there and by `MaintenanceEngine.define_view`
-# (core/engine.py), and the generator, the engine and the sharing pass
-# swallow no exception; and the tuple-based baseline is idIVM with the
-# tuple rule set: baselines/tuple_ivm.py holds the engine class and
-# evaluates nothing itself, the rule bodies live under core/rules/, and
-# a script reads subviews through its view's generated readers
-# (core/compile.py `SubviewReaders`) — `IrContext.resolve_subview` is
-# called only by the interpreter (core/ir_exec.py), and `fetch` only by
+# `materialize(…, stats)`, `define_script(…, stats, …)`,
+# `infer_script_cost(…, stats=stats)` — so no sub-plan is derived twice
+# and every one runs the generated plan operators; and the interpretive
+# reference stays independent of them: `evaluate_plan(node, db)` takes
+# no third argument (no memo) and algebra/evaluate.py imports nothing
+# from repro.core (the code generator lives there); and a script is
+# priced once, or its definition fails: `infer_script_cost` is called
+# only in analysis/cost.py, a `PlanStats` is built only there and by
+# `MaintenanceEngine.define_view` (core/engine.py), the generator, the
+# engine, the sharing pass and the cost walker swallow no exception, and
+# no pricing fallback or its counter (`price_script`,
+# `COST_*_FALLBACKS`, `engine.cost_*_fallbacks`) is left in src/; and
+# the tuple-based baseline is idIVM with the tuple rule set:
+# baselines/tuple_ivm.py holds the engine class and evaluates nothing
+# itself, the rule bodies live under core/rules/, and a script reads
+# subviews through its view's generated readers (core/compile.py
+# `SubviewReaders`) — `IrContext.resolve_subview` is called only by the
+# interpreter (core/ir_exec.py), and `fetch` only by
 # algebra/delta_eval.py, core/ir_exec.py and the SDBT baseline, whose
 # sequential hybrid state copies no database; and generated code has no
 # interpreter inside it: core/compile.py imports neither the diff-driven
@@ -269,9 +272,9 @@ lint-static:
 	        /^ *(def|class) |^[^ #)]/ { f = 0 } \
 	        f { print FILENAME ":" FNR ": " $$0 }' \
 	    src/repro/core/engine.py src/repro/analysis/cost.py src/repro/baselines/*.py \
-	    | grep -E '\b(evaluate_plan|materialize|define_script|price_script)\(' \
-	    | grep -vE '\bmaterialize\([^)]*, stats\)|\b(define_script|price_script)\(.*\bstats[,)]'; then \
-	    echo "definition-time evaluation outside the definition's PlanStats: read stats.rows(node) / materialize(node, db, name, stats) / define_script(name, plan, stats, ...)"; \
+	    | grep -E '\b(evaluate_plan|materialize|define_script|infer_script_cost)\(' \
+	    | grep -vE '\bmaterialize\([^)]*, stats\)|\bdefine_script\(.*\bstats[,)]|\binfer_script_cost\(.*\bstats=stats\)'; then \
+	    echo "definition-time evaluation outside the definition's PlanStats: read stats.rows(node) / materialize(node, db, name, stats) / define_script(name, plan, stats, ...) / infer_script_cost(generated, stats.db, stats=stats)"; \
 	    exit 1; fi
 	@if grep -nE '^\s*(from\s+(\.\.core|repro\.core)\b|import\s+repro\.core\b|from\s+(\.\.|repro)\s+import\s.*\bcore\b)' \
 	    src/repro/algebra/evaluate.py; then \
@@ -283,15 +286,19 @@ lint-static:
 	    exit 1; fi
 	@if grep -rnE '\binfer_script_cost\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/analysis/cost\.py:'; then \
-	    echo "infer_script_cost outside analysis/cost.py: price through price_script (or read generated.cost_model)"; \
+	    echo "infer_script_cost outside analysis/cost.py: a script is priced by its definition (define_script); read generated.cost_model"; \
 	    exit 1; fi
 	@if grep -rnE '\bPlanStats\(' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/(core/engine|analysis/cost)\.py:'; then \
 	    echo "PlanStats built outside MaintenanceEngine.define_view and analysis/cost.py: one per definition"; \
 	    exit 1; fi
 	@if grep -nE 'except +(\(.*)?Exception\b' src/repro/core/generator.py \
-	    src/repro/core/engine.py src/repro/analysis/sharing.py; then \
-	    echo "swallowed exception: a pricing failure is counted by analysis.cost.price_script, nothing else guards"; \
+	    src/repro/core/engine.py src/repro/analysis/sharing.py src/repro/analysis/cost.py; then \
+	    echo "swallowed exception: a script the cost walker cannot price fails its definition and its lint"; \
+	    exit 1; fi
+	@if grep -rnwE 'price_script|COST_MODEL_FALLBACKS|COST_SELECT_FALLBACKS|cost_model_fallbacks|cost_select_fallbacks' \
+	    src --include='*.py'; then \
+	    echo "a pricing fallback in src/: every i-diff script is priced, or its definition raises"; \
 	    exit 1; fi
 	@if grep -nE '^\s*(from\s+(\.\.|repro\.)(algebra\.(delta_eval|evaluate)|expr\.eval)\b|import\s+repro\.(algebra\.(delta_eval|evaluate)|expr\.eval)\b|from\s+(\.\.|repro\.)expr\s+import\s.*\b(evaluate|matches)\b)' \
 	    src/repro/baselines/tuple_ivm.py; then \
@@ -360,7 +367,7 @@ lint-static:
 	@if grep -rnwE 'StaticAnalysisError|check_generated|ShardRaceError' src --include='*.py' \
 	    || grep -nE '\bstrict\b *(:|=[^=])|\.strict\b' \
 	        src/repro/core/engine.py src/repro/baselines/tuple_ivm.py src/repro/analysis/cost.py; then \
-	    echo "a strict mode in src/: a stale replica is rebuilt and counted (engine.prestate_rebuilds), a failed pricing is counted (engine.cost_*_fallbacks), the analyzer gate is lint_definition, and the race detector records overlaps"; \
+	    echo "a strict mode in src/: a stale replica is rebuilt and counted (engine.prestate_rebuilds), a failed pricing fails the definition, the analyzer gate is lint_definition, and the race detector records overlaps"; \
 	    exit 1; fi
 	@if ! $(PYTHON) tools/check_round_metrics.py src/repro; then \
 	    echo "a metric looked up by name on a round's hot path: hold a metrics.Handle (obs/metrics.py)"; \

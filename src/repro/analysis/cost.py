@@ -95,10 +95,9 @@ from ..costmodel.symbolic import (
     writes,
 )
 from ..expr import Col, columns_of, equi_join_pairs
-from ..obs import metrics
 from ..storage import Database, row_extractor
 from .diagnostics import AnalysisReport
-from .fingerprint import FingerprintError, _PlanWalker
+from .fingerprint import _PlanWalker
 from .registry import AnalysisContext
 
 #: Nominal per-instance diff cardinality used when no observation binds
@@ -130,11 +129,6 @@ RECONCILE_TOLERANCES: dict[str, tuple[float, float]] = {
 _MARGIN_ABS = 8.0
 _MARGIN_REL = 0.05
 
-#: Per-view counters of failed pricings (:func:`price_script`): of the
-#: requested script, and of a candidate or lint alternative.
-COST_MODEL_FALLBACKS = "engine.cost_model_fallbacks."
-COST_SELECT_FALLBACKS = "engine.cost_select_fallbacks."
-
 
 # ----------------------------------------------------------------------
 # node statistics
@@ -144,7 +138,9 @@ class PlanStats:
     it: the rows of each sub-plan somebody asked for and the scalar
     statistics read off them, computed at most once.  Keys are *exact*
     sub-plan fingerprints, so a re-annotated copy of the plan (cost
-    selection's cache-free candidate) hits the original's entries.
+    selection's cache-free candidate) hits the original's entries; a
+    plan with no fingerprint (e.g. a ``Decimal`` literal) raises
+    :class:`~repro.analysis.fingerprint.FingerprintError` at definition.
 
     Evaluation runs the generated operators
     (:func:`repro.core.compile.lower_plan`), one kernel per key kept
@@ -167,12 +163,9 @@ class PlanStats:
         #: operators evaluated / sub-plans answered from the memo
         self.evaluations = self.hits = 0
 
-    def _key(self, node: PlanNode) -> object:
+    def _key(self, node: PlanNode) -> str:
         self._pinned[id(node)] = node
-        try:
-            return self._prints.visit(node)[0]
-        except FingerprintError:  # e.g. an exotic literal: share by identity
-            return id(node)
+        return self._prints.visit(node)[0]
 
     def lookup(self, node: PlanNode) -> Optional[Relation]:
         """The question asked at every node on the way down; a miss is
@@ -721,26 +714,10 @@ def infer_script_cost(
     *stats* is the :class:`PlanStats` of the definition this runs in;
     without one the run evaluates its own.
     Raises :class:`CostInferenceError` on constructs the walker cannot
-    cost; inside a definition it is called through :func:`price_script`,
-    which turns any exception into "no model available".
+    cost, and nothing catches it: a script that cannot be priced fails
+    its definition and its lint.
     """
     return _CostWalker(generated, stats or PlanStats(db)).walk()
-
-
-def price_script(
-    generated: GeneratedPlan, stats: PlanStats, fallbacks: str
-) -> Optional[ScriptCostModel]:
-    """The cost model of *generated* from the definition's *stats*, or
-    None when inference fails — the one guarded :func:`infer_script_cost`.
-    A failure is counted as ``<fallbacks><view>``
-    (:data:`COST_MODEL_FALLBACKS` or :data:`COST_SELECT_FALLBACKS`) and
-    printed by ``repro explain``; calling :func:`infer_script_cost`
-    on the same script shows why."""
-    try:
-        return infer_script_cost(generated, stats.db, stats=stats)
-    except Exception:
-        metrics.counter(f"{fallbacks}{generated.view_name}").inc()
-        return None
 
 
 @dataclass(frozen=True)
@@ -920,13 +897,11 @@ def define_script(
     generated = generator.generate(rules.base_schemas(generator.plan, stats.db))
     if rules.full_rows:
         return generated
-    generated.cost_model = price_script(generated, stats, COST_MODEL_FALLBACKS)
-    if cost_select and cache_policy != "never" and generated.cost_model is not None:
+    generated.cost_model = infer_script_cost(generated, stats.db, stats=stats)
+    if cost_select and cache_policy != "never":
         candidate = _alternative(generated, optimize, "never", view_reuse)
-        candidate.cost_model = price_script(candidate, stats, COST_SELECT_FALLBACKS)
-        if candidate.cost_model is not None and dominated_by(
-            generated.cost_model, candidate.cost_model, _families(generated)
-        ):
+        candidate.cost_model = infer_script_cost(candidate, stats.db, stats=stats)
+        if dominated_by(generated.cost_model, candidate.cost_model, _families(generated)):
             generated = candidate
     return generated
 
@@ -963,16 +938,13 @@ def cost_pass(ctx: AnalysisContext) -> None:
     statistics); skips silently otherwise.  Reads the model the script
     carries (a bare generator's output is priced here) and prices only
     the alternatives, from the definition's ``ctx.stats`` or one object
-    of its own.  Never raises: the fuzzer treats analyzer crashes as
-    divergences, so a failed pricing is counted and its lint skipped.
+    of its own.  A script or alternative that cannot be priced raises.
     """
     if ctx.generated is None or ctx.db is None:
         return
     generated: GeneratedPlan = ctx.generated
     stats = ctx.stats or PlanStats(ctx.db)
-    model = generated.cost_model or price_script(generated, stats, COST_MODEL_FALLBACKS)
-    if model is None:
-        return
+    model = generated.cost_model or infer_script_cost(generated, stats.db, stats=stats)
     current = model.total()
     families = _families(generated)
     # COST501: the minimizer must never make the script costlier than
@@ -980,8 +952,8 @@ def cost_pass(ctx: AnalysisContext) -> None:
     # unminimized form dominates per diff family — a summed-total loss
     # alone may just mean the workload weighting is undecidable at
     # define time (see dominated_by).
-    unopt = price_script(_alternative(generated, False, "equi"), stats, COST_SELECT_FALLBACKS)
-    if unopt is not None and dominated_by(model, unopt, families):
+    unopt = infer_script_cost(_alternative(generated, False, "equi"), stats.db, stats=stats)
+    if dominated_by(model, unopt, families):
         ctx.report.add(
             "COST501",
             f"view:{generated.view_name}",
@@ -993,10 +965,8 @@ def cost_pass(ctx: AnalysisContext) -> None:
     # COST502: intermediate caches must pay for their own maintenance —
     # flagged when dropping every intermediate cache dominates.
     if any(s.kind == "intermediate" for s in generated.cache_specs):
-        nocache = price_script(
-            _alternative(generated, True, "never"), stats, COST_SELECT_FALLBACKS
-        )
-        if nocache is not None and dominated_by(model, nocache, families):
+        nocache = infer_script_cost(_alternative(generated, True, "never"), stats.db, stats=stats)
+        if dominated_by(model, nocache, families):
             benefit = nocache.total() - current
             for spec in generated.cache_specs:
                 if spec.kind != "intermediate":

@@ -41,7 +41,7 @@ from ..algebra.plan import PlanNode, Project, Select
 from ..core.ir import AppliedSource, DiffSource, IrNode
 from ..core.rules.aggregate import AssociativeAggregateStep, GeneralAggregateStep
 from ..core.script import ApplyDiffStep, ComputeDiffStep
-from ..costmodel.symbolic import CostVector, UnresolvedSymbolError
+from ..costmodel.symbolic import CostVector
 from ..storage.database import Database
 from .fingerprint import plan_fingerprint, plan_fingerprints
 from .registry import CatalogContext
@@ -59,7 +59,7 @@ class CachedSubplan:
     label: str  # operator label, e.g. "Join"
     fingerprint: str  # alpha fingerprint of the cached sub-plan
     #: metric -> predicted accesses/round to keep this cache fresh
-    #: (None when the cost model could not be derived)
+    #: (None on an output cache: only intermediate ones are priced)
     price: Optional[dict[str, float]]
 
 
@@ -145,21 +145,16 @@ def _cache_step_labels(generated: object, node_id: int) -> set[str]:
     return labels
 
 
-def _price_cache(generated: object, node_id: int) -> Optional[dict[str, float]]:
+def _price_cache(generated: object, node_id: int) -> dict[str, float]:
     """One cache's maintenance, priced from the model that travels with
-    the script (``generated.cost_model``); None without one."""
+    the script (``generated.cost_model``)."""
     model = generated.cost_model  # type: ignore[attr-defined]
-    if model is None:
-        return None
     labels = _cache_step_labels(generated, node_id)
     vector = CostVector()
     for step_cost in model.steps:
         if step_cost.label in labels:
             vector = vector + step_cost.vector
-    try:
-        price = model.evaluate_vector(vector)
-    except UnresolvedSymbolError:
-        return None
+    price = model.evaluate_vector(vector)
     price["total"] = sum(price.values())
     return price
 

@@ -51,7 +51,6 @@ from .obs import metrics, recording, write_trace
 from .obs import spans as obs
 from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
-from .analysis.cost import COST_MODEL_FALLBACKS, COST_SELECT_FALLBACKS
 from .core import IdIvmEngine
 from .core.compile import readers_of
 from .sql import sql_to_plan
@@ -139,14 +138,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print("-- generated ∆-script " + "-" * 39)
     print(view.describe_script())
     script = view.script
-    for family, what, consequence in (
-        (COST_MODEL_FALLBACKS, "no cost model (inferring it failed)",
-         "the view runs without predictions or a drift signal"),
-        (COST_SELECT_FALLBACKS, "script not cost-selected (pricing its candidate failed)",
-         "the requested script runs as generated"),
-    ):
-        if family + view.name in metrics.registry().names():
-            print(f"-- {what}: {consequence} ({family.rstrip('.')})")
     if args.compiled:
         print()
         print("-- generated code: per compute step, γ node and subview read " + "-" * 3)
@@ -172,20 +163,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.cost:
         print()
         print("-- symbolic cost model (repro.analysis.cost) " + "-" * 16)
-        if view.cost_model is None:
-            print("no cost model could be inferred for this script")
-        else:
-            print(view.cost_model.render())
-            if args.analyze and "parts" in base_tables(view.plan):
-                engine.log.update("parts", ("P1",), {"price": 11})
-                report = engine.maintain()["V"]
-                print()
-                print("-- predicted vs measured (demo price update) " + "-" * 15)
-                _print_reconciliation(report)
-                rebuilds = metrics.counter("engine.prestate_rebuilds").value
-                print(f"  Input_pre: replica rolled forward by the log ({rebuilds} rebuilds)")
-                rollbacks = metrics.counter("engine.view_rollbacks").value
-                print(f"  view-rounds rolled back after a failure: {rollbacks} (engine.view_rollbacks)")
+        print(view.cost_model.render())
+        if args.analyze and "parts" in base_tables(view.plan):
+            engine.log.update("parts", ("P1",), {"price": 11})
+            report = engine.maintain()["V"]
+            print()
+            print("-- predicted vs measured (demo price update) " + "-" * 15)
+            _print_reconciliation(report)
+            rebuilds = metrics.counter("engine.prestate_rebuilds").value
+            print(f"  Input_pre: replica rolled forward by the log ({rebuilds} rebuilds)")
+            rollbacks = metrics.counter("engine.view_rollbacks").value
+            print(f"  view-rounds rolled back after a failure: {rollbacks} (engine.view_rollbacks)")
     return 0
 
 

@@ -64,8 +64,8 @@ class MaintenanceReport:
     diff_sizes: dict[str, int] = field(default_factory=dict)
     #: per-phase counts the symbolic cost model predicted for this round
     #: (read-only ``{phase: {metric: value}}``), bound to the observed diff
-    #: sizes, less the statements in :attr:`reused`; None when no model
-    #: could be inferred at define time.
+    #: sizes, less the statements in :attr:`reused`; None for a script
+    #: with no model (t-diff), an engine without scripts and an idle round.
     predicted_counts: Optional[Mapping] = None
     #: ``(statement, lender view)`` of every compute statement this round
     #: bound from rows another view computed (``core.share``)
@@ -143,8 +143,8 @@ class MaterializedView:
     @property
     def cost_model(self):
         """The script's symbolic per-phase cost model, priced once at
-        definition (``generated.cost_model``); None when inference did
-        not apply."""
+        definition (``generated.cost_model``); None on a t-diff script
+        (the tuple rule set), which is not priced."""
         return self.generated.cost_model
 
     @property

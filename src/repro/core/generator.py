@@ -99,8 +99,8 @@ class GeneratedPlan:
     opcache_specs: list[OpCacheSpec] = field(default_factory=list)
     #: the script's symbolic cost model (``repro.costmodel.ScriptCostModel``),
     #: computed once by the definition pipeline that priced and selected
-    #: it (``repro.analysis.cost.define_script``); None when it could not
-    #: be inferred or nothing priced the script.
+    #: it (``repro.analysis.cost.define_script``); None on a t-diff script
+    #: (never priced) or when nothing priced the script.
     cost_model: Optional[object] = None
 
 

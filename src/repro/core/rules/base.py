@@ -68,12 +68,6 @@ def state_mapping(schema: DiffSchema, state: str) -> dict[str, str]:
     raise RuleError(f"unknown state {state!r}")
 
 
-def derivable(schema: DiffSchema, attrs: Sequence[str], state: str) -> bool:
-    """True when every attribute in *attrs* is derivable in *state*."""
-    mapping = state_mapping(schema, state)
-    return all(a in mapping for a in attrs)
-
-
 def subst_state(expr: Expr, schema: DiffSchema, state: str) -> Optional[Expr]:
     """Rewrite *expr* over child attributes into diff columns for *state*.
 
@@ -125,9 +119,6 @@ class ValueSource:
 
     def rewrite(self, expr: Expr) -> Expr:
         return rename_columns(expr, self.mapping)
-
-    def covers(self, attrs: Sequence[str]) -> bool:
-        return all(a in self.mapping for a in attrs)
 
 
 def values_via_probe(

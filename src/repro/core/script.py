@@ -272,13 +272,11 @@ class LiveSlice(NamedTuple):
 
     #: the non-empty base instances the slice is of
     mask: frozenset[str]
-    #: ``(script index, run, phase)`` of every live statement, in script
-    #: order; phase ``None`` marks a skipped statement's ``settle``.
-    steps: list[tuple[int, Callable[[IrContext], Optional[int]], Optional[str]]]
-    #: :attr:`steps` as phase runs — ``(phase, its script.phase_seconds
-    #: handle, ((script index, run, is a statement), ...))``, a settle
-    #: in the run it follows; phase ``None``: settles ahead of every
-    #: live statement, run in no phase
+    #: every live statement and every skipped statement's ``settle``,
+    #: in script order, as phase runs — ``(phase, its
+    #: script.phase_seconds handle, ((script index, run, is a
+    #: statement), ...))``, a settle in the run it follows; phase
+    #: ``None``: settles ahead of every live statement, run in no phase
     runs: tuple[tuple[Optional[str], Optional[metrics.Handle], tuple], ...]
     #: the empties the skipped statements would have bound, shared by
     #: every round of the slice (nothing mutates a diff's rows)
@@ -453,7 +451,7 @@ class DeltaScript:
         sizes = dict.fromkeys([*ctx.diffs, *idle_diffs, *binds], 0)
         varying = [n for n in ctx.diffs if n in mask or n not in leaves] + binds
         return LiveSlice(
-            mask, steps, tuple((phase, seconds, tuple(run)) for phase, seconds, run in runs),
+            mask, tuple((phase, seconds, tuple(run)) for phase, seconds, run in runs),
             idle_diffs, env.expansions, sizes, tuple(varying), tuple(written.values()),
             skipped, skipped_counted,
         )

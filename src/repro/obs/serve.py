@@ -44,8 +44,6 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABELED_PREFIXES = (
     ("view.round_seconds.", "repro_view_round_seconds", "view"),
     ("script.phase_seconds.", "repro_script_phase_seconds", "phase"),
-    ("engine.cost_model_fallbacks.", "repro_engine_cost_model_fallbacks", "view"),
-    ("engine.cost_select_fallbacks.", "repro_engine_cost_select_fallbacks", "view"),
     ("view.define_seconds.", "repro_view_define_seconds", "view"),
 )
 

@@ -118,3 +118,29 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE") or "tier1")
+
+
+@pytest.fixture
+def unpriceable_alternatives(monkeypatch) -> list:
+    """Every unminimized alternative the cost pass builds (COST501's)
+    cannot be priced: ``infer_script_cost`` raises on it.  The list
+    holds the alternatives built."""
+    import repro.analysis.cost as cost_mod
+
+    real_alternative, real_infer = cost_mod._alternative, cost_mod.infer_script_cost
+    built: list = []
+
+    def alternative(generated, optimize, *args, **kwargs):
+        alt = real_alternative(generated, optimize, *args, **kwargs)
+        if not optimize:
+            built.append(alt)
+        return alt
+
+    def infer(generated, *args, **kwargs):
+        if any(generated is alt for alt in built):
+            raise cost_mod.CostInferenceError("no statistics")
+        return real_infer(generated, *args, **kwargs)
+
+    monkeypatch.setattr(cost_mod, "_alternative", alternative)
+    monkeypatch.setattr(cost_mod, "infer_script_cost", infer)
+    return built

@@ -157,6 +157,18 @@ class TestRunner:
         )
         assert analyzed == [view.script.describe()]
 
+    def test_an_alternative_that_cannot_be_priced_is_an_analyzer_exception(
+        self, unpriceable_alternatives
+    ):
+        """The lint prices COST501's unminimized alternative; when that
+        raises, the case reports it, and the strategies still run."""
+        result = run_case(generate_case(0, 0), strategies=("compiled",))
+        assert unpriceable_alternatives
+        assert [(d.strategy, d.kind) for d in result.divergences] == [
+            ("analyzer", "exception")
+        ]
+        assert "CostInferenceError" in result.divergences[0].detail
+
     def test_shared_strategy_checks_every_cursor(self, monkeypatch):
         """``shared`` holds both of its views to the log head: a round
         that leaves ``V2``'s cursor behind is an invariant divergence."""

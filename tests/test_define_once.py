@@ -7,34 +7,36 @@ sub-plan's rows or statistics — script selection, the view, its caches
 and operator caches, the cost model — reads it.  Pinned here: *how
 often* the evaluator runs, by call count; that a memoised definition is
 indistinguishable from an un-memoised one; that nothing of it survives
-the call; what it keeps; and that a failed script selection is counted
-instead of vanishing.  And the one definition pipeline
-(:func:`repro.analysis.cost.define_script`): how often the cost walker
-runs for a definition and for ``repro lint``, that the model selection
-computed is the one the view keeps, that all six engine classes define
-through one ``define_view``, and that a failed lint alternative is
-counted.
+the call; what it keeps; and that every shipped view is priced.  And
+the one definition pipeline (:func:`repro.analysis.cost.define_script`):
+how often the cost walker runs for a definition and for ``repro lint``,
+that the model selection computed is the one the view keeps, that all
+six engine classes define through one ``define_view``, and that a lint
+alternative that cannot be priced raises.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
 import repro.algebra.evaluate as evaluate_mod
 import repro.analysis.cost as cost_mod
+from repro.algebra import group_by, natural_join, scan, where
 from repro.algebra.evaluate import evaluate_plan
 from repro.algebra.plan import GroupBy, Join
 from repro.algebra.relation import Relation
-from repro.analysis import analyze_generated
+from repro.analysis import FingerprintError, analyze_generated
 from repro.analysis.cost import PlanStats, infer_script_cost
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine
 from repro.core.engine import MaintenanceEngine
 from repro.core.idinfer import annotate_plan
 from repro.errors import ScriptError
+from repro.expr import col, lit
 from repro.obs import SpanRecorder, metrics, recording
 from repro.obs.serve import render_prometheus
 from repro.obs.trace import validate_trace, write_trace
@@ -268,52 +270,18 @@ def test_two_positionals_keep_working():
 
 
 # ----------------------------------------------------------------------
-# a failed script selection is counted
+# every script is priced: there is no fallback around pricing
 # ----------------------------------------------------------------------
 class TestCostSelectFallback:
-    @staticmethod
-    def _break_selection(monkeypatch):
-        """Pricing fails on the cache-free candidate only (the second
-        inference of a definition): the requested script and its model,
-        priced first, are healthy."""
-        real = cost_mod.infer_script_cost
-        calls = []
-
-        def flaky(generated, db, *args, **kwargs):
-            calls.append(generated)
-            if len(calls) == 2:
-                raise ZeroDivisionError("no statistics")
-            return real(generated, db, *args, **kwargs)
-
-        monkeypatch.setattr(cost_mod, "infer_script_cost", flaky)
-
-    def test_fallback_is_counted_per_view(self, monkeypatch):
-        self._break_selection(monkeypatch)
-        _db, _engine, view = _define("Vagg")
-        assert metrics.counter("engine.cost_select_fallbacks.Vagg").value == 1
-        assert view.cost_model is not None
-        assert 'repro_engine_cost_select_fallbacks{view="Vagg"} 1' in render_prometheus()
+    """Cost selection has no fallback: the requested script and its
+    cache-free candidate are both priced, or the definition raises
+    (``tests/test_engine.py::TestPricingErrors``)."""
 
     @pytest.mark.parametrize("name", sorted(VIEWS))
     def test_shipped_views_count_nothing(self, name):
-        _define(name)
+        _db, _engine, view = _define(name)
+        assert view.cost_model is not None
         assert not [n for n in metrics.registry().names() if "fallbacks" in n]
-
-    def test_explain_prints_the_line_only_when_it_happened(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        argv = [
-            "explain",
-            "--sql",
-            "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN devices_parts "
-            "GROUP BY did",
-        ]
-        assert main(argv) == 0
-        assert "cost_select_fallbacks" not in capsys.readouterr().out
-        self._break_selection(monkeypatch)
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "script not cost-selected (" in out and "cost_select_fallbacks" in out
 
 
 # ----------------------------------------------------------------------
@@ -443,23 +411,30 @@ def test_every_engine_defines_through_one_define_view(engine_cls):
     assert metrics.loghist("view.define_seconds.Vagg", unit="seconds").count == 1
 
 
-def test_a_failing_lint_alternative_is_counted(monkeypatch):
-    """COST501's unminimized alternative cannot be priced: its lint is
-    skipped and counted as a failed candidate pricing, never silent."""
+@pytest.mark.parametrize(
+    "engine_cls", (IdIvmEngine, RecomputeEngine, SdbtEngine), ids=lambda c: c.__name__
+)
+def test_a_plan_without_a_fingerprint_fails_its_definition(engine_cls):
+    """Definition keys every sub-plan by its exact fingerprint: a plan
+    that has none (a ``Decimal`` literal) raises in every engine, before
+    any view exists."""
+    db = build_devices_database(DEV_CONFIG)
+    joined = natural_join(scan(db, "parts"), scan(db, "devices_parts"))
+    plan = group_by(
+        where(joined, col("price").gt(lit(Decimal(5)))),
+        ("did",), [("sum", col("price"), "cost")],
+    )
+    engine = engine_cls(db)
+    tables = set(db.tables)
+    with pytest.raises(FingerprintError, match="Decimal"):
+        engine.define_view("Vdec", plan)
+    assert engine.views == {} and set(db.tables) == tables
+
+
+def test_an_alternative_that_cannot_be_priced_raises(unpriceable_alternatives):
+    """COST501's unminimized alternative cannot be priced: the lint
+    raises instead of skipping its finding."""
     db, _engine, view = _define("Vagg")
-    real, calls = cost_mod.infer_script_cost, []
-
-    def flaky(generated, db, *args, **kwargs):
-        calls.append(generated)
-        if len(calls) == 1:
-            raise ZeroDivisionError("no statistics")
-        return real(generated, db, *args, **kwargs)
-
-    monkeypatch.setattr(cost_mod, "infer_script_cost", flaky)
-    report = analyze_generated(view.generated, db=db)
-    assert metrics.counter("engine.cost_select_fallbacks.Vagg").value == 1
-    assert not [d for d in report.diagnostics if d.rule_id in ("COST501", "COST502")]
-    # the COST501 alternative, then COST502's; the shipped script is not
-    # priced again
-    assert len(calls) == 2
-    assert all(generated is not view.generated for generated in calls)
+    with pytest.raises(cost_mod.CostInferenceError):
+        analyze_generated(view.generated, db=db)
+    assert len(unpriceable_alternatives) == 1

@@ -158,47 +158,35 @@ class TestAvgView:
         assert view.table.as_set() == {("D1", 10.0), ("D2", 10.0)}
 
 
-class TestCostModelFallback:
-    """A cost model that cannot be inferred used to vanish without a
-    word: no prediction, no drift signal, nothing counted."""
+class TestPricingErrors:
+    """Every i-diff script is priced: a pricing error fails the
+    definition that raised it, and nothing else."""
 
-    @staticmethod
-    def _break_inference(monkeypatch):
+    @pytest.mark.parametrize("failing", [1, 2], ids=["requested", "candidate"])
+    def test_a_pricing_error_fails_the_definition(
+        self, running_example_db, monkeypatch, failing
+    ):
+        """The requested script is priced first, the cache-free
+        candidate cost selection compares it with second."""
         import repro.analysis.cost as cost_mod
 
-        def boom(generated, db, stats=None):
-            raise ZeroDivisionError("no statistics")
+        db = running_example_db
+        engine = IdIvmEngine(db)
+        vp = engine.define_view("Vp", build_view_v_prime(db))
+        real, calls = cost_mod.infer_script_cost, []
 
-        monkeypatch.setattr(cost_mod, "infer_script_cost", boom)
+        def flaky(generated, db, *args, **kwargs):
+            calls.append(generated)
+            if len(calls) == failing:
+                raise ZeroDivisionError("no statistics")
+            return real(generated, db, *args, **kwargs)
 
-    def test_fallback_is_counted_per_view(self, running_example_db, monkeypatch):
-        from repro.obs import metrics
-        from repro.obs.serve import render_prometheus
-
-        self._break_inference(monkeypatch)
-        engine = IdIvmEngine(running_example_db)
-        view = engine.define_view("V", build_view_v(running_example_db))
-        assert view.cost_model is None
-        counter = metrics.counter("engine.cost_model_fallbacks.V")
-        assert counter.value == 1
+        monkeypatch.setattr(cost_mod, "infer_script_cost", flaky)
+        with pytest.raises(ZeroDivisionError):
+            engine.define_view("V", build_view_v(db))
+        assert len(calls) == failing
+        assert list(engine.views) == ["Vp"]
         engine.log.update("parts", ("P1",), {"price": 11})
-        assert engine.maintain()["V"].predicted_counts is None
-        assert 'repro_engine_cost_model_fallbacks{view="V"} 1' in render_prometheus()
-
-    def test_healthy_view_counts_nothing(self, running_example_db):
-        from repro.obs import metrics
-
-        engine = IdIvmEngine(running_example_db)
-        assert engine.define_view("V", build_view_v(running_example_db)).cost_model
-        assert not [n for n in metrics.registry().names() if "fallbacks" in n]
-
-    def test_explain_prints_the_line_only_when_it_happened(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        argv = ["explain", "--sql", "SELECT pid, price FROM parts WHERE price > 5"]
-        assert main(argv) == 0
-        assert "cost_model_fallbacks" not in capsys.readouterr().out
-        self._break_inference(monkeypatch)
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "no cost model (" in out and "cost_model_fallbacks" in out
+        report = engine.maintain()["Vp"]
+        assert report.predicted_counts
+        assert vp.table.as_set() == evaluate_plan(vp.plan, db).as_set()

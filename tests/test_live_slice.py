@@ -73,9 +73,20 @@ def _record_runners(view, executed):
     )
 
 
+def _steps(live):
+    """``(script index, run, phase)`` of everything a slice runs, in
+    script order, flattened from its phase runs; phase ``None`` marks a
+    skipped statement's ``settle``."""
+    return [
+        (i, run, phase if statement else None)
+        for phase, _seconds, steps in live.runs
+        for i, run, statement in steps
+    ]
+
+
 def _phase_runs(live):
     """The phases a slice opens: one per contiguous run of live statements."""
-    phases = [phase for _i, _run, phase in live.steps if phase is not None]
+    phases = [phase for _i, _run, phase in _steps(live) if phase is not None]
     return [phase for phase, _ in itertools.groupby(phases)]
 
 
@@ -369,8 +380,8 @@ def test_full_plan_mask_runs_every_statement():
     ctx = round_context(db, db, empty, view, set(), ScriptSamples())
     live = script.live_plan(script.leaves(), ctx)
     assert live.skipped == 0 and not live.idle_diffs and not live.idle_expansions
-    assert [(run, phase) for _i, run, phase in live.steps] == script.exec_plan()
-    assert [i for i, _run, _phase in live.steps] == list(range(1, len(script) + 1))
+    assert [(run, phase) for _i, run, phase in _steps(live)] == script.exec_plan()
+    assert [i for i, _run, _phase in _steps(live)] == list(range(1, len(script) + 1))
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +403,7 @@ def test_rebinding_and_pickling_drop_the_memoised_slices():
     _one_round(engine, db, 0)
     assert script._slices
     kernels = set(script._kernels.values())
-    assert any(run in kernels for live in script._slices.values() for _, run, _ in live.steps)
+    assert any(run in kernels for live in script._slices.values() for _, run, _ in _steps(live))
     # a pickle round trip carries no slice (they hold the kernels) ...
     clone = pickle.loads(pickle.dumps(view.generated))
     assert clone.script._slices == {} and not clone.script._kernels
@@ -404,7 +415,7 @@ def test_rebinding_and_pickling_drop_the_memoised_slices():
     assert script._slices
     assert all(
         run.__self__ is script.steps[i - 1]
-        for live in script._slices.values() for i, run, _ in live.steps
+        for live in script._slices.values() for i, run, _ in _steps(live)
     )
     assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
 
@@ -426,7 +437,7 @@ def test_memo_stays_under_its_bound_for_many_masks():
         live = script.live_plan(mask, ctx)
         assert len(script._slices) <= SLICE_MEMO_MAX
         assert script.live_plan(mask, ctx) is live  # memoised
-        ran = {i - 1 for i, _run, phase in live.steps if phase is not None}
+        ran = {i - 1 for i, _run, phase in _steps(live) if phase is not None}
         assert ran == {
             i for i, reach in enumerate(script.liveness())
             if reach is None or not reach.isdisjoint(mask)

@@ -29,6 +29,7 @@ from repro.core import engine as engine_module
 from repro.core import script as script_module
 from repro.core.engine import PreState, _reconstruct_pre
 from repro.core.sharded import ShardedEngine
+from repro.costmodel import ScriptCostModel
 from repro.expr import col, lit
 from repro.obs import metrics
 from repro.shard.workers import _WorkerState, build_blueprint
@@ -335,7 +336,9 @@ def _round_costs(n_parts: int, rounds: int = 4):
     # Cost-model inference evaluates the plan several times over: most of
     # define_view at 20k parts, and nothing this test looks at.
     engine = IdIvmEngine(db, exec_backend="compiled", cost_select=False)
-    with mock.patch.object(cost_module, "price_script", lambda *_: None):
+    with mock.patch.object(
+        cost_module, "infer_script_cost", lambda *_a, **_k: ScriptCostModel("Vp")
+    ):
         engine.define_view("Vp", build_aggregate_view(db, config))
     calls = Counter()
     replica_writes = []
