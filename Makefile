@@ -343,6 +343,10 @@ lint-static:
 	@if grep -rn 'reads_pre_state' src; then \
 	    echo "reads_pre_state in src/: a view declares the tables it reads in Input_pre (Step.pre_tables); recomputation declares none"; \
 	    exit 1; fi
+	@if grep -rnwE '_prepare_view|prepared' src --include='*.py' \
+	    || grep -nw 'written' src/repro/core/script.py; then \
+	    echo "_prepare_view, a prepared argument or LiveSlice.written in src/: a view-round journals the tables its view owns (view.written_tables) around _maintain_view"; \
+	    exit 1; fi
 	@if awk 'FNR == 1 { f = 0 } /^def _reconstruct_pre\(/ { f = 1; next } /^(def|class) / { f = 0 } \
 	        !f && /(^|[^A-Za-z0-9_])([A-Za-z0-9_]*(db|database)[A-Za-z0-9_]*|live|pre|replica)\.copy\(/ \
 	        { print FILENAME ":" FNR ": " $$0 }' $$(find src/repro -name '*.py') | grep .; then \

@@ -40,9 +40,7 @@ class RecomputeEngine(MaintenanceEngine):
         table = materialize(annotated, self.db, name, stats)
         return RecomputeView(name, annotated, table, LoweredPlan(annotated, stats.kernel))
 
-    def _maintain_view(
-        self, view: RecomputeView, db_pre, entries, view_span, prepared
-    ) -> MaintenanceReport:
+    def _maintain_view(self, view: RecomputeView, db_pre, entries, view_span) -> MaintenanceReport:
         """Re-evaluate the view over the current database (counted)."""
         counters = self.db.counters
         before = counters.mark()

@@ -294,7 +294,7 @@ class SdbtEngine(MaintenanceEngine):
 
     # ------------------------------------------------------------------
     def _maintain_view(
-        self, view: SdbtView, db_pre: Database, entries, view_span, prepared
+        self, view: SdbtView, db_pre: Database, entries, view_span
     ) -> MaintenanceReport:
         """Sequential per-table delta evaluation (DBToaster's first-order
         semantics) of the round's net changes (its one fold): table i's

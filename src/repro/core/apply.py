@@ -84,19 +84,6 @@ class AppliedChanges:
         ]
         return Relation(columns, rows)
 
-    def as_full_diff(self) -> Diff:
-        """The applied changes as a full-ID effective diff over the table.
-
-        Used when a cache application must be re-expressed as the diff
-        feeding the operators above the cache.
-        """
-        schema, kind = self.table_schema, self.kind
-        attrs = self.updated_attrs if kind == UPDATE else schema.non_key_columns
-        return Diff(
-            _effective_schema(kind, schema.name, schema.key, attrs),
-            _effective_rows(kind, self.changes, schema.key_of, schema.extractor(attrs)),
-        )
-
 
 class EffectiveDiffs:
     """Applied changes of a table as full-ID effective diffs on *target*
@@ -129,14 +116,6 @@ def _effective_schema(kind: str, target: str, key: tuple, attrs: tuple) -> DiffS
     if kind == DELETE:
         return DiffSchema(DELETE, target, key, pre_attrs=attrs)
     return DiffSchema(UPDATE, target, key, pre_attrs=attrs, post_attrs=attrs)
-
-
-def _effective_rows(kind: str, changes: list[tuple], key_of, values_of) -> list[tuple]:
-    if kind == INSERT:
-        return [key_of(post) + values_of(post) for _, post in changes]
-    if kind == DELETE:
-        return [key_of(pre) + values_of(pre) for pre, _ in changes]
-    return [key_of(post) + values_of(pre) + values_of(post) for pre, post in changes]
 
 
 def apply_diff(table: Table, diff: Diff, returning: bool = True) -> AppliedChanges | None:

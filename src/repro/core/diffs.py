@@ -202,18 +202,12 @@ class Diff:
     def id_of(self, row: tuple) -> tuple:
         return row[: len(self.schema.id_attrs)]
 
-    def pre_value(self, row: tuple, attr: str):
-        return row[self.schema.position(pre_col(attr))]
-
     def post_value(self, row: tuple, attr: str):
         return row[self.schema.position(post_col(attr))]
 
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def as_relation(self) -> Relation:
-        return Relation(self.schema.columns, self.rows)
-
     @classmethod
     def from_relation(cls, schema: DiffSchema, relation: Relation) -> "Diff":
         """Build a diff from any relation with compatible column names."""

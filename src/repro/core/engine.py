@@ -106,8 +106,7 @@ class MaterializedView:
     its statements, once at definition.
     """
 
-    #: every table a view-round may write; a round journals those of
-    #: the statements its live slice runs (``LiveSlice.written``)
+    #: what a view-round writes, journaled around it by the engine
     written_tables: tuple[Table, ...]
 
     def __init__(
@@ -215,11 +214,10 @@ _SHARED_STATEMENTS = metrics.Handle("counter", "engine.shared_statements")
 class MaintenanceEngine:
     """The definition and the maintenance round every engine shares: what
     is logged, when ``Input_pre`` is read, what is traced and what is
-    reported.  A subclass supplies the rules — :meth:`_define`,
-    :meth:`_maintain_view` and, when a view-round can name fewer tables
-    than the view owns, :meth:`_prepare_view` — and its views name the
-    tables they read in ``Input_pre`` (``view.pre_tables``) and the
-    tables its maintenance may write (``view.written_tables``)."""
+    reported.  A subclass supplies the rules — :meth:`_define` and
+    :meth:`_maintain_view` — and its views name the tables they read in
+    ``Input_pre`` (``view.pre_tables``) and the tables its maintenance
+    may write (``view.written_tables``)."""
 
     def __init__(self, db: Database):
         self.db = db
@@ -288,18 +286,16 @@ class MaintenanceEngine:
         ``(cursor, head]``.  The live database already holds the
         post-state (deferred IVM); rules that need ``Input_pre`` read the
         :class:`PreState` replica, moved to each group's cursor.  A
-        view-round commits or does nothing: the tables it may write
-        (:meth:`_prepare_view`: for a ∆-script, those of the statements
-        its live slice runs) are journaled around :meth:`_maintain_view`,
-        a view that raises is rolled back to the rows it held before
-        (``engine.view_rollbacks``) and keeps its entries, and a cursor
-        moves once its view has returned.  A view whose range changes
+        view-round commits or does nothing: the tables its view owns are
+        journaled around :meth:`_maintain_view`, a view that raises is
+        rolled back to the rows it held before (``engine.view_rollbacks``)
+        and keeps its entries, and a cursor moves once its view has
+        returned.  A view whose range changes
         none of the base tables it reads has an idle round: nothing is
         journaled, populated, run, predicted or sampled, its cursor moves,
         its freshness is noted and its report costs 0.  This is the only
         round loop: subclasses change what maintaining one view means
-        (:meth:`_prepare_view`, :meth:`_maintain_view`), never the round
-        around it.
+        (:meth:`_maintain_view`), never the round around it.
         """
         # Resolve every target first: an unknown name starts no round.
         if name is None:
@@ -369,8 +365,8 @@ class MaintenanceEngine:
         return reports
 
     def _view_round(self, view, db_pre: Database, entries, traced: bool) -> MaintenanceReport:
-        """One view's share of a round, commit or nothing: the tables
-        :meth:`_prepare_view` names are journaled around
+        """One view's share of a round, commit or nothing: the tables the
+        view owns (``view.written_tables``) are journaled around
         :meth:`_maintain_view` and rolled back if it raises
         (``engine.view_rollbacks``)."""
         view_name = view.name
@@ -378,12 +374,11 @@ class MaintenanceEngine:
         with obs.span(
             f"view:{view_name}", kind="view", counters=self.db.counters, view=view_name,
         ) as vsp:
-            written = ()
+            written = view.written_tables
+            for table in written:
+                table.begin_journal()
             try:
-                written, prepared = self._prepare_view(view, db_pre, entries, vsp)
-                for table in written:
-                    table.begin_journal()
-                report = self._maintain_view(view, db_pre, entries, vsp, prepared)
+                report = self._maintain_view(view, db_pre, entries, vsp)
             except BaseException:
                 for table in written:
                     table.end_journal(commit=False)
@@ -426,20 +421,10 @@ class MaintenanceEngine:
         """Hook: runs once per group of views at one cursor, before the
         pre-state moves to the group's *entries*.  Nothing by default."""
 
-    def _prepare_view(self, view, db_pre: Database, entries, view_span):
-        """Hook: what a view-round resolves before its first write.
-        Returns the tables it may write — the round journals them around
-        :meth:`_maintain_view` — and what that hook is handed as
-        *prepared*: by default every table the view owns, and None."""
-        return view.written_tables, None
-
-    def _maintain_view(
-        self, view, db_pre: Database, entries, view_span, prepared
-    ) -> MaintenanceReport:
+    def _maintain_view(self, view, db_pre: Database, entries, view_span) -> MaintenanceReport:
         """Hook: bring *view* up to date with this round's *entries*
         (``self.db`` already holds the post-state, *db_pre* the replicated
-        tables before them) and report what it cost; *prepared* is what
-        :meth:`_prepare_view` resolved."""
+        tables before them) and report what it cost."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -565,10 +550,12 @@ class IdIvmEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
     # view maintenance time: the ID-based rules of one view's round
     # ------------------------------------------------------------------
-    def _prepare_view(self, view: MaterializedView, db_pre: Database, entries, view_span):
-        """The round's i-diff instances of *view*, the context its script
-        runs in and the live slice they reach (``ctx.live``): what the
-        round journals is what the slice's statements may write."""
+    def _maintain_view(
+        self, view: MaterializedView, db_pre: Database, entries, view_span
+    ) -> MaintenanceReport:
+        """Populate the round's i-diff instances of *view*, resolve the
+        context its script runs in and the live slice they reach
+        (``ctx.live``), run it (:meth:`_run_view`) and predict its cost."""
         instances = populate_instances(view.instance_layout, entries, self.db)
         ctx = round_context(
             db_pre, self.db, instances, view, entries.unchanged(self.db), entries.samples,
@@ -578,11 +565,6 @@ class IdIvmEngine(MaintenanceEngine):
         if obs.current_recorder() is not None:
             total = len(view.script)
             view_span.set(stmts_live=total - live.skipped, stmts_total=total)
-        return live.written, ctx
-
-    def _maintain_view(
-        self, view: MaterializedView, db_pre: Database, entries, view_span, ctx: IrContext
-    ) -> MaintenanceReport:
         report = self._run_view(view, ctx, db_pre, entries, view_span)
         reused = ()
         if report.reused:
@@ -590,7 +572,7 @@ class IdIvmEngine(MaintenanceEngine):
             _SHARED_STATEMENTS().inc(len(reused))
         if view.cost_model is not None:
             # the slice's sizes vary only in its varying names
-            sizes, live = report.diff_sizes, ctx.live
+            sizes = report.diff_sizes
             report.predicted_counts = view.cost_model.predict_from_diff_sizes(
                 sizes, (live.mask, tuple(map(sizes.__getitem__, live.varying))), reused
             )

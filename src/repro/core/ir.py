@@ -377,9 +377,3 @@ def pre_state_reads(root: IrNode) -> list["SubviewSource | ProbeJoin | ProbeSemi
         n for n in root.walk()
         if isinstance(n, (SubviewSource, ProbeJoin, ProbeSemi)) and n.state == PRE
     ]
-
-
-def diff_sources_of(root: IrNode) -> list[DiffSource]:
-    """All DiffSource leaves (for script dependency ordering)."""
-    return [n for n in root.walk() if isinstance(n, DiffSource)]
-

@@ -79,8 +79,8 @@ class Step:
 
     def writes(self) -> Optional[Sequence[tuple[str, int]]]:
         """The tables ``run`` may write, as ``("cache" | "opcache", node
-        id)`` pairs: what a view-round whose live slice runs the
-        statement journals.  ``None``: any table of the view."""
+        id)`` pairs: RACE604 checks each is a materialization the view
+        registers.  ``None``: any table of the view."""
         return None
 
     def pre_tables(self) -> frozenset[str]:
@@ -288,9 +288,6 @@ class LiveSlice(NamedTuple):
     #: the names of :attr:`sizes` a round fills in — the instances the
     #: mask does not prove empty and the diffs the live statements bind
     varying: tuple[str, ...]
-    #: the tables the live statements may write: what a view-round of
-    #: the slice journals
-    written: tuple[Table, ...]
     #: statements skipped, and how many of them report a diff-row count
     skipped: int
     skipped_counted: int
@@ -420,21 +417,12 @@ class DeltaScript:
     def _slice(self, mask: frozenset[str], ctx: IrContext) -> LiveSlice:
         env = IrContext(ctx.db_pre, ctx.db_post, diffs=ctx.diffs, caches=ctx.caches)
         env.operator_caches = ctx.operator_caches
-        owned = {"cache": ctx.caches, "opcache": ctx.operator_caches}
         steps, binds, skipped, skipped_counted = [], [], 0, 0
-        written: dict[int, Table] = {}
         plan = zip(self.steps, self.exec_plan(), self.reached(mask))
         for i, (step, (run, phase), reached) in enumerate(plan, start=1):
             if reached:
                 steps.append((i, run, phase))
                 binds.extend(n for space, n in step.binds() if space == "diff")
-                writes = step.writes()
-                tables = (
-                    [*ctx.caches.values(), *ctx.operator_caches.values()] if writes is None
-                    else [owned[kind].get(node_id) for kind, node_id in writes]
-                )
-                # a target the view lacks raises on the run, not here
-                written.update((id(t), t) for t in tables if t is not None)
                 continue
             skipped += 1
             if step.idle(env) is not None:
@@ -452,8 +440,7 @@ class DeltaScript:
         varying = [n for n in ctx.diffs if n in mask or n not in leaves] + binds
         return LiveSlice(
             mask, tuple((phase, seconds, tuple(run)) for phase, seconds, run in runs),
-            idle_diffs, env.expansions, sizes, tuple(varying), tuple(written.values()),
-            skipped, skipped_counted,
+            idle_diffs, env.expansions, sizes, tuple(varying), skipped, skipped_counted,
         )
 
     def __getstate__(self) -> dict:

@@ -203,9 +203,6 @@ class DriftMonitor:
                 )
         return out
 
-    def alerting_views(self) -> set[str]:
-        return {alert.view for alert in self.alerts()}
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready state: per view, per metric EWMA + active alerts."""
         views: dict[str, dict[str, Any]] = {}

@@ -147,7 +147,8 @@ class LogHistogram:
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
         self.zero_count += other.zero_count
-        for idx, n in other.buckets.items():
+        # a snapshot: a writer thread may add a bucket to *other* meanwhile
+        for idx, n in list(other.buckets.items()):
             self.buckets[idx] = self.buckets.get(idx, 0) + n
         if not self.unit:
             self.unit = other.unit

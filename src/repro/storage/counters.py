@@ -107,10 +107,6 @@ class CounterSet:
         #: one reusable scope per phase name (see phase)
         self._scopes: dict[str, PhaseScope] = {}
 
-    @property
-    def current_phase(self) -> str:
-        return self._stack[-1]
-
     def phase(self, name: str) -> "PhaseScope":
         """Attribute accesses within the block to phase *name*.  A scope
         holds no state of its own (entering pushes, leaving pops), so

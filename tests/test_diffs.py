@@ -92,7 +92,6 @@ class TestDiffInstance:
         diff = Diff(schema, [("P1", 10, 11)])
         row = diff.rows[0]
         assert diff.id_of(row) == ("P1",)
-        assert diff.pre_value(row, "price") == 10
         assert diff.post_value(row, "price") == 11
 
     def test_validation_merges_duplicates_in_first_seen_order(self):
@@ -100,7 +99,6 @@ class TestDiffInstance:
         diff = Diff(schema, [(1, "x", 2), (2, "y", 3), (1, "x", 2)])
         assert diff.rows == [(1, "x", 2), (2, "y", 3)]
         assert len(diff) == 2 and not diff.is_empty()
-        assert diff.as_relation().rows == diff.rows
 
     def test_empty_list_returns_early(self):
         schema = DiffSchema(DELETE, "V", ("pid",))
@@ -179,13 +177,6 @@ class TestApplyUpdate:
             ("D1", "P1", 10, 11),
             ("D2", "P1", 10, 11),
         }
-
-    def test_as_full_diff(self, view_table):
-        schema = DiffSchema(UPDATE, "V", ("pid",), ("price",), ("price",))
-        applied = apply_diff(view_table, Diff(schema, [("P1", 10, 11)]))
-        full = applied.as_full_diff()
-        assert full.schema.id_attrs == ("did", "pid")
-        assert set(full.rows) == {("D1", "P1", 10, 11), ("D2", "P1", 10, 11)}
 
 
 class TestApplyInsert:

@@ -115,7 +115,7 @@ class TestEngineDrift:
         cache-independent cardinality fix (its ratio used to sit far
         below the low-water mark)."""
         engine = _run_seeded_engine()
-        alerting = engine.drift.alerting_views()
+        alerting = {alert.view for alert in engine.drift.alerts()}
         assert {"Q7", "Q11", "Q18"} <= alerting
         assert "Q*1" not in alerting
         assert "Q10" not in alerting

@@ -161,14 +161,16 @@ class TestScriptStructure:
 
     def test_base_schema_names_are_referenced(self, running_example_db):
         from repro.core import schema_instance_name
-        from repro.core.ir import diff_sources_of
+        from repro.core.ir import DiffSource
 
         generated = generate(running_example_db, build_view_v(running_example_db))
         names = {schema_instance_name(s) for s in generated.base_schemas}
         referenced = set()
         for step in generated.script.steps:
             if isinstance(step, ComputeDiffStep):
-                referenced |= {d.name for d in diff_sources_of(step.ir)}
+                referenced |= {
+                    n.name for n in step.ir.walk() if isinstance(n, DiffSource)
+                }
         # Every referenced base diff exists; updates on parts.price are
         # certainly used.
         assert referenced & names

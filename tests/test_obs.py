@@ -8,7 +8,9 @@ not change any counted cost.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 from contextlib import nullcontext
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.baselines import TupleIvmEngine
 from repro.core import IdIvmEngine
 from repro.obs import metrics
+from repro.obs.hist import SUBBUCKETS, LogHistogram
 from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
@@ -81,7 +84,6 @@ class TestCounterPhases:
             counters.reset()
             assert counters.total.total == 0
             assert counters.phases == {}
-            assert counters.current_phase == "x"
             counters.count_tuple_read()
         assert counters.phases["x"].tuple_reads == 1
         assert counters.total.tuple_reads == 1
@@ -244,6 +246,39 @@ class TestMetricsConcurrency:
         # the helper still works after all those swap/restore cycles
         metrics.counter("race.after").inc(3)
         assert metrics.counter("race.after").value == 3
+
+    def test_a_reader_merges_a_histogram_the_writer_grows(self):
+        # A scrape merges the per-view lag histograms while the
+        # maintaining thread adds buckets to them: the merge reads a
+        # snapshot of the buckets, never a dict that changes size under
+        # it.  A switch interval of a microsecond lets the writer run
+        # inside the merge's loop.
+        live = LogHistogram("lag", "seconds")
+        values = [2.0 ** (k / SUBBUCKETS) for k in range(-400, 400)]
+        stop = threading.Event()
+
+        def grow():
+            while not stop.is_set():
+                live.buckets.clear()
+                for value in values:
+                    live.observe(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=grow, daemon=True)
+        merges = 0
+        try:
+            thread.start()
+            deadline = time.perf_counter() + 0.2
+            while time.perf_counter() < deadline:
+                LogHistogram.merged([live])
+                merges += 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert merges
 
 
 def _run_round(engine_cls, recorder=None):

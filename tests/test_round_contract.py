@@ -780,12 +780,10 @@ def _two_aggregates(db):
 ])
 def test_a_view_that_fails_after_its_first_write_converges(kind, point, running_example_db):
     """ROADMAP item 1b: a view that fails after a write — its first, one
-    inside a bulk batch, or its γ pass — is rolled back whole: each table
-    its round journaled (for a ∆-script, the tables its live slice may
-    write: two of them at least) holds the rows and index buckets it held
-    before the round, the restore charges nothing, a table the slice does
-    not write is never journaled and is left as it was, and a retry
-    converges."""
+    inside a bulk batch, or its γ pass — is rolled back whole: its round
+    journals every table the view owns, each of them (written or not)
+    holds the rows and index buckets it held before the round, the
+    restore charges nothing, and a retry converges."""
     db = running_example_db
     # SDBT takes aggregates over SPJ only
     engine = _two_view_engine(kind, db, build_view_v_prime if kind == "sdbt" else _two_aggregates)
@@ -793,14 +791,22 @@ def test_a_view_that_fails_after_its_first_write_converges(kind, point, running_
     tables = {id(t): t for t in (b.table, *b.written_tables)}.values()
     before = [_snapshot(t) for t in tables]
     rollbacks = metrics.counter("engine.view_rollbacks")
-    armed, restores = [], []
-    real_prepare, real_end = type(engine)._prepare_view, Table.end_journal
+    armed, restores, in_round = [], [], []
+    real_round = type(engine)._view_round
+    real_begin, real_end = Table.begin_journal, Table.end_journal
 
-    def prepare_view(self, view, *args):
-        written, prepared = real_prepare(self, view, *args)
-        if view.name == "B":
-            armed.extend(written)
-        return written, prepared
+    def view_round(self, view, *args):
+        in_round[:] = [view.name]
+        try:
+            return real_round(self, view, *args)
+        finally:
+            in_round.clear()
+
+    def begin_journal(self):
+        # the round's own journal, not a shard's savepoint inside it
+        if in_round == ["B"] and self._journal is None:
+            armed.append(self)
+        real_begin(self)
 
     def end_journal(self, commit=True, write_set=False):
         counts = self.counters.snapshot()
@@ -811,19 +817,17 @@ def test_a_view_that_fails_after_its_first_write_converges(kind, point, running_
 
     with ExitStack() as stack:
         FAILURE_POINTS[point](engine, stack)
-        stack.enter_context(mock.patch.object(type(engine), "_prepare_view", prepare_view))
+        stack.enter_context(mock.patch.object(type(engine), "_view_round", view_round))
+        stack.enter_context(mock.patch.object(Table, "begin_journal", begin_journal))
         stack.enter_context(mock.patch.object(Table, "end_journal", end_journal))
         with pytest.raises(Boom):
             engine.maintain()
     assert rollbacks.value == 1
     assert [table for table, _ in restores] == armed and all(ok for _, ok in restores)
-    untouched = [t for t in b.written_tables if t not in armed]
     if kind == "recompute":
-        assert armed == untouched == []  # it swaps a fresh table in on success
-    elif kind == "sdbt":
-        assert armed == list(b.written_tables)
+        assert armed == []  # it swaps a fresh table in on success
     else:
-        assert len(armed) >= 2 and len(untouched) == 2, [t.name for t in armed]
+        assert armed == list(b.written_tables), [t.name for t in armed]
     assert engine.log.cursors == {"A": 20, "B": 0}
     for table, (rows, buckets) in zip(tables, before):
         assert _snapshot(table)[0] == rows, table.name

@@ -177,20 +177,18 @@ def test_a_steady_round_makes_a_constant_number_of_lookups(watch_counts, monkeyp
     assert per_view_buckets[8] < per_view_buckets[4] < per_view_buckets[1], per_view_buckets
 
 
-def test_a_steady_round_journals_what_its_live_slices_write(monkeypatch):
-    """Every view-round arms the journals of the tables its live slice
-    may write — those of the statements the round's users updates reach
-    — and no other: 17 of the 26 tables the eight views own.  Every
-    table the round writes is among them."""
+def test_a_steady_round_journals_what_its_views_own(monkeypatch):
+    """Every view-round arms the journals of the tables its view owns:
+    the 26 of the eight views.  Every table the round writes is among
+    them."""
     db = build_bsma_database(CONFIG)
     engine = IdIvmEngine(db)
     for name in sorted(BSMA_QUERIES):
         engine.define_view(name, BSMA_QUERIES[name](db, CONFIG))
     log_user_updates(engine, db, CONFIG, 5, round_seed=0)
-    engine.maintain()  # slices built
-    armed, written, slices = [], set(), {}
+    engine.maintain()
+    armed, written = [], set()
     real_begin, real_account = Table.begin_journal, Table._account
-    real_prepare = IdIvmEngine._prepare_view
 
     def begin_journal(self):
         armed.append(self)
@@ -201,19 +199,12 @@ def test_a_steady_round_journals_what_its_live_slices_write(monkeypatch):
             written.add(self)
         return real_account(self, changes, *args, **kwargs)
 
-    def prepare_view(self, view, *args):
-        tables, ctx = real_prepare(self, view, *args)
-        slices[view.name] = ctx.live
-        return tables, ctx
-
     monkeypatch.setattr(Table, "begin_journal", begin_journal)
     monkeypatch.setattr(Table, "_account", account)
-    monkeypatch.setattr(IdIvmEngine, "_prepare_view", prepare_view)
     for round_seed in range(1, 4):
         del armed[:]
         log_user_updates(engine, db, CONFIG, 5, round_seed=round_seed)
         engine.maintain()
-        assert armed == [t for name in engine.views for t in slices[name].written]
+        assert armed == [t for view in engine.views.values() for t in view.written_tables]
         assert written <= set(armed)
-        assert len(armed) == 17
-    assert sum(len(view.written_tables) for view in engine.views.values()) == 26
+        assert len(armed) == 26

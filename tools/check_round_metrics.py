@@ -21,6 +21,8 @@ ACCESSORS = frozenset({"counter", "gauge", "histogram", "loghist"})
 HOT_PATHS = frozenset({
     "execute_script",
     "populate_instances",
+    "_view_round",
+    "_idle_round",
     "_maintain_view",
     "_run_view",
     "_run_broadcast",
