@@ -207,6 +207,10 @@ lint-catalog:
 # `lint_definition`, so nothing checks a script other than the one that
 # ships.
 lint-static:
+	@if grep -nE '\.(chain|materialized)\b' src/repro/analysis/sharing.py \
+	    | grep -vE 'hosting\.(define|materialize)\(facts\.label, facts\.chain(, facts\.materialized)?\)|list\(facts\.(chain|materialized)\)'; then \
+	    echo "a chain/cache fingerprint match in analysis/sharing.py: SHARE703 reads core.share.Hosting, the engine's binding"; \
+	    exit 1; fi
 	@if grep -rnE 'def maintain\b' src/repro --include='*.py' \
 	    | grep -vE '^src/repro/core/engine\.py:'; then \
 	    echo "round loop outside core/engine.py: use MaintenanceEngine.maintain"; \

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from datetime import date, datetime
+from decimal import Decimal
 from typing import Optional, Union
 
 from ..algebra.plan import (
@@ -124,6 +126,14 @@ def _lit_doc(value: object) -> Doc:
         return ["v", value]
     if isinstance(value, float):
         return ["v", value]  # _canon applies the ~f tag
+    # Tagged by type: Decimal('1') and 1 compare equal but are different
+    # literals (a datetime is a date, so it is tested first).
+    if isinstance(value, Decimal):
+        return ["dec", str(value)]
+    if isinstance(value, datetime):
+        return ["datetime", value.isoformat()]
+    if isinstance(value, date):
+        return ["date", value.isoformat()]
     raise FingerprintError(f"unsupported literal type {type(value).__name__}")
 
 

@@ -14,17 +14,19 @@ actually sharing intermediate caches across views.
   steps feeding the cache, evaluated at nominal diff cardinalities).
 * **SHARE702** — a view is semantically equivalent (same root alpha
   fingerprint) to an already-defined view.
-* **SHARE703** — a view is a selection/projection over a sub-plan that
-  another view materializes: its σ/π root chain bottoms out in a
-  fingerprint another view caches.
+* **SHARE703** — a view that an engine answers from another view's
+  cache: its root is a column-only π chain over a sub-plan the host
+  materializes, by exact fingerprint (:class:`repro.core.share.Hosting`,
+  the class the engine binds views with), so it keeps no state of its
+  own.
 * **SHARE704** — compute statements that two or more views hold
   identically, by round-share key (:func:`repro.core.share.share_keys`,
   the function the engine keys them with): an engine computes each once
   per round and the other views bind its rows.  One finding per set of
   views, with the number of statements they share.
 
-SHARE701–703 report sharing *opportunities*; SHARE704 reports sharing
-an engine does.  All four are informational.
+SHARE701 and SHARE702 report sharing *opportunities*; SHARE703 and
+SHARE704 report sharing an engine does.  All four are informational.
 
 Facts (:class:`CatalogViewFacts`) are deliberately tiny and
 JSON-serializable so the incremental analysis cache can persist them —
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..algebra.plan import PlanNode, Project, Select
 from ..core.ir import AppliedSource, DiffSource, IrNode
 from ..core.rules.aggregate import AssociativeAggregateStep, GeneralAggregateStep
 from ..core.script import ApplyDiffStep, ComputeDiffStep
@@ -70,9 +71,13 @@ class CatalogViewFacts:
     label: str
     root_fingerprint: str
     caches: tuple[CachedSubplan, ...]
-    #: fingerprints reachable from the root through σ/π operators only,
-    #: root included — the "selection/projection over X" witnesses
+    #: exact fingerprints of the sub-plans below the root's column-only
+    #: π chain (``core.share.host_chain``): what the view can be
+    #: answered from
     chain: tuple[str, ...]
+    #: exact fingerprints of the sub-plans the view materializes — its
+    #: table and caches (``materialized`` of ``core.share``): what it can host
+    materialized: tuple[str, ...]
     #: the round-share keys of the view's eligible compute statements,
     #: in script order (``core.share.share_keys``)
     share_keys: tuple[str, ...]
@@ -159,26 +164,11 @@ def _price_cache(generated: object, node_id: int) -> dict[str, float]:
     return price
 
 
-def _root_chain(plan: PlanNode, fps: dict[int, str]) -> tuple[str, ...]:
-    chain: list[str] = []
-    node: PlanNode = plan
-    while True:
-        fp = fps.get(node.node_id)
-        if fp is not None:
-            chain.append(fp)
-        if isinstance(node, Select):
-            node = node.child
-        elif isinstance(node, Project):
-            node = node.child
-        else:
-            return tuple(chain)
-
-
 def view_facts(
     label: str, generated: object, db: Optional[Database] = None
 ) -> CatalogViewFacts:
     """Distill one generated view into the sharing pass's input facts."""
-    from ..core.share import share_keys  # deferred: it imports this package
+    from ..core.share import host_chain, materialized, share_keys  # deferred: it imports this package
 
     plan = generated.plan  # type: ignore[attr-defined]
     fps = plan_fingerprints(plan, db)
@@ -201,7 +191,8 @@ def view_facts(
         label=label,
         root_fingerprint=plan_fingerprint(plan, db),
         caches=tuple(caches),
-        chain=_root_chain(plan, fps),
+        chain=host_chain(plan),
+        materialized=tuple(materialized(generated)),
         share_keys=tuple(share_keys(generated).values()),
     )
 
@@ -221,6 +212,7 @@ def facts_to_json(facts: CatalogViewFacts) -> dict:
             for c in facts.caches
         ],
         "chain": list(facts.chain),
+        "materialized": list(facts.materialized),
         "share_keys": list(facts.share_keys),
     }
 
@@ -240,6 +232,7 @@ def facts_from_json(payload: dict) -> CatalogViewFacts:
             for c in payload["caches"]
         ),
         chain=tuple(payload["chain"]),
+        materialized=tuple(payload["materialized"]),
         share_keys=tuple(payload["share_keys"]),
     )
 
@@ -247,9 +240,14 @@ def facts_from_json(payload: dict) -> CatalogViewFacts:
 def share_groups(views: list[CatalogViewFacts]) -> dict[str, tuple[str, ...]]:
     """Round-share key -> the labels of the views holding it, for every
     key two views or more hold: what an engine defining these views
-    runs once per round (``IdIvmEngine.share_holders``)."""
+    runs once per round (``IdIvmEngine.share_holders``).  A view the
+    engine answers from another's cache (:func:`hosted_views`) holds
+    none."""
+    hosted = hosted_views(views)
     holders: dict[str, list[str]] = {}
     for facts in views:
+        if facts.label in hosted:
+            continue
         for key in dict.fromkeys(facts.share_keys):
             holders.setdefault(key, []).append(facts.label)
     return {key: tuple(labels) for key, labels in holders.items() if len(labels) > 1}
@@ -301,12 +299,10 @@ def sharing_pass(ctx: CatalogContext) -> None:
     by_root: dict[str, list[str]] = {}
     for facts in views:
         by_root.setdefault(facts.root_fingerprint, []).append(facts.label)
-    duplicate_roots: set[str] = set()
     for fp in sorted(by_root):
         labels = sorted(set(by_root[fp]))
         if len(labels) < 2:
             continue
-        duplicate_roots.add(fp)
         first, rest = labels[0], labels[1:]
         ctx.report.add(
             "SHARE702",
@@ -330,28 +326,27 @@ def sharing_pass(ctx: CatalogContext) -> None:
             "bind the rows",
         )
 
-    # SHARE703: a view's σ/π chain bottoms out in another view's cache.
-    cache_owners: dict[str, set[str]] = {}
+    # SHARE703: the views an engine defining these, in this order,
+    # answers from another view's cache.
+    for label, (host, _fp) in sorted(hosted_views(views).items()):
+        ctx.report.add(
+            "SHARE703",
+            label,
+            f"view is a projection of a sub-plan {host} materializes: the "
+            f"engine answers it from {host}'s cache",
+            "nothing to do: the engine keeps no copy of the view and "
+            f"{host}'s round maintains it",
+        )
+
+
+def hosted_views(views: list[CatalogViewFacts]) -> dict[str, tuple[str, str]]:
+    """Consumer label -> ``(host label, fingerprint)`` for views defined
+    in the order of *views*: what an engine defining them answers from
+    another view's cache (``IdIvmEngine.hosting``)."""
+    from ..core.share import Hosting  # deferred: it imports this package
+
+    hosting = Hosting()
     for facts in views:
-        for cache in facts.caches:
-            cache_owners.setdefault(cache.fingerprint, set()).add(facts.label)
-    for facts in sorted(views, key=lambda f: f.label):
-        if facts.root_fingerprint in duplicate_roots:
-            continue  # already reported as SHARE702
-        hosts: set[str] = set()
-        for fp in facts.chain:
-            hosts |= {
-                owner
-                for owner in cache_owners.get(fp, ())
-                if owner != facts.label
-            }
-        if hosts:
-            named = _name_views(sorted(hosts))
-            ctx.report.add(
-                "SHARE703",
-                facts.label,
-                f"view is a selection/projection over a sub-plan already "
-                f"cached by {named}",
-                "answer the view from the host cache instead of maintaining "
-                "a private copy",
-            )
+        if hosting.define(facts.label, facts.chain) is None:
+            hosting.materialize(facts.label, facts.chain, facts.materialized)
+    return hosting.hosts

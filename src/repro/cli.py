@@ -53,6 +53,7 @@ from .baselines import TupleIvmEngine
 from .bench import SweepPoint, SystemResult, format_figure10, format_sweep, run_system
 from .core import IdIvmEngine
 from .core.compile import readers_of
+from .core.engine import HostedView
 from .sql import sql_to_plan
 from .storage import Database
 from .workloads import (
@@ -127,14 +128,19 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: annotated plan + ∆-script for a SQL view."""
     db = demo_database()
     engine = IdIvmEngine(db, optimize=not args.no_minimize)
-    view = engine.define_view("V", sql_to_plan(db, args.sql))
-    others = [
-        engine.define_view(f"V{i}", sql_to_plan(db, sql))
-        for i, sql in enumerate(args.also or (), start=2)
-    ]
+    engine.define_view("V", sql_to_plan(db, args.sql))
+    names = [f"V{i}" for i, _ in enumerate(args.also or (), start=2)]
+    for name, sql in zip(names, args.also or ()):
+        engine.define_view(name, sql_to_plan(db, sql))
+    # read after every definition: a view defined later may host V
+    view = engine.views["V"]
     print("-- annotated plan (Pass 1) " + "-" * 34)
     print(explain_plan(view.plan))
     print()
+    if isinstance(view, HostedView):
+        print(f"-- V is a projection of {view.host.name}'s cache {view.table.source.name}: "
+              f"{view.host.name}'s round maintains it, it has no ∆-script of its own")
+        return 0
     print("-- generated ∆-script " + "-" * 39)
     print(view.describe_script())
     script = view.script
@@ -147,7 +153,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
             if fn is not None:
                 print(f"# {fn.__code__.co_filename}")
                 print(fn.__source__)
-    for other in others:
+    for other in map(engine.views.__getitem__, names):
+        if isinstance(other, HostedView):
+            print(f"-- {other.name} is a projection of {other.host.name}'s cache "
+                  f"{other.table.source.name}: a round maintains it with {other.host.name}")
+            continue
         theirs = set(other.share_keys.values())
         shared = sum(key in theirs for key in view.share_keys.values())
         print(f"-- {shared} statements shared with {other.name}: a round computes them once")
@@ -716,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--also", action="append", metavar="SQL",
         help="another view defined beside V (V2, V3, …); prints how many of "
-        "V's statements it holds too, which a round computes once",
+        "V's statements it holds too, which a round computes once, or which "
+        "view's cache answers it",
     )
     explain.add_argument(
         "--no-minimize", action="store_true", help="skip Pass 4 (Figure 8 rewrites)"

@@ -38,7 +38,7 @@ from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
 from ..obs.freshness import FreshnessTracker
-from ..storage import AccessCounts, CounterSet, Database, Table
+from ..storage import AccessCounts, CounterSet, Database, Table, TableSchema
 from .compile import EXEC_BACKENDS as EXEC_BACKENDS  # re-exported
 from .compile import bind_kernels, check_backend, readers_of
 from .diffs import DELETE, INSERT
@@ -70,6 +70,9 @@ class MaintenanceReport:
     #: ``(statement, lender view)`` of every compute statement this round
     #: bound from rows another view computed (``core.share``)
     reused: list[tuple[str, str]] = field(default_factory=list)
+    #: the view whose round maintained this one, a :class:`HostedView`
+    #: answered from its cache; None for a view that keeps its own state
+    host: Optional[str] = None
 
     @property
     def total_cost(self) -> int:
@@ -159,8 +162,68 @@ class MaterializedView:
         """The ∆-script maintenance executes: ``generated.script``."""
         return self.generated.script
 
+    @functools.cached_property
+    def materialized(self) -> dict[str, int]:
+        """Exact fingerprint -> node id of every sub-plan the view
+        materializes (:func:`repro.core.share.materialized`): what
+        another view can be answered from."""
+        from .share import materialized  # deferred: it imports the analysis
+
+        return materialized(self.generated)
+
     def describe_script(self) -> str:
         return self.script.describe()
+
+
+class HostedView:
+    """A view answered from a cache another view — its :attr:`host` —
+    materializes: its plan is a column-only π chain over that cache's
+    sub-plan (:class:`repro.core.share.Hosting`).  It keeps no table,
+    script, journal, ``Input_pre`` table, prediction or round-share key
+    of its own: its :attr:`table` is the host's cache projected onto its
+    columns, and the host's view-round maintains it."""
+
+    written_tables: tuple[Table, ...] = ()
+    pre_tables: frozenset[str] = frozenset()
+
+    def __init__(self, name: str, plan: PlanNode, host: MaterializedView, fingerprint: str):
+        from .share import host_chain, projected_columns  # deferred: it imports the analysis
+
+        self.name = name
+        self.plan = plan
+        self.host = host
+        cache = host.caches[host.materialized[fingerprint]]
+        through = projected_columns(plan, host_chain(plan).index(fingerprint) + 1)
+        self.table = ProjectedTable(
+            TableSchema(name, plan.columns, plan.ids), cache,
+            tuple(map(cache.schema.columns.index, through)),
+        )
+
+
+class ProjectedTable:
+    """A read-only projection of a *source* table onto a *schema*: column
+    ``i`` is the source's column ``at[i]``, row for row.  A
+    :class:`HostedView`'s table, read when it is read; nothing writes it."""
+
+    def __init__(self, schema: TableSchema, source: Table, at: tuple[int, ...]):
+        self.schema = schema
+        self.source = source
+        self.at = at
+
+    @property
+    def name(self) -> str:
+        return self.schema.name
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def rows_uncounted(self) -> list[tuple]:
+        at = self.at
+        return [tuple([row[i] for i in at]) for row in self.source.rows_uncounted()]
+
+    def as_set(self) -> frozenset[tuple]:
+        """Frozen set of rows, for order-insensitive comparisons in tests."""
+        return frozenset(self.rows_uncounted())
 
 
 def tagged_tables(
@@ -217,7 +280,9 @@ class MaintenanceEngine:
     reported.  A subclass supplies the rules — :meth:`_define` and
     :meth:`_maintain_view` — and its views name the tables they read in
     ``Input_pre`` (``view.pre_tables``) and the tables its maintenance
-    may write (``view.written_tables``)."""
+    may write (``view.written_tables``).  A :class:`HostedView` has no
+    round of its own: its host's round maintains it, and its cursor moves
+    when the host's does."""
 
     def __init__(self, db: Database):
         self.db = db
@@ -227,7 +292,12 @@ class MaintenanceEngine:
         self.freshness = FreshnessTracker(self.log)
         self.drift = DriftMonitor()
         self._pre = PreState(db)
+        #: every defined view by name, hosted ones included
         self.views: dict = {}
+        #: the views that keep their own state: what ``maintain()`` runs
+        self._own: dict = {}
+        #: host name -> the :class:`HostedView` s its round maintains
+        self._consumers: dict[str, list[HostedView]] = {}
         #: ``view.round_seconds.<view>``, held once per view
         self._view_seconds: dict[str, metrics.Handle] = {}
         #: the base tables each view reads: a range that changes none of
@@ -259,17 +329,41 @@ class MaintenanceEngine:
         # statistics probes) are not maintenance cost.
         self.db.counters.reset()
         self.views[name] = view
-        self._pre.declare(view.pre_tables)
+        if isinstance(view, HostedView):
+            self._host(view)
+            return view
+        self._own[name] = view
         self._view_seconds[name] = metrics.Handle("loghist", f"view.round_seconds.{name}", "seconds")
         self._reads[name] = base_tables(view.plan)
         # A just-materialized view reflects the whole log so far.
         self.log.advance(name, self.log.position)
+        for consumer in self._bind(view):
+            self._host(consumer)
+        self._pre.declare(frozenset().union(*(v.pre_tables for v in self._own.values())))
         return view
 
     def _define(self, name: str, annotated: PlanNode, stats):
         """Hook: build the view of the *annotated* plan, reading every
-        sub-plan's rows and statistics from the definition's *stats*."""
+        sub-plan's rows and statistics from the definition's *stats* —
+        or a :class:`HostedView` when another view's cache answers it."""
         raise NotImplementedError
+
+    def _bind(self, view) -> list[HostedView]:
+        """Hook: runs once *view*, which keeps its own state, is
+        registered; returns the views defined before it that its caches
+        answer from now on.  None by default."""
+        return []
+
+    def _host(self, consumer: HostedView) -> None:
+        """Answer *consumer* from its host from now on: whatever it kept
+        of its own is released, and its cursor is the host's."""
+        name, host = consumer.name, consumer.host.name
+        self.views[name] = consumer
+        self._own.pop(name, None)
+        self._reads.pop(name, None)
+        self._view_seconds.pop(name, None)
+        self._consumers.setdefault(host, []).append(consumer)
+        self.log.advance(name, self.log.cursors[host])
 
     # ------------------------------------------------------------------
     # data modification time: use engine.log.insert/update/delete
@@ -283,7 +377,9 @@ class MaintenanceEngine:
 
         Each view absorbs the log from its own cursor: the groups of
         targets at one cursor run in ascending order over their ranges
-        ``(cursor, head]``.  The live database already holds the
+        ``(cursor, head]``.  A :class:`HostedView` is maintained by its
+        host's view-round: naming it maintains the host, and its cursor
+        moves when the host's commits.  The live database already holds the
         post-state (deferred IVM); rules that need ``Input_pre`` read the
         :class:`PreState` replica, moved to each group's cursor.  A
         view-round commits or does nothing: the tables its view owns are
@@ -299,9 +395,10 @@ class MaintenanceEngine:
         """
         # Resolve every target first: an unknown name starts no round.
         if name is None:
-            targets = list(self.views.values())
+            targets = list(self._own.values())
         elif name in self.views:
-            targets = [self.views[name]]
+            view = self.views[name]
+            targets = [view.host if isinstance(view, HostedView) else view]
         else:
             raise UnknownTableError(f"no view named {name!r}")
         return self._round(targets)
@@ -352,6 +449,12 @@ class MaintenanceEngine:
                         log.advance(view.name, entries.end)
                         reports[view.name] = report
                         done.append(report)
+                        for consumer in self._consumers.get(view.name, ()):
+                            log.advance(consumer.name, entries.end)
+                            reports[consumer.name] = hosted = self._idle_report(
+                                consumer, host=view.name
+                            )
+                            done.append(hosted)
                 except BaseException:
                     # the views of the group that committed keep their
                     # telemetry
@@ -412,10 +515,11 @@ class MaintenanceEngine:
                 vsp.set(idle=True, total_cost=0, phase_counts={})
         return self._idle_report(view)
 
-    def _idle_report(self, view) -> MaintenanceReport:
-        """Hook: the report of an idle view-round, of the type this
-        engine's rounds report — no phase, no cost."""
-        return MaintenanceReport(view.name)
+    def _idle_report(self, view, host: Optional[str] = None) -> MaintenanceReport:
+        """Hook: the report of a view-round that runs nothing of its own,
+        of the type this engine's rounds report — no phase, no cost: an
+        idle one, or a hosted view's, whose *host* maintained it."""
+        return MaintenanceReport(view.name, host=host)
 
     def _begin_round(self, entries, round_span) -> None:
         """Hook: runs once per group of views at one cursor, before the
@@ -489,16 +593,28 @@ class IdIvmEngine(MaintenanceEngine):
         #: round-share key -> the views holding a statement under it
         #: (``core.share``); a key held by two views runs once per round
         self.share_holders: dict[str, list[MaterializedView]] = {}
+        from .share import Hosting  # deferred: it imports the analysis
+
+        #: which view answers which (``core.share.Hosting``): a view that
+        #: is a column-only π over another view's cache is a HostedView
+        self.hosting = Hosting()
 
     # ------------------------------------------------------------------
     # view definition time
     # ------------------------------------------------------------------
-    def _define(self, name: str, annotated: PlanNode, stats) -> MaterializedView:
-        """Decide the view's ∆-script and its cost model (the definition
-        pipeline), then materialize the view, its caches and operator
-        caches."""
+    def _define(self, name: str, annotated: PlanNode, stats):
+        """A :class:`HostedView` when a view already materializes a
+        sub-plan the view is a column-only π over (``self.hosting``);
+        otherwise decide the view's ∆-script and its cost model (the
+        definition pipeline), then materialize the view, its caches and
+        operator caches."""
         from ..analysis.cost import define_script  # deferred: it imports core
+        from .share import host_chain
 
+        hosted = self.hosting.define(name, host_chain(annotated))
+        if hosted is not None:
+            host, fingerprint = hosted
+            return HostedView(name, annotated, self.views[host], fingerprint)
         generated = define_script(name, annotated, stats, optimize=self.optimize,
                                   cache_policy=self.cache_policy,
                                   view_reuse=self.view_reuse,
@@ -526,9 +642,28 @@ class IdIvmEngine(MaintenanceEngine):
                 child_rows, self.db.counters
             )
         bind_kernels(generated.script, self.exec_backend)
-        view = MaterializedView(generated, view_table, caches, operator_caches)
+        return MaterializedView(generated, view_table, caches, operator_caches)
+
+    def _bind(self, view: MaterializedView) -> list[HostedView]:
+        """Enter *view* in :attr:`hosting`: each earlier view that is a
+        column-only π over a sub-plan it materializes becomes a
+        :class:`HostedView` of it, and leaves :attr:`share_holders`;
+        then enter *view*'s own round-share keys."""
+        from .share import host_chain
+
+        consumers = []
+        for name, fingerprint in self.hosting.materialize(
+            view.name, host_chain(view.plan), view.materialized
+        ):
+            released = self.views[name]
+            self._release_shares(released)
+            hosted = HostedView(name, released.plan, view, fingerprint)
+            # The object define_view returned stays the view: a caller
+            # holding it reads the projection, and its tables are released.
+            released.__class__, released.__dict__ = HostedView, hosted.__dict__
+            consumers.append(released)
         self._register_shares(view)
-        return view
+        return consumers
 
     def _register_shares(self, view: MaterializedView) -> None:
         """Enter *view*'s round-share keys in :attr:`share_holders`; the
@@ -541,7 +676,25 @@ class IdIvmEngine(MaintenanceEngine):
         for key in view.share_keys.values():
             if len(holders[key]) > 1:
                 touched.update((other.name, other) for other in holders[key])
-        for other in touched.values():
+        self._reshare(touched.values())
+
+    def _release_shares(self, view: MaterializedView) -> None:
+        """Take *view*'s round-share keys out of :attr:`share_holders`;
+        the views it shared a key with share what is left."""
+        holders = self.share_holders
+        touched = {}
+        for key in dict.fromkeys(view.share_keys.values()):
+            holders[key].remove(view)
+            touched.update((other.name, other) for other in holders[key])
+            if not holders[key]:
+                del holders[key]
+        self._reshare(touched.values())
+
+    def _reshare(self, views) -> None:
+        """Share each statement of *views* whose key two views or more
+        hold (``DeltaScript.share``)."""
+        holders = self.share_holders
+        for other in views:
             other.script.share(
                 {i: key for i, key in other.share_keys.items() if len(holders[key]) > 1},
                 other.name,
@@ -681,10 +834,10 @@ class PreState:
         self.position = 0
 
     def declare(self, tables: frozenset[str]) -> None:
-        """Replicate *tables* too: a replica lacking one is dropped, and
-        the next :meth:`begin` builds the wider one, uncounted."""
-        if not tables <= self.tables:
-            self.tables |= tables
+        """Replicate exactly *tables*: a replica of other tables is
+        dropped, and the next :meth:`begin` builds the new one, uncounted."""
+        if tables != self.tables:
+            self.tables = tables
             self.db = None
 
     def begin(self, entries) -> Database:

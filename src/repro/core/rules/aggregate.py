@@ -306,16 +306,6 @@ class _AggregateStep(Step):
         diffs[emitted[UPDATE]] = adopt(UPDATE, upd)
         self.settle(ctx)
 
-    def _inputs(self, ctx: IrContext):
-        """``(kind, name, input)`` per input: the applied changes of an
-        expansion, or a diff."""
-        diffs, expansions = ctx.diffs, ctx.expansions
-        for source_kind, name in self.inputs:
-            got = (expansions if source_kind == "expansion" else diffs).get(name)
-            if got is None:
-                raise ScriptError(f"{source_kind} {name!r} not available")
-            yield source_kind, name, got
-
     # -- liveness: every input drives (an empty branch probes nothing,
     # an empty γ-delta writes nothing); skipped, the step still emits
     # its three (empty) diffs and still marks its output ----------------
@@ -383,7 +373,12 @@ class AssociativeAggregateStep(_AggregateStep):
         # built by the first i-diff input that needs its Input_pre probe
         collector: Optional[_ChangeCollector] = None
         changes: list[tuple] = []
-        for source_kind, name, got in self._inputs(ctx):
+        diffs, expansions = ctx.diffs, ctx.expansions
+        # each input: the applied changes of an expansion, or a diff
+        for source_kind, name in self.inputs:
+            got = (expansions if source_kind == "expansion" else diffs).get(name)
+            if got is None:
+                raise ScriptError(f"{source_kind} {name!r} not available")
             if source_kind == "expansion":
                 changes.extend(got.changes)
             elif self.full_rows:
@@ -472,7 +467,11 @@ class GeneralAggregateStep(_AggregateStep):
         groups: set[tuple] = set()
         positions = {c: i for i, c in enumerate(gnode.child.columns)}
         key_idx = [positions[k] for k in gnode.keys]
-        for source_kind, name, got in self._inputs(ctx):
+        diffs, expansions = ctx.diffs, ctx.expansions
+        for source_kind, name in self.inputs:
+            got = (expansions if source_kind == "expansion" else diffs).get(name)
+            if got is None:
+                raise ScriptError(f"{source_kind} {name!r} not available")
             if source_kind == "expansion":
                 # Cached child: the APPLY's RETURNING expansion already
                 # carries full (pre, post) child rows — the group keys

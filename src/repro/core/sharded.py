@@ -219,7 +219,7 @@ class ShardedEngine(IdIvmEngine):
         if pool is None:
             pool = ProcessShardPool(self.shards)
             try:
-                pool.boot(build_blueprint(self.db, self.views, self.exec_backend, self._pre.tables))
+                pool.boot(build_blueprint(self.db, self._own, self.exec_backend, self._pre.tables))
                 pool.begin_round(wire.encode_log_batch(entries), sync=False)
             except BaseException:
                 pool.close()
@@ -244,11 +244,13 @@ class ShardedEngine(IdIvmEngine):
             pool.begin_round(wire.encode_log_batch(entries), sync=True)
             self._pool_position = entries.end
 
-    def _idle_report(self, view: MaterializedView) -> ShardedMaintenanceReport:
-        """An idle view-round routes nothing: its instances are all empty,
-        the router's "empty modification batch"."""
+    def _idle_report(self, view, host: Optional[str] = None) -> ShardedMaintenanceReport:
+        """A view-round that runs nothing of its own routes nothing: an
+        idle one's instances are all empty, the router's "empty
+        modification batch"; a hosted view's *host* ran the round."""
         return ShardedMaintenanceReport(
-            view.name, parallel=False, broadcast_reason=EMPTY_BATCH, backend=self.backend,
+            view.name, host=host, parallel=False,
+            broadcast_reason=None if host else EMPTY_BATCH, backend=self.backend,
         )
 
     def _run_view(

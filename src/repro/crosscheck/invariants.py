@@ -154,7 +154,8 @@ def check_caches(view, db) -> list[str]:
 def check_engine_state(view, db, report) -> list[str]:
     """All invariant families for one view after one maintenance round."""
     problems = check_report(report, "report")
-    problems += check_table(view.table, f"view {view.name!r}")
+    if isinstance(view.table, Table):  # a hosted view's is its host's cache
+        problems += check_table(view.table, f"view {view.name!r}")
     for node_id, table in {
         **getattr(view, "caches", {}),
         **getattr(view, "operator_caches", {}),

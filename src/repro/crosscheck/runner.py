@@ -42,7 +42,9 @@ from ..core.compile import LoweredPlan
 from ..obs import metrics, recording
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog
+from ..core.engine import HostedView
 from ..core.sharded import ShardedEngine
+from ..algebra import project_columns
 from ..algebra.evaluate import evaluate_plan
 from ..analysis import AnalysisReport, cost, generated_fingerprint
 from ..storage import AccessCounts
@@ -65,7 +67,8 @@ STRATEGY_FACTORIES: dict[str, Callable] = {
     "sharded4": lambda db: ShardedEngine(db, shards=4, race_check=True),
     # Each round fails once after a counted write, then is retried.
     "faults": lambda db: IdIvmEngine(db, exec_backend="compiled"),
-    # The plan defined twice: the twin binds what the first computed.
+    # The plan defined twice — the twin binds what the first computed —
+    # and a π over it, answered from the first's table.
     "shared": lambda db: IdIvmEngine(db, exec_backend="compiled"),
 }
 
@@ -236,7 +239,8 @@ def run_strategy(
     strategy defines passes :func:`_check_view`.  Two strategies add a
     step: ``faults`` fails each round once before the round that counts
     (:func:`_faulty_round`), and ``shared`` checks its views' counts
-    against a solo engine (:func:`_shared_counts`)."""
+    against a solo engine (:func:`_shared_counts`) and its π twin ``V3``
+    — its columns reversed — against ``V``'s oracle projected."""
     factory = STRATEGY_FACTORIES[strategy]
     shared = strategy == "shared"
     try:
@@ -247,12 +251,20 @@ def run_strategy(
             for name in (("V", "V2") if shared else ("V",))
         ]
         if shared:
+            plan = build_plan(case["plan"], db)
+            views.append(engine.define_view("V3", project_columns(plan, plan.columns[::-1])))
             solo_db = build_database(case)
             solo = factory(solo_db)
             solo.define_view("V", build_plan(case["plan"], solo_db))
     except Exception as exc:  # noqa: BLE001 - the fuzzer reports, never raises
         return Divergence(strategy, -1, "exception", _tail(exc))
-    if shared and set(views[1].script._shared) != set(views[1].share_keys):
+    if shared and getattr(views[2], "host", None) is not views[0]:
+        return Divergence(
+            strategy, -1, "invariant", "V3, a π over V, is not answered from V's table"
+        )
+    # (a V that is a π over a cache it keeps answers V2 from that cache)
+    twin_shares = shared and not isinstance(views[1], HostedView)
+    if twin_shares and set(views[1].script._shared) != set(views[1].share_keys):
         return Divergence(
             strategy, -1, "invariant",
             f"V2 shares statements {sorted(views[1].script._shared)} of the "
@@ -282,7 +294,8 @@ def run_strategy(
             )
         for view in views:
             divergence = _check_view(
-                strategy, bi, view, db, reports[view.name], expected[bi], diag_sink
+                strategy, bi, view, db, reports[view.name],
+                _projected(expected[bi], views[0], view), diag_sink,
             )
             if divergence is not None:
                 return divergence
@@ -291,6 +304,18 @@ def run_strategy(
             if divergence is not None:
                 return divergence
     return _check_drift(engine, strategy, len(case["batches"]) - 1, diag_sink)
+
+
+def _projected(rows: Counter, of, view) -> Counter:
+    """*rows* of view *of* projected onto the columns of *view*, a π over
+    it (or itself)."""
+    if view is of:
+        return rows
+    at = [of.table.schema.columns.index(c) for c in view.table.schema.columns]
+    projected: Counter = Counter()
+    for row, n in rows.items():
+        projected[tuple(row[i] for i in at)] += n
+    return projected
 
 
 def _check_view(
@@ -311,6 +336,11 @@ def _check_view(
         return Divergence(strategy, bi, "exception", _tail(exc))
     if problems:
         return Divergence(strategy, bi, "invariant", f"{view.name}: " + "; ".join(problems[:3]))
+    if isinstance(view, HostedView) and (report.host != view.host.name or report.phase_counts):
+        return Divergence(
+            strategy, bi, "cost", f"{view.name}, hosted by {view.host.name}, reports host "
+            f"{report.host!r} and counts {_phases(report.phase_counts)}",
+        )
     overlaps = getattr(report, "race_overlaps", None)
     if overlaps:
         shown = "; ".join(
@@ -344,6 +374,8 @@ def _shared_counts(bi: int, reports, alone, recorder) -> Optional[Divergence]:
             f"lender V counts {_phases(lender.phase_counts)} != solo V "
             f"{_phases(alone.phase_counts)}",
         )
+    if borrower.host is not None:
+        return None  # a hosted V2 costs nothing (checked with every view)
     reused = {name for name, _lender in borrower.reused}
     owed = dict(lender.phase_counts)
     for view_span in recorder.find(kind="view", name="view:V"):

@@ -229,6 +229,8 @@ def build_snapshot(
         views: dict[str, Any] = {}
         for name, report in getattr(engine, "last_reports", {}).items():
             entry: dict[str, Any] = {"total_cost": report.total_cost}
+            if report.host is not None:
+                entry["host"] = report.host  # a hosted view: its host's round maintained it
             if report.reused:
                 shared_from: dict[str, int] = {}
                 for _stmt, lender in report.reused:

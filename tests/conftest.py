@@ -54,6 +54,16 @@ def build_view_v_prime(db: Database):
     return group_by(filtered, ("did",), [("sum", col("price"), "cost")])
 
 
+def unhosted(flat):
+    """*flat* — a π over a σ-join, the paper's V — with a residual σ that
+    keeps every row: a σ chain with a residual filter is never answered
+    from another view's cache (``repro.core.share.Hosting``), so beside
+    V′ it keeps its own state, as V did before views were hosted."""
+    from repro.algebra import project_columns
+
+    return project_columns(where(flat.child, col("price").ge(lit(0))), flat.columns)
+
+
 def view_bag(engine, name: str):
     """View *name*'s rows as a bag, in its plan's column order."""
     view = engine.views[name]

@@ -52,12 +52,21 @@ class TestExplain:
             "SELECT did, SUM(price) AS cost FROM parts NATURAL JOIN devices_parts "
             "NATURAL JOIN devices WHERE category = 'phone' GROUP BY did"
         )
-        assert main(["explain", "--sql", agg, "--also", flat, "--also", "SELECT did FROM devices"]) == 0
+        count = agg.replace("SUM(price) AS cost", "COUNT(*) AS n")
+        assert main(["explain", "--sql", agg, "--also", count, "--also", "SELECT did FROM devices",
+                     "--also", flat]) == 0
         out = capsys.readouterr().out
         assert "\n-- 41 statements shared with V2: a round computes them once\n" in out
         assert "\n-- 0 statements shared with V3: a round computes them once\n" in out
+        # the flat view is π over V's σ-join cache: V's round maintains it
+        assert "\n-- V4 is a projection of V's cache V__in_n1: a round maintains it with V\n" in out
         main(["explain", "--sql", agg])
         assert "statements shared" not in capsys.readouterr().out
+        # defined first, the flat view is answered from the aggregate's cache
+        assert main(["explain", "--sql", flat, "--also", agg]) == 0
+        out = capsys.readouterr().out
+        assert "-- V is a projection of V2's cache V2__in_n1" in out
+        assert "-- generated ∆-script" not in out
 
     def test_bad_sql_raises(self):
         from repro.errors import SqlError

@@ -20,6 +20,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -411,24 +412,46 @@ def test_every_engine_defines_through_one_define_view(engine_cls):
     assert metrics.loghist("view.define_seconds.Vagg", unit="seconds").count == 1
 
 
+def _priced_over(literal):
+    """Devices' parts cost per device, of the parts priced over *literal*."""
+    def build(db):
+        joined = natural_join(scan(db, "parts"), scan(db, "devices_parts"))
+        return group_by(
+            where(joined, col("price").gt(lit(literal))),
+            ("did",), [("sum", col("price"), "cost")],
+        )
+    return build
+
+
 @pytest.mark.parametrize(
     "engine_cls", (IdIvmEngine, RecomputeEngine, SdbtEngine), ids=lambda c: c.__name__
 )
 def test_a_plan_without_a_fingerprint_fails_its_definition(engine_cls):
     """Definition keys every sub-plan by its exact fingerprint: a plan
-    that has none (a ``Decimal`` literal) raises in every engine, before
+    that has none (a ``Fraction`` literal) raises in every engine, before
     any view exists."""
     db = build_devices_database(DEV_CONFIG)
-    joined = natural_join(scan(db, "parts"), scan(db, "devices_parts"))
-    plan = group_by(
-        where(joined, col("price").gt(lit(Decimal(5)))),
-        ("did",), [("sum", col("price"), "cost")],
-    )
     engine = engine_cls(db)
     tables = set(db.tables)
-    with pytest.raises(FingerprintError, match="Decimal"):
-        engine.define_view("Vdec", plan)
+    with pytest.raises(FingerprintError, match="Fraction"):
+        engine.define_view("Vfrac", _priced_over(Fraction(5))(db))
     assert engine.views == {} and set(db.tables) == tables
+
+
+@pytest.mark.parametrize(
+    "engine_cls", (IdIvmEngine, RecomputeEngine, SdbtEngine), ids=lambda c: c.__name__
+)
+def test_a_decimal_literal_view_defines_and_maintains(engine_cls):
+    """A ``Decimal`` literal has a type-tagged fingerprint document, so
+    its view defines and is maintained equal to recomputation."""
+    db = build_devices_database(DEV_CONFIG)
+    plan = _priced_over(Decimal("5.5"))(db)
+    engine = engine_cls(db)
+    view = engine.define_view("Vdec", plan)
+    for round_seed in range(3):
+        apply_price_updates(engine, db, DEV_CONFIG, round_seed)
+        engine.maintain()
+        assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
 
 
 def test_an_alternative_that_cannot_be_priced_raises(unpriceable_alternatives):

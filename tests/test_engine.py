@@ -6,7 +6,7 @@ from repro.algebra import evaluate_plan, group_by, scan
 from repro.core import IdIvmEngine
 from repro.errors import ScriptError, UnknownTableError
 from repro.expr import col
-from tests.conftest import build_view_v, build_view_v_prime
+from tests.conftest import build_view_v, build_view_v_prime, unhosted
 
 
 class TestDefinition:
@@ -183,7 +183,7 @@ class TestPricingErrors:
 
         monkeypatch.setattr(cost_mod, "infer_script_cost", flaky)
         with pytest.raises(ZeroDivisionError):
-            engine.define_view("V", build_view_v(db))
+            engine.define_view("V", unhosted(build_view_v(db)))
         assert len(calls) == failing
         assert list(engine.views) == ["Vp"]
         engine.log.update("parts", ("P1",), {"price": 11})

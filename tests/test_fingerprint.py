@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from datetime import date, datetime
+from decimal import Decimal
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,20 @@ class TestDistinctness:
         five = where(scan(db, "t"), Cmp(">", col("a"), lit(5)))
         six = where(scan(db, "t"), Cmp(">", col("a"), lit(6)))
         assert plan_fingerprint(five, db) != plan_fingerprint(six, db)
+
+    def test_literal_type_changes_fingerprint(self):
+        """``Decimal`` and date literals get type-tagged documents: equal
+        values of different types are different literals."""
+        db = make_db()
+        values = (
+            5, 5.0, "5", Decimal("5"), Decimal("5.0"),
+            date(2015, 5, 31), datetime(2015, 5, 31),
+        )
+        fps = {
+            plan_fingerprint(where(scan(db, "t"), Cmp(">", col("a"), lit(v))), db, alpha=alpha)
+            for v in values for alpha in (True, False)
+        }
+        assert len(fps) == 2 * len(values)
 
     def test_operator_change_changes_fingerprint(self):
         db = make_db()

@@ -44,6 +44,7 @@ from repro.workloads import (
     log_user_updates,
 )
 from repro.workloads.devices import log_batch, mixed_modification_batch
+from tests.conftest import unhosted
 
 DEV_CONFIG = DevicesConfig(n_parts=80, n_devices=80, diff_size=24)
 BSMA_CONFIG = BsmaConfig(n_users=150)
@@ -286,7 +287,7 @@ def _run_family(family, make_engine, monkeypatch, rounds=3):
     if family == "devices":
         db = build_devices_database(DEV_CONFIG)
         plans = {
-            "V": build_flat_view(db, DEV_CONFIG),
+            "V": unhosted(build_flat_view(db, DEV_CONFIG)),
             "Vagg": build_aggregate_view(db, DEV_CONFIG),
         }
     else:

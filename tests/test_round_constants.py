@@ -45,6 +45,7 @@ from repro.workloads import (
     log_user_updates,
 )
 from repro.workloads.devices import log_batch, mixed_modification_batch
+from tests.conftest import unhosted
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEV_CONFIG = DevicesConfig(n_parts=80, n_devices=80, diff_size=24)
@@ -55,7 +56,7 @@ ENGINES = {"id": IdIvmEngine, "tuple": TupleIvmEngine}
 def _devices(engine_cls):
     db = build_devices_database(DEV_CONFIG)
     engine = engine_cls(db)
-    engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+    engine.define_view("V", unhosted(build_flat_view(db, DEV_CONFIG)))
     engine.define_view("Vagg", build_aggregate_view(db, DEV_CONFIG))
 
     def one_round(seed: int) -> None:

@@ -58,6 +58,7 @@ from tests.conftest import (
     assert_views_at_their_cursors,
     build_view_v,
     build_view_v_prime,
+    unhosted,
     view_bag,
 )
 
@@ -227,7 +228,7 @@ def _instances_per_view(engine):
 def test_views_with_equal_schema_sets_are_handed_the_same_instances():
     db = build_devices_database(CONFIG)
     engine = IdIvmEngine(db)
-    flat = engine.define_view("V", build_flat_view(db, CONFIG))
+    flat = engine.define_view("V", unhosted(build_flat_view(db, CONFIG)))
     agg = engine.define_view("Vagg", build_aggregate_view(db, CONFIG))
     apply_price_updates(engine, db, CONFIG)
     handed = _instances_per_view(engine)
@@ -289,10 +290,10 @@ COUNTED_WRITERS = (
 
 
 def _big_round(**engine_options):
-    """A 400-update round over the flat view V and the aggregate view V′."""
+    """A 400-update round over a flat view V and the aggregate view V′."""
     db = build_devices_database(BIG)
     engine = IdIvmEngine(db, **engine_options)
-    engine.define_view("V", build_flat_view(db, BIG))
+    engine.define_view("V", unhosted(build_flat_view(db, BIG)))
     engine.define_view("Vagg", build_aggregate_view(db, BIG))
     apply_price_updates(engine, db, BIG)
     return db, engine
@@ -400,7 +401,7 @@ def test_one_script_is_routed_analyzed_and_executed(kind, exec_backend):
             stack.enter_context(mock.patch.object(target, name, spy))
         # the flat view routes parallel on price updates, γ broadcasts
         views = [
-            engine.define_view("V", build_flat_view(db, CONFIG)),
+            engine.define_view("V", unhosted(build_flat_view(db, CONFIG))),
             engine.define_view("A", build_aggregate_view(db, CONFIG)),
         ]
         for view in views:
@@ -495,13 +496,14 @@ class Boom(RuntimeError):
 
 def _two_view_engine(kind: str, db, build_b=build_view_v_prime):
     """Views A (flat) and B (by default a γ-sum) over the running
-    example; SDBT takes aggregates over SPJ only, so its A is a γ-count."""
+    example, each keeping its own state; SDBT takes aggregates over SPJ
+    only, so its A is a γ-count."""
     engine = ENGINES[kind](db)
     a = build_view_v_prime(db)
     engine.define_view(
         "A",
         group_by(a.child, ("did",), [("count", None, "parts")])
-        if kind == "sdbt" else build_view_v(db),
+        if kind == "sdbt" else unhosted(build_view_v(db)),
     )
     engine.define_view("B", build_b(db))
     for price in range(11, 31):   # 20 updates of P1

@@ -275,13 +275,14 @@ def test_scrapes_while_a_loop_maintains():
 
 
 def lagging_engine(db):
-    """Two views over the running example; three updates absorbed by A
-    only, so B's cursor keeps them in the log."""
+    """Two views over the running example that each keep their own
+    state; three updates absorbed by A only, so B's cursor keeps them in
+    the log."""
     from repro.core import IdIvmEngine
-    from tests.conftest import build_view_v, build_view_v_prime
+    from tests.conftest import build_view_v, build_view_v_prime, unhosted
 
     engine = IdIvmEngine(db)
-    engine.define_view("A", build_view_v(db))
+    engine.define_view("A", unhosted(build_view_v(db)))
     engine.define_view("B", build_view_v_prime(db))
     for price in (11, 12, 13):
         engine.log.update("parts", ("P1",), {"price": price})

@@ -27,6 +27,7 @@ import pytest
 import repro.core.engine as engine_mod
 from repro.core.modlog import populate_instances
 from repro.shard.router import plan_route
+from repro.algebra import project_columns
 from repro.algebra.evaluate import evaluate_plan
 from repro.baselines import RecomputeEngine, SdbtEngine, TupleIvmEngine
 from repro.core import EagerIvmEngine, IdIvmEngine, ShardedEngine, ShardedMaintenanceReport
@@ -50,7 +51,7 @@ from repro.workloads.devices import (
     log_batch,
     mixed_modification_batch,
 )
-from tests.conftest import assert_views_at_their_cursors
+from tests.conftest import assert_views_at_their_cursors, unhosted
 
 SHARD_COUNTS = tuple(
     int(v) for v in os.environ.get("REPRO_SHARDS", "1,2,4,8").split(",")
@@ -520,10 +521,11 @@ def test_unknown_view_name_keeps_the_pending_batch(engine_factory):
 # ----------------------------------------------------------------------
 def _two_view_engine(backend):
     """A flat view A (parallel on the parts anchor), a γ-sum B
-    (broadcast) and one batch of price updates pending."""
+    (broadcast), each keeping its own state, and one batch of price
+    updates pending."""
     db = build_devices_database(DEV_CONFIG)
     engine = ShardedEngine(db, shards=2, backend=backend, race_check=RACE_CHECK)
-    engine.define_view("A", build_flat_view(db, DEV_CONFIG))
+    engine.define_view("A", unhosted(build_flat_view(db, DEV_CONFIG)))
     engine.define_view("B", build_aggregate_view(db, DEV_CONFIG))
     return db, engine, apply_price_updates(engine, db, DEV_CONFIG)
 
@@ -598,3 +600,50 @@ def test_traced_parallel_round_passes_the_trace_validator(backend, tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(rec, str(path))
     assert main([str(path)]) == 0  # schema + phase-count reconciliation
+
+
+# ----------------------------------------------------------------------
+# hosted views (core.share.Hosting): a view that is a column-only π over
+# another view's cache keeps nothing of its own, on both backends
+# ----------------------------------------------------------------------
+def _hosted_engine(factory):
+    """The devices pair (V answered from Vagg's σ-join cache) and W, a π
+    over the flat view F, answered from F's table; F routes parallel on
+    price updates."""
+    db = build_devices_database(DEV_CONFIG)
+    engine = factory(db)
+    for name, plan in (
+        ("V", build_flat_view(db, DEV_CONFIG)),
+        ("Vagg", build_aggregate_view(db, DEV_CONFIG)),
+        ("F", unhosted(build_flat_view(db, DEV_CONFIG))),
+        ("W", project_columns(unhosted(build_flat_view(db, DEV_CONFIG)), ("price", "pid"))),
+    ):
+        engine.define_view(name, plan)
+    return db, engine
+
+
+def _nonzero(report) -> dict:
+    return {p: c.as_dict() for p, c in report.phase_counts.items() if c.total}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_hosted_views_cost_nothing_on_either_backend(backend):
+    db, engine = _hosted_engine(lambda db: ShardedEngine(
+        db, shards=2, backend=backend, race_check=RACE_CHECK
+    ))
+    base_db, base = _hosted_engine(IdIvmEngine)
+    assert {n: h for n, (h, _) in engine.hosting.hosts.items()} == {"V": "Vagg", "W": "F"}
+    with engine:
+        for seed in range(3):
+            apply_price_updates(engine, db, DEV_CONFIG, round_seed=seed)
+            apply_price_updates(base, base_db, DEV_CONFIG, round_seed=seed)
+            reports, expected = engine.maintain(), base.maintain()
+            assert reports["F"].parallel
+            for name in ("V", "W"):
+                assert reports[name].host == expected[name].host
+                assert reports[name].total_cost == 0
+            for name in ("Vagg", "F"):
+                assert _nonzero(reports[name]) == _nonzero(expected[name]), name
+            assert_views_at_their_cursors(engine, db)
+        for name, view in engine.views.items():
+            assert view.table.as_set() == evaluate_plan(view.plan, db).as_set(), name

@@ -1,8 +1,10 @@
 """Compute statements two views hold identically run once per round
 (:mod:`repro.core.share`): the first view in round order computes the
 rows, every later view at the same log cursor binds them under its own
-schema.  Pinned on the devices pair — the paper's V (Fig. 1b) and V′
-(Fig. 5b) over one σ(parts ⋈ devices_parts ⋈ devices) — in both
+schema.  Pinned on a devices pair — the paper's V (Fig. 1b) under a
+residual σ that keeps every row, so that it keeps its own state (the
+paper's V itself is answered from V′'s cache: ``core.share.Hosting``),
+and V′ (Fig. 5b), over one σ(parts ⋈ devices_parts ⋈ devices) — in both
 definition orders, and on the eight BSMA views for the lint.
 """
 
@@ -15,7 +17,8 @@ import pytest
 import repro.core.engine as engine_mod
 import repro.core.script as script_mod
 from repro.algebra.evaluate import evaluate_plan
-from repro.analysis.sharing import share_groups
+from repro.analysis import analyze_catalog
+from repro.analysis.sharing import hosted_views, share_groups
 from repro.cli import _lint_view_entry
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.obs import drift as drift_mod
@@ -32,9 +35,13 @@ from repro.workloads import (
     log_user_updates,
 )
 from repro.workloads.devices import log_batch, mixed_modification_batch
+from tests.conftest import unhosted
 
 CONFIG = DevicesConfig(n_parts=120, n_devices=120, diff_size=20)
-BUILDERS = {"V": build_flat_view, "Vagg": build_aggregate_view}
+BUILDERS = {
+    "V": lambda db, config: unhosted(build_flat_view(db, config)),
+    "Vagg": build_aggregate_view,
+}
 ORDERS = [("V", "Vagg"), ("Vagg", "V")]
 
 
@@ -288,3 +295,37 @@ def test_the_lint_groups_what_the_engine_shares_on_the_bsma_views():
     engine.maintain()
     for view in engine.views.values():
         assert view.table.as_set() == evaluate_plan(view.plan, db).as_set()
+
+
+# ----------------------------------------------------------------------
+# SHARE703: the lint binds hosted views with the engine's class
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("order", [("V", "Vagg"), ("Vagg", "V")], ids="-then-".join)
+def test_the_lint_hosts_what_the_engine_hosts_on_the_devices_pair(order):
+    db = build_devices_database(CONFIG)
+    engine = IdIvmEngine(db)
+    plans = {"V": build_flat_view, "Vagg": build_aggregate_view}
+    for name in order:
+        engine.define_view(name, plans[name](db, CONFIG))
+    facts = [_lint_view_entry(name, plans[name](db, CONFIG), db, None)[1] for name in order]
+    assert hosted_views(facts) == engine.hosting.hosts
+    assert {name: host for name, (host, _) in engine.hosting.hosts.items()} == {"V": "Vagg"}
+    report = analyze_catalog(facts)
+    assert [(d.rule_id, d.location) for d in report.diagnostics if d.rule_id == "SHARE703"] == [
+        ("SHARE703", "V")
+    ]
+    # a hosted view holds no round-share key, in the lint as in the engine
+    assert share_groups(facts) == {} == _engine_groups(engine)
+
+
+def test_the_lint_hosts_nothing_on_the_bsma_views():
+    config = BsmaConfig(n_users=40)
+    db = build_bsma_database(config)
+    engine = IdIvmEngine(db)
+    for name in sorted(BSMA_QUERIES):
+        engine.define_view(name, BSMA_QUERIES[name](db, config))
+    facts = [
+        _lint_view_entry(name, BSMA_QUERIES[name](db, config), db, None)[1]
+        for name in sorted(BSMA_QUERIES)
+    ]
+    assert hosted_views(facts) == engine.hosting.hosts == {}
